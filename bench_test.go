@@ -480,6 +480,49 @@ func BenchmarkBatchQuery(b *testing.B) {
 	})
 }
 
+// BenchmarkRemoteFilter measures the SRC schemes' owner-side refinement
+// over a TCP loopback connection: one op is a whole Logarithmic-SRC-i
+// query returning ≈100 raw ids — two search rounds, then the fetch round
+// (one fetch-many frame instead of ≈100 fetch round trips) and the
+// value-only decrypt that weeds out the false positives. Run with
+// -benchmem; rawids/op and matches/op say how much the filter had to do.
+func BenchmarkRemoteFilter(b *testing.B) {
+	c, idx := benchClient(b, rsse.LogarithmicSRCi, false)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = rsse.Serve(l, idx) }()
+	remote, err := rsse.Dial("tcp", l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer remote.Close()
+
+	// 0.5% of the domain holds ≈50 of the 10k uniform tuples; the
+	// single-node SRC cover returns about twice as many ids.
+	const width = (1 << benchBits) * 50 / 10000
+	ranges := make([]rsse.Range, 64)
+	for i := range ranges {
+		lo := uint64(i)*((1<<benchBits)/64) + 17
+		ranges[i] = rsse.Range{Lo: lo, Hi: lo + width - 1}
+	}
+	var raw, matches int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.QueryRemote(remote, ranges[i%len(ranges)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw += res.Stats.Raw
+		matches += res.Stats.Matches
+	}
+	b.ReportMetric(float64(raw)/float64(b.N), "rawids/op")
+	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+}
+
 // BenchmarkQuadratic_Build exercises the naive baseline at its natural
 // (tiny) scale for completeness.
 func BenchmarkQuadratic_Build(b *testing.B) {

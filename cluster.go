@@ -598,11 +598,11 @@ func (c *Cluster) FetchTuple(id ID) (Tuple, error) {
 	var firstErr error
 	for i := range c.clients {
 		c.mus[i].Lock()
-		_, ok, err := c.targets[i].Fetch(id)
+		ct, ok, err := c.targets[i].Fetch(id)
 		if err == nil && ok {
-			// Present on this shard: decrypt under its client's keys.
-			var tup Tuple
-			tup, err = c.clients[i].FetchTuple(c.targets[i], id)
+			// Present on this shard: decrypt the probed ciphertext under
+			// its client's keys (no second fetch).
+			tup, err := c.clients[i].OpenTuple(id, ct)
 			c.mus[i].Unlock()
 			return tup, err
 		}

@@ -137,10 +137,22 @@
 // cluster (Cluster.QueryBatch), one batched sub-query per LSM epoch
 // (Dynamic.QueryBatch, ShardedDynamic.QueryBatch), and through the
 // cache (CachedClient.QueryBatch answers covered ranges locally and
-// batches the misses). WithBatchWorkers bounds the owner-side parallel
-// false-positive fetches. The server sees only the deduplicated,
-// jointly permuted token union plus the batch size — strictly less than
-// the equivalent sequential queries reveal.
+// batches the misses). The server sees only the deduplicated, jointly
+// permuted token union plus the batch size — strictly less than the
+// equivalent sequential queries reveal.
+//
+// # The fetch round
+//
+// Search returns ids; the owner then fetches ciphertexts — to weed out
+// the SRC schemes' false positives, to hand documents to the
+// application, to download an LSM epoch for consolidation. All of those
+// loops are one fetch round: the ids cross the wire in chunks of 128
+// per frame (the fetch-many op) with at most two chunks in flight, so a
+// Logarithmic-SRC-i query costs two search round trips plus one or two
+// fetch frames however many ids the server returned, and the filter
+// decrypts only each tuple's first cipher block under a cached key
+// schedule. There is nothing to tune. The server sees the same ids, in
+// the same order, as one fetch per id would have shown it.
 //
 // # Context-aware variants
 //

@@ -27,10 +27,6 @@ import (
 // hidden) plus the batch size; sequential queries reveal every per-range
 // token multiset separately, with timing.
 
-// defaultBatchWorkers bounds the owner-side concurrency of a batched
-// query (parallel false-positive fetches) when Options.BatchWorkers is 0.
-const defaultBatchWorkers = 8
-
 // BatchSearcher is the optional Server extension the batch pipeline
 // prefers: executing several trapdoors in one exchange. A local *Index
 // implements it with concurrent token search; the transport layer
@@ -163,20 +159,15 @@ func (x *Index) searchConstantToken(tok dprf.Token) ([][]byte, error) {
 	return group, nil
 }
 
-// runJobs fans n index-addressed jobs out over up to `workers`
-// goroutines. Dispatch stops at the first job error or when ctx is
-// done; the first error is returned, with ctx's taking precedence.
-// Jobs must write to disjoint state (slots indexed by their job index).
-func runJobs(ctx context.Context, workers, n int, job func(i int) error) error {
-	return runJobsChunked(ctx, workers, n, 1, job)
-}
-
-// runJobsChunked is runJobs dispatching jobs in runs of `chunk`
-// consecutive indices per channel send. A worker that receives a run
-// executes its jobs back to back, so jobs that are adjacent in the
-// caller's layout — the tokens of one trapdoor, say — land on one
-// goroutine with their shared state hot, and the unbuffered handoff
-// happens once per run instead of once per job.
+// runJobsChunked fans n index-addressed jobs out over up to `workers`
+// goroutines, in runs of `chunk` consecutive indices per channel send.
+// Dispatch stops at the first job error or when ctx is done; the first
+// error is returned, with ctx's taking precedence. Jobs must write to
+// disjoint state (slots indexed by their job index). A worker that
+// receives a run executes its jobs back to back, so jobs that are
+// adjacent in the caller's layout — the tokens of one trapdoor, say —
+// land on one goroutine with their shared state hot, and the unbuffered
+// handoff happens once per run instead of once per job.
 func runJobsChunked(ctx context.Context, workers, n, chunk int, job func(i int) error) error {
 	if chunk < 1 {
 		chunk = 1
@@ -654,75 +645,34 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 
 // batchFilter removes the SRC schemes' false positives from every range,
 // fetching each distinct raw id exactly once across the whole batch (the
-// shared cover nodes mean the same ids recur in many ranges' raw sets).
+// shared cover nodes mean the same ids recur in many ranges' raw sets),
+// all of them in one chunked fetch round.
 func (c *Client) batchFilter(ctx context.Context, s Server, ranges []Range, br *BatchResult) error {
-	seen := make(map[ID]struct{})
+	seen := make(map[ID]Value) // distinct raw ids, then their values
 	var distinct []ID
 	for _, res := range br.Results {
 		for _, id := range res.Raw {
 			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
+				seen[id] = 0
 				distinct = append(distinct, id)
 			}
 		}
 	}
-	values, err := c.prefetchValues(ctx, s, distinct)
+	values, err := c.fetchValues(ctx, s, distinct)
 	if err != nil {
 		return err
 	}
 	br.Stats.FetchedTuples = len(distinct)
+	for i, id := range distinct {
+		seen[id] = values[i]
+	}
 	for i, res := range br.Results {
 		res.Matches = make([]ID, 0, len(res.Raw))
 		for _, id := range res.Raw {
-			if ranges[i].Contains(values[id]) {
+			if ranges[i].Contains(seen[id]) {
 				res.Matches = append(res.Matches, id)
 			}
 		}
 	}
 	return nil
-}
-
-// prefetchValues fetches and decrypts the values of the given ids with up
-// to BatchWorkers concurrent fetches (the owner-side counterpart of the
-// server's concurrent token search — on a remote target each fetch is a
-// round trip).
-func (c *Client) prefetchValues(ctx context.Context, s Server, ids []ID) (map[ID]Value, error) {
-	values := make([]Value, len(ids))
-	err := runJobs(ctx, c.numBatchWorkers(), len(ids), func(i int) error {
-		v, err := c.fetchValue(ctx, s, ids[i])
-		if err != nil {
-			return err
-		}
-		values[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[ID]Value, len(ids))
-	for i, id := range ids {
-		out[id] = values[i]
-	}
-	return out, nil
-}
-
-// fetchValue fetches one tuple and decrypts just its value.
-func (c *Client) fetchValue(ctx context.Context, s Server, id ID) (Value, error) {
-	ct, ok, err := fetchCtx(ctx, s, id)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("core: server returned unknown id %d", id)
-	}
-	v, _, err := openTuple(c.kStore, ct)
-	return v, err
-}
-
-// numBatchWorkers resolves the owner-side batch concurrency.
-func (c *Client) numBatchWorkers() int {
-	if c.batchWorkers > 0 {
-		return c.batchWorkers
-	}
-	return defaultBatchWorkers
 }

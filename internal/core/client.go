@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -46,10 +47,6 @@ type Options struct {
 	// domains; Build fails if the domain exponent exceeds it. Zero
 	// selects 12 (m = 4096, i.e. ~8.4M possible subranges).
 	QuadraticMaxBits uint8
-	// BatchWorkers bounds the owner-side concurrency of batched queries
-	// (parallel false-positive fetches during QueryBatch filtering);
-	// 0 selects a small default.
-	BatchWorkers int
 	// TrapdoorMemo sizes the client's private trapdoor memo (see
 	// tdmemo.go); 0 disables memoization.
 	TrapdoorMemo int
@@ -74,11 +71,13 @@ type Client struct {
 	kDPRF  dprf.Key   // Constant schemes' delegatable PRF
 	kStore secenc.Key // tuple-store encryption
 	kPairs secenc.Key // Logarithmic-SRC-i pair encryption
+	// storeBlock is kStore's key schedule, built once: the fetch round
+	// decrypts one ciphertext per returned id.
+	storeBlock cipher.Block
 
 	padQuadratic   bool
 	allowIntersect bool
 	quadMaxBits    uint8
-	batchWorkers   int
 
 	history []Range // issued queries (Constant schemes' guard)
 
@@ -101,7 +100,6 @@ func NewClient(kind Kind, dom cover.Domain, opts Options) (*Client, error) {
 		padQuadratic:   opts.PadQuadratic,
 		allowIntersect: opts.AllowIntersecting,
 		quadMaxBits:    opts.QuadraticMaxBits,
-		batchWorkers:   opts.BatchWorkers,
 	}
 	if c.sse == nil {
 		c.sse = sse.Basic{}
@@ -135,6 +133,7 @@ func NewClient(kind Kind, dom cover.Domain, opts Options) (*Client, error) {
 	c.kDPRF = dprf.KeyFromSeed(dom, prf.Derive(c.master, "dprf"))
 	storeKey := prf.Derive(c.master, "store")
 	copy(c.kStore[:], storeKey[:secenc.KeySize])
+	c.storeBlock = secenc.NewBlock(c.kStore)
 	pairKey := prf.Derive(c.master, "pairs")
 	copy(c.kPairs[:], pairKey[:secenc.KeySize])
 	return c, nil
@@ -654,39 +653,21 @@ func idsOf(resp *Response, stats *QueryStats) []ID {
 	return out
 }
 
-// filterMatches fetches and decrypts the returned tuples and keeps those
-// inside the query range — the owner-side refinement step that removes
-// the SRC schemes' false positives.
+// filterMatches fetches and decrypts the returned tuples' values and keeps
+// the ids inside the query range — the owner-side refinement step that
+// removes the SRC schemes' false positives.
 func (c *Client) filterMatches(ctx context.Context, s Server, raw []ID, q Range) ([]ID, error) {
+	values, err := c.fetchValues(ctx, s, raw)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ID, 0, len(raw))
-	for _, id := range raw {
-		v, err := c.fetchValue(ctx, s, id)
-		if err != nil {
-			return nil, err
-		}
-		if q.Contains(v) {
+	for i, id := range raw {
+		if q.Contains(values[i]) {
 			out = append(out, id)
 		}
 	}
 	return out, nil
-}
-
-// FetchTuple retrieves and decrypts one tuple by id — the orthogonal
-// final step of Section 3 applications use to obtain actual documents.
-// It accepts any Server (local index or remote connection).
-func (c *Client) FetchTuple(s Server, id ID) (Tuple, error) {
-	ct, ok, err := s.Fetch(id)
-	if err != nil {
-		return Tuple{}, err
-	}
-	if !ok {
-		return Tuple{}, fmt.Errorf("core: no tuple with id %d", id)
-	}
-	v, payload, err := openTuple(c.kStore, ct)
-	if err != nil {
-		return Tuple{}, err
-	}
-	return Tuple{ID: id, Value: v, Payload: payload}, nil
 }
 
 // Search executes one server-side round. The server only ever sees the

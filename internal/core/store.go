@@ -66,6 +66,19 @@ func (s *TupleStore) Get(id ID) ([]byte, bool) {
 	return s.cts.Get(k[:])
 }
 
+// getMany fills out[i] with the ciphertext stored for ids[i], leaving it
+// nil for an unknown id. One key buffer serves the whole loop: Backend.Get
+// is an interface call, so a per-id buffer would cost an allocation each.
+func (s *TupleStore) getMany(ids []ID, out [][]byte) {
+	var k [storeKeyLen]byte
+	for i, id := range ids {
+		binary.BigEndian.PutUint64(k[:], id)
+		if ct, ok := s.cts.Get(k[:]); ok {
+			out[i] = ct
+		}
+	}
+}
+
 // Len returns the number of stored tuples.
 func (s *TupleStore) Len() int { return s.cts.Len() }
 
@@ -81,16 +94,4 @@ func (s *TupleStore) IDs() []ID {
 		return true
 	})
 	return out
-}
-
-// openTuple decrypts a stored ciphertext back into (value, payload).
-func openTuple(k secenc.Key, ct []byte) (Value, []byte, error) {
-	plain, err := secenc.DecryptCBC(k, ct)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(plain) < 8 {
-		return 0, nil, fmt.Errorf("core: corrupt tuple ciphertext")
-	}
-	return binary.BigEndian.Uint64(plain[:8]), plain[8:], nil
 }

@@ -386,13 +386,12 @@ func (m *Manager) consolidate() error {
 // downloadOps decrypts every record of an epoch — the "owner downloads
 // the involved indexes" step of the consolidation protocol.
 func downloadOps(e *epoch) ([]Op, error) {
-	ids := e.index.Store().IDs()
-	ops := make([]Op, 0, len(ids))
-	for _, id := range ids {
-		t, err := e.client.FetchTuple(e.index, id)
-		if err != nil {
-			return nil, err
-		}
+	tuples, err := e.client.FetchTuples(context.TODO(), e.index, e.index.Store().IDs())
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]Op, 0, len(tuples))
+	for _, t := range tuples {
 		op, err := decodeOp(t.Value, t.Payload)
 		if err != nil {
 			return nil, err
@@ -528,14 +527,11 @@ func (m *Manager) QueryOnContext(ctx context.Context, dir Directory, q core.Rang
 			stats.TokenBytes += res.Stats.TokenBytes
 			stats.Raw += res.Stats.Raw
 			stats.FalsePositives += res.Stats.FalsePositives
-			for _, storeID := range res.Matches {
-				if err := ctx.Err(); err != nil {
-					return nil, stats, err
-				}
-				t, err := e.client.FetchTuple(srv, storeID)
-				if err != nil {
-					return nil, stats, err
-				}
+			tuples, err := e.client.FetchTuples(ctx, srv, res.Matches)
+			if err != nil {
+				return nil, stats, err
+			}
+			for _, t := range tuples {
 				op, err := decodeOp(t.Value, t.Payload)
 				if err != nil {
 					return nil, stats, err
@@ -593,26 +589,32 @@ func (m *Manager) QueryBatchOnContext(ctx context.Context, dir Directory, qs []c
 			stats.Tokens += br.Stats.UniqueTokens
 			stats.TokenBytes += br.Stats.TokenBytes
 			// The shared covers return the same store ids for several
-			// ranges; fetch and decode each id once per epoch.
+			// ranges; fetch and decode each id once per epoch, all of them
+			// in one fetch round.
 			ops := make(map[core.ID]Op)
-			for i, res := range br.Results {
+			var distinct []core.ID
+			for _, res := range br.Results {
 				stats.Raw += res.Stats.Raw
 				stats.FalsePositives += res.Stats.FalsePositives
 				for _, storeID := range res.Matches {
-					op, ok := ops[storeID]
-					if !ok {
-						if err := ctx.Err(); err != nil {
-							return nil, stats, err
-						}
-						t, err := e.client.FetchTuple(srv, storeID)
-						if err != nil {
-							return nil, stats, err
-						}
-						if op, err = decodeOp(t.Value, t.Payload); err != nil {
-							return nil, stats, err
-						}
-						ops[storeID] = op
+					if _, dup := ops[storeID]; !dup {
+						ops[storeID] = Op{}
+						distinct = append(distinct, storeID)
 					}
+				}
+			}
+			tuples, err := e.client.FetchTuples(ctx, srv, distinct)
+			if err != nil {
+				return nil, stats, err
+			}
+			for _, t := range tuples {
+				if ops[t.ID], err = decodeOp(t.Value, t.Payload); err != nil {
+					return nil, stats, err
+				}
+			}
+			for i, res := range br.Results {
+				for _, storeID := range res.Matches {
+					op := ops[storeID]
 					if cur, dup := latest[i][op.ID]; !dup || op.seq > cur.seq {
 						latest[i][op.ID] = op
 					}

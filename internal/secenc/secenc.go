@@ -11,6 +11,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -101,16 +102,37 @@ func EncryptCBC(k Key, plaintext []byte, r io.Reader) ([]byte, error) {
 	return out, nil
 }
 
-// DecryptCBC reverses EncryptCBC.
-func DecryptCBC(k Key, ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) < 2*aes.BlockSize {
-		return nil, ErrCiphertextTooShort
-	}
-	if (len(ciphertext)-aes.BlockSize)%aes.BlockSize != 0 {
-		return nil, ErrCiphertextTooShort
-	}
+// NewBlock returns the AES block cipher for k. A caller that decrypts
+// many ciphertexts under one key builds it once and passes it to
+// DecryptCBCBlock / DecryptCBCFirstBlock, paying the key schedule once
+// instead of per ciphertext. The block is safe for concurrent use.
+func NewBlock(k Key) cipher.Block {
 	block, err := aes.NewCipher(k[:])
 	if err != nil {
+		// aes.NewCipher only fails on invalid key sizes, which the Key
+		// type rules out.
+		panic("secenc: " + err.Error())
+	}
+	return block
+}
+
+// checkCBCLength rejects anything that cannot be an EncryptCBC output:
+// an IV followed by at least one whole block.
+func checkCBCLength(ciphertext []byte) error {
+	if len(ciphertext) < 2*aes.BlockSize || len(ciphertext)%aes.BlockSize != 0 {
+		return ErrCiphertextTooShort
+	}
+	return nil
+}
+
+// DecryptCBC reverses EncryptCBC.
+func DecryptCBC(k Key, ciphertext []byte) ([]byte, error) {
+	return DecryptCBCBlock(NewBlock(k), ciphertext)
+}
+
+// DecryptCBCBlock is DecryptCBC under an already scheduled key (NewBlock).
+func DecryptCBCBlock(block cipher.Block, ciphertext []byte) ([]byte, error) {
+	if err := checkCBCLength(ciphertext); err != nil {
 		return nil, err
 	}
 	iv := ciphertext[:aes.BlockSize]
@@ -119,19 +141,34 @@ func DecryptCBC(k Key, ciphertext []byte) ([]byte, error) {
 	return unpad(body, aes.BlockSize)
 }
 
+// DecryptCBCFirstBlock decrypts only the first plaintext block of an
+// EncryptCBC ciphertext into dst, for callers that need a fixed-width
+// header of many ciphertexts and none of their bodies: one block
+// operation, no allocation, whatever the ciphertext's length. It returns
+// how many leading bytes of dst are plaintext — the whole block, unless
+// the ciphertext holds a single block, whose PKCS#7 padding is then
+// validated and excluded. Later blocks are not looked at, so a corrupt
+// tail goes unnoticed here (DecryptCBC checks it).
+func DecryptCBCFirstBlock(block cipher.Block, dst *[aes.BlockSize]byte, ciphertext []byte) (int, error) {
+	if err := checkCBCLength(ciphertext); err != nil {
+		return 0, err
+	}
+	block.Decrypt(dst[:], ciphertext[aes.BlockSize:2*aes.BlockSize])
+	subtle.XORBytes(dst[:], dst[:], ciphertext[:aes.BlockSize])
+	if len(ciphertext) > 2*aes.BlockSize {
+		return aes.BlockSize, nil
+	}
+	plain, err := unpad(dst[:], aes.BlockSize)
+	return len(plain), err
+}
+
 // XORKeyStreamCTR encrypts (or decrypts — CTR is an involution) src in
 // place-free fashion with AES-128-CTR under k and the given 16-byte nonce.
 // It is used for fixed-width index cells where each (key, nonce) pair is
 // used at most once by construction.
 func XORKeyStreamCTR(k Key, nonce [aes.BlockSize]byte, src []byte) []byte {
-	block, err := aes.NewCipher(k[:])
-	if err != nil {
-		// aes.NewCipher only fails on invalid key sizes, which the Key
-		// type rules out.
-		panic("secenc: " + err.Error())
-	}
 	dst := make([]byte, len(src))
-	cipher.NewCTR(block, nonce[:]).XORKeyStream(dst, src)
+	cipher.NewCTR(NewBlock(k), nonce[:]).XORKeyStream(dst, src)
 	return dst
 }
 

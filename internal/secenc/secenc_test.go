@@ -3,6 +3,7 @@ package secenc
 import (
 	"bytes"
 	"crypto/aes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -165,5 +166,80 @@ func BenchmarkEncryptCBC64(b *testing.B) {
 		if _, err := EncryptCBC(k, plain, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecryptCBCFirstBlock: the first-block decrypt must agree with the
+// full decrypt on every plaintext length (padding inside the first block
+// excluded), under a shared key schedule, without looking past block one.
+func TestDecryptCBCFirstBlock(t *testing.T) {
+	k := testKey(t, 7)
+	block := NewBlock(k)
+	for n := 0; n <= 3*aes.BlockSize+1; n++ {
+		plain := make([]byte, n)
+		for i := range plain {
+			plain[i] = byte(i + 1)
+		}
+		ct, err := EncryptCBC(k, plain, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head [aes.BlockSize]byte
+		got, err := DecryptCBCFirstBlock(block, &head, ct)
+		if err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		if want := min(n, aes.BlockSize); got != want || !bytes.Equal(head[:got], plain[:want]) {
+			t.Fatalf("%d bytes: first block = %x (%d bytes), want %x", n, head[:got], got, plain[:want])
+		}
+		full, err := DecryptCBCBlock(block, ct)
+		if err != nil || !bytes.Equal(full, plain) {
+			t.Fatalf("%d bytes: DecryptCBCBlock = %x, %v", n, full, err)
+		}
+		// A corrupt tail is invisible to the first-block decrypt.
+		if len(ct) > 2*aes.BlockSize {
+			ct[len(ct)-1] ^= 0xFF
+			if _, err := DecryptCBCFirstBlock(block, &head, ct); err != nil {
+				t.Fatalf("%d bytes: corrupt tail rejected: %v", n, err)
+			}
+		}
+	}
+}
+
+func TestDecryptCBCFirstBlockErrors(t *testing.T) {
+	k := testKey(t, 8)
+	block := NewBlock(k)
+	var head [aes.BlockSize]byte
+	for _, n := range []int{0, 1, aes.BlockSize, 2*aes.BlockSize - 1, 2*aes.BlockSize + 1} {
+		if _, err := DecryptCBCFirstBlock(block, &head, make([]byte, n)); !errors.Is(err, ErrCiphertextTooShort) {
+			t.Errorf("%d-byte ciphertext: err = %v, want ErrCiphertextTooShort", n, err)
+		}
+	}
+	// A single-block ciphertext carries its padding in the block being
+	// decrypted, so that padding is checked: PKCS#7 never ends in 0.
+	ct, err := EncryptCBC(k, []byte("12345678"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct[aes.BlockSize-1] ^= 8 // flips the last plaintext byte, 0x08, to 0
+	if _, err := DecryptCBCFirstBlock(block, &head, ct); !errors.Is(err, ErrBadPadding) {
+		t.Errorf("bad single-block padding: err = %v, want ErrBadPadding", err)
+	}
+}
+
+func TestDecryptCBCFirstBlockAllocs(t *testing.T) {
+	k := testKey(t, 9)
+	block := NewBlock(k)
+	ct, err := EncryptCBC(k, bytes.Repeat([]byte{3}, 100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := new([aes.BlockSize]byte)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := DecryptCBCFirstBlock(block, head, ct); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("DecryptCBCFirstBlock allocates %.0f objects/op, want 0", got)
 	}
 }

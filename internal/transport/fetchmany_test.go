@@ -1,0 +1,469 @@
+package transport
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"log/slog"
+	mrand "math/rand"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"rsse/internal/core"
+	"rsse/internal/cover"
+	"rsse/internal/race"
+	"rsse/internal/sse"
+)
+
+// perIDOnly hides a handle's FetchMany while keeping its context-aware
+// per-id fetch and its search extensions: the owner's fetch round falls
+// back to one fetch frame per id — the reference the fetch-many op is
+// compared to.
+type perIDOnly struct {
+	core.Server
+	core.ContextSearcher
+	core.ContextBatchSearcher
+	core.ContextFetcher
+}
+
+type fullHandle interface {
+	core.Server
+	core.ContextSearcher
+	core.ContextBatchSearcher
+	core.ContextFetcher
+	core.ManyFetcher
+}
+
+func hideFetchMany(h fullHandle) core.Server { return perIDOnly{h, h, h, h} }
+
+// TestFetchManyOp: one fetch-many frame returns exactly the ciphertexts
+// the per-id fetch op would, in id order, nil for unknown ids.
+func TestFetchManyOp(t *testing.T) {
+	_, idx, tuples := testClientIndex(t, core.LogarithmicSRC)
+	h := pipeServer(t, idx).Default()
+	ids := []core.ID{tuples[3].ID, 99999, tuples[0].ID, tuples[3].ID}
+	got, err := h.FetchMany(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ids) {
+		t.Fatalf("%d ciphertexts for %d ids", len(got), len(ids))
+	}
+	for i, id := range ids {
+		want, ok, err := h.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok && got[i] != nil {
+			t.Fatalf("id %d: unknown id answered with %d bytes", id, len(got[i]))
+		}
+		if ok && !bytes.Equal(got[i], want) {
+			t.Fatalf("id %d: fetch-many ciphertext differs from fetch", id)
+		}
+	}
+	if got, err := h.FetchMany(context.Background(), nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty fetch-many = %v, %v", got, err)
+	}
+	if _, err := h.FetchMany(context.Background(), make([]core.ID, maxFetchMany+1)); err == nil {
+		t.Fatal("handle sent a fetch-many beyond the server's cap")
+	}
+}
+
+// TestFetchManyServerRejects: the server refuses a count beyond its cap
+// or one that disagrees with the payload length — with an error
+// response, leaving the connection up.
+func TestFetchManyServerRejects(t *testing.T) {
+	_, idx, _ := testClientIndex(t, core.LogarithmicSRC)
+	conn := pipeServer(t, idx)
+	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+	for name, payload := range map[string][]byte{
+		"empty":             nil,
+		"short count":       {0, 0, 1},
+		"over cap":          append(u32(maxFetchMany+1), make([]byte, 8*(maxFetchMany+1))...),
+		"count overstates":  append(u32(3), make([]byte, 16)...),
+		"count understates": append(u32(1), make([]byte, 16)...),
+		"huge count":        u32(0xFFFFFFFF),
+		"ragged ids":        append(u32(1), make([]byte, 7)...),
+	} {
+		_, err := conn.roundTrip(opFetchMany, DefaultIndex, payload)
+		if err == nil || errors.Is(err, ErrConnDead) {
+			t.Errorf("%s: err = %v, want a server error response", name, err)
+		}
+	}
+	if _, err := conn.Default().Meta(); err != nil {
+		t.Fatalf("connection did not survive rejected frames: %v", err)
+	}
+}
+
+// TestFetchManyResponseParser: the client trusts nothing in a response —
+// the count must equal the request's and every length must be backed by
+// bytes actually present.
+func TestFetchManyResponseParser(t *testing.T) {
+	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	ok := cat(u32(2), u32(3), []byte("abc"), u32(0))
+	got, err := parseFetchManyResponse(ok, 2)
+	if err != nil || string(got[0]) != "abc" || got[1] != nil {
+		t.Fatalf("valid response = %q, %v", got, err)
+	}
+	for name, tc := range map[string]struct {
+		payload []byte
+		want    int
+	}{
+		"empty":              {nil, 0},
+		"count mismatch":     {ok, 3},
+		"fewer than asked":   {cat(u32(1), u32(0)), 2},
+		"count without body": {u32(1 << 30), 1 << 30},
+		"length overruns":    {cat(u32(1), u32(9), []byte("abc")), 1},
+		"huge length":        {cat(u32(1), u32(0xFFFFFFFF)), 1},
+		"missing entry":      {cat(u32(2), u32(0), []byte{0, 0}), 2},
+		"trailing bytes":     {cat(u32(1), u32(1), []byte("ab")), 1},
+	} {
+		if got, err := parseFetchManyResponse(tc.payload, tc.want); err == nil {
+			t.Errorf("%s: accepted as %q", name, got)
+		}
+	}
+}
+
+// stubStore is a core.Server holding a few ciphertexts, for driving the
+// fetch-many handler without an index.
+type stubStore map[core.ID][]byte
+
+func (s stubStore) Meta() (core.IndexMeta, error) { return core.IndexMeta{}, nil }
+func (s stubStore) Search(*core.Trapdoor) (*core.Response, error) {
+	return &core.Response{}, nil
+}
+func (s stubStore) Fetch(id core.ID) ([]byte, bool, error) { ct, ok := s[id]; return ct, ok, nil }
+
+// FuzzFetchManyFrames throws arbitrary bytes at both fetch-many parsers.
+// Neither may panic or over-allocate; whatever the request parser accepts
+// the handler must answer with a frame the response parser accepts back.
+func FuzzFetchManyFrames(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add(appendFetchManyRequest(nil, []core.ID{1, 2, 3}), uint16(3))
+	f.Add(binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF), uint16(0xFFFF))
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 0}, uint16(2))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 9, 'a'}, uint16(1))
+	store := stubStore{1: []byte("one"), 2: bytes.Repeat([]byte{2}, 48)}
+	ob := newIndexObs("fuzz-fetch-many")
+	f.Fuzz(func(t *testing.T, data []byte, want uint16) {
+		if cts, err := parseFetchManyResponse(data, int(want)); err == nil {
+			if len(cts) != int(want) {
+				t.Fatalf("parsed %d ciphertexts, asked for %d", len(cts), want)
+			}
+			total := 0
+			for _, ct := range cts {
+				total += len(ct)
+			}
+			if total > len(data) {
+				t.Fatalf("ciphertexts total %d bytes out of a %d-byte frame", total, len(data))
+			}
+		}
+		ids, err := parseFetchManyRequest(data)
+		if err != nil {
+			return
+		}
+		if len(ids) > maxFetchMany || 4+8*len(ids) != len(data) || fetchManyCount(data) != len(ids) {
+			t.Fatalf("request parser accepted %d ids out of %d bytes", len(ids), len(data))
+		}
+		resp, err := handleFetchMany(store, ob, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts, err := parseFetchManyResponse(resp, len(ids))
+		if err != nil {
+			t.Fatalf("handler output rejected: %v", err)
+		}
+		for i, ct := range cts {
+			if !bytes.Equal(ct, store[ids[i]]) {
+				t.Fatalf("entry %d round-tripped wrong", i)
+			}
+		}
+	})
+}
+
+// srcSchemes are the schemes whose queries run the false-positive filter.
+var srcSchemes = []core.Kind{core.LogarithmicSRC, core.LogarithmicSRCi}
+
+var srcQueries = []core.Range{{Lo: 0, Hi: 1023}, {Lo: 100, Hi: 600}, {Lo: 777, Hi: 777}, {Lo: 1000, Hi: 1023}}
+
+func sameBatch(a, b *core.BatchResult) bool {
+	if len(a.Results) != len(b.Results) || a.Stats.FetchedTuples != b.Stats.FetchedTuples {
+		return false
+	}
+	for i := range a.Results {
+		if !sameResult(a.Results[i], b.Results[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFetchManyDifferential: over a plain and over a resilient handle,
+// Query and QueryBatch through the fetch-many op must return exactly
+// what the per-id fallback returns (identically seeded clients, so both
+// sides draw the same permutations).
+func TestFetchManyDifferential(t *testing.T) {
+	for _, kind := range srcSchemes {
+		t.Run(kind.String(), func(t *testing.T) {
+			a, idx, _ := testClientIndex(t, kind)
+			b, _, _ := testClientIndex(t, kind)
+			pool := NewPoolFunc("pipe", pipeDial(t, idx, nil, nil))
+			defer pool.Close()
+			for name, h := range map[string]fullHandle{
+				"remote":    pipeServer(t, idx).Default(),
+				"resilient": NewRedialer(pool, "a", RetryPolicy{}).Default(),
+			} {
+				for _, q := range srcQueries {
+					got, err := a.QueryServer(h, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := b.QueryServer(hideFetchMany(h), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameResult(got, want) {
+						t.Fatalf("%s %v: fetch-many query diverged from per-id fallback", name, q)
+					}
+				}
+				got, err := a.QueryBatch(h, srcQueries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := b.QueryBatch(hideFetchMany(h), srcQueries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBatch(got, want) {
+					t.Fatalf("%s: fetch-many batch diverged from per-id fallback", name)
+				}
+			}
+		})
+	}
+}
+
+// TestFetchManyFrameCount: a remote SRC-i query with R raw ids costs at
+// most 2 search frames plus ⌈R/chunk⌉ fetch-many frames and no per-id
+// fetch frame, while the per-index fetch and raw-id leakage counters
+// still advance by exactly R — what R single fetches would have counted.
+func TestFetchManyFrameCount(t *testing.T) {
+	c, idx, _ := testClientIndex(t, core.LogarithmicSRCi)
+	reg := NewRegistry()
+	const name = "frame-count"
+	if err := reg.Register(name, idx); err != nil {
+		t.Fatal(err)
+	}
+	h := pipeRegistry(t, reg).Index(name)
+	if _, err := h.Meta(); err != nil { // keep the meta frame out of the count
+		t.Fatal(err)
+	}
+	fetches, rawIDs := ixFetches.With(name), ixRawIDs.With(name)
+	for _, q := range srcQueries {
+		search0, many0, one0 := tm.requests[opSearch].Value(), tm.requests[opFetchMany].Value(), tm.requests[opFetch].Value()
+		fetches0, raw0 := fetches.Value(), rawIDs.Value()
+		res, err := c.QueryServer(h, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := uint64(len(res.Raw))
+		if got := tm.requests[opSearch].Value() - search0; got > 2 {
+			t.Errorf("%v: %d search frames, want at most 2", q, got)
+		}
+		if got, want := tm.requests[opFetchMany].Value()-many0, (r+core.FetchChunk-1)/core.FetchChunk; got != want {
+			t.Errorf("%v: %d fetch-many frames for %d raw ids, want %d", q, got, r, want)
+		}
+		if got := tm.requests[opFetch].Value() - one0; got != 0 {
+			t.Errorf("%v: %d per-id fetch frames, want 0", q, got)
+		}
+		if got := fetches.Value() - fetches0; got != r {
+			t.Errorf("%v: rsse_index_fetches_total advanced by %d, client fetched %d ids", q, got, r)
+		}
+		if got := rawIDs.Value() - raw0; got != r {
+			t.Errorf("%v: rawid-fetch leakage advanced by %d, client fetched %d ids", q, got, r)
+		}
+	}
+}
+
+// slowStore delays every fetch, so a fetch-many request crosses any
+// slow-query threshold.
+type slowStore struct{ stubStore }
+
+func (s slowStore) Fetch(id core.ID) ([]byte, bool, error) {
+	time.Sleep(2 * time.Millisecond)
+	return s.stubStore.Fetch(id)
+}
+
+// TestFetchManySlowQueryLine: the slow-query record of a fetch-many
+// request names the op and carries the id count.
+func TestFetchManySlowQueryLine(t *testing.T) {
+	var mu sync.Mutex
+	var buf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(lockedWriter{&mu, &buf}, nil))
+	serverEnd, clientEnd := net.Pipe()
+	defer serverEnd.Close()
+	go func() {
+		_ = serveLoop(singleRegistry(slowStore{stubStore{1: []byte("ct")}}), serverEnd, nil, DispatchPooled, log, time.Millisecond)
+	}()
+	conn := NewConn(clientEnd)
+	defer conn.Close()
+	if _, err := conn.Default().FetchMany(context.Background(), []core.ID{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	line := buf.String()
+	mu.Unlock()
+	for _, want := range []string{"slow query", "op=fetch_many", "ids=3"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("slow-query line %q lacks %q", line, want)
+		}
+	}
+}
+
+type lockedWriter struct {
+	mu *sync.Mutex
+	w  *bytes.Buffer
+}
+
+func (l lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
+// parkedStore answers searches from a real index but parks every fetch
+// until released — a server stuck in the middle of the fetch round.
+type parkedStore struct {
+	*core.Index
+	started chan struct{}
+	release chan struct{}
+}
+
+func (s *parkedStore) Fetch(id core.ID) ([]byte, bool, error) {
+	select {
+	case s.started <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.Index.Fetch(id)
+}
+
+// TestFilterCancellation: a context cancelled while the fetch round is
+// in flight returns ctx's error promptly, and the abandoned fetch-many
+// response does not poison the connection.
+func TestFilterCancellation(t *testing.T) {
+	c, idx, tuples := testClientIndex(t, core.LogarithmicSRCi)
+	parked := &parkedStore{Index: idx, started: make(chan struct{}, 1), release: make(chan struct{})}
+	reg := NewRegistry()
+	// Registered as a plain core.Server: the handler fetches id by id and
+	// parks on the first.
+	if err := reg.Register("parked", struct{ core.Server }{parked}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("fast", idx); err != nil {
+		t.Fatal(err)
+	}
+	conn := pipeRegistry(t, reg)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-parked.started // both search rounds are done, the filter is waiting
+		cancel()
+	}()
+	q := core.Range{Lo: 0, Hi: 1023}
+	start := time.Now()
+	_, err := c.QueryServerContext(ctx, conn.Index("parked"), q)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled filter returned %v, want context.Canceled", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("cancelled filter took %v to return", waited)
+	}
+	close(parked.release)
+	res, err := c.QueryServerContext(context.Background(), conn.Index("fast"), q)
+	if err != nil {
+		t.Fatalf("query after cancellation: %v", err)
+	}
+	if want := exact(tuples, q); len(res.Matches) != len(want) {
+		t.Fatalf("query after cancellation: %d matches, want %d", len(res.Matches), len(want))
+	}
+}
+
+// remoteFilterSetup serves a 10k-tuple SRC-i index over loopback TCP and
+// returns an owner plus ranges that each return ≈120 raw ids — the shape
+// of the benchmark's srci_filter workload (and of the root package's
+// BenchmarkRemoteFilter).
+func remoteFilterSetup(tb testing.TB) (*core.Client, *IndexHandle, []core.Range) {
+	tb.Helper()
+	const bits, n = 16, 10000
+	rnd := mrand.New(mrand.NewSource(42))
+	tuples := make([]core.Tuple, n)
+	for i := range tuples {
+		tuples[i] = core.Tuple{ID: uint64(i + 1), Value: rnd.Uint64() % (1 << bits), Payload: []byte("payload-of-a-row")}
+	}
+	c, err := core.NewClient(core.LogarithmicSRCi, cover.Domain{Bits: bits}, core.Options{
+		SSE:       sse.TSet{BucketCapacity: 512, Expansion: 1.4},
+		Rand:      mrand.New(mrand.NewSource(7)),
+		MasterKey: bytes.Repeat([]byte{7}, 32),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	idx, err := c.BuildIndex(tuples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go func() { _ = Serve(l, idx) }()
+	conn, err := Dial("tcp", l.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { conn.Close(); l.Close() })
+	// 0.6% of the domain holds ≈60 tuples; the single-node SRC cover
+	// roughly doubles that with false positives.
+	const width = (1 << bits) * 6 / 1000
+	ranges := make([]core.Range, 64)
+	for i := range ranges {
+		lo := uint64(i)*((1<<bits)/64) + 17
+		ranges[i] = core.Range{Lo: lo, Hi: lo + width - 1}
+	}
+	return c, conn.Default(), ranges
+}
+
+// TestQueryPathAllocs is the remote SRC-i pin beside core's
+// TestQueryPathAllocs (which cannot import this package): owner and
+// server together, per query of ≈120 raw ids over loopback. Measured
+// ≈560 objects, about half of them round 1's pair decryption; the per-id
+// fallback costs ≈1,500 on the same queries (a frame, a reply channel, a
+// key schedule and a decrypt buffer per id). The guard sits where two
+// allocations per id coming back would trip it.
+func TestQueryPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard needs the full 10k-tuple workload")
+	}
+	if race.Enabled {
+		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
+	}
+	c, h, ranges := remoteFilterSetup(t)
+	i, raw := 0, 0
+	got := testing.AllocsPerRun(64, func() {
+		res, err := c.QueryServer(h, ranges[i%len(ranges)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw += len(res.Raw)
+		i++
+	})
+	t.Logf("SRC-i remote: %.0f allocs/query at %.0f raw ids/query", got, float64(raw)/float64(i))
+	if got > 750 {
+		t.Errorf("remote SRC-i query allocates %.0f objects/op, guard is 750 — per-id allocations are back?", got)
+	}
+}

@@ -14,7 +14,7 @@ import (
 
 // opLabel maps wire op bytes to their metric label; index 0 doubles as
 // the unknown-op bucket.
-var opLabel = [opBatchStream + 1]string{
+var opLabel = [opFetchMany + 1]string{
 	0:             "unknown",
 	opMeta:        "meta",
 	opSearch:      "search",
@@ -25,6 +25,7 @@ var opLabel = [opBatchStream + 1]string{
 	opDynFlush:    "dyn_flush",
 	opDynQuery:    "dyn_query",
 	opBatchStream: "batch_stream",
+	opFetchMany:   "fetch_many",
 }
 
 // opIndex clamps a wire op byte into opLabel's range.
@@ -124,7 +125,7 @@ var (
 	ixBatches = obs.Default.CounterVec("rsse_index_batches_total",
 		"Batch-query frames executed, per served index.", "index")
 	ixFetches = obs.Default.CounterVec("rsse_index_fetches_total",
-		"Raw-id fetch requests executed, per served index.", "index")
+		"Raw ids fetched, per served index (a fetch-many frame counts once per id).", "index")
 	ixTokens = obs.Default.CounterVec("rsse_server_leakage_tokens_total",
 		"Search tokens (stags + GGM) received, per served index — the query-size leakage.", "index")
 	ixTokenBytes = obs.Default.CounterVec("rsse_server_leakage_token_bytes_total",

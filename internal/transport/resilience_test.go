@@ -289,15 +289,44 @@ func sameResult(a, b *core.Result) bool {
 // either the byte-identical result or a typed ErrConnDead, never a
 // wrong answer; the resilient client must always recover the
 // byte-identical result.
+//
+// Three exchanges are swept: a one-round Logarithmic-BRC query (meta +
+// search), an SRC-i query whose fetch round is one fetch-many frame
+// (every byte of its count, length words and ciphertexts is a cut
+// point, so the filter never runs over a torn frame), and an SRC-i
+// query whose raw ids span two pipelined fetch-many frames — that
+// stream is ten times longer, so it is cut at every 11th byte, a stride
+// coprime to every field width in the frames.
 func TestKillPointFrameOffsets(t *testing.T) {
-	c, idx, _ := testClientIndex(t, core.LogarithmicBRC)
-	q := core.Range{Lo: 700, Hi: 740}
-	oracle, total := measureExchange(t, c, idx, q)
-	if total == 0 {
-		t.Fatal("measured zero exchange bytes")
+	for _, tc := range []struct {
+		name      string
+		kind      core.Kind
+		q         core.Range
+		step      int64
+		fetchMany int // fetch-many frames the exchange must contain
+	}{
+		{"search", core.LogarithmicBRC, core.Range{Lo: 700, Hi: 740}, 1, 0},
+		{"fetch-many", core.LogarithmicSRCi, core.Range{Lo: 700, Hi: 740}, 1, 1},
+		{"pipelined fetch-many", core.LogarithmicSRCi, core.Range{Lo: 0, Hi: 1023}, 11, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, idx, _ := testClientIndex(t, tc.kind)
+			frames0 := tm.requests[opFetchMany].Value()
+			oracle, total := measureExchange(t, c, idx, tc.q)
+			if total == 0 {
+				t.Fatal("measured zero exchange bytes")
+			}
+			if got := int(tm.requests[opFetchMany].Value() - frames0); got != tc.fetchMany {
+				t.Fatalf("exchange carried %d fetch-many frames (%d raw ids), the sweep wants %d",
+					got, len(oracle.Raw), tc.fetchMany)
+			}
+			killPointSweep(t, c, idx, tc.q, oracle, total, tc.step)
+		})
 	}
+}
 
-	for off := int64(0); off <= total; off++ {
+func killPointSweep(t *testing.T, c *core.Client, idx core.Server, q core.Range, oracle *core.Result, total, step int64) {
+	for off := int64(0); off <= total; off += step {
 		in := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{
 			{Conn: 0, Side: fault.Read, Action: fault.Truncate, AtByte: off},
 		}})

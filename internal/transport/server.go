@@ -123,7 +123,8 @@ func (s *Server) SetLogger(l *slog.Logger) { s.logger = l }
 
 // SetSlowQuery sets the slow-query threshold: requests whose execution
 // (queue wait excluded) takes at least d are logged at Warn with their
-// op, index name, and duration. Zero (the default) disables the
+// op, index name, and duration (a fetch_many request also with its id
+// count). Zero (the default) disables the
 // slow-query log. Call before Serve; requires SetLogger.
 func (s *Server) SetSlowQuery(d time.Duration) { s.slowQuery = d }
 
@@ -462,6 +463,9 @@ func logSlowQuery(log *slog.Logger, slow time.Duration, req request, dur time.Du
 		slog.String("op", opLabel[opIndex(req.op)]),
 		slog.String("index", req.name),
 		slog.Duration("dur", dur),
+	}
+	if req.op == opFetchMany {
+		attrs = append(attrs, slog.Int("ids", fetchManyCount(req.payload)))
 	}
 	if herr != nil {
 		attrs = append(attrs, slog.Any("err", herr))

@@ -17,7 +17,7 @@
 //	ops:      meta(1), search(trapdoor wire, 2), fetch(id, 3), names(4),
 //	          batch-query(trapdoor batch wire, 5), update(6),
 //	          dyn-flush(7), dyn-query(8), batch-stream(trapdoor batch
-//	          wire, 9)
+//	          wire, 9), fetch-many(count‖ids, 10)
 //	status:   ok(0) payload | err(1) message | overload(2) message |
 //	          partial(3) chunk
 //
@@ -42,6 +42,12 @@
 // batch's tokens concurrently. It is how a whole multi-range batch (see
 // core.Client.QueryBatch) costs one round trip per round instead of one
 // per range.
+//
+// The fetch-many op carries the ids of one fetch-round chunk and answers
+// with their ciphertexts in one frame (see fetchmany.go): the owner-side
+// false-positive filter of the SRC schemes costs a round trip per chunk
+// instead of one per returned id. The server sees the same ids a
+// sequence of fetch ops would have shown it, in the same order.
 //
 // For served read indexes, exactly the protocol messages of the paper
 // cross the wire: trapdoors owner→server, opaque result groups and
@@ -77,6 +83,7 @@ const (
 	opDynFlush    byte = 7
 	opDynQuery    byte = 8
 	opBatchStream byte = 9
+	opFetchMany   byte = 10
 
 	statusOK       byte = 0
 	statusErr      byte = 1
@@ -284,6 +291,8 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 			out = append(out, 0)
 		}
 		return out, nil
+	case opFetchMany:
+		return handleFetchMany(idx, ob, req.payload)
 	default:
 		return nil, fmt.Errorf("transport: unknown request type %d", req.op)
 	}

@@ -22,7 +22,6 @@ type config struct {
 	padQuadratic bool
 	allowInter   bool
 	quadMaxBits  uint8
-	batchWorkers int
 	syncEvery    int
 	tdMemo       int
 	tdMemoShared *core.TrapdoorMemo
@@ -138,21 +137,6 @@ func WithQuadraticMaxBits(bits uint8) Option {
 	}
 }
 
-// WithBatchWorkers bounds the owner-side concurrency of batched queries
-// (QueryBatch and friends): how many false-positive filter fetches run
-// in parallel against the server. 0 (the default) selects a small
-// built-in bound. Server-side batch search concurrency is the server's
-// own choice and is not affected.
-func WithBatchWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("rsse: batch workers %d must not be negative", n)
-		}
-		c.batchWorkers = n
-		return nil
-	}
-}
-
 // WithSyncEvery sets the write-ahead-log fsync policy of a durable
 // Dynamic store (OpenDynamic, OpenShardedDynamic): the WAL fsyncs after
 // every n-th logged update. n = 1, the default, makes every
@@ -259,7 +243,6 @@ func (c *config) lower() (core.Options, error) {
 	opts.PadQuadratic = c.padQuadratic
 	opts.AllowIntersecting = c.allowInter
 	opts.QuadraticMaxBits = c.quadMaxBits
-	opts.BatchWorkers = c.batchWorkers
 	opts.TrapdoorMemo = c.tdMemo
 	opts.SharedTrapdoorMemo = c.tdMemoShared
 	return opts, nil

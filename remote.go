@@ -172,6 +172,7 @@ type remoteHandle interface {
 	core.BatchSearcher
 	core.ContextBatchSearcher
 	core.ContextFetcher
+	core.ManyFetcher
 	Name() string
 }
 
@@ -325,7 +326,8 @@ func (c *Client) QueryRemoteContext(ctx context.Context, r *RemoteIndex, q Range
 // batched protocol run: the deduplicated multi-trapdoor crosses the
 // connection as a single batch frame per round (instead of one frame per
 // range), the server searches the batch's tokens concurrently, and
-// false-positive filtering fetches each distinct id once, in parallel.
+// false-positive filtering fetches each distinct id once, all of them in
+// one chunked fetch round.
 func (c *Client) QueryBatchRemote(r *RemoteIndex, ranges []Range) (*BatchResult, error) {
 	return c.QueryBatchRemoteContext(context.Background(), r, ranges)
 }
