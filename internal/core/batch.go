@@ -124,7 +124,9 @@ func (x *Index) SearchBatch(ts []*Trapdoor) ([]*Response, error) {
 // dispatching exactly as Search would.
 func (x *Index) searchToken(t *Trapdoor, j int, resp *Response) error {
 	if len(t.GGM) > 0 {
-		g, err := x.searchConstantToken(t.GGM[j])
+		e := dprf.GetExpander()
+		g, err := x.searchConstantToken(e, t.GGM[j])
+		dprf.PutExpander(e)
 		if err != nil {
 			return err
 		}
@@ -141,22 +143,6 @@ func (x *Index) searchToken(t *Trapdoor, j int, resp *Response) error {
 	}
 	resp.Groups[j] = g
 	return nil
-}
-
-// searchConstantToken expands one GGM token into its leaf DPRF values and
-// searches each — one result group, exactly as searchConstant produces.
-func (x *Index) searchConstantToken(tok dprf.Token) ([][]byte, error) {
-	e := dprf.GetExpander()
-	defer dprf.PutExpander(e)
-	var group [][]byte
-	for _, leaf := range e.Leaves(tok) {
-		g, err := x.primary.Search(sse.Stag(leaf))
-		if err != nil {
-			return nil, err
-		}
-		group = append(group, g...)
-	}
-	return group, nil
 }
 
 // runJobsChunked fans n index-addressed jobs out over up to `workers`

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"rsse/internal/cover"
 	"rsse/internal/dprf"
 	"rsse/internal/sse"
 )
@@ -22,13 +27,26 @@ func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 	for _, t := range tuples {
 		byValue[t.Value] = append(byValue[t.Value], t.ID)
 	}
-	entries := make([]sse.Entry, 0, len(byValue))
-	for v, ids := range byValue {
-		leaf, err := c.kDPRF.Eval(v)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, sse.EntryFromIDs(sse.Stag(leaf), ids))
+	// Leaf stags in ascending value order through one prefix-memoized
+	// walk over level-0 nodes: neighbouring values share most of their
+	// GGM root path, so each costs the levels below the common ancestor
+	// instead of a full walk — and the entry order, which steers the
+	// posting-list shuffles, no longer depends on map iteration. The
+	// values are kDPRF.Eval's.
+	nodes := make([]cover.Node, 0, len(byValue))
+	for v := range byValue {
+		nodes = append(nodes, cover.Node{Start: v})
+	}
+	slices.SortFunc(nodes, func(a, b cover.Node) int { return cmp.Compare(a.Start, b.Start) })
+	e := dprf.GetExpander()
+	leaves, err := e.DelegateNodes(make([]dprf.Token, 0, len(nodes)), c.kDPRF, nodes)
+	dprf.PutExpander(e)
+	if err != nil {
+		return err
+	}
+	entries := make([]sse.Entry, len(nodes))
+	for i, n := range nodes {
+		entries[i] = sse.EntryFromIDs(sse.Stag(leaves[i].Value), byValue[n.Start])
 	}
 	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage)
 	if err != nil {
@@ -56,18 +74,32 @@ func (x *Index) searchConstant(t *Trapdoor) (*Response, error) {
 	resp := &Response{Groups: make([][][]byte, 0, len(t.GGM))}
 	e := dprf.GetExpander()
 	defer dprf.PutExpander(e)
-	var leaves []dprf.Value
 	for _, tok := range t.GGM {
-		leaves = e.ExpandInto(leaves[:0], tok)
-		var group [][]byte
-		for _, leaf := range leaves {
-			g, err := x.primary.Search(sse.Stag(leaf))
-			if err != nil {
-				return nil, err
-			}
-			group = append(group, g...)
+		group, err := x.searchConstantToken(e, tok)
+		if err != nil {
+			return nil, err
 		}
 		resp.Groups = append(resp.Groups, group)
 	}
 	return resp, nil
+}
+
+// searchConstantToken expands one GGM token with e and searches each
+// leaf — one result group. The token comes from an untrusted peer: a
+// level above the domain's height names no subtree of this index, and
+// expanding it would size an allocation by 2^Level (or, from level 64
+// up, by a shift that wraps to zero), so it is refused before any work.
+func (x *Index) searchConstantToken(e *dprf.Expander, tok dprf.Token) ([][]byte, error) {
+	if tok.Level > x.dom.Bits {
+		return nil, fmt.Errorf("%w: level %d, domain height %d", ErrTokenLevel, tok.Level, x.dom.Bits)
+	}
+	var group [][]byte
+	for _, leaf := range e.Leaves(tok) {
+		g, err := x.primary.Search(sse.Stag(leaf))
+		if err != nil {
+			return nil, err
+		}
+		group = append(group, g...)
+	}
+	return group, nil
 }

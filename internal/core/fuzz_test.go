@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rsse/internal/cover"
+	"rsse/internal/dprf"
 	"rsse/internal/storage"
 )
 
@@ -100,6 +101,10 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	idx, err := c.BuildIndex(uniformTuples(20, 10, 93))
+	if err != nil {
+		f.Fatal(err)
+	}
 	td, err := c.Trapdoor(Range{10, 300})
 	if err != nil {
 		f.Fatal(err)
@@ -110,6 +115,11 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add([]byte{1, 0, 0, 0, 0, 0})
+	// One GGM token whose level byte is beyond any domain: 64 (1<<64
+	// wraps to zero leaves) and 40 (a terabyte of leaves).
+	for _, level := range []byte{64, 40} {
+		f.Add(append([]byte{1, 1, 0, 0, 0, 1, level}, make([]byte, dprf.Size)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		td, err := UnmarshalTrapdoor(data)
 		if err != nil {
@@ -126,6 +136,9 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 		if td2.Tokens() != td.Tokens() {
 			t.Fatal("token count changed across roundtrip")
 		}
+		// Whatever parses is what a server executes: errors fine, panics
+		// and token-sized allocations not.
+		_, _ = idx.Search(td)
 	})
 }
 

@@ -148,6 +148,9 @@ var (
 	// ErrKindMismatch is returned when an index is queried by a client of
 	// a different scheme.
 	ErrKindMismatch = errors.New("core: index was built by a different scheme")
+	// ErrTokenLevel is returned by Search for a GGM token whose level
+	// exceeds the index's domain height: no honest owner sends one.
+	ErrTokenLevel = errors.New("core: GGM token level above the index's domain")
 	// ErrDomainTooLarge guards Quadratic against accidental use on domains
 	// where its O(m^2) keyword space is intractable.
 	ErrDomainTooLarge = errors.New("core: domain too large for the Quadratic scheme")

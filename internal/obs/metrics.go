@@ -170,6 +170,7 @@ type family struct {
 type child struct {
 	labelValues []string
 	counter     *Counter
+	counterFn   atomic.Pointer[func() uint64] // CounterFunc series: read at scrape time
 	gauge       *Gauge
 	hist        *Histogram
 }
@@ -247,6 +248,16 @@ func (f *family) getChild(values []string) *child {
 // first use.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.getFamily(name, help, kindCounter).getChild(nil).counter
+}
+
+// CounterFunc registers an unlabeled counter whose value fn reports at
+// scrape time — for a count its owner already keeps in its own atomics
+// and that cannot write to a Counter because this package (through
+// internal/workload) imports the owner. The hot path is the owner's
+// atomic add and nothing else. Registering a name twice keeps the
+// first fn.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.getFamily(name, help, kindCounter).getChild(nil).counterFn.CompareAndSwap(nil, &fn)
 }
 
 // Gauge returns the unlabeled gauge called name.
@@ -337,7 +348,11 @@ func (f *family) render(b *strings.Builder) {
 		case kindCounter:
 			b.WriteString(f.name)
 			writeLabels(b, f.labelKeys, c.labelValues, "")
-			fmt.Fprintf(b, " %d\n", c.counter.Value())
+			v := c.counter.Value()
+			if fn := c.counterFn.Load(); fn != nil {
+				v = (*fn)()
+			}
+			fmt.Fprintf(b, " %d\n", v)
 		case kindGauge:
 			b.WriteString(f.name)
 			writeLabels(b, f.labelKeys, c.labelValues, "")

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -112,6 +113,9 @@ func TestVecWithAllocs(t *testing.T) {
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "counts a").Add(3)
+	var owned atomic.Uint64 // a count another package keeps for itself
+	r.CounterFunc("d_total", "counts d, read at scrape time", owned.Load)
+	owned.Store(7)
 	r.GaugeVec("b", "gauge b", "shard").With("s0").Set(-2)
 	h := r.Histogram("c_seconds", "hist c")
 	h.Record(30 * time.Microsecond) // ≤ 50µs bound
@@ -126,6 +130,8 @@ func TestWriteTextFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE a_total counter",
 		"a_total 3",
+		"# TYPE d_total counter",
+		"d_total 7",
 		"# TYPE b gauge",
 		`b{shard="s0"} -2`,
 		"# TYPE c_seconds histogram",

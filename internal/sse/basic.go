@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
 
@@ -28,9 +29,11 @@ func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engi
 		return nil, err
 	}
 	rnd = newRand(rnd)
+	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	defer prf.PutHasher(h)
 	b := cellBuilder(eng, total)
 	for _, e := range entries {
-		keys := deriveStagKeys(e.Stag, 0)
+		keys := deriveStagKeys(h, e.Stag)
 		for i, p := range shuffled(e.Payloads, rnd) {
 			lab := cellLabel(keys.loc, uint64(i))
 			if err := b.Put(lab[:], encryptCell(keys.enc, uint64(i), p)); err != nil {

@@ -83,3 +83,48 @@ func BenchmarkSearch100IDs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSearchColdStags is the miss path on its own: every search is
+// of a stag the cache has never seen — the Constant schemes' leaves, an
+// LSM epoch's foreign tokens — with an empty list (nothing but the
+// location key, one label and one missing probe) or a one-cell list
+// (plus the lazy cell key, one decrypt and the result). Run with
+// -benchmem: the empty case must report 0 allocs/op.
+func BenchmarkSearchColdStags(b *testing.B) {
+	const lists = 1 << 14
+	entries := benchEntries(lists, lists) // one id per keyword
+	for _, s := range benchConstructions() {
+		idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(5)), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(s.Name()+"/empty", func(b *testing.B) {
+			rnd := mrand.New(mrand.NewSource(6))
+			var stag Stag
+			ResetKernelCache()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rnd.Read(stag[:])
+				if got, err := idx.Search(stag); err != nil || len(got) != 0 {
+					b.Fatalf("got %d payloads, err %v", len(got), err)
+				}
+			}
+		})
+		b.Run(s.Name()+"/1cell", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%lists == 0 {
+					// A second pass over the keywords would be second
+					// sights: forget the first.
+					b.StopTimer()
+					ResetKernelCache()
+					b.StartTimer()
+				}
+				if got, err := idx.Search(entries[i%lists].Stag); err != nil || len(got) != 1 {
+					b.Fatalf("got %d payloads, err %v", len(got), err)
+				}
+			}
+		})
+	}
+}

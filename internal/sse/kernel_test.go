@@ -1,0 +1,228 @@
+package sse
+
+import (
+	"fmt"
+	mrand "math/rand"
+	"sync"
+	"testing"
+
+	"rsse/internal/race"
+)
+
+// collidingStags returns two stags that share a cache slot (same index
+// bytes) but differ in the doorkeeper's fingerprint bytes and beyond.
+func collidingStags(seed int64) (a, b Stag) {
+	rnd := mrand.New(mrand.NewSource(seed))
+	rnd.Read(a[:])
+	rnd.Read(b[:])
+	copy(b[:8], a[:8])
+	if stagCacheIndex(&a) != stagCacheIndex(&b) || stagFingerprint(&a) == stagFingerprint(&b) {
+		panic("collidingStags: bad construction")
+	}
+	return a, b
+}
+
+// resultIDs decodes a search result into sorted ids.
+func resultIDs(payloads [][]byte) []uint64 {
+	out := make([]uint64, len(payloads))
+	for i, p := range payloads {
+		out[i] = PayloadU64(p)
+	}
+	return sortedCopy(out)
+}
+
+// TestStagCacheAdmission walks one stag through the cache's states —
+// cold, second sight, warm, evicted by a colliding stag, readmitted —
+// and an absent stag through the same, on every construction: the
+// payloads never change and the counters move exactly as the policy
+// says (a first sight is a miss, a second a miss plus an admission, a
+// third a hit; a one-shot collider evicts nothing).
+func TestStagCacheAdmission(t *testing.T) {
+	a, c := collidingStags(21)
+	var empty Stag // in no index, on a slot of its own
+	empty[0], empty[9] = 0xEE, 1
+	wantA := []uint64{1, 2, 3, 4, 5}
+	wantC := []uint64{70, 80}
+	for _, sch := range benchConstructions() {
+		t.Run(sch.Name(), func(t *testing.T) {
+			idx, err := sch.Build([]Entry{EntryFromIDs(a, wantA), EntryFromIDs(c, wantC)},
+				8, mrand.New(mrand.NewSource(22)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The same stag with an empty list: an index that lacks it.
+			without, err := sch.Build([]Entry{EntryFromIDs(c, wantC)}, 8, mrand.New(mrand.NewSource(23)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ResetKernelCache()
+			var hits, misses, adms uint64
+			step := func(what string, x Index, stag Stag, want []uint64, dHit, dMiss, dAdm uint64) {
+				t.Helper()
+				got, err := x.Search(stag)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if ids := resultIDs(got); !equalIDs(ids, want) {
+					t.Fatalf("%s: got ids %v, want %v", what, ids, want)
+				}
+				hits, misses, adms = hits+dHit, misses+dMiss, adms+dAdm
+				h, m := KernelCacheStats()
+				if ad := KernelCacheAdmissions(); h != hits || m != misses || ad != adms {
+					t.Fatalf("%s: counters hits/misses/admissions = %d/%d/%d, want %d/%d/%d",
+						what, h, m, ad, hits, misses, adms)
+				}
+			}
+			entry := func(stag Stag) *stagState { return stagCache[stagCacheIndex(&stag)].Load() }
+
+			step("A cold", idx, a, wantA, 0, 1, 0)
+			if entry(a) != nil {
+				t.Fatal("first sight published an entry")
+			}
+			step("A second sight", idx, a, wantA, 0, 1, 1)
+			if e := entry(a); e == nil || e.stag != a || e.blk == nil {
+				t.Fatalf("second sight of a non-empty stag: entry %+v, want A's with a cell cipher", e)
+			}
+			step("A warm", idx, a, wantA, 1, 0, 0)
+
+			// One sight of the collider must not evict A.
+			step("C cold", idx, c, wantC, 0, 1, 0)
+			step("A warm after one-shot collider", idx, a, wantA, 1, 0, 0)
+			// Hits do not touch the doorkeeper: it still holds C, whose
+			// second sight is admitted and evicts A.
+			step("C second sight", idx, c, wantC, 0, 1, 1)
+			step("C warm", idx, c, wantC, 1, 0, 0)
+			step("A after eviction", idx, a, wantA, 0, 1, 0)
+			if e := entry(a); e == nil || e.stag != c {
+				t.Fatal("A's first sight after eviction displaced C")
+			}
+			step("A readmitted", idx, a, wantA, 0, 1, 1)
+			step("A warm again", idx, a, wantA, 1, 0, 0)
+
+			// Empty list: admitted at second sight too, without a cipher.
+			step("empty cold", idx, empty, nil, 0, 1, 0)
+			step("empty second sight", idx, empty, nil, 0, 1, 1)
+			if e := entry(empty); e == nil || e.blk != nil {
+				t.Fatalf("entry of an empty list: %+v, want one without a cell cipher", e)
+			}
+			step("empty warm", idx, empty, nil, 1, 0, 0)
+
+			// Empty vs non-empty list for one stag: an entry admitted
+			// without a cipher must still decrypt when a probe hits, and
+			// keep the cipher afterwards.
+			ResetKernelCache()
+			hits, misses, adms = 0, 0, 0
+			step("A on the index without it, cold", without, a, nil, 0, 1, 0)
+			step("A on the index without it, admitted", without, a, nil, 0, 1, 1)
+			if e := entry(a); e == nil || e.blk != nil {
+				t.Fatal("empty-list admission carries a cipher")
+			}
+			step("A warm, first hit", idx, a, wantA, 1, 0, 0)
+			if e := entry(a); e == nil || e.blk == nil {
+				t.Fatal("a warm search that hit did not republish its cipher")
+			}
+			step("A warm, cached cipher", idx, a, wantA, 1, 0, 0)
+			step("A back on the index without it", without, a, nil, 1, 0, 0)
+		})
+	}
+	ResetKernelCache()
+}
+
+// TestResetKernelCacheClearsDoorkeeper: after a reset a stag's next
+// sight is a first sight again.
+func TestResetKernelCacheClearsDoorkeeper(t *testing.T) {
+	var stag Stag
+	stag[3], stag[10] = 7, 7
+	idx, err := Basic{}.Build([]Entry{EntryFromIDs(stag, []uint64{9})}, 8, mrand.New(mrand.NewSource(1)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetKernelCache()
+	for round := 0; round < 2; round++ {
+		if _, err := idx.Search(stag); err != nil {
+			t.Fatal(err)
+		}
+		if ad := KernelCacheAdmissions(); ad != 0 {
+			t.Fatalf("round %d: a first sight was admitted (%d admissions)", round, ad)
+		}
+		ResetKernelCache()
+	}
+}
+
+// TestColdStagAllocs: a search of a never-seen stag with an empty list —
+// the Constant schemes' common case — allocates nothing: no cache
+// entry (first sight), no AES schedule (no probe hit), no result.
+func TestColdStagAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
+	}
+	entries := benchEntries(1000, 100)
+	rnd := mrand.New(mrand.NewSource(31))
+	for _, sch := range benchConstructions() {
+		idx, err := sch.Build(entries, 8, mrand.New(mrand.NewSource(32)), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sch.Name(), err)
+		}
+		var stag Stag
+		search := func() {
+			rnd.Read(stag[:])
+			if got, err := idx.Search(stag); err != nil || len(got) != 0 {
+				t.Fatalf("%s: fresh stag returned %d payloads, err %v", sch.Name(), len(got), err)
+			}
+		}
+		search() // warm the searcher pool
+		if n := testing.AllocsPerRun(500, search); n != 0 {
+			t.Errorf("%s: search of a never-seen empty stag allocates %v objects, want 0", sch.Name(), n)
+		}
+	}
+}
+
+// TestStagCacheSlotContention hammers one cache slot with two colliding
+// stags from 8 goroutines: admissions, evictions, republications and
+// doorkeeper swaps all race on the slot, and every search must still
+// return its own stag's payloads. Run under -race.
+func TestStagCacheSlotContention(t *testing.T) {
+	a, c := collidingStags(41)
+	want := map[Stag][]uint64{a: {1, 2, 3}, c: {10, 20, 30, 40}}
+	for _, sch := range benchConstructions() {
+		idx, err := sch.Build([]Entry{EntryFromIDs(a, want[a]), EntryFromIDs(c, want[c])},
+			8, mrand.New(mrand.NewSource(42)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ResetKernelCache()
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rnd := mrand.New(mrand.NewSource(int64(g)))
+				for i := 0; i < 2000; i++ {
+					stag := a
+					if rnd.Intn(2) == 0 {
+						stag = c
+					}
+					got, err := idx.Search(stag)
+					if err == nil && !equalIDs(resultIDs(got), want[stag]) {
+						err = fmt.Errorf("%s: goroutine %d search %d returned ids %v", sch.Name(), g, i, resultIDs(got))
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		hits, misses := KernelCacheStats()
+		if hits+misses != 8*2000 {
+			t.Errorf("%s: %d hits + %d misses, want %d lookups", sch.Name(), hits, misses, 8*2000)
+		}
+	}
+	ResetKernelCache()
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
 
@@ -47,10 +48,12 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 		return nil, err
 	}
 	rnd = newRand(rnd)
+	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	defer prf.PutHasher(h)
 	blockLen := 1 + bs*width // count byte + padded payload area
 	b := cellBuilder(eng, (total+bs-1)/max(bs, 1))
 	for _, e := range entries {
-		keys := deriveStagKeys(e.Stag, 0)
+		keys := deriveStagKeys(h, e.Stag)
 		payloads := shuffled(e.Payloads, rnd)
 		for blk := 0; blk*bs < len(payloads); blk++ {
 			chunk := payloads[blk*bs : min((blk+1)*bs, len(payloads))]

@@ -12,18 +12,19 @@ import (
 )
 
 // cellSearcher is the shared allocation-free machinery of the four
-// constructions' Search paths. Per search it costs one pooled checkout,
-// one AES key schedule, and arena chunks for the returned plaintexts;
-// everything per *cell* — label derivation, dictionary probe, CTR
-// decryption — reuses the searcher's scratch.
+// constructions' Search paths. Per search it costs one pooled checkout
+// and — only if a probe hits — one AES key schedule and arena chunks for
+// the returned plaintexts; everything per *cell* — label derivation,
+// dictionary probe, CTR decryption — reuses the searcher's scratch.
 //
 // The arena hands out disjoint regions of append-only chunks, so the
 // returned payload slices stay valid after the searcher goes back to
 // the pool: a reused searcher keeps carving the same chunk forward and
 // never re-slices memory it already handed out.
 type cellSearcher struct {
-	h     *prf.Hasher // keyed to the stag's label key after begin
-	blk   cipher.Block
+	h     *prf.Hasher  // keyed to the stag's location key
+	hk    *prf.Hasher  // keyed to the stag itself by key(): derives loc, and enc on the first hit
+	blk   cipher.Block // AES under the stag's cell key; nil until a probe hits (see decrypt)
 	nonce [aes.BlockSize]byte
 	ks    [aes.BlockSize]byte
 	lab   [LabelSize]byte // label buffer: a field so Get's interface call cannot force a heap escape
@@ -38,14 +39,15 @@ type cellSearcher struct {
 	labNext int // window width for the next refill (adaptive)
 
 	// Derived-state cache bookkeeping (kernel mode only): the entry this
-	// search runs from, its slot, and the contiguous run of first labels
-	// observed this search — published back if it extends the entry.
-	stag    Stag
-	slot    *atomic.Pointer[stagState]
-	ent     *stagState   // warm entry this search runs from (nil on a miss)
-	pendLoc prf.Snapshot // miss path: snapshot pending publication at put time
-	first   [labelBatchMax][prf.KeySize]byte
-	firstN  int
+	// search runs from, its slot, whether a miss may publish, and the
+	// contiguous run of first labels observed this search — published
+	// back if it extends the entry.
+	stag   Stag
+	slot   *atomic.Pointer[stagState]
+	ent    *stagState // warm entry this search runs from (nil on a miss)
+	admit  bool       // miss path: the doorkeeper saw this stag miss before
+	first  [labelBatchMax][prf.KeySize]byte
+	firstN int
 }
 
 // labelBatchMax caps the label lookahead window at the PRF kernel's
@@ -53,7 +55,7 @@ type cellSearcher struct {
 const labelBatchMax = prf.MaxLanes
 
 var cellSearcherPool = sync.Pool{New: func() any {
-	return &cellSearcher{h: prf.NewHasher(prf.Key{})}
+	return &cellSearcher{h: prf.NewHasher(prf.Key{}), hk: prf.NewHasher(prf.Key{})}
 }}
 
 // getCellSearcher checks out a searcher keyed for stag. Of the three
@@ -62,16 +64,18 @@ var cellSearcherPool = sync.Pool{New: func() any {
 //
 // In kernel mode the per-stag state comes from the derived-state cache
 // when present: a hit restores the location-key snapshot and reuses the
-// shared AES block, skipping the whole key schedule. A miss derives as
-// the legacy path does, then publishes the state for the next
-// occurrence of the same stag.
+// shared AES block (if the entry has one), skipping the whole key
+// schedule. A miss derives the location key and asks the doorkeeper
+// whether this stag has missed on its slot before; only then does
+// putCellSearcher publish the state (see kernel.go).
 func getCellSearcher(stag Stag) *cellSearcher {
 	s := cellSearcherPool.Get().(*cellSearcher)
 	s.labN, s.labNext = 0, 1
 	s.firstN = 0
+	s.stag = stag
 	if kernelOn.Load() {
-		s.stag = stag
-		s.slot = stagCacheSlot(&stag)
+		i := stagCacheIndex(&stag)
+		s.slot = &stagCache[i]
 		if e := s.slot.Load(); e != nil && e.stag == stag {
 			stagCacheHits.Add(1)
 			s.h.Restore(&e.loc)
@@ -80,48 +84,63 @@ func getCellSearcher(stag Stag) *cellSearcher {
 			return s
 		}
 		stagCacheMisses.Add(1)
-		s.key(stag)
-		// Publication waits until putCellSearcher so the entry ships with
-		// this search's labels in one allocation.
-		s.pendLoc = s.h.Snapshot()
-		s.ent = nil
-		return s
+		fp := stagFingerprint(&stag)
+		s.admit = stagSeen[i].Swap(fp) == fp
 	}
-	s.key(stag)
+	s.key()
 	return s
 }
 
-// key runs the full stag key schedule: two KDF passes for the
-// encryption and location keys, an AES key schedule, and rekeying the
-// hasher to the location key.
-func (s *cellSearcher) key(stag Stag) {
-	base := prf.Key(stag)
-	s.h.SetKey(base)
-	encFull := s.h.Derive("sse/enc")
-	loc := s.h.Derive("sse/loc")
-	var err error
-	if s.blk, err = aes.NewCipher(encFull[:secenc.KeySize]); err != nil {
-		panic("sse: " + err.Error())
+// key runs the eager half of the stag key schedule: the location key
+// and rekeying the label hasher to it. The cell key waits for a hit.
+func (s *cellSearcher) key() {
+	s.hk.SetKey(prf.Key(s.stag))
+	s.h.SetKey(s.hk.Derive("sse/loc"))
+}
+
+// cellCipher returns the AES block under the stag's cell key, deriving
+// sse/enc and the key schedule on first use: a search whose first probe
+// misses never gets here.
+func (s *cellSearcher) cellCipher() cipher.Block {
+	if s.blk == nil {
+		if s.ent != nil {
+			// A warm entry skipped key(): hk is not keyed to this stag yet.
+			s.hk.SetKey(prf.Key(s.stag))
+		}
+		encFull := s.hk.Derive("sse/enc")
+		var err error
+		if s.blk, err = aes.NewCipher(encFull[:secenc.KeySize]); err != nil {
+			panic("sse: " + err.Error())
+		}
 	}
-	s.h.SetKey(loc)
+	return s.blk
 }
 
 func putCellSearcher(s *cellSearcher) {
-	// Publish the search's derived state — key schedule plus the labels
-	// it evaluated — so the next occurrence of the same stag derives
-	// nothing. A miss publishes its first entry here; a warm search
-	// republishes only when it extended the label run. Entries are
-	// immutable; a concurrent search of the same stag may race the store,
-	// and either entry is correct (last writer wins).
-	if s.slot != nil {
-		if e := s.ent; e == nil {
-			s.slot.Store(&stagState{stag: s.stag, loc: s.pendLoc, blk: s.blk, labN: s.firstN, labs: s.first})
-		} else if s.firstN > e.labN {
-			s.slot.Store(&stagState{stag: s.stag, loc: e.loc, blk: e.blk, labN: s.firstN, labs: s.first})
+	// Publish the search's derived state — location key, the labels it
+	// evaluated, the cell cipher if a probe hit — so the next occurrence
+	// of the same stag derives nothing. A miss publishes only at second
+	// sight; a warm search republishes only when it extended the entry.
+	// Entries are immutable; a concurrent search of the same stag may
+	// race the store, and either entry is correct (last writer wins).
+	if e := s.ent; e != nil {
+		grew, keyed := s.firstN > e.labN, e.blk == nil && s.blk != nil
+		if grew || keyed {
+			ext := *e
+			ext.blk = s.blk
+			if grew {
+				ext.labN, ext.labs = s.firstN, s.first
+			}
+			s.slot.Store(&ext)
 		}
+	} else if s.admit {
+		// h still holds the location key's states: Eval only reads them.
+		s.slot.Store(&stagState{stag: s.stag, loc: s.h.Snapshot(), blk: s.blk, labN: s.firstN, labs: s.first})
+		stagCacheAdmissions.Add(1)
 	}
 	s.ent = nil
 	s.slot = nil
+	s.admit = false
 	s.blk = nil
 	cellSearcherPool.Put(s)
 }
@@ -186,11 +205,12 @@ func (s *cellSearcher) alloc(n int) []byte {
 // big-endian, so for any cell shorter than 2^64 blocks only the low 8
 // bytes ever change.
 func (s *cellSearcher) decrypt(ctr uint64, src []byte) []byte {
+	blk := s.cellCipher()
 	dst := s.alloc(len(src))
 	binary.BigEndian.PutUint64(s.nonce[:8], ctr)
 	for off, blkCtr := 0, uint64(0); off < len(src); off, blkCtr = off+aes.BlockSize, blkCtr+1 {
 		binary.BigEndian.PutUint64(s.nonce[8:], blkCtr)
-		s.blk.Encrypt(s.ks[:], s.nonce[:])
+		blk.Encrypt(s.ks[:], s.nonce[:])
 		n := min(aes.BlockSize, len(src)-off)
 		for j := 0; j < n; j++ {
 			dst[off+j] = src[off+j] ^ s.ks[j]

@@ -5,6 +5,7 @@ import (
 	mrand "math/rand"
 	"testing"
 
+	"rsse/internal/prf"
 	"rsse/internal/race"
 	"rsse/internal/secenc"
 )
@@ -24,8 +25,8 @@ func TestSearcherDecryptMatchesStdlibCTR(t *testing.T) {
 			got := s.decrypt(ctr, src)
 			putCellSearcher(s)
 			// Reference: the searcher's enc key is Derive(stag, "sse/enc")
-			// truncated, exactly deriveStagKeys' (salt is bkt-only).
-			keys := deriveStagKeys(stag, 12345)
+			// truncated, exactly deriveStagKeys'.
+			keys := deriveStagKeys(prf.NewHasher(prf.Key{}), stag)
 			want := secenc.XORKeyStreamCTR(keys.enc, secenc.NonceFromUint64(ctr), src)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("n=%d ctr=%d: manual CTR diverges from secenc", n, ctr)
@@ -39,7 +40,7 @@ func TestSearcherDecryptMatchesStdlibCTR(t *testing.T) {
 func TestSearcherLabelMatchesCellLabel(t *testing.T) {
 	var stag Stag
 	stag[7] = 9
-	keys := deriveStagKeys(stag, 0)
+	keys := deriveStagKeys(prf.NewHasher(prf.Key{}), stag)
 	s := getCellSearcher(stag)
 	defer putCellSearcher(s)
 	for i := uint64(0); i < 100; i++ {
@@ -107,6 +108,27 @@ func TestSearchAllocsPerCell(t *testing.T) {
 		// total is the regression tripwire.
 		if n := testing.AllocsPerRun(100, f); n > 12 {
 			t.Errorf("%s: Search costs %v allocs for %d postings, want <= 12", sch.Name(), n, postings)
+		}
+	}
+}
+
+// TestDeriveStagKeysMatchKDF pins the build side's one-hasher key
+// derivation to the labelled KDF the wire formats were defined with —
+// built indexes stay byte-compatible — and checks the hasher is left
+// keyed to the stag, which TSet's bucket-key derivation relies on.
+func TestDeriveStagKeysMatchKDF(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(8))
+	h := prf.NewHasher(prf.Key{})
+	for i := 0; i < 20; i++ {
+		var stag Stag
+		rnd.Read(stag[:])
+		keys := deriveStagKeys(h, stag)
+		enc := prf.Derive(prf.Key(stag), "sse/enc")
+		if keys.loc != prf.Derive(prf.Key(stag), "sse/loc") || !bytes.Equal(keys.enc[:], enc[:secenc.KeySize]) {
+			t.Fatalf("stag %d: working keys diverge from the KDF", i)
+		}
+		if salt := uint64(i); h.DeriveN("sse/bkt", salt) != prf.DeriveN(prf.Key(stag), "sse/bkt", salt) {
+			t.Fatalf("stag %d: bucket key diverges from the KDF", i)
 		}
 	}
 }

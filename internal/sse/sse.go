@@ -223,19 +223,18 @@ func checkEntries(entries []Entry, width int) (int, error) {
 type stagKeys struct {
 	loc prf.Key    // label derivation
 	enc secenc.Key // cell encryption
-	bkt prf.Key    // bucket selection (TSet only)
 }
 
-func deriveStagKeys(stag Stag, salt uint64) stagKeys {
-	base := prf.Key(stag)
-	encFull := prf.Derive(base, "sse/enc")
+// deriveStagKeys keys h to the stag — one key schedule for all of the
+// stag's derivations — and derives the two working keys every
+// construction uses. h stays keyed to the stag, so TSet derives its
+// salted bucket key ("sse/bkt", which only it reads) with one more pass.
+func deriveStagKeys(h *prf.Hasher, stag Stag) stagKeys {
+	h.SetKey(prf.Key(stag))
+	encFull := h.Derive("sse/enc")
 	var enc secenc.Key
 	copy(enc[:], encFull[:secenc.KeySize])
-	return stagKeys{
-		loc: prf.Derive(base, "sse/loc"),
-		enc: enc,
-		bkt: prf.DeriveN(base, "sse/bkt", salt),
-	}
+	return stagKeys{loc: h.Derive("sse/loc"), enc: enc}
 }
 
 // cellLabel computes the pseudorandom label of the i-th cell of a keyword.

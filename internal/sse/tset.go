@@ -82,6 +82,8 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 		return nil, err
 	}
 	rnd = newRand(rnd)
+	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	defer prf.PutHasher(h)
 	numBuckets := int((expansion*float64(total) + float64(capacity) - 1) / float64(capacity))
 	if numBuckets < 1 {
 		numBuckets = 1
@@ -97,9 +99,10 @@ attempt:
 		}
 		buckets = make([][]tsetRecord, numBuckets)
 		for _, e := range entries {
-			keys := deriveStagKeys(e.Stag, salt)
+			keys := deriveStagKeys(h, e.Stag)
+			bkt := h.DeriveN("sse/bkt", salt)
 			for i, p := range shuffled(e.Payloads, rnd) {
-				b := bucketOf(keys.bkt, uint64(i), numBuckets)
+				b := bucketOf(bkt, uint64(i), numBuckets)
 				if len(buckets[b]) == capacity {
 					salt++
 					continue attempt

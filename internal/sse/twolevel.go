@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
 
@@ -82,6 +83,8 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		return nil, err
 	}
 	rnd = newRand(rnd)
+	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	defer prf.PutHasher(h)
 
 	// First pass: count blocks so positions can be drawn as a random
 	// permutation of the exact array size.
@@ -116,7 +119,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 	blockLen := blockSize * 8
 
 	for _, e := range entries {
-		keys := deriveStagKeys(e.Stag, 0)
+		keys := deriveStagKeys(h, e.Stag)
 		payloads := shuffled(e.Payloads, rnd)
 		n := len(payloads)
 		cell := make([]byte, cellLen)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"rsse/internal/obs"
+	"rsse/internal/sse"
 )
 
 // The transport layer instruments itself against the process-wide
@@ -97,6 +98,19 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		m.errors[op] = errs.With(label)
 		m.latency[op] = lat.With(label)
 	}
+	// The derived-state stag cache (internal/sse/kernel.go) is
+	// process-wide and counts in its own atomics — obs imports sse through
+	// internal/workload, so sse cannot write to obs — and is read here at
+	// scrape time. sse.ResetKernelCache (tests, A/B runs) zeroes all three.
+	r.CounterFunc("rsse_stag_cache_hits_total",
+		"Stag lookups answered from the derived-state cache (key schedule and cached labels skipped).",
+		func() uint64 { hits, _ := sse.KernelCacheStats(); return hits })
+	r.CounterFunc("rsse_stag_cache_misses_total",
+		"Stag lookups that derived their search state: one-shot stags (Constant leaves, empty LSM epoch tokens) and first and second sights.",
+		func() uint64 { _, misses := sse.KernelCacheStats(); return misses })
+	r.CounterFunc("rsse_stag_cache_admissions_total",
+		"Misses that published a cache entry: the stag had missed on its slot before (second-sight admission).",
+		sse.KernelCacheAdmissions)
 	return m
 }
 

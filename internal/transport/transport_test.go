@@ -14,6 +14,7 @@ import (
 
 	"rsse/internal/core"
 	"rsse/internal/cover"
+	"rsse/internal/dprf"
 	"rsse/internal/lsm"
 	"rsse/internal/sse"
 )
@@ -523,6 +524,38 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 	meta, err := conn.Default().Meta()
 	if err != nil || meta.Kind != core.LogarithmicBRC {
 		t.Errorf("meta after garbage: %+v, %v", meta, err)
+	}
+}
+
+// TestOversizedTokenLevelOverWire: a GGM token whose level byte exceeds
+// the index's domain height — one byte an untrusted peer controls —
+// comes back as an error response on the search, batch and batch-stream
+// ops, and the connection keeps serving. Level 64 used to panic the
+// serving goroutine (and the process with it), levels 31-63 to size an
+// allocation by 2^Level.
+func TestOversizedTokenLevelOverWire(t *testing.T) {
+	c, idx, tuples := testClientIndex(t, core.ConstantBRC)
+	h := pipeServer(t, idx).Default()
+	for _, level := range []uint8{11, 40, 64, 255} {
+		bad := &core.Trapdoor{GGM: []dprf.Token{{Level: level}}}
+		for op, search := range map[string]func() error{
+			"search": func() error { _, err := h.Search(bad); return err },
+			"batch":  func() error { _, err := h.SearchBatch([]*core.Trapdoor{bad}); return err },
+			"stream": func() error { _, err := h.SearchBatchStream([]*core.Trapdoor{bad}); return err },
+		} {
+			err := search()
+			if err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {
+				t.Errorf("%s with a level-%d token: err %v, want the server's %q", op, level, err, core.ErrTokenLevel)
+			}
+		}
+	}
+	q := core.Range{Lo: 100, Hi: 300}
+	res, err := c.QueryServer(h, q)
+	if err != nil {
+		t.Fatalf("query after refused tokens: %v", err)
+	}
+	if want := exact(tuples, q); len(res.Matches) != len(want) {
+		t.Fatalf("query after refused tokens: %d matches, want %d", len(res.Matches), len(want))
 	}
 }
 

@@ -32,10 +32,11 @@ func SearchKernelName() string { return sse.KernelName() }
 // SearchKernelCacheStats returns the cumulative derived-state cache
 // hits and misses of the batched kernel. The counters are
 // process-wide; a hit means a repeated stag skipped its key schedule
-// (and usually its label PRFs) entirely.
+// (and usually its label PRFs) entirely, a miss that the lookup derived
+// its state (a stag is cached from its second miss on).
 func SearchKernelCacheStats() (hits, misses uint64) { return sse.KernelCacheStats() }
 
 // ResetSearchKernelCache drops the batched kernel's derived-state
-// cache and zeroes its counters — for interleaved A/B measurements
-// that must not inherit a warm cache.
+// cache, clears its admission doorkeeper and zeroes its counters — for
+// interleaved A/B measurements that must not inherit a warm cache.
 func ResetSearchKernelCache() { sse.ResetKernelCache() }

@@ -103,6 +103,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("rsse_requests_total{op=search} delta = %v, want >= %d", got, wantQueries)
 	}
 
+	// The derived-state stag cache is on the same surface: every token of
+	// this scheme is one stag lookup, a hit or a miss, and an admission is
+	// a kind of miss.
+	if got := delta["rsse_stag_cache_hits_total"] + delta["rsse_stag_cache_misses_total"]; got != float64(wantTokens) {
+		t.Errorf("stag cache hits+misses delta = %v, client sent %d tokens", got, wantTokens)
+	}
+	if _, ok := after["rsse_stag_cache_admissions_total"]; !ok {
+		t.Error("rsse_stag_cache_admissions_total missing from /metrics")
+	} else if adm, miss := delta["rsse_stag_cache_admissions_total"], delta["rsse_stag_cache_misses_total"]; adm > miss {
+		t.Errorf("stag cache admissions delta %v exceeds misses delta %v", adm, miss)
+	}
+
 	// Graceful shutdown: readiness flips first, then the drain.
 	ready.SetReady(false)
 	if got := readyzStatus(); got != http.StatusServiceUnavailable {
