@@ -18,14 +18,6 @@
 //
 //	rsse-load ... -scale 0.2
 //
-// Measure the bounded-dispatch before/after: point -compare-addr at a
-// second server running the legacy goroutine-per-request path
-// (rsse-server -dispatch spawn); the zipf workload is driven against
-// both and the report gains a dispatch_comparison block:
-//
-//	rsse-load -addr 127.0.0.1:7070 -compare-addr 127.0.0.1:7071 \
-//	    -keyfile table.key -workloads zipf -json BENCH_7.json
-//
 // Gate CI against a committed baseline (non-zero exit if sustained QPS
 // drops or steady p99 rises by more than -gate):
 //
@@ -55,7 +47,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 
@@ -67,29 +58,25 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7070", "server address")
-		name        = flag.String("name", rsse.DefaultIndexName, "served index name")
-		keyfile     = flag.String("keyfile", "", "hex master key file (required)")
-		workloads   = flag.String("workloads", "uniform,zipf", "comma-separated builtin workload specs")
-		specPath    = flag.String("spec", "", "JSON workload spec file (overrides -workloads)")
-		scale       = flag.Float64("scale", 1, "multiply every phase duration (0.2 = smoke run)")
-		jsonPath    = flag.String("json", "", "write the machine-readable report here")
-		baseline    = flag.String("baseline", "", "baseline report to gate against")
-		gate        = flag.Float64("gate", 0.20, "allowed fractional regression vs -baseline")
-		compareAddr = flag.String("compare-addr", "", "old-configuration server for the interleaved before/after comparison")
-		compareReps = flag.Int("compare-reps", 1, "A/B pairs to run for the comparison (median wins; >1 tames noisy boxes)")
-		compareMode = flag.String("compare-mode", "spawn-dispatch", "what the -compare-addr server differs in (e.g. legacy-kernel); labels the comparison and the @-suffixed run")
-		dispatch    = flag.String("dispatch", "pooled", "dispatch mode label of -addr's server (report metadata)")
-		manifest    = flag.String("manifest", "", "cluster manifest: drive the whole cluster instead of one index")
-		writeName   = flag.String("writable-name", rsse.DefaultDynamicName, "writable-store name for write_fraction ops (rsse-server -writable)")
-		opsAddr     = flag.String("ops-addr", "", "server ops address (rsse-server -ops): scrape /metrics before and after the run and embed the delta in the report")
-		tdMemo      = flag.Int("td-memo", 16384, "per-session shared trapdoor memo capacity (0 derives every trapdoor fresh)")
-		faultPath   = flag.String("fault", "", "JSON fault plan (internal/fault.Plan): wrap every load connection in deterministic fault injection")
-		retry       = flag.Int("retry", 0, "resilient sessions: attempts per idempotent read op (0 disables redial/retry)")
-		opTimeout   = flag.Duration("op-timeout", 0, "per-attempt deadline of resilient reads (0: none; required to recover black-holed connections)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a driver-side CPU profile here (the driver shares the box's CPU with the server; profile both)")
-		version     = flag.Bool("version", false, "print version and exit")
-		notes       multiFlag
+		addr       = flag.String("addr", "127.0.0.1:7070", "server address")
+		name       = flag.String("name", rsse.DefaultIndexName, "served index name")
+		keyfile    = flag.String("keyfile", "", "hex master key file (required)")
+		workloads  = flag.String("workloads", "uniform,zipf", "comma-separated builtin workload specs")
+		specPath   = flag.String("spec", "", "JSON workload spec file (overrides -workloads)")
+		scale      = flag.Float64("scale", 1, "multiply every phase duration (0.2 = smoke run)")
+		jsonPath   = flag.String("json", "", "write the machine-readable report here")
+		baseline   = flag.String("baseline", "", "baseline report to gate against")
+		gate       = flag.Float64("gate", 0.20, "allowed fractional regression vs -baseline")
+		manifest   = flag.String("manifest", "", "cluster manifest: drive the whole cluster instead of one index")
+		writeName  = flag.String("writable-name", rsse.DefaultDynamicName, "writable-store name for write_fraction ops (rsse-server -writable)")
+		opsAddr    = flag.String("ops-addr", "", "server ops address (rsse-server -ops): scrape /metrics before and after the run and embed the delta in the report")
+		tdMemo     = flag.Int("td-memo", 16384, "per-session shared trapdoor memo capacity (0 derives every trapdoor fresh)")
+		faultPath  = flag.String("fault", "", "JSON fault plan (internal/fault.Plan): wrap every load connection in deterministic fault injection")
+		retry      = flag.Int("retry", 0, "resilient sessions: attempts per idempotent read op (0 disables redial/retry)")
+		opTimeout  = flag.Duration("op-timeout", 0, "per-attempt deadline of resilient reads (0: none; required to recover black-holed connections)")
+		cpuprofile = flag.String("cpuprofile", "", "write a driver-side CPU profile here (the driver shares the box's CPU with the server; profile both)")
+		version    = flag.Bool("version", false, "print version and exit")
+		notes      multiFlag
 	)
 	flag.Var(&notes, "note", "free-form provenance line embedded in the report's notes (repeatable)")
 	flag.Parse()
@@ -143,7 +130,7 @@ func main() {
 			fatal(fmt.Errorf("workload %s: write_fraction is not supported against a cluster (no cluster update protocol)", spec.Name))
 		}
 	}
-	report := workload.NewLoadReport(env.kind.String(), env.bits, *dispatch)
+	report := workload.NewLoadReport(env.kind.String(), env.bits)
 	var before map[string]float64
 	if *opsAddr != "" {
 		if before, err = obs.Scrape(*opsAddr); err != nil {
@@ -160,14 +147,6 @@ func main() {
 		report.Runs = append(report.Runs, *run)
 	}
 
-	if *compareAddr != "" {
-		cmp, oldRun, err := compareAB(ctx, env, *addr, *compareAddr, *compareMode, *compareReps, specs, report.Runs)
-		if err != nil {
-			fatal(err)
-		}
-		report.DispatchComparison = cmp
-		report.Runs = append(report.Runs, *oldRun)
-	}
 	report.Notes = notes
 	if env.injector != nil {
 		st := env.injector.Stats()
@@ -335,60 +314,6 @@ func drive(ctx context.Context, e *env, addr string, spec *workload.Spec) (*work
 	return r.Run(ctx)
 }
 
-// compareAB drives the zipf spec (or the first one) against the
-// old-configuration server — interleaved A/B with the primary server
-// when reps > 1, taking medians so one noisy-neighbour window can't
-// decide the verdict. The last old-side run's full phase breakdown
-// joins the report under "<workload>@<mode>" so the comparison's
-// inputs stay inspectable.
-func compareAB(ctx context.Context, e *env, pooledAddr, spawnAddr, mode string, reps int, specs []*workload.Spec, pooled []workload.RunReport) (*workload.DispatchComparison, *workload.RunReport, error) {
-	pick := 0
-	for i, s := range specs {
-		if s.Name == "zipf" {
-			pick = i
-			break
-		}
-	}
-	spec := specs[pick]
-	p := pooled[pick]
-	pooledQPS := []float64{p.SustainedQPS}
-	pooledP99 := []float64{sustainP99(&p)}
-	var spawnQPS, spawnP99 []float64
-	var lastSpawn *workload.RunReport
-	for rep := 0; rep < reps; rep++ {
-		fmt.Fprintf(os.Stderr, "rsse-load: workload %s against %s (%s, rep %d/%d)\n", spec.Name, spawnAddr, mode, rep+1, reps)
-		spawn, err := drive(ctx, e, spawnAddr, spec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rsse-load: compare run: %w", err)
-		}
-		spawnQPS = append(spawnQPS, spawn.SustainedQPS)
-		spawnP99 = append(spawnP99, sustainP99(spawn))
-		lastSpawn = spawn
-		if rep+1 < reps {
-			fmt.Fprintf(os.Stderr, "rsse-load: workload %s against %s (primary, rep %d/%d)\n", spec.Name, pooledAddr, rep+2, reps)
-			again, err := drive(ctx, e, pooledAddr, spec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("rsse-load: compare run: %w", err)
-			}
-			pooledQPS = append(pooledQPS, again.SustainedQPS)
-			pooledP99 = append(pooledP99, sustainP99(again))
-		}
-	}
-	cmp := &workload.DispatchComparison{
-		Workload:    spec.Name,
-		Mode:        mode,
-		PooledQPS:   median(pooledQPS),
-		PooledP99Us: median(pooledP99),
-		SpawnQPS:    median(spawnQPS),
-		SpawnP99Us:  median(spawnP99),
-	}
-	if cmp.SpawnQPS > 0 {
-		cmp.Speedup = cmp.PooledQPS / cmp.SpawnQPS
-	}
-	lastSpawn.Workload += "@" + mode
-	return cmp, lastSpawn, nil
-}
-
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
 
@@ -397,27 +322,6 @@ func (m *multiFlag) String() string { return strings.Join(*m, "; ") }
 func (m *multiFlag) Set(v string) error {
 	*m = append(*m, v)
 	return nil
-}
-
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
-// sustainP99 is the p99 of the phase that set SustainedQPS, so the
-// comparison quotes throughput and tail latency from the same phase.
-func sustainP99(r *workload.RunReport) float64 {
-	for _, p := range r.Phases {
-		if !p.Warmup && p.QPS == r.SustainedQPS {
-			return p.Latency.P99Us
-		}
-	}
-	return r.Latency.P99Us
 }
 
 // nodeSession is one multiplexed connection to a single served index.

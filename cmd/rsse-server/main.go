@@ -110,14 +110,12 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "with -storage disk: madvise each opened index's mapping into the page cache ahead of traffic (trades resident memory for warm first queries)")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight requests on shutdown")
 	drainGrace := flag.Duration("drain-grace", 0, "time to stay up (not-ready on /readyz) before draining, so load balancers stop routing first")
-	dispatch := flag.String("dispatch", "pooled", "connection dispatch mode: pooled (bounded worker pool + coalesced writes) or spawn (legacy goroutine-per-request, for before/after load tests)")
 	writable := flag.String("writable", "", "durable dynamic store directory to host for remote updates")
 	writableName := flag.String("writable-name", rsse.DefaultDynamicName, "update-namespace name the writable store serves under")
 	scheme := flag.String("scheme", "Logarithmic-BRC", "with -writable on a fresh directory: scheme of the dynamic store")
 	bits := flag.Uint("bits", 16, "with -writable on a fresh directory: domain bits of the dynamic store")
 	step := flag.Int("step", 0, "with -writable on a fresh directory: consolidation step (0 = default)")
 	syncEvery := flag.Int("sync", 1, "with -writable: fsync the WAL every N updates (1 = every acknowledged update is durable)")
-	prfKernel := flag.String("prf-kernel", "batched", "token search path: batched (lane-batched PRF + derived-state cache) or legacy (scalar, for before/after load tests)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	slowQuery := flag.Duration("slow-query", 0, "log requests whose execution exceeds this threshold (0 disables)")
@@ -139,10 +137,6 @@ func main() {
 	// is idempotent, so the racing paths can all call Stop.
 	if profiles, err = obs.StartProfiles(*cpuProfile, *memProfile); err != nil {
 		fatal(err)
-	}
-	if err := rsse.SetSearchKernel(*prfKernel); err != nil {
-		fmt.Fprintln(os.Stderr, "rsse-server:", err)
-		os.Exit(2)
 	}
 	if *indexPath != "" && *dir != "" {
 		fmt.Fprintln(os.Stderr, "rsse-server: -index and -dir are mutually exclusive")
@@ -202,9 +196,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Registered before "serving" is logged: a supervisor that signals
+	// as soon as it sees that line still gets the graceful path.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	logger.Info("serving", "indexes", len(reg.Names()), "addr", l.Addr().String(),
-		"storage", *engine, "dispatch", *dispatch, "prf_kernel", rsse.SearchKernelName(),
-		"version", obs.Version)
+		"storage", *engine, "version", obs.Version)
 	if dyn != nil {
 		logger.Info("writable store ready", "name", *writableName, "addr", l.Addr().String())
 	}
@@ -225,17 +222,12 @@ func main() {
 	}
 
 	srv := rsse.NewServer(reg)
-	if err := srv.SetDispatch(*dispatch); err != nil {
-		fatal(err)
-	}
 	srv.SetLogger(logger)
 	srv.SetSlowQuery(*slowQuery)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	ready.SetReady(true)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		// Flip readiness first so traffic directors stop routing, give

@@ -145,6 +145,14 @@ func (x *Index) searchToken(t *Trapdoor, j int, resp *Response) error {
 	return nil
 }
 
+// searchChunkTokens is how many consecutive (trapdoor, token) jobs a
+// SearchBatchContext worker takes per handoff. Jobs are laid out
+// trapdoor by trapdoor, so a run of four keeps one trapdoor's tokens —
+// which share the trapdoor struct and neighbouring derived-state cache
+// entries — on one worker, and pays the unbuffered handoff once per
+// run instead of once per token.
+const searchChunkTokens = 4
+
 // runJobsChunked fans n index-addressed jobs out over up to `workers`
 // goroutines, in runs of `chunk` consecutive indices per channel send.
 // Dispatch stops at the first job error or when ctx is done; the first
@@ -226,10 +234,7 @@ func runJobsChunked(ctx context.Context, workers, n, chunk int, job func(i int) 
 
 // SearchBatchContext implements ContextBatchSearcher: every (trapdoor,
 // token) pair is an independent search job, fanned out over up to
-// GOMAXPROCS workers in lane-width runs. Jobs are laid out trapdoor by
-// trapdoor, so a run keeps one trapdoor's tokens — which share the
-// trapdoor struct and, under the batched kernel, neighbouring
-// derived-state cache entries — on a single worker. Group order within
+// GOMAXPROCS workers in runs of searchChunkTokens. Group order within
 // each response matches token order, as the demultiplexing owner
 // requires.
 func (x *Index) SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Response, error) {
@@ -242,7 +247,7 @@ func (x *Index) SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Resp
 			jobs = append(jobs, job{ti: i, tj: j})
 		}
 	}
-	err := runJobsChunked(ctx, runtime.GOMAXPROCS(0), len(jobs), prf.DefaultLanes, func(i int) error {
+	err := runJobsChunked(ctx, runtime.GOMAXPROCS(0), len(jobs), searchChunkTokens, func(i int) error {
 		return x.searchToken(ts[jobs[i].ti], jobs[i].tj, out[jobs[i].ti])
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"rsse/internal/cover"
-	"rsse/internal/prf"
 )
 
 // ggmLabel is the fixed HMAC message of the GGM PRG. Package-level so
@@ -155,14 +154,6 @@ func (e *Expander) DelegateNodes(dst []Token, k Key, nodes []cover.Node) ([]Toke
 // the leaves in the same left-to-right order as the recursive
 // definition without a call stack or temporary buffers.
 func (e *Expander) ExpandInto(dst []Value, t Token) []Value {
-	if batchedExpand.Load() && t.Level >= 2 {
-		// Lane-batched mode (see lanes.go): levels of 4+ seeds fill the
-		// kernel's lanes; levels 0-1 are cheaper scalar either way.
-		m := prf.GetMultiHasher()
-		dst = e.ExpandIntoLanes(m, dst, t)
-		prf.PutMultiHasher(m)
-		return dst
-	}
 	w := 1 << t.Level
 	base := len(dst)
 	dst = slices.Grow(dst, w)[:base+w]

@@ -115,19 +115,6 @@ func (h *Hasher) EvalByteUint64(b byte, v uint64) [KeySize]byte {
 	return h.Eval(h.lbuf)
 }
 
-// EvalUint64N evaluates the PRF on the big-endian encodings of from,
-// from+1, ..., from+n-1 — a token's cell-label stream — writing the
-// 32-byte outputs into out[0..n). The batch form keeps the staging
-// buffer and bounds checks out of the per-label loop; the compression
-// engine is whatever the Hasher already uses (the stdlib asm block).
-func (h *Hasher) EvalUint64N(from uint64, n int, out [][KeySize]byte) {
-	h.lbuf = append(h.lbuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	for i := 0; i < n; i++ {
-		binary.BigEndian.PutUint64(h.lbuf, from+uint64(i))
-		out[i] = h.Eval(h.lbuf)
-	}
-}
-
 // snapshotMax bounds a marshaled SHA-512 digest state (204 bytes in
 // the current runtime, with headroom for format growth). Fixed-size
 // storage keeps a Snapshot a plain value: embedding one in a cache

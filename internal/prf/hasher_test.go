@@ -56,6 +56,26 @@ func TestHasherRekey(t *testing.T) {
 	}
 }
 
+// TestHasherSnapshotRestore: a hasher restored from a snapshot — what
+// the server's derived-state cache does instead of a key schedule —
+// evaluates exactly as crypto/hmac under the snapshotted key, whatever
+// key the hasher held before.
+func TestHasherSnapshotRestore(t *testing.T) {
+	var k1, k2 Key
+	k1[0], k2[0] = 1, 2
+	snap := NewHasher(k1).Snapshot()
+	if !snap.Valid() || (&Snapshot{}).Valid() {
+		t.Fatal("Valid does not tell a captured snapshot from the zero value")
+	}
+	h := NewHasher(k2)
+	h.Restore(&snap)
+	for _, data := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{3}, 200)} {
+		if h.Eval(data) != refEval(k1, data) {
+			t.Fatalf("restored hasher disagrees with crypto/hmac on %d bytes", len(data))
+		}
+	}
+}
+
 func TestHasherHelpersMatchPackage(t *testing.T) {
 	k, _ := KeyFromBytes(bytes.Repeat([]byte{11}, KeySize))
 	h := NewHasher(k)

@@ -8,7 +8,7 @@ import (
 	"rsse/internal/prf"
 )
 
-// The search kernel keeps a derived-state cache: the per-stag search
+// The search path keeps a derived-state cache: the per-stag search
 // state is a pure deterministic function of the stag the server already
 // holds, so a stag that comes back can restore it at memcpy cost instead
 // of re-deriving it. What the cache must not do is charge the stags that
@@ -43,36 +43,13 @@ import (
 // emptiness, both already in the server's view; no new information is
 // created.
 
-// kernelOn selects the batched kernel (default) or the legacy scalar
-// path, switchable at runtime for same-binary A/B comparison.
-var kernelOn atomic.Bool
-
-func init() { kernelOn.Store(true) }
-
-// SetKernel enables or disables the batched search kernel. It is meant
-// to be flipped at process start (rsse-server -prf-kernel); flipping it
-// under live traffic is safe but mixes the two paths' timings.
-func SetKernel(on bool) { kernelOn.Store(on) }
-
-// KernelEnabled reports whether the batched kernel is active.
-func KernelEnabled() bool { return kernelOn.Load() }
-
-// KernelName names the active search-path configuration, for logs and
-// bench reports.
-func KernelName() string {
-	if kernelOn.Load() {
-		return "batched"
-	}
-	return "legacy"
-}
-
 // stagState is one immutable cache entry: what a search derives from a
 // stag. Entries are shared read-only across goroutines; replacement
 // publishes a fresh entry via atomic pointer swap.
 //
 // Beyond the location key, an entry carries the stag's first labN cell
-// labels — also pure PRF-of-stag values. Most posting lists fit the
-// first window, so a repeated token's whole label stream comes out of
+// labels — also pure PRF-of-stag values. Most posting lists fit in
+// cachedLabels, so a repeated token's whole label stream comes out of
 // the cache and costs no HMAC at all; a search that derives labels (or
 // the cell key) the entry lacks republishes an extended entry on its
 // way out.
@@ -81,7 +58,7 @@ type stagState struct {
 	loc  prf.Snapshot // location-keyed hasher state
 	blk  cipher.Block // AES block under the stag's cell key; nil until a probe has hit
 	labN int
-	labs [labelBatchMax][prf.KeySize]byte // cell labels 0..labN-1
+	labs [cachedLabels][prf.KeySize]byte // cell labels 0..labN-1
 }
 
 // stagCacheSize bounds the direct-mapped cache. 128k entries hold the
@@ -128,8 +105,8 @@ func KernelCacheStats() (hits, misses uint64) {
 func KernelCacheAdmissions() uint64 { return stagCacheAdmissions.Load() }
 
 // ResetKernelCache drops every cached entry, clears the doorkeeper and
-// zeroes the counters — for tests and interleaved A/B runs that must
-// not inherit a warm cache.
+// zeroes the counters — for tests and benchmark phases that must not
+// inherit a warm cache.
 func ResetKernelCache() {
 	for i := range stagCache {
 		stagCache[i].Store(nil)

@@ -31,28 +31,23 @@ type cellSearcher struct {
 	chunk []byte          // free region of the current arena chunk
 	slots []uint64        // twolevel pointer scratch
 
-	// Batched label window: labels labBase..labBase+labN-1 derived
-	// ahead through the batched PRF API (kernel mode only).
-	labs    [labelBatchMax][prf.KeySize]byte
-	labBase uint64
-	labN    int
-	labNext int // window width for the next refill (adaptive)
-
-	// Derived-state cache bookkeeping (kernel mode only): the entry this
-	// search runs from, its slot, whether a miss may publish, and the
-	// contiguous run of first labels observed this search — published
-	// back if it extends the entry.
+	// Derived-state cache bookkeeping: the entry this search runs from,
+	// its slot, whether a miss may publish, and the contiguous run of
+	// first labels observed this search — published back if it extends
+	// the entry.
 	stag   Stag
 	slot   *atomic.Pointer[stagState]
 	ent    *stagState // warm entry this search runs from (nil on a miss)
 	admit  bool       // miss path: the doorkeeper saw this stag miss before
-	first  [labelBatchMax][prf.KeySize]byte
+	first  [cachedLabels][prf.KeySize]byte
 	firstN int
 }
 
-// labelBatchMax caps the label lookahead window at the PRF kernel's
-// lane width.
-const labelBatchMax = prf.MaxLanes
+// cachedLabels is how many of a stag's first cell labels a cache entry
+// keeps. Eight labels answer a posting list of up to seven cells with
+// no PRF evaluation at all, which covers most keywords; longer lists
+// derive the tail per probe. Each label costs 32 bytes per entry.
+const cachedLabels = 8
 
 var cellSearcherPool = sync.Pool{New: func() any {
 	return &cellSearcher{h: prf.NewHasher(prf.Key{}), hk: prf.NewHasher(prf.Key{})}
@@ -62,31 +57,28 @@ var cellSearcherPool = sync.Pool{New: func() any {
 // stag-derived keys only loc and enc matter here: the salted bucket key
 // steers build-time placement, never search.
 //
-// In kernel mode the per-stag state comes from the derived-state cache
-// when present: a hit restores the location-key snapshot and reuses the
-// shared AES block (if the entry has one), skipping the whole key
-// schedule. A miss derives the location key and asks the doorkeeper
-// whether this stag has missed on its slot before; only then does
-// putCellSearcher publish the state (see kernel.go).
+// The per-stag state comes from the derived-state cache when present: a
+// hit restores the location-key snapshot and reuses the shared AES
+// block (if the entry has one), skipping the whole key schedule. A miss
+// derives the location key and asks the doorkeeper whether this stag
+// has missed on its slot before; only then does putCellSearcher publish
+// the state (see kernel.go).
 func getCellSearcher(stag Stag) *cellSearcher {
 	s := cellSearcherPool.Get().(*cellSearcher)
-	s.labN, s.labNext = 0, 1
 	s.firstN = 0
 	s.stag = stag
-	if kernelOn.Load() {
-		i := stagCacheIndex(&stag)
-		s.slot = &stagCache[i]
-		if e := s.slot.Load(); e != nil && e.stag == stag {
-			stagCacheHits.Add(1)
-			s.h.Restore(&e.loc)
-			s.blk = e.blk
-			s.ent = e
-			return s
-		}
-		stagCacheMisses.Add(1)
-		fp := stagFingerprint(&stag)
-		s.admit = stagSeen[i].Swap(fp) == fp
+	i := stagCacheIndex(&stag)
+	s.slot = &stagCache[i]
+	if e := s.slot.Load(); e != nil && e.stag == stag {
+		stagCacheHits.Add(1)
+		s.h.Restore(&e.loc)
+		s.blk = e.blk
+		s.ent = e
+		return s
 	}
+	stagCacheMisses.Add(1)
+	fp := stagFingerprint(&stag)
+	s.admit = stagSeen[i].Swap(fp) == fp
 	s.key()
 	return s
 }
@@ -148,43 +140,23 @@ func putCellSearcher(s *cellSearcher) {
 // label computes the i-th cell label under the stag's location key.
 // The returned slice is valid until the next label call.
 //
-// In kernel mode consecutive labels are gathered into lane-width
-// batches through the batched PRF API: the window doubles from one
-// label up to the lane width as the posting list proves longer, so
-// empty and single-cell lists (the overwhelming majority) derive
-// exactly the labels they probe, while long lists amortize staging and
-// bounds checks across whole windows. Search loops always probe
-// labels with consecutive i, which is what makes the lookahead exact.
+// A warm entry answers its first labN labels from the cache; every
+// other label costs exactly one PRF evaluation, made when it is probed,
+// so a search of an L-cell list evaluates at most L+1 labels. Search
+// loops probe consecutive i from zero, which is what makes the run of
+// first labels recorded for publication contiguous.
 func (s *cellSearcher) label(i uint64) []byte {
-	if !kernelOn.Load() {
-		full := s.h.EvalUint64(i)
-		copy(s.lab[:], full[:LabelSize])
-		return s.lab[:]
-	}
-	// Cached labels first: a warm entry answers the whole stream of a
-	// short posting list with zero PRF evaluations.
+	var full [prf.KeySize]byte
 	if e := s.ent; e != nil && i < uint64(e.labN) {
-		if int(i) == s.firstN {
-			s.first[i] = e.labs[i]
-			s.firstN++
-		}
-		copy(s.lab[:], e.labs[i][:LabelSize])
-		return s.lab[:]
+		full = e.labs[i]
+	} else {
+		full = s.h.EvalUint64(i)
 	}
-	if s.labN == 0 || i < s.labBase || i >= s.labBase+uint64(s.labN) {
-		n := s.labNext
-		if n > labelBatchMax {
-			n = labelBatchMax
-		}
-		s.h.EvalUint64N(i, n, s.labs[:n])
-		s.labBase, s.labN = i, n
-		s.labNext = n * 2
-	}
-	if i < labelBatchMax && int(i) == s.firstN {
-		s.first[i] = s.labs[i-s.labBase]
+	if i < cachedLabels && int(i) == s.firstN {
+		s.first[i] = full
 		s.firstN++
 	}
-	copy(s.lab[:], s.labs[i-s.labBase][:LabelSize])
+	copy(s.lab[:], full[:LabelSize])
 	return s.lab[:]
 }
 

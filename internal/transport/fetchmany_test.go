@@ -307,7 +307,7 @@ func TestFetchManySlowQueryLine(t *testing.T) {
 	serverEnd, clientEnd := net.Pipe()
 	defer serverEnd.Close()
 	go func() {
-		_ = serveLoop(singleRegistry(slowStore{stubStore{1: []byte("ct")}}), serverEnd, nil, DispatchPooled, log, time.Millisecond)
+		_ = serveLoop(singleRegistry(slowStore{stubStore{1: []byte("ct")}}), serverEnd, nil, log, time.Millisecond)
 	}()
 	conn := NewConn(clientEnd)
 	defer conn.Close()

@@ -21,13 +21,12 @@ const inlineThreshold = 1024
 // All scratch is retained across pool checkouts, so steady-state frame
 // writes cost no heap allocation.
 //
-// Single frame: begin, stage*/ref* in wire order, flush. Coalesced
-// frames (the server's busy-connection response path): reset, then per
-// frame beginFrame, stage*/ref*, endFrame, and one flushAll for the
-// whole group — k responses leave in one vectored write instead of k.
-// A frameWriter is not safe for concurrent use; pool instances with
-// getFrameWriter/putFrameWriter and keep the connection's writes
-// single-threaded across the begin..flush sequence.
+// Usage: reset, then per frame beginFrame, stage*/ref* in wire order,
+// endFrame, and one flushAll for the whole group — k responses leave in
+// one vectored write instead of k. A frameWriter is not safe for
+// concurrent use; pool instances with getFrameWriter/putFrameWriter and
+// keep the connection's writes single-threaded across the
+// reset..flushAll sequence.
 type frameWriter struct {
 	buf []byte // staging: per frame, a 4-byte length prefix then inlined parts
 	// marks[i] is the staging offset at which zero-copy part refs[i] is
@@ -43,7 +42,7 @@ type frameWriter struct {
 
 var frameWriterPool = sync.Pool{New: func() any { return new(frameWriter) }}
 
-// getFrameWriter returns a pooled frameWriter, ready for begin.
+// getFrameWriter returns a pooled frameWriter, ready for reset.
 func getFrameWriter() *frameWriter { return frameWriterPool.Get().(*frameWriter) }
 
 // putFrameWriter returns fw to the pool, dropping references to caller
@@ -95,12 +94,6 @@ func (fw *frameWriter) endFrame() error {
 	return nil
 }
 
-// begin starts a single frame, reserving the length prefix.
-func (fw *frameWriter) begin() {
-	fw.reset()
-	fw.beginFrame()
-}
-
 // stage copies p into the frame's staging buffer.
 func (fw *frameWriter) stage(p []byte) { fw.buf = append(fw.buf, p...) }
 
@@ -116,7 +109,7 @@ func (fw *frameWriter) stageUint32(v uint32) {
 }
 
 // ref splices p into the frame. Large parts are referenced zero-copy —
-// the caller must keep p unchanged until flush returns — small ones are
+// the caller must keep p unchanged until flushAll returns — small ones are
 // staged like stage.
 func (fw *frameWriter) ref(p []byte) {
 	if len(p) < inlineThreshold {
@@ -125,16 +118,6 @@ func (fw *frameWriter) ref(p []byte) {
 	}
 	fw.marks = append(fw.marks, len(fw.buf))
 	fw.refs = append(fw.refs, p)
-}
-
-// flush ends the single frame begun with begin and writes it with one
-// vectored write. An oversized frame is rejected before any byte is
-// written, leaving the stream clean.
-func (fw *frameWriter) flush(w io.Writer) error {
-	if err := fw.endFrame(); err != nil {
-		return err
-	}
-	return fw.flushAll(w)
 }
 
 // flushAll writes every staged frame of a coalesced group with one
@@ -157,7 +140,7 @@ func (fw *frameWriter) flushAll(w io.Writer) error {
 		fw.vecs = append(fw.vecs, fw.buf[prev:])
 	}
 	// WriteTo consumes the vector in place; fw.vecs is reset by the next
-	// begin/put, and entry 0 always holds the staged length prefix, so
+	// flushAll/put, and entry 0 always holds the staged length prefix, so
 	// nothing the caller owns is clobbered beyond being sliced forward.
 	v := fw.vecs
 	_, err := v.WriteTo(w)

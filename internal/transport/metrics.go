@@ -54,6 +54,7 @@ type serverMetrics struct {
 	shed      *obs.Counter
 	overload  *obs.Counter
 	frameErrs *obs.Counter
+	panics    *obs.Counter
 
 	conns      *obs.Gauge
 	connsTotal *obs.Counter
@@ -69,7 +70,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		bytesIn: r.CounterVec("rsse_request_bytes_total",
 			"Frame bytes moved by the serving transport, by direction.", "dir").With("in"),
 		queueDepth: r.Gauge("rsse_dispatch_queue_depth",
-			"Requests parsed but not yet executing, across all connections (pooled dispatch)."),
+			"Requests parsed but not yet executing, across all connections."),
 		queueWait: r.Histogram("rsse_dispatch_queue_wait_seconds",
 			"Time requests spend queued before a dispatch worker picks them up."),
 		workers: r.Gauge("rsse_dispatch_workers",
@@ -80,6 +81,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			"Overload response frames written (one per shed request that reached the wire)."),
 		frameErrs: r.Counter("rsse_frame_errors_total",
 			"Connections dropped for malformed framing (oversized frame, torn header, bad request)."),
+		panics: r.Counter("rsse_handler_panics_total",
+			"Request handler panics contained to an error response (each also logs its stack at Error)."),
 		conns: r.Gauge("rsse_open_conns",
 			"Currently accepted connections."),
 		connsTotal: r.Counter("rsse_conns_accepted_total",
@@ -101,7 +104,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 	// The derived-state stag cache (internal/sse/kernel.go) is
 	// process-wide and counts in its own atomics — obs imports sse through
 	// internal/workload, so sse cannot write to obs — and is read here at
-	// scrape time. sse.ResetKernelCache (tests, A/B runs) zeroes all three.
+	// scrape time. sse.ResetKernelCache (tests, benchmark phases) zeroes all three.
 	r.CounterFunc("rsse_stag_cache_hits_total",
 		"Stag lookups answered from the derived-state cache (key schedule and cached labels skipped).",
 		func() uint64 { hits, _ := sse.KernelCacheStats(); return hits })

@@ -177,7 +177,7 @@ func TestOverloadBacksOffWithoutFailover(t *testing.T) {
 	var dials atomic.Int64
 	pool := NewPoolFunc("pipe", func(network, addr string) (*Conn, error) {
 		serverEnd, clientEnd := net.Pipe()
-		go func() { _ = serveLoop(reg, serverEnd, srv, DispatchPooled, nil, 0) }()
+		go func() { _ = serveLoop(reg, serverEnd, srv, nil, 0) }()
 		dials.Add(1)
 		return NewConn(clientEnd), nil
 	})

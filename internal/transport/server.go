@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,14 +17,13 @@ import (
 )
 
 // connConcurrency caps the requests one connection may have executing
-// at once. Under pooled dispatch it is the connection's worker-pool
-// ceiling (workers spawn lazily up to it); under spawn dispatch it is
-// the per-connection goroutine semaphore. Requests from different
-// connections are unbounded relative to each other.
+// at once: it is the connection's worker-pool ceiling (workers spawn
+// lazily up to it). Requests from different connections are unbounded
+// relative to each other.
 const connConcurrency = 32
 
 // connQueue bounds the requests a connection may have parsed but not
-// yet executing under pooled dispatch. A full queue blocks the
+// yet executing. A full queue blocks the
 // connection's read loop — backpressure lands in the peer's socket
 // buffer instead of as unbounded server-side goroutines or memory.
 const connQueue = 128
@@ -36,49 +35,12 @@ const writeCoalesce = 64
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("transport: server closed")
 
-// DispatchMode selects how a connection's requests are executed.
-type DispatchMode int
-
-const (
-	// DispatchPooled (the default) runs each connection's requests on a
-	// bounded worker pool and coalesces completed responses into grouped
-	// vectored writes: under high fan-in, throughput degrades into
-	// backpressure instead of goroutine/scheduler thrash, and a busy
-	// connection pays one writev per response group instead of one per
-	// response.
-	DispatchPooled DispatchMode = iota
-	// DispatchSpawn is the legacy goroutine-per-request dispatch (one
-	// spawned goroutine and one vectored write per request), kept so the
-	// load harness can measure the pooled path against it.
-	DispatchSpawn
-)
-
-// DispatchModeByName resolves "pooled" or "spawn".
-func DispatchModeByName(name string) (DispatchMode, error) {
-	switch name {
-	case "pooled":
-		return DispatchPooled, nil
-	case "spawn":
-		return DispatchSpawn, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown dispatch mode %q (pooled|spawn)", name)
-	}
-}
-
-func (m DispatchMode) String() string {
-	if m == DispatchSpawn {
-		return "spawn"
-	}
-	return "pooled"
-}
-
 // Server serves a Registry of named indexes over any number of
 // listeners. Every connection's requests are dispatched concurrently —
 // one slow search does not block the connection's other requests — and
 // Shutdown drains in-flight requests before closing connections.
 type Server struct {
-	reg      *Registry
-	dispatch DispatchMode
+	reg *Registry
 
 	// logger, when set, receives structured serving events (connection
 	// lifecycle at Debug, protocol errors at Warn) with per-connection
@@ -110,10 +72,6 @@ func NewServer(reg *Registry) *Server {
 
 // Registry returns the served registry.
 func (s *Server) Registry() *Registry { return s.reg }
-
-// SetDispatch selects the connection dispatch mode. Call before Serve;
-// connections pick the mode up when accepted.
-func (s *Server) SetDispatch(m DispatchMode) { s.dispatch = m }
 
 // SetLogger installs a structured logger for serving events: connection
 // lifecycle at Debug, protocol errors at Warn, slow queries (see
@@ -214,7 +172,7 @@ func (s *Server) Serve(l net.Listener) error {
 				conn.Close()
 				tm.conns.Dec()
 			}()
-			err := serveLoop(s.reg, conn, s, s.dispatch, log, s.slowQuery)
+			err := serveLoop(s.reg, conn, s, log, s.slowQuery)
 			if log != nil {
 				if err != nil {
 					log.Warn("connection dropped", slog.Any("err", err))
@@ -280,23 +238,12 @@ func Serve(l net.Listener, idx core.Server) error {
 // established connection until EOF or error (nil on clean EOF). Requests
 // are still dispatched concurrently.
 func ServeConn(conn io.ReadWriter, idx core.Server) error {
-	return serveLoop(singleRegistry(idx), conn, nil, DispatchPooled, nil, 0)
+	return serveLoop(singleRegistry(idx), conn, nil, nil, 0)
 }
 
 // ServeConnRegistry is ServeConn over a full registry.
 func ServeConnRegistry(conn io.ReadWriter, reg *Registry) error {
-	return serveLoop(reg, conn, nil, DispatchPooled, nil, 0)
-}
-
-// serveLoop reads request frames from rw and executes them concurrently
-// under the selected dispatch mode. srv, when non-nil, tracks in-flight
-// requests for graceful shutdown; log, when non-nil, receives serving
-// events, and slow enables the slow-query log.
-func serveLoop(reg *Registry, rw io.ReadWriter, srv *Server, mode DispatchMode, log *slog.Logger, slow time.Duration) error {
-	if mode == DispatchSpawn {
-		return serveLoopSpawn(reg, rw, srv, log, slow)
-	}
-	return serveLoopPooled(reg, rw, srv, log, slow)
+	return serveLoop(reg, conn, nil, nil, 0)
 }
 
 // task is one admitted request awaiting a dispatcher worker.
@@ -338,14 +285,16 @@ type dispatcher struct {
 	writerDone chan struct{}
 }
 
-// serveLoopPooled reads request frames from rw and feeds them to the
+// serveLoop reads request frames from rw and feeds them to the
 // connection's dispatcher: a worker pool bounded at connConcurrency
 // (spawned lazily — a sequential request stream costs one worker) over
 // a queue bounded at connQueue. A full queue blocks the read loop, so
 // overload turns into TCP backpressure on the peer instead of unbounded
 // goroutine fan-out, and completed responses leave through one writer
-// that coalesces bursts into grouped vectored writes.
-func serveLoopPooled(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Logger, slow time.Duration) error {
+// that coalesces bursts into grouped vectored writes. srv, when
+// non-nil, tracks in-flight requests for graceful shutdown; log, when
+// non-nil, receives serving events, and slow enables the slow-query log.
+func serveLoop(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Logger, slow time.Duration) error {
 	br := bufio.NewReader(rw)
 	d := &dispatcher{
 		reg:   reg,
@@ -436,7 +385,7 @@ func (d *dispatcher) worker() {
 		c := completion{id: t.req.id, bp: t.bp, counted: t.counted}
 		oi := opIndex(t.req.op)
 		start := time.Now()
-		payload, herr := handleRequest(d.reg, t.req)
+		payload, herr := d.handle(t.req)
 		dur := time.Since(start)
 		tm.requests[oi].Inc()
 		tm.latency[oi].Record(dur)
@@ -450,6 +399,43 @@ func (d *dispatcher) worker() {
 		logSlowQuery(d.log, d.slow, t.req, dur, herr)
 		d.compl <- c
 	}
+}
+
+// errHandlerPanic is what the peer sees of a contained handler panic:
+// a fixed message, so no stack frame or pointer value reaches the wire.
+var errHandlerPanic = errors.New("transport: internal error: request handler panicked")
+
+// handle is handleRequest with a handler panic contained to this
+// request (see recoverHandler).
+func (d *dispatcher) handle(req request) (payload []byte, err error) {
+	defer d.recoverHandler(req, &err)
+	return handleRequest(d.reg, req)
+}
+
+// recoverHandler, deferred around a handler call, turns a panic into
+// errHandlerPanic for that one request: the worker goes on to answer it
+// like any failed request, so the body buffer recycles, the in-flight
+// accounting closes, and the connection and process keep serving. The
+// panic value and stack go to the log (the process default logger when
+// the connection has none — a contained panic must not be silent) and
+// rsse_handler_panics_total counts it.
+func (d *dispatcher) recoverHandler(req request, err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	*err = errHandlerPanic
+	tm.panics.Inc()
+	log := d.log
+	if log == nil {
+		log = slog.Default()
+	}
+	log.Error("handler panic",
+		slog.Uint64("req", uint64(req.id)),
+		slog.String("op", opLabel[opIndex(req.op)]),
+		slog.String("index", req.name),
+		slog.Any("panic", r),
+		slog.String("stack", string(debug.Stack())))
 }
 
 // logSlowQuery emits the slow-query Warn record when a request's
@@ -510,7 +496,7 @@ func (d *dispatcher) writeLoop() {
 // vectored write. An oversized response is rolled back and replaced by
 // an err-response so the waiting request fails instead of hanging;
 // write errors are dropped (the read side of a dead connection surfaces
-// them to serveLoopPooled). Request bodies recycle and in-flight
+// them to serveLoop). Request bodies recycle and in-flight
 // accounting closes only after the group is on the wire, so graceful
 // shutdown never closes a connection under a pending response.
 func (d *dispatcher) writeBatch(fw *frameWriter, batch []completion) {
@@ -544,117 +530,5 @@ func (d *dispatcher) writeBatch(fw *frameWriter, batch []completion) {
 		if c.counted {
 			d.srv.endRequest()
 		}
-	}
-}
-
-// serveLoopSpawn is the legacy dispatch: each request runs on its own
-// spawned goroutine (bounded by a per-connection semaphore), and each
-// response is its own vectored write under the connection's write lock.
-// Kept selectable so the load harness can measure the pooled path
-// against it; see DispatchSpawn.
-func serveLoopSpawn(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Logger, slow time.Duration) error {
-	br := bufio.NewReader(rw)
-	var wmu sync.Mutex
-	sem := make(chan struct{}, connConcurrency)
-	var inFlight sync.WaitGroup
-	// Let in-flight requests finish writing before the caller closes the
-	// connection.
-	defer inFlight.Wait()
-	for {
-		bp := bodyPool.Get().(*[]byte)
-		body, err := readFrameInto(br, (*bp)[:0])
-		if err != nil {
-			bodyPool.Put(bp)
-			if errors.Is(err, io.EOF) || (srv != nil && srv.closing()) {
-				return nil
-			}
-			tm.frameErrs.Inc()
-			return err
-		}
-		tm.bytesIn.Add(uint64(4 + len(body)))
-		*bp = body
-		req, err := parseRequest(body)
-		if err != nil {
-			bodyPool.Put(bp)
-			tm.frameErrs.Inc()
-			return err
-		}
-		if srv != nil && !srv.beginRequest() {
-			tm.shed.Inc()
-			writeStatusResponse(rw, &wmu, req.id, statusOverload, []byte(overloadMsg))
-			bodyPool.Put(bp)
-			continue
-		}
-		sem <- struct{}{}
-		inFlight.Add(1)
-		go func(req request, bp *[]byte) {
-			defer func() {
-				bodyPool.Put(bp)
-				<-sem
-				inFlight.Done()
-				if srv != nil {
-					srv.endRequest()
-				}
-			}()
-			if req.op == opBatchStream {
-				streamRequestSpawn(reg, rw, &wmu, req)
-				return
-			}
-			oi := opIndex(req.op)
-			start := time.Now()
-			payload, herr := handleRequest(reg, req)
-			dur := time.Since(start)
-			tm.requests[oi].Inc()
-			tm.latency[oi].Record(dur)
-			if herr != nil {
-				tm.errors[oi].Inc()
-			}
-			logSlowQuery(log, slow, req, dur, herr)
-			writeResponse(rw, &wmu, req.id, payload, herr)
-		}(req, bp)
-	}
-}
-
-// writeResponse frames one response under the connection's write lock,
-// staging the header in a pooled frame writer and shipping header and
-// payload in a single vectored write. An oversized payload is converted
-// to an err-response so the waiting request fails instead of hanging;
-// other write errors are dropped (the read side of a dead connection
-// surfaces them to serveLoop).
-func writeResponse(w io.Writer, wmu *sync.Mutex, id uint32, payload []byte, herr error) {
-	status := statusOK
-	if herr != nil {
-		status = statusErr
-		payload = []byte(herr.Error())
-	}
-	writeStatusResponse(w, wmu, id, status, payload)
-}
-
-// writeStatusResponse is writeResponse with an explicit status byte, so
-// the shed path can ship overload responses through the same framing.
-func writeStatusResponse(w io.Writer, wmu *sync.Mutex, id uint32, status byte, payload []byte) {
-	if status == statusOverload {
-		tm.overload.Inc()
-	}
-	tm.bytesOut.Add(uint64(4 + responseHeader + len(payload)))
-	fw := getFrameWriter()
-	defer putFrameWriter(fw)
-	wmu.Lock()
-	defer wmu.Unlock()
-	fw.begin()
-	fw.stageUint32(id)
-	fw.stageByte(status)
-	fw.ref(payload)
-	if err := fw.flush(w); err != nil {
-		if !errors.Is(err, ErrFrameTooLarge) {
-			return
-		}
-		// flush rejects oversized frames before writing any bytes, so
-		// the stream is still clean for a substitute error response.
-		fw.begin()
-		fw.stageUint32(id)
-		fw.stageByte(statusErr)
-		fw.stageString(ErrFrameTooLarge.Error())
-		_ = fw.flush(w)
 	}
 }

@@ -24,12 +24,10 @@ import (
 // error, and the connection must stay usable afterwards. Run under
 // -race (CI does), this is the bounded-dispatch soak of ISSUE 7.
 func TestSoakSharedConn(t *testing.T) {
-	for _, mode := range []DispatchMode{DispatchPooled, DispatchSpawn} {
-		t.Run(mode.String(), func(t *testing.T) { soakSharedConn(t, mode) })
-	}
+	t.Run("pooled", soakSharedConn)
 }
 
-func soakSharedConn(t *testing.T, mode DispatchMode) {
+func soakSharedConn(t *testing.T) {
 	c, idx, tuples := testClientIndex(t, core.LogarithmicBRC)
 
 	// Sequential oracle: precompute trapdoors and the exact response
@@ -60,7 +58,7 @@ func soakSharedConn(t *testing.T, mode DispatchMode) {
 	}
 
 	// Serve over real TCP so the coalesced vectored writes hit an actual
-	// socket, with the selected dispatch mode.
+	// socket.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +71,7 @@ func soakSharedConn(t *testing.T, mode DispatchMode) {
 			return
 		}
 		defer sc.Close()
-		_ = serveLoop(reg, sc, nil, mode, nil, 0)
+		_ = serveLoop(reg, sc, nil, nil, 0)
 	}()
 	nc, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
@@ -155,7 +153,7 @@ func soakSharedConn(t *testing.T, mode DispatchMode) {
 	if ok.Load() == 0 {
 		t.Fatal("no request completed successfully")
 	}
-	t.Logf("%s: %d ok, %d cancelled", mode, ok.Load(), cancelled.Load())
+	t.Logf("%d ok, %d cancelled", ok.Load(), cancelled.Load())
 
 	// The connection must have survived the storm, late responses for
 	// abandoned ids included.

@@ -3,8 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"rsse/internal/core"
@@ -82,45 +80,44 @@ func handleBatchStream(reg *Registry, req request, emit func(status byte, payloa
 	}
 }
 
-// streamTask runs one batch-stream request on a pooled-dispatch worker:
-// every chunk goes through the connection's completion channel (and so
-// its coalescing writer) as its own response frame. Only the final
+// streamTask runs one batch-stream request on a dispatch worker: every
+// chunk goes through the connection's completion channel (and so its
+// coalescing writer) as its own response frame. Only the final
 // completion recycles the request body and closes the in-flight
 // accounting — graceful shutdown therefore waits for whole streams,
-// never leaving a peer with a headless partial sequence.
+// never leaving a peer with a headless partial sequence. A handler
+// panic mid-stream is contained like any other (see recoverHandler) and
+// still ends the stream with its terminal frame.
 func (d *dispatcher) streamTask(t task) {
 	oi := opIndex(t.req.op)
 	start := time.Now()
-	handleBatchStream(d.reg, t.req, func(status byte, payload []byte) {
+	ended := false
+	emit := func(status byte, payload []byte) {
 		c := completion{id: t.req.id, status: status, payload: payload}
 		if status != statusPartial { // terminal frame
 			c.bp, c.counted = t.bp, t.counted
+			ended = true
 		}
 		if status == statusErr {
 			tm.errors[oi].Inc()
 		}
 		d.compl <- c
-	})
+	}
+	if err := d.handleStream(t.req, emit); err != nil && !ended {
+		emit(statusErr, []byte(err.Error()))
+	}
 	dur := time.Since(start)
 	tm.requests[oi].Inc()
 	tm.latency[oi].Record(dur)
 	logSlowQuery(d.log, d.slow, t.req, dur, nil)
 }
 
-// streamRequestSpawn is streamTask's spawn-dispatch counterpart: chunks
-// are written directly under the connection's write lock.
-func streamRequestSpawn(reg *Registry, rw io.Writer, wmu *sync.Mutex, req request) {
-	oi := opIndex(req.op)
-	start := time.Now()
-	handleBatchStream(reg, req, func(status byte, payload []byte) {
-		if status == statusErr {
-			tm.errors[oi].Inc()
-		}
-		writeStatusResponse(rw, wmu, req.id, status, payload)
-	})
-	dur := time.Since(start)
-	tm.requests[oi].Inc()
-	tm.latency[oi].Record(dur)
+// handleStream is handleBatchStream with a handler panic contained:
+// its only error is errHandlerPanic.
+func (d *dispatcher) handleStream(req request, emit func(status byte, payload []byte)) (err error) {
+	defer d.recoverHandler(req, &err)
+	handleBatchStream(d.reg, req, emit)
+	return nil
 }
 
 // SearchBatchStream runs the batch through the streamed op regardless

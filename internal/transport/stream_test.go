@@ -27,43 +27,41 @@ func streamTrapdoors(t *testing.T, client *core.Client, n int) []*core.Trapdoor 
 
 // TestBatchStreamOp: the streamed op returns exactly the single-frame
 // batch op's responses, in trapdoor order, across chunk boundaries and
-// for ragged final chunks — under both dispatch modes.
+// for ragged final chunks.
 func TestBatchStreamOp(t *testing.T) {
-	for _, mode := range []DispatchMode{DispatchPooled, DispatchSpawn} {
-		t.Run(mode.String(), func(t *testing.T) {
-			client, index := batchTestIndex(t, 241)
-			reg := singleRegistry(index)
-			cliConn, srvConn := net.Pipe()
-			go func() { _ = serveLoop(reg, srvConn, nil, mode, nil, 0) }()
-			conn := NewConn(cliConn)
-			defer conn.Close()
-			h := conn.Default()
+	t.Run("pooled", func(t *testing.T) {
+		client, index := batchTestIndex(t, 241)
+		reg := singleRegistry(index)
+		cliConn, srvConn := net.Pipe()
+		go func() { _ = serveLoop(reg, srvConn, nil, nil, 0) }()
+		conn := NewConn(cliConn)
+		defer conn.Close()
+		h := conn.Default()
 
-			// Sizes around the chunking edges: empty, sub-chunk, exact
-			// multiples, ragged tails.
-			for _, n := range []int{0, 1, streamChunkTokens, streamChunkTokens + 1, 3*streamChunkTokens - 1} {
-				ts := streamTrapdoors(t, client, n)
-				streamed, err := h.SearchBatchStream(ts)
-				if err != nil {
-					t.Fatalf("n=%d: stream: %v", n, err)
-				}
-				plain, err := h.SearchBatch(ts)
-				if err != nil {
-					t.Fatalf("n=%d: batch: %v", n, err)
-				}
-				if len(streamed) != n || len(plain) != n {
-					t.Fatalf("n=%d: got %d streamed, %d plain", n, len(streamed), len(plain))
-				}
-				for i := range ts {
-					if streamed[i].Items() != plain[i].Items() || len(streamed[i].Groups) != len(plain[i].Groups) {
-						t.Fatalf("n=%d trapdoor %d: streamed %d items/%d groups, plain %d/%d",
-							n, i, streamed[i].Items(), len(streamed[i].Groups),
-							plain[i].Items(), len(plain[i].Groups))
-					}
+		// Sizes around the chunking edges: empty, sub-chunk, exact
+		// multiples, ragged tails.
+		for _, n := range []int{0, 1, streamChunkTokens, streamChunkTokens + 1, 3*streamChunkTokens - 1} {
+			ts := streamTrapdoors(t, client, n)
+			streamed, err := h.SearchBatchStream(ts)
+			if err != nil {
+				t.Fatalf("n=%d: stream: %v", n, err)
+			}
+			plain, err := h.SearchBatch(ts)
+			if err != nil {
+				t.Fatalf("n=%d: batch: %v", n, err)
+			}
+			if len(streamed) != n || len(plain) != n {
+				t.Fatalf("n=%d: got %d streamed, %d plain", n, len(streamed), len(plain))
+			}
+			for i := range ts {
+				if streamed[i].Items() != plain[i].Items() || len(streamed[i].Groups) != len(plain[i].Groups) {
+					t.Fatalf("n=%d trapdoor %d: streamed %d items/%d groups, plain %d/%d",
+						n, i, streamed[i].Items(), len(streamed[i].Groups),
+						plain[i].Items(), len(plain[i].Groups))
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBatchStreamAutoSwitch: SearchBatch crosses to the streamed op at

@@ -19,7 +19,7 @@ import (
 	"rsse/internal/sse"
 )
 
-func testClientIndex(t *testing.T, kind core.Kind) (*core.Client, *core.Index, []core.Tuple) {
+func testClientIndex(t testing.TB, kind core.Kind) (*core.Client, *core.Index, []core.Tuple) {
 	t.Helper()
 	rnd := mrand.New(mrand.NewSource(7))
 	tuples := make([]core.Tuple, 200)

@@ -66,24 +66,6 @@ type RunReport struct {
 	Latency      LatencySummary `json:"latency"`
 }
 
-// DispatchComparison records an interleaved before/after: the same
-// workload driven against the primary server and a comparison server
-// running the old configuration. Historically the two sides were
-// pooled vs spawn dispatch — the field names keep that lineage — but
-// Mode names what actually differs ("spawn-dispatch", "legacy-kernel",
-// ...): Pooled* is always the primary (new) side, Spawn* the
-// comparison (old) side.
-type DispatchComparison struct {
-	Workload    string  `json:"workload"`
-	Mode        string  `json:"mode,omitempty"`
-	PooledQPS   float64 `json:"pooled_qps"`
-	PooledP99Us float64 `json:"pooled_p99_us"`
-	SpawnQPS    float64 `json:"spawn_qps"`
-	SpawnP99Us  float64 `json:"spawn_p99_us"`
-	// Speedup is PooledQPS / SpawnQPS.
-	Speedup float64 `json:"speedup"`
-}
-
 // LoadReport is rsse-load's machine-readable output.
 type LoadReport struct {
 	Tool       string `json:"tool"` // "rsse-load"
@@ -92,10 +74,8 @@ type LoadReport struct {
 	GOARCH     string `json:"goarch"`
 	Scheme     string `json:"scheme"`
 	DomainBits uint8  `json:"domain_bits"`
-	Dispatch   string `json:"dispatch,omitempty"`
 
-	Runs               []RunReport         `json:"runs"`
-	DispatchComparison *DispatchComparison `json:"dispatch_comparison,omitempty"`
+	Runs []RunReport `json:"runs"`
 
 	// Notes carries free-form provenance lines — methodology, the
 	// baseline this run was measured against, trajectory across PRs —
@@ -112,7 +92,7 @@ type LoadReport struct {
 }
 
 // NewLoadReport stamps the platform header.
-func NewLoadReport(scheme string, bits uint8, dispatch string) *LoadReport {
+func NewLoadReport(scheme string, bits uint8) *LoadReport {
 	return &LoadReport{
 		Tool:       "rsse-load",
 		GoVersion:  runtime.Version(),
@@ -120,7 +100,6 @@ func NewLoadReport(scheme string, bits uint8, dispatch string) *LoadReport {
 		GOARCH:     runtime.GOARCH,
 		Scheme:     scheme,
 		DomainBits: bits,
-		Dispatch:   dispatch,
 	}
 }
 
@@ -146,14 +125,6 @@ func (r *LoadReport) Print(w io.Writer) {
 			fmt.Fprintf(w, "    %-10s %8.1f qps  p50 %7.0fµs  p95 %7.0fµs  p99 %7.0fµs  max %7.0fµs  err %d  shed %d%s\n",
 				p.Name, p.QPS, p.Latency.P50Us, p.Latency.P95Us, p.Latency.P99Us, p.Latency.MaxUs, p.Errors, p.Shed, tag)
 		}
-	}
-	if c := r.DispatchComparison; c != nil {
-		mode := c.Mode
-		if mode == "" {
-			mode = "spawn-dispatch"
-		}
-		fmt.Fprintf(w, "  A/B (%s) on %s: new %.1f qps (p99 %.0fµs) vs old %.1f qps (p99 %.0fµs) — %.2fx\n",
-			mode, c.Workload, c.PooledQPS, c.PooledP99Us, c.SpawnQPS, c.SpawnP99Us, c.Speedup)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
@@ -221,11 +192,6 @@ func ValidateReport(data []byte) error {
 					return err
 				}
 			}
-		}
-	}
-	if c := r.DispatchComparison; c != nil {
-		if c.PooledQPS <= 0 || c.SpawnQPS <= 0 || c.Speedup <= 0 {
-			return fmt.Errorf("workload: dispatch comparison has non-positive rates")
 		}
 	}
 	return nil

@@ -463,7 +463,7 @@ func TestRunnerContextCancel(t *testing.T) {
 
 func TestReportValidateAndCompare(t *testing.T) {
 	mk := func(qps, p99 float64) []byte {
-		rep := NewLoadReport("logbrc", 16, "pooled")
+		rep := NewLoadReport("logbrc", 16)
 		rep.Runs = []RunReport{{
 			Workload:     "zipf",
 			Seed:         7,

@@ -106,20 +106,6 @@ func NewServer(reg *Registry) *Server {
 // Shutdown is called (returning nil in both cases).
 func (s *Server) Serve(l net.Listener) error { return s.inner.Serve(l) }
 
-// SetDispatch selects the connection dispatch mode: "pooled" (the
-// default — bounded per-connection worker pool with coalesced response
-// writes, so high fan-in degrades into backpressure) or "spawn" (the
-// legacy goroutine-per-request path, kept so rsse-load can measure the
-// two against each other). Call before Serve.
-func (s *Server) SetDispatch(mode string) error {
-	m, err := transport.DispatchModeByName(mode)
-	if err != nil {
-		return err
-	}
-	s.inner.SetDispatch(m)
-	return nil
-}
-
 // SetLogger installs a structured logger for serving events: connection
 // lifecycle at Debug, protocol errors and slow queries at Warn. Call
 // before Serve; nil (the default) disables serving logs.
