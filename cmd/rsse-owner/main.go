@@ -360,7 +360,9 @@ func stats(args []string) {
 	}
 	defer index.Close()
 	s := index.Stats()
+	meta, _ := index.Meta() // a local index's Meta cannot fail
 	fmt.Printf("scheme:    %v\n", s.Kind)
+	fmt.Printf("prf suite: %d (%v)\n", meta.Suite, meta.Suite)
 	fmt.Printf("tuples:    %d\n", s.N)
 	fmt.Printf("postings:  %d\n", s.Postings)
 	fmt.Printf("index:     %.2f MB serialized\n", float64(s.IndexBytes)/(1<<20))

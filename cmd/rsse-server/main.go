@@ -335,7 +335,7 @@ func load(reg *rsse.Registry, name, path, engine string, prefetch bool) error {
 		index.Close()
 		return err
 	}
-	logLoaded(name, index.Stats())
+	logLoaded(name, index)
 	return nil
 }
 
@@ -355,13 +355,13 @@ func registerLazy(reg *rsse.Registry, name, path, engine string, prefetch bool) 
 		if prefetch {
 			index.Prefetch()
 		}
-		logLoaded(name, index.Stats())
+		logLoaded(name, index)
 		return index, nil
 	}); err != nil {
 		return err
 	}
 	logger.Info("index registered lazily", "index", name,
-		"scheme", meta.Kind.String(), "tuples", meta.N)
+		"scheme", meta.Kind.String(), "prf_suite", meta.Suite.String(), "tuples", meta.N)
 	return nil
 }
 
@@ -411,9 +411,13 @@ func logClusters(dir string, reg *rsse.Registry) {
 }
 
 // logLoaded logs one loaded index's operational profile: name, scheme,
-// tuple count, and where its bytes live (resident heap vs. backing file).
-func logLoaded(name string, s rsse.IndexStats) {
+// the PRF suite it was built with, tuple count, and where its bytes live
+// (resident heap vs. backing file).
+func logLoaded(name string, index *rsse.Index) {
+	s := index.Stats()
+	meta, _ := index.Meta() // a local index's Meta cannot fail
 	logger.Info("index loaded", "index", name, "scheme", s.Kind.String(),
+		"prf_suite", meta.Suite.String(),
 		"tuples", s.N, "engine", s.Engine,
 		"index_mb", float64(s.IndexBytes)/(1<<20),
 		"store_mb", float64(s.StoreBytes)/(1<<20),

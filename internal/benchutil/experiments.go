@@ -361,7 +361,7 @@ func pureSSEFloor(s Scale, dom cover.Domain, tuples []core.Tuple, queriesPerPct 
 			stagOf[pct] = append(stagOf[pct], stag)
 		}
 	}
-	idx, err := s.sseScheme().Build(entries, 8, newRand(26), nil)
+	idx, err := s.sseScheme().Build(entries, 8, newRand(26), nil, prf.SuiteSHA512) // the paper's PRF
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -124,7 +125,7 @@ func (x *Index) SearchBatch(ts []*Trapdoor) ([]*Response, error) {
 // dispatching exactly as Search would.
 func (x *Index) searchToken(t *Trapdoor, j int, resp *Response) error {
 	if len(t.GGM) > 0 {
-		e := dprf.GetExpander()
+		e := dprf.GetExpanderSuite(x.suite)
 		g, err := x.searchConstantToken(e, t.GGM[j])
 		dprf.PutExpander(e)
 		if err != nil {
@@ -153,10 +154,36 @@ func (x *Index) searchToken(t *Trapdoor, j int, resp *Response) error {
 // run instead of once per token.
 const searchChunkTokens = 4
 
+// PanicError is a panic recovered on one of SearchBatchContext's worker
+// goroutines, returned as the batch's error. Those goroutines are the
+// index's own, outside whatever recovery the caller wraps around its
+// call, so an uncontained panic there would take the process down for
+// one bad token. Error says only that a worker panicked; the value and
+// the worker's stack are for the caller's log, not for a peer.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return "core: batch search worker panicked" }
+
+// runRecovered runs job(i), turning a panic into a *PanicError.
+func runRecovered(job func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return job(i)
+}
+
 // runJobsChunked fans n index-addressed jobs out over up to `workers`
 // goroutines, in runs of `chunk` consecutive indices per channel send.
 // Dispatch stops at the first job error or when ctx is done; the first
-// error is returned, with ctx's taking precedence. Jobs must write to
+// error is returned, with ctx's taking precedence. A job that panics on
+// a worker goroutine fails with a *PanicError like any other job error
+// (when everything runs inline on the caller's goroutine, a panic is
+// the caller's to contain, as with Search). Jobs must write to
 // disjoint state (slots indexed by their job index). A worker that
 // receives a run executes its jobs back to back, so jobs that are
 // adjacent in the caller's layout — the tokens of one trapdoor, say —
@@ -211,7 +238,7 @@ func runJobsChunked(ctx context.Context, workers, n, chunk int, job func(i int) 
 					if failed() || ctx.Err() != nil {
 						break
 					}
-					if err := job(i); err != nil {
+					if err := runRecovered(job, i); err != nil {
 						fail(err)
 					}
 				}
@@ -334,8 +361,9 @@ func (c *Client) permutedStags(round int, stags []sse.Stag) (*Trapdoor, []int) {
 	return &Trapdoor{round: round, Stags: out}, slot
 }
 
-// planBatchRound1 builds the first-round multi-trapdoor for the batch.
-func (c *Client) planBatchRound1(ranges []Range) (*tokenPlan, error) {
+// planBatchRound1 builds the first-round multi-trapdoor for the batch,
+// for an index of the given suite (see deriveRound1).
+func (c *Client) planBatchRound1(ranges []Range, suite prf.Suite) (*tokenPlan, error) {
 	ivs := make([]cover.Interval, len(ranges))
 	for i, q := range ranges {
 		ivs[i] = cover.Interval{Lo: q.Lo, Hi: q.Hi}
@@ -368,8 +396,8 @@ func (c *Client) planBatchRound1(ranges []Range) (*tokenPlan, error) {
 		// node set: consecutive plan nodes share tree prefixes, so this
 		// is far cheaper than one root walk per node (and byte-identical
 		// to it).
-		e := dprf.GetExpander()
-		tokens, err := e.DelegateNodes(make([]dprf.Token, 0, len(p.Nodes)), c.kDPRF, p.Nodes)
+		e := dprf.GetExpanderSuite(suite)
+		tokens, err := e.DelegateNodes(make([]dprf.Token, 0, len(p.Nodes)), c.kDPRF.WithSuite(suite), p.Nodes)
 		dprf.PutExpander(e)
 		if err != nil {
 			return nil, err
@@ -491,7 +519,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 	}
 
 	ownerStart := time.Now()
-	plan1, err := c.planBatchRound1(ranges)
+	plan1, err := c.planBatchRound1(ranges, meta.Suite)
 	if err != nil {
 		return nil, err
 	}

@@ -68,9 +68,13 @@ type Client struct {
 	master prf.Key
 	kSSE   prf.Key    // primary-index keyword PRF
 	kSSE2  prf.Key    // Logarithmic-SRC-i second-index keyword PRF
-	kDPRF  dprf.Key   // Constant schemes' delegatable PRF
+	kDPRF  dprf.Key   // Constant schemes' delegatable PRF seed; evaluated under an index's suite
 	kStore secenc.Key // tuple-store encryption
 	kPairs secenc.Key // Logarithmic-SRC-i pair encryption
+	// suite is the PRF suite of the indexes this client builds
+	// (defaultSuite of its kind). Queries do not use it: they take the
+	// suite of the index they run against from its Meta.
+	suite prf.Suite
 	// storeBlock is kStore's key schedule, built once: the fetch round
 	// decrypts one ciphertext per returned id.
 	storeBlock cipher.Block
@@ -94,6 +98,7 @@ func NewClient(kind Kind, dom cover.Domain, opts Options) (*Client, error) {
 	c := &Client{
 		kind:           kind,
 		dom:            dom,
+		suite:          defaultSuite(kind),
 		sse:            opts.SSE,
 		storage:        opts.Storage,
 		rnd:            opts.Rand,
@@ -164,6 +169,11 @@ type Index struct {
 	aux     sse.Index // Logarithmic-SRC-i's I1
 	store   *TupleStore
 
+	// suite is the PRF suite the index was built with: what its SSE
+	// dictionaries search under and, for the Constant kinds, the suite of
+	// the GGM tree its leaf stags come from. Public, like kind.
+	suite prf.Suite
+
 	// Provenance, for Stats and Close: the storage engine the index was
 	// built or loaded onto, the serialized blob it aliases (v2 loads onto
 	// an in-place engine), and the file mapping it serves from (indexes
@@ -197,11 +207,15 @@ type IndexMeta struct {
 	DomainBits uint8
 	PosBits    uint8
 	N          int
+	// Suite is the PRF suite the index was built with. An owner of a
+	// Constant scheme derives its GGM tokens under it, so one client
+	// answers from indexes of either suite.
+	Suite prf.Suite
 }
 
 // Meta implements Server.
 func (x *Index) Meta() (IndexMeta, error) {
-	return IndexMeta{Kind: x.kind, DomainBits: x.dom.Bits, PosBits: x.posBits, N: x.n}, nil
+	return IndexMeta{Kind: x.kind, DomainBits: x.dom.Bits, PosBits: x.posBits, N: x.n, Suite: x.suite}, nil
 }
 
 // Fetch implements Server.
@@ -331,6 +345,7 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 		dom:    c.dom,
 		n:      len(tuples),
 		store:  store,
+		suite:  c.suite,
 		engine: storage.OrDefault(c.storage).Name(),
 	}
 	switch c.kind {
@@ -522,7 +537,7 @@ func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Re
 
 	res := &Result{}
 	ownerStart := time.Now()
-	t1, err := c.trapdoorRound1(q)
+	t1, err := c.trapdoorRound1(q, meta.Suite)
 	if err != nil {
 		return nil, err
 	}
@@ -602,34 +617,39 @@ func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Re
 // in isolation, and what the update layer's forward-privacy tests replay
 // against later epochs. It deliberately bypasses the Constant schemes'
 // intersection guard and records no history; use Query for real traffic.
+// With no index to ask, it derives under the suite this client builds
+// with.
 func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
 		return nil, err
 	}
-	return c.trapdoorRound1(q)
+	return c.trapdoorRound1(q, c.suite)
 }
 
-// trapdoorRound1 dispatches the first (often only) Trpdr round,
-// replaying a memoized trapdoor when the range was derived before (see
-// tdmemo.go).
-func (c *Client) trapdoorRound1(q Range) (*Trapdoor, error) {
-	if t, ok := c.tdMemo.get(q); ok {
+// trapdoorRound1 dispatches the first (often only) Trpdr round for an
+// index of the given suite, replaying a memoized trapdoor when the
+// range was derived for that suite before (see tdmemo.go).
+func (c *Client) trapdoorRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
+	if t, ok := c.tdMemo.get(q, suite); ok {
 		return t, nil
 	}
-	t, err := c.deriveRound1(q)
+	t, err := c.deriveRound1(q, suite)
 	if err == nil {
-		c.tdMemo.put(q, t)
+		c.tdMemo.put(q, suite, t)
 	}
 	return t, err
 }
 
 // deriveRound1 derives the first-round trapdoor for q from scratch.
-func (c *Client) deriveRound1(q Range) (*Trapdoor, error) {
+// Only the Constant schemes' tokens depend on the index's suite: the
+// server expands them on the index's GGM tree. A keyword stag is the
+// owner's own PRF of the keyword, the same for every index.
+func (c *Client) deriveRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
 	switch c.kind {
 	case Quadratic:
 		return c.trapdoorQuadratic(q)
 	case ConstantBRC, ConstantURC:
-		return c.trapdoorConstant(q)
+		return c.trapdoorConstant(q, suite)
 	case LogarithmicBRC, LogarithmicURC:
 		return c.trapdoorLogarithmic(q)
 	case LogarithmicSRC:

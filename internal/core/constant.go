@@ -7,6 +7,7 @@ import (
 
 	"rsse/internal/cover"
 	"rsse/internal/dprf"
+	"rsse/internal/prf"
 	"rsse/internal/sse"
 )
 
@@ -38,8 +39,8 @@ func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 		nodes = append(nodes, cover.Node{Start: v})
 	}
 	slices.SortFunc(nodes, func(a, b cover.Node) int { return cmp.Compare(a.Start, b.Start) })
-	e := dprf.GetExpander()
-	leaves, err := e.DelegateNodes(make([]dprf.Token, 0, len(nodes)), c.kDPRF, nodes)
+	e := dprf.GetExpanderSuite(c.suite)
+	leaves, err := e.DelegateNodes(make([]dprf.Token, 0, len(nodes)), c.kDPRF.WithSuite(c.suite), nodes)
 	dprf.PutExpander(e)
 	if err != nil {
 		return err
@@ -48,7 +49,7 @@ func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 	for i, n := range nodes {
 		entries[i] = sse.EntryFromIDs(sse.Stag(leaves[i].Value), byValue[n.Start])
 	}
-	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage)
+	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}
@@ -57,9 +58,10 @@ func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 }
 
 // trapdoorConstant runs the DPRF token-generation function T over the
-// BRC/URC cover and permutes the resulting GGM tokens.
-func (c *Client) trapdoorConstant(q Range) (*Trapdoor, error) {
-	tokens, err := c.kDPRF.Delegate(q.Lo, q.Hi, c.technique())
+// BRC/URC cover, on the GGM tree of the queried index's suite, and
+// permutes the resulting GGM tokens.
+func (c *Client) trapdoorConstant(q Range, suite prf.Suite) (*Trapdoor, error) {
+	tokens, err := c.kDPRF.WithSuite(suite).Delegate(q.Lo, q.Hi, c.technique())
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +74,7 @@ func (c *Client) trapdoorConstant(q Range) (*Trapdoor, error) {
 // The expansion is the O(R) term in the scheme's search cost.
 func (x *Index) searchConstant(t *Trapdoor) (*Response, error) {
 	resp := &Response{Groups: make([][][]byte, 0, len(t.GGM))}
-	e := dprf.GetExpander()
+	e := dprf.GetExpanderSuite(x.suite)
 	defer dprf.PutExpander(e)
 	for _, tok := range t.GGM {
 		group, err := x.searchConstantToken(e, tok)

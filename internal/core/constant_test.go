@@ -31,7 +31,7 @@ func TestBuildConstantStagsMatchEval(t *testing.T) {
 			byValue[tu.Value] = append(byValue[tu.Value], tu.ID)
 		}
 		for v, want := range byValue {
-			leaf, err := c.kDPRF.Eval(v)
+			leaf, err := c.kDPRF.WithSuite(c.suite).Eval(v)
 			if err != nil {
 				t.Fatal(err)
 			}

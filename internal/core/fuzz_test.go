@@ -71,6 +71,13 @@ func FuzzOpenIndex(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
 	f.Add([]byte{2})
+	// The suite byte: a value no build implements, and the other
+	// implemented one (loads, and finds nothing under the wrong PRF).
+	for _, suite := range []byte{7, 1} {
+		other := append([]byte(nil), v2...)
+		other[12] = suite
+		f.Add(other)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
 			x, err := UnmarshalIndexWith(data, eng)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 	"rsse/internal/sse"
 	"rsse/internal/storage"
 )
@@ -128,7 +129,8 @@ func TestGoldenV1Compat(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			path := goldenPath(kind)
 			if *updateGolden {
-				c := goldenClient(t, kind)
+				// v1 has no suite byte: its goldens are suite 0.
+				c := withBuildSuite(goldenClient(t, kind), prf.SuiteSHA512)
 				idx, err := c.BuildIndex(goldenTuples())
 				if err != nil {
 					t.Fatal(err)

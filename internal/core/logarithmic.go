@@ -22,7 +22,7 @@ func (c *Client) buildLogarithmic(x *Index, tuples []Tuple) error {
 			postings[kw] = append(postings[kw], t.ID)
 		}
 	}
-	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage)
+	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}

@@ -110,7 +110,7 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 	for kw, blobs := range auxPostings {
 		auxEntries = append(auxEntries, sse.Entry{Stag: sse.StagFromPRF(c.kSSE, kw), Payloads: blobs})
 	}
-	aux, err := c.sse.Build(auxEntries, pairWidth, c.rnd, c.storage)
+	aux, err := c.sse.Build(auxEntries, pairWidth, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}
@@ -128,7 +128,7 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 			primPostings[kw] = append(primPostings[kw], t.ID)
 		}
 	}
-	primary, err := c.sse.Build(c.entriesFromPostings(primPostings, c.kSSE2), 8, c.rnd, c.storage)
+	primary, err := c.sse.Build(c.entriesFromPostings(primPostings, c.kSSE2), 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}

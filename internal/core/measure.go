@@ -29,7 +29,7 @@ func (c *Client) TrapdoorCost(q Range) (tokens, bytes int, err error) {
 		_ = c.stagFor(rangeKeyword(q.Lo, q.Hi))
 		return 1, sse.StagSize, nil
 	case ConstantBRC, ConstantURC:
-		toks, err := c.kDPRF.Delegate(q.Lo, q.Hi, c.technique())
+		toks, err := c.kDPRF.WithSuite(c.suite).Delegate(q.Lo, q.Hi, c.technique())
 		if err != nil {
 			return 0, 0, err
 		}

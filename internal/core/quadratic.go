@@ -79,7 +79,7 @@ func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
 		}
 	}
 
-	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage)
+	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}

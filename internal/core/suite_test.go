@@ -1,0 +1,366 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	mrand "math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"rsse/internal/cover"
+	"rsse/internal/prf"
+	"rsse/internal/sse"
+	"rsse/internal/storage"
+)
+
+var bothSuites = []prf.Suite{prf.SuiteSHA512, prf.SuiteSHA256}
+
+// withBuildSuite is the test-only hook that builds a kind's index under
+// a suite other than its defaultSuite row.
+func withBuildSuite(c *Client, s prf.Suite) *Client {
+	c.suite = s
+	return c
+}
+
+// wireServer answers from x with every message crossing its wire codec:
+// Meta is re-read from the serialized header, the trapdoor and the
+// response are marshaled and parsed back. (The TCP framing around these
+// bytes is the transport package's to test.)
+type wireServer struct {
+	x   *Index
+	hdr []byte
+}
+
+func (s wireServer) Meta() (IndexMeta, error) { return PeekMeta(s.hdr) }
+
+func (s wireServer) Search(t *Trapdoor) (*Response, error) {
+	wire, err := t.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	back, err := UnmarshalTrapdoor(wire)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := s.x.Search(back)
+	if err != nil {
+		return nil, err
+	}
+	if wire, err = resp.MarshalBinary(); err != nil {
+		return nil, err
+	}
+	return UnmarshalResponse(wire)
+}
+
+func (s wireServer) Fetch(id ID) ([]byte, bool, error) { return s.x.Fetch(id) }
+
+// suiteConstructions are the four SSE constructions at test-sized
+// parameters.
+func suiteConstructions() []sse.Scheme {
+	return []sse.Scheme{
+		sse.Basic{},
+		sse.Packed{BlockSize: 4},
+		sse.TSet{BucketCapacity: 64, Expansion: 1.5},
+		sse.TwoLevel{InlineCap: 4, BlockSize: 8}, // C*B*B = 256 ids per list
+	}
+}
+
+// TestSuiteConformance: every scheme, built under either PRF suite on
+// every SSE construction, serialized and loaded onto every storage
+// engine, answers randomized ranges exactly as the plaintext oracle
+// does — queried locally and through the wire codecs, by an owner that
+// was told nothing about the suite and reads it from the index's Meta.
+func TestSuiteConformance(t *testing.T) {
+	const bits = 5 // Quadratic's keyword space is O(m^2)
+	tuples := uniformTuples(80, bits, 201)
+	rnd := mrand.New(mrand.NewSource(202))
+	ranges := make([]Range, 12)
+	for i := range ranges {
+		lo := rnd.Uint64() % (1 << bits)
+		ranges[i] = Range{Lo: lo, Hi: min(lo+rnd.Uint64()%12, 1<<bits-1)}
+	}
+	defer sse.ResetKernelCache()
+	for _, kind := range Kinds() {
+		for _, sch := range suiteConstructions() {
+			if kind == LogarithmicSRCi && sch.Name() == "2lev" {
+				continue // 2lev packs 8-byte payloads; SRC-i's aux index stores pairs
+			}
+			for _, suite := range bothSuites {
+				t.Run(fmt.Sprintf("%v/%s/%v", kind, sch.Name(), suite), func(t *testing.T) {
+					opts := testOptions(203)
+					opts.SSE = sch
+					builder, err := NewClient(kind, cover.Domain{Bits: bits}, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					built, err := withBuildSuite(builder, suite).BuildIndex(tuples)
+					if err != nil {
+						t.Fatal(err)
+					}
+					blob, err := built.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if blob[12] != byte(suite) || blob[13]|blob[14]|blob[15] != 0 {
+						t.Fatalf("header bytes 12..15 = %v, want suite %d then zero pad", blob[12:16], suite)
+					}
+					// The reference raw sets come from the index as built;
+					// every loaded copy must return the same ones.
+					owner := func() *Client {
+						o := testOptions(203)
+						o.SSE, o.AllowIntersecting = sch, true
+						c, err := NewClient(kind, cover.Domain{Bits: bits}, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return c
+					}
+					check := func(label string, s Server, want [][]ID) [][]ID {
+						t.Helper()
+						c := owner()
+						raws := make([][]ID, len(ranges))
+						for i, q := range ranges {
+							res, err := c.QueryServer(s, q)
+							if err != nil {
+								t.Fatalf("%s: query %v: %v", label, q, err)
+							}
+							exact := exactIDs(tuples, q)
+							if !idsEqual(sortedIDs(res.Matches), exact) {
+								t.Fatalf("%s: query %v: matches %v, want %v", label, q, sortedIDs(res.Matches), exact)
+							}
+							raws[i] = sortedIDs(res.Raw)
+							if !kind.HasFalsePositives() && !idsEqual(raws[i], exact) {
+								t.Fatalf("%s: query %v: raw ids %v, want %v", label, q, raws[i], exact)
+							}
+							if want != nil && !idsEqual(raws[i], want[i]) {
+								t.Fatalf("%s: query %v: raw ids %v differ from the built index's %v", label, q, raws[i], want[i])
+							}
+						}
+						return raws
+					}
+					want := check("built", built, nil)
+					for _, eng := range storage.Engines() {
+						x, err := UnmarshalIndexWith(blob, eng)
+						if err != nil {
+							t.Fatalf("load onto %s: %v", eng.Name(), err)
+						}
+						if meta, _ := x.Meta(); meta.Suite != suite {
+							t.Fatalf("%s: loaded index reports suite %v, want %v", eng.Name(), meta.Suite, suite)
+						}
+						check(eng.Name()+"/local", x, want)
+						check(eng.Name()+"/wire", wireServer{x, blob[:16]}, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSuiteDefaults pins the one table: BuildIndex gives the Constant
+// kinds suite 1 and every other kind suite 0, and says so in Meta and
+// in the header.
+func TestSuiteDefaults(t *testing.T) {
+	for _, kind := range Kinds() {
+		want := prf.SuiteSHA512
+		if kind == ConstantBRC || kind == ConstantURC {
+			want = prf.SuiteSHA256
+		}
+		c, err := NewClient(kind, cover.Domain{Bits: 5}, testOptions(210))
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := c.BuildIndex(uniformTuples(10, 5, 211))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := idx.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, _ := idx.Meta()
+		peek, err := PeekMeta(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Suite != want || peek != meta {
+			t.Errorf("%v: built suite %v, header %+v; want suite %v in both", kind, meta.Suite, peek, want)
+		}
+	}
+}
+
+// TestCrossSuiteOwners: which suite an owner builds with says nothing
+// about which indexes it can query. An owner on today's defaults (suite
+// 1) answers from a suite-0 Constant index, an owner pinned to suite 0
+// answers from a suite-1 one, with and without the trapdoor memo — whose
+// entries must not cross suites — and through the batch path.
+func TestCrossSuiteOwners(t *testing.T) {
+	const bits = 10
+	tuples := uniformTuples(300, bits, 220)
+	defer sse.ResetKernelCache()
+	for _, kind := range []Kind{ConstantBRC, ConstantURC} {
+		newClient := func(memo int) *Client {
+			o := testOptions(221)
+			o.AllowIntersecting, o.TrapdoorMemo = true, memo
+			c, err := NewClient(kind, cover.Domain{Bits: bits}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		var idx [2]*Index
+		for _, s := range bothSuites {
+			var err error
+			if idx[s], err = withBuildSuite(newClient(0), s).BuildIndex(tuples); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ranges := []Range{{0, 1<<bits - 1}, {17, 400}, {512, 600}, {3, 3}}
+		for _, ownerSuite := range bothSuites {
+			for _, memo := range []int{0, 16} {
+				c := withBuildSuite(newClient(memo), ownerSuite)
+				// Alternate the two indexes under one client: a memo that
+				// ignored the suite would replay the other tree's tokens.
+				for pass := 0; pass < 2; pass++ {
+					for _, q := range ranges {
+						for _, s := range bothSuites {
+							res, err := c.Query(idx[s], q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !idsEqual(sortedIDs(res.Raw), exactIDs(tuples, q)) {
+								t.Fatalf("%v: suite-%d owner (memo %d) on a suite-%d index: %v returned %d ids, want %d",
+									kind, ownerSuite, memo, s, q, len(res.Raw), len(exactIDs(tuples, q)))
+							}
+						}
+					}
+				}
+				if memo > 0 {
+					if n := c.tdMemo.len(); n != 2*len(ranges) {
+						t.Errorf("%v: memo holds %d trapdoors for %d ranges on two suites, want %d", kind, n, len(ranges), 2*len(ranges))
+					}
+				}
+				for _, s := range bothSuites {
+					br, err := c.QueryBatch(idx[s], []Range{{0, 99}, {100, 300}, {900, 1023}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, q := range []Range{{0, 99}, {100, 300}, {900, 1023}} {
+						if !idsEqual(sortedIDs(br.Results[i].Raw), exactIDs(tuples, q)) {
+							t.Fatalf("%v: batch on a suite-%d index: %v wrong", kind, s, q)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestV1CannotCarrySuite: a suite-1 index has no v1 form — a v1 reader
+// would open it as suite 0 and silently find nothing — and says so with
+// a typed error; the same index at suite 0 still writes v1.
+func TestV1CannotCarrySuite(t *testing.T) {
+	for _, s := range bothSuites {
+		c, err := NewClient(ConstantBRC, cover.Domain{Bits: 6}, testOptions(230))
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := withBuildSuite(c, s).BuildIndex(uniformTuples(20, 6, 231))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = idx.MarshalBinaryV1()
+		if s == prf.SuiteSHA512 && err != nil {
+			t.Errorf("suite-0 index refused v1: %v", err)
+		}
+		if s != prf.SuiteSHA512 && !errors.Is(err, ErrV1NoSuite) {
+			t.Errorf("suite-%d index: MarshalBinaryV1 err = %v, want ErrV1NoSuite", s, err)
+		}
+	}
+}
+
+// TestUnknownSuiteIsCorrupt: a header naming a suite this build does not
+// implement is refused by the peek and by the loader on every engine.
+func TestUnknownSuiteIsCorrupt(t *testing.T) {
+	c, err := NewClient(ConstantURC, cover.Domain{Bits: 6}, testOptions(240))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := c.BuildIndex(uniformTuples(20, 6, 241))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []byte{2, 7, 255} {
+		blob[12] = bad
+		if _, err := PeekMeta(blob); !errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("PeekMeta with suite byte %d: err %v, want ErrCorruptIndex", bad, err)
+		}
+		for _, eng := range storage.Engines() {
+			if _, err := UnmarshalIndexWith(blob, eng); !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("load onto %s with suite byte %d: err %v, want ErrCorruptIndex", eng.Name(), bad, err)
+			}
+		}
+	}
+}
+
+// Suite-1 golden files: v2 blobs of the two kinds whose default suite is
+// 1, written by this format's first release and frozen beside the v1
+// goldens (which are suite 0 by definition). Regenerate, like them, with
+// -update — which should never be needed.
+func goldenSuite1Path(kind Kind) string {
+	return filepath.Join("testdata", "golden", kind.String()+".suite1.idx")
+}
+
+// TestGoldenSuites: both generations of Constant golden blobs load onto
+// every engine unmodified, report the suite they were built with, and
+// answer the golden queries to an owner on today's defaults; the suite-1
+// blobs re-marshal byte for byte.
+func TestGoldenSuites(t *testing.T) {
+	for _, kind := range []Kind{ConstantBRC, ConstantURC} {
+		if *updateGolden {
+			idx, err := goldenClient(t, kind).BuildIndex(goldenTuples())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := idx.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(goldenSuite1Path(kind), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, suite := range map[string]prf.Suite{
+			goldenPath(kind):       prf.SuiteSHA512,
+			goldenSuite1Path(kind): prf.SuiteSHA256,
+		} {
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (regenerate with -update): %v", err)
+			}
+			for _, eng := range storage.Engines() {
+				x, err := UnmarshalIndexWith(blob, eng)
+				if err != nil {
+					t.Fatalf("%s onto %s: %v", path, eng.Name(), err)
+				}
+				if meta, _ := x.Meta(); meta.Suite != suite || meta.Kind != kind {
+					t.Fatalf("%s onto %s: meta %+v, want %v suite %v", path, eng.Name(), meta, kind, suite)
+				}
+				queryAll(t, kind, x, path+"/"+eng.Name())
+				if suite == prf.SuiteSHA256 {
+					again, err := x.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(again) != string(blob) {
+						t.Fatalf("%s onto %s: re-marshal differs from the golden bytes", path, eng.Name())
+					}
+				}
+			}
+		}
+	}
+}

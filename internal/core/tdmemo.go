@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"rsse/internal/prf"
 )
 
 // Trapdoor memoization. A trapdoor is a deterministic function of the
@@ -10,8 +12,9 @@ import (
 // is drawn once per derivation), so an owner replaying skewed traffic —
 // the zipf workloads, a dashboard refreshing hot ranges — re-derives
 // byte-identical token sets over and over. The memo caches whole
-// trapdoors per range and replays them, skipping cover planning, PRF
-// evaluation and serialization for repeated ranges.
+// trapdoors per range (and per PRF suite of the index asked, which a
+// Constant scheme's tokens depend on) and replays them, skipping cover
+// planning, PRF evaluation and serialization for repeated ranges.
 //
 // Replaying a memoized trapdoor sends the server exactly the bytes a
 // fresh derivation of the same range would, modulo the stag order.
@@ -34,8 +37,15 @@ import (
 type TrapdoorMemo struct {
 	mu           sync.RWMutex
 	cap          int
-	m            map[Range]*Trapdoor
+	m            map[memoKey]*Trapdoor
 	hits, misses atomic.Uint64
+}
+
+// memoKey is what a trapdoor is a function of beyond the client's keys:
+// the range, and the suite of the index it was derived for.
+type memoKey struct {
+	q     Range
+	suite prf.Suite
 }
 
 // NewTrapdoorMemo creates a memo holding up to capacity distinct
@@ -45,7 +55,7 @@ func NewTrapdoorMemo(capacity int) *TrapdoorMemo {
 	if capacity <= 0 {
 		return nil
 	}
-	return &TrapdoorMemo{cap: capacity, m: make(map[Range]*Trapdoor, capacity)}
+	return &TrapdoorMemo{cap: capacity, m: make(map[memoKey]*Trapdoor, capacity)}
 }
 
 // Stats returns cumulative memo hits and misses (misses count only
@@ -57,13 +67,13 @@ func (m *TrapdoorMemo) Stats() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
 
-// get returns the cached trapdoor for q, if any. Nil-safe.
-func (m *TrapdoorMemo) get(q Range) (*Trapdoor, bool) {
+// get returns the cached trapdoor for q under suite, if any. Nil-safe.
+func (m *TrapdoorMemo) get(q Range, suite prf.Suite) (*Trapdoor, bool) {
 	if m == nil {
 		return nil, false
 	}
 	m.mu.RLock()
-	t, ok := m.m[q]
+	t, ok := m.m[memoKey{q, suite}]
 	m.mu.RUnlock()
 	if ok {
 		m.hits.Add(1)
@@ -78,21 +88,22 @@ func (m *TrapdoorMemo) get(q Range) (*Trapdoor, bool) {
 // the memo exists for, hot ranges are restored on their next occurrence
 // and an evicted cold range only costs one re-derivation. The wire form
 // is pre-marshaled once so remote replays skip serialization too.
-func (m *TrapdoorMemo) put(q Range, t *Trapdoor) {
+func (m *TrapdoorMemo) put(q Range, suite prf.Suite, t *Trapdoor) {
 	if m == nil {
 		return
 	}
 	if wire, err := t.MarshalBinary(); err == nil {
 		t.wire = wire
 	}
+	k := memoKey{q, suite}
 	m.mu.Lock()
-	if _, ok := m.m[q]; !ok && len(m.m) >= m.cap {
-		for k := range m.m {
-			delete(m.m, k)
+	if _, ok := m.m[k]; !ok && len(m.m) >= m.cap {
+		for old := range m.m {
+			delete(m.m, old)
 			break
 		}
 	}
-	m.m[q] = t
+	m.m[k] = t
 	m.mu.Unlock()
 }
 

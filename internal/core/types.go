@@ -17,6 +17,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"rsse/internal/prf"
 )
 
 // Value is a query-attribute value: a non-negative integer in the domain
@@ -121,6 +123,21 @@ func KindByName(name string) (Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: unknown scheme %q", name)
+}
+
+// defaultSuite is the one table of which PRF suite BuildIndex gives a
+// scheme's indexes. The Constant schemes' server term is O(R) GGM and
+// label PRFs per query, so they take the narrower hash; the five other
+// kinds stay on the paper's. The choice is recorded in each index (see
+// wire.go) and read back from there: changing a row only affects
+// indexes built afterwards.
+func defaultSuite(k Kind) prf.Suite {
+	switch k {
+	case ConstantBRC, ConstantURC:
+		return prf.SuiteSHA256
+	default:
+		return prf.SuiteSHA512
+	}
 }
 
 // HasFalsePositives reports whether the scheme can return non-matching

@@ -6,12 +6,18 @@ import (
 	"fmt"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 	"rsse/internal/sse"
 	"rsse/internal/storage"
 )
 
 // ErrCorruptIndex is returned when a serialized index fails to parse.
 var ErrCorruptIndex = errors.New("core: corrupt serialized index")
+
+// ErrV1NoSuite is returned by MarshalBinaryV1 for an index built with a
+// PRF suite other than 0: the v1 format has no byte to record it, and a
+// v1 reader would search the index under the wrong PRF and find nothing.
+var ErrV1NoSuite = errors.New("core: index wire v1 cannot record a PRF suite other than 0")
 
 // Index wire versions. Both share a 12-byte prefix — version(1) kind(1)
 // domBits(1) posBits(1) n(8) — so PeekMeta works on either without
@@ -30,7 +36,8 @@ var ErrCorruptIndex = errors.New("core: corrupt serialized index")
 // parse work plus one sequential checksum pass), which is what lets a
 // server mmap an index file and start answering queries immediately.
 //
-//	v2 layout: version(1)=2 kind(1) domBits(1) posBits(1) n(8) pad(4)
+//	v2 layout: version(1)=2 kind(1) domBits(1) posBits(1) n(8)
+//	           suite(1) pad(3)
 //	           primaryLen(8) primary-section
 //	           auxLen(8) aux-section            (auxLen 0 = no aux index)
 //	           storeLen(8) store-segment
@@ -40,6 +47,12 @@ var ErrCorruptIndex = errors.New("core: corrupt serialized index")
 // store segment is a raw storage segment (8-byte big-endian id keys →
 // tuple ciphertexts) and is the only section not padded — nothing
 // follows it.
+//
+// suite is the PRF suite (prf.Suite) the index was built with. The byte
+// was the first of four zero pad bytes before suites existed, so every
+// earlier v2 blob reads as suite 0 — which is what it is — and a v1
+// blob, which has no such byte, is suite 0 by definition. A value this
+// build does not implement is ErrCorruptIndex.
 const (
 	indexWireV1 = 1
 	indexWireV2 = 2
@@ -69,7 +82,7 @@ func (x *Index) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 0, 16+24+len(primary)+len(aux)+len(storeSeg))
 	out = append(out, indexWireV2, byte(x.kind), x.dom.Bits, x.posBits)
 	out = binary.BigEndian.AppendUint64(out, uint64(x.n))
-	out = append(out, 0, 0, 0, 0) // pad to 16
+	out = append(out, byte(x.suite), 0, 0, 0) // pad to 16
 	out = binary.BigEndian.AppendUint64(out, uint64(len(primary)))
 	out = append(out, primary...)
 	out = binary.BigEndian.AppendUint64(out, uint64(len(aux)))
@@ -81,11 +94,15 @@ func (x *Index) MarshalBinary() ([]byte, error) {
 
 // MarshalBinaryV1 serializes the index in the legacy v1 record-stream
 // format — for interoperability with readers that predate the segment
-// container. New deployments should prefer MarshalBinary.
+// container. New deployments should prefer MarshalBinary; an index of a
+// PRF suite other than 0 has no v1 form (ErrV1NoSuite).
 //
 // Layout: version(1) kind(1) domBits(1) posBits(1) n(8)
 // primaryLen(8) primary auxLen(8) aux storeCount(8) {id(8) ctLen(4) ct}*
 func (x *Index) MarshalBinaryV1() ([]byte, error) {
+	if x.suite != prf.SuiteSHA512 {
+		return nil, fmt.Errorf("%w: index is %v", ErrV1NoSuite, x.suite)
+	}
 	primary, err := x.primary.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -114,11 +131,12 @@ func (x *Index) MarshalBinaryV1() ([]byte, error) {
 	return out, nil
 }
 
-// PeekMeta reads an index blob's public metadata from its shared 12-byte
-// header without parsing the body — cheap enough to run against a large
-// directory of index files before deciding what to load.
+// PeekMeta reads an index blob's public metadata from its fixed header
+// — the first 12 bytes of a v1 blob, the first 16 of a v2 blob, which
+// adds the suite — without parsing the body: cheap enough to run against
+// a large directory of index files before deciding what to load.
 func PeekMeta(data []byte) (IndexMeta, error) {
-	if len(data) < 12 {
+	if len(data) < 12 || data[0] == indexWireV2 && len(data) < 16 {
 		return IndexMeta{}, fmt.Errorf("%w: short header", ErrCorruptIndex)
 	}
 	if data[0] != indexWireV1 && data[0] != indexWireV2 {
@@ -127,12 +145,18 @@ func PeekMeta(data []byte) (IndexMeta, error) {
 	if data[2] > cover.MaxBits {
 		return IndexMeta{}, ErrCorruptIndex
 	}
-	return IndexMeta{
+	meta := IndexMeta{
 		Kind:       Kind(data[1]),
 		DomainBits: data[2],
 		PosBits:    data[3],
 		N:          int(binary.BigEndian.Uint64(data[4:12])),
-	}, nil
+	}
+	if data[0] == indexWireV2 {
+		if meta.Suite = prf.Suite(data[12]); !meta.Suite.Valid() {
+			return IndexMeta{}, fmt.Errorf("%w: unknown PRF suite %d", ErrCorruptIndex, data[12])
+		}
+	}
+	return meta, nil
 }
 
 // UnmarshalIndex reconstructs an Index serialized with MarshalBinary (v2
@@ -172,21 +196,23 @@ func unmarshalV2(data []byte, eng storage.Engine) (*Index, error) {
 	if err != nil {
 		return nil, ErrCorruptIndex
 	}
-	if hdr[2] > cover.MaxBits {
-		return nil, ErrCorruptIndex
+	meta, err := PeekMeta(hdr)
+	if err != nil {
+		return nil, err
 	}
 	x := &Index{
-		kind:    Kind(hdr[1]),
-		dom:     cover.Domain{Bits: hdr[2]},
-		posBits: hdr[3],
-		n:       int(binary.BigEndian.Uint64(hdr[4:12])),
+		kind:    meta.Kind,
+		dom:     cover.Domain{Bits: meta.DomainBits},
+		posBits: meta.PosBits,
+		n:       meta.N,
+		suite:   meta.Suite,
 		engine:  storage.OrDefault(eng).Name(),
 	}
 	primBlob, err := r.lenPrefixed()
 	if err != nil {
 		return nil, ErrCorruptIndex
 	}
-	if x.primary, err = sse.OpenSection(primBlob, eng); err != nil {
+	if x.primary, err = sse.OpenSection(primBlob, eng, x.suite); err != nil {
 		return nil, fmt.Errorf("%w: primary: %v", ErrCorruptIndex, err)
 	}
 	auxBlob, err := r.lenPrefixed()
@@ -194,7 +220,7 @@ func unmarshalV2(data []byte, eng storage.Engine) (*Index, error) {
 		return nil, ErrCorruptIndex
 	}
 	if len(auxBlob) > 0 {
-		if x.aux, err = sse.OpenSection(auxBlob, eng); err != nil {
+		if x.aux, err = sse.OpenSection(auxBlob, eng, x.suite); err != nil {
 			return nil, fmt.Errorf("%w: aux: %v", ErrCorruptIndex, err)
 		}
 	}

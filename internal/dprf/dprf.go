@@ -5,6 +5,10 @@
 // The GGM pseudorandom generator G maps a 32-byte seed to two 32-byte
 // outputs G0, G1; following the paper's implementation notes (Section 8)
 // it is realized with HMAC-SHA-512, whose 64-byte output is split in half.
+// That is PRF suite 0; under suite 1 (see prf.Suite) G is two
+// HMAC-SHA-256 evaluations under the seed, one per half. A key carries
+// its suite, and so does the Expander that evaluates its tokens; the
+// token itself — level and GGM value — is the same 33 bytes under both.
 // The DPRF value of an L-bit domain value a_{L-1}...a_0 under key k is
 //
 //	f_k(a) = G_{a_0}( ... G_{a_{L-1}}(k) ... )
@@ -23,6 +27,7 @@ import (
 	"io"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 )
 
 // Size is the byte length of GGM seeds and DPRF outputs.
@@ -33,8 +38,9 @@ type Value [Size]byte
 
 // Key is a DPRF secret key (the GGM root seed).
 type Key struct {
-	seed Value
-	bits uint8 // domain height L
+	seed  Value
+	bits  uint8 // domain height L
+	suite prf.Suite
 }
 
 // TokenSize is the serialized size of one delegation token:
@@ -63,10 +69,18 @@ func NewKey(d cover.Domain, r io.Reader) (Key, error) {
 	return k, nil
 }
 
-// KeyFromSeed builds a DPRF key from an existing 32-byte seed, e.g. one
-// derived from a master key.
+// KeyFromSeed builds a suite-0 DPRF key from an existing 32-byte seed,
+// e.g. one derived from a master key.
 func KeyFromSeed(d cover.Domain, seed [Size]byte) Key {
 	return Key{seed: seed, bits: d.Bits}
+}
+
+// WithSuite returns the key over the same seed and domain whose GGM
+// tree is built with suite s: an owner holds one seed and evaluates it
+// under the suite of the index it is talking to.
+func (k Key) WithSuite(s prf.Suite) Key {
+	k.suite = s
+	return k
 }
 
 // Bits returns the domain height the key was generated for.
@@ -74,7 +88,7 @@ func (k Key) Bits() uint8 { return k.bits }
 
 // Eval computes the leaf DPRF value f_k(a). a must lie in the key's domain.
 func (k Key) Eval(a uint64) (Value, error) {
-	e := GetExpander()
+	e := GetExpanderSuite(k.suite)
 	v, err := e.Eval(k, a)
 	PutExpander(e)
 	return v, err
@@ -84,7 +98,7 @@ func (k Key) Eval(a uint64) (Value, error) {
 // value at the node's position in the tree. The node must be aligned
 // (binary-tree node) and fit the domain.
 func (k Key) NodeToken(n cover.Node) (Token, error) {
-	e := GetExpander()
+	e := GetExpanderSuite(k.suite)
 	t, err := e.NodeToken(k, n)
 	PutExpander(e)
 	return t, err
@@ -100,7 +114,7 @@ func (k Key) Delegate(lo, hi uint64, tech cover.Technique) ([]Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := GetExpander()
+	e := GetExpanderSuite(k.suite)
 	out, err := e.DelegateNodes(make([]Token, 0, len(nodes)), k, nodes)
 	PutExpander(e)
 	if err != nil {
@@ -111,7 +125,8 @@ func (k Key) Delegate(lo, hi uint64, tech cover.Technique) ([]Token, error) {
 
 // Expand implements the derivation function C: given a token it computes
 // the 2^Level leaf DPRF values of the delegated subtree. Anyone holding
-// the token can run it; no secret key is involved.
+// the token can run it; no secret key is involved. Expand and ExpandInto
+// evaluate suite 0; use an Expander for a token of another suite.
 func Expand(t Token) []Value {
 	return ExpandInto(make([]Value, 0, 1<<t.Level), t)
 }

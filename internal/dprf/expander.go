@@ -9,16 +9,21 @@ import (
 	"sync"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 )
 
-// ggmLabel is the fixed HMAC message of the GGM PRG. Package-level so
-// writing it to the digest never copies a stack buffer to the heap.
-var ggmLabel = []byte("rsse/ggm")
+// The fixed HMAC messages of the GGM PRG: suite 0 splits one 64-byte
+// output, suite 1 evaluates one 32-byte output per half. Package-level
+// so writing them to the digest never copies a stack buffer to the heap.
+var (
+	ggmLabel  = []byte("rsse/ggm")
+	ggmLabel0 = []byte("rsse/ggm/0")
+	ggmLabel1 = []byte("rsse/ggm/1")
+)
 
-// Expander evaluates the GGM tree without per-step heap allocation.
-// Each G application is a manual two-pass HMAC-SHA-512 over one reused
-// digest — the key (the seed) changes every step, so unlike prf.Hasher
-// there is no state snapshot to amortize; what the Expander saves is
+// Expander evaluates the GGM tree of one PRF suite without per-step
+// heap allocation. The key (the seed) changes every step, so there is
+// no key schedule to amortize across steps; what the Expander saves is
 // the per-step hmac.New allocation and Sum buffer. All scratch lives in
 // the Expander, so steady-state walks, expansions and delegations are
 // allocation-free.
@@ -26,30 +31,61 @@ var ggmLabel = []byte("rsse/ggm")
 // An Expander is not safe for concurrent use; pool instances with
 // GetExpander/PutExpander.
 type Expander struct {
-	d      hash.Hash // one SHA-512 digest reused for both HMAC passes
+	suite  prf.Suite
+	d      hash.Hash // suite 0: one SHA-512 digest reused for both HMAC passes
 	blk    [sha512.BlockSize]byte
-	sum    []byte  // 64-byte digest scratch
-	seeds  []Value // path-seed stack for DelegateNodes prefix reuse
-	leaves []Value // retained expansion buffer for Leaves
+	sum    []byte      // 64-byte digest scratch
+	h      *prf.Hasher // suite 1: rekeyed to the seed every step
+	seeds  []Value     // path-seed stack for DelegateNodes prefix reuse
+	leaves []Value     // retained expansion buffer for Leaves
 }
 
-// NewExpander returns a ready Expander.
-func NewExpander() *Expander {
-	return &Expander{d: sha512.New(), sum: make([]byte, 0, sha512.Size)}
+// NewExpander returns a ready suite-0 Expander.
+func NewExpander() *Expander { return NewExpanderSuite(prf.SuiteSHA512) }
+
+// NewExpanderSuite returns a ready Expander for GGM trees of suite s,
+// which must be Valid.
+func NewExpanderSuite(s prf.Suite) *Expander {
+	if s == prf.SuiteSHA256 {
+		return &Expander{suite: s, h: prf.NewHasherSuite(s, prf.Key{})}
+	}
+	return &Expander{suite: s, d: sha512.New(), sum: make([]byte, 0, sha512.Size)}
 }
 
-var expanderPool = sync.Pool{New: func() any { return NewExpander() }}
+// expanderPools holds one pool per suite.
+var expanderPools [2]sync.Pool // indexed by prf.Suite
 
-// GetExpander returns a pooled Expander; release it with PutExpander.
-func GetExpander() *Expander { return expanderPool.Get().(*Expander) }
+// GetExpander returns a pooled suite-0 Expander; release it with
+// PutExpander.
+func GetExpander() *Expander { return GetExpanderSuite(prf.SuiteSHA512) }
 
-// PutExpander returns e to the pool.
-func PutExpander(e *Expander) { expanderPool.Put(e) }
+// GetExpanderSuite is GetExpander for suite s.
+func GetExpanderSuite(s prf.Suite) *Expander {
+	if e, ok := expanderPools[s].Get().(*Expander); ok {
+		return e
+	}
+	return NewExpanderSuite(s)
+}
 
-// g computes G(seed) = HMAC-SHA-512(seed, "rsse/ggm") into (g0, g1).
-// g0 or g1 may alias seed: seed is fully absorbed before either output
-// is written.
+// PutExpander returns e to its suite's pool.
+func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
+
+// g computes G(seed) into (g0, g1). g0 or g1 may alias seed: seed is
+// fully absorbed before either output is written.
+//
+// Suite 1: HMAC-SHA-256(seed, "rsse/ggm/0") and HMAC-SHA-256(seed,
+// "rsse/ggm/1") — one key schedule on the Hasher, whose keyed states
+// both evaluations restore: six compressions, not eight.
+//
+// Suite 0: the two halves of HMAC-SHA-512(seed, "rsse/ggm"), a manual
+// two-pass HMAC over one digest (a Hasher truncates to 32 bytes).
 func (e *Expander) g(seed, g0, g1 *Value) {
+	if e.h != nil {
+		e.h.SetKey(prf.Key(*seed))
+		*g0 = e.h.Eval(ggmLabel0)
+		*g1 = e.h.Eval(ggmLabel1)
+		return
+	}
 	for i := range e.blk {
 		e.blk[i] = 0x36
 	}
@@ -88,6 +124,9 @@ func (e *Expander) walk(seed Value, path uint64, depth uint8) Value {
 
 // Eval computes the leaf DPRF value f_k(a) using e's scratch.
 func (e *Expander) Eval(k Key, a uint64) (Value, error) {
+	if err := e.checkKey(k); err != nil {
+		return Value{}, err
+	}
 	if a >= uint64(1)<<k.bits {
 		return Value{}, fmt.Errorf("dprf: value %d outside %d-bit domain", a, k.bits)
 	}
@@ -97,6 +136,9 @@ func (e *Expander) Eval(k Key, a uint64) (Value, error) {
 // NodeToken computes one delegation token using e's scratch; it is
 // Key.NodeToken without the per-call evaluator setup.
 func (e *Expander) NodeToken(k Key, n cover.Node) (Token, error) {
+	if err := e.checkKey(k); err != nil {
+		return Token{}, err
+	}
 	if err := k.checkNode(n); err != nil {
 		return Token{}, err
 	}
@@ -111,6 +153,9 @@ func (e *Expander) NodeToken(k Key, n cover.Node) (Token, error) {
 // siblings re-derive one level instead of bits-Level. Token values are
 // byte-identical to Key.NodeToken's.
 func (e *Expander) DelegateNodes(dst []Token, k Key, nodes []cover.Node) ([]Token, error) {
+	if err := e.checkKey(k); err != nil {
+		return dst, err
+	}
 	e.seeds = append(e.seeds[:0], k.seed)
 	var (
 		pathVal uint64 // bits of the previous node's root path
@@ -174,6 +219,15 @@ func (e *Expander) ExpandInto(dst []Value, t Token) []Value {
 func (e *Expander) Leaves(t Token) []Value {
 	e.leaves = e.ExpandInto(e.leaves[:0], t)
 	return e.leaves
+}
+
+// checkKey refuses a key whose GGM tree is of another suite than e
+// evaluates: its tokens would be values no holder of the key derives.
+func (e *Expander) checkKey(k Key) error {
+	if k.suite != e.suite {
+		return fmt.Errorf("dprf: %v key on a %v expander", k.suite, e.suite)
+	}
+	return nil
 }
 
 // checkNode validates that n is a dyadic node of k's domain.

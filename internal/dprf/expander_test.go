@@ -2,22 +2,41 @@ package dprf
 
 import (
 	"crypto/hmac"
+	"crypto/sha256"
 	"crypto/sha512"
+	"fmt"
 	mrand "math/rand"
 	"testing"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 	"rsse/internal/race"
 )
 
-// refStep is the GGM PRG straight from the spec — a fresh
-// HMAC-SHA-512(seed, "rsse/ggm") per step — used as the oracle the
-// Expander's manual two-pass HMAC must match bit for bit.
-func refStep(seed Value, bit uint64) Value {
+var suites = []prf.Suite{prf.SuiteSHA512, prf.SuiteSHA256}
+
+// eachSuite runs f as one subtest per PRF suite.
+func eachSuite(t *testing.T, f func(t *testing.T, s prf.Suite)) {
+	for _, s := range suites {
+		t.Run(s.String(), func(t *testing.T) { f(t, s) })
+	}
+}
+
+// refStepSuite is the GGM PRG straight from the spec, on fresh
+// crypto/hmac instances — suite 0 one half of HMAC-SHA-512(seed,
+// "rsse/ggm"), suite 1 HMAC-SHA-256(seed, "rsse/ggm/<bit>") — the
+// oracle the Expander's manual HMAC must match bit for bit.
+func refStepSuite(s prf.Suite, seed Value, bit uint64) Value {
+	var v Value
+	if s == prf.SuiteSHA256 {
+		mac := hmac.New(sha256.New, seed[:])
+		fmt.Fprintf(mac, "rsse/ggm/%d", bit)
+		copy(v[:], mac.Sum(nil))
+		return v
+	}
 	mac := hmac.New(sha512.New, seed[:])
 	mac.Write([]byte("rsse/ggm"))
 	sum := mac.Sum(nil)
-	var v Value
 	if bit == 0 {
 		copy(v[:], sum[:Size])
 	} else {
@@ -25,6 +44,9 @@ func refStep(seed Value, bit uint64) Value {
 	}
 	return v
 }
+
+// refStep is refStepSuite for suite 0.
+func refStep(seed Value, bit uint64) Value { return refStepSuite(prf.SuiteSHA512, seed, bit) }
 
 func refWalk(seed Value, path uint64, depth uint8) Value {
 	for i := int(depth) - 1; i >= 0; i-- {
@@ -34,40 +56,48 @@ func refWalk(seed Value, path uint64, depth uint8) Value {
 }
 
 func TestExpanderGMatchesHMAC(t *testing.T) {
-	e := NewExpander()
-	rnd := mrand.New(mrand.NewSource(2))
-	var g0, g1 Value
-	for trial := 0; trial < 100; trial++ {
-		var seed Value
-		rnd.Read(seed[:])
-		e.g(&seed, &g0, &g1)
-		if g0 != refStep(seed, 0) || g1 != refStep(seed, 1) {
-			t.Fatal("manual HMAC disagrees with crypto/hmac")
+	eachSuite(t, func(t *testing.T, s prf.Suite) {
+		e := NewExpanderSuite(s)
+		rnd := mrand.New(mrand.NewSource(2))
+		var g0, g1 Value
+		for trial := 0; trial < 100; trial++ {
+			var seed Value
+			rnd.Read(seed[:])
+			e.g(&seed, &g0, &g1)
+			if g0 != refStepSuite(s, seed, 0) || g1 != refStepSuite(s, seed, 1) {
+				t.Fatal("manual HMAC disagrees with crypto/hmac")
+			}
 		}
-	}
+	})
 }
 
 // TestExpanderGAliasing: ExpandInto writes children over their parent's
 // slot (2i == i at i=0), so g must tolerate its outputs aliasing seed.
 func TestExpanderGAliasing(t *testing.T) {
-	e := NewExpander()
-	var seed Value
-	seed[0] = 42
-	want0, want1 := refStep(seed, 0), refStep(seed, 1)
-	s0, s1 := seed, seed
-	e.g(&s0, &s0, &s1)
-	if s0 != want0 || s1 != want1 {
-		t.Error("g wrong when g0 aliases seed")
-	}
-	s0, s1 = seed, seed
-	e.g(&s1, &s0, &s1)
-	if s0 != want0 || s1 != want1 {
-		t.Error("g wrong when g1 aliases seed")
-	}
+	eachSuite(t, func(t *testing.T, s prf.Suite) {
+		e := NewExpanderSuite(s)
+		var seed Value
+		seed[0] = 42
+		want0, want1 := refStepSuite(s, seed, 0), refStepSuite(s, seed, 1)
+		s0, s1 := seed, seed
+		e.g(&s0, &s0, &s1)
+		if s0 != want0 || s1 != want1 {
+			t.Error("g wrong when g0 aliases seed")
+		}
+		s0, s1 = seed, seed
+		e.g(&s1, &s0, &s1)
+		if s0 != want0 || s1 != want1 {
+			t.Error("g wrong when g1 aliases seed")
+		}
+	})
 }
 
 func TestExpandIntoMatchesRecursive(t *testing.T) {
-	e := NewExpander()
+	eachSuite(t, testExpandIntoMatchesRecursive)
+}
+
+func testExpandIntoMatchesRecursive(t *testing.T, s prf.Suite) {
+	e := NewExpanderSuite(s)
 	rnd := mrand.New(mrand.NewSource(3))
 	for level := uint8(0); level <= 8; level++ {
 		var seed Value
@@ -82,8 +112,8 @@ func TestExpandIntoMatchesRecursive(t *testing.T) {
 				want = append(want, v)
 				return
 			}
-			rec(refStep(v, 0), depth-1)
-			rec(refStep(v, 1), depth-1)
+			rec(refStepSuite(s, v, 0), depth-1)
+			rec(refStepSuite(s, v, 1), depth-1)
 		}
 		rec(seed, level)
 		if len(got) != len(want) {
@@ -118,10 +148,14 @@ func TestExpandIntoAppends(t *testing.T) {
 // produce byte-identical tokens to the one-node-at-a-time walk, across
 // both cover techniques and many random ranges.
 func TestDelegateNodesMatchesNodeToken(t *testing.T) {
+	eachSuite(t, testDelegateNodesMatchesNodeToken)
+}
+
+func testDelegateNodesMatchesNodeToken(t *testing.T, s prf.Suite) {
 	rnd := mrand.New(mrand.NewSource(4))
-	e := NewExpander()
+	e := NewExpanderSuite(s)
 	for _, bitsN := range []uint8{4, 10, 16} {
-		k := testKey(t, bitsN)
+		k := testKey(t, bitsN).WithSuite(s)
 		d := cover.Domain{Bits: bitsN}
 		m := uint64(1) << bitsN
 		for _, tech := range []cover.Technique{cover.BRCTechnique, cover.URCTechnique} {
@@ -147,6 +181,15 @@ func TestDelegateNodesMatchesNodeToken(t *testing.T) {
 					if got[i] != want {
 						t.Fatalf("bits=%d tech=%v [%d,%d]: token %d (node %v) diverges from NodeToken",
 							bitsN, tech, lo, hi, i, n)
+					}
+					// NodeToken itself against the spec: a root walk of
+					// reference steps along the node's path bits.
+					ref, depth := k.seed, bitsN-n.Level
+					for b := int(depth) - 1; b >= 0; b-- {
+						ref = refStepSuite(s, ref, (n.Start>>n.Level>>uint(b))&1)
+					}
+					if trial == 0 && want.Value != ref {
+						t.Fatalf("bits=%d node %v: NodeToken diverges from the reference walk", bitsN, n)
 					}
 				}
 			}
@@ -175,8 +218,12 @@ func TestExpanderAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
 	}
-	e := NewExpander()
-	k := testKey(t, 16)
+	eachSuite(t, testExpanderAllocs)
+}
+
+func testExpanderAllocs(t *testing.T, s prf.Suite) {
+	e := NewExpanderSuite(s)
+	k := testKey(t, 16).WithSuite(s)
 	d := cover.Domain{Bits: 16}
 	nodes, err := cover.Cover(d, 100, 9000, cover.BRCTechnique)
 	if err != nil {
@@ -223,12 +270,39 @@ func BenchmarkExpanderDelegate16(b *testing.B) {
 }
 
 func BenchmarkExpanderExpandLevel10(b *testing.B) {
-	var seed Value
-	tok := Token{Level: 10, Value: seed}
+	for _, s := range suites {
+		b.Run(s.String(), func(b *testing.B) {
+			var seed Value
+			tok := Token{Level: 10, Value: seed}
+			e := NewExpanderSuite(s)
+			var leaves []Value
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				leaves = e.ExpandInto(leaves[:0], tok)
+			}
+		})
+	}
+}
+
+// TestExpanderRefusesKeyOfAnotherSuite: a key's tokens are only
+// meaningful on its own suite's tree.
+func TestExpanderRefusesKeyOfAnotherSuite(t *testing.T) {
+	k := testKey(t, 8).WithSuite(prf.SuiteSHA256)
 	e := NewExpander()
-	var leaves []Value
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		leaves = e.ExpandInto(leaves[:0], tok)
+	if _, err := e.Eval(k, 1); err == nil {
+		t.Error("Eval accepted a suite-1 key on a suite-0 expander")
+	}
+	if _, err := e.NodeToken(k, cover.Node{}); err == nil {
+		t.Error("NodeToken accepted a suite-1 key on a suite-0 expander")
+	}
+	if _, err := e.DelegateNodes(nil, k, []cover.Node{{}}); err == nil {
+		t.Error("DelegateNodes accepted a suite-1 key on a suite-0 expander")
+	}
+	a, err := k.Eval(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := k.WithSuite(prf.SuiteSHA512).Eval(5); a == b {
+		t.Error("one seed evaluates identically under both suites")
 	}
 }

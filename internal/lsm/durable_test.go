@@ -289,12 +289,12 @@ type flakySSE struct {
 
 func (f *flakySSE) Name() string { return f.inner.Name() }
 
-func (f *flakySSE) Build(entries []sse.Entry, width int, rnd *mrand.Rand, eng storage.Engine) (sse.Index, error) {
+func (f *flakySSE) Build(entries []sse.Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (sse.Index, error) {
 	if f.fails > 0 {
 		f.fails--
 		return nil, errors.New("injected build failure")
 	}
-	return f.inner.Build(entries, width, rnd, eng)
+	return f.inner.Build(entries, width, rnd, eng, suite)
 }
 
 // TestFlushFailureKeepsPending pins the failed-flush contract: the

@@ -146,12 +146,16 @@ func TestHasherAllocs(t *testing.T) {
 }
 
 func BenchmarkHasherEval(b *testing.B) {
-	var k Key
-	k[0] = 1
-	h := NewHasher(k)
-	data := []byte("benchmark-keyword")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Eval(data)
+	for _, s := range []Suite{SuiteSHA512, SuiteSHA256} {
+		b.Run(s.String(), func(b *testing.B) {
+			var k Key
+			k[0] = 1
+			h := NewHasherSuite(s, k)
+			data := []byte("benchmark-keyword")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Eval(data)
+			}
+		})
 	}
 }

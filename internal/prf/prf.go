@@ -5,6 +5,12 @@
 // computed with HMAC-SHA-512 and truncated to 32 bytes. Keys are 32-byte
 // random strings. A small labelled-KDF derives independent subkeys from a
 // master key so that each index, epoch and purpose uses its own key.
+//
+// Which hash sits under the HMAC is a Suite: suite 0 is the paper's
+// HMAC-SHA-512, suite 1 is HMAC-SHA-256 with the same keys, labels and
+// 32-byte outputs. The package-level functions and NewHasher/GetHasher
+// are suite 0 — owner-side key derivation never changes suite — and an
+// index records the suite its own PRFs were built with (see Suite).
 package prf
 
 import (
@@ -19,6 +25,41 @@ const KeySize = 32
 
 // Key is a 32-byte PRF key.
 type Key [KeySize]byte
+
+// Suite names the hash under an index's PRFs: the GGM tree, the stag key
+// schedule and the cell labels. It is data, not configuration — the
+// builder writes it into the index header and every reader takes it from
+// there — so an index stays readable by the suite that built it forever.
+// Both suites take 32-byte keys and give 32-byte outputs; the server's
+// view (tokens, labels, probes) has the same shape under either.
+type Suite uint8
+
+const (
+	// SuiteSHA512 is HMAC-SHA-512 truncated to 32 bytes, the paper's
+	// Section 8 choice and what every index without a suite byte is.
+	SuiteSHA512 Suite = 0
+	// SuiteSHA256 is HMAC-SHA-256: the same construction over a hash
+	// whose native output is already 32 bytes, a third of the cost per
+	// compression where the CPU has SHA extensions.
+	SuiteSHA256 Suite = 1
+
+	numSuites = 2
+)
+
+// Valid reports whether s names a suite this build implements.
+func (s Suite) Valid() bool { return s < numSuites }
+
+// String names the suite's MAC.
+func (s Suite) String() string {
+	switch s {
+	case SuiteSHA512:
+		return "hmac-sha512"
+	case SuiteSHA256:
+		return "hmac-sha256"
+	default:
+		return fmt.Sprintf("Suite(%d)", uint8(s))
+	}
+}
 
 // NewKey draws a fresh random key from r (crypto/rand.Reader if r is nil).
 func NewKey(r io.Reader) (Key, error) {

@@ -1,0 +1,191 @@
+package prf
+
+import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	mrand "math/rand"
+	"testing"
+	"unsafe"
+
+	"rsse/internal/race"
+)
+
+// ref256 is suite 1 by definition: a fresh crypto/hmac over
+// crypto/sha256 per call, all 32 output bytes.
+func ref256(k Key, data []byte) [KeySize]byte {
+	mac := hmac.New(sha256.New, k[:])
+	mac.Write(data)
+	var out [KeySize]byte
+	copy(out[:], mac.Sum(nil))
+	return out
+}
+
+// TestSuite256MatchesHMAC: every evaluation path of a suite-1 Hasher —
+// plain, the label helpers, the labelled KDF — is HMAC-SHA-256 of the
+// same bytes suite 0 feeds HMAC-SHA-512: same key schedule, same labels.
+func TestSuite256MatchesHMAC(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var k Key
+		rnd.Read(k[:])
+		h := NewHasherSuite(SuiteSHA256, k)
+		if h.suite != SuiteSHA256 {
+			t.Fatal("constructor lost the suite")
+		}
+		// Vary input length across the SHA-256 block boundary.
+		for _, n := range []int{0, 1, 9, 31, 32, 55, 56, 63, 64, 65, 1000} {
+			data := make([]byte, n)
+			rnd.Read(data)
+			if h.Eval(data) != ref256(k, data) {
+				t.Fatalf("Eval(%d bytes) disagrees with crypto/hmac over sha256", n)
+			}
+		}
+		v := rnd.Uint64()
+		be := binary.BigEndian.AppendUint64(nil, v)
+		if h.EvalUint64(v) != ref256(k, be) {
+			t.Fatal("EvalUint64 disagrees")
+		}
+		if h.EvalByteUint64(7, v) != ref256(k, append([]byte{7}, be...)) {
+			t.Fatal("EvalByteUint64 disagrees")
+		}
+		if h.EvalString("keyword") != ref256(k, []byte("keyword")) {
+			t.Fatal("EvalString disagrees")
+		}
+		if h.Derive("sse/loc") != Key(ref256(k, []byte("rsse/kdf/sse/loc"))) {
+			t.Fatal("Derive is not HMAC-SHA-256 of the suite-0 KDF label")
+		}
+		if h.DeriveN("sse/bkt", v) != Key(ref256(k, append([]byte("rsse/kdf/sse/bkt/"), be...))) {
+			t.Fatal("DeriveN is not HMAC-SHA-256 of the suite-0 KDF label")
+		}
+	}
+}
+
+// TestSuite256SnapshotRestore: the chaining-value snapshot restores a
+// suite-1 hasher exactly, whatever key it held before, and rekeying
+// after a Restore still works (Restore writes into the marshaled states
+// SetKey rebuilds).
+func TestSuite256SnapshotRestore(t *testing.T) {
+	var k1, k2 Key
+	k1[0], k2[0] = 1, 2
+	snap := NewHasherSuite(SuiteSHA256, k1).Snapshot()
+	if !snap.Valid() {
+		t.Fatal("captured snapshot is not Valid")
+	}
+	h := NewHasherSuite(SuiteSHA256, k2)
+	h.Restore(&snap)
+	for _, data := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{3}, 200)} {
+		if h.Eval(data) != ref256(k1, data) {
+			t.Fatalf("restored hasher disagrees with crypto/hmac on %d bytes", len(data))
+		}
+	}
+	h.SetKey(k2)
+	if h.Eval([]byte("x")) != ref256(k2, []byte("x")) {
+		t.Fatal("rekey after Restore wrong")
+	}
+}
+
+// TestSnapshotAgainstAppendBinary is init's layout check with the
+// evidence spelled out: for both suites a keyed digest's marshaled
+// state is magic ‖ chaining value ‖ zero block buffer ‖ length = one
+// block, so the chaining value is all a Snapshot has to keep.
+func TestSnapshotAgainstAppendBinary(t *testing.T) {
+	for s := Suite(0); s < numSuites; s++ {
+		var k Key
+		k[5] = 9
+		h := NewHasherSuite(s, k)
+		for name, st := range map[string][]byte{"inner": h.istate, "outer": h.ostate} {
+			if len(st) != stateCV+h.cv+h.block+8 {
+				t.Fatalf("%v %s: marshaled state is %d bytes, want %d", s, name, len(st), stateCV+h.cv+h.block+8)
+			}
+			if buf := st[stateCV+h.cv : stateCV+h.cv+h.block]; !bytes.Equal(buf, make([]byte, h.block)) {
+				t.Fatalf("%v %s: block buffer of a one-block digest is not empty", s, name)
+			}
+			if n := binary.BigEndian.Uint64(st[len(st)-8:]); n != uint64(h.block) {
+				t.Fatalf("%v %s: absorbed length %d, want one block (%d)", s, name, n, h.block)
+			}
+		}
+		snap := h.Snapshot()
+		if !bytes.Equal(snap.ist[:h.cv], h.istate[stateCV:stateCV+h.cv]) || !bytes.Equal(snap.ost[:h.cv], h.ostate[stateCV:stateCV+h.cv]) {
+			t.Fatalf("%v: Snapshot did not capture the chaining values", s)
+		}
+	}
+	if sz := unsafe.Sizeof(Snapshot{}); sz > 136 {
+		t.Errorf("Snapshot is %d bytes; the stag cache entry budgets two 64-byte chaining values", sz)
+	}
+}
+
+// TestRestoreRefusesOtherSuite: a snapshot names its suite by its
+// chaining-value length and is never reinterpreted under another hash.
+func TestRestoreRefusesOtherSuite(t *testing.T) {
+	snap := NewHasher(Key{}).Snapshot()
+	defer func() {
+		if recover() == nil {
+			t.Error("a suite-0 snapshot was restored into a suite-1 hasher")
+		}
+	}()
+	NewHasherSuite(SuiteSHA256, Key{}).Restore(&snap)
+}
+
+func TestSuitesDisagree(t *testing.T) {
+	var k Key
+	k[0] = 4
+	if NewHasher(k).Eval([]byte("x")) == NewHasherSuite(SuiteSHA256, k).Eval([]byte("x")) {
+		t.Error("both suites computed the same PRF value")
+	}
+	if !SuiteSHA512.Valid() || !SuiteSHA256.Valid() || Suite(2).Valid() || Suite(7).Valid() {
+		t.Error("Valid does not separate the implemented suites from the rest")
+	}
+}
+
+func TestSuitePoolsAreSeparate(t *testing.T) {
+	var k Key
+	k[0] = 9
+	for i := 0; i < 4; i++ {
+		h0, h1 := GetHasher(k), GetHasherSuite(SuiteSHA256, k)
+		if h0.suite != SuiteSHA512 || h1.suite != SuiteSHA256 {
+			t.Fatal("a pool handed out a hasher of the other suite")
+		}
+		if h0.Eval([]byte("p")) != refEval(k, []byte("p")) || h1.Eval([]byte("p")) != ref256(k, []byte("p")) {
+			t.Fatal("pooled hasher wrong")
+		}
+		PutHasher(h0)
+		PutHasher(h1)
+	}
+}
+
+// TestHasherAllocsSHA256 is TestHasherAllocs for suite 1, plus the
+// snapshot round trip both suites' cache hits run.
+func TestHasherAllocsSHA256(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
+	}
+	var k Key
+	k[0] = 3
+	for s := Suite(0); s < numSuites; s++ {
+		h := NewHasherSuite(s, k)
+		data := []byte("allocation-guard-keyword")
+		var snap Snapshot
+		checks := []struct {
+			name string
+			max  float64
+			f    func()
+		}{
+			{"Snapshot+Restore", 0, func() { snap = h.Snapshot(); h.Restore(&snap) }},
+			{"Eval", 0, func() { h.Eval(data) }},
+			{"EvalUint64", 0, func() { h.EvalUint64(77) }},
+			{"EvalByteUint64", 0, func() { h.EvalByteUint64(5, 77) }},
+			{"Derive", 0, func() { h.Derive("label") }},
+			{"DeriveN", 0, func() { h.DeriveN("label", 3) }},
+			{"SetKey", 0, func() { h.SetKey(k) }},
+			{"Get/PutHasherSuite", 0.1, func() { PutHasher(GetHasherSuite(s, k)) }},
+		}
+		for _, c := range checks {
+			c.f()
+			if n := testing.AllocsPerRun(200, c.f); n > c.max {
+				t.Errorf("%v %s: %v allocs/op, want <= %v", s, c.name, n, c.max)
+			}
+		}
+	}
+}

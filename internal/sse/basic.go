@@ -23,19 +23,19 @@ type Basic struct{}
 func (Basic) Name() string { return "basic" }
 
 // Build implements Scheme.
-func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine) (Index, error) {
+func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error) {
 	total, err := checkEntries(entries, width)
 	if err != nil {
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
 	defer prf.PutHasher(h)
 	b := cellBuilder(eng, total)
 	for _, e := range entries {
 		keys := deriveStagKeys(h, e.Stag)
 		for i, p := range shuffled(e.Payloads, rnd) {
-			lab := cellLabel(keys.loc, uint64(i))
+			lab := cellLabel(suite, keys.loc, uint64(i))
 			if err := b.Put(lab[:], encryptCell(keys.enc, uint64(i), p)); err != nil {
 				return nil, errLabelCollision(err)
 			}
@@ -45,12 +45,13 @@ func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engi
 	if err != nil {
 		return nil, errLabelCollision(err)
 	}
-	idx := &basicIndex{width: width, postings: total, cells: cells}
+	idx := &basicIndex{suite: suite, width: width, postings: total, cells: cells}
 	idx.size = idx.serializedSize()
 	return idx, nil
 }
 
 type basicIndex struct {
+	suite    prf.Suite
 	width    int
 	postings int
 	size     int
@@ -63,7 +64,7 @@ func (x *basicIndex) Size() int     { return x.size }
 func (x *basicIndex) Resident() int { return x.cells.Resident() }
 
 func (x *basicIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(stag)
+	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
 	var out [][]byte
 	for i := uint64(0); ; i++ {

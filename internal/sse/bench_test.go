@@ -5,8 +5,18 @@ import (
 	mrand "math/rand"
 	"testing"
 
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
+
+// testSuites lists both PRF suites; eachSuite runs f once per suite.
+var testSuites = []prf.Suite{prf.SuiteSHA512, prf.SuiteSHA256}
+
+func eachSuite(t *testing.T, f func(t *testing.T, suite prf.Suite)) {
+	for _, s := range testSuites {
+		t.Run(s.String(), func(t *testing.T) { f(t, s) })
+	}
+}
 
 // Cross-construction micro-benchmarks: build and search costs per
 // construction and per storage engine on the same keyword distribution.
@@ -44,7 +54,7 @@ func BenchmarkBuild10kPostings(b *testing.B) {
 				b.ReportAllocs()
 				var size int
 				for i := 0; i < b.N; i++ {
-					idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(3)), eng)
+					idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(3)), eng, prf.SuiteSHA512)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -64,7 +74,7 @@ func BenchmarkSearch100IDs(b *testing.B) {
 	for _, s := range benchConstructions() {
 		for _, eng := range storage.Engines() {
 			b.Run(s.Name()+"/"+eng.Name(), func(b *testing.B) {
-				idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(4)), eng)
+				idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(4)), eng, prf.SuiteSHA512)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -88,13 +98,19 @@ func BenchmarkSearch100IDs(b *testing.B) {
 // of a stag the cache has never seen — the Constant schemes' leaves, an
 // LSM epoch's foreign tokens — with an empty list (nothing but the
 // location key, one label and one missing probe) or a one-cell list
-// (plus the lazy cell key, one decrypt and the result). Run with
-// -benchmem: the empty case must report 0 allocs/op.
+// (plus the lazy cell key, one decrypt and the result), under each PRF
+// suite. Run with -benchmem: the empty case must report 0 allocs/op.
 func BenchmarkSearchColdStags(b *testing.B) {
+	for _, suite := range testSuites {
+		b.Run(suite.String(), func(b *testing.B) { benchSearchColdStags(b, suite) })
+	}
+}
+
+func benchSearchColdStags(b *testing.B, suite prf.Suite) {
 	const lists = 1 << 14
 	entries := benchEntries(lists, lists) // one id per keyword
 	for _, s := range benchConstructions() {
-		idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(5)), nil)
+		idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(5)), nil, suite)
 		if err != nil {
 			b.Fatal(err)
 		}

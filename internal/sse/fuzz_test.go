@@ -4,6 +4,7 @@ import (
 	mrand "math/rand"
 	"testing"
 
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
 
@@ -14,7 +15,7 @@ func FuzzUnmarshal(f *testing.F) {
 	for _, s := range []Scheme{Basic{}, Packed{BlockSize: 4}, TSet{BucketCapacity: 16, Expansion: 1.5}} {
 		var stag Stag
 		stag[0] = 7
-		idx, err := s.Build([]Entry{EntryFromIDs(stag, []uint64{1, 2, 3})}, 8, mrand.New(mrand.NewSource(1)), nil)
+		idx, err := s.Build([]Entry{EntryFromIDs(stag, []uint64{1, 2, 3})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteSHA512)
 		if err != nil {
 			f.Fatal(err)
 		}

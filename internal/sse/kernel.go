@@ -27,16 +27,18 @@ import (
 // its third lookup. A fingerprint collision (2^-31 per pair of stags
 // sharing a slot) only admits an entry one sight early.
 //
-// What an entry holds. The location-keyed PRF snapshot and the stag's
-// first cell labels, always; the AES block cipher only once a search of
-// that stag has hit a cell. The cell key is lazy on every path: key()
-// derives sse/loc alone, and sse/enc plus the AES key schedule are
-// derived by the first decrypt. An empty posting list — nearly every
-// Constant leaf, most LSM epoch tokens — never pays for them, and its
-// entry carries no cipher.Block.
+// What an entry holds. The suite the state was derived under, the
+// location-keyed PRF snapshot (the two chaining values of the keyed
+// HMAC, 64 bytes each at most) and the stag's first cell labels (16
+// bytes each, as probed), always; the AES block cipher only once a
+// search of that stag has hit a cell. The cell key is lazy on every
+// path: key() derives sse/loc alone, and sse/enc plus the AES key
+// schedule are derived by the first decrypt. An empty posting list —
+// nearly every Constant leaf, most LSM epoch tokens — never pays for
+// them, and its entry carries no cipher.Block.
 //
 // Leakage: the cache and the doorkeeper are keyed only by stags the
-// server observes anyway, and a hit, an admitted miss and an unadmitted
+// server observes anyway (and the index's suite, which is public), and a hit, an admitted miss and an unadmitted
 // miss produce exactly the same probes, in the same order. When the
 // cell key is derived depends only on whether a probe hit, which the
 // server sees directly. Timing reveals stag recurrence and list
@@ -53,12 +55,17 @@ import (
 // the cache and costs no HMAC at all; a search that derives labels (or
 // the cell key) the entry lacks republishes an extended entry on its
 // way out.
+//
+// An entry is sized to what it holds — 320 bytes — because admissions
+// accumulate: a workload that admits 1% of its lookups grows the cache
+// with the queries it completes, so entry bytes are resident-set bytes.
 type stagState struct {
-	stag Stag
-	loc  prf.Snapshot // location-keyed hasher state
-	blk  cipher.Block // AES block under the stag's cell key; nil until a probe has hit
-	labN int
-	labs [cachedLabels][prf.KeySize]byte // cell labels 0..labN-1
+	stag  Stag
+	suite prf.Suite    // the state below is the stag's under this suite only
+	loc   prf.Snapshot // location-keyed hasher state
+	blk   cipher.Block // AES block under the stag's cell key; nil until a probe has hit
+	labN  int
+	labs  [cachedLabels][LabelSize]byte // cell labels 0..labN-1
 }
 
 // stagCacheSize bounds the direct-mapped cache. 128k entries hold the

@@ -5,7 +5,9 @@ import (
 	mrand "math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"rsse/internal/prf"
 	"rsse/internal/race"
 )
 
@@ -38,20 +40,32 @@ func resultIDs(payloads [][]byte) []uint64 {
 // says (a first sight is a miss, a second a miss plus an admission, a
 // third a hit; a one-shot collider evicts nothing).
 func TestStagCacheAdmission(t *testing.T) {
+	for _, suite := range testSuites {
+		testStagCacheAdmission(t, suite)
+	}
+}
+
+// testStagCacheAdmission runs one subtest per construction — named by
+// the construction alone under suite 0, as before suites existed.
+func testStagCacheAdmission(t *testing.T, suite prf.Suite) {
 	a, c := collidingStags(21)
 	var empty Stag // in no index, on a slot of its own
 	empty[0], empty[9] = 0xEE, 1
 	wantA := []uint64{1, 2, 3, 4, 5}
 	wantC := []uint64{70, 80}
 	for _, sch := range benchConstructions() {
-		t.Run(sch.Name(), func(t *testing.T) {
+		name := sch.Name()
+		if suite != prf.SuiteSHA512 {
+			name += "/" + suite.String()
+		}
+		t.Run(name, func(t *testing.T) {
 			idx, err := sch.Build([]Entry{EntryFromIDs(a, wantA), EntryFromIDs(c, wantC)},
-				8, mrand.New(mrand.NewSource(22)), nil)
+				8, mrand.New(mrand.NewSource(22)), nil, suite)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The same stag with an empty list: an index that lacks it.
-			without, err := sch.Build([]Entry{EntryFromIDs(c, wantC)}, 8, mrand.New(mrand.NewSource(23)), nil)
+			without, err := sch.Build([]Entry{EntryFromIDs(c, wantC)}, 8, mrand.New(mrand.NewSource(23)), nil, suite)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +94,7 @@ func TestStagCacheAdmission(t *testing.T) {
 				t.Fatal("first sight published an entry")
 			}
 			step("A second sight", idx, a, wantA, 0, 1, 1)
-			if e := entry(a); e == nil || e.stag != a || e.blk == nil {
+			if e := entry(a); e == nil || e.stag != a || e.suite != suite || e.blk == nil {
 				t.Fatalf("second sight of a non-empty stag: entry %+v, want A's with a cell cipher", e)
 			}
 			step("A warm", idx, a, wantA, 1, 0, 0)
@@ -128,12 +142,24 @@ func TestStagCacheAdmission(t *testing.T) {
 	ResetKernelCache()
 }
 
+// TestStagStateSize: admissions accumulate, so a cache entry's bytes are
+// resident-set bytes. It holds a stag, two chaining values and eight
+// 16-byte labels; 448 is the allocator size class it must stay within
+// (it was 896 when it held two marshaled digests and 32-byte labels).
+func TestStagStateSize(t *testing.T) {
+	if sz := unsafe.Sizeof(stagState{}); sz > 448 {
+		t.Errorf("stagState is %d bytes, want <= 448", sz)
+	} else {
+		t.Logf("stagState is %d bytes", sz)
+	}
+}
+
 // TestResetKernelCacheClearsDoorkeeper: after a reset a stag's next
 // sight is a first sight again.
 func TestResetKernelCacheClearsDoorkeeper(t *testing.T) {
 	var stag Stag
 	stag[3], stag[10] = 7, 7
-	idx, err := Basic{}.Build([]Entry{EntryFromIDs(stag, []uint64{9})}, 8, mrand.New(mrand.NewSource(1)), nil)
+	idx, err := Basic{}.Build([]Entry{EntryFromIDs(stag, []uint64{9})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteSHA512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +182,14 @@ func TestColdStagAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
 	}
+	eachSuite(t, testColdStagAllocs)
+}
+
+func testColdStagAllocs(t *testing.T, suite prf.Suite) {
 	entries := benchEntries(1000, 100)
 	rnd := mrand.New(mrand.NewSource(31))
 	for _, sch := range benchConstructions() {
-		idx, err := sch.Build(entries, 8, mrand.New(mrand.NewSource(32)), nil)
+		idx, err := sch.Build(entries, 8, mrand.New(mrand.NewSource(32)), nil, suite)
 		if err != nil {
 			t.Fatalf("%s: %v", sch.Name(), err)
 		}
@@ -181,12 +211,14 @@ func TestColdStagAllocs(t *testing.T) {
 // stags from 8 goroutines: admissions, evictions, republications and
 // doorkeeper swaps all race on the slot, and every search must still
 // return its own stag's payloads. Run under -race.
-func TestStagCacheSlotContention(t *testing.T) {
+func TestStagCacheSlotContention(t *testing.T) { eachSuite(t, testStagCacheSlotContention) }
+
+func testStagCacheSlotContention(t *testing.T, suite prf.Suite) {
 	a, c := collidingStags(41)
 	want := map[Stag][]uint64{a: {1, 2, 3}, c: {10, 20, 30, 40}}
 	for _, sch := range benchConstructions() {
 		idx, err := sch.Build([]Entry{EntryFromIDs(a, want[a]), EntryFromIDs(c, want[c])},
-			8, mrand.New(mrand.NewSource(42)), nil)
+			8, mrand.New(mrand.NewSource(42)), nil, suite)
 		if err != nil {
 			t.Fatal(err)
 		}

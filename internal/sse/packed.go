@@ -38,7 +38,7 @@ func (s Packed) blockSize() (int, error) {
 }
 
 // Build implements Scheme.
-func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine) (Index, error) {
+func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error) {
 	bs, err := s.blockSize()
 	if err != nil {
 		return nil, err
@@ -48,7 +48,7 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
 	defer prf.PutHasher(h)
 	blockLen := 1 + bs*width // count byte + padded payload area
 	b := cellBuilder(eng, (total+bs-1)/max(bs, 1))
@@ -68,7 +68,7 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 			for i := 1 + len(chunk)*width; i < blockLen; i++ {
 				plain[i] = byte(rnd.Intn(256))
 			}
-			lab := cellLabel(keys.loc, uint64(blk))
+			lab := cellLabel(suite, keys.loc, uint64(blk))
 			if err := b.Put(lab[:], encryptCell(keys.enc, uint64(blk), plain)); err != nil {
 				return nil, errLabelCollision(err)
 			}
@@ -78,12 +78,13 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 	if err != nil {
 		return nil, errLabelCollision(err)
 	}
-	idx := &packedIndex{width: width, blockSize: bs, postings: total, cells: cells}
+	idx := &packedIndex{suite: suite, width: width, blockSize: bs, postings: total, cells: cells}
 	idx.size = idx.serializedSize()
 	return idx, nil
 }
 
 type packedIndex struct {
+	suite     prf.Suite
 	width     int
 	blockSize int
 	postings  int
@@ -97,7 +98,7 @@ func (x *packedIndex) Size() int     { return x.size }
 func (x *packedIndex) Resident() int { return x.cells.Resident() }
 
 func (x *packedIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(stag)
+	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
 	blockLen := 1 + x.blockSize*x.width
 	var out [][]byte

@@ -22,6 +22,7 @@ import (
 // the pool: a reused searcher keeps carving the same chunk forward and
 // never re-slices memory it already handed out.
 type cellSearcher struct {
+	suite prf.Suite    // of h and hk, for life: searchers are pooled per suite
 	h     *prf.Hasher  // keyed to the stag's location key
 	hk    *prf.Hasher  // keyed to the stag itself by key(): derives loc, and enc on the first hit
 	blk   cipher.Block // AES under the stag's cell key; nil until a probe hits (see decrypt)
@@ -39,23 +40,24 @@ type cellSearcher struct {
 	slot   *atomic.Pointer[stagState]
 	ent    *stagState // warm entry this search runs from (nil on a miss)
 	admit  bool       // miss path: the doorkeeper saw this stag miss before
-	first  [cachedLabels][prf.KeySize]byte
+	first  [cachedLabels][LabelSize]byte
 	firstN int
 }
 
 // cachedLabels is how many of a stag's first cell labels a cache entry
 // keeps. Eight labels answer a posting list of up to seven cells with
 // no PRF evaluation at all, which covers most keywords; longer lists
-// derive the tail per probe. Each label costs 32 bytes per entry.
+// derive the tail per probe. Each label costs LabelSize bytes per entry.
 const cachedLabels = 8
 
-var cellSearcherPool = sync.Pool{New: func() any {
-	return &cellSearcher{h: prf.NewHasher(prf.Key{}), hk: prf.NewHasher(prf.Key{})}
-}}
+// cellSearcherPools holds one pool per PRF suite: a searcher's two
+// hashers are of one hash for life.
+var cellSearcherPools [2]sync.Pool
 
-// getCellSearcher checks out a searcher keyed for stag. Of the three
-// stag-derived keys only loc and enc matter here: the salted bucket key
-// steers build-time placement, never search.
+// getCellSearcher checks out a searcher keyed for stag under suite — the
+// suite of the index being searched. Of the three stag-derived keys only
+// loc and enc matter here: the salted bucket key steers build-time
+// placement, never search.
 //
 // The per-stag state comes from the derived-state cache when present: a
 // hit restores the location-key snapshot and reuses the shared AES
@@ -63,13 +65,16 @@ var cellSearcherPool = sync.Pool{New: func() any {
 // derives the location key and asks the doorkeeper whether this stag
 // has missed on its slot before; only then does putCellSearcher publish
 // the state (see kernel.go).
-func getCellSearcher(stag Stag) *cellSearcher {
-	s := cellSearcherPool.Get().(*cellSearcher)
+func getCellSearcher(suite prf.Suite, stag Stag) *cellSearcher {
+	s, ok := cellSearcherPools[suite].Get().(*cellSearcher)
+	if !ok {
+		s = &cellSearcher{suite: suite, h: prf.NewHasherSuite(suite, prf.Key{}), hk: prf.NewHasherSuite(suite, prf.Key{})}
+	}
 	s.firstN = 0
 	s.stag = stag
 	i := stagCacheIndex(&stag)
 	s.slot = &stagCache[i]
-	if e := s.slot.Load(); e != nil && e.stag == stag {
+	if e := s.slot.Load(); e != nil && e.stag == stag && e.suite == suite {
 		stagCacheHits.Add(1)
 		s.h.Restore(&e.loc)
 		s.blk = e.blk
@@ -127,14 +132,14 @@ func putCellSearcher(s *cellSearcher) {
 		}
 	} else if s.admit {
 		// h still holds the location key's states: Eval only reads them.
-		s.slot.Store(&stagState{stag: s.stag, loc: s.h.Snapshot(), blk: s.blk, labN: s.firstN, labs: s.first})
+		s.slot.Store(&stagState{stag: s.stag, suite: s.suite, loc: s.h.Snapshot(), blk: s.blk, labN: s.firstN, labs: s.first})
 		stagCacheAdmissions.Add(1)
 	}
 	s.ent = nil
 	s.slot = nil
 	s.admit = false
 	s.blk = nil
-	cellSearcherPool.Put(s)
+	cellSearcherPools[s.suite].Put(s)
 }
 
 // label computes the i-th cell label under the stag's location key.
@@ -146,17 +151,16 @@ func putCellSearcher(s *cellSearcher) {
 // loops probe consecutive i from zero, which is what makes the run of
 // first labels recorded for publication contiguous.
 func (s *cellSearcher) label(i uint64) []byte {
-	var full [prf.KeySize]byte
 	if e := s.ent; e != nil && i < uint64(e.labN) {
-		full = e.labs[i]
+		s.lab = e.labs[i]
 	} else {
-		full = s.h.EvalUint64(i)
+		full := s.h.EvalUint64(i)
+		copy(s.lab[:], full[:LabelSize])
 	}
 	if i < cachedLabels && int(i) == s.firstN {
-		s.first[i] = full
+		s.first[i] = s.lab
 		s.firstN++
 	}
-	copy(s.lab[:], full[:LabelSize])
 	return s.lab[:]
 }
 

@@ -15,6 +15,10 @@ import (
 // the stdlib CTR stream for every cell shape the constructions produce:
 // sub-block, exact-block and multi-block cells, across many counters.
 func TestSearcherDecryptMatchesStdlibCTR(t *testing.T) {
+	eachSuite(t, testSearcherDecryptMatchesStdlibCTR)
+}
+
+func testSearcherDecryptMatchesStdlibCTR(t *testing.T, suite prf.Suite) {
 	rnd := mrand.New(mrand.NewSource(5))
 	var stag Stag
 	rnd.Read(stag[:])
@@ -22,12 +26,12 @@ func TestSearcherDecryptMatchesStdlibCTR(t *testing.T) {
 		src := make([]byte, n)
 		rnd.Read(src)
 		for _, ctr := range []uint64{0, 1, 255, 1 << 32, ^uint64(0)} {
-			s := getCellSearcher(stag)
+			s := getCellSearcher(suite, stag)
 			got := s.decrypt(ctr, src)
 			putCellSearcher(s)
 			// Reference: the searcher's enc key is Derive(stag, "sse/enc")
 			// truncated, exactly deriveStagKeys'.
-			keys := deriveStagKeys(prf.NewHasher(prf.Key{}), stag)
+			keys := deriveStagKeys(prf.NewHasherSuite(suite, prf.Key{}), stag)
 			want := secenc.XORKeyStreamCTR(keys.enc, secenc.NonceFromUint64(ctr), src)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("n=%d ctr=%d: manual CTR diverges from secenc", n, ctr)
@@ -44,20 +48,24 @@ func TestSearcherDecryptMatchesStdlibCTR(t *testing.T) {
 // restored from the entry's snapshot derives the tail, and the entry is
 // republished extended.
 func TestSearcherLabelMatchesCellLabel(t *testing.T) {
+	eachSuite(t, testSearcherLabelMatchesCellLabel)
+}
+
+func testSearcherLabelMatchesCellLabel(t *testing.T, suite prf.Suite) {
 	var stag Stag
 	stag[7] = 9
-	keys := deriveStagKeys(prf.NewHasher(prf.Key{}), stag)
+	keys := deriveStagKeys(prf.NewHasherSuite(suite, prf.Key{}), stag)
 	ResetKernelCache()
 	defer ResetKernelCache()
 	walk := func(what string, n uint64, warm bool) {
 		t.Helper()
-		s := getCellSearcher(stag)
+		s := getCellSearcher(suite, stag)
 		defer putCellSearcher(s)
 		if (s.ent != nil) != warm {
 			t.Fatalf("%s: checked out warm=%v, want %v", what, s.ent != nil, warm)
 		}
 		for i := uint64(0); i < n; i++ {
-			want := cellLabel(keys.loc, i)
+			want := cellLabel(suite, keys.loc, i)
 			if !bytes.Equal(s.label(i), want[:]) {
 				t.Fatalf("%s: label %d diverges from cellLabel", what, i)
 			}
@@ -82,6 +90,17 @@ func TestSearcherLabelMatchesCellLabel(t *testing.T) {
 		t.Fatalf("extended entry holds %d labels, want %d", n, cachedLabels)
 	}
 	walk("warm hit on the full entry", 100, true)
+
+	// The entry is its suite's alone: the other suite's searcher must
+	// not run from it (its labels would be the wrong PRF's).
+	other := getCellSearcher(suite^1, stag)
+	if other.ent != nil {
+		t.Fatal("a searcher of the other suite checked out this suite's entry")
+	}
+	if want := cellLabel(suite, keys.loc, 0); bytes.Equal(other.label(0), want[:]) {
+		t.Fatal("both suites derive the same label")
+	}
+	putCellSearcher(other)
 }
 
 // probeLog is a storage engine whose backends record every key they are
@@ -120,10 +139,12 @@ func (b probeLogBackend) Get(key []byte) ([]byte, bool) {
 // that returns it (there is no window to fill ahead), so the probes
 // counted at the storage seam are the evaluations; a warm search makes
 // the same probes from its cached run.
-func TestSearchDerivesWhatItProbes(t *testing.T) {
+func TestSearchDerivesWhatItProbes(t *testing.T) { eachSuite(t, testSearchDerivesWhatItProbes) }
+
+func testSearchDerivesWhatItProbes(t *testing.T, suite prf.Suite) {
 	var stag Stag
 	stag[2] = 5
-	keys := deriveStagKeys(prf.NewHasher(prf.Key{}), stag)
+	keys := deriveStagKeys(prf.NewHasherSuite(suite, prf.Key{}), stag)
 	const blockSize = 4
 	for _, cells := range []int{0, 1, 3, cachedLabels, 20} {
 		ids := make([]uint64, cells)
@@ -139,7 +160,7 @@ func TestSearchDerivesWhatItProbes(t *testing.T) {
 			{Packed{BlockSize: blockSize}, (cells+blockSize-1)/blockSize + 1},
 		} {
 			log := &probeLog{}
-			idx, err := tc.sch.Build([]Entry{EntryFromIDs(stag, ids)}, 8, mrand.New(mrand.NewSource(9)), log)
+			idx, err := tc.sch.Build([]Entry{EntryFromIDs(stag, ids)}, 8, mrand.New(mrand.NewSource(9)), log, suite)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.sch.Name(), err)
 			}
@@ -154,7 +175,7 @@ func TestSearchDerivesWhatItProbes(t *testing.T) {
 					t.Fatalf("%s/%d cells/%s: %d probes, want %d", tc.sch.Name(), cells, sight, len(log.keys), tc.probes)
 				}
 				for i, k := range log.keys {
-					if want := cellLabel(keys.loc, uint64(i)); !bytes.Equal(k, want[:]) {
+					if want := cellLabel(suite, keys.loc, uint64(i)); !bytes.Equal(k, want[:]) {
 						t.Fatalf("%s/%d cells/%s: probe %d is not label %d", tc.sch.Name(), cells, sight, i, i)
 					}
 				}
@@ -171,7 +192,7 @@ func TestSearcherArenaDisjoint(t *testing.T) {
 	var held [][]byte
 	var want []byte
 	for round := 0; round < 200; round++ {
-		s := getCellSearcher(stag)
+		s := getCellSearcher(prf.SuiteSHA512, stag)
 		p := s.alloc(24)
 		for i := range p {
 			p[i] = byte(round)
@@ -196,6 +217,10 @@ func TestSearchAllocsPerCell(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
 	}
+	eachSuite(t, testSearchAllocsPerCell)
+}
+
+func testSearchAllocsPerCell(t *testing.T, suite prf.Suite) {
 	const postings = 64
 	var stag Stag
 	stag[0] = 1
@@ -206,7 +231,7 @@ func TestSearchAllocsPerCell(t *testing.T) {
 	entries := []Entry{{Stag: stag, Payloads: payloads}}
 	rnd := mrand.New(mrand.NewSource(6))
 	for _, sch := range []Scheme{Basic{}, Packed{}, TSet{BucketCapacity: 128, Expansion: 1.5}, TwoLevel{}} {
-		idx, err := sch.Build(entries, 8, rnd, nil)
+		idx, err := sch.Build(entries, 8, rnd, nil, suite)
 		if err != nil {
 			t.Fatalf("%s: %v", sch.Name(), err)
 		}
@@ -244,4 +269,46 @@ func TestDeriveStagKeysMatchKDF(t *testing.T) {
 			t.Fatalf("stag %d: bucket key diverges from the KDF", i)
 		}
 	}
+}
+
+// TestSectionSuiteIsTheCallers: a v2 section does not record the PRF
+// suite its labels were derived under — the enclosing container does —
+// so the same section bytes opened under the build suite answer, and
+// under the other suite find nothing (every probe is at a label the
+// builder never wrote) without failing.
+func TestSectionSuiteIsTheCallers(t *testing.T) {
+	entries := benchEntries(200, 20)
+	eachSuite(t, func(t *testing.T, suite prf.Suite) {
+		for _, sch := range benchConstructions() {
+			idx, err := sch.Build(entries, 8, mrand.New(mrand.NewSource(7)), nil, suite)
+			if err != nil {
+				t.Fatalf("%s: %v", sch.Name(), err)
+			}
+			sec, err := MarshalSection(idx)
+			if err != nil {
+				t.Fatalf("%s: %v", sch.Name(), err)
+			}
+			for _, eng := range storage.Engines() {
+				same, err := OpenSection(sec, eng, suite)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
+				}
+				other, err := OpenSection(sec, eng, suite^1)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
+				}
+				for _, e := range entries {
+					got, err := same.Search(e.Stag)
+					if err != nil || len(got) != len(e.Payloads) {
+						t.Fatalf("%s/%s: build suite found %d of %d payloads, err %v",
+							sch.Name(), eng.Name(), len(got), len(e.Payloads), err)
+					}
+					if got, err := other.Search(e.Stag); err != nil || len(got) != 0 {
+						t.Fatalf("%s/%s: other suite found %d payloads, err %v", sch.Name(), eng.Name(), len(got), err)
+					}
+				}
+			}
+		}
+	})
+	ResetKernelCache()
 }

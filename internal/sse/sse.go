@@ -67,8 +67,11 @@ type Scheme interface {
 	// exact byte length of every payload. rnd drives the posting-list
 	// shuffles and padding; if nil a crypto-seeded source is used. eng
 	// selects the dictionary's physical layout; nil selects the default
-	// engine.
-	Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine) (Index, error)
+	// engine. suite is the PRF under everything derived from a stag —
+	// working keys, cell labels, bucket placement — and is what the
+	// built index searches with; the caller records it next to the
+	// serialized index, which does not carry it.
+	Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error)
 }
 
 // Index is a server-side encrypted multimap.
@@ -128,7 +131,8 @@ func ByName(name string) (Scheme, error) {
 // Unmarshal reconstructs an index serialized with MarshalBinary onto the
 // given storage engine (nil selects the default). The wire formats store
 // records in ascending label order, so rebuilding onto the read-optimized
-// sorted engine is linear.
+// sorted engine is linear. The v1 formats predate PRF suites: what they
+// hold is a suite-0 index.
 func Unmarshal(data []byte, eng storage.Engine) (Index, error) {
 	if len(data) == 0 {
 		return nil, ErrCorrupt
@@ -226,8 +230,8 @@ type stagKeys struct {
 }
 
 // deriveStagKeys keys h to the stag — one key schedule for all of the
-// stag's derivations — and derives the two working keys every
-// construction uses. h stays keyed to the stag, so TSet derives its
+// stag's derivations, under h's suite — and derives the two working keys
+// every construction uses. h stays keyed to the stag, so TSet derives its
 // salted bucket key ("sse/bkt", which only it reads) with one more pass.
 func deriveStagKeys(h *prf.Hasher, stag Stag) stagKeys {
 	h.SetKey(prf.Key(stag))
@@ -237,9 +241,18 @@ func deriveStagKeys(h *prf.Hasher, stag Stag) stagKeys {
 	return stagKeys{loc: h.Derive("sse/loc"), enc: enc}
 }
 
+// evalUint64 is the suite's PRF under key k on the 8-byte big-endian
+// encoding of v: prf.EvalUint64 for an index's own suite.
+func evalUint64(suite prf.Suite, k prf.Key, v uint64) [prf.KeySize]byte {
+	h := prf.GetHasherSuite(suite, k)
+	out := h.EvalUint64(v)
+	prf.PutHasher(h)
+	return out
+}
+
 // cellLabel computes the pseudorandom label of the i-th cell of a keyword.
-func cellLabel(loc prf.Key, i uint64) [LabelSize]byte {
-	full := prf.EvalUint64(loc, i)
+func cellLabel(suite prf.Suite, loc prf.Key, i uint64) [LabelSize]byte {
+	full := evalUint64(suite, loc, i)
 	var l [LabelSize]byte
 	copy(l[:], full[:LabelSize])
 	return l

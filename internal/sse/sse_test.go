@@ -50,7 +50,7 @@ func buildTestIndexOn(t testing.TB, s Scheme, db map[string][]uint64, eng storag
 	for _, kw := range kws {
 		entries = append(entries, EntryFromIDs(stagOf(t, kw), db[kw]))
 	}
-	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(1)), eng)
+	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(1)), eng, prf.SuiteSHA512)
 	if err != nil {
 		t.Fatalf("%s: Build: %v", s.Name(), err)
 	}
@@ -122,7 +122,7 @@ func TestRoundtripAllSchemes(t *testing.T) {
 
 func TestEmptyIndex(t *testing.T) {
 	for _, s := range testSchemes() {
-		idx, err := s.Build(nil, 8, mrand.New(mrand.NewSource(2)), nil)
+		idx, err := s.Build(nil, 8, mrand.New(mrand.NewSource(2)), nil, prf.SuiteSHA512)
 		if err != nil {
 			t.Fatalf("%s: empty build: %v", s.Name(), err)
 		}
@@ -180,10 +180,10 @@ func TestShuffleHidesInsertionOrder(t *testing.T) {
 func TestWidthValidation(t *testing.T) {
 	entries := []Entry{{Stag: stagOf(t, "w"), Payloads: [][]byte{{1, 2, 3}}}}
 	for _, s := range testSchemes() {
-		if _, err := s.Build(entries, 8, nil, nil); err == nil {
+		if _, err := s.Build(entries, 8, nil, nil, prf.SuiteSHA512); err == nil {
 			t.Errorf("%s: mismatched payload width accepted", s.Name())
 		}
-		if _, err := s.Build(nil, 0, nil, nil); err == nil {
+		if _, err := s.Build(nil, 0, nil, nil, prf.SuiteSHA512); err == nil {
 			t.Errorf("%s: zero width accepted", s.Name())
 		}
 	}
@@ -193,7 +193,7 @@ func TestDuplicateStagRejected(t *testing.T) {
 	s := stagOf(t, "dup")
 	entries := []Entry{EntryFromIDs(s, []uint64{1}), EntryFromIDs(s, []uint64{2})}
 	for _, sch := range testSchemes() {
-		if _, err := sch.Build(entries, 8, nil, nil); err == nil {
+		if _, err := sch.Build(entries, 8, nil, nil, prf.SuiteSHA512); err == nil {
 			t.Errorf("%s: duplicate stag accepted", sch.Name())
 		}
 	}
@@ -312,7 +312,7 @@ func TestOpaquePayloadWidths(t *testing.T) {
 			Payloads: [][]byte{payload(1, w), payload(2, w), payload(3, w)},
 		}}
 		for _, s := range testSchemes() {
-			idx, err := s.Build(entries, w, mrand.New(mrand.NewSource(3)), nil)
+			idx, err := s.Build(entries, w, mrand.New(mrand.NewSource(3)), nil, prf.SuiteSHA512)
 			if err != nil {
 				t.Fatalf("%s width %d: %v", s.Name(), w, err)
 			}

@@ -72,7 +72,7 @@ type tsetRecord struct {
 }
 
 // Build implements Scheme.
-func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine) (Index, error) {
+func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error) {
 	capacity, expansion, retries, err := s.params()
 	if err != nil {
 		return nil, err
@@ -82,7 +82,7 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
 	defer prf.PutHasher(h)
 	numBuckets := int((expansion*float64(total) + float64(capacity) - 1) / float64(capacity))
 	if numBuckets < 1 {
@@ -102,13 +102,13 @@ attempt:
 			keys := deriveStagKeys(h, e.Stag)
 			bkt := h.DeriveN("sse/bkt", salt)
 			for i, p := range shuffled(e.Payloads, rnd) {
-				b := bucketOf(bkt, uint64(i), numBuckets)
+				b := bucketOf(suite, bkt, uint64(i), numBuckets)
 				if len(buckets[b]) == capacity {
 					salt++
 					continue attempt
 				}
 				buckets[b] = append(buckets[b], tsetRecord{
-					label: cellLabel(keys.loc, uint64(i)),
+					label: cellLabel(suite, keys.loc, uint64(i)),
 					cell:  encryptCell(keys.enc, uint64(i), p),
 				})
 			}
@@ -133,6 +133,7 @@ attempt:
 	}
 
 	idx := &tsetIndex{
+		suite:      suite,
 		width:      width,
 		postings:   total,
 		salt:       salt,
@@ -172,8 +173,8 @@ func (x *tsetIndex) buildLookup(eng storage.Engine, buckets [][]tsetRecord) erro
 
 // bucketOf maps the i-th record of a keyword to a bucket via the
 // stag-derived (and salted) bucket key.
-func bucketOf(bkt prf.Key, i uint64, n int) int {
-	v := prf.EvalUint64(bkt, i)
+func bucketOf(suite prf.Suite, bkt prf.Key, i uint64, n int) int {
+	v := evalUint64(suite, bkt, i)
 	return int(binary.BigEndian.Uint64(v[:8]) % uint64(n))
 }
 
@@ -184,6 +185,7 @@ func fillRandom(dst []byte, rnd *mrand.Rand) {
 }
 
 type tsetIndex struct {
+	suite      prf.Suite
 	width      int
 	postings   int
 	salt       uint64
@@ -210,7 +212,7 @@ func (x *tsetIndex) Buckets() int { return x.numBuckets }
 func (x *tsetIndex) Capacity() int { return x.capacity }
 
 func (x *tsetIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(stag)
+	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
 	var out [][]byte
 	for i := uint64(0); ; i++ {

@@ -3,6 +3,8 @@ package sse
 import (
 	mrand "math/rand"
 	"testing"
+
+	"rsse/internal/prf"
 )
 
 func TestTSetPadding(t *testing.T) {
@@ -48,7 +50,7 @@ func TestTSetOverflowRetriesWithSalt(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	idx, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(9)), nil)
+	idx, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(9)), nil, prf.SuiteSHA512)
 	if err != nil {
 		t.Fatalf("build with tight buckets: %v", err)
 	}
@@ -81,17 +83,17 @@ func TestTSetExhaustedRetries(t *testing.T) {
 	// multi-record keyword; the build must give up with a clear error.
 	s := TSet{BucketCapacity: 1, Expansion: 1.01, MaxRetries: 3}
 	ids := make([]uint64, 50)
-	_, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(4)), nil)
+	_, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(4)), nil, prf.SuiteSHA512)
 	if err == nil {
 		t.Fatal("expected overflow error")
 	}
 }
 
 func TestTSetParamValidation(t *testing.T) {
-	if _, err := (TSet{BucketCapacity: -1}).Build(nil, 8, nil, nil); err == nil {
+	if _, err := (TSet{BucketCapacity: -1}).Build(nil, 8, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := (TSet{Expansion: 0.9}).Build(nil, 8, nil, nil); err == nil {
+	if _, err := (TSet{Expansion: 0.9}).Build(nil, 8, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Error("expansion below 1 accepted")
 	}
 }
@@ -122,10 +124,10 @@ func TestPackedBlockBoundaries(t *testing.T) {
 }
 
 func TestPackedInvalidBlockSize(t *testing.T) {
-	if _, err := (Packed{BlockSize: 300}).Build(nil, 8, nil, nil); err == nil {
+	if _, err := (Packed{BlockSize: 300}).Build(nil, 8, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Error("block size over 255 accepted")
 	}
-	if _, err := (Packed{BlockSize: -2}).Build(nil, 8, nil, nil); err == nil {
+	if _, err := (Packed{BlockSize: -2}).Build(nil, 8, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Error("negative block size accepted")
 	}
 }

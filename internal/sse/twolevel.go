@@ -71,7 +71,7 @@ func (s TwoLevel) params() (c, b int, err error) {
 
 // Build implements Scheme. Payload width must be 8 (the construction
 // packs 8-byte items); wider payloads belong in Basic/Packed/TSet.
-func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine) (Index, error) {
+func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error) {
 	capacity, blockSize, err := s.params()
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasher(prf.Key{}) // rekeyed per entry by deriveStagKeys
+	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
 	defer prf.PutHasher(h)
 
 	// First pass: count blocks so positions can be drawn as a random
@@ -110,6 +110,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 	takeSlot := func() uint64 { v := perm[next]; next++; return uint64(v) }
 
 	x := &twoLevelIndex{
+		suite:     suite,
 		inlineCap: capacity,
 		blockSize: blockSize,
 		blocks:    make([][]byte, totalBlocks),
@@ -167,7 +168,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 				fill(cell[5:], ptrSlots)
 			}
 		}
-		lab := cellLabel(keys.loc, 0)
+		lab := cellLabel(suite, keys.loc, 0)
 		if err := cb.Put(lab[:], encryptCell(keys.enc, 0, cell)); err != nil {
 			return nil, errLabelCollision(err)
 		}
@@ -184,6 +185,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 }
 
 type twoLevelIndex struct {
+	suite     prf.Suite
 	inlineCap int
 	blockSize int
 	postings  int
@@ -206,7 +208,7 @@ func (x *twoLevelIndex) Resident() int { return x.cells.Resident() + x.blocksRes
 func (x *twoLevelIndex) BlockCount() int { return len(x.blocks) }
 
 func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(stag)
+	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
 	cellCT, ok := x.cells.Get(s.label(0))
 	if !ok {

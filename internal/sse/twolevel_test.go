@@ -3,6 +3,8 @@ package sse
 import (
 	mrand "math/rand"
 	"testing"
+
+	"rsse/internal/prf"
 )
 
 func buildTwoLevel(t *testing.T, s TwoLevel, db map[string][]uint64) Index {
@@ -11,7 +13,7 @@ func buildTwoLevel(t *testing.T, s TwoLevel, db map[string][]uint64) Index {
 	for kw, ids := range db {
 		entries = append(entries, EntryFromIDs(stagOf(t, kw), ids))
 	}
-	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(5)), nil)
+	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(5)), nil, prf.SuiteSHA512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestTwoLevelAllTiers(t *testing.T) {
 
 func TestTwoLevelTooLong(t *testing.T) {
 	s := TwoLevel{InlineCap: 2, BlockSize: 2} // max 8 ids
-	_, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), seq(9))}, 8, nil, nil)
+	_, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), seq(9))}, 8, nil, nil, prf.SuiteSHA512)
 	if err == nil {
 		t.Fatal("oversized posting list accepted")
 	}
@@ -66,16 +68,16 @@ func TestTwoLevelTooLong(t *testing.T) {
 func TestTwoLevelWidthRestriction(t *testing.T) {
 	s := TwoLevel{}
 	entries := []Entry{{Stag: stagOf(t, "w"), Payloads: [][]byte{make([]byte, 24)}}}
-	if _, err := s.Build(entries, 24, nil, nil); err == nil {
+	if _, err := s.Build(entries, 24, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Fatal("non-8-byte width accepted")
 	}
 }
 
 func TestTwoLevelParamValidation(t *testing.T) {
-	if _, err := (TwoLevel{InlineCap: -1}).Build(nil, 8, nil, nil); err == nil {
+	if _, err := (TwoLevel{InlineCap: -1}).Build(nil, 8, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Error("negative inline cap accepted")
 	}
-	if _, err := (TwoLevel{BlockSize: 1}).Build(nil, 8, nil, nil); err == nil {
+	if _, err := (TwoLevel{BlockSize: 1}).Build(nil, 8, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Error("block size 1 accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
 
@@ -48,22 +49,23 @@ func MarshalSection(idx Index) ([]byte, error) {
 }
 
 // OpenSection reconstructs a v2 section onto eng (nil selects the
-// default engine). When eng can serve segments in place
-// (storage.Opener), the returned index aliases data, which must then
-// stay valid and unmodified for the index's lifetime.
-func OpenSection(data []byte, eng storage.Engine) (Index, error) {
+// default engine); suite is the PRF suite the index was built with,
+// which the enclosing container records. When eng can serve segments in
+// place (storage.Opener), the returned index aliases data, which must
+// then stay valid and unmodified for the index's lifetime.
+func OpenSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
 	if len(data) == 0 {
 		return nil, ErrCorrupt
 	}
 	switch data[0] {
 	case tagBasic:
-		return openBasicSection(data, eng)
+		return openBasicSection(data, eng, suite)
 	case tagPacked:
-		return openPackedSection(data, eng)
+		return openPackedSection(data, eng, suite)
 	case tagTSet:
-		return openTSetSection(data, eng)
+		return openTSetSection(data, eng, suite)
 	case tagTwoLevel:
-		return openTwoLevelSection(data, eng)
+		return openTwoLevelSection(data, eng, suite)
 	default:
 		return nil, fmt.Errorf("sse: unknown section tag %d: %w", data[0], ErrCorrupt)
 	}
@@ -162,7 +164,7 @@ func (x *basicIndex) appendSection(out []byte) ([]byte, error) {
 	return appendSeg(out, seg), nil
 }
 
-func openBasicSection(data []byte, eng storage.Engine) (Index, error) {
+func openBasicSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
 	r := sectionReader{data: data, off: 4}
 	wb, err := r.take(4)
 	if err != nil {
@@ -183,7 +185,7 @@ func openBasicSection(data []byte, eng storage.Engine) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := &basicIndex{width: width, postings: cells.Len(), cells: cells}
+	x := &basicIndex{suite: suite, width: width, postings: cells.Len(), cells: cells}
 	x.size = x.serializedSize()
 	return x, nil
 }
@@ -201,7 +203,7 @@ func (x *packedIndex) appendSection(out []byte) ([]byte, error) {
 	return appendSeg(out, seg), nil
 }
 
-func openPackedSection(data []byte, eng storage.Engine) (Index, error) {
+func openPackedSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
 	if len(data) < 8 {
 		return nil, ErrCorrupt
 	}
@@ -233,7 +235,7 @@ func openPackedSection(data []byte, eng storage.Engine) (Index, error) {
 	if postings > uint64(cells.Len())*uint64(blockSize) {
 		return nil, fmt.Errorf("%w: %d postings exceed %d blocks of %d", ErrCorrupt, postings, cells.Len(), blockSize)
 	}
-	x := &packedIndex{width: width, blockSize: blockSize, postings: int(postings), cells: cells}
+	x := &packedIndex{suite: suite, width: width, blockSize: blockSize, postings: int(postings), cells: cells}
 	x.size = x.serializedSize()
 	return x, nil
 }
@@ -255,7 +257,7 @@ func (x *tsetIndex) appendSection(out []byte) ([]byte, error) {
 	return appendSeg(out, seg), nil
 }
 
-func openTSetSection(data []byte, eng storage.Engine) (Index, error) {
+func openTSetSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
 	r := sectionReader{data: data, off: 4}
 	wb, err := r.take(4)
 	if err != nil {
@@ -306,6 +308,7 @@ func openTSetSection(data []byte, eng storage.Engine) (Index, error) {
 		return nil, fmt.Errorf("%w: %d postings exceed %d slots", ErrCorrupt, postings, slots)
 	}
 	x := &tsetIndex{
+		suite:      suite,
 		width:      width,
 		postings:   int(postings),
 		salt:       salt,
@@ -341,13 +344,14 @@ func (x *twoLevelIndex) appendSection(out []byte) ([]byte, error) {
 	return out, nil
 }
 
-func openTwoLevelSection(data []byte, eng storage.Engine) (Index, error) {
+func openTwoLevelSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
 	r := sectionReader{data: data, off: 4}
 	hb, err := r.take(12) // inlineCap(4) blockSize(4) pad(4)
 	if err != nil {
 		return nil, ErrCorrupt
 	}
 	x := &twoLevelIndex{
+		suite:     suite,
 		inlineCap: int(binary.BigEndian.Uint32(hb[0:4])),
 		blockSize: int(binary.BigEndian.Uint32(hb[4:8])),
 	}

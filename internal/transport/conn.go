@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"rsse/internal/core"
+	"rsse/internal/prf"
 )
 
 // Conn is the owner-side end of a connection to a multi-index server.
@@ -435,16 +436,32 @@ func fetchMeta(ctx context.Context, c *Conn, name string) (core.IndexMeta, error
 	return parseMeta(resp)
 }
 
+// A meta response is kind(1) domBits(1) posBits(1) n(8) suite(1). A
+// server that predates PRF suites sends the first 11 bytes only, and
+// serves nothing but suite-0 indexes.
+const (
+	metaLen       = 12
+	metaLenLegacy = 11
+)
+
 func parseMeta(resp []byte) (core.IndexMeta, error) {
-	if len(resp) != 11 {
+	if len(resp) != metaLen && len(resp) != metaLenLegacy {
 		return core.IndexMeta{}, fmt.Errorf("transport: bad meta response length %d", len(resp))
 	}
-	return core.IndexMeta{
+	meta := core.IndexMeta{
 		Kind:       core.Kind(resp[0]),
 		DomainBits: resp[1],
 		PosBits:    resp[2],
-		N:          int(binary.BigEndian.Uint64(resp[3:])),
-	}, nil
+		N:          int(binary.BigEndian.Uint64(resp[3:11])),
+	}
+	if len(resp) == metaLen {
+		if meta.Suite = prf.Suite(resp[11]); !meta.Suite.Valid() {
+			// Trapdoors derived under a suite this client does not
+			// implement would silently find nothing.
+			return core.IndexMeta{}, fmt.Errorf("%w: meta names unknown PRF suite %d", core.ErrCorruptIndex, resp[11])
+		}
+	}
+	return meta, nil
 }
 
 // Meta implements core.Server. A successful result is cached for the

@@ -155,23 +155,46 @@ func (fw *frameWriter) flushAll(w io.Writer) error {
 // ciphertexts alias them all the way up to the caller.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// readFrameInto reads one frame body into buf (grown if needed),
-// returning the filled slice.
+// frameGrowStep is the most body a frame header is trusted for before
+// any of it has arrived.
+const frameGrowStep = 1 << 20
+
+// readFrameInto reads one frame body into buf, returning the filled
+// slice. A buf with the capacity is used as is; otherwise the buffer is
+// sized by what arrives, not by what the header announces: frameGrowStep
+// first (buf itself, if it holds that much), then doubling as each
+// fills, up to the announced length. Four bytes from any peer therefore pin at most frameGrowStep,
+// and a frame that stops short has cost at most twice the bytes it did
+// send; a frame up to frameGrowStep is one allocation and one read, as
+// if the header had been believed.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
+	announced := binary.BigEndian.Uint32(hdr[:])
+	if announced > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
+	n := int(announced)
+	if first := min(n, frameGrowStep); cap(buf) < first {
+		buf = make([]byte, 0, first)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		got := len(buf)
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF // the stream ended inside the body, at a step boundary
+			}
+			return nil, err
+		}
 	}
 	return buf, nil
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	mrand "math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,10 @@ import (
 	"time"
 
 	"rsse/internal/core"
+	"rsse/internal/cover"
+	"rsse/internal/prf"
+	"rsse/internal/sse"
+	"rsse/internal/storage"
 )
 
 // panicStore is a real index whose Search, SearchBatch and FetchMany
@@ -46,17 +52,64 @@ func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, er
 	return p.Index.FetchMany(ctx, ids)
 }
 
+// tokenPanicSSE builds Basic dictionaries whose Search panics on the
+// left-th call from now: inside a real *core.Index that is some token
+// of a batch, searched on one of SearchBatchContext's own goroutines —
+// outside the dispatcher's recover. left <= 0 is disarmed.
+type tokenPanicSSE struct{ left *atomic.Int32 }
+
+func (p tokenPanicSSE) Name() string { return "basic" }
+
+func (p tokenPanicSSE) Build(entries []sse.Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (sse.Index, error) {
+	idx, err := sse.Basic{}.Build(entries, width, rnd, eng, suite)
+	return tokenPanicIndex{idx, p.left}, err
+}
+
+type tokenPanicIndex struct {
+	sse.Index
+	left *atomic.Int32
+}
+
+func (x tokenPanicIndex) Search(stag sse.Stag) ([][]byte, error) {
+	if x.left.Add(-1) == 0 {
+		panic("token search exploded")
+	}
+	return x.Index.Search(stag)
+}
+
 // TestHandlerPanicContained: a handler panic costs its own request an
 // error response and nothing else. On every op that reaches the index —
-// search, batch, a stream that already emitted chunks, fetch-many — the
-// caller gets the fixed server error (never a dead connection, never
-// the panic text), the next request on the same connection succeeds,
-// rsse_handler_panics_total and the Error log move once per panic, and
+// search, batch, a stream that already emitted chunks, fetch-many, and
+// a batch or stream whose third token panics on one of the index's own
+// search workers — the caller gets the fixed server error (never a dead
+// connection, never the panic text), the next request on the same
+// connection succeeds, rsse_handler_panics_total and the Error log move
+// once per panic (with the stack of the goroutine that panicked), and
 // Shutdown still drains: the in-flight accounting stayed balanced.
 func TestHandlerPanicContained(t *testing.T) {
 	client, index := batchTestIndex(t, 271)
 	store := &panicStore{Index: index}
-	srv := NewServer(singleRegistry(store))
+	reg := singleRegistry(store)
+	// A second, real index whose dictionary panics under a worker: with
+	// GOMAXPROCS >= 2 a batch of more than searchChunkTokens tokens is
+	// searched on SearchBatchContext's goroutines.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var left atomic.Int32
+	wclient, err := core.NewClient(core.LogarithmicBRC, cover.Domain{Bits: 10}, core.Options{
+		SSE: tokenPanicSSE{&left}, Rand: mrand.New(mrand.NewSource(272)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windex, err := wclient.BuildIndex([]core.Tuple{{ID: 1, Value: 5}, {ID: 2, Value: 700}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workerIndex = "worker"
+	if err := reg.Register(workerIndex, windex); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg)
 	var mu sync.Mutex
 	var logBuf bytes.Buffer
 	srv.SetLogger(slog.New(slog.NewTextHandler(lockedWriter{&mu, &logBuf}, nil)))
@@ -71,31 +124,40 @@ func TestHandlerPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	h := conn.Default()
+	h, wh := conn.Default(), conn.Index(workerIndex)
 
 	one := streamTrapdoors(t, client, 1)[0]
 	few := streamTrapdoors(t, client, 3)
 	many := streamTrapdoors(t, client, 3*streamChunkTokens)
+	wfew := streamTrapdoors(t, wclient, 8) // a dozen tokens: several worker runs
+	arm := func(batchesOK int32) func() {
+		return func() { store.batchesOK.Store(batchesOK); store.armed.Store(true) }
+	}
+	armThirdToken := func() { left.Store(3) }
 	ops := []struct {
-		op        string // its label in the log record
-		batchesOK int32
-		call      func() error
+		op    string // its label in the log record
+		index string
+		arm   func()
+		stack string // a frame only this panic's stack has
+		call  func() error
 	}{
-		{"search", 0, func() error { _, err := h.Search(one); return err }},
-		{"batch", 0, func() error { _, err := h.SearchBatch(few); return err }},
-		{"batch_stream", 0, func() error { _, err := h.SearchBatchStream(few); return err }},
-		{"batch_stream", 2, func() error { _, err := h.SearchBatchStream(many); return err }},
-		{"fetch_many", 0, func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
+		{"search", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.Search(one); return err }},
+		{"batch", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.SearchBatch(few); return err }},
+		{"batch_stream", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.SearchBatchStream(few); return err }},
+		{"batch_stream", DefaultIndex, arm(2), "panicStore", func() error { _, err := h.SearchBatchStream(many); return err }},
+		{"fetch_many", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
+		{"batch", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatch(wfew); return err }},
+		{"batch_stream", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatchStream(wfew); return err }},
 	}
 	for _, tc := range ops {
 		panicsBefore := tm.panics.Value()
 		mu.Lock()
 		logBuf.Reset()
 		mu.Unlock()
-		store.batchesOK.Store(tc.batchesOK)
-		store.armed.Store(true)
+		tc.arm()
 		err := tc.call()
 		store.armed.Store(false)
+		left.Store(0)
 		if err == nil || !strings.Contains(err.Error(), errHandlerPanic.Error()) {
 			t.Fatalf("%s: err = %v, want the server's %q", tc.op, err, errHandlerPanic)
 		}
@@ -108,7 +170,7 @@ func TestHandlerPanicContained(t *testing.T) {
 		mu.Lock()
 		rec := logBuf.String()
 		mu.Unlock()
-		for _, want := range []string{"level=ERROR", "handler panic", "op=" + tc.op, "index=" + DefaultIndex, "req=", "stack=", "panic_test.go"} {
+		for _, want := range []string{"level=ERROR", "handler panic", "op=" + tc.op, "index=" + tc.index, "req=", "stack=", "panic_test.go", tc.stack} {
 			if !strings.Contains(rec, want) {
 				t.Errorf("%s: log record lacks %q:\n%s", tc.op, want, rec)
 			}

@@ -418,7 +418,9 @@ func (d *dispatcher) handle(req request) (payload []byte, err error) {
 // accounting closes, and the connection and process keep serving. The
 // panic value and stack go to the log (the process default logger when
 // the connection has none — a contained panic must not be silent) and
-// rsse_handler_panics_total counts it.
+// rsse_handler_panics_total counts it. A panic that happened on one of
+// the index's batch workers arrives as a *core.PanicError (see
+// searchBatch) and is logged with the worker's value and stack.
 func (d *dispatcher) recoverHandler(req request, err *error) {
 	r := recover()
 	if r == nil {
@@ -430,12 +432,16 @@ func (d *dispatcher) recoverHandler(req request, err *error) {
 	if log == nil {
 		log = slog.Default()
 	}
+	stack := debug.Stack()
+	if pe, ok := r.(*core.PanicError); ok {
+		r, stack = pe.Value, pe.Stack
+	}
 	log.Error("handler panic",
 		slog.Uint64("req", uint64(req.id)),
 		slog.String("op", opLabel[opIndex(req.op)]),
 		slog.String("index", req.name),
 		slog.Any("panic", r),
-		slog.String("stack", string(debug.Stack())))
+		slog.String("stack", string(stack)))
 }
 
 // logSlowQuery emits the slow-query Warn record when a request's

@@ -45,21 +45,9 @@ func handleBatchStream(reg *Registry, req request, emit func(status byte, payloa
 		ob.tokens.Add(uint64(t.Tokens()))
 		ob.tokenBytes.Add(uint64(t.Bytes()))
 	}
-	bs, batched := idx.(core.BatchSearcher)
 	for start := 0; ; start += streamChunkTokens {
 		end := min(start+streamChunkTokens, len(ts))
-		chunk := ts[start:end]
-		var resps []*core.Response
-		if batched {
-			resps, err = bs.SearchBatch(chunk)
-		} else {
-			resps = make([]*core.Response, len(chunk))
-			for i, t := range chunk {
-				if resps[i], err = idx.Search(t); err != nil {
-					break
-				}
-			}
-		}
+		resps, err := searchBatch(idx, ts[start:end])
 		if err != nil {
 			fail(err)
 			return

@@ -143,22 +143,9 @@ func writeFrame(w io.Writer, parts ...[]byte) error {
 	return nil
 }
 
-// readFrame reads one frame body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
+// readFrame reads one frame body into a buffer of its own (see
+// readFrameInto for how far the announced length is trusted).
+func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
 
 // request is one parsed request frame.
 type request struct {
@@ -225,9 +212,10 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]byte, 0, 11)
+		out := make([]byte, 0, metaLen)
 		out = append(out, byte(meta.Kind), meta.DomainBits, meta.PosBits)
-		return binary.BigEndian.AppendUint64(out, uint64(meta.N)), nil
+		out = binary.BigEndian.AppendUint64(out, uint64(meta.N))
+		return append(out, byte(meta.Suite)), nil
 	case opSearch:
 		t, err := core.UnmarshalTrapdoor(req.payload)
 		if err != nil {
@@ -253,19 +241,7 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 			ob.tokens.Add(uint64(t.Tokens()))
 			ob.tokenBytes.Add(uint64(t.Bytes()))
 		}
-		var resps []*core.Response
-		if bs, ok := idx.(core.BatchSearcher); ok {
-			// A served *core.Index searches the batch's tokens
-			// concurrently.
-			resps, err = bs.SearchBatch(ts)
-		} else {
-			resps = make([]*core.Response, len(ts))
-			for i, t := range ts {
-				if resps[i], err = idx.Search(t); err != nil {
-					break
-				}
-			}
-		}
+		resps, err := searchBatch(idx, ts)
 		if err != nil {
 			return nil, err
 		}
@@ -296,6 +272,34 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("transport: unknown request type %d", req.op)
 	}
+}
+
+// searchBatch runs one batch of trapdoors against idx: in one call when
+// the index searches batches itself (a served *core.Index does, its
+// tokens concurrently), else one Search per trapdoor. A panic on one of
+// the index's own worker goroutines comes back as a *core.PanicError;
+// it is raised again here, on the handler's goroutine, so that it is
+// contained, counted and logged exactly like a panic in Search (see
+// recoverHandler).
+func searchBatch(idx core.Server, ts []*core.Trapdoor) ([]*core.Response, error) {
+	if bs, ok := idx.(core.BatchSearcher); ok {
+		resps, err := bs.SearchBatch(ts)
+		if err != nil { // keep errors.As's escaping target off the success path
+			var pe *core.PanicError
+			if errors.As(err, &pe) {
+				panic(pe)
+			}
+		}
+		return resps, err
+	}
+	resps := make([]*core.Response, len(ts))
+	for i, t := range ts {
+		var err error
+		if resps[i], err = idx.Search(t); err != nil {
+			return nil, err
+		}
+	}
+	return resps, nil
 }
 
 // parseNames decodes an opNames response.

@@ -3,9 +3,12 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	mrand "math/rand"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +19,7 @@ import (
 	"rsse/internal/cover"
 	"rsse/internal/dprf"
 	"rsse/internal/lsm"
+	"rsse/internal/prf"
 	"rsse/internal/sse"
 )
 
@@ -571,6 +575,54 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
+// TestFrameHeaderBuysNoAllocation: a frame header is four bytes from an
+// untrusted peer. Announcing MaxFrame and sending nothing (or a little)
+// must cost about what was sent, on the server's pooled read and the
+// client's; a whole frame larger than the first growth step still
+// arrives intact.
+func TestFrameHeaderBuysNoAllocation(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	for name, read := range map[string]func(io.Reader) ([]byte, error){
+		"readFrame":     readFrame,
+		"readFrameInto": func(r io.Reader) ([]byte, error) { return readFrameInto(r, make([]byte, 0, 64)) },
+	} {
+		for _, sent := range []int{0, 100, 3 << 20} {
+			stream := append(append([]byte(nil), hdr...), make([]byte, sent)...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := read(bytes.NewReader(stream))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, io.ErrUnexpectedEOF) && !(sent == 0 && errors.Is(err, io.EOF)) {
+				t.Errorf("%s: %d of %d body bytes: err %v, want an unexpected EOF", name, sent, MaxFrame, err)
+			}
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*sent+2<<20); got >= limit {
+				t.Errorf("%s: %d body bytes behind a %d-byte header allocated %d bytes, want < %d", name, sent, MaxFrame, got, limit)
+			}
+		}
+	}
+	// A real frame of several growth steps: every byte in place.
+	body := make([]byte, 5<<20+123)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, body); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(&buf)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("multi-step frame: err %v, %d bytes, equal %v", err, len(got), bytes.Equal(got, body))
+	}
+	// A pooled buffer that already has the capacity is used as is.
+	pooled := make([]byte, 0, 4096)
+	if err := writeFrame(&buf, body[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = readFrameInto(&buf, pooled); err != nil || &got[0] != &pooled[:1][0] || !bytes.Equal(got, body[:1000]) {
+		t.Fatalf("frame within the buffer's capacity was not read into it (err %v)", err)
+	}
+}
+
 func TestTrapdoorWireRoundtrip(t *testing.T) {
 	c, _, _ := testClientIndex(t, core.ConstantURC)
 	td, err := c.Trapdoor(core.Range{Lo: 13, Hi: 200})
@@ -646,6 +698,44 @@ func TestResponseWireRoundtrip(t *testing.T) {
 	for _, bad := range [][]byte{{1}, blob[:len(blob)-2], append(blob, 9)} {
 		if _, err := core.UnmarshalResponse(bad); err == nil {
 			t.Error("garbage response accepted")
+		}
+	}
+}
+
+// TestMetaWireSuite: the meta op's response grew a trailing suite byte.
+// A current server sends it; a current client reads it, still accepts
+// the 11-byte response of a server that predates suites (suite 0: such
+// a server serves nothing else), and refuses a suite it does not
+// implement — its trapdoors would silently find nothing.
+func TestMetaWireSuite(t *testing.T) {
+	for kind, want := range map[core.Kind]prf.Suite{
+		core.ConstantBRC:    prf.SuiteSHA256,
+		core.LogarithmicBRC: prf.SuiteSHA512,
+	} {
+		_, idx, _ := testClientIndex(t, kind)
+		resp, err := handleRequest(singleRegistry(idx), request{op: opMeta, name: DefaultIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp) != metaLen || resp[metaLen-1] != byte(want) {
+			t.Fatalf("%v: meta response % x, want %d bytes ending in suite %d", kind, resp, metaLen, want)
+		}
+		meta, err := parseMeta(resp)
+		if err != nil || meta.Kind != kind || meta.Suite != want {
+			t.Fatalf("%v: parsed %+v, %v", kind, meta, err)
+		}
+		legacy, err := parseMeta(resp[:metaLenLegacy])
+		if err != nil || legacy.Suite != prf.SuiteSHA512 || legacy.N != meta.N || legacy.Kind != kind {
+			t.Fatalf("%v: 11-byte meta parsed as %+v, %v; want the same index at suite 0", kind, legacy, err)
+		}
+		resp[metaLen-1] = 7
+		if _, err := parseMeta(resp); !errors.Is(err, core.ErrCorruptIndex) {
+			t.Errorf("%v: suite 7 in meta: err %v, want ErrCorruptIndex", kind, err)
+		}
+		for _, n := range []int{0, metaLenLegacy - 1, metaLen + 1} {
+			if _, err := parseMeta(make([]byte, n)); err == nil {
+				t.Errorf("%d-byte meta response accepted", n)
+			}
 		}
 	}
 }

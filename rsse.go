@@ -7,6 +7,7 @@ import (
 
 	"rsse/internal/core"
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 	"rsse/internal/storage"
 )
 
@@ -94,9 +95,23 @@ var (
 // Obtained from Index.Stats and Registry.Stats.
 type IndexStats = core.IndexStats
 
-// IndexMeta is an index's public metadata (scheme, domain, tuple count)
-// — exactly the L1 leakage plus protocol bookkeeping.
+// IndexMeta is an index's public metadata (scheme, domain, tuple count,
+// PRF suite) — exactly the L1 leakage plus protocol bookkeeping.
 type IndexMeta = core.IndexMeta
+
+// PRFSuite names the hash under an index's PRFs (IndexMeta.Suite). It
+// is recorded in the index by whoever built it and read back by whoever
+// serves or queries it; there is nothing to configure.
+type PRFSuite = prf.Suite
+
+const (
+	// SuiteSHA512 is HMAC-SHA-512 truncated to 32 bytes — the paper's
+	// choice, and what every index built before suites existed is.
+	SuiteSHA512 = prf.SuiteSHA512
+	// SuiteSHA256 is HMAC-SHA-256, what BuildIndex gives the Constant
+	// schemes.
+	SuiteSHA256 = prf.SuiteSHA256
+)
 
 // UnmarshalIndex reconstructs an Index serialized with
 // Index.MarshalBinary — how a server restores persisted state. The blob
@@ -143,7 +158,7 @@ func PeekIndexFile(path string) (IndexMeta, error) {
 		return IndexMeta{}, err
 	}
 	defer f.Close()
-	hdr := make([]byte, 12)
+	hdr := make([]byte, 16) // the v2 header; no valid v1 blob is shorter
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return IndexMeta{}, fmt.Errorf("%s: %w", path, core.ErrCorruptIndex)
 	}
