@@ -209,7 +209,7 @@ type IndexMeta struct {
 	N          int
 	// Suite is the PRF suite the index was built with. An owner of a
 	// Constant scheme derives its GGM tokens under it, so one client
-	// answers from indexes of either suite.
+	// answers from indexes of every suite.
 	Suite prf.Suite
 }
 

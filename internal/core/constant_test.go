@@ -7,6 +7,7 @@ import (
 
 	"rsse/internal/cover"
 	"rsse/internal/dprf"
+	"rsse/internal/prf"
 	"rsse/internal/race"
 	"rsse/internal/sse"
 )
@@ -90,7 +91,11 @@ func TestTokenLevelBounded(t *testing.T) {
 // runs one query stream three times — the cache reset before every
 // query, then cold-to-warm, then fully warm (by the third pass every
 // stag has been seen twice and is served from the cache) — and all
-// three must return the same raw ids (false positives included).
+// three must return the same raw ids (false positives included). A kind
+// whose default suite bypasses the cache (suite 2) runs the stream on
+// its default index too, where the three passes must agree and the
+// cache's counters must not move at all, and the differential proper on
+// a suite-1 index of the same data.
 func TestKernelCacheDifferential(t *testing.T) {
 	const bits = 6 // Quadratic's keyword space is O(m^2)
 	tuples := uniformTuples(120, bits, 61)
@@ -109,38 +114,49 @@ func TestKernelCacheDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := c.BuildIndex(tuples)
-			if err != nil {
-				t.Fatal(err)
+			suites := []prf.Suite{c.suite}
+			if c.suite == prf.SuiteBlock {
+				suites = append(suites, prf.SuiteSHA256)
 			}
-			pass := func(resetEach bool) [][]ID {
-				out := make([][]ID, len(ranges))
-				for i, q := range ranges {
-					if resetEach {
-						sse.ResetKernelCache()
-					}
-					res, err := c.Query(idx, q)
-					if err != nil {
-						t.Fatalf("query %v: %v", q, err)
-					}
-					if !idsEqual(sortedIDs(res.Matches), exactIDs(tuples, q)) {
-						t.Fatalf("query %v: wrong matches", q)
-					}
-					out[i] = sortedIDs(res.Raw) // token order is permuted per query
+			for _, suite := range suites {
+				idx, err := withBuildSuite(c, suite).BuildIndex(tuples)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return out
-			}
-			cold := pass(true)
-			sse.ResetKernelCache()
-			warming := pass(false)
-			pass(false)
-			warm := pass(false)
-			if hits, _ := sse.KernelCacheStats(); hits == 0 {
-				t.Fatal("warm passes never hit the cache: the differential compares nothing")
-			}
-			for i := range ranges {
-				if !idsEqual(cold[i], warming[i]) || !idsEqual(cold[i], warm[i]) {
-					t.Fatalf("query %v: raw ids differ between cold, warming and warm cache", ranges[i])
+				pass := func(resetEach bool) [][]ID {
+					out := make([][]ID, len(ranges))
+					for i, q := range ranges {
+						if resetEach {
+							sse.ResetKernelCache()
+						}
+						res, err := c.Query(idx, q)
+						if err != nil {
+							t.Fatalf("query %v: %v", q, err)
+						}
+						if !idsEqual(sortedIDs(res.Matches), exactIDs(tuples, q)) {
+							t.Fatalf("query %v: wrong matches", q)
+						}
+						out[i] = sortedIDs(res.Raw) // token order is permuted per query
+					}
+					return out
+				}
+				cold := pass(true)
+				sse.ResetKernelCache()
+				warming := pass(false)
+				pass(false)
+				warm := pass(false)
+				hits, misses := sse.KernelCacheStats()
+				if suite == prf.SuiteBlock {
+					if adm := sse.KernelCacheAdmissions(); hits != 0 || misses != 0 || adm != 0 {
+						t.Fatalf("%v searches moved the cache counters: %d hits, %d misses, %d admissions", suite, hits, misses, adm)
+					}
+				} else if hits == 0 {
+					t.Fatalf("%v: warm passes never hit the cache: the differential compares nothing", suite)
+				}
+				for i := range ranges {
+					if !idsEqual(cold[i], warming[i]) || !idsEqual(cold[i], warm[i]) {
+						t.Fatalf("%v: query %v: raw ids differ between cold, warming and warm cache", suite, ranges[i])
+					}
 				}
 			}
 		})
@@ -159,37 +175,42 @@ func TestColdStagAllocs(t *testing.T) {
 		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
 	}
 	const bits, width = 20, 1024
-	opts := testOptions(71)
-	opts.SSE = sse.TSet{BucketCapacity: 512, Expansion: 1.4}
-	c, err := NewClient(ConstantBRC, cover.Domain{Bits: bits}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := c.BuildIndex(uniformTuples(10000, bits, 72))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sse.ResetKernelCache()
+	tuples := uniformTuples(10000, bits, 72)
 	defer sse.ResetKernelCache()
-	next := uint64(0)
-	perQuery := testing.AllocsPerRun(20, func() {
-		// Disjoint, unaligned ranges: never the same leaf twice.
-		lo := next*2*width + 17
-		next++
-		if _, err := c.Query(idx, Range{Lo: lo, Hi: lo + width - 1}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if hits, _ := sse.KernelCacheStats(); hits != 0 {
-		t.Fatalf("%d cache hits on never-repeating leaves", hits)
-	}
-	if ad := sse.KernelCacheAdmissions(); ad != 0 {
-		t.Fatalf("%d admissions for stags seen once", ad)
-	}
-	if perLeaf := perQuery / width; perLeaf >= 0.3 {
-		t.Errorf("cold Constant-BRC query allocates %.0f objects over %d leaves = %.2f per leaf, want < 0.3",
-			perQuery, width, perLeaf)
-	} else {
-		t.Logf("%.0f objects per %d-leaf query = %.3f per leaf", perQuery, width, perLeaf)
+	for _, suite := range allSuites {
+		t.Run(suite.String(), func(t *testing.T) {
+			opts := testOptions(71)
+			opts.SSE = sse.TSet{BucketCapacity: 512, Expansion: 1.4}
+			c, err := NewClient(ConstantBRC, cover.Domain{Bits: bits}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := withBuildSuite(c, suite).BuildIndex(tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sse.ResetKernelCache()
+			next := uint64(0)
+			perQuery := testing.AllocsPerRun(20, func() {
+				// Disjoint, unaligned ranges: never the same leaf twice.
+				lo := next*2*width + 17
+				next++
+				if _, err := c.Query(idx, Range{Lo: lo, Hi: lo + width - 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if hits, _ := sse.KernelCacheStats(); hits != 0 {
+				t.Fatalf("%d cache hits on never-repeating leaves", hits)
+			}
+			if ad := sse.KernelCacheAdmissions(); ad != 0 {
+				t.Fatalf("%d admissions for stags seen once", ad)
+			}
+			if perLeaf := perQuery / width; perLeaf >= 0.3 {
+				t.Errorf("cold Constant-BRC query allocates %.0f objects over %d leaves = %.2f per leaf, want < 0.3",
+					perQuery, width, perLeaf)
+			} else {
+				t.Logf("%.0f objects per %d-leaf query = %.3f per leaf", perQuery, width, perLeaf)
+			}
+		})
 	}
 }

@@ -72,8 +72,8 @@ func FuzzOpenIndex(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{2})
 	// The suite byte: a value no build implements, and the other
-	// implemented one (loads, and finds nothing under the wrong PRF).
-	for _, suite := range []byte{7, 1} {
+	// implemented ones (load, and find nothing under the wrong PRF).
+	for _, suite := range []byte{7, 1, 2} {
 		other := append([]byte(nil), v2...)
 		other[12] = suite
 		f.Add(other)

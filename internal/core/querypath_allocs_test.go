@@ -10,7 +10,9 @@ import (
 // standard query-path workloads (the BenchmarkQueryPath setups, also
 // what rsse-bench -json reports into BENCH_*.json). The bounds are
 // roughly 2x the measured numbers — LogBRC ~40, Constant ~230 (655
-// never-seen leaves per query, one in seven non-empty), batch ~2600
+// leaves per query, one in seven non-empty; the 64 ranges repeat, so
+// the leaves are never-seen only on the first pass over them — or
+// always, under suite 2, which keeps no per-stag state), batch ~2600
 // allocs/op at the time the guards were set — so normal jitter
 // (GC-evicted sync.Pool entries mid-run) passes, but losing the pooled
 // PRF hashers, GGM expanders or token arenas, or paying per cold leaf

@@ -14,7 +14,8 @@ import (
 	"rsse/internal/storage"
 )
 
-var bothSuites = []prf.Suite{prf.SuiteSHA512, prf.SuiteSHA256}
+// allSuites is every PRF suite this build implements.
+var allSuites = prf.Suites()
 
 // withBuildSuite is the test-only hook that builds a kind's index under
 // a suite other than its defaultSuite row.
@@ -66,7 +67,7 @@ func suiteConstructions() []sse.Scheme {
 	}
 }
 
-// TestSuiteConformance: every scheme, built under either PRF suite on
+// TestSuiteConformance: every scheme, built under each PRF suite on
 // every SSE construction, serialized and loaded onto every storage
 // engine, answers randomized ranges exactly as the plaintext oracle
 // does — queried locally and through the wire codecs, by an owner that
@@ -86,7 +87,7 @@ func TestSuiteConformance(t *testing.T) {
 			if kind == LogarithmicSRCi && sch.Name() == "2lev" {
 				continue // 2lev packs 8-byte payloads; SRC-i's aux index stores pairs
 			}
-			for _, suite := range bothSuites {
+			for _, suite := range allSuites {
 				t.Run(fmt.Sprintf("%v/%s/%v", kind, sch.Name(), suite), func(t *testing.T) {
 					opts := testOptions(203)
 					opts.SSE = sch
@@ -157,14 +158,18 @@ func TestSuiteConformance(t *testing.T) {
 	}
 }
 
-// TestSuiteDefaults pins the one table: BuildIndex gives the Constant
-// kinds suite 1 and every other kind suite 0, and says so in Meta and
-// in the header.
+// TestSuiteDefaults pins the one table — the Constant kinds build suite
+// 2, every other kind suite 0 — and that BuildIndex says what the table
+// says in Meta and in the header. Every other test that needs a kind's
+// default reads defaultSuite or a built index's Meta.
 func TestSuiteDefaults(t *testing.T) {
 	for _, kind := range Kinds() {
 		want := prf.SuiteSHA512
 		if kind == ConstantBRC || kind == ConstantURC {
-			want = prf.SuiteSHA256
+			want = prf.SuiteBlock
+		}
+		if got := defaultSuite(kind); got != want {
+			t.Errorf("%v: defaultSuite = %v, want %v", kind, got, want)
 		}
 		c, err := NewClient(kind, cover.Domain{Bits: 5}, testOptions(210))
 		if err != nil {
@@ -190,10 +195,10 @@ func TestSuiteDefaults(t *testing.T) {
 }
 
 // TestCrossSuiteOwners: which suite an owner builds with says nothing
-// about which indexes it can query. An owner on today's defaults (suite
-// 1) answers from a suite-0 Constant index, an owner pinned to suite 0
-// answers from a suite-1 one, with and without the trapdoor memo — whose
-// entries must not cross suites — and through the batch path.
+// about which indexes it can query. An owner building any suite answers
+// from a Constant index of any suite, with and without the trapdoor
+// memo — whose entries must not cross suites — and through the batch
+// path.
 func TestCrossSuiteOwners(t *testing.T) {
 	const bits = 10
 	tuples := uniformTuples(300, bits, 220)
@@ -208,22 +213,22 @@ func TestCrossSuiteOwners(t *testing.T) {
 			}
 			return c
 		}
-		var idx [2]*Index
-		for _, s := range bothSuites {
+		var idx [prf.NumSuites]*Index
+		for _, s := range allSuites {
 			var err error
 			if idx[s], err = withBuildSuite(newClient(0), s).BuildIndex(tuples); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ranges := []Range{{0, 1<<bits - 1}, {17, 400}, {512, 600}, {3, 3}}
-		for _, ownerSuite := range bothSuites {
+		for _, ownerSuite := range allSuites {
 			for _, memo := range []int{0, 16} {
 				c := withBuildSuite(newClient(memo), ownerSuite)
 				// Alternate the two indexes under one client: a memo that
 				// ignored the suite would replay the other tree's tokens.
 				for pass := 0; pass < 2; pass++ {
 					for _, q := range ranges {
-						for _, s := range bothSuites {
+						for _, s := range allSuites {
 							res, err := c.Query(idx[s], q)
 							if err != nil {
 								t.Fatal(err)
@@ -236,11 +241,11 @@ func TestCrossSuiteOwners(t *testing.T) {
 					}
 				}
 				if memo > 0 {
-					if n := c.tdMemo.len(); n != 2*len(ranges) {
-						t.Errorf("%v: memo holds %d trapdoors for %d ranges on two suites, want %d", kind, n, len(ranges), 2*len(ranges))
+					if n, want := c.tdMemo.len(), len(allSuites)*len(ranges); n != want {
+						t.Errorf("%v: memo holds %d trapdoors for %d ranges on %d suites, want %d", kind, n, len(ranges), len(allSuites), want)
 					}
 				}
-				for _, s := range bothSuites {
+				for _, s := range allSuites {
 					br, err := c.QueryBatch(idx[s], []Range{{0, 99}, {100, 300}, {900, 1023}})
 					if err != nil {
 						t.Fatal(err)
@@ -256,11 +261,11 @@ func TestCrossSuiteOwners(t *testing.T) {
 	}
 }
 
-// TestV1CannotCarrySuite: a suite-1 index has no v1 form — a v1 reader
+// TestV1CannotCarrySuite: an index of a suite other than 0 has no v1 form — a v1 reader
 // would open it as suite 0 and silently find nothing — and says so with
 // a typed error; the same index at suite 0 still writes v1.
 func TestV1CannotCarrySuite(t *testing.T) {
-	for _, s := range bothSuites {
+	for _, s := range allSuites {
 		c, err := NewClient(ConstantBRC, cover.Domain{Bits: 6}, testOptions(230))
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +299,10 @@ func TestUnknownSuiteIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []byte{2, 7, 255} {
+	if prf.Suite(prf.NumSuites).Valid() {
+		t.Fatal("prf.NumSuites names an implemented suite")
+	}
+	for _, bad := range []byte{prf.NumSuites, prf.NumSuites + 5, 255} {
 		blob[12] = bad
 		if _, err := PeekMeta(blob); !errors.Is(err, ErrCorruptIndex) {
 			t.Errorf("PeekMeta with suite byte %d: err %v, want ErrCorruptIndex", bad, err)
@@ -307,37 +315,41 @@ func TestUnknownSuiteIsCorrupt(t *testing.T) {
 	}
 }
 
-// Suite-1 golden files: v2 blobs of the two kinds whose default suite is
-// 1, written by this format's first release and frozen beside the v1
-// goldens (which are suite 0 by definition). Regenerate, like them, with
-// -update — which should never be needed.
-func goldenSuite1Path(kind Kind) string {
-	return filepath.Join("testdata", "golden", kind.String()+".suite1.idx")
+// Suite golden files: v2 blobs of the two kinds whose default suite has
+// not been 0 since suites existed, one per suite other than 0, each
+// written by the release that introduced the suite and frozen beside
+// the v1 goldens (which are suite 0 by definition). -update rewrites
+// only the file of the kind's default suite (tuple ciphertexts are
+// randomized, so a rewrite changes bytes) and should never be needed;
+// older generations are never rewritten.
+func goldenSuitePath(kind Kind, s prf.Suite) string {
+	if s == prf.SuiteSHA512 {
+		return goldenPath(kind)
+	}
+	return filepath.Join("testdata", "golden", fmt.Sprintf("%v.suite%d.idx", kind, s))
 }
 
-// TestGoldenSuites: both generations of Constant golden blobs load onto
-// every engine unmodified, report the suite they were built with, and
-// answer the golden queries to an owner on today's defaults; the suite-1
+// TestGoldenSuites: every generation of Constant golden blobs loads onto
+// every engine unmodified, reports the suite it was built with, and
+// answers the golden queries to an owner on today's defaults; the v2
 // blobs re-marshal byte for byte.
 func TestGoldenSuites(t *testing.T) {
 	for _, kind := range []Kind{ConstantBRC, ConstantURC} {
-		if *updateGolden {
-			idx, err := goldenClient(t, kind).BuildIndex(goldenTuples())
-			if err != nil {
-				t.Fatal(err)
+		for _, suite := range allSuites {
+			path := goldenSuitePath(kind, suite)
+			if *updateGolden && suite == defaultSuite(kind) {
+				idx, err := goldenClient(t, kind).BuildIndex(goldenTuples())
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := idx.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			blob, err := idx.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(goldenSuite1Path(kind), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for path, suite := range map[string]prf.Suite{
-			goldenPath(kind):       prf.SuiteSHA512,
-			goldenSuite1Path(kind): prf.SuiteSHA256,
-		} {
 			blob, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("missing golden file (regenerate with -update): %v", err)
@@ -351,7 +363,7 @@ func TestGoldenSuites(t *testing.T) {
 					t.Fatalf("%s onto %s: meta %+v, want %v suite %v", path, eng.Name(), meta, kind, suite)
 				}
 				queryAll(t, kind, x, path+"/"+eng.Name())
-				if suite == prf.SuiteSHA256 {
+				if suite != prf.SuiteSHA512 {
 					again, err := x.MarshalBinary()
 					if err != nil {
 						t.Fatal(err)

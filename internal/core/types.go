@@ -127,14 +127,14 @@ func KindByName(name string) (Kind, error) {
 
 // defaultSuite is the one table of which PRF suite BuildIndex gives a
 // scheme's indexes. The Constant schemes' server term is O(R) GGM and
-// label PRFs per query, so they take the narrower hash; the five other
-// kinds stay on the paper's. The choice is recorded in each index (see
+// label PRFs per query under keys used once, so they take the PRF with
+// no key schedule; the five other kinds stay on the paper's. The choice is recorded in each index (see
 // wire.go) and read back from there: changing a row only affects
 // indexes built afterwards.
 func defaultSuite(k Kind) prf.Suite {
 	switch k {
 	case ConstantBRC, ConstantURC:
-		return prf.SuiteSHA256
+		return prf.SuiteBlock
 	default:
 		return prf.SuiteSHA512
 	}

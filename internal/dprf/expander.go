@@ -13,7 +13,8 @@ import (
 )
 
 // The fixed HMAC messages of the GGM PRG: suite 0 splits one 64-byte
-// output, suite 1 evaluates one 32-byte output per half. Package-level
+// output, suite 1 evaluates one 32-byte output per half (suite 2's G is
+// prf.F under tag 'g' and has no message of its own). Package-level
 // so writing them to the digest never copies a stack buffer to the heap.
 var (
 	ggmLabel  = []byte("rsse/ggm")
@@ -44,16 +45,20 @@ type Expander struct {
 func NewExpander() *Expander { return NewExpanderSuite(prf.SuiteSHA512) }
 
 // NewExpanderSuite returns a ready Expander for GGM trees of suite s,
-// which must be Valid.
+// which must be Valid. Suite 2's G keeps no state between steps.
 func NewExpanderSuite(s prf.Suite) *Expander {
-	if s == prf.SuiteSHA256 {
-		return &Expander{suite: s, h: prf.NewHasherSuite(s, prf.Key{})}
+	e := &Expander{suite: s}
+	switch s {
+	case prf.SuiteSHA512:
+		e.d, e.sum = sha512.New(), make([]byte, 0, sha512.Size)
+	case prf.SuiteSHA256:
+		e.h = prf.NewHasherSuite(s, prf.Key{})
 	}
-	return &Expander{suite: s, d: sha512.New(), sum: make([]byte, 0, sha512.Size)}
+	return e
 }
 
 // expanderPools holds one pool per suite.
-var expanderPools [2]sync.Pool // indexed by prf.Suite
+var expanderPools [prf.NumSuites]sync.Pool
 
 // GetExpander returns a pooled suite-0 Expander; release it with
 // PutExpander.
@@ -73,6 +78,8 @@ func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
 // g computes G(seed) into (g0, g1). g0 or g1 may alias seed: seed is
 // fully absorbed before either output is written.
 //
+// Suite 2: F(seed,'g',0) and F(seed,'g',1) — two compressions.
+//
 // Suite 1: HMAC-SHA-256(seed, "rsse/ggm/0") and HMAC-SHA-256(seed,
 // "rsse/ggm/1") — one key schedule on the Hasher, whose keyed states
 // both evaluations restore: six compressions, not eight.
@@ -80,7 +87,12 @@ func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
 // Suite 0: the two halves of HMAC-SHA-512(seed, "rsse/ggm"), a manual
 // two-pass HMAC over one digest (a Hasher truncates to 32 bytes).
 func (e *Expander) g(seed, g0, g1 *Value) {
-	if e.h != nil {
+	switch e.suite {
+	case prf.SuiteBlock:
+		k := prf.Key(*seed)
+		*g0, *g1 = prf.F(k, 'g', 0), prf.F(k, 'g', 1)
+		return
+	case prf.SuiteSHA256:
 		e.h.SetKey(prf.Key(*seed))
 		*g0 = e.h.Eval(ggmLabel0)
 		*g1 = e.h.Eval(ggmLabel1)

@@ -4,6 +4,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/sha512"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	mrand "math/rand"
 	"testing"
@@ -13,7 +15,8 @@ import (
 	"rsse/internal/race"
 )
 
-var suites = []prf.Suite{prf.SuiteSHA512, prf.SuiteSHA256}
+// suites is every PRF suite this build implements.
+var suites = prf.Suites()
 
 // eachSuite runs f as one subtest per PRF suite.
 func eachSuite(t *testing.T, f func(t *testing.T, s prf.Suite)) {
@@ -24,11 +27,15 @@ func eachSuite(t *testing.T, f func(t *testing.T, s prf.Suite)) {
 
 // refStepSuite is the GGM PRG straight from the spec, on fresh
 // crypto/hmac instances — suite 0 one half of HMAC-SHA-512(seed,
-// "rsse/ggm"), suite 1 HMAC-SHA-256(seed, "rsse/ggm/<bit>") — the
-// oracle the Expander's manual HMAC must match bit for bit.
+// "rsse/ggm"), suite 1 HMAC-SHA-256(seed, "rsse/ggm/<bit>"), suite 2
+// plain SHA-256(seed ‖ 'g' ‖ BE64(bit)) — the oracle the Expander's g
+// must match bit for bit.
 func refStepSuite(s prf.Suite, seed Value, bit uint64) Value {
 	var v Value
-	if s == prf.SuiteSHA256 {
+	switch s {
+	case prf.SuiteBlock:
+		return sha256.Sum256(binary.BigEndian.AppendUint64(append(seed[:len(seed):len(seed)], 'g'), bit))
+	case prf.SuiteSHA256:
 		mac := hmac.New(sha256.New, seed[:])
 		fmt.Fprintf(mac, "rsse/ggm/%d", bit)
 		copy(v[:], mac.Sum(nil))
@@ -69,6 +76,29 @@ func TestExpanderGMatchesHMAC(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBlockGKnownAnswers: suite 2's G on the all-zero seed is the two
+// SHA-256 digests anyone can recompute with sha256sum over 32 zero
+// bytes, 'g' and an 8-byte big-endian 0 or 1; and one level down the
+// children's children follow the same rule.
+func TestBlockGKnownAnswers(t *testing.T) {
+	e := NewExpanderSuite(prf.SuiteBlock)
+	var seed, g0, g1 Value
+	e.g(&seed, &g0, &g1)
+	if hex.EncodeToString(g0[:]) != "622cc536ba8bfd55006be84dc89077f6be7ad807c74c2d57c1af546a63336573" ||
+		hex.EncodeToString(g1[:]) != "9c51502c541b953c4b248f98dc0b6084e40c211c8120b77d8c513e60108ef675" {
+		t.Fatalf("G(0) = %x ‖ %x", g0, g1)
+	}
+	leaves := e.ExpandInto(nil, Token{Level: 2, Value: seed})
+	for i, want := range []Value{
+		refStepSuite(prf.SuiteBlock, g0, 0), refStepSuite(prf.SuiteBlock, g0, 1),
+		refStepSuite(prf.SuiteBlock, g1, 0), refStepSuite(prf.SuiteBlock, g1, 1),
+	} {
+		if leaves[i] != want {
+			t.Fatalf("leaf %d of the zero seed's level-2 subtree is not SHA-256(parent ‖ 'g' ‖ bit)", i)
+		}
+	}
 }
 
 // TestExpanderGAliasing: ExpandInto writes children over their parent's
@@ -302,7 +332,9 @@ func TestExpanderRefusesKeyOfAnotherSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := k.WithSuite(prf.SuiteSHA512).Eval(5); a == b {
-		t.Error("one seed evaluates identically under both suites")
+	for _, s := range suites {
+		if b, _ := k.WithSuite(s).Eval(5); (a == b) != (s == prf.SuiteSHA256) {
+			t.Errorf("one seed evaluates identically under %v and %v", prf.SuiteSHA256, s)
+		}
 	}
 }

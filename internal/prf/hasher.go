@@ -29,9 +29,13 @@ type suiteHash struct {
 	block, cv int
 }
 
-var suiteHashes = [numSuites]suiteHash{
+// suiteHashes has a row per suite. Suite 2 differs from suite 1 only in
+// its fixed-length PRF, F, which is all an index evaluates under it; its
+// Hasher is suite 1's.
+var suiteHashes = [NumSuites]suiteHash{
 	SuiteSHA512: {sha512.New, sha512.BlockSize, sha512.Size},
 	SuiteSHA256: {sha256.New, sha256.BlockSize, sha256.Size},
+	SuiteBlock:  {sha256.New, sha256.BlockSize, sha256.Size},
 }
 
 // stateCV is where the chaining value sits in a stdlib SHA-2 digest's
@@ -191,7 +195,7 @@ func (h *Hasher) Restore(s *Snapshot) {
 // empty block buffer ‖ length, and differs between two keys only in the
 // chaining value.
 func init() {
-	for s := Suite(0); s < numSuites; s++ {
+	for s := Suite(0); s < NumSuites; s++ {
 		var k1, k2 Key
 		k1[0], k2[0] = 1, 2
 		h1, h2 := NewHasherSuite(s, k1), NewHasherSuite(s, k2)
@@ -226,7 +230,7 @@ const kdfPrefix = "rsse/kdf/"
 
 // hasherPools holds one pool per suite: a pooled Hasher's digests are of
 // one hash for life.
-var hasherPools [numSuites]sync.Pool
+var hasherPools [NumSuites]sync.Pool
 
 // GetHasher returns a pooled suite-0 Hasher keyed with k. Return it
 // with PutHasher when done; key material is overwritten by the next

@@ -159,3 +159,15 @@ func BenchmarkHasherEval(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBlockPRF is suite 2's whole per-evaluation cost — key, tag and
+// counter in, 32 bytes out, nothing keyed beforehand — beside
+// BenchmarkHasherEval, which leaves the key schedule out.
+func BenchmarkBlockPRF(b *testing.B) {
+	var k Key
+	k[0] = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k = F(k, 'l', uint64(i))
+	}
+}

@@ -8,14 +8,18 @@
 //
 // Which hash sits under the HMAC is a Suite: suite 0 is the paper's
 // HMAC-SHA-512, suite 1 is HMAC-SHA-256 with the same keys, labels and
-// 32-byte outputs. The package-level functions and NewHasher/GetHasher
+// 32-byte outputs; suite 2 drops the HMAC for F, one SHA-256 compression
+// keyed through the message. The package-level functions and
+// NewHasher/GetHasher
 // are suite 0 — owner-side key derivation never changes suite — and an
 // index records the suite its own PRFs were built with (see Suite).
 package prf
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -30,8 +34,8 @@ type Key [KeySize]byte
 // schedule and the cell labels. It is data, not configuration — the
 // builder writes it into the index header and every reader takes it from
 // there — so an index stays readable by the suite that built it forever.
-// Both suites take 32-byte keys and give 32-byte outputs; the server's
-// view (tokens, labels, probes) has the same shape under either.
+// Every suite takes 32-byte keys and gives 32-byte outputs; the server's
+// view (tokens, labels, probes) has the same shape under each.
 type Suite uint8
 
 const (
@@ -42,20 +46,49 @@ const (
 	// whose native output is already 32 bytes, a third of the cost per
 	// compression where the CPU has SHA extensions.
 	SuiteSHA256 Suite = 1
+	// SuiteBlock is F: SHA-256 of one fixed-length block holding the key,
+	// a use tag and a counter. It has no key schedule, so a key used once
+	// — a GGM seed, the stag of an empty leaf — costs one compression.
+	SuiteBlock Suite = 2
 
-	numSuites = 2
+	// NumSuites sizes every per-suite table, here and where state is
+	// pooled per suite.
+	NumSuites = 3
 )
 
 // Valid reports whether s names a suite this build implements.
-func (s Suite) Valid() bool { return s < numSuites }
+func (s Suite) Valid() bool { return s < NumSuites }
 
-// String names the suite's MAC.
+// Suites lists every suite this build implements, in order.
+func Suites() []Suite {
+	all := make([]Suite, NumSuites)
+	for i := range all {
+		all[i] = Suite(i)
+	}
+	return all
+}
+
+// F is suite 2's PRF: SHA-256(k ‖ tag ‖ BE64(x)), a 41-byte message that
+// pads to exactly one block, so one compression under the fixed IV with
+// no state to set up, keep or restore. tag separates the uses one key is
+// put to; every input has the same length, so no message extends another.
+func F(k Key, tag byte, x uint64) [KeySize]byte {
+	var m [KeySize + 1 + 8]byte
+	copy(m[:], k[:])
+	m[KeySize] = tag
+	binary.BigEndian.PutUint64(m[KeySize+1:], x)
+	return sha256.Sum256(m[:])
+}
+
+// String names the suite's PRF.
 func (s Suite) String() string {
 	switch s {
 	case SuiteSHA512:
 		return "hmac-sha512"
 	case SuiteSHA256:
 		return "hmac-sha256"
+	case SuiteBlock:
+		return "sha256-block"
 	default:
 		return fmt.Sprintf("Suite(%d)", uint8(s))
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	mrand "math/rand"
 	"testing"
 	"unsafe"
@@ -91,7 +92,7 @@ func TestSuite256SnapshotRestore(t *testing.T) {
 // state is magic ‖ chaining value ‖ zero block buffer ‖ length = one
 // block, so the chaining value is all a Snapshot has to keep.
 func TestSnapshotAgainstAppendBinary(t *testing.T) {
-	for s := Suite(0); s < numSuites; s++ {
+	for _, s := range Suites() {
 		var k Key
 		k[5] = 9
 		h := NewHasherSuite(s, k)
@@ -134,8 +135,67 @@ func TestSuitesDisagree(t *testing.T) {
 	if NewHasher(k).Eval([]byte("x")) == NewHasherSuite(SuiteSHA256, k).Eval([]byte("x")) {
 		t.Error("both suites computed the same PRF value")
 	}
-	if !SuiteSHA512.Valid() || !SuiteSHA256.Valid() || Suite(2).Valid() || Suite(7).Valid() {
+	for _, s := range Suites() {
+		if !s.Valid() {
+			t.Errorf("suite %d has a table row but is not Valid", s)
+		}
+		for o := s + 1; o < NumSuites; o++ {
+			if s.String() == o.String() {
+				t.Errorf("suites %d and %d share the name %q", s, o, s)
+			}
+		}
+	}
+	if Suite(NumSuites).Valid() || Suite(255).Valid() {
 		t.Error("Valid does not separate the implemented suites from the rest")
+	}
+}
+
+// TestBlockPRFKnownAnswers pins F to plain crypto/sha256 over the 41-byte
+// message key ‖ tag ‖ BE64(x) — the whole definition of suite 2 — on
+// fixed vectors anyone can recompute, and on random ones.
+func TestBlockPRFKnownAnswers(t *testing.T) {
+	var seq Key
+	for i := range seq {
+		seq[i] = byte(i)
+	}
+	for _, v := range []struct {
+		k    Key
+		tag  byte
+		x    uint64
+		want string // sha256sum of the 41 message bytes, computed outside this package
+	}{
+		{Key{}, 'g', 0, "622cc536ba8bfd55006be84dc89077f6be7ad807c74c2d57c1af546a63336573"},
+		{Key{}, 'g', 1, "9c51502c541b953c4b248f98dc0b6084e40c211c8120b77d8c513e60108ef675"},
+		{seq, 'l', 1, "55f0be1182adb4605f1d5ec760763d6ab4f84af55cf28b1cf7a7f6909cc8245f"},
+		{seq, 'e', 0, "5a2d75021d5611b237753dbd147a54aac54e02cdc01c728688512140e5610d93"},
+		{seq, 'b', 1 << 40, "871876182f3832c0282412f5338852d525fd4ecb0c1a3c675c96ab2a2b16ba93"},
+	} {
+		got := F(v.k, v.tag, v.x)
+		if hex.EncodeToString(got[:]) != v.want {
+			t.Errorf("F(%x.., %q, %d) = %x, want %s", v.k[:4], v.tag, v.x, got, v.want)
+		}
+	}
+	rnd := mrand.New(mrand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		var k Key
+		rnd.Read(k[:])
+		tag, x := byte(rnd.Intn(256)), rnd.Uint64()
+		msg := binary.BigEndian.AppendUint64(append(bytes.Clone(k[:]), tag), x)
+		if len(msg)+1+8 > sha256.BlockSize {
+			t.Fatalf("message of %d bytes does not pad into one block", len(msg))
+		}
+		if F(k, tag, x) != sha256.Sum256(msg) {
+			t.Fatal("F is not SHA-256(k ‖ tag ‖ BE64(x))")
+		}
+		if F(k, tag, x) == F(k, tag^1, x) || F(k, tag, x) == F(k, tag, x+1) {
+			t.Fatal("F ignores its tag or its counter")
+		}
+	}
+	if !race.Enabled {
+		var k Key
+		if n := testing.AllocsPerRun(200, func() { k = F(k, 'l', 7) }); n != 0 {
+			t.Errorf("F allocates %v objects per evaluation, want 0", n)
+		}
 	}
 }
 
@@ -163,7 +223,7 @@ func TestHasherAllocsSHA256(t *testing.T) {
 	}
 	var k Key
 	k[0] = 3
-	for s := Suite(0); s < numSuites; s++ {
+	for _, s := range Suites() {
 		h := NewHasherSuite(s, k)
 		data := []byte("allocation-guard-keyword")
 		var snap Snapshot

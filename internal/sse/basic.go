@@ -33,7 +33,7 @@ func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engi
 	defer prf.PutHasher(h)
 	b := cellBuilder(eng, total)
 	for _, e := range entries {
-		keys := deriveStagKeys(h, e.Stag)
+		keys := deriveStagKeys(suite, h, e.Stag)
 		for i, p := range shuffled(e.Payloads, rnd) {
 			lab := cellLabel(suite, keys.loc, uint64(i))
 			if err := b.Put(lab[:], encryptCell(keys.enc, uint64(i), p)); err != nil {

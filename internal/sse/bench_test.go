@@ -9,8 +9,15 @@ import (
 	"rsse/internal/storage"
 )
 
-// testSuites lists both PRF suites; eachSuite runs f once per suite.
-var testSuites = []prf.Suite{prf.SuiteSHA512, prf.SuiteSHA256}
+// testSuites lists every PRF suite; eachSuite runs f once per suite.
+var testSuites = prf.Suites()
+
+// usesStagCache reports whether searches under suite run through the
+// derived-state cache: all but suite 2's, which has nothing to cache.
+func usesStagCache(suite prf.Suite) bool { return suite != prf.SuiteBlock }
+
+// otherSuite is some suite that is not s.
+func otherSuite(s prf.Suite) prf.Suite { return (s + 1) % prf.NumSuites }
 
 func eachSuite(t *testing.T, f func(t *testing.T, suite prf.Suite)) {
 	for _, s := range testSuites {
@@ -97,9 +104,10 @@ func BenchmarkSearch100IDs(b *testing.B) {
 // BenchmarkSearchColdStags is the miss path on its own: every search is
 // of a stag the cache has never seen — the Constant schemes' leaves, an
 // LSM epoch's foreign tokens — with an empty list (nothing but the
-// location key, one label and one missing probe) or a one-cell list
-// (plus the lazy cell key, one decrypt and the result), under each PRF
-// suite. Run with -benchmem: the empty case must report 0 allocs/op.
+// location key, one label and one missing probe — under suite 2 the
+// label alone) or a one-cell list (plus the lazy cell key, one decrypt
+// and the result), under each PRF suite. Run with -benchmem: the empty
+// case must report 0 allocs/op.
 func BenchmarkSearchColdStags(b *testing.B) {
 	for _, suite := range testSuites {
 		b.Run(suite.String(), func(b *testing.B) { benchSearchColdStags(b, suite) })

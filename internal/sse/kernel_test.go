@@ -41,8 +41,60 @@ func resultIDs(payloads [][]byte) []uint64 {
 // third a hit; a one-shot collider evicts nothing).
 func TestStagCacheAdmission(t *testing.T) {
 	for _, suite := range testSuites {
-		testStagCacheAdmission(t, suite)
+		if usesStagCache(suite) {
+			testStagCacheAdmission(t, suite)
+		}
 	}
+}
+
+// TestBlockSuiteBypassesStagCache: a suite-2 search has no derived state
+// worth keeping, so it neither reads nor writes the cache, the
+// doorkeeper or their counters. Both tables are poisoned first — the
+// stag's slot holds an entry that names this stag and suite with labels
+// no PRF produced, and the doorkeeper already holds its fingerprint — so
+// a search that consulted either would answer wrongly, count a hit, or
+// admit; afterwards slot, fingerprint and counters are what they were,
+// on every construction, for an absent stag and a present one.
+func TestBlockSuiteBypassesStagCache(t *testing.T) {
+	const suite = prf.SuiteBlock
+	a, c := collidingStags(51)
+	var absent Stag
+	absent[1], absent[8] = 0xAB, 2
+	wantA, wantC := []uint64{1, 2, 3}, []uint64{9}
+	for _, sch := range benchConstructions() {
+		idx, err := sch.Build([]Entry{EntryFromIDs(a, wantA), EntryFromIDs(c, wantC)}, 8, mrand.New(mrand.NewSource(52)), nil, suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ResetKernelCache()
+		poison := map[Stag]*stagState{}
+		for _, stag := range []Stag{a, absent} {
+			e := &stagState{stag: stag, suite: suite, labN: cachedLabels}
+			e.labs[0][0] = 0xFF
+			poison[stag] = e
+			stagCache[stagCacheIndex(&stag)].Store(e)
+			stagSeen[stagCacheIndex(&stag)].Store(stagFingerprint(&stag))
+		}
+		for round := 0; round < 3; round++ {
+			for stag, want := range map[Stag][]uint64{a: wantA, c: wantC, absent: nil} {
+				got, err := idx.Search(stag)
+				if err != nil || !equalIDs(resultIDs(got), want) {
+					t.Fatalf("%s: round %d: got ids %v, err %v, want %v", sch.Name(), round, resultIDs(got), err, want)
+				}
+			}
+		}
+		for stag, e := range poison {
+			i := stagCacheIndex(&stag)
+			if stagCache[i].Load() != e || stagSeen[i].Load() != stagFingerprint(&stag) {
+				t.Errorf("%s: a suite-2 search wrote the cache slot or the doorkeeper", sch.Name())
+			}
+		}
+		hits, misses := KernelCacheStats()
+		if adm := KernelCacheAdmissions(); hits != 0 || misses != 0 || adm != 0 {
+			t.Errorf("%s: suite-2 searches moved the counters: %d hits, %d misses, %d admissions", sch.Name(), hits, misses, adm)
+		}
+	}
+	ResetKernelCache()
 }
 
 // testStagCacheAdmission runs one subtest per construction — named by
@@ -144,11 +196,11 @@ func testStagCacheAdmission(t *testing.T, suite prf.Suite) {
 
 // TestStagStateSize: admissions accumulate, so a cache entry's bytes are
 // resident-set bytes. It holds a stag, two chaining values and eight
-// 16-byte labels; 448 is the allocator size class it must stay within
-// (it was 896 when it held two marshaled digests and 32-byte labels).
+// 16-byte labels: 320 bytes, exactly an allocator size class (it was 896
+// when it held two marshaled digests and 32-byte labels).
 func TestStagStateSize(t *testing.T) {
-	if sz := unsafe.Sizeof(stagState{}); sz > 448 {
-		t.Errorf("stagState is %d bytes, want <= 448", sz)
+	if sz := unsafe.Sizeof(stagState{}); sz > 320 {
+		t.Errorf("stagState is %d bytes, want <= 320", sz)
 	} else {
 		t.Logf("stagState is %d bytes", sz)
 	}
@@ -251,9 +303,12 @@ func testStagCacheSlotContention(t *testing.T, suite prf.Suite) {
 		for err := range errs {
 			t.Error(err)
 		}
-		hits, misses := KernelCacheStats()
-		if hits+misses != 8*2000 {
-			t.Errorf("%s: %d hits + %d misses, want %d lookups", sch.Name(), hits, misses, 8*2000)
+		lookups := uint64(8 * 2000)
+		if !usesStagCache(suite) {
+			lookups = 0
+		}
+		if hits, misses := KernelCacheStats(); hits+misses != lookups {
+			t.Errorf("%s: %d hits + %d misses, want %d lookups", sch.Name(), hits, misses, lookups)
 		}
 	}
 	ResetKernelCache()

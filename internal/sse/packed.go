@@ -53,7 +53,7 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 	blockLen := 1 + bs*width // count byte + padded payload area
 	b := cellBuilder(eng, (total+bs-1)/max(bs, 1))
 	for _, e := range entries {
-		keys := deriveStagKeys(h, e.Stag)
+		keys := deriveStagKeys(suite, h, e.Stag)
 		payloads := shuffled(e.Payloads, rnd)
 		for blk := 0; blk*bs < len(payloads); blk++ {
 			chunk := payloads[blk*bs : min((blk+1)*bs, len(payloads))]

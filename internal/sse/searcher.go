@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"rsse/internal/prf"
-	"rsse/internal/secenc"
 )
 
 // cellSearcher is the shared allocation-free machinery of the four
@@ -52,7 +51,7 @@ const cachedLabels = 8
 
 // cellSearcherPools holds one pool per PRF suite: a searcher's two
 // hashers are of one hash for life.
-var cellSearcherPools [2]sync.Pool
+var cellSearcherPools [prf.NumSuites]sync.Pool
 
 // getCellSearcher checks out a searcher keyed for stag under suite — the
 // suite of the index being searched. Of the three stag-derived keys only
@@ -65,6 +64,10 @@ var cellSearcherPools [2]sync.Pool
 // derives the location key and asks the doorkeeper whether this stag
 // has missed on its slot before; only then does putCellSearcher publish
 // the state (see kernel.go).
+//
+// Suite 2 has no key schedule to amortise — a label is one compression
+// of the stag — so its searches neither consult nor populate the cache
+// or the doorkeeper, and are not counted in its statistics.
 func getCellSearcher(suite prf.Suite, stag Stag) *cellSearcher {
 	s, ok := cellSearcherPools[suite].Get().(*cellSearcher)
 	if !ok {
@@ -72,6 +75,9 @@ func getCellSearcher(suite prf.Suite, stag Stag) *cellSearcher {
 	}
 	s.firstN = 0
 	s.stag = stag
+	if suite == prf.SuiteBlock {
+		return s
+	}
 	i := stagCacheIndex(&stag)
 	s.slot = &stagCache[i]
 	if e := s.slot.Load(); e != nil && e.stag == stag && e.suite == suite {
@@ -104,9 +110,9 @@ func (s *cellSearcher) cellCipher() cipher.Block {
 			// A warm entry skipped key(): hk is not keyed to this stag yet.
 			s.hk.SetKey(prf.Key(s.stag))
 		}
-		encFull := s.hk.Derive("sse/enc")
+		enc := cellKey(s.suite, s.hk, s.stag)
 		var err error
-		if s.blk, err = aes.NewCipher(encFull[:secenc.KeySize]); err != nil {
+		if s.blk, err = aes.NewCipher(enc[:]); err != nil {
 			panic("sse: " + err.Error())
 		}
 	}
@@ -145,12 +151,17 @@ func putCellSearcher(s *cellSearcher) {
 // label computes the i-th cell label under the stag's location key.
 // The returned slice is valid until the next label call.
 //
-// A warm entry answers its first labN labels from the cache; every
+// Suite 2 labels straight from the stag with the function Build uses.
+// Otherwise a warm entry answers its first labN labels from the cache; every
 // other label costs exactly one PRF evaluation, made when it is probed,
 // so a search of an L-cell list evaluates at most L+1 labels. Search
 // loops probe consecutive i from zero, which is what makes the run of
 // first labels recorded for publication contiguous.
 func (s *cellSearcher) label(i uint64) []byte {
+	if s.suite == prf.SuiteBlock {
+		s.lab = cellLabel(s.suite, prf.Key(s.stag), i)
+		return s.lab[:]
+	}
 	if e := s.ent; e != nil && i < uint64(e.labN) {
 		s.lab = e.labs[i]
 	} else {

@@ -2,6 +2,7 @@ package sse
 
 import (
 	"bytes"
+	"encoding/binary"
 	mrand "math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func testSearcherDecryptMatchesStdlibCTR(t *testing.T, suite prf.Suite) {
 			putCellSearcher(s)
 			// Reference: the searcher's enc key is Derive(stag, "sse/enc")
 			// truncated, exactly deriveStagKeys'.
-			keys := deriveStagKeys(prf.NewHasherSuite(suite, prf.Key{}), stag)
+			keys := deriveStagKeys(suite, prf.NewHasherSuite(suite, prf.Key{}), stag)
 			want := secenc.XORKeyStreamCTR(keys.enc, secenc.NonceFromUint64(ctr), src)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("n=%d ctr=%d: manual CTR diverges from secenc", n, ctr)
@@ -46,7 +47,9 @@ func testSearcherDecryptMatchesStdlibCTR(t *testing.T, suite prf.Suite) {
 // again, a short run published), and warm hits whose cached run is
 // shorter than the walk — the cache answers the head, the hasher
 // restored from the entry's snapshot derives the tail, and the entry is
-// republished extended.
+// republished extended. Suite 2 keeps no derived state: every walk is
+// cold, derives every label with cellLabel itself, and leaves the cache
+// as it found it.
 func TestSearcherLabelMatchesCellLabel(t *testing.T) {
 	eachSuite(t, testSearcherLabelMatchesCellLabel)
 }
@@ -54,14 +57,14 @@ func TestSearcherLabelMatchesCellLabel(t *testing.T) {
 func testSearcherLabelMatchesCellLabel(t *testing.T, suite prf.Suite) {
 	var stag Stag
 	stag[7] = 9
-	keys := deriveStagKeys(prf.NewHasherSuite(suite, prf.Key{}), stag)
+	keys := deriveStagKeys(suite, prf.NewHasherSuite(suite, prf.Key{}), stag)
 	ResetKernelCache()
 	defer ResetKernelCache()
 	walk := func(what string, n uint64, warm bool) {
 		t.Helper()
 		s := getCellSearcher(suite, stag)
 		defer putCellSearcher(s)
-		if (s.ent != nil) != warm {
+		if warm = warm && usesStagCache(suite); (s.ent != nil) != warm {
 			t.Fatalf("%s: checked out warm=%v, want %v", what, s.ent != nil, warm)
 		}
 		for i := uint64(0); i < n; i++ {
@@ -71,29 +74,32 @@ func testSearcherLabelMatchesCellLabel(t *testing.T, suite prf.Suite) {
 			}
 		}
 	}
-	cachedRun := func() int {
+	// expectRun checks how many labels the stag's entry holds (-1: no
+	// entry) — under suite 2 never any.
+	expectRun := func(what string, want int) {
+		t.Helper()
+		got := -1
 		if e := stagCache[stagCacheIndex(&stag)].Load(); e != nil {
-			return e.labN
+			got = e.labN
 		}
-		return -1
+		if !usesStagCache(suite) {
+			want = -1
+		}
+		if got != want {
+			t.Fatalf("%s: entry holds %d labels, want %d", what, got, want)
+		}
 	}
 	walk("cold miss", 100, false)
-	if n := cachedRun(); n != -1 {
-		t.Fatalf("first sight published an entry (%d labels)", n)
-	}
+	expectRun("first sight", -1)
 	walk("admitted second sight", 3, false)
-	if n := cachedRun(); n != 3 {
-		t.Fatalf("second sight published %d labels, want the 3 it derived", n)
-	}
+	expectRun("second sight", 3)
 	walk("warm hit extended past its cached run", 100, true)
-	if n := cachedRun(); n != cachedLabels {
-		t.Fatalf("extended entry holds %d labels, want %d", n, cachedLabels)
-	}
+	expectRun("extended entry", cachedLabels)
 	walk("warm hit on the full entry", 100, true)
 
 	// The entry is its suite's alone: the other suite's searcher must
 	// not run from it (its labels would be the wrong PRF's).
-	other := getCellSearcher(suite^1, stag)
+	other := getCellSearcher(otherSuite(suite), stag)
 	if other.ent != nil {
 		t.Fatal("a searcher of the other suite checked out this suite's entry")
 	}
@@ -144,7 +150,7 @@ func TestSearchDerivesWhatItProbes(t *testing.T) { eachSuite(t, testSearchDerive
 func testSearchDerivesWhatItProbes(t *testing.T, suite prf.Suite) {
 	var stag Stag
 	stag[2] = 5
-	keys := deriveStagKeys(prf.NewHasherSuite(suite, prf.Key{}), stag)
+	keys := deriveStagKeys(suite, prf.NewHasherSuite(suite, prf.Key{}), stag)
 	const blockSize = 4
 	for _, cells := range []int{0, 1, 3, cachedLabels, 20} {
 		ids := make([]uint64, cells)
@@ -254,18 +260,34 @@ func testSearchAllocsPerCell(t *testing.T, suite prf.Suite) {
 // derivation to the labelled KDF the wire formats were defined with —
 // built indexes stay byte-compatible — and checks the hasher is left
 // keyed to the stag, which TSet's bucket-key derivation relies on.
+//
+// Suite 2 derives the same roles with F under its four tags and no
+// location key: labels are F(stag,'l',i), the cell key F(stag,'e',0),
+// TSet's bucket key F(stag,'b',salt) and bucket index F(bkt,'b',i).
 func TestDeriveStagKeysMatchKDF(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(8))
 	h := prf.NewHasher(prf.Key{})
 	for i := 0; i < 20; i++ {
 		var stag Stag
 		rnd.Read(stag[:])
-		keys := deriveStagKeys(h, stag)
+		salt := uint64(i)
+		blk := deriveStagKeys(prf.SuiteBlock, nil, stag)
+		enc2, lab2 := prf.F(prf.Key(stag), 'e', 0), prf.F(prf.Key(stag), 'l', salt)
+		if lab := cellLabel(prf.SuiteBlock, blk.loc, salt); blk.loc != prf.Key(stag) ||
+			!bytes.Equal(blk.enc[:], enc2[:secenc.KeySize]) || !bytes.Equal(lab[:], lab2[:LabelSize]) {
+			t.Fatalf("stag %d: suite-2 working keys or label diverge from F", i)
+		}
+		bkt := bucketKey(prf.SuiteBlock, nil, stag, salt)
+		if v := prf.F(bkt, 'b', 3); bkt != prf.F(prf.Key(stag), 'b', salt) ||
+			bucketOf(prf.SuiteBlock, bkt, 3, 1000) != int(binary.BigEndian.Uint64(v[:8])%1000) {
+			t.Fatalf("stag %d: suite-2 bucket key or index diverge from F", i)
+		}
+		keys := deriveStagKeys(prf.SuiteSHA512, h, stag)
 		enc := prf.Derive(prf.Key(stag), "sse/enc")
 		if keys.loc != prf.Derive(prf.Key(stag), "sse/loc") || !bytes.Equal(keys.enc[:], enc[:secenc.KeySize]) {
 			t.Fatalf("stag %d: working keys diverge from the KDF", i)
 		}
-		if salt := uint64(i); h.DeriveN("sse/bkt", salt) != prf.DeriveN(prf.Key(stag), "sse/bkt", salt) {
+		if bucketKey(prf.SuiteSHA512, h, stag, salt) != prf.DeriveN(prf.Key(stag), "sse/bkt", salt) {
 			t.Fatalf("stag %d: bucket key diverges from the KDF", i)
 		}
 	}
@@ -293,7 +315,7 @@ func TestSectionSuiteIsTheCallers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
 				}
-				other, err := OpenSection(sec, eng, suite^1)
+				other, err := OpenSection(sec, eng, otherSuite(suite))
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
 				}

@@ -225,34 +225,66 @@ func checkEntries(entries []Entry, width int) (int, error) {
 // Per-stag working keys. Everything a construction needs is derived from
 // the stag itself, so search requires no additional secrets.
 type stagKeys struct {
-	loc prf.Key    // label derivation
+	loc prf.Key    // label derivation; under suite 2 the stag itself
 	enc secenc.Key // cell encryption
 }
 
 // deriveStagKeys keys h to the stag — one key schedule for all of the
 // stag's derivations, under h's suite — and derives the two working keys
 // every construction uses. h stays keyed to the stag, so TSet derives its
-// salted bucket key ("sse/bkt", which only it reads) with one more pass.
-func deriveStagKeys(h *prf.Hasher, stag Stag) stagKeys {
+// salted bucket key (which only it reads) with one more pass. Suite 2
+// has no location key: labels are F of the stag itself (see cellLabel),
+// and h is not touched.
+func deriveStagKeys(suite prf.Suite, h *prf.Hasher, stag Stag) stagKeys {
+	if suite == prf.SuiteBlock {
+		return stagKeys{loc: prf.Key(stag), enc: cellKey(suite, h, stag)}
+	}
 	h.SetKey(prf.Key(stag))
-	encFull := h.Derive("sse/enc")
-	var enc secenc.Key
-	copy(enc[:], encFull[:secenc.KeySize])
-	return stagKeys{loc: h.Derive("sse/loc"), enc: enc}
+	return stagKeys{loc: h.Derive("sse/loc"), enc: cellKey(suite, h, stag)}
+}
+
+// cellKey derives the stag's cell-encryption key: the labelled KDF on h,
+// which the caller has keyed to the stag, or under suite 2 F(stag,'e',0).
+func cellKey(suite prf.Suite, h *prf.Hasher, stag Stag) (enc secenc.Key) {
+	var full prf.Key
+	if suite == prf.SuiteBlock {
+		full = prf.F(prf.Key(stag), 'e', 0)
+	} else {
+		full = h.Derive("sse/enc")
+	}
+	copy(enc[:], full[:])
+	return enc
+}
+
+// bucketKey derives TSet's salted bucket key from h, keyed to the stag
+// by deriveStagKeys, or under suite 2 F(stag,'b',salt).
+func bucketKey(suite prf.Suite, h *prf.Hasher, stag Stag, salt uint64) prf.Key {
+	if suite == prf.SuiteBlock {
+		return prf.F(prf.Key(stag), 'b', salt)
+	}
+	return h.DeriveN("sse/bkt", salt)
 }
 
 // evalUint64 is the suite's PRF under key k on the 8-byte big-endian
-// encoding of v: prf.EvalUint64 for an index's own suite.
-func evalUint64(suite prf.Suite, k prf.Key, v uint64) [prf.KeySize]byte {
+// encoding of v. Suites 0 and 1 evaluate it under a key that already
+// belongs to one purpose (sse/loc, sse/bkt) and ignore tag; suite 2 keys
+// F with the stag (or the bucket key) directly and tag names the purpose.
+func evalUint64(suite prf.Suite, k prf.Key, tag byte, v uint64) [prf.KeySize]byte {
+	if suite == prf.SuiteBlock {
+		return prf.F(k, tag, v)
+	}
 	h := prf.GetHasherSuite(suite, k)
 	out := h.EvalUint64(v)
 	prf.PutHasher(h)
 	return out
 }
 
-// cellLabel computes the pseudorandom label of the i-th cell of a keyword.
+// cellLabel computes the pseudorandom label of the i-th cell of a
+// keyword: the PRF under the stag's location key — under suite 2 the
+// stag itself, labelᵢ = F(stag,'l',i) — truncated to LabelSize. Build
+// and suite-2 search both label cells here.
 func cellLabel(suite prf.Suite, loc prf.Key, i uint64) [LabelSize]byte {
-	full := evalUint64(suite, loc, i)
+	full := evalUint64(suite, loc, 'l', i)
 	var l [LabelSize]byte
 	copy(l[:], full[:LabelSize])
 	return l

@@ -99,8 +99,8 @@ attempt:
 		}
 		buckets = make([][]tsetRecord, numBuckets)
 		for _, e := range entries {
-			keys := deriveStagKeys(h, e.Stag)
-			bkt := h.DeriveN("sse/bkt", salt)
+			keys := deriveStagKeys(suite, h, e.Stag)
+			bkt := bucketKey(suite, h, e.Stag, salt)
 			for i, p := range shuffled(e.Payloads, rnd) {
 				b := bucketOf(suite, bkt, uint64(i), numBuckets)
 				if len(buckets[b]) == capacity {
@@ -174,7 +174,7 @@ func (x *tsetIndex) buildLookup(eng storage.Engine, buckets [][]tsetRecord) erro
 // bucketOf maps the i-th record of a keyword to a bucket via the
 // stag-derived (and salted) bucket key.
 func bucketOf(suite prf.Suite, bkt prf.Key, i uint64, n int) int {
-	v := evalUint64(suite, bkt, i)
+	v := evalUint64(suite, bkt, 'b', i)
 	return int(binary.BigEndian.Uint64(v[:8]) % uint64(n))
 }
 

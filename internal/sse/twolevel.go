@@ -120,7 +120,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 	blockLen := blockSize * 8
 
 	for _, e := range entries {
-		keys := deriveStagKeys(h, e.Stag)
+		keys := deriveStagKeys(suite, h, e.Stag)
 		payloads := shuffled(e.Payloads, rnd)
 		n := len(payloads)
 		cell := make([]byte, cellLen)

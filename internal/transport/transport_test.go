@@ -706,13 +706,19 @@ func TestResponseWireRoundtrip(t *testing.T) {
 // A current server sends it; a current client reads it, still accepts
 // the 11-byte response of a server that predates suites (suite 0: such
 // a server serves nothing else), and refuses a suite it does not
-// implement — its trapdoors would silently find nothing.
+// implement — its trapdoors would silently find nothing. The suite on
+// the wire is the served index's own (core's defaultSuite table decides
+// it at build time); the two kinds here have different ones.
 func TestMetaWireSuite(t *testing.T) {
-	for kind, want := range map[core.Kind]prf.Suite{
-		core.ConstantBRC:    prf.SuiteSHA256,
-		core.LogarithmicBRC: prf.SuiteSHA512,
-	} {
+	seen := map[prf.Suite]bool{}
+	for _, kind := range []core.Kind{core.ConstantBRC, core.LogarithmicBRC} {
 		_, idx, _ := testClientIndex(t, kind)
+		built, err := idx.Meta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := built.Suite
+		seen[want] = true
 		resp, err := handleRequest(singleRegistry(idx), request{op: opMeta, name: DefaultIndex})
 		if err != nil {
 			t.Fatal(err)
@@ -728,14 +734,17 @@ func TestMetaWireSuite(t *testing.T) {
 		if err != nil || legacy.Suite != prf.SuiteSHA512 || legacy.N != meta.N || legacy.Kind != kind {
 			t.Fatalf("%v: 11-byte meta parsed as %+v, %v; want the same index at suite 0", kind, legacy, err)
 		}
-		resp[metaLen-1] = 7
+		resp[metaLen-1] = prf.NumSuites
 		if _, err := parseMeta(resp); !errors.Is(err, core.ErrCorruptIndex) {
-			t.Errorf("%v: suite 7 in meta: err %v, want ErrCorruptIndex", kind, err)
+			t.Errorf("%v: unimplemented suite %d in meta: err %v, want ErrCorruptIndex", kind, prf.NumSuites, err)
 		}
 		for _, n := range []int{0, metaLenLegacy - 1, metaLen + 1} {
 			if _, err := parseMeta(make([]byte, n)); err == nil {
 				t.Errorf("%d-byte meta response accepted", n)
 			}
 		}
+	}
+	if len(seen) != 2 {
+		t.Errorf("both kinds were served at suite(s) %v: the byte was never seen to vary", seen)
 	}
 }

@@ -108,8 +108,9 @@ const (
 	// SuiteSHA512 is HMAC-SHA-512 truncated to 32 bytes — the paper's
 	// choice, and what every index built before suites existed is.
 	SuiteSHA512 = prf.SuiteSHA512
-	// SuiteSHA256 is HMAC-SHA-256, what BuildIndex gives the Constant
-	// schemes.
+	// SuiteSHA256 is HMAC-SHA-256, what one release's BuildIndex gave the
+	// Constant schemes. They now build PRFSuite(2), "sha256-block": one
+	// SHA-256 compression per PRF value, keyed through the message.
 	SuiteSHA256 = prf.SuiteSHA256
 )
 

@@ -2,23 +2,36 @@ package rsse_test
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
 	"rsse"
 )
 
-// testdata/pr17 holds server-side state written by the last commit
-// before indexes recorded a PRF suite (PR 17): two Constant index files
-// and a durable Dynamic directory with one flushed epoch and a WAL
-// tail. Their header byte 12 is that format's zero pad, i.e. suite 0.
-// They must be served and queried correctly, unmodified, forever.
-const pr17Dir = "testdata/pr17"
-
-func pr17Key() []byte { return bytes.Repeat([]byte{0x17}, 32) }
+// testdata/pr17 and testdata/pr18 hold server-side state written by
+// earlier commits, with those commits' code. pr17 is the last commit
+// before indexes recorded a PRF suite: two Constant index files and a
+// durable Dynamic directory with one flushed epoch and a WAL tail; their
+// header byte 12 is that format's zero pad, i.e. suite 0. pr18 is the
+// commit whose Constant default was suite 1: the same two index files
+// built there, and pr17's Dynamic directory reopened there — its WAL
+// tail plus one insert flushed into a suite-1 epoch beside the suite-0
+// one, then one more acknowledged insert left in the WAL. All of it must
+// be served and queried correctly, unmodified, forever.
+var parentFixtures = []struct {
+	dir   string
+	suite rsse.PRFSuite // of the index files, and of the newest epoch
+	key   byte          // the index files' master key, repeated
+}{
+	{"testdata/pr17", rsse.SuiteSHA512, 0x17},
+	{"testdata/pr18", rsse.SuiteSHA256, 0x18},
+}
 
 func pr17Tuples() []rsse.Tuple {
 	tuples := make([]rsse.Tuple, 120)
@@ -26,6 +39,25 @@ func pr17Tuples() []rsse.Tuple {
 		tuples[i] = rsse.Tuple{ID: uint64(i + 1), Value: uint64(i*37) % 1024, Payload: []byte{byte(i)}}
 	}
 	return tuples
+}
+
+// todaysSuite is the suite BuildIndex gives kind today — core's
+// defaultSuite table, read off an index this build just built.
+func todaysSuite(t *testing.T, kind rsse.Kind) rsse.PRFSuite {
+	t.Helper()
+	c, err := rsse.NewClient(kind, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := c.BuildIndex(pr17Tuples()[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := idx.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta.Suite
 }
 
 func sortedIDsOf(ids []rsse.ID) []rsse.ID {
@@ -46,25 +78,34 @@ func sameIDs(a, b []rsse.ID) bool {
 	return true
 }
 
-// TestParentBuiltConstantIndexes: a Constant index built at the parent
-// commit is a suite-0 index. Today's owner — whose own builds are suite
-// 1 — learns that from Meta and derives its GGM tokens on the suite-0
-// tree: the answers are the plaintext oracle's on every engine, locally
-// and over TCP, single and batched.
+// TestParentBuiltConstantIndexes: a Constant index built at an earlier
+// commit is an index of that commit's suite, 0 or 1. Today's owner —
+// whose own builds are of neither — learns that from Meta and derives
+// its GGM tokens on that suite's tree: the answers are the plaintext
+// oracle's on every engine, locally and over TCP, single and batched.
 func TestParentBuiltConstantIndexes(t *testing.T) {
+	for _, fx := range parentFixtures {
+		if fx.suite == todaysSuite(t, rsse.ConstantBRC) {
+			t.Errorf("%s is of today's suite: it proves nothing about older indexes", fx.dir)
+		}
+		testParentBuiltConstantIndexes(t, fx.dir, fx.suite, bytes.Repeat([]byte{fx.key}, 32))
+	}
+}
+
+func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuite, key []byte) {
 	tuples := pr17Tuples()
 	ranges := []rsse.Range{{Lo: 0, Hi: 1023}, {Lo: 100, Hi: 300}, {Lo: 37, Hi: 37}, {Lo: 900, Hi: 1000}}
 	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC} {
-		path := filepath.Join(pr17Dir, kind.String()+".idx")
+		path := filepath.Join(dir, kind.String()+".idx")
 		meta, err := rsse.PeekIndexFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Kind != kind || meta.Suite != rsse.SuiteSHA512 || meta.N != len(tuples) {
-			t.Fatalf("%s: peeked %+v, want %v, suite 0, %d tuples", path, meta, kind, len(tuples))
+		if meta.Kind != kind || meta.Suite != suite || meta.N != len(tuples) {
+			t.Fatalf("%s: peeked %+v, want %v, suite %v, %d tuples", path, meta, kind, suite, len(tuples))
 		}
 		owner := func() *rsse.Client {
-			c, err := rsse.NewClient(kind, 10, rsse.WithMasterKey(pr17Key()), rsse.AllowIntersectingQueries())
+			c, err := rsse.NewClient(kind, 10, rsse.WithMasterKey(key), rsse.AllowIntersectingQueries())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,14 +156,48 @@ func TestParentBuiltConstantIndexes(t *testing.T) {
 	}
 }
 
-// TestDynamicSpansSuites: a durable Constant-BRC store created at the
-// parent commit holds a suite-0 epoch file. Reopened today it answers
-// from that epoch, replays its WAL tail, and seals new writes into a
-// suite-1 epoch beside it; one query then draws on both, each searched
-// under its own suite (the owner takes it from the epoch's Meta).
+// TestDynamicSpansSuites: a durable Constant-BRC store created at an
+// earlier commit holds epoch files of that commit's suites — pr17's one
+// suite-0 epoch, pr18's a suite-0 and a suite-1 epoch. Reopened today it
+// answers from them, replays its WAL tail, and seals new writes into an
+// epoch of today's suite beside them; one query then draws on all of
+// them, each searched under its own suite (the owner takes it from the
+// epoch's Meta). Full consolidation leaves one epoch, of today's suite.
 func TestDynamicSpansSuites(t *testing.T) {
+	today := todaysSuite(t, rsse.ConstantBRC)
+	// What the directories hold: ids 1..30 at (i*31)%1024, id 3 deleted,
+	// flushed at pr17; then id 100 at 512, acknowledged but unflushed —
+	// pr17's WAL tail. pr18 replayed it, added id 200 at 93, flushed
+	// (its suite-1 epoch), and left id 300 at 700 in its own WAL tail.
+	base := map[rsse.ID]rsse.Value{}
+	for i := 0; i < 30; i++ {
+		base[rsse.ID(i+1)] = rsse.Value(i*31) % 1024
+	}
+	delete(base, 3)
+	for _, fx := range []struct {
+		dir     string
+		epochs  []rsse.PRFSuite // of the epoch files as found
+		flushed map[rsse.ID]rsse.Value
+		tail    map[rsse.ID]rsse.Value
+	}{
+		{"testdata/pr17", []rsse.PRFSuite{rsse.SuiteSHA512}, nil, map[rsse.ID]rsse.Value{100: 512}},
+		{"testdata/pr18", []rsse.PRFSuite{rsse.SuiteSHA512, rsse.SuiteSHA256}, map[rsse.ID]rsse.Value{100: 512, 200: 93}, map[rsse.ID]rsse.Value{300: 700}},
+	} {
+		t.Run(filepath.Base(fx.dir), func(t *testing.T) {
+			want := map[rsse.ID]rsse.Value{}
+			for id, v := range base {
+				want[id] = v
+			}
+			for id, v := range fx.flushed {
+				want[id] = v
+			}
+			testDynamicSpansSuites(t, filepath.Join(fx.dir, "dynamic-Constant-BRC"), fx.epochs, today, want, fx.tail)
+		})
+	}
+}
+
+func testDynamicSpansSuites(t *testing.T, src string, epochs []rsse.PRFSuite, today rsse.PRFSuite, want, tail map[rsse.ID]rsse.Value) {
 	dir := t.TempDir()
-	src := filepath.Join(pr17Dir, "dynamic-Constant-BRC")
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +211,9 @@ func TestDynamicSpansSuites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// What the parent wrote: ids 1..30 at (i*31)%1024, id 3 deleted,
-	// flushed; then id 100 at 512, acknowledged but unflushed — it is in
-	// the WAL and becomes visible with the next flush.
-	want := map[rsse.ID]rsse.Value{}
-	for i := 0; i < 30; i++ {
-		want[rsse.ID(i+1)] = rsse.Value(i*31) % 1024
-	}
-	delete(want, 3)
 	check := func(d *rsse.Dynamic, label string) {
 		t.Helper()
-		for _, q := range []rsse.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}, {Lo: 512, Hi: 600}, {Lo: 93, Hi: 93}} {
+		for _, q := range []rsse.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}, {Lo: 512, Hi: 700}, {Lo: 93, Hi: 93}} {
 			got, _, err := d.Query(q)
 			if err != nil {
 				t.Fatalf("%s: query %v: %v", label, q, err)
@@ -168,50 +235,87 @@ func TestDynamicSpansSuites(t *testing.T) {
 			}
 		}
 	}
-	suiteOf := func(file string) rsse.PRFSuite {
+	// epochSuites peeks every epoch file in the directory, by name.
+	epochSuites := func() map[string]rsse.PRFSuite {
 		t.Helper()
-		meta, err := rsse.PeekIndexFile(filepath.Join(dir, file))
+		files, err := filepath.Glob(filepath.Join(dir, "epoch-*.idx"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return meta.Suite
+		out := map[string]rsse.PRFSuite{}
+		for _, f := range files {
+			meta, err := rsse.PeekIndexFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = meta.Suite
+		}
+		return out
+	}
+	open := func() *rsse.Dynamic {
+		t.Helper()
+		d, err := rsse.OpenDynamic(dir, rsse.ConstantBRC, 10, 0, rsse.AllowIntersectingQueries(), rsse.WithSSE("basic"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
 
-	d, err := rsse.OpenDynamic(dir, rsse.ConstantBRC, 10, 0, rsse.AllowIntersectingQueries(), rsse.WithSSE("basic"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := open()
 	check(d, "reopened")
-	if d.Pending() != 1 {
-		t.Fatalf("%d pending ops after replaying the parent's WAL tail, want 1", d.Pending())
+	if d.Pending() != len(tail) {
+		t.Fatalf("%d pending ops after replaying the parent's WAL tail, want %d", d.Pending(), len(tail))
 	}
-	if err := d.Insert(200, 93, []byte("new")); err != nil {
+	// Value 93 then has an id in the oldest epoch (id 4), in pr18's
+	// suite-1 epoch (id 200) and in the one sealed now.
+	if err := d.Insert(900, 93, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	want[100], want[200] = 512, 93
+	want[900] = 93
+	for id, v := range tail {
+		want[id] = v
+	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s0, s1 := suiteOf("epoch-0.idx"), suiteOf("epoch-1.idx"); s0 != rsse.SuiteSHA512 || s1 != rsse.SuiteSHA256 {
-		t.Fatalf("epoch suites %v and %v, want the parent's epoch at suite 0 and the fresh one at suite 1", s0, s1)
+	if slices.Contains(epochs, today) {
+		t.Fatalf("a fixture epoch is already of today's suite %v: nothing is spanned", today)
 	}
-	if d.ActiveIndexes() != 2 {
-		t.Fatalf("%d active epochs, want the old one and the new one", d.ActiveIndexes())
+	wantEpochs := map[string]rsse.PRFSuite{}
+	for i, s := range append(slices.Clone(epochs), today) {
+		wantEpochs[fmt.Sprintf("epoch-%d.idx", i)] = s
 	}
-	check(d, "two suites")
+	if got := epochSuites(); !maps.Equal(got, wantEpochs) {
+		t.Fatalf("epoch files %v, want %v: the parent's epochs as found, the fresh one at today's suite", got, wantEpochs)
+	}
+	if d.ActiveIndexes() != len(epochs)+1 {
+		t.Fatalf("%d active epochs, want the %d old ones and the new one", d.ActiveIndexes(), len(epochs))
+	}
+	check(d, "spanning suites")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// And across a restart, which loads both epoch files from disk.
-	if d, err = rsse.OpenDynamic(dir, rsse.ConstantBRC, 10, 0, rsse.AllowIntersectingQueries(), rsse.WithSSE("basic")); err != nil {
-		t.Fatal(err)
-	}
-	check(d, "two suites, reopened")
+	// And across a restart, which loads every epoch file from disk.
+	d = open()
+	check(d, "spanning suites, reopened")
 	// Consolidation rebuilds everything under today's suite.
 	if err := d.FullConsolidate(); err != nil {
 		t.Fatal(err)
 	}
 	check(d, "consolidated")
+	if d.ActiveIndexes() != 1 {
+		t.Fatalf("%d active epochs after full consolidation, want 1", d.ActiveIndexes())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range epochSuites() {
+		if s != today {
+			t.Errorf("%s is still of suite %v after full consolidation, want only %v", name, s, today)
+		}
+	}
+	d = open()
+	check(d, "consolidated, reopened")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +325,11 @@ func TestDynamicSpansSuites(t *testing.T) {
 // ordinary index of its kind's default suite, and says so.
 func TestClusterShardsReportSuite(t *testing.T) {
 	tuples := pr17Tuples()
-	for kind, want := range map[rsse.Kind]rsse.PRFSuite{
-		rsse.ConstantBRC:     rsse.SuiteSHA256,
-		rsse.ConstantURC:     rsse.SuiteSHA256,
-		rsse.LogarithmicBRC:  rsse.SuiteSHA512,
-		rsse.LogarithmicSRCi: rsse.SuiteSHA512,
-	} {
+	if todaysSuite(t, rsse.ConstantBRC) == todaysSuite(t, rsse.LogarithmicBRC) {
+		t.Error("Constant and Logarithmic kinds build the same suite: the shards' reports are not told apart")
+	}
+	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC, rsse.LogarithmicBRC, rsse.LogarithmicSRCi} {
+		want := todaysSuite(t, kind)
 		cluster, err := rsse.BuildCluster(kind, 10, 3, tuples)
 		if err != nil {
 			t.Fatal(err)
