@@ -1,7 +1,7 @@
 // Repository-level benchmarks: one testing.B entry per table/figure of
 // the paper's evaluation, at a laptop-friendly scale. The cmd/rsse-bench
 // binary runs the same experiments with full sweeps and paper-style
-// output; EXPERIMENTS.md records the comparison against the paper.
+// output.
 //
 // Run with: go test -bench=. -benchmem
 package rsse_test

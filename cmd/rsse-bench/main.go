@@ -6,28 +6,20 @@
 //	rsse-bench [-scale small|medium|paper] [experiment...]
 //
 // Experiments: fig5, table2, fig6, fig7, fig8, table1, ablation, updates,
-// batch, durable, perf, all (default all). The "paper" scale mirrors the
-// paper's dataset sizes and can take hours; "small" (default) completes
-// in minutes. The -batch flag is shorthand for the batch experiment
-// alone: the sequential-vs-batched multi-range pipeline with its token
-// dedup ratios. The -updates flag is shorthand for the durable-updates
-// benchmark alone: sustained insert throughput under WAL fsync policies
-// WithSyncEvery ∈ {1, 64, 1024}, plus recovery time vs WAL length.
+// all (default all). The "paper" scale mirrors the paper's dataset sizes
+// and can take hours; "small" (default) completes in minutes.
+// -cpuprofile and -memprofile write pprof profiles of whatever
+// experiments run.
 //
-// The perf experiment runs the repository's standard query-path
-// workloads (the internal/core BenchmarkQueryPath setups); -json writes
-// its machine-readable report — the format of the BENCH_*.json perf
-// trajectory at the repository root — to a file and implies the perf
-// experiment. -cpuprofile and -memprofile write pprof profiles of
-// whatever experiments run.
+// It reproduces the paper and nothing else: this implementation's own
+// performance numbers come from benchmark/ and `go test -bench`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,9 +29,6 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small|medium|paper")
-	batchOnly := flag.Bool("batch", false, "run only the batched-query pipeline experiment")
-	updatesOnly := flag.Bool("updates", false, "run only the durable-updates benchmark (WAL fsync sweep + recovery time)")
-	jsonPath := flag.String("json", "", "write the perf experiment's machine-readable report to this file (implies the perf experiment)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	version := flag.Bool("version", false, "print version and exit")
@@ -54,49 +43,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		exitOn(err)
-		exitOn(pprof.StartCPUProfile(f))
-		defer func() {
-			pprof.StopCPUProfile()
-			exitOn(f.Close())
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			exitOn(err)
-			runtime.GC()
-			exitOn(pprof.WriteHeapProfile(f))
-			exitOn(f.Close())
-		}()
-	}
+	profiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	exitOn(err)
+	defer profiles.Stop()
 
 	wanted := flag.Args()
-	if *batchOnly {
-		wanted = append(wanted, "batch")
-	}
-	if *updatesOnly {
-		wanted = append(wanted, "durable")
-	}
-	if *jsonPath != "" {
-		// -json alone runs just the perf workloads; combined with
-		// explicit experiments it adds them.
-		wanted = append(wanted, "perf")
-	}
 	if len(wanted) == 0 {
 		wanted = []string{"all"}
 	}
 	known := []string{"fig5", "table2", "fig6", "fig7", "fig8", "table1",
-		"ablation", "batch", "updates", "perf", "durable", "all"}
-	isKnown := map[string]bool{}
-	for _, k := range known {
-		isKnown[k] = true
-	}
+		"ablation", "updates", "all"}
 	want := map[string]bool{}
 	for _, w := range wanted {
-		if !isKnown[w] {
+		if !slices.Contains(known, w) {
 			fmt.Fprintf(os.Stderr, "rsse-bench: unknown experiment %q\navailable experiments: %s\n",
 				w, strings.Join(known, ", "))
 			os.Exit(2)
@@ -148,11 +107,6 @@ func main() {
 		exitOn(err)
 		exp.Print(out)
 	}
-	if runAll || want["batch"] {
-		exp, err := benchutil.BatchPipeline(scale)
-		exitOn(err)
-		exp.Print(out)
-	}
 	if runAll || want["updates"] {
 		active, summaries, err := benchutil.Updates(scale)
 		exitOn(err)
@@ -163,32 +117,6 @@ func main() {
 				s.Step, s.ActiveIndexes, s.FlushTotal.Seconds(),
 				float64(s.QueryTime.Microseconds())/1000, s.QueryTokens,
 				float64(s.TotalSize)/(1<<20))
-		}
-	}
-	if runAll || want["perf"] {
-		report, err := benchutil.QueryPerf()
-		exitOn(err)
-		report.Print(out)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			exitOn(err)
-			exitOn(report.WriteJSON(f))
-			exitOn(f.Close())
-			fmt.Fprintf(out, "perf report written to %s\n", *jsonPath)
-		}
-	}
-	if runAll || want["durable"] {
-		throughput, recovery, err := benchutil.DurableUpdates(scale)
-		exitOn(err)
-		fmt.Fprintf(out, "\nDurable updates — sustained insert throughput by WAL fsync policy\n")
-		for _, r := range throughput {
-			fmt.Fprintf(out, "  sync every %4d: %6.0f inserts/s  (%d inserts in %.2fs, WAL %.1f MB)\n",
-				r.SyncEvery, r.PerSecond, r.Inserts, r.Elapsed.Seconds(), float64(r.WALBytes)/(1<<20))
-		}
-		fmt.Fprintf(out, "\nDurable updates — recovery time vs WAL length\n")
-		for _, r := range recovery {
-			fmt.Fprintf(out, "  %6d pending records (%.1f MB WAL): reopened in %.1fms\n",
-				r.WALRecords, float64(r.WALBytes)/(1<<20), float64(r.Recovery.Microseconds())/1000)
 		}
 	}
 	fmt.Fprintf(out, "\ncompleted in %.1fs\n", time.Since(start).Seconds())

@@ -1,16 +1,12 @@
 package rsse_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"rsse/internal/benchutil"
-	"rsse/internal/workload"
 )
 
 // TestDocLinks is the documentation link checker CI runs: every
@@ -124,70 +120,6 @@ func stripCode(md string) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// TestBenchReports validates every committed BENCH_*.json at the
-// repository root against its report schema, dispatching on the "tool"
-// field: rsse-bench files are benchutil.PerfReport snapshots, rsse-load
-// files are workload.LoadReport snapshots. A hand-edited or truncated
-// baseline fails here instead of silently weakening the CI perf gate.
-func TestBenchReports(t *testing.T) {
-	paths, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no BENCH_*.json baselines at the repository root")
-	}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var head struct {
-			Tool string `json:"tool"`
-		}
-		if err := json.Unmarshal(data, &head); err != nil {
-			t.Errorf("%s: not valid JSON: %v", path, err)
-			continue
-		}
-		switch head.Tool {
-		case "rsse-bench":
-			if err := validatePerfReport(data); err != nil {
-				t.Errorf("%s: %v", path, err)
-			}
-		case "rsse-load":
-			if err := workload.ValidateReport(data); err != nil {
-				t.Errorf("%s: %v", path, err)
-			}
-		default:
-			t.Errorf("%s: unknown tool %q", path, head.Tool)
-		}
-	}
-}
-
-// validatePerfReport checks the rsse-bench PerfReport shape (the
-// structure benchutil.QueryPerf emits).
-func validatePerfReport(data []byte) error {
-	var r benchutil.PerfReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return err
-	}
-	if r.GoVersion == "" || r.GOOS == "" || r.GOARCH == "" {
-		return fmt.Errorf("missing platform header")
-	}
-	if r.Tuples <= 0 || r.DomainBits == 0 {
-		return fmt.Errorf("missing workload dimensions")
-	}
-	if len(r.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmarks")
-	}
-	for _, b := range r.Benchmarks {
-		if b.Name == "" || b.NsPerOp <= 0 || b.QPS <= 0 {
-			return fmt.Errorf("benchmark %q has non-positive measurements", b.Name)
-		}
-	}
-	return nil
 }
 
 // slugify applies GitHub's heading-anchor rules: lowercase, drop

@@ -1,12 +1,12 @@
 // Package benchutil is the experiment harness that regenerates every
 // table and figure of the paper's evaluation (Section 8 and Appendix A).
 // Each experiment returns structured series and can print a paper-style
-// table; cmd/rsse-bench and the repository-level benchmarks drive it.
+// table; cmd/rsse-bench drives it.
 //
 // Absolute numbers differ from the paper (Go vs Java, synthetic vs
 // original datasets, different hardware); the shapes — which scheme wins,
 // by what factor, where the crossovers sit — are what the harness
-// reproduces. EXPERIMENTS.md records the comparison.
+// reproduces, and what experiments_test.go asserts.
 package benchutil
 
 import (

@@ -249,3 +249,26 @@ func TestUpdatesExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationShapes: the TDAG's single-range-cover window never
+// exceeds 4R (Lemma 1), and the plain binary tree's worst window is at
+// least the TDAG's at every range size — the reason the injected nodes
+// exist.
+func TestAblationShapes(t *testing.T) {
+	exp, err := AblationSRC(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdagMax, naiveMax := exp.SeriesByLabel("TDAG max"), exp.SeriesByLabel("binary-tree max")
+	if tdagMax == nil || naiveMax == nil || len(tdagMax.Y) == 0 || len(tdagMax.Y) != len(naiveMax.Y) {
+		t.Fatalf("ablation series missing or ragged: %+v", exp.Series)
+	}
+	for i, R := range tdagMax.X {
+		if tdagMax.Y[i] > 4 {
+			t.Errorf("R=%v: TDAG max window/R = %v exceeds Lemma 1's bound of 4", R, tdagMax.Y[i])
+		}
+		if naiveMax.Y[i] < tdagMax.Y[i] {
+			t.Errorf("R=%v: binary-tree max %v below TDAG max %v", R, naiveMax.Y[i], tdagMax.Y[i])
+		}
+	}
+}

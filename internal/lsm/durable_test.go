@@ -19,7 +19,7 @@ import (
 
 func testOpts() core.Options { return core.Options{SSE: sse.Basic{}} }
 
-func testMaster(t *testing.T) prf.Key {
+func testMaster(t testing.TB) prf.Key {
 	t.Helper()
 	var k prf.Key
 	for i := range k {

@@ -1,9 +1,9 @@
 // Package obs is the serving process's observability surface: a
 // dependency-free metrics registry (atomic counters, gauges and
-// log-linear latency histograms sharing internal/workload's bucket
-// layout) with Prometheus text-format exposition, an ops HTTP endpoint
-// (/metrics, /healthz, /readyz, /debug/pprof), build-info stamping, and
-// structured-logging setup for the CLIs.
+// log-linear latency histograms, histogram.go) with Prometheus
+// text-format exposition, an ops HTTP endpoint (/metrics, /healthz,
+// /readyz, /debug/pprof), build-info stamping, and structured-logging
+// setup for the CLIs.
 //
 // Design constraints, in order:
 //
@@ -12,8 +12,8 @@
 //     ops on pre-resolved metric pointers; name→metric resolution
 //     (Counter, CounterVec.With, ...) happens once at setup and the
 //     caller caches the result. An allocs guard pins this.
-//  2. No third-party dependencies: the registry, the exposition format
-//     and the scrape parser are a few hundred lines of stdlib Go.
+//  2. A leaf package: the registry, the histogram, the exposition format
+//     and the scrape parser import the standard library and nothing else.
 //  3. One process, one surface: the package-level Default registry is
 //     what instrumented packages (transport, lsm, wal, shard) write to
 //     and what rsse-server -ops exposes, mirroring the Prometheus
@@ -43,9 +43,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"rsse/internal/workload"
 )
 
 // Default is the process-wide registry instrumented packages write to
@@ -85,56 +82,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram is a concurrent log-linear latency histogram over the
-// bucket layout of internal/workload (exact below 64ns, then 64
-// sub-buckets per octave, ~1.6% relative error). Record is a few atomic
-// adds and never allocates, so it can sit on the per-request path of a
-// serving process; many goroutines may record concurrently.
-type Histogram struct {
-	counts [workload.NumBuckets]atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Uint64 // nanoseconds
-}
-
-// Record adds one latency sample (negative clamps to zero).
-func (h *Histogram) Record(d time.Duration) {
-	v := uint64(d)
-	if d < 0 {
-		v = 0
-	}
-	h.counts[workload.BucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Quantile returns the value at quantile q in [0, 1] of the samples
-// recorded so far, within the layout's ~1.6% relative error. Concurrent
-// recording skews the answer by at most the in-flight samples.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen > rank {
-			return time.Duration(workload.BucketMid(i))
-		}
-	}
-	return time.Duration(workload.BucketMid(workload.NumBuckets - 1))
-}
 
 // expositionBounds are the coarse cumulative upper bounds (seconds) the
 // fine-grained histogram aggregates into for Prometheus exposition: a
@@ -251,11 +198,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterFunc registers an unlabeled counter whose value fn reports at
-// scrape time — for a count its owner already keeps in its own atomics
-// and that cannot write to a Counter because this package (through
-// internal/workload) imports the owner. The hot path is the owner's
-// atomic add and nothing else. Registering a name twice keeps the
-// first fn.
+// scrape time — for a count its owner already keeps in its own
+// atomics. The hot path is the owner's atomic add and nothing else.
+// Registering a name twice keeps the first fn.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.getFamily(name, help, kindCounter).getChild(nil).counterFn.CompareAndSwap(nil, &fn)
 }
@@ -270,9 +215,13 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.getFamily(name, help, kindHist).getChild(nil).hist
 }
 
-// CounterVec is a counter family with labels; resolve children with
-// With once and cache the result.
-type CounterVec struct{ f *family }
+// The labeled families: a counter, gauge or histogram per label-value
+// tuple. Resolve children with With once and cache the result.
+type (
+	CounterVec   struct{ f *family }
+	GaugeVec     struct{ f *family }
+	HistogramVec struct{ f *family }
+)
 
 // CounterVec returns the labeled counter family called name.
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
@@ -284,9 +233,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.getChild(labelValues).counter
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
 // GaugeVec returns the labeled gauge family called name.
 func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
 	return &GaugeVec{r.getFamily(name, help, kindGauge, labelKeys...)}
@@ -296,9 +242,6 @@ func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.getChild(labelValues).gauge
 }
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
 
 // HistogramVec returns the labeled histogram family called name.
 func (r *Registry) HistogramVec(name, help string, labelKeys ...string) *HistogramVec {
@@ -370,7 +313,7 @@ func (h *Histogram) render(b *strings.Builder, f *family, labelValues []string) 
 	fine := 0
 	for _, bound := range expositionBounds {
 		limit := uint64(bound * 1e9)
-		for fine < workload.NumBuckets && workload.BucketMid(fine) <= limit {
+		for fine < NumBuckets && BucketMid(fine) <= limit {
 			cum += h.counts[fine].Load()
 			fine++
 		}
@@ -379,7 +322,7 @@ func (h *Histogram) render(b *strings.Builder, f *family, labelValues []string) 
 		writeLabels(b, f.labelKeys, labelValues, formatBound(bound))
 		fmt.Fprintf(b, " %d\n", cum)
 	}
-	for ; fine < workload.NumBuckets; fine++ {
+	for ; fine < NumBuckets; fine++ {
 		cum += h.counts[fine].Load()
 	}
 	b.WriteString(f.name)

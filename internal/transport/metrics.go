@@ -102,9 +102,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		m.latency[op] = lat.With(label)
 	}
 	// The derived-state stag cache (internal/sse/kernel.go) is
-	// process-wide and counts in its own atomics — obs imports sse through
-	// internal/workload, so sse cannot write to obs — and is read here at
-	// scrape time. sse.ResetKernelCache (tests, benchmark phases) zeroes all three.
+	// process-wide and counts in its own atomics, read here at scrape
+	// time. sse.ResetKernelCache (tests, benchmark phases) zeroes all three.
 	r.CounterFunc("rsse_stag_cache_hits_total",
 		"Stag lookups answered from the derived-state cache (key schedule and cached labels skipped).",
 		func() uint64 { hits, _ := sse.KernelCacheStats(); return hits })

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"rsse/internal/obs"
 )
 
 // Metrics is what one completed op cost in leakage terms, as counted by
@@ -43,10 +45,9 @@ func (l *LeakageCounters) merge(o *LeakageCounters) {
 	l.FalsePositives += o.FalsePositives
 }
 
-// Accumulator gathers one slot's results; slots are merged after the
-// phase so the hot path never shares state.
+// Accumulator gathers one slot's counts; slots are merged after the
+// phase so the hot path shares nothing but the phase's histogram.
 type Accumulator struct {
-	Hist     Histogram
 	Requests uint64 // completed ops (batched, write, or single query)
 	Batches  uint64 // ops that were batched queries
 	Writes   uint64 // ops that were owner-style writes
@@ -57,7 +58,6 @@ type Accumulator struct {
 
 // Merge folds o into a.
 func (a *Accumulator) Merge(o *Accumulator) {
-	a.Hist.Merge(&o.Hist)
 	a.Requests += o.Requests
 	a.Batches += o.Batches
 	a.Writes += o.Writes
@@ -116,7 +116,9 @@ func (r *Runner) Run(ctx context.Context) (*RunReport, error) {
 	}()
 
 	report := &RunReport{Workload: r.Spec.Name, Seed: r.Spec.Seed}
-	var steady Histogram // merged non-warmup latencies
+	// Run-level figures (see RunReport): the capacity phases', or every
+	// non-warmup phase's when the spec has no capacity phase.
+	var capacity, steady rollup
 	for pi, ph := range r.Spec.Phases {
 		conns, inflight := ph.Connections, ph.InFlight
 		if conns == 0 {
@@ -136,13 +138,14 @@ func (r *Runner) Run(ctx context.Context) (*RunReport, error) {
 			gens[s] = g
 		}
 
+		hist := new(obs.Histogram) // shared by the phase's slots
 		start := time.Now()
 		deadline := start.Add(time.Duration(ph.DurationMS) * time.Millisecond)
 		done := make(chan struct{}, slots)
 		for s := 0; s < slots; s++ {
 			go func(s int) {
 				defer func() { done <- struct{}{} }()
-				runSlot(ctx, sessions[s%conns], gens[s], &accs[s], ph, s, slots, start, deadline)
+				runSlot(ctx, sessions[s%conns], gens[s], &accs[s], hist, ph, s, slots, start, deadline)
 			}(s)
 		}
 		for s := 0; s < slots; s++ {
@@ -170,22 +173,42 @@ func (r *Runner) Run(ctx context.Context) (*RunReport, error) {
 			Errors:      merged.Errors,
 			Shed:        merged.Shed,
 			QPS:         float64(merged.Requests) / elapsed.Seconds(),
-			Latency:     Summarize(&merged.Hist),
+			Latency:     Summarize(hist),
 			Leakage:     merged.Leakage,
 		}
 		report.Phases = append(report.Phases, pr)
 		if !ph.Warmup {
-			steady.Merge(&merged.Hist)
-			if pr.QPS > report.SustainedQPS {
-				report.SustainedQPS = pr.QPS
+			steady.add(hist, merged.Requests, elapsed)
+			if ph.TargetQPS == 0 && conns == r.Spec.Connections && inflight == r.Spec.InFlight {
+				capacity.add(hist, merged.Requests, elapsed)
 			}
 		}
 		if r.OnPhase != nil {
 			r.OnPhase(pr)
 		}
 	}
-	report.Latency = Summarize(&steady)
+	designated := &capacity
+	if capacity.elapsed == 0 {
+		designated = &steady
+	}
+	if designated.elapsed > 0 {
+		report.SustainedQPS = float64(designated.requests) / designated.elapsed.Seconds()
+	}
+	report.Latency = Summarize(&designated.hist)
 	return report, nil
+}
+
+// rollup sums phases: latencies merged, requests over elapsed time.
+type rollup struct {
+	hist     obs.Histogram
+	requests uint64
+	elapsed  time.Duration
+}
+
+func (u *rollup) add(h *obs.Histogram, requests uint64, elapsed time.Duration) {
+	u.hist.Merge(h)
+	u.requests += requests
+	u.elapsed += elapsed
 }
 
 // runSlot is one slot's phase loop. Unpaced (TargetQPS == 0) it keeps
@@ -194,7 +217,7 @@ func (r *Runner) Run(ctx context.Context) (*RunReport, error) {
 // target rate, measures latency from the *scheduled* fire time (so
 // server-side queueing is not hidden — the coordinated-omission
 // correction), and sheds fires it is too far behind to attempt.
-func runSlot(ctx context.Context, sess Session, gen *Generator, acc *Accumulator, ph Phase, slot, slots int, start, deadline time.Time) {
+func runSlot(ctx context.Context, sess Session, gen *Generator, acc *Accumulator, hist *obs.Histogram, ph Phase, slot, slots int, start, deadline time.Time) {
 	var interval time.Duration
 	var next time.Time
 	paced := ph.TargetQPS > 0
@@ -247,7 +270,7 @@ func runSlot(ctx context.Context, sess Session, gen *Generator, acc *Accumulator
 			acc.Errors++
 			continue
 		}
-		acc.Hist.Record(time.Since(fireAt))
+		hist.Record(time.Since(fireAt))
 		acc.Requests++
 		switch {
 		case op.Write != nil:

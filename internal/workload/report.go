@@ -6,16 +6,12 @@ import (
 	"io"
 	"runtime"
 	"time"
+
+	"rsse/internal/obs"
 )
 
-// The rsse-load report lineage: BENCH_<pr>.json files at the repository
-// root are either rsse-bench PerfReports (micro: ns/op, allocs) or
-// rsse-load LoadReports (macro: sustained QPS and latency quantiles
-// against a live server). Both carry the same tool/go/platform header so
-// docs_test.go can dispatch validation on the "tool" field, and CI gates
-// regressions by comparing a fresh report against the committed one.
-
-// LatencySummary is the JSON face of a Histogram, in microseconds.
+// LatencySummary is the JSON face of an obs.Histogram, in microseconds:
+// quantiles and max to bucket precision (~1.6%), the mean exact.
 type LatencySummary struct {
 	Count  uint64  `json:"count"`
 	P50Us  float64 `json:"p50_us"`
@@ -26,15 +22,15 @@ type LatencySummary struct {
 }
 
 // Summarize extracts the standard quantiles from h.
-func Summarize(h *Histogram) LatencySummary {
+func Summarize(h *obs.Histogram) LatencySummary {
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	return LatencySummary{
 		Count:  h.Count(),
 		P50Us:  us(h.Quantile(0.50)),
 		P95Us:  us(h.Quantile(0.95)),
 		P99Us:  us(h.Quantile(0.99)),
-		MaxUs:  us(h.Max()),
-		MeanUs: us(h.Mean()),
+		MaxUs:  us(h.Quantile(1)),
+		MeanUs: us(h.Sum()) / float64(max(h.Count(), 1)),
 	}
 }
 
@@ -57,7 +53,11 @@ type PhaseReport struct {
 }
 
 // RunReport is one workload spec's full result: every phase, plus the
-// steady-state rollup over the non-warmup phases.
+// run-level figures. SustainedQPS and Latency describe the spec's
+// capacity phases — non-warmup, unpaced, at the spec's own connections
+// × in_flight ("sustain" in every builtin): requests over elapsed time
+// and the merged latencies of those phases, or of all non-warmup phases
+// when the spec has none. Never the best phase of the run.
 type RunReport struct {
 	Workload     string         `json:"workload"`
 	Seed         int64          `json:"seed"`
@@ -77,9 +77,8 @@ type LoadReport struct {
 
 	Runs []RunReport `json:"runs"`
 
-	// Notes carries free-form provenance lines — methodology, the
-	// baseline this run was measured against, trajectory across PRs —
-	// so the committed artifact explains itself.
+	// Notes carries free-form provenance lines (rsse-load -note, the
+	// fault injector's tally) so the artifact explains itself.
 	Notes []string `json:"notes,omitempty"`
 
 	// ServerMetrics is the server-side view of the same run: the delta of
@@ -153,9 +152,9 @@ func (r *LoadReport) ServerFamilyTotal(family string) float64 {
 }
 
 // ValidateReport checks that data is a structurally sound LoadReport:
-// right tool tag, at least one run, internally consistent quantiles.
-// docs_test.go runs it over every committed BENCH_*.json with
-// tool == "rsse-load".
+// right tool tag, at least one run, a positive sustained_qps per run,
+// internally consistent quantiles. rsse-load runs it over every report
+// it writes: a collapsed serving path fails here on any machine.
 func ValidateReport(data []byte) error {
 	var r LoadReport
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -201,44 +200,6 @@ func validSummary(where string, l LatencySummary) error {
 	if l.P50Us < 0 || l.P50Us > l.P95Us || l.P95Us > l.P99Us || l.P99Us > l.MaxUs {
 		return fmt.Errorf("workload: %s: quantiles not monotone (p50 %v p95 %v p99 %v max %v)",
 			where, l.P50Us, l.P95Us, l.P99Us, l.MaxUs)
-	}
-	return nil
-}
-
-// CompareReports is the CI regression gate: for every workload present
-// in both reports, the current sustained QPS may not fall more than
-// tolerance (e.g. 0.20) below the baseline, and the current steady p99
-// may not rise more than tolerance above it.
-func CompareReports(baseline, current []byte, tolerance float64) error {
-	var base, cur LoadReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return fmt.Errorf("workload: parse baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return fmt.Errorf("workload: parse current: %w", err)
-	}
-	curRuns := make(map[string]RunReport, len(cur.Runs))
-	for _, run := range cur.Runs {
-		curRuns[run.Workload] = run
-	}
-	matched := 0
-	for _, b := range base.Runs {
-		c, ok := curRuns[b.Workload]
-		if !ok {
-			continue
-		}
-		matched++
-		if c.SustainedQPS < b.SustainedQPS*(1-tolerance) {
-			return fmt.Errorf("workload: %s sustained qps regressed %.1f -> %.1f (more than %.0f%%)",
-				b.Workload, b.SustainedQPS, c.SustainedQPS, tolerance*100)
-		}
-		if b.Latency.P99Us > 0 && c.Latency.P99Us > b.Latency.P99Us*(1+tolerance) {
-			return fmt.Errorf("workload: %s p99 regressed %.0fµs -> %.0fµs (more than %.0f%%)",
-				b.Workload, b.Latency.P99Us, c.Latency.P99Us, tolerance*100)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("workload: no workload in common between baseline and current report")
 	}
 	return nil
 }
