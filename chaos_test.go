@@ -174,8 +174,7 @@ func TestChaosDifferentialRemote(t *testing.T) {
 				}
 			}
 
-			// Batched queries ride the same retry machinery (including the
-			// streamed large-batch path, which reassembles per attempt).
+			// Batched queries ride the same retry machinery.
 			batch := queries[:8]
 			wantB, err := localClient.QueryBatch(index, batch)
 			if err != nil {

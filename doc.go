@@ -56,8 +56,8 @@
 // binary search over the raw bytes). Select with WithStorage at build
 // time or UnmarshalIndexWith at load time.
 //
-// Serialized indexes (Index.MarshalBinary, wire format v2; v1 blobs
-// load transparently) are containers of in-place-readable segments:
+// Serialized indexes (Index.MarshalBinary, wire format v2) are
+// containers of in-place-readable segments:
 // OpenIndexFile(path, "disk") memory-maps a file and serves it with
 // near-constant open cost and near-zero resident memory —
 //

@@ -42,11 +42,11 @@ func FuzzUnmarshalIndex(f *testing.F) {
 	})
 }
 
-// FuzzOpenIndex drives the v2 segment-container parser (and, via the
-// version byte, the v1 path) with corrupt input on every engine,
-// including the zero-copy disk engine whose backends alias the fuzzed
-// bytes directly. Any failure must be the typed ErrCorruptIndex — never
-// a panic, and never an allocation proportional to a lying length field.
+// FuzzOpenIndex drives the segment-container parser with corrupt input
+// on every engine, including the zero-copy disk engine whose backends
+// alias the fuzzed bytes directly. Any failure must be the typed
+// ErrCorruptIndex — never a panic, and never an allocation proportional
+// to a lying length field.
 func FuzzOpenIndex(f *testing.F) {
 	c, err := NewClient(LogarithmicSRCi, cover.Domain{Bits: 6}, testOptions(95))
 	if err != nil {
@@ -60,12 +60,7 @@ func FuzzOpenIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1, err := idx.MarshalBinaryV1()
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2)
-	f.Add(v1)
 	f.Add(v2[:len(v2)/2])
 	flipped := append([]byte(nil), v2...)
 	flipped[len(flipped)/2] ^= 0x10
@@ -76,6 +71,14 @@ func FuzzOpenIndex(f *testing.F) {
 	for _, suite := range []byte{7, 1, 2} {
 		other := append([]byte(nil), v2...)
 		other[12] = suite
+		f.Add(other)
+	}
+	// The shape the header promises: SRC-i without its aux index, and
+	// kind bytes outside Kinds().
+	f.Add(withoutAux(f, v2))
+	for _, kind := range []byte{7, 255} {
+		other := append([]byte(nil), v2...)
+		other[1] = kind
 		f.Add(other)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	mrand "math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"rsse/internal/cover"
@@ -16,15 +18,18 @@ import (
 	"rsse/internal/storage"
 )
 
-// Wire-compat golden files: small v1 index blobs, one per scheme Kind
-// (each over a different SSE construction for coverage), committed under
-// testdata/golden. The test asserts that blobs written before the v2
-// segment-container format still load — onto every storage engine — and
-// answer queries identically to a v2 round-trip of the same index.
+// Wire-compat golden files: small index blobs committed under
+// testdata/golden, one per scheme Kind at suite 0 (each over a different
+// SSE construction for coverage) plus one per later PRF suite for the
+// two Constant kinds. TestGoldenSuites asserts that every one of them
+// still loads onto every storage engine, answers the golden queries and
+// re-marshals byte for byte.
 //
-// Regenerate with: go test ./internal/core -run TestGolden -update
-// (only needed when intentionally revving the v1 writer, which should
-// never happen: v1 is frozen).
+// The suite-0 files were written in the v1 record stream by PR 2 and
+// converted to the segment container by PR 25 (v1 reader, then
+// MarshalBinary), keeping their tuple ciphertexts. TestGoldenV1Compat
+// pins what is left of v1: those files are v2 now, and a blob stamped
+// v1 is refused as corrupt on every load path.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden index files")
 
@@ -77,10 +82,6 @@ func goldenClient(t *testing.T, kind Kind) *Client {
 	return c
 }
 
-func goldenPath(kind Kind) string {
-	return filepath.Join("testdata", "golden", kind.String()+".idx")
-}
-
 func goldenQueries() []Range {
 	return []Range{{0, 31}, {3, 7}, {10, 10}, {0, 0}, {17, 29}}
 }
@@ -123,78 +124,44 @@ func queryAll(t *testing.T, kind Kind, x *Index, label string) {
 	}
 }
 
+// TestGoldenV1Compat: every suite-0 golden — written as v1 by PR 2 — is
+// a v2 file, and the same bytes stamped with wire version 1 are refused
+// with ErrCorruptIndex naming the version by PeekMeta, by every engine
+// and by OpenIndexFile, never misparsed or answered.
 func TestGoldenV1Compat(t *testing.T) {
 	for _, kind := range Kinds() {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			path := goldenPath(kind)
-			if *updateGolden {
-				// v1 has no suite byte: its goldens are suite 0.
-				c := withBuildSuite(goldenClient(t, kind), prf.SuiteSHA512)
-				idx, err := c.BuildIndex(goldenTuples())
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob, err := idx.MarshalBinaryV1()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, blob, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			path := goldenSuitePath(kind, prf.SuiteSHA512)
 			blob, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
+				t.Fatal(err)
 			}
-
-			meta, err := PeekMeta(blob)
-			if err != nil || meta.Kind != kind || meta.N != len(goldenTuples()) {
-				t.Fatalf("PeekMeta = %+v, %v", meta, err)
+			if blob[0] != indexWireVersion {
+				t.Fatalf("%s: wire version %d, want %d", path, blob[0], indexWireVersion)
 			}
-
-			// The frozen v1 blob must load onto every engine and answer
-			// queries identically to the plaintext ground truth.
-			var fromV1 *Index
+			v1 := append([]byte(nil), blob...)
+			v1[0] = 1
+			isV1Refusal := func(err error) bool {
+				return errors.Is(err, ErrCorruptIndex) && strings.Contains(err.Error(), "wire version 1")
+			}
+			if meta, err := PeekMeta(v1); !isV1Refusal(err) {
+				t.Fatalf("PeekMeta of a v1 blob = %+v, %v; want ErrCorruptIndex naming version 1", meta, err)
+			}
+			v1Path := filepath.Join(t.TempDir(), "v1.idx")
+			if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			for _, eng := range storage.Engines() {
-				x, err := UnmarshalIndexWith(blob, eng)
-				if err != nil {
-					t.Fatalf("v1 load onto %s: %v", eng.Name(), err)
+				if _, err := UnmarshalIndexWith(v1, eng); !isV1Refusal(err) {
+					t.Errorf("v1 blob onto %s: err %v, want ErrCorruptIndex naming version 1", eng.Name(), err)
 				}
-				queryAll(t, kind, x, "v1/"+eng.Name())
-				fromV1 = x
-			}
-
-			// A v2 round-trip of the v1-loaded index must be lossless:
-			// same answers on every engine, including the zero-copy one.
-			v2, err := fromV1.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fromV2 *Index
-			for _, eng := range storage.Engines() {
-				x, err := UnmarshalIndexWith(v2, eng)
-				if err != nil {
-					t.Fatalf("v2 load onto %s: %v", eng.Name(), err)
+				if x, err := OpenIndexFile(v1Path, eng); !isV1Refusal(err) {
+					if x != nil {
+						x.Close()
+					}
+					t.Errorf("v1 file opened with %s: err %v, want ErrCorruptIndex naming version 1", eng.Name(), err)
 				}
-				queryAll(t, kind, x, "v2/"+eng.Name())
-				fromV2 = x
 			}
-
-			// And a v2-loaded index must still be able to write frozen v1
-			// (the downgrade path), which must load and answer again.
-			v1again, err := fromV2.MarshalBinaryV1()
-			if err != nil {
-				t.Fatal(err)
-			}
-			x, err := UnmarshalIndex(v1again)
-			if err != nil {
-				t.Fatal(err)
-			}
-			queryAll(t, kind, x, "v1-rewrite")
 		})
 	}
 }

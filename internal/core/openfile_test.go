@@ -9,9 +9,9 @@ import (
 	"rsse/internal/storage"
 )
 
-// openFileIndex builds a small SRC-i index (two SSE indexes plus store —
-// the widest container shape) and persists it in the given wire version.
-func openFileFixture(t *testing.T, dir string, v1 bool) (*Client, string) {
+// openFileFixture builds a small SRC-i index (two SSE indexes plus store
+// — the widest container shape) and persists it.
+func openFileFixture(t *testing.T, dir string) (*Client, string) {
 	t.Helper()
 	c, err := NewClient(LogarithmicSRCi, cover.Domain{Bits: 6}, testOptions(70))
 	if err != nil {
@@ -22,17 +22,10 @@ func openFileFixture(t *testing.T, dir string, v1 bool) (*Client, string) {
 		t.Fatal(err)
 	}
 	blob, err := idx.MarshalBinary()
-	if v1 {
-		blob, err = idx.MarshalBinaryV1()
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := "v2.idx"
-	if v1 {
-		name = "v1.idx"
-	}
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, "srci.idx")
 	if err := os.WriteFile(path, blob, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -41,52 +34,50 @@ func openFileFixture(t *testing.T, dir string, v1 bool) (*Client, string) {
 
 func TestOpenIndexFile(t *testing.T) {
 	dir := t.TempDir()
-	for _, v1 := range []bool{false, true} {
-		c, path := openFileFixture(t, dir, v1)
-		for _, eng := range storage.Engines() {
-			x, err := OpenIndexFile(path, eng)
-			if err != nil {
-				t.Fatalf("v1=%v %s: %v", v1, eng.Name(), err)
+	c, path := openFileFixture(t, dir)
+	for _, eng := range storage.Engines() {
+		x, err := OpenIndexFile(path, eng)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.Name(), err)
+		}
+		res, err := c.Query(x, Range{5, 40})
+		if err != nil {
+			t.Fatalf("%s: query: %v", eng.Name(), err)
+		}
+		want := 0
+		for _, tu := range uniformTuples(40, 6, 71) {
+			if (Range{5, 40}).Contains(tu.Value) {
+				want++
 			}
-			res, err := c.Query(x, Range{5, 40})
-			if err != nil {
-				t.Fatalf("v1=%v %s: query: %v", v1, eng.Name(), err)
-			}
-			want := 0
-			for _, tu := range uniformTuples(40, 6, 71) {
-				if (Range{5, 40}).Contains(tu.Value) {
-					want++
-				}
-			}
-			if len(res.Matches) != want {
-				t.Fatalf("v1=%v %s: %d matches, want %d", v1, eng.Name(), len(res.Matches), want)
-			}
+		}
+		if len(res.Matches) != want {
+			t.Fatalf("%s: %d matches, want %d", eng.Name(), len(res.Matches), want)
+		}
 
-			s := x.Stats()
-			if s.Kind != LogarithmicSRCi || s.N != 40 || s.Engine != eng.Name() {
-				t.Fatalf("stats = %+v", s)
+		s := x.Stats()
+		if s.Kind != LogarithmicSRCi || s.N != 40 || s.Engine != eng.Name() {
+			t.Fatalf("stats = %+v", s)
+		}
+		if s.FileBytes == 0 {
+			t.Fatalf("%s: FileBytes = 0 for a file-backed open", eng.Name())
+		}
+		if s.IndexBytes <= 0 || s.StoreBytes <= 0 || s.Postings <= 0 {
+			t.Fatalf("stats sizes missing: %+v", s)
+		}
+		// The zero-copy path should pin (almost) nothing on the heap;
+		// rebuild engines should pin roughly the data.
+		if eng.Name() == "disk" {
+			if s.Resident > int64(s.IndexBytes)/10 {
+				t.Fatalf("disk engine resident %d vs index %d — not zero-copy", s.Resident, s.IndexBytes)
 			}
-			if s.FileBytes == 0 {
-				t.Fatalf("%s: FileBytes = 0 for a file-backed open", eng.Name())
-			}
-			if s.IndexBytes <= 0 || s.StoreBytes <= 0 || s.Postings <= 0 {
-				t.Fatalf("stats sizes missing: %+v", s)
-			}
-			// The zero-copy path should pin (almost) nothing on the heap
-			// for a v2 file; rebuild engines should pin roughly the data.
-			if !v1 && eng.Name() == "disk" {
-				if s.Resident > int64(s.IndexBytes)/10 {
-					t.Fatalf("disk engine resident %d vs index %d — not zero-copy", s.Resident, s.IndexBytes)
-				}
-			} else if s.Resident == 0 {
-				t.Fatalf("%s v1=%v: resident = 0 for a rebuilt index", eng.Name(), v1)
-			}
-			if err := x.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := x.Close(); err != nil {
-				t.Fatal("second Close not idempotent:", err)
-			}
+		} else if s.Resident == 0 {
+			t.Fatalf("%s: resident = 0 for a rebuilt index", eng.Name())
+		}
+		if err := x.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Close(); err != nil {
+			t.Fatal("second Close not idempotent:", err)
 		}
 	}
 

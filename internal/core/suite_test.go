@@ -261,29 +261,6 @@ func TestCrossSuiteOwners(t *testing.T) {
 	}
 }
 
-// TestV1CannotCarrySuite: an index of a suite other than 0 has no v1 form — a v1 reader
-// would open it as suite 0 and silently find nothing — and says so with
-// a typed error; the same index at suite 0 still writes v1.
-func TestV1CannotCarrySuite(t *testing.T) {
-	for _, s := range allSuites {
-		c, err := NewClient(ConstantBRC, cover.Domain{Bits: 6}, testOptions(230))
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := withBuildSuite(c, s).BuildIndex(uniformTuples(20, 6, 231))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = idx.MarshalBinaryV1()
-		if s == prf.SuiteSHA512 && err != nil {
-			t.Errorf("suite-0 index refused v1: %v", err)
-		}
-		if s != prf.SuiteSHA512 && !errors.Is(err, ErrV1NoSuite) {
-			t.Errorf("suite-%d index: MarshalBinaryV1 err = %v, want ErrV1NoSuite", s, err)
-		}
-	}
-}
-
 // TestUnknownSuiteIsCorrupt: a header naming a suite this build does not
 // implement is refused by the peek and by the loader on every engine.
 func TestUnknownSuiteIsCorrupt(t *testing.T) {
@@ -315,55 +292,66 @@ func TestUnknownSuiteIsCorrupt(t *testing.T) {
 	}
 }
 
-// Suite golden files: v2 blobs of the two kinds whose default suite has
-// not been 0 since suites existed, one per suite other than 0, each
-// written by the release that introduced the suite and frozen beside
-// the v1 goldens (which are suite 0 by definition). -update rewrites
+// goldenSuites lists the suites a kind has golden files for: suite 0
+// for every kind, and every later suite for the two Constant kinds,
+// whose default suite has not been 0 since suites existed — each file
+// written by the release that introduced the suite. -update rewrites
 // only the file of the kind's default suite (tuple ciphertexts are
 // randomized, so a rewrite changes bytes) and should never be needed;
 // older generations are never rewritten.
+func goldenSuites(kind Kind) []prf.Suite {
+	if defaultSuite(kind) == prf.SuiteSHA512 {
+		return []prf.Suite{prf.SuiteSHA512}
+	}
+	return allSuites
+}
+
 func goldenSuitePath(kind Kind, s prf.Suite) string {
 	if s == prf.SuiteSHA512 {
-		return goldenPath(kind)
+		return filepath.Join("testdata", "golden", kind.String()+".idx")
 	}
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%v.suite%d.idx", kind, s))
 }
 
-// TestGoldenSuites: every generation of Constant golden blobs loads onto
-// every engine unmodified, reports the suite it was built with, and
-// answers the golden queries to an owner on today's defaults; the v2
-// blobs re-marshal byte for byte.
+// TestGoldenSuites: every golden file of every kind loads onto every
+// engine unmodified, reports the metadata it was built with, answers
+// the golden queries to an owner on today's defaults, and re-marshals
+// byte for byte.
 func TestGoldenSuites(t *testing.T) {
-	for _, kind := range []Kind{ConstantBRC, ConstantURC} {
-		for _, suite := range allSuites {
-			path := goldenSuitePath(kind, suite)
-			if *updateGolden && suite == defaultSuite(kind) {
-				idx, err := goldenClient(t, kind).BuildIndex(goldenTuples())
+	for _, kind := range Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, suite := range goldenSuites(kind) {
+				path := goldenSuitePath(kind, suite)
+				if *updateGolden && suite == defaultSuite(kind) {
+					idx, err := goldenClient(t, kind).BuildIndex(goldenTuples())
+					if err != nil {
+						t.Fatal(err)
+					}
+					blob, err := idx.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, blob, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				blob, err := os.ReadFile(path)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("missing golden file (regenerate with -update): %v", err)
 				}
-				blob, err := idx.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
+				want := IndexMeta{Kind: kind, DomainBits: goldenBits, N: len(goldenTuples()), Suite: suite}
+				if meta, err := PeekMeta(blob); err != nil || meta.Kind != kind || meta.N != want.N || meta.Suite != suite {
+					t.Fatalf("%s: PeekMeta = %+v, %v", path, meta, err)
 				}
-				if err := os.WriteFile(path, blob, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
-			}
-			for _, eng := range storage.Engines() {
-				x, err := UnmarshalIndexWith(blob, eng)
-				if err != nil {
-					t.Fatalf("%s onto %s: %v", path, eng.Name(), err)
-				}
-				if meta, _ := x.Meta(); meta.Suite != suite || meta.Kind != kind {
-					t.Fatalf("%s onto %s: meta %+v, want %v suite %v", path, eng.Name(), meta, kind, suite)
-				}
-				queryAll(t, kind, x, path+"/"+eng.Name())
-				if suite != prf.SuiteSHA512 {
+				for _, eng := range storage.Engines() {
+					x, err := UnmarshalIndexWith(blob, eng)
+					if err != nil {
+						t.Fatalf("%s onto %s: %v", path, eng.Name(), err)
+					}
+					if meta, _ := x.Meta(); meta.Suite != suite || meta.Kind != kind || meta.DomainBits != goldenBits || meta.N != want.N {
+						t.Fatalf("%s onto %s: meta %+v, want %+v", path, eng.Name(), meta, want)
+					}
+					queryAll(t, kind, x, path+"/"+eng.Name())
 					again, err := x.MarshalBinary()
 					if err != nil {
 						t.Fatal(err)
@@ -373,6 +361,6 @@ func TestGoldenSuites(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 }

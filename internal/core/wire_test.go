@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"rsse/internal/cover"
+	"rsse/internal/storage"
 )
 
 func TestIndexMarshalRoundtripAllKinds(t *testing.T) {
@@ -90,10 +93,11 @@ func TestUnmarshalIndexRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{99},                                  // bad version
-		blob[:len(blob)/2],                    // truncated
-		append(blob, 1, 2, 3),                 // trailing garbage
-		{1, 1, 99, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // domain bits too large
+		{99},                  // bad version
+		blob[:len(blob)/2],    // truncated
+		append(blob, 1, 2, 3), // trailing garbage
+		{2, 1, 99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // domain bits too large
+		append([]byte{1}, blob[1:]...),                    // the retired v1 version byte
 	}
 	for i, bad := range cases {
 		if _, err := UnmarshalIndex(bad); err == nil {
@@ -121,5 +125,73 @@ func TestIndexMarshalDeterministicSize(t *testing.T) {
 	}
 	if len(a) != len(b) {
 		t.Error("marshal size not stable")
+	}
+}
+
+// withoutAux rewrites an index blob with its aux section emptied.
+func withoutAux(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	r := wireReader{data: blob, off: 16}
+	prim, err := r.lenPrefixed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = r.lenPrefixed(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := r.lenPrefixed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), blob[:16]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(prim)))
+	out = append(out, prim...)
+	out = binary.BigEndian.AppendUint64(out, 0)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(store)))
+	return append(out, store...)
+}
+
+// TestUnmarshalIndexChecksShape: a header whose kind is not a scheme, or
+// whose sections do not have that kind's shape — an aux index exactly
+// when the kind is Logarithmic-SRC-i, whose first round searches it — is
+// a corrupt index on every engine, not a nil dereference at the first
+// query.
+func TestUnmarshalIndexChecksShape(t *testing.T) {
+	c, err := NewClient(LogarithmicSRCi, cover.Domain{Bits: 6}, testOptions(58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := c.BuildIndex(uniformTuples(20, 6, 59))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srci, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withKind := func(blob []byte, kind byte) []byte {
+		out := append([]byte(nil), blob...)
+		out[1] = kind
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		peek bool // PeekMeta already refuses the header
+	}{
+		{"SRC-i without its aux section", withoutAux(t, srci), false},
+		{"aux section on Logarithmic-SRC", withKind(srci, byte(LogarithmicSRC)), false},
+		{"aux section on Constant-BRC", withKind(srci, byte(ConstantBRC)), false},
+		{"kind 7", withKind(srci, 7), true},
+		{"kind 255", withKind(srci, 255), true},
+	} {
+		if _, err := PeekMeta(tc.blob); tc.peek != errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("%s: PeekMeta err %v", tc.name, err)
+		}
+		for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
+			if _, err := UnmarshalIndexWith(tc.blob, eng); !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("%s onto %s: err %v, want ErrCorruptIndex", tc.name, storage.OrDefault(eng).Name(), err)
+			}
+		}
 	}
 }

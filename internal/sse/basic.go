@@ -1,7 +1,6 @@
 package sse
 
 import (
-	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
 
@@ -73,56 +72,16 @@ func (x *basicIndex) Search(stag Stag) ([][]byte, error) {
 			return out, nil
 		}
 		if len(cell) != x.width {
-			// Unreachable through the fixed-record v1 format; guards
-			// crafted v2 segments with lying offset tables.
+			// Guards crafted segments with lying offset tables.
 			return nil, fmt.Errorf("sse: corrupt basic cell (%d bytes, want %d)", len(cell), x.width)
 		}
 		out = append(out, s.decrypt(i, cell))
 	}
 }
 
-// Wire format: tag(1) width(4) count(8) then count sorted records of
-// label(16) || cell(width).
+// serializedSize is the paper's Fig. 5a accounting of the index — a
+// tag(1) width(4) count(8) header, then label(16) || cell(width) per
+// posting — not the length of any wire encoding.
 func (x *basicIndex) serializedSize() int {
 	return 1 + 4 + 8 + x.cells.Len()*(LabelSize+x.width)
-}
-
-func (x *basicIndex) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, x.serializedSize())
-	out = append(out, tagBasic)
-	out = binary.BigEndian.AppendUint32(out, uint32(x.width))
-	out = binary.BigEndian.AppendUint64(out, uint64(x.cells.Len()))
-	return appendCells(out, x.cells), nil
-}
-
-func unmarshalBasic(data []byte, eng storage.Engine) (Index, error) {
-	if len(data) < 13 {
-		return nil, ErrCorrupt
-	}
-	width := int(binary.BigEndian.Uint32(data[1:5]))
-	count := binary.BigEndian.Uint64(data[5:13])
-	if width <= 0 {
-		return nil, ErrCorrupt
-	}
-	rec := LabelSize + width
-	body := data[13:]
-	// Bound count before multiplying: a huge count must not wrap the
-	// product past the length check into a panic below.
-	if count > uint64(len(body))/uint64(rec) || uint64(len(body)) != count*uint64(rec) {
-		return nil, ErrCorrupt
-	}
-	b := cellBuilder(eng, int(count))
-	for i := uint64(0); i < count; i++ {
-		off := i * uint64(rec)
-		if err := b.Put(body[off:off+LabelSize], body[off+LabelSize:off+uint64(rec)]); err != nil {
-			return nil, ErrCorrupt
-		}
-	}
-	cells, err := b.Seal()
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	x := &basicIndex{width: width, postings: int(count), cells: cells}
-	x.size = x.serializedSize()
-	return x, nil
 }

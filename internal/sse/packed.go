@@ -1,7 +1,6 @@
 package sse
 
 import (
-	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
 
@@ -123,52 +122,11 @@ func (x *packedIndex) Search(stag Stag) ([][]byte, error) {
 	}
 }
 
-// Wire format: tag(1) width(4) blockSize(1) postings(8) blockCount(8)
-// then blockCount sorted records of label(16) || cell(1+blockSize*width).
+// serializedSize is the paper's Fig. 5a accounting of the index — a
+// tag(1) width(4) blockSize(1) postings(8) blockCount(8) header, then
+// label(16) || cell(1+blockSize*width) per block — not the length of any
+// wire encoding.
 func (x *packedIndex) serializedSize() int {
 	blockLen := 1 + x.blockSize*x.width
 	return 1 + 4 + 1 + 8 + 8 + x.cells.Len()*(LabelSize+blockLen)
-}
-
-func (x *packedIndex) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, x.serializedSize())
-	out = append(out, tagPacked)
-	out = binary.BigEndian.AppendUint32(out, uint32(x.width))
-	out = append(out, byte(x.blockSize))
-	out = binary.BigEndian.AppendUint64(out, uint64(x.postings))
-	out = binary.BigEndian.AppendUint64(out, uint64(x.cells.Len()))
-	return appendCells(out, x.cells), nil
-}
-
-func unmarshalPacked(data []byte, eng storage.Engine) (Index, error) {
-	if len(data) < 22 {
-		return nil, ErrCorrupt
-	}
-	width := int(binary.BigEndian.Uint32(data[1:5]))
-	blockSize := int(data[5])
-	postings := binary.BigEndian.Uint64(data[6:14])
-	blocks := binary.BigEndian.Uint64(data[14:22])
-	if width <= 0 || blockSize < 1 {
-		return nil, ErrCorrupt
-	}
-	rec := uint64(LabelSize + 1 + blockSize*width)
-	body := data[22:]
-	// Bound blocks before multiplying so the product cannot wrap.
-	if blocks > uint64(len(body))/rec || uint64(len(body)) != blocks*rec {
-		return nil, ErrCorrupt
-	}
-	b := cellBuilder(eng, int(blocks))
-	for i := uint64(0); i < blocks; i++ {
-		off := i * rec
-		if err := b.Put(body[off:off+LabelSize], body[off+LabelSize:off+rec]); err != nil {
-			return nil, ErrCorrupt
-		}
-	}
-	cells, err := b.Seal()
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	x := &packedIndex{width: width, blockSize: blockSize, postings: int(postings), cells: cells}
-	x.size = x.serializedSize()
-	return x, nil
 }

@@ -293,7 +293,7 @@ func TestDeriveStagKeysMatchKDF(t *testing.T) {
 	}
 }
 
-// TestSectionSuiteIsTheCallers: a v2 section does not record the PRF
+// TestSectionSuiteIsTheCallers: a section does not record the PRF
 // suite its labels were derived under — the enclosing container does —
 // so the same section bytes opened under the build suite answer, and
 // under the other suite find nothing (every probe is at a label the

@@ -19,14 +19,15 @@
 //   - TwoLevel: the dictionary-plus-array "2lev" layout of Cash et al.
 //     (NDSS'14), for 8-byte payloads.
 //
-// All constructions shuffle each posting list at build time, support
-// binary serialization, and report their serialized size — the quantity
-// plotted in Figure 5(a) and Table 2.
+// All constructions shuffle each posting list at build time, serialize
+// as one section format (MarshalSection, OpenSection), and report their
+// size as the paper accounts it — the quantity plotted in Figure 5(a)
+// and Table 2.
 //
 // Physical storage of the encrypted dictionaries is delegated to
-// package storage: Build and Unmarshal take a storage.Engine choosing the
-// label→cell representation (nil selects the default hash map), and the
-// constructions address cells only through storage.Backend.
+// package storage: Build and OpenSection take a storage.Engine choosing
+// the label→cell representation (nil selects the default hash map), and
+// the constructions address cells only through storage.Backend.
 package sse
 
 import (
@@ -84,18 +85,17 @@ type Index interface {
 	Width() int
 	// Postings returns the number of real (non-padding) payloads stored.
 	Postings() int
-	// Size returns the serialized size of the index in bytes — the
-	// storage cost a server pays, padding included.
+	// Size returns the index's size in bytes as the paper's Fig. 5a
+	// accounts it — the storage cost a server pays, padding included. It
+	// is not the length of MarshalSection's output.
 	Size() int
 	// Resident approximates the heap bytes the index pins for its
 	// dictionaries — near zero when the cells are served in place from a
 	// serialized segment (the disk engine's zero-copy load path).
 	Resident() int
-	// MarshalBinary serializes the index (self-describing; see Unmarshal).
-	MarshalBinary() ([]byte, error)
 }
 
-// Construction wire tags.
+// Construction section tags (see MarshalSection).
 const (
 	tagBasic    byte = 1
 	tagPacked   byte = 2
@@ -125,29 +125,6 @@ func ByName(name string) (Scheme, error) {
 		return TwoLevel{}, nil
 	default:
 		return nil, fmt.Errorf("sse: unknown construction %q", name)
-	}
-}
-
-// Unmarshal reconstructs an index serialized with MarshalBinary onto the
-// given storage engine (nil selects the default). The wire formats store
-// records in ascending label order, so rebuilding onto the read-optimized
-// sorted engine is linear. The v1 formats predate PRF suites: what they
-// hold is a suite-0 index.
-func Unmarshal(data []byte, eng storage.Engine) (Index, error) {
-	if len(data) == 0 {
-		return nil, ErrCorrupt
-	}
-	switch data[0] {
-	case tagBasic:
-		return unmarshalBasic(data, eng)
-	case tagPacked:
-		return unmarshalPacked(data, eng)
-	case tagTSet:
-		return unmarshalTSet(data, eng)
-	case tagTwoLevel:
-		return unmarshalTwoLevel(data, eng)
-	default:
-		return nil, fmt.Errorf("sse: unknown index tag %d: %w", data[0], ErrCorrupt)
 	}
 }
 
@@ -311,15 +288,4 @@ func cellBuilder(eng storage.Engine, capacityHint int) storage.Builder {
 // related stags — or, vanishingly unlikely, colliding PRF outputs).
 func errLabelCollision(err error) error {
 	return fmt.Errorf("sse: label collision (duplicate or related stags?): %w", err)
-}
-
-// appendCells serializes a cell space in its deterministic (ascending
-// label) iteration order: label(16) || cell, repeated.
-func appendCells(out []byte, cells storage.Backend) []byte {
-	cells.Iterate(func(label, cell []byte) bool {
-		out = append(out, label...)
-		out = append(out, cell...)
-		return true
-	})
-	return out
 }

@@ -2,6 +2,8 @@ package sse
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	mrand "math/rand"
 	"sort"
 	"testing"
@@ -37,9 +39,15 @@ func buildTestIndex(t testing.TB, s Scheme, db map[string][]uint64) Index {
 }
 
 // buildTestIndexOn builds the same index on an explicit storage engine.
-// Entries are built in sorted keyword order so repeated builds from the
-// same seed are bit-identical (map iteration order must not leak in).
 func buildTestIndexOn(t testing.TB, s Scheme, db map[string][]uint64, eng storage.Engine) Index {
+	t.Helper()
+	return buildSuiteIndex(t, s, db, eng, prf.SuiteSHA512)
+}
+
+// buildSuiteIndex builds the index under an explicit PRF suite. Entries
+// are built in sorted keyword order so repeated builds from the same
+// seed are bit-identical (map iteration order must not leak in).
+func buildSuiteIndex(t testing.TB, s Scheme, db map[string][]uint64, eng storage.Engine, suite prf.Suite) Index {
 	t.Helper()
 	kws := make([]string, 0, len(db))
 	for kw := range db {
@@ -50,7 +58,7 @@ func buildTestIndexOn(t testing.TB, s Scheme, db map[string][]uint64, eng storag
 	for _, kw := range kws {
 		entries = append(entries, EntryFromIDs(stagOf(t, kw), db[kw]))
 	}
-	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(1)), eng, prf.SuiteSHA512)
+	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(1)), eng, suite)
 	if err != nil {
 		t.Fatalf("%s: Build: %v", s.Name(), err)
 	}
@@ -199,56 +207,51 @@ func TestDuplicateStagRejected(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundtripAllSchemes: a construction built under any suite
+// on any engine marshals to the same section bytes, and every engine
+// opens them back to an index with the built one's shape and Fig. 5a
+// accounting that answers every keyword and re-marshals byte for byte.
 func TestMarshalRoundtripAllSchemes(t *testing.T) {
 	db := map[string][]uint64{
 		"one": {1, 11, 111},
 		"two": {2, 22},
 		"six": {6},
 	}
+	defer ResetKernelCache()
 	for _, s := range testSchemes() {
 		t.Run(s.Name(), func(t *testing.T) {
-			idx := buildTestIndex(t, s, db)
-			blob, err := idx.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(blob) != idx.Size() {
-				t.Errorf("Size() = %d but marshaled %d bytes", idx.Size(), len(blob))
-			}
-			// The wire format must not depend on the engine the index was
-			// built on: the same build on every engine marshals to the
-			// same bytes.
-			for _, eng := range Engines() {
-				other := buildTestIndexOn(t, s, db, eng)
-				blob2, err := other.MarshalBinary()
+			for _, suite := range testSuites {
+				idx := buildSuiteIndex(t, s, db, nil, suite)
+				sec, err := MarshalSection(idx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(blob, blob2) {
-					t.Errorf("engine %s marshals different bytes", eng.Name())
-				}
-			}
-			// ... and every engine can load the blob back.
-			for _, eng := range append([]storage.Engine{nil}, Engines()...) {
-				back, err := Unmarshal(blob, eng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if back.Postings() != idx.Postings() || back.Width() != idx.Width() {
-					t.Error("metadata lost in roundtrip")
-				}
-				for kw, ids := range db {
-					got, err := back.Search(stagOf(t, kw))
+				for _, eng := range storage.Engines() {
+					other, err := MarshalSection(buildSuiteIndex(t, s, db, eng, suite))
 					if err != nil {
 						t.Fatal(err)
 					}
-					sorted := make([]uint64, len(got))
-					for i, p := range got {
-						sorted[i] = PayloadU64(p)
+					if !bytes.Equal(sec, other) {
+						t.Errorf("%v: built on %s, the section differs", suite, eng.Name())
 					}
-					sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-					if !equalIDs(sorted, sortedCopy(ids)) {
-						t.Errorf("after roundtrip, Search(%q) = %v", kw, sorted)
+				}
+				for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
+					back, err := OpenSection(sec, eng, suite)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if back.Postings() != idx.Postings() || back.Width() != idx.Width() || back.Size() != idx.Size() {
+						t.Errorf("%v: postings/width/size %d/%d/%d after the roundtrip, built %d/%d/%d", suite,
+							back.Postings(), back.Width(), back.Size(), idx.Postings(), idx.Width(), idx.Size())
+					}
+					for kw, ids := range db {
+						if got := searchIDs(t, back, kw); !equalIDs(got, sortedCopy(ids)) {
+							t.Errorf("%v: after roundtrip, Search(%q) = %v", suite, kw, got)
+						}
+					}
+					again, err := MarshalSection(back)
+					if err != nil || !bytes.Equal(again, sec) {
+						t.Errorf("%v: re-marshal from %s differs (err %v)", suite, storage.OrDefault(eng).Name(), err)
 					}
 				}
 			}
@@ -256,31 +259,46 @@ func TestMarshalRoundtripAllSchemes(t *testing.T) {
 	}
 }
 
-// Engines is shorthand for the storage engines under test.
-func Engines() []storage.Engine { return storage.Engines() }
-
+// TestUnmarshalRejectsGarbage: OpenSection refuses malformed and lying
+// sections on every engine with an error, never a panic or an
+// allocation sized by a lying field.
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	// overflowTSet: width=16, salt=0, postings=0, numBuckets=2^59,
-	// capacity=16, empty body — the record-count product wraps to 0 mod
-	// 2^64, so a naive length check passes and makeslice panics.
-	overflowTSet := []byte{tagTSet, 0, 0, 0, 16,
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-		0x08, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16}
-	// overflowBasic: width=2^31, count=2^33 → count*rec wraps.
-	overflowBasic := []byte{tagBasic, 0x80, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0}
-	cases := [][]byte{nil, {}, {99}, {tagBasic, 0, 0}, {tagTSet, 1, 2, 3},
-		overflowTSet, overflowBasic}
-	for _, eng := range storage.Engines() {
-		for i, c := range cases {
-			if _, err := Unmarshal(c, eng); err == nil {
-				t.Errorf("%s case %d: garbage accepted", eng.Name(), i)
-			}
+	section := func(s Scheme) []byte {
+		sec, err := MarshalSection(buildTestIndex(t, s, map[string][]uint64{"k": {1, 2}}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Truncated valid index.
-		idx := buildTestIndex(t, Basic{}, map[string][]uint64{"k": {1, 2}})
-		blob, _ := idx.MarshalBinary()
-		if _, err := Unmarshal(blob[:len(blob)-5], eng); err == nil {
-			t.Errorf("%s: truncated basic blob accepted", eng.Name())
+		return sec
+	}
+	put := func(sec []byte, off int, v uint64) []byte {
+		out := append([]byte(nil), sec...)
+		binary.BigEndian.PutUint64(out[off:], v)
+		return out
+	}
+	basic, packed := section(Basic{}), section(Packed{BlockSize: 4})
+	tset := section(TSet{BucketCapacity: 16, Expansion: 1.5})
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"nil", nil},
+		{"empty", []byte{}},
+		{"unknown tag", []byte{99}},
+		{"short basic", []byte{tagBasic, 0, 0}},
+		{"short tset", []byte{tagTSet, 1, 2, 3}},
+		{"zero width", put(basic, 0, uint64(tagBasic)<<56)},
+		{"segment past the end", put(basic, 8, math.MaxUint64)},
+		{"truncated", basic[:len(basic)-5]},
+		{"trailing byte", append(append([]byte(nil), basic...), 0)},
+		{"packed postings beyond its blocks", put(packed, 8, 1<<40)},
+		// 2^59 buckets of 16 slots: the slot product wraps to 0 mod 2^64.
+		{"tset slot overflow", put(tset, 24, 1<<59)},
+		{"tset postings beyond its slots", put(tset, 16, 1<<40)},
+	} {
+		for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
+			if _, err := OpenSection(c.data, eng, prf.SuiteSHA512); err == nil {
+				t.Errorf("%s on %s: garbage accepted", c.name, storage.OrDefault(eng).Name())
+			}
 		}
 	}
 }

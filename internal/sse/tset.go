@@ -148,19 +148,15 @@ attempt:
 }
 
 // buildLookup moves the bucket records into the engine-backed label→cell
-// space, padding records included, keeping only the slot-order labels
-// for serialization (the wire format is bucket order, not label order).
-// The cell bytes live once, in the backend.
+// space, padding records included. The cell bytes live once, in the
+// backend; bucket order is a build-time artifact searches never need.
 func (x *tsetIndex) buildLookup(eng storage.Engine, buckets [][]tsetRecord) error {
-	slots := x.numBuckets * x.capacity
-	b := cellBuilder(eng, slots)
-	x.order = make([][LabelSize]byte, 0, slots)
+	b := cellBuilder(eng, x.numBuckets*x.capacity)
 	for _, bkt := range buckets {
 		for _, r := range bkt {
 			if err := b.Put(r.label[:], r.cell); err != nil {
 				return errLabelCollision(err)
 			}
-			x.order = append(x.order, r.label)
 		}
 	}
 	lookup, err := b.Seal()
@@ -192,18 +188,14 @@ type tsetIndex struct {
 	capacity   int
 	numBuckets int
 	size       int
-	// lookup is the engine-backed label→cell space searches probe; order
-	// remembers each slot's label in padded bucket order so MarshalBinary
-	// can reproduce the physical layout without a second copy of the
-	// cells.
+	// lookup is the engine-backed label→cell space searches probe.
 	lookup storage.Backend
-	order  [][LabelSize]byte
 }
 
 func (x *tsetIndex) Width() int    { return x.width }
 func (x *tsetIndex) Postings() int { return x.postings }
 func (x *tsetIndex) Size() int     { return x.size }
-func (x *tsetIndex) Resident() int { return x.lookup.Resident() + LabelSize*len(x.order) }
+func (x *tsetIndex) Resident() int { return x.lookup.Resident() }
 
 // Buckets reports the bucket count; exposed for tests and stats.
 func (x *tsetIndex) Buckets() int { return x.numBuckets }
@@ -227,81 +219,10 @@ func (x *tsetIndex) Search(stag Stag) ([][]byte, error) {
 	}
 }
 
-// Wire format: tag(1) width(4) salt(8) postings(8) buckets(8) capacity(4)
-// then buckets*capacity records of label(16) || cell(width).
+// serializedSize is the paper's Fig. 5a accounting of the index — a
+// tag(1) width(4) salt(8) postings(8) buckets(8) capacity(4) header,
+// then label(16) || cell(width) per slot, padding included — not the
+// length of any wire encoding.
 func (x *tsetIndex) serializedSize() int {
 	return 1 + 4 + 8 + 8 + 8 + 4 + x.numBuckets*x.capacity*(LabelSize+x.width)
-}
-
-func (x *tsetIndex) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, x.serializedSize())
-	out = append(out, tagTSet)
-	out = binary.BigEndian.AppendUint32(out, uint32(x.width))
-	out = binary.BigEndian.AppendUint64(out, x.salt)
-	out = binary.BigEndian.AppendUint64(out, uint64(x.postings))
-	out = binary.BigEndian.AppendUint64(out, uint64(x.numBuckets))
-	out = binary.BigEndian.AppendUint32(out, uint32(x.capacity))
-	if x.order == nil {
-		// Indexes loaded from a v2 section carry no slot order; ascending
-		// label order is an equally valid physical layout (labels are
-		// pseudorandom, searches only ever probe by label).
-		out = appendCells(out, x.lookup)
-		return out, nil
-	}
-	for _, lab := range x.order {
-		cell, ok := x.lookup.Get(lab[:])
-		if !ok {
-			return nil, fmt.Errorf("sse: tset slot label missing from lookup")
-		}
-		out = append(out, lab[:]...)
-		out = append(out, cell...)
-	}
-	return out, nil
-}
-
-func unmarshalTSet(data []byte, eng storage.Engine) (Index, error) {
-	if len(data) < 33 {
-		return nil, ErrCorrupt
-	}
-	width := int(binary.BigEndian.Uint32(data[1:5]))
-	salt := binary.BigEndian.Uint64(data[5:13])
-	postings := binary.BigEndian.Uint64(data[13:21])
-	numBuckets := binary.BigEndian.Uint64(data[21:29])
-	capacity := int(binary.BigEndian.Uint32(data[29:33]))
-	if width <= 0 || capacity < 1 {
-		return nil, ErrCorrupt
-	}
-	rec := uint64(LabelSize + width)
-	body := data[33:]
-	// Bound the factors before multiplying: numBuckets*capacity*rec must
-	// not wrap past the length check into a makeslice panic below.
-	maxSlots := uint64(len(body)) / rec
-	if numBuckets > maxSlots/uint64(capacity) || uint64(len(body)) != numBuckets*uint64(capacity)*rec {
-		return nil, ErrCorrupt
-	}
-	x := &tsetIndex{
-		width:      width,
-		postings:   int(postings),
-		salt:       salt,
-		capacity:   capacity,
-		numBuckets: int(numBuckets),
-	}
-	slots := x.numBuckets * capacity
-	b := cellBuilder(eng, slots)
-	x.order = make([][LabelSize]byte, slots)
-	off := uint64(0)
-	for i := 0; i < slots; i++ {
-		copy(x.order[i][:], body[off:off+LabelSize])
-		if err := b.Put(body[off:off+LabelSize], body[off+LabelSize:off+rec]); err != nil {
-			return nil, ErrCorrupt
-		}
-		off += rec
-	}
-	lookup, err := b.Seal()
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	x.lookup = lookup
-	x.size = x.serializedSize()
-	return x, nil
 }

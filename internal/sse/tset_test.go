@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rsse/internal/prf"
+	"rsse/internal/storage"
 )
 
 func TestTSetPadding(t *testing.T) {
@@ -42,39 +43,65 @@ func TestTSetBucketCount(t *testing.T) {
 
 func TestTSetOverflowRetriesWithSalt(t *testing.T) {
 	// Tight buckets force overflows; the build must still succeed by
-	// re-salting, and the salt must survive serialization. Bucket
-	// placement depends only on the stag and the salt, so the observed
-	// salt is deterministic: these parameters need 3 retries.
+	// re-salting under every suite, and the salt must survive the section
+	// roundtrip onto every engine. Bucket placement depends only on the
+	// stag, the suite and the salt, so the observed salts are
+	// deterministic.
 	s := TSet{BucketCapacity: 8, Expansion: 1.3, MaxRetries: 200}
 	ids := make([]uint64, 64)
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	idx, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(9)), nil, prf.SuiteSHA512)
-	if err != nil {
-		t.Fatalf("build with tight buckets: %v", err)
-	}
-	if idx.(*tsetIndex).salt == 0 {
-		t.Error("expected the build to exercise the re-salting path")
-	}
-	got := searchIDs(t, idx, "k")
-	if len(got) != 64 {
-		t.Fatalf("got %d ids, want 64", len(got))
-	}
-	blob, err := idx.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(blob, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := back.Search(stagOf(t, "k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2) != 64 {
-		t.Fatalf("after roundtrip got %d ids, want 64", len(got2))
+	defer ResetKernelCache()
+	eachSuite(t, func(t *testing.T, suite prf.Suite) {
+		idx, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(9)), nil, suite)
+		if err != nil {
+			t.Fatalf("build with tight buckets: %v", err)
+		}
+		built := idx.(*tsetIndex)
+		if built.salt == 0 {
+			t.Error("expected the build to exercise the re-salting path")
+		}
+		if got := searchIDs(t, idx, "k"); len(got) != 64 {
+			t.Fatalf("got %d ids, want 64", len(got))
+		}
+		sec, err := MarshalSection(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
+			back, err := OpenSection(sec, eng, suite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if salt := back.(*tsetIndex).salt; salt != built.salt {
+				t.Fatalf("%s: salt %d after the roundtrip, built %d", storage.OrDefault(eng).Name(), salt, built.salt)
+			}
+			if got := searchIDs(t, back, "k"); len(got) != 64 {
+				t.Fatalf("%s: after roundtrip got %d ids, want 64", storage.OrDefault(eng).Name(), len(got))
+			}
+		}
+	})
+}
+
+// TestTSetResidentIsTheCells: a built TSet pins its cells and nothing
+// else — no per-slot copy of the labels in bucket order — so it holds
+// exactly what the same section reopened on the same engine holds.
+func TestTSetResidentIsTheCells(t *testing.T) {
+	db := map[string][]uint64{"a": {1, 2, 3}, "b": {4}}
+	for _, eng := range []storage.Engine{storage.Map{}, storage.Sorted{}} {
+		idx := buildTestIndexOn(t, TSet{BucketCapacity: 64, Expansion: 1.5}, db, eng)
+		sec, err := MarshalSection(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenSection(sec, eng, prf.SuiteSHA512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Resident() != back.Resident() {
+			t.Errorf("%s: built TSet pins %d bytes, reopened %d", eng.Name(), idx.Resident(), back.Resident())
+		}
 	}
 }
 

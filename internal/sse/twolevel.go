@@ -195,7 +195,7 @@ type twoLevelIndex struct {
 	cells  storage.Backend
 	blocks [][]byte
 	// blocksResident is the heap bytes the spill array owns — zero when
-	// the blocks alias a serialized v2 section in place.
+	// the blocks alias a serialized section in place.
 	blocksResident int
 }
 
@@ -289,75 +289,12 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 	}
 }
 
-// Wire format: tag(1) inlineCap(4) blockSize(4) postings(8)
-// cellCount(8) {label cell}* blockCount(8) blocks*
+// serializedSize is the paper's Fig. 5a accounting of the index — a
+// tag(1) inlineCap(4) blockSize(4) postings(8) cellCount(8) header,
+// label(16) || cell per keyword, blockCount(8), then the blocks — not
+// the length of any wire encoding.
 func (x *twoLevelIndex) serializedSize() int {
 	cellLen := 1 + 4 + x.inlineCap*8
 	blockLen := x.blockSize * 8
 	return 1 + 4 + 4 + 8 + 8 + x.cells.Len()*(LabelSize+cellLen) + 8 + len(x.blocks)*blockLen
-}
-
-func (x *twoLevelIndex) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, x.serializedSize())
-	out = append(out, tagTwoLevel)
-	out = binary.BigEndian.AppendUint32(out, uint32(x.inlineCap))
-	out = binary.BigEndian.AppendUint32(out, uint32(x.blockSize))
-	out = binary.BigEndian.AppendUint64(out, uint64(x.postings))
-	out = binary.BigEndian.AppendUint64(out, uint64(x.cells.Len()))
-	out = appendCells(out, x.cells)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(x.blocks)))
-	for _, b := range x.blocks {
-		out = append(out, b...)
-	}
-	return out, nil
-}
-
-func unmarshalTwoLevel(data []byte, eng storage.Engine) (Index, error) {
-	if len(data) < 25 {
-		return nil, ErrCorrupt
-	}
-	x := &twoLevelIndex{
-		inlineCap: int(binary.BigEndian.Uint32(data[1:5])),
-		blockSize: int(binary.BigEndian.Uint32(data[5:9])),
-		postings:  int(binary.BigEndian.Uint64(data[9:17])),
-	}
-	if x.inlineCap < 1 || x.blockSize < 2 {
-		return nil, ErrCorrupt
-	}
-	cellCount := binary.BigEndian.Uint64(data[17:25])
-	cellLen := uint64(1 + 4 + x.inlineCap*8)
-	off := uint64(25)
-	rec := uint64(LabelSize) + cellLen
-	// Bound cellCount before multiplying so the product cannot wrap.
-	if cellCount > (uint64(len(data))-off)/rec || uint64(len(data)) < off+cellCount*rec+8 {
-		return nil, ErrCorrupt
-	}
-	cb := cellBuilder(eng, int(cellCount))
-	for i := uint64(0); i < cellCount; i++ {
-		if err := cb.Put(data[off:off+LabelSize], data[off+LabelSize:off+rec]); err != nil {
-			return nil, ErrCorrupt
-		}
-		off += rec
-	}
-	cells, err := cb.Seal()
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	x.cells = cells
-	blockCount := binary.BigEndian.Uint64(data[off : off+8])
-	off += 8
-	blockLen := uint64(x.blockSize * 8)
-	if blockCount > (uint64(len(data))-off)/blockLen || uint64(len(data)) != off+blockCount*blockLen {
-		return nil, ErrCorrupt
-	}
-	x.blocks = make([][]byte, blockCount)
-	for i := uint64(0); i < blockCount; i++ {
-		b := make([]byte, blockLen)
-		copy(b, data[off:off+blockLen])
-		x.blocks[i] = b
-		off += blockLen
-	}
-	x.blocksResident = int(blockCount * blockLen)
-	x.size = x.serializedSize()
-	return x, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rsse/internal/prf"
+	"rsse/internal/storage"
 )
 
 func buildTwoLevel(t *testing.T, s TwoLevel, db map[string][]uint64) Index {
@@ -89,36 +90,35 @@ func TestTwoLevelMarshalRoundtrip(t *testing.T) {
 		"mid":   seq(10),
 		"big":   seq(40),
 	}
-	idx := buildTwoLevel(t, s, db)
-	blob, err := idx.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob) != idx.Size() {
-		t.Errorf("Size() = %d, marshaled %d", idx.Size(), len(blob))
-	}
-	back, err := Unmarshal(blob, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for kw, ids := range db {
-		got, err := back.Search(stagOf(t, kw))
+	defer ResetKernelCache()
+	eachSuite(t, func(t *testing.T, suite prf.Suite) {
+		idx := buildSuiteIndex(t, s, db, nil, suite)
+		sec, err := MarshalSection(idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(ids) {
-			t.Errorf("after roundtrip %s: %d ids, want %d", kw, len(got), len(ids))
+		for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
+			back, err := OpenSection(sec, eng, suite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kw, ids := range db {
+				if got := searchIDs(t, back, kw); !equalIDs(got, ids) {
+					t.Errorf("%s: after roundtrip %s: %d ids, want %d", storage.OrDefault(eng).Name(), kw, len(got), len(ids))
+				}
+			}
+			if back.Postings() != idx.Postings() || back.Size() != idx.Size() {
+				t.Errorf("%s: postings/size %d/%d after roundtrip, built %d/%d",
+					storage.OrDefault(eng).Name(), back.Postings(), back.Size(), idx.Postings(), idx.Size())
+			}
+			// Truncations rejected.
+			for _, cut := range []int{1, 10, len(sec) - 3} {
+				if _, err := OpenSection(sec[:cut], eng, suite); err == nil {
+					t.Errorf("%s: truncated at %d accepted", storage.OrDefault(eng).Name(), cut)
+				}
+			}
 		}
-	}
-	if back.Postings() != idx.Postings() {
-		t.Error("postings lost in roundtrip")
-	}
-	// Truncations rejected.
-	for _, cut := range []int{1, 10, len(blob) - 3} {
-		if _, err := Unmarshal(blob[:cut], nil); err == nil {
-			t.Errorf("truncated at %d accepted", cut)
-		}
-	}
+	})
 }
 
 // TestTwoLevelBlockAccounting: the array must hold exactly the blocks the

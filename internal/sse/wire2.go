@@ -8,15 +8,15 @@ import (
 	"rsse/internal/storage"
 )
 
-// Index wire format v2: every construction serializes as a "section" —
-// a small fixed header followed by 8-aligned, length-prefixed storage
-// segments (storage.EncodeSegment's format). Unlike the v1 record
-// streams, every variable-length part of a section can be sliced in
-// place: OpenSection onto an engine implementing storage.Opener (the
-// Disk engine) builds indexes whose dictionaries answer queries directly
-// over the serialized bytes, with zero per-record copies. Rebuilding
-// engines (map, sorted) still get a single linear pass, since segments
-// store records in ascending label order.
+// Every construction serializes as a "section" — a small fixed header
+// followed by 8-aligned, length-prefixed storage segments
+// (storage.EncodeSegment's format). Every variable-length part of a
+// section can be sliced in place: OpenSection onto an engine
+// implementing storage.Opener (the Disk engine) builds indexes whose
+// dictionaries answer queries directly over the serialized bytes, with
+// zero per-record copies. Rebuilding engines (map, sorted) still get a
+// single linear pass, since segments store records in ascending label
+// order.
 //
 // Section layouts (integers big-endian, pad bytes zero):
 //
@@ -32,7 +32,7 @@ import (
 // 8-aligned total length, which keeps every segment 8-aligned inside the
 // enclosing index container.
 
-// MarshalSection serializes idx in the v2 section format.
+// MarshalSection serializes idx in the section format.
 func MarshalSection(idx Index) ([]byte, error) {
 	switch x := idx.(type) {
 	case *basicIndex:
@@ -44,11 +44,11 @@ func MarshalSection(idx Index) ([]byte, error) {
 	case *twoLevelIndex:
 		return x.appendSection(nil)
 	default:
-		return nil, fmt.Errorf("sse: cannot serialize index type %T as a v2 section", idx)
+		return nil, fmt.Errorf("sse: cannot serialize index type %T as a section", idx)
 	}
 }
 
-// OpenSection reconstructs a v2 section onto eng (nil selects the
+// OpenSection reconstructs a section onto eng (nil selects the
 // default engine); suite is the PRF suite the index was built with,
 // which the enclosing container records. When eng can serve segments in
 // place (storage.Opener), the returned index aliases data, which must
@@ -315,9 +315,6 @@ func openTSetSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, e
 		capacity:   capacity,
 		numBuckets: int(buckets),
 		lookup:     lookup,
-		// order stays nil: the padded-bucket slot order is a build-time
-		// artifact the v2 format does not carry. Search never needs it,
-		// and MarshalBinary falls back to label order.
 	}
 	x.size = x.serializedSize()
 	return x, nil

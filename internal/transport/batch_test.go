@@ -5,6 +5,8 @@ import (
 	"errors"
 	mrand "math/rand"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,6 +34,22 @@ func batchTestIndex(t *testing.T, seed int64) (*core.Client, *core.Index) {
 		t.Fatal(err)
 	}
 	return client, index
+}
+
+// batchTrapdoors builds n trapdoors over overlapping ranges of
+// batchTestIndex's domain.
+func batchTrapdoors(t *testing.T, client *core.Client, n int) []*core.Trapdoor {
+	t.Helper()
+	ts := make([]*core.Trapdoor, 0, n)
+	for i := 0; i < n; i++ {
+		lo := uint64(i * 7 % 900)
+		tr, err := client.Trapdoor(core.Range{Lo: lo, Hi: lo + uint64(i%40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts = append(ts, tr)
+	}
+	return ts
 }
 
 // TestBatchQueryOp: the batch frame returns exactly the responses the
@@ -71,6 +89,81 @@ func TestBatchQueryOp(t *testing.T) {
 			t.Fatalf("trapdoor %d: %d items batched, %d single", i, batched[i].Items(), single.Items())
 		}
 	}
+}
+
+// searchBatchOneFrame runs ts as one batch through h and checks that
+// it cost exactly one batch-query request and no search request, and
+// that the responses are exactly those of one search per trapdoor, in
+// trapdoor order.
+func searchBatchOneFrame(t *testing.T, h *IndexHandle, ts []*core.Trapdoor) {
+	t.Helper()
+	batches, searches := tm.requests[opBatchQuery].Value(), tm.requests[opSearch].Value()
+	rs, err := h.SearchBatch(ts)
+	if err != nil {
+		t.Fatalf("%d-trapdoor batch: %v", len(ts), err)
+	}
+	if got := tm.requests[opBatchQuery].Value() - batches; got != 1 {
+		t.Fatalf("a %d-trapdoor batch cost %d batch requests, want 1", len(ts), got)
+	}
+	if got := tm.requests[opSearch].Value() - searches; got != 0 {
+		t.Fatalf("a %d-trapdoor batch cost %d search requests", len(ts), got)
+	}
+	if len(rs) != len(ts) {
+		t.Fatalf("%d responses for %d trapdoors", len(rs), len(ts))
+	}
+	for i, tr := range ts {
+		single, err := h.Search(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rs[i].Groups, single.Groups) {
+			t.Fatalf("%d-trapdoor batch, trapdoor %d: batched response differs from the single search", len(ts), i)
+		}
+	}
+}
+
+// TestBatchStreamOp: batches of every size — empty, one, and the sizes
+// that once straddled the retired streamed op's chunk edges — stay one
+// batch-query frame each way over a pooled server, and answer exactly
+// as one search per trapdoor.
+func TestBatchStreamOp(t *testing.T) {
+	t.Run("pooled", func(t *testing.T) {
+		client, index := batchTestIndex(t, 241)
+		cliConn, srvConn := net.Pipe()
+		go func() { _ = serveLoop(singleRegistry(index), srvConn, nil, nil, 0) }()
+		conn := NewConn(cliConn)
+		defer conn.Close()
+		h := conn.Default()
+		for _, n := range []int{0, 1, 16, 17, 47} {
+			searchBatchOneFrame(t, h, batchTrapdoors(t, client, n))
+		}
+	})
+}
+
+// TestBatchStreamAutoSwitch: a 40-trapdoor batch — past the threshold
+// where SearchBatch used to switch to the streamed op — is still one
+// batch-query request answered by one frame.
+func TestBatchStreamAutoSwitch(t *testing.T) {
+	client, index := batchTestIndex(t, 251)
+	conn := pipeServer(t, index)
+	searchBatchOneFrame(t, conn.Default(), batchTrapdoors(t, client, 40))
+}
+
+// TestBatchStreamError: a large batch against an unknown index fails
+// as a server error, not an overload, and the connection keeps serving
+// batches afterwards.
+func TestBatchStreamError(t *testing.T) {
+	client, index := batchTestIndex(t, 257)
+	conn := pipeServer(t, index)
+	ts := batchTrapdoors(t, client, 40)
+	_, err := conn.Index("no-such-index").SearchBatch(ts)
+	if err == nil || !strings.Contains(err.Error(), "no-such-index") {
+		t.Fatalf("batch against an unknown index returned %v", err)
+	}
+	if errors.Is(err, ErrOverloaded) {
+		t.Fatalf("lookup failure misreported as overload: %v", err)
+	}
+	searchBatchOneFrame(t, conn.Default(), ts)
 }
 
 // blockingServer serves valid metadata but parks every search until

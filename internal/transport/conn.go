@@ -180,19 +180,13 @@ func (c *Conn) readLoop() {
 		id := binary.BigEndian.Uint32(body[:4])
 		status := body[4]
 		c.mu.Lock()
+		// Every request gets exactly one response frame: the first retires
+		// it.
 		ch, ok := c.pending[id]
-		if ok && status != statusPartial {
-			// A partial frame leaves the request pending: more frames with
-			// this id are coming, and only the terminal frame retires it.
-			delete(c.pending, id)
-		}
+		delete(c.pending, id)
 		if !ok {
 			_, wasAbandoned := c.abandoned[id]
-			if wasAbandoned && status != statusPartial {
-				// An abandoned stream's marker survives its partial frames,
-				// so every late chunk is discarded, not just the first.
-				delete(c.abandoned, id)
-			}
+			delete(c.abandoned, id)
 			c.mu.Unlock()
 			if wasAbandoned {
 				// The caller's context expired before this response
@@ -297,92 +291,6 @@ func (c *Conn) roundTripContext(ctx context.Context, op byte, name string, paylo
 	}
 }
 
-// streamContext sends one request and consumes its streamed response:
-// onChunk is called with each partial frame's payload and then with the
-// terminal ok-frame's, in arrival order (which is the server's emission
-// order — frames of one id never reorder). frames is the caller's upper
-// bound on response frames; it sizes the reply buffer so the
-// connection's read loop never blocks on this stream. A server that
-// exceeds it is protocol-corrupt and kills the connection. If ctx
-// expires mid-stream the request is abandoned — the read loop keeps
-// discarding its late chunks until the stream's terminal frame.
-func (c *Conn) streamContext(ctx context.Context, op byte, name string, payload []byte, frames int, onChunk func([]byte) error) error {
-	if len(name) > maxNameLen {
-		return fmt.Errorf("%w: %q", ErrBadIndexName, name)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ch := make(chan rpcResult, frames)
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return err
-	}
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	abandon := func() {
-		c.mu.Lock()
-		if _, still := c.pending[id]; still {
-			delete(c.pending, id)
-			c.abandoned[id] = struct{}{}
-		}
-		c.mu.Unlock()
-	}
-	if err := c.enqueueFrame(id, op, name, payload); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return err
-	}
-	for got := 0; ; got++ {
-		var (
-			res rpcResult
-			ok  bool
-		)
-		select {
-		case res, ok = <-ch:
-		case <-ctx.Done():
-			abandon()
-			return ctx.Err()
-		}
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			return err
-		}
-		if got >= frames {
-			// More frames than the op can legitimately produce: the stream
-			// is corrupt and the demultiplexer's buffer guarantee is gone.
-			c.conn.Close()
-			return fmt.Errorf("transport: stream for request %d exceeded %d frames", id, frames)
-		}
-		switch res.status {
-		case statusPartial, statusOK:
-			if err := onChunk(res.payload); err != nil {
-				if res.status == statusPartial {
-					abandon()
-				}
-				return err
-			}
-			if res.status == statusOK {
-				return nil
-			}
-		case statusErr:
-			return fmt.Errorf("transport: server: %s", res.payload)
-		case statusOverload:
-			return fmt.Errorf("%w (%s)", ErrOverloaded, res.payload)
-		default:
-			return fmt.Errorf("transport: bad response status %d", res.status)
-		}
-	}
-}
-
 // Names asks the server which indexes it serves.
 func (c *Conn) Names() ([]string, error) {
 	payload, err := c.roundTrip(opNames, "", nil)
@@ -436,16 +344,11 @@ func fetchMeta(ctx context.Context, c *Conn, name string) (core.IndexMeta, error
 	return parseMeta(resp)
 }
 
-// A meta response is kind(1) domBits(1) posBits(1) n(8) suite(1). A
-// server that predates PRF suites sends the first 11 bytes only, and
-// serves nothing but suite-0 indexes.
-const (
-	metaLen       = 12
-	metaLenLegacy = 11
-)
+// A meta response is kind(1) domBits(1) posBits(1) n(8) suite(1).
+const metaLen = 12
 
 func parseMeta(resp []byte) (core.IndexMeta, error) {
-	if len(resp) != metaLen && len(resp) != metaLenLegacy {
+	if len(resp) != metaLen {
 		return core.IndexMeta{}, fmt.Errorf("transport: bad meta response length %d", len(resp))
 	}
 	meta := core.IndexMeta{
@@ -453,13 +356,12 @@ func parseMeta(resp []byte) (core.IndexMeta, error) {
 		DomainBits: resp[1],
 		PosBits:    resp[2],
 		N:          int(binary.BigEndian.Uint64(resp[3:11])),
+		Suite:      prf.Suite(resp[11]),
 	}
-	if len(resp) == metaLen {
-		if meta.Suite = prf.Suite(resp[11]); !meta.Suite.Valid() {
-			// Trapdoors derived under a suite this client does not
-			// implement would silently find nothing.
-			return core.IndexMeta{}, fmt.Errorf("%w: meta names unknown PRF suite %d", core.ErrCorruptIndex, resp[11])
-		}
+	if !meta.Suite.Valid() {
+		// Trapdoors derived under a suite this client does not implement
+		// would silently find nothing.
+		return core.IndexMeta{}, fmt.Errorf("%w: meta names unknown PRF suite %d", core.ErrCorruptIndex, resp[11])
 	}
 	return meta, nil
 }
@@ -507,14 +409,8 @@ func (h *IndexHandle) SearchBatch(ts []*core.Trapdoor) ([]*core.Response, error)
 	return h.SearchBatchContext(context.Background(), ts)
 }
 
-// SearchBatchContext implements core.ContextBatchSearcher. Large
-// batches switch to the streamed op automatically: the responses come
-// back in bounded chunks the owner starts decrypting while the server
-// is still searching, instead of one frame carrying the whole batch.
+// SearchBatchContext implements core.ContextBatchSearcher.
 func (h *IndexHandle) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
-	if len(ts) >= streamBatchThreshold {
-		return h.SearchBatchStreamContext(ctx, ts)
-	}
 	payload, err := core.MarshalTrapdoors(ts)
 	if err != nil {
 		return nil, err

@@ -14,24 +14,23 @@ import (
 // BenchmarkRemoteSearchRoundTrip.
 
 // opLabel maps wire op bytes to their metric label; index 0 doubles as
-// the unknown-op bucket.
+// the unknown-op bucket, which also takes the retired op 9.
 var opLabel = [opFetchMany + 1]string{
-	0:             "unknown",
-	opMeta:        "meta",
-	opSearch:      "search",
-	opFetch:       "fetch",
-	opNames:       "names",
-	opBatchQuery:  "batch",
-	opUpdate:      "update",
-	opDynFlush:    "dyn_flush",
-	opDynQuery:    "dyn_query",
-	opBatchStream: "batch_stream",
-	opFetchMany:   "fetch_many",
+	0:            "unknown",
+	opMeta:       "meta",
+	opSearch:     "search",
+	opFetch:      "fetch",
+	opNames:      "names",
+	opBatchQuery: "batch",
+	opUpdate:     "update",
+	opDynFlush:   "dyn_flush",
+	opDynQuery:   "dyn_query",
+	opFetchMany:  "fetch_many",
 }
 
-// opIndex clamps a wire op byte into opLabel's range.
+// opIndex maps a wire op byte to its opLabel slot, 0 for unknown ops.
 func opIndex(op byte) int {
-	if int(op) >= len(opLabel) {
+	if int(op) >= len(opLabel) || opLabel[op] == "" {
 		return 0
 	}
 	return int(op)
@@ -97,6 +96,9 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 	lat := r.HistogramVec("rsse_request_seconds",
 		"Server-side request execution latency (queue wait excluded), by wire op.", "op")
 	for op, label := range opLabel {
+		if label == "" {
+			continue // a retired op byte: opIndex never returns it
+		}
 		m.requests[op] = reqs.With(label)
 		m.errors[op] = errs.With(label)
 		m.latency[op] = lat.With(label)

@@ -22,12 +22,10 @@ import (
 )
 
 // panicStore is a real index whose Search, SearchBatch and FetchMany
-// panic while armed. batchesOK lets that many SearchBatch calls through
-// first, so a stream dies after emitting partial chunks.
+// panic while armed.
 type panicStore struct {
 	*core.Index
-	armed     atomic.Bool
-	batchesOK atomic.Int32
+	armed atomic.Bool
 }
 
 func (p *panicStore) Search(t *core.Trapdoor) (*core.Response, error) {
@@ -38,7 +36,7 @@ func (p *panicStore) Search(t *core.Trapdoor) (*core.Response, error) {
 }
 
 func (p *panicStore) SearchBatch(ts []*core.Trapdoor) ([]*core.Response, error) {
-	if p.armed.Load() && p.batchesOK.Add(-1) < 0 {
+	if p.armed.Load() {
 		var groups [][]byte
 		_ = groups[len(ts)] // a runtime error, not a panic(string)
 	}
@@ -79,9 +77,9 @@ func (x tokenPanicIndex) Search(stag sse.Stag) ([][]byte, error) {
 
 // TestHandlerPanicContained: a handler panic costs its own request an
 // error response and nothing else. On every op that reaches the index —
-// search, batch, a stream that already emitted chunks, fetch-many, and
-// a batch or stream whose third token panics on one of the index's own
-// search workers — the caller gets the fixed server error (never a dead
+// search, a small and a large batch, fetch-many, and a small and a large
+// batch whose third token panics on one of the index's own search
+// workers — the caller gets the fixed server error (never a dead
 // connection, never the panic text), the next request on the same
 // connection succeeds, rsse_handler_panics_total and the Error log move
 // once per panic (with the stack of the goroutine that panicked), and
@@ -126,13 +124,12 @@ func TestHandlerPanicContained(t *testing.T) {
 	defer conn.Close()
 	h, wh := conn.Default(), conn.Index(workerIndex)
 
-	one := streamTrapdoors(t, client, 1)[0]
-	few := streamTrapdoors(t, client, 3)
-	many := streamTrapdoors(t, client, 3*streamChunkTokens)
-	wfew := streamTrapdoors(t, wclient, 8) // a dozen tokens: several worker runs
-	arm := func(batchesOK int32) func() {
-		return func() { store.batchesOK.Store(batchesOK); store.armed.Store(true) }
-	}
+	one := batchTrapdoors(t, client, 1)[0]
+	few := batchTrapdoors(t, client, 3)
+	many := batchTrapdoors(t, client, 40)
+	wfew := batchTrapdoors(t, wclient, 8) // a dozen tokens: several worker runs
+	wmany := batchTrapdoors(t, wclient, 40)
+	arm := func() { store.armed.Store(true) }
 	armThirdToken := func() { left.Store(3) }
 	ops := []struct {
 		op    string // its label in the log record
@@ -141,13 +138,12 @@ func TestHandlerPanicContained(t *testing.T) {
 		stack string // a frame only this panic's stack has
 		call  func() error
 	}{
-		{"search", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.Search(one); return err }},
-		{"batch", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.SearchBatch(few); return err }},
-		{"batch_stream", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.SearchBatchStream(few); return err }},
-		{"batch_stream", DefaultIndex, arm(2), "panicStore", func() error { _, err := h.SearchBatchStream(many); return err }},
-		{"fetch_many", DefaultIndex, arm(0), "panicStore", func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
+		{"search", DefaultIndex, arm, "panicStore", func() error { _, err := h.Search(one); return err }},
+		{"batch", DefaultIndex, arm, "panicStore", func() error { _, err := h.SearchBatch(few); return err }},
+		{"batch", DefaultIndex, arm, "panicStore", func() error { _, err := h.SearchBatch(many); return err }},
+		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
 		{"batch", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatch(wfew); return err }},
-		{"batch_stream", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatchStream(wfew); return err }},
+		{"batch", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatch(wmany); return err }},
 	}
 	for _, tc := range ops {
 		panicsBefore := tm.panics.Value()

@@ -259,9 +259,8 @@ func (h *ResilientHandle) SearchBatch(ts []*core.Trapdoor) ([]*core.Response, er
 }
 
 // SearchBatchContext implements core.ContextBatchSearcher with
-// retries. The streamed large-batch path is retry-safe because every
-// attempt reassembles into a fresh slice — a stream the server died
-// halfway through is discarded whole, never spliced.
+// retries. Each attempt's batch response is one frame, so a conn that
+// dies mid-response fails the attempt whole: nothing is spliced.
 func (h *ResilientHandle) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
 	var out []*core.Response
 	err := h.do(ctx, func(ctx context.Context, c *Conn) error {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -261,10 +260,46 @@ func TestBlackHoleRecoveredByOpTimeout(t *testing.T) {
 	}
 }
 
-// measureExchange runs one fault-free meta+search exchange and
-// returns the query result plus the total server→client byte count —
-// the sweep range for the kill-point test.
-func measureExchange(t *testing.T, c *core.Client, idx core.Server, q core.Range) (*core.Result, int64) {
+func sameResult(a, b *core.Result) bool {
+	return reflect.DeepEqual(a.Matches, b.Matches) && reflect.DeepEqual(a.Raw, b.Raw)
+}
+
+// exchange is what a kill-point sweep cuts: one client-side exchange
+// over h, returning what its caller would compare.
+type exchange func(h core.Server) (any, error)
+
+// queryExchange is one range query, compared by its matches and raw
+// ids.
+func queryExchange(c *core.Client, q core.Range) exchange {
+	return func(h core.Server) (any, error) {
+		res, err := c.QueryServer(h, q)
+		if err != nil {
+			return nil, err
+		}
+		return [2][]core.ID{res.Matches, res.Raw}, nil
+	}
+}
+
+// batchExchange is one batch-query round trip, compared by every
+// response's groups.
+func batchExchange(ts []*core.Trapdoor) exchange {
+	return func(h core.Server) (any, error) {
+		rs, err := h.(core.BatchSearcher).SearchBatch(ts)
+		if err != nil {
+			return nil, err
+		}
+		groups := make([][][][]byte, len(rs))
+		for i, r := range rs {
+			groups[i] = r.Groups
+		}
+		return groups, nil
+	}
+}
+
+// measureExchange runs ex once fault-free and returns its result plus
+// the total server→client byte count — the sweep range for the
+// kill-point test.
+func measureExchange(t *testing.T, idx core.Server, ex exchange) (any, int64) {
 	t.Helper()
 	in := fault.New(fault.Plan{Seed: 1})
 	conn, err := pipeDial(t, idx, in, nil)("pipe", "a")
@@ -272,15 +307,11 @@ func measureExchange(t *testing.T, c *core.Client, idx core.Server, q core.Range
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, err := c.QueryServer(conn.Default(), q)
+	got, err := ex(conn.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, in.Stats().BytesRead
-}
-
-func sameResult(a, b *core.Result) bool {
-	return reflect.DeepEqual(a.Matches, b.Matches) && reflect.DeepEqual(a.Raw, b.Raw)
+	return got, in.Stats().BytesRead
 }
 
 // TestKillPointFrameOffsets severs the server→client stream at every
@@ -290,42 +321,49 @@ func sameResult(a, b *core.Result) bool {
 // wrong answer; the resilient client must always recover the
 // byte-identical result.
 //
-// Three exchanges are swept: a one-round Logarithmic-BRC query (meta +
+// Four exchanges are swept: a one-round Logarithmic-BRC query (meta +
 // search), an SRC-i query whose fetch round is one fetch-many frame
 // (every byte of its count, length words and ciphertexts is a cut
-// point, so the filter never runs over a torn frame), and an SRC-i
-// query whose raw ids span two pipelined fetch-many frames — that
-// stream is ten times longer, so it is cut at every 11th byte, a stride
-// coprime to every field width in the frames.
+// point, so the filter never runs over a torn frame), an SRC-i query
+// whose raw ids span two pipelined fetch-many frames, and one batch
+// frame carrying 40 trapdoors' responses. The last two are several
+// times longer, so they are cut at every 11th byte, a stride coprime to
+// every field width in the frames.
 func TestKillPointFrameOffsets(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		kind      core.Kind
-		q         core.Range
-		step      int64
-		fetchMany int // fetch-many frames the exchange must contain
+		name   string
+		kind   core.Kind
+		q      core.Range
+		batch  int // > 0: the exchange is one batch of this many trapdoors, not a query of q
+		step   int64
+		op     byte // the exchange must carry frames requests of op
+		frames int
 	}{
-		{"search", core.LogarithmicBRC, core.Range{Lo: 700, Hi: 740}, 1, 0},
-		{"fetch-many", core.LogarithmicSRCi, core.Range{Lo: 700, Hi: 740}, 1, 1},
-		{"pipelined fetch-many", core.LogarithmicSRCi, core.Range{Lo: 0, Hi: 1023}, 11, 2},
+		{"search", core.LogarithmicBRC, core.Range{Lo: 700, Hi: 740}, 0, 1, opFetchMany, 0},
+		{"fetch-many", core.LogarithmicSRCi, core.Range{Lo: 700, Hi: 740}, 0, 1, opFetchMany, 1},
+		{"pipelined fetch-many", core.LogarithmicSRCi, core.Range{Lo: 0, Hi: 1023}, 0, 11, opFetchMany, 2},
+		{"batch", core.LogarithmicBRC, core.Range{}, 40, 11, opBatchQuery, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, idx, _ := testClientIndex(t, tc.kind)
-			frames0 := tm.requests[opFetchMany].Value()
-			oracle, total := measureExchange(t, c, idx, tc.q)
+			ex := queryExchange(c, tc.q)
+			if tc.batch > 0 {
+				ex = batchExchange(batchTrapdoors(t, c, tc.batch))
+			}
+			frames0 := tm.requests[tc.op].Value()
+			oracle, total := measureExchange(t, idx, ex)
 			if total == 0 {
 				t.Fatal("measured zero exchange bytes")
 			}
-			if got := int(tm.requests[opFetchMany].Value() - frames0); got != tc.fetchMany {
-				t.Fatalf("exchange carried %d fetch-many frames (%d raw ids), the sweep wants %d",
-					got, len(oracle.Raw), tc.fetchMany)
+			if got := int(tm.requests[tc.op].Value() - frames0); got != tc.frames {
+				t.Fatalf("exchange carried %d %s frames, the sweep wants %d", got, opLabel[tc.op], tc.frames)
 			}
-			killPointSweep(t, c, idx, tc.q, oracle, total, tc.step)
+			killPointSweep(t, idx, ex, oracle, total, tc.step)
 		})
 	}
 }
 
-func killPointSweep(t *testing.T, c *core.Client, idx core.Server, q core.Range, oracle *core.Result, total, step int64) {
+func killPointSweep(t *testing.T, idx core.Server, ex exchange, oracle any, total, step int64) {
 	for off := int64(0); off <= total; off += step {
 		in := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{
 			{Conn: 0, Side: fault.Read, Action: fault.Truncate, AtByte: off},
@@ -336,12 +374,12 @@ func killPointSweep(t *testing.T, c *core.Client, idx core.Server, q core.Range,
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.QueryServer(conn.Default(), q)
+		got, err := ex(conn.Default())
 		if err != nil {
 			if !errors.Is(err, ErrConnDead) {
 				t.Fatalf("offset %d/%d: err = %v, want ErrConnDead", off, total, err)
 			}
-		} else if !sameResult(res, oracle) {
+		} else if !reflect.DeepEqual(got, oracle) {
 			t.Fatalf("offset %d/%d: result differs from oracle", off, total)
 		}
 		conn.Close()
@@ -352,97 +390,12 @@ func killPointSweep(t *testing.T, c *core.Client, idx core.Server, q core.Range,
 		rd := NewRedialer(pool, "a", RetryPolicy{
 			MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: time.Millisecond, Seed: off + 1,
 		})
-		res, err = c.QueryServer(rd.Default(), q)
+		got, err = ex(rd.Default())
 		if err != nil {
-			t.Fatalf("offset %d/%d: resilient query failed: %v", off, total, err)
+			t.Fatalf("offset %d/%d: resilient exchange failed: %v", off, total, err)
 		}
-		if !sameResult(res, oracle) {
+		if !reflect.DeepEqual(got, oracle) {
 			t.Fatalf("offset %d/%d: resilient result differs from oracle", off, total)
-		}
-		pool.Close()
-	}
-}
-
-// TestBatchStreamMidStreamDeath kills the server→client stream of the
-// chunked batch-stream op at sampled offsets, including between
-// chunks. A death mid-stream must surface a clean typed error — never
-// a silently truncated result slice — and the resilient path must
-// reassemble the oracle's exact responses on a fresh conn.
-func TestBatchStreamMidStreamDeath(t *testing.T) {
-	client, index := batchTestIndex(t, 211)
-	var ts []*core.Trapdoor
-	for i := 0; i < 40; i++ { // ≥ streamBatchThreshold: the streamed path
-		lo := uint64(i * 20 % 900)
-		tr, err := client.Trapdoor(core.Range{Lo: lo, Hi: lo + 60})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts = append(ts, tr)
-	}
-
-	// Fault-free oracle + stream length, through a counting injector.
-	in := fault.New(fault.Plan{Seed: 1})
-	conn, err := pipeDial(t, index, in, nil)("pipe", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := conn.Default().SearchBatchStreamContext(context.Background(), ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oracle) != len(ts) {
-		t.Fatalf("oracle has %d responses for %d trapdoors", len(oracle), len(ts))
-	}
-	total := in.Stats().BytesRead
-	conn.Close()
-
-	sameResponses := func(got []*core.Response) bool {
-		if len(got) != len(oracle) {
-			return false
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i].Groups, oracle[i].Groups) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// ~40 evenly spaced offsets plus the exact end.
-	step := total / 40
-	if step == 0 {
-		step = 1
-	}
-	for off := int64(0); off <= total; off += step {
-		plan := fault.Plan{Seed: 1, Rules: []fault.Rule{
-			{Conn: 0, Side: fault.Read, Action: fault.Truncate, AtByte: off},
-		}}
-
-		in := fault.New(plan)
-		conn, err := pipeDial(t, index, in, nil)("pipe", "a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := conn.Default().SearchBatchStreamContext(context.Background(), ts)
-		if err != nil {
-			if !errors.Is(err, ErrConnDead) {
-				t.Fatalf("offset %d/%d: err = %v, want ErrConnDead", off, total, err)
-			}
-		} else if !sameResponses(got) {
-			t.Fatalf("offset %d/%d: mid-stream death returned truncated/divergent responses", off, total)
-		}
-		conn.Close()
-
-		pool := NewPoolFunc("pipe", pipeDial(t, index, fault.New(plan), nil))
-		rd := NewRedialer(pool, "a", RetryPolicy{
-			MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: time.Millisecond, Seed: off + 1,
-		})
-		got, err = rd.Default().SearchBatchContext(context.Background(), ts)
-		if err != nil {
-			t.Fatalf("offset %d/%d: resilient batch failed: %v", off, total, err)
-		}
-		if !sameResponses(got) {
-			t.Fatalf("offset %d/%d: resilient batch differs from oracle", off, total)
 		}
 		pool.Close()
 	}

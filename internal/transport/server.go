@@ -376,12 +376,6 @@ func (d *dispatcher) worker() {
 	for t := range d.tasks {
 		tm.queueDepth.Dec()
 		tm.queueWait.Record(time.Since(t.enq))
-		if t.req.op == opBatchStream {
-			// Streamed responses leave chunk by chunk through the same
-			// completion channel; see stream.go.
-			d.streamTask(t)
-			continue
-		}
 		c := completion{id: t.req.id, bp: t.bp, counted: t.counted}
 		oi := opIndex(t.req.op)
 		start := time.Now()

@@ -16,20 +16,11 @@
 //	response := reqID(u32) status(u8) payload
 //	ops:      meta(1), search(trapdoor wire, 2), fetch(id, 3), names(4),
 //	          batch-query(trapdoor batch wire, 5), update(6),
-//	          dyn-flush(7), dyn-query(8), batch-stream(trapdoor batch
-//	          wire, 9), fetch-many(count‖ids, 10)
-//	status:   ok(0) payload | err(1) message | overload(2) message |
-//	          partial(3) chunk
+//	          dyn-flush(7), dyn-query(8), fetch-many(count‖ids, 10)
+//	status:   ok(0) payload | err(1) message | overload(2) message
 //
-// The batch-stream op is batch-query with a streamed response: the
-// server searches the batch in fixed-size sub-batches and ships each
-// finished sub-batch immediately as a partial(3) frame (payload: the
-// usual response-group wire, a count followed by that many response
-// wires), terminating the stream with an ok(0) frame carrying the last
-// chunk — so the owner decrypts and filters early results while the
-// server is still searching late ones, and no frame ever carries the
-// whole batch. An err(1) frame aborts the stream; partial results are
-// discarded. See stream.go.
+// Every request is answered by exactly one response frame. Op 9 is
+// retired and answered like any unknown op, with an err(1) frame.
 //
 // The overload status distinguishes "server refused this request" from
 // "server gone": a draining server answers shed requests with status 2
@@ -74,24 +65,19 @@ const MaxFrame = 1 << 28 // 256 MiB
 
 // Request op codes and response status codes.
 const (
-	opMeta        byte = 1
-	opSearch      byte = 2
-	opFetch       byte = 3
-	opNames       byte = 4
-	opBatchQuery  byte = 5
-	opUpdate      byte = 6
-	opDynFlush    byte = 7
-	opDynQuery    byte = 8
-	opBatchStream byte = 9
-	opFetchMany   byte = 10
+	opMeta       byte = 1
+	opSearch     byte = 2
+	opFetch      byte = 3
+	opNames      byte = 4
+	opBatchQuery byte = 5
+	opUpdate     byte = 6
+	opDynFlush   byte = 7
+	opDynQuery   byte = 8
+	opFetchMany  byte = 10
 
 	statusOK       byte = 0
 	statusErr      byte = 1
 	statusOverload byte = 2
-	// statusPartial marks a streamed-response chunk: more frames with the
-	// same request id follow, terminated by a statusOK (carrying the last
-	// chunk) or a statusErr. Only opBatchStream produces it.
-	statusPartial byte = 3
 )
 
 // ErrOverloaded is returned to a caller whose request the server shed

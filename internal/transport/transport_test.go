@@ -510,18 +510,20 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 	defer serverEnd.Close()
 	defer clientEnd.Close()
 
-	// Unknown op → statusErr response routed by request id, connection
-	// stays up.
-	if err := writeFrame(clientEnd, appendRequest(42, 77, DefaultIndex, []byte("junk"))); err != nil {
-		t.Fatal(err)
-	}
-	body, err := readFrame(clientEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body) < responseHeader || body[4] != statusErr ||
-		!strings.Contains(string(body[responseHeader:]), "unknown request") {
-		t.Errorf("response = %x", body)
+	// Unknown op — including the retired batch-stream op 9 — → one
+	// statusErr response routed by request id, connection stays up.
+	for _, op := range []byte{77, 9} {
+		if err := writeFrame(clientEnd, appendRequest(42, op, DefaultIndex, []byte("junk"))); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readFrame(clientEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) < responseHeader || binary.BigEndian.Uint32(body) != 42 || body[4] != statusErr ||
+			!strings.Contains(string(body[responseHeader:]), "unknown request") {
+			t.Errorf("op %d: response = %x", op, body)
+		}
 	}
 	// The connection still answers valid requests afterwards.
 	conn := NewConn(clientEnd)
@@ -533,8 +535,8 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 
 // TestOversizedTokenLevelOverWire: a GGM token whose level byte exceeds
 // the index's domain height — one byte an untrusted peer controls —
-// comes back as an error response on the search, batch and batch-stream
-// ops, and the connection keeps serving. Level 64 used to panic the
+// comes back as an error response on the search and batch ops, and the
+// connection keeps serving. Level 64 used to panic the
 // serving goroutine (and the process with it), levels 31-63 to size an
 // allocation by 2^Level.
 func TestOversizedTokenLevelOverWire(t *testing.T) {
@@ -545,7 +547,6 @@ func TestOversizedTokenLevelOverWire(t *testing.T) {
 		for op, search := range map[string]func() error{
 			"search": func() error { _, err := h.Search(bad); return err },
 			"batch":  func() error { _, err := h.SearchBatch([]*core.Trapdoor{bad}); return err },
-			"stream": func() error { _, err := h.SearchBatchStream([]*core.Trapdoor{bad}); return err },
 		} {
 			err := search()
 			if err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {
@@ -702,13 +703,13 @@ func TestResponseWireRoundtrip(t *testing.T) {
 	}
 }
 
-// TestMetaWireSuite: the meta op's response grew a trailing suite byte.
-// A current server sends it; a current client reads it, still accepts
-// the 11-byte response of a server that predates suites (suite 0: such
-// a server serves nothing else), and refuses a suite it does not
-// implement — its trapdoors would silently find nothing. The suite on
-// the wire is the served index's own (core's defaultSuite table decides
-// it at build time); the two kinds here have different ones.
+// TestMetaWireSuite: the meta op's response ends in the served index's
+// suite byte. A server sends it; a client reads it, refuses a response
+// without it — the 11-byte answer of a server that predates suites — and
+// refuses a suite it does not implement: its trapdoors would silently
+// find nothing. The suite on the wire is the served index's own (core's
+// defaultSuite table decides it at build time); the two kinds here have
+// different ones.
 func TestMetaWireSuite(t *testing.T) {
 	seen := map[prf.Suite]bool{}
 	for _, kind := range []core.Kind{core.ConstantBRC, core.LogarithmicBRC} {
@@ -730,15 +731,14 @@ func TestMetaWireSuite(t *testing.T) {
 		if err != nil || meta.Kind != kind || meta.Suite != want {
 			t.Fatalf("%v: parsed %+v, %v", kind, meta, err)
 		}
-		legacy, err := parseMeta(resp[:metaLenLegacy])
-		if err != nil || legacy.Suite != prf.SuiteSHA512 || legacy.N != meta.N || legacy.Kind != kind {
-			t.Fatalf("%v: 11-byte meta parsed as %+v, %v; want the same index at suite 0", kind, legacy, err)
+		if _, err := parseMeta(resp[:metaLen-1]); err == nil {
+			t.Errorf("%v: the 11-byte meta answer without a suite byte was accepted", kind)
 		}
 		resp[metaLen-1] = prf.NumSuites
 		if _, err := parseMeta(resp); !errors.Is(err, core.ErrCorruptIndex) {
 			t.Errorf("%v: unimplemented suite %d in meta: err %v, want ErrCorruptIndex", kind, prf.NumSuites, err)
 		}
-		for _, n := range []int{0, metaLenLegacy - 1, metaLen + 1} {
+		for _, n := range []int{0, metaLen - 2, metaLen + 1} {
 			if _, err := parseMeta(make([]byte, n)); err == nil {
 				t.Errorf("%d-byte meta response accepted", n)
 			}

@@ -116,14 +116,15 @@ const (
 
 // UnmarshalIndex reconstructs an Index serialized with
 // Index.MarshalBinary — how a server restores persisted state. The blob
-// contains no key material; only the matching client can query it. Both
-// the current v2 segment-container format and v1 blobs written before it
-// load transparently.
+// contains no key material; only the matching client can query it.
+// Blobs in the v1 record stream of releases before PR 2 are refused as
+// corrupt: re-save them with a release up to PR 24 (UnmarshalIndex, then
+// MarshalBinary) or rebuild them.
 func UnmarshalIndex(data []byte) (*Index, error) { return core.UnmarshalIndex(data) }
 
 // UnmarshalIndexWith reconstructs a serialized Index onto a named
 // storage engine — "map" (hash tables, the default), "sorted" (the
-// read-optimized flat layout) or "disk" (serves v2 blobs in place with
+// read-optimized flat layout) or "disk" (serves the blob in place with
 // zero per-record copies; the returned index then aliases data, which
 // must stay valid and unmodified while the index is in use). The engine
 // is a local representation choice and never affects the wire format.
@@ -137,7 +138,7 @@ func UnmarshalIndexWith(data []byte, engine string) (*Index, error) {
 
 // OpenIndexFile memory-maps (or, where mmap is unavailable, reads) an
 // index file and reconstructs it onto the named storage engine. With
-// "disk" and a v2 file this is the lazy-serving path: open cost is
+// "disk" this is the lazy-serving path: open cost is
 // near-constant regardless of index size — section headers plus one
 // sequential checksum pass — and queries answer straight from the
 // mapping, so resident memory stays near zero until data pages in.
@@ -150,16 +151,18 @@ func OpenIndexFile(path, engine string) (*Index, error) {
 	return core.OpenIndexFile(path, eng)
 }
 
-// PeekIndexFile reads an index file's public metadata from its fixed
+// PeekIndexFile reads an index file's public metadata from its 16-byte
 // header without loading the body — cheap enough to run over a whole
-// directory before deciding what to serve.
+// directory before deciding what to serve. A header naming a wire
+// version, scheme kind or PRF suite this build does not read is refused
+// as corrupt.
 func PeekIndexFile(path string) (IndexMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return IndexMeta{}, err
 	}
 	defer f.Close()
-	hdr := make([]byte, 16) // the v2 header; no valid v1 blob is shorter
+	hdr := make([]byte, 16)
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return IndexMeta{}, fmt.Errorf("%s: %w", path, core.ErrCorruptIndex)
 	}
