@@ -177,7 +177,7 @@ func TestQueryBatchDifferentialLocal(t *testing.T) {
 
 // TestQueryBatchDifferentialRemote is the same differential over a
 // served connection: one batch frame per round instead of one frame per
-// range, with the server searching tokens concurrently.
+// range.
 func TestQueryBatchDifferentialRemote(t *testing.T) {
 	for _, kind := range rsse.Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -11,28 +11,19 @@ import (
 	"rsse/internal/core"
 )
 
-// perIDOnly hides a shard target's FetchMany while keeping its
-// context-aware per-id fetch and its search extensions, forcing the
-// owner's fetch round onto the one-Fetch-per-id fallback — the reference
-// the chunked round is compared to. (internal/core and
-// internal/transport run the same differential for a local index and for
-// plain and resilient remote handles.)
-type perIDOnly struct {
-	core.Server
-	core.ContextSearcher
-	core.ContextBatchSearcher
-	core.ContextFetcher
-}
+// perIDOnly hides a shard target's FetchMany, forcing the owner's fetch
+// round onto the one-Fetch-per-id fallback — the reference the chunked
+// round is compared to. (internal/core and internal/transport run the
+// same differential for a local index and for plain and resilient
+// remote handles.)
+type perIDOnly struct{ core.Server }
 
 func hideFetchMany(t *testing.T, s core.Server) core.Server {
 	t.Helper()
-	cs, ok1 := s.(core.ContextSearcher)
-	bs, ok2 := s.(core.ContextBatchSearcher)
-	cf, ok3 := s.(core.ContextFetcher)
-	if _, many := s.(core.ManyFetcher); !many || !ok1 || !ok2 || !ok3 {
-		t.Fatalf("shard target %T lacks a fetch or search extension", s)
+	if _, many := s.(core.ManyFetcher); !many {
+		t.Fatalf("shard target %T has no FetchMany to hide", s)
 	}
-	return perIDOnly{s, cs, bs, cf}
+	return perIDOnly{s}
 }
 
 func clusterTestTuples(n int, bits uint8, seed int64) []Tuple {

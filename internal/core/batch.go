@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"rsse/internal/cover"
@@ -28,20 +25,14 @@ import (
 // hidden) plus the batch size; sequential queries reveal every per-range
 // token multiset separately, with timing.
 
-// BatchSearcher is the optional Server extension the batch pipeline
-// prefers: executing several trapdoors in one exchange. A local *Index
-// implements it with concurrent token search; the transport layer
-// implements it as a single batch frame.
-type BatchSearcher interface {
-	SearchBatch(ts []*Trapdoor) ([]*Response, error)
-}
-
 // ContextSearcher is the optional context-aware form of Server.Search.
 type ContextSearcher interface {
 	SearchContext(ctx context.Context, t *Trapdoor) (*Response, error)
 }
 
-// ContextBatchSearcher is the optional context-aware form of SearchBatch.
+// ContextBatchSearcher is the optional extension the batch pipeline
+// prefers: several trapdoors in one exchange. The transport layer
+// implements it as a single batch frame.
 type ContextBatchSearcher interface {
 	SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Response, error)
 }
@@ -52,38 +43,48 @@ type ContextFetcher interface {
 }
 
 // searchCtx runs one search round, honouring ctx as far as the server
-// implementation allows (a plain Server is checked before the call).
+// implementation allows (a plain Server is checked before the call), and
+// refuses a response that is not one group per token.
 func searchCtx(ctx context.Context, s Server, t *Trapdoor) (*Response, error) {
+	var resp *Response
+	var err error
 	if cs, ok := s.(ContextSearcher); ok {
-		return cs.SearchContext(ctx, t)
+		resp, err = cs.SearchContext(ctx, t)
+	} else if err = ctx.Err(); err == nil {
+		resp, err = s.Search(t)
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return s.Search(t)
+	return oneGroupPerToken(t, resp)
 }
 
-// searchBatchCtx executes a batch of trapdoors through the richest
-// interface the server offers, falling back to per-trapdoor rounds.
-func searchBatchCtx(ctx context.Context, s Server, ts []*Trapdoor) ([]*Response, error) {
-	switch v := s.(type) {
-	case ContextBatchSearcher:
-		return v.SearchBatchContext(ctx, ts)
-	case BatchSearcher:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return v.SearchBatch(ts)
+// searchBatchCtx runs one batched round: the multi-trapdoor goes out as
+// a batch exchange when the server offers one, else as a plain search
+// round. Either way the response must be one group per token.
+func searchBatchCtx(ctx context.Context, s Server, t *Trapdoor) (*Response, error) {
+	bs, ok := s.(ContextBatchSearcher)
+	if !ok {
+		return searchCtx(ctx, s, t)
 	}
-	out := make([]*Response, len(ts))
-	for i, t := range ts {
-		r, err := searchCtx(ctx, s, t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+	resps, err := bs.SearchBatchContext(ctx, []*Trapdoor{t})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	if len(resps) != 1 {
+		return nil, fmt.Errorf("core: batch answered %d responses for 1 trapdoor", len(resps))
+	}
+	return oneGroupPerToken(t, resps[0])
+}
+
+// oneGroupPerToken is the shape check every search round applies before
+// the owner reads a response: group j answers token j, so a response
+// with a group missing or one too many is refused, not demultiplexed.
+func oneGroupPerToken(t *Trapdoor, resp *Response) (*Response, error) {
+	if len(resp.Groups) != t.Tokens() {
+		return nil, fmt.Errorf("core: response has %d groups for %d tokens", len(resp.Groups), t.Tokens())
+	}
+	return resp, nil
 }
 
 // fetchCtx fetches one ciphertext, honouring ctx where possible.
@@ -95,192 +96,6 @@ func fetchCtx(ctx context.Context, s Server, id ID) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	return s.Fetch(id)
-}
-
-// SearchContext implements ContextSearcher for a local index (the search
-// itself is not interruptible; the context gates entry).
-func (x *Index) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return x.Search(t)
-}
-
-// FetchContext implements ContextFetcher for a local index.
-func (x *Index) FetchContext(ctx context.Context, id ID) ([]byte, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	return x.Fetch(id)
-}
-
-// SearchBatch executes several trapdoors in one exchange, searching
-// tokens concurrently across the batch. This is the server side of the
-// batch pipeline: the transport layer calls it for every batch frame.
-func (x *Index) SearchBatch(ts []*Trapdoor) ([]*Response, error) {
-	return x.SearchBatchContext(context.Background(), ts)
-}
-
-// searchToken resolves token j of trapdoor t into resp.Groups[j],
-// dispatching exactly as Search would.
-func (x *Index) searchToken(t *Trapdoor, j int, resp *Response) error {
-	if len(t.GGM) > 0 {
-		e := dprf.GetExpanderSuite(x.suite)
-		g, err := x.searchConstantToken(e, t.GGM[j])
-		dprf.PutExpander(e)
-		if err != nil {
-			return err
-		}
-		resp.Groups[j] = g
-		return nil
-	}
-	idx := x.primary
-	if t.round != 2 && x.kind == LogarithmicSRCi {
-		idx = x.aux
-	}
-	g, err := idx.Search(t.Stags[j])
-	if err != nil {
-		return err
-	}
-	resp.Groups[j] = g
-	return nil
-}
-
-// searchChunkTokens is how many consecutive (trapdoor, token) jobs a
-// SearchBatchContext worker takes per handoff. Jobs are laid out
-// trapdoor by trapdoor, so a run of four keeps one trapdoor's tokens —
-// which share the trapdoor struct and neighbouring derived-state cache
-// entries — on one worker, and pays the unbuffered handoff once per
-// run instead of once per token.
-const searchChunkTokens = 4
-
-// PanicError is a panic recovered on one of SearchBatchContext's worker
-// goroutines, returned as the batch's error. Those goroutines are the
-// index's own, outside whatever recovery the caller wraps around its
-// call, so an uncontained panic there would take the process down for
-// one bad token. Error says only that a worker panicked; the value and
-// the worker's stack are for the caller's log, not for a peer.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string { return "core: batch search worker panicked" }
-
-// runRecovered runs job(i), turning a panic into a *PanicError.
-func runRecovered(job func(i int) error, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return job(i)
-}
-
-// runJobsChunked fans n index-addressed jobs out over up to `workers`
-// goroutines, in runs of `chunk` consecutive indices per channel send.
-// Dispatch stops at the first job error or when ctx is done; the first
-// error is returned, with ctx's taking precedence. A job that panics on
-// a worker goroutine fails with a *PanicError like any other job error
-// (when everything runs inline on the caller's goroutine, a panic is
-// the caller's to contain, as with Search). Jobs must write to
-// disjoint state (slots indexed by their job index). A worker that
-// receives a run executes its jobs back to back, so jobs that are
-// adjacent in the caller's layout — the tokens of one trapdoor, say —
-// land on one goroutine with their shared state hot, and the unbuffered
-// handoff happens once per run instead of once per job.
-func runJobsChunked(ctx context.Context, workers, n, chunk int, job func(i int) error) error {
-	if chunk < 1 {
-		chunk = 1
-	}
-	if workers > (n+chunk-1)/chunk {
-		workers = (n + chunk - 1) / chunk
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for base := range next {
-				hi := base + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := base; i < hi; i++ {
-					if failed() || ctx.Err() != nil {
-						break
-					}
-					if err := runRecovered(job, i); err != nil {
-						fail(err)
-					}
-				}
-			}
-		}()
-	}
-	for base := 0; base < n; base += chunk {
-		if failed() || ctx.Err() != nil {
-			break
-		}
-		next <- base
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return firstErr
-}
-
-// SearchBatchContext implements ContextBatchSearcher: every (trapdoor,
-// token) pair is an independent search job, fanned out over up to
-// GOMAXPROCS workers in runs of searchChunkTokens. Group order within
-// each response matches token order, as the demultiplexing owner
-// requires.
-func (x *Index) SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Response, error) {
-	type job struct{ ti, tj int }
-	out := make([]*Response, len(ts))
-	var jobs []job
-	for i, t := range ts {
-		out[i] = &Response{Groups: make([][][]byte, t.Tokens())}
-		for j := 0; j < t.Tokens(); j++ {
-			jobs = append(jobs, job{ti: i, tj: j})
-		}
-	}
-	err := runJobsChunked(ctx, runtime.GOMAXPROCS(0), len(jobs), searchChunkTokens, func(i int) error {
-		return x.searchToken(ts[jobs[i].ti], jobs[i].tj, out[jobs[i].ti])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // BatchStats aggregates the cost and leakage accounting of one batched
@@ -530,16 +345,11 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 	br.Stats.TokenBytes = plan1.trap.Bytes()
 
 	serverStart := time.Now()
-	resps, err := searchBatchCtx(ctx, s, []*Trapdoor{plan1.trap})
+	resp1, err := searchBatchCtx(ctx, s, plan1.trap)
 	if err != nil {
 		return nil, err
 	}
 	br.Stats.ServerTime += time.Since(serverStart)
-	resp1 := resps[0]
-	if len(resp1.Groups) != plan1.trap.Tokens() {
-		return nil, fmt.Errorf("core: batch response has %d groups for %d tokens",
-			len(resp1.Groups), plan1.trap.Tokens())
-	}
 	br.Stats.ResponseItems += resp1.Items()
 
 	for i := range ranges {
@@ -637,16 +447,11 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 	br.Stats.TokenBytes += plan2.trap.Bytes()
 
 	serverStart := time.Now()
-	resps, err := searchBatchCtx(ctx, s, []*Trapdoor{plan2.trap})
+	resp2, err := searchBatchCtx(ctx, s, plan2.trap)
 	if err != nil {
 		return err
 	}
 	br.Stats.ServerTime += time.Since(serverStart)
-	resp2 := resps[0]
-	if len(resp2.Groups) != plan2.trap.Tokens() {
-		return fmt.Errorf("core: batch response has %d groups for %d tokens",
-			len(resp2.Groups), plan2.trap.Tokens())
-	}
 	br.Stats.ResponseItems += resp2.Items()
 
 	ownerStart = time.Now()

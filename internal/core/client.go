@@ -508,7 +508,7 @@ func (c *Client) QueryServer(s Server, q Range) (*Result, error) {
 
 // QueryServerContext is QueryServer with cancellation: the protocol
 // aborts between rounds when ctx is done, and context-aware servers
-// (transport handles, local indexes) honour ctx inside each round too.
+// (transport handles) honour ctx inside each round too.
 // The Constant schemes record q in the intersection history only when
 // the whole protocol succeeds, so a failed query (network error, bad
 // trapdoor) never poisons a later retry of the same range.

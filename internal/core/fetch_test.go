@@ -12,17 +12,12 @@ import (
 	"rsse/internal/race"
 )
 
-// perIDOnly hides a server's FetchMany while keeping its context-aware
-// per-id fetch (and its batch search): the fetch round falls back to one
-// Fetch per id, which is the reference the chunked round is compared to.
-type perIDOnly struct {
-	Server
-	ContextSearcher
-	ContextBatchSearcher
-	ContextFetcher
-}
+// perIDOnly hides an index's FetchMany: the fetch round falls back to
+// one Fetch per id, which is the reference the chunked round is
+// compared to.
+type perIDOnly struct{ Server }
 
-func hideFetchMany(x *Index) perIDOnly { return perIDOnly{x, x, x, x} }
+func hideFetchMany(x *Index) perIDOnly { return perIDOnly{x} }
 
 // srcFixture builds one SRC-family index twice over: two identically
 // keyed and seeded clients, so a run against the index and a run against

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"rsse/internal/cover"
@@ -152,6 +153,35 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 	})
 }
 
+// hostileResponses are response bodies whose counts promise far more
+// than they carry: 2^24-1 groups, 2^27 groups, one group of 2^27 items,
+// 2^32-1 groups.
+var hostileResponses = [][]byte{
+	{0x00, 0xff, 0xff, 0xff},
+	{0x08, 0x00, 0x00, 0x00},
+	{0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00},
+	{0xff, 0xff, 0xff, 0xff},
+}
+
+// TestUnmarshalResponseHostileCounts: a response's group and item
+// counts come from the server. Each hostile body is refused as truncated
+// after allocating under 64 KiB — a 4-byte body used to buy an
+// allocation sized by its count (384 MiB to 96 GiB).
+func TestUnmarshalResponseHostileCounts(t *testing.T) {
+	for _, body := range hostileResponses {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalResponse(body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("% x: accepted", body)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("% x: allocated %d bytes, want < 64 KiB", body, got)
+		}
+	}
+}
+
 func FuzzUnmarshalResponse(f *testing.F) {
 	resp := &Response{Groups: [][][]byte{{[]byte("abc")}, {}}}
 	blob, err := resp.MarshalBinary()
@@ -160,6 +190,9 @@ func FuzzUnmarshalResponse(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add([]byte{0, 0, 0, 0})
+	for _, body := range hostileResponses {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := UnmarshalResponse(data)
 		if err != nil {

@@ -194,13 +194,15 @@ func UnmarshalResponse(data []byte) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: response truncated")
 	}
-	resp := &Response{Groups: make([][][]byte, 0, groups)}
+	// The sender is untrusted: cap each allocation hint by the bytes
+	// left (every group and every item costs at least its 4-byte count).
+	resp := &Response{Groups: make([][][]byte, 0, min(int(groups), (len(data)-r.off)/4))}
 	for g := uint32(0); g < groups; g++ {
 		items, err := r.uint32()
 		if err != nil {
 			return nil, fmt.Errorf("core: response truncated")
 		}
-		group := make([][]byte, 0, items)
+		group := make([][]byte, 0, min(int(items), (len(data)-r.off)/4))
 		for i := uint32(0); i < items; i++ {
 			n, err := r.uint32()
 			if err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestQueryPathAllocs pins the steady-state allocation counts of the
-// standard query-path workloads (the BenchmarkQueryPath setups, also
-// what rsse-bench -json reports into BENCH_*.json). The bounds are
+// standard query-path workloads (the BenchmarkQueryPath and
+// BenchmarkQueryBatchPath setups). The bounds are
 // roughly 2x the measured numbers — LogBRC ~40, Constant ~230 (655
 // leaves per query, one in seven non-empty; the 64 ranges repeat, so
 // the leaves are never-seen only on the first pass over them — or

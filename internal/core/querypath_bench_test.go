@@ -7,11 +7,12 @@ import (
 	"rsse/internal/sse"
 )
 
-// Query-path benchmarks: the standard 10k-tuple workloads the repo's perf
-// trajectory (BENCH_*.json) is measured on. LogBRC exercises the
-// stag-derivation + SSE-search path; Constant exercises GGM delegation and
-// server-side expansion. Run with -benchmem: allocations per op on these
-// two paths are pinned by the TestQueryPathAllocs guards.
+// Query-path benchmarks: the standard 10k-tuple workloads of the
+// in-process query path (end-to-end numbers come from benchmark/).
+// LogBRC exercises the stag-derivation + SSE-search path; Constant
+// exercises GGM delegation and server-side expansion. Run with
+// -benchmem: allocations per op on these two paths are pinned by the
+// TestQueryPathAllocs guards.
 
 const (
 	benchTuples = 10000
@@ -73,8 +74,7 @@ func BenchmarkQueryPath(b *testing.B) {
 }
 
 // BenchmarkQueryBatchPath measures the batched pipeline on 64 overlapping
-// ranges — the dedup-heavy workload BENCH_*.json tracks alongside the
-// single-query path.
+// ranges — the dedup-heavy counterpart of the single-query path.
 func BenchmarkQueryBatchPath(b *testing.B) {
 	client, idx, _ := benchSetup(b, LogarithmicBRC)
 	m := uint64(1) << benchBits

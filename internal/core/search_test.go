@@ -1,0 +1,143 @@
+package core
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"rsse/internal/cover"
+)
+
+// searchFixture builds a small index of kind over a 5-bit domain, dense
+// enough that every range below has matches and SRC-i reaches round 2.
+func searchFixture(t *testing.T, kind Kind) (*Client, *Index) {
+	t.Helper()
+	opts := testOptions(61)
+	opts.AllowIntersecting = true
+	c, err := NewClient(kind, cover.Domain{Bits: 5}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := c.BuildIndex(uniformTuples(100, 5, 62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, idx
+}
+
+var (
+	searchQuery = Range{Lo: 2, Hi: 25}
+	searchBatch = []Range{{Lo: 2, Hi: 9}, {Lo: 12, Hi: 25}}
+)
+
+func allKinds() []Kind { return append([]Kind{Quadratic}, nonQuadraticKinds()...) }
+
+// reshaped answers from x, but its responses to round's trapdoors lose
+// their last group (drop) or gain an empty one. It embeds nothing, so
+// no extension of x's can route around its Search.
+type reshaped struct {
+	x     *Index
+	round int
+	drop  bool
+}
+
+func (s reshaped) Meta() (IndexMeta, error)          { return s.x.Meta() }
+func (s reshaped) Fetch(id ID) ([]byte, bool, error) { return s.x.Fetch(id) }
+
+func (s reshaped) Search(t *Trapdoor) (*Response, error) {
+	resp, err := s.x.Search(t)
+	if err != nil || t.Round() != s.round {
+		return resp, err
+	}
+	if s.drop {
+		resp.Groups = resp.Groups[:len(resp.Groups)-1]
+	} else {
+		resp.Groups = append(resp.Groups, nil)
+	}
+	return resp, nil
+}
+
+// TestResponseShapeChecked: a response that is not one group per token
+// — a group dropped or one added, in either SRC-i round — fails the
+// query, through Query and QueryBatch alike, for every kind. A dropped
+// group used to cost Query that group's matches silently.
+func TestResponseShapeChecked(t *testing.T) {
+	for _, kind := range allKinds() {
+		rounds := []int{1}
+		if kind == LogarithmicSRCi {
+			rounds = append(rounds, 2)
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			c, idx := searchFixture(t, kind)
+			if _, err := c.QueryServer(reshaped{x: idx}, searchQuery); err != nil {
+				t.Fatalf("untouched responses refused: %v", err)
+			}
+			for _, round := range rounds {
+				for _, drop := range []bool{true, false} {
+					s := reshaped{idx, round, drop}
+					for path, run := range map[string]func() error{
+						"Query":      func() error { _, err := c.QueryServer(s, searchQuery); return err },
+						"QueryBatch": func() error { _, err := c.QueryBatch(s, searchBatch); return err },
+					} {
+						if err := run(); err == nil || !strings.Contains(err.Error(), "groups for") {
+							t.Errorf("%s, round %d, drop %v: err %v, want the group-count refusal", path, round, drop, err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// searchCounter embeds *Index and overrides Search alone.
+type searchCounter struct {
+	*Index
+	searches int
+}
+
+func (s *searchCounter) Search(t *Trapdoor) (*Response, error) {
+	s.searches++
+	return s.Index.Search(t)
+}
+
+func roundsOf(res *Result, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return res.Stats.Rounds, nil
+}
+
+// TestEmbeddedSearchOverride: a server that embeds *Index and overrides
+// Search is searched through its override — once per round — by Query,
+// QueryContext and QueryBatch. *Index used to carry SearchContext and
+// SearchBatchContext, which embedding promoted past the override.
+func TestEmbeddedSearchOverride(t *testing.T) {
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, idx := searchFixture(t, kind)
+			s := &searchCounter{Index: idx}
+			for path, run := range map[string]func() (int, error){
+				"Query": func() (int, error) { return roundsOf(c.QueryServer(s, searchQuery)) },
+				"QueryContext": func() (int, error) {
+					return roundsOf(c.QueryServerContext(context.Background(), s, searchQuery))
+				},
+				"QueryBatch": func() (int, error) {
+					br, err := c.QueryBatch(s, searchBatch)
+					if err != nil {
+						return 0, err
+					}
+					return br.Stats.Rounds, nil
+				},
+			} {
+				s.searches = 0
+				rounds, err := run()
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				if s.searches != rounds {
+					t.Errorf("%s: the override ran %d times over %d rounds", path, s.searches, rounds)
+				}
+			}
+		})
+	}
+}

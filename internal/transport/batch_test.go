@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	mrand "math/rand"
@@ -52,42 +53,95 @@ func batchTrapdoors(t *testing.T, client *core.Client, n int) []*core.Trapdoor {
 	return ts
 }
 
-// TestBatchQueryOp: the batch frame returns exactly the responses the
-// per-trapdoor search op would, in trapdoor order.
-func TestBatchQueryOp(t *testing.T) {
-	client, index := batchTestIndex(t, 131)
-	cliConn, srvConn := net.Pipe()
-	go func() { _ = ServeConn(srvConn, index) }()
-	conn := NewConn(cliConn)
-	defer conn.Close()
-	h := conn.Default()
+// batchRecorder passes batches through to its handle and keeps every
+// trapdoor they carried.
+type batchRecorder struct {
+	*IndexHandle
+	ts []*core.Trapdoor
+}
 
-	var ts []*core.Trapdoor
-	for _, q := range []core.Range{{Lo: 0, Hi: 100}, {Lo: 50, Hi: 512}, {Lo: 7, Hi: 7}} {
-		tr, err := client.Trapdoor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts = append(ts, tr)
+func (r *batchRecorder) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
+	r.ts = append(r.ts, ts...)
+	return r.IndexHandle.SearchBatchContext(ctx, ts)
+}
+
+// ixCounts reads the per-index counters one search request moves.
+func ixCounts(name string) [5]uint64 {
+	return [5]uint64{ixBatches.With(name).Value(), ixQueries.With(name).Value(),
+		ixTokens.With(name).Value(), ixTokenBytes.With(name).Value(), ixRespItems.With(name).Value()}
+}
+
+// countsSince is what a request moved the counters by.
+func countsSince(name string, before [5]uint64) [5]uint64 {
+	after := ixCounts(name)
+	for i := range after {
+		after[i] -= before[i]
 	}
-	batched, err := h.SearchBatch(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != len(ts) {
-		t.Fatalf("%d responses for %d trapdoors", len(batched), len(ts))
-	}
-	for i, tr := range ts {
-		single, err := h.Search(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(single.Groups) != len(batched[i].Groups) {
-			t.Fatalf("trapdoor %d: %d groups batched, %d single", i, len(batched[i].Groups), len(single.Groups))
-		}
-		if batched[i].Items() != single.Items() {
-			t.Fatalf("trapdoor %d: %d items batched, %d single", i, batched[i].Items(), single.Items())
-		}
+	return after
+}
+
+// TestBatchQueryOp: for every kind, the deduplicated trapdoor of a
+// 64-range QueryBatch gets byte-identical responses over the batch op
+// and the search op. The batch op moves rsse_index_batches_total by
+// one, and the query, token, token-byte and response-item counters
+// exactly as the search op does. (searchBatchOneFrame checks batches
+// of many trapdoors against one search per trapdoor.)
+func TestBatchQueryOp(t *testing.T) {
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			client := newTestClient(t, kind)
+			idx, err := client.BuildIndex(testDataset(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := "op5-" + kind.String()
+			reg := NewRegistry()
+			if err := reg.Register(name, idx); err != nil {
+				t.Fatal(err)
+			}
+			rec := &batchRecorder{IndexHandle: pipeRegistry(t, reg).Index(name)}
+			m := uint64(1024)
+			if kind == core.Quadratic {
+				m = 64
+			}
+			ranges := make([]core.Range, 64)
+			for i := range ranges {
+				lo := uint64(i*7) % (m / 2)
+				ranges[i] = core.Range{Lo: lo, Hi: lo + uint64(i)%(m/4)}
+			}
+			if _, err := client.QueryBatch(rec, ranges); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.ts) == 0 {
+				t.Fatal("the batch sent no trapdoor")
+			}
+			for i, tr := range rec.ts {
+				before := ixCounts(name)
+				batched, err := rec.SearchBatchContext(context.Background(), []*core.Trapdoor{tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaBatch := countsSince(name, before)
+				before = ixCounts(name)
+				single, err := rec.Search(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaSearch := countsSince(name, before)
+				b, _ := batched[0].MarshalBinary()
+				s, _ := single.MarshalBinary()
+				if !bytes.Equal(b, s) {
+					t.Fatalf("trapdoor %d (%d tokens): batch op and search op answered differently", i, tr.Tokens())
+				}
+				if viaBatch[0] != 1 || viaSearch[0] != 0 {
+					t.Errorf("trapdoor %d: batches_total moved %d by the batch op, %d by the search op; want 1, 0", i, viaBatch[0], viaSearch[0])
+				}
+				viaBatch[0], viaSearch[0] = 0, 0
+				if viaBatch != viaSearch || viaSearch[1] != 1 {
+					t.Errorf("trapdoor %d: queries/tokens/token bytes/items moved %v by the batch op, %v by the search op", i, viaBatch[1:], viaSearch[1:])
+				}
+			}
+		})
 	}
 }
 
@@ -98,7 +152,7 @@ func TestBatchQueryOp(t *testing.T) {
 func searchBatchOneFrame(t *testing.T, h *IndexHandle, ts []*core.Trapdoor) {
 	t.Helper()
 	batches, searches := tm.requests[opBatchQuery].Value(), tm.requests[opSearch].Value()
-	rs, err := h.SearchBatch(ts)
+	rs, err := h.SearchBatchContext(context.Background(), ts)
 	if err != nil {
 		t.Fatalf("%d-trapdoor batch: %v", len(ts), err)
 	}
@@ -141,7 +195,7 @@ func TestBatchStreamOp(t *testing.T) {
 }
 
 // TestBatchStreamAutoSwitch: a 40-trapdoor batch — past the threshold
-// where SearchBatch used to switch to the streamed op — is still one
+// where a batch used to switch to the streamed op — is still one
 // batch-query request answered by one frame.
 func TestBatchStreamAutoSwitch(t *testing.T) {
 	client, index := batchTestIndex(t, 251)
@@ -156,7 +210,7 @@ func TestBatchStreamError(t *testing.T) {
 	client, index := batchTestIndex(t, 257)
 	conn := pipeServer(t, index)
 	ts := batchTrapdoors(t, client, 40)
-	_, err := conn.Index("no-such-index").SearchBatch(ts)
+	_, err := conn.Index("no-such-index").SearchBatchContext(context.Background(), ts)
 	if err == nil || !strings.Contains(err.Error(), "no-such-index") {
 		t.Fatalf("batch against an unknown index returned %v", err)
 	}

@@ -402,14 +402,9 @@ func (h *IndexHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (*cor
 	return core.UnmarshalResponse(resp)
 }
 
-// SearchBatch implements core.BatchSearcher: all trapdoors cross the
-// wire in one batch-query frame, the server searches their tokens
-// concurrently, and all responses return in one frame.
-func (h *IndexHandle) SearchBatch(ts []*core.Trapdoor) ([]*core.Response, error) {
-	return h.SearchBatchContext(context.Background(), ts)
-}
-
-// SearchBatchContext implements core.ContextBatchSearcher.
+// SearchBatchContext implements core.ContextBatchSearcher: all
+// trapdoors cross the wire in one batch-query frame, and all responses
+// return in one frame.
 func (h *IndexHandle) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
 	payload, err := core.MarshalTrapdoors(ts)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	mrand "math/rand"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,8 +20,8 @@ import (
 	"rsse/internal/storage"
 )
 
-// panicStore is a real index whose Search, SearchBatch and FetchMany
-// panic while armed.
+// panicStore is a real index whose Search and FetchMany panic while
+// armed.
 type panicStore struct {
 	*core.Index
 	armed atomic.Bool
@@ -35,14 +34,6 @@ func (p *panicStore) Search(t *core.Trapdoor) (*core.Response, error) {
 	return p.Index.Search(t)
 }
 
-func (p *panicStore) SearchBatch(ts []*core.Trapdoor) ([]*core.Response, error) {
-	if p.armed.Load() {
-		var groups [][]byte
-		_ = groups[len(ts)] // a runtime error, not a panic(string)
-	}
-	return p.Index.SearchBatch(ts)
-}
-
 func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
 	if p.armed.Load() {
 		panic("fetch-many exploded")
@@ -52,8 +43,8 @@ func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, er
 
 // tokenPanicSSE builds Basic dictionaries whose Search panics on the
 // left-th call from now: inside a real *core.Index that is some token
-// of a batch, searched on one of SearchBatchContext's own goroutines —
-// outside the dispatcher's recover. left <= 0 is disarmed.
+// of a search or a batch, deep inside Index.Search on the handler's
+// goroutine. left <= 0 is disarmed.
 type tokenPanicSSE struct{ left *atomic.Int32 }
 
 func (p tokenPanicSSE) Name() string { return "basic" }
@@ -70,28 +61,26 @@ type tokenPanicIndex struct {
 
 func (x tokenPanicIndex) Search(stag sse.Stag) ([][]byte, error) {
 	if x.left.Add(-1) == 0 {
-		panic("token search exploded")
+		var groups [][]byte
+		_ = groups[len(groups)] // a runtime error, not a panic(string)
 	}
 	return x.Index.Search(stag)
 }
 
 // TestHandlerPanicContained: a handler panic costs its own request an
 // error response and nothing else. On every op that reaches the index —
-// search, a small and a large batch, fetch-many, and a small and a large
-// batch whose third token panics on one of the index's own search
-// workers — the caller gets the fixed server error (never a dead
-// connection, never the panic text), the next request on the same
-// connection succeeds, rsse_handler_panics_total and the Error log move
-// once per panic (with the stack of the goroutine that panicked), and
-// Shutdown still drains: the in-flight accounting stayed balanced.
+// search, a small and a large batch, fetch-many, and a search and a
+// batch whose third token panics in the dictionary, under Index.Search —
+// the caller gets the fixed server error (never a dead connection,
+// never the panic text), the next request on the same connection
+// succeeds, rsse_handler_panics_total and the Error log move once per
+// panic (with the stack of the goroutine that panicked), and Shutdown
+// still drains: the in-flight accounting stayed balanced.
 func TestHandlerPanicContained(t *testing.T) {
 	client, index := batchTestIndex(t, 271)
 	store := &panicStore{Index: index}
 	reg := singleRegistry(store)
-	// A second, real index whose dictionary panics under a worker: with
-	// GOMAXPROCS >= 2 a batch of more than searchChunkTokens tokens is
-	// searched on SearchBatchContext's goroutines.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// A second, real index whose dictionary panics mid-search.
 	var left atomic.Int32
 	wclient, err := core.NewClient(core.LogarithmicBRC, cover.Domain{Bits: 10}, core.Options{
 		SSE: tokenPanicSSE{&left}, Rand: mrand.New(mrand.NewSource(272)),
@@ -103,8 +92,8 @@ func TestHandlerPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workerIndex = "worker"
-	if err := reg.Register(workerIndex, windex); err != nil {
+	const dictIndex = "dict"
+	if err := reg.Register(dictIndex, windex); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(reg)
@@ -122,12 +111,22 @@ func TestHandlerPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	h, wh := conn.Default(), conn.Index(workerIndex)
+	h, wh := conn.Default(), conn.Index(dictIndex)
+	batch := func(h *IndexHandle, ts []*core.Trapdoor) error {
+		_, err := h.SearchBatchContext(context.Background(), ts)
+		return err
+	}
 
 	one := batchTrapdoors(t, client, 1)[0]
 	few := batchTrapdoors(t, client, 3)
 	many := batchTrapdoors(t, client, 40)
-	wfew := batchTrapdoors(t, wclient, 8) // a dozen tokens: several worker runs
+	wrange, err := wclient.Trapdoor(core.Range{Lo: 3, Hi: 1020}) // a many-token cover
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrange.Tokens() < 3 {
+		t.Fatalf("cover has %d tokens, the third one must panic", wrange.Tokens())
+	}
 	wmany := batchTrapdoors(t, wclient, 40)
 	arm := func() { store.armed.Store(true) }
 	armThirdToken := func() { left.Store(3) }
@@ -139,11 +138,11 @@ func TestHandlerPanicContained(t *testing.T) {
 		call  func() error
 	}{
 		{"search", DefaultIndex, arm, "panicStore", func() error { _, err := h.Search(one); return err }},
-		{"batch", DefaultIndex, arm, "panicStore", func() error { _, err := h.SearchBatch(few); return err }},
-		{"batch", DefaultIndex, arm, "panicStore", func() error { _, err := h.SearchBatch(many); return err }},
+		{"batch", DefaultIndex, arm, "panicStore", func() error { return batch(h, few) }},
+		{"batch", DefaultIndex, arm, "panicStore", func() error { return batch(h, many) }},
 		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
-		{"batch", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatch(wfew); return err }},
-		{"batch", workerIndex, armThirdToken, "runRecovered", func() error { _, err := wh.SearchBatch(wmany); return err }},
+		{"search", dictIndex, armThirdToken, "tokenPanicIndex", func() error { _, err := wh.Search(wrange); return err }},
+		{"batch", dictIndex, armThirdToken, "tokenPanicIndex", func() error { return batch(wh, wmany) }},
 	}
 	for _, tc := range ops {
 		panicsBefore := tm.panics.Value()

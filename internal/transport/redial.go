@@ -253,11 +253,6 @@ func (h *ResilientHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (
 	return out, nil
 }
 
-// SearchBatch implements core.BatchSearcher.
-func (h *ResilientHandle) SearchBatch(ts []*core.Trapdoor) ([]*core.Response, error) {
-	return h.SearchBatchContext(context.Background(), ts)
-}
-
 // SearchBatchContext implements core.ContextBatchSearcher with
 // retries. Each attempt's batch response is one frame, so a conn that
 // dies mid-response fails the attempt whole: nothing is spliced.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -284,7 +285,7 @@ func queryExchange(c *core.Client, q core.Range) exchange {
 // response's groups.
 func batchExchange(ts []*core.Trapdoor) exchange {
 	return func(h core.Server) (any, error) {
-		rs, err := h.(core.BatchSearcher).SearchBatch(ts)
+		rs, err := h.(core.ContextBatchSearcher).SearchBatchContext(context.Background(), ts)
 		if err != nil {
 			return nil, err
 		}

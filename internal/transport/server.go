@@ -412,9 +412,8 @@ func (d *dispatcher) handle(req request) (payload []byte, err error) {
 // accounting closes, and the connection and process keep serving. The
 // panic value and stack go to the log (the process default logger when
 // the connection has none — a contained panic must not be silent) and
-// rsse_handler_panics_total counts it. A panic that happened on one of
-// the index's batch workers arrives as a *core.PanicError (see
-// searchBatch) and is logged with the worker's value and stack.
+// rsse_handler_panics_total counts it. Every search runs on this
+// goroutine, so every handler panic reaches this recover.
 func (d *dispatcher) recoverHandler(req request, err *error) {
 	r := recover()
 	if r == nil {
@@ -426,16 +425,12 @@ func (d *dispatcher) recoverHandler(req request, err *error) {
 	if log == nil {
 		log = slog.Default()
 	}
-	stack := debug.Stack()
-	if pe, ok := r.(*core.PanicError); ok {
-		r, stack = pe.Value, pe.Stack
-	}
 	log.Error("handler panic",
 		slog.Uint64("req", uint64(req.id)),
 		slog.String("op", opLabel[opIndex(req.op)]),
 		slog.String("index", req.name),
 		slog.Any("panic", r),
-		slog.String("stack", string(stack)))
+		slog.String("stack", string(debug.Stack())))
 }
 
 // logSlowQuery emits the slow-query Warn record when a request's

@@ -29,10 +29,10 @@
 // a dead peer.
 //
 // The batch-query op carries several trapdoors in one frame and answers
-// with the matching responses in one frame; the server searches the
-// batch's tokens concurrently. It is how a whole multi-range batch (see
-// core.Client.QueryBatch) costs one round trip per round instead of one
-// per range.
+// with the matching responses in one frame; the server searches them one
+// after another, as it would the same trapdoors sent by op 2. It is how a
+// whole multi-range batch (see core.Client.QueryBatch) costs one round
+// trip per round instead of one per range.
 //
 // The fetch-many op carries the ids of one fetch-round chunk and answers
 // with their ciphertexts in one frame (see fetchmany.go): the owner-side
@@ -260,24 +260,9 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 	}
 }
 
-// searchBatch runs one batch of trapdoors against idx: in one call when
-// the index searches batches itself (a served *core.Index does, its
-// tokens concurrently), else one Search per trapdoor. A panic on one of
-// the index's own worker goroutines comes back as a *core.PanicError;
-// it is raised again here, on the handler's goroutine, so that it is
-// contained, counted and logged exactly like a panic in Search (see
-// recoverHandler).
+// searchBatch runs one batch of trapdoors against idx, one Search per
+// trapdoor on the request's own worker goroutine, exactly as op 2 would.
 func searchBatch(idx core.Server, ts []*core.Trapdoor) ([]*core.Response, error) {
-	if bs, ok := idx.(core.BatchSearcher); ok {
-		resps, err := bs.SearchBatch(ts)
-		if err != nil { // keep errors.As's escaping target off the success path
-			var pe *core.PanicError
-			if errors.As(err, &pe) {
-				panic(pe)
-			}
-		}
-		return resps, err
-	}
 	resps := make([]*core.Response, len(ts))
 	for i, t := range ts {
 		var err error

@@ -546,7 +546,7 @@ func TestOversizedTokenLevelOverWire(t *testing.T) {
 		bad := &core.Trapdoor{GGM: []dprf.Token{{Level: level}}}
 		for op, search := range map[string]func() error{
 			"search": func() error { _, err := h.Search(bad); return err },
-			"batch":  func() error { _, err := h.SearchBatch([]*core.Trapdoor{bad}); return err },
+			"batch":  func() error { _, err := h.SearchBatchContext(context.Background(), []*core.Trapdoor{bad}); return err },
 		} {
 			err := search()
 			if err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {

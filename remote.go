@@ -155,7 +155,6 @@ type RemoteIndex struct {
 type remoteHandle interface {
 	core.Server
 	core.ContextSearcher
-	core.BatchSearcher
 	core.ContextBatchSearcher
 	core.ContextFetcher
 	core.ManyFetcher
@@ -311,9 +310,8 @@ func (c *Client) QueryRemoteContext(ctx context.Context, r *RemoteIndex, q Range
 // QueryBatchRemote answers several ranges against a remote index in one
 // batched protocol run: the deduplicated multi-trapdoor crosses the
 // connection as a single batch frame per round (instead of one frame per
-// range), the server searches the batch's tokens concurrently, and
-// false-positive filtering fetches each distinct id once, all of them in
-// one chunked fetch round.
+// range), and false-positive filtering fetches each distinct id once,
+// all of them in one chunked fetch round.
 func (c *Client) QueryBatchRemote(r *RemoteIndex, ranges []Range) (*BatchResult, error) {
 	return c.QueryBatchRemoteContext(context.Background(), r, ranges)
 }
