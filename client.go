@@ -93,6 +93,13 @@ func (c *Client) FetchTuple(index *Index, id ID) (Tuple, error) {
 // Trapdoor produces the first-round query message without executing the
 // protocol — for benchmarks and protocol inspection. It bypasses the
 // Constant schemes' intersection guard; use Query for real traffic.
+//
+// The message is for an index of the PRF suite this client builds (an
+// index reports its own in IndexMeta.Suite). Against an index of another
+// suite — one built by an earlier release, say — the tokens match
+// nothing and the search comes back empty. Query and QueryBatch read the
+// index's suite and derive for it, so they answer from indexes of every
+// suite.
 func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	return c.inner.Trapdoor(q)
 }

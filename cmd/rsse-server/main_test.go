@@ -60,6 +60,25 @@ func checkProfile(t *testing.T, path string) {
 	}
 }
 
+// lockedBuilder is a strings.Builder that the test may poll while the
+// os/exec goroutine copying the child's stderr writes into it.
+type lockedBuilder struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuilder) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuilder) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // startServer launches the built binary with a fresh writable store (no
 // index file needed) and a CPU profile, waits until it is serving, and
 // returns the running command plus the profile path.
@@ -77,7 +96,7 @@ func startServer(t *testing.T, extra ...string) (*exec.Cmd, string) {
 		"-cpuprofile", prof,
 	}, extra...)
 	cmd := exec.Command(bin, args...)
-	var stderr strings.Builder
+	var stderr lockedBuilder
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting rsse-server: %v", err)

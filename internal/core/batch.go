@@ -186,19 +186,20 @@ func (c *Client) planBatchRound1(ranges []Range, suite prf.Suite) (*tokenPlan, e
 	switch c.kind {
 	case Quadratic:
 		// Each range is one keyword; only identical ranges dedupe.
-		seen := make(map[string]int)
+		seen := make(map[Range]int)
 		var stags []sse.Stag
 		perRange := make([][]int, len(ranges))
+		h := prf.GetHasher(c.kSSE)
 		for i, q := range ranges {
-			kw := rangeKeyword(q.Lo, q.Hi)
-			u, ok := seen[kw]
+			u, ok := seen[q]
 			if !ok {
 				u = len(stags)
-				seen[kw] = u
-				stags = append(stags, c.stagFor(kw))
+				seen[q] = u
+				stags = append(stags, rangeStag(h, q))
 			}
 			perRange[i] = []int{u}
 		}
+		prf.PutHasher(h)
 		trap, slot := c.permutedStags(1, stags)
 		return &tokenPlan{trap: trap, slot: slot, perRange: perRange,
 			total: len(ranges), perTokenBytes: sse.StagSize}, nil
@@ -232,34 +233,35 @@ func (c *Client) planBatchRound1(ranges []Range, suite prf.Suite) (*tokenPlan, e
 		if err != nil {
 			return nil, err
 		}
-		return c.stagPlanFromNodes(p, c.kSSE, 1)
+		return c.stagPlanFromNodes(p, suite, c.kSSE, 1), nil
 	case LogarithmicSRC, LogarithmicSRCi:
 		p, err := cover.PlanBatchSRC(cover.NewTDAG(c.dom), ivs)
 		if err != nil {
 			return nil, err
 		}
-		return c.stagPlanFromNodes(p, c.kSSE, 1)
+		return c.stagPlanFromNodes(p, suite, c.kSSE, 1), nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheme kind %d", int(c.kind))
 	}
 }
 
-// stagPlanFromNodes derives one stag per unique cover node under key and
-// wraps the plan into a permuted trapdoor.
-func (c *Client) stagPlanFromNodes(p *cover.BatchPlan, key prf.Key, round int) (*tokenPlan, error) {
+// stagPlanFromNodes derives one stag per unique cover node under key,
+// for an index of the given suite, and wraps the plan into a permuted
+// trapdoor.
+func (c *Client) stagPlanFromNodes(p *cover.BatchPlan, suite prf.Suite, key prf.Key, round int) *tokenPlan {
 	// Derive each stag straight into its permuted trapdoor slot: the
 	// permutation depends only on the node count, so drawing it first
 	// skips the intermediate unique-stag slice entirely (and consumes
 	// c.rnd exactly as permutedStags would).
 	slot := c.rnd.Perm(len(p.Nodes))
 	out := make([]sse.Stag, len(p.Nodes))
-	h := prf.GetHasher(key)
+	s := newStagger(suite, key)
 	for u, n := range p.Nodes {
-		out[slot[u]] = sse.Stag(h.EvalByteUint64(n.Level, n.Start))
+		out[slot[u]] = s.node(n)
 	}
-	prf.PutHasher(h)
+	s.release()
 	return &tokenPlan{trap: &Trapdoor{round: round, Stags: out}, slot: slot,
-		perRange: p.PerRange, total: p.Total, perTokenBytes: sse.StagSize}, nil
+		perRange: p.PerRange, total: p.Total, perTokenBytes: sse.StagSize}
 }
 
 // groupFor returns the response group of unique token u.
@@ -436,10 +438,7 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 	if err != nil {
 		return err
 	}
-	plan2, err := c.stagPlanFromNodes(p2, c.kSSE2, 2)
-	if err != nil {
-		return err
-	}
+	plan2 := c.stagPlanFromNodes(p2, meta.Suite, c.kSSE2, 2)
 	br.Stats.OwnerTime += time.Since(ownerStart)
 	br.Stats.Rounds = 2
 	br.Stats.CoverNodes += plan2.total

@@ -368,40 +368,15 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 	return x, nil
 }
 
-// stagFor derives the primary-index stag of a keyword.
-func (c *Client) stagFor(keyword string) sse.Stag {
-	return sse.StagFromPRF(c.kSSE, keyword)
-}
-
-// nodeStags appends one stag per cover node to dst, derived under key
-// with a single pooled hasher. A node's keyword is exactly its 9-byte
-// label {level, BE(start)}, so the hot query path evaluates the PRF on
-// that label directly instead of materializing a keyword string per
-// node (pinned against StagFromPRF(key, n.Keyword()) by the core tests).
-func nodeStags(dst []sse.Stag, key prf.Key, nodes []cover.Node) []sse.Stag {
-	h := prf.GetHasher(key)
-	for _, n := range nodes {
-		dst = append(dst, sse.Stag(h.EvalByteUint64(n.Level, n.Start)))
-	}
-	prf.PutHasher(h)
-	return dst
-}
-
-// stagForNode is nodeStags for the single-node SRC covers.
-func stagForNode(key prf.Key, n cover.Node) sse.Stag {
-	h := prf.GetHasher(key)
-	s := sse.Stag(h.EvalByteUint64(n.Level, n.Start))
-	prf.PutHasher(h)
-	return s
-}
-
-// entriesFromPostings converts a keyword→ids map into shuffled-order SSE
-// entries with derived stags.
-func (c *Client) entriesFromPostings(postings map[string][]ID, key prf.Key) []sse.Entry {
+// entriesFromPostings converts a node→ids map into SSE entries whose
+// stags are derived under key for the suite this client builds.
+func (c *Client) entriesFromPostings(postings map[cover.Node][]ID, key prf.Key) []sse.Entry {
 	entries := make([]sse.Entry, 0, len(postings))
-	for kw, ids := range postings {
-		entries = append(entries, sse.EntryFromIDs(sse.StagFromPRF(key, kw), ids))
+	s := newStagger(c.suite, key)
+	for n, ids := range postings {
+		entries = append(entries, sse.EntryFromIDs(s.node(n), ids))
 	}
+	s.release()
 	return entries
 }
 
@@ -572,7 +547,7 @@ func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Re
 			break // no distinct value in range: done after round 1
 		}
 		ownerStart = time.Now()
-		t2, err := c.trapdoorSRCiRound2(posRange, meta.PosBits)
+		t2, err := c.trapdoorSRCiRound2(posRange, meta.PosBits, meta.Suite)
 		if err != nil {
 			return nil, err
 		}
@@ -640,10 +615,12 @@ func (c *Client) trapdoorRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
 	return t, err
 }
 
-// deriveRound1 derives the first-round trapdoor for q from scratch.
-// Only the Constant schemes' tokens depend on the index's suite: the
-// server expands them on the index's GGM tree. A keyword stag is the
-// owner's own PRF of the keyword, the same for every index.
+// deriveRound1 derives the first-round trapdoor for q from scratch, for
+// an index of the given suite. The Constant schemes' GGM tokens are
+// evaluated on that suite's tree, which the server expands; the
+// Logarithmic kinds' tokens are keyword stags from the stagger of that
+// suite, and Quadratic's one stag is the same under every suite (see
+// stag.go).
 func (c *Client) deriveRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
 	switch c.kind {
 	case Quadratic:
@@ -651,11 +628,11 @@ func (c *Client) deriveRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
 	case ConstantBRC, ConstantURC:
 		return c.trapdoorConstant(q, suite)
 	case LogarithmicBRC, LogarithmicURC:
-		return c.trapdoorLogarithmic(q)
+		return c.trapdoorLogarithmic(q, suite)
 	case LogarithmicSRC:
-		return c.trapdoorLogSRC(q)
+		return c.trapdoorLogSRC(q, suite)
 	case LogarithmicSRCi:
-		return c.trapdoorSRCiRound1(q)
+		return c.trapdoorSRCiRound1(q, suite)
 	default:
 		return nil, fmt.Errorf("core: unknown scheme kind %d", int(c.kind))
 	}

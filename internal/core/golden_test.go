@@ -20,10 +20,10 @@ import (
 
 // Wire-compat golden files: small index blobs committed under
 // testdata/golden, one per scheme Kind at suite 0 (each over a different
-// SSE construction for coverage) plus one per later PRF suite for the
-// two Constant kinds. TestGoldenSuites asserts that every one of them
-// still loads onto every storage engine, answers the golden queries and
-// re-marshals byte for byte.
+// SSE construction for coverage) plus one per later PRF suite each kind
+// has built by default (goldenSuites). TestGoldenSuites asserts that
+// every one of them still loads onto every storage engine, answers the
+// golden queries and re-marshals byte for byte.
 //
 // The suite-0 files were written in the v1 record stream by PR 2 and
 // converted to the segment container by PR 25 (v1 reader, then

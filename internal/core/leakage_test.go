@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 )
 
 // TestTokenCountsPerScheme checks the "Query Size" column of Table 1 at
@@ -165,33 +166,56 @@ func TestLogSRCSingleGroup(t *testing.T) {
 
 // TestSearchPatternDeterminism: issuing the same range twice produces the
 // same stag set (the search pattern the SSE definitions leak), while two
-// different ranges with the same cover size produce disjoint stags.
+// different ranges with the same cover size produce disjoint stags —
+// on a suite-0 Logarithmic-BRC index, whose stags are HMAC, and on a
+// suite-2 Logarithmic-URC index, whose stags are F. Either way the stags
+// are the index's: the range answers its exact ids.
 func TestSearchPatternDeterminism(t *testing.T) {
 	dom := cover.Domain{Bits: 10}
-	c, err := NewClient(LogarithmicBRC, dom, testOptions(27))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stagSet := func(q Range) map[[32]byte]bool {
-		td, err := c.trapdoorLogarithmic(q)
+	tuples := uniformTuples(200, 10, 26)
+	for _, tc := range []struct {
+		kind  Kind
+		suite prf.Suite
+	}{{LogarithmicBRC, prf.SuiteSHA512}, {LogarithmicURC, prf.SuiteBlock}} {
+		c, err := NewClient(tc.kind, dom, testOptions(27))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[[32]byte]bool)
-		for _, s := range td.Stags {
-			out[[32]byte(s)] = true
+		idx, err := c.BuildIndex(tuples)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	a := stagSet(Range{100, 200})
-	b := stagSet(Range{100, 200})
-	if !reflect.DeepEqual(a, b) {
-		t.Error("same range produced different stag sets")
-	}
-	cSet := stagSet(Range{400, 500})
-	for s := range cSet {
-		if a[s] {
-			t.Error("disjoint ranges share a stag")
+		if meta, _ := idx.Meta(); meta.Suite != tc.suite {
+			t.Fatalf("%v built suite %v, want %v", tc.kind, meta.Suite, tc.suite)
+		}
+		stagSet := func(q Range) map[[32]byte]bool {
+			td, err := c.deriveRound1(q, tc.suite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := idx.Search(td)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw := idsOf(resp, &QueryStats{}); !idsEqual(sortedIDs(raw), exactIDs(tuples, q)) {
+				t.Fatalf("%v: %v answered %v, want %v", tc.kind, q, sortedIDs(raw), exactIDs(tuples, q))
+			}
+			out := make(map[[32]byte]bool)
+			for _, s := range td.Stags {
+				out[[32]byte(s)] = true
+			}
+			return out
+		}
+		a := stagSet(Range{100, 200})
+		b := stagSet(Range{100, 200})
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: same range produced different stag sets", tc.kind)
+		}
+		cSet := stagSet(Range{400, 500})
+		for s := range cSet {
+			if a[s] {
+				t.Errorf("%v: disjoint ranges share a stag", tc.kind)
+			}
 		}
 	}
 }

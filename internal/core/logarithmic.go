@@ -2,6 +2,7 @@ package core
 
 import (
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 	"rsse/internal/sse"
 )
 
@@ -15,11 +16,10 @@ import (
 // per-token groups.
 
 func (c *Client) buildLogarithmic(x *Index, tuples []Tuple) error {
-	postings := make(map[string][]ID)
+	postings := make(map[cover.Node][]ID)
 	for _, t := range tuples {
 		for _, node := range cover.PathNodes(c.dom, t.Value) {
-			kw := node.Keyword()
-			postings[kw] = append(postings[kw], t.ID)
+			postings[node] = append(postings[node], t.ID)
 		}
 	}
 	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)
@@ -31,13 +31,13 @@ func (c *Client) buildLogarithmic(x *Index, tuples []Tuple) error {
 }
 
 // trapdoorLogarithmic emits one SSE token per node of the BRC/URC cover,
-// randomly permuted.
-func (c *Client) trapdoorLogarithmic(q Range) (*Trapdoor, error) {
+// randomly permuted, for an index of the given suite.
+func (c *Client) trapdoorLogarithmic(q Range, suite prf.Suite) (*Trapdoor, error) {
 	nodes, err := cover.Cover(c.dom, q.Lo, q.Hi, c.technique())
 	if err != nil {
 		return nil, err
 	}
-	stags := nodeStags(make([]sse.Stag, 0, len(nodes)), c.kSSE, nodes)
+	stags := nodeStags(make([]sse.Stag, 0, len(nodes)), suite, c.kSSE, nodes)
 	c.permuteStags(stags)
 	return &Trapdoor{round: 1, Stags: stags}, nil
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"rsse/internal/cover"
-	"rsse/internal/sse"
+	"rsse/internal/prf"
 )
 
 // Logarithmic-SRC (Section 6.2) eliminates the result-partitioning
@@ -15,11 +15,10 @@ import (
 
 func (c *Client) buildLogSRC(x *Index, tuples []Tuple) error {
 	tdag := cover.NewTDAG(c.dom)
-	postings := make(map[string][]ID)
+	postings := make(map[cover.Node][]ID)
 	for _, t := range tuples {
 		for _, node := range tdag.Cover(t.Value) {
-			kw := node.Keyword()
-			postings[kw] = append(postings[kw], t.ID)
+			postings[node] = append(postings[node], t.ID)
 		}
 	}
 	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)
@@ -30,11 +29,12 @@ func (c *Client) buildLogSRC(x *Index, tuples []Tuple) error {
 	return nil
 }
 
-// trapdoorLogSRC emits the single token of the SRC cover.
-func (c *Client) trapdoorLogSRC(q Range) (*Trapdoor, error) {
+// trapdoorLogSRC emits the single token of the SRC cover, for an index of
+// the given suite.
+func (c *Client) trapdoorLogSRC(q Range, suite prf.Suite) (*Trapdoor, error) {
 	node, err := cover.NewTDAG(c.dom).SRC(q.Lo, q.Hi)
 	if err != nil {
 		return nil, err
 	}
-	return &Trapdoor{round: 1, Stags: []sse.Stag{stagForNode(c.kSSE, node)}}, nil
+	return &Trapdoor{round: 1, Stags: nodeStags(nil, suite, c.kSSE, []cover.Node{node})}, nil
 }

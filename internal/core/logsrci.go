@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"rsse/internal/cover"
+	"rsse/internal/prf"
 	"rsse/internal/secenc"
 	"rsse/internal/sse"
 )
@@ -95,21 +96,22 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 
 	// I1: TDAG1 over the domain indexes the encrypted pairs.
 	tdag1 := cover.NewTDAG(c.dom)
-	auxPostings := make(map[string][][]byte)
+	auxPostings := make(map[cover.Node][][]byte)
 	for _, p := range pairs {
 		for _, node := range tdag1.Cover(p.value) {
 			blob, err := sealPair(c.kPairs, p)
 			if err != nil {
 				return err
 			}
-			kw := node.Keyword()
-			auxPostings[kw] = append(auxPostings[kw], blob)
+			auxPostings[node] = append(auxPostings[node], blob)
 		}
 	}
 	auxEntries := make([]sse.Entry, 0, len(auxPostings))
-	for kw, blobs := range auxPostings {
-		auxEntries = append(auxEntries, sse.Entry{Stag: sse.StagFromPRF(c.kSSE, kw), Payloads: blobs})
+	s := newStagger(c.suite, c.kSSE)
+	for node, blobs := range auxPostings {
+		auxEntries = append(auxEntries, sse.Entry{Stag: s.node(node), Payloads: blobs})
 	}
+	s.release()
 	aux, err := c.sse.Build(auxEntries, pairWidth, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
@@ -121,11 +123,10 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 		x.posBits = cover.FitDomain(uint64(len(sorted) - 1)).Bits
 	}
 	tdag2 := cover.NewTDAG(cover.Domain{Bits: x.posBits})
-	primPostings := make(map[string][]ID)
+	primPostings := make(map[cover.Node][]ID)
 	for pos, t := range sorted {
 		for _, node := range tdag2.Cover(uint64(pos)) {
-			kw := node.Keyword()
-			primPostings[kw] = append(primPostings[kw], t.ID)
+			primPostings[node] = append(primPostings[node], t.ID)
 		}
 	}
 	primary, err := c.sse.Build(c.entriesFromPostings(primPostings, c.kSSE2), 8, c.rnd, c.storage, c.suite)
@@ -136,13 +137,14 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 	return nil
 }
 
-// trapdoorSRCiRound1 queries I1 with the SRC window of the value range.
-func (c *Client) trapdoorSRCiRound1(q Range) (*Trapdoor, error) {
+// trapdoorSRCiRound1 queries I1 with the SRC window of the value range,
+// for an index of the given suite.
+func (c *Client) trapdoorSRCiRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
 	node, err := cover.NewTDAG(c.dom).SRC(q.Lo, q.Hi)
 	if err != nil {
 		return nil, err
 	}
-	return &Trapdoor{round: 1, Stags: []sse.Stag{stagForNode(c.kSSE, node)}}, nil
+	return &Trapdoor{round: 1, Stags: nodeStags(nil, suite, c.kSSE, []cover.Node{node})}, nil
 }
 
 // mergePairs decrypts the round-1 pair blobs, keeps those whose value
@@ -175,11 +177,12 @@ func (c *Client) mergePairs(resp *Response, q Range) (posRange Range, any bool, 
 }
 
 // trapdoorSRCiRound2 queries I2 with the SRC window of the merged
-// position range.
-func (c *Client) trapdoorSRCiRound2(posRange Range, posBits uint8) (*Trapdoor, error) {
+// position range, for an index of the given suite — the one round 1's
+// Meta reported.
+func (c *Client) trapdoorSRCiRound2(posRange Range, posBits uint8, suite prf.Suite) (*Trapdoor, error) {
 	node, err := cover.NewTDAG(cover.Domain{Bits: posBits}).SRC(posRange.Lo, posRange.Hi)
 	if err != nil {
 		return nil, err
 	}
-	return &Trapdoor{round: 2, Stags: []sse.Stag{stagForNode(c.kSSE2, node)}}, nil
+	return &Trapdoor{round: 2, Stags: nodeStags(nil, suite, c.kSSE2, []cover.Node{node})}, nil
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"crypto/sha512"
+	"encoding/binary"
 	"testing"
 
 	"rsse/internal/cover"
@@ -8,9 +12,13 @@ import (
 	"rsse/internal/sse"
 )
 
-// TestNodeStagsMatchKeywordPath pins the hot-path stag derivation (PRF
-// over the 9-byte node label via a reused hasher) to the build side's
-// keyword-string derivation, over binary-tree and TDAG nodes alike.
+// TestNodeStagsMatchKeywordPath pins the one stag function under every
+// suite, over binary-tree (BRC, URC) and TDAG nodes alike: the query's
+// node path (nodeStags) and build's keyword path (entriesFromPostings)
+// give the same stag for a node, and that stag is HMAC-SHA-512(k, label)
+// truncated to 32 bytes under suites 0 and 1 — the bytes every index of
+// those suites holds — and SHA-256(k ‖ level ‖ BE64(start)) under suite
+// 2. Quadratic's range keyword, which takes no suite, is HMAC-SHA-512.
 func TestNodeStagsMatchKeywordPath(t *testing.T) {
 	var seed [prf.KeySize]byte
 	seed[3] = 77
@@ -35,15 +43,55 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 		}
 		nodes = append(nodes, n)
 	}
-
-	got := nodeStags(nil, key, nodes)
+	hmacSHA512 := func(msg []byte) sse.Stag {
+		m := hmac.New(sha512.New, key[:])
+		m.Write(msg)
+		return sse.Stag(m.Sum(nil)[:sse.StagSize])
+	}
+	postings := make(map[cover.Node][]ID)
 	for i, n := range nodes {
-		want := sse.StagFromPRF(key, n.Keyword())
-		if got[i] != want {
-			t.Fatalf("node %v: nodeStags diverges from StagFromPRF(Keyword)", n)
+		postings[n] = append(postings[n], ID(i))
+	}
+
+	for _, suite := range allSuites {
+		got := nodeStags(nil, suite, key, nodes)
+		for i, n := range nodes {
+			label := n.Label()
+			want := hmacSHA512(label[:])
+			if suite == prf.SuiteBlock {
+				want = sse.Stag(sha256.Sum256(append(key[:], label[:]...)))
+			}
+			if got[i] != want {
+				t.Fatalf("suite %v, node %v: nodeStags diverges from the suite's keyword PRF", suite, n)
+			}
 		}
-		if stagForNode(key, n) != want {
-			t.Fatalf("node %v: stagForNode diverges from StagFromPRF(Keyword)", n)
+
+		c, err := NewClient(LogarithmicURC, dom, testOptions(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := withBuildSuite(c, suite).entriesFromPostings(postings, key)
+		if len(entries) != len(postings) {
+			t.Fatalf("suite %v: %d entries for %d keywords", suite, len(entries), len(postings))
+		}
+		for _, e := range entries {
+			for _, p := range e.Payloads {
+				if i := sse.PayloadU64(p); e.Stag != got[i] {
+					t.Fatalf("suite %v, node %v: build's stag differs from the query's", suite, nodes[i])
+				}
+			}
+		}
+
+	}
+
+	h := prf.GetHasher(key)
+	defer prf.PutHasher(h)
+	for _, q := range []Range{{0, 0}, {3, 17}, {0, 4095}} {
+		var kw [16]byte
+		binary.BigEndian.PutUint64(kw[:8], q.Lo)
+		binary.BigEndian.PutUint64(kw[8:], q.Hi)
+		if rangeStag(h, q) != hmacSHA512(kw[:]) {
+			t.Fatalf("Quadratic stag of %v is not HMAC-SHA-512 of its keyword", q)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"rsse/internal/prf"
 	"rsse/internal/sse"
 )
 
@@ -43,18 +44,23 @@ func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
 		return fmt.Errorf("%w: %d bits > limit %d", ErrDomainTooLarge, c.dom.Bits, c.quadMaxBits)
 	}
 	m := c.dom.Size()
-	postings := make(map[string][]ID)
+	postings := make(map[Range][]ID)
 	actual := 0
 	for _, t := range tuples {
 		for lo := uint64(0); lo <= t.Value; lo++ {
 			for hi := t.Value; hi < m; hi++ {
-				kw := rangeKeyword(lo, hi)
+				kw := Range{Lo: lo, Hi: hi}
 				postings[kw] = append(postings[kw], t.ID)
 				actual++
 			}
 		}
 	}
-	entries := c.entriesFromPostings(postings, c.kSSE)
+	entries := make([]sse.Entry, 0, len(postings))
+	h := prf.GetHasher(c.kSSE)
+	for kw, ids := range postings {
+		entries = append(entries, sse.EntryFromIDs(rangeStag(h, kw), ids))
+	}
+	prf.PutHasher(h)
 
 	if c.padQuadratic {
 		// Pad the replicated dataset D' to its maximum possible size so
@@ -89,5 +95,8 @@ func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
 
 // trapdoorQuadratic maps the query range to its single keyword token.
 func (c *Client) trapdoorQuadratic(q Range) (*Trapdoor, error) {
-	return &Trapdoor{round: 1, Stags: []sse.Stag{c.stagFor(rangeKeyword(q.Lo, q.Hi))}}, nil
+	h := prf.GetHasher(c.kSSE)
+	stag := rangeStag(h, q)
+	prf.PutHasher(h)
+	return &Trapdoor{round: 1, Stags: []sse.Stag{stag}}, nil
 }

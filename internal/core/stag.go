@@ -1,0 +1,69 @@
+package core
+
+import (
+	"rsse/internal/cover"
+	"rsse/internal/prf"
+	"rsse/internal/sse"
+)
+
+// Keyword stags. Every stag the owner derives for a cover node — at build,
+// for one query, for a batch plan, for SRC-i's second round and in
+// TrapdoorCost — comes from a stagger: the owner key of the index section
+// (kSSE, or kSSE2 for SRC-i's position index) and the PRF suite of the
+// index the stags are for. Build passes the suite it writes, a query the
+// suite the index's Meta reports, so build and query agree by
+// construction and an owner answers from indexes of every suite.
+//
+//   - Suite 2: F(k, n.Level, n.Start) — F over the node's 9-byte label,
+//     one SHA-256 compression with no key schedule.
+//   - Suites 0 and 1: HMAC-SHA-512(k, label), the paper's PRF and what
+//     every index of those suites was built with (the owner's keyword PRF
+//     never followed suite 1), keyed once per stagger.
+//
+// Quadratic's keyword is a range, two 64-bit bounds, not a node label:
+// its stag is HMAC-SHA-512 of the 16-byte keyword under every suite
+// (rangeStag), so it takes no suite at all.
+type stagger struct {
+	key prf.Key
+	h   *prf.Hasher // keyed HMAC-SHA-512 for suites 0 and 1; nil under suite 2
+}
+
+// newStagger keys a stagger for an index of the given suite. Release it
+// when done.
+func newStagger(suite prf.Suite, key prf.Key) stagger {
+	if suite == prf.SuiteBlock {
+		return stagger{key: key}
+	}
+	return stagger{key: key, h: prf.GetHasher(key)}
+}
+
+// node returns the stag of a cover node's keyword.
+func (s *stagger) node(n cover.Node) sse.Stag {
+	if s.h == nil {
+		return sse.Stag(prf.F(s.key, n.Level, n.Start))
+	}
+	return sse.Stag(s.h.EvalByteUint64(n.Level, n.Start))
+}
+
+// release returns the stagger's pooled hasher.
+func (s *stagger) release() {
+	if s.h != nil {
+		prf.PutHasher(s.h)
+	}
+}
+
+// nodeStags appends the stag of every node to dst.
+func nodeStags(dst []sse.Stag, suite prf.Suite, key prf.Key, nodes []cover.Node) []sse.Stag {
+	s := newStagger(suite, key)
+	for _, n := range nodes {
+		dst = append(dst, s.node(n))
+	}
+	s.release()
+	return dst
+}
+
+// rangeStag returns the stag of Quadratic's keyword for subrange q under
+// h, a hasher keyed with kSSE by prf.GetHasher.
+func rangeStag(h *prf.Hasher, q Range) sse.Stag {
+	return sse.Stag(h.EvalString(rangeKeyword(q.Lo, q.Hi)))
+}

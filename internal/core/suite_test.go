@@ -158,15 +158,15 @@ func TestSuiteConformance(t *testing.T) {
 	}
 }
 
-// TestSuiteDefaults pins the one table — the Constant kinds build suite
-// 2, every other kind suite 0 — and that BuildIndex says what the table
-// says in Meta and in the header. Every other test that needs a kind's
-// default reads defaultSuite or a built index's Meta.
+// TestSuiteDefaults pins the one table — Quadratic and Logarithmic-BRC
+// build suite 0, every other kind suite 2 — and that BuildIndex says
+// what the table says in Meta and in the header. Every other test that
+// needs a kind's default reads defaultSuite or a built index's Meta.
 func TestSuiteDefaults(t *testing.T) {
 	for _, kind := range Kinds() {
-		want := prf.SuiteSHA512
-		if kind == ConstantBRC || kind == ConstantURC {
-			want = prf.SuiteBlock
+		want := prf.SuiteBlock
+		if kind == Quadratic || kind == LogarithmicBRC {
+			want = prf.SuiteSHA512
 		}
 		if got := defaultSuite(kind); got != want {
 			t.Errorf("%v: defaultSuite = %v, want %v", kind, got, want)
@@ -196,14 +196,23 @@ func TestSuiteDefaults(t *testing.T) {
 
 // TestCrossSuiteOwners: which suite an owner builds with says nothing
 // about which indexes it can query. An owner building any suite answers
-// from a Constant index of any suite, with and without the trapdoor
-// memo — whose entries must not cross suites — and through the batch
-// path.
+// from an index of any suite — of every kind whose default is suite 2,
+// so GGM tokens and keyword stags (SRC-i's round 2 included) alike — with
+// and without the trapdoor memo, whose entries must not cross suites,
+// and through the batch path.
 func TestCrossSuiteOwners(t *testing.T) {
 	const bits = 10
 	tuples := uniformTuples(300, bits, 220)
 	defer sse.ResetKernelCache()
-	for _, kind := range []Kind{ConstantBRC, ConstantURC} {
+	for _, kind := range []Kind{ConstantBRC, ConstantURC, LogarithmicURC, LogarithmicSRC, LogarithmicSRCi} {
+		// answer is what the owner keeps: the server's ids, or the
+		// filtered matches for the kinds with false positives.
+		answer := func(r *Result) []ID {
+			if kind.HasFalsePositives() {
+				return sortedIDs(r.Matches)
+			}
+			return sortedIDs(r.Raw)
+		}
 		newClient := func(memo int) *Client {
 			o := testOptions(221)
 			o.AllowIntersecting, o.TrapdoorMemo = true, memo
@@ -233,9 +242,9 @@ func TestCrossSuiteOwners(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !idsEqual(sortedIDs(res.Raw), exactIDs(tuples, q)) {
+							if got := answer(res); !idsEqual(got, exactIDs(tuples, q)) {
 								t.Fatalf("%v: suite-%d owner (memo %d) on a suite-%d index: %v returned %d ids, want %d",
-									kind, ownerSuite, memo, s, q, len(res.Raw), len(exactIDs(tuples, q)))
+									kind, ownerSuite, memo, s, q, len(got), len(exactIDs(tuples, q)))
 							}
 						}
 					}
@@ -251,7 +260,7 @@ func TestCrossSuiteOwners(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, q := range []Range{{0, 99}, {100, 300}, {900, 1023}} {
-						if !idsEqual(sortedIDs(br.Results[i].Raw), exactIDs(tuples, q)) {
+						if !idsEqual(answer(br.Results[i]), exactIDs(tuples, q)) {
 							t.Fatalf("%v: batch on a suite-%d index: %v wrong", kind, s, q)
 						}
 					}
@@ -292,18 +301,22 @@ func TestUnknownSuiteIsCorrupt(t *testing.T) {
 	}
 }
 
-// goldenSuites lists the suites a kind has golden files for: suite 0
-// for every kind, and every later suite for the two Constant kinds,
-// whose default suite has not been 0 since suites existed — each file
-// written by the release that introduced the suite. -update rewrites
-// only the file of the kind's default suite (tuple ciphertexts are
-// randomized, so a rewrite changes bytes) and should never be needed;
-// older generations are never rewritten.
+// goldenSuites lists the suites a kind has golden files for, each file
+// written by the release that made the suite the kind's default: suite
+// 0 for every kind; suites 1 and 2 for the two Constant kinds; suite 2
+// for Logarithmic-URC, -SRC and -SRC-i, which went from 0 straight to 2.
+// -update rewrites only the file of the kind's default suite (tuple
+// ciphertexts are randomized, so a rewrite changes bytes) and should
+// never be needed; older generations are never rewritten.
 func goldenSuites(kind Kind) []prf.Suite {
-	if defaultSuite(kind) == prf.SuiteSHA512 {
+	switch kind {
+	case ConstantBRC, ConstantURC:
+		return allSuites
+	case LogarithmicURC, LogarithmicSRC, LogarithmicSRCi:
+		return []prf.Suite{prf.SuiteSHA512, prf.SuiteBlock}
+	default:
 		return []prf.Suite{prf.SuiteSHA512}
 	}
-	return allSuites
 }
 
 func goldenSuitePath(kind Kind, s prf.Suite) string {

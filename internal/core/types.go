@@ -126,14 +126,15 @@ func KindByName(name string) (Kind, error) {
 }
 
 // defaultSuite is the one table of which PRF suite BuildIndex gives a
-// scheme's indexes. The Constant schemes' server term is O(R) GGM and
-// label PRFs per query under keys used once, so they take the PRF with
-// no key schedule; the five other kinds stay on the paper's. The choice is recorded in each index (see
-// wire.go) and read back from there: changing a row only affects
-// indexes built afterwards.
+// scheme's indexes. Suite 2 is the PRF with no key schedule: one
+// compression per GGM child, per cell label and, on the owner's side,
+// per keyword stag (stag.go). Logarithmic-BRC and Quadratic stay on the
+// paper's suite 0 (ARCHITECTURE, "PRF suites"). The choice is recorded
+// in each index (see wire.go) and read back from there: changing a row
+// only affects indexes built afterwards.
 func defaultSuite(k Kind) prf.Suite {
 	switch k {
-	case ConstantBRC, ConstantURC:
+	case ConstantBRC, ConstantURC, LogarithmicURC, LogarithmicSRC, LogarithmicSRCi:
 		return prf.SuiteBlock
 	default:
 		return prf.SuiteSHA512

@@ -10,9 +10,11 @@
 // HMAC-SHA-512, suite 1 is HMAC-SHA-256 with the same keys, labels and
 // 32-byte outputs; suite 2 drops the HMAC for F, one SHA-256 compression
 // keyed through the message. The package-level functions and
-// NewHasher/GetHasher
-// are suite 0 — owner-side key derivation never changes suite — and an
-// index records the suite its own PRFs were built with (see Suite).
+// NewHasher/GetHasher are suite 0, which is what the owner's key
+// derivation (master key to purpose keys) always uses. An index records
+// the suite its own PRFs were built with (see Suite), and the owner's
+// keyword stags follow it: F for an index of suite 2, the suite-0 HMAC
+// for one of suite 0 or 1.
 package prf
 
 import (

@@ -166,9 +166,27 @@ func DecryptCBCFirstBlock(block cipher.Block, dst *[aes.BlockSize]byte, cipherte
 // place-free fashion with AES-128-CTR under k and the given 16-byte nonce.
 // It is used for fixed-width index cells where each (key, nonce) pair is
 // used at most once by construction.
+//
+// The counter walk is crypto/cipher's CTR, byte for byte — the nonce is
+// one 128-bit big-endian counter — run on the block directly: cells are
+// a few blocks long, and a cipher.Stream would allocate a keystream
+// buffer many times their size per call. Index builds encrypt every
+// cell through here, so that buffer was a third of the bytes a build
+// allocated.
 func XORKeyStreamCTR(k Key, nonce [aes.BlockSize]byte, src []byte) []byte {
 	dst := make([]byte, len(src))
-	cipher.NewCTR(NewBlock(k), nonce[:]).XORKeyStream(dst, src)
+	block := NewBlock(k)
+	// One object for both blocks: what an interface call is handed escapes.
+	st := &struct{ ctr, ks [aes.BlockSize]byte }{ctr: nonce}
+	for off := 0; off < len(src); off += aes.BlockSize {
+		block.Encrypt(st.ks[:], st.ctr[:])
+		subtle.XORBytes(dst[off:], src[off:], st.ks[:])
+		for i := aes.BlockSize - 1; i >= 0; i-- {
+			if st.ctr[i]++; st.ctr[i] != 0 {
+				break
+			}
+		}
+	}
 	return dst
 }
 

@@ -3,6 +3,7 @@ package secenc
 import (
 	"bytes"
 	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -120,6 +121,48 @@ func TestCTRInvolution(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCTRMatchesStdlib pins XORKeyStreamCTR to crypto/cipher's CTR over
+// every length up to several blocks, for nonces whose counter carries
+// across byte, 64-bit and 128-bit boundaries — the cells every index
+// already holds were written by the stdlib's stream.
+func TestCTRMatchesStdlib(t *testing.T) {
+	k := testKey(t, 10)
+	src := make([]byte, 5*aes.BlockSize+3)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	nonces := [][16]byte{
+		NonceFromUint64(0),
+		NonceFromUint64(^uint64(0)),
+		{15: 0xfe},
+		{8: 0xff, 9: 0xff, 10: 0xff, 11: 0xff, 12: 0xff, 13: 0xff, 14: 0xff, 15: 0xfe},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfd},
+	}
+	block := NewBlock(k)
+	for _, nonce := range nonces {
+		for n := 0; n <= len(src); n++ {
+			want := make([]byte, n)
+			cipher.NewCTR(block, nonce[:]).XORKeyStream(want, src[:n])
+			if got := XORKeyStreamCTR(k, nonce, src[:n]); !bytes.Equal(got, want) {
+				t.Fatalf("nonce % x, %d bytes: differs from crypto/cipher's CTR", nonce, n)
+			}
+		}
+	}
+	f := func(nonce [16]byte, data []byte) bool {
+		want := make([]byte, len(data))
+		cipher.NewCTR(block, nonce[:]).XORKeyStream(want, data)
+		return bytes.Equal(XORKeyStreamCTR(k, nonce, data), want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	// The output, the key schedule and one counter/keystream pair,
+	// whatever the length: no stream and its buffer.
+	if got := testing.AllocsPerRun(100, func() { XORKeyStreamCTR(k, nonces[0], src) }); got > 3 {
+		t.Errorf("XORKeyStreamCTR allocates %.0f objects/op, want at most 3", got)
 	}
 }
 

@@ -147,12 +147,6 @@ func EntryFromIDs(stag Stag, ids []uint64) Entry {
 	return Entry{Stag: stag, Payloads: p}
 }
 
-// StagFromPRF derives the standard keyword stag PRF_k(keyword); the
-// Constant schemes bypass this and supply DPRF outputs instead.
-func StagFromPRF(k prf.Key, keyword string) Stag {
-	return Stag(prf.EvalString(k, keyword))
-}
-
 // newRand returns rnd, or a fresh math/rand source seeded from
 // crypto/rand when rnd is nil.
 func newRand(rnd *mrand.Rand) *mrand.Rand {

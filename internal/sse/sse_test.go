@@ -28,7 +28,7 @@ func stagOf(t testing.TB, kw string) Stag {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return StagFromPRF(k, kw)
+	return Stag(prf.EvalString(k, kw))
 }
 
 // buildTestIndex builds an index over a deterministic keyword→ids map on

@@ -110,7 +110,8 @@ const (
 	SuiteSHA512 = prf.SuiteSHA512
 	// SuiteSHA256 is HMAC-SHA-256, what one release's BuildIndex gave the
 	// Constant schemes. They now build PRFSuite(2), "sha256-block": one
-	// SHA-256 compression per PRF value, keyed through the message.
+	// SHA-256 compression per PRF value, keyed through the message — as
+	// do Logarithmic-URC, Logarithmic-SRC and Logarithmic-SRC-i.
 	SuiteSHA256 = prf.SuiteSHA256
 )
 

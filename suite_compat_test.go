@@ -14,16 +14,19 @@ import (
 	"rsse"
 )
 
-// testdata/pr17 and testdata/pr18 hold server-side state written by
-// earlier commits, with those commits' code. pr17 is the last commit
-// before indexes recorded a PRF suite: two Constant index files and a
-// durable Dynamic directory with one flushed epoch and a WAL tail; their
-// header byte 12 is that format's zero pad, i.e. suite 0. pr18 is the
-// commit whose Constant default was suite 1: the same two index files
-// built there, and pr17's Dynamic directory reopened there — its WAL
-// tail plus one insert flushed into a suite-1 epoch beside the suite-0
-// one, then one more acknowledged insert left in the WAL. All of it must
-// be served and queried correctly, unmodified, forever.
+// testdata/pr17, testdata/pr18 and testdata/pr27 hold server-side state
+// written by earlier commits, with those commits' code. pr17 is the last
+// commit before indexes recorded a PRF suite: two Constant index files
+// and a durable Dynamic directory with one flushed epoch and a WAL tail;
+// their header byte 12 is that format's zero pad, i.e. suite 0. pr18 is
+// the commit whose Constant default was suite 1: the same two index
+// files built there, and pr17's Dynamic directory reopened there — its
+// WAL tail plus one insert flushed into a suite-1 epoch beside the
+// suite-0 one, then one more acknowledged insert left in the WAL. pr27
+// is the last commit whose Logarithmic-URC default was suite 0, with
+// HMAC keyword stags: a durable Logarithmic-URC directory written like
+// pr17's. All of it must be served and queried correctly, unmodified,
+// forever.
 var parentFixtures = []struct {
 	dir   string
 	suite rsse.PRFSuite // of the index files, and of the newest epoch
@@ -156,19 +159,21 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 	}
 }
 
-// TestDynamicSpansSuites: a durable Constant-BRC store created at an
-// earlier commit holds epoch files of that commit's suites — pr17's one
-// suite-0 epoch, pr18's a suite-0 and a suite-1 epoch. Reopened today it
-// answers from them, replays its WAL tail, and seals new writes into an
-// epoch of today's suite beside them; one query then draws on all of
-// them, each searched under its own suite (the owner takes it from the
-// epoch's Meta). Full consolidation leaves one epoch, of today's suite.
+// TestDynamicSpansSuites: a durable store created at an earlier commit
+// holds epoch files of that commit's suites — pr17's one suite-0
+// Constant-BRC epoch, pr18's a suite-0 and a suite-1 one, pr27's one
+// suite-0 Logarithmic-URC epoch, whose keyword stags are HMAC. Reopened
+// today it answers from them, replays its WAL tail, and seals new writes
+// into an epoch of today's suite beside them; one query and one batch
+// then draw on all of them, each epoch searched under its own suite (the
+// owner takes it from the epoch's Meta). Full consolidation leaves one
+// epoch, of today's suite.
 func TestDynamicSpansSuites(t *testing.T) {
-	today := todaysSuite(t, rsse.ConstantBRC)
 	// What the directories hold: ids 1..30 at (i*31)%1024, id 3 deleted,
-	// flushed at pr17; then id 100 at 512, acknowledged but unflushed —
-	// pr17's WAL tail. pr18 replayed it, added id 200 at 93, flushed
-	// (its suite-1 epoch), and left id 300 at 700 in its own WAL tail.
+	// flushed at pr17 (and likewise at pr27); then id 100 at 512,
+	// acknowledged but unflushed — the WAL tail. pr18 replayed pr17's,
+	// added id 200 at 93, flushed (its suite-1 epoch), and left id 300 at
+	// 700 in its own WAL tail.
 	base := map[rsse.ID]rsse.Value{}
 	for i := 0; i < 30; i++ {
 		base[rsse.ID(i+1)] = rsse.Value(i*31) % 1024
@@ -176,12 +181,14 @@ func TestDynamicSpansSuites(t *testing.T) {
 	delete(base, 3)
 	for _, fx := range []struct {
 		dir     string
+		kind    rsse.Kind
 		epochs  []rsse.PRFSuite // of the epoch files as found
 		flushed map[rsse.ID]rsse.Value
 		tail    map[rsse.ID]rsse.Value
 	}{
-		{"testdata/pr17", []rsse.PRFSuite{rsse.SuiteSHA512}, nil, map[rsse.ID]rsse.Value{100: 512}},
-		{"testdata/pr18", []rsse.PRFSuite{rsse.SuiteSHA512, rsse.SuiteSHA256}, map[rsse.ID]rsse.Value{100: 512, 200: 93}, map[rsse.ID]rsse.Value{300: 700}},
+		{"testdata/pr17", rsse.ConstantBRC, []rsse.PRFSuite{rsse.SuiteSHA512}, nil, map[rsse.ID]rsse.Value{100: 512}},
+		{"testdata/pr18", rsse.ConstantBRC, []rsse.PRFSuite{rsse.SuiteSHA512, rsse.SuiteSHA256}, map[rsse.ID]rsse.Value{100: 512, 200: 93}, map[rsse.ID]rsse.Value{300: 700}},
+		{"testdata/pr27", rsse.LogarithmicURC, []rsse.PRFSuite{rsse.SuiteSHA512}, nil, map[rsse.ID]rsse.Value{100: 512}},
 	} {
 		t.Run(filepath.Base(fx.dir), func(t *testing.T) {
 			want := map[rsse.ID]rsse.Value{}
@@ -191,12 +198,13 @@ func TestDynamicSpansSuites(t *testing.T) {
 			for id, v := range fx.flushed {
 				want[id] = v
 			}
-			testDynamicSpansSuites(t, filepath.Join(fx.dir, "dynamic-Constant-BRC"), fx.epochs, today, want, fx.tail)
+			src := filepath.Join(fx.dir, "dynamic-"+fx.kind.String())
+			testDynamicSpansSuites(t, src, fx.kind, fx.epochs, todaysSuite(t, fx.kind), want, fx.tail)
 		})
 	}
 }
 
-func testDynamicSpansSuites(t *testing.T, src string, epochs []rsse.PRFSuite, today rsse.PRFSuite, want, tail map[rsse.ID]rsse.Value) {
+func testDynamicSpansSuites(t *testing.T, src string, kind rsse.Kind, epochs []rsse.PRFSuite, today rsse.PRFSuite, want, tail map[rsse.ID]rsse.Value) {
 	dir := t.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -211,28 +219,40 @@ func testDynamicSpansSuites(t *testing.T, src string, epochs []rsse.PRFSuite, to
 			t.Fatal(err)
 		}
 	}
+	ranges := []rsse.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}, {Lo: 512, Hi: 700}, {Lo: 93, Hi: 93}}
+	checkAnswer := func(label string, q rsse.Range, got []rsse.Tuple) {
+		t.Helper()
+		var ids, exp []rsse.ID
+		for _, tu := range got {
+			if want[tu.ID] != tu.Value {
+				t.Fatalf("%s: query %v returned id %d at %d, want value %d", label, q, tu.ID, tu.Value, want[tu.ID])
+			}
+			ids = append(ids, tu.ID)
+		}
+		for id, v := range want {
+			if q.Contains(v) {
+				exp = append(exp, id)
+			}
+		}
+		if !sameIDs(sortedIDsOf(ids), sortedIDsOf(exp)) {
+			t.Fatalf("%s: query %v returned ids %v, want %v", label, q, sortedIDsOf(ids), sortedIDsOf(exp))
+		}
+	}
 	check := func(d *rsse.Dynamic, label string) {
 		t.Helper()
-		for _, q := range []rsse.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 511}, {Lo: 512, Hi: 700}, {Lo: 93, Hi: 93}} {
+		for _, q := range ranges {
 			got, _, err := d.Query(q)
 			if err != nil {
 				t.Fatalf("%s: query %v: %v", label, q, err)
 			}
-			var ids, exp []rsse.ID
-			for _, tu := range got {
-				if want[tu.ID] != tu.Value {
-					t.Fatalf("%s: query %v returned id %d at %d, want value %d", label, q, tu.ID, tu.Value, want[tu.ID])
-				}
-				ids = append(ids, tu.ID)
-			}
-			for id, v := range want {
-				if q.Contains(v) {
-					exp = append(exp, id)
-				}
-			}
-			if !sameIDs(sortedIDsOf(ids), sortedIDsOf(exp)) {
-				t.Fatalf("%s: query %v returned ids %v, want %v", label, q, sortedIDsOf(ids), sortedIDsOf(exp))
-			}
+			checkAnswer(label, q, got)
+		}
+		got, _, err := d.QueryBatch(ranges)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", label, err)
+		}
+		for i, q := range ranges {
+			checkAnswer(label+"/batch", q, got[i])
 		}
 	}
 	// epochSuites peeks every epoch file in the directory, by name.
@@ -254,7 +274,7 @@ func testDynamicSpansSuites(t *testing.T, src string, epochs []rsse.PRFSuite, to
 	}
 	open := func() *rsse.Dynamic {
 		t.Helper()
-		d, err := rsse.OpenDynamic(dir, rsse.ConstantBRC, 10, 0, rsse.AllowIntersectingQueries(), rsse.WithSSE("basic"))
+		d, err := rsse.OpenDynamic(dir, kind, 10, 0, rsse.AllowIntersectingQueries(), rsse.WithSSE("basic"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +287,8 @@ func testDynamicSpansSuites(t *testing.T, src string, epochs []rsse.PRFSuite, to
 		t.Fatalf("%d pending ops after replaying the parent's WAL tail, want %d", d.Pending(), len(tail))
 	}
 	// Value 93 then has an id in the oldest epoch (id 4), in pr18's
-	// suite-1 epoch (id 200) and in the one sealed now.
+	// suite-1 epoch (id 200) and in the one sealed now, so the [93, 93]
+	// query only answers right if it drew on every epoch.
 	if err := d.Insert(900, 93, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +349,7 @@ func TestClusterShardsReportSuite(t *testing.T) {
 	if todaysSuite(t, rsse.ConstantBRC) == todaysSuite(t, rsse.LogarithmicBRC) {
 		t.Error("Constant and Logarithmic kinds build the same suite: the shards' reports are not told apart")
 	}
-	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC, rsse.LogarithmicBRC, rsse.LogarithmicSRCi} {
+	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC, rsse.LogarithmicBRC, rsse.LogarithmicURC, rsse.LogarithmicSRCi} {
 		want := todaysSuite(t, kind)
 		cluster, err := rsse.BuildCluster(kind, 10, 3, tuples)
 		if err != nil {
