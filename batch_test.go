@@ -176,7 +176,7 @@ func TestQueryBatchDifferentialLocal(t *testing.T) {
 }
 
 // TestQueryBatchDifferentialRemote is the same differential over a
-// served connection: one batch frame per round instead of one frame per
+// served connection: one search frame per round instead of one frame per
 // range.
 func TestQueryBatchDifferentialRemote(t *testing.T) {
 	for _, kind := range rsse.Kinds() {

@@ -528,9 +528,10 @@ func (r *ClusterBatchResult) Complete() bool { return r.PartialErr() == nil }
 // QueryBatch answers several ranges across the cluster in one batched
 // scatter: every range splits at shard boundaries, the slices group by
 // owning shard, and each intersected shard receives a single batched
-// sub-query — one batch frame per shard on remote clusters, instead of
-// one frame per (range, shard) pair. Within each shard the covers of
-// that shard's slices are deduplicated exactly as in Client.QueryBatch.
+// sub-query — one search frame per round per shard on remote clusters,
+// instead of one frame per (range, shard) pair. Within each shard the
+// covers of that shard's slices are deduplicated exactly as in
+// Client.QueryBatch.
 func (c *Cluster) QueryBatch(ranges []Range) (*ClusterBatchResult, error) {
 	return c.QueryBatchContext(context.Background(), ranges)
 }

@@ -509,7 +509,7 @@ func (s *clusterSession) Do(ctx context.Context, op *workload.Op) (workload.Metr
 		}
 		return queryMetrics(res.Stats), nil
 	}
-	// One batched scatter: a single batch frame per intersected shard.
+	// One batched scatter: one search frame per round per intersected shard.
 	br, err := cl.QueryBatchContext(ctx, op.Ranges)
 	if err != nil {
 		return workload.Metrics{}, err

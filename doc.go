@@ -132,14 +132,15 @@
 //	br, err := client.QueryBatch(index, []rsse.Range{{0, 99}, {50, 199}})
 //	// br.Results[0], br.Results[1]; br.Stats.DedupRatio()
 //
-// The batch rides one wire frame per round against a remote index
-// (Client.QueryBatchRemote), one frame per intersected shard across a
-// cluster (Cluster.QueryBatch), one batched sub-query per LSM epoch
+// The batch rides one search frame per round against a remote index
+// (Client.QueryBatchRemote), one per round per intersected shard across
+// a cluster (Cluster.QueryBatch), one batched sub-query per LSM epoch
 // (Dynamic.QueryBatch, ShardedDynamic.QueryBatch), and through the
 // cache (CachedClient.QueryBatch answers covered ranges locally and
 // batches the misses). The server sees only the deduplicated, jointly
-// permuted token union plus the batch size — strictly less than the
-// equivalent sequential queries reveal.
+// permuted token union, in the message a single query would send — not
+// even the batch size, so strictly less than the equivalent sequential
+// queries reveal.
 //
 // # The fetch round
 //

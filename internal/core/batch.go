@@ -21,25 +21,34 @@ import (
 //
 // Leakage note: a batch reveals strictly less than the equivalent
 // sequential queries. The server sees the union of the per-range token
-// sets (deduplicated and permuted together, so per-range token counts are
-// hidden) plus the batch size; sequential queries reveal every per-range
-// token multiset separately, with timing.
+// sets, deduplicated and permuted together, so per-range token counts
+// and the number of ranges are hidden: a batch round is one search
+// exchange, like a single query's. Sequential queries reveal every
+// per-range token multiset separately, with timing.
 
 // ContextSearcher is the optional context-aware form of Server.Search.
 type ContextSearcher interface {
 	SearchContext(ctx context.Context, t *Trapdoor) (*Response, error)
 }
 
-// ContextBatchSearcher is the optional extension the batch pipeline
-// prefers: several trapdoors in one exchange. The transport layer
-// implements it as a single batch frame.
-type ContextBatchSearcher interface {
-	SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Response, error)
-}
-
 // ContextFetcher is the optional context-aware form of Server.Fetch.
 type ContextFetcher interface {
 	FetchContext(ctx context.Context, id ID) ([]byte, bool, error)
+}
+
+// metaCtx reads the index metadata, honouring ctx where the server
+// offers a context-aware form (transport handles do) and checking it
+// before the call otherwise.
+func metaCtx(ctx context.Context, s Server) (IndexMeta, error) {
+	if cm, ok := s.(interface {
+		MetaContext(context.Context) (IndexMeta, error)
+	}); ok {
+		return cm.MetaContext(ctx)
+	}
+	if err := ctx.Err(); err != nil {
+		return IndexMeta{}, err
+	}
+	return s.Meta()
 }
 
 // searchCtx runs one search round, honouring ctx as far as the server
@@ -57,24 +66,6 @@ func searchCtx(ctx context.Context, s Server, t *Trapdoor) (*Response, error) {
 		return nil, err
 	}
 	return oneGroupPerToken(t, resp)
-}
-
-// searchBatchCtx runs one batched round: the multi-trapdoor goes out as
-// a batch exchange when the server offers one, else as a plain search
-// round. Either way the response must be one group per token.
-func searchBatchCtx(ctx context.Context, s Server, t *Trapdoor) (*Response, error) {
-	bs, ok := s.(ContextBatchSearcher)
-	if !ok {
-		return searchCtx(ctx, s, t)
-	}
-	resps, err := bs.SearchBatchContext(ctx, []*Trapdoor{t})
-	if err != nil {
-		return nil, err
-	}
-	if len(resps) != 1 {
-		return nil, fmt.Errorf("core: batch answered %d responses for 1 trapdoor", len(resps))
-	}
-	return oneGroupPerToken(t, resps[0])
 }
 
 // oneGroupPerToken is the shape check every search round applies before
@@ -105,8 +96,8 @@ func fetchCtx(ctx context.Context, s Server, id ID) ([]byte, bool, error) {
 // batch — rounds are shared, so only the batch-level split is
 // meaningful).
 type BatchStats struct {
-	// Ranges is the batch size (the only batch-shape fact the server
-	// learns beyond the token union).
+	// Ranges is the batch size. It never crosses the wire: the server
+	// sees only the token union of each round.
 	Ranges int
 	// Rounds is the number of owner↔server exchanges (2 when any range
 	// needed SRC-i round 2).
@@ -303,7 +294,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 	if len(ranges) == 0 {
 		return br, nil
 	}
-	meta, err := s.Meta()
+	meta, err := metaCtx(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +338,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 	br.Stats.TokenBytes = plan1.trap.Bytes()
 
 	serverStart := time.Now()
-	resp1, err := searchBatchCtx(ctx, s, plan1.trap)
+	resp1, err := searchCtx(ctx, s, plan1.trap)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +437,7 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 	br.Stats.TokenBytes += plan2.trap.Bytes()
 
 	serverStart := time.Now()
-	resp2, err := searchBatchCtx(ctx, s, plan2.trap)
+	resp2, err := searchCtx(ctx, s, plan2.trap)
 	if err != nil {
 		return err
 	}

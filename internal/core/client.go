@@ -488,7 +488,7 @@ func (c *Client) QueryServer(s Server, q Range) (*Result, error) {
 // the whole protocol succeeds, so a failed query (network error, bad
 // trapdoor) never poisons a later retry of the same range.
 func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Result, error) {
-	meta, err := s.Meta()
+	meta, err := metaCtx(ctx, s)
 	if err != nil {
 		return nil, err
 	}

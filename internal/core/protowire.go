@@ -83,88 +83,6 @@ func UnmarshalTrapdoor(data []byte) (*Trapdoor, error) {
 	return t, nil
 }
 
-// MarshalTrapdoors frames a batch of trapdoors — the payload of the
-// transport layer's batch-query op: count(4) { len(4) trapdoor }*.
-func MarshalTrapdoors(ts []*Trapdoor) ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(ts)))
-	for _, t := range ts {
-		b, err := t.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	return out, nil
-}
-
-// UnmarshalTrapdoors parses a batch framed by MarshalTrapdoors.
-func UnmarshalTrapdoors(data []byte) ([]*Trapdoor, error) {
-	r := wireReader{data: data}
-	count, err := r.uint32()
-	if err != nil {
-		return nil, fmt.Errorf("core: trapdoor batch truncated")
-	}
-	// The sender is untrusted: cap the allocation hint by the bytes
-	// present (each trapdoor costs at least its length prefix).
-	out := make([]*Trapdoor, 0, min(int(count), len(data)/4+1))
-	for i := uint32(0); i < count; i++ {
-		blob, err := r.lenPrefixed32()
-		if err != nil {
-			return nil, fmt.Errorf("core: trapdoor batch truncated")
-		}
-		t, err := UnmarshalTrapdoor(blob)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("core: %d trailing bytes in trapdoor batch", len(r.data)-r.off)
-	}
-	return out, nil
-}
-
-// MarshalResponses frames a batch of responses symmetrically to
-// MarshalTrapdoors: count(4) { len(4) response }*.
-func MarshalResponses(rs []*Response) ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(rs)))
-	for _, r := range rs {
-		b, err := r.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	return out, nil
-}
-
-// UnmarshalResponses parses a batch framed by MarshalResponses.
-func UnmarshalResponses(data []byte) ([]*Response, error) {
-	r := wireReader{data: data}
-	count, err := r.uint32()
-	if err != nil {
-		return nil, fmt.Errorf("core: response batch truncated")
-	}
-	out := make([]*Response, 0, min(int(count), len(data)/4+1))
-	for i := uint32(0); i < count; i++ {
-		blob, err := r.lenPrefixed32()
-		if err != nil {
-			return nil, fmt.Errorf("core: response batch truncated")
-		}
-		resp, err := UnmarshalResponse(blob)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, resp)
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("core: %d trailing bytes in response batch", len(r.data)-r.off)
-	}
-	return out, nil
-}
-
 // MarshalBinary serializes a response:
 // groupCount(4) { itemCount(4) { itemLen(4) item }* }*
 func (r *Response) MarshalBinary() ([]byte, error) {

@@ -289,15 +289,3 @@ func (r *wireReader) lenPrefixed() ([]byte, error) {
 	}
 	return r.slice(int(n))
 }
-
-// lenPrefixed32 reads a u32-length-prefixed slice (protocol batch frames).
-func (r *wireReader) lenPrefixed32() ([]byte, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n) > uint64(len(r.data)-r.off) {
-		return nil, ErrCorruptIndex
-	}
-	return r.slice(int(n))
-}

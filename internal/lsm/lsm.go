@@ -563,7 +563,7 @@ func (m *Manager) QueryBatch(qs []core.Range) ([][]core.Tuple, QueryStats, error
 }
 
 // QueryBatchOn is QueryBatch with every epoch resolved through dir —
-// one batch frame per epoch when dir is a remote connection.
+// one search frame per round per epoch when dir is a remote connection.
 func (m *Manager) QueryBatchOn(dir Directory, qs []core.Range) ([][]core.Tuple, QueryStats, error) {
 	return m.QueryBatchOnContext(context.Background(), dir, qs)
 }

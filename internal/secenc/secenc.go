@@ -167,27 +167,34 @@ func DecryptCBCFirstBlock(block cipher.Block, dst *[aes.BlockSize]byte, cipherte
 // It is used for fixed-width index cells where each (key, nonce) pair is
 // used at most once by construction.
 //
-// The counter walk is crypto/cipher's CTR, byte for byte — the nonce is
-// one 128-bit big-endian counter — run on the block directly: cells are
-// a few blocks long, and a cipher.Stream would allocate a keystream
-// buffer many times their size per call. Index builds encrypt every
-// cell through here, so that buffer was a third of the bytes a build
-// allocated.
+// The counter walk is XORKeyStreamBlock's: cells are a few blocks long,
+// and a cipher.Stream would allocate a keystream buffer many times their
+// size per call. Index builds encrypt every cell through here, so that
+// buffer was a third of the bytes a build allocated.
 func XORKeyStreamCTR(k Key, nonce [aes.BlockSize]byte, src []byte) []byte {
 	dst := make([]byte, len(src))
-	block := NewBlock(k)
 	// One object for both blocks: what an interface call is handed escapes.
 	st := &struct{ ctr, ks [aes.BlockSize]byte }{ctr: nonce}
+	XORKeyStreamBlock(NewBlock(k), &st.ctr, &st.ks, dst, src)
+	return dst
+}
+
+// XORKeyStreamBlock is the one AES-CTR counter walk: it sets dst to src
+// XOR the keystream of block from counter ctr, crypto/cipher's CTR byte
+// for byte (ctr is one 128-bit big-endian counter). ctr and ks are the
+// caller's scratch, so a caller that keeps them in a long-lived object
+// allocates nothing: ctr is left one past the last block used, ks holds
+// that block's keystream. dst must be at least as long as src.
+func XORKeyStreamBlock(block cipher.Block, ctr, ks *[aes.BlockSize]byte, dst, src []byte) {
 	for off := 0; off < len(src); off += aes.BlockSize {
-		block.Encrypt(st.ks[:], st.ctr[:])
-		subtle.XORBytes(dst[off:], src[off:], st.ks[:])
+		block.Encrypt(ks[:], ctr[:])
+		subtle.XORBytes(dst[off:], src[off:], ks[:])
 		for i := aes.BlockSize - 1; i >= 0; i-- {
-			if st.ctr[i]++; st.ctr[i] != 0 {
+			if ctr[i]++; ctr[i] != 0 {
 				break
 			}
 		}
 	}
-	return dst
 }
 
 // NonceFromUint64 builds a CTR nonce from a 64-bit counter. The counter

@@ -3,11 +3,11 @@ package sse
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"rsse/internal/prf"
+	"rsse/internal/secenc"
 )
 
 // cellSearcher is the shared allocation-free machinery of the four
@@ -186,22 +186,12 @@ func (s *cellSearcher) alloc(n int) []byte {
 }
 
 // decrypt CTR-decrypts the cell encrypted under counter ctr into a
-// fresh arena region. The manual counter walk is byte-identical to
-// secenc.XORKeyStreamCTR with secenc.NonceFromUint64(ctr): that nonce's
-// low 8 bytes start at zero and stdlib CTR increments the whole nonce
-// big-endian, so for any cell shorter than 2^64 blocks only the low 8
-// bytes ever change.
+// fresh arena region: secenc.XORKeyStreamCTR with
+// secenc.NonceFromUint64(ctr), on the searcher's cached cell cipher and
+// scratch.
 func (s *cellSearcher) decrypt(ctr uint64, src []byte) []byte {
-	blk := s.cellCipher()
 	dst := s.alloc(len(src))
-	binary.BigEndian.PutUint64(s.nonce[:8], ctr)
-	for off, blkCtr := 0, uint64(0); off < len(src); off, blkCtr = off+aes.BlockSize, blkCtr+1 {
-		binary.BigEndian.PutUint64(s.nonce[8:], blkCtr)
-		blk.Encrypt(s.ks[:], s.nonce[:])
-		n := min(aes.BlockSize, len(src)-off)
-		for j := 0; j < n; j++ {
-			dst[off+j] = src[off+j] ^ s.ks[j]
-		}
-	}
+	s.nonce = secenc.NonceFromUint64(ctr)
+	secenc.XORKeyStreamBlock(s.cellCipher(), &s.nonce, &s.ks, dst, src)
 	return dst
 }

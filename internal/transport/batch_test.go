@@ -1,12 +1,10 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	mrand "math/rand"
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,55 +35,62 @@ func batchTestIndex(t *testing.T, seed int64) (*core.Client, *core.Index) {
 	return client, index
 }
 
-// batchTrapdoors builds n trapdoors over overlapping ranges of
-// batchTestIndex's domain.
-func batchTrapdoors(t *testing.T, client *core.Client, n int) []*core.Trapdoor {
-	t.Helper()
-	ts := make([]*core.Trapdoor, 0, n)
-	for i := 0; i < n; i++ {
+// batchRanges returns n overlapping ranges of batchTestIndex's domain.
+func batchRanges(n int) []core.Range {
+	rs := make([]core.Range, n)
+	for i := range rs {
 		lo := uint64(i * 7 % 900)
-		tr, err := client.Trapdoor(core.Range{Lo: lo, Hi: lo + uint64(i%40)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts = append(ts, tr)
+		rs[i] = core.Range{Lo: lo, Hi: lo + uint64(i%40)}
 	}
-	return ts
+	return rs
 }
 
-// batchRecorder passes batches through to its handle and keeps every
-// trapdoor they carried.
-type batchRecorder struct {
-	*IndexHandle
-	ts []*core.Trapdoor
+// requestCounts snapshots rsse_requests_total, by op slot.
+func requestCounts() (n [len(opLabel)]uint64) {
+	for op, c := range tm.requests {
+		if c != nil {
+			n[op] = c.Value()
+		}
+	}
+	return n
 }
 
-func (r *batchRecorder) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
-	r.ts = append(r.ts, ts...)
-	return r.IndexHandle.SearchBatchContext(ctx, ts)
-}
-
-// ixCounts reads the per-index counters one search request moves.
-func ixCounts(name string) [5]uint64 {
-	return [5]uint64{ixBatches.With(name).Value(), ixQueries.With(name).Value(),
-		ixTokens.With(name).Value(), ixTokenBytes.With(name).Value(), ixRespItems.With(name).Value()}
-}
-
-// countsSince is what a request moved the counters by.
-func countsSince(name string, before [5]uint64) [5]uint64 {
-	after := ixCounts(name)
+// requestsSince is what crossed the wire since before, by op slot.
+func requestsSince(before [len(opLabel)]uint64) [len(opLabel)]uint64 {
+	after := requestCounts()
 	for i := range after {
 		after[i] -= before[i]
 	}
 	return after
 }
 
-// TestBatchQueryOp: for every kind, the deduplicated trapdoor of a
-// 64-range QueryBatch gets byte-identical responses over the batch op
-// and the search op. The batch op moves rsse_index_batches_total by
-// one, and the query, token, token-byte and response-item counters
-// exactly as the search op does. (searchBatchOneFrame checks batches
-// of many trapdoors against one search per trapdoor.)
+// searchRecorder passes searches through to its handle and keeps every
+// trapdoor and response that crossed.
+type searchRecorder struct {
+	*IndexHandle
+	ts    []*core.Trapdoor
+	resps []*core.Response
+}
+
+func (r *searchRecorder) SearchContext(ctx context.Context, t *core.Trapdoor) (*core.Response, error) {
+	resp, err := r.IndexHandle.SearchContext(ctx, t)
+	r.ts, r.resps = append(r.ts, t), append(r.resps, resp)
+	return resp, err
+}
+
+// ixCounts reads the per-index counters a search request moves:
+// queries, tokens, token bytes and response items.
+func ixCounts(name string) [4]uint64 {
+	return [4]uint64{ixQueries.With(name).Value(), ixTokens.With(name).Value(),
+		ixTokenBytes.With(name).Value(), ixRespItems.With(name).Value()}
+}
+
+// TestBatchQueryOp: for every kind, a remote 64-range QueryBatch costs
+// exactly one search frame per round — two for SRC-i, one otherwise —
+// and no frame of any other op. Each round's deduplicated trapdoor is
+// answered byte-identically to a local Index.Search of it, and the
+// per-index query, token, token-byte and response-item counters move by
+// the batch's rounds, unique tokens, token bytes and response items.
 func TestBatchQueryOp(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -94,12 +99,15 @@ func TestBatchQueryOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := "op5-" + kind.String()
+			name := "batch-" + kind.String()
 			reg := NewRegistry()
 			if err := reg.Register(name, idx); err != nil {
 				t.Fatal(err)
 			}
-			rec := &batchRecorder{IndexHandle: pipeRegistry(t, reg).Index(name)}
+			rec := &searchRecorder{IndexHandle: pipeRegistry(t, reg).Index(name)}
+			if _, err := rec.Meta(); err != nil { // keep the meta frame out of the count
+				t.Fatal(err)
+			}
 			m := uint64(1024)
 			if kind == core.Quadratic {
 				m = 64
@@ -109,77 +117,85 @@ func TestBatchQueryOp(t *testing.T) {
 				lo := uint64(i*7) % (m / 2)
 				ranges[i] = core.Range{Lo: lo, Hi: lo + uint64(i)%(m/4)}
 			}
-			if _, err := client.QueryBatch(rec, ranges); err != nil {
+			before, ix0 := requestCounts(), ixCounts(name)
+			br, err := client.QueryBatch(rec, ranges)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rec.ts) == 0 {
-				t.Fatal("the batch sent no trapdoor")
+			rounds := 1
+			if kind == core.LogarithmicSRCi {
+				rounds = 2
+			}
+			if br.Stats.Rounds != rounds || len(rec.ts) != rounds {
+				t.Fatalf("%d rounds, %d searches; want %d of each", br.Stats.Rounds, len(rec.ts), rounds)
+			}
+			var want [len(opLabel)]uint64
+			want[opSearch] = uint64(rounds)
+			if kind.HasFalsePositives() {
+				want[opFetchMany] = uint64((br.Stats.FetchedTuples + core.FetchChunk - 1) / core.FetchChunk)
+			}
+			if got := requestsSince(before); got != want {
+				t.Errorf("frames by op %v, want %v", got, want)
+			}
+			ix := ixCounts(name)
+			for i := range ix {
+				ix[i] -= ix0[i]
+			}
+			if wantIx := [4]uint64{uint64(rounds), uint64(br.Stats.UniqueTokens),
+				uint64(br.Stats.TokenBytes), uint64(br.Stats.ResponseItems)}; ix != wantIx {
+				t.Errorf("queries/tokens/token bytes/items moved %v, want %v", ix, wantIx)
 			}
 			for i, tr := range rec.ts {
-				before := ixCounts(name)
-				batched, err := rec.SearchBatchContext(context.Background(), []*core.Trapdoor{tr})
+				local, err := idx.Search(tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaBatch := countsSince(name, before)
-				before = ixCounts(name)
-				single, err := rec.Search(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				viaSearch := countsSince(name, before)
-				b, _ := batched[0].MarshalBinary()
-				s, _ := single.MarshalBinary()
-				if !bytes.Equal(b, s) {
-					t.Fatalf("trapdoor %d (%d tokens): batch op and search op answered differently", i, tr.Tokens())
-				}
-				if viaBatch[0] != 1 || viaSearch[0] != 0 {
-					t.Errorf("trapdoor %d: batches_total moved %d by the batch op, %d by the search op; want 1, 0", i, viaBatch[0], viaSearch[0])
-				}
-				viaBatch[0], viaSearch[0] = 0, 0
-				if viaBatch != viaSearch || viaSearch[1] != 1 {
-					t.Errorf("trapdoor %d: queries/tokens/token bytes/items moved %v by the batch op, %v by the search op", i, viaBatch[1:], viaSearch[1:])
+				got, _ := rec.resps[i].MarshalBinary()
+				want, _ := local.MarshalBinary()
+				if string(got) != string(want) {
+					t.Fatalf("round %d (%d tokens): the search frame answered differently from Index.Search", i+1, tr.Tokens())
 				}
 			}
 		})
 	}
 }
 
-// searchBatchOneFrame runs ts as one batch through h and checks that
-// it cost exactly one batch-query request and no search request, and
-// that the responses are exactly those of one search per trapdoor, in
-// trapdoor order.
-func searchBatchOneFrame(t *testing.T, h *IndexHandle, ts []*core.Trapdoor) {
+// batchOneFramePerRound runs ranges as one QueryBatch through h and
+// checks that it cost exactly one search request and nothing else (none
+// at all for an empty batch), with results identical to the same batch
+// against the local index.
+func batchOneFramePerRound(t *testing.T, client *core.Client, h *IndexHandle, index *core.Index, ranges []core.Range) {
 	t.Helper()
-	batches, searches := tm.requests[opBatchQuery].Value(), tm.requests[opSearch].Value()
-	rs, err := h.SearchBatchContext(context.Background(), ts)
+	if _, err := h.Meta(); err != nil {
+		t.Fatal(err)
+	}
+	before := requestCounts()
+	br, err := client.QueryBatch(h, ranges)
 	if err != nil {
-		t.Fatalf("%d-trapdoor batch: %v", len(ts), err)
+		t.Fatalf("%d-range batch: %v", len(ranges), err)
 	}
-	if got := tm.requests[opBatchQuery].Value() - batches; got != 1 {
-		t.Fatalf("a %d-trapdoor batch cost %d batch requests, want 1", len(ts), got)
+	var want [len(opLabel)]uint64
+	if len(ranges) > 0 {
+		want[opSearch] = 1
 	}
-	if got := tm.requests[opSearch].Value() - searches; got != 0 {
-		t.Fatalf("a %d-trapdoor batch cost %d search requests", len(ts), got)
+	if got := requestsSince(before); got != want {
+		t.Fatalf("a %d-range batch cost frames %v by op, want %v", len(ranges), got, want)
 	}
-	if len(rs) != len(ts) {
-		t.Fatalf("%d responses for %d trapdoors", len(rs), len(ts))
+	local, err := client.QueryBatch(index, ranges)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, tr := range ts {
-		single, err := h.Search(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rs[i].Groups, single.Groups) {
-			t.Fatalf("%d-trapdoor batch, trapdoor %d: batched response differs from the single search", len(ts), i)
+	for i := range ranges {
+		if !sameResult(br.Results[i], local.Results[i]) {
+			t.Fatalf("%d-range batch, range %d: remote result differs from the local batch", len(ranges), i)
 		}
 	}
 }
 
 // TestBatchStreamOp: batches of every size — empty, one, and the sizes
-// that once straddled the retired streamed op's chunk edges — stay one
-// batch-query frame each way over a pooled server, and answer exactly
-// as one search per trapdoor.
+// that once straddled the retired streamed op's chunk edges — cost one
+// search frame over a pooled server, and answer exactly as the same
+// batch against the local index.
 func TestBatchStreamOp(t *testing.T) {
 	t.Run("pooled", func(t *testing.T) {
 		client, index := batchTestIndex(t, 241)
@@ -189,35 +205,44 @@ func TestBatchStreamOp(t *testing.T) {
 		defer conn.Close()
 		h := conn.Default()
 		for _, n := range []int{0, 1, 16, 17, 47} {
-			searchBatchOneFrame(t, h, batchTrapdoors(t, client, n))
+			batchOneFramePerRound(t, client, h, index, batchRanges(n))
 		}
 	})
 }
 
-// TestBatchStreamAutoSwitch: a 40-trapdoor batch — past the threshold
-// where a batch used to switch to the streamed op — is still one
-// batch-query request answered by one frame.
+// TestBatchStreamAutoSwitch: a 40-range batch — past the size where a
+// batch used to switch to the streamed op — is still one search request
+// answered by one frame.
 func TestBatchStreamAutoSwitch(t *testing.T) {
 	client, index := batchTestIndex(t, 251)
 	conn := pipeServer(t, index)
-	searchBatchOneFrame(t, conn.Default(), batchTrapdoors(t, client, 40))
+	batchOneFramePerRound(t, client, conn.Default(), index, batchRanges(40))
 }
 
-// TestBatchStreamError: a large batch against an unknown index fails
-// as a server error, not an overload, and the connection keeps serving
-// batches afterwards.
+// TestBatchStreamError: a batch round against an index deregistered
+// after its meta exchange fails as a server error naming the index, not
+// an overload, and the connection keeps serving batches afterwards.
 func TestBatchStreamError(t *testing.T) {
 	client, index := batchTestIndex(t, 257)
-	conn := pipeServer(t, index)
-	ts := batchTrapdoors(t, client, 40)
-	_, err := conn.Index("no-such-index").SearchBatchContext(context.Background(), ts)
-	if err == nil || !strings.Contains(err.Error(), "no-such-index") {
-		t.Fatalf("batch against an unknown index returned %v", err)
+	reg := singleRegistry(index)
+	if err := reg.Register("gone", index); err != nil {
+		t.Fatal(err)
+	}
+	conn := pipeRegistry(t, reg)
+	gone := conn.Index("gone")
+	if _, err := gone.Meta(); err != nil {
+		t.Fatal(err)
+	}
+	reg.Deregister("gone")
+	ranges := batchRanges(40)
+	_, err := client.QueryBatch(gone, ranges)
+	if err == nil || !strings.Contains(err.Error(), `"gone"`) {
+		t.Fatalf("batch against a deregistered index returned %v", err)
 	}
 	if errors.Is(err, ErrOverloaded) {
 		t.Fatalf("lookup failure misreported as overload: %v", err)
 	}
-	searchBatchOneFrame(t, conn.Default(), ts)
+	batchOneFramePerRound(t, client, conn.Default(), index, ranges)
 }
 
 // blockingServer serves valid metadata but parks every search until

@@ -326,14 +326,41 @@ func (c *Conn) Lookup(name string) (core.Server, error) {
 type IndexHandle struct {
 	conn *Conn
 	name string
-
-	metaMu sync.Mutex
-	metaOK bool
-	meta   core.IndexMeta
+	meta metaCache
 }
 
 // Name returns the index name the handle addresses.
 func (h *IndexHandle) Name() string { return h.name }
+
+// metaCache keeps a handle's index metadata once a meta exchange has
+// succeeded (index metadata is immutable); failures are not kept, so a
+// transient transport error cannot poison the handle. The lock is not
+// held across the exchange: a caller whose context expires is never
+// stuck behind another caller's slower one.
+type metaCache struct {
+	mu   sync.Mutex
+	ok   bool
+	meta core.IndexMeta
+}
+
+// get returns the kept metadata, or runs fetch under ctx and keeps its
+// result.
+func (m *metaCache) get(ctx context.Context, fetch func(context.Context) (core.IndexMeta, error)) (core.IndexMeta, error) {
+	m.mu.Lock()
+	meta, ok := m.meta, m.ok
+	m.mu.Unlock()
+	if ok {
+		return meta, nil
+	}
+	meta, err := fetch(ctx)
+	if err != nil {
+		return core.IndexMeta{}, err
+	}
+	m.mu.Lock()
+	m.meta, m.ok = meta, true
+	m.mu.Unlock()
+	return meta, nil
+}
 
 // fetchMeta performs one meta round trip for name over c.
 func fetchMeta(ctx context.Context, c *Conn, name string) (core.IndexMeta, error) {
@@ -367,20 +394,17 @@ func parseMeta(resp []byte) (core.IndexMeta, error) {
 }
 
 // Meta implements core.Server. A successful result is cached for the
-// handle's lifetime (index metadata is immutable); failures are not,
-// so a transient transport error cannot poison the handle.
+// handle's lifetime (see metaCache).
 func (h *IndexHandle) Meta() (core.IndexMeta, error) {
-	h.metaMu.Lock()
-	defer h.metaMu.Unlock()
-	if h.metaOK {
-		return h.meta, nil
-	}
-	m, err := fetchMeta(context.Background(), h.conn, h.name)
-	if err != nil {
-		return core.IndexMeta{}, err
-	}
-	h.meta, h.metaOK = m, true
-	return m, nil
+	return h.MetaContext(context.Background())
+}
+
+// MetaContext is Meta with cancellation: the round trip aborts as soon
+// as ctx is done.
+func (h *IndexHandle) MetaContext(ctx context.Context) (core.IndexMeta, error) {
+	return h.meta.get(ctx, func(ctx context.Context) (core.IndexMeta, error) {
+		return fetchMeta(ctx, h.conn, h.name)
+	})
 }
 
 // Search implements core.Server.
@@ -402,46 +426,12 @@ func (h *IndexHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (*cor
 	return core.UnmarshalResponse(resp)
 }
 
-// SearchBatchContext implements core.ContextBatchSearcher: all
-// trapdoors cross the wire in one batch-query frame, and all responses
-// return in one frame.
-func (h *IndexHandle) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
-	payload, err := core.MarshalTrapdoors(ts)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := h.conn.roundTripContext(ctx, opBatchQuery, h.name, payload)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := core.UnmarshalResponses(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != len(ts) {
-		return nil, fmt.Errorf("transport: batch response carries %d responses for %d trapdoors", len(rs), len(ts))
-	}
-	return rs, nil
-}
-
 // Fetch implements core.Server.
 func (h *IndexHandle) Fetch(id core.ID) ([]byte, bool, error) {
 	return h.FetchContext(context.Background(), id)
 }
 
-// FetchContext implements core.ContextFetcher.
+// FetchContext implements core.ContextFetcher as a one-id fetch-many.
 func (h *IndexHandle) FetchContext(ctx context.Context, id core.ID) ([]byte, bool, error) {
-	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], id)
-	resp, err := h.conn.roundTripContext(ctx, opFetch, h.name, payload[:])
-	if err != nil {
-		return nil, false, err
-	}
-	if len(resp) < 1 {
-		return nil, false, fmt.Errorf("transport: empty fetch response")
-	}
-	if resp[0] == 0 {
-		return nil, false, nil
-	}
-	return resp[1:], true, nil
+	return fetchOne(ctx, h, id)
 }

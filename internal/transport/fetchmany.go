@@ -167,8 +167,18 @@ func (h *IndexHandle) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, e
 	return parseFetchManyResponse(resp, len(ids))
 }
 
+// fetchOne is a single fetch: a one-id FetchMany, whose nil entry is an
+// id the server does not hold.
+func fetchOne(ctx context.Context, mf core.ManyFetcher, id core.ID) ([]byte, bool, error) {
+	cts, err := mf.FetchMany(ctx, []core.ID{id})
+	if err != nil {
+		return nil, false, err
+	}
+	return cts[0], cts[0] != nil, nil
+}
+
 // FetchMany implements core.ManyFetcher with retries — an idempotent
-// read like Fetch. Every attempt decodes a fresh response, so a frame
+// read like Search. Every attempt decodes a fresh response, so a frame
 // the connection died under is discarded whole.
 func (h *ResilientHandle) FetchMany(ctx context.Context, ids []core.ID) (cts [][]byte, err error) {
 	err = h.do(ctx, func(ctx context.Context, c *Conn) error {

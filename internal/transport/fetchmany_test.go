@@ -20,28 +20,27 @@ import (
 )
 
 // perIDOnly hides a handle's FetchMany while keeping its context-aware
-// per-id fetch and its search extensions: the owner's fetch round falls
-// back to one fetch frame per id — the reference the fetch-many op is
+// single fetch and search: the owner's fetch round falls back to one
+// one-id fetch-many frame per id — the reference the chunked round is
 // compared to.
 type perIDOnly struct {
 	core.Server
 	core.ContextSearcher
-	core.ContextBatchSearcher
 	core.ContextFetcher
 }
 
 type fullHandle interface {
 	core.Server
 	core.ContextSearcher
-	core.ContextBatchSearcher
 	core.ContextFetcher
 	core.ManyFetcher
 }
 
-func hideFetchMany(h fullHandle) core.Server { return perIDOnly{h, h, h, h} }
+func hideFetchMany(h fullHandle) core.Server { return perIDOnly{h, h, h} }
 
 // TestFetchManyOp: one fetch-many frame returns exactly the ciphertexts
-// the per-id fetch op would, in id order, nil for unknown ids.
+// the served index holds, in id order, nil for unknown ids — and a
+// single fetch over the handle agrees with it.
 func TestFetchManyOp(t *testing.T) {
 	_, idx, tuples := testClientIndex(t, core.LogarithmicSRC)
 	h := pipeServer(t, idx).Default()
@@ -54,7 +53,7 @@ func TestFetchManyOp(t *testing.T) {
 		t.Fatalf("%d ciphertexts for %d ids", len(got), len(ids))
 	}
 	for i, id := range ids {
-		want, ok, err := h.Fetch(id)
+		want, ok, err := idx.Fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +61,11 @@ func TestFetchManyOp(t *testing.T) {
 			t.Fatalf("id %d: unknown id answered with %d bytes", id, len(got[i]))
 		}
 		if ok && !bytes.Equal(got[i], want) {
-			t.Fatalf("id %d: fetch-many ciphertext differs from fetch", id)
+			t.Fatalf("id %d: fetch-many ciphertext differs from the index's", id)
+		}
+		one, found, err := h.Fetch(id)
+		if err != nil || found != ok || !bytes.Equal(one, want) {
+			t.Fatalf("id %d: single fetch = %d bytes, %v, %v; want %d bytes, %v", id, len(one), found, err, len(want), ok)
 		}
 	}
 	if got, err := h.FetchMany(context.Background(), nil); err != nil || len(got) != 0 {
@@ -248,8 +251,8 @@ func TestFetchManyDifferential(t *testing.T) {
 }
 
 // TestFetchManyFrameCount: a remote SRC-i query with R raw ids costs at
-// most 2 search frames plus ⌈R/chunk⌉ fetch-many frames and no per-id
-// fetch frame, while the per-index fetch and raw-id leakage counters
+// most 2 search frames plus ⌈R/chunk⌉ fetch-many frames and no frame of
+// any other op, while the per-index fetch and raw-id leakage counters
 // still advance by exactly R — what R single fetches would have counted.
 func TestFetchManyFrameCount(t *testing.T) {
 	c, idx, _ := testClientIndex(t, core.LogarithmicSRCi)
@@ -264,21 +267,23 @@ func TestFetchManyFrameCount(t *testing.T) {
 	}
 	fetches, rawIDs := ixFetches.With(name), ixRawIDs.With(name)
 	for _, q := range srcQueries {
-		search0, many0, one0 := tm.requests[opSearch].Value(), tm.requests[opFetchMany].Value(), tm.requests[opFetch].Value()
+		before := requestCounts()
 		fetches0, raw0 := fetches.Value(), rawIDs.Value()
 		res, err := c.QueryServer(h, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := uint64(len(res.Raw))
-		if got := tm.requests[opSearch].Value() - search0; got > 2 {
+		frames := requestsSince(before)
+		if got := frames[opSearch]; got > 2 {
 			t.Errorf("%v: %d search frames, want at most 2", q, got)
 		}
-		if got, want := tm.requests[opFetchMany].Value()-many0, (r+core.FetchChunk-1)/core.FetchChunk; got != want {
+		if got, want := frames[opFetchMany], (r+core.FetchChunk-1)/core.FetchChunk; got != want {
 			t.Errorf("%v: %d fetch-many frames for %d raw ids, want %d", q, got, r, want)
 		}
-		if got := tm.requests[opFetch].Value() - one0; got != 0 {
-			t.Errorf("%v: %d per-id fetch frames, want 0", q, got)
+		frames[opSearch], frames[opFetchMany] = 0, 0
+		if frames != [len(opLabel)]uint64{} {
+			t.Errorf("%v: frames of other ops crossed: %v", q, frames)
 		}
 		if got := fetches.Value() - fetches0; got != r {
 			t.Errorf("%v: rsse_index_fetches_total advanced by %d, client fetched %d ids", q, got, r)

@@ -39,14 +39,10 @@ func FuzzServeFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var ts []*core.Trapdoor
-	for i := uint64(0); i < 18; i++ {
-		ts = append(ts, td(i*50, i*50+40))
-	}
-	batch, err := core.MarshalTrapdoors(ts)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// A one-trapdoor batch as the retired ops 5 and 9 framed it:
+	// count‖len‖trapdoor.
+	batch := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, 1), uint32(len(one)))
+	batch = append(batch, one...)
 	// PR 14's process killer: a GGM token one level byte past any domain.
 	level64, err := (&core.Trapdoor{GGM: []dprf.Token{{Level: 64}}}).MarshalBinary()
 	if err != nil {
@@ -54,9 +50,11 @@ func FuzzServeFrames(f *testing.F) {
 	}
 	seeds := [][]byte{
 		fuzzFrame(1, opSearch, DefaultIndex, one),
-		fuzzFrame(2, opBatchQuery, DefaultIndex, batch),
-		fuzzFrame(3, 9, DefaultIndex, batch), // the retired batch-stream op: one err frame
-		fuzzFrame(4, opFetch, DefaultIndex, binary.BigEndian.AppendUint64(nil, 7)),
+		// The retired batch-query, batch-stream and per-id fetch ops:
+		// one err frame each.
+		fuzzFrame(2, 5, DefaultIndex, batch),
+		fuzzFrame(3, 9, DefaultIndex, batch),
+		fuzzFrame(4, 3, DefaultIndex, binary.BigEndian.AppendUint64(nil, 7)),
 		fuzzFrame(5, opFetchMany, DefaultIndex, appendFetchManyRequest(nil, []core.ID{1, 2, 999})),
 		fuzzFrame(6, opMeta, DefaultIndex, nil),
 		fuzzFrame(7, opUpdate, "dyn", marshalUpdate(Update{Kind: UpdateInsert, ID: 1, Value: 10, Payload: []byte("p")})),

@@ -14,18 +14,16 @@ import (
 // BenchmarkRemoteSearchRoundTrip.
 
 // opLabel maps wire op bytes to their metric label; index 0 doubles as
-// the unknown-op bucket, which also takes the retired op 9.
+// the unknown-op bucket, which also takes the retired ops 3, 5 and 9.
 var opLabel = [opFetchMany + 1]string{
-	0:            "unknown",
-	opMeta:       "meta",
-	opSearch:     "search",
-	opFetch:      "fetch",
-	opNames:      "names",
-	opBatchQuery: "batch",
-	opUpdate:     "update",
-	opDynFlush:   "dyn_flush",
-	opDynQuery:   "dyn_query",
-	opFetchMany:  "fetch_many",
+	0:           "unknown",
+	opMeta:      "meta",
+	opSearch:    "search",
+	opNames:     "names",
+	opUpdate:    "update",
+	opDynFlush:  "dyn_flush",
+	opDynQuery:  "dyn_query",
+	opFetchMany: "fetch_many",
 }
 
 // opIndex maps a wire op byte to its opLabel slot, 0 for unknown ops.
@@ -126,7 +124,6 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 // client-side workload.LeakageCounters.
 type indexObs struct {
 	queries *obs.Counter
-	batches *obs.Counter
 	fetches *obs.Counter
 
 	tokens     *obs.Counter
@@ -139,9 +136,7 @@ type indexObs struct {
 
 var (
 	ixQueries = obs.Default.CounterVec("rsse_index_queries_total",
-		"Search requests executed, per served index (batch counts once per trapdoor).", "index")
-	ixBatches = obs.Default.CounterVec("rsse_index_batches_total",
-		"Batch-query frames executed, per served index.", "index")
+		"Search frames executed, per served index (one per protocol round, a batch round's included).", "index")
 	ixFetches = obs.Default.CounterVec("rsse_index_fetches_total",
 		"Raw ids fetched, per served index (a fetch-many frame counts once per id).", "index")
 	ixTokens = obs.Default.CounterVec("rsse_server_leakage_tokens_total",
@@ -164,7 +159,6 @@ var (
 func newIndexObs(name string) *indexObs {
 	return &indexObs{
 		queries:    ixQueries.With(name),
-		batches:    ixBatches.With(name),
 		fetches:    ixFetches.With(name),
 		tokens:     ixTokens.With(name),
 		tokenBytes: ixTokenBytes.With(name),

@@ -43,8 +43,8 @@ func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, er
 
 // tokenPanicSSE builds Basic dictionaries whose Search panics on the
 // left-th call from now: inside a real *core.Index that is some token
-// of a search or a batch, deep inside Index.Search on the handler's
-// goroutine. left <= 0 is disarmed.
+// of a search, deep inside Index.Search on the handler's goroutine.
+// left <= 0 is disarmed.
 type tokenPanicSSE struct{ left *atomic.Int32 }
 
 func (p tokenPanicSSE) Name() string { return "basic" }
@@ -69,13 +69,14 @@ func (x tokenPanicIndex) Search(stag sse.Stag) ([][]byte, error) {
 
 // TestHandlerPanicContained: a handler panic costs its own request an
 // error response and nothing else. On every op that reaches the index —
-// search, a small and a large batch, fetch-many, and a search and a
-// batch whose third token panics in the dictionary, under Index.Search —
-// the caller gets the fixed server error (never a dead connection,
-// never the panic text), the next request on the same connection
-// succeeds, rsse_handler_panics_total and the Error log move once per
-// panic (with the stack of the goroutine that panicked), and Shutdown
-// still drains: the in-flight accounting stayed balanced.
+// a search and a 40-range QueryBatch round, a fetch-many and a single
+// fetch, and a search and a batch round whose third token panics in the
+// dictionary, under Index.Search — the caller gets the fixed server
+// error (never a dead connection, never the panic text), the next
+// request on the same connection succeeds, rsse_handler_panics_total
+// and the Error log move once per panic (with the stack of the
+// goroutine that panicked), and Shutdown still drains: the in-flight
+// accounting stayed balanced.
 func TestHandlerPanicContained(t *testing.T) {
 	client, index := batchTestIndex(t, 271)
 	store := &panicStore{Index: index}
@@ -112,14 +113,17 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 	defer conn.Close()
 	h, wh := conn.Default(), conn.Index(dictIndex)
-	batch := func(h *IndexHandle, ts []*core.Trapdoor) error {
-		_, err := h.SearchBatchContext(context.Background(), ts)
+	// A batch round is one search frame; the meta exchange before it
+	// reaches no armed code.
+	batch := func(c *core.Client, h *IndexHandle) error {
+		_, err := c.QueryBatch(h, batchRanges(40))
 		return err
 	}
 
-	one := batchTrapdoors(t, client, 1)[0]
-	few := batchTrapdoors(t, client, 3)
-	many := batchTrapdoors(t, client, 40)
+	one, err := client.Trapdoor(core.Range{Lo: 0, Hi: 39})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wrange, err := wclient.Trapdoor(core.Range{Lo: 3, Hi: 1020}) // a many-token cover
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +131,6 @@ func TestHandlerPanicContained(t *testing.T) {
 	if wrange.Tokens() < 3 {
 		t.Fatalf("cover has %d tokens, the third one must panic", wrange.Tokens())
 	}
-	wmany := batchTrapdoors(t, wclient, 40)
 	arm := func() { store.armed.Store(true) }
 	armThirdToken := func() { left.Store(3) }
 	ops := []struct {
@@ -138,11 +141,11 @@ func TestHandlerPanicContained(t *testing.T) {
 		call  func() error
 	}{
 		{"search", DefaultIndex, arm, "panicStore", func() error { _, err := h.Search(one); return err }},
-		{"batch", DefaultIndex, arm, "panicStore", func() error { return batch(h, few) }},
-		{"batch", DefaultIndex, arm, "panicStore", func() error { return batch(h, many) }},
+		{"search", DefaultIndex, arm, "panicStore", func() error { return batch(client, h) }},
 		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
+		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, _, err := h.Fetch(1); return err }},
 		{"search", dictIndex, armThirdToken, "tokenPanicIndex", func() error { _, err := wh.Search(wrange); return err }},
-		{"batch", dictIndex, armThirdToken, "tokenPanicIndex", func() error { return batch(wh, wmany) }},
+		{"search", dictIndex, armThirdToken, "tokenPanicIndex", func() error { return batch(wclient, wh) }},
 	}
 	for _, tc := range ops {
 		panicsBefore := tm.panics.Value()

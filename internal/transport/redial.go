@@ -129,11 +129,13 @@ func (r *Redialer) Index(name string) *ResilientHandle {
 func (r *Redialer) Default() *ResilientHandle { return r.Index(DefaultIndex) }
 
 // ResilientHandle addresses one named index through a Redialer. It
-// implements core.Server (plus the context and batch extensions) like
-// IndexHandle, but retries idempotent read ops — meta, search, batch
-// search, fetch — across connection deaths with capped, jittered
-// backoff. It deliberately has no update surface: updates are
-// at-most-once through the WAL ack and must never be auto-retried.
+// implements core.Server (plus the context and fetch-many extensions)
+// like IndexHandle, but retries idempotent read ops — meta, search,
+// fetch-many — across connection deaths with capped, jittered backoff.
+// Each attempt's answer is one frame, so a conn that dies mid-response
+// fails the attempt whole: nothing is spliced across attempts. It
+// deliberately has no update surface: updates are at-most-once through
+// the WAL ack and must never be auto-retried.
 //
 // Retry classification per attempt error:
 //   - ErrConnDead: the transport died; replace the conn and retry.
@@ -147,10 +149,7 @@ func (r *Redialer) Default() *ResilientHandle { return r.Index(DefaultIndex) }
 type ResilientHandle struct {
 	rd   *Redialer
 	name string
-
-	metaMu sync.Mutex
-	metaOK bool
-	meta   core.IndexMeta
+	meta metaCache
 }
 
 // Name returns the index name the handle addresses.
@@ -214,24 +213,16 @@ func (h *ResilientHandle) Meta() (core.IndexMeta, error) {
 	return h.MetaContext(context.Background())
 }
 
-// MetaContext is Meta with cancellation.
+// MetaContext is Meta with cancellation and retries.
 func (h *ResilientHandle) MetaContext(ctx context.Context) (core.IndexMeta, error) {
-	h.metaMu.Lock()
-	defer h.metaMu.Unlock()
-	if h.metaOK {
-		return h.meta, nil
-	}
-	var m core.IndexMeta
-	err := h.do(ctx, func(ctx context.Context, c *Conn) error {
-		var err error
-		m, err = fetchMeta(ctx, c, h.name)
-		return err
+	return h.meta.get(ctx, func(ctx context.Context) (m core.IndexMeta, err error) {
+		err = h.do(ctx, func(ctx context.Context, c *Conn) error {
+			var err error
+			m, err = fetchMeta(ctx, c, h.name)
+			return err
+		})
+		return m, err
 	})
-	if err != nil {
-		return core.IndexMeta{}, err
-	}
-	h.meta, h.metaOK = m, true
-	return m, nil
 }
 
 // Search implements core.Server.
@@ -253,36 +244,13 @@ func (h *ResilientHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (
 	return out, nil
 }
 
-// SearchBatchContext implements core.ContextBatchSearcher with
-// retries. Each attempt's batch response is one frame, so a conn that
-// dies mid-response fails the attempt whole: nothing is spliced.
-func (h *ResilientHandle) SearchBatchContext(ctx context.Context, ts []*core.Trapdoor) ([]*core.Response, error) {
-	var out []*core.Response
-	err := h.do(ctx, func(ctx context.Context, c *Conn) error {
-		var err error
-		out, err = c.Index(h.name).SearchBatchContext(ctx, ts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Fetch implements core.Server.
 func (h *ResilientHandle) Fetch(id core.ID) ([]byte, bool, error) {
 	return h.FetchContext(context.Background(), id)
 }
 
-// FetchContext implements core.ContextFetcher with retries.
-func (h *ResilientHandle) FetchContext(ctx context.Context, id core.ID) (val []byte, ok bool, err error) {
-	err = h.do(ctx, func(ctx context.Context, c *Conn) error {
-		var err error
-		val, ok, err = c.Index(h.name).FetchContext(ctx, id)
-		return err
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return val, ok, nil
+// FetchContext implements core.ContextFetcher as a one-id FetchMany,
+// with its retries.
+func (h *ResilientHandle) FetchContext(ctx context.Context, id core.ID) ([]byte, bool, error) {
+	return fetchOne(ctx, h, id)
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -281,19 +280,19 @@ func queryExchange(c *core.Client, q core.Range) exchange {
 	}
 }
 
-// batchExchange is one batch-query round trip, compared by every
-// response's groups.
-func batchExchange(ts []*core.Trapdoor) exchange {
+// batchExchange is one QueryBatch, compared by every range's matches
+// and raw ids.
+func batchExchange(c *core.Client, ranges []core.Range) exchange {
 	return func(h core.Server) (any, error) {
-		rs, err := h.(core.ContextBatchSearcher).SearchBatchContext(context.Background(), ts)
+		br, err := c.QueryBatch(h, ranges)
 		if err != nil {
 			return nil, err
 		}
-		groups := make([][][][]byte, len(rs))
-		for i, r := range rs {
-			groups[i] = r.Groups
+		out := make([][2][]core.ID, len(br.Results))
+		for i, res := range br.Results {
+			out[i] = [2][]core.ID{res.Matches, res.Raw}
 		}
-		return groups, nil
+		return out, nil
 	}
 }
 
@@ -326,16 +325,17 @@ func measureExchange(t *testing.T, idx core.Server, ex exchange) (any, int64) {
 // search), an SRC-i query whose fetch round is one fetch-many frame
 // (every byte of its count, length words and ciphertexts is a cut
 // point, so the filter never runs over a torn frame), an SRC-i query
-// whose raw ids span two pipelined fetch-many frames, and one batch
-// frame carrying 40 trapdoors' responses. The last two are several
-// times longer, so they are cut at every 11th byte, a stride coprime to
-// every field width in the frames.
+// whose raw ids span two pipelined fetch-many frames, and a 40-range
+// QueryBatch, whose round is one search frame answering the whole
+// deduplicated trapdoor. The last two are several times longer, so they
+// are cut at every 11th byte, a stride coprime to every field width in
+// the frames.
 func TestKillPointFrameOffsets(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		kind   core.Kind
 		q      core.Range
-		batch  int // > 0: the exchange is one batch of this many trapdoors, not a query of q
+		batch  int // > 0: the exchange is a QueryBatch of this many ranges, not a query of q
 		step   int64
 		op     byte // the exchange must carry frames requests of op
 		frames int
@@ -343,13 +343,13 @@ func TestKillPointFrameOffsets(t *testing.T) {
 		{"search", core.LogarithmicBRC, core.Range{Lo: 700, Hi: 740}, 0, 1, opFetchMany, 0},
 		{"fetch-many", core.LogarithmicSRCi, core.Range{Lo: 700, Hi: 740}, 0, 1, opFetchMany, 1},
 		{"pipelined fetch-many", core.LogarithmicSRCi, core.Range{Lo: 0, Hi: 1023}, 0, 11, opFetchMany, 2},
-		{"batch", core.LogarithmicBRC, core.Range{}, 40, 11, opBatchQuery, 1},
+		{"batch", core.LogarithmicBRC, core.Range{}, 40, 11, opSearch, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, idx, _ := testClientIndex(t, tc.kind)
 			ex := queryExchange(c, tc.q)
 			if tc.batch > 0 {
-				ex = batchExchange(batchTrapdoors(t, c, tc.batch))
+				ex = batchExchange(c, batchRanges(tc.batch))
 			}
 			frames0 := tm.requests[tc.op].Value()
 			oracle, total := measureExchange(t, idx, ex)

@@ -14,12 +14,12 @@
 //	frame    := len(u32, big-endian) body          (len counts the body)
 //	request  := reqID(u32) op(u8) nameLen(u8) name payload
 //	response := reqID(u32) status(u8) payload
-//	ops:      meta(1), search(trapdoor wire, 2), fetch(id, 3), names(4),
-//	          batch-query(trapdoor batch wire, 5), update(6),
+//	ops:      meta(1), search(trapdoor wire, 2), names(4), update(6),
 //	          dyn-flush(7), dyn-query(8), fetch-many(count‖ids, 10)
 //	status:   ok(0) payload | err(1) message | overload(2) message
 //
-// Every request is answered by exactly one response frame. Op 9 is
+// Every request is answered by exactly one response frame. Ops 3 (the
+// per-id fetch), 5 (the batch query) and 9 (the streamed batch) are
 // retired and answered like any unknown op, with an err(1) frame.
 //
 // The overload status distinguishes "server refused this request" from
@@ -28,17 +28,18 @@
 // so clients can back off or fail over instead of treating the shed as
 // a dead peer.
 //
-// The batch-query op carries several trapdoors in one frame and answers
-// with the matching responses in one frame; the server searches them one
-// after another, as it would the same trapdoors sent by op 2. It is how a
-// whole multi-range batch (see core.Client.QueryBatch) costs one round
-// trip per round instead of one per range.
+// Each protocol round is one search frame, a multi-range batch's
+// included (see core.Client.QueryBatch): its deduplicated trapdoor is
+// an ordinary trapdoor, so a batch costs one round trip per round
+// instead of one per range, and the server cannot tell it from a single
+// query by its op.
 //
 // The fetch-many op carries the ids of one fetch-round chunk and answers
 // with their ciphertexts in one frame (see fetchmany.go): the owner-side
 // false-positive filter of the SRC schemes costs a round trip per chunk
-// instead of one per returned id. The server sees the same ids a
-// sequence of fetch ops would have shown it, in the same order.
+// instead of one per returned id. A single fetch is a one-id fetch-many.
+// The server sees the same ids one-id fetches would have shown it, in
+// the same order.
 //
 // For served read indexes, exactly the protocol messages of the paper
 // cross the wire: trapdoors owner→server, opaque result groups and
@@ -65,15 +66,13 @@ const MaxFrame = 1 << 28 // 256 MiB
 
 // Request op codes and response status codes.
 const (
-	opMeta       byte = 1
-	opSearch     byte = 2
-	opFetch      byte = 3
-	opNames      byte = 4
-	opBatchQuery byte = 5
-	opUpdate     byte = 6
-	opDynFlush   byte = 7
-	opDynQuery   byte = 8
-	opFetchMany  byte = 10
+	opMeta      byte = 1
+	opSearch    byte = 2
+	opNames     byte = 4
+	opUpdate    byte = 6
+	opDynFlush  byte = 7
+	opDynQuery  byte = 8
+	opFetchMany byte = 10
 
 	statusOK       byte = 0
 	statusErr      byte = 1
@@ -216,61 +215,11 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 		}
 		ob.respItems.Add(uint64(resp.Items()))
 		return resp.MarshalBinary()
-	case opBatchQuery:
-		ts, err := core.UnmarshalTrapdoors(req.payload)
-		if err != nil {
-			return nil, err
-		}
-		ob.batches.Inc()
-		ob.queries.Add(uint64(len(ts)))
-		for _, t := range ts {
-			ob.tokens.Add(uint64(t.Tokens()))
-			ob.tokenBytes.Add(uint64(t.Bytes()))
-		}
-		resps, err := searchBatch(idx, ts)
-		if err != nil {
-			return nil, err
-		}
-		for _, resp := range resps {
-			ob.respItems.Add(uint64(resp.Items()))
-		}
-		return core.MarshalResponses(resps)
-	case opFetch:
-		if len(req.payload) != 8 {
-			return nil, fmt.Errorf("transport: fetch payload must be 8 bytes")
-		}
-		ob.fetches.Inc()
-		ob.rawIDs.Inc()
-		ct, ok, err := idx.Fetch(binary.BigEndian.Uint64(req.payload))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, 0, 1+len(ct))
-		if ok {
-			out = append(out, 1)
-			out = append(out, ct...)
-		} else {
-			out = append(out, 0)
-		}
-		return out, nil
 	case opFetchMany:
 		return handleFetchMany(idx, ob, req.payload)
 	default:
 		return nil, fmt.Errorf("transport: unknown request type %d", req.op)
 	}
-}
-
-// searchBatch runs one batch of trapdoors against idx, one Search per
-// trapdoor on the request's own worker goroutine, exactly as op 2 would.
-func searchBatch(idx core.Server, ts []*core.Trapdoor) ([]*core.Response, error) {
-	resps := make([]*core.Response, len(ts))
-	for i, t := range ts {
-		var err error
-		if resps[i], err = idx.Search(t); err != nil {
-			return nil, err
-		}
-	}
-	return resps, nil
 }
 
 // parseNames decodes an opNames response.

@@ -113,15 +113,32 @@ func TestRemoteQueryAllSchemes(t *testing.T) {
 	}
 }
 
+// TestRemoteFetchTuple: a remote FetchTuple is one one-id fetch-many
+// frame and nothing else, and moves rsse_index_fetches_total by one.
 func TestRemoteFetchTuple(t *testing.T) {
 	c, idx, tuples := testClientIndex(t, core.LogarithmicBRC)
-	remote := pipeServer(t, idx).Default()
+	const name = "fetch-tuple"
+	reg := NewRegistry()
+	if err := reg.Register(name, idx); err != nil {
+		t.Fatal(err)
+	}
+	remote := pipeRegistry(t, reg).Index(name)
+	fetches := ixFetches.With(name)
+	before, fetches0 := requestCounts(), fetches.Value()
 	tup, err := c.FetchTuple(remote, tuples[5].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tup.Value != tuples[5].Value || !bytes.Equal(tup.Payload, tuples[5].Payload) {
 		t.Errorf("remote fetch = %+v, want %+v", tup, tuples[5])
+	}
+	var want [len(opLabel)]uint64
+	want[opFetchMany] = 1
+	if got := requestsSince(before); got != want {
+		t.Errorf("FetchTuple cost frames %v by op, want %v", got, want)
+	}
+	if got := fetches.Value() - fetches0; got != 1 {
+		t.Errorf("rsse_index_fetches_total moved by %d, want 1", got)
 	}
 	if _, err := c.FetchTuple(remote, 99999); err == nil {
 		t.Error("unknown id fetched remotely")
@@ -141,6 +158,63 @@ func TestRemoteMetaCached(t *testing.T) {
 	}
 	if a != b || a.Kind != core.LogarithmicSRCi || a.N != 200 || a.DomainBits != 10 {
 		t.Errorf("meta = %+v / %+v", a, b)
+	}
+}
+
+// TestQueryMetaHonoursContext: a query's first exchange on a fresh
+// handle is meta, and it honours the query's context like every later
+// one. Against a server that reads requests but never answers, a 100 ms
+// query returns DeadlineExceeded instead of blocking — even while an
+// earlier caller with no deadline is stuck in the same handle's meta
+// exchange.
+func TestQueryMetaHonoursContext(t *testing.T) {
+	client, _ := batchTestIndex(t, 281)
+	for _, tc := range []struct {
+		name  string
+		query func(ctx context.Context, h *IndexHandle) error
+	}{
+		{"QueryServerContext", func(ctx context.Context, h *IndexHandle) error {
+			_, err := client.QueryServerContext(ctx, h, core.Range{Lo: 0, Hi: 100})
+			return err
+		}},
+		{"QueryBatchContext", func(ctx context.Context, h *IndexHandle) error {
+			_, err := client.QueryBatchContext(ctx, h, batchRanges(4))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serverEnd, clientEnd := net.Pipe()
+			read := make(chan struct{}, 1)
+			go func() {
+				buf := make([]byte, 4096)
+				for {
+					if _, err := serverEnd.Read(buf); err != nil {
+						return
+					}
+					select {
+					case read <- struct{}{}:
+					default:
+					}
+				}
+			}()
+			conn := NewConn(clientEnd)
+			t.Cleanup(func() { conn.Close(); serverEnd.Close() })
+			h := conn.Default()
+			go func() { _, _ = h.Meta() }() // returns when the cleanup closes conn
+			<-read                          // that caller's meta request is out
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- tc.query(ctx, h) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a 100 ms query is still blocked in its meta exchange after 2 s")
+			}
+		})
 	}
 }
 
@@ -510,9 +584,10 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 	defer serverEnd.Close()
 	defer clientEnd.Close()
 
-	// Unknown op — including the retired batch-stream op 9 — → one
-	// statusErr response routed by request id, connection stays up.
-	for _, op := range []byte{77, 9} {
+	// Unknown op — including the retired per-id fetch op 3, batch-query
+	// op 5 and batch-stream op 9 — → one statusErr response routed by
+	// request id, connection stays up.
+	for _, op := range []byte{77, 9, 3, 5} {
 		if err := writeFrame(clientEnd, appendRequest(42, op, DefaultIndex, []byte("junk"))); err != nil {
 			t.Fatal(err)
 		}
@@ -535,23 +610,17 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 
 // TestOversizedTokenLevelOverWire: a GGM token whose level byte exceeds
 // the index's domain height — one byte an untrusted peer controls —
-// comes back as an error response on the search and batch ops, and the
-// connection keeps serving. Level 64 used to panic the
-// serving goroutine (and the process with it), levels 31-63 to size an
-// allocation by 2^Level.
+// comes back as an error response on the search op, the only op that
+// carries tokens, and the connection keeps serving. Level 64 used to
+// panic the serving goroutine (and the process with it), levels 31-63
+// to size an allocation by 2^Level.
 func TestOversizedTokenLevelOverWire(t *testing.T) {
 	c, idx, tuples := testClientIndex(t, core.ConstantBRC)
 	h := pipeServer(t, idx).Default()
 	for _, level := range []uint8{11, 40, 64, 255} {
 		bad := &core.Trapdoor{GGM: []dprf.Token{{Level: level}}}
-		for op, search := range map[string]func() error{
-			"search": func() error { _, err := h.Search(bad); return err },
-			"batch":  func() error { _, err := h.SearchBatchContext(context.Background(), []*core.Trapdoor{bad}); return err },
-		} {
-			err := search()
-			if err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {
-				t.Errorf("%s with a level-%d token: err %v, want the server's %q", op, level, err, core.ErrTokenLevel)
-			}
+		if _, err := h.Search(bad); err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {
+			t.Errorf("search with a level-%d token: err %v, want the server's %q", level, err, core.ErrTokenLevel)
 		}
 	}
 	q := core.Range{Lo: 100, Hi: 300}

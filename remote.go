@@ -151,11 +151,10 @@ type RemoteIndex struct {
 // either a plain per-conn handle (transport.IndexHandle) or a
 // retrying one over a redialing pool (transport.ResilientHandle, via
 // DialIndexWith + WithRetry). Both implement core.Server plus the
-// context and batch extensions the query paths use.
+// context and fetch-many extensions the query paths use.
 type remoteHandle interface {
 	core.Server
 	core.ContextSearcher
-	core.ContextBatchSearcher
 	core.ContextFetcher
 	core.ManyFetcher
 	Name() string
@@ -309,8 +308,8 @@ func (c *Client) QueryRemoteContext(ctx context.Context, r *RemoteIndex, q Range
 
 // QueryBatchRemote answers several ranges against a remote index in one
 // batched protocol run: the deduplicated multi-trapdoor crosses the
-// connection as a single batch frame per round (instead of one frame per
-// range), and false-positive filtering fetches each distinct id once,
+// connection as a single search frame per round (instead of one frame
+// per range), and false-positive filtering fetches each distinct id once,
 // all of them in one chunked fetch round.
 func (c *Client) QueryBatchRemote(r *RemoteIndex, ranges []Range) (*BatchResult, error) {
 	return c.QueryBatchRemoteContext(context.Background(), r, ranges)
