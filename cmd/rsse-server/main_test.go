@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"rsse/internal/prf"
 )
 
 // buildServer compiles the rsse-server binary once per test run and
@@ -81,8 +83,8 @@ func (l *lockedBuilder) String() string {
 
 // startServer launches the built binary with a fresh writable store (no
 // index file needed) and a CPU profile, waits until it is serving, and
-// returns the running command plus the profile path.
-func startServer(t *testing.T, extra ...string) (*exec.Cmd, string) {
+// returns the running command, the profile path and its stderr.
+func startServer(t *testing.T, extra ...string) (*exec.Cmd, string, *lockedBuilder) {
 	t.Helper()
 	bin, err := buildServer()
 	if err != nil {
@@ -109,7 +111,7 @@ func startServer(t *testing.T, extra ...string) (*exec.Cmd, string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return cmd, prof
+	return cmd, prof, &stderr
 }
 
 // TestCPUProfileFinalizedOnSignal proves SIGTERM and SIGINT shutdowns
@@ -120,7 +122,7 @@ func TestCPUProfileFinalizedOnSignal(t *testing.T) {
 	}
 	for _, sig := range []syscall.Signal{syscall.SIGTERM, syscall.SIGINT} {
 		t.Run(sig.String(), func(t *testing.T) {
-			cmd, prof := startServer(t)
+			cmd, prof, _ := startServer(t)
 			if err := cmd.Process.Signal(sig); err != nil {
 				t.Fatalf("signaling: %v", err)
 			}
@@ -129,6 +131,28 @@ func TestCPUProfileFinalizedOnSignal(t *testing.T) {
 			}
 			checkProfile(t, prof)
 		})
+	}
+}
+
+// TestServingLogNamesPRFPath: the serving line tells an operator which
+// code computes suite 2's F on this box.
+func TestServingLogNamesPRFPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exec test")
+	}
+	cmd, _, stderr := startServer(t)
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		cmd.Wait()
+	}()
+	var serving string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.Contains(line, "msg=serving") {
+			serving = line
+		}
+	}
+	if want := "prf_f=" + prf.FImpl(); !strings.Contains(serving, want) {
+		t.Errorf("serving line %q lacks %s", serving, want)
 	}
 }
 

@@ -78,7 +78,8 @@ func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
 // g computes G(seed) into (g0, g1). g0 or g1 may alias seed: seed is
 // fully absorbed before either output is written.
 //
-// Suite 2: F(seed,'g',0) and F(seed,'g',1) — two compressions.
+// Suite 2: F(seed,'g',0) and F(seed,'g',1) — two compressions, one
+// prf.F2 call that runs them interleaved and writes g0 and g1 in place.
 //
 // Suite 1: HMAC-SHA-256(seed, "rsse/ggm/0") and HMAC-SHA-256(seed,
 // "rsse/ggm/1") — one key schedule on the Hasher, whose keyed states
@@ -89,8 +90,8 @@ func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
 func (e *Expander) g(seed, g0, g1 *Value) {
 	switch e.suite {
 	case prf.SuiteBlock:
-		k := prf.Key(*seed)
-		*g0, *g1 = prf.F(k, 'g', 0), prf.F(k, 'g', 1)
+		k := (*prf.Key)(seed)
+		prf.F2((*[Size]byte)(g0), (*[Size]byte)(g1), k, 'g', 0, k, 'g', 1)
 		return
 	case prf.SuiteSHA256:
 		e.h.SetKey(prf.Key(*seed))

@@ -265,10 +265,13 @@ func testExpanderAllocs(t *testing.T, s prf.Suite) {
 	}
 	leaves := make([]Value, 0, 64)
 	tokens := make([]Token, 0, len(nodes))
+	var seed, g1 Value
 	checks := []struct {
 		name string
 		f    func()
 	}{
+		// Suite 2's step is one two-way prf.F2 call, written over its seed.
+		{"Expander.g", func() { e.g(&seed, &seed, &g1) }},
 		{"Expander.Eval", func() { e.Eval(k, 12345) }},
 		{"Expander.ExpandInto", func() { leaves = e.ExpandInto(leaves[:0], tok) }},
 		{"Expander.DelegateNodes", func() {

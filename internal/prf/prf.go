@@ -9,7 +9,11 @@
 // Which hash sits under the HMAC is a Suite: suite 0 is the paper's
 // HMAC-SHA-512, suite 1 is HMAC-SHA-256 with the same keys, labels and
 // 32-byte outputs; suite 2 drops the HMAC for F, one SHA-256 compression
-// keyed through the message. The package-level functions and
+// keyed through the message. On amd64 with SHA extensions (checked once
+// with CPUID) F is that one compression in Go assembly, fed the key and
+// the message words directly, and F2 runs two of them interleaved for
+// the GGM step; every other machine computes F as sha256.Sum256 of the
+// 41-byte message on the stack. The package-level functions and
 // NewHasher/GetHasher are suite 0, which is what the owner's key
 // derivation (master key to purpose keys) always uses. An index records
 // the suite its own PRFs were built with (see Suite), and the owner's
@@ -74,12 +78,60 @@ func Suites() []Suite {
 // pads to exactly one block, so one compression under the fixed IV with
 // no state to set up, keep or restore. tag separates the uses one key is
 // put to; every input has the same length, so no message extends another.
-func F(k Key, tag byte, x uint64) [KeySize]byte {
-	var m [KeySize + 1 + 8]byte
+//
+// On amd64 with SHA extensions that one block goes straight to the
+// SHA-NI rounds (compress); everywhere else F is sha256.Sum256 of the
+// message, which stays the definition F is tested against.
+func F(k Key, tag byte, x uint64) (out [KeySize]byte) {
+	if useSHANI {
+		lo, hi := words(tag, x)
+		compress(&out, &k, lo, hi)
+		return out
+	}
+	var m [fLen]byte
 	copy(m[:], k[:])
 	m[KeySize] = tag
 	binary.BigEndian.PutUint64(m[KeySize+1:], x)
 	return sha256.Sum256(m[:])
+}
+
+// F2 sets *out0 = F(*k0, tag0, x0) and *out1 = F(*k1, tag1, x1). Under
+// SHA-NI the two compressions run interleaved, at well under twice the
+// cost of one. Both keys are read before either output is written, so
+// an output may alias either key.
+func F2(out0, out1 *[KeySize]byte, k0 *Key, tag0 byte, x0 uint64, k1 *Key, tag1 byte, x1 uint64) {
+	if useSHANI {
+		lo0, hi0 := words(tag0, x0)
+		lo1, hi1 := words(tag1, x1)
+		compress2(out0, out1, k0, k1, lo0, hi0, lo1, hi1)
+		return
+	}
+	v0, v1 := F(*k0, tag0, x0), F(*k1, tag1, x1)
+	*out0, *out1 = v0, v1
+}
+
+// FImpl names the code computing F on this machine: "sha-ni" or
+// "portable".
+func FImpl() string {
+	if useSHANI {
+		return "sha-ni"
+	}
+	return "portable"
+}
+
+// fLen is the length of F's message k ‖ tag ‖ BE64(x).
+const fLen = KeySize + 1 + 8
+
+// words returns words 8..11 of F's padded block — bytes 32..47, tag ‖
+// BE64(x) ‖ 0x80 ‖ three zeros — as the message schedule reads them:
+// big-endian 32-bit words, two to a uint64, the lower-numbered word in
+// the low half. Words 0..7 are the key and words 12..15 the rest of the
+// padding, the same for every input.
+func words(tag byte, x uint64) (lo, hi uint64) {
+	w8 := uint64(tag)<<24 | x>>40
+	w9 := x >> 8 & 0xffffffff
+	w10 := (x&0xff)<<24 | 0x80<<16
+	return w8 | w9<<32, w10
 }
 
 // String names the suite's PRF.

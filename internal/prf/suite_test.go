@@ -150,15 +150,43 @@ func TestSuitesDisagree(t *testing.T) {
 	}
 }
 
-// TestBlockPRFKnownAnswers pins F to plain crypto/sha256 over the 41-byte
-// message key ‖ tag ‖ BE64(x) — the whole definition of suite 2 — on
-// fixed vectors anyone can recompute, and on random ones.
+// forcePortable sends F and F2 down the portable branch until t ends, so
+// a machine with SHA extensions still tests the code every other machine
+// runs.
+func forcePortable(t *testing.T) {
+	native := useSHANI
+	useSHANI = false
+	t.Cleanup(func() { useSHANI = native })
+}
+
+// refF is suite 2 by definition: crypto/sha256 over the 41 message bytes
+// k ‖ tag ‖ BE64(x).
+func refF(k Key, tag byte, x uint64) [KeySize]byte {
+	return sha256.Sum256(binary.BigEndian.AppendUint64(append(bytes.Clone(k[:]), tag), x))
+}
+
+// TestBlockPRFKnownAnswers pins F and both halves of F2 to plain
+// crypto/sha256 over the 41-byte message key ‖ tag ‖ BE64(x) — the whole
+// definition of suite 2 — on fixed vectors anyone can recompute, and on
+// random ones: once on the path this machine picks, once on the portable
+// one.
 func TestBlockPRFKnownAnswers(t *testing.T) {
+	t.Run(FImpl(), testBlockPRFKnownAnswers)
+	t.Run("forced-portable", func(t *testing.T) {
+		forcePortable(t)
+		if FImpl() != "portable" {
+			t.Fatalf("FImpl() = %q with the dispatch forced off", FImpl())
+		}
+		testBlockPRFKnownAnswers(t)
+	})
+}
+
+func testBlockPRFKnownAnswers(t *testing.T) {
 	var seq Key
 	for i := range seq {
 		seq[i] = byte(i)
 	}
-	for _, v := range []struct {
+	vectors := []struct {
 		k    Key
 		tag  byte
 		x    uint64
@@ -169,34 +197,76 @@ func TestBlockPRFKnownAnswers(t *testing.T) {
 		{seq, 'l', 1, "55f0be1182adb4605f1d5ec760763d6ab4f84af55cf28b1cf7a7f6909cc8245f"},
 		{seq, 'e', 0, "5a2d75021d5611b237753dbd147a54aac54e02cdc01c728688512140e5610d93"},
 		{seq, 'b', 1 << 40, "871876182f3832c0282412f5338852d525fd4ecb0c1a3c675c96ab2a2b16ba93"},
-	} {
+	}
+	for i, v := range vectors {
 		got := F(v.k, v.tag, v.x)
 		if hex.EncodeToString(got[:]) != v.want {
 			t.Errorf("F(%x.., %q, %d) = %x, want %s", v.k[:4], v.tag, v.x, got, v.want)
 		}
+		// F2 pairs each vector with the next one.
+		w := vectors[(i+1)%len(vectors)]
+		var o0, o1 [KeySize]byte
+		F2(&o0, &o1, &v.k, v.tag, v.x, &w.k, w.tag, w.x)
+		if hex.EncodeToString(o0[:]) != v.want || hex.EncodeToString(o1[:]) != w.want {
+			t.Errorf("F2 on vectors %d and %d = %x, %x", i, (i+1)%len(vectors), o0, o1)
+		}
+	}
+	if fLen+1+8 > sha256.BlockSize {
+		t.Fatalf("F's message of %d bytes does not pad into one block", fLen)
 	}
 	rnd := mrand.New(mrand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
-		var k Key
+		var k, k1 Key
 		rnd.Read(k[:])
+		rnd.Read(k1[:])
 		tag, x := byte(rnd.Intn(256)), rnd.Uint64()
-		msg := binary.BigEndian.AppendUint64(append(bytes.Clone(k[:]), tag), x)
-		if len(msg)+1+8 > sha256.BlockSize {
-			t.Fatalf("message of %d bytes does not pad into one block", len(msg))
-		}
-		if F(k, tag, x) != sha256.Sum256(msg) {
+		if F(k, tag, x) != refF(k, tag, x) {
 			t.Fatal("F is not SHA-256(k ‖ tag ‖ BE64(x))")
 		}
 		if F(k, tag, x) == F(k, tag^1, x) || F(k, tag, x) == F(k, tag, x+1) {
 			t.Fatal("F ignores its tag or its counter")
 		}
+		// Outputs written over the keys, crosswise: both keys must be
+		// read before either output is written.
+		a, b := k, k1
+		F2((*[KeySize]byte)(&b), (*[KeySize]byte)(&a), &a, tag, x, &b, tag+1, x+1)
+		if b != refF(k, tag, x) || a != refF(k1, tag+1, x+1) {
+			t.Fatal("F2 wrong when its outputs alias its keys")
+		}
 	}
 	if !race.Enabled {
-		var k Key
+		var k, k1 Key
 		if n := testing.AllocsPerRun(200, func() { k = F(k, 'l', 7) }); n != 0 {
 			t.Errorf("F allocates %v objects per evaluation, want 0", n)
 		}
+		f2 := func() { F2((*[KeySize]byte)(&k), (*[KeySize]byte)(&k1), &k, 'g', 0, &k, 'g', 1) }
+		if n := testing.AllocsPerRun(200, f2); n != 0 {
+			t.Errorf("F2 allocates %v objects per pair, want 0", n)
+		}
 	}
+}
+
+// FuzzBlockPRF: F and each half of F2, with its own key, tag and counter,
+// equal crypto/sha256 of the 41-byte message on whatever path this
+// machine takes.
+func FuzzBlockPRF(f *testing.F) {
+	f.Add(make([]byte, 2*KeySize), byte('g'), byte('g'), uint64(0), uint64(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 2*KeySize), byte(0), byte(0xff), uint64(1)<<63, ^uint64(0))
+	f.Fuzz(func(t *testing.T, keys []byte, tag0, tag1 byte, x0, x1 uint64) {
+		var k0, k1 Key
+		copy(k0[:], keys)
+		if len(keys) > KeySize {
+			copy(k1[:], keys[KeySize:])
+		}
+		if F(k0, tag0, x0) != refF(k0, tag0, x0) {
+			t.Fatalf("F(%x, %#x, %#x) is not SHA-256 of its message", k0, tag0, x0)
+		}
+		var o0, o1 [KeySize]byte
+		F2(&o0, &o1, &k0, tag0, x0, &k1, tag1, x1)
+		if o0 != refF(k0, tag0, x0) || o1 != refF(k1, tag1, x1) {
+			t.Fatalf("F2 halves (%x, %#x, %#x), (%x, %#x, %#x) are not SHA-256 of their messages", k0, tag0, x0, k1, tag1, x1)
+		}
+	})
 }
 
 func TestSuitePoolsAreSeparate(t *testing.T) {
