@@ -169,8 +169,9 @@ func DecryptCBCFirstBlock(block cipher.Block, dst *[aes.BlockSize]byte, cipherte
 //
 // The counter walk is XORKeyStreamBlock's: cells are a few blocks long,
 // and a cipher.Stream would allocate a keystream buffer many times their
-// size per call. Index builds encrypt every cell through here, so that
-// buffer was a third of the bytes a build allocated.
+// size per call. A caller encrypting many cells under one key schedules
+// it once (NewBlock) and calls XORKeyStreamBlock itself, as index
+// builds do.
 func XORKeyStreamCTR(k Key, nonce [aes.BlockSize]byte, src []byte) []byte {
 	dst := make([]byte, len(src))
 	// One object for both blocks: what an interface call is handed escapes.

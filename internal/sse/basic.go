@@ -28,23 +28,20 @@ func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engi
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
-	defer prf.PutHasher(h)
-	b := cellBuilder(eng, total)
-	for _, e := range entries {
-		keys := deriveStagKeys(suite, h, e.Stag)
-		for i, p := range shuffled(e.Payloads, rnd) {
-			lab := cellLabel(suite, keys.loc, uint64(i))
-			if err := b.Put(lab[:], encryptCell(keys.enc, uint64(i), p)); err != nil {
-				return nil, errLabelCollision(err)
-			}
+	// Plan: posting i of the build is cell i, plaintext until sealed.
+	off := postingOffsets(entries, func(n int) int { return n })
+	cells := make([]byte, total*width)
+	scratch := make([][]byte, longestList(entries))
+	for e, entry := range entries {
+		for i, p := range shuffleInto(scratch, entry.Payloads, rnd) {
+			copy(cells[(off[e]+i)*width:], p)
 		}
 	}
-	cells, err := b.Seal()
+	sealed, err := sealDictionary(entries, off, cells, width, eng, suite)
 	if err != nil {
-		return nil, errLabelCollision(err)
+		return nil, err
 	}
-	idx := &basicIndex{suite: suite, width: width, postings: total, cells: cells}
+	idx := &basicIndex{suite: suite, width: width, postings: total, cells: sealed}
 	idx.size = idx.serializedSize()
 	return idx, nil
 }

@@ -47,16 +47,17 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
-	defer prf.PutHasher(h)
 	blockLen := 1 + bs*width // count byte + padded payload area
-	b := cellBuilder(eng, (total+bs-1)/max(bs, 1))
-	for _, e := range entries {
-		keys := deriveStagKeys(suite, h, e.Stag)
-		payloads := shuffled(e.Payloads, rnd)
+	// Plan: block j of the build is cell j, plaintext until sealed.
+	off := postingOffsets(entries, func(n int) int { return (n + bs - 1) / bs })
+	blocks := off[len(entries)]
+	cells := make([]byte, blocks*blockLen)
+	scratch := make([][]byte, longestList(entries))
+	for e, entry := range entries {
+		payloads := shuffleInto(scratch, entry.Payloads, rnd)
 		for blk := 0; blk*bs < len(payloads); blk++ {
 			chunk := payloads[blk*bs : min((blk+1)*bs, len(payloads))]
-			plain := make([]byte, blockLen)
+			plain := cells[(off[e]+blk)*blockLen : (off[e]+blk+1)*blockLen]
 			plain[0] = byte(len(chunk))
 			for i, p := range chunk {
 				copy(plain[1+i*width:], p)
@@ -67,17 +68,13 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 			for i := 1 + len(chunk)*width; i < blockLen; i++ {
 				plain[i] = byte(rnd.Intn(256))
 			}
-			lab := cellLabel(suite, keys.loc, uint64(blk))
-			if err := b.Put(lab[:], encryptCell(keys.enc, uint64(blk), plain)); err != nil {
-				return nil, errLabelCollision(err)
-			}
 		}
 	}
-	cells, err := b.Seal()
+	sealed, err := sealDictionary(entries, off, cells, blockLen, eng, suite)
 	if err != nil {
-		return nil, errLabelCollision(err)
+		return nil, err
 	}
-	idx := &packedIndex{suite: suite, width: width, blockSize: bs, postings: total, cells: cells}
+	idx := &packedIndex{suite: suite, width: width, blockSize: bs, postings: total, cells: sealed}
 	idx.size = idx.serializedSize()
 	return idx, nil
 }

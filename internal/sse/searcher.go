@@ -151,7 +151,7 @@ func putCellSearcher(s *cellSearcher) {
 // label computes the i-th cell label under the stag's location key.
 // The returned slice is valid until the next label call.
 //
-// Suite 2 labels straight from the stag with the function Build uses.
+// Suite 2 labels straight from the stag: F(stag,'l',i).
 // Otherwise a warm entry answers its first labN labels from the cache; every
 // other label costs exactly one PRF evaluation, made when it is probed,
 // so a search of an L-cell list evaluates at most L+1 labels. Search
@@ -159,7 +159,8 @@ func putCellSearcher(s *cellSearcher) {
 // first labels recorded for publication contiguous.
 func (s *cellSearcher) label(i uint64) []byte {
 	if s.suite == prf.SuiteBlock {
-		s.lab = cellLabel(s.suite, prf.Key(s.stag), i)
+		full := prf.F(prf.Key(s.stag), 'l', i)
+		copy(s.lab[:], full[:LabelSize])
 		return s.lab[:]
 	}
 	if e := s.ent; e != nil && i < uint64(e.labN) {

@@ -12,6 +12,22 @@ import (
 	"rsse/internal/storage"
 )
 
+// cellLabel is the definition of the i-th cell label of a keyword, which
+// the build's label stream and search's probes are both pinned to: the
+// suite's PRF under the stag's location key at the 8-byte big-endian
+// encoding of i — under suite 2 F(stag,'l',i), the stag itself being
+// the location key — truncated to LabelSize.
+func cellLabel(suite prf.Suite, loc prf.Key, i uint64) (l [LabelSize]byte) {
+	var full [prf.KeySize]byte
+	if suite == prf.SuiteBlock {
+		full = prf.F(loc, 'l', i)
+	} else {
+		full = prf.NewHasherSuite(suite, loc).EvalUint64(i)
+	}
+	copy(l[:], full[:LabelSize])
+	return l
+}
+
 // TestSearcherDecryptMatchesStdlibCTR pins the manual counter walk to
 // the stdlib CTR stream for every cell shape the constructions produce:
 // sub-block, exact-block and multi-block cells, across many counters.
@@ -256,39 +272,64 @@ func testSearchAllocsPerCell(t *testing.T, suite prf.Suite) {
 	}
 }
 
-// TestDeriveStagKeysMatchKDF pins the build side's one-hasher key
-// derivation to the labelled KDF the wire formats were defined with —
-// built indexes stay byte-compatible — and checks the hasher is left
-// keyed to the stag, which TSet's bucket-key derivation relies on.
+// TestDeriveStagKeysMatchKDF pins the build side's per-stag derivations
+// — the working keys, and the build's label and bucket streams — to the
+// labelled KDF the wire formats were defined with, so built indexes stay
+// byte-compatible, and the label stream to cellLabel, which search
+// probes with.
 //
-// Suite 2 derives the same roles with F under its four tags and no
-// location key: labels are F(stag,'l',i), the cell key F(stag,'e',0),
-// TSet's bucket key F(stag,'b',salt) and bucket index F(bkt,'b',i).
+// Suites 0 and 1 evaluate the HMAC: the working keys are the KDF's
+// sse/loc and sse/enc, label i the PRF under sse/loc at BE64(i), and
+// TSet's bucket key the KDF's sse/bkt/salt. Suite 2 derives the same
+// roles with F under its four tags and no location key: labels are
+// F(stag,'l',i), the cell key F(stag,'e',0), TSet's bucket key
+// F(stag,'b',salt) and bucket index F(bkt,'b',i).
 func TestDeriveStagKeysMatchKDF(t *testing.T) {
+	eachSuite(t, testDeriveStagKeysMatchKDF)
+}
+
+func testDeriveStagKeysMatchKDF(t *testing.T, suite prf.Suite) {
+	const records, buckets = 5, 1000
 	rnd := mrand.New(mrand.NewSource(8))
-	h := prf.NewHasher(prf.Key{})
+	sl := newStagSealer(suite)
+	defer sl.release()
 	for i := 0; i < 20; i++ {
 		var stag Stag
 		rnd.Read(stag[:])
 		salt := uint64(i)
-		blk := deriveStagKeys(prf.SuiteBlock, nil, stag)
-		enc2, lab2 := prf.F(prf.Key(stag), 'e', 0), prf.F(prf.Key(stag), 'l', salt)
-		if lab := cellLabel(prf.SuiteBlock, blk.loc, salt); blk.loc != prf.Key(stag) ||
-			!bytes.Equal(blk.enc[:], enc2[:secenc.KeySize]) || !bytes.Equal(lab[:], lab2[:LabelSize]) {
-			t.Fatalf("stag %d: suite-2 working keys or label diverge from F", i)
+		var enc, loc, bkt prf.Key
+		prfAt := func(k prf.Key, tag byte, x uint64) [prf.KeySize]byte { return prf.F(k, tag, x) }
+		if suite == prf.SuiteBlock {
+			enc, loc, bkt = prf.F(prf.Key(stag), 'e', 0), prf.Key(stag), prf.F(prf.Key(stag), 'b', salt)
+		} else {
+			h := prf.NewHasherSuite(suite, prf.Key(stag))
+			enc, loc, bkt = h.Derive("sse/enc"), h.Derive("sse/loc"), h.DeriveN("sse/bkt", salt)
+			prfAt = func(k prf.Key, _ byte, x uint64) [prf.KeySize]byte { return prf.NewHasherSuite(suite, k).EvalUint64(x) }
 		}
-		bkt := bucketKey(prf.SuiteBlock, nil, stag, salt)
-		if v := prf.F(bkt, 'b', 3); bkt != prf.F(prf.Key(stag), 'b', salt) ||
-			bucketOf(prf.SuiteBlock, bkt, 3, 1000) != int(binary.BigEndian.Uint64(v[:8])%1000) {
-			t.Fatalf("stag %d: suite-2 bucket key or index diverge from F", i)
+		if suite == prf.SuiteSHA512 && (loc != prf.Derive(prf.Key(stag), "sse/loc") || bkt != prf.DeriveN(prf.Key(stag), "sse/bkt", salt)) {
+			t.Fatalf("stag %d: the suite-0 hasher's KDF diverges from prf.Derive", i)
 		}
-		keys := deriveStagKeys(prf.SuiteSHA512, h, stag)
-		enc := prf.Derive(prf.Key(stag), "sse/enc")
-		if keys.loc != prf.Derive(prf.Key(stag), "sse/loc") || !bytes.Equal(keys.enc[:], enc[:secenc.KeySize]) {
+
+		keys := deriveStagKeys(suite, prf.NewHasherSuite(suite, prf.Key{}), stag)
+		if keys.loc != loc || !bytes.Equal(keys.enc[:], enc[:secenc.KeySize]) {
 			t.Fatalf("stag %d: working keys diverge from the KDF", i)
 		}
-		if bucketKey(prf.SuiteSHA512, h, stag, salt) != prf.DeriveN(prf.Key(stag), "sse/bkt", salt) {
-			t.Fatalf("stag %d: bucket key diverges from the KDF", i)
+		if got := sl.key(stag); got != keys.enc {
+			t.Fatalf("stag %d: the sealer's cell key diverges from deriveStagKeys", i)
+		}
+		var labels [records][LabelSize]byte
+		sl.labels(labels[:])
+		bkts := make([]int, records)
+		sl.buckets(salt, buckets, bkts)
+		for j := range uint64(records) {
+			want := prfAt(loc, 'l', j)
+			if search := cellLabel(suite, loc, j); !bytes.Equal(labels[j][:], want[:LabelSize]) || search != labels[j] {
+				t.Fatalf("stag %d: label %d diverges from the PRF or from cellLabel", i, j)
+			}
+			v := prfAt(bkt, 'b', j)
+			if want := int(binary.BigEndian.Uint64(v[:8]) % buckets); bkts[j] != want {
+				t.Fatalf("stag %d: bucket %d is %d, want %d", i, j, bkts[j], want)
+			}
 		}
 	}
 }

@@ -22,7 +22,10 @@
 // All constructions shuffle each posting list at build time, serialize
 // as one section format (MarshalSection, OpenSection), and report their
 // size as the paper accounts it — the quantity plotted in Figure 5(a)
-// and Table 2.
+// and Table 2. Every Build runs in the same three phases (build.go): a
+// serial plan that makes every RNG draw, a parallel seal of each stag's
+// labels and cells, and a serial placement — so its bytes do not depend
+// on the number of workers.
 //
 // Physical storage of the encrypted dictionaries is delegated to
 // package storage: Build and OpenSection take a storage.Engine choosing
@@ -160,16 +163,6 @@ func newRand(rnd *mrand.Rand) *mrand.Rand {
 	return mrand.New(mrand.NewSource(int64(binary.BigEndian.Uint64(seed[:]))))
 }
 
-// shuffled returns a shuffled copy of payloads. Posting lists are permuted
-// so that storage order leaks nothing about insertion or domain order
-// (required by the BuildIndex algorithms of Sections 6.1–6.3).
-func shuffled(payloads [][]byte, rnd *mrand.Rand) [][]byte {
-	out := make([][]byte, len(payloads))
-	copy(out, payloads)
-	rnd.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
 // checkEntries validates widths and stag uniqueness and returns the total
 // number of payloads.
 func checkEntries(entries []Entry, width int) (int, error) {
@@ -204,8 +197,8 @@ type stagKeys struct {
 // stag's derivations, under h's suite — and derives the two working keys
 // every construction uses. h stays keyed to the stag, so TSet derives its
 // salted bucket key (which only it reads) with one more pass. Suite 2
-// has no location key: labels are F of the stag itself (see cellLabel),
-// and h is not touched.
+// has no location key: labels are F of the stag itself, and h is not
+// touched.
 func deriveStagKeys(suite prf.Suite, h *prf.Hasher, stag Stag) stagKeys {
 	if suite == prf.SuiteBlock {
 		return stagKeys{loc: prf.Key(stag), enc: cellKey(suite, h, stag)}
@@ -234,42 +227,6 @@ func bucketKey(suite prf.Suite, h *prf.Hasher, stag Stag, salt uint64) prf.Key {
 		return prf.F(prf.Key(stag), 'b', salt)
 	}
 	return h.DeriveN("sse/bkt", salt)
-}
-
-// evalUint64 is the suite's PRF under key k on the 8-byte big-endian
-// encoding of v. Suites 0 and 1 evaluate it under a key that already
-// belongs to one purpose (sse/loc, sse/bkt) and ignore tag; suite 2 keys
-// F with the stag (or the bucket key) directly and tag names the purpose.
-func evalUint64(suite prf.Suite, k prf.Key, tag byte, v uint64) [prf.KeySize]byte {
-	if suite == prf.SuiteBlock {
-		return prf.F(k, tag, v)
-	}
-	h := prf.GetHasherSuite(suite, k)
-	out := h.EvalUint64(v)
-	prf.PutHasher(h)
-	return out
-}
-
-// cellLabel computes the pseudorandom label of the i-th cell of a
-// keyword: the PRF under the stag's location key — under suite 2 the
-// stag itself, labelᵢ = F(stag,'l',i) — truncated to LabelSize. Build
-// and suite-2 search both label cells here.
-func cellLabel(suite prf.Suite, loc prf.Key, i uint64) [LabelSize]byte {
-	full := evalUint64(suite, loc, 'l', i)
-	var l [LabelSize]byte
-	copy(l[:], full[:LabelSize])
-	return l
-}
-
-// encryptCell encrypts a fixed-width cell with AES-CTR; the counter i is
-// the nonce, unique per (stag, i) pair by construction.
-func encryptCell(enc secenc.Key, i uint64, plain []byte) []byte {
-	return secenc.XORKeyStreamCTR(enc, secenc.NonceFromUint64(i), plain)
-}
-
-// decryptCell reverses encryptCell (CTR is an involution).
-func decryptCell(enc secenc.Key, i uint64, cell []byte) []byte {
-	return secenc.XORKeyStreamCTR(enc, secenc.NonceFromUint64(i), cell)
 }
 
 // cellBuilder starts a label→cell space on eng (nil = default engine).

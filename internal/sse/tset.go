@@ -1,11 +1,11 @@
 package sse
 
 import (
-	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
 
 	"rsse/internal/prf"
+	"rsse/internal/secenc"
 	"rsse/internal/storage"
 )
 
@@ -66,12 +66,16 @@ func (s TSet) params() (capacity int, expansion float64, retries int, err error)
 	return capacity, expansion, retries, nil
 }
 
-type tsetRecord struct {
-	label [LabelSize]byte
-	cell  []byte
-}
-
 // Build implements Scheme.
+//
+// Bucket indexes depend on the stag, the salt and the record number,
+// never on the shuffle, so the seal phase derives them (with the labels
+// and the cell keys) before the plan phase shuffles. The plan then
+// places records entry by entry, shuffling each list as it goes, and
+// stops at the first full bucket: that attempt has drawn exactly the
+// shuffles of the entries up to the overflowing one. The salt goes up,
+// the bucket indexes are derived again, and placement restarts from the
+// first entry. Cells are encrypted once the final shuffle is known.
 func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error) {
 	capacity, expansion, retries, err := s.params()
 	if err != nil {
@@ -82,56 +86,91 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
-	defer prf.PutHasher(h)
 	numBuckets := int((expansion*float64(total) + float64(capacity) - 1) / float64(capacity))
 	if numBuckets < 1 {
 		numBuckets = 1
 	}
 
-	var buckets [][]tsetRecord
+	// Seal, first half: record r of the build is label r and cell r —
+	// the real ones first, padding records numbered from total up.
+	slots := make([]int, numBuckets*capacity)
+	off := postingOffsets(entries, func(n int) int { return n })
+	labels := make([][LabelSize]byte, len(slots))
+	cells := make([]byte, len(slots)*width)
+	bucket := make([]int, total)
+	encs := make([]secenc.Key, len(entries))
 	salt := uint64(0)
+	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
+		lo, hi := off[e], off[e+1]
+		encs[e] = sl.key(entries[e].Stag)
+		sl.labels(labels[lo:hi])
+		sl.buckets(salt, numBuckets, bucket[lo:hi])
+	})
+
+	// Plan: slots[b*capacity:(b+1)*capacity] is bucket b, a record
+	// number per slot.
+	fill := make([]int, numBuckets)
+	scratch := make([][]byte, longestList(entries))
 attempt:
 	for try := 0; ; try++ {
 		if try == retries {
 			return nil, fmt.Errorf("sse: tset bucket overflow after %d retries (capacity %d too small for %d postings in %d buckets)",
 				retries, capacity, total, numBuckets)
 		}
-		buckets = make([][]tsetRecord, numBuckets)
-		for _, e := range entries {
-			keys := deriveStagKeys(suite, h, e.Stag)
-			bkt := bucketKey(suite, h, e.Stag, salt)
-			for i, p := range shuffled(e.Payloads, rnd) {
-				b := bucketOf(suite, bkt, uint64(i), numBuckets)
-				if len(buckets[b]) == capacity {
+		clear(fill)
+		for e, entry := range entries {
+			for i, p := range shuffleInto(scratch, entry.Payloads, rnd) {
+				r := off[e] + i
+				b := bucket[r]
+				if fill[b] == capacity {
 					salt++
+					sealEach(suite, len(entries), func(sl *stagSealer, k int) {
+						sl.key(entries[k].Stag)
+						sl.buckets(salt, numBuckets, bucket[off[k]:off[k+1]])
+					})
 					continue attempt
 				}
-				buckets[b] = append(buckets[b], tsetRecord{
-					label: cellLabel(suite, keys.loc, uint64(i)),
-					cell:  encryptCell(keys.enc, uint64(i), p),
-				})
+				slots[b*capacity+fill[b]] = r
+				fill[b]++
+				copy(cells[r*width:], p)
 			}
 		}
 		break
 	}
-
 	// Pad every bucket to capacity with random records so all buckets are
-	// indistinguishable from full ones.
-	for b := range buckets {
-		for len(buckets[b]) < capacity {
-			var r tsetRecord
-			fillRandom(r.label[:], rnd)
-			r.cell = make([]byte, width)
-			fillRandom(r.cell, rnd)
-			buckets[b] = append(buckets[b], r)
+	// indistinguishable from full ones, and hide which slots are real.
+	pad := total
+	for b := range numBuckets {
+		bkt := slots[b*capacity : (b+1)*capacity]
+		for ; fill[b] < capacity; fill[b]++ {
+			fillRandom(labels[pad][:], rnd)
+			fillRandom(cells[pad*width:(pad+1)*width], rnd)
+			bkt[fill[b]] = pad
+			pad++
 		}
-		// Hide which slots are real.
-		rnd.Shuffle(len(buckets[b]), func(i, j int) {
-			buckets[b][i], buckets[b][j] = buckets[b][j], buckets[b][i]
-		})
+		rnd.Shuffle(len(bkt), func(i, j int) { bkt[i], bkt[j] = bkt[j], bkt[i] })
 	}
 
+	// Seal, second half: the i-th record of a keyword is encrypted under
+	// counter i.
+	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
+		sl.useCellKey(encs[e])
+		for r := off[e]; r < off[e+1]; r++ {
+			sl.seal(uint64(r-off[e]), cells[r*width:(r+1)*width])
+		}
+	})
+
+	// Place: bucket by bucket, slot by slot.
+	lb := cellBuilder(eng, len(slots))
+	for _, r := range slots {
+		if err := lb.Put(labels[r][:], cells[r*width:(r+1)*width]); err != nil {
+			return nil, errLabelCollision(err)
+		}
+	}
+	lookup, err := lb.Seal()
+	if err != nil {
+		return nil, errLabelCollision(err)
+	}
 	idx := &tsetIndex{
 		suite:      suite,
 		width:      width,
@@ -139,39 +178,10 @@ attempt:
 		salt:       salt,
 		capacity:   capacity,
 		numBuckets: numBuckets,
-	}
-	if err := idx.buildLookup(eng, buckets); err != nil {
-		return nil, err
+		lookup:     lookup,
 	}
 	idx.size = idx.serializedSize()
 	return idx, nil
-}
-
-// buildLookup moves the bucket records into the engine-backed label→cell
-// space, padding records included. The cell bytes live once, in the
-// backend; bucket order is a build-time artifact searches never need.
-func (x *tsetIndex) buildLookup(eng storage.Engine, buckets [][]tsetRecord) error {
-	b := cellBuilder(eng, x.numBuckets*x.capacity)
-	for _, bkt := range buckets {
-		for _, r := range bkt {
-			if err := b.Put(r.label[:], r.cell); err != nil {
-				return errLabelCollision(err)
-			}
-		}
-	}
-	lookup, err := b.Seal()
-	if err != nil {
-		return errLabelCollision(err)
-	}
-	x.lookup = lookup
-	return nil
-}
-
-// bucketOf maps the i-th record of a keyword to a bucket via the
-// stag-derived (and salted) bucket key.
-func bucketOf(suite prf.Suite, bkt prf.Key, i uint64, n int) int {
-	v := evalUint64(suite, bkt, 'b', i)
-	return int(binary.BigEndian.Uint64(v[:8]) % uint64(n))
 }
 
 func fillRandom(dst []byte, rnd *mrand.Rand) {

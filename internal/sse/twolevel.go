@@ -83,8 +83,6 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		return nil, err
 	}
 	rnd = newRand(rnd)
-	h := prf.GetHasherSuite(suite, prf.Key{}) // rekeyed per entry by deriveStagKeys
-	defer prf.PutHasher(h)
 
 	// First pass: count blocks so positions can be drawn as a random
 	// permutation of the exact array size.
@@ -115,30 +113,32 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		blockSize: blockSize,
 		blocks:    make([][]byte, totalBlocks),
 	}
-	cb := cellBuilder(eng, len(entries))
 	cellLen := 1 + 4 + capacity*8 // mode, count, C slots
 	blockLen := blockSize * 8
+	array := make([]byte, totalBlocks*blockLen)
+	for slot := range x.blocks {
+		x.blocks[slot] = array[slot*blockLen : (slot+1)*blockLen : (slot+1)*blockLen]
+	}
 
-	for _, e := range entries {
-		keys := deriveStagKeys(suite, h, e.Stag)
-		payloads := shuffled(e.Payloads, rnd)
+	// Plan: entry e's plaintext cell is cells[e*cellLen:], and its blocks
+	// are the slots perm[taken[e]:taken[e+1]].
+	cells := make([]byte, len(entries)*cellLen)
+	taken := make([]int, len(entries)+1)
+	scratch := make([][]byte, longestList(entries))
+	fill := func(dst []byte, items [][]byte) {
+		for i, p := range items {
+			copy(dst[i*8:], p)
+		}
+		for i := len(items) * 8; i < len(dst); i++ {
+			dst[i] = byte(rnd.Intn(256))
+		}
+	}
+	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	for e, entry := range entries {
+		payloads := shuffleInto(scratch, entry.Payloads, rnd)
 		n := len(payloads)
-		cell := make([]byte, cellLen)
+		cell := cells[e*cellLen : (e+1)*cellLen]
 		binary.BigEndian.PutUint32(cell[1:5], uint32(n))
-		fill := func(dst []byte, items [][]byte) {
-			for i, p := range items {
-				copy(dst[i*8:], p)
-			}
-			for i := len(items) * 8; i < len(dst); i++ {
-				dst[i] = byte(rnd.Intn(256))
-			}
-		}
-		writeBlock := func(slot uint64, items [][]byte) {
-			plain := make([]byte, blockLen)
-			fill(plain, items)
-			x.blocks[slot] = encryptCell(keys.enc, 1+slot, plain)
-		}
-		u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
 
 		switch {
 		case n <= capacity:
@@ -150,7 +150,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 			for i := 0; i < n; i += blockSize {
 				end := min(i+blockSize, n)
 				slot := takeSlot()
-				writeBlock(slot, payloads[i:end])
+				fill(x.blocks[slot], payloads[i:end])
 				idSlots = append(idSlots, u64(slot))
 			}
 			if len(idSlots) <= capacity {
@@ -162,24 +162,41 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 				for i := 0; i < len(idSlots); i += blockSize {
 					end := min(i+blockSize, len(idSlots))
 					slot := takeSlot()
-					writeBlock(slot, idSlots[i:end])
+					fill(x.blocks[slot], idSlots[i:end])
 					ptrSlots = append(ptrSlots, u64(slot))
 				}
 				fill(cell[5:], ptrSlots)
 			}
 		}
-		lab := cellLabel(suite, keys.loc, 0)
-		if err := cb.Put(lab[:], encryptCell(keys.enc, 0, cell)); err != nil {
-			return nil, errLabelCollision(err)
-		}
+		taken[e+1] = next
 		x.postings += n
 	}
-	cells, err := cb.Seal()
+
+	// Seal: a keyword's cell sits at its label 0 under counter 0, and
+	// the block in slot j is encrypted under counter 1+j.
+	labels := make([][LabelSize]byte, len(entries))
+	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
+		sl.useCellKey(sl.key(entries[e].Stag))
+		sl.labels(labels[e : e+1])
+		sl.seal(0, cells[e*cellLen:(e+1)*cellLen])
+		for _, slot := range perm[taken[e]:taken[e+1]] {
+			sl.seal(1+uint64(slot), x.blocks[slot])
+		}
+	})
+
+	// Place.
+	cb := cellBuilder(eng, len(entries))
+	for e := range labels {
+		if err := cb.Put(labels[e][:], cells[e*cellLen:(e+1)*cellLen]); err != nil {
+			return nil, errLabelCollision(err)
+		}
+	}
+	sealed, err := cb.Seal()
 	if err != nil {
 		return nil, errLabelCollision(err)
 	}
-	x.cells = cells
-	x.blocksResident = len(x.blocks) * blockLen
+	x.cells = sealed
+	x.blocksResident = len(array)
 	x.size = x.serializedSize()
 	return x, nil
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // Map is the hash-table engine: one Go map per key space, exactly the
 // representation the SSE dictionaries and the tuple store used before the
@@ -22,21 +25,39 @@ func (Map) NewBuilder(keyLen, capacityHint int) Builder {
 type mapBuilder struct {
 	keyLen int
 	m      map[string][]byte
+	arena  []byte // free tail of the chunk values are copied into
+	err    error  // a duplicate Put: it replaced the first value, so Seal fails too
 	sealed bool
 }
+
+// mapArenaChunk is the size of the chunks a map builder copies values
+// into: one allocation per chunk instead of one per record.
+const mapArenaChunk = 64 << 10
 
 func (b *mapBuilder) Put(key, value []byte) error {
 	if b.sealed {
 		return ErrSealed
 	}
+	if b.err != nil {
+		return b.err
+	}
 	if len(key) != b.keyLen {
 		return ErrKeyLen
 	}
-	k := string(key) // copies
-	if _, dup := b.m[k]; dup {
-		return ErrDuplicateKey
+	if len(b.arena) < len(value) {
+		b.arena = make([]byte, max(len(value), mapArenaChunk))
 	}
-	b.m[k] = append([]byte(nil), value...)
+	v := b.arena[:len(value):len(value)]
+	copy(v, value)
+	b.arena = b.arena[len(value):]
+	// One map operation: a duplicate is the insert that leaves the size
+	// unchanged.
+	n := len(b.m)
+	b.m[string(key)] = v
+	if len(b.m) == n {
+		b.err = ErrDuplicateKey
+		return b.err
+	}
 	return nil
 }
 
@@ -45,9 +66,13 @@ func (b *mapBuilder) Seal() (Backend, error) {
 		return nil, ErrSealed
 	}
 	b.sealed = true
+	if b.err != nil {
+		return nil, b.err
+	}
 	x := &mapBackend{keyLen: b.keyLen, m: b.m}
 	for k, v := range b.m {
 		x.resident += len(k) + len(v) + 48
+		x.vals += len(v)
 	}
 	return x, nil
 }
@@ -56,6 +81,7 @@ type mapBackend struct {
 	keyLen   int
 	m        map[string][]byte
 	resident int
+	vals     int // value bytes
 }
 
 func (x *mapBackend) Get(key []byte) ([]byte, bool) {
@@ -75,16 +101,23 @@ func (x *mapBackend) KeyLen() int { return x.keyLen }
 func (x *mapBackend) Resident() int { return x.resident }
 
 func (x *mapBackend) Iterate(fn func(key, value []byte) bool) {
-	keys := make([]string, 0, len(x.m))
-	for k := range x.m {
-		keys = append(keys, k)
+	type record struct {
+		key   string
+		value []byte
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn([]byte(k), x.m[k]) {
+	recs := make([]record, 0, len(x.m))
+	for k, v := range x.m {
+		recs = append(recs, record{k, v})
+	}
+	slices.SortFunc(recs, func(a, b record) int { return strings.Compare(a.key, b.key) })
+	key := make([]byte, x.keyLen)
+	for _, r := range recs {
+		if !fn(key[:copy(key, r.key)], r.value) {
 			return
 		}
 	}
 }
 
 func (x *mapBackend) Snapshot() Backend { return x }
+
+func (x *mapBackend) valueBytes() int { return x.vals }

@@ -83,7 +83,9 @@ func layoutFor(keyLen, n, valsLen uint64, dirBits uint8) segmentLayout {
 
 // EncodeSegment serializes a sealed backend into the segment format. Any
 // Backend works; the records are written in Iterate (ascending key)
-// order, which is exactly the order the format requires.
+// order, which is exactly the order the format requires. The engines'
+// own backends know their value bytes, so they are walked once; any
+// other backend is walked once more first, to count them.
 func EncodeSegment(b Backend) ([]byte, error) {
 	keyLen := uint64(b.KeyLen())
 	n := uint64(b.Len())
@@ -91,10 +93,14 @@ func EncodeSegment(b Backend) ([]byte, error) {
 		return nil, fmt.Errorf("storage: segment key length %d outside 1..65535", keyLen)
 	}
 	var valsLen uint64
-	b.Iterate(func(_, v []byte) bool {
-		valsLen += uint64(len(v))
-		return true
-	})
+	if vs, ok := b.(valueSizer); ok {
+		valsLen = uint64(vs.valueBytes())
+	} else {
+		b.Iterate(func(_, v []byte) bool {
+			valsLen += uint64(len(v))
+			return true
+		})
+	}
 	dirBits := uint8(0)
 	if n > 0 {
 		dirBits = uint8(dirBitsFor(int(n), int(keyLen)))
@@ -118,6 +124,10 @@ func EncodeSegment(b Backend) ([]byte, error) {
 	vals := out[l.valsOff : l.valsOff+valsLen]
 	var i, voff uint64
 	b.Iterate(func(k, v []byte) bool {
+		if i == n || uint64(len(v)) > valsLen-voff {
+			i = n + 1 // more than the backend reported: refused below
+			return false
+		}
 		copy(keys[i*keyLen:], k)
 		binary.BigEndian.PutUint64(offs[i*8:], voff)
 		copy(vals[voff:], v)
@@ -143,6 +153,12 @@ func EncodeSegment(b Backend) ([]byte, error) {
 	binary.BigEndian.PutUint32(out[l.footerOff:],
 		crc32.Checksum(out[segHeaderSize:l.footerOff], crcTable))
 	return out, nil
+}
+
+// valueSizer is implemented by the engines' own backends, which know the
+// total length of their values without visiting them.
+type valueSizer interface {
+	valueBytes() int
 }
 
 // WriteSegment serializes a sealed backend into w in the segment format
@@ -369,6 +385,8 @@ func (x *segmentBackend) Iterate(fn func(key, value []byte) bool) {
 }
 
 func (x *segmentBackend) Snapshot() Backend { return x }
+
+func (x *segmentBackend) valueBytes() int { return len(x.vals) }
 
 // Resident reports zero for segments opened over caller-owned buffers
 // (blobs, memory-mapped files) — the buffer is accounted for by whoever

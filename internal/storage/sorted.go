@@ -240,3 +240,5 @@ func (x *sortedBackend) Iterate(fn func(key, value []byte) bool) {
 }
 
 func (x *sortedBackend) Snapshot() Backend { return x }
+
+func (x *sortedBackend) valueBytes() int { return len(x.vals) }
