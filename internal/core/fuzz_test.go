@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -198,8 +199,21 @@ func FuzzUnmarshalResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := r.MarshalBinary(); err != nil {
+		// Items are decoded in place: none may reach past its own bytes,
+		// so an append to one cannot overwrite the next.
+		for g, group := range r.Groups {
+			for i, item := range group {
+				if cap(item) != len(item) {
+					t.Fatalf("group %d item %d: cap %d, len %d", g, i, cap(item), len(item))
+				}
+			}
+		}
+		back, err := r.MarshalBinary()
+		if err != nil {
 			t.Fatalf("re-marshal of accepted response failed: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("re-marshal differs from the accepted input:\n got % x\nwant % x", back, data)
 		}
 	})
 }

@@ -106,6 +106,10 @@ func (r *Response) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalResponse parses a response serialized with MarshalBinary.
+// Items alias data, each with cap == len so that an append to one
+// copies instead of writing over the next: data must not be modified
+// or reused while the response is in use. The transport hands every
+// response frame a buffer of its own, so nothing is copied per item.
 func UnmarshalResponse(data []byte) (*Response, error) {
 	r := wireReader{data: data}
 	groups, err := r.uint32()
@@ -126,7 +130,7 @@ func UnmarshalResponse(data []byte) (*Response, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: response truncated")
 			}
-			item, err := r.bytes(int(n))
+			item, err := r.slice(int(n))
 			if err != nil {
 				return nil, fmt.Errorf("core: response truncated")
 			}

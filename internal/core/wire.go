@@ -259,24 +259,15 @@ func (r *wireReader) uint64() (uint64, error) {
 	return v, nil
 }
 
-// slice returns the next n bytes without copying.
+// slice returns the next n bytes without copying, with cap == len: an
+// append to the result copies instead of writing over what follows.
 func (r *wireReader) slice(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.data) {
 		return nil, ErrCorruptIndex
 	}
-	out := r.data[r.off : r.off+n]
+	out := r.data[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out, nil
-}
-
-// bytes returns a copy of the next n bytes — for consumers that retain
-// the result beyond the underlying buffer's lifetime.
-func (r *wireReader) bytes(n int) ([]byte, error) {
-	b, err := r.slice(n)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
 }
 
 func (r *wireReader) lenPrefixed() ([]byte, error) {

@@ -62,17 +62,16 @@ func (x *basicIndex) Resident() int { return x.cells.Resident() }
 func (x *basicIndex) Search(stag Stag) ([][]byte, error) {
 	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
-	var out [][]byte
 	for i := uint64(0); ; i++ {
 		cell, ok := x.cells.Get(s.label(i))
 		if !ok {
-			return out, nil
+			return s.result(), nil
 		}
 		if len(cell) != x.width {
 			// Guards crafted segments with lying offset tables.
 			return nil, fmt.Errorf("sse: corrupt basic cell (%d bytes, want %d)", len(cell), x.width)
 		}
-		out = append(out, s.decrypt(i, cell))
+		s.out = append(s.out, s.decrypt(i, cell))
 	}
 }
 

@@ -97,11 +97,10 @@ func (x *packedIndex) Search(stag Stag) ([][]byte, error) {
 	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
 	blockLen := 1 + x.blockSize*x.width
-	var out [][]byte
 	for b := uint64(0); ; b++ {
 		cell, ok := x.cells.Get(s.label(b))
 		if !ok {
-			return out, nil
+			return s.result(), nil
 		}
 		if len(cell) != blockLen {
 			return nil, fmt.Errorf("sse: corrupt packed block (%d bytes, want %d)", len(cell), blockLen)
@@ -114,7 +113,7 @@ func (x *packedIndex) Search(stag Stag) ([][]byte, error) {
 		// The payloads subslice the arena-held block, so no per-posting
 		// copy: the block outlives the searcher's return to the pool.
 		for i := 0; i < n; i++ {
-			out = append(out, plain[1+i*x.width:1+(i+1)*x.width:1+(i+1)*x.width])
+			s.out = append(s.out, plain[1+i*x.width:1+(i+1)*x.width:1+(i+1)*x.width])
 		}
 	}
 }

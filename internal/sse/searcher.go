@@ -12,9 +12,10 @@ import (
 
 // cellSearcher is the shared allocation-free machinery of the four
 // constructions' Search paths. Per search it costs one pooled checkout
-// and — only if a probe hits — one AES key schedule and arena chunks for
-// the returned plaintexts; everything per *cell* — label derivation,
-// dictionary probe, CTR decryption — reuses the searcher's scratch.
+// and — only if a probe hits — one AES key schedule, arena chunks for
+// the returned plaintexts and the one right-sized result slice;
+// everything per *cell* — label derivation, dictionary probe, CTR
+// decryption, gathering the item — reuses the searcher's scratch.
 //
 // The arena hands out disjoint regions of append-only chunks, so the
 // returned payload slices stay valid after the searcher goes back to
@@ -30,6 +31,7 @@ type cellSearcher struct {
 	lab   [LabelSize]byte // label buffer: a field so Get's interface call cannot force a heap escape
 	chunk []byte          // free region of the current arena chunk
 	slots []uint64        // twolevel pointer scratch
+	out   [][]byte        // the search's items, gathered before result copies them out
 
 	// Derived-state cache bookkeeping: the entry this search runs from,
 	// its slot, whether a miss may publish, and the contiguous run of
@@ -145,7 +147,19 @@ func putCellSearcher(s *cellSearcher) {
 	s.slot = nil
 	s.admit = false
 	s.blk = nil
+	clear(s.out) // a pooled searcher pins no caller's items
+	s.out = s.out[:0]
 	cellSearcherPools[s.suite].Put(s)
+}
+
+// result returns the items the search gathered in s.out as one
+// right-sized slice: nil for none, as a search that finds nothing
+// answers.
+func (s *cellSearcher) result() [][]byte {
+	if len(s.out) == 0 {
+		return nil
+	}
+	return append(make([][]byte, 0, len(s.out)), s.out...)
 }
 
 // label computes the i-th cell label under the stag's location key.

@@ -216,16 +216,15 @@ func (x *tsetIndex) Capacity() int { return x.capacity }
 func (x *tsetIndex) Search(stag Stag) ([][]byte, error) {
 	s := getCellSearcher(x.suite, stag)
 	defer putCellSearcher(s)
-	var out [][]byte
 	for i := uint64(0); ; i++ {
 		cell, ok := x.lookup.Get(s.label(i))
 		if !ok {
-			return out, nil
+			return s.result(), nil
 		}
 		if len(cell) != x.width {
 			return nil, fmt.Errorf("sse: corrupt tset cell (%d bytes, want %d)", len(cell), x.width)
 		}
-		out = append(out, s.decrypt(i, cell))
+		s.out = append(s.out, s.decrypt(i, cell))
 	}
 }
 

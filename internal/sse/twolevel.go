@@ -247,11 +247,10 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 	}
 	// Decrypted cells and blocks live in the searcher's arena, so the
 	// returned items subslice them without per-item copies.
-	items := func(out [][]byte, raw []byte, count int) [][]byte {
+	items := func(raw []byte, count int) {
 		for i := 0; i < count; i++ {
-			out = append(out, raw[i*8:(i+1)*8:(i+1)*8])
+			s.out = append(s.out, raw[i*8:(i+1)*8:(i+1)*8])
 		}
-		return out
 	}
 
 	switch mode {
@@ -259,7 +258,8 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 		if n > x.inlineCap {
 			return nil, fmt.Errorf("sse: corrupt 2lev inline cell (count %d)", n)
 		}
-		return items(make([][]byte, 0, n), slots, n), nil
+		items(slots, n)
+		return s.result(), nil
 	case modeMedium, modeLarge:
 		idBlocks := (n + x.blockSize - 1) / x.blockSize
 		idSlots := s.slots[:0]
@@ -289,7 +289,6 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 			}
 		}
 		s.slots = idSlots[:0]
-		out := make([][]byte, 0, n)
 		remaining := n
 		for _, slot := range idSlots {
 			raw, err := readBlock(slot)
@@ -297,10 +296,10 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 				return nil, err
 			}
 			take := min(remaining, x.blockSize)
-			out = items(out, raw, take)
+			items(raw, take)
 			remaining -= take
 		}
-		return out, nil
+		return s.result(), nil
 	default:
 		return nil, fmt.Errorf("sse: corrupt 2lev cell mode %d", mode)
 	}

@@ -144,7 +144,7 @@ func EncodeSegment(b Backend) ([]byte, error) {
 	binary.BigEndian.PutUint64(offs[n*8:], voff)
 
 	if dirBits > 0 {
-		dir := buildDir(keys, int(keyLen), int(n), uint(dirBits))
+		dir := buildDir(keys, int(keyLen), int(keyLen), int(n), uint(dirBits))
 		raw := out[l.dirOff:l.footerOff]
 		for j, d := range dir {
 			binary.BigEndian.PutUint32(raw[j*4:], d)
@@ -316,14 +316,16 @@ func (x *segmentBackend) key(i int) []byte {
 
 // val returns record i's value, re-checking the offsets it dereferences:
 // the checksum makes bad offsets unreachable by accident, but a crafted
-// segment must degrade to a miss, never an out-of-range slice.
+// segment must degrade to a miss, never an out-of-range slice. The value
+// has no spare capacity: an append copies instead of writing over the
+// next record (or faulting on a read-only mapping).
 func (x *segmentBackend) val(i int) ([]byte, bool) {
 	lo := binary.BigEndian.Uint64(x.offs[i*8:])
 	hi := binary.BigEndian.Uint64(x.offs[(i+1)*8:])
 	if lo > hi || hi > uint64(len(x.vals)) {
 		return nil, false
 	}
-	return x.vals[lo:hi], true
+	return x.vals[lo:hi:hi], true
 }
 
 func (x *segmentBackend) Get(key []byte) ([]byte, bool) {

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	mrand "math/rand"
 	"os"
 	"path/filepath"
@@ -257,4 +259,26 @@ func FuzzOpenSegment(f *testing.F) {
 			return count < 64
 		})
 	})
+}
+
+// TestEncodeSegmentBytes pins the segment encoding of both record
+// layouts to SHA-256 digests recorded before the Sorted engine kept
+// fixed-width values beside their keys: the in-memory layout is the
+// server's own, never the file's, on every engine.
+func TestEncodeSegmentBytes(t *testing.T) {
+	want := map[string]string{
+		"uniform": "dea74f20a79578c8792ba577b1c10d2448376a6d99a545e2f4198af6f305a2ce",
+		"mixed":   "1927f624497eff734376e5979b3b97cc651901ba14cd8e7f776f76fe2c875b37",
+	}
+	for _, c := range layoutCases(5) {
+		for _, e := range Engines() {
+			seg, err := EncodeSegment(fill(t, e, c.keyLen, c.recs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != want[c.name] {
+				t.Errorf("%s/%s: segment digest %s, want %s", e.Name(), c.name, got, want[c.name])
+			}
+		}
+	}
 }

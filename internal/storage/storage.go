@@ -8,10 +8,13 @@
 //
 // Three engines ship today: Map, a hash table preserving the original
 // in-memory behavior; Sorted, a read-optimized flat-array layout built
-// for the server's load path; and Disk, which seals records into the
-// checksummed segment format of segment.go and answers queries by binary
-// search directly over the raw (typically memory-mapped) bytes, with
-// zero per-record copies between file and query path. The seam is what
+// for the server's search path, which keeps fixed-width values beside
+// their keys so that a probe reads one record's cache line; and Disk,
+// which seals records into the checksummed segment format of segment.go
+// and answers queries by binary search directly over the raw (typically
+// memory-mapped) bytes, with zero per-record copies between file and
+// query path. The in-memory layouts are the server's own: every engine
+// encodes a space to the same segment bytes. The seam is what
 // later work plugs into: sharded or workload-adaptive representations
 // (in the spirit of biased range trees) slot in as new Engines without
 // touching scheme code.
@@ -86,7 +89,9 @@ func OpensInPlace(eng Engine) bool {
 // every connection search shared indexes without locking.
 type Backend interface {
 	// Get returns the value stored under key. The returned slice aliases
-	// backend-internal memory and must not be modified.
+	// backend-internal memory and must not be modified; it has no spare
+	// capacity, so an append to it copies instead of writing over the
+	// record stored after it.
 	Get(key []byte) (value []byte, ok bool)
 	// Len returns the number of records.
 	Len() int

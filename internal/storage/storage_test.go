@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	mrand "math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -37,19 +38,71 @@ func randomRecords(rnd *mrand.Rand, n, keyLen int) map[string][]byte {
 	return recs
 }
 
+// uniformRecords draws n records of the shape every SSE dictionary
+// has: a pseudorandom keyLen-byte label and a cell of one fixed width.
+func uniformRecords(rnd *mrand.Rand, n, keyLen, width int) map[string][]byte {
+	recs := make(map[string][]byte, n)
+	for len(recs) < n {
+		k := make([]byte, keyLen)
+		rnd.Read(k)
+		v := make([]byte, width)
+		rnd.Read(v)
+		recs[string(k)] = v
+	}
+	return recs
+}
+
+// mixedRecords draws n records of the tuple store's shape with user
+// payloads of differing lengths: big-endian ids and values of 16, 32
+// or 48 bytes.
+func mixedRecords(rnd *mrand.Rand, n int) map[string][]byte {
+	recs := make(map[string][]byte, n)
+	for len(recs) < n {
+		k := binary.BigEndian.AppendUint64(nil, uint64(rnd.Intn(4*n)))
+		v := make([]byte, 16*(1+rnd.Intn(3)))
+		rnd.Read(v)
+		recs[string(k)] = v
+	}
+	return recs
+}
+
+// layoutCase is one key space of the layout tests.
+type layoutCase struct {
+	name   string
+	keyLen int
+	recs   map[string][]byte
+}
+
+// layoutCases are the two record layouts of the Sorted engine: one
+// value width (every SSE dictionary) and mixed widths (a tuple store
+// with user payloads).
+func layoutCases(seed int64) []layoutCase {
+	rnd := mrand.New(mrand.NewSource(seed))
+	return []layoutCase{
+		{"uniform", 16, uniformRecords(rnd, 3000, 16, 41)},
+		{"mixed", 8, mixedRecords(rnd, 1000)},
+	}
+}
+
 func TestEnginesRoundtrip(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(1))
+	cases := []layoutCase{
+		{"random-2", 2, randomRecords(rnd, 500, 2)},
+		{"random-8", 8, randomRecords(rnd, 500, 8)},
+		{"random-16", 16, randomRecords(rnd, 500, 16)},
+	}
+	cases = append(cases, layoutCases(1)...)
 	for _, e := range Engines() {
-		for _, keyLen := range []int{2, 8, 16} {
-			recs := randomRecords(rnd, 500, keyLen)
+		for _, c := range cases {
+			keyLen, recs := c.keyLen, c.recs
 			x := fill(t, e, keyLen, recs)
 			if x.Len() != len(recs) {
-				t.Fatalf("%s/%d: len = %d, want %d", e.Name(), keyLen, x.Len(), len(recs))
+				t.Fatalf("%s/%s: len = %d, want %d", e.Name(), c.name, x.Len(), len(recs))
 			}
 			for k, v := range recs {
 				got, ok := x.Get([]byte(k))
 				if !ok || !bytes.Equal(got, v) {
-					t.Fatalf("%s/%d: get %x = %x,%v want %x", e.Name(), keyLen, k, got, ok, v)
+					t.Fatalf("%s/%s: get %x = %x,%v want %x", e.Name(), c.name, k, got, ok, v)
 				}
 			}
 			// Misses: mutate one byte of an existing key.
@@ -57,15 +110,15 @@ func TestEnginesRoundtrip(t *testing.T) {
 				miss := []byte(k)
 				miss[0] ^= 0xFF
 				if _, ok := x.Get(miss); ok && recs[string(miss)] == nil {
-					t.Fatalf("%s/%d: phantom key %x", e.Name(), keyLen, miss)
+					t.Fatalf("%s/%s: phantom key %x", e.Name(), c.name, miss)
 				}
 				break
 			}
 			if _, ok := x.Get(make([]byte, keyLen+1)); ok {
-				t.Fatalf("%s/%d: wrong-length key found", e.Name(), keyLen)
+				t.Fatalf("%s/%s: wrong-length key found", e.Name(), c.name)
 			}
 			if x.Snapshot() == nil {
-				t.Fatalf("%s/%d: nil snapshot", e.Name(), keyLen)
+				t.Fatalf("%s/%s: nil snapshot", e.Name(), c.name)
 			}
 		}
 	}
@@ -239,5 +292,64 @@ func TestByName(t *testing.T) {
 	}
 	if e := (Sorted{}); OrDefault(e).Name() != "sorted" {
 		t.Fatal("OrDefault dropped an explicit engine")
+	}
+}
+
+// TestGetAppendKeepsNextRecord: a value returned by Get has no spare
+// capacity, so appending to it copies instead of writing over the
+// record laid out after it — on every engine and both layouts.
+func TestGetAppendKeepsNextRecord(t *testing.T) {
+	for _, e := range Engines() {
+		for _, c := range layoutCases(3) {
+			x := fill(t, e, c.keyLen, c.recs)
+			for _, k := range sortedKeys(c.recs) {
+				v, ok := x.Get([]byte(k))
+				if !ok {
+					t.Fatalf("%s/%s: miss on %x", e.Name(), c.name, k)
+				}
+				if cap(v) != len(v) {
+					t.Fatalf("%s/%s: value of %x has cap %d, len %d", e.Name(), c.name, k, cap(v), len(v))
+				}
+				_ = append(v, bytes.Repeat([]byte{0xA5}, 64)...)
+			}
+			for k, want := range c.recs {
+				if got, ok := x.Get([]byte(k)); !ok || !bytes.Equal(got, want) {
+					t.Fatalf("%s/%s: record %x changed by an append to its neighbour", e.Name(), c.name, k)
+				}
+			}
+		}
+	}
+}
+
+// TestSortedHintBoundsValueBytes: a capacity hint reserves room for
+// every key but for at most maxValueHint bytes of values, so a space
+// whose first value is wide — a tuple store whose first tuple carries a
+// 1 MiB payload, or a segment that Load sizes by its record count — does
+// not reserve the hint times that width (here 1 TiB).
+func TestSortedHintBoundsValueBytes(t *testing.T) {
+	const hint, wide = 1 << 20, 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := Sorted{}.NewBuilder(8, hint)
+	first, second := make([]byte, 8), []byte{0, 0, 0, 0, 0, 0, 0, 1}
+	if err := b.Put(first, make([]byte, wide)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(second, []byte("narrow")); err != nil {
+		t.Fatal(err)
+	}
+	x, err := b.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*(hint*8+maxValueHint)); got > bound {
+		t.Errorf("two records with a hint of %d allocated %d bytes, want <= %d", hint, got, bound)
+	}
+	if v, ok := x.Get(first); !ok || len(v) != wide {
+		t.Fatalf("wide record: %d bytes, %v", len(v), ok)
+	}
+	if v, ok := x.Get(second); !ok || string(v) != "narrow" {
+		t.Fatalf("narrow record: %q, %v", v, ok)
 	}
 }

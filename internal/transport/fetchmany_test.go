@@ -17,6 +17,7 @@ import (
 	"rsse/internal/cover"
 	"rsse/internal/race"
 	"rsse/internal/sse"
+	"rsse/internal/storage"
 )
 
 // perIDOnly hides a handle's FetchMany while keeping its context-aware
@@ -422,6 +423,20 @@ func remoteFilterSetup(tb testing.TB) (*core.Client, *IndexHandle, []core.Range)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// 0.6% of the domain holds ≈60 tuples; the single-node SRC cover
+	// roughly doubles that with false positives.
+	const width = (1 << bits) * 6 / 1000
+	ranges := make([]core.Range, 64)
+	for i := range ranges {
+		lo := uint64(i)*((1<<bits)/64) + 17
+		ranges[i] = core.Range{Lo: lo, Hi: lo + width - 1}
+	}
+	return c, serveLoopback(tb, idx), ranges
+}
+
+// serveLoopback serves idx over loopback TCP and returns a handle on it.
+func serveLoopback(tb testing.TB, idx *core.Index) *IndexHandle {
+	tb.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -432,24 +447,55 @@ func remoteFilterSetup(tb testing.TB) (*core.Client, *IndexHandle, []core.Range)
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { conn.Close(); l.Close() })
-	// 0.6% of the domain holds ≈60 tuples; the single-node SRC cover
-	// roughly doubles that with false positives.
-	const width = (1 << bits) * 6 / 1000
-	ranges := make([]core.Range, 64)
-	for i := range ranges {
-		lo := uint64(i)*((1<<bits)/64) + 17
-		ranges[i] = core.Range{Lo: lo, Hi: lo + width - 1}
+	return conn.Default()
+}
+
+// remoteBatchSetup serves a 10k-tuple Logarithmic-URC index on the sorted
+// engine over loopback TCP and returns an owner plus sixteen-range
+// batches of widths 64-511 inside a 2,048-value window: the shape of one
+// shard of the benchmark's batch_cluster workload.
+func remoteBatchSetup(tb testing.TB) (*core.Client, *IndexHandle, [][]core.Range) {
+	tb.Helper()
+	const bits, n, window = 16, 10000, 2048
+	rnd := mrand.New(mrand.NewSource(43))
+	tuples := make([]core.Tuple, n)
+	for i := range tuples {
+		tuples[i] = core.Tuple{ID: uint64(i + 1), Value: rnd.Uint64() % (1 << bits)}
 	}
-	return c, conn.Default(), ranges
+	c, err := core.NewClient(core.LogarithmicURC, cover.Domain{Bits: bits}, core.Options{
+		SSE:       sse.TSet{BucketCapacity: 512, Expansion: 1.4},
+		Storage:   storage.Sorted{},
+		Rand:      mrand.New(mrand.NewSource(8)),
+		MasterKey: bytes.Repeat([]byte{8}, 32),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	idx, err := c.BuildIndex(tuples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batches := make([][]core.Range, 16)
+	for b := range batches {
+		base := rnd.Uint64() % (1<<bits - window)
+		batches[b] = make([]core.Range, 16)
+		for i := range batches[b] {
+			w := 64 + rnd.Uint64()%448
+			lo := base + rnd.Uint64()%(window-w)
+			batches[b][i] = core.Range{Lo: lo, Hi: lo + w - 1}
+		}
+	}
+	return c, serveLoopback(tb, idx), batches
 }
 
 // TestQueryPathAllocs is the remote SRC-i pin beside core's
 // TestQueryPathAllocs (which cannot import this package): owner and
 // server together, per query of ≈120 raw ids over loopback. Measured
-// ≈560 objects, about half of them round 1's pair decryption; the per-id
-// fallback costs ≈1,500 on the same queries (a frame, a reply channel, a
-// key schedule and a decrypt buffer per id). The guard sits where two
-// allocations per id coming back would trip it.
+// 283 objects (487 while the owner copied every response item and each
+// search grew its result by append); the per-id fetch fallback costs
+// ≈1,500 on the same queries (a frame, a reply channel, a key schedule
+// and a decrypt buffer per id). The guard sits where one allocation per
+// id coming back would trip it.
 func TestQueryPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard needs the full 10k-tuple workload")
@@ -468,7 +514,36 @@ func TestQueryPathAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("SRC-i remote: %.0f allocs/query at %.0f raw ids/query", got, float64(raw)/float64(i))
-	if got > 750 {
-		t.Errorf("remote SRC-i query allocates %.0f objects/op, guard is 750 — per-id allocations are back?", got)
+	if got > 330 {
+		t.Errorf("remote SRC-i query allocates %.0f objects/op, guard is 330 — per-id allocations are back?", got)
+	}
+}
+
+// TestQueryBatchPathAllocs is the remote batch pin beside
+// TestQueryPathAllocs: owner and server together, per sixteen-range
+// Logarithmic-URC QueryBatch over loopback, ≈530 response items each.
+// Measured 666 objects (1,379 while the owner copied every response
+// item and each search grew its result by append). The guard sits where
+// one allocation for every second item coming back would trip it.
+func TestQueryBatchPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard needs the full 10k-tuple workload")
+	}
+	if race.Enabled {
+		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
+	}
+	c, h, batches := remoteBatchSetup(t)
+	i, items := 0, 0
+	got := testing.AllocsPerRun(64, func() {
+		br, err := c.QueryBatch(h, batches[i%len(batches)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		items += br.Stats.ResponseItems
+		i++
+	})
+	t.Logf("URC remote batch: %.0f allocs/batch at %.0f response items/batch", got, float64(items)/float64(i))
+	if got > 900 {
+		t.Errorf("remote URC batch allocates %.0f objects/op, guard is 900 — per-item copies are back?", got)
 	}
 }
