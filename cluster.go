@@ -470,7 +470,7 @@ func (c *Cluster) QueryContext(ctx context.Context, q Range) (*ClusterResult, er
 		if err := ctx.Err(); err != nil {
 			return nil, err // cancelled while waiting on the shard's turn
 		}
-		return c.clients[t.Shard].QueryServer(c.targets[t.Shard], t.Range)
+		return c.clients[t.Shard].QueryServerContext(ctx, c.targets[t.Shard], t.Range)
 	})
 	if err != nil {
 		return nil, err

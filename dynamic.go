@@ -260,13 +260,13 @@ func (d *Dynamic) Flush() error { return d.inner.Flush() }
 // per-id operation history owner-side (newest operation wins, tombstones
 // cancel their victims) and returns the live tuples.
 func (d *Dynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
-	return d.inner.Query(q)
+	return d.inner.Query(context.Background(), q)
 }
 
 // QueryContext is Query with cancellation: the per-epoch fan-out aborts
 // when ctx is done.
 func (d *Dynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateStats, error) {
-	return d.inner.QueryContext(ctx, q)
+	return d.inner.Query(ctx, q)
 }
 
 // QueryBatch answers several ranges in one pass over the active indexes:
@@ -280,7 +280,7 @@ func (d *Dynamic) QueryBatch(qs []Range) ([][]Tuple, UpdateStats, error) {
 
 // QueryBatchContext is QueryBatch with cancellation.
 func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple, UpdateStats, error) {
-	return d.inner.QueryBatchOnContext(ctx, d.inner.LocalEpochs(), qs)
+	return d.inner.QueryBatch(ctx, qs)
 }
 
 // FullConsolidate merges every active index into one and drops

@@ -472,18 +472,13 @@ type Result struct {
 // against a local index and returns the matching ids with cost
 // accounting.
 func (c *Client) Query(x *Index, q Range) (*Result, error) {
-	return c.QueryServer(x, q)
+	return c.QueryServerContext(context.Background(), x, q)
 }
 
-// QueryServer runs the query protocol against any Server — a local
-// *Index or a transport-layer connection to a remote one.
-func (c *Client) QueryServer(s Server, q Range) (*Result, error) {
-	return c.QueryServerContext(context.Background(), s, q)
-}
-
-// QueryServerContext is QueryServer with cancellation: the protocol
-// aborts between rounds when ctx is done, and context-aware servers
-// (transport handles) honour ctx inside each round too.
+// QueryServerContext runs the query protocol against any Server — a
+// local *Index or a transport-layer connection to a remote one. The
+// protocol aborts between rounds when ctx is done, and context-aware
+// servers (transport handles) honour ctx inside each round too.
 // The Constant schemes record q in the intersection history only when
 // the whole protocol succeeds, so a failed query (network error, bad
 // trapdoor) never poisons a later retry of the same range.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	mrand "math/rand"
 	"sort"
@@ -391,10 +392,10 @@ func TestRetryAfterFailedQuery(t *testing.T) {
 		}
 		flaky := &flakyServer{Server: idx, failures: 1}
 		q := Range{100, 200}
-		if _, err := c.QueryServer(flaky, q); !errors.Is(err, errFlaky) {
+		if _, err := c.QueryServerContext(context.Background(), flaky, q); !errors.Is(err, errFlaky) {
 			t.Fatalf("%v: first query error = %v, want simulated failure", kind, err)
 		}
-		res, err := c.QueryServer(flaky, q)
+		res, err := c.QueryServerContext(context.Background(), flaky, q)
 		if err != nil {
 			t.Fatalf("%v: retry of the failed range rejected: %v", kind, err)
 		}
@@ -402,7 +403,7 @@ func TestRetryAfterFailedQuery(t *testing.T) {
 			t.Fatalf("%v: retry returned no matches", kind)
 		}
 		// The successful retry IS recorded: an intersecting query fails.
-		if _, err := c.QueryServer(flaky, Range{150, 160}); !errors.Is(err, ErrIntersectingQuery) {
+		if _, err := c.QueryServerContext(context.Background(), flaky, Range{150, 160}); !errors.Is(err, ErrIntersectingQuery) {
 			t.Fatalf("%v: intersecting query after successful retry = %v", kind, err)
 		}
 	}

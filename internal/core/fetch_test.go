@@ -60,11 +60,11 @@ func TestFetchRoundDifferentialLocal(t *testing.T) {
 			}
 			pipelined := false
 			for _, q := range srcQueries {
-				got, err := a.QueryServer(idx, q)
+				got, err := a.QueryServerContext(context.Background(), idx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := b.QueryServer(ref, q)
+				want, err := b.QueryServerContext(context.Background(), ref, q)
 				if err != nil {
 					t.Fatal(err)
 				}

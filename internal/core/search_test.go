@@ -69,14 +69,14 @@ func TestResponseShapeChecked(t *testing.T) {
 		}
 		t.Run(kind.String(), func(t *testing.T) {
 			c, idx := searchFixture(t, kind)
-			if _, err := c.QueryServer(reshaped{x: idx}, searchQuery); err != nil {
+			if _, err := c.QueryServerContext(context.Background(), reshaped{x: idx}, searchQuery); err != nil {
 				t.Fatalf("untouched responses refused: %v", err)
 			}
 			for _, round := range rounds {
 				for _, drop := range []bool{true, false} {
 					s := reshaped{idx, round, drop}
 					for path, run := range map[string]func() error{
-						"Query":      func() error { _, err := c.QueryServer(s, searchQuery); return err },
+						"Query":      func() error { _, err := c.QueryServerContext(context.Background(), s, searchQuery); return err },
 						"QueryBatch": func() error { _, err := c.QueryBatch(s, searchBatch); return err },
 					} {
 						if err := run(); err == nil || !strings.Contains(err.Error(), "groups for") {
@@ -117,7 +117,7 @@ func TestEmbeddedSearchOverride(t *testing.T) {
 			c, idx := searchFixture(t, kind)
 			s := &searchCounter{Index: idx}
 			for path, run := range map[string]func() (int, error){
-				"Query": func() (int, error) { return roundsOf(c.QueryServer(s, searchQuery)) },
+				"Query": func() (int, error) { return roundsOf(c.QueryServerContext(context.Background(), s, searchQuery)) },
 				"QueryContext": func() (int, error) {
 					return roundsOf(c.QueryServerContext(context.Background(), s, searchQuery))
 				},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -122,7 +123,7 @@ func TestSuiteConformance(t *testing.T) {
 						c := owner()
 						raws := make([][]ID, len(ranges))
 						for i, q := range ranges {
-							res, err := c.QueryServer(s, q)
+							res, err := c.QueryServerContext(context.Background(), s, q)
 							if err != nil {
 								t.Fatalf("%s: query %v: %v", label, q, err)
 							}

@@ -93,8 +93,3 @@ func (b *backend) Get(key []byte) ([]byte, bool) {
 	}
 	return b.Backend.Get(key)
 }
-
-func (b *backend) Snapshot() storage.Backend {
-	// Share the wrapper so the delay schedule spans snapshots too.
-	return b
-}

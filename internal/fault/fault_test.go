@@ -262,10 +262,6 @@ func TestBackendWrapperPreservesResults(t *testing.T) {
 	if fb.Len() != 3 || fb.KeyLen() != 2 {
 		t.Fatalf("Len/KeyLen = %d/%d", fb.Len(), fb.KeyLen())
 	}
-	snap := fb.Snapshot()
-	if got, ok := snap.Get([]byte("k1")); !ok || string(got) != "v1" {
-		t.Fatalf("snapshot Get = (%q, %v)", got, ok)
-	}
 	// Disabled plans are pass-through.
 	if WrapBackend(be, BackendPlan{}) != be {
 		t.Fatal("disabled plan should not wrap")

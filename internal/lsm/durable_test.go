@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	mrand "math/rand"
 	"os"
@@ -39,7 +40,7 @@ func openTestManager(t *testing.T, dir string, syncEvery int) *Manager {
 
 func queryAll(t *testing.T, m *Manager) []core.Tuple {
 	t.Helper()
-	tuples, _, err := m.Query(core.Range{Lo: 0, Hi: (1 << 12) - 1})
+	tuples, _, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: (1 << 12) - 1})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -612,11 +613,11 @@ func TestRecoveryIsExact(t *testing.T) {
 	}
 	apply2(func(mm *Manager) error { return mm.Flush() })
 	for _, q := range []core.Range{{Lo: 0, Hi: 4095}, {Lo: 0, Hi: 2047}, {Lo: 1024, Hi: 3071}, {Lo: 4000, Hi: 4095}, {Lo: 97, Hi: 97}} {
-		got, _, err := m2.Query(q)
+		got, _, err := m2.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("recovered query %v: %v", q, err)
 		}
-		want, _, err := oracle.Query(q)
+		want, _, err := oracle.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("oracle query %v: %v", q, err)
 		}

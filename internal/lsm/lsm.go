@@ -185,59 +185,6 @@ func (m *Manager) bufferRecord(rec wal.Record) {
 // Pending returns the number of buffered operations.
 func (m *Manager) Pending() int { return len(m.pending) }
 
-// NamedIndex pairs an epoch's stable serving name with its server-side
-// index, for registration in a multi-index server (transport.Registry).
-type NamedIndex struct {
-	Name  string
-	Index *core.Index
-}
-
-// epochName is the registry name of an epoch: stable across
-// consolidations that leave the epoch alive, unique across the manager's
-// lifetime (sequence numbers are never reused).
-func epochName(e *epoch) string { return fmt.Sprintf("epoch-%d", e.seq) }
-
-// ActiveEpochs lists every active epoch as a (name, index) pair, oldest
-// level first. Registering these into one transport.Registry is how a
-// single server process serves the whole LSM set; after every Flush or
-// consolidation the caller re-syncs the registry with the new list.
-func (m *Manager) ActiveEpochs() []NamedIndex {
-	var out []NamedIndex
-	for _, lvl := range m.levels {
-		for _, e := range lvl {
-			out = append(out, NamedIndex{Name: epochName(e), Index: e.index})
-		}
-	}
-	return out
-}
-
-// Directory resolves epoch names to query targets. transport.Registry
-// implements it for the serving process; transport.Conn implements it on
-// the owner side of a connection, so a Manager can query its epochs
-// through a remote multi-index server.
-type Directory interface {
-	Lookup(name string) (core.Server, error)
-}
-
-// LocalEpochs returns the Directory that resolves epoch names against
-// the manager's own indexes — the all-in-one-process deployment.
-func (m *Manager) LocalEpochs() Directory { return localEpochs{m} }
-
-// localEpochs resolves epoch names against the manager's own indexes —
-// the all-in-one-process deployment.
-type localEpochs struct{ m *Manager }
-
-func (d localEpochs) Lookup(name string) (core.Server, error) {
-	for _, lvl := range d.m.levels {
-		for _, e := range lvl {
-			if epochName(e) == name {
-				return e.index, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("lsm: unknown epoch %q", name)
-}
-
 // ActiveIndexes returns the number of indexes the server currently holds.
 func (m *Manager) ActiveIndexes() int {
 	n := 0
@@ -484,42 +431,19 @@ type QueryStats struct {
 	FalsePositives int
 }
 
-// Query runs the range query against every active index held locally and
-// resolves the operation history at the owner: the newest operation per
+// Query runs the range query against every active epoch and resolves
+// the operation history at the owner: the newest operation per
 // application id wins, tombstones drop their victims. Results carry
-// application ids, current values and payloads.
-func (m *Manager) Query(q core.Range) ([]core.Tuple, QueryStats, error) {
-	return m.QueryOn(localEpochs{m}, q)
-}
-
-// QueryContext is Query with cancellation.
-func (m *Manager) QueryContext(ctx context.Context, q core.Range) ([]core.Tuple, QueryStats, error) {
-	return m.QueryOnContext(ctx, localEpochs{m}, q)
-}
-
-// QueryOn runs the same fan-out query with every epoch resolved through
-// dir — pass a transport.Conn to query epochs served by a remote
-// multi-index server, or a transport.Registry to query served-in-process
-// indexes. Each epoch keeps its own keys, so every per-epoch round runs
-// under that epoch's client.
-func (m *Manager) QueryOn(dir Directory, q core.Range) ([]core.Tuple, QueryStats, error) {
-	return m.QueryOnContext(context.Background(), dir, q)
-}
-
-// QueryOnContext is QueryOn with cancellation: the fan-out aborts
-// between (and, against context-aware servers, inside) per-epoch rounds
-// when ctx is done.
-func (m *Manager) QueryOnContext(ctx context.Context, dir Directory, q core.Range) ([]core.Tuple, QueryStats, error) {
+// application ids, current values and payloads. Each epoch keeps its own
+// keys, so every per-epoch round runs under that epoch's client; the
+// fan-out aborts between rounds when ctx is done.
+func (m *Manager) Query(ctx context.Context, q core.Range) ([]core.Tuple, QueryStats, error) {
 	var stats QueryStats
 	latest := make(map[core.ID]Op)
 	for _, lvl := range m.levels {
 		for _, e := range lvl {
 			stats.Indexes++
-			srv, err := dir.Lookup(epochName(e))
-			if err != nil {
-				return nil, stats, err
-			}
-			res, err := e.client.QueryServerContext(ctx, srv, q)
+			res, err := e.client.QueryServerContext(ctx, e.index, q)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -527,7 +451,7 @@ func (m *Manager) QueryOnContext(ctx context.Context, dir Directory, q core.Rang
 			stats.TokenBytes += res.Stats.TokenBytes
 			stats.Raw += res.Stats.Raw
 			stats.FalsePositives += res.Stats.FalsePositives
-			tuples, err := e.client.FetchTuples(ctx, srv, res.Matches)
+			tuples, err := e.client.FetchTuples(ctx, e.index, res.Matches)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -552,24 +476,13 @@ func (m *Manager) QueryOnContext(ctx context.Context, dir Directory, q core.Rang
 	return out, stats, nil
 }
 
-// QueryBatch answers several ranges against every active index with one
+// QueryBatch answers several ranges against every active epoch with one
 // batched sub-query per epoch: each epoch's covers are deduplicated
 // across the whole batch, so the per-epoch round cost — the multiplier
 // an LSM pays on every query — is paid once per unique cover node
 // instead of once per range. Results are per input range, in input
 // order.
-func (m *Manager) QueryBatch(qs []core.Range) ([][]core.Tuple, QueryStats, error) {
-	return m.QueryBatchOnContext(context.Background(), localEpochs{m}, qs)
-}
-
-// QueryBatchOn is QueryBatch with every epoch resolved through dir —
-// one search frame per round per epoch when dir is a remote connection.
-func (m *Manager) QueryBatchOn(dir Directory, qs []core.Range) ([][]core.Tuple, QueryStats, error) {
-	return m.QueryBatchOnContext(context.Background(), dir, qs)
-}
-
-// QueryBatchOnContext is QueryBatchOn with cancellation.
-func (m *Manager) QueryBatchOnContext(ctx context.Context, dir Directory, qs []core.Range) ([][]core.Tuple, QueryStats, error) {
+func (m *Manager) QueryBatch(ctx context.Context, qs []core.Range) ([][]core.Tuple, QueryStats, error) {
 	var stats QueryStats
 	latest := make([]map[core.ID]Op, len(qs))
 	for i := range latest {
@@ -578,11 +491,7 @@ func (m *Manager) QueryBatchOnContext(ctx context.Context, dir Directory, qs []c
 	for _, lvl := range m.levels {
 		for _, e := range lvl {
 			stats.Indexes++
-			srv, err := dir.Lookup(epochName(e))
-			if err != nil {
-				return nil, stats, err
-			}
-			br, err := e.client.QueryBatchContext(ctx, srv, qs)
+			br, err := e.client.QueryBatchContext(ctx, e.index, qs)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -603,7 +512,7 @@ func (m *Manager) QueryBatchOnContext(ctx context.Context, dir Directory, qs []c
 					}
 				}
 			}
-			tuples, err := e.client.FetchTuples(ctx, srv, distinct)
+			tuples, err := e.client.FetchTuples(ctx, e.index, distinct)
 			if err != nil {
 				return nil, stats, err
 			}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	mrand "math/rand"
 	"sort"
 	"testing"
@@ -25,7 +26,7 @@ func testManager(t *testing.T, kind core.Kind, step int) *Manager {
 
 func queryIDs(t *testing.T, m *Manager, lo, hi uint64) []core.ID {
 	t.Helper()
-	res, _, err := m.Query(core.Range{Lo: lo, Hi: hi})
+	res, _, err := m.Query(context.Background(), core.Range{Lo: lo, Hi: hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestInsertFlushQuery(t *testing.T) {
 		t.Errorf("query = %v", got)
 	}
 	// Payload survives the roundtrip.
-	res, _, err := m.Query(core.Range{Lo: 100, Hi: 100})
+	res, _, err := m.Query(context.Background(), core.Range{Lo: 100, Hi: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestQueryAcrossBatches(t *testing.T) {
 	if len(got) != 15 {
 		t.Errorf("full query returned %d of 15", len(got))
 	}
-	_, stats, err := m.Query(core.Range{Lo: 0, Hi: 1023})
+	_, stats, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: 1023})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestModifyMovesValue(t *testing.T) {
 	if got := queryIDs(t, m, 0, 100); len(got) != 0 {
 		t.Errorf("old value still visible: %v", got)
 	}
-	res, _, err := m.Query(core.Range{Lo: 850, Hi: 950})
+	res, _, err := m.Query(context.Background(), core.Range{Lo: 850, Hi: 950})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestReinsertAfterDelete(t *testing.T) {
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := m.Query(core.Range{Lo: 100, Hi: 100})
+	res, _, err := m.Query(context.Background(), core.Range{Lo: 100, Hi: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

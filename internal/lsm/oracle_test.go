@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	mrand "math/rand"
 	"sort"
@@ -61,7 +62,7 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 			R := uint64(1) + rnd.Uint64()%1023
 			lo := rnd.Uint64() % ((1 << bits) - R)
 			q := core.Range{Lo: lo, Hi: lo + R - 1}
-			got, _, err := m.Query(q)
+			got, _, err := m.Query(context.Background(), q)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}

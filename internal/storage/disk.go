@@ -1,13 +1,11 @@
 package storage
 
-import "io"
-
 // Disk is the disk-backed engine: Seal lays the records out in the
 // sealed-segment format (segment.go) and serves them by binary search
 // over the encoded bytes — the exact representation a segment file has
 // on disk. Building through this engine therefore costs one extra
 // encoding pass over Sorted, but the payoff is on the load path: an
-// index persisted as a segment reopens with Open (or OpenSegmentFile)
+// index persisted as a segment reopens with Open
 // in O(checksum) time with zero per-record work, instead of the O(n)
 // record-by-record rebuild every other engine needs.
 //
@@ -40,20 +38,6 @@ func (b *diskBuilder) Put(key, value []byte) error { return b.inner.Put(key, val
 func (b *diskBuilder) Seal() (Backend, error) {
 	buf, err := b.encode()
 	if err != nil {
-		return nil, err
-	}
-	return openOwnedSegment(buf)
-}
-
-// SealTo implements FileSealer: the segment bytes produced by Seal are
-// written verbatim, so the returned backend and the file share one
-// encoding.
-func (b *diskBuilder) SealTo(w io.Writer) (Backend, error) {
-	buf, err := b.encode()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(buf); err != nil {
 		return nil, err
 	}
 	return openOwnedSegment(buf)

@@ -85,44 +85,3 @@ func (m *MappedFile) Close() error {
 	}
 	return unmapBytes(data)
 }
-
-// SegmentFile is a single segment served straight from a file: the
-// Backend answers queries over the mapped bytes. Close releases the
-// mapping.
-type SegmentFile struct {
-	Backend
-	m    *MappedFile
-	size int64
-}
-
-// OpenSegmentFile maps (or reads) a segment file and opens a Backend
-// over it in place: O(1) structural validation plus one sequential
-// checksum pass, no per-record load work.
-func OpenSegmentFile(path string) (*SegmentFile, error) {
-	m, err := MapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b, err := OpenSegment(m.Data)
-	if err != nil {
-		m.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &SegmentFile{Backend: b, m: m, size: int64(len(m.Data))}, nil
-}
-
-// FileBytes returns the on-disk size of the segment.
-func (s *SegmentFile) FileBytes() int64 { return s.size }
-
-// Mapped reports whether the segment is memory-mapped.
-func (s *SegmentFile) Mapped() bool { return s.m.Mapped() }
-
-// Prefetch pages the segment in ahead of use; see MappedFile.Prefetch.
-func (s *SegmentFile) Prefetch() { s.m.Prefetch() }
-
-// AdviseRandom declares random access; see MappedFile.AdviseRandom.
-func (s *SegmentFile) AdviseRandom() { s.m.AdviseRandom() }
-
-// Close releases the underlying mapping; the Backend must not be used
-// afterwards.
-func (s *SegmentFile) Close() error { return s.m.Close() }

@@ -118,6 +118,4 @@ func (x *mapBackend) Iterate(fn func(key, value []byte) bool) {
 	}
 }
 
-func (x *mapBackend) Snapshot() Backend { return x }
-
 func (x *mapBackend) valueBytes() int { return x.vals }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // The sealed-segment file format: a self-describing, checksummed flat
@@ -159,35 +158,6 @@ func EncodeSegment(b Backend) ([]byte, error) {
 // total length of their values without visiting them.
 type valueSizer interface {
 	valueBytes() int
-}
-
-// WriteSegment serializes a sealed backend into w in the segment format
-// and reports the bytes written.
-func WriteSegment(w io.Writer, b Backend) (int64, error) {
-	buf, err := EncodeSegment(b)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
-// SealTo seals b and writes the resulting records to w as a segment,
-// returning the sealed backend. Builders implementing FileSealer (the
-// Disk engine's) serialize without a second encoding pass; any other
-// builder goes through Seal and WriteSegment.
-func SealTo(b Builder, w io.Writer) (Backend, error) {
-	if fs, ok := b.(FileSealer); ok {
-		return fs.SealTo(w)
-	}
-	x, err := b.Seal()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := WriteSegment(w, x); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // OpenSegment validates a serialized segment and returns a Backend that
@@ -385,8 +355,6 @@ func (x *segmentBackend) Iterate(fn func(key, value []byte) bool) {
 		}
 	}
 }
-
-func (x *segmentBackend) Snapshot() Backend { return x }
 
 func (x *segmentBackend) valueBytes() int { return len(x.vals) }
 

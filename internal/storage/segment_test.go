@@ -141,39 +141,9 @@ func TestLoadAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestSealToMatchesSeal checks the builder-to-file seam: for every
-// engine, SealTo writes bytes that reopen (via OpenSegment) to the same
-// records the sealed backend holds.
-func TestSealToMatchesSeal(t *testing.T) {
-	rnd := mrand.New(mrand.NewSource(15))
-	recs := randomRecords(rnd, 200, 8)
-	for _, e := range Engines() {
-		b := e.NewBuilder(8, len(recs))
-		for k, v := range recs {
-			if err := b.Put([]byte(k), v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		x, err := SealTo(b, &buf)
-		if err != nil {
-			t.Fatalf("%s: SealTo: %v", e.Name(), err)
-		}
-		if x.Len() != len(recs) {
-			t.Fatalf("%s: sealed %d records", e.Name(), x.Len())
-		}
-		reopened, err := OpenSegment(buf.Bytes())
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", e.Name(), err)
-		}
-		for k, v := range recs {
-			if got, ok := reopened.Get([]byte(k)); !ok || !bytes.Equal(got, v) {
-				t.Fatalf("%s: reopened get %x mismatch", e.Name(), k)
-			}
-		}
-	}
-}
-
+// TestOpenSegmentFile serves a segment straight from a file: MapFile
+// plus OpenSegment answer every record in place, pin no heap bytes, and
+// a missing or corrupt file is refused.
 func TestOpenSegmentFile(t *testing.T) {
 	rnd := mrand.New(mrand.NewSource(16))
 	recs := randomRecords(rnd, 150, 16)
@@ -182,36 +152,45 @@ func TestOpenSegmentFile(t *testing.T) {
 	if err := os.WriteFile(path, seg, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenSegmentFile(path)
+	m, err := MapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.FileBytes() != int64(len(seg)) {
-		t.Fatalf("FileBytes = %d, want %d", f.FileBytes(), len(seg))
+	if len(m.Data) != len(seg) {
+		t.Fatalf("mapped %d bytes, want %d", len(m.Data), len(seg))
+	}
+	x, err := OpenSegment(m.Data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for k, v := range recs {
-		if got, ok := f.Get([]byte(k)); !ok || !bytes.Equal(got, v) {
+		if got, ok := x.Get([]byte(k)); !ok || !bytes.Equal(got, v) {
 			t.Fatalf("get %x mismatch", k)
 		}
 	}
-	if f.Resident() != 0 {
-		t.Fatalf("file-backed segment reports %d resident bytes", f.Resident())
+	if x.Resident() != 0 {
+		t.Fatalf("file-backed segment reports %d resident bytes", x.Resident())
 	}
-	if err := f.Close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal("second close not idempotent:", err)
 	}
 
-	if _, err := OpenSegmentFile(filepath.Join(t.TempDir(), "missing.seg")); err == nil {
+	if _, err := MapFile(filepath.Join(t.TempDir(), "missing.seg")); err == nil {
 		t.Fatal("opened a missing file")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.seg")
 	if err := os.WriteFile(bad, []byte("not a segment"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmentFile(bad); !errors.Is(err, ErrCorruptSegment) {
+	mb, err := MapFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	if _, err := OpenSegment(mb.Data); !errors.Is(err, ErrCorruptSegment) {
 		t.Fatalf("bad file err = %v", err)
 	}
 }

@@ -334,8 +334,6 @@ func (x *sortedBackend) Iterate(fn func(key, value []byte) bool) {
 	}
 }
 
-func (x *sortedBackend) Snapshot() Backend { return x }
-
 func (x *sortedBackend) valueBytes() int {
 	if x.offs == nil {
 		return x.n * (x.stride - x.keyLen)

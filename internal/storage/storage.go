@@ -23,7 +23,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Errors reported by builders.
@@ -56,15 +55,6 @@ type Builder interface {
 	// Seal freezes the records into a Backend. The builder is unusable
 	// afterwards.
 	Seal() (Backend, error)
-}
-
-// FileSealer is the optional Builder extension for sealing straight into
-// a segment file: SealTo freezes the records, writes them to w in the
-// segment format, and returns the sealed Backend. The package-level
-// SealTo helper falls back to Seal plus WriteSegment for builders that
-// do not implement it.
-type FileSealer interface {
-	SealTo(w io.Writer) (Backend, error)
 }
 
 // Opener is the optional Engine extension for serving the segment format
@@ -101,9 +91,6 @@ type Backend interface {
 	// the deterministic order the wire formats serialize in — until fn
 	// returns false. Visited slices must not be modified or retained.
 	Iterate(fn func(key, value []byte) bool)
-	// Snapshot returns a read view that remains valid while the original
-	// keeps serving. Backends are immutable, so this is cheap.
-	Snapshot() Backend
 	// Resident approximates the heap bytes the backend pins for its
 	// records. Backends that alias caller-owned buffers (segment views
 	// over a blob or a memory-mapped file) report zero — the buffer is

@@ -284,7 +284,7 @@ func TestBatchQueryCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cliConn, srvConn := net.Pipe()
-	go func() { _ = ServeConnRegistry(srvConn, reg) }()
+	go func() { _ = serveLoop(reg, srvConn, nil, nil, 0) }()
 	conn := NewConn(cliConn)
 	defer conn.Close()
 

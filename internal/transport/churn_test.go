@@ -199,8 +199,8 @@ func TestRegistryChurnStatsSafe(t *testing.T) {
 				return
 			default:
 			}
-			if s, err := reg.Lookup("x"); err == nil && s == nil {
-				t.Error("Lookup returned nil server without error")
+			if s, _, err := reg.lookupServing("x"); err == nil && s == nil {
+				t.Error("lookupServing returned nil server without error")
 				return
 			}
 		}

@@ -310,17 +310,6 @@ func (c *Conn) Index(name string) *IndexHandle {
 // Default returns the handle single-index deployments talk to.
 func (c *Conn) Default() *IndexHandle { return c.Index(DefaultIndex) }
 
-// Lookup validates that the server serves name and returns its handle.
-// It is the owner-side counterpart of Registry.Lookup, letting a Conn
-// act as the directory an lsm.Manager resolves its epochs through.
-func (c *Conn) Lookup(name string) (core.Server, error) {
-	h := c.Index(name)
-	if _, err := h.Meta(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // IndexHandle addresses one named index over a shared Conn. It
 // implements core.Server; all methods are safe for concurrent use.
 type IndexHandle struct {

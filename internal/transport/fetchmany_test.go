@@ -223,11 +223,11 @@ func TestFetchManyDifferential(t *testing.T) {
 				"resilient": NewRedialer(pool, "a", RetryPolicy{}).Default(),
 			} {
 				for _, q := range srcQueries {
-					got, err := a.QueryServer(h, q)
+					got, err := a.QueryServerContext(context.Background(), h, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := b.QueryServer(hideFetchMany(h), q)
+					want, err := b.QueryServerContext(context.Background(), hideFetchMany(h), q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -270,7 +270,7 @@ func TestFetchManyFrameCount(t *testing.T) {
 	for _, q := range srcQueries {
 		before := requestCounts()
 		fetches0, raw0 := fetches.Value(), rawIDs.Value()
-		res, err := c.QueryServer(h, q)
+		res, err := c.QueryServerContext(context.Background(), h, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func TestQueryPathAllocs(t *testing.T) {
 	c, h, ranges := remoteFilterSetup(t)
 	i, raw := 0, 0
 	got := testing.AllocsPerRun(64, func() {
-		res, err := c.QueryServer(h, ranges[i%len(ranges)])
+		res, err := c.QueryServerContext(context.Background(), h, ranges[i%len(ranges)])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,6 @@ type Pool struct {
 	conns map[string]*Conn
 }
 
-// NewPool creates a pool dialing over the given network ("tcp", "unix").
-func NewPool(network string) *Pool {
-	return &Pool{network: network, dial: Dial, conns: make(map[string]*Conn)}
-}
-
 // NewPoolFunc creates a pool with a custom dialer — for tests and
 // in-process pipes.
 func NewPoolFunc(network string, dial func(network, addr string) (*Conn, error)) *Pool {

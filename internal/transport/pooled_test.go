@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	mrand "math/rand"
 	"net"
 	"sync"
@@ -87,7 +88,7 @@ func TestPooledTransportDifferential(t *testing.T) {
 			localClient := newTestClient(t, kind)
 			remote := pipeServer(t, idx).Default()
 			for _, q := range queries {
-				got, err := remoteClient.QueryServer(remote, q)
+				got, err := remoteClient.QueryServerContext(context.Background(), remote, q)
 				if err != nil {
 					t.Fatalf("remote query %v: %v", q, err)
 				}
@@ -131,7 +132,7 @@ func TestConcurrentClientsSharedConn(t *testing.T) {
 		wants [][]byte
 	)
 	for _, q := range queries {
-		if _, err := c.QueryServer(remote, q); err != nil {
+		if _, err := c.QueryServerContext(context.Background(), remote, q); err != nil {
 			t.Fatal(err)
 		}
 		tr, err := c.Trapdoor(q)

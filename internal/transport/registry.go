@@ -36,10 +36,6 @@ var (
 // server front a directory holding far more index bytes than RAM: names
 // appear immediately, files open — typically as zero-copy mmaps via
 // core.OpenIndexFile — only when traffic arrives.
-//
-// Registry implements the owner-side Directory notion of the lsm package
-// via Lookup, so a local manager can query its registered epochs through
-// exactly the interface a remote connection offers.
 type Registry struct {
 	mu sync.RWMutex
 	m  map[string]*regEntry
@@ -160,15 +156,9 @@ func (r *Registry) Deregister(name string) bool {
 	return ok
 }
 
-// Lookup resolves a served index by name, opening it first if it was
-// registered lazily.
-func (r *Registry) Lookup(name string) (core.Server, error) {
-	s, _, err := r.lookupServing(name)
-	return s, err
-}
-
-// lookupServing is Lookup plus the entry's per-index metric set, for
-// the request path.
+// lookupServing resolves a served index by name, opening it first if
+// it was registered lazily, and returns the entry's per-index metric set
+// for the request path.
 func (r *Registry) lookupServing(name string) (core.Server, *indexObs, error) {
 	r.mu.RLock()
 	e, ok := r.m[name]

@@ -52,9 +52,9 @@ func TestRegistryLazyOpenOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := r.Lookup("lazy")
+			s, _, err := r.lookupServing("lazy")
 			if err != nil || s != core.Server(idx) {
-				t.Errorf("Lookup = %v, %v", s, err)
+				t.Errorf("lookupServing = %v, %v", s, err)
 			}
 		}()
 	}
@@ -83,8 +83,8 @@ func TestRegistryLazyOpenErrorCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := r.Lookup("broken"); !errors.Is(err, ErrUnknownIndex) {
-			t.Fatalf("Lookup err = %v, want ErrUnknownIndex", err)
+		if _, _, err := r.lookupServing("broken"); !errors.Is(err, ErrUnknownIndex) {
+			t.Fatalf("lookupServing err = %v, want ErrUnknownIndex", err)
 		}
 	}
 	if n := opens.Load(); n != 1 {
@@ -101,7 +101,7 @@ func TestRegistryLazyOpenErrorCached(t *testing.T) {
 	if err := r.Register("broken", lazyTestIndex(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Lookup("broken"); err != nil {
+	if _, _, err := r.lookupServing("broken"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -151,7 +152,7 @@ func TestRedialerRetriesAcrossConnDeath(t *testing.T) {
 	h := rd.Default()
 
 	q := core.Range{Lo: 100, Hi: 300}
-	res, err := c.QueryServer(h, q) // meta = write 1, search = write 2 (killed), retried
+	res, err := c.QueryServerContext(context.Background(), h, q) // meta = write 1, search = write 2 (killed), retried
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestBlackHoleRecoveredByOpTimeout(t *testing.T) {
 	h := rd.Default()
 
 	q := core.Range{Lo: 0, Hi: 50}
-	res, err := c.QueryServer(h, q)
+	res, err := c.QueryServerContext(context.Background(), h, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ type exchange func(h core.Server) (any, error)
 // ids.
 func queryExchange(c *core.Client, q core.Range) exchange {
 	return func(h core.Server) (any, error) {
-		res, err := c.QueryServer(h, q)
+		res, err := c.QueryServerContext(context.Background(), h, q)
 		if err != nil {
 			return nil, err
 		}

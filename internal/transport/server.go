@@ -241,11 +241,6 @@ func ServeConn(conn io.ReadWriter, idx core.Server) error {
 	return serveLoop(singleRegistry(idx), conn, nil, nil, 0)
 }
 
-// ServeConnRegistry is ServeConn over a full registry.
-func ServeConnRegistry(conn io.ReadWriter, reg *Registry) error {
-	return serveLoop(reg, conn, nil, nil, 0)
-}
-
 // task is one admitted request awaiting a dispatcher worker.
 type task struct {
 	req request

@@ -18,7 +18,6 @@ import (
 	"rsse/internal/core"
 	"rsse/internal/cover"
 	"rsse/internal/dprf"
-	"rsse/internal/lsm"
 	"rsse/internal/prf"
 	"rsse/internal/sse"
 )
@@ -75,7 +74,7 @@ func pipeServer(t *testing.T, idx core.Server) *Conn {
 func pipeRegistry(t *testing.T, reg *Registry) *Conn {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
-	go func() { _ = ServeConnRegistry(serverEnd, reg) }()
+	go func() { _ = serveLoop(reg, serverEnd, nil, nil, 0) }()
 	t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
 	return NewConn(clientEnd)
 }
@@ -93,7 +92,7 @@ func TestRemoteQueryAllSchemes(t *testing.T) {
 			c, idx, tuples := testClientIndex(t, kind)
 			remote := pipeServer(t, idx).Default()
 			for _, q := range []core.Range{{Lo: 100, Hi: 600}, {Lo: 0, Hi: 1023}, {Lo: 777, Hi: 777}} {
-				res, err := c.QueryServer(remote, q)
+				res, err := c.QueryServerContext(context.Background(), remote, q)
 				if err != nil {
 					t.Fatalf("query %v: %v", q, err)
 				}
@@ -225,7 +224,7 @@ func TestRemoteKindMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := pipeServer(t, idx).Default()
-	if _, err := other.QueryServer(remote, core.Range{Lo: 0, Hi: 5}); !errors.Is(err, core.ErrKindMismatch) {
+	if _, err := other.QueryServerContext(context.Background(), remote, core.Range{Lo: 0, Hi: 5}); !errors.Is(err, core.ErrKindMismatch) {
 		t.Errorf("kind mismatch error = %v", err)
 	}
 }
@@ -252,7 +251,7 @@ func TestRegistry(t *testing.T) {
 	if got := reg.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("names = %v", got)
 	}
-	if _, err := reg.Lookup("nope"); !errors.Is(err, ErrUnknownIndex) {
+	if _, _, err := reg.lookupServing("nope"); !errors.Is(err, ErrUnknownIndex) {
 		t.Errorf("unknown lookup error = %v", err)
 	}
 	if !reg.Deregister("a") || reg.Deregister("a") {
@@ -278,7 +277,7 @@ func TestMaxLengthIndexName(t *testing.T) {
 		t.Fatalf("Names = %v, %v", names, err)
 	}
 	q := core.Range{Lo: 0, Hi: 500}
-	res, err := c.QueryServer(conn.Index(long), q)
+	res, err := c.QueryServerContext(context.Background(), conn.Index(long), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +307,11 @@ func TestMultiIndexServer(t *testing.T) {
 	}
 
 	q := core.Range{Lo: 64, Hi: 700}
-	resBRC, err := cBRC.QueryServer(conn.Index("brc"), q)
+	resBRC, err := cBRC.QueryServerContext(context.Background(), conn.Index("brc"), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSRC, err := cSRC.QueryServer(conn.Index("src"), q)
+	resSRC, err := cSRC.QueryServerContext(context.Background(), conn.Index("src"), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +323,14 @@ func TestMultiIndexServer(t *testing.T) {
 	}
 
 	// Unknown index: clean server-side error, connection stays usable.
-	if _, err := cBRC.QueryServer(conn.Index("ghost"), q); err == nil ||
+	if _, err := cBRC.QueryServerContext(context.Background(), conn.Index("ghost"), q); err == nil ||
 		!strings.Contains(err.Error(), "unknown index") {
 		t.Errorf("ghost index error = %v", err)
 	}
-	if _, err := conn.Lookup("ghost"); err == nil {
-		t.Error("Lookup(ghost) succeeded")
+	if _, err := conn.Index("ghost").Meta(); err == nil {
+		t.Error("Meta(ghost) succeeded")
 	}
-	if _, err := cBRC.QueryServer(conn.Index("brc"), core.Range{Lo: 0, Hi: 63}); err != nil {
+	if _, err := cBRC.QueryServerContext(context.Background(), conn.Index("brc"), core.Range{Lo: 0, Hi: 63}); err != nil {
 		t.Errorf("connection unusable after unknown-index error: %v", err)
 	}
 }
@@ -361,7 +360,7 @@ func TestOneConnConcurrentUse(t *testing.T) {
 				return
 			}
 			for rep := 0; rep < 5; rep++ {
-				res, err := cc.QueryServer(handle, q)
+				res, err := cc.QueryServerContext(context.Background(), handle, q)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -424,7 +423,7 @@ func TestServerLoad(t *testing.T) {
 				handle := conn.Index(name)
 				for rep := 0; rep < queriesPerClient; rep++ {
 					q := queries[(i+rep)%len(queries)]
-					res, err := cc.QueryServer(handle, q)
+					res, err := cc.QueryServerContext(context.Background(), handle, q)
 					if err != nil {
 						t.Errorf("client %d %s: %v", i, name, err)
 						return
@@ -514,69 +513,6 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestLSMEpochsOverTransport serves every epoch of an update manager as
-// a named index from one process and runs the owner's fan-out query
-// through the connection — the multi-index deployment of Section 7.
-func TestLSMEpochsOverTransport(t *testing.T) {
-	dom := cover.Domain{Bits: 10}
-	m, err := lsm.NewManager(core.LogarithmicBRC, dom, 4, core.Options{SSE: sse.Basic{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd := mrand.New(mrand.NewSource(5))
-	next := uint64(1)
-	for batch := 0; batch < 3; batch++ {
-		for i := 0; i < 40; i++ {
-			m.Insert(next, rnd.Uint64()%1024, nil)
-			next++
-		}
-		if err := m.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	epochs := m.ActiveEpochs()
-	if len(epochs) < 2 {
-		t.Fatalf("want ≥ 2 active epochs, got %d", len(epochs))
-	}
-	reg := NewRegistry()
-	for _, e := range epochs {
-		if err := reg.Register(e.Name, e.Index); err != nil {
-			t.Fatal(err)
-		}
-	}
-	conn := pipeRegistry(t, reg)
-
-	q := core.Range{Lo: 100, Hi: 900}
-	local, _, err := m.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, stats, err := m.QueryOn(conn, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Indexes != len(epochs) {
-		t.Errorf("fanned out to %d indexes, want %d", stats.Indexes, len(epochs))
-	}
-	key := func(ts []core.Tuple) []core.ID {
-		out := make([]core.ID, len(ts))
-		for i, tu := range ts {
-			out[i] = tu.ID
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-		return out
-	}
-	a, b := key(local), key(remote)
-	if len(a) != len(b) {
-		t.Fatalf("remote returned %d tuples, local %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("remote and local LSM results differ")
-		}
-	}
-}
-
 func TestServerRejectsGarbageRequests(t *testing.T) {
 	_, idx, _ := testClientIndex(t, core.LogarithmicBRC)
 	serverEnd, clientEnd := net.Pipe()
@@ -624,7 +560,7 @@ func TestOversizedTokenLevelOverWire(t *testing.T) {
 		}
 	}
 	q := core.Range{Lo: 100, Hi: 300}
-	res, err := c.QueryServer(h, q)
+	res, err := c.QueryServerContext(context.Background(), h, q)
 	if err != nil {
 		t.Fatalf("query after refused tokens: %v", err)
 	}
