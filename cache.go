@@ -60,24 +60,14 @@ func (cc *CachedClient) Query(index *Index, q Range) (*Result, error) {
 }
 
 // QueryContext is Query with cancellation (cache hits never block on
-// ctx; only server-bound queries do).
+// ctx; only server-bound queries do). It is QueryBatchContext on one
+// range.
 func (cc *CachedClient) QueryContext(ctx context.Context, index *Index, q Range) (*Result, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.covered(q) {
-		return cc.localResult(q), nil
-	}
-	if cc.intersectsHistory(q) {
-		return nil, ErrNotCached
-	}
-	res, err := cc.client.QueryContext(ctx, index, q)
+	results, err := cc.QueryBatchContext(ctx, index, []Range{q})
 	if err != nil {
 		return nil, err
 	}
-	if err := cc.warm(ctx, index, res.Matches, q); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return results[0], nil
 }
 
 // QueryBatch answers a batch of ranges, serving every range already

@@ -458,29 +458,20 @@ func (c *Cluster) Query(q Range) (*ClusterResult, error) {
 }
 
 // QueryContext is Query with cancellation: cancelling ctx aborts the
-// scatter and fails the query.
+// scatter and fails the query. It is the batched scatter on one range:
+// each intersected shard answers a batch of one slice.
 func (c *Cluster) QueryContext(ctx context.Context, q Range) (*ClusterResult, error) {
-	if err := c.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
-		return nil, err
-	}
-	tasks := c.m.Split(q)
-	outcomes, err := shard.Run(ctx, c.exec, tasks, func(ctx context.Context, t shard.Task) (*core.Result, error) {
-		c.mus[t.Shard].Lock()
-		defer c.mus[t.Shard].Unlock()
-		if err := ctx.Err(); err != nil {
-			return nil, err // cancelled while waiting on the shard's turn
-		}
-		return c.clients[t.Shard].QueryServerContext(ctx, c.targets[t.Shard], t.Range)
-	})
+	outcomes, err := c.scatter(ctx, []Range{q})
 	if err != nil {
 		return nil, err
 	}
-	res := &ClusterResult{Result: *shard.Merge(outcomes)}
-	res.Shards = make([]ShardQueryStat, len(outcomes))
+	res := &ClusterResult{Shards: make([]ShardQueryStat, len(outcomes))}
 	for i, o := range outcomes {
-		st := ShardQueryStat{Shard: o.Task.Shard, Range: o.Task.Range, Err: o.Err}
+		st := ShardQueryStat{Shard: o.Task.Shard, Range: o.Task.Ranges[0], Err: o.Err}
 		if o.Res != nil {
-			st.Stats = o.Res.Stats
+			sub := o.Res.Results[0]
+			st.Stats = sub.Stats
+			shard.MergeInto(&res.Result, sub)
 		}
 		res.Shards[i] = st
 	}
@@ -539,32 +530,15 @@ func (c *Cluster) QueryBatch(ranges []Range) (*ClusterBatchResult, error) {
 // QueryBatchContext is QueryBatch with cancellation: cancelling ctx
 // aborts the scatter and fails the batch.
 func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*ClusterBatchResult, error) {
-	for _, q := range ranges {
-		if err := c.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
-			return nil, err
-		}
+	outcomes, err := c.scatter(ctx, ranges)
+	if err != nil {
+		return nil, err
 	}
 	out := &ClusterBatchResult{Results: make([]*Result, len(ranges))}
 	for i := range out.Results {
 		out.Results[i] = &Result{}
 	}
 	out.Stats.Ranges = len(ranges)
-	if len(ranges) == 0 {
-		return out, nil
-	}
-	tasks := c.m.SplitBatch(ranges)
-	outcomes, err := shard.Run(ctx, c.exec, tasks,
-		func(ctx context.Context, t shard.BatchTask) (*core.BatchResult, error) {
-			c.mus[t.Shard].Lock()
-			defer c.mus[t.Shard].Unlock()
-			if err := ctx.Err(); err != nil {
-				return nil, err // cancelled while waiting on the shard's turn
-			}
-			return c.clients[t.Shard].QueryBatchContext(ctx, c.targets[t.Shard], t.Ranges)
-		})
-	if err != nil {
-		return nil, err
-	}
 	out.Shards = make([]ShardBatchStat, len(outcomes))
 	for i, o := range outcomes {
 		st := ShardBatchStat{Shard: o.Task.Shard, Ranges: len(o.Task.Ranges), Err: o.Err}
@@ -588,6 +562,25 @@ func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*Clust
 		out.Shards[i] = st
 	}
 	return out, nil
+}
+
+// scatter checks every range, cuts the ranges at shard boundaries and
+// runs one batched sub-query per intersected shard over its slices.
+func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[shard.BatchTask, *core.BatchResult], error) {
+	for _, q := range ranges {
+		if err := c.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
+			return nil, err
+		}
+	}
+	return shard.Run(ctx, c.exec, c.m.SplitBatch(ranges),
+		func(ctx context.Context, t shard.BatchTask) (*core.BatchResult, error) {
+			c.mus[t.Shard].Lock()
+			defer c.mus[t.Shard].Unlock()
+			if err := ctx.Err(); err != nil {
+				return nil, err // cancelled while waiting on the shard's turn
+			}
+			return c.clients[t.Shard].QueryBatchContext(ctx, c.targets[t.Shard], t.Ranges)
+		})
 }
 
 // FetchTuple retrieves and decrypts one tuple by id. The owning shard is

@@ -140,7 +140,8 @@
 // batches the misses). The server sees only the deduplicated, jointly
 // permuted token union, in the message a single query would send — not
 // even the batch size, so strictly less than the equivalent sequential
-// queries reveal.
+// queries reveal. A single query is a batch of one: Query runs the same
+// protocol on one range.
 //
 // # The fetch round
 //

@@ -543,7 +543,7 @@ func (d *ShardedDynamic) FullConsolidate() error {
 // Query splits the range at shard boundaries, runs the per-shard LSM
 // fan-out queries concurrently through the same scatter-gather engine
 // cluster queries use (each shard's stores are independent), and merges
-// the live tuples and stats.
+// the live tuples and stats. It is QueryBatch on one range.
 func (d *ShardedDynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
 	return d.QueryContext(context.Background(), q)
 }
@@ -551,30 +551,11 @@ func (d *ShardedDynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
 // QueryContext is Query with cancellation: cancelling ctx aborts the
 // scatter.
 func (d *ShardedDynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateStats, error) {
-	if err := d.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
-		return nil, UpdateStats{}, err
-	}
-	type answer struct {
-		tuples []Tuple
-		stats  UpdateStats
-	}
-	outcomes, err := shard.Run(ctx, shard.Executor{}, d.m.Split(q),
-		func(ctx context.Context, t shard.Task) (answer, error) {
-			tuples, stats, err := d.stores[t.Shard].QueryContext(ctx, t.Range)
-			return answer{tuples: tuples, stats: stats}, err
-		})
+	out, stats, err := d.QueryBatchContext(ctx, []Range{q})
 	if err != nil {
-		return nil, UpdateStats{}, fmt.Errorf("rsse: sharded query: %w", err)
+		return nil, stats, err
 	}
-	var (
-		out   []Tuple
-		stats UpdateStats
-	)
-	for _, o := range outcomes {
-		out = append(out, o.Res.tuples...)
-		mergeUpdateStats(&stats, o.Res.stats)
-	}
-	return out, stats, nil
+	return out[0], stats, nil
 }
 
 // QueryBatch answers several ranges across the sharded store: the

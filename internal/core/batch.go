@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"rsse/internal/cover"
@@ -11,11 +12,12 @@ import (
 	"rsse/internal/sse"
 )
 
-// Batched query pipeline. Correlated range workloads produce covers that
-// overlap heavily, yet the one-range-at-a-time protocol pays full
-// token-generation, transfer and search cost per range. QueryBatch plans
-// all covers at once, derives one token per *unique* cover node, ships a
-// single multi-trapdoor per round, and demultiplexes the per-token result
+// The query pipeline. Every query runs it: a single range is a batch of
+// one. Correlated range workloads produce covers that overlap heavily,
+// yet a one-range-at-a-time protocol pays full token-generation,
+// transfer and search cost per range. QueryBatchInto plans all covers at
+// once, derives one token per *unique* cover node, ships a single
+// multi-trapdoor per round, and demultiplexes the per-token result
 // groups back into every requesting range — so a node shared by k ranges
 // is tokenized, transferred and searched exactly once.
 //
@@ -92,9 +94,10 @@ func fetchCtx(ctx context.Context, s Server, id ID) ([]byte, bool, error) {
 // BatchStats aggregates the cost and leakage accounting of one batched
 // query that the per-range stats cannot express: how many tokens the
 // covers demanded, how many actually crossed the wire after dedup, and
-// the wall-clock split (per-range ServerTime/OwnerTime stay zero in a
-// batch — rounds are shared, so only the batch-level split is
-// meaningful).
+// the wall-clock split. In a batch of two or more ranges the per-range
+// ResponseItems, ServerTime and OwnerTime stay zero — rounds are shared,
+// so only the batch-level figures are meaningful; a batch of one credits
+// them to its one range.
 type BatchStats struct {
 	// Ranges is the batch size. It never crosses the wire: the server
 	// sees only the token union of each round.
@@ -137,67 +140,143 @@ type BatchResult struct {
 }
 
 // tokenPlan is one round's planned multi-trapdoor: the deduplicated
-// tokens laid into a permuted trapdoor, plus the owner-side maps that
-// route each response group back to the ranges that asked for its node.
+// tokens laid into a permuted trapdoor, plus the owner-side map that
+// routes each response group back to the ranges that asked for its node.
 type tokenPlan struct {
 	trap *Trapdoor
-	// slot[u] is the trapdoor position of unique token u; the permutation
-	// hides per-range structure from the server while the owner keeps the
-	// inverse.
-	slot []int
-	// perRange[i] lists the unique-token indices of range i's cover, in
-	// the cover's own order.
+	// perRange[i] lists the trapdoor slots of range i's cover, in the
+	// cover's own order. A plan of one range leaves it nil: the range owns
+	// every slot, in trapdoor order, so the trapdoor alone describes the
+	// plan and the trapdoor memo can replay it.
 	perRange [][]int
-	// levels[u] is unique GGM token u's disclosed level (Constant only).
-	levels []uint8
 	// total is the pre-dedup cover size across the batch.
 	total int
-	// perTokenBytes is the serialized size of one token of this plan.
-	perTokenBytes int
 }
 
-// permutedStags lays unique stags into a trapdoor in c.rnd order,
-// returning the slot map.
-func (c *Client) permutedStags(round int, stags []sse.Stag) (*Trapdoor, []int) {
-	slot := c.rnd.Perm(len(stags))
-	out := make([]sse.Stag, len(stags))
-	for u, s := range slot {
-		out[s] = stags[u]
+// tokens returns the number of tokens range i's cover asked for.
+func (p *tokenPlan) tokens(i int) int {
+	if p.perRange == nil {
+		return p.trap.Tokens()
 	}
-	return &Trapdoor{round: round, Stags: out}, slot
+	return len(p.perRange[i])
 }
 
-// planBatchRound1 builds the first-round multi-trapdoor for the batch,
-// for an index of the given suite (see deriveRound1).
-func (c *Client) planBatchRound1(ranges []Range, suite prf.Suite) (*tokenPlan, error) {
-	ivs := make([]cover.Interval, len(ranges))
-	for i, q := range ranges {
-		ivs[i] = cover.Interval{Lo: q.Lo, Hi: q.Hi}
+// slot returns the trapdoor slot of the j-th token of range i.
+func (p *tokenPlan) slot(i, j int) int {
+	if p.perRange == nil {
+		return j
+	}
+	return p.perRange[i][j]
+}
+
+// tokenBytes is the serialized size of n of the plan's tokens.
+func (p *tokenPlan) tokenBytes(n int) int {
+	if len(p.trap.GGM) > 0 {
+		return n * dprf.TokenSize
+	}
+	return n * sse.StagSize
+}
+
+// demux flattens range i's response groups into raw ids, recording the
+// group sizes into stats.
+func (p *tokenPlan) demux(resp *Response, i int, stats *QueryStats) []ID {
+	n, items := p.tokens(i), 0
+	for j := 0; j < n; j++ {
+		items += len(resp.Groups[p.slot(i, j)])
+	}
+	out := make([]ID, 0, items)
+	stats.Groups = make([]int, n)
+	for j := 0; j < n; j++ {
+		g := resp.Groups[p.slot(i, j)]
+		stats.Groups[j] = len(g)
+		for _, item := range g {
+			out = append(out, sse.PayloadU64(item))
+		}
+	}
+	return out
+}
+
+// oneSlot is the order of a lone token: slot 0, read-only.
+var oneSlot = []int{0}
+
+// permutation draws the trapdoor order of n unique tokens from c.rnd —
+// slot[u] is unique token u's trapdoor position; the permutation hides
+// per-range structure from the server while the owner keeps the map — and
+// rewrites perRange from unique-token indices to slots, in place. A lone
+// token has one order, so it draws nothing: a single-token trapdoor (an
+// SRC window, a Quadratic keyword) leaves c.rnd untouched.
+func (c *Client) permutation(n int, perRange [][]int) []int {
+	if n <= 1 {
+		return oneSlot[:n]
+	}
+	slot := c.rnd.Perm(n)
+	for _, idxs := range perRange {
+		for j, u := range idxs {
+			idxs[j] = slot[u]
+		}
+	}
+	return slot
+}
+
+// planRound1 plans the first-round multi-trapdoor of ranges for an index
+// of the given suite. A one-range plan replays the trapdoor memo's entry
+// for its range when there is one and fills it when there is not;
+// larger batches always derive fresh (see tdmemo.go).
+func (c *Client) planRound1(ranges []Range, suite prf.Suite) (tokenPlan, error) {
+	if len(ranges) == 1 {
+		if t, ok := c.tdMemo.get(ranges[0], suite); ok {
+			return tokenPlan{trap: t, total: t.Tokens()}, nil
+		}
+	}
+	p, err := c.freshRound1(ranges, suite)
+	if err == nil && len(ranges) == 1 {
+		c.tdMemo.put(ranges[0], suite, p.trap)
+	}
+	return p, err
+}
+
+// freshRound1 derives the first-round multi-trapdoor of ranges from
+// scratch, for an index of the given suite. The Constant schemes' GGM
+// tokens are evaluated on that suite's tree, which the server expands;
+// the Logarithmic kinds' tokens are keyword stags from the stagger of
+// that suite, and Quadratic's stags are the same under every suite (see
+// stag.go).
+func (c *Client) freshRound1(ranges []Range, suite prf.Suite) (tokenPlan, error) {
+	var ivsBuf [1]cover.Interval // a one-range plan keeps its interval on the stack
+	ivs := ivsBuf[:0]
+	for _, q := range ranges {
+		ivs = append(ivs, cover.Interval{Lo: q.Lo, Hi: q.Hi})
 	}
 	switch c.kind {
 	case Quadratic:
 		// Each range is one keyword; only identical ranges dedupe.
-		seen := make(map[Range]int)
-		var stags []sse.Stag
-		perRange := make([][]int, len(ranges))
-		h := prf.GetHasher(c.kSSE)
+		var uniq []Range
+		var perRange [][]int // nil for one range, as cover plans leave it
+		if len(ranges) > 1 {
+			perRange = make([][]int, len(ranges))
+		}
 		for i, q := range ranges {
-			u, ok := seen[q]
-			if !ok {
-				u = len(stags)
-				seen[q] = u
-				stags = append(stags, rangeStag(h, q))
+			u := slices.Index(uniq, q)
+			if u < 0 {
+				u = len(uniq)
+				uniq = append(uniq, q)
 			}
-			perRange[i] = []int{u}
+			if perRange != nil {
+				perRange[i] = []int{u}
+			}
+		}
+		slot := c.permutation(len(uniq), perRange)
+		out := make([]sse.Stag, len(uniq))
+		h := prf.GetHasher(c.kSSE)
+		for u, q := range uniq {
+			out[slot[u]] = rangeStag(h, q)
 		}
 		prf.PutHasher(h)
-		trap, slot := c.permutedStags(1, stags)
-		return &tokenPlan{trap: trap, slot: slot, perRange: perRange,
-			total: len(ranges), perTokenBytes: sse.StagSize}, nil
+		return tokenPlan{trap: &Trapdoor{round: 1, Stags: out}, perRange: perRange, total: len(ranges)}, nil
 	case ConstantBRC, ConstantURC:
 		p, err := cover.PlanBatch(c.dom, ivs, c.technique())
 		if err != nil {
-			return nil, err
+			return tokenPlan{}, err
 		}
 		// One prefix-memoized expander walk over the whole deduplicated
 		// node set: consecutive plan nodes share tree prefixes, so this
@@ -207,71 +286,46 @@ func (c *Client) planBatchRound1(ranges []Range, suite prf.Suite) (*tokenPlan, e
 		tokens, err := e.DelegateNodes(make([]dprf.Token, 0, len(p.Nodes)), c.kDPRF.WithSuite(suite), p.Nodes)
 		dprf.PutExpander(e)
 		if err != nil {
-			return nil, err
+			return tokenPlan{}, err
 		}
-		levels := make([]uint8, len(p.Nodes))
-		slot := c.rnd.Perm(len(tokens))
+		slot := c.permutation(len(tokens), p.PerRange)
 		out := make([]dprf.Token, len(tokens))
 		for u, s := range slot {
 			out[s] = tokens[u]
-			levels[u] = p.Nodes[u].Level
 		}
-		return &tokenPlan{trap: &Trapdoor{round: 1, GGM: out}, slot: slot,
-			perRange: p.PerRange, levels: levels, total: p.Total,
-			perTokenBytes: dprf.TokenSize}, nil
+		return tokenPlan{trap: &Trapdoor{round: 1, GGM: out}, perRange: p.PerRange, total: p.Total}, nil
 	case LogarithmicBRC, LogarithmicURC:
 		p, err := cover.PlanBatch(c.dom, ivs, c.technique())
 		if err != nil {
-			return nil, err
+			return tokenPlan{}, err
 		}
 		return c.stagPlanFromNodes(p, suite, c.kSSE, 1), nil
 	case LogarithmicSRC, LogarithmicSRCi:
 		p, err := cover.PlanBatchSRC(cover.NewTDAG(c.dom), ivs)
 		if err != nil {
-			return nil, err
+			return tokenPlan{}, err
 		}
 		return c.stagPlanFromNodes(p, suite, c.kSSE, 1), nil
 	default:
-		return nil, fmt.Errorf("core: unknown scheme kind %d", int(c.kind))
+		return tokenPlan{}, fmt.Errorf("core: unknown scheme kind %d", int(c.kind))
 	}
 }
 
 // stagPlanFromNodes derives one stag per unique cover node under key,
 // for an index of the given suite, and wraps the plan into a permuted
 // trapdoor.
-func (c *Client) stagPlanFromNodes(p *cover.BatchPlan, suite prf.Suite, key prf.Key, round int) *tokenPlan {
+func (c *Client) stagPlanFromNodes(p cover.BatchPlan, suite prf.Suite, key prf.Key, round int) tokenPlan {
 	// Derive each stag straight into its permuted trapdoor slot: the
 	// permutation depends only on the node count, so drawing it first
-	// skips the intermediate unique-stag slice entirely (and consumes
-	// c.rnd exactly as permutedStags would).
-	slot := c.rnd.Perm(len(p.Nodes))
+	// skips an intermediate unique-stag slice.
+	slot := c.permutation(len(p.Nodes), p.PerRange)
 	out := make([]sse.Stag, len(p.Nodes))
 	s := newStagger(suite, key)
 	for u, n := range p.Nodes {
 		out[slot[u]] = s.node(n)
 	}
 	s.release()
-	return &tokenPlan{trap: &Trapdoor{round: round, Stags: out}, slot: slot,
-		perRange: p.PerRange, total: p.Total, perTokenBytes: sse.StagSize}
-}
-
-// groupFor returns the response group of unique token u.
-func (p *tokenPlan) groupFor(resp *Response, u int) [][]byte {
-	return resp.Groups[p.slot[u]]
-}
-
-// demuxRange flattens range i's groups (in cover order) into raw ids,
-// recording group sizes into stats.
-func (p *tokenPlan) demuxRange(resp *Response, i int, stats *QueryStats) []ID {
-	var out []ID
-	for _, u := range p.perRange[i] {
-		g := p.groupFor(resp, u)
-		stats.Groups = append(stats.Groups, len(g))
-		for _, item := range g {
-			out = append(out, sse.PayloadU64(item))
-		}
-	}
-	return out
+	return tokenPlan{trap: &Trapdoor{round: round, Stags: out}, perRange: p.PerRange, total: p.Total}
 }
 
 // QueryBatch runs the batched query protocol for several ranges against
@@ -284,30 +338,49 @@ func (c *Client) QueryBatch(s Server, ranges []Range) (*BatchResult, error) {
 // QueryBatchContext is QueryBatch with cancellation: the batch aborts
 // between (and, against context-aware servers, during) protocol steps
 // when ctx is done. Results are per input range, in input order, and
-// identical to what a sequential Query loop would return. For the
-// Constant schemes every range in the batch must be non-intersecting —
-// with the other batch ranges and with history — and the batch is
-// recorded in history only if it succeeds.
+// answer each range as a sequential Query loop would: the same matches
+// and the same raw id sets. For the Constant schemes every range in the
+// batch must be non-intersecting — with the other batch ranges and with
+// history — and the batch is recorded in history only if it succeeds.
 func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range) (*BatchResult, error) {
-	br := &BatchResult{Results: make([]*Result, len(ranges))}
-	br.Stats.Ranges = len(ranges)
+	br := &BatchResult{}
+	if err := c.QueryBatchInto(ctx, s, ranges, br); err != nil {
+		return nil, err
+	}
+	return br, nil
+}
+
+// QueryBatchInto is QueryBatchContext writing into br, whose Results
+// backing array it reuses: a caller that runs one batch against many
+// indexes (the LSM's epochs) allocates the slice once.
+//
+// It is the query protocol — Trpdr over the covers, Search, SRC-i's
+// second round, the false-positive filter — and every query runs it: a
+// single query is a batch of one. A batch of one credits its one result
+// with the whole exchange: its response items and its server and owner
+// time, which a larger batch can only report for the batch as a whole.
+func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, br *BatchResult) error {
+	results := slices.Grow(br.Results[:0], len(ranges))[:len(ranges)]
+	br.Results = results
+	st := &br.Stats
+	*st = BatchStats{Ranges: len(ranges)}
 	if len(ranges) == 0 {
-		return br, nil
+		return nil
 	}
 	meta, err := metaCtx(ctx, s)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if meta.Kind != c.kind {
-		return nil, fmt.Errorf("%w: client %v, index %v", ErrKindMismatch, c.kind, meta.Kind)
+		return fmt.Errorf("%w: client %v, index %v", ErrKindMismatch, c.kind, meta.Kind)
 	}
 	if meta.DomainBits != c.dom.Bits {
-		return nil, fmt.Errorf("%w: client domain 2^%d, index domain 2^%d",
+		return fmt.Errorf("%w: client domain 2^%d, index domain 2^%d",
 			ErrKindMismatch, c.dom.Bits, meta.DomainBits)
 	}
 	for _, q := range ranges {
 		if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	constant := c.kind == ConstantBRC || c.kind == ConstantURC
@@ -315,101 +388,107 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 		for i, q := range ranges {
 			for _, prev := range c.history {
 				if q.Intersects(prev) {
-					return nil, fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, prev)
+					return fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, prev)
 				}
 			}
 			for j := 0; j < i; j++ {
 				if q.Intersects(ranges[j]) {
-					return nil, fmt.Errorf("%w: %v intersects %v in the same batch", ErrIntersectingQuery, q, ranges[j])
+					return fmt.Errorf("%w: %v intersects %v in the same batch", ErrIntersectingQuery, q, ranges[j])
 				}
 			}
 		}
 	}
 
 	ownerStart := time.Now()
-	plan1, err := c.planBatchRound1(ranges, meta.Suite)
+	plan1, err := c.planRound1(ranges, meta.Suite)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	br.Stats.OwnerTime += time.Since(ownerStart)
-	br.Stats.Rounds = 1
-	br.Stats.CoverNodes = plan1.total
-	br.Stats.UniqueTokens = plan1.trap.Tokens()
-	br.Stats.TokenBytes = plan1.trap.Bytes()
+	st.OwnerTime += time.Since(ownerStart)
+	st.Rounds = 1
+	st.CoverNodes = plan1.total
+	st.UniqueTokens = plan1.trap.Tokens()
+	st.TokenBytes = plan1.trap.Bytes()
 
 	serverStart := time.Now()
 	resp1, err := searchCtx(ctx, s, plan1.trap)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	br.Stats.ServerTime += time.Since(serverStart)
-	br.Stats.ResponseItems += resp1.Items()
+	st.ServerTime += time.Since(serverStart)
+	st.ResponseItems += resp1.Items()
 
-	for i := range ranges {
-		res := &Result{}
+	rs := make([]Result, len(ranges))
+	for i := range rs {
+		res := &rs[i]
+		n := plan1.tokens(i)
 		res.Stats.Rounds = 1
-		res.Stats.Tokens = len(plan1.perRange[i])
-		res.Stats.TokenBytes = len(plan1.perRange[i]) * plan1.perTokenBytes
-		if plan1.levels != nil {
-			for _, u := range plan1.perRange[i] {
-				res.Stats.TokenLevels = append(res.Stats.TokenLevels, plan1.levels[u])
+		res.Stats.Tokens = n
+		res.Stats.TokenBytes = plan1.tokenBytes(n)
+		if len(plan1.trap.GGM) > 0 {
+			res.Stats.TokenLevels = make([]uint8, n)
+			for j := range res.Stats.TokenLevels {
+				res.Stats.TokenLevels[j] = plan1.trap.GGM[plan1.slot(i, j)].Level
 			}
 		}
-		br.Results[i] = res
+		results[i] = res
 	}
 
 	ownerStart = time.Now()
 	if c.kind == LogarithmicSRCi {
-		if err := c.batchSRCiRound2(ctx, s, meta, ranges, plan1, resp1, br); err != nil {
-			return nil, err
+		if err := c.srciRound2(ctx, s, meta, ranges, &plan1, resp1, results, st); err != nil {
+			return err
 		}
 	} else {
-		for i := range ranges {
-			res := br.Results[i]
-			res.Raw = plan1.demuxRange(resp1, i, &res.Stats)
+		for i, res := range results {
+			res.Raw = plan1.demux(resp1, i, &res.Stats)
 			res.Stats.Raw = len(res.Raw)
 		}
-		br.Stats.OwnerTime += time.Since(ownerStart)
+		st.OwnerTime += time.Since(ownerStart)
 	}
 
 	ownerStart = time.Now()
 	if c.kind.HasFalsePositives() {
-		if err := c.batchFilter(ctx, s, ranges, br); err != nil {
-			return nil, err
+		if err := c.filter(ctx, s, ranges, results, st); err != nil {
+			return err
 		}
 	}
-	for _, res := range br.Results {
+	for _, res := range results {
 		if !c.kind.HasFalsePositives() {
 			res.Matches = res.Raw
 		}
 		res.Stats.Matches = len(res.Matches)
 		res.Stats.FalsePositives = res.Stats.Raw - res.Stats.Matches
 	}
-	br.Stats.OwnerTime += time.Since(ownerStart)
+	st.OwnerTime += time.Since(ownerStart)
 
 	if constant {
 		c.history = append(c.history, ranges...)
 	}
-	return br, nil
+	if len(results) == 1 {
+		one := &results[0].Stats
+		one.ResponseItems, one.ServerTime, one.OwnerTime = st.ResponseItems, st.ServerTime, st.OwnerTime
+	}
+	return nil
 }
 
-// batchSRCiRound2 runs the interactive second round of a batched SRC-i
+// srciRound2 runs the interactive second round of a Logarithmic-SRC-i
 // query: per-range pair merges from the shared round-1 response, then one
-// deduplicated round-2 multi-trapdoor over TDAG2.
-func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, ranges []Range, plan1 *tokenPlan, resp1 *Response, br *BatchResult) error {
+// deduplicated round-2 multi-trapdoor over TDAG2. Like round 1's, the
+// round-2 trapdoor is derived under the suite the index's Meta reported.
+func (c *Client) srciRound2(ctx context.Context, s Server, meta IndexMeta, ranges []Range, plan1 *tokenPlan, resp1 *Response, results []*Result, st *BatchStats) error {
 	ownerStart := time.Now()
+	// live[k] is the input range whose merged positions are ivs[k]; a
+	// one-range query keeps both on the stack.
 	var (
-		live []int // indices of ranges with a non-empty round 2
-		ivs  []cover.Interval
+		liveBuf [1]int
+		ivsBuf  [1]cover.Interval
 	)
-	for i := range ranges {
-		// Round-1 pair groups feed the owner-side merge only; like the
-		// sequential path, Stats.Groups records round-2 groups alone.
-		sub := &Response{Groups: make([][][]byte, 0, len(plan1.perRange[i]))}
-		for _, u := range plan1.perRange[i] {
-			sub.Groups = append(sub.Groups, plan1.groupFor(resp1, u))
-		}
-		posRange, any, err := c.mergePairs(sub, ranges[i])
+	live, ivs := liveBuf[:0], ivsBuf[:0]
+	for i, q := range ranges {
+		// Round-1 pair groups feed the owner-side merge only: Stats.Groups
+		// records round-2 groups alone.
+		posRange, any, err := c.mergePairs(plan1, resp1, i, q)
 		if err != nil {
 			return err
 		}
@@ -419,7 +498,7 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 		live = append(live, i)
 		ivs = append(ivs, cover.Interval{Lo: posRange.Lo, Hi: posRange.Hi})
 	}
-	br.Stats.OwnerTime += time.Since(ownerStart)
+	st.OwnerTime += time.Since(ownerStart)
 	if len(live) == 0 {
 		return nil
 	}
@@ -430,60 +509,66 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 		return err
 	}
 	plan2 := c.stagPlanFromNodes(p2, meta.Suite, c.kSSE2, 2)
-	br.Stats.OwnerTime += time.Since(ownerStart)
-	br.Stats.Rounds = 2
-	br.Stats.CoverNodes += plan2.total
-	br.Stats.UniqueTokens += plan2.trap.Tokens()
-	br.Stats.TokenBytes += plan2.trap.Bytes()
+	st.OwnerTime += time.Since(ownerStart)
+	st.Rounds = 2
+	st.CoverNodes += plan2.total
+	st.UniqueTokens += plan2.trap.Tokens()
+	st.TokenBytes += plan2.trap.Bytes()
 
 	serverStart := time.Now()
 	resp2, err := searchCtx(ctx, s, plan2.trap)
 	if err != nil {
 		return err
 	}
-	br.Stats.ServerTime += time.Since(serverStart)
-	br.Stats.ResponseItems += resp2.Items()
+	st.ServerTime += time.Since(serverStart)
+	st.ResponseItems += resp2.Items()
 
 	ownerStart = time.Now()
-	for j, i := range live {
-		res := br.Results[i]
+	for k, i := range live {
+		res := results[i]
+		n := plan2.tokens(k)
 		res.Stats.Rounds = 2
-		res.Stats.Tokens += len(plan2.perRange[j])
-		res.Stats.TokenBytes += len(plan2.perRange[j]) * plan2.perTokenBytes
-		res.Raw = plan2.demuxRange(resp2, j, &res.Stats)
+		res.Stats.Tokens += n
+		res.Stats.TokenBytes += plan2.tokenBytes(n)
+		res.Raw = plan2.demux(resp2, k, &res.Stats)
 		res.Stats.Raw = len(res.Raw)
 	}
-	br.Stats.OwnerTime += time.Since(ownerStart)
+	st.OwnerTime += time.Since(ownerStart)
 	return nil
 }
 
-// batchFilter removes the SRC schemes' false positives from every range,
-// fetching each distinct raw id exactly once across the whole batch (the
-// shared cover nodes mean the same ids recur in many ranges' raw sets),
-// all of them in one chunked fetch round.
-func (c *Client) batchFilter(ctx context.Context, s Server, ranges []Range, br *BatchResult) error {
-	seen := make(map[ID]Value) // distinct raw ids, then their values
-	var distinct []ID
-	for _, res := range br.Results {
-		for _, id := range res.Raw {
-			if _, dup := seen[id]; !dup {
-				seen[id] = 0
-				distinct = append(distinct, id)
-			}
+// filter removes the SRC schemes' false positives from every range, in
+// one chunked fetch round. A range's own raw ids are distinct — its
+// cover's windows are disjoint — so ids repeat only across the ranges of
+// a batch, which fetches each distinct id once, in ascending id order; a
+// single range fetches its raw ids as the server returned them.
+func (c *Client) filter(ctx context.Context, s Server, ranges []Range, results []*Result, st *BatchStats) error {
+	ids := results[0].Raw
+	if len(results) > 1 {
+		n := 0
+		for _, res := range results {
+			n += len(res.Raw)
 		}
+		ids = make([]ID, 0, n)
+		for _, res := range results {
+			ids = append(ids, res.Raw...)
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
 	}
-	values, err := c.fetchValues(ctx, s, distinct)
+	values, err := c.fetchValues(ctx, s, ids)
 	if err != nil {
 		return err
 	}
-	br.Stats.FetchedTuples = len(distinct)
-	for i, id := range distinct {
-		seen[id] = values[i]
-	}
-	for i, res := range br.Results {
+	st.FetchedTuples = len(ids)
+	for i, res := range results {
 		res.Matches = make([]ID, 0, len(res.Raw))
-		for _, id := range res.Raw {
-			if ranges[i].Contains(seen[id]) {
+		for j, id := range res.Raw {
+			k := j // id's position in ids
+			if len(results) > 1 {
+				k, _ = slices.BinarySearch(ids, id)
+			}
+			if ranges[i].Contains(values[k]) {
 				res.Matches = append(res.Matches, id)
 			}
 		}

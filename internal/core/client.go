@@ -70,7 +70,6 @@ type Client struct {
 	kSSE2  prf.Key    // Logarithmic-SRC-i second-index keyword PRF
 	kDPRF  dprf.Key   // Constant schemes' delegatable PRF seed; evaluated under an index's suite
 	kStore secenc.Key // tuple-store encryption
-	kPairs secenc.Key // Logarithmic-SRC-i pair encryption
 	// suite is the PRF suite of the indexes this client builds
 	// (defaultSuite of its kind). Queries do not use it: they take the
 	// suite of the index they run against from its Meta.
@@ -78,6 +77,9 @@ type Client struct {
 	// storeBlock is kStore's key schedule, built once: the fetch round
 	// decrypts one ciphertext per returned id.
 	storeBlock cipher.Block
+	// pairBlock is the key schedule of Logarithmic-SRC-i's pair key, built
+	// once: build seals, and round 1 opens, one pair per distinct value.
+	pairBlock cipher.Block
 
 	padQuadratic   bool
 	allowIntersect bool
@@ -139,8 +141,10 @@ func NewClient(kind Kind, dom cover.Domain, opts Options) (*Client, error) {
 	storeKey := prf.Derive(c.master, "store")
 	copy(c.kStore[:], storeKey[:secenc.KeySize])
 	c.storeBlock = secenc.NewBlock(c.kStore)
+	var kPairs secenc.Key
 	pairKey := prf.Derive(c.master, "pairs")
-	copy(c.kPairs[:], pairKey[:secenc.KeySize])
+	copy(kPairs[:], pairKey[:secenc.KeySize])
+	c.pairBlock = secenc.NewBlock(kPairs)
 	return c, nil
 }
 
@@ -447,10 +451,13 @@ type QueryStats struct {
 	Raw            int
 	Matches        int
 	FalsePositives int
-	// Groups are the per-token result group sizes, in permuted token
-	// order — the structural leakage of Logarithmic-BRC/URC.
+	// Groups are the per-token result group sizes — the structural
+	// leakage of Logarithmic-BRC/URC (for SRC-i, round 2's groups). A
+	// single query lists them in trapdoor order, which is permuted; a
+	// batch lists each range's in its cover's order.
 	Groups []int
-	// TokenLevels are the GGM token levels the Constant schemes disclose.
+	// TokenLevels are the GGM token levels the Constant schemes disclose,
+	// in the order of Groups.
 	TokenLevels []uint8
 	// ServerTime and OwnerTime split the wall-clock cost of the query.
 	ServerTime time.Duration
@@ -476,110 +483,21 @@ func (c *Client) Query(x *Index, q Range) (*Result, error) {
 }
 
 // QueryServerContext runs the query protocol against any Server — a
-// local *Index or a transport-layer connection to a remote one. The
-// protocol aborts between rounds when ctx is done, and context-aware
-// servers (transport handles) honour ctx inside each round too.
-// The Constant schemes record q in the intersection history only when
-// the whole protocol succeeds, so a failed query (network error, bad
-// trapdoor) never poisons a later retry of the same range.
+// local *Index or a transport-layer connection to a remote one. It is
+// the batch protocol on one range (see QueryBatchInto), so its result
+// reports the whole exchange. The protocol aborts between rounds when
+// ctx is done, and context-aware servers (transport handles) honour ctx
+// inside each round too. The Constant schemes record q in the
+// intersection history only when the whole protocol succeeds, so a
+// failed query (network error, bad trapdoor) never poisons a later retry
+// of the same range.
 func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Result, error) {
-	meta, err := metaCtx(ctx, s)
-	if err != nil {
+	var one [1]*Result
+	br := BatchResult{Results: one[:0]}
+	if err := c.QueryBatchInto(ctx, s, []Range{q}, &br); err != nil {
 		return nil, err
 	}
-	if meta.Kind != c.kind {
-		return nil, fmt.Errorf("%w: client %v, index %v", ErrKindMismatch, c.kind, meta.Kind)
-	}
-	if meta.DomainBits != c.dom.Bits {
-		return nil, fmt.Errorf("%w: client domain 2^%d, index domain 2^%d",
-			ErrKindMismatch, c.dom.Bits, meta.DomainBits)
-	}
-	if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
-		return nil, err
-	}
-	if (c.kind == ConstantBRC || c.kind == ConstantURC) && !c.allowIntersect {
-		for _, prev := range c.history {
-			if q.Intersects(prev) {
-				return nil, fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, prev)
-			}
-		}
-	}
-
-	res := &Result{}
-	ownerStart := time.Now()
-	t1, err := c.trapdoorRound1(q, meta.Suite)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.OwnerTime += time.Since(ownerStart)
-	res.Stats.Rounds = 1
-	res.Stats.Tokens = t1.Tokens()
-	res.Stats.TokenBytes = t1.Bytes()
-	if c.kind == ConstantBRC || c.kind == ConstantURC {
-		for _, g := range t1.GGM {
-			res.Stats.TokenLevels = append(res.Stats.TokenLevels, g.Level)
-		}
-	}
-
-	serverStart := time.Now()
-	resp1, err := searchCtx(ctx, s, t1)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.ServerTime += time.Since(serverStart)
-	res.Stats.ResponseItems += resp1.Items()
-
-	var raw []ID
-	switch c.kind {
-	case LogarithmicSRCi:
-		ownerStart = time.Now()
-		posRange, any, err := c.mergePairs(resp1, q)
-		res.Stats.OwnerTime += time.Since(ownerStart)
-		if err != nil {
-			return nil, err
-		}
-		if !any {
-			break // no distinct value in range: done after round 1
-		}
-		ownerStart = time.Now()
-		t2, err := c.trapdoorSRCiRound2(posRange, meta.PosBits, meta.Suite)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.OwnerTime += time.Since(ownerStart)
-		res.Stats.Rounds = 2
-		res.Stats.Tokens += t2.Tokens()
-		res.Stats.TokenBytes += t2.Bytes()
-		serverStart = time.Now()
-		resp2, err := searchCtx(ctx, s, t2)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.ServerTime += time.Since(serverStart)
-		res.Stats.ResponseItems += resp2.Items()
-		raw = idsOf(resp2, &res.Stats)
-	default:
-		raw = idsOf(resp1, &res.Stats)
-	}
-
-	res.Raw = raw
-	res.Stats.Raw = len(raw)
-	ownerStart = time.Now()
-	if c.kind.HasFalsePositives() {
-		res.Matches, err = c.filterMatches(ctx, s, raw, q)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res.Matches = raw
-	}
-	res.Stats.OwnerTime += time.Since(ownerStart)
-	res.Stats.Matches = len(res.Matches)
-	res.Stats.FalsePositives = len(raw) - len(res.Matches)
-	if c.kind == ConstantBRC || c.kind == ConstantURC {
-		c.history = append(c.history, q)
-	}
-	return res, nil
+	return br.Results[0], nil
 }
 
 // Trapdoor produces the first-round query message for q without running
@@ -588,78 +506,16 @@ func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Re
 // against later epochs. It deliberately bypasses the Constant schemes'
 // intersection guard and records no history; use Query for real traffic.
 // With no index to ask, it derives under the suite this client builds
-// with.
+// with, replaying the trapdoor memo as a query does.
 func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
 		return nil, err
 	}
-	return c.trapdoorRound1(q, c.suite)
-}
-
-// trapdoorRound1 dispatches the first (often only) Trpdr round for an
-// index of the given suite, replaying a memoized trapdoor when the
-// range was derived for that suite before (see tdmemo.go).
-func (c *Client) trapdoorRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
-	if t, ok := c.tdMemo.get(q, suite); ok {
-		return t, nil
-	}
-	t, err := c.deriveRound1(q, suite)
-	if err == nil {
-		c.tdMemo.put(q, suite, t)
-	}
-	return t, err
-}
-
-// deriveRound1 derives the first-round trapdoor for q from scratch, for
-// an index of the given suite. The Constant schemes' GGM tokens are
-// evaluated on that suite's tree, which the server expands; the
-// Logarithmic kinds' tokens are keyword stags from the stagger of that
-// suite, and Quadratic's one stag is the same under every suite (see
-// stag.go).
-func (c *Client) deriveRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
-	switch c.kind {
-	case Quadratic:
-		return c.trapdoorQuadratic(q)
-	case ConstantBRC, ConstantURC:
-		return c.trapdoorConstant(q, suite)
-	case LogarithmicBRC, LogarithmicURC:
-		return c.trapdoorLogarithmic(q, suite)
-	case LogarithmicSRC:
-		return c.trapdoorLogSRC(q, suite)
-	case LogarithmicSRCi:
-		return c.trapdoorSRCiRound1(q, suite)
-	default:
-		return nil, fmt.Errorf("core: unknown scheme kind %d", int(c.kind))
-	}
-}
-
-// idsOf flattens an id-carrying response and records its group sizes.
-func idsOf(resp *Response, stats *QueryStats) []ID {
-	var out []ID
-	for _, g := range resp.Groups {
-		stats.Groups = append(stats.Groups, len(g))
-		for _, p := range g {
-			out = append(out, sse.PayloadU64(p))
-		}
-	}
-	return out
-}
-
-// filterMatches fetches and decrypts the returned tuples' values and keeps
-// the ids inside the query range — the owner-side refinement step that
-// removes the SRC schemes' false positives.
-func (c *Client) filterMatches(ctx context.Context, s Server, raw []ID, q Range) ([]ID, error) {
-	values, err := c.fetchValues(ctx, s, raw)
+	p, err := c.planRound1([]Range{q}, c.suite)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ID, 0, len(raw))
-	for i, id := range raw {
-		if q.Contains(values[i]) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
+	return p.trap, nil
 }
 
 // Search executes one server-side round. The server only ever sees the
@@ -690,10 +546,4 @@ func (x *Index) searchIndex(idx sse.Index, stags []sse.Stag) (*Response, error) 
 		resp.Groups = append(resp.Groups, g)
 	}
 	return resp, nil
-}
-
-// permuteStags randomly permutes a token list in place (every Trpdr
-// algorithm in the paper permutes its output).
-func (c *Client) permuteStags(stags []sse.Stag) {
-	c.rnd.Shuffle(len(stags), func(i, j int) { stags[i], stags[j] = stags[j], stags[i] })
 }

@@ -7,7 +7,6 @@ import (
 
 	"rsse/internal/cover"
 	"rsse/internal/dprf"
-	"rsse/internal/prf"
 	"rsse/internal/sse"
 )
 
@@ -55,18 +54,6 @@ func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 	}
 	x.primary = idx
 	return nil
-}
-
-// trapdoorConstant runs the DPRF token-generation function T over the
-// BRC/URC cover, on the GGM tree of the queried index's suite, and
-// permutes the resulting GGM tokens.
-func (c *Client) trapdoorConstant(q Range, suite prf.Suite) (*Trapdoor, error) {
-	tokens, err := c.kDPRF.WithSuite(suite).Delegate(q.Lo, q.Hi, c.technique())
-	if err != nil {
-		return nil, err
-	}
-	c.rnd.Shuffle(len(tokens), func(i, j int) { tokens[i], tokens[j] = tokens[j], tokens[i] })
-	return &Trapdoor{round: 1, GGM: tokens}, nil
 }
 
 // searchConstant expands each GGM token into its 2^level leaf DPRF values

@@ -189,15 +189,16 @@ func TestSearchPatternDeterminism(t *testing.T) {
 			t.Fatalf("%v built suite %v, want %v", tc.kind, meta.Suite, tc.suite)
 		}
 		stagSet := func(q Range) map[[32]byte]bool {
-			td, err := c.deriveRound1(q, tc.suite)
+			p, err := c.freshRound1([]Range{q}, tc.suite)
 			if err != nil {
 				t.Fatal(err)
 			}
+			td := p.trap
 			resp, err := idx.Search(td)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if raw := idsOf(resp, &QueryStats{}); !idsEqual(sortedIDs(raw), exactIDs(tuples, q)) {
+			if raw := p.demux(resp, 0, &QueryStats{}); !idsEqual(sortedIDs(raw), exactIDs(tuples, q)) {
 				t.Fatalf("%v: %v answered %v, want %v", tc.kind, q, sortedIDs(raw), exactIDs(tuples, q))
 			}
 			out := make(map[[32]byte]bool)

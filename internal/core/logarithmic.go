@@ -2,8 +2,6 @@ package core
 
 import (
 	"rsse/internal/cover"
-	"rsse/internal/prf"
-	"rsse/internal/sse"
 )
 
 // The Logarithmic-BRC/URC schemes (Section 6.1) avoid the Constant
@@ -28,16 +26,4 @@ func (c *Client) buildLogarithmic(x *Index, tuples []Tuple) error {
 	}
 	x.primary = idx
 	return nil
-}
-
-// trapdoorLogarithmic emits one SSE token per node of the BRC/URC cover,
-// randomly permuted, for an index of the given suite.
-func (c *Client) trapdoorLogarithmic(q Range, suite prf.Suite) (*Trapdoor, error) {
-	nodes, err := cover.Cover(c.dom, q.Lo, q.Hi, c.technique())
-	if err != nil {
-		return nil, err
-	}
-	stags := nodeStags(make([]sse.Stag, 0, len(nodes)), suite, c.kSSE, nodes)
-	c.permuteStags(stags)
-	return &Trapdoor{round: 1, Stags: stags}, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"rsse/internal/cover"
-	"rsse/internal/prf"
 )
 
 // Logarithmic-SRC (Section 6.2) eliminates the result-partitioning
@@ -27,14 +26,4 @@ func (c *Client) buildLogSRC(x *Index, tuples []Tuple) error {
 	}
 	x.primary = idx
 	return nil
-}
-
-// trapdoorLogSRC emits the single token of the SRC cover, for an index of
-// the given suite.
-func (c *Client) trapdoorLogSRC(q Range, suite prf.Suite) (*Trapdoor, error) {
-	node, err := cover.NewTDAG(c.dom).SRC(q.Lo, q.Hi)
-	if err != nil {
-		return nil, err
-	}
-	return &Trapdoor{round: 1, Stags: nodeStags(nil, suite, c.kSSE, []cover.Node{node})}, nil
 }

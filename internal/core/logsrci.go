@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -8,7 +10,6 @@ import (
 	"sort"
 
 	"rsse/internal/cover"
-	"rsse/internal/prf"
 	"rsse/internal/secenc"
 	"rsse/internal/sse"
 )
@@ -42,10 +43,18 @@ type valuePair struct {
 	posHi uint64
 }
 
-// sealPair encrypts a pair under the owner's pair key with a fresh nonce.
-// Every replica of the same pair gets its own nonce, so identical pairs
-// stored under different TDAG1 keywords are unlinkable.
-func sealPair(k secenc.Key, p valuePair) ([]byte, error) {
+// pairCipher seals and opens pairs under the owner's pair key schedule.
+// ctr and ks are the CTR walk's scratch: the block's interface call makes
+// them escape, so one pairCipher serves a whole build or merge.
+type pairCipher struct {
+	block   cipher.Block
+	ctr, ks [aes.BlockSize]byte
+}
+
+// seal encrypts a pair with a fresh nonce. Every replica of the same
+// pair gets its own nonce, so identical pairs stored under different
+// TDAG1 keywords are unlinkable.
+func (pc *pairCipher) seal(p valuePair) ([]byte, error) {
 	out := make([]byte, pairWidth)
 	if _, err := io.ReadFull(rand.Reader, out[:16]); err != nil {
 		return nil, fmt.Errorf("core: generating pair nonce: %w", err)
@@ -54,20 +63,19 @@ func sealPair(k secenc.Key, p valuePair) ([]byte, error) {
 	binary.BigEndian.PutUint64(plain[0:], p.value)
 	binary.BigEndian.PutUint64(plain[8:], p.posLo)
 	binary.BigEndian.PutUint64(plain[16:], p.posHi)
-	var nonce [16]byte
-	copy(nonce[:], out[:16])
-	copy(out[16:], secenc.XORKeyStreamCTR(k, nonce, plain[:]))
+	copy(pc.ctr[:], out[:16])
+	secenc.XORKeyStreamBlock(pc.block, &pc.ctr, &pc.ks, out[16:], plain[:])
 	return out, nil
 }
 
-// openPair decrypts a sealed pair.
-func openPair(k secenc.Key, blob []byte) (valuePair, error) {
+// open decrypts a sealed pair.
+func (pc *pairCipher) open(blob []byte) (valuePair, error) {
 	if len(blob) != pairWidth {
 		return valuePair{}, fmt.Errorf("core: pair blob has %d bytes, want %d", len(blob), pairWidth)
 	}
-	var nonce [16]byte
-	copy(nonce[:], blob[:16])
-	plain := secenc.XORKeyStreamCTR(k, nonce, blob[16:])
+	var plain [24]byte
+	copy(pc.ctr[:], blob[:16])
+	secenc.XORKeyStreamBlock(pc.block, &pc.ctr, &pc.ks, plain[:], blob[16:])
 	return valuePair{
 		value: binary.BigEndian.Uint64(plain[0:8]),
 		posLo: binary.BigEndian.Uint64(plain[8:16]),
@@ -97,9 +105,10 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 	// I1: TDAG1 over the domain indexes the encrypted pairs.
 	tdag1 := cover.NewTDAG(c.dom)
 	auxPostings := make(map[cover.Node][][]byte)
+	pc := &pairCipher{block: c.pairBlock}
 	for _, p := range pairs {
 		for _, node := range tdag1.Cover(p.value) {
-			blob, err := sealPair(c.kPairs, p)
+			blob, err := pc.seal(p)
 			if err != nil {
 				return err
 			}
@@ -137,23 +146,14 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 	return nil
 }
 
-// trapdoorSRCiRound1 queries I1 with the SRC window of the value range,
-// for an index of the given suite.
-func (c *Client) trapdoorSRCiRound1(q Range, suite prf.Suite) (*Trapdoor, error) {
-	node, err := cover.NewTDAG(c.dom).SRC(q.Lo, q.Hi)
-	if err != nil {
-		return nil, err
-	}
-	return &Trapdoor{round: 1, Stags: nodeStags(nil, suite, c.kSSE, []cover.Node{node})}, nil
-}
-
-// mergePairs decrypts the round-1 pair blobs, keeps those whose value
-// satisfies the query, and merges their position ranges into the single
+// mergePairs decrypts range i's round-1 pair blobs, keeps those whose
+// value satisfies q, and merges their position ranges into the single
 // contiguous range for round 2. any is false when no value qualifies.
-func (c *Client) mergePairs(resp *Response, q Range) (posRange Range, any bool, err error) {
-	for _, group := range resp.Groups {
-		for _, blob := range group {
-			p, err := openPair(c.kPairs, blob)
+func (c *Client) mergePairs(plan *tokenPlan, resp *Response, i int, q Range) (posRange Range, any bool, err error) {
+	pc := &pairCipher{block: c.pairBlock}
+	for j := 0; j < plan.tokens(i); j++ {
+		for _, blob := range resp.Groups[plan.slot(i, j)] {
+			p, err := pc.open(blob)
 			if err != nil {
 				return Range{}, false, err
 			}
@@ -174,15 +174,4 @@ func (c *Client) mergePairs(resp *Response, q Range) (posRange Range, any bool, 
 		}
 	}
 	return posRange, any, nil
-}
-
-// trapdoorSRCiRound2 queries I2 with the SRC window of the merged
-// position range, for an index of the given suite — the one round 1's
-// Meta reported.
-func (c *Client) trapdoorSRCiRound2(posRange Range, posBits uint8, suite prf.Suite) (*Trapdoor, error) {
-	node, err := cover.NewTDAG(cover.Domain{Bits: posBits}).SRC(posRange.Lo, posRange.Hi)
-	if err != nil {
-		return nil, err
-	}
-	return &Trapdoor{round: 2, Stags: nodeStags(nil, suite, c.kSSE2, []cover.Node{node})}, nil
 }

@@ -1,5 +1,7 @@
 package core
 
+import "rsse/internal/cover"
+
 // TrapdoorCost reports the owner-side query cost for a range without
 // requiring an index: the number of tokens and the serialized query size
 // in bytes, after performing the real cryptographic work (cover
@@ -19,16 +21,17 @@ func (c *Client) TrapdoorCost(q Range) (tokens, bytes int, err error) {
 	if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
 		return 0, 0, err
 	}
-	t, err := c.deriveRound1(q, c.suite)
+	p, err := c.freshRound1([]Range{q}, c.suite)
 	if err != nil {
 		return 0, 0, err
 	}
-	tokens, bytes = t.Tokens(), t.Bytes()
+	tokens, bytes = p.trap.Tokens(), p.trap.Bytes()
 	if c.kind == LogarithmicSRCi {
-		t2, err := c.trapdoorSRCiRound2(q, c.dom.Bits, c.suite)
+		p2, err := cover.PlanBatchSRC(cover.NewTDAG(c.dom), []cover.Interval{{Lo: q.Lo, Hi: q.Hi}})
 		if err != nil {
 			return 0, 0, err
 		}
+		t2 := c.stagPlanFromNodes(p2, c.suite, c.kSSE2, 2).trap
 		tokens, bytes = tokens+t2.Tokens(), bytes+t2.Bytes()
 	}
 	return tokens, bytes, nil

@@ -14,7 +14,7 @@ import (
 
 // TestNodeStagsMatchKeywordPath pins the one stag function under every
 // suite, over binary-tree (BRC, URC) and TDAG nodes alike: the query's
-// node path (nodeStags) and build's keyword path (entriesFromPostings)
+// node path (the stagger's node) and build's keyword path (entriesFromPostings)
 // give the same stag for a node, and that stag is HMAC-SHA-512(k, label)
 // truncated to 32 bytes under suites 0 and 1 — the bytes every index of
 // those suites holds — and SHA-256(k ‖ level ‖ BE64(start)) under suite
@@ -54,7 +54,12 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 	}
 
 	for _, suite := range allSuites {
-		got := nodeStags(nil, suite, key, nodes)
+		got := make([]sse.Stag, len(nodes))
+		s := newStagger(suite, key)
+		for i, n := range nodes {
+			got[i] = s.node(n)
+		}
+		s.release()
 		for i, n := range nodes {
 			label := n.Label()
 			want := hmacSHA512(label[:])
@@ -62,7 +67,7 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 				want = sse.Stag(sha256.Sum256(append(key[:], label[:]...)))
 			}
 			if got[i] != want {
-				t.Fatalf("suite %v, node %v: nodeStags diverges from the suite's keyword PRF", suite, n)
+				t.Fatalf("suite %v, node %v: the query stag diverges from the suite's keyword PRF", suite, n)
 			}
 		}
 

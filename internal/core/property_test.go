@@ -201,7 +201,8 @@ func TestServerReturnsUnknownID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.filterMatches(context.Background(), &Index{store: &TupleStore{cts: empty}}, []ID{42}, Range{0, 10}); err == nil {
+	res := []*Result{{Raw: []ID{42}}}
+	if err := c.filter(context.Background(), &Index{store: &TupleStore{cts: empty}}, []Range{{0, 10}}, res, &BatchStats{}); err == nil {
 		t.Error("unknown id accepted by filter")
 	}
 }

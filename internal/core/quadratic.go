@@ -92,11 +92,3 @@ func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
 	x.primary = idx
 	return nil
 }
-
-// trapdoorQuadratic maps the query range to its single keyword token.
-func (c *Client) trapdoorQuadratic(q Range) (*Trapdoor, error) {
-	h := prf.GetHasher(c.kSSE)
-	stag := rangeStag(h, q)
-	prf.PutHasher(h)
-	return &Trapdoor{round: 1, Stags: []sse.Stag{stag}}, nil
-}

@@ -17,7 +17,10 @@ import (
 // (GC-evicted sync.Pool entries mid-run) passes, but losing the pooled
 // PRF hashers, GGM expanders or token arenas, or paying per cold leaf
 // for cache entries again, trips the guard instead of silently
-// regressing the perf trajectory.
+// regressing the perf trajectory. The Logarithmic-URC, -SRC and -SRC-i
+// rows sit about 10% above their counts on the one query protocol (33,
+// 23 and 29); parent records what each cost on the single-range rounds
+// it replaced, when SRC-i also scheduled an AES key per round-1 pair.
 func TestQueryPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard needs the full 10k-tuple workload")
@@ -29,9 +32,13 @@ func TestQueryPathAllocs(t *testing.T) {
 		name   string
 		kind   Kind
 		maxOps float64
+		parent float64 // 0: not recorded
 	}{
-		{"LogBRC", LogarithmicBRC, 90},
-		{"Constant", ConstantBRC, 460},
+		{"LogBRC", LogarithmicBRC, 90, 0},
+		{"Constant", ConstantBRC, 460, 0},
+		{"LogURC", LogarithmicURC, 36, 42},
+		{"LogSRC", LogarithmicSRC, 26, 29},
+		{"LogSRCi", LogarithmicSRCi, 32, 472},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			client, idx, ranges := benchSetup(t, tc.kind)
@@ -43,7 +50,7 @@ func TestQueryPathAllocs(t *testing.T) {
 				}
 				i++
 			})
-			t.Logf("%.0f objects/op (guard %.0f)", got, tc.maxOps)
+			t.Logf("%.0f objects/op (guard %.0f, single-range rounds %.0f)", got, tc.maxOps, tc.parent)
 			if got > tc.maxOps {
 				t.Errorf("query allocates %.0f objects/op, guard is %.0f — a pooling regression?", got, tc.maxOps)
 			}

@@ -52,16 +52,6 @@ func (s *stagger) release() {
 	}
 }
 
-// nodeStags appends the stag of every node to dst.
-func nodeStags(dst []sse.Stag, suite prf.Suite, key prf.Key, nodes []cover.Node) []sse.Stag {
-	s := newStagger(suite, key)
-	for _, n := range nodes {
-		dst = append(dst, s.node(n))
-	}
-	s.release()
-	return dst
-}
-
 // rangeStag returns the stag of Quadratic's keyword for subrange q under
 // h, a hasher keyed with kSSE by prf.GetHasher.
 func rangeStag(h *prf.Hasher, q Range) sse.Stag {

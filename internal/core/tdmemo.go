@@ -120,9 +120,11 @@ func (m *TrapdoorMemo) len() int {
 // SetTrapdoorMemo gives the client a private trapdoor memo of the given
 // capacity: up to capacity distinct ranges keep their derived
 // first-round trapdoors for replay. Zero or negative disables
-// memoization and drops any cached entries. Only single-query round-1
-// trapdoors are memoized; batch plans and the position-dependent
-// Logarithmic-SRC-i round 2 always derive fresh.
+// memoization and drops any cached entries. Only the round-1 trapdoors
+// of one-range queries (batches of one, which Query and Trapdoor run)
+// are memoized: a one-range plan is its trapdoor alone, so an entry is
+// no larger than the trapdoor. Batches of two or more ranges and the
+// position-dependent Logarithmic-SRC-i round 2 always derive fresh.
 func (c *Client) SetTrapdoorMemo(capacity int) {
 	c.tdMemo = NewTrapdoorMemo(capacity)
 }

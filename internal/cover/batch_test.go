@@ -2,6 +2,7 @@ package cover
 
 import (
 	mrand "math/rand"
+	"slices"
 	"testing"
 )
 
@@ -82,6 +83,37 @@ func TestPlanBatchSRC(t *testing.T) {
 	}
 	if p.Unique() >= len(ranges) {
 		t.Fatalf("no dedup happened: %d unique of %d", p.Unique(), len(ranges))
+	}
+}
+
+// TestPlanBatchOneInterval: a plan of one interval is that interval's
+// cover, node for node, with no per-range view.
+func TestPlanBatchOneInterval(t *testing.T) {
+	d := Domain{Bits: 12}
+	r := Interval{Lo: 5, Hi: 3000}
+	for _, tech := range []Technique{BRCTechnique, URCTechnique} {
+		want, err := Cover(d, r.Lo, r.Hi, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := PlanBatch(d, []Interval{r}, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.Nodes, want) || p.PerRange != nil || p.Total != len(want) {
+			t.Fatalf("%v: plan %+v, cover %v", tech, p, want)
+		}
+	}
+	want, err := NewTDAG(d).SRC(r.Lo, r.Hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PlanBatchSRC(NewTDAG(d), []Interval{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Nodes) != 1 || p.Nodes[0] != want || p.PerRange != nil || p.Total != 1 {
+		t.Fatalf("SRC plan %+v, window %v", p, want)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rsse/internal/core"
 	"rsse/internal/cover"
@@ -434,96 +435,79 @@ type QueryStats struct {
 // Query runs the range query against every active epoch and resolves
 // the operation history at the owner: the newest operation per
 // application id wins, tombstones drop their victims. Results carry
-// application ids, current values and payloads. Each epoch keeps its own
-// keys, so every per-epoch round runs under that epoch's client; the
-// fan-out aborts between rounds when ctx is done.
+// application ids, current values and payloads. It is QueryBatch on one
+// range.
 func (m *Manager) Query(ctx context.Context, q core.Range) ([]core.Tuple, QueryStats, error) {
-	var stats QueryStats
-	latest := make(map[core.ID]Op)
-	for _, lvl := range m.levels {
-		for _, e := range lvl {
-			stats.Indexes++
-			res, err := e.client.QueryServerContext(ctx, e.index, q)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Tokens += res.Stats.Tokens
-			stats.TokenBytes += res.Stats.TokenBytes
-			stats.Raw += res.Stats.Raw
-			stats.FalsePositives += res.Stats.FalsePositives
-			tuples, err := e.client.FetchTuples(ctx, e.index, res.Matches)
-			if err != nil {
-				return nil, stats, err
-			}
-			for _, t := range tuples {
-				op, err := decodeOp(t.Value, t.Payload)
-				if err != nil {
-					return nil, stats, err
-				}
-				if cur, ok := latest[op.ID]; !ok || op.seq > cur.seq {
-					latest[op.ID] = op
-				}
-			}
-		}
+	out, stats, err := m.QueryBatch(ctx, []core.Range{q})
+	if err != nil {
+		return nil, stats, err
 	}
-	var out []core.Tuple
-	for _, op := range latest {
-		if op.Kind != OpInsert {
-			continue
-		}
-		out = append(out, core.Tuple{ID: op.ID, Value: op.Value, Payload: op.Payload})
-	}
-	return out, stats, nil
+	return out[0], stats, nil
 }
 
 // QueryBatch answers several ranges against every active epoch with one
 // batched sub-query per epoch: each epoch's covers are deduplicated
 // across the whole batch, so the per-epoch round cost — the multiplier
 // an LSM pays on every query — is paid once per unique cover node
-// instead of once per range. Results are per input range, in input
+// instead of once per range. Each epoch keeps its own keys, so every
+// per-epoch round runs under that epoch's client; the fan-out aborts
+// between rounds when ctx is done. Results are per input range, in input
 // order.
 func (m *Manager) QueryBatch(ctx context.Context, qs []core.Range) ([][]core.Tuple, QueryStats, error) {
 	var stats QueryStats
+	// latest[i] holds range i's newest operation per application id.
 	latest := make([]map[core.ID]Op, len(qs))
 	for i := range latest {
 		latest[i] = make(map[core.ID]Op)
 	}
+	// br, ids and ops are reused across epochs: ids holds an epoch's
+	// matched store ids and ops[k] the operation stored under ids[k].
+	var (
+		br  core.BatchResult
+		ids []core.ID
+		ops []Op
+	)
 	for _, lvl := range m.levels {
 		for _, e := range lvl {
 			stats.Indexes++
-			br, err := e.client.QueryBatchContext(ctx, e.index, qs)
-			if err != nil {
+			if err := e.client.QueryBatchInto(ctx, e.index, qs, &br); err != nil {
 				return nil, stats, err
 			}
 			stats.Tokens += br.Stats.UniqueTokens
 			stats.TokenBytes += br.Stats.TokenBytes
-			// The shared covers return the same store ids for several
-			// ranges; fetch and decode each id once per epoch, all of them
-			// in one fetch round.
-			ops := make(map[core.ID]Op)
-			var distinct []core.ID
+			ids = ids[:0]
 			for _, res := range br.Results {
 				stats.Raw += res.Stats.Raw
 				stats.FalsePositives += res.Stats.FalsePositives
-				for _, storeID := range res.Matches {
-					if _, dup := ops[storeID]; !dup {
-						ops[storeID] = Op{}
-						distinct = append(distinct, storeID)
-					}
-				}
+				ids = append(ids, res.Matches...)
 			}
-			tuples, err := e.client.FetchTuples(ctx, e.index, distinct)
+			// One range's matches are distinct already. The shared covers
+			// of a batch return the same store ids for several ranges, so
+			// a batch fetches and decodes each id once per epoch (sorted),
+			// all of them in one fetch round.
+			if len(qs) > 1 {
+				slices.Sort(ids)
+				ids = slices.Compact(ids)
+			}
+			tuples, err := e.client.FetchTuples(ctx, e.index, ids)
 			if err != nil {
 				return nil, stats, err
 			}
+			ops = slices.Grow(ops[:0], len(tuples))
 			for _, t := range tuples {
-				if ops[t.ID], err = decodeOp(t.Value, t.Payload); err != nil {
+				op, err := decodeOp(t.Value, t.Payload)
+				if err != nil {
 					return nil, stats, err
 				}
+				ops = append(ops, op)
 			}
 			for i, res := range br.Results {
-				for _, storeID := range res.Matches {
-					op := ops[storeID]
+				for j, storeID := range res.Matches {
+					k := j // storeID's position in ids
+					if len(qs) > 1 {
+						k, _ = slices.BinarySearch(ids, storeID)
+					}
+					op := ops[k]
 					if cur, dup := latest[i][op.ID]; !dup || op.seq > cur.seq {
 						latest[i][op.ID] = op
 					}
@@ -534,10 +518,9 @@ func (m *Manager) QueryBatch(ctx context.Context, qs []core.Range) ([][]core.Tup
 	out := make([][]core.Tuple, len(qs))
 	for i, l := range latest {
 		for _, op := range l {
-			if op.Kind != OpInsert {
-				continue
+			if op.Kind == OpInsert {
+				out[i] = append(out[i], core.Tuple{ID: op.ID, Value: op.Value, Payload: op.Payload})
 			}
-			out[i] = append(out[i], core.Tuple{ID: op.ID, Value: op.Value, Payload: op.Payload})
 		}
 	}
 	return out, stats, nil

@@ -162,24 +162,6 @@ func DecryptCBCFirstBlock(block cipher.Block, dst *[aes.BlockSize]byte, cipherte
 	return len(plain), err
 }
 
-// XORKeyStreamCTR encrypts (or decrypts — CTR is an involution) src in
-// place-free fashion with AES-128-CTR under k and the given 16-byte nonce.
-// It is used for fixed-width index cells where each (key, nonce) pair is
-// used at most once by construction.
-//
-// The counter walk is XORKeyStreamBlock's: cells are a few blocks long,
-// and a cipher.Stream would allocate a keystream buffer many times their
-// size per call. A caller encrypting many cells under one key schedules
-// it once (NewBlock) and calls XORKeyStreamBlock itself, as index
-// builds do.
-func XORKeyStreamCTR(k Key, nonce [aes.BlockSize]byte, src []byte) []byte {
-	dst := make([]byte, len(src))
-	// One object for both blocks: what an interface call is handed escapes.
-	st := &struct{ ctr, ks [aes.BlockSize]byte }{ctr: nonce}
-	XORKeyStreamBlock(NewBlock(k), &st.ctr, &st.ks, dst, src)
-	return dst
-}
-
 // XORKeyStreamBlock is the one AES-CTR counter walk: it sets dst to src
 // XOR the keystream of block from counter ctr, crypto/cipher's CTR byte
 // for byte (ctr is one 128-bit big-endian counter). ctr and ks are the

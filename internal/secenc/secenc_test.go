@@ -112,11 +112,19 @@ func TestUnpadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// xorCTR runs the CTR walk from nonce into a fresh output.
+func xorCTR(block cipher.Block, nonce [aes.BlockSize]byte, src []byte) []byte {
+	dst := make([]byte, len(src))
+	var ks [aes.BlockSize]byte
+	XORKeyStreamBlock(block, &nonce, &ks, dst, src)
+	return dst
+}
+
 func TestCTRInvolution(t *testing.T) {
-	k := testKey(t, 7)
+	block := NewBlock(testKey(t, 7))
 	f := func(nonce [16]byte, data []byte) bool {
-		ct := XORKeyStreamCTR(k, nonce, data)
-		back := XORKeyStreamCTR(k, nonce, ct)
+		ct := xorCTR(block, nonce, data)
+		back := xorCTR(block, nonce, ct)
 		return bytes.Equal(back, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -124,7 +132,7 @@ func TestCTRInvolution(t *testing.T) {
 	}
 }
 
-// TestCTRMatchesStdlib pins XORKeyStreamCTR to crypto/cipher's CTR over
+// TestCTRMatchesStdlib pins XORKeyStreamBlock to crypto/cipher's CTR over
 // every length up to several blocks, for nonces whose counter carries
 // across byte, 64-bit and 128-bit boundaries — the cells every index
 // already holds were written by the stdlib's stream.
@@ -146,7 +154,7 @@ func TestCTRMatchesStdlib(t *testing.T) {
 		for n := 0; n <= len(src); n++ {
 			want := make([]byte, n)
 			cipher.NewCTR(block, nonce[:]).XORKeyStream(want, src[:n])
-			if got := XORKeyStreamCTR(k, nonce, src[:n]); !bytes.Equal(got, want) {
+			if got := xorCTR(block, nonce, src[:n]); !bytes.Equal(got, want) {
 				t.Fatalf("nonce % x, %d bytes: differs from crypto/cipher's CTR", nonce, n)
 			}
 		}
@@ -154,23 +162,25 @@ func TestCTRMatchesStdlib(t *testing.T) {
 	f := func(nonce [16]byte, data []byte) bool {
 		want := make([]byte, len(data))
 		cipher.NewCTR(block, nonce[:]).XORKeyStream(want, data)
-		return bytes.Equal(XORKeyStreamCTR(k, nonce, data), want)
+		return bytes.Equal(xorCTR(block, nonce, data), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	// The output, the key schedule and one counter/keystream pair,
-	// whatever the length: no stream and its buffer.
-	if got := testing.AllocsPerRun(100, func() { XORKeyStreamCTR(k, nonces[0], src) }); got > 3 {
-		t.Errorf("XORKeyStreamCTR allocates %.0f objects/op, want at most 3", got)
+	// Into the caller's output and scratch, whatever the length: no
+	// stream and its buffer.
+	sc := &struct{ ctr, ks [aes.BlockSize]byte }{}
+	dst := make([]byte, len(src))
+	if got := testing.AllocsPerRun(100, func() { XORKeyStreamBlock(block, &sc.ctr, &sc.ks, dst, src) }); got > 0 {
+		t.Errorf("XORKeyStreamBlock allocates %.0f objects/op, want 0", got)
 	}
 }
 
 func TestCTRDistinctNonces(t *testing.T) {
-	k := testKey(t, 8)
+	block := NewBlock(testKey(t, 8))
 	plain := bytes.Repeat([]byte{0}, 32)
-	a := XORKeyStreamCTR(k, NonceFromUint64(1), plain)
-	b := XORKeyStreamCTR(k, NonceFromUint64(2), plain)
+	a := xorCTR(block, NonceFromUint64(1), plain)
+	b := xorCTR(block, NonceFromUint64(2), plain)
 	if bytes.Equal(a, b) {
 		t.Error("distinct nonces produced identical keystreams")
 	}

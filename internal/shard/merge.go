@@ -2,32 +2,18 @@ package shard
 
 import "rsse/internal/core"
 
-// Merge folds per-shard query outcomes into one result, exactly as if a
-// single index had answered the whole range. Shards partition the value
-// domain, so match sets are disjoint and concatenation (in ascending
-// shard order — the outcomes' order) is the correct union.
+// MergeInto folds one shard's sub-result into an accumulating result,
+// exactly as if a single index had answered the whole range. Shards
+// partition the value domain, so match sets are disjoint and
+// concatenation (in ascending shard order) is the correct union.
 //
 // Stats aggregate as: token/response/match counters sum; Rounds is the
 // maximum over shards (rounds overlap in time); Groups and TokenLevels
 // concatenate (the structural leakage of the whole scatter); ServerTime
 // and OwnerTime sum, giving total work rather than wall clock — the
 // executor overlaps shards, so wall clock is roughly the slowest shard.
-// Outcomes with no result (failed or cancelled shards) contribute
-// nothing; callers choosing the Partial policy surface them separately.
-func Merge(outcomes []Outcome[Task, *core.Result]) *core.Result {
-	merged := &core.Result{}
-	for _, o := range outcomes {
-		if o.Res == nil {
-			continue
-		}
-		MergeInto(merged, o.Res)
-	}
-	return merged
-}
-
-// MergeInto folds one shard's sub-result into an accumulating result,
-// with Merge's stat semantics. The batched query path uses it to merge
-// each input range's per-shard slices individually.
+// A failed or cancelled shard has no sub-result to fold; callers choosing
+// the Partial policy surface it separately.
 func MergeInto(dst, r *core.Result) {
 	dst.Matches = append(dst.Matches, r.Matches...)
 	dst.Raw = append(dst.Raw, r.Raw...)

@@ -12,8 +12,8 @@
 //
 // The package provides the pieces in layers: Map (who owns which values),
 // Map.Split (the query planner), Executor (the bounded scatter-gather
-// engine with cancellation and error policies), Merge (result and stats
-// aggregation), ClientKey (per-shard key derivation) and Manifest (the
+// engine with cancellation and error policies), MergeInto (result and
+// stats aggregation), ClientKey (per-shard key derivation) and Manifest (the
 // serializable cluster topology the CLIs and remote dialers exchange).
 package shard
 

@@ -307,7 +307,12 @@ func TestExecutorPartialCollects(t *testing.T) {
 	if out[0].Err != nil || out[2].Err != nil || !errors.Is(out[1].Err, boom) {
 		t.Fatalf("outcomes %+v", out)
 	}
-	merged := Merge(out)
+	merged := &core.Result{}
+	for _, o := range out {
+		if o.Res != nil {
+			MergeInto(merged, o.Res)
+		}
+	}
 	if len(merged.Matches) != 2 {
 		t.Fatalf("merged matches %v", merged.Matches)
 	}
@@ -370,7 +375,12 @@ func TestMergeAggregatesStats(t *testing.T) {
 				Matches: 1, Groups: []int{1}, ResponseItems: 2},
 		}},
 	}
-	m := Merge(outcomes)
+	m := &core.Result{}
+	for _, o := range outcomes {
+		if o.Res != nil {
+			MergeInto(m, o.Res)
+		}
+	}
 	if len(m.Matches) != 3 || len(m.Raw) != 4 {
 		t.Fatalf("merged sets: %v / %v", m.Matches, m.Raw)
 	}

@@ -201,7 +201,7 @@ func (s *cellSearcher) alloc(n int) []byte {
 }
 
 // decrypt CTR-decrypts the cell encrypted under counter ctr into a
-// fresh arena region: secenc.XORKeyStreamCTR with
+// fresh arena region: secenc.XORKeyStreamBlock from
 // secenc.NonceFromUint64(ctr), on the searcher's cached cell cipher and
 // scratch.
 func (s *cellSearcher) decrypt(ctr uint64, src []byte) []byte {

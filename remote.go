@@ -239,18 +239,7 @@ func dialClusterNet(network, defaultAddr string, man ClusterManifest, masterKey 
 	if err != nil {
 		return nil, err
 	}
-	dial := transport.Dial
-	if cfg.connWrap != nil {
-		wrap := cfg.connWrap
-		dial = func(network, addr string) (*transport.Conn, error) {
-			nc, err := net.Dial(network, addr)
-			if err != nil {
-				return nil, err
-			}
-			return transport.NewConn(wrap(nc)), nil
-		}
-	}
-	return finishDialCluster(c, cfg, man, transport.NewPoolFunc(network, dial), defaultAddr)
+	return finishDialCluster(c, cfg, man, transport.NewPoolFunc(network, wrappedDial(cfg.connWrap)), defaultAddr)
 }
 
 // dialCluster resolves every shard through the pool — shared with tests,

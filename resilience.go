@@ -59,6 +59,21 @@ func WithConnWrapper(wrap func(net.Conn) net.Conn) DialOption {
 	}
 }
 
+// wrappedDial dials like transport.Dial, passing every new connection
+// through wrap (when non-nil) before the transport takes over.
+func wrappedDial(wrap func(net.Conn) net.Conn) func(network, addr string) (*transport.Conn, error) {
+	if wrap == nil {
+		return transport.Dial
+	}
+	return func(network, addr string) (*transport.Conn, error) {
+		nc, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return transport.NewConn(wrap(nc)), nil
+	}
+}
+
 // DialIndexWith is DialIndex with connection-level options. Without
 // options it behaves exactly like DialIndex: one connection, no
 // retries, transport failures surface to the caller as ErrConnDead.
@@ -69,17 +84,7 @@ func DialIndexWith(network, addr, name string, opts ...DialOption) (*RemoteIndex
 			return nil, err
 		}
 	}
-	dial := transport.Dial
-	if cfg.connWrap != nil {
-		wrap := cfg.connWrap
-		dial = func(network, addr string) (*transport.Conn, error) {
-			nc, err := net.Dial(network, addr)
-			if err != nil {
-				return nil, err
-			}
-			return transport.NewConn(wrap(nc)), nil
-		}
-	}
+	dial := wrappedDial(cfg.connWrap)
 	if cfg.retry == nil {
 		c, err := dial(network, addr)
 		if err != nil {
