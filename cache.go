@@ -24,11 +24,12 @@ var ErrNotCached = errors.New("rsse: intersecting query not covered by cached an
 // the server zero times. An intersecting query that is not fully covered
 // fails with ErrNotCached — by design, it must never reach the server.
 //
-// A CachedClient is safe for concurrent use (unlike the bare Client it
-// wraps): it sits in front of concurrent callers — a scatter-gather
-// executor, a request fan-in — and serializes cache inspection, the
-// wrapped client's query, and cache fill as one atomic step, so the
-// non-intersection guarantee holds under concurrency too.
+// A CachedClient is safe for concurrent use, like the Client it wraps:
+// it sits in front of concurrent callers — a scatter-gather executor, a
+// request fan-in — and serializes cache inspection, the wrapped client's
+// query, and cache fill as one atomic step, so a caller whose range an
+// in-flight query will cover waits for it and is answered from the
+// cache instead of being refused as intersecting.
 type CachedClient struct {
 	client *Client
 
@@ -134,11 +135,12 @@ func (cc *CachedClient) localResult(q Range) *Result {
 
 // warm caches the decrypted values of newly matched ids and extends the
 // covered-range set — the caller must hold cc.mu. Values already cached
-// are not re-fetched. The cache commits atomically: a fetch failure (or
-// ctx expiry) mid-warm leaves every invariant intact — in particular
-// byVal stays sorted, which lookup's binary searches depend on.
+// are not re-fetched; the rest arrive in one chunked fetch round. The
+// cache commits atomically: a fetch failure (or ctx expiry) leaves every
+// invariant intact — in particular byVal stays sorted, which lookup's
+// binary searches depend on.
 func (cc *CachedClient) warm(ctx context.Context, index *Index, ids []ID, ranges ...Range) error {
-	var staged []cachedTuple
+	var missing []ID
 	seen := make(map[ID]struct{}, len(ids))
 	for _, id := range ids {
 		if _, ok := cc.values[id]; ok {
@@ -148,19 +150,16 @@ func (cc *CachedClient) warm(ctx context.Context, index *Index, ids []ID, ranges
 			continue
 		}
 		seen[id] = struct{}{}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tup, err := cc.client.FetchTuple(index, id)
-		if err != nil {
-			return err
-		}
-		staged = append(staged, cachedTuple{value: tup.Value, id: id})
+		missing = append(missing, id)
 	}
-	for _, ct := range staged {
-		cc.values[ct.id] = ct.value
+	tuples, err := cc.client.inner.FetchTuples(ctx, index, missing)
+	if err != nil {
+		return err
 	}
-	cc.byVal = append(cc.byVal, staged...)
+	for _, t := range tuples {
+		cc.values[t.ID] = t.Value
+		cc.byVal = append(cc.byVal, cachedTuple{value: t.Value, id: t.ID})
+	}
 	sort.Slice(cc.byVal, func(i, j int) bool { return cc.byVal[i].value < cc.byVal[j].value })
 	cc.ranges = mergeRanges(append(cc.ranges, ranges...))
 	return nil

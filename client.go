@@ -11,9 +11,12 @@ import (
 // secret keys, builds encrypted indexes and runs query protocols. The
 // zero value is not usable; construct with NewClient.
 //
-// A Client is not safe for concurrent use (the Constant schemes maintain
-// query history; token permutation shares a PRNG). Build one client per
-// goroutine or serialize access.
+// A Client is safe for concurrent use: one client per key serves every
+// goroutine. Its only mutable state — the randomness that permutes each
+// trapdoor and, for the Constant schemes, the history of issued ranges —
+// sits behind one lock. A Constant query reserves its ranges in the
+// history before it runs and releases them if it fails, so of two
+// concurrent intersecting queries exactly one proceeds.
 type Client struct {
 	inner *core.Client
 }

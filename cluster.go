@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 
 	"rsse/internal/core"
 	"rsse/internal/cover"
@@ -28,15 +27,14 @@ import (
 // scope per key — a compromised shard key exposes only that shard's
 // slice of the domain.
 //
-// A Cluster is safe for concurrent use: each shard's owner-side state is
-// serialized internally, and concurrent queries over different shards
-// proceed in parallel.
+// A Cluster is safe for concurrent use: its shard clients are, so
+// concurrent queries run in parallel on every shard, the same shard
+// included.
 type Cluster struct {
 	kind    Kind
 	m       shard.Map
 	master  prf.Key
 	clients []*core.Client
-	mus     []sync.Mutex // one per shard: core.Client is not concurrent-safe
 	targets []core.Server
 	indexes []*Index // local clusters only; nil entries when remote
 	exec    shard.Executor
@@ -174,7 +172,6 @@ func newCluster(kind Kind, m shard.Map, master prf.Key, cfg clusterConfig) (*Clu
 		m:       m,
 		master:  master,
 		clients: make([]*core.Client, m.K()),
-		mus:     make([]sync.Mutex, m.K()),
 		targets: make([]core.Server, m.K()),
 		indexes: make([]*Index, m.K()),
 		exec:    shard.Executor{Workers: cfg.workers, Policy: cfg.policy},
@@ -286,8 +283,8 @@ func OpenCluster(man ClusterManifest, masterKey []byte, open func(shardIndex int
 
 // clusterFromManifest builds the owner-side cluster state (map, derived
 // clients) described by a manifest, leaving the shard targets unset.
-// The resolved config rides along for callers (dialCluster) that need
-// the connection-level options.
+// The resolved config rides along for callers (dialClusterNet) that
+// need the connection-level options.
 func clusterFromManifest(man ClusterManifest, masterKey []byte, opts []ClusterOption) (*Cluster, clusterConfig, error) {
 	kind, err := man.KindValue()
 	if err != nil {
@@ -361,10 +358,8 @@ func (c *Cluster) ShardIndex(i int) *Index { return c.indexes[i] }
 // ResetHistory clears the Constant schemes' intersecting-query guard on
 // every shard client.
 func (c *Cluster) ResetHistory() {
-	for i, cl := range c.clients {
-		c.mus[i].Lock()
+	for _, cl := range c.clients {
 		cl.ResetHistory()
-		c.mus[i].Unlock()
 	}
 }
 
@@ -574,11 +569,6 @@ func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[
 	}
 	return shard.Run(ctx, c.exec, c.m.SplitBatch(ranges),
 		func(ctx context.Context, t shard.BatchTask) (*core.BatchResult, error) {
-			c.mus[t.Shard].Lock()
-			defer c.mus[t.Shard].Unlock()
-			if err := ctx.Err(); err != nil {
-				return nil, err // cancelled while waiting on the shard's turn
-			}
 			return c.clients[t.Shard].QueryBatchContext(ctx, c.targets[t.Shard], t.Ranges)
 		})
 }
@@ -591,16 +581,12 @@ func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[
 func (c *Cluster) FetchTuple(id ID) (Tuple, error) {
 	var firstErr error
 	for i := range c.clients {
-		c.mus[i].Lock()
 		ct, ok, err := c.targets[i].Fetch(id)
 		if err == nil && ok {
 			// Present on this shard: decrypt the probed ciphertext under
 			// its client's keys (no second fetch).
-			tup, err := c.clients[i].OpenTuple(id, ct)
-			c.mus[i].Unlock()
-			return tup, err
+			return c.clients[i].OpenTuple(id, ct)
 		}
-		c.mus[i].Unlock()
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("rsse: fetching tuple %d from shard %d: %w", id, i, err)
 		}

@@ -32,9 +32,8 @@ func (h *hangFirstSearch) SearchContext(ctx context.Context, t *core.Trapdoor) (
 }
 
 // TestClusterQueryContextReleasesShard checks that a query abandoned at
-// its deadline stops its shard sub-query too: the shard's lock is held
-// for the sub-query's round trip, so a sub-query that outlived its
-// caller would time out every later query to that shard.
+// its deadline stops its shard sub-query too, and that the shard keeps
+// answering later queries.
 func TestClusterQueryContextReleasesShard(t *testing.T) {
 	c, err := BuildCluster(LogarithmicBRC, 10, 2, clusterTestTuples(200, 10, 81))
 	if err != nil {

@@ -21,7 +21,7 @@
 //	rsse-load ... -scale 0.2
 //
 // Drive a sharded cluster instead of a single index by passing the
-// cluster manifest; each session is its own cluster dial:
+// cluster manifest; each session dials the cluster once:
 //
 //	rsse-load -addr 127.0.0.1:7070 -manifest users.cluster.json \
 //	    -keyfile cluster.key -workloads hotspot
@@ -65,7 +65,7 @@ func main() {
 		manifest   = flag.String("manifest", "", "cluster manifest: drive the whole cluster instead of one index")
 		writeName  = flag.String("writable-name", rsse.DefaultDynamicName, "writable-store name for write_fraction ops (rsse-server -writable)")
 		opsAddr    = flag.String("ops-addr", "", "server ops address (rsse-server -ops): scrape /metrics before and after the run and embed the delta in the report")
-		tdMemo     = flag.Int("td-memo", 16384, "per-session shared trapdoor memo capacity (0 derives every trapdoor fresh)")
+		tdMemo     = flag.Int("td-memo", 16384, "per-session trapdoor memo capacity (0 derives every trapdoor fresh)")
 		faultPath  = flag.String("fault", "", "JSON fault plan (internal/fault.Plan): wrap every load connection in deterministic fault injection")
 		retry      = flag.Int("retry", 0, "resilient sessions: attempts per idempotent read op (0 disables redial/retry)")
 		opTimeout  = flag.Duration("op-timeout", 0, "per-attempt deadline of resilient reads (0: none; required to recover black-holed connections)")
@@ -288,9 +288,9 @@ func drive(ctx context.Context, e *env, addr string, spec *workload.Spec) (*work
 		Bits: e.bits,
 		NewSession: func() (workload.Session, error) {
 			if e.manifest != "" {
-				return newClusterSession(e, addr, spec.InFlight)
+				return newClusterSession(e, addr)
 			}
-			return newNodeSession(e, addr, spec.InFlight, spec.WriteFraction > 0)
+			return newNodeSession(e, addr, spec.WriteFraction > 0)
 		},
 		OnPhase: func(p workload.PhaseReport) {
 			fmt.Fprintf(os.Stderr, "  %-10s %9.1f qps  p99 %8.0fµs  err %d  shed %d\n",
@@ -310,14 +310,15 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-// nodeSession is one multiplexed connection to a single served index.
-// The wire Conn is safe for concurrent use but an owner Client is not,
-// so the session keeps a pool of clients, one per in-flight slot. With
+// nodeSession is one multiplexed connection to a single served index
+// and one owner Client, both shared by every in-flight slot of the
+// session: the connection and the client are safe for concurrent use.
+// The client allows intersecting queries, so it keeps no history. With
 // writes enabled the session also dials the update namespace on the
 // same address (RemoteDynamic is safe for concurrent use as-is).
 type nodeSession struct {
-	remote  *rsse.RemoteIndex
-	clients chan *rsse.Client
+	remote *rsse.RemoteIndex
+	client *rsse.Client
 
 	// The write path is deliberately NOT resilient: an errored update's
 	// fate is unknown (it may have reached the WAL before the connection
@@ -330,7 +331,7 @@ type nodeSession struct {
 	dynDial func() (*rsse.RemoteDynamic, error)
 }
 
-func newNodeSession(e *env, addr string, inflight int, writes bool) (*nodeSession, error) {
+func newNodeSession(e *env, addr string, writes bool) (*nodeSession, error) {
 	var dialOpts []rsse.DialOption
 	if e.injector != nil {
 		dialOpts = append(dialOpts, rsse.WithConnWrapper(e.injector.Wrap))
@@ -342,7 +343,14 @@ func newNodeSession(e *env, addr string, inflight int, writes bool) (*nodeSessio
 	if err != nil {
 		return nil, err
 	}
-	s := &nodeSession{remote: remote, clients: make(chan *rsse.Client, inflight)}
+	client, err := rsse.NewClient(e.kind, e.bits,
+		rsse.WithMasterKey(e.key), rsse.AllowIntersectingQueries(),
+		rsse.WithTrapdoorMemo(e.tdMemo))
+	if err != nil {
+		remote.Close()
+		return nil, err
+	}
+	s := &nodeSession{remote: remote, client: client}
 	if writes {
 		s.dynDial = func() (*rsse.RemoteDynamic, error) {
 			return rsse.DialDynamic("tcp", addr, e.writableName)
@@ -362,19 +370,6 @@ func newNodeSession(e *env, addr string, inflight int, writes bool) (*nodeSessio
 			return nil, fmt.Errorf("write path (is the server running with -writable?): %w", err)
 		}
 	}
-	// One memo for the whole session: all slot clients hold the same key,
-	// so a range derived by one slot replays for every other.
-	memo := rsse.NewTrapdoorMemo(e.tdMemo)
-	for i := 0; i < inflight; i++ {
-		c, err := rsse.NewClient(e.kind, e.bits,
-			rsse.WithMasterKey(e.key), rsse.AllowIntersectingQueries(),
-			rsse.WithSharedTrapdoorMemo(memo))
-		if err != nil {
-			remote.Close()
-			return nil, err
-		}
-		s.clients <- c
-	}
 	return s, nil
 }
 
@@ -384,21 +379,14 @@ func (s *nodeSession) Do(ctx context.Context, op *workload.Op) (workload.Metrics
 		// harness measures (acknowledged per the server's fsync policy).
 		return workload.Metrics{}, s.write(w)
 	}
-	c := <-s.clients
-	defer func() {
-		// The Constant schemes log every issued range; a load run would
-		// grow that history without bound.
-		c.ResetHistory()
-		s.clients <- c
-	}()
 	if len(op.Ranges) == 1 {
-		res, err := c.QueryRemoteContext(ctx, s.remote, op.Ranges[0])
+		res, err := s.client.QueryRemoteContext(ctx, s.remote, op.Ranges[0])
 		if err != nil {
 			return workload.Metrics{}, err
 		}
 		return queryMetrics(res.Stats), nil
 	}
-	br, err := c.QueryBatchRemoteContext(ctx, s.remote, op.Ranges)
+	br, err := s.client.QueryBatchRemoteContext(ctx, s.remote, op.Ranges)
 	if err != nil {
 		return workload.Metrics{}, err
 	}
@@ -464,65 +452,49 @@ func (s *nodeSession) Close() error {
 	return s.remote.Close()
 }
 
-// clusterSession drives a whole sharded cluster. A Cluster is not safe
-// for concurrent queries (the shard owners share state), so like
-// nodeSession it pools one dialled cluster per in-flight slot.
+// clusterSession drives a whole sharded cluster through one dialled
+// Cluster, shared by every in-flight slot of the session: a Cluster is
+// safe for concurrent use. Like a node session's client, its shard
+// clients allow intersecting queries, so they keep no history.
 type clusterSession struct {
-	clusters chan *rsse.Cluster
-	all      []*rsse.Cluster
+	cl *rsse.Cluster
 }
 
-func newClusterSession(e *env, addr string, inflight int) (*clusterSession, error) {
-	var clOpts []rsse.ClusterOption
+func newClusterSession(e *env, addr string) (*clusterSession, error) {
+	clOpts := []rsse.ClusterOption{rsse.WithShardOptions(rsse.AllowIntersectingQueries())}
 	if e.injector != nil {
 		clOpts = append(clOpts, rsse.WithShardConnWrapper(e.injector.Wrap))
 	}
 	if e.retry != nil {
 		clOpts = append(clOpts, rsse.WithShardRetry(*e.retry), rsse.WithPartialResults())
 	}
-	s := &clusterSession{clusters: make(chan *rsse.Cluster, inflight)}
-	for i := 0; i < inflight; i++ {
-		cl, err := rsse.DialCluster("tcp", addr, e.man, e.key, clOpts...)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.all = append(s.all, cl)
-		s.clusters <- cl
+	cl, err := rsse.DialCluster("tcp", addr, e.man, e.key, clOpts...)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &clusterSession{cl: cl}, nil
 }
 
 func (s *clusterSession) Do(ctx context.Context, op *workload.Op) (workload.Metrics, error) {
-	cl := <-s.clusters
-	defer func() {
-		cl.ResetHistory()
-		s.clusters <- cl
-	}()
 	if op.Write != nil {
 		return workload.Metrics{}, fmt.Errorf("write ops are not supported against a cluster")
 	}
 	if len(op.Ranges) == 1 {
-		res, err := cl.QueryContext(ctx, op.Ranges[0])
+		res, err := s.cl.QueryContext(ctx, op.Ranges[0])
 		if err != nil {
 			return workload.Metrics{}, err
 		}
 		return queryMetrics(res.Stats), nil
 	}
 	// One batched scatter: one search frame per round per intersected shard.
-	br, err := cl.QueryBatchContext(ctx, op.Ranges)
+	br, err := s.cl.QueryBatchContext(ctx, op.Ranges)
 	if err != nil {
 		return workload.Metrics{}, err
 	}
 	return batchMetrics(br.Stats, br.Results), nil
 }
 
-func (s *clusterSession) Close() error {
-	for _, cl := range s.all {
-		cl.Close()
-	}
-	return nil
-}
+func (s *clusterSession) Close() error { return s.cl.Close() }
 
 // stopProfiles finalizes the -cpuprofile output; fatal exits route
 // through it so a failed run still leaves a valid profile.

@@ -224,6 +224,47 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 	}
 }
 
+// TestShardedDynamicSeededShardsQueryConcurrently: WithSeed on a durable
+// sharded store gives every shard a shuffle source of its own. The
+// shards of one query run concurrently, and each epoch client draws its
+// trapdoor permutations from its source, so a source shared across
+// shards is a data race under -race.
+func TestShardedDynamicSeededShardsQueryConcurrently(t *testing.T) {
+	const bits = 12
+	d, err := rsse.OpenShardedDynamic(t.TempDir(), rsse.LogarithmicBRC, bits, 4, 2, rsse.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var inserted []rsse.Tuple
+	for i := 0; i < 400; i++ {
+		tup := rsse.Tuple{ID: uint64(i + 1), Value: uint64(i*37) % (1 << bits)}
+		if err := d.Insert(tup.ID, tup.Value, nil); err != nil {
+			t.Fatal(err)
+		}
+		inserted = append(inserted, tup)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := rsse.Range{Lo: 100, Hi: 4000}
+	want := 0
+	for _, tup := range inserted {
+		if q.Contains(tup.Value) {
+			want++
+		}
+	}
+	for i := 0; i < 50; i++ {
+		got, _, err := d.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != want {
+			t.Fatalf("query %d: %d tuples, want %d", i, len(got), want)
+		}
+	}
+}
+
 // TestCrossShardModifyCrashNeverResurrects is the regression test for
 // the cross-shard modify ordering: the tombstone is durably logged on
 // the old shard BEFORE the insertion is logged on the new one, so a

@@ -434,16 +434,18 @@ func OpenShardedDynamic(dir string, kind Kind, domainBits uint8, shards, consoli
 	if err != nil {
 		return nil, err
 	}
-	lowered, err := cfg.lower()
-	if err != nil {
-		return nil, err
-	}
 	syncEvery := cfg.syncEvery
 	if syncEvery == 0 {
 		syncEvery = 1
 	}
 	d := &ShardedDynamic{m: m, stores: make([]*Dynamic, m.K())}
 	for i := range d.stores {
+		// Lowered per shard: shards query concurrently, so each needs a
+		// shuffle source of its own (see core.Options.Rand).
+		lowered, err := cfg.lower()
+		if err != nil {
+			return nil, err
+		}
 		shardMaster := prf.DeriveN(master, "cluster/dynamic", uint64(i))
 		inner, err := lsm.OpenManager(filepath.Join(dir, shardDirName(i)), kind, dom, consolidationStep, shardMaster, lowered, syncEvery)
 		if err != nil {

@@ -209,7 +209,9 @@ func (c *Client) permutation(n int, perRange [][]int) []int {
 	if n <= 1 {
 		return oneSlot[:n]
 	}
+	c.mu.Lock()
 	slot := c.rnd.Perm(n)
+	c.mu.Unlock()
 	for _, idxs := range perRange {
 		for j, u := range idxs {
 			idxs[j] = slot[u]
@@ -341,7 +343,7 @@ func (c *Client) QueryBatch(s Server, ranges []Range) (*BatchResult, error) {
 // answer each range as a sequential Query loop would: the same matches
 // and the same raw id sets. For the Constant schemes every range in the
 // batch must be non-intersecting — with the other batch ranges and with
-// history — and the batch is recorded in history only if it succeeds.
+// history — and the batch stays in history only if it succeeds.
 func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range) (*BatchResult, error) {
 	br := &BatchResult{}
 	if err := c.QueryBatchInto(ctx, s, ranges, br); err != nil {
@@ -359,7 +361,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 // single query is a batch of one. A batch of one credits its one result
 // with the whole exchange: its response items and its server and owner
 // time, which a larger batch can only report for the batch as a whole.
-func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, br *BatchResult) error {
+func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, br *BatchResult) (err error) {
 	results := slices.Grow(br.Results[:0], len(ranges))[:len(ranges)]
 	br.Results = results
 	st := &br.Stats
@@ -383,20 +385,15 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, b
 			return err
 		}
 	}
-	constant := c.kind == ConstantBRC || c.kind == ConstantURC
-	if constant && !c.allowIntersect {
-		for i, q := range ranges {
-			for _, prev := range c.history {
-				if q.Intersects(prev) {
-					return fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, prev)
-				}
-			}
-			for j := 0; j < i; j++ {
-				if q.Intersects(ranges[j]) {
-					return fmt.Errorf("%w: %v intersects %v in the same batch", ErrIntersectingQuery, q, ranges[j])
-				}
-			}
+	if (c.kind == ConstantBRC || c.kind == ConstantURC) && !c.allowIntersect {
+		if err := c.reserve(ranges); err != nil {
+			return err
 		}
+		defer func() {
+			if err != nil {
+				c.release(ranges)
+			}
+		}()
 	}
 
 	ownerStart := time.Now()
@@ -462,14 +459,47 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, b
 	}
 	st.OwnerTime += time.Since(ownerStart)
 
-	if constant {
-		c.history = append(c.history, ranges...)
-	}
 	if len(results) == 1 {
 		one := &results[0].Stats
 		one.ResponseItems, one.ServerTime, one.OwnerTime = st.ResponseItems, st.ServerTime, st.OwnerTime
 	}
 	return nil
+}
+
+// reserve is the Constant schemes' guard (Section 5): it checks ranges
+// against the history and against each other and records them, as one
+// step under c.mu, so that of two concurrent intersecting queries
+// exactly one proceeds. A query that then fails releases its ranges.
+func (c *Client) reserve(ranges []Range) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, q := range ranges {
+		for _, prev := range c.history {
+			if q.Intersects(prev) {
+				return fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, prev)
+			}
+		}
+		for j := 0; j < i; j++ {
+			if q.Intersects(ranges[j]) {
+				return fmt.Errorf("%w: %v intersects %v in the same batch", ErrIntersectingQuery, q, ranges[j])
+			}
+		}
+	}
+	c.history = append(c.history, ranges...)
+	return nil
+}
+
+// release takes back the ranges of a failed query, so that a retry of
+// the same range is not refused. Reserved ranges never intersect, so
+// each occurs in the history once.
+func (c *Client) release(ranges []Range) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, q := range ranges {
+		if i := slices.Index(c.history, q); i >= 0 {
+			c.history = slices.Delete(c.history, i, i+1)
+		}
+	}
 }
 
 // srciRound2 runs the interactive second round of a Logarithmic-SRC-i

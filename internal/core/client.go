@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
+	"sync"
 	"time"
 
 	"rsse/internal/cover"
@@ -32,7 +33,9 @@ type Options struct {
 	Storage storage.Engine
 	// Rand drives the build-time shuffles and token permutations; pass a
 	// seeded source for reproducible tests. Nil selects a crypto-seeded
-	// source. (Key material never comes from this source.)
+	// source. (Key material never comes from this source.) A client locks
+	// only its own state, so a Rand must not be given to two clients that
+	// can run at once.
 	Rand *mrand.Rand
 	// MasterKey fixes the 32-byte master secret; nil draws a fresh one.
 	MasterKey []byte
@@ -50,20 +53,18 @@ type Options struct {
 	// TrapdoorMemo sizes the client's private trapdoor memo (see
 	// tdmemo.go); 0 disables memoization.
 	TrapdoorMemo int
-	// SharedTrapdoorMemo attaches an existing memo instead — for client
-	// pools holding the same key and kind. Takes precedence over
-	// TrapdoorMemo.
-	SharedTrapdoorMemo *TrapdoorMemo
 }
 
 // Client is the data owner: it holds the secret keys of one scheme
-// instance, builds encrypted indexes, and drives query protocols.
+// instance, builds encrypted indexes, and drives query protocols. It is
+// safe for concurrent use: between queries the owner keeps only the
+// randomness that permutes each trapdoor and the Constant schemes'
+// history of issued ranges, and mu guards both.
 type Client struct {
 	kind    Kind
 	dom     cover.Domain
 	sse     sse.Scheme
 	storage storage.Engine
-	rnd     *mrand.Rand
 
 	master prf.Key
 	kSSE   prf.Key    // primary-index keyword PRF
@@ -85,11 +86,12 @@ type Client struct {
 	allowIntersect bool
 	quadMaxBits    uint8
 
-	history []Range // issued queries (Constant schemes' guard)
+	mu      sync.Mutex
+	rnd     *mrand.Rand // every build and every trapdoor permutation draws from it
+	history []Range     // ranges issued or in flight (Constant schemes' guard)
 
-	// Trapdoor memo (see tdmemo.go); nil unless enabled, possibly shared
-	// with other clients of the same key and kind.
-	tdMemo *TrapdoorMemo
+	// Trapdoor memo (see tdmemo.go); nil unless enabled.
+	tdMemo *trapdoorMemo
 }
 
 // NewClient creates an owner for the given scheme over the given domain.
@@ -130,11 +132,7 @@ func NewClient(kind Kind, dom cover.Domain, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.SharedTrapdoorMemo != nil {
-		c.ShareTrapdoorMemo(opts.SharedTrapdoorMemo)
-	} else {
-		c.SetTrapdoorMemo(opts.TrapdoorMemo)
-	}
+	c.tdMemo = newTrapdoorMemo(opts.TrapdoorMemo)
 	c.kSSE = prf.Derive(c.master, "keywords/primary")
 	c.kSSE2 = prf.Derive(c.master, "keywords/positions")
 	c.kDPRF = dprf.KeyFromSeed(dom, prf.Derive(c.master, "dprf"))
@@ -159,7 +157,11 @@ func (c *Client) SSEName() string { return c.sse.Name() }
 
 // ResetHistory clears the Constant schemes' intersecting-query guard,
 // e.g. after the application re-keys.
-func (c *Client) ResetHistory() { c.history = nil }
+func (c *Client) ResetHistory() {
+	c.mu.Lock()
+	c.history = nil
+	c.mu.Unlock()
+}
 
 // Index is the server-side state: the encrypted SSE index(es) plus the
 // encrypted tuple store. The server holds no keys.
@@ -344,6 +346,9 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every build draws its shuffles from c.rnd, serially.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	x := &Index{
 		kind:   c.kind,
 		dom:    c.dom,
@@ -487,10 +492,10 @@ func (c *Client) Query(x *Index, q Range) (*Result, error) {
 // the batch protocol on one range (see QueryBatchInto), so its result
 // reports the whole exchange. The protocol aborts between rounds when
 // ctx is done, and context-aware servers (transport handles) honour ctx
-// inside each round too. The Constant schemes record q in the
-// intersection history only when the whole protocol succeeds, so a
-// failed query (network error, bad trapdoor) never poisons a later retry
-// of the same range.
+// inside each round too. The Constant schemes reserve q in the
+// intersection history before the protocol runs and release it if the
+// protocol fails, so a failed query (network error, bad trapdoor) never
+// poisons a later retry of the same range.
 func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Result, error) {
 	var one [1]*Result
 	br := BatchResult{Results: one[:0]}

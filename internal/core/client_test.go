@@ -457,6 +457,47 @@ func TestConstantIntersectionGuard(t *testing.T) {
 	}
 }
 
+// TestUnguardedClientKeepsNoHistory: with AllowIntersecting the Constant
+// schemes record nothing, so a long-lived unguarded client's history does
+// not grow with its traffic; a guarded client still refuses an
+// intersecting query.
+func TestUnguardedClientKeepsNoHistory(t *testing.T) {
+	dom := cover.Domain{Bits: 10}
+	tuples := uniformTuples(50, 10, 14)
+	for _, kind := range []Kind{ConstantBRC, ConstantURC} {
+		opts := testOptions(14)
+		opts.AllowIntersecting = true
+		open, err := NewClient(kind, dom, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := open.BuildIndex(tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			lo := uint64(i % 500)
+			if _, err := open.Query(idx, Range{lo, lo + 100}); err != nil {
+				t.Fatalf("%v: intersecting query %d with the guard off: %v", kind, i, err)
+			}
+		}
+		if n := len(open.history); n != 0 {
+			t.Fatalf("%v: unguarded client recorded %d ranges", kind, n)
+		}
+
+		guarded, err := NewClient(kind, dom, testOptions(14))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := guarded.Query(idx, Range{100, 200}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := guarded.Query(idx, Range{200, 300}); !errors.Is(err, ErrIntersectingQuery) {
+			t.Fatalf("%v: guarded client answered an intersecting query: %v", kind, err)
+		}
+	}
+}
+
 func TestFetchTuple(t *testing.T) {
 	dom := cover.Domain{Bits: 8}
 	tuples := []Tuple{

@@ -28,13 +28,9 @@ import (
 // The memo is disabled by default so that cost-accounting tests and
 // leakage experiments see every derivation.
 
-// TrapdoorMemo is a bounded, concurrency-safe range → trapdoor cache.
-// One memo may be shared by any number of clients holding the same
-// master key and scheme kind (the load harness pools one owner client
-// per in-flight slot; sharing the memo lets a range derived by one slot
-// serve every other). Sharing across clients with different keys or
-// kinds would replay wrong trapdoors — the caller owns that invariant.
-type TrapdoorMemo struct {
+// trapdoorMemo is a bounded, concurrency-safe range → trapdoor cache,
+// private to the one client whose keys derived its entries.
+type trapdoorMemo struct {
 	mu           sync.RWMutex
 	cap          int
 	m            map[memoKey]*Trapdoor
@@ -48,27 +44,18 @@ type memoKey struct {
 	suite prf.Suite
 }
 
-// NewTrapdoorMemo creates a memo holding up to capacity distinct
+// newTrapdoorMemo creates a memo holding up to capacity distinct
 // ranges. It returns nil when capacity is not positive; a nil memo is
 // valid and never caches.
-func NewTrapdoorMemo(capacity int) *TrapdoorMemo {
+func newTrapdoorMemo(capacity int) *trapdoorMemo {
 	if capacity <= 0 {
 		return nil
 	}
-	return &TrapdoorMemo{cap: capacity, m: make(map[memoKey]*Trapdoor, capacity)}
-}
-
-// Stats returns cumulative memo hits and misses (misses count only
-// derivations eligible for memoization). Nil-safe.
-func (m *TrapdoorMemo) Stats() (hits, misses uint64) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.hits.Load(), m.misses.Load()
+	return &trapdoorMemo{cap: capacity, m: make(map[memoKey]*Trapdoor, capacity)}
 }
 
 // get returns the cached trapdoor for q under suite, if any. Nil-safe.
-func (m *TrapdoorMemo) get(q Range, suite prf.Suite) (*Trapdoor, bool) {
+func (m *trapdoorMemo) get(q Range, suite prf.Suite) (*Trapdoor, bool) {
 	if m == nil {
 		return nil, false
 	}
@@ -88,7 +75,7 @@ func (m *TrapdoorMemo) get(q Range, suite prf.Suite) (*Trapdoor, bool) {
 // the memo exists for, hot ranges are restored on their next occurrence
 // and an evicted cold range only costs one re-derivation. The wire form
 // is pre-marshaled once so remote replays skip serialization too.
-func (m *TrapdoorMemo) put(q Range, suite prf.Suite, t *Trapdoor) {
+func (m *trapdoorMemo) put(q Range, suite prf.Suite, t *Trapdoor) {
 	if m == nil {
 		return
 	}
@@ -108,7 +95,7 @@ func (m *TrapdoorMemo) put(q Range, suite prf.Suite, t *Trapdoor) {
 }
 
 // len reports the current entry count (for tests). Nil-safe.
-func (m *TrapdoorMemo) len() int {
+func (m *trapdoorMemo) len() int {
 	if m == nil {
 		return 0
 	}
@@ -117,24 +104,16 @@ func (m *TrapdoorMemo) len() int {
 	return len(m.m)
 }
 
-// SetTrapdoorMemo gives the client a private trapdoor memo of the given
-// capacity: up to capacity distinct ranges keep their derived
-// first-round trapdoors for replay. Zero or negative disables
-// memoization and drops any cached entries. Only the round-1 trapdoors
-// of one-range queries (batches of one, which Query and Trapdoor run)
-// are memoized: a one-range plan is its trapdoor alone, so an entry is
-// no larger than the trapdoor. Batches of two or more ranges and the
+// TrapdoorMemoStats returns the client's cumulative trapdoor-memo hits
+// and misses (misses count only derivations eligible for memoization;
+// both stay zero when the memo is off). Only the round-1 trapdoors of
+// one-range queries (batches of one, which Query and Trapdoor run) are
+// memoized: a one-range plan is its trapdoor alone, so an entry is no
+// larger than the trapdoor. Batches of two or more ranges and the
 // position-dependent Logarithmic-SRC-i round 2 always derive fresh.
-func (c *Client) SetTrapdoorMemo(capacity int) {
-	c.tdMemo = NewTrapdoorMemo(capacity)
-}
-
-// ShareTrapdoorMemo attaches a memo shared with other clients of the
-// same master key and kind (nil detaches). See TrapdoorMemo.
-func (c *Client) ShareTrapdoorMemo(m *TrapdoorMemo) { c.tdMemo = m }
-
-// TrapdoorMemoStats returns the attached memo's cumulative hits and
-// misses (zero when no memo is attached).
 func (c *Client) TrapdoorMemoStats() (hits, misses uint64) {
-	return c.tdMemo.Stats()
+	if c.tdMemo == nil {
+		return 0, 0
+	}
+	return c.tdMemo.hits.Load(), c.tdMemo.misses.Load()
 }

@@ -12,12 +12,6 @@ import (
 	"rsse/internal/dprf"
 )
 
-// fuzzFrame wraps one request body in its length prefix.
-func fuzzFrame(id uint32, op byte, name string, payload []byte) []byte {
-	body := appendRequest(id, op, name, payload)
-	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
-}
-
 // FuzzServeFrames feeds arbitrary bytes to serveLoop as one
 // connection's inbound stream, over a real Constant-BRC index (so GGM
 // tokens are expanded, not just parsed) and a writable namespace, and
@@ -49,20 +43,20 @@ func FuzzServeFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds := [][]byte{
-		fuzzFrame(1, opSearch, DefaultIndex, one),
+		requestFrame(1, opSearch, DefaultIndex, one),
 		// The retired batch-query, batch-stream and per-id fetch ops:
 		// one err frame each.
-		fuzzFrame(2, 5, DefaultIndex, batch),
-		fuzzFrame(3, 9, DefaultIndex, batch),
-		fuzzFrame(4, 3, DefaultIndex, binary.BigEndian.AppendUint64(nil, 7)),
-		fuzzFrame(5, opFetchMany, DefaultIndex, appendFetchManyRequest(nil, []core.ID{1, 2, 999})),
-		fuzzFrame(6, opMeta, DefaultIndex, nil),
-		fuzzFrame(7, opUpdate, "dyn", marshalUpdate(Update{Kind: UpdateInsert, ID: 1, Value: 10, Payload: []byte("p")})),
-		fuzzFrame(8, opDynQuery, "dyn", binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 0), 1023)),
-		fuzzFrame(9, opDynFlush, "dyn", nil),
-		fuzzFrame(10, opNames, "", nil),
-		fuzzFrame(11, opSearch, DefaultIndex, level64),
-		fuzzFrame(12, 77, "no-such-index", []byte("junk")),
+		requestFrame(2, 5, DefaultIndex, batch),
+		requestFrame(3, 9, DefaultIndex, batch),
+		requestFrame(4, 3, DefaultIndex, binary.BigEndian.AppendUint64(nil, 7)),
+		requestFrame(5, opFetchMany, DefaultIndex, appendFetchManyRequest(nil, []core.ID{1, 2, 999})),
+		requestFrame(6, opMeta, DefaultIndex, nil),
+		requestFrame(7, opUpdate, "dyn", marshalUpdate(Update{Kind: UpdateInsert, ID: 1, Value: 10, Payload: []byte("p")})),
+		requestFrame(8, opDynQuery, "dyn", binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 0), 1023)),
+		requestFrame(9, opDynFlush, "dyn", nil),
+		requestFrame(10, opNames, "", nil),
+		requestFrame(11, opSearch, DefaultIndex, level64),
+		requestFrame(12, 77, "no-such-index", []byte("junk")),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -75,12 +75,6 @@ func NewRedialer(pool *Pool, addr string, policy RetryPolicy) *Redialer {
 	return &Redialer{pool: pool, addr: addr, policy: policy, rng: rng}
 }
 
-// Policy returns the resolved retry policy.
-func (r *Redialer) Policy() RetryPolicy { return r.policy }
-
-// Addr returns the address the redialer serves.
-func (r *Redialer) Addr() string { return r.addr }
-
 // Get returns a live connection, dialing (or redialing a dead cached
 // conn) at most once — the retry loop above it owns the attempt
 // budget. Dial failures wrap ErrConnDead so callers can treat "could

@@ -106,28 +106,6 @@ const responseHeader = 4 + 1
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds limit")
 
-// writeFrame writes one length-prefixed frame assembled from parts.
-func writeFrame(w io.Writer, parts ...[]byte) error {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readFrame reads one frame body into a buffer of its own (see
 // readFrameInto for how far the announced length is trusted).
 func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
@@ -155,15 +133,6 @@ func parseRequest(body []byte) (request, error) {
 		name:    string(body[requestHeader : requestHeader+nameLen]),
 		payload: body[requestHeader+nameLen:],
 	}, nil
-}
-
-// appendRequest assembles a request body.
-func appendRequest(id uint32, op byte, name string, payload []byte) []byte {
-	body := make([]byte, 0, requestHeader+len(name)+len(payload))
-	body = binary.BigEndian.AppendUint32(body, id)
-	body = append(body, op, byte(len(name)))
-	body = append(body, name...)
-	return append(body, payload...)
 }
 
 // handleRequest executes one request against the registry. The returned

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	mrand "math/rand"
 	"net"
@@ -68,6 +69,20 @@ func pipeServer(t *testing.T, idx core.Server) *Conn {
 	go func() { _ = ServeConn(serverEnd, idx) }()
 	t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
 	return NewConn(clientEnd)
+}
+
+// frame length-prefixes one frame body.
+func frame(body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// requestFrame is one request frame as a Conn lays it out: length
+// prefix, id, op, name length, name, payload.
+func requestFrame(id uint32, op byte, name string, payload []byte) []byte {
+	body := binary.BigEndian.AppendUint32(nil, id)
+	body = append(body, op, byte(len(name)))
+	body = append(body, name...)
+	return frame(append(body, payload...))
 }
 
 // pipeRegistry serves a full registry over a net.Pipe.
@@ -524,7 +539,7 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 	// op 5 and batch-stream op 9 — → one statusErr response routed by
 	// request id, connection stays up.
 	for _, op := range []byte{77, 9, 3, 5} {
-		if err := writeFrame(clientEnd, appendRequest(42, op, DefaultIndex, []byte("junk"))); err != nil {
+		if _, err := clientEnd.Write(requestFrame(42, op, DefaultIndex, []byte("junk"))); err != nil {
 			t.Fatal(err)
 		}
 		body, err := readFrame(clientEnd)
@@ -569,12 +584,62 @@ func TestOversizedTokenLevelOverWire(t *testing.T) {
 	}
 }
 
+// TestFrameLimits: MaxFrame holds on the writers serving runs. A
+// request over it fails with ErrFrameTooLarge before a byte is staged,
+// and the same Conn serves the next request. A response over it is
+// rolled back inside its coalesced group: the group's earlier frames
+// leave intact, the oversized one is replaced by an error frame routed
+// to its request, and the frames after it follow. A forged oversized
+// header is refused on read.
 func TestFrameLimits(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized write error = %v", err)
+	// One zero buffer past the limit, never written to, serves both
+	// writers: neither copies it.
+	huge := make([]byte, MaxFrame+1)
+
+	_, idx, _ := testClientIndex(t, core.LogarithmicBRC)
+	conn := pipeServer(t, idx)
+	if _, err := conn.roundTrip(opSearch, DefaultIndex, huge); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized request error = %v", err)
 	}
-	// A forged oversized header must be rejected on read.
+	if meta, err := conn.Default().Meta(); err != nil || meta.Kind != core.LogarithmicBRC {
+		t.Errorf("meta after the oversized request: %+v, %v", meta, err)
+	}
+
+	var out bytes.Buffer
+	d := &dispatcher{w: &out}
+	fw := getFrameWriter()
+	defer putFrameWriter(fw)
+	large := bytes.Repeat([]byte{7}, 2*inlineThreshold) // spliced zero-copy, like huge
+	d.writeBatch(fw, []completion{
+		{id: 1, status: statusOK, payload: large},
+		{id: 2, status: statusOK, payload: huge},
+		{id: 3, status: statusOK, payload: []byte("after")},
+	})
+	for _, want := range []struct {
+		id      uint32
+		status  byte
+		payload []byte
+	}{
+		{1, statusOK, large},
+		{2, statusErr, []byte(ErrFrameTooLarge.Error())},
+		{3, statusOK, []byte("after")},
+	} {
+		body, err := readFrame(&out)
+		if err == nil && len(body) < responseHeader {
+			err = fmt.Errorf("%d-byte frame", len(body))
+		}
+		if err != nil {
+			t.Fatalf("response %d: %v", want.id, err)
+		}
+		if binary.BigEndian.Uint32(body) != want.id || body[4] != want.status || !bytes.Equal(body[responseHeader:], want.payload) {
+			t.Errorf("response %d: id %d status %d, %d payload bytes; want status %d, %d bytes",
+				want.id, binary.BigEndian.Uint32(body), body[4], len(body)-responseHeader, want.status, len(want.payload))
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("%d stray bytes after the group", out.Len())
+	}
+
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized read error = %v", err)
@@ -611,20 +676,15 @@ func TestFrameHeaderBuysNoAllocation(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 7)
 	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, body); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf)
+	buf := bytes.NewBuffer(frame(body))
+	got, err := readFrame(buf)
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("multi-step frame: err %v, %d bytes, equal %v", err, len(got), bytes.Equal(got, body))
 	}
 	// A pooled buffer that already has the capacity is used as is.
 	pooled := make([]byte, 0, 4096)
-	if err := writeFrame(&buf, body[:1000]); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = readFrameInto(&buf, pooled); err != nil || &got[0] != &pooled[:1][0] || !bytes.Equal(got, body[:1000]) {
+	buf.Write(frame(body[:1000]))
+	if got, err = readFrameInto(buf, pooled); err != nil || &got[0] != &pooled[:1][0] || !bytes.Equal(got, body[:1000]) {
 		t.Fatalf("frame within the buffer's capacity was not read into it (err %v)", err)
 	}
 }

@@ -44,7 +44,8 @@ type MultiResult struct {
 	Stats QueryStats
 }
 
-// MultiClient owns one scheme instance per attribute.
+// MultiClient owns one scheme instance per attribute. Like Client, it is
+// safe for concurrent use.
 type MultiClient struct {
 	clients []*Client
 }
@@ -81,7 +82,12 @@ func NewMultiClient(kind Kind, domainBits []uint8, opts ...Option) (*MultiClient
 	}
 	mc := &MultiClient{clients: make([]*Client, len(domainBits))}
 	for d, bits := range domainBits {
-		dimOpts := lowered
+		// Lowered per attribute, so that each client draws from a shuffle
+		// source of its own (see core.Options.Rand).
+		dimOpts, err := applyOptions(opts)
+		if err != nil {
+			return nil, err
+		}
 		if haveMaster {
 			k := prf.DeriveN(master, "attribute", uint64(d))
 			dimOpts.MasterKey = k[:]

@@ -24,7 +24,6 @@ type config struct {
 	quadMaxBits  uint8
 	syncEvery    int
 	tdMemo       int
-	tdMemoShared *core.TrapdoorMemo
 	engine       storage.Engine
 }
 
@@ -160,36 +159,16 @@ func WithSyncEvery(n int) Option {
 // deterministic function of the keys and the range, so a replay sends
 // the server what a fresh derivation would (the server already links
 // repeated ranges through its search-pattern leakage); only redundant
-// owner-side PRF work is skipped. 0, the default, derives every
-// trapdoor fresh — keep it off when measuring owner-side query cost.
+// owner-side PRF work is skipped. The memo belongs to the client: every
+// goroutine querying through the client shares it. 0, the default,
+// derives every trapdoor fresh — keep it off when measuring owner-side
+// query cost.
 func WithTrapdoorMemo(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
 			return fmt.Errorf("rsse: trapdoor memo size %d must not be negative", n)
 		}
 		c.tdMemo = n
-		return nil
-	}
-}
-
-// TrapdoorMemo is a bounded range → trapdoor cache shareable between
-// clients holding the same master key and scheme kind; see
-// WithSharedTrapdoorMemo.
-type TrapdoorMemo = core.TrapdoorMemo
-
-// NewTrapdoorMemo creates a shareable trapdoor memo holding up to
-// capacity distinct ranges (nil, meaning no memoization, when capacity
-// is not positive).
-func NewTrapdoorMemo(capacity int) *TrapdoorMemo { return core.NewTrapdoorMemo(capacity) }
-
-// WithSharedTrapdoorMemo attaches an existing memo, letting a pool of
-// clients with the same master key and kind serve each other's repeated
-// ranges (the load harness keeps one owner client per in-flight slot).
-// Clients with different keys or kinds must not share a memo. Takes
-// precedence over WithTrapdoorMemo.
-func WithSharedTrapdoorMemo(m *TrapdoorMemo) Option {
-	return func(c *config) error {
-		c.tdMemoShared = m
 		return nil
 	}
 }
@@ -244,7 +223,6 @@ func (c *config) lower() (core.Options, error) {
 	opts.AllowIntersecting = c.allowInter
 	opts.QuadraticMaxBits = c.quadMaxBits
 	opts.TrapdoorMemo = c.tdMemo
-	opts.SharedTrapdoorMemo = c.tdMemoShared
 	return opts, nil
 }
 

@@ -242,16 +242,6 @@ func dialClusterNet(network, defaultAddr string, man ClusterManifest, masterKey 
 	return finishDialCluster(c, cfg, man, transport.NewPoolFunc(network, wrappedDial(cfg.connWrap)), defaultAddr)
 }
 
-// dialCluster resolves every shard through the pool — shared with tests,
-// which dial in-process pipes instead of TCP.
-func dialCluster(man ClusterManifest, masterKey []byte, opts []ClusterOption, pool *transport.Pool, defaultAddr string) (*Cluster, error) {
-	c, cfg, err := clusterFromManifest(man, masterKey, opts)
-	if err != nil {
-		return nil, err
-	}
-	return finishDialCluster(c, cfg, man, pool, defaultAddr)
-}
-
 // finishDialCluster attaches every shard's wire target. Without a
 // retry policy each shard dials eagerly (an unreachable address fails
 // here, fast); with WithShardRetry targets are lazy retrying handles
