@@ -50,14 +50,16 @@
 // # Storage engines and serving from disk
 //
 // The physical layout of an index's records is a server-local choice,
-// independent of the wire format and the leakage profile: "map" (hash
-// tables, the default), "sorted" (flat arrays with a radix directory,
-// read-optimized) or "disk" (checksummed sealed segments answered by
-// binary search over the raw bytes). Select with WithStorage at build
-// time or UnmarshalIndexWith at load time.
+// independent of the query protocol and the leakage profile: "map" (hash
+// tables, the default) or a checksummed sealed segment answered by
+// binary search over its bytes — "sorted" seals one in memory, "disk"
+// also serves a file's segments in place. Select with WithStorage at
+// build time or UnmarshalIndexWith at load time.
 //
 // Serialized indexes (Index.MarshalBinary, wire format v2) are
-// containers of in-place-readable segments:
+// containers of in-place-readable segments, whatever engine wrote them:
+// a space whose values share one width is a segment of key‖value
+// records (segment v2), and files written before it still load.
 // OpenIndexFile(path, "disk") memory-maps a file and serves it with
 // near-constant open cost and near-zero resident memory —
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -470,13 +471,18 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, b
 // against the history and against each other and records them, as one
 // step under c.mu, so that of two concurrent intersecting queries
 // exactly one proceeds. A query that then fails releases its ranges.
+//
+// Guarded ranges are disjoint, so the history is kept sorted by Lo and
+// only the two neighbours of a range's slot can intersect it: each check
+// is a binary search, O(log h) for a history of h ranges.
 func (c *Client) reserve(ranges []Range) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, q := range ranges {
-		for _, prev := range c.history {
-			if q.Intersects(prev) {
-				return fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, prev)
+		j, _ := slices.BinarySearchFunc(c.history, q.Lo, rangeByLo)
+		for _, k := range [2]int{j - 1, j} {
+			if k >= 0 && k < len(c.history) && q.Intersects(c.history[k]) {
+				return fmt.Errorf("%w: %v intersects earlier %v", ErrIntersectingQuery, q, c.history[k])
 			}
 		}
 		for j := 0; j < i; j++ {
@@ -485,22 +491,28 @@ func (c *Client) reserve(ranges []Range) error {
 			}
 		}
 	}
-	c.history = append(c.history, ranges...)
+	for _, q := range ranges {
+		j, _ := slices.BinarySearchFunc(c.history, q.Lo, rangeByLo)
+		c.history = slices.Insert(c.history, j, q)
+	}
 	return nil
 }
 
 // release takes back the ranges of a failed query, so that a retry of
 // the same range is not refused. Reserved ranges never intersect, so
-// each occurs in the history once.
+// each occurs in the history once, at the slot its Lo finds.
 func (c *Client) release(ranges []Range) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, q := range ranges {
-		if i := slices.Index(c.history, q); i >= 0 {
-			c.history = slices.Delete(c.history, i, i+1)
+		if j, ok := slices.BinarySearchFunc(c.history, q.Lo, rangeByLo); ok && c.history[j] == q {
+			c.history = slices.Delete(c.history, j, j+1)
 		}
 	}
 }
+
+// rangeByLo orders the guard's history by its ranges' lower bounds.
+func rangeByLo(r Range, lo uint64) int { return cmp.Compare(r.Lo, lo) }
 
 // srciRound2 runs the interactive second round of a Logarithmic-SRC-i
 // query: per-range pair merges from the shared round-1 response, then one

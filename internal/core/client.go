@@ -88,7 +88,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	rnd     *mrand.Rand // every build and every trapdoor permutation draws from it
-	history []Range     // ranges issued or in flight (Constant schemes' guard)
+	history []Range     // ranges issued or in flight, sorted by Lo (Constant schemes' guard)
 
 	// Trapdoor memo (see tdmemo.go); nil unless enabled.
 	tdMemo *trapdoorMemo

@@ -10,6 +10,7 @@ import (
 
 	"rsse/internal/cover"
 	"rsse/internal/sse"
+	"rsse/internal/storage"
 )
 
 // testOptions returns deterministic options for reproducible tests.
@@ -495,6 +496,38 @@ func TestUnguardedClientKeepsNoHistory(t *testing.T) {
 		if _, err := guarded.Query(idx, Range{200, 300}); !errors.Is(err, ErrIntersectingQuery) {
 			t.Fatalf("%v: guarded client answered an intersecting query: %v", kind, err)
 		}
+
+		// A long history: 1,000 disjoint ranges [10i, 10i+4], reserved in
+		// shuffled order. Probes touching the first, a middle or the last
+		// range at either endpoint are refused; probes in the gaps are not.
+		guarded.ResetHistory()
+		for _, i := range mrand.New(mrand.NewSource(14)).Perm(1000) {
+			if err := guarded.reserve([]Range{{uint64(10 * i), uint64(10*i + 4)}}); err != nil {
+				t.Fatalf("%v: disjoint range %d refused: %v", kind, i, err)
+			}
+		}
+		for _, i := range []uint64{0, 500, 999} {
+			lo, hi := 10*i, 10*i+4
+			refused := []Range{{lo, lo}, {hi, hi}, {hi, hi + 1}, {lo + 1, hi - 1}, {hi - 1, hi + 100}}
+			if lo > 0 {
+				refused = append(refused, Range{lo - 1, lo}, Range{lo - 5, hi + 5})
+			}
+			for _, p := range refused {
+				if err := guarded.reserve([]Range{p}); !errors.Is(err, ErrIntersectingQuery) {
+					t.Fatalf("%v: probe %v touching %v: err %v", kind, p, Range{lo, hi}, err)
+				}
+			}
+			gaps := []Range{{hi + 1, hi + 1}, {hi + 5, hi + 5}}
+			if err := guarded.reserve(gaps); err != nil {
+				t.Fatalf("%v: probes %v in the gap after %v refused: %v", kind, gaps, Range{lo, hi}, err)
+			}
+			guarded.release(gaps)
+		}
+		if len(guarded.history) != 1000 || !sort.SliceIsSorted(guarded.history, func(a, b int) bool {
+			return guarded.history[a].Lo < guarded.history[b].Lo
+		}) {
+			t.Fatalf("%v: history of %d ranges after the probes, want the 1000 in order", kind, len(guarded.history))
+		}
 	}
 }
 
@@ -638,6 +671,19 @@ func TestIndexAccessors(t *testing.T) {
 	}
 	if idx.Size() <= 0 || idx.StoreSize() <= 0 || idx.Postings() <= 0 {
 		t.Error("sizes not positive")
+	}
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range storage.Engines() {
+		x, err := UnmarshalIndexWith(blob, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.StoreSize() != idx.StoreSize() || x.Size() != idx.Size() {
+			t.Errorf("%s: loaded sizes %d, %d; built %d, %d", eng.Name(), x.Size(), x.StoreSize(), idx.Size(), idx.StoreSize())
+		}
 	}
 	if idx.Store().Len() != 30 {
 		t.Errorf("store has %d tuples", idx.Store().Len())

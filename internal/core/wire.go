@@ -160,15 +160,29 @@ func UnmarshalIndexWith(data []byte, eng storage.Engine) (*Index, error) {
 	if err != nil {
 		return nil, ErrCorruptIndex
 	}
-	storeN, storeKL, valueBytes, err := storage.SegmentStats(storeSeg)
-	if err != nil || storeKL != storeKeyLen {
-		return nil, fmt.Errorf("%w: store segment header", ErrCorruptIndex)
-	}
 	cts, err := storage.Load(storeSeg, eng)
 	if err != nil {
 		return nil, fmt.Errorf("%w: store: %v", ErrCorruptIndex, err)
 	}
-	x.store = &TupleStore{cts: cts, size: storeN*storeKeyLen + int(valueBytes)}
+	if cts.KeyLen() != storeKeyLen {
+		return nil, fmt.Errorf("%w: store keys of %d bytes", ErrCorruptIndex, cts.KeyLen())
+	}
+	// The store's size, an id and a ciphertext per tuple, comes from a
+	// walk of its segment: the loaded backend when it is that segment,
+	// else a view of the bytes Load has just validated (a rebuilt
+	// backend's Iterate may sort).
+	seg := cts
+	if !storage.OpensInPlace(eng) {
+		if seg, err = storage.OpenSegment(storeSeg); err != nil {
+			return nil, fmt.Errorf("%w: store: %v", ErrCorruptIndex, err)
+		}
+	}
+	size := 0
+	seg.Iterate(func(_, ct []byte) bool {
+		size += storeKeyLen + len(ct)
+		return true
+	})
+	x.store = &TupleStore{cts: cts, size: size}
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptIndex, len(r.data)-r.off)
 	}

@@ -44,37 +44,38 @@ var identityShapes = []struct {
 
 // identityDigests are the SHA-256 digests of the sections the shapes
 // above build from identityEntries(500, 20) under seed 32, per suite,
-// with the TSet salt each build ends on — recorded from the serial
-// builder the parallel one replaced. A build must reproduce them on
-// every engine and for every worker count.
+// with the TSet salt each build ends on. The serial builder the parallel
+// one replaced wrote the same records; these digests are of its sections
+// re-encoded with segment v2, the format sealing now writes. A build
+// must reproduce them on every engine and for every worker count.
 var identityDigests = map[string][prf.NumSuites]struct {
 	salt   uint64
 	digest string
 }{
 	"basic": {
-		{0, "c50ff8a947010811a4b3852c1c69aae5838cc7fc83fef56ba17ca62f20405e0a"},
-		{0, "4ae3ce8df128fdad68e468cd74251b69cd98c552889b13cdcf72e35d06d1e2cb"},
-		{0, "e48a65ff4154fbf3d873f1d2dab3be62ad732afb89ca93829bc2205ff3b583a0"},
+		{0, "419a8ff8ba58b41412da34d37b604f4156bb1d8ec6deb5d53407f99b82629f69"},
+		{0, "4133173f13e1ab0cf4ad09808820ec505267468496f9998e73cbb4e9f15eb311"},
+		{0, "d8af1997b5cd4fa8d885338ca9e88f37403b20cd87a7179bd5cf99b232d7910b"},
 	},
 	"packed": {
-		{0, "47805a5ca1b39cd34245c25cc1066d888957445059a0fa3eac1e5b78bc72f9d3"},
-		{0, "04832877f79259fc18d523462143cbd969e8ca588f7a8868b5c38c629609b3ed"},
-		{0, "d27af1c9452202a6bd329b1f0085aa2c9540246ca834d795949d452fbcc9debc"},
+		{0, "25f6b17a98c18d5c37d8cb3bcfb0a5578ff476da9761f6338c67e36567f18ce4"},
+		{0, "445b99f34babf5158740c698db15e5eab1951816ea7e56483c85eb0798a537a8"},
+		{0, "09e3402af38aff2f6fd5b9917a9102a5f6fc43c4f9c4d0976a6c6325fb72f07b"},
 	},
 	"tset": {
-		{1, "9ce05a2fed5a099a625023a9ac4ff523498818dca162f315af79f980577fd898"},
-		{1, "9d6f7df829851e2214836b1ab8f4bec21dd10e974670502cc2841cba36e42730"},
-		{0, "fce8d7c8d5c11a1c4557ff34916e38a265207c634c98ebc456b346c8d80fd3e5"},
+		{1, "312a88f302693980a541d21086773dc74228270612109edcda0a1f2274d1745d"},
+		{1, "19a5340912469a4b202bc5e99e8f87f8fa6ef767ac0092c4a7a895b0fd97b31d"},
+		{0, "337d237190e44579e3345f31ef8a28bee44136c6f2817126a96817b545bfc08e"},
 	},
 	"tset-retry": {
-		{3, "b4e06ba093a5e6d9fe39e842432e8fd8fe77e27d70610726c3fe10ca53cd5f40"},
-		{1, "bd46d95df729c113462ab6027d509ab419a1ab8412861093f94a0f155c076b52"},
-		{1, "4d2b79deb9da2b29adc107a851210d0f8b44d6f37a67905496e615428bd57bf0"},
+		{3, "a6846fb0abc53f7d60f837229366e9b9d91c86ef5e5d705735edf22213821c60"},
+		{1, "08c69ee604cb8454b6b4227299719d38f435b49ae1d753eec36107f6b1ee8caa"},
+		{1, "4ea96372b05d0d4e2535af6d99848c2fb89526b9a89ef08480f12d3a5239a034"},
 	},
 	"2lev": {
-		{0, "f421bc0f3c2e9408f698232943fea37f7b79c04d0eed4af0d175b784cb74ccea"},
-		{0, "a22005c6a56ee1f10366dccdb4308cbdfbadaf2f86a527f29dcda35bd7510dee"},
-		{0, "02fd84e1cd85af5be8535dc50887c97be9f112cc0e7267bf09d38098952266f5"},
+		{0, "5b3143237cbd28e050ff6108bdcfbaa48fb508797925d0cdbdb89d92ec2bc7b1"},
+		{0, "a2f301752f3f2c754c756afa2af2a8df4619dabf7515e13868c039f72a35cdd4"},
+		{0, "50f2b2d61da7a18b428df4a51439dd209186aa2aab82da0cfd318445dd2e2ff4"},
 	},
 }
 

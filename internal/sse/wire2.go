@@ -10,7 +10,9 @@ import (
 
 // Every construction serializes as a "section" — a small fixed header
 // followed by 8-aligned, length-prefixed storage segments
-// (storage.EncodeSegment's format). Every variable-length part of a
+// (storage.EncodeSegment's format: version 2, key‖value records at one
+// stride, for every dictionary, whose cells share one width; version 1
+// files still load). Every variable-length part of a
 // section can be sliced in place: OpenSection onto an engine
 // implementing storage.Opener (the Disk engine) builds indexes whose
 // dictionaries answer queries directly over the serialized bytes, with

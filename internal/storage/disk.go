@@ -1,63 +1,22 @@
 package storage
 
-// Disk is the disk-backed engine: Seal lays the records out in the
-// sealed-segment format (segment.go) and serves them by binary search
-// over the encoded bytes — the exact representation a segment file has
-// on disk. Building through this engine therefore costs one extra
-// encoding pass over Sorted, but the payoff is on the load path: an
-// index persisted as a segment reopens with Open
-// in O(checksum) time with zero per-record work, instead of the O(n)
-// record-by-record rebuild every other engine needs.
-//
-// Get performance matches the Sorted engine within noise: the same radix
-// directory plus short binary search, with two big-endian offset decodes
-// as the only extra per-probe work.
+// Disk is the disk-backed engine. It builds exactly as the Sorted engine
+// does — both seal records into a segment (segment.go) and serve it with
+// one Backend and one Get — and differs only by implementing Opener: an
+// index persisted as a segment reopens in O(checksum) time with zero
+// per-record work, served in place over the file's (typically
+// memory-mapped) bytes, instead of the O(n) record-by-record rebuild
+// every other engine needs.
 type Disk struct{}
 
 // Name implements Engine.
 func (Disk) Name() string { return "disk" }
 
-// NewBuilder implements Engine. The builder accumulates records exactly
-// like the Sorted engine's (same duplicate detection, same
-// skip-the-sort fast path for ascending input), then encodes the sealed
-// arrays as a segment.
+// NewBuilder implements Engine with the Sorted engine's builder.
 func (Disk) NewBuilder(keyLen, capacityHint int) Builder {
-	return &diskBuilder{inner: Sorted{}.NewBuilder(keyLen, capacityHint).(*sortedBuilder)}
+	return newSortedBuilder(keyLen, capacityHint)
 }
 
 // Open implements Opener: the returned Backend answers queries in place
 // over the serialized segment.
 func (Disk) Open(segment []byte) (Backend, error) { return OpenSegment(segment) }
-
-type diskBuilder struct {
-	inner *sortedBuilder
-}
-
-func (b *diskBuilder) Put(key, value []byte) error { return b.inner.Put(key, value) }
-
-func (b *diskBuilder) Seal() (Backend, error) {
-	buf, err := b.encode()
-	if err != nil {
-		return nil, err
-	}
-	return openOwnedSegment(buf)
-}
-
-// openOwnedSegment opens a freshly encoded buffer the backend will own,
-// so Resident accounts for it.
-func openOwnedSegment(buf []byte) (Backend, error) {
-	x, err := OpenSegment(buf)
-	if err != nil {
-		return nil, err
-	}
-	x.(*segmentBackend).heap = len(buf)
-	return x, nil
-}
-
-func (b *diskBuilder) encode() ([]byte, error) {
-	x, err := b.inner.Seal()
-	if err != nil {
-		return nil, err
-	}
-	return EncodeSegment(x)
-}

@@ -72,7 +72,6 @@ func (b *mapBuilder) Seal() (Backend, error) {
 	x := &mapBackend{keyLen: b.keyLen, m: b.m}
 	for k, v := range b.m {
 		x.resident += len(k) + len(v) + 48
-		x.vals += len(v)
 	}
 	return x, nil
 }
@@ -81,7 +80,6 @@ type mapBackend struct {
 	keyLen   int
 	m        map[string][]byte
 	resident int
-	vals     int // value bytes
 }
 
 func (x *mapBackend) Get(key []byte) ([]byte, bool) {
@@ -117,5 +115,3 @@ func (x *mapBackend) Iterate(fn func(key, value []byte) bool) {
 		}
 	}
 }
-
-func (x *mapBackend) valueBytes() int { return x.vals }

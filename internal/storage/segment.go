@@ -10,37 +10,47 @@ import (
 
 // The sealed-segment file format: a self-describing, checksummed flat
 // encoding of one immutable key space, laid out so a Backend can answer
-// Get and Iterate by binary search directly over the raw bytes — the
-// representation the Disk engine serves from, with zero per-record
-// copies between the file and the query path.
+// Get and Iterate by binary search directly over the raw bytes. It is
+// the one record layout: the Sorted engine seals its records into it in
+// memory, and the Disk engine serves a segment file's bytes in place,
+// with zero per-record copies between the file and the query path.
 //
 // Layout (all integers big-endian):
 //
 //	header (48 bytes):
 //	  [0:4)   magic "RSG1"
-//	  [4:6)   format version (currently 1)
+//	  [4:6)   format version: 2 if every value has one width, else 1
 //	  [6:8)   key length in bytes
 //	  [8:16)  record count n
-//	  [16:24) value-heap length in bytes
+//	  [16:24) value bytes in all
 //	  [24]    radix directory bits (0 = no directory)
-//	  [25:32) reserved, zero
+//	  [25:28) reserved, zero
+//	  [28:32) version 2: the value width; version 1: zero
 //	  [32:40) total segment length, footer included
 //	  [40:44) CRC-32C of header bytes [0:40)
 //	  [44:48) reserved, zero
-//	body (starts 8-aligned at offset 48):
+//	version 2 body (starts at offset 48):
+//	  records  n key‖value records at one stride, keys strictly
+//	           ascending; padded to 4
+//	  dir      ((1<<dirBits)+1) uint32 entries, present iff dirBits > 0;
+//	           about four records per bucket
+//	version 1 body (starts 8-aligned at offset 48):
 //	  keys     n*keyLen bytes, strictly ascending; padded to 8
 //	  offsets  (n+1) uint64 value-heap boundaries
 //	  values   value heap; padded to 4
-//	  dir      ((1<<dirBits)+1) uint32 entries, present iff dirBits > 0
+//	  dir      ((1<<dirBits)+1) uint32 entries, present iff dirBits > 0;
+//	           about one record per bucket
 //	footer:
 //	  CRC-32C of the body
 //
+// Sealing writes version 2 for every uniform-width space (every SSE
+// dictionary) and version 1 only for mixed widths; both versions load.
 // The header checksum makes truncation and header bit-flips an O(1)
 // rejection; the body checksum (verified once at open, at memory
 // bandwidth) catches everything else, so the serve path can skip
 // per-record validation. Get and Iterate still bounds-check the offsets
-// they dereference, so even an adversarially crafted, checksum-valid
-// segment cannot read outside the mapped region.
+// and directory entries they dereference, so even an adversarially
+// crafted, checksum-valid segment cannot read outside the mapped region.
 
 // ErrCorruptSegment is returned when segment bytes fail to parse or
 // checksum.
@@ -48,30 +58,36 @@ var ErrCorruptSegment = errors.New("storage: corrupt segment")
 
 const (
 	segMagic      = "RSG1"
-	segVersion    = 1
 	segHeaderSize = 48
 	segFooterSize = 4
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
+
 // pad8 and pad4 round a length up to the next alignment boundary.
 func pad8(n uint64) uint64 { return (n + 7) &^ 7 }
 func pad4(n uint64) uint64 { return (n + 3) &^ 3 }
 
-// segmentLayout computes the section offsets of a segment with the given
-// shape. All arithmetic is overflow-checked by the caller (OpenSegment)
-// before this runs on untrusted values.
+// segmentLayout holds the section offsets of a segment; offsOff and
+// valsOff are version 1's alone.
 type segmentLayout struct {
-	keysOff, offsOff, valsOff, dirOff, footerOff, total uint64
+	offsOff, valsOff, dirOff, footerOff, total uint64
 }
 
-func layoutFor(keyLen, n, valsLen uint64, dirBits uint8) segmentLayout {
+// layoutFor computes the section offsets of a segment with the given
+// shape. All arithmetic is overflow-checked by the caller (OpenSegment)
+// before this runs on untrusted values.
+func layoutFor(version uint16, keyLen, n, valsLen uint64, dirBits uint8) segmentLayout {
 	var l segmentLayout
-	l.keysOff = segHeaderSize
-	l.offsOff = pad8(l.keysOff + n*keyLen)
-	l.valsOff = l.offsOff + (n+1)*8
-	l.dirOff = pad4(l.valsOff + valsLen)
+	end := segHeaderSize + n*keyLen + valsLen
+	if version == 1 {
+		l.offsOff = pad8(segHeaderSize + n*keyLen)
+		l.valsOff = l.offsOff + (n+1)*8
+		end = l.valsOff + valsLen
+	}
+	l.dirOff = pad4(end)
 	l.footerOff = l.dirOff
 	if dirBits > 0 {
 		l.footerOff += ((1 << dirBits) + 1) * 4
@@ -80,84 +96,26 @@ func layoutFor(keyLen, n, valsLen uint64, dirBits uint8) segmentLayout {
 	return l
 }
 
-// EncodeSegment serializes a sealed backend into the segment format. Any
-// Backend works; the records are written in Iterate (ascending key)
-// order, which is exactly the order the format requires. The engines'
-// own backends know their value bytes, so they are walked once; any
-// other backend is walked once more first, to count them.
+// EncodeSegment serializes a backend into the segment format by feeding
+// its records, in Iterate (ascending key) order, through a Sorted
+// builder: one writer for every engine.
 func EncodeSegment(b Backend) ([]byte, error) {
-	keyLen := uint64(b.KeyLen())
-	n := uint64(b.Len())
-	if keyLen == 0 || keyLen > 1<<16-1 {
-		return nil, fmt.Errorf("storage: segment key length %d outside 1..65535", keyLen)
-	}
-	var valsLen uint64
-	if vs, ok := b.(valueSizer); ok {
-		valsLen = uint64(vs.valueBytes())
-	} else {
-		b.Iterate(func(_, v []byte) bool {
-			valsLen += uint64(len(v))
-			return true
-		})
-	}
-	dirBits := uint8(0)
-	if n > 0 {
-		dirBits = uint8(dirBitsFor(int(n), int(keyLen)))
-	}
-	l := layoutFor(keyLen, n, valsLen, dirBits)
-	out := make([]byte, l.total)
-
-	// Header.
-	copy(out[0:4], segMagic)
-	binary.BigEndian.PutUint16(out[4:6], segVersion)
-	binary.BigEndian.PutUint16(out[6:8], uint16(keyLen))
-	binary.BigEndian.PutUint64(out[8:16], n)
-	binary.BigEndian.PutUint64(out[16:24], valsLen)
-	out[24] = dirBits
-	binary.BigEndian.PutUint64(out[32:40], l.total)
-	binary.BigEndian.PutUint32(out[40:44], crc32.Checksum(out[0:40], crcTable))
-
-	// Body: keys, offsets and values in one pass.
-	keys := out[l.keysOff : l.keysOff+n*keyLen]
-	offs := out[l.offsOff:l.valsOff]
-	vals := out[l.valsOff : l.valsOff+valsLen]
-	var i, voff uint64
+	sb := newSortedBuilder(b.KeyLen(), b.Len())
+	var err error
 	b.Iterate(func(k, v []byte) bool {
-		if i == n || uint64(len(v)) > valsLen-voff {
-			i = n + 1 // more than the backend reported: refused below
-			return false
-		}
-		copy(keys[i*keyLen:], k)
-		binary.BigEndian.PutUint64(offs[i*8:], voff)
-		copy(vals[voff:], v)
-		voff += uint64(len(v))
-		i++
-		return true
+		err = sb.Put(k, v)
+		return err == nil
 	})
-	if i != n || voff != valsLen {
+	if err == nil && sb.n != b.Len() {
 		// A backend whose Iterate stops short of Len() — e.g. a
 		// checksum-valid but crafted segment with a lying offset table —
-		// must not be re-encoded into a silently empty segment.
-		return nil, fmt.Errorf("storage: backend iterated %d of %d records (%d of %d value bytes)", i, n, voff, valsLen)
+		// must not be re-encoded into a silently shorter segment.
+		err = fmt.Errorf("storage: backend iterated %d of %d records", sb.n, b.Len())
 	}
-	binary.BigEndian.PutUint64(offs[n*8:], voff)
-
-	if dirBits > 0 {
-		dir := buildDir(keys, int(keyLen), int(keyLen), int(n), uint(dirBits))
-		raw := out[l.dirOff:l.footerOff]
-		for j, d := range dir {
-			binary.BigEndian.PutUint32(raw[j*4:], d)
-		}
+	if err != nil {
+		return nil, err
 	}
-	binary.BigEndian.PutUint32(out[l.footerOff:],
-		crc32.Checksum(out[segHeaderSize:l.footerOff], crcTable))
-	return out, nil
-}
-
-// valueSizer is implemented by the engines' own backends, which know the
-// total length of their values without visiting them.
-type valueSizer interface {
-	valueBytes() int
+	return sb.seal()
 }
 
 // OpenSegment validates a serialized segment and returns a Backend that
@@ -174,16 +132,18 @@ func OpenSegment(data []byte) (Backend, error) {
 	if string(data[0:4]) != segMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
 	}
-	if crc32.Checksum(data[0:40], crcTable) != binary.BigEndian.Uint32(data[40:44]) {
+	if crc32c(data[0:40]) != binary.BigEndian.Uint32(data[40:44]) {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorruptSegment)
 	}
-	if v := binary.BigEndian.Uint16(data[4:6]); v != segVersion {
-		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorruptSegment, v)
+	version := binary.BigEndian.Uint16(data[4:6])
+	if version != 1 && version != 2 {
+		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorruptSegment, version)
 	}
 	keyLen := uint64(binary.BigEndian.Uint16(data[6:8]))
 	n := binary.BigEndian.Uint64(data[8:16])
 	valsLen := binary.BigEndian.Uint64(data[16:24])
 	dirBits := data[24]
+	width := uint64(binary.BigEndian.Uint32(data[28:32]))
 	total := binary.BigEndian.Uint64(data[32:40])
 	if keyLen == 0 || dirBits > maxDirBits || (n == 0 && dirBits != 0) {
 		return nil, fmt.Errorf("%w: bad shape", ErrCorruptSegment)
@@ -196,41 +156,32 @@ func OpenSegment(data []byte) (Backend, error) {
 	// Bound every factor against the real input size before computing the
 	// layout, so the multiplications below cannot overflow.
 	avail := uint64(len(data))
-	if n > avail/keyLen || n+1 > avail/8 || valsLen > avail {
-		return nil, fmt.Errorf("%w: counts exceed input", ErrCorruptSegment)
+	if n > avail/keyLen || valsLen > avail || (version == 1 && n+1 > avail/8) ||
+		(version == 2 && (width > 0 && n > avail/width || valsLen != n*width)) {
+		return nil, fmt.Errorf("%w: counts do not fit the input", ErrCorruptSegment)
 	}
-	l := layoutFor(keyLen, n, valsLen, dirBits)
+	l := layoutFor(version, keyLen, n, valsLen, dirBits)
 	if l.total != total || total != avail {
 		return nil, fmt.Errorf("%w: length %d does not match declared layout %d", ErrCorruptSegment, avail, l.total)
 	}
-	if crc32.Checksum(data[segHeaderSize:l.footerOff], crcTable) !=
-		binary.BigEndian.Uint32(data[l.footerOff:]) {
+	if crc32c(data[segHeaderSize:l.footerOff]) != binary.BigEndian.Uint32(data[l.footerOff:]) {
 		return nil, fmt.Errorf("%w: body checksum mismatch", ErrCorruptSegment)
 	}
-	return &segmentBackend{
+	x := &segmentBackend{
 		keyLen:  int(keyLen),
+		stride:  int(keyLen + width),
 		n:       int(n),
-		keys:    data[l.keysOff : l.keysOff+n*keyLen],
-		offs:    data[l.offsOff:l.valsOff],
-		vals:    data[l.valsOff : l.valsOff+valsLen],
+		recs:    data[segHeaderSize : segHeaderSize+n*keyLen+valsLen],
 		dirBits: uint(dirBits),
 		dir:     data[l.dirOff:l.footerOff],
-	}, nil
-}
-
-// SegmentStats reports the shape of a serialized segment from its header
-// alone: record count, key length and total value bytes. It performs the
-// O(1) header checks only — use OpenSegment for full validation.
-func SegmentStats(data []byte) (n int, keyLen int, valueBytes int64, err error) {
-	if len(data) < segHeaderSize || string(data[0:4]) != segMagic {
-		return 0, 0, 0, fmt.Errorf("%w: not a segment header", ErrCorruptSegment)
 	}
-	if crc32.Checksum(data[0:40], crcTable) != binary.BigEndian.Uint32(data[40:44]) {
-		return 0, 0, 0, fmt.Errorf("%w: header checksum mismatch", ErrCorruptSegment)
+	if version == 1 {
+		x.stride = int(keyLen)
+		x.recs = data[segHeaderSize : segHeaderSize+n*keyLen]
+		x.offs = data[l.offsOff:l.valsOff]
+		x.vals = data[l.valsOff : l.valsOff+valsLen]
 	}
-	return int(binary.BigEndian.Uint64(data[8:16])),
-		int(binary.BigEndian.Uint16(data[6:8])),
-		int64(binary.BigEndian.Uint64(data[16:24])), nil
+	return x, nil
 }
 
 // Load reconstructs a Backend from segment bytes onto eng. Engines that
@@ -264,32 +215,33 @@ func Load(data []byte, eng Engine) (Backend, error) {
 	return x, nil
 }
 
-// segmentBackend serves queries straight off serialized segment bytes:
-// keys, offsets, values and the radix directory are all views into the
-// underlying (possibly memory-mapped) buffer. Get mirrors the Sorted
-// engine's directory-plus-binary-search probe; the only extra work per
-// probe is decoding two big-endian offsets.
+// segmentBackend serves queries straight off segment bytes: records,
+// offsets, values and the radix directory are all views into the
+// underlying buffer — one the Sorted builder sealed, a blob, or a
+// memory-mapped file. It is the Backend of both the Sorted and the Disk
+// engine.
 type segmentBackend struct {
 	keyLen  int
+	stride  int // bytes from one key in recs to the next
 	n       int
-	keys    []byte
-	offs    []byte // (n+1) big-endian uint64
-	vals    []byte
+	recs    []byte // version 2: n key‖value records; version 1: n keys
+	offs    []byte // version 1 only: (n+1) big-endian uint64
+	vals    []byte // version 1 only: the value heap
 	dirBits uint
 	dir     []byte // ((1<<dirBits)+1) big-endian uint32
 	heap    int    // bytes of heap the backend owns (set when it holds the only reference to the buffer)
 }
 
-func (x *segmentBackend) key(i int) []byte {
-	return x.keys[i*x.keyLen : (i+1)*x.keyLen]
-}
-
-// val returns record i's value, re-checking the offsets it dereferences:
+// value returns record i's value with no spare capacity, so an append
+// by the caller copies instead of writing over the next record (or
+// faulting on a read-only mapping). Version 1 offsets are re-checked:
 // the checksum makes bad offsets unreachable by accident, but a crafted
-// segment must degrade to a miss, never an out-of-range slice. The value
-// has no spare capacity: an append copies instead of writing over the
-// next record (or faulting on a read-only mapping).
-func (x *segmentBackend) val(i int) ([]byte, bool) {
+// segment must degrade to a miss, never an out-of-range slice.
+func (x *segmentBackend) value(i int) ([]byte, bool) {
+	if x.offs == nil {
+		end := (i + 1) * x.stride
+		return x.recs[i*x.stride+x.keyLen : end : end], true
+	}
 	lo := binary.BigEndian.Uint64(x.offs[i*8:])
 	hi := binary.BigEndian.Uint64(x.offs[(i+1)*8:])
 	if lo > hi || hi > uint64(len(x.vals)) {
@@ -299,27 +251,24 @@ func (x *segmentBackend) val(i int) ([]byte, bool) {
 }
 
 func (x *segmentBackend) Get(key []byte) ([]byte, bool) {
-	if len(key) != x.keyLen || x.n == 0 {
+	if len(key) != x.keyLen {
 		return nil, false
 	}
 	kp := loadPrefix(key)
 	lo, hi := 0, x.n
 	if x.dirBits > 0 {
-		p := kp >> (64 - x.dirBits)
-		lo = int(binary.BigEndian.Uint32(x.dir[p*4:]))
-		hi = int(binary.BigEndian.Uint32(x.dir[p*4+4:]))
-		// Clamp untrusted directory entries to the record range.
-		if lo > x.n {
-			lo = x.n
-		}
-		if hi > x.n {
-			hi = x.n
-		}
+		// Clamp an untrusted bucket end to the record range; a start
+		// beyond it then ends the search at once.
+		d := x.dir[(kp>>(64-x.dirBits))*4:]
+		lo, hi = int(binary.BigEndian.Uint32(d)), min(int(binary.BigEndian.Uint32(d[4:])), x.n)
 	}
-	kl := x.keyLen
+	kl, stride := x.keyLen, x.stride
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		mk := x.keys[mid*kl : mid*kl+kl]
+		rec := x.recs[mid*stride : mid*stride+stride]
+		mk := rec[:kl]
+		// Compare the 8-byte prefixes as integers; fall back to the tail
+		// bytes only on a prefix tie.
 		c := 0
 		switch mp := loadPrefix(mk); {
 		case mp < kp:
@@ -334,8 +283,11 @@ func (x *segmentBackend) Get(key []byte) ([]byte, bool) {
 			lo = mid + 1
 		case c > 0:
 			hi = mid
+		case x.offs == nil:
+			// The value shares the line the key was just read from.
+			return rec[kl:stride:stride], true
 		default:
-			return x.val(mid)
+			return x.value(mid)
 		}
 	}
 	return nil, false
@@ -346,20 +298,15 @@ func (x *segmentBackend) KeyLen() int { return x.keyLen }
 
 func (x *segmentBackend) Iterate(fn func(key, value []byte) bool) {
 	for i := 0; i < x.n; i++ {
-		v, ok := x.val(i)
-		if !ok {
-			return
-		}
-		if !fn(x.key(i), v) {
+		v, ok := x.value(i)
+		if !ok || !fn(x.recs[i*x.stride:i*x.stride+x.keyLen], v) {
 			return
 		}
 	}
 }
 
-func (x *segmentBackend) valueBytes() int { return len(x.vals) }
-
 // Resident reports zero for segments opened over caller-owned buffers
 // (blobs, memory-mapped files) — the buffer is accounted for by whoever
-// opened it — and the full encoding size for segments the Disk builder
-// sealed in memory, where the backend holds the only reference.
+// opened it — and the full encoding size for segments a builder sealed
+// in memory, where the backend holds the only reference.
 func (x *segmentBackend) Resident() int { return x.heap }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -74,44 +75,72 @@ func TestSegmentRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSegmentRejectsCorruption flips every byte of a small segment in
-// turn: each mutation must either fail OpenSegment with
-// ErrCorruptSegment or (never, given the checksums) open cleanly — and
-// must never panic.
+// TestSegmentRejectsCorruption flips every byte of a segment of each
+// version in turn: each mutation must fail OpenSegment with
+// ErrCorruptSegment (never open cleanly, given the checksums), and must
+// never panic. So must every truncation.
 func TestSegmentRejectsCorruption(t *testing.T) {
-	rnd := mrand.New(mrand.NewSource(12))
-	seg := encodeRecords(t, 8, randomRecords(rnd, 40, 8))
-	for i := range seg {
-		mut := append([]byte(nil), seg...)
-		mut[i] ^= 0x41
-		if _, err := OpenSegment(mut); err == nil {
-			t.Fatalf("bit flip at offset %d accepted", i)
-		} else if !errors.Is(err, ErrCorruptSegment) {
-			t.Fatalf("bit flip at offset %d: untyped error %v", i, err)
+	for _, c := range layoutCases(12) {
+		seg := encodeRecords(t, c.keyLen, c.recs)
+		for i := range seg {
+			seg[i] ^= 0x41
+			_, err := OpenSegment(seg)
+			seg[i] ^= 0x41
+			if err == nil {
+				t.Fatalf("%s: bit flip at offset %d accepted", c.name, i)
+			} else if !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("%s: bit flip at offset %d: untyped error %v", c.name, i, err)
+			}
 		}
-	}
-	// Truncations at every length.
-	for n := 0; n < len(seg); n += 7 {
-		if _, err := OpenSegment(seg[:n]); !errors.Is(err, ErrCorruptSegment) {
-			t.Fatalf("truncation to %d: %v", n, err)
+		for n := 0; n < len(seg); n += 7 {
+			if _, err := OpenSegment(seg[:n]); !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("%s: truncation to %d: %v", c.name, n, err)
+			}
 		}
 	}
 }
 
-func TestSegmentStats(t *testing.T) {
-	rnd := mrand.New(mrand.NewSource(13))
-	recs := randomRecords(rnd, 25, 16)
-	want := 0
-	for _, v := range recs {
-		want += len(v)
+// TestCraftedSegmentsDegrade: a checksum-valid segment whose directory
+// or offsets lie must degrade to misses and a short Iterate, never a
+// panic, and EncodeSegment must refuse to re-encode a short Iterate.
+func TestCraftedSegmentsDegrade(t *testing.T) {
+	// reseal recomputes the body checksum over a mutated body.
+	reseal := func(seg []byte) {
+		end := len(seg) - segFooterSize
+		binary.BigEndian.PutUint32(seg[end:], crc32c(seg[segHeaderSize:end]))
 	}
-	seg := encodeRecords(t, 16, recs)
-	n, keyLen, valueBytes, err := SegmentStats(seg)
-	if err != nil || n != 25 || keyLen != 16 || valueBytes != int64(want) {
-		t.Fatalf("SegmentStats = (%d, %d, %d, %v), want (25, 16, %d, nil)", n, keyLen, valueBytes, err, want)
+	for _, c := range layoutCases(13) {
+		seg := encodeRecords(t, c.keyLen, c.recs)
+		dirOff := len(seg) - segFooterSize - 4*((1<<seg[24])+1)
+		// Bucket p claims records [p<<16, (p+1)<<16): past n for all.
+		for off := dirOff; off < len(seg)-segFooterSize; off += 4 {
+			binary.BigEndian.PutUint32(seg[off:], uint32(off-dirOff)<<14)
+		}
+		reseal(seg)
+		x, err := OpenSegment(seg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for k, v := range c.recs {
+			if got, ok := x.Get([]byte(k)); ok && !bytes.Equal(got, v) {
+				t.Fatalf("%s: lying directory answered %x with %x", c.name, k, got)
+			}
+		}
 	}
-	if _, _, _, err := SegmentStats(seg[:20]); !errors.Is(err, ErrCorruptSegment) {
-		t.Fatalf("short stats err = %v", err)
+	c := layoutCases(13)[1] // version 1: an offset past the value heap
+	seg := encodeRecords(t, c.keyLen, c.recs)
+	offsOff := int(pad8(uint64(segHeaderSize + len(c.recs)*c.keyLen)))
+	binary.BigEndian.PutUint64(seg[offsOff+8*10:], 1<<40)
+	reseal(seg)
+	x, err := OpenSegment(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range c.recs {
+		x.Get([]byte(k))
+	}
+	if _, err := EncodeSegment(x); err == nil {
+		t.Fatal("re-encoded a segment whose Iterate stops at a lying offset")
 	}
 }
 
@@ -201,22 +230,14 @@ func TestOpenSegmentFile(t *testing.T) {
 func FuzzOpenSegment(f *testing.F) {
 	rnd := mrand.New(mrand.NewSource(17))
 	for _, n := range []int{0, 3, 64} {
-		b := Sorted{}.NewBuilder(8, n)
-		recs := randomRecords(rnd, n, 8)
-		for k, v := range recs {
-			if err := b.Put([]byte(k), v); err != nil {
+		// Mixed widths seed version 1, one width version 2.
+		for _, recs := range []map[string][]byte{randomRecords(rnd, n, 8), uniformRecords(rnd, n, 8, 12)} {
+			seg, err := EncodeSegment(fill(f, Sorted{}, 8, recs))
+			if err != nil {
 				f.Fatal(err)
 			}
+			f.Add(seg)
 		}
-		x, err := b.Seal()
-		if err != nil {
-			f.Fatal(err)
-		}
-		seg, err := EncodeSegment(x)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seg)
 	}
 	f.Add([]byte("RSG1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -240,23 +261,42 @@ func FuzzOpenSegment(f *testing.F) {
 	})
 }
 
-// TestEncodeSegmentBytes pins the segment encoding of both record
-// layouts to SHA-256 digests recorded before the Sorted engine kept
-// fixed-width values beside their keys: the in-memory layout is the
-// server's own, never the file's, on every engine.
+// TestEncodeSegmentBytes pins the segment encoding of both versions to
+// SHA-256 digests, on every engine: the uniform space is version 2, and
+// the mixed one version 1, whose digest was recorded when version 1 was
+// the only format. Both must also be the size the layout declares.
 func TestEncodeSegmentBytes(t *testing.T) {
-	want := map[string]string{
-		"uniform": "dea74f20a79578c8792ba577b1c10d2448376a6d99a545e2f4198af6f305a2ce",
-		"mixed":   "1927f624497eff734376e5979b3b97cc651901ba14cd8e7f776f76fe2c875b37",
+	want := map[string]struct {
+		version uint16
+		size    int
+		digest  string
+	}{
+		// 48-byte header, 3000 records of 16+41 bytes padded to 4, 2^10+1
+		// directory entries (3000/4 records to bucket), 4-byte footer.
+		"uniform": {2, 48 + 171000 + 4*1025 + 4, "ecd7052de3c52bae3acf8cf6f51012fc9b6674f5a256541f88b21e2d590a01a1"},
+		"mixed":   {1, -1, "1927f624497eff734376e5979b3b97cc651901ba14cd8e7f776f76fe2c875b37"},
 	}
 	for _, c := range layoutCases(5) {
+		w := want[c.name]
 		for _, e := range Engines() {
 			seg, err := EncodeSegment(fill(t, e, c.keyLen, c.recs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != want[c.name] {
-				t.Errorf("%s/%s: segment digest %s, want %s", e.Name(), c.name, got, want[c.name])
+			if v := binary.BigEndian.Uint16(seg[4:6]); v != w.version || (w.size >= 0 && len(seg) != w.size) {
+				t.Errorf("%s/%s: version %d, %d bytes; want version %d, %d bytes", e.Name(), c.name, v, len(seg), w.version, w.size)
+			}
+			if w.version == 2 {
+				// The body is the records themselves, key‖value in key order.
+				stride := c.keyLen + 41
+				for i, k := range sortedKeys(c.recs) {
+					if rec := seg[48+i*stride : 48+(i+1)*stride]; string(rec) != k+string(c.recs[k]) {
+						t.Fatalf("%s/%s: record %d is %x, want %x‖%x", e.Name(), c.name, i, rec, k, c.recs[k])
+					}
+				}
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != w.digest {
+				t.Errorf("%s/%s: segment digest %s, want %s", e.Name(), c.name, got, w.digest)
 			}
 		}
 	}

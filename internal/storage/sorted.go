@@ -3,17 +3,21 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
-// Sorted is the read-optimized engine: records live in flat byte
-// arrays, sorted by key once at Seal. When every value of a space has
-// the same width — true of every SSE dictionary, whose cells are all
-// one length — each record is laid out as key‖value at one stride, so
-// a probe that finds its key has already pulled the value's cache line:
-// one line per posting. A space of mixed widths (the tuple store with
-// user payloads) keeps keys at a fixed stride and values behind an
-// offset table. The input decides the layout; nothing configures it.
+// Sorted is the read-optimized engine: Seal sorts the records by key
+// once and lays them out as a segment (segment.go) in memory, which the
+// segment backend then serves. When every value of a space has the same
+// width — true of every SSE dictionary, whose cells are all one length —
+// each record is key‖value at one stride, so a probe that finds its key
+// has already pulled the value's cache line: one line per posting. A
+// space of mixed widths (the tuple store with user payloads) keeps keys
+// at a fixed stride and values behind an offset table. The input decides
+// the layout; nothing configures it.
 //
 // A radix directory over the leading key bits, sized at about four
 // records per bucket, cuts each lookup to one table probe plus a short
@@ -46,15 +50,23 @@ const maxValueHint = 64 << 20
 
 // NewBuilder implements Engine.
 func (Sorted) NewBuilder(keyLen, capacityHint int) Builder {
+	return newSortedBuilder(keyLen, capacityHint)
+}
+
+func newSortedBuilder(keyLen, capacityHint int) *sortedBuilder {
 	return &sortedBuilder{keyLen: keyLen, hint: max(capacityHint, 0), width: -1, ascending: true}
 }
 
+// sortedBuilder accumulates records where the segment will hold them:
+// buf starts with room for the segment header, so sealing a uniform
+// space writes the header, directory and footer around records already
+// in place.
 type sortedBuilder struct {
 	keyLen    int
 	hint      int      // capacity hint, spent at the first Put
 	width     int      // every value's length so far; -1 before the first Put
-	mixed     bool     // values differ in length: recs holds bare keys, values live in vals
-	recs      []byte   // n records at stride: key‖value, or the key alone when mixed
+	mixed     bool     // values differ in length: buf holds bare keys, values live in vals
+	buf       []byte   // header room, then n records at stride: key‖value, or the key alone when mixed
 	vals      []byte   // mixed only: concatenated values
 	offs      []uint64 // mixed only: n+1 value boundaries, record i is vals[offs[i]:offs[i+1]]
 	n         int
@@ -69,6 +81,11 @@ func (b *sortedBuilder) stride() int {
 	return b.keyLen + b.width
 }
 
+func (b *sortedBuilder) key(i int) []byte {
+	off := segHeaderSize + i*b.stride()
+	return b.buf[off : off+b.keyLen]
+}
+
 func (b *sortedBuilder) Put(key, value []byte) error {
 	if b.sealed {
 		return ErrSealed
@@ -77,8 +94,7 @@ func (b *sortedBuilder) Put(key, value []byte) error {
 		return ErrKeyLen
 	}
 	if b.n > 0 && b.ascending {
-		prev := b.recs[(b.n-1)*b.stride():]
-		switch c := bytes.Compare(prev[:b.keyLen], key); {
+		switch c := bytes.Compare(b.key(b.n-1), key); {
 		case c == 0:
 			return ErrDuplicateKey
 		case c > 0:
@@ -92,16 +108,19 @@ func (b *sortedBuilder) Put(key, value []byte) error {
 		if b.width == 0 || b.hint <= maxValueHint/b.width {
 			valueHint = b.hint * b.width
 		}
-		b.recs = make([]byte, 0, b.hint*b.keyLen+valueHint)
+		// At four records a bucket the directory takes at most 2n+12
+		// bytes; with the padding and the footer, 2n+24 covers the whole
+		// tail, so sealing a space of the hinted size copies no record.
+		b.buf = make([]byte, segHeaderSize, segHeaderSize+b.hint*(b.keyLen+2)+valueHint+24)
 	case !b.mixed && len(value) != b.width:
 		b.split()
 	}
-	b.recs = append(b.recs, key...)
+	b.buf = append(b.buf, key...)
 	if b.mixed {
 		b.vals = append(b.vals, value...)
 		b.offs = append(b.offs, uint64(len(b.vals)))
 	} else {
-		b.recs = append(b.recs, value...)
+		b.buf = append(b.buf, value...)
 	}
 	b.n++
 	return nil
@@ -111,112 +130,148 @@ func (b *sortedBuilder) Put(key, value []byte) error {
 // value whose width differs from the ones before it.
 func (b *sortedBuilder) split() {
 	stride := b.keyLen + b.width
-	keys := make([]byte, 0, max(b.hint, b.n+1)*b.keyLen)
+	keys := make([]byte, segHeaderSize, segHeaderSize+max(b.hint, b.n+1)*b.keyLen)
 	b.vals = make([]byte, 0, b.n*b.width)
 	b.offs = append(make([]uint64, 0, max(b.hint, b.n)+1), 0)
 	for i := 0; i < b.n; i++ {
-		rec := b.recs[i*stride : (i+1)*stride]
+		rec := b.buf[segHeaderSize+i*stride : segHeaderSize+(i+1)*stride]
 		keys = append(keys, rec[:b.keyLen]...)
 		b.vals = append(b.vals, rec[b.keyLen:]...)
 		b.offs = append(b.offs, uint64(len(b.vals)))
 	}
-	b.recs, b.mixed = keys, true
+	b.buf, b.mixed = keys, true
 }
 
+// Seal implements Builder: the sealed segment is served in place, and
+// the backend owns its bytes.
 func (b *sortedBuilder) Seal() (Backend, error) {
+	seg, err := b.seal()
+	if err != nil {
+		return nil, err
+	}
+	x, err := OpenSegment(seg)
+	if err == nil {
+		x.(*segmentBackend).heap = len(seg)
+	}
+	return x, err
+}
+
+// seal sorts the records and writes the segment around them: version 2
+// for one value width, version 1 for mixed widths. It is the only
+// segment writer.
+func (b *sortedBuilder) seal() ([]byte, error) {
 	if b.sealed {
 		return nil, ErrSealed
 	}
 	b.sealed = true
-	if b.width < 0 {
-		b.width = 0 // no records: an empty uniform space
-	}
-	x := &sortedBackend{keyLen: b.keyLen, stride: b.stride(), recs: b.recs, n: b.n}
-	if b.mixed {
-		x.vals, x.offs = b.vals, b.offs
+	if b.keyLen < 1 || b.keyLen > math.MaxUint16 || int64(b.width) > math.MaxUint32 {
+		return nil, fmt.Errorf("storage: segment of %d-byte keys and %d-byte values", b.keyLen, b.width)
 	}
 	if !b.ascending {
-		x.sortRecords()
-	}
-	// Adjacent equal keys are the only possible duplicates once sorted.
-	for i := 1; i < x.n; i++ {
-		if bytes.Equal(x.key(i-1), x.key(i)) {
-			return nil, ErrDuplicateKey
+		b.sortRecords()
+		// Adjacent equal keys are the only possible duplicates once sorted.
+		for i := 1; i < b.n; i++ {
+			if bytes.Equal(b.key(i-1), b.key(i)) {
+				return nil, ErrDuplicateKey
+			}
 		}
 	}
-	x.buildDirectory()
-	return x, nil
-}
-
-// sortedBackend holds n records in recs at stride. With offs nil the
-// layout is uniform: record i is key‖value, its value the stride's tail.
-// Otherwise record i in recs is the key alone, and its value is
-// vals[offs[i]:offs[i+1]].
-type sortedBackend struct {
-	keyLen int
-	stride int
-	recs   []byte
-	vals   []byte
-	offs   []uint64
-	n      int
-
-	dirBits uint
-	dir     []uint32 // dir[p] = first record whose key prefix is >= p
-}
-
-func (x *sortedBackend) key(i int) []byte {
-	return x.recs[i*x.stride : i*x.stride+x.keyLen]
-}
-
-// val returns record i's value with no spare capacity, so an append by
-// the caller copies instead of writing over the next record.
-func (x *sortedBackend) val(i int) []byte {
-	if x.offs == nil {
-		end := (i + 1) * x.stride
-		return x.recs[i*x.stride+x.keyLen : end : end]
+	version, width, dirBits := uint16(2), max(b.width, 0), dirBitsFor(b.n>>2, b.keyLen)
+	valsLen := uint64(b.n * width)
+	if b.mixed {
+		// Version 1, byte for byte as the format has always written it.
+		version, width, dirBits, valsLen = 1, 0, dirBitsFor(b.n, b.keyLen), uint64(len(b.vals))
 	}
-	return x.vals[x.offs[i]:x.offs[i+1]:x.offs[i+1]]
+	if b.n == 0 {
+		dirBits = 0
+	}
+	keyLen, n := uint64(b.keyLen), uint64(b.n)
+	l := layoutFor(version, keyLen, n, valsLen, uint8(dirBits))
+	buf := slices.Grow(b.buf, int(l.total)-len(b.buf))
+	if len(buf) == 0 {
+		buf = buf[:segHeaderSize] // no records arrived, so no Put made the header room
+	}
+	if b.mixed {
+		buf = appendZeros(buf, l.offsOff)
+		for _, o := range b.offs {
+			buf = binary.BigEndian.AppendUint64(buf, o)
+		}
+		buf = append(buf, b.vals...)
+	}
+	buf = appendZeros(buf, l.dirOff)
+	if dirBits > 0 {
+		buf = appendDir(buf, buf[segHeaderSize:], b.stride(), b.keyLen, b.n, dirBits)
+	}
+
+	hdr := buf[:segHeaderSize]
+	copy(hdr[0:4], segMagic)
+	binary.BigEndian.PutUint16(hdr[4:6], version)
+	binary.BigEndian.PutUint16(hdr[6:8], uint16(keyLen))
+	binary.BigEndian.PutUint64(hdr[8:16], n)
+	binary.BigEndian.PutUint64(hdr[16:24], valsLen)
+	hdr[24] = uint8(dirBits)
+	binary.BigEndian.PutUint32(hdr[28:32], uint32(width))
+	binary.BigEndian.PutUint64(hdr[32:40], l.total)
+	binary.BigEndian.PutUint32(hdr[40:44], crc32c(hdr[0:40]))
+	return binary.BigEndian.AppendUint32(buf, crc32c(buf[segHeaderSize:])), nil
+}
+
+// appendZeros pads buf with zero bytes to length off.
+func appendZeros(buf []byte, off uint64) []byte {
+	return append(buf, make([]byte, off-uint64(len(buf)))...)
 }
 
 // sortRecords orders the records by key: the uniform layout in place,
 // the mixed one through a sorted permutation.
-func (x *sortedBackend) sortRecords() {
-	if x.offs == nil {
-		sort.Sort(strideRecords{x, make([]byte, x.stride)})
+func (b *sortedBuilder) sortRecords() {
+	if !b.mixed {
+		s := b.stride()
+		sort.Sort(strideRecords{b.buf[segHeaderSize:], s, b.keyLen, make([]byte, s)})
 		return
 	}
-	ord := make([]int, x.n)
+	ord := make([]int, b.n)
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		return bytes.Compare(x.key(ord[a]), x.key(ord[b])) < 0
+	sort.Slice(ord, func(i, j int) bool {
+		return bytes.Compare(b.key(ord[i]), b.key(ord[j])) < 0
 	})
-	keys := make([]byte, 0, len(x.recs))
-	vals := make([]byte, 0, len(x.vals))
-	offs := append(make([]uint64, 0, x.n+1), 0)
+	keys := make([]byte, segHeaderSize, len(b.buf))
+	vals := make([]byte, 0, len(b.vals))
+	offs := append(make([]uint64, 0, b.n+1), 0)
 	for _, i := range ord {
-		keys = append(keys, x.key(i)...)
-		vals = append(vals, x.val(i)...)
+		keys = append(keys, b.key(i)...)
+		vals = append(vals, b.vals[b.offs[i]:b.offs[i+1]]...)
 		offs = append(offs, uint64(len(vals)))
 	}
-	x.recs, x.vals, x.offs = keys, vals, offs
+	b.buf, b.vals, b.offs = keys, vals, offs
 }
 
 // strideRecords sorts a uniform layout's records in place, so sealing
 // unordered input holds one copy of the records, not two.
 type strideRecords struct {
-	x   *sortedBackend
-	tmp []byte // one record of swap scratch
+	recs           []byte
+	stride, keyLen int
+	tmp            []byte // one record of swap scratch
 }
 
-func (r strideRecords) Len() int { return r.x.n }
+func (r strideRecords) Len() int { return len(r.recs) / r.stride }
+
+// Less compares the 8-byte key prefixes as integers, as Get does, and
+// falls back to the whole keys only on a tie: rare for the pseudorandom
+// labels of the SSE dictionaries, whose sort is most of a build's seal.
 func (r strideRecords) Less(i, j int) bool {
-	return bytes.Compare(r.x.key(i), r.x.key(j)) < 0
+	a := r.recs[i*r.stride : i*r.stride+r.keyLen]
+	b := r.recs[j*r.stride : j*r.stride+r.keyLen]
+	if pa, pb := loadPrefix(a), loadPrefix(b); pa != pb {
+		return pa < pb
+	}
+	return bytes.Compare(a, b) < 0
 }
+
 func (r strideRecords) Swap(i, j int) {
-	s := r.x.stride
-	a, b := r.x.recs[i*s:(i+1)*s], r.x.recs[j*s:(j+1)*s]
+	a := r.recs[i*r.stride : (i+1)*r.stride]
+	b := r.recs[j*r.stride : (j+1)*r.stride]
 	copy(r.tmp, a)
 	copy(a, b)
 	copy(b, r.tmp)
@@ -235,8 +290,8 @@ func loadPrefix(key []byte) uint64 {
 	return v
 }
 
-// dirBitsFor sizes a radix directory to ~one record per bucket, capped
-// at maxDirBits and at the key's own bit length.
+// dirBitsFor sizes a radix directory to ~one bucket per n, capped at
+// maxDirBits and at the key's own bit length.
 func dirBitsFor(n, keyLen int) uint {
 	bits := uint(1)
 	for 1<<bits < n && bits < maxDirBits {
@@ -248,95 +303,20 @@ func dirBitsFor(n, keyLen int) uint {
 	return bits
 }
 
-// buildDir fills a ((1<<bits)+1)-entry directory over n sorted records
-// at a stride, each starting with its keyLen-byte key: dir[p] is the
-// first record whose key prefix reaches p, dir[1<<bits] is n. Shared by
-// the Sorted engine and the segment writer.
-func buildDir(recs []byte, stride, keyLen, n int, bits uint) []uint32 {
-	dir := make([]uint32, (1<<bits)+1)
-	prev := uint64(0)
+// appendDir appends the ((1<<bits)+1)-entry big-endian directory over n
+// sorted records at a stride, each starting with its keyLen-byte key:
+// entry p is the first record whose key prefix reaches p, entry 1<<bits
+// is n.
+func appendDir(out, recs []byte, stride, keyLen, n int, bits uint) []byte {
+	next := uint64(0) // the next entry to append
 	for i := 0; i < n; i++ {
 		p := loadPrefix(recs[i*stride:i*stride+keyLen]) >> (64 - bits)
-		for q := prev + 1; q <= p; q++ {
-			dir[q] = uint32(i)
-		}
-		prev = p
-	}
-	for q := prev + 1; q < uint64(len(dir)); q++ {
-		dir[q] = uint32(n)
-	}
-	return dir
-}
-
-// buildDirectory attaches the radix directory to a sealed backend, at
-// about four records per bucket: a bucket's records then share a line
-// or two, and the directory is a quarter the size the segment format
-// stores.
-func (x *sortedBackend) buildDirectory() {
-	if x.n == 0 {
-		return
-	}
-	x.dirBits = dirBitsFor(x.n>>2, x.keyLen)
-	x.dir = buildDir(x.recs, x.stride, x.keyLen, x.n, x.dirBits)
-}
-
-func (x *sortedBackend) Get(key []byte) ([]byte, bool) {
-	if len(key) != x.keyLen || x.n == 0 {
-		return nil, false
-	}
-	kp := loadPrefix(key)
-	p := kp >> (64 - x.dirBits)
-	lo, hi := int(x.dir[p]), int(x.dir[p+1])
-	kl, stride := x.keyLen, x.stride
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		rec := x.recs[mid*stride : mid*stride+stride]
-		mk := rec[:kl]
-		// Compare the 8-byte prefixes as integers; fall back to the tail
-		// bytes only on a prefix tie.
-		c := 0
-		switch mp := loadPrefix(mk); {
-		case mp < kp:
-			c = -1
-		case mp > kp:
-			c = 1
-		case kl > 8:
-			c = bytes.Compare(mk[8:], key[8:])
-		}
-		switch {
-		case c < 0:
-			lo = mid + 1
-		case c > 0:
-			hi = mid
-		case x.offs == nil:
-			// The value shares the line the key was just read from.
-			return rec[kl:stride:stride], true
-		default:
-			return x.val(mid), true
+		for ; next <= p; next++ {
+			out = binary.BigEndian.AppendUint32(out, uint32(i))
 		}
 	}
-	return nil, false
-}
-
-func (x *sortedBackend) Len() int    { return x.n }
-func (x *sortedBackend) KeyLen() int { return x.keyLen }
-
-// Resident reports the heap bytes the flat arrays pin.
-func (x *sortedBackend) Resident() int {
-	return len(x.recs) + len(x.vals) + 8*len(x.offs) + 4*len(x.dir)
-}
-
-func (x *sortedBackend) Iterate(fn func(key, value []byte) bool) {
-	for i := 0; i < x.n; i++ {
-		if !fn(x.key(i), x.val(i)) {
-			return
-		}
+	for ; next <= 1<<bits; next++ {
+		out = binary.BigEndian.AppendUint32(out, uint32(n))
 	}
-}
-
-func (x *sortedBackend) valueBytes() int {
-	if x.offs == nil {
-		return x.n * (x.stride - x.keyLen)
-	}
-	return len(x.vals)
+	return out
 }

@@ -6,18 +6,13 @@
 // here. Schemes choose an Engine at build/unmarshal time; nothing above
 // this package knows (or cares) how the records are laid out.
 //
-// Three engines ship today: Map, a hash table preserving the original
-// in-memory behavior; Sorted, a read-optimized flat-array layout built
-// for the server's search path, which keeps fixed-width values beside
-// their keys so that a probe reads one record's cache line; and Disk,
-// which seals records into the checksummed segment format of segment.go
-// and answers queries by binary search directly over the raw (typically
-// memory-mapped) bytes, with zero per-record copies between file and
-// query path. The in-memory layouts are the server's own: every engine
-// encodes a space to the same segment bytes. The seam is what
-// later work plugs into: sharded or workload-adaptive representations
-// (in the spirit of biased range trees) slot in as new Engines without
-// touching scheme code.
+// Map is a hash table, and the default. Sorted and Disk both seal their
+// records into the checksummed segment format of segment.go and answer
+// queries with one Backend over those bytes, whose fixed-width values sit
+// beside their keys so that a probe reads one record's cache line; Disk
+// also opens a segment file in place (Opener), with zero per-record
+// copies between file and query path. Every engine encodes a space to
+// the same segment bytes.
 package storage
 
 import (

@@ -11,7 +11,7 @@ import (
 )
 
 // fill builds a backend on e from the given records.
-func fill(t *testing.T, e Engine, keyLen int, recs map[string][]byte) Backend {
+func fill(t testing.TB, e Engine, keyLen int, recs map[string][]byte) Backend {
 	t.Helper()
 	b := e.NewBuilder(keyLen, len(recs))
 	for k, v := range recs {
@@ -73,9 +73,9 @@ type layoutCase struct {
 	recs   map[string][]byte
 }
 
-// layoutCases are the two record layouts of the Sorted engine: one
-// value width (every SSE dictionary) and mixed widths (a tuple store
-// with user payloads).
+// layoutCases are the two segment versions: one value width (every SSE
+// dictionary, version 2) and mixed widths (a tuple store with user
+// payloads, version 1).
 func layoutCases(seed int64) []layoutCase {
 	rnd := mrand.New(mrand.NewSource(seed))
 	return []layoutCase{
