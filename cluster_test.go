@@ -3,119 +3,14 @@ package rsse_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	mrand "math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"rsse"
 	"rsse/internal/dataset"
 )
-
-// clusterRanges generates the differential-test query mix over a domain
-// partitioned by bounds: fully random ranges, ranges forced to span a
-// shard boundary, degenerate ranges inside a single shard, single-value
-// ranges, and the full domain.
-func clusterRanges(n int, size uint64, c *rsse.Cluster, seed int64) []rsse.Range {
-	rnd := mrand.New(mrand.NewSource(seed))
-	out := make([]rsse.Range, 0, n)
-	for len(out) < n {
-		switch len(out) % 4 {
-		case 0: // fully random
-			lo := rnd.Uint64() % size
-			out = append(out, rsse.Range{Lo: lo, Hi: lo + rnd.Uint64()%(size-lo)})
-		case 1: // spans at least one shard boundary (when the cluster has one)
-			if c.Shards() == 1 {
-				out = append(out, rsse.Range{Lo: 0, Hi: size - 1})
-				continue
-			}
-			b := c.ShardRange(1 + rnd.Intn(c.Shards()-1)).Lo
-			lo := rnd.Uint64() % b
-			hi := b + rnd.Uint64()%(size-b)
-			out = append(out, rsse.Range{Lo: lo, Hi: hi})
-		case 2: // degenerate: inside one shard
-			sr := c.ShardRange(rnd.Intn(c.Shards()))
-			w := sr.Size()
-			lo := sr.Lo + rnd.Uint64()%w
-			out = append(out, rsse.Range{Lo: lo, Hi: lo + rnd.Uint64()%(sr.Hi-lo+1)})
-		case 3: // single value
-			v := rnd.Uint64() % size
-			out = append(out, rsse.Range{Lo: v, Hi: v})
-		}
-	}
-	out[0] = rsse.Range{Lo: 0, Hi: size - 1} // always include the full domain
-	return out
-}
-
-// TestClusterDifferential is the acceptance test: for every scheme kind
-// and k ∈ {2, 4}, a k-shard cluster must return exactly the matches of a
-// single-index baseline over 100+ randomized ranges, including
-// boundary-spanning and degenerate single-shard ones.
-func TestClusterDifferential(t *testing.T) {
-	for _, kind := range rsse.Kinds() {
-		for _, k := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%v/k=%d", kind, k), func(t *testing.T) {
-				t.Parallel()
-				bits := uint8(12)
-				n := 300
-				if kind == rsse.Quadratic {
-					bits, n = 8, 120 // keep the O(n m^2) baseline tractable
-				}
-				tuples := genTuples(n, bits, int64(10*int(kind)+k))
-				shardOpts := []rsse.Option{rsse.WithSeed(1)}
-				baseOpts := []rsse.Option{rsse.WithSeed(2)}
-				if kind == rsse.ConstantBRC || kind == rsse.ConstantURC {
-					// Randomized ranges intersect; lift the schemes' guard
-					// identically on both sides.
-					shardOpts = append(shardOpts, rsse.AllowIntersectingQueries())
-					baseOpts = append(baseOpts, rsse.AllowIntersectingQueries())
-				}
-				cluster, err := rsse.BuildCluster(kind, bits, k, tuples,
-					rsse.WithShardOptions(shardOpts...))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cluster.Shards() != k {
-					t.Fatalf("Shards = %d, want %d", cluster.Shards(), k)
-				}
-				baseline, err := rsse.NewClient(kind, bits, baseOpts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				baseIdx, err := baseline.BuildIndex(tuples)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queries := clusterRanges(110, uint64(1)<<bits, cluster, int64(k))
-				for _, q := range queries {
-					want, err := baseline.Query(baseIdx, q)
-					if err != nil {
-						t.Fatalf("baseline %v: %v", q, err)
-					}
-					got, err := cluster.Query(q)
-					if err != nil {
-						t.Fatalf("cluster %v: %v", q, err)
-					}
-					if !equal(sorted(got.Matches), sorted(want.Matches)) {
-						t.Fatalf("%v: cluster %v != baseline %v", q, sorted(got.Matches), sorted(want.Matches))
-					}
-					if !equal(sorted(got.Matches), oracle(tuples, q)) {
-						t.Fatalf("%v: cluster disagrees with plaintext oracle", q)
-					}
-					if got.Stats.Matches != len(got.Matches) {
-						t.Fatalf("%v: merged stats count %d != %d matches", q, got.Stats.Matches, len(got.Matches))
-					}
-					if len(got.Shards) == 0 || len(got.Shards) > k {
-						t.Fatalf("%v: %d per-shard stats", q, len(got.Shards))
-					}
-				}
-			})
-		}
-	}
-}
 
 // TestClusterShardIndependence checks the leakage-scope claim mechanics:
 // shards are separate indexes under distinct derived keys, and a range
@@ -124,9 +19,7 @@ func TestClusterShardIndependence(t *testing.T) {
 	tuples := genTuples(200, 10, 31)
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 4, tuples,
 		rsse.WithShardOptions(rsse.WithSeed(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	stats := cluster.Stats()
 	if len(stats) != 4 {
 		t.Fatalf("Stats len %d", len(stats))
@@ -144,9 +37,7 @@ func TestClusterShardIndependence(t *testing.T) {
 	// One-shard query → exactly one per-shard entry, on the owner.
 	sr := cluster.ShardRange(2)
 	res, err := cluster.Query(rsse.Range{Lo: sr.Lo, Hi: sr.Lo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(res.Shards) != 1 || res.Shards[0].Shard != 2 {
 		t.Fatalf("single-shard query touched %+v", res.Shards)
 	}
@@ -157,9 +48,7 @@ func TestClusterShardIndependence(t *testing.T) {
 	k0 := cluster.ShardIndex(0)
 	other, err := rsse.NewClient(rsse.LogarithmicBRC, 10,
 		rsse.WithMasterKey(cluster.MasterKey()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, err := other.Query(k0, rsse.Range{Lo: 0, Hi: 10}); err == nil {
 		// The cluster master key must not be a shard key directly. A
 		// query under it may error or return garbage, but must not
@@ -174,9 +63,7 @@ func TestClusterQuantileSplit(t *testing.T) {
 	tuples := dataset.ZipfPool(4000, 14, 200, 1.2, 5)
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicSRCi, 14, 4, tuples,
 		rsse.WithQuantileSplit(), rsse.WithShardOptions(rsse.WithSeed(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if cluster.Shards() < 2 {
 		t.Fatalf("quantile split collapsed to %d shards", cluster.Shards())
 	}
@@ -186,22 +73,14 @@ func TestClusterQuantileSplit(t *testing.T) {
 		}
 	}
 	baseline, err := rsse.NewClient(rsse.LogarithmicSRCi, 14, rsse.WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	baseIdx, err := baseline.BuildIndex(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range clusterRanges(40, 1<<14, cluster, 6) {
+	must(t, err)
+	for _, q := range genRanges(14, 40, 6) {
 		want, err := baseline.Query(baseIdx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		got, err := cluster.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if !equal(sorted(got.Matches), sorted(want.Matches)) {
 			t.Fatalf("%v: quantile cluster diverged", q)
 		}
@@ -219,9 +98,7 @@ func serveCluster(t *testing.T, cluster *rsse.Cluster, base string, servers int)
 	for i := range regs {
 		regs[i] = rsse.NewRegistry()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		addrs[i] = l.Addr().String()
 		srv := rsse.NewServer(regs[i])
 		go srv.Serve(l)
@@ -240,49 +117,6 @@ func serveCluster(t *testing.T, cluster *rsse.Cluster, base string, servers int)
 	return man
 }
 
-// TestClusterRemoteScatterGather serves a built cluster's shards across
-// two real TCP servers and checks that a dialed cluster (static
-// shard→addr table) returns baseline-identical results.
-func TestClusterRemoteScatterGather(t *testing.T) {
-	tuples := genTuples(400, 12, 41)
-	built, err := rsse.BuildCluster(rsse.LogarithmicSRCi, 12, 4, tuples,
-		rsse.WithShardOptions(rsse.WithSeed(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := serveCluster(t, built, "users", 2)
-
-	dialed, err := rsse.DialCluster("tcp", "", man, built.MasterKey(),
-		rsse.WithShardOptions(rsse.WithSeed(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dialed.Close()
-	for _, q := range clusterRanges(30, 1<<12, built, 7) {
-		want := oracle(tuples, q)
-		res, err := dialed.Query(q)
-		if err != nil {
-			t.Fatalf("%v: %v", q, err)
-		}
-		if !equal(sorted(res.Matches), want) {
-			t.Fatalf("%v: remote cluster diverged", q)
-		}
-	}
-	// Payload fetch routes across shards.
-	tup, err := dialed.FetchTuple(tuples[7].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tup.Value != tuples[7].Value {
-		t.Fatalf("FetchTuple value %d, want %d", tup.Value, tuples[7].Value)
-	}
-	// A missing default address for an address-less shard must fail fast.
-	bare := built.Manifest("users") // no addrs
-	if _, err := rsse.DialCluster("tcp", "", bare, built.MasterKey()); err == nil {
-		t.Fatal("dial without addresses accepted")
-	}
-}
-
 // TestClusterPartialResults kills one shard of a served cluster and
 // checks both policies: fail-fast rejects the query, partial returns the
 // reachable slices and reports the dead shard's error.
@@ -290,15 +124,11 @@ func TestClusterPartialResults(t *testing.T) {
 	tuples := genTuples(300, 12, 51)
 	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 12, 4, tuples,
 		rsse.WithShardOptions(rsse.WithSeed(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	man := serveCluster(t, built, "t", 1)
 
 	strict, err := rsse.DialCluster("tcp", "", man, built.MasterKey())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	defer strict.Close()
 
 	full := rsse.Range{Lo: 0, Hi: (1 << 12) - 1}
@@ -309,9 +139,7 @@ func TestClusterPartialResults(t *testing.T) {
 	t.Run("dead address", func(t *testing.T) {
 		// A shard pinned to an unreachable address fails at dial time.
 		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		deadAddr := l.Addr().String()
 		l.Close()
 		man3 := man
@@ -331,9 +159,7 @@ func TestClusterPartialResults(t *testing.T) {
 		man4.Shards[2].Name = "no-such-index"
 
 		strict2, err := rsse.DialCluster("tcp", "", man4, built.MasterKey())
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		defer strict2.Close()
 		if _, err := strict2.Query(full); err == nil {
 			t.Fatal("strict query over a dead shard succeeded")
@@ -341,9 +167,7 @@ func TestClusterPartialResults(t *testing.T) {
 
 		part2, err := rsse.DialCluster("tcp", "", man4, built.MasterKey(),
 			rsse.WithPartialResults())
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		defer part2.Close()
 		res, err := part2.Query(full)
 		if err != nil {
@@ -377,50 +201,11 @@ func TestClusterPartialResults(t *testing.T) {
 func TestClusterContextCancel(t *testing.T) {
 	tuples := genTuples(100, 10, 61)
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 2, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := cluster.QueryContext(ctx, rsse.Range{Lo: 0, Hi: 1023}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query error = %v", err)
-	}
-}
-
-func TestClusterConcurrentQueries(t *testing.T) {
-	tuples := genTuples(500, 12, 71)
-	cluster, err := rsse.BuildCluster(rsse.LogarithmicURC, 12, 4, tuples,
-		rsse.WithShardOptions(rsse.WithSeed(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rnd := mrand.New(mrand.NewSource(int64(g)))
-			for i := 0; i < 20; i++ {
-				lo := rnd.Uint64() % (1 << 12)
-				hi := lo + rnd.Uint64()%((1<<12)-lo)
-				q := rsse.Range{Lo: lo, Hi: hi}
-				res, err := cluster.Query(q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !equal(sorted(res.Matches), oracle(tuples, q)) {
-					errs <- fmt.Errorf("goroutine %d: %v wrong matches", g, q)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 
@@ -431,16 +216,12 @@ func TestClusterPersistReopen(t *testing.T) {
 	tuples := genTuples(250, 12, 81)
 	built, err := rsse.BuildCluster(rsse.LogarithmicSRC, 12, 3, tuples,
 		rsse.WithShardOptions(rsse.WithSeed(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	dir := t.TempDir()
 	man := built.Manifest("demo")
 	for i := 0; i < built.Shards(); i++ {
 		blob, err := built.ShardIndex(i).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if err := os.WriteFile(filepath.Join(dir, man.Shards[i].Name+".idx"), blob, 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -453,11 +234,9 @@ func TestClusterPersistReopen(t *testing.T) {
 		func(i int, info rsse.ClusterShardInfo) (*rsse.Index, error) {
 			return rsse.OpenIndexFile(filepath.Join(dir, info.Name+".idx"), "disk")
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	defer reread.Close()
-	for _, q := range clusterRanges(30, 1<<12, reread, 11) {
+	for _, q := range genRanges(12, 30, 11) {
 		res, err := reread.Query(q)
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
@@ -498,11 +277,15 @@ func TestClusterValidation(t *testing.T) {
 		rsse.WithClusterWorkers(-1)); err == nil {
 		t.Fatal("negative worker bound accepted")
 	}
+	// A shard with no address and no default address fails fast.
+	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 2, nil)
+	must(t, err)
+	if _, err := rsse.DialCluster("tcp", "", built.Manifest("users"), built.MasterKey()); err == nil {
+		t.Fatal("dial without addresses accepted")
+	}
 	// k=1 degenerates to a single index and still answers queries.
 	one, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 1, genTuples(50, 8, 91))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, err := one.Query(rsse.Range{Lo: 0, Hi: 255}); err != nil {
 		t.Fatal(err)
 	}
@@ -518,9 +301,7 @@ func TestClusterKeyDeterminism(t *testing.T) {
 	tuples := genTuples(200, 10, 92)
 	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 3, tuples,
 		rsse.WithClusterKey(key), rsse.WithShardOptions(rsse.WithSeed(12)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	man := built.Manifest("d")
 	reopened, err := rsse.OpenCluster(man, key,
 		func(i int, info rsse.ClusterShardInfo) (*rsse.Index, error) {
@@ -530,14 +311,10 @@ func TestClusterKeyDeterminism(t *testing.T) {
 			}
 			return rsse.UnmarshalIndex(blob)
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	q := rsse.Range{Lo: 100, Hi: 900}
 	res, err := reopened.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !equal(sorted(res.Matches), oracle(tuples, q)) {
 		t.Fatal("re-keyed cluster cannot read its own shards")
 	}
@@ -551,9 +328,7 @@ func TestClusterKeyDeterminism(t *testing.T) {
 			}
 			return rsse.UnmarshalIndex(blob)
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if res, err := wrongKeyCluster.Query(q); err == nil && equal(sorted(res.Matches), oracle(tuples, q)) {
 		t.Fatal("wrong cluster key still decrypts")
 	}

@@ -4,14 +4,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"rsse"
 	"rsse/internal/wal"
 )
 
-// durableDomainBits mirrors batchDomainBits for the dynamic stores.
+// durableDomainBits keeps the Quadratic baseline on a small domain.
 func durableDomainBits(kind rsse.Kind) uint8 {
 	if kind == rsse.Quadratic {
 		return 6
@@ -77,48 +76,6 @@ func driveUpdates(t *testing.T, bits uint8, stores ...rsse.WritableStore) {
 	})
 }
 
-func sortedTuples(ts []rsse.Tuple) []rsse.Tuple {
-	out := append([]rsse.Tuple(nil), ts...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func assertTuplesEqual(t *testing.T, label string, got, want []rsse.Tuple) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d tuples, want %d\n got: %+v\nwant: %+v", label, len(got), len(want), got, want)
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.ID != w.ID || g.Value != w.Value || string(g.Payload) != string(w.Payload) {
-			t.Fatalf("%s: tuple %d: got %+v, want %+v", label, i, g, w)
-		}
-	}
-}
-
-// randomRanges draws n randomized query ranges including degenerate
-// points and the full domain.
-func randomRanges(bits uint8, n int) []rsse.Range {
-	m := uint64(1) << bits
-	out := make([]rsse.Range, 0, n+2)
-	out = append(out, rsse.Range{Lo: 0, Hi: m - 1}, rsse.Range{Lo: m / 2, Hi: m / 2})
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	for i := 0; i < n; i++ {
-		a, b := next()%m, next()%m
-		if a > b {
-			a, b = b, a
-		}
-		out = append(out, rsse.Range{Lo: a, Hi: b})
-	}
-	return out
-}
-
 // TestDurableRecoveryDifferential is the acceptance proof: for all 7
 // schemes, a durable Dynamic that crashes (abandoned without Close)
 // with sealed epochs AND a pending WAL tail must, after reopening,
@@ -131,13 +88,9 @@ func TestDurableRecoveryDifferential(t *testing.T) {
 			bits := durableDomainBits(kind)
 			dir := t.TempDir()
 			d, err := rsse.OpenDynamic(dir, kind, bits, 2, dynOptions()...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			oracle, err := rsse.NewDynamic(kind, bits, 2, dynOptions()...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			driveUpdates(t, bits, d, oracle)
 			// Crash: d is dropped without Close or final Flush (the hook
 			// releases the WAL's advisory lock without syncing, leaving
@@ -152,7 +105,7 @@ func TestDurableRecoveryDifferential(t *testing.T) {
 			if d2.Pending() != oracle.Pending() {
 				t.Fatalf("recovered %d pending ops, oracle has %d", d2.Pending(), oracle.Pending())
 			}
-			ranges := randomRanges(bits, 100)
+			ranges := genRanges(bits, 100, 1)
 			compare := func(phase string) {
 				t.Helper()
 				for _, q := range ranges {
@@ -164,7 +117,9 @@ func TestDurableRecoveryDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: oracle query %v: %v", phase, q, err)
 					}
-					assertTuplesEqual(t, phase+" "+q.String(), sortedTuples(got), sortedTuples(want))
+					if err := newModel(want).check(kind, q, tupleAnswer(got)); err != nil {
+						t.Fatalf("%s: %v", phase, err)
+					}
 				}
 			}
 			compare("pre-flush")
@@ -186,13 +141,9 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 	dir := t.TempDir()
 	const bits, shards = 10, 4
 	d, err := rsse.OpenShardedDynamic(dir, rsse.LogarithmicBRC, bits, shards, 2, dynOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	oracle, err := rsse.NewShardedDynamic(rsse.LogarithmicBRC, bits, shards, 2, dynOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	driveUpdates(t, bits, d, oracle)
 	// Crash without Close.
 	rsse.CrashSharded(d)
@@ -211,7 +162,7 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 	if err := oracle.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range randomRanges(bits, 40) {
+	for _, q := range genRanges(bits, 40, 2) {
 		got, _, err := d2.Query(q)
 		if err != nil {
 			t.Fatalf("recovered query %v: %v", q, err)
@@ -220,7 +171,7 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle query %v: %v", q, err)
 		}
-		assertTuplesEqual(t, q.String(), sortedTuples(got), sortedTuples(want))
+		must(t, newModel(want).check(rsse.LogarithmicBRC, q, tupleAnswer(got)))
 	}
 }
 
@@ -232,9 +183,7 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 func TestShardedDynamicSeededShardsQueryConcurrently(t *testing.T) {
 	const bits = 12
 	d, err := rsse.OpenShardedDynamic(t.TempDir(), rsse.LogarithmicBRC, bits, 4, 2, rsse.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	defer d.Close()
 	var inserted []rsse.Tuple
 	for i := 0; i < 400; i++ {
@@ -256,9 +205,7 @@ func TestShardedDynamicSeededShardsQueryConcurrently(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		got, _, err := d.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if len(got) != want {
 			t.Fatalf("query %d: %d tuples, want %d", i, len(got), want)
 		}
@@ -274,9 +221,7 @@ func TestCrossShardModifyCrashNeverResurrects(t *testing.T) {
 	dir := t.TempDir()
 	const bits, shards = 10, 2
 	d, err := rsse.OpenShardedDynamic(dir, rsse.LogarithmicBRC, bits, shards, 2, dynOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	m := uint64(1) << bits
 	oldValue := m / 4     // shard 0
 	newValue := 3 * m / 4 // shard 1
@@ -301,9 +246,7 @@ func TestCrossShardModifyCrashNeverResurrects(t *testing.T) {
 	rsse.CrashSharded(d)
 	newShardWAL := filepath.Join(dir, "shard-001", "wal.log")
 	blob, err := os.ReadFile(newShardWAL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(blob) <= 8 {
 		t.Fatal("test setup: new shard's WAL does not hold the insertion")
 	}
@@ -320,9 +263,7 @@ func TestCrossShardModifyCrashNeverResurrects(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples, _, err := d2.Query(rsse.Range{Lo: 0, Hi: m - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, tup := range tuples {
 		if tup.ID == 1 && tup.Value == oldValue {
 			t.Fatalf("crash between cross-shard records resurrected the old value: %+v", tup)
@@ -344,9 +285,7 @@ func TestRemoteUpdatesDurable(t *testing.T) {
 	const bits = 10
 	open := func() *rsse.Dynamic {
 		d, err := rsse.OpenDynamic(dir, rsse.LogarithmicBRC, bits, 2, dynOptions()...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return d
 	}
 	serve := func(d *rsse.Dynamic) (*rsse.RemoteDynamic, func()) {
@@ -356,14 +295,10 @@ func TestRemoteUpdatesDurable(t *testing.T) {
 		}
 		srv := rsse.NewServer(reg)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		go func() { _ = srv.Serve(l) }()
 		remote, err := rsse.DialDynamic("tcp", l.Addr().String(), rsse.DefaultDynamicName)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return remote, func() { remote.Close(); l.Close() }
 	}
 
@@ -403,9 +338,7 @@ func TestRemoteUpdatesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples, err := remote2.Query(rsse.Range{Lo: 0, Hi: (1 << bits) - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(tuples) != 1 {
 		t.Fatalf("recovered store holds %d live tuples, want 1: %+v", len(tuples), tuples)
 	}
@@ -419,13 +352,9 @@ func TestRemoteUpdatesDurable(t *testing.T) {
 func replayWALFile(t *testing.T, path string) []wal.Record {
 	t.Helper()
 	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	defer f.Close()
 	recs, _, _, err := wal.Replay(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return recs
 }

@@ -1,6 +1,14 @@
 package rsse
 
-import "rsse/internal/storage"
+import (
+	"context"
+	"net"
+	"strconv"
+
+	"rsse/internal/core"
+	"rsse/internal/storage"
+	"rsse/internal/transport"
+)
 
 // Test-only crash hooks: recovery tests simulate SIGKILL by dropping a
 // durable store's WAL file descriptor without syncing or flushing —
@@ -18,13 +26,67 @@ func CrashSharded(d *ShardedDynamic) {
 	}
 }
 
+// FlushShard seals shard i's pending batch alone — the state a crash
+// between two shards' commits leaves behind.
+func FlushShard(d *ShardedDynamic, i int) error { return d.stores[i].Flush() }
+
 // WithStorageEngine injects a concrete storage engine instead of a
-// registered name — the chaos suite uses it to slide a fault-injecting
-// wrapper (internal/fault.Engine) under a served index without adding a
-// production option for it.
+// registered name — the conformance harness uses it to slide a
+// fault-injecting wrapper (internal/fault.Engine) under a served index
+// without adding a production option for it.
 func WithStorageEngine(e storage.Engine) Option {
 	return func(c *config) error {
 		c.engine = e
 		return nil
 	}
+}
+
+// perIDOnly hides a target's FetchMany, forcing the owner's fetch round
+// onto the one-Fetch-per-id fallback — the reference the chunked round
+// is compared to.
+type perIDOnly struct{ core.Server }
+
+// QueryPerID is QueryRemoteContext through a handle to r with FetchMany
+// hidden.
+func QueryPerID(ctx context.Context, c *Client, r *RemoteIndex, q Range) (*Result, error) {
+	return c.inner.QueryServerContext(ctx, perIDOnly{r.handle}, q)
+}
+
+// QueryBatchPerID is QueryBatchRemoteContext through a handle to r with
+// FetchMany hidden.
+func QueryBatchPerID(ctx context.Context, c *Client, r *RemoteIndex, ranges []Range) (*BatchResult, error) {
+	return c.inner.QueryBatchContext(ctx, perIDOnly{r.handle}, ranges)
+}
+
+// PipeCluster dials a built cluster's shards over in-process pipes: one
+// pipe per shard, each serving that shard's index. With perID every
+// shard target's FetchMany is hidden.
+func PipeCluster(built *Cluster, perID bool, opts ...ClusterOption) (*Cluster, error) {
+	man := built.Manifest("pipes")
+	for i := range man.Shards {
+		man.Shards[i].Name = DefaultIndexName
+		man.Shards[i].Addr = strconv.Itoa(i)
+	}
+	pool := transport.NewPoolFunc("pipe", func(_, addr string) (*transport.Conn, error) {
+		i, err := strconv.Atoi(addr)
+		if err != nil {
+			return nil, err
+		}
+		cliConn, srvConn := net.Pipe()
+		go func() { _ = ServeConn(srvConn, built.ShardIndex(i)) }()
+		return transport.NewConn(cliConn), nil
+	})
+	c, cfg, err := clusterFromManifest(man, built.MasterKey(), opts)
+	if err != nil {
+		return nil, err
+	}
+	if c, err = finishDialCluster(c, cfg, man, pool, ""); err != nil {
+		return nil, err
+	}
+	for i := range c.targets {
+		if perID {
+			c.targets[i] = perIDOnly{c.targets[i]}
+		}
+	}
+	return c, nil
 }

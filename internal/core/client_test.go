@@ -86,87 +86,6 @@ func nonQuadraticKinds() []Kind {
 	}
 }
 
-// TestAllSchemesMatchOracle is the central correctness test: every scheme
-// must return exactly the matching ids for random datasets and queries
-// (after owner-side filtering for the SRC schemes).
-func TestAllSchemesMatchOracle(t *testing.T) {
-	const bits = 10
-	dom := cover.Domain{Bits: bits}
-	tuples := uniformTuples(400, bits, 42)
-	queryRnd := mrand.New(mrand.NewSource(77))
-	type q struct{ lo, hi uint64 }
-	var queries []q
-	for i := 0; i < 25; i++ {
-		R := uint64(1) + queryRnd.Uint64()%300
-		lo := queryRnd.Uint64() % (dom.Size() - R)
-		queries = append(queries, q{lo, lo + R - 1})
-	}
-	for _, kind := range nonQuadraticKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			opts := testOptions(1)
-			opts.AllowIntersecting = true
-			c, err := NewClient(kind, dom, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx, err := c.BuildIndex(tuples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, qq := range queries {
-				r := Range{qq.lo, qq.hi}
-				res, err := c.Query(idx, r)
-				if err != nil {
-					t.Fatalf("query %v: %v", r, err)
-				}
-				want := exactIDs(tuples, r)
-				if got := sortedIDs(res.Matches); !idsEqual(got, want) {
-					t.Fatalf("query %v: got %d matches, want %d", r, len(got), len(want))
-				}
-				if !kind.HasFalsePositives() && len(res.Raw) != len(res.Matches) {
-					t.Fatalf("query %v: %v produced %d false positives",
-						r, kind, len(res.Raw)-len(res.Matches))
-				}
-				if res.Stats.FalsePositives != len(res.Raw)-len(res.Matches) {
-					t.Fatalf("query %v: stats.FalsePositives inconsistent", r)
-				}
-				if res.Stats.Matches != len(res.Matches) || res.Stats.Raw != len(res.Raw) {
-					t.Fatalf("query %v: stats counters inconsistent", r)
-				}
-			}
-		})
-	}
-}
-
-// TestQuadraticMatchesOracle runs the naive baseline on a tiny domain.
-func TestQuadraticMatchesOracle(t *testing.T) {
-	dom := cover.Domain{Bits: 5}
-	tuples := uniformTuples(60, 5, 9)
-	c, err := NewClient(Quadratic, dom, testOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := c.BuildIndex(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := uint64(0); lo < 32; lo += 3 {
-		for hi := lo; hi < 32; hi += 5 {
-			r := Range{lo, hi}
-			res, err := c.Query(idx, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !idsEqual(sortedIDs(res.Matches), exactIDs(tuples, r)) {
-				t.Fatalf("query %v wrong", r)
-			}
-			if res.Stats.Tokens != 1 {
-				t.Fatalf("Quadratic used %d tokens", res.Stats.Tokens)
-			}
-		}
-	}
-}
-
 // TestAllSchemesAllSSEConstructions smoke-tests the black-box claim: every
 // scheme must work unchanged over each SSE construction.
 func TestAllSchemesAllSSEConstructions(t *testing.T) {

@@ -64,98 +64,163 @@ func suiteConstructions() []sse.Scheme {
 		sse.Basic{},
 		sse.Packed{BlockSize: 4},
 		sse.TSet{BucketCapacity: 64, Expansion: 1.5},
-		sse.TwoLevel{InlineCap: 4, BlockSize: 8}, // C*B*B = 256 ids per list
+		sse.TwoLevel{InlineCap: 4, BlockSize: 16}, // C*B*B = 1024 ids per list
+	}
+}
+
+// suiteInput is a dataset and the ranges asked of it.
+type suiteInput struct {
+	bits   uint8
+	tuples []Tuple
+	ranges []Range
+}
+
+// smallInput is what every kind answers: 80 tuples over 2^5 values
+// asked 12 ranges up to 12 wide.
+func smallInput() suiteInput {
+	in := suiteInput{bits: 5, tuples: uniformTuples(80, 5, 201)}
+	rnd := mrand.New(mrand.NewSource(202))
+	for range 12 {
+		lo := rnd.Uint64() % (1 << 5)
+		in.ranges = append(in.ranges, Range{Lo: lo, Hi: min(lo+rnd.Uint64()%12, 1<<5-1)})
+	}
+	return in
+}
+
+// forEachBuild runs test once per SSE construction and PRF suite kind
+// can be built on, as the subtest <construction>/<suite>.
+func forEachBuild(t *testing.T, kind Kind, test func(t *testing.T, sch sse.Scheme, suite prf.Suite)) {
+	defer sse.ResetKernelCache()
+	for _, sch := range suiteConstructions() {
+		if kind == LogarithmicSRCi && sch.Name() == "2lev" {
+			continue // 2lev packs 8-byte payloads; SRC-i's aux index stores pairs
+		}
+		for _, suite := range allSuites {
+			t.Run(fmt.Sprintf("%s/%v", sch.Name(), suite), func(t *testing.T) { test(t, sch, suite) })
+		}
 	}
 }
 
 // TestSuiteConformance: every scheme, built under each PRF suite on
 // every SSE construction, serialized and loaded onto every storage
-// engine, answers randomized ranges exactly as the plaintext oracle
-// does — queried locally and through the wire codecs, by an owner that
-// was told nothing about the suite and reads it from the index's Meta.
+// engine, answers smallInput exactly as the plaintext oracle does —
+// queried locally and through the wire codecs, by an owner that was
+// told nothing about the suite and reads it from the index's Meta —
+// with stats that agree with its result slices, and one token per
+// Quadratic range.
 func TestSuiteConformance(t *testing.T) {
-	const bits = 5 // Quadratic's keyword space is O(m^2)
-	tuples := uniformTuples(80, bits, 201)
-	rnd := mrand.New(mrand.NewSource(202))
-	ranges := make([]Range, 12)
-	for i := range ranges {
-		lo := rnd.Uint64() % (1 << bits)
-		ranges[i] = Range{Lo: lo, Hi: min(lo+rnd.Uint64()%12, 1<<bits-1)}
-	}
-	defer sse.ResetKernelCache()
 	for _, kind := range Kinds() {
-		for _, sch := range suiteConstructions() {
-			if kind == LogarithmicSRCi && sch.Name() == "2lev" {
-				continue // 2lev packs 8-byte payloads; SRC-i's aux index stores pairs
+		t.Run(kind.String(), func(t *testing.T) {
+			forEachBuild(t, kind, func(t *testing.T, sch sse.Scheme, suite prf.Suite) {
+				testSuiteConformance(t, kind, sch, suite, smallInput())
+			})
+		})
+	}
+}
+
+// TestAllSchemesMatchOracle is the central correctness test on a
+// realistic domain: every scheme but Quadratic, on every construction,
+// suite and engine as TestSuiteConformance runs them, answers 25 random
+// ranges up to 300 wide over 400 tuples on 2^10 values exactly as the
+// plaintext oracle does (after owner-side filtering for the SRC schemes).
+func TestAllSchemesMatchOracle(t *testing.T) {
+	in := suiteInput{bits: 10, tuples: uniformTuples(400, 10, 42)}
+	rnd := mrand.New(mrand.NewSource(77))
+	for range 25 {
+		r := 1 + rnd.Uint64()%300
+		lo := rnd.Uint64() % (1<<10 - r)
+		in.ranges = append(in.ranges, Range{Lo: lo, Hi: lo + r - 1})
+	}
+	for _, kind := range nonQuadraticKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			forEachBuild(t, kind, func(t *testing.T, sch sse.Scheme, suite prf.Suite) {
+				testSuiteConformance(t, kind, sch, suite, in)
+			})
+		})
+	}
+}
+
+// TestQuadraticMatchesOracle runs the naive baseline, whose keyword
+// space is O(m^2), on a grid of ranges over 60 tuples on 2^5 values,
+// on every construction, suite and engine.
+func TestQuadraticMatchesOracle(t *testing.T) {
+	in := suiteInput{bits: 5, tuples: uniformTuples(60, 5, 9)}
+	for lo := uint64(0); lo < 32; lo += 3 {
+		for hi := lo; hi < 32; hi += 5 {
+			in.ranges = append(in.ranges, Range{Lo: lo, Hi: hi})
+		}
+	}
+	forEachBuild(t, Quadratic, func(t *testing.T, sch sse.Scheme, suite prf.Suite) {
+		testSuiteConformance(t, Quadratic, sch, suite, in)
+	})
+}
+
+func testSuiteConformance(t *testing.T, kind Kind, sch sse.Scheme, suite prf.Suite, in suiteInput) {
+	dom := cover.Domain{Bits: in.bits}
+	opts := testOptions(203)
+	opts.SSE = sch
+	builder, err := NewClient(kind, dom, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := withBuildSuite(builder, suite).BuildIndex(in.tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := built.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[12] != byte(suite) || blob[13]|blob[14]|blob[15] != 0 {
+		t.Fatalf("header bytes 12..15 = %v, want suite %d then zero pad", blob[12:16], suite)
+	}
+	// The reference raw sets come from the index as built; every loaded
+	// copy must return the same ones.
+	check := func(label string, s Server, want [][]ID) [][]ID {
+		t.Helper()
+		o := testOptions(203)
+		o.SSE, o.AllowIntersecting = sch, true
+		c, err := NewClient(kind, dom, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws := make([][]ID, len(in.ranges))
+		for i, q := range in.ranges {
+			res, err := c.QueryServerContext(context.Background(), s, q)
+			if err != nil {
+				t.Fatalf("%s: query %v: %v", label, q, err)
 			}
-			for _, suite := range allSuites {
-				t.Run(fmt.Sprintf("%v/%s/%v", kind, sch.Name(), suite), func(t *testing.T) {
-					opts := testOptions(203)
-					opts.SSE = sch
-					builder, err := NewClient(kind, cover.Domain{Bits: bits}, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					built, err := withBuildSuite(builder, suite).BuildIndex(tuples)
-					if err != nil {
-						t.Fatal(err)
-					}
-					blob, err := built.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if blob[12] != byte(suite) || blob[13]|blob[14]|blob[15] != 0 {
-						t.Fatalf("header bytes 12..15 = %v, want suite %d then zero pad", blob[12:16], suite)
-					}
-					// The reference raw sets come from the index as built;
-					// every loaded copy must return the same ones.
-					owner := func() *Client {
-						o := testOptions(203)
-						o.SSE, o.AllowIntersecting = sch, true
-						c, err := NewClient(kind, cover.Domain{Bits: bits}, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return c
-					}
-					check := func(label string, s Server, want [][]ID) [][]ID {
-						t.Helper()
-						c := owner()
-						raws := make([][]ID, len(ranges))
-						for i, q := range ranges {
-							res, err := c.QueryServerContext(context.Background(), s, q)
-							if err != nil {
-								t.Fatalf("%s: query %v: %v", label, q, err)
-							}
-							exact := exactIDs(tuples, q)
-							if !idsEqual(sortedIDs(res.Matches), exact) {
-								t.Fatalf("%s: query %v: matches %v, want %v", label, q, sortedIDs(res.Matches), exact)
-							}
-							raws[i] = sortedIDs(res.Raw)
-							if !kind.HasFalsePositives() && !idsEqual(raws[i], exact) {
-								t.Fatalf("%s: query %v: raw ids %v, want %v", label, q, raws[i], exact)
-							}
-							if want != nil && !idsEqual(raws[i], want[i]) {
-								t.Fatalf("%s: query %v: raw ids %v differ from the built index's %v", label, q, raws[i], want[i])
-							}
-						}
-						return raws
-					}
-					want := check("built", built, nil)
-					for _, eng := range storage.Engines() {
-						x, err := UnmarshalIndexWith(blob, eng)
-						if err != nil {
-							t.Fatalf("load onto %s: %v", eng.Name(), err)
-						}
-						if meta, _ := x.Meta(); meta.Suite != suite {
-							t.Fatalf("%s: loaded index reports suite %v, want %v", eng.Name(), meta.Suite, suite)
-						}
-						check(eng.Name()+"/local", x, want)
-						check(eng.Name()+"/wire", wireServer{x, blob[:16]}, want)
-					}
-				})
+			exact := exactIDs(in.tuples, q)
+			if !idsEqual(sortedIDs(res.Matches), exact) {
+				t.Fatalf("%s: query %v: matches %v, want %v", label, q, sortedIDs(res.Matches), exact)
+			}
+			raws[i] = sortedIDs(res.Raw)
+			st := res.Stats
+			switch {
+			case !kind.HasFalsePositives() && !idsEqual(raws[i], exact):
+				t.Fatalf("%s: query %v: raw ids %v, want %v", label, q, raws[i], exact)
+			case want != nil && !idsEqual(raws[i], want[i]):
+				t.Fatalf("%s: query %v: raw ids %v differ from the built index's %v", label, q, raws[i], want[i])
+			case st.Matches != len(res.Matches) || st.Raw != len(res.Raw) || st.FalsePositives != st.Raw-st.Matches:
+				t.Fatalf("%s: query %v: stats %d matches, %d raw, %d false positives for %d matches and %d raw ids",
+					label, q, st.Matches, st.Raw, st.FalsePositives, len(res.Matches), len(res.Raw))
+			case kind == Quadratic && st.Tokens != 1:
+				t.Fatalf("%s: query %v: Quadratic used %d tokens", label, q, st.Tokens)
 			}
 		}
+		return raws
+	}
+	want := check("built", built, nil)
+	for _, eng := range storage.Engines() {
+		x, err := UnmarshalIndexWith(blob, eng)
+		if err != nil {
+			t.Fatalf("load onto %s: %v", eng.Name(), err)
+		}
+		if meta, _ := x.Meta(); meta.Suite != suite {
+			t.Fatalf("%s: loaded index reports suite %v, want %v", eng.Name(), meta.Suite, suite)
+		}
+		check(eng.Name()+"/local", x, want)
+		check(eng.Name()+"/wire", wireServer{x, blob[:16]}, want)
 	}
 }
 

@@ -18,32 +18,26 @@ import (
 // own leakage accounting must agree exactly with the client-observed
 // query stats, and /readyz must flip to 503 when draining begins.
 func TestObservabilityEndToEnd(t *testing.T) {
-	client, index, _ := remoteTestData(t, rsse.LogarithmicBRC, 77)
+	client, index, _ := testIndex(t, rsse.LogarithmicBRC, 77)
 	reg := rsse.NewRegistry()
 	const name = "obs-e2e"
 	if err := reg.Register(name, index); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	srv := rsse.NewServer(reg)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(l) }()
 
 	ready := obs.NewReadiness()
 	opsAddr, stopOps, err := obs.Serve("127.0.0.1:0", obs.Default, ready)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	defer stopOps()
 
 	readyzStatus := func() int {
 		resp, err := http.Get(fmt.Sprintf("http://%s/readyz", opsAddr))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		resp.Body.Close()
 		return resp.StatusCode
 	}
@@ -56,21 +50,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	before, err := obs.Scrape(opsAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 
 	remote, err := rsse.DialIndex("tcp", l.Addr().String(), name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var wantQueries, wantTokens, wantItems uint64
 	for i := 0; i < 16; i++ {
 		lo := uint64(i * 60)
 		res, err := client.QueryRemote(remote, rsse.Range{Lo: lo, Hi: lo + 50})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		wantQueries++
 		wantTokens += uint64(res.Stats.Tokens)
 		wantItems += uint64(res.Stats.ResponseItems)
@@ -80,9 +68,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	after, err := obs.Scrape(opsAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	delta := obs.Delta(before, after)
 
 	// The server's leakage accounting must agree with the client's own

@@ -2,113 +2,18 @@ package rsse_test
 
 import (
 	"context"
-	mrand "math/rand"
 	"net"
-	"sort"
 	"sync"
 	"testing"
 
 	"rsse"
 )
 
-func remoteTestData(t *testing.T, kind rsse.Kind, seed int64) (*rsse.Client, *rsse.Index, []rsse.Tuple) {
-	t.Helper()
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = byte(seed)
-	}
-	client, err := rsse.NewClient(kind, 10, rsse.WithSeed(seed), rsse.WithMasterKey(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd := mrand.New(mrand.NewSource(seed))
-	tuples := make([]rsse.Tuple, 300)
-	for i := range tuples {
-		tuples[i] = rsse.Tuple{ID: uint64(i + 1), Value: rnd.Uint64() % 1024}
-	}
-	index, err := client.BuildIndex(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return client, index, tuples
-}
-
-func matchesOf(tuples []rsse.Tuple, q rsse.Range) []rsse.ID {
-	var out []rsse.ID
-	for _, tu := range tuples {
-		if q.Contains(tu.Value) {
-			out = append(out, tu.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TestRemoteIndexConcurrentUse is the regression test for the old
-// frame-corruption footgun: many goroutines share ONE RemoteIndex. With
-// request multiplexing this must be safe; run with -race.
-func TestRemoteIndexConcurrentUse(t *testing.T) {
-	_, index, tuples := remoteTestData(t, rsse.LogarithmicBRC, 21)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() { _ = rsse.Serve(l, index) }()
-
-	remote, err := rsse.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	q := rsse.Range{Lo: 128, Hi: 768}
-	want := matchesOf(tuples, q)
-	var wg sync.WaitGroup
-	for g := 0; g < 10; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Clients are not concurrent-safe; one per goroutine with the
-			// same master key. The RemoteIndex is the shared object here.
-			key := make([]byte, 32)
-			for i := range key {
-				key[i] = 21
-			}
-			cc, err := rsse.NewClient(rsse.LogarithmicBRC, 10, rsse.WithMasterKey(key))
-			if err != nil {
-				t.Errorf("goroutine %d: %v", g, err)
-				return
-			}
-			for rep := 0; rep < 5; rep++ {
-				res, err := cc.QueryRemote(remote, q)
-				if err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
-					return
-				}
-				got := append([]rsse.ID(nil), res.Matches...)
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				if len(got) != len(want) {
-					t.Errorf("goroutine %d: %d matches, want %d", g, len(got), len(want))
-					return
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("goroutine %d: result corrupted", g)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // TestMultiIndexPublicAPI serves two named indexes from one process via
 // the public Registry/Server/DialIndex surface and shuts down cleanly.
 func TestMultiIndexPublicAPI(t *testing.T) {
-	cA, indexA, tuplesA := remoteTestData(t, rsse.LogarithmicBRC, 31)
-	cB, indexB, tuplesB := remoteTestData(t, rsse.LogarithmicSRC, 32)
+	cA, indexA, tuplesA := testIndex(t, rsse.LogarithmicBRC, 31)
+	cB, indexB, tuplesB := testIndex(t, rsse.LogarithmicSRC, 32)
 
 	reg := rsse.NewRegistry()
 	if err := reg.Register("nil", nil); err == nil {
@@ -122,9 +27,7 @@ func TestMultiIndexPublicAPI(t *testing.T) {
 	}
 	srv := rsse.NewServer(reg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
@@ -148,8 +51,8 @@ func TestMultiIndexPublicAPI(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			return
 		}
-		if len(res.Matches) != len(matchesOf(tuples, q)) {
-			t.Errorf("%s: %d matches, want %d", name, len(res.Matches), len(matchesOf(tuples, q)))
+		if len(res.Matches) != len(oracle(tuples, q)) {
+			t.Errorf("%s: %d matches, want %d", name, len(res.Matches), len(oracle(tuples, q)))
 		}
 	}
 	wg.Add(2)

@@ -2,129 +2,31 @@ package rsse_test
 
 import (
 	"errors"
-	mrand "math/rand"
-	"sort"
+	"fmt"
+	"sync"
 	"testing"
 
 	"rsse"
 )
 
-func genTuples(n int, bits uint8, seed int64) []rsse.Tuple {
-	rnd := mrand.New(mrand.NewSource(seed))
-	out := make([]rsse.Tuple, n)
-	for i := range out {
-		out[i] = rsse.Tuple{ID: uint64(i + 1), Value: rnd.Uint64() % (1 << bits)}
-	}
-	return out
-}
-
-func oracle(tuples []rsse.Tuple, q rsse.Range) []rsse.ID {
-	var out []rsse.ID
-	for _, t := range tuples {
-		if q.Contains(t.Value) {
-			out = append(out, t.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sorted(ids []rsse.ID) []rsse.ID {
-	out := append([]rsse.ID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equal(a, b []rsse.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestPublicAPIQuickstart(t *testing.T) {
 	client, err := rsse.NewClient(rsse.LogarithmicSRCi, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	index, err := client.BuildIndex([]rsse.Tuple{
 		{ID: 1, Value: 1000, Payload: []byte("alice")},
 		{ID: 2, Value: 2000, Payload: []byte("bob")},
 		{ID: 3, Value: 1400},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	res, err := client.Query(index, rsse.Range{Lo: 500, Hi: 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !equal(sorted(res.Matches), []rsse.ID{1, 3}) {
 		t.Fatalf("Matches = %v", res.Matches)
 	}
 	got, err := client.FetchTuple(index, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if string(got.Payload) != "alice" || got.Value != 1000 {
 		t.Fatalf("FetchTuple = %+v", got)
-	}
-}
-
-func TestAllKindsThroughPublicAPI(t *testing.T) {
-	tuples := genTuples(200, 10, 1)
-	q := rsse.Range{Lo: 200, Hi: 700}
-	want := oracle(tuples, q)
-	for _, kind := range rsse.Kinds() {
-		bits := uint8(10)
-		opts := []rsse.Option{rsse.WithSeed(7)}
-		if kind == rsse.Quadratic {
-			bits = 6 // keep the naive baseline tractable
-			continue // covered separately below with a scaled query
-		}
-		client, err := rsse.NewClient(kind, bits, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		index, err := client.BuildIndex(tuples)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		res, err := client.Query(index, q)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if !equal(sorted(res.Matches), want) {
-			t.Errorf("%v: wrong matches", kind)
-		}
-		if index.Kind() != kind || index.N() != len(tuples) {
-			t.Errorf("%v: index accessors wrong", kind)
-		}
-	}
-}
-
-func TestQuadraticThroughPublicAPI(t *testing.T) {
-	tuples := genTuples(50, 5, 2)
-	client, err := rsse.NewClient(rsse.Quadratic, 5, rsse.WithQuadraticPadding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	index, err := client.BuildIndex(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := rsse.Range{Lo: 3, Hi: 19}
-	res, err := client.Query(index, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(sorted(res.Matches), oracle(tuples, q)) {
-		t.Error("Quadratic wrong matches")
 	}
 }
 
@@ -152,36 +54,24 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestSSEConstructionsViaOptions: each construction option the
+// conformance harness builds with selects the construction it is named
+// for, and an index built on it answers as the model does.
 func TestSSEConstructionsViaOptions(t *testing.T) {
-	tuples := genTuples(100, 8, 3)
-	q := rsse.Range{Lo: 10, Hi: 200}
-	want := oracle(tuples, q)
-	cases := []struct {
-		name string
-		opts []rsse.Option
-	}{
-		{"basic", []rsse.Option{rsse.WithSSE("basic")}},
-		{"packed", []rsse.Option{rsse.WithPackedBlockSize(4)}},
-		{"tset", []rsse.Option{rsse.WithTSetParams(128, 1.3)}},
-	}
-	for _, tc := range cases {
-		client, err := rsse.NewClient(rsse.LogarithmicBRC, 8, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if client.SSEName() != tc.name {
-			t.Errorf("SSEName = %q, want %q", client.SSEName(), tc.name)
+	tuples := genTuples(150, 10, 22)
+	q := rsse.Range{Lo: 100, Hi: 700}
+	for name, opt := range constructions {
+		client, err := rsse.NewClient(rsse.LogarithmicBRC, 10, opt, rsse.WithSeed(21))
+		must(t, err)
+		if client.SSEName() != name {
+			t.Errorf("SSEName = %q, want %q", client.SSEName(), name)
 		}
 		index, err := client.BuildIndex(tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		res, err := client.Query(index, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equal(sorted(res.Matches), want) {
-			t.Errorf("%s: wrong matches", tc.name)
+		must(t, err)
+		if !equal(sorted(res.Matches), oracle(tuples, q)) {
+			t.Errorf("%s: wrong matches", name)
 		}
 	}
 }
@@ -193,23 +83,15 @@ func TestMasterKeyReproducibility(t *testing.T) {
 	}
 	tuples := genTuples(50, 8, 4)
 	c1, err := rsse.NewClient(rsse.LogarithmicBRC, 8, rsse.WithMasterKey(key), rsse.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	index, err := c1.BuildIndex(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// A second client with the same master key can query the index.
 	c2, err := rsse.NewClient(rsse.LogarithmicBRC, 8, rsse.WithMasterKey(key), rsse.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	q := rsse.Range{Lo: 0, Hi: 128}
 	res, err := c2.Query(index, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !equal(sorted(res.Matches), oracle(tuples, q)) {
 		t.Error("rebuilt client cannot query the index")
 	}
@@ -217,13 +99,9 @@ func TestMasterKeyReproducibility(t *testing.T) {
 
 func TestConstantGuardThroughPublicAPI(t *testing.T) {
 	client, err := rsse.NewClient(rsse.ConstantURC, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	index, err := client.BuildIndex(genTuples(50, 10, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, err := client.Query(index, rsse.Range{Lo: 0, Hi: 100}); err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +111,49 @@ func TestConstantGuardThroughPublicAPI(t *testing.T) {
 	client.ResetHistory()
 	if _, err := client.Query(index, rsse.Range{Lo: 50, Hi: 150}); err != nil {
 		t.Errorf("query after reset: %v", err)
+	}
+}
+
+// TestConstantGuardConcurrent: 16 goroutines issue the same range at
+// once on one guarded Constant client. Checking the history and
+// recording the range are one step, so exactly one query proceeds and
+// every other is refused as intersecting; the one that ran stays in the
+// history.
+func TestConstantGuardConcurrent(t *testing.T) {
+	const goroutines = 16
+	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC} {
+		t.Run(kind.String(), func(t *testing.T) {
+			tuples := genTuples(300, 10, 111)
+			client, err := rsse.NewClient(kind, 10, rsse.WithSeed(111))
+			must(t, err)
+			index, err := client.BuildIndex(tuples)
+			must(t, err)
+			q := rsse.Range{Lo: 100, Hi: 600}
+			var mu sync.Mutex
+			ran := 0
+			concurrently(t, goroutines, func(g int) error {
+				res, err := client.Query(index, q)
+				switch {
+				case errors.Is(err, rsse.ErrIntersectingQuery):
+					return nil
+				case err != nil:
+					return fmt.Errorf("goroutine %d: %w", g, err)
+				}
+				mu.Lock()
+				ran++
+				mu.Unlock()
+				if !equal(sorted(res.Matches), oracle(tuples, q)) {
+					return fmt.Errorf("goroutine %d: %v: wrong matches", g, q)
+				}
+				return nil
+			})
+			if ran != 1 {
+				t.Fatalf("%d of %d concurrent queries of %v ran, want exactly 1", ran, goroutines, q)
+			}
+			if _, err := client.Query(index, rsse.Range{Lo: 600, Hi: 700}); !errors.Is(err, rsse.ErrIntersectingQuery) {
+				t.Fatalf("intersecting query after the concurrent round: err %v, want ErrIntersectingQuery", err)
+			}
+		})
 	}
 }
 
@@ -249,14 +170,10 @@ func TestTrapdoorCostShapes(t *testing.T) {
 		{rsse.ConstantURC, func(n int) bool { return n >= 1 && n <= 16 }},
 	} {
 		client, err := rsse.NewClient(tc.kind, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		for _, R := range []uint64{1, 10, 100} {
 			tokens, bytes, err := client.TrapdoorCost(rsse.Range{Lo: 5000, Hi: 5000 + R - 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if !tc.wantTokens(tokens) {
 				t.Errorf("%v R=%d: %d tokens", tc.kind, R, tokens)
 			}
@@ -269,9 +186,7 @@ func TestTrapdoorCostShapes(t *testing.T) {
 
 func TestDynamicThroughPublicAPI(t *testing.T) {
 	d, err := rsse.NewDynamic(rsse.LogarithmicBRC, 12, 0, rsse.WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	d.Insert(1, 100, []byte("a"))
 	d.Insert(2, 200, []byte("b"))
 	if err := d.Flush(); err != nil {
@@ -283,9 +198,7 @@ func TestDynamicThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples, stats, err := d.Query(rsse.Range{Lo: 0, Hi: 4095})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(tuples) != 1 || tuples[0].ID != 1 || tuples[0].Value != 300 || string(tuples[0].Payload) != "a2" {
 		t.Fatalf("dynamic query = %+v", tuples)
 	}
@@ -311,9 +224,7 @@ func TestDynamicThroughPublicAPI(t *testing.T) {
 
 func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 	d, err := rsse.NewShardedDynamic(rsse.LogarithmicBRC, 12, 4, 0, rsse.WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if d.Shards() != 4 {
 		t.Fatalf("Shards = %d", d.Shards())
 	}
@@ -330,9 +241,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 	}
 	full := rsse.Range{Lo: 0, Hi: 4095}
 	tuples, stats, err := d.Query(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(tuples) != 4 {
 		t.Fatalf("query = %d tuples", len(tuples))
 	}
@@ -355,9 +264,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples, _, err = d.Query(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	byID := map[uint64]rsse.Tuple{}
 	for _, tup := range tuples {
 		byID[tup.ID] = tup
@@ -377,9 +284,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 	// A query clipped to the old shard must not resurrect the mover.
 	sr0 := d.ShardRange(0)
 	tuples, _, err = d.Query(rsse.Range{Lo: sr0.Lo, Hi: sr0.Hi})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, tup := range tuples {
 		if tup.ID == 1 {
 			t.Fatal("moved tuple still answered by old shard")
@@ -394,9 +299,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 		t.Fatalf("ActiveIndexes = %d after consolidation", d.ActiveIndexes())
 	}
 	tuples, _, err = d.Query(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(tuples) != 3 {
 		t.Fatalf("after consolidation: %d tuples", len(tuples))
 	}
@@ -425,28 +328,5 @@ func TestDomainHelpers(t *testing.T) {
 	}
 	if _, err := rsse.KindByName("Logarithmic-SRC-i"); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTwoLevelViaOptions(t *testing.T) {
-	client, err := rsse.NewClient(rsse.LogarithmicBRC, 10, rsse.WithSSE("2lev"), rsse.WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if client.SSEName() != "2lev" {
-		t.Fatalf("SSEName = %q", client.SSEName())
-	}
-	tuples := genTuples(150, 10, 22)
-	index, err := client.BuildIndex(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := rsse.Range{Lo: 100, Hi: 700}
-	res, err := client.Query(index, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(sorted(res.Matches), oracle(tuples, q)) {
-		t.Error("2lev-backed query wrong")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"rsse"
@@ -49,36 +48,12 @@ func pr17Tuples() []rsse.Tuple {
 func todaysSuite(t *testing.T, kind rsse.Kind) rsse.PRFSuite {
 	t.Helper()
 	c, err := rsse.NewClient(kind, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	idx, err := c.BuildIndex(pr17Tuples()[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	meta, err := idx.Meta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return meta.Suite
-}
-
-func sortedIDsOf(ids []rsse.ID) []rsse.ID {
-	out := append([]rsse.ID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sameIDs(a, b []rsse.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestParentBuiltConstantIndexes: a Constant index built at an earlier
@@ -101,17 +76,13 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC} {
 		path := filepath.Join(dir, kind.String()+".idx")
 		meta, err := rsse.PeekIndexFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if meta.Kind != kind || meta.Suite != suite || meta.N != len(tuples) {
 			t.Fatalf("%s: peeked %+v, want %v, suite %v, %d tuples", path, meta, kind, suite, len(tuples))
 		}
 		owner := func() *rsse.Client {
 			c, err := rsse.NewClient(kind, 10, rsse.WithMasterKey(key), rsse.AllowIntersectingQueries())
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			return c
 		}
 		for _, engine := range rsse.StorageEngines() {
@@ -120,17 +91,13 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 				t.Fatalf("%s onto %s: %v", path, engine, err)
 			}
 			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			go func() { _ = rsse.Serve(l, index) }()
 			remote, err := rsse.Dial("tcp", l.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			c := owner()
 			for _, q := range ranges {
-				want := matchesOf(tuples, q)
+				want := oracle(tuples, q)
 				local, err := c.Query(index, q)
 				if err != nil {
 					t.Fatalf("%v/%s local %v: %v", kind, engine, q, err)
@@ -139,16 +106,14 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 				if err != nil {
 					t.Fatalf("%v/%s remote %v: %v", kind, engine, q, err)
 				}
-				if !sameIDs(sortedIDsOf(local.Raw), want) || !sameIDs(sortedIDsOf(wire.Raw), want) {
+				if !equal(sorted(local.Raw), want) || !equal(sorted(wire.Raw), want) {
 					t.Fatalf("%v/%s %v: local %d ids, remote %d ids, want %d", kind, engine, q, len(local.Raw), len(wire.Raw), len(want))
 				}
 			}
 			br, err := c.QueryBatchRemote(remote, []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			for i, q := range []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}} {
-				if !sameIDs(sortedIDsOf(br.Results[i].Raw), matchesOf(tuples, q)) {
+				if !equal(sorted(br.Results[i].Raw), oracle(tuples, q)) {
 					t.Fatalf("%v/%s batch %v wrong", kind, engine, q)
 				}
 			}
@@ -207,14 +172,10 @@ func TestDynamicSpansSuites(t *testing.T) {
 func testDynamicSpansSuites(t *testing.T, src string, kind rsse.Kind, epochs []rsse.PRFSuite, today rsse.PRFSuite, want, tail map[rsse.ID]rsse.Value) {
 	dir := t.TempDir()
 	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, e := range entries {
 		blob, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if err := os.WriteFile(filepath.Join(dir, e.Name()), blob, 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +195,8 @@ func testDynamicSpansSuites(t *testing.T, src string, kind rsse.Kind, epochs []r
 				exp = append(exp, id)
 			}
 		}
-		if !sameIDs(sortedIDsOf(ids), sortedIDsOf(exp)) {
-			t.Fatalf("%s: query %v returned ids %v, want %v", label, q, sortedIDsOf(ids), sortedIDsOf(exp))
+		if !equal(sorted(ids), sorted(exp)) {
+			t.Fatalf("%s: query %v returned ids %v, want %v", label, q, sorted(ids), sorted(exp))
 		}
 	}
 	check := func(d *rsse.Dynamic, label string) {
@@ -259,15 +220,11 @@ func testDynamicSpansSuites(t *testing.T, src string, kind rsse.Kind, epochs []r
 	epochSuites := func() map[string]rsse.PRFSuite {
 		t.Helper()
 		files, err := filepath.Glob(filepath.Join(dir, "epoch-*.idx"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		out := map[string]rsse.PRFSuite{}
 		for _, f := range files {
 			meta, err := rsse.PeekIndexFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			out[filepath.Base(f)] = meta.Suite
 		}
 		return out
@@ -275,9 +232,7 @@ func testDynamicSpansSuites(t *testing.T, src string, kind rsse.Kind, epochs []r
 	open := func() *rsse.Dynamic {
 		t.Helper()
 		d, err := rsse.OpenDynamic(dir, kind, 10, 0, rsse.AllowIntersectingQueries(), rsse.WithSSE("basic"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return d
 	}
 
@@ -352,22 +307,16 @@ func TestClusterShardsReportSuite(t *testing.T) {
 	for _, kind := range []rsse.Kind{rsse.ConstantBRC, rsse.ConstantURC, rsse.LogarithmicBRC, rsse.LogarithmicURC, rsse.LogarithmicSRCi} {
 		want := todaysSuite(t, kind)
 		cluster, err := rsse.BuildCluster(kind, 10, 3, tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		for i := 0; i < cluster.Shards(); i++ {
 			meta, err := cluster.ShardIndex(i).Meta()
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if meta.Suite != want {
 				t.Errorf("%v shard %d reports suite %v, want %v", kind, i, meta.Suite, want)
 			}
 		}
 		res, err := cluster.Query(rsse.Range{Lo: 0, Hi: 1023})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if len(res.Matches) != len(tuples) {
 			t.Errorf("%v: full-domain cluster query returned %d of %d tuples", kind, len(res.Matches), len(tuples))
 		}
