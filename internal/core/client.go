@@ -540,15 +540,12 @@ func (x *Index) Search(t *Trapdoor) (*Response, error) {
 	}
 }
 
-// searchIndex runs plain SSE search for each stag against one index.
+// searchIndex searches every stag against one index, in one pass: one
+// group per stag.
 func (x *Index) searchIndex(idx sse.Index, stags []sse.Stag) (*Response, error) {
-	resp := &Response{Groups: make([][][]byte, 0, len(stags))}
-	for _, stag := range stags {
-		g, err := idx.Search(stag)
-		if err != nil {
-			return nil, err
-		}
-		resp.Groups = append(resp.Groups, g)
+	groups, err := idx.Search(stags, make([][][]byte, 0, len(stags)))
+	if err != nil {
+		return nil, err
 	}
-	return resp, nil
+	return &Response{Groups: groups}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"rsse/internal/cover"
 	"rsse/internal/dprf"
@@ -58,37 +59,97 @@ func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 
 // searchConstant expands each GGM token into its 2^level leaf DPRF values
 // (the public derivation function C) and uses them as SSE search tags.
-// The expansion is the O(R) term in the scheme's search cost.
+// The expansion is the O(R) term in the scheme's search cost. The leaves
+// of every token are searched together, leafChunk stags per sse search,
+// and each token's group is its leaves' items in leaf order.
+//
+// A token comes from an untrusted peer: a level above the domain's
+// height names no subtree of this index, and expanding it would size an
+// allocation by 2^Level (or, from level 64 up, by a shift that wraps to
+// zero), so the trapdoor is refused before any work.
 func (x *Index) searchConstant(t *Trapdoor) (*Response, error) {
-	resp := &Response{Groups: make([][][]byte, 0, len(t.GGM))}
+	for _, tok := range t.GGM {
+		if tok.Level > x.dom.Bits {
+			return nil, fmt.Errorf("%w: level %d, domain height %d", ErrTokenLevel, tok.Level, x.dom.Bits)
+		}
+	}
 	e := dprf.GetExpanderSuite(x.suite)
 	defer dprf.PutExpander(e)
+	sc := leafScratchPool.Get().(*leafScratch)
+	defer sc.release()
 	for _, tok := range t.GGM {
-		group, err := x.searchConstantToken(e, tok)
-		if err != nil {
-			return nil, err
+		for _, leaf := range e.Leaves(tok) {
+			if len(sc.stags) == leafChunk {
+				if err := sc.flush(x.primary); err != nil {
+					return nil, err
+				}
+			}
+			sc.stags = append(sc.stags, sse.Stag(leaf))
 		}
-		resp.Groups = append(resp.Groups, group)
+		sc.ends = append(sc.ends, sc.leaves+len(sc.stags))
 	}
-	return resp, nil
+	if err := sc.flush(x.primary); err != nil {
+		return nil, err
+	}
+	return sc.response(), nil
 }
 
-// searchConstantToken expands one GGM token with e and searches each
-// leaf — one result group. The token comes from an untrusted peer: a
-// level above the domain's height names no subtree of this index, and
-// expanding it would size an allocation by 2^Level (or, from level 64
-// up, by a shift that wraps to zero), so it is refused before any work.
-func (x *Index) searchConstantToken(e *dprf.Expander, tok dprf.Token) ([][]byte, error) {
-	if tok.Level > x.dom.Bits {
-		return nil, fmt.Errorf("%w: level %d, domain height %d", ErrTokenLevel, tok.Level, x.dom.Bits)
+// leafChunk bounds the leaf stags searched at once, and so the scratch
+// a Constant search holds however wide its tokens are.
+const leafChunk = 1024
+
+// leafScratch is a Constant search's pooled scratch: the leaf stags
+// waiting to be searched, the items of the leaves searched so far, and
+// where each token's leaves end.
+type leafScratch struct {
+	stags  []sse.Stag
+	groups [][][]byte
+	items  [][]byte // the searched leaves' items, in leaf order
+	ends   []int    // per token: the leaf count after its last leaf
+	marks  []int    // per token: len(items) after its last leaf
+	leaves int      // leaves searched so far
+}
+
+var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
+
+// flush searches the waiting leaf stags and appends their items.
+func (sc *leafScratch) flush(idx sse.Index) error {
+	groups, err := idx.Search(sc.stags, sc.groups[:0])
+	if err != nil {
+		return err
 	}
-	var group [][]byte
-	for _, leaf := range e.Leaves(tok) {
-		g, err := x.primary.Search(sse.Stag(leaf))
-		if err != nil {
-			return nil, err
+	sc.groups = groups
+	for _, g := range groups {
+		sc.items = append(sc.items, g...)
+		sc.leaves++
+		for len(sc.marks) < len(sc.ends) && sc.ends[len(sc.marks)] == sc.leaves {
+			sc.marks = append(sc.marks, len(sc.items))
 		}
-		group = append(group, g...)
 	}
-	return group, nil
+	clear(groups)
+	sc.stags = sc.stags[:0]
+	return nil
+}
+
+// response returns one group per token, sharing one backing array.
+func (sc *leafScratch) response() *Response {
+	resp := &Response{Groups: make([][][]byte, len(sc.marks))}
+	if len(sc.items) == 0 {
+		return resp
+	}
+	items := slices.Clone(sc.items)
+	lo := 0
+	for i, hi := range sc.marks {
+		if hi > lo {
+			resp.Groups[i] = items[lo:hi:hi]
+		}
+		lo = hi
+	}
+	return resp
+}
+
+func (sc *leafScratch) release() {
+	clear(sc.items)
+	sc.stags, sc.items, sc.ends, sc.marks, sc.leaves = sc.stags[:0], sc.items[:0], sc.ends[:0], sc.marks[:0], 0
+	leafScratchPool.Put(sc)
 }

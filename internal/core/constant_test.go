@@ -36,12 +36,12 @@ func TestBuildConstantStagsMatchEval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := idx.primary.Search(sse.Stag(leaf))
+			groups, err := idx.primary.Search([]sse.Stag{sse.Stag(leaf)}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids := make([]ID, len(got))
-			for i, p := range got {
+			ids := make([]ID, len(groups[0]))
+			for i, p := range groups[0] {
 				ids[i] = sse.PayloadU64(p)
 			}
 			if !idsEqual(sortedIDs(ids), sortedIDs(want)) {

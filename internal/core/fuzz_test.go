@@ -184,7 +184,7 @@ func TestUnmarshalResponseHostileCounts(t *testing.T) {
 }
 
 func FuzzUnmarshalResponse(f *testing.F) {
-	resp := &Response{Groups: [][][]byte{{[]byte("abc")}, {}}}
+	resp := &Response{Groups: [][][]byte{{[]byte("abc")}, {}, {[]byte("de"), []byte("f")}}}
 	blob, err := resp.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
@@ -200,8 +200,12 @@ func FuzzUnmarshalResponse(f *testing.F) {
 			return
 		}
 		// Items are decoded in place: none may reach past its own bytes,
-		// so an append to one cannot overwrite the next.
+		// so an append to one cannot overwrite the next. Groups share one
+		// array: none may reach past its own items either.
 		for g, group := range r.Groups {
+			if cap(group) != len(group) {
+				t.Fatalf("group %d: cap %d, len %d", g, cap(group), len(group))
+			}
 			for i, item := range group {
 				if cap(item) != len(item) {
 					t.Fatalf("group %d item %d: cap %d, len %d", g, i, cap(item), len(item))

@@ -110,36 +110,61 @@ func (r *Response) MarshalBinary() ([]byte, error) {
 // copies instead of writing over the next: data must not be modified
 // or reused while the response is in use. The transport hands every
 // response frame a buffer of its own, so nothing is copied per item.
+//
+// Two passes: the first validates the frame and counts its items, the
+// second slices them into one array that the groups share, each group a
+// subslice with no spare capacity (nil for an empty group). Nothing is
+// allocated before the whole frame has checked out, so the untrusted
+// sender's counts size nothing the bytes do not back.
 func UnmarshalResponse(data []byte) (*Response, error) {
-	r := wireReader{data: data}
-	groups, err := r.uint32()
+	groups, items, err := scanResponse(data)
 	if err != nil {
-		return nil, fmt.Errorf("core: response truncated")
+		return nil, err
 	}
-	// The sender is untrusted: cap each allocation hint by the bytes
-	// left (every group and every item costs at least its 4-byte count).
-	resp := &Response{Groups: make([][][]byte, 0, min(int(groups), (len(data)-r.off)/4))}
-	for g := uint32(0); g < groups; g++ {
-		items, err := r.uint32()
-		if err != nil {
-			return nil, fmt.Errorf("core: response truncated")
+	resp := &Response{Groups: make([][][]byte, groups)}
+	all := make([][]byte, 0, items)
+	r := wireReader{data: data, off: 4}
+	for g := range resp.Groups {
+		n, _ := r.uint32()
+		lo := len(all)
+		for range n {
+			l, _ := r.uint32()
+			item, _ := r.slice(int(l))
+			all = append(all, item)
 		}
-		group := make([][]byte, 0, min(int(items), (len(data)-r.off)/4))
-		for i := uint32(0); i < items; i++ {
-			n, err := r.uint32()
-			if err != nil {
-				return nil, fmt.Errorf("core: response truncated")
-			}
-			item, err := r.slice(int(n))
-			if err != nil {
-				return nil, fmt.Errorf("core: response truncated")
-			}
-			group = append(group, item)
+		if len(all) > lo {
+			resp.Groups[g] = all[lo:len(all):len(all)]
 		}
-		resp.Groups = append(resp.Groups, group)
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("core: %d trailing bytes in response", len(r.data)-r.off)
 	}
 	return resp, nil
+}
+
+// scanResponse validates a response frame and counts its groups and
+// items.
+func scanResponse(data []byte) (groups, items int, err error) {
+	r := wireReader{data: data}
+	n, err := r.uint32()
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: response truncated")
+	}
+	for g := uint32(0); g < n; g++ {
+		m, err := r.uint32()
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: response truncated")
+		}
+		for i := uint32(0); i < m; i++ {
+			l, err := r.uint32()
+			if err != nil {
+				return 0, 0, fmt.Errorf("core: response truncated")
+			}
+			if _, err := r.slice(int(l)); err != nil {
+				return 0, 0, fmt.Errorf("core: response truncated")
+			}
+		}
+		items += int(m)
+	}
+	if r.off != len(r.data) {
+		return 0, 0, fmt.Errorf("core: %d trailing bytes in response", len(r.data)-r.off)
+	}
+	return int(n), items, nil
 }

@@ -70,11 +70,13 @@ func WrapBackend(b storage.Backend, plan BackendPlan) storage.Backend {
 
 // backend delays Gets per its plan. Delay decisions are deterministic
 // in the sequence of Gets; the rng is mutex-guarded because backends
-// must stay safe for concurrent readers.
+// must stay safe for concurrent readers. GetMany is one delayed Get per
+// key: the embedded backend's would probe past the plan.
 type backend struct {
 	storage.Backend
-	plan BackendPlan
-	gets atomic.Int64
+	plan  BackendPlan
+	gets  atomic.Int64
+	slept atomic.Int64 // delays served so far
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -89,7 +91,10 @@ func (b *backend) Get(key []byte) ([]byte, bool) {
 		b.mu.Unlock()
 	}
 	if sleep {
+		b.slept.Add(1)
 		time.Sleep(time.Duration(b.plan.DelayMS) * time.Millisecond)
 	}
 	return b.Backend.Get(key)
 }
+
+func (b *backend) GetMany(keys, vals [][]byte) { storage.GetEach(b, keys, vals) }

@@ -288,3 +288,43 @@ func TestFaultEngineSealsWrappedBackends(t *testing.T) {
 		t.Fatalf("Get = (%q, %v)", v, ok)
 	}
 }
+
+// TestBackendGetManyDelaysPerKey: a faulted GetMany of n keys is n
+// delayed Gets — the same answers, the same Get count and the same
+// number of sleeps as n Gets under the same plan, on a rate plan as on
+// an every-Nth one — so a search that probes a request's stags in one
+// GetMany keeps its storage delays.
+func TestBackendGetManyDelaysPerKey(t *testing.T) {
+	b := storage.Sorted{}.NewBuilder(2, 0)
+	var keys [][]byte
+	for i := 0; i < 40; i++ {
+		k := []byte{byte(i), 'k'}
+		if err := b.Put(k, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k, []byte{byte(i), 'x'}) // a hit and a miss
+	}
+	be, err := b.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []BackendPlan{
+		{Seed: 4, DelayEvery: 3, DelayMS: 1},
+		{Seed: 5, DelayRate: 0.2, DelayMS: 1},
+	} {
+		each := WrapBackend(be, plan).(*backend)
+		many := WrapBackend(be, plan).(*backend)
+		vals := make([][]byte, len(keys))
+		many.GetMany(keys, vals)
+		for i, k := range keys {
+			v, ok := each.Get(k)
+			if ok != (vals[i] != nil) || !bytes.Equal(v, vals[i]) {
+				t.Fatalf("%+v: key %d: GetMany = %q, Get = (%q, %v)", plan, i, vals[i], v, ok)
+			}
+		}
+		if g, s := many.gets.Load(), many.slept.Load(); g != int64(len(keys)) || s != each.slept.Load() || s == 0 {
+			t.Errorf("%+v: GetMany of %d keys made %d Gets and slept %d times; %d Gets slept %d times",
+				plan, len(keys), g, s, len(keys), each.slept.Load())
+		}
+	}
+}

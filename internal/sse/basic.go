@@ -59,20 +59,17 @@ func (x *basicIndex) Postings() int { return x.postings }
 func (x *basicIndex) Size() int     { return x.size }
 func (x *basicIndex) Resident() int { return x.cells.Resident() }
 
-func (x *basicIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(x.suite, stag)
-	defer putCellSearcher(s)
-	for i := uint64(0); ; i++ {
-		cell, ok := x.cells.Get(s.label(i))
-		if !ok {
-			return s.result(), nil
-		}
-		if len(cell) != x.width {
-			// Guards crafted segments with lying offset tables.
-			return nil, fmt.Errorf("sse: corrupt basic cell (%d bytes, want %d)", len(cell), x.width)
-		}
-		s.out = append(s.out, s.decrypt(i, cell))
+func (x *basicIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
+	return search(x.suite, x.cells, x, stags, groups)
+}
+
+func (x *basicIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, error) {
+	if len(cell) != x.width {
+		// Guards crafted segments with lying offset tables.
+		return false, fmt.Errorf("%w: basic cell of %d bytes, want %d", ErrCorrupt, len(cell), x.width)
 	}
+	s.out = append(s.out, s.decrypt(ctr, cell))
+	return true, nil
 }
 
 // serializedSize is the paper's Fig. 5a accounting of the index — a

@@ -85,10 +85,11 @@ func BenchmarkSearch100IDs(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				one := new(oneStag)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					got, err := idx.Search(entries[i%len(entries)].Stag)
+					got, err := one.search(idx, entries[i%len(entries)].Stag)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -125,17 +126,19 @@ func benchSearchColdStags(b *testing.B, suite prf.Suite) {
 		b.Run(s.Name()+"/empty", func(b *testing.B) {
 			rnd := mrand.New(mrand.NewSource(6))
 			var stag Stag
+			one := new(oneStag)
 			ResetKernelCache()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rnd.Read(stag[:])
-				if got, err := idx.Search(stag); err != nil || len(got) != 0 {
+				if got, err := one.search(idx, stag); err != nil || len(got) != 0 {
 					b.Fatalf("got %d payloads, err %v", len(got), err)
 				}
 			}
 		})
 		b.Run(s.Name()+"/1cell", func(b *testing.B) {
+			one := new(oneStag)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%lists == 0 {
@@ -145,10 +148,51 @@ func benchSearchColdStags(b *testing.B, suite prf.Suite) {
 					ResetKernelCache()
 					b.StartTimer()
 				}
-				if got, err := idx.Search(entries[i%lists].Stag); err != nil || len(got) != 1 {
+				if got, err := one.search(idx, entries[i%lists].Stag); err != nil || len(got) != 1 {
 					b.Fatalf("got %d payloads, err %v", len(got), err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSearchStags is one batch_cluster shard request at the sse
+// layer: 85 stags with lists of about seven cells, searched as one
+// request on the sorted engine, a Logarithmic-URC shard's basic
+// dictionary of ≈170,000 cells under suite 2, the stags drawn afresh
+// each request so their cells are not the last request's. ns/op is per
+// request; allocs/op is one AES key schedule per stag that hits (suite 2
+// caches none) plus the one array the groups share.
+func BenchmarkSearchStags(b *testing.B) {
+	const lists, perList, perRequest = 24000, 7, 85
+	rnd := mrand.New(mrand.NewSource(9))
+	entries := make([]Entry, lists)
+	for i := range entries {
+		rnd.Read(entries[i].Stag[:])
+		n := perList - 2 + rnd.Intn(5) // 5..9 cells, 7 on average
+		ids := make([]uint64, n)
+		for j := range ids {
+			ids[j] = rnd.Uint64()
+		}
+		entries[i] = EntryFromIDs(entries[i].Stag, ids)
+	}
+	idx, err := Basic{}.Build(entries, 8, mrand.New(mrand.NewSource(10)), storage.Sorted{}, prf.SuiteBlock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	requests := make([][]Stag, 64)
+	for r := range requests {
+		requests[r] = make([]Stag, perRequest)
+		for k := range requests[r] {
+			requests[r][k] = entries[rnd.Intn(lists)].Stag
+		}
+	}
+	groups := make([][][]byte, 0, perRequest)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if groups, err = idx.Search(requests[i%len(requests)], groups[:0]); err != nil || len(groups) != perRequest {
+			b.Fatalf("%d groups, err %v", len(groups), err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func FuzzOpenSection(f *testing.F) {
 				continue
 			}
 			for _, probe := range []Stag{{0: 7}, {5: 9}} {
-				_, _ = idx.Search(probe) // errors fine, panics not
+				_, _ = searchOne(idx, probe) // errors fine, panics not
 			}
 			if _, err := MarshalSection(idx); err != nil {
 				t.Fatalf("%s: accepted section fails to re-marshal: %v", storage.OrDefault(eng).Name(), err)

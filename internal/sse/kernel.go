@@ -18,7 +18,7 @@ import (
 // up once and never again, and most tokens of a query over an LSM store
 // address epochs in which their keyword has no postings. (Where the
 // derivation is itself one compression — PRF suite 2 — there is nothing
-// to amortise and getCellSearcher bypasses all of this.)
+// to amortise and cellSearcher.start bypasses all of this.)
 //
 // Admission — second sight. A fixed fingerprint array beside the cache
 // (the doorkeeper) remembers, per slot, the last stag that missed there.

@@ -77,7 +77,7 @@ func TestBlockSuiteBypassesStagCache(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			for stag, want := range map[Stag][]uint64{a: wantA, c: wantC, absent: nil} {
-				got, err := idx.Search(stag)
+				got, err := searchOne(idx, stag)
 				if err != nil || !equalIDs(resultIDs(got), want) {
 					t.Fatalf("%s: round %d: got ids %v, err %v, want %v", sch.Name(), round, resultIDs(got), err, want)
 				}
@@ -125,7 +125,7 @@ func testStagCacheAdmission(t *testing.T, suite prf.Suite) {
 			var hits, misses, adms uint64
 			step := func(what string, x Index, stag Stag, want []uint64, dHit, dMiss, dAdm uint64) {
 				t.Helper()
-				got, err := x.Search(stag)
+				got, err := searchOne(x, stag)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -217,7 +217,7 @@ func TestResetKernelCacheClearsDoorkeeper(t *testing.T) {
 	}
 	ResetKernelCache()
 	for round := 0; round < 2; round++ {
-		if _, err := idx.Search(stag); err != nil {
+		if _, err := searchOne(idx, stag); err != nil {
 			t.Fatal(err)
 		}
 		if ad := KernelCacheAdmissions(); ad != 0 {
@@ -246,9 +246,10 @@ func testColdStagAllocs(t *testing.T, suite prf.Suite) {
 			t.Fatalf("%s: %v", sch.Name(), err)
 		}
 		var stag Stag
+		one := new(oneStag)
 		search := func() {
 			rnd.Read(stag[:])
-			if got, err := idx.Search(stag); err != nil || len(got) != 0 {
+			if got, err := one.search(idx, stag); err != nil || len(got) != 0 {
 				t.Fatalf("%s: fresh stag returned %d payloads, err %v", sch.Name(), len(got), err)
 			}
 		}
@@ -287,7 +288,7 @@ func testStagCacheSlotContention(t *testing.T, suite prf.Suite) {
 					if rnd.Intn(2) == 0 {
 						stag = c
 					}
-					got, err := idx.Search(stag)
+					got, err := searchOne(idx, stag)
 					if err == nil && !equalIDs(resultIDs(got), want[stag]) {
 						err = fmt.Errorf("%s: goroutine %d search %d returned ids %v", sch.Name(), g, i, resultIDs(got))
 					}

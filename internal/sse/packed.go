@@ -93,29 +93,25 @@ func (x *packedIndex) Postings() int { return x.postings }
 func (x *packedIndex) Size() int     { return x.size }
 func (x *packedIndex) Resident() int { return x.cells.Resident() }
 
-func (x *packedIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(x.suite, stag)
-	defer putCellSearcher(s)
-	blockLen := 1 + x.blockSize*x.width
-	for b := uint64(0); ; b++ {
-		cell, ok := x.cells.Get(s.label(b))
-		if !ok {
-			return s.result(), nil
-		}
-		if len(cell) != blockLen {
-			return nil, fmt.Errorf("sse: corrupt packed block (%d bytes, want %d)", len(cell), blockLen)
-		}
-		plain := s.decrypt(b, cell)
-		n := int(plain[0])
-		if n > x.blockSize {
-			return nil, fmt.Errorf("sse: corrupt packed block (count %d > block size %d)", n, x.blockSize)
-		}
-		// The payloads subslice the arena-held block, so no per-posting
-		// copy: the block outlives the searcher's return to the pool.
-		for i := 0; i < n; i++ {
-			s.out = append(s.out, plain[1+i*x.width:1+(i+1)*x.width:1+(i+1)*x.width])
-		}
+func (x *packedIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
+	return search(x.suite, x.cells, x, stags, groups)
+}
+
+func (x *packedIndex) readCell(s *cellSearcher, b uint64, cell []byte) (bool, error) {
+	if blockLen := 1 + x.blockSize*x.width; len(cell) != blockLen {
+		return false, fmt.Errorf("%w: packed block of %d bytes, want %d", ErrCorrupt, len(cell), blockLen)
 	}
+	plain := s.decrypt(b, cell)
+	n := int(plain[0])
+	if n > x.blockSize {
+		return false, fmt.Errorf("%w: packed block count %d > block size %d", ErrCorrupt, n, x.blockSize)
+	}
+	// The payloads subslice the arena-held block, so no per-posting
+	// copy: the block outlives the searcher's next walk.
+	for i := 0; i < n; i++ {
+		s.out = append(s.out, plain[1+i*x.width:1+(i+1)*x.width:1+(i+1)*x.width])
+	}
+	return true, nil
 }
 
 // serializedSize is the paper's Fig. 5a accounting of the index — a

@@ -44,9 +44,10 @@ func testSearcherDecryptMatchesStdlibCTR(t *testing.T, suite prf.Suite) {
 		src := make([]byte, n)
 		rnd.Read(src)
 		for _, ctr := range []uint64{0, 1, 255, 1 << 32, ^uint64(0)} {
-			s := getCellSearcher(suite, stag)
+			s := cellSearcher{suite: suite}
+			s.start(stag)
 			got := s.decrypt(ctr, src)
-			putCellSearcher(s)
+			s.finish()
 			// Reference: the searcher's enc key is Derive(stag, "sse/enc")
 			// truncated, exactly deriveStagKeys'.
 			keys := deriveStagKeys(suite, prf.NewHasherSuite(suite, prf.Key{}), stag)
@@ -81,8 +82,9 @@ func testSearcherLabelMatchesCellLabel(t *testing.T, suite prf.Suite) {
 	defer ResetKernelCache()
 	walk := func(what string, n uint64, warm bool) {
 		t.Helper()
-		s := getCellSearcher(suite, stag)
-		defer putCellSearcher(s)
+		s := cellSearcher{suite: suite}
+		s.start(stag)
+		defer s.finish()
 		if warm = warm && usesStagCache(suite); (s.ent != nil) != warm {
 			t.Fatalf("%s: checked out warm=%v, want %v", what, s.ent != nil, warm)
 		}
@@ -118,24 +120,30 @@ func testSearcherLabelMatchesCellLabel(t *testing.T, suite prf.Suite) {
 
 	// The entry is its suite's alone: the other suite's searcher must
 	// not run from it (its labels would be the wrong PRF's).
-	other := getCellSearcher(otherSuite(suite), stag)
+	other := cellSearcher{suite: otherSuite(suite)}
+	other.start(stag)
 	if other.ent != nil {
 		t.Fatal("a searcher of the other suite checked out this suite's entry")
 	}
 	if want := cellLabel(suite, keys.loc, 0); bytes.Equal(other.label(0), want[:]) {
 		t.Fatal("both suites derive the same label")
 	}
-	putCellSearcher(other)
+	other.finish()
 }
 
 // probeLog is a storage engine whose backends record every key they are
-// probed with.
-type probeLog struct{ keys [][]byte }
+// probed with, on the inner engine (nil: the default), and answer the
+// corrupt key with its cell one byte short.
+type probeLog struct {
+	inner   storage.Engine
+	keys    [][]byte
+	corrupt []byte
+}
 
 func (p *probeLog) Name() string { return "probelog" }
 
 func (p *probeLog) NewBuilder(keyLen, capacityHint int) storage.Builder {
-	return probeLogBuilder{storage.Map{}.NewBuilder(keyLen, capacityHint), p}
+	return probeLogBuilder{storage.OrDefault(p.inner).NewBuilder(keyLen, capacityHint), p}
 }
 
 type probeLogBuilder struct {
@@ -154,8 +162,21 @@ type probeLogBackend struct {
 }
 
 func (b probeLogBackend) Get(key []byte) ([]byte, bool) {
-	b.log.keys = append(b.log.keys, bytes.Clone(key))
-	return b.Backend.Get(key)
+	vals := [][]byte{nil}
+	b.GetMany([][]byte{key}, vals)
+	return vals[0], vals[0] != nil
+}
+
+func (b probeLogBackend) GetMany(keys, vals [][]byte) {
+	for _, k := range keys {
+		b.log.keys = append(b.log.keys, bytes.Clone(k))
+	}
+	b.Backend.GetMany(keys, vals)
+	for i, k := range keys {
+		if vals[i] != nil && b.log.corrupt != nil && bytes.Equal(k, b.log.corrupt) {
+			vals[i] = vals[i][:len(vals[i])-1]
+		}
+	}
 }
 
 // TestSearchDerivesWhatItProbes: a search of an L-cell list asks for
@@ -192,7 +213,7 @@ func testSearchDerivesWhatItProbes(t *testing.T, suite prf.Suite) {
 			ResetKernelCache()
 			for _, sight := range []string{"cold", "second sight", "warm"} {
 				log.keys = log.keys[:0]
-				got, err := idx.Search(stag)
+				got, err := searchOne(idx, stag)
 				if err != nil || len(got) != cells {
 					t.Fatalf("%s/%d cells/%s: %d payloads, err %v", tc.sch.Name(), cells, sight, len(got), err)
 				}
@@ -210,21 +231,25 @@ func testSearchDerivesWhatItProbes(t *testing.T, suite prf.Suite) {
 	ResetKernelCache()
 }
 
-// TestSearcherArenaDisjoint: regions handed out before a searcher goes
-// back to the pool must never be re-sliced by later checkouts.
+// TestSearcherArenaDisjoint: regions handed out before a lane moves on
+// or its lane set goes back to the pool must never be re-sliced by
+// later walks or checkouts.
 func TestSearcherArenaDisjoint(t *testing.T) {
 	var stag Stag
 	var held [][]byte
 	var want []byte
 	for round := 0; round < 200; round++ {
-		s := getCellSearcher(prf.SuiteSHA512, stag)
+		ls := getLaneSet(prf.SuiteSHA512)
+		s := &ls.s[round%lanes]
+		s.start(stag)
 		p := s.alloc(24)
 		for i := range p {
 			p[i] = byte(round)
 		}
 		held = append(held, p)
 		want = append(want, byte(round))
-		putCellSearcher(s)
+		s.finish()
+		putLaneSet(ls)
 	}
 	for i, p := range held {
 		for _, b := range p {
@@ -236,8 +261,8 @@ func TestSearcherArenaDisjoint(t *testing.T) {
 }
 
 // TestSearchAllocsPerCell: steady-state Search cost must be bounded by
-// a handful of allocations per call (result headers and arena chunks),
-// not ~10 per cell as the naive path costs.
+// a handful of allocations per call (the groups' array and arena
+// chunks), not ~10 per cell as the naive path costs.
 func TestSearchAllocsPerCell(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
@@ -260,16 +285,17 @@ func testSearchAllocsPerCell(t *testing.T, suite prf.Suite) {
 		if err != nil {
 			t.Fatalf("%s: %v", sch.Name(), err)
 		}
+		one := new(oneStag)
 		f := func() {
-			if _, err := idx.Search(stag); err != nil {
+			if _, err := one.search(idx, stag); err != nil {
 				t.Fatal(err)
 			}
 		}
 		f() // warm pools and arena
-		// Budget: the one right-sized result slice, suite 2's AES key
-		// schedule and amortized arena chunks — measured 1 (2 under
-		// suite 2). The old path cost ~10 allocs *per cell*, and growing
-		// the result by append cost 6 more per search.
+		// Budget: the one array the request's groups share, suite 2's
+		// AES key schedule and amortized arena chunks — measured 1 (2
+		// under suite 2). The old path cost ~10 allocs *per cell*, and
+		// growing the result by append cost 6 more per search.
 		n := testing.AllocsPerRun(100, f)
 		t.Logf("%s: %v allocs per search of %d postings", sch.Name(), n, postings)
 		if n > 2 {
@@ -367,12 +393,12 @@ func TestSectionSuiteIsTheCallers(t *testing.T) {
 					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
 				}
 				for _, e := range entries {
-					got, err := same.Search(e.Stag)
+					got, err := searchOne(same, e.Stag)
 					if err != nil || len(got) != len(e.Payloads) {
 						t.Fatalf("%s/%s: build suite found %d of %d payloads, err %v",
 							sch.Name(), eng.Name(), len(got), len(e.Payloads), err)
 					}
-					if got, err := other.Search(e.Stag); err != nil || len(got) != 0 {
+					if got, err := searchOne(other, e.Stag); err != nil || len(got) != 0 {
 						t.Fatalf("%s/%s: other suite found %d payloads, err %v", sch.Name(), eng.Name(), len(got), err)
 					}
 				}

@@ -80,10 +80,12 @@ type Scheme interface {
 
 // Index is a server-side encrypted multimap.
 type Index interface {
-	// Search returns the payloads stored under stag, or an empty slice if
-	// the stag matches nothing. Unknown stags are indistinguishable from
-	// empty posting lists.
-	Search(stag Stag) ([][]byte, error)
+	// Search appends to groups one group per stag, in stag order: the
+	// payloads stored under that stag, or nil if it matches nothing.
+	// Unknown stags are indistinguishable from empty posting lists. The
+	// groups of one call share one backing array, each a subslice with
+	// no spare capacity. Searching one stag is searching a slice of one.
+	Search(stags []Stag, groups [][][]byte) ([][][]byte, error)
 	// Width returns the payload width the index was built with.
 	Width() int
 	// Postings returns the number of real (non-padding) payloads stored.

@@ -67,7 +67,7 @@ func buildSuiteIndex(t testing.TB, s Scheme, db map[string][]uint64, eng storage
 
 func searchIDs(t testing.TB, idx Index, kw string) []uint64 {
 	t.Helper()
-	payloads, err := idx.Search(stagOf(t, kw))
+	payloads, err := searchOne(idx, stagOf(t, kw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEmptyIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: empty build: %v", s.Name(), err)
 		}
-		got, err := idx.Search(stagOf(t, "anything"))
+		got, err := searchOne(idx, stagOf(t, "anything"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestShuffleHidesInsertionOrder(t *testing.T) {
 		ids[i] = uint64(i)
 	}
 	idx := buildTestIndex(t, Basic{}, map[string][]uint64{"k": ids})
-	payloads, err := idx.Search(stagOf(t, "k"))
+	payloads, err := searchOne(idx, stagOf(t, "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestWrongStagFindsNothing(t *testing.T) {
 		for i := range random {
 			random[i] = byte(i * 7)
 		}
-		got, err := idx.Search(random)
+		got, err := searchOne(idx, random)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestOpaquePayloadWidths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s width %d: %v", s.Name(), w, err)
 			}
-			got, err := idx.Search(stagOf(t, "wide"))
+			got, err := searchOne(idx, stagOf(t, "wide"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,4 +402,27 @@ func TestU64PayloadRoundtrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// oneStag searches one stag at a time, as a slice of one, reusing its
+// stag and group slices so a steady-state search allocates only what
+// Search itself does.
+type oneStag struct {
+	stag   [1]Stag
+	groups [][][]byte
+}
+
+func (o *oneStag) search(idx Index, stag Stag) ([][]byte, error) {
+	o.stag[0] = stag
+	groups, err := idx.Search(o.stag[:], o.groups[:0])
+	if err != nil {
+		return nil, err
+	}
+	o.groups = groups
+	return groups[0], nil
+}
+
+// searchOne searches one stag, as a slice of one.
+func searchOne(idx Index, stag Stag) ([][]byte, error) {
+	return new(oneStag).search(idx, stag)
 }

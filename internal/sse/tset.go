@@ -213,19 +213,16 @@ func (x *tsetIndex) Buckets() int { return x.numBuckets }
 // Capacity reports the per-bucket record capacity.
 func (x *tsetIndex) Capacity() int { return x.capacity }
 
-func (x *tsetIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(x.suite, stag)
-	defer putCellSearcher(s)
-	for i := uint64(0); ; i++ {
-		cell, ok := x.lookup.Get(s.label(i))
-		if !ok {
-			return s.result(), nil
-		}
-		if len(cell) != x.width {
-			return nil, fmt.Errorf("sse: corrupt tset cell (%d bytes, want %d)", len(cell), x.width)
-		}
-		s.out = append(s.out, s.decrypt(i, cell))
+func (x *tsetIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
+	return search(x.suite, x.lookup, x, stags, groups)
+}
+
+func (x *tsetIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, error) {
+	if len(cell) != x.width {
+		return false, fmt.Errorf("%w: tset cell of %d bytes, want %d", ErrCorrupt, len(cell), x.width)
 	}
+	s.out = append(s.out, s.decrypt(ctr, cell))
+	return true, nil
 }
 
 // serializedSize is the paper's Fig. 5a accounting of the index — a

@@ -224,15 +224,15 @@ func (x *twoLevelIndex) Resident() int { return x.cells.Resident() + x.blocksRes
 // BlockCount reports the array size; exposed for tests.
 func (x *twoLevelIndex) BlockCount() int { return len(x.blocks) }
 
-func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
-	s := getCellSearcher(x.suite, stag)
-	defer putCellSearcher(s)
-	cellCT, ok := x.cells.Get(s.label(0))
-	if !ok {
-		return nil, nil
-	}
+// Search probes each stag's dictionary cell at label 0 through the
+// lockstep lanes; a walk ends at that one probe, hit or miss.
+func (x *twoLevelIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
+	return search(x.suite, x.cells, x, stags, groups)
+}
+
+func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool, error) {
 	if cellLen := 1 + 4 + x.inlineCap*8; len(cellCT) != cellLen {
-		return nil, fmt.Errorf("sse: corrupt 2lev cell (%d bytes, want %d)", len(cellCT), cellLen)
+		return false, fmt.Errorf("%w: 2lev cell of %d bytes, want %d", ErrCorrupt, len(cellCT), cellLen)
 	}
 	cell := s.decrypt(0, cellCT)
 	mode := cell[0]
@@ -241,7 +241,7 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 
 	readBlock := func(slot uint64) ([]byte, error) {
 		if slot >= uint64(len(x.blocks)) {
-			return nil, fmt.Errorf("sse: 2lev block pointer %d out of range", slot)
+			return nil, fmt.Errorf("%w: 2lev block pointer %d out of range", ErrCorrupt, slot)
 		}
 		return s.decrypt(1+slot, x.blocks[slot]), nil
 	}
@@ -256,16 +256,16 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 	switch mode {
 	case modeInline:
 		if n > x.inlineCap {
-			return nil, fmt.Errorf("sse: corrupt 2lev inline cell (count %d)", n)
+			return false, fmt.Errorf("%w: 2lev inline cell count %d", ErrCorrupt, n)
 		}
 		items(slots, n)
-		return s.result(), nil
+		return false, nil
 	case modeMedium, modeLarge:
 		idBlocks := (n + x.blockSize - 1) / x.blockSize
 		idSlots := s.slots[:0]
 		if mode == modeMedium {
 			if idBlocks > x.inlineCap {
-				return nil, fmt.Errorf("sse: corrupt 2lev medium cell")
+				return false, fmt.Errorf("%w: 2lev medium cell", ErrCorrupt)
 			}
 			for i := 0; i < idBlocks; i++ {
 				idSlots = append(idSlots, binary.BigEndian.Uint64(slots[i*8:]))
@@ -273,13 +273,13 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 		} else {
 			ptrBlocks := (idBlocks + x.blockSize - 1) / x.blockSize
 			if ptrBlocks > x.inlineCap {
-				return nil, fmt.Errorf("sse: corrupt 2lev large cell")
+				return false, fmt.Errorf("%w: 2lev large cell", ErrCorrupt)
 			}
 			remaining := idBlocks
 			for i := 0; i < ptrBlocks; i++ {
 				raw, err := readBlock(binary.BigEndian.Uint64(slots[i*8:]))
 				if err != nil {
-					return nil, err
+					return false, err
 				}
 				take := min(remaining, x.blockSize)
 				for j := 0; j < take; j++ {
@@ -293,15 +293,15 @@ func (x *twoLevelIndex) Search(stag Stag) ([][]byte, error) {
 		for _, slot := range idSlots {
 			raw, err := readBlock(slot)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
 			take := min(remaining, x.blockSize)
 			items(raw, take)
 			remaining -= take
 		}
-		return s.result(), nil
+		return false, nil
 	default:
-		return nil, fmt.Errorf("sse: corrupt 2lev cell mode %d", mode)
+		return false, fmt.Errorf("%w: 2lev cell mode %d", ErrCorrupt, mode)
 	}
 }
 

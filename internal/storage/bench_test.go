@@ -66,7 +66,43 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// getSink keeps BenchmarkGet's value reads from being optimized away.
+// BenchmarkGetMany is BenchmarkGet's probes, from the same contiguous
+// array, sixteen keys per GetMany call: the width of a search's lockstep
+// lanes. ns/op is per call, so ns/key is a sixteenth of it.
+func BenchmarkGetMany(b *testing.B) {
+	const perCall = 16
+	for _, e := range Engines() {
+		for _, n := range []int{1000, 100000, 170000} {
+			keys, x := benchBackend(b, e, n)
+			flat := make([]byte, 0, n*16)
+			for _, i := range mrand.New(mrand.NewSource(7)).Perm(n) {
+				flat = append(flat, keys[i]...)
+			}
+			probes := make([][]byte, n)
+			for j := range probes {
+				probes[j] = flat[j*16 : j*16+16]
+			}
+			vals := make([][]byte, perCall)
+			b.Run(e.Name()+"/n="+itoa(n), func(b *testing.B) {
+				b.ReportAllocs()
+				var sum byte
+				for i := 0; i < b.N; i++ {
+					j := i * perCall % (n - perCall + 1)
+					x.GetMany(probes[j:j+perCall], vals)
+					for _, v := range vals {
+						if v == nil {
+							b.Fatal("miss")
+						}
+						sum += v[0] ^ v[len(v)-1]
+					}
+				}
+				getSink = sum
+			})
+		}
+	}
+}
+
+// getSink keeps the benchmarks' value reads from being optimized away.
 var getSink byte
 
 func BenchmarkBuild(b *testing.B) {

@@ -90,6 +90,8 @@ func (x *mapBackend) Get(key []byte) ([]byte, bool) {
 	return v, ok
 }
 
+func (x *mapBackend) GetMany(keys, vals [][]byte) { GetEach(x, keys, vals) }
+
 func (x *mapBackend) Len() int    { return len(x.m) }
 func (x *mapBackend) KeyLen() int { return x.keyLen }
 

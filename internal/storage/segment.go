@@ -255,13 +255,13 @@ func (x *segmentBackend) Get(key []byte) ([]byte, bool) {
 		return nil, false
 	}
 	kp := loadPrefix(key)
-	lo, hi := 0, x.n
-	if x.dirBits > 0 {
-		// Clamp an untrusted bucket end to the record range; a start
-		// beyond it then ends the search at once.
-		d := x.dir[(kp>>(64-x.dirBits))*4:]
-		lo, hi = int(binary.BigEndian.Uint32(d)), min(int(binary.BigEndian.Uint32(d[4:])), x.n)
-	}
+	lo, hi := x.bucket(kp)
+	return x.search(key, kp, lo, hi)
+}
+
+// search binary-searches records [lo, hi) for key, whose 8-byte prefix
+// is kp.
+func (x *segmentBackend) search(key []byte, kp uint64, lo, hi int) ([]byte, bool) {
 	kl, stride := x.keyLen, x.stride
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -291,6 +291,75 @@ func (x *segmentBackend) Get(key []byte) ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+// getManyLanes is how many keys GetMany probes side by side.
+const getManyLanes = 16
+
+// GetMany is group prefetching (Chen et al., ICDE'04; Kocberber et al.,
+// VLDB'15) over up to getManyLanes keys at a time: it reads every key's
+// directory entry, then takes every key's first binary-search step,
+// then finishes each search in turn. Each of the first two passes is
+// one load per key that no other key's load waits for, so their cache
+// misses are in flight together; the searches that finish run within
+// the bucket lines the second pass brought in; a lone key is a Get. The
+// answers are those of one Get per key.
+func (x *segmentBackend) GetMany(keys, vals [][]byte) {
+	if len(keys) == 1 {
+		// One key has no other key's misses to overlap with.
+		GetEach(x, keys, vals)
+		return
+	}
+	for len(keys) > getManyLanes {
+		x.getMany(keys[:getManyLanes], vals[:getManyLanes])
+		keys, vals = keys[getManyLanes:], vals[getManyLanes:]
+	}
+	x.getMany(keys, vals)
+}
+
+func (x *segmentBackend) getMany(keys, vals [][]byte) {
+	var kp [getManyLanes]uint64
+	var lo, hi [getManyLanes]int
+	for j, key := range keys {
+		if len(key) == x.keyLen {
+			kp[j] = loadPrefix(key)
+			lo[j], hi[j] = x.bucket(kp[j])
+		}
+	}
+	for j := range keys {
+		if l, h := lo[j], hi[j]; l < h {
+			mid := int(uint(l+h) >> 1)
+			// Step past a record whose prefix is below the key's, or
+			// down to it otherwise: a tie stays in the range for search.
+			if loadPrefix(x.recs[mid*x.stride:mid*x.stride+x.keyLen]) < kp[j] {
+				l = mid + 1
+			} else {
+				h = mid + 1
+			}
+			lo[j], hi[j] = l, h
+		}
+	}
+	for j, key := range keys {
+		vals[j] = nil
+		if v, ok := x.search(key, kp[j], lo[j], hi[j]); ok {
+			if v == nil {
+				v = present
+			}
+			vals[j] = v
+		}
+	}
+}
+
+// bucket returns the record range the radix directory assigns to a key
+// with prefix kp: all records when there is no directory. An untrusted
+// bucket end is clamped to the record range; a start beyond it then
+// ends the search at once.
+func (x *segmentBackend) bucket(kp uint64) (lo, hi int) {
+	if x.dirBits == 0 {
+		return 0, x.n
+	}
+	d := x.dir[(kp>>(64-x.dirBits))*4:]
+	return int(binary.BigEndian.Uint32(d)), min(int(binary.BigEndian.Uint32(d[4:])), x.n)
 }
 
 func (x *segmentBackend) Len() int    { return x.n }

@@ -78,6 +78,12 @@ type Backend interface {
 	// capacity, so an append to it copies instead of writing over the
 	// record stored after it.
 	Get(key []byte) (value []byte, ok bool)
+	// GetMany looks up every key of one batch: vals[i] is what Get
+	// returns for keys[i], or nil where Get misses (a present empty
+	// value comes back non-nil). vals must be at least as long as keys.
+	// The lookups are independent of each other, so a backend may run
+	// them side by side; the answers are those of one Get per key.
+	GetMany(keys, vals [][]byte)
 	// Len returns the number of records.
 	Len() int
 	// KeyLen returns the fixed key length of the space.
@@ -92,6 +98,22 @@ type Backend interface {
 	// accounted for by whoever opened it.
 	Resident() int
 }
+
+// GetEach is GetMany for a backend with no faster way: one Get per key,
+// in order.
+func GetEach(b Backend, keys, vals [][]byte) {
+	for i, k := range keys {
+		v, ok := b.Get(k)
+		if ok && v == nil {
+			v = present
+		}
+		vals[i] = v
+	}
+}
+
+// present stands in for a found empty value that Get returned as nil,
+// so GetMany's nil keeps meaning a miss.
+var present = []byte{}
 
 // Default returns the engine used when a caller passes nil: the hash-map
 // layout, matching the behavior the repository started with.

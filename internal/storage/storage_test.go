@@ -117,6 +117,74 @@ func TestEnginesRoundtrip(t *testing.T) {
 			if _, ok := x.Get(make([]byte, keyLen+1)); ok {
 				t.Fatalf("%s/%s: wrong-length key found", e.Name(), c.name)
 			}
+			checkGetMany(t, e.Name()+"/"+c.name, x, recs)
+		}
+	}
+}
+
+// TestGetManyFoundEmptyValue: GetMany's nil means a miss, so a found
+// empty value comes back non-nil on every engine — also where the map
+// engine stores it as nil (an empty first value, before its arena
+// exists) — alone and in a batch.
+func TestGetManyFoundEmptyValue(t *testing.T) {
+	for _, e := range Engines() {
+		b := e.NewBuilder(2, 0)
+		if err := b.Put([]byte("aa"), nil); err != nil {
+			t.Fatal(err)
+		}
+		x, err := b.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, keys := range [][][]byte{{[]byte("aa")}, {[]byte("aa"), []byte("zz")}} {
+			vals := make([][]byte, len(keys))
+			x.GetMany(keys, vals)
+			if vals[0] == nil || len(vals[0]) != 0 || (len(keys) > 1 && vals[1] != nil) {
+				t.Errorf("%s: GetMany of %d keys = %q (found nil %v)", e.Name(), len(keys), vals, vals[0] == nil)
+			}
+		}
+	}
+}
+
+// checkGetMany: GetMany answers what Get does, key by key, in batches of
+// one, of a lockstep chunk and of more — hits, empty values, misses and
+// a wrong-length key mixed — with nil for a miss and never for a hit.
+func checkGetMany(t *testing.T, what string, x Backend, recs map[string][]byte) {
+	t.Helper()
+	var keys [][]byte
+	for k := range recs {
+		keys = append(keys, []byte(k))
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	keys = keys[:min(len(keys), 45)]
+	for _, k := range keys[:3] {
+		miss := bytes.Clone(k)
+		miss[len(miss)-1] ^= 0x5A
+		if recs[string(miss)] == nil {
+			keys = append(keys, miss)
+		}
+	}
+	for k, v := range recs {
+		if len(v) == 0 {
+			keys = append(keys, []byte(k))
+			break
+		}
+	}
+	keys = append(keys, make([]byte, x.KeyLen()+1))
+	for _, n := range []int{1, getManyLanes, len(keys)} {
+		for lo := 0; lo < len(keys); lo += n {
+			batch := keys[lo:min(lo+n, len(keys))]
+			vals := make([][]byte, len(batch))
+			for i := range vals {
+				vals[i] = []byte("stale")
+			}
+			x.GetMany(batch, vals)
+			for i, k := range batch {
+				v, ok := x.Get(k)
+				if ok != (vals[i] != nil) || !bytes.Equal(v, vals[i]) {
+					t.Fatalf("%s: batch of %d, key %x: GetMany = %q (nil %v), Get = %q, %v", what, n, k, vals[i], vals[i] == nil, v, ok)
+				}
+			}
 		}
 	}
 }

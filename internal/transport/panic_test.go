@@ -41,10 +41,10 @@ func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, er
 	return p.Index.FetchMany(ctx, ids)
 }
 
-// tokenPanicSSE builds Basic dictionaries whose Search panics on the
-// left-th call from now: inside a real *core.Index that is some token
-// of a search, deep inside Index.Search on the handler's goroutine.
-// left <= 0 is disarmed.
+// tokenPanicSSE builds Basic dictionaries whose Search panics in the
+// call that reaches the left-th stag from now: inside a real
+// *core.Index that is the search of some token, deep inside
+// Index.Search on the handler's goroutine. left <= 0 is disarmed.
 type tokenPanicSSE struct{ left *atomic.Int32 }
 
 func (p tokenPanicSSE) Name() string { return "basic" }
@@ -59,12 +59,12 @@ type tokenPanicIndex struct {
 	left *atomic.Int32
 }
 
-func (x tokenPanicIndex) Search(stag sse.Stag) ([][]byte, error) {
-	if x.left.Add(-1) == 0 {
-		var groups [][]byte
+func (x tokenPanicIndex) Search(stags []sse.Stag, groups [][][]byte) ([][][]byte, error) {
+	n := int32(len(stags))
+	if left := x.left.Add(-n); left <= 0 && left+n > 0 {
 		_ = groups[len(groups)] // a runtime error, not a panic(string)
 	}
-	return x.Index.Search(stag)
+	return x.Index.Search(stags, groups)
 }
 
 // TestHandlerPanicContained: a handler panic costs its own request an
