@@ -457,7 +457,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tokens = 0
 			for _, q := range ranges {
-				res, err := c.QueryRemote(remote, q)
+				res, err := c.Query(remote, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -469,7 +469,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 	b.Run("remote/batch", func(b *testing.B) {
 		var stats rsse.BatchStats
 		for i := 0; i < b.N; i++ {
-			br, err := c.QueryBatchRemote(remote, ranges)
+			br, err := c.QueryBatch(remote, ranges)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -512,7 +512,7 @@ func BenchmarkRemoteFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.QueryRemote(remote, ranges[i%len(ranges)])
+		res, err := c.Query(remote, ranges[i%len(ranges)])
 		if err != nil {
 			b.Fatal(err)
 		}

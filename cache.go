@@ -53,18 +53,18 @@ func NewCachedClient(client *Client) (*CachedClient, error) {
 	return &CachedClient{client: client, values: make(map[ID]Value)}, nil
 }
 
-// Query answers q from the server when permitted, or from the local cache
-// when q is fully covered by earlier answers. The returned Result's stats
-// have Rounds == 0 for cache hits.
-func (cc *CachedClient) Query(index *Index, q Range) (*Result, error) {
-	return cc.QueryContext(context.Background(), index, q)
+// Query answers q from the source when permitted, or from the local
+// cache when q is fully covered by earlier answers. The returned
+// Result's stats have Rounds == 0 for cache hits.
+func (cc *CachedClient) Query(s Source, q Range) (*Result, error) {
+	return cc.QueryContext(context.Background(), s, q)
 }
 
 // QueryContext is Query with cancellation (cache hits never block on
 // ctx; only server-bound queries do). It is QueryBatchContext on one
 // range.
-func (cc *CachedClient) QueryContext(ctx context.Context, index *Index, q Range) (*Result, error) {
-	results, err := cc.QueryBatchContext(ctx, index, []Range{q})
+func (cc *CachedClient) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
+	results, err := cc.QueryBatchContext(ctx, s, []Range{q})
 	if err != nil {
 		return nil, err
 	}
@@ -74,17 +74,25 @@ func (cc *CachedClient) QueryContext(ctx context.Context, index *Index, q Range)
 // QueryBatch answers a batch of ranges, serving every range already
 // covered by earlier answers from the cache and sending the misses to
 // the server as one batched query (whose covers are deduplicated across
-// the misses). The server-answered ranges then warm the cache, so later
+// the misses). A range that is inverted or leaves the domain fails the
+// batch with the domain's error before the cache is read. The
+// server-answered ranges then warm the cache, so later
 // sub-ranges of any batch member are answered locally. A miss that
 // intersects the cached history fails the whole batch with ErrNotCached,
 // exactly as Query would; intersections *between* misses surface as the
 // underlying client's ErrIntersectingQuery.
-func (cc *CachedClient) QueryBatch(index *Index, qs []Range) ([]*Result, error) {
-	return cc.QueryBatchContext(context.Background(), index, qs)
+func (cc *CachedClient) QueryBatch(s Source, qs []Range) ([]*Result, error) {
+	return cc.QueryBatchContext(context.Background(), s, qs)
 }
 
 // QueryBatchContext is QueryBatch with cancellation.
-func (cc *CachedClient) QueryBatchContext(ctx context.Context, index *Index, qs []Range) ([]*Result, error) {
+func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Range) ([]*Result, error) {
+	dom := cc.client.Domain()
+	for _, q := range qs {
+		if err := dom.CheckRange(q.Lo, q.Hi); err != nil {
+			return nil, err
+		}
+	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	results := make([]*Result, len(qs))
@@ -106,7 +114,7 @@ func (cc *CachedClient) QueryBatchContext(ctx context.Context, index *Index, qs 
 	for j, i := range missIdx {
 		misses[j] = qs[i]
 	}
-	br, err := cc.client.QueryBatchContext(ctx, index, misses)
+	br, err := cc.client.QueryBatchContext(ctx, s, misses)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +122,7 @@ func (cc *CachedClient) QueryBatchContext(ctx context.Context, index *Index, qs 
 	for _, res := range br.Results {
 		newIDs = append(newIDs, res.Matches...)
 	}
-	if err := cc.warm(ctx, index, newIDs, misses...); err != nil {
+	if err := cc.warm(ctx, s, newIDs, misses...); err != nil {
 		return nil, err
 	}
 	for j, i := range missIdx {
@@ -139,7 +147,7 @@ func (cc *CachedClient) localResult(q Range) *Result {
 // cache commits atomically: a fetch failure (or ctx expiry) leaves every
 // invariant intact — in particular byVal stays sorted, which lookup's
 // binary searches depend on.
-func (cc *CachedClient) warm(ctx context.Context, index *Index, ids []ID, ranges ...Range) error {
+func (cc *CachedClient) warm(ctx context.Context, s Source, ids []ID, ranges ...Range) error {
 	var missing []ID
 	seen := make(map[ID]struct{}, len(ids))
 	for _, id := range ids {
@@ -152,7 +160,7 @@ func (cc *CachedClient) warm(ctx context.Context, index *Index, ids []ID, ranges
 		seen[id] = struct{}{}
 		missing = append(missing, id)
 	}
-	tuples, err := cc.client.inner.FetchTuples(ctx, index, missing)
+	tuples, err := cc.client.inner.FetchTuples(ctx, s, missing)
 	if err != nil {
 		return err
 	}

@@ -57,40 +57,56 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 	return c.inner.BuildIndex(tuples)
 }
 
+// Source is what a Client queries: an index, wherever it lives — a
+// local *Index or a dialed *RemoteIndex. The protocol is the same
+// against each; a source that also offers context-aware or many-id
+// forms (a remote one does) is asked through them.
+type Source = core.Server
+
 // Query runs the scheme's full query protocol — one round, or two for
-// Logarithmic-SRC-i — against the index, filters any false positives
+// Logarithmic-SRC-i — against the source, filters any false positives
 // owner-side, and returns matches with cost/leakage accounting.
-func (c *Client) Query(index *Index, q Range) (*Result, error) {
-	return c.QueryContext(context.Background(), index, q)
+func (c *Client) Query(s Source, q Range) (*Result, error) {
+	return c.QueryContext(context.Background(), s, q)
 }
 
 // QueryContext is Query with cancellation: the protocol aborts between
-// (and inside) rounds when ctx is done.
-func (c *Client) QueryContext(ctx context.Context, index *Index, q Range) (*Result, error) {
-	return c.inner.QueryServerContext(ctx, index, q)
+// (and inside) rounds when ctx is done, and against a remote source an
+// expired ctx abandons the in-flight round trip at once (the server's
+// late response is discarded).
+func (c *Client) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
+	return c.inner.QueryServerContext(ctx, s, q)
+}
+
+// QueryRemoteContext is QueryContext.
+//
+// Deprecated: call QueryContext, which takes any Source.
+func (c *Client) QueryRemoteContext(ctx context.Context, r *RemoteIndex, q Range) (*Result, error) {
+	return c.QueryContext(ctx, r, q)
 }
 
 // QueryBatch answers several ranges in one batched protocol run: all
 // covers are planned together, cover nodes shared across the ranges are
 // deduplicated into a single multi-trapdoor per round, and the shared
 // response is demultiplexed (and false-positive filtered, each id
-// fetched once) back into one Result per range, in input order. For the
-// Constant schemes the batch's ranges must be mutually non-intersecting
-// as well as non-intersecting with history; the batch enters the history
-// only on success.
-func (c *Client) QueryBatch(index *Index, ranges []Range) (*BatchResult, error) {
-	return c.QueryBatchContext(context.Background(), index, ranges)
+// fetched once) back into one Result per range, in input order. Against
+// a remote source each round is one search frame, and the filter's
+// fetches one chunked fetch round. For the Constant schemes the batch's
+// ranges must be mutually non-intersecting as well as non-intersecting
+// with history; the batch enters the history only on success.
+func (c *Client) QueryBatch(s Source, ranges []Range) (*BatchResult, error) {
+	return c.QueryBatchContext(context.Background(), s, ranges)
 }
 
 // QueryBatchContext is QueryBatch with cancellation.
-func (c *Client) QueryBatchContext(ctx context.Context, index *Index, ranges []Range) (*BatchResult, error) {
-	return c.inner.QueryBatchContext(ctx, index, ranges)
+func (c *Client) QueryBatchContext(ctx context.Context, s Source, ranges []Range) (*BatchResult, error) {
+	return c.inner.QueryBatchContext(ctx, s, ranges)
 }
 
 // FetchTuple retrieves and decrypts one tuple by id — the final,
 // search-orthogonal step applications use to obtain payloads.
-func (c *Client) FetchTuple(index *Index, id ID) (Tuple, error) {
-	return c.inner.FetchTuple(index, id)
+func (c *Client) FetchTuple(s Source, id ID) (Tuple, error) {
+	return c.inner.FetchTuple(s, id)
 }
 
 // Trapdoor produces the first-round query message without executing the

@@ -272,12 +272,11 @@ func discover(addr, name, manifest string, key []byte) (*env, error) {
 		return nil, fmt.Errorf("rsse-load: %s: %w", addr, err)
 	}
 	defer r.Close()
-	if e.kind, err = r.Kind(); err != nil {
+	meta, err := r.Meta()
+	if err != nil {
 		return nil, fmt.Errorf("rsse-load: meta: %w", err)
 	}
-	if e.bits, err = r.DomainBits(); err != nil {
-		return nil, fmt.Errorf("rsse-load: meta: %w", err)
-	}
+	e.kind, e.bits = meta.Kind, meta.DomainBits
 	return e, nil
 }
 
@@ -380,13 +379,13 @@ func (s *nodeSession) Do(ctx context.Context, op *workload.Op) (workload.Metrics
 		return workload.Metrics{}, s.write(w)
 	}
 	if len(op.Ranges) == 1 {
-		res, err := s.client.QueryRemoteContext(ctx, s.remote, op.Ranges[0])
+		res, err := s.client.QueryContext(ctx, s.remote, op.Ranges[0])
 		if err != nil {
 			return workload.Metrics{}, err
 		}
 		return queryMetrics(res.Stats), nil
 	}
-	br, err := s.client.QueryBatchRemoteContext(ctx, s.remote, op.Ranges)
+	br, err := s.client.QueryBatchContext(ctx, s.remote, op.Ranges)
 	if err != nil {
 		return workload.Metrics{}, err
 	}

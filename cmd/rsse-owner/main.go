@@ -87,7 +87,6 @@ import (
 	"strings"
 
 	"rsse"
-	"rsse/internal/core"
 	"rsse/internal/obs"
 )
 
@@ -453,32 +452,22 @@ func query(args []string) {
 		fatal(err)
 	}
 
-	var (
-		runOne   func(q rsse.Range) (*rsse.Result, error)
-		runBatch func(qs []rsse.Range) (*rsse.BatchResult, error)
-		fetch    func(id rsse.ID) (rsse.Tuple, error)
-	)
+	var src rsse.Source
 	if *addr != "" {
 		remote, err := rsse.DialIndex("tcp", *addr, *name)
 		if err != nil {
 			fatal(err)
 		}
 		defer remote.Close()
-		runOne = func(q rsse.Range) (*rsse.Result, error) { return client.QueryRemote(remote, q) }
-		runBatch = func(qs []rsse.Range) (*rsse.BatchResult, error) { return client.QueryBatchRemote(remote, qs) }
-		fetch = func(id rsse.ID) (rsse.Tuple, error) { return client.FetchTupleRemote(remote, id) }
+		src = remote
 	} else if *indexPath != "" {
 		blob, err := os.ReadFile(*indexPath)
 		if err != nil {
 			fatal(err)
 		}
-		index, err := core.UnmarshalIndex(blob)
-		if err != nil {
+		if src, err = rsse.UnmarshalIndex(blob); err != nil {
 			fatal(err)
 		}
-		runOne = func(q rsse.Range) (*rsse.Result, error) { return client.Query(index, q) }
-		runBatch = func(qs []rsse.Range) (*rsse.BatchResult, error) { return client.QueryBatch(index, qs) }
-		fetch = func(id rsse.ID) (rsse.Tuple, error) { return client.FetchTuple(index, id) }
 	} else {
 		fatal(fmt.Errorf("one of -index or -addr is required"))
 	}
@@ -486,7 +475,7 @@ func query(args []string) {
 	printMatches := func(ids []rsse.ID) {
 		for _, id := range ids {
 			if *payloads {
-				tup, err := fetch(id)
+				tup, err := client.FetchTuple(src, id)
 				if err != nil {
 					fatal(err)
 				}
@@ -502,7 +491,7 @@ func query(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		br, err := runBatch(ranges)
+		br, err := client.QueryBatch(src, ranges)
 		if err != nil {
 			fatal(err)
 		}
@@ -518,7 +507,7 @@ func query(args []string) {
 	}
 
 	q := rsse.Range{Lo: *lo, Hi: *hi}
-	res, err := runOne(q)
+	res, err := client.Query(src, q)
 	if err != nil {
 		fatal(err)
 	}

@@ -2,11 +2,12 @@ package rsse_test
 
 // TestConformance is the package's one answer check. Every deployment
 // shape — a local index, a loaded copy, served, dialed and per-id-fetch
-// remotes, built and dialed clusters, the cached client, and the
-// in-memory, durable, sharded and gateway-served dynamic stores —
-// answers one seeded plaintext model, on every scheme kind, SSE
-// construction and storage engine, plain, batched, from many goroutines
-// and under injected faults. A cell is
+// remotes, built and dialed clusters, the cached client over a local and
+// a remote index, and the in-memory, durable, sharded and gateway-served
+// dynamic stores — answers one seeded plaintext model, on every scheme
+// kind, SSE construction and storage engine, plain, batched, from many
+// goroutines and under injected faults, and refuses the ranges no shape
+// may answer. A cell is
 // TestConformance/<kind>/<construction>-<engine>/<shape>/<modifier>:
 //
 //	go test -run 'TestConformance/Logarithmic-SRC-i/tset-disk/remote-tcp' .
@@ -73,7 +74,7 @@ var shapes = []shape{
 	{"remote-per-id", false, []string{"plain", "batch"}, runRemote},
 	{"cluster-built", false, []string{"plain", "batch", "concurrent"}, runCluster},
 	{"cluster-dialed", false, []string{"plain", "batch", "concurrent", "faulted"}, runCluster},
-	{"cached", false, []string{"plain", "batch"}, runCached},
+	{"cached", false, []string{"plain", "batch", "remote"}, runCached},
 	{"dynamic", false, []string{"plain", "batch"}, runStore},
 	{"dynamic-durable", false, []string{"plain", "batch"}, runStore},
 	{"sharded-dynamic", false, []string{"plain", "batch"}, runStore},
@@ -81,12 +82,13 @@ var shapes = []shape{
 }
 
 // runs reports whether s's cell on pair pi runs mod: faults are
-// injected on the baseline only; off the baseline, a full shape runs
+// injected, and the cache put in front of a remote index, on the
+// baseline only; off the baseline, a full shape runs
 // only plain and batch cells, and a dynamic store only batch ones — its
 // batch cell asks every range singly as well.
 func (s shape) runs(mod string, pi int, sel bool) bool {
 	switch {
-	case mod == "faulted":
+	case mod == "faulted" || mod == "remote":
 		return pi == 0
 	case s.full && !sel:
 		return mod == "plain" || mod == "batch"
@@ -409,31 +411,13 @@ func batch(br *rsse.BatchResult, err error) ([]answer, *rsse.BatchStats, error) 
 	return idAnswers(br.Results), &br.Stats, nil
 }
 
-func clientTarget(c *rsse.Client, x *rsse.Index) target {
+func clientTarget(c *rsse.Client, x rsse.Source) target {
 	return target{
 		func(ctx context.Context, q rsse.Range) (answer, error) { return one(c.QueryContext(ctx, x, q)) },
 		func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
 			return batch(c.QueryBatchContext(ctx, x, qs))
 		},
 		func(id rsse.ID) (rsse.Tuple, error) { return c.FetchTuple(x, id) },
-	}
-}
-
-func remoteTarget(c *rsse.Client, r *rsse.RemoteIndex, perID bool) target {
-	return target{
-		func(ctx context.Context, q rsse.Range) (answer, error) {
-			if perID {
-				return one(rsse.QueryPerID(ctx, c, r, q))
-			}
-			return one(c.QueryRemoteContext(ctx, r, q))
-		},
-		func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
-			if perID {
-				return batch(rsse.QueryBatchPerID(ctx, c, r, qs))
-			}
-			return batch(c.QueryBatchRemoteContext(ctx, r, qs))
-		},
-		func(id rsse.ID) (rsse.Tuple, error) { return c.FetchTupleRemote(r, id) },
 	}
 }
 
@@ -543,6 +527,44 @@ func (f *fixture) ask(t *testing.T, m *model, ranges []rsse.Range, tg, ref targe
 	}
 }
 
+// refuses asks tg an inverted range and a range past the domain, singly
+// and, where tg batches, as a batch: each must fail with an error of its
+// own — not a cache miss — and never panic or come back with an answer.
+func (f *fixture) refuses(t *testing.T, tg target) {
+	t.Helper()
+	ctx, m := context.Background(), uint64(1)<<f.bits
+	for _, q := range []rsse.Range{{Lo: m / 4, Hi: m / 8}, {Lo: m - 2, Hi: m + 5}} {
+		err := noPanic(func() error {
+			a, err := tg.one(ctx, q)
+			if err == nil {
+				return fmt.Errorf("answered %v", a.matches)
+			}
+			if tg.batch != nil {
+				if as, _, berr := tg.batch(ctx, []rsse.Range{f.ranges[0], q}); berr == nil {
+					return fmt.Errorf("answered a batch holding it with %d results", len(as))
+				}
+			}
+			if errors.Is(err, rsse.ErrNotCached) {
+				return fmt.Errorf("refused as a cache miss, not for its bounds: %w", err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("invalid range %v: %v", q, err)
+		}
+	}
+}
+
+// noPanic runs fn, turning a panic into an error.
+func noPanic(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn()
+}
+
 func fetchCheck(tg target, want rsse.Tuple) error {
 	got, err := tg.fetch(want.ID)
 	if err != nil || got.ID != want.ID || got.Value != want.Value || !bytes.Equal(got.Payload, want.Payload) {
@@ -583,8 +605,13 @@ func (f *fixture) hammer(t *testing.T, tgs ...target) {
 	})
 }
 
-// exercise answers f's model through tg under mod.
+// exercise answers f's model through tg under mod, after the invalid
+// ranges — unless faulted, where the extra exchanges would shift the
+// fault schedule.
 func (f *fixture) exercise(t *testing.T, tg, ref target, mod string) {
+	if mod != "faulted" {
+		f.refuses(t, tg)
+	}
 	if mod == "concurrent" {
 		f.hammer(t, tg)
 	} else {
@@ -676,12 +703,15 @@ func runRemote(t *testing.T, f *fixture, name, mod string) {
 		r = rsse.NewRemoteIndex(cliConn)
 	}
 	t.Cleanup(func() { r.Close() })
-	tg := remoteTarget(f.owner(t, mod, false), r, name == "remote-per-id")
-	f.exercise(t, tg, clientTarget(f.owner(t, "", false), x), mod)
+	var src rsse.Source = r
+	if name == "remote-per-id" {
+		src = rsse.PerIDOnly{Source: r}
+	}
+	f.exercise(t, clientTarget(f.owner(t, mod, false), src), clientTarget(f.owner(t, "", false), x), mod)
 	if name == "remote-tcp" && mod == "concurrent" && f.pi == 0 {
 		tgs := make([]target, 10)
 		for i := range tgs {
-			tgs[i] = remoteTarget(f.owner(t, mod, false), r, false)
+			tgs[i] = clientTarget(f.owner(t, mod, false), r)
 		}
 		f.hammer(t, tgs...)
 	}
@@ -728,6 +758,9 @@ func runCluster(t *testing.T, f *fixture, name, mod string) {
 		must(t, err)
 		t.Cleanup(func() { c.Close() })
 	}
+	if mod != "faulted" {
+		f.refuses(t, clusterTarget(c, nil))
+	}
 	if mod == "concurrent" {
 		f.hammer(t, clusterTarget(c, nil))
 		return
@@ -739,12 +772,14 @@ func runCluster(t *testing.T, f *fixture, name, mod string) {
 	}
 }
 
-// runCached runs the cached client's script on the Constant kinds:
-// disjoint ranges reach the server; covered sub-ranges ending and
-// starting on stored values, a union of two cached ranges and a repeat
-// are answered with no round; an uncovered intersecting range fails
-// with ErrNotCached, and the guarded client under the cache refuses it
-// with ErrIntersectingQuery. Every other kind is refused a cache.
+// runCached runs the cached client's script on the Constant kinds, over
+// the built index or, remote, over a pipe to it: disjoint ranges reach
+// the server and are cached, and the invalid ranges are refused, some
+// inside what is cached; covered sub-ranges ending and starting on
+// stored values, a union of two cached ranges and a repeat are answered
+// with no round; an uncovered intersecting range fails with
+// ErrNotCached, and the guarded client under the cache refuses it with
+// ErrIntersectingQuery. Every other kind is refused a cache.
 func runCached(t *testing.T, f *fixture, _, mod string) {
 	client := f.owner(t, mod, true)
 	cc, err := rsse.NewCachedClient(client)
@@ -755,6 +790,14 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 		return
 	}
 	must(t, err)
+	var src rsse.Source = f.built
+	if mod == "remote" {
+		cliConn, srvConn := net.Pipe()
+		go func() { _ = rsse.ServeConn(srvConn, f.built) }()
+		r := rsse.NewRemoteIndex(cliConn)
+		t.Cleanup(func() { r.Close() })
+		src = r
+	}
 	m := uint64(1) << f.bits
 	a, b, c := rsse.Range{Lo: 0, Hi: m/4 - 1}, rsse.Range{Lo: m / 4, Hi: m/2 - 1}, rsse.Range{Lo: 3 * m / 4, Hi: m - 1}
 	in := f.model.answer(a)
@@ -762,12 +805,12 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 		{{Lo: in[0].Value / 2, Hi: in[0].Value}, {Lo: in[1].Value, Hi: a.Hi}, {Lo: m / 8, Hi: 3 * m / 8}, c}} {
 		var rs []*rsse.Result
 		if mod == "batch" {
-			rs, err = cc.QueryBatch(f.built, step)
+			rs, err = cc.QueryBatch(src, step)
 			must(t, err)
 		}
 		for i, q := range step {
 			if mod != "batch" {
-				r, err := cc.Query(f.built, q)
+				r, err := cc.Query(src, q)
 				must(t, err)
 				rs = append(rs, r)
 			}
@@ -776,9 +819,18 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 				t.Fatalf("%v: %d rounds, want cached %v", q, rs[i].Stats.Rounds, cached)
 			}
 		}
+		if step[0] == a {
+			f.refuses(t, target{
+				one: func(ctx context.Context, q rsse.Range) (answer, error) { return one(cc.QueryContext(ctx, src, q)) },
+				batch: func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
+					rs, err := cc.QueryBatchContext(ctx, src, qs)
+					return idAnswers(rs), nil, err
+				},
+			})
+		}
 	}
 	miss := rsse.Range{Lo: m/2 - 8, Hi: m/2 + 8}
-	if _, err := cc.Query(f.built, miss); !errors.Is(err, rsse.ErrNotCached) {
+	if _, err := cc.Query(src, miss); !errors.Is(err, rsse.ErrNotCached) {
 		t.Fatalf("uncovered intersecting %v: err %v, want ErrNotCached", miss, err)
 	}
 	if _, err := client.Query(f.built, miss); !errors.Is(err, rsse.ErrIntersectingQuery) {
@@ -794,23 +846,12 @@ type updater interface {
 	Flush() error
 }
 
-// store is the surface Dynamic and ShardedDynamic share.
-type store interface {
-	rsse.WritableStore
-	QueryContext(context.Context, rsse.Range) ([]rsse.Tuple, rsse.UpdateStats, error)
-	QueryBatchContext(context.Context, []rsse.Range) ([][]rsse.Tuple, rsse.UpdateStats, error)
-	ActiveIndexes() int
-	Pending() int
-	FullConsolidate() error
-	Close() error
-}
-
-// storeTarget answers through the store get returns: a Dynamic query
+// storeTarget answers through the store get returns: a one-shard query
 // fans out to every active index, a sharded one to no more than all.
-func storeTarget(get func() store) target {
+func storeTarget(get func() *rsse.Dynamic) target {
 	fanout := func(st rsse.UpdateStats, err error) error {
 		d := get()
-		if _, sharded := d.(*rsse.ShardedDynamic); err == nil && (st.Indexes > d.ActiveIndexes() || !sharded && st.Indexes != d.ActiveIndexes()) {
+		if err == nil && (st.Indexes > d.ActiveIndexes() || d.Shards() == 1 && st.Indexes != d.ActiveIndexes()) {
 			err = fmt.Errorf("query touched %d indexes, %d active", st.Indexes, d.ActiveIndexes())
 		}
 		return err
@@ -837,7 +878,8 @@ func storeTarget(get func() store) target {
 // runStore drives lsm's 400-step update stream — 60% inserts, 20%
 // deletes and 10% modifies of live tuples, 10% flushes — into a dynamic
 // store and a fresh model, flushing and asking the first eight ranges
-// every 80 steps, then consolidates and asks again. At step 200, with
+// every 80 steps, then consolidates and asks again. Before the first
+// flush it refuses the invalid ranges. At step 200, with
 // updates pending, dynamic-durable closes and reopens; a plain
 // sharded-dynamic cell, durable, moves a live tuple each way across the
 // shard boundary, commits shard 0 alone and crashes before shard 1
@@ -846,7 +888,7 @@ func storeTarget(get func() store) target {
 // value. remote-dynamic streams through the write gateway over TCP.
 func runStore(t *testing.T, f *fixture, name, mod string) {
 	dir, opts := t.TempDir(), f.opts("", true)
-	var d store
+	var d *rsse.Dynamic
 	open := func() {
 		var err error
 		switch {
@@ -863,7 +905,7 @@ func runStore(t *testing.T, f *fixture, name, mod string) {
 	}
 	open()
 	t.Cleanup(func() { d.Close() })
-	get, tg := func() updater { return d }, storeTarget(func() store { return d })
+	get, tg := func() updater { return d }, storeTarget(func() *rsse.Dynamic { return d })
 	if name == "remote-dynamic" {
 		reg := rsse.NewRegistry()
 		must(t, reg.RegisterWritable(rsse.DefaultDynamicName, d))
@@ -875,6 +917,7 @@ func runStore(t *testing.T, f *fixture, name, mod string) {
 			return tupleAnswer(ts), err
 		}}
 	}
+	f.refuses(t, tg)
 	m, rnd, size, next := newModel(nil), mrand.New(mrand.NewSource(int64(f.kind)+101)), uint64(1)<<f.bits, rsse.ID(1)
 	for step := range 400 {
 		live := slices.Sorted(maps.Keys(m.live))
@@ -903,19 +946,19 @@ func runStore(t *testing.T, f *fixture, name, mod string) {
 				t.Fatalf("reopened with %d pending updates, closed with %d", d.Pending(), pending)
 			}
 		}
-		if sd, ok := d.(*rsse.ShardedDynamic); ok && step == 200 && mod == "plain" {
+		if d.Shards() > 1 && step == 200 && mod == "plain" {
 			for from := range 2 {
 				for _, id := range slices.Sorted(maps.Keys(m.live)) {
-					if tup := m.live[id]; sd.ShardOf(tup.Value) == from {
-						moved := rsse.Tuple{ID: id, Value: sd.ShardRange(1 - from).Lo, Payload: []byte("moved")}
-						must(t, sd.Modify(id, tup.Value, moved.Value, moved.Payload))
+					if tup := m.live[id]; d.ShardOf(tup.Value) == from {
+						moved := rsse.Tuple{ID: id, Value: d.ShardRange(1 - from).Lo, Payload: []byte("moved")}
+						must(t, d.Modify(id, tup.Value, moved.Value, moved.Payload))
 						m.live[id] = moved
 						break
 					}
 				}
 			}
-			must(t, rsse.FlushShard(sd, 0))
-			rsse.CrashSharded(sd)
+			must(t, rsse.FlushShard(d, 0))
+			rsse.Crash(d)
 			open()
 			must(t, d.Flush())
 			m.flush()
@@ -928,13 +971,9 @@ func runStore(t *testing.T, f *fixture, name, mod string) {
 		}
 	}
 	if name != "remote-dynamic" {
-		shards := 1
-		if _, ok := d.(*rsse.ShardedDynamic); ok {
-			shards = 2
-		}
 		must(t, d.FullConsolidate())
-		if d.ActiveIndexes() != shards {
-			t.Fatalf("%d active indexes after FullConsolidate, want %d", d.ActiveIndexes(), shards)
+		if d.ActiveIndexes() != d.Shards() {
+			t.Fatalf("%d active indexes after FullConsolidate, want %d", d.ActiveIndexes(), d.Shards())
 		}
 		f.ask(t, m, f.ranges, tg, target{}, mod)
 	}

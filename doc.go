@@ -41,6 +41,10 @@
 //	res, err := client.Query(index, rsse.Range{Lo: 500, Hi: 1500})
 //	// res.Matches == []rsse.ID{1}
 //
+// A Client queries any Source: a local *Index, or a *RemoteIndex
+// dialed to a server (Dial, DialIndex) — the same Query, QueryBatch and
+// FetchTuple run each round across the connection instead.
+//
 // For batched updates with forward privacy (Section 7 of the paper), see
 // Dynamic — and OpenDynamic for the durable, crash-recoverable variant.
 // The underlying single-keyword SSE construction is pluggable via
@@ -87,8 +91,9 @@
 // WithClusterWorkers, WithClusterKey and WithShardOptions. The cluster
 // round-trips through a key-free ClusterManifest: OpenCluster reopens
 // shards from files, DialCluster connects to remotely served shards via
-// a static shard→address table, and ShardedDynamic routes forward-
-// private updates to the shard owning each value. QueryContext cancels
+// a static shard→address table, and a Dynamic built by
+// NewShardedDynamic routes forward-private updates to the shard owning
+// each value. QueryContext cancels
 // an in-flight scatter; ClusterResult reports per-shard cost, leakage
 // and errors alongside the merged Result.
 //
@@ -111,7 +116,7 @@
 // every acknowledged update durable; larger n raises ingestion
 // throughput by orders of magnitude at the cost of the last n-1
 // acknowledged updates in a crash. A Modify is one atomic WAL record,
-// and OpenShardedDynamic persists per-shard directories whose
+// and OpenShardedDynamic persists a Dynamic's per-shard directories whose
 // cross-shard modifications are ordered (tombstone fsynced before the
 // insertion is logged), so recovery never resurrects a moved value.
 //
@@ -135,9 +140,9 @@
 //	// br.Results[0], br.Results[1]; br.Stats.DedupRatio()
 //
 // The batch rides one search frame per round against a remote index
-// (Client.QueryBatchRemote), one per round per intersected shard across
-// a cluster (Cluster.QueryBatch), one batched sub-query per LSM epoch
-// (Dynamic.QueryBatch, ShardedDynamic.QueryBatch), and through the
+// (Client.QueryBatch on a *RemoteIndex), one per round per intersected
+// shard across a cluster (Cluster.QueryBatch), one batched sub-query per
+// LSM epoch of each shard (Dynamic.QueryBatch), and through the
 // cache (CachedClient.QueryBatch answers covered ranges locally and
 // batches the misses). The server sees only the deduplicated, jointly
 // permuted token union, in the message a single query would send — not
@@ -179,13 +184,11 @@
 //
 // # Context-aware variants
 //
-// Every query layer has a context form — Client.QueryContext,
-// Client.QueryBatchContext, Client.QueryRemoteContext,
-// Client.QueryBatchRemoteContext, Cluster.QueryContext,
-// Cluster.QueryBatchContext, Dynamic.QueryContext,
-// Dynamic.QueryBatchContext, ShardedDynamic.QueryContext,
-// ShardedDynamic.QueryBatchContext, CachedClient.QueryContext and
-// CachedClient.QueryBatchContext — so cancellation and deadlines work
+// Every query layer has a context form — Client.QueryContext and
+// Client.QueryBatchContext (on any Source, local or remote),
+// Cluster.QueryContext, Cluster.QueryBatchContext, Dynamic.QueryContext,
+// Dynamic.QueryBatchContext (sharded or not), CachedClient.QueryContext
+// and CachedClient.QueryBatchContext — so cancellation and deadlines work
 // uniformly: an expired context aborts in-flight round trips
 // immediately and the late responses are discarded without corrupting
 // the connection. The plain methods delegate to their context variants

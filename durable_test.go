@@ -29,11 +29,11 @@ func dynOptions(extra ...rsse.Option) []rsse.Option {
 // deletes, modifies, periodic flushes — into every given store (the
 // durable one and its never-crashed oracle get identical histories).
 // It leaves a tail of pending (unflushed) operations.
-func driveUpdates(t *testing.T, bits uint8, stores ...rsse.WritableStore) {
+func driveUpdates(t *testing.T, bits uint8, stores ...*rsse.Dynamic) {
 	t.Helper()
 	m := uint64(1) << bits
 	val := func(id uint64) uint64 { return (id * 37) % m }
-	apply := func(f func(s rsse.WritableStore) error) {
+	apply := func(f func(s *rsse.Dynamic) error) {
 		t.Helper()
 		for _, s := range stores {
 			if err := f(s); err != nil {
@@ -45,11 +45,11 @@ func driveUpdates(t *testing.T, bits uint8, stores ...rsse.WritableStore) {
 	for batch := 0; batch < 4; batch++ {
 		for i := 0; i < 9; i++ {
 			cur := id
-			apply(func(s rsse.WritableStore) error {
+			apply(func(s *rsse.Dynamic) error {
 				return s.Insert(cur, val(cur), []byte{byte(cur), byte(cur >> 8)})
 			})
 			if cur%4 == 0 {
-				apply(func(s rsse.WritableStore) error {
+				apply(func(s *rsse.Dynamic) error {
 					return s.Modify(cur, val(cur), (val(cur)+m/2)%m, []byte("moved"))
 				})
 			}
@@ -59,16 +59,16 @@ func driveUpdates(t *testing.T, bits uint8, stores ...rsse.WritableStore) {
 				if victim%4 == 0 {
 					v = (v + m/2) % m
 				}
-				apply(func(s rsse.WritableStore) error { return s.Delete(victim, v) })
+				apply(func(s *rsse.Dynamic) error { return s.Delete(victim, v) })
 			}
 			id++
 		}
-		apply(func(s rsse.WritableStore) error { return s.Flush() })
+		apply(func(s *rsse.Dynamic) error { return s.Flush() })
 	}
 	// Pending tail: acknowledged, WAL-only, never flushed before the
 	// simulated crash.
 	tail := id
-	apply(func(s rsse.WritableStore) error {
+	apply(func(s *rsse.Dynamic) error {
 		if err := s.Insert(tail, val(tail), []byte("tail")); err != nil {
 			return err
 		}
@@ -146,7 +146,7 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 	must(t, err)
 	driveUpdates(t, bits, d, oracle)
 	// Crash without Close.
-	rsse.CrashSharded(d)
+	rsse.Crash(d)
 
 	if _, err := rsse.OpenShardedDynamic(dir, rsse.LogarithmicBRC, bits, shards+1, 2, dynOptions()...); err == nil {
 		t.Fatal("shard-count mismatch accepted")
@@ -243,7 +243,7 @@ func TestCrossShardModifyCrashNeverResurrects(t *testing.T) {
 	// WAL — the insertion is gone, the tombstone must already be durable
 	// on the old shard. (Truncating to any prefix behaves the same; empty
 	// is the worst case.)
-	rsse.CrashSharded(d)
+	rsse.Crash(d)
 	newShardWAL := filepath.Join(dir, "shard-001", "wal.log")
 	blob, err := os.ReadFile(newShardWAL)
 	must(t, err)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"rsse/internal/core"
 	"rsse/internal/cover"
 	"rsse/internal/lsm"
 	"rsse/internal/prf"
@@ -26,6 +27,15 @@ import (
 // static schemes of this module, with at most O(s·log_s b) active indexes
 // after b batches.
 //
+// A store may be range-partitioned into shards (NewShardedDynamic,
+// OpenShardedDynamic): each shard runs its own LSM with its own epochs
+// and derived keys, and every update routes to the shard owning the
+// tuple's value. A modification whose old and new values live on
+// different shards splits into a tombstone on the old owner and an
+// insertion on the new one — the cross-shard move is two ordinary
+// single-shard updates, so per-shard forward privacy is untouched.
+// NewDynamic and OpenDynamic build a store of one shard.
+//
 // A Dynamic store created with NewDynamic lives in memory only; one
 // opened with OpenDynamic is durable: every update hits a checksummed
 // write-ahead log before it is buffered, sealed epochs persist as index
@@ -33,9 +43,12 @@ import (
 // state. See OpenDynamic for the recovery semantics.
 //
 // A Dynamic store is not safe for concurrent use (Registry.
-// RegisterWritable wraps one in a serializing adapter for serving).
+// RegisterWritable wraps one in a serializing adapter for serving); a
+// sharded store's queries still fan out over its shards in parallel
+// internally.
 type Dynamic struct {
-	inner *lsm.Manager
+	m      shard.Map
+	stores []*lsm.Manager // one per shard
 }
 
 // UpdateStats aggregates the per-epoch costs of one query over a Dynamic
@@ -52,39 +65,88 @@ const DefaultConsolidationStep = 4
 // trigger a merge); pass 0 for the default. Options apply to every
 // per-epoch client; per-epoch keys are derived internally.
 func NewDynamic(kind Kind, domainBits uint8, consolidationStep int, opts ...Option) (*Dynamic, error) {
-	dom, err := cover.NewDomain(domainBits)
-	if err != nil {
-		return nil, err
-	}
-	if consolidationStep == 0 {
-		consolidationStep = DefaultConsolidationStep
-	}
-	lowered, err := applyOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := lsm.NewManager(kind, dom, consolidationStep, lowered)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: inner}, nil
+	return newMemoryDynamic(kind, domainBits, 1, consolidationStep, opts, func(master prf.Key, _ int) prf.Key { return master })
 }
 
-// newDynamicWithMaster is NewDynamic with the epoch-key master fixed —
-// the sharded store derives one master per shard from its cluster key.
-func newDynamicWithMaster(kind Kind, dom cover.Domain, consolidationStep int, master prf.Key, opts []Option) (*Dynamic, error) {
-	if consolidationStep == 0 {
-		consolidationStep = DefaultConsolidationStep
-	}
-	lowered, err := applyOptions(opts)
+// NewShardedDynamic creates a sharded updatable store with the given
+// number of equal-width shards. consolidationStep and opts apply to
+// every shard's LSM; each shard's epoch keys derive from its own master,
+// itself derived from a fresh cluster key.
+func NewShardedDynamic(kind Kind, domainBits uint8, shards, consolidationStep int, opts ...Option) (*Dynamic, error) {
+	return newMemoryDynamic(kind, domainBits, shards, consolidationStep, opts, shardMaster)
+}
+
+// newMemoryDynamic builds a memory-only store under a fresh master key;
+// shard i's epoch keys derive from key(master, i).
+func newMemoryDynamic(kind Kind, domainBits uint8, shards, step int, opts []Option, key func(prf.Key, int) prf.Key) (*Dynamic, error) {
+	m, cfg, err := dynamicParams(domainBits, shards, opts)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := lsm.NewManagerWithMaster(kind, dom, consolidationStep, master, lowered)
+	master, err := prf.NewKey(nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{inner: inner}, nil
+	return newDynamic(m, cfg, func(i int, lowered core.Options) (*lsm.Manager, error) {
+		return lsm.NewManagerWithMaster(kind, m.Domain(), stepOrDefault(step), key(master, i), lowered)
+	})
+}
+
+// dynamicParams resolves what every constructor checks before it
+// touches a key or a directory: the domain, split into equal-width
+// shards, and the options. A durable store's WAL fsyncs after every
+// update unless WithSyncEvery says otherwise.
+func dynamicParams(domainBits uint8, shards int, opts []Option) (shard.Map, config, error) {
+	dom, err := cover.NewDomain(domainBits)
+	if err != nil {
+		return shard.Map{}, config{}, err
+	}
+	m, err := shard.EqualWidth(dom, shards)
+	if err != nil {
+		return shard.Map{}, config{}, err
+	}
+	cfg, err := collectOptions(opts)
+	if cfg.syncEvery == 0 {
+		cfg.syncEvery = 1
+	}
+	return m, cfg, err
+}
+
+// newDynamic builds a store over m, shard i's manager from open.
+// Options are lowered once per shard: shards query concurrently, so
+// each needs a shuffle source of its own (see core.Options.Rand). If a
+// shard fails to open, the shards that did are closed — releasing their
+// WALs' advisory locks, so that a same-process retry does not hit
+// ErrLocked on every earlier one.
+func newDynamic(m shard.Map, cfg config, open func(i int, lowered core.Options) (*lsm.Manager, error)) (*Dynamic, error) {
+	d := &Dynamic{m: m, stores: make([]*lsm.Manager, 0, m.K())}
+	for i := range m.K() {
+		lowered, err := cfg.lower()
+		var s *lsm.Manager
+		if err == nil {
+			s, err = open(i, lowered)
+		}
+		if err != nil {
+			d.Close()
+			return nil, err
+		}
+		d.stores = append(d.stores, s)
+	}
+	return d, nil
+}
+
+// stepOrDefault maps a consolidation step of 0 to the default.
+func stepOrDefault(step int) int {
+	if step == 0 {
+		return DefaultConsolidationStep
+	}
+	return step
+}
+
+// shardMaster is shard i's epoch-key master, derived from the store's
+// cluster key.
+func shardMaster(cluster prf.Key, i int) prf.Key {
+	return prf.DeriveN(cluster, "cluster/dynamic", uint64(i))
 }
 
 // MasterKeyFileName is the hex-encoded master secret OpenDynamic keeps
@@ -137,18 +199,7 @@ func PeekDynamicDir(dir string) (DynamicMeta, error) {
 // the store. Options must repeat whatever construction options
 // (WithSSE, WithStorage, ...) the directory was created with.
 func OpenDynamic(dir string, kind Kind, domainBits uint8, consolidationStep int, opts ...Option) (*Dynamic, error) {
-	dom, err := cover.NewDomain(domainBits)
-	if err != nil {
-		return nil, err
-	}
-	if consolidationStep == 0 {
-		consolidationStep = DefaultConsolidationStep
-	}
-	cfg, err := collectOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	lowered, err := cfg.lower()
+	m, cfg, err := dynamicParams(domainBits, 1, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -156,15 +207,9 @@ func OpenDynamic(dir string, kind Kind, domainBits uint8, consolidationStep int,
 	if err != nil {
 		return nil, err
 	}
-	syncEvery := cfg.syncEvery
-	if syncEvery == 0 {
-		syncEvery = 1
-	}
-	inner, err := lsm.OpenManager(dir, kind, dom, consolidationStep, master, lowered, syncEvery)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: inner}, nil
+	return newDynamic(m, cfg, func(_ int, lowered core.Options) (*lsm.Manager, error) {
+		return lsm.OpenManager(dir, kind, m.Domain(), stepOrDefault(consolidationStep), master, lowered, cfg.syncEvery)
+	})
 }
 
 // loadOrCreateKey reads the hex key file inside dir, drawing and
@@ -230,134 +275,6 @@ func loadOrCreateKey(dir, name string) (prf.Key, error) {
 	return key, nil
 }
 
-// Insert buffers a tuple insertion for the next batch. On a durable
-// store a nil return means the insertion is in the write-ahead log,
-// synced per the WithSyncEvery policy — it survives a crash.
-func (d *Dynamic) Insert(id ID, value Value, payload []byte) error {
-	return d.inner.Insert(id, value, payload)
-}
-
-// Delete buffers a deletion. value must be the victim's current attribute
-// value: the tombstone is indexed under it so matching range queries
-// retrieve and cancel the victim. Durable stores log before buffering,
-// as with Insert.
-func (d *Dynamic) Delete(id ID, value Value) error {
-	return d.inner.Delete(id, value)
-}
-
-// Modify buffers a value/payload change (a tombstone under the old value
-// plus an insertion under the new one). On a durable store the pair is
-// one atomic WAL record: recovery can never keep half a modification.
-func (d *Dynamic) Modify(id ID, oldValue, newValue Value, payload []byte) error {
-	return d.inner.Modify(id, oldValue, newValue, payload)
-}
-
-// Flush seals the pending batch into a fresh encrypted index and runs any
-// due consolidations. Flushing with nothing pending is a no-op.
-func (d *Dynamic) Flush() error { return d.inner.Flush() }
-
-// Query runs the range query against every active index, resolves the
-// per-id operation history owner-side (newest operation wins, tombstones
-// cancel their victims) and returns the live tuples.
-func (d *Dynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
-	return d.inner.Query(context.Background(), q)
-}
-
-// QueryContext is Query with cancellation: the per-epoch fan-out aborts
-// when ctx is done.
-func (d *Dynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateStats, error) {
-	return d.inner.Query(ctx, q)
-}
-
-// QueryBatch answers several ranges in one pass over the active indexes:
-// every epoch receives a single batched sub-query with the ranges'
-// covers deduplicated, so the LSM's per-epoch fan-out cost is paid once
-// per batch instead of once per range. Results are per input range, in
-// input order.
-func (d *Dynamic) QueryBatch(qs []Range) ([][]Tuple, UpdateStats, error) {
-	return d.QueryBatchContext(context.Background(), qs)
-}
-
-// QueryBatchContext is QueryBatch with cancellation.
-func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple, UpdateStats, error) {
-	return d.inner.QueryBatch(ctx, qs)
-}
-
-// FullConsolidate merges every active index into one and drops
-// tombstones — the periodic global rebuild.
-func (d *Dynamic) FullConsolidate() error { return d.inner.FullConsolidate() }
-
-// Durable reports whether the store persists to a directory.
-func (d *Dynamic) Durable() bool { return d.inner.Durable() }
-
-// Dir returns the durable directory ("" for a memory-only store).
-func (d *Dynamic) Dir() string { return d.inner.Dir() }
-
-// Close syncs and closes the write-ahead log of a durable store (no-op
-// for a memory-only one). Pending updates are NOT flushed: they are
-// already durable in the WAL and reopen exactly as pending — call Flush
-// first to seal them into an epoch instead.
-func (d *Dynamic) Close() error { return d.inner.Close() }
-
-// sync forces the WAL to stable storage regardless of the fsync policy
-// — the ordering barrier cross-shard modifications use.
-func (d *Dynamic) sync() error { return d.inner.Sync() }
-
-// Pending returns the number of buffered, unflushed operations.
-func (d *Dynamic) Pending() int { return d.inner.Pending() }
-
-// ActiveIndexes returns how many indexes the server currently holds.
-func (d *Dynamic) ActiveIndexes() int { return d.inner.ActiveIndexes() }
-
-// Batches returns how many batches have been flushed so far.
-func (d *Dynamic) Batches() uint64 { return d.inner.Batches() }
-
-// TotalIndexSize sums the serialized sizes of all active indexes.
-func (d *Dynamic) TotalIndexSize() int { return d.inner.TotalIndexSize() }
-
-// ShardedDynamic range-partitions an updatable store: each shard runs
-// its own Dynamic LSM (own epochs, own derived keys), and every update
-// routes to the shard owning the tuple's value. A modification whose old
-// and new values live on different shards splits into a tombstone on the
-// old owner and an insertion on the new one — the cross-shard move is
-// two ordinary single-shard updates, so per-shard forward privacy is
-// untouched.
-//
-// Like Dynamic, a ShardedDynamic is not safe for concurrent use; its
-// queries still fan out over the shards in parallel internally.
-type ShardedDynamic struct {
-	m      shard.Map
-	stores []*Dynamic
-}
-
-// NewShardedDynamic creates a sharded updatable store with the given
-// number of equal-width shards. consolidationStep and opts apply to
-// every shard's LSM; each shard's epoch keys derive from its own master,
-// itself derived from a fresh cluster key.
-func NewShardedDynamic(kind Kind, domainBits uint8, shards, consolidationStep int, opts ...Option) (*ShardedDynamic, error) {
-	dom, err := cover.NewDomain(domainBits)
-	if err != nil {
-		return nil, err
-	}
-	m, err := shard.EqualWidth(dom, shards)
-	if err != nil {
-		return nil, err
-	}
-	master, err := prf.NewKey(nil)
-	if err != nil {
-		return nil, err
-	}
-	d := &ShardedDynamic{m: m, stores: make([]*Dynamic, m.K())}
-	for i := range d.stores {
-		shardMaster := prf.DeriveN(master, "cluster/dynamic", uint64(i))
-		d.stores[i], err = newDynamicWithMaster(kind, dom, consolidationStep, shardMaster, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
 // shardedManifestName is the root manifest of a durable sharded store,
 // recording the topology so reopening with different parameters fails
 // instead of mis-deriving shard keys.
@@ -386,18 +303,12 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 // Recovery, parameter validation and the WithSyncEvery policy are as
 // for OpenDynamic, applied per shard; the root manifest additionally
 // pins the shard count.
-func OpenShardedDynamic(dir string, kind Kind, domainBits uint8, shards, consolidationStep int, opts ...Option) (*ShardedDynamic, error) {
-	dom, err := cover.NewDomain(domainBits)
+func OpenShardedDynamic(dir string, kind Kind, domainBits uint8, shards, consolidationStep int, opts ...Option) (*Dynamic, error) {
+	m, cfg, err := dynamicParams(domainBits, shards, opts)
 	if err != nil {
 		return nil, err
 	}
-	if consolidationStep == 0 {
-		consolidationStep = DefaultConsolidationStep
-	}
-	m, err := shard.EqualWidth(dom, shards)
-	if err != nil {
-		return nil, err
-	}
+	consolidationStep = stepOrDefault(consolidationStep)
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, err
 	}
@@ -430,80 +341,53 @@ func OpenShardedDynamic(dir string, kind Kind, domainBits uint8, shards, consoli
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := collectOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	syncEvery := cfg.syncEvery
-	if syncEvery == 0 {
-		syncEvery = 1
-	}
-	d := &ShardedDynamic{m: m, stores: make([]*Dynamic, m.K())}
-	for i := range d.stores {
-		// Lowered per shard: shards query concurrently, so each needs a
-		// shuffle source of its own (see core.Options.Rand).
-		lowered, err := cfg.lower()
+	return newDynamic(m, cfg, func(i int, lowered core.Options) (*lsm.Manager, error) {
+		s, err := lsm.OpenManager(filepath.Join(dir, shardDirName(i)), kind, m.Domain(), consolidationStep, shardMaster(master, i), lowered, cfg.syncEvery)
 		if err != nil {
-			return nil, err
-		}
-		shardMaster := prf.DeriveN(master, "cluster/dynamic", uint64(i))
-		inner, err := lsm.OpenManager(filepath.Join(dir, shardDirName(i)), kind, dom, consolidationStep, shardMaster, lowered, syncEvery)
-		if err != nil {
-			// Release the WALs (and advisory locks) of the shards that
-			// did open, or a same-process retry after fixing the failed
-			// shard would hit ErrLocked on every earlier one.
-			for _, s := range d.stores[:i] {
-				s.Close()
-			}
 			return nil, fmt.Errorf("rsse: opening shard %d: %w", i, err)
 		}
-		d.stores[i] = &Dynamic{inner: inner}
-	}
-	return d, nil
+		return s, nil
+	})
 }
 
-// Close closes every shard's write-ahead log (see Dynamic.Close).
-func (d *ShardedDynamic) Close() error {
-	var first error
-	for _, s := range d.stores {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Shards returns the number of shards.
-func (d *ShardedDynamic) Shards() int { return d.m.K() }
+// Shards returns the number of shards (1 unless the store was built by
+// NewShardedDynamic or OpenShardedDynamic).
+func (d *Dynamic) Shards() int { return d.m.K() }
 
 // ShardRange returns the closed value interval shard i owns.
-func (d *ShardedDynamic) ShardRange(i int) Range { return d.m.ShardRange(i) }
+func (d *Dynamic) ShardRange(i int) Range { return d.m.ShardRange(i) }
 
 // ShardOf returns the shard that owns value v.
-func (d *ShardedDynamic) ShardOf(v Value) int { return d.m.Owner(v) }
+func (d *Dynamic) ShardOf(v Value) int { return d.m.Owner(v) }
 
-// Insert buffers a tuple insertion on the shard owning value.
-func (d *ShardedDynamic) Insert(id ID, value Value, payload []byte) error {
+// Insert buffers a tuple insertion for the next batch of the shard
+// owning value. On a durable store a nil return means the insertion is
+// in the write-ahead log, synced per the WithSyncEvery policy — it
+// survives a crash.
+func (d *Dynamic) Insert(id ID, value Value, payload []byte) error {
 	return d.stores[d.m.Owner(value)].Insert(id, value, payload)
 }
 
-// Delete buffers a deletion on the shard owning the victim's current
-// value (the tombstone must land where the insertion lives).
-func (d *ShardedDynamic) Delete(id ID, value Value) error {
+// Delete buffers a deletion. value must be the victim's current attribute
+// value: the tombstone is indexed under it, on the shard where the
+// insertion lives, so matching range queries retrieve and cancel the
+// victim. Durable stores log before buffering, as with Insert.
+func (d *Dynamic) Delete(id ID, value Value) error {
 	return d.stores[d.m.Owner(value)].Delete(id, value)
 }
 
-// Modify buffers a value/payload change. When both values belong to one
-// shard this is that shard's ordinary modify — one atomic WAL record on
-// a durable store. Across shards it becomes a tombstone on the old
-// owner plus an insertion on the new one, and the two are strictly
-// ordered: the tombstone is logged AND forced to stable storage before
-// the insertion is logged. A crash between them can therefore lose the
-// not-yet-acknowledged insertion (the tuple is gone until retried, as
-// for any unacknowledged update), but it can never resurrect the old
-// value — recovery either sees both records or only the tombstone,
-// never only the insertion.
-func (d *ShardedDynamic) Modify(id ID, oldValue, newValue Value, payload []byte) error {
+// Modify buffers a value/payload change (a tombstone under the old value
+// plus an insertion under the new one). When both values belong to one
+// shard the pair is one atomic WAL record on a durable store: recovery
+// can never keep half a modification. Across shards it becomes a
+// tombstone on the old owner plus an insertion on the new one, and the
+// two are strictly ordered: the tombstone is logged AND forced to
+// stable storage before the insertion is logged. A crash between them
+// can therefore lose the not-yet-acknowledged insertion (the tuple is
+// gone until retried, as for any unacknowledged update), but it can
+// never resurrect the old value — recovery either sees both records or
+// only the tombstone, never only the insertion.
+func (d *Dynamic) Modify(id ID, oldValue, newValue Value, payload []byte) error {
 	oldShard, newShard := d.m.Owner(oldValue), d.m.Owner(newValue)
 	if oldShard == newShard {
 		return d.stores[oldShard].Modify(id, oldValue, newValue, payload)
@@ -514,45 +398,51 @@ func (d *ShardedDynamic) Modify(id ID, oldValue, newValue Value, payload []byte)
 	// The ordering barrier: per-shard WALs sync independently, so
 	// without this a lazy fsync policy could make the insertion durable
 	// while the tombstone is still in the page cache.
-	if err := d.stores[oldShard].sync(); err != nil {
+	if err := d.stores[oldShard].Sync(); err != nil {
 		return err
 	}
 	return d.stores[newShard].Insert(id, newValue, payload)
 }
 
-// Flush seals every shard's pending batch. Shards with nothing pending
-// are untouched — flushing is per shard, so a hot shard's epochs grow
+// Flush seals each shard's pending batch into a fresh encrypted index
+// and runs any due consolidations. A shard with nothing pending is
+// untouched — flushing is per shard, so a hot shard's epochs grow
 // independently of a cold one's.
-func (d *ShardedDynamic) Flush() error {
+func (d *Dynamic) Flush() error {
+	return d.each("flushing", (*lsm.Manager).Flush)
+}
+
+// FullConsolidate merges every active index of each shard into one and
+// drops tombstones — the periodic global rebuild.
+func (d *Dynamic) FullConsolidate() error {
+	return d.each("consolidating", (*lsm.Manager).FullConsolidate)
+}
+
+// each runs op on every shard in order, stopping at the first failure;
+// a sharded store names the failed shard.
+func (d *Dynamic) each(what string, op func(*lsm.Manager) error) error {
 	for i, s := range d.stores {
-		if err := s.Flush(); err != nil {
-			return fmt.Errorf("rsse: flushing shard %d: %w", i, err)
+		if err := op(s); err != nil {
+			if len(d.stores) > 1 {
+				err = fmt.Errorf("rsse: %s shard %d: %w", what, i, err)
+			}
+			return err
 		}
 	}
 	return nil
 }
 
-// FullConsolidate rebuilds every shard into a single index each.
-func (d *ShardedDynamic) FullConsolidate() error {
-	for i, s := range d.stores {
-		if err := s.FullConsolidate(); err != nil {
-			return fmt.Errorf("rsse: consolidating shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Query splits the range at shard boundaries, runs the per-shard LSM
-// fan-out queries concurrently through the same scatter-gather engine
-// cluster queries use (each shard's stores are independent), and merges
-// the live tuples and stats. It is QueryBatch on one range.
-func (d *ShardedDynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
+// Query runs the range query against every active index, resolves the
+// per-id operation history owner-side (newest operation wins, tombstones
+// cancel their victims) and returns the live tuples. It is QueryBatch
+// on one range.
+func (d *Dynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
 	return d.QueryContext(context.Background(), q)
 }
 
-// QueryContext is Query with cancellation: cancelling ctx aborts the
-// scatter.
-func (d *ShardedDynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateStats, error) {
+// QueryContext is Query with cancellation: the per-epoch fan-out aborts
+// when ctx is done.
+func (d *Dynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateStats, error) {
 	out, stats, err := d.QueryBatchContext(ctx, []Range{q})
 	if err != nil {
 		return nil, stats, err
@@ -560,20 +450,28 @@ func (d *ShardedDynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, Up
 	return out[0], stats, nil
 }
 
-// QueryBatch answers several ranges across the sharded store: the
-// ranges' slices group by owning shard and each shard runs one batched
-// LSM sub-query over its slices (covers deduplicated per epoch), all
-// shards concurrently. Results are per input range, in input order.
-func (d *ShardedDynamic) QueryBatch(qs []Range) ([][]Tuple, UpdateStats, error) {
+// QueryBatch answers several ranges in one pass over the active indexes:
+// every epoch receives a single batched sub-query with the ranges'
+// covers deduplicated, so the LSM's per-epoch fan-out cost is paid once
+// per batch instead of once per range. On a sharded store the ranges'
+// slices group by owning shard and the shards answer concurrently,
+// through the scatter-gather engine cluster queries use. Results are
+// per input range, in input order.
+func (d *Dynamic) QueryBatch(qs []Range) ([][]Tuple, UpdateStats, error) {
 	return d.QueryBatchContext(context.Background(), qs)
 }
 
-// QueryBatchContext is QueryBatch with cancellation.
-func (d *ShardedDynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple, UpdateStats, error) {
+// QueryBatchContext is QueryBatch with cancellation. Every range is
+// checked against the domain first, so an inverted range or one past
+// the domain fails even on a store with no flushed epoch.
+func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple, UpdateStats, error) {
 	for _, q := range qs {
 		if err := d.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
 			return nil, UpdateStats{}, err
 		}
+	}
+	if len(d.stores) == 1 {
+		return d.stores[0].QueryBatch(ctx, qs)
 	}
 	type answer struct {
 		perRange [][]Tuple
@@ -581,7 +479,7 @@ func (d *ShardedDynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][
 	}
 	outcomes, err := shard.Run(ctx, shard.Executor{}, d.m.SplitBatch(qs),
 		func(ctx context.Context, t shard.BatchTask) (answer, error) {
-			tuples, stats, err := d.stores[t.Shard].QueryBatchContext(ctx, t.Ranges)
+			tuples, stats, err := d.stores[t.Shard].QueryBatch(ctx, t.Ranges)
 			return answer{perRange: tuples, stats: stats}, err
 		})
 	if err != nil {
@@ -594,40 +492,38 @@ func (d *ShardedDynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][
 			src := o.Task.Sources[j]
 			out[src] = append(out[src], tuples...)
 		}
-		mergeUpdateStats(&stats, o.Res.stats)
+		s := o.Res.stats
+		stats.Indexes += s.Indexes
+		stats.Tokens += s.Tokens
+		stats.TokenBytes += s.TokenBytes
+		stats.Raw += s.Raw
+		stats.FalsePositives += s.FalsePositives
 	}
 	return out, stats, nil
 }
 
-// mergeUpdateStats folds one shard's update-query stats into the total.
-func mergeUpdateStats(dst *UpdateStats, s UpdateStats) {
-	dst.Indexes += s.Indexes
-	dst.Tokens += s.Tokens
-	dst.TokenBytes += s.TokenBytes
-	dst.Raw += s.Raw
-	dst.FalsePositives += s.FalsePositives
-}
-
-// Pending sums the buffered, unflushed operations across shards.
-func (d *ShardedDynamic) Pending() int {
-	n := 0
+// Close syncs and closes the write-ahead log of every shard of a
+// durable store (no-op for a memory-only one). Pending updates are NOT
+// flushed: they are already durable in the WAL and reopen exactly as
+// pending — call Flush first to seal them into an epoch instead.
+func (d *Dynamic) Close() error {
+	var first error
 	for _, s := range d.stores {
-		n += s.Pending()
+		if err := s.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return n
+	return first
 }
 
-// ActiveIndexes sums the active indexes across shards.
-func (d *ShardedDynamic) ActiveIndexes() int {
-	n := 0
-	for _, s := range d.stores {
-		n += s.ActiveIndexes()
-	}
-	return n
-}
+// Pending returns the number of buffered, unflushed operations.
+func (d *Dynamic) Pending() int { return d.sum((*lsm.Manager).Pending) }
 
-// Batches sums the flushed batches across shards.
-func (d *ShardedDynamic) Batches() uint64 {
+// ActiveIndexes returns how many indexes the server currently holds.
+func (d *Dynamic) ActiveIndexes() int { return d.sum((*lsm.Manager).ActiveIndexes) }
+
+// Batches returns how many batches have been flushed so far.
+func (d *Dynamic) Batches() uint64 {
 	var n uint64
 	for _, s := range d.stores {
 		n += s.Batches()
@@ -635,11 +531,14 @@ func (d *ShardedDynamic) Batches() uint64 {
 	return n
 }
 
-// TotalIndexSize sums the serialized index sizes across shards.
-func (d *ShardedDynamic) TotalIndexSize() int {
+// TotalIndexSize sums the serialized sizes of all active indexes.
+func (d *Dynamic) TotalIndexSize() int { return d.sum((*lsm.Manager).TotalIndexSize) }
+
+// sum adds up a per-shard count.
+func (d *Dynamic) sum(count func(*lsm.Manager) int) int {
 	n := 0
 	for _, s := range d.stores {
-		n += s.TotalIndexSize()
+		n += count(s)
 	}
 	return n
 }

@@ -52,7 +52,9 @@ func main() {
 	fmt.Printf("server: %d tuples (%.1f MB index) on %s — holds no keys\n",
 		index.N(), float64(index.Size())/(1<<20), l.Addr())
 
-	// ----- Owner side again: dial and query over the network.
+	// ----- Owner side again: dial and query over the network. The
+	// remote index is a Source, like the local one: the same Query and
+	// FetchTuple calls run each round across the connection.
 	remote, err := rsse.Dial("tcp", l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
@@ -60,14 +62,14 @@ func main() {
 	defer remote.Close()
 
 	for _, q := range []rsse.Range{{Lo: 1000, Hi: 2000}, {Lo: 60000, Hi: 65535}} {
-		res, err := client.QueryRemote(remote, q)
+		res, err := client.Query(remote, q)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("query %v over TCP: %d matches, %d rounds, %d token bytes, %d FPs dropped\n",
 			q, len(res.Matches), res.Stats.Rounds, res.Stats.TokenBytes, res.Stats.FalsePositives)
 		if len(res.Matches) > 0 {
-			tup, err := client.FetchTupleRemote(remote, res.Matches[0])
+			tup, err := client.FetchTuple(remote, res.Matches[0])
 			if err != nil {
 				log.Fatal(err)
 			}

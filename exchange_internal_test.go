@@ -105,7 +105,7 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 			go func() { _ = ServeConn(srvConn, index) }()
 			remote := NewRemoteIndex(cliConn)
 			defer remote.Close()
-			wire := &countingServer{Server: remote.handle}
+			wire := &countingServer{Server: remote}
 			if res, err = client.inner.QueryServerContext(ctx, wire, q); err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,9 @@
 package rsse
 
 import (
-	"context"
 	"net"
 	"strconv"
 
-	"rsse/internal/core"
 	"rsse/internal/storage"
 	"rsse/internal/transport"
 )
@@ -16,19 +14,16 @@ import (
 // advisory lock is released so the same test process can reopen the
 // directory.
 
-// Crash abandons a durable Dynamic as a kill would.
-func Crash(d *Dynamic) { d.inner.Abandon() }
-
-// CrashSharded abandons every shard of a durable ShardedDynamic.
-func CrashSharded(d *ShardedDynamic) {
+// Crash abandons every shard of a durable Dynamic as a kill would.
+func Crash(d *Dynamic) {
 	for _, s := range d.stores {
-		s.inner.Abandon()
+		s.Abandon()
 	}
 }
 
 // FlushShard seals shard i's pending batch alone — the state a crash
 // between two shards' commits leaves behind.
-func FlushShard(d *ShardedDynamic, i int) error { return d.stores[i].Flush() }
+func FlushShard(d *Dynamic, i int) error { return d.stores[i].Flush() }
 
 // WithStorageEngine injects a concrete storage engine instead of a
 // registered name — the conformance harness uses it to slide a
@@ -41,22 +36,10 @@ func WithStorageEngine(e storage.Engine) Option {
 	}
 }
 
-// perIDOnly hides a target's FetchMany, forcing the owner's fetch round
-// onto the one-Fetch-per-id fallback — the reference the chunked round
-// is compared to.
-type perIDOnly struct{ core.Server }
-
-// QueryPerID is QueryRemoteContext through a handle to r with FetchMany
-// hidden.
-func QueryPerID(ctx context.Context, c *Client, r *RemoteIndex, q Range) (*Result, error) {
-	return c.inner.QueryServerContext(ctx, perIDOnly{r.handle}, q)
-}
-
-// QueryBatchPerID is QueryBatchRemoteContext through a handle to r with
-// FetchMany hidden.
-func QueryBatchPerID(ctx context.Context, c *Client, r *RemoteIndex, ranges []Range) (*BatchResult, error) {
-	return c.inner.QueryBatchContext(ctx, perIDOnly{r.handle}, ranges)
-}
+// PerIDOnly hides a source's FetchMany, and its context forms, forcing
+// the owner's fetch round onto the one-Fetch-per-id fallback — the
+// reference the chunked round is compared to.
+type PerIDOnly struct{ Source }
 
 // PipeCluster dials a built cluster's shards over in-process pipes: one
 // pipe per shard, each serving that shard's index. With perID every
@@ -85,7 +68,7 @@ func PipeCluster(built *Cluster, perID bool, opts ...ClusterOption) (*Cluster, e
 	}
 	for i := range c.targets {
 		if perID {
-			c.targets[i] = perIDOnly{c.targets[i]}
+			c.targets[i] = PerIDOnly{c.targets[i]}
 		}
 	}
 	return c, nil

@@ -136,27 +136,31 @@ func ServeConn(conn io.ReadWriter, index *Index) error {
 }
 
 // RemoteIndex is the owner-side handle to an index served elsewhere. It
-// satisfies the same role as a local *Index in Client.QueryRemote and
-// Client.FetchTupleRemote, and it is safe for concurrent use: requests
-// are multiplexed by id over the connection, so parallel queries from
-// many goroutines interleave without corrupting the stream (and without
-// waiting on each other's responses).
+// is a Source: a Client queries it exactly as it queries a local
+// *Index, with each round crossing the connection. It is safe for
+// concurrent use: requests are multiplexed by id over the connection,
+// so parallel queries from many goroutines interleave without
+// corrupting the stream (and without waiting on each other's
+// responses). Meta reports the served index's scheme, domain and size,
+// and Name the served-index name the handle addresses.
 type RemoteIndex struct {
-	handle remoteHandle
-	names  func() ([]string, error)
-	close  func() error
+	remoteHandle
+	names func() ([]string, error)
+	close func() error
 }
 
-// remoteHandle is the wire surface a RemoteIndex speaks through:
-// either a plain per-conn handle (transport.IndexHandle) or a
-// retrying one over a redialing pool (transport.ResilientHandle, via
-// DialIndexWith + WithRetry). Both implement core.Server plus the
-// context and fetch-many extensions the query paths use.
+// remoteHandle is the wire surface a RemoteIndex speaks through, and
+// what it promotes: either a plain per-conn handle
+// (transport.IndexHandle) or a retrying one over a redialing pool
+// (transport.ResilientHandle, via DialIndexWith + WithRetry). Both
+// implement Source plus the context and fetch-many forms the query
+// protocol looks for on a source.
 type remoteHandle interface {
-	core.Server
+	Source
 	core.ContextSearcher
 	core.ContextFetcher
 	core.ManyFetcher
+	MetaContext(ctx context.Context) (IndexMeta, error)
 	Name() string
 }
 
@@ -177,46 +181,14 @@ func DialIndex(network, addr, name string) (*RemoteIndex, error) {
 // default index.
 func NewRemoteIndex(conn io.ReadWriteCloser) *RemoteIndex {
 	c := transport.NewConn(conn)
-	return &RemoteIndex{handle: c.Default(), names: c.Names, close: c.Close}
+	return &RemoteIndex{remoteHandle: c.Default(), names: c.Names, close: c.Close}
 }
 
 // Close closes the connection (for a resilient handle, its pool).
 func (r *RemoteIndex) Close() error { return r.close() }
 
-// Name returns the served-index name this handle addresses.
-func (r *RemoteIndex) Name() string { return r.handle.Name() }
-
 // ServedIndexes asks the server which index names it serves.
 func (r *RemoteIndex) ServedIndexes() ([]string, error) { return r.names() }
-
-// N returns the number of tuples in the remote index (its L1 leakage).
-func (r *RemoteIndex) N() (int, error) {
-	meta, err := r.handle.Meta()
-	if err != nil {
-		return 0, err
-	}
-	return meta.N, nil
-}
-
-// Kind returns the scheme of the remote index.
-func (r *RemoteIndex) Kind() (Kind, error) {
-	meta, err := r.handle.Meta()
-	if err != nil {
-		return 0, err
-	}
-	return meta.Kind, nil
-}
-
-// DomainBits returns the width in bits of the remote index's value
-// domain. Together with Kind it lets a client (rsse-load, rsse-owner)
-// configure itself entirely from the server's metadata.
-func (r *RemoteIndex) DomainBits() (uint8, error) {
-	meta, err := r.handle.Meta()
-	if err != nil {
-		return 0, err
-	}
-	return meta.DomainBits, nil
-}
 
 // DialCluster connects a cluster built earlier (BuildCluster) to its
 // remotely served shards. Every shard resolves to a served-index name on
@@ -272,59 +244,16 @@ func finishDialCluster(c *Cluster, cfg clusterConfig, man ClusterManifest, pool 
 	return c, nil
 }
 
-// QueryRemote runs the full query protocol against a remote index — the
-// same rounds as Query, with each round crossing the connection.
-func (c *Client) QueryRemote(r *RemoteIndex, q Range) (*Result, error) {
-	return c.QueryRemoteContext(context.Background(), r, q)
-}
-
-// QueryRemoteContext is QueryRemote with cancellation: an expired ctx
-// aborts the in-flight round trip immediately (the server's late
-// response is discarded).
-func (c *Client) QueryRemoteContext(ctx context.Context, r *RemoteIndex, q Range) (*Result, error) {
-	return c.inner.QueryServerContext(ctx, r.handle, q)
-}
-
-// QueryBatchRemote answers several ranges against a remote index in one
-// batched protocol run: the deduplicated multi-trapdoor crosses the
-// connection as a single search frame per round (instead of one frame
-// per range), and false-positive filtering fetches each distinct id once,
-// all of them in one chunked fetch round.
-func (c *Client) QueryBatchRemote(r *RemoteIndex, ranges []Range) (*BatchResult, error) {
-	return c.QueryBatchRemoteContext(context.Background(), r, ranges)
-}
-
-// QueryBatchRemoteContext is QueryBatchRemote with cancellation.
-func (c *Client) QueryBatchRemoteContext(ctx context.Context, r *RemoteIndex, ranges []Range) (*BatchResult, error) {
-	return c.inner.QueryBatchContext(ctx, r.handle, ranges)
-}
-
-// FetchTupleRemote retrieves and decrypts one tuple from a remote index.
-func (c *Client) FetchTupleRemote(r *RemoteIndex, id ID) (Tuple, error) {
-	return c.inner.FetchTuple(r.handle, id)
-}
-
 // DefaultDynamicName is the update-namespace name writable deployments
 // serve under when none is chosen (rsse-server -writable uses it).
 const DefaultDynamicName = "dynamic"
 
-// WritableStore is what RegisterWritable serves: the mutation-and-query
-// surface Dynamic and ShardedDynamic share. Implementations need not be
-// concurrent-safe — the registry wraps them in a serializing adapter.
-type WritableStore interface {
-	Insert(id ID, value Value, payload []byte) error
-	Delete(id ID, value Value) error
-	Modify(id ID, oldValue, newValue Value, payload []byte) error
-	Flush() error
-	Query(q Range) ([]Tuple, UpdateStats, error)
-}
-
-// writableTarget adapts a WritableStore to the transport's update ops,
+// writableTarget adapts a Dynamic to the transport's update ops,
 // serializing access: Dynamic is single-writer by contract, but the
 // server dispatches requests from every connection concurrently.
 type writableTarget struct {
 	mu sync.Mutex
-	s  WritableStore
+	s  *Dynamic
 }
 
 func (w *writableTarget) ApplyUpdate(u transport.Update) error {
@@ -356,7 +285,7 @@ func (w *writableTarget) QueryTuples(q core.Range) ([]core.Tuple, error) {
 }
 
 // RegisterWritable serves a writable store — typically a durable
-// Dynamic or ShardedDynamic — under name in the update namespace, so
+// Dynamic, sharded or not — under name in the update namespace, so
 // remote owners mutate it through RemoteDynamic. The namespace is
 // independent of read indexes: the same name may serve both.
 //
@@ -366,7 +295,7 @@ func (w *writableTarget) QueryTuples(q core.Range) ([]core.Tuple, error) {
 // paper's untrusted query server. Put it with the owner's
 // infrastructure and front it with transport security; see
 // ARCHITECTURE.md.
-func (r *Registry) RegisterWritable(name string, store WritableStore) error {
+func (r *Registry) RegisterWritable(name string, store *Dynamic) error {
 	if store == nil {
 		return errors.New("rsse: cannot register a nil writable store")
 	}

@@ -46,7 +46,7 @@ func TestMultiIndexPublicAPI(t *testing.T) {
 			t.Errorf("%s: served = %v, %v", name, served, err)
 			return
 		}
-		res, err := c.QueryRemote(remote, q)
+		res, err := c.Query(remote, q)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			return

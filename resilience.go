@@ -90,7 +90,7 @@ func DialIndexWith(network, addr, name string, opts ...DialOption) (*RemoteIndex
 		if err != nil {
 			return nil, err
 		}
-		return &RemoteIndex{handle: c.Index(name), names: c.Names, close: c.Close}, nil
+		return &RemoteIndex{remoteHandle: c.Index(name), names: c.Names, close: c.Close}, nil
 	}
 	// Resilient path: connections live in a single-address pool the
 	// redialer replaces dead entries of; dialing is lazy, so a server
@@ -98,7 +98,7 @@ func DialIndexWith(network, addr, name string, opts ...DialOption) (*RemoteIndex
 	pool := transport.NewPoolFunc(network, dial)
 	rd := transport.NewRedialer(pool, addr, *cfg.retry)
 	return &RemoteIndex{
-		handle: rd.Index(name),
+		remoteHandle: rd.Index(name),
 		names: func() ([]string, error) {
 			c, err := rd.Get()
 			if err != nil {

@@ -102,7 +102,7 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 				if err != nil {
 					t.Fatalf("%v/%s local %v: %v", kind, engine, q, err)
 				}
-				wire, err := c.QueryRemote(remote, q)
+				wire, err := c.Query(remote, q)
 				if err != nil {
 					t.Fatalf("%v/%s remote %v: %v", kind, engine, q, err)
 				}
@@ -110,7 +110,7 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 					t.Fatalf("%v/%s %v: local %d ids, remote %d ids, want %d", kind, engine, q, len(local.Raw), len(wire.Raw), len(want))
 				}
 			}
-			br, err := c.QueryBatchRemote(remote, []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}})
+			br, err := c.QueryBatch(remote, []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}})
 			must(t, err)
 			for i, q := range []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}} {
 				if !equal(sorted(br.Results[i].Raw), oracle(tuples, q)) {
