@@ -318,14 +318,10 @@ func ReadClusterManifest(path string) (ClusterManifest, error) {
 	return shard.ReadManifest(path)
 }
 
-// ShardIndexName is the conventional served-index name of shard i of a
-// cluster: "<base>-shard-<i>". An rsse-server serving a directory of
-// files written under this convention needs no cluster configuration.
-func ShardIndexName(base string, i int) string { return shard.ShardName(base, i) }
-
 // Manifest records the cluster's topology, naming shard i
-// ShardIndexName(base, i). Write it next to the shard index files (or
-// hand it to DialCluster) to reconnect later.
+// "<base>-shard-<i>", the served-index name an rsse-server gives the
+// file it reads from a directory under that name. Write it next to the
+// shard index files (or hand it to DialCluster) to reconnect later.
 func (c *Cluster) Manifest(base string) ClusterManifest {
 	return shard.NewManifest(c.kind, c.m, base)
 }
@@ -507,9 +503,6 @@ func (r *ClusterBatchResult) PartialErr() error {
 	}
 	return partialErr(failed, first)
 }
-
-// Complete reports whether every intersected shard answered.
-func (r *ClusterBatchResult) Complete() bool { return r.PartialErr() == nil }
 
 // QueryBatch answers several ranges across the cluster in one batched
 // scatter: every range splits at shard boundaries, the slices group by

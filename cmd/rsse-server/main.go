@@ -168,8 +168,9 @@ func main() {
 			fatal(err)
 		}
 		// The disk engine serves files by mmap, so deferring each open to
-		// the first query costs nothing but a page fault later; rebuild
-		// engines load eagerly so a bad file surfaces at startup.
+		// the first query costs nothing but a page fault later; the
+		// sorted engine copies each file, so it loads eagerly and a bad
+		// file surfaces at startup.
 		lazy := *engine == "disk" && !*preload
 		for _, e := range entries {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".idx") {

@@ -54,11 +54,13 @@
 // # Storage engines and serving from disk
 //
 // The physical layout of an index's records is a server-local choice,
-// independent of the query protocol and the leakage profile: "map" (hash
-// tables, the default) or a checksummed sealed segment answered by
-// binary search over its bytes — "sorted" seals one in memory, "disk"
-// also serves a file's segments in place. Select with WithStorage at
-// build time or UnmarshalIndexWith at load time.
+// independent of the query protocol and the leakage profile: every
+// engine seals a checksummed segment answered by binary search over its
+// bytes. "sorted", the default, keeps it in memory, and a sorted load
+// copies the blob once and serves the copy in place; "disk" serves the
+// caller's bytes, or a file's mapping, in place. "map" is a deprecated
+// alias of "sorted". Select with WithStorage at build time or
+// UnmarshalIndexWith at load time.
 //
 // Serialized indexes (Index.MarshalBinary, wire format v2) are
 // containers of in-place-readable segments, whatever engine wrote them:

@@ -26,10 +26,9 @@ type Options struct {
 	// framework treats it as a black box; experiments use sse.TSet with
 	// the paper's parameters. Nil selects sse.Basic.
 	SSE sse.Scheme
-	// Storage selects the physical layout of the encrypted dictionaries
-	// and the tuple store (see package storage). Nil selects the default
-	// hash-map engine; storage.Sorted{} builds the read-optimized flat
-	// layout servers prefer.
+	// Storage selects the storage engine of the encrypted dictionaries
+	// and the tuple store (see package storage). Nil selects the default,
+	// storage.Sorted{}.
 	Storage storage.Engine
 	// Rand drives the build-time shuffles and token permutations; pass a
 	// seeded source for reproducible tests. Nil selects a crypto-seeded
@@ -181,9 +180,10 @@ type Index struct {
 	suite prf.Suite
 
 	// Provenance, for Stats and Close: the storage engine the index was
-	// built or loaded onto, the serialized blob it aliases (v2 loads onto
-	// an in-place engine), and the file mapping it serves from (indexes
-	// opened with OpenIndexFile).
+	// built or loaded onto, the serialized blob a loaded index serves in
+	// place while that blob is on the heap (its own copy, or the caller's
+	// bytes on the disk engine; nil for a memory-mapped file), and the
+	// file mapping it serves from (indexes opened with OpenIndexFile).
 	engine    string
 	retained  []byte
 	closer    io.Closer
@@ -310,8 +310,8 @@ func (x *Index) Stats() IndexStats {
 		res += int64(x.aux.Resident())
 	}
 	if x.retained != nil {
-		// A v2 blob served in place from the heap: the whole blob stays
-		// pinned by the aliasing backends.
+		// A loaded blob served in place from the heap: the whole blob
+		// stays pinned by the aliasing backends.
 		res += int64(len(x.retained))
 	}
 	s.Resident = res

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,34 +114,35 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 }
 
 // UnmarshalIndexWith reconstructs a serialized Index onto an explicit
-// storage engine — servers load read-mostly indexes onto storage.Sorted
-// for the flat, binary-searched layout, or storage.Disk to serve the
-// blob in place with zero per-record copies. In the latter case the
-// returned index aliases data, which must stay valid and unmodified for
-// the index's lifetime (OpenIndexFile manages that pairing for files).
-//
-// All variable-length parts are sliced in place; whether the backends
-// then alias those slices or rebuild onto resident structures is the
-// engine's choice (storage.Load).
+// storage engine (nil selects the default, storage.Sorted). Every
+// section is served in place; the engine decides only whose bytes. On
+// storage.Disk the returned index aliases data, which must stay valid
+// and unmodified for the index's lifetime (OpenIndexFile manages that
+// pairing for files); on any other engine it serves a private copy of
+// data, made once here, and data may be reused at once.
 func UnmarshalIndexWith(data []byte, eng storage.Engine) (*Index, error) {
 	meta, err := PeekMeta(data)
 	if err != nil {
 		return nil, err
 	}
+	if _, inPlace := eng.(storage.Disk); !inPlace {
+		data = bytes.Clone(data)
+	}
 	r := wireReader{data: data, off: 16}
 	x := &Index{
-		kind:    meta.Kind,
-		dom:     cover.Domain{Bits: meta.DomainBits},
-		posBits: meta.PosBits,
-		n:       meta.N,
-		suite:   meta.Suite,
-		engine:  storage.OrDefault(eng).Name(),
+		kind:     meta.Kind,
+		dom:      cover.Domain{Bits: meta.DomainBits},
+		posBits:  meta.PosBits,
+		n:        meta.N,
+		suite:    meta.Suite,
+		engine:   storage.OrDefault(eng).Name(),
+		retained: data,
 	}
 	primBlob, err := r.lenPrefixed()
 	if err != nil {
 		return nil, ErrCorruptIndex
 	}
-	if x.primary, err = sse.OpenSection(primBlob, eng, x.suite); err != nil {
+	if x.primary, err = sse.OpenSection(primBlob, x.suite); err != nil {
 		return nil, fmt.Errorf("%w: primary: %v", ErrCorruptIndex, err)
 	}
 	auxBlob, err := r.lenPrefixed()
@@ -152,7 +154,7 @@ func UnmarshalIndexWith(data []byte, eng storage.Engine) (*Index, error) {
 		return nil, fmt.Errorf("%w: %v with %d aux section bytes", ErrCorruptIndex, x.kind, len(auxBlob))
 	}
 	if len(auxBlob) > 0 {
-		if x.aux, err = sse.OpenSection(auxBlob, eng, x.suite); err != nil {
+		if x.aux, err = sse.OpenSection(auxBlob, x.suite); err != nil {
 			return nil, fmt.Errorf("%w: aux: %v", ErrCorruptIndex, err)
 		}
 	}
@@ -160,25 +162,16 @@ func UnmarshalIndexWith(data []byte, eng storage.Engine) (*Index, error) {
 	if err != nil {
 		return nil, ErrCorruptIndex
 	}
-	cts, err := storage.Load(storeSeg, eng)
+	cts, err := storage.OpenSegment(storeSeg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: store: %v", ErrCorruptIndex, err)
 	}
 	if cts.KeyLen() != storeKeyLen {
 		return nil, fmt.Errorf("%w: store keys of %d bytes", ErrCorruptIndex, cts.KeyLen())
 	}
-	// The store's size, an id and a ciphertext per tuple, comes from a
-	// walk of its segment: the loaded backend when it is that segment,
-	// else a view of the bytes Load has just validated (a rebuilt
-	// backend's Iterate may sort).
-	seg := cts
-	if !storage.OpensInPlace(eng) {
-		if seg, err = storage.OpenSegment(storeSeg); err != nil {
-			return nil, fmt.Errorf("%w: store: %v", ErrCorruptIndex, err)
-		}
-	}
+	// The store's size, an id and a ciphertext per tuple.
 	size := 0
-	seg.Iterate(func(_, ct []byte) bool {
+	cts.Iterate(func(_, ct []byte) bool {
 		size += storeKeyLen + len(ct)
 		return true
 	})
@@ -186,23 +179,20 @@ func UnmarshalIndexWith(data []byte, eng storage.Engine) (*Index, error) {
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptIndex, len(r.data)-r.off)
 	}
-	if storage.OpensInPlace(eng) {
-		x.retained = data
-	}
 	return x, nil
 }
 
 // OpenIndexFile maps (or, where mmap is unavailable, reads) an index
-// file and reconstructs it onto eng. On an in-place engine
-// (storage.Disk) this is the lazy load path: the kernel maps the file,
-// parsing touches only section headers plus one sequential checksum
-// pass, and every dictionary answers queries straight from the mapping —
-// open cost is effectively independent of how many records the index
-// holds, and resident memory stays near zero until queries page data in.
-// The returned index owns the mapping; call Close when done with it.
+// file and reconstructs it onto eng. On storage.Disk this is the lazy
+// load path: the kernel maps the file, parsing touches only section
+// headers plus one sequential checksum pass, and every dictionary
+// answers queries straight from the mapping — open cost is effectively
+// independent of how many records the index holds, and resident memory
+// stays near zero until queries page data in. The returned index owns
+// the mapping; call Close when done with it.
 //
-// Other engines load exactly as UnmarshalIndexWith would,
-// after which the file is released immediately.
+// Other engines load exactly as UnmarshalIndexWith would — one copy of
+// the file — after which the file is released immediately.
 func OpenIndexFile(path string, eng storage.Engine) (*Index, error) {
 	m, err := storage.MapFile(path)
 	if err != nil {
@@ -214,22 +204,23 @@ func OpenIndexFile(path string, eng storage.Engine) (*Index, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	x.fileBytes = int64(len(m.Data))
-	if x.retained != nil {
-		// The index aliases the mapping: keep it open, hand over
-		// ownership, and report the blob as file-backed rather than
-		// heap-resident when the platform really mapped it.
-		x.closer = m
-		x.mapped = m.Mapped()
-		if x.mapped {
-			x.retained = nil
-			// Serving probes are label-keyed point lookups: turn off the
-			// kernel's sequential readahead so each fault pulls one page,
-			// not a speculative neighbourhood. Prefetch() reverses this
-			// for deployments that want the whole index warm.
-			m.AdviseRandom()
-		}
-	} else {
+	if &x.retained[0] != &m.Data[0] {
+		// The index serves its own copy.
 		m.Close()
+		return x, nil
+	}
+	// The index aliases the mapping: keep it open, hand over ownership,
+	// and report the blob as file-backed rather than heap-resident when
+	// the platform really mapped it.
+	x.closer = m
+	x.mapped = m.Mapped()
+	if x.mapped {
+		x.retained = nil
+		// Serving probes are label-keyed point lookups: turn off the
+		// kernel's sequential readahead so each fault pulls one page,
+		// not a speculative neighbourhood. Prefetch() reverses this
+		// for deployments that want the whole index warm.
+		m.AdviseRandom()
 	}
 	return x, nil
 }
@@ -248,8 +239,7 @@ func (x *Index) Prefetch() {
 }
 
 // wireReader is a bounds-checked cursor over a byte slice. Reads alias
-// the underlying data — consumers either parse in place or hand slices
-// to Builder.Put, which copies.
+// the underlying data, which the loaded sections serve in place.
 type wireReader struct {
 	data []byte
 	off  int

@@ -141,12 +141,6 @@ func SortNodes(nodes []Node) {
 	})
 }
 
-// MaxURCLevel returns the highest level that can appear in U(R).
-func MaxURCLevel(R uint64) uint8 {
-	c := URCLevelCounts(R)
-	return uint8(len(c) - 1)
-}
-
 // ceilLog2 returns ceil(log2(v)) for v >= 1.
 func ceilLog2(v uint64) uint8 {
 	if v <= 1 {

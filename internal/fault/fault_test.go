@@ -238,7 +238,7 @@ func TestWrapDialAssignsOrdinals(t *testing.T) {
 }
 
 func TestBackendWrapperPreservesResults(t *testing.T) {
-	b := storage.Map{}.NewBuilder(2, 0)
+	b := storage.Sorted{}.NewBuilder(2, 0)
 	want := map[string]string{"k1": "v1", "k2": "v2", "k3": "v3"}
 	for k, v := range want {
 		if err := b.Put([]byte(k), []byte(v)); err != nil {
@@ -269,8 +269,8 @@ func TestBackendWrapperPreservesResults(t *testing.T) {
 }
 
 func TestFaultEngineSealsWrappedBackends(t *testing.T) {
-	eng := Engine{Inner: storage.Map{}, Plan: BackendPlan{Seed: 1, DelayEvery: 1, DelayMS: 1}}
-	if eng.Name() != "fault+map" {
+	eng := Engine{Inner: storage.Sorted{}, Plan: BackendPlan{Seed: 1, DelayEvery: 1, DelayMS: 1}}
+	if eng.Name() != "fault+sorted" {
 		t.Fatalf("name = %q", eng.Name())
 	}
 	bld := eng.NewBuilder(1, 0)

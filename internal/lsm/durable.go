@@ -182,12 +182,7 @@ func (m *Manager) loadEpoch(ent manifestEpoch) (*epoch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsm: epoch %d: %w", ent.Seq, err)
 	}
-	var index *core.Index
-	if m.opts.Storage != nil {
-		index, err = core.UnmarshalIndexWith(blob, m.opts.Storage)
-	} else {
-		index, err = core.UnmarshalIndex(blob)
-	}
+	index, err := core.UnmarshalIndexWith(blob, m.opts.Storage)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: epoch %d (%s): %w", ent.Seq, ent.File, err)
 	}

@@ -106,11 +106,6 @@ func (m Map) K() int { return len(m.starts) }
 // Domain returns the full domain the map partitions.
 func (m Map) Domain() cover.Domain { return m.dom }
 
-// Starts returns the shard start values (a copy; len K, first element 0).
-func (m Map) Starts() []core.Value {
-	return append([]core.Value(nil), m.starts...)
-}
-
 // ShardRange returns the closed value interval shard i owns.
 func (m Map) ShardRange(i int) core.Range {
 	hi := m.dom.Size() - 1

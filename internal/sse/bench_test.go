@@ -74,8 +74,8 @@ func BenchmarkBuild10kPostings(b *testing.B) {
 }
 
 // BenchmarkSearch100IDs is the acceptance benchmark for the storage seam:
-// per construction it compares the hash-map engine against the
-// read-optimized sorted engine on the hot server-side Search path.
+// per construction it runs the hot server-side Search path on every
+// engine.
 func BenchmarkSearch100IDs(b *testing.B) {
 	entries := benchEntries(10000, 100) // 100 ids per keyword
 	for _, s := range benchConstructions() {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rsse/internal/prf"
-	"rsse/internal/storage"
 )
 
 // FuzzOpenSection hammers the section parser with mutated sections of
@@ -29,17 +28,15 @@ func FuzzOpenSection(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{tagBasic})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, eng := range append([]storage.Engine{nil}, storage.Engines()...) {
-			idx, err := OpenSection(data, eng, prf.SuiteSHA512)
-			if err != nil {
-				continue
-			}
-			for _, probe := range []Stag{{0: 7}, {5: 9}} {
-				_, _ = searchOne(idx, probe) // errors fine, panics not
-			}
-			if _, err := MarshalSection(idx); err != nil {
-				t.Fatalf("%s: accepted section fails to re-marshal: %v", storage.OrDefault(eng).Name(), err)
-			}
+		idx, err := OpenSection(data, prf.SuiteSHA512)
+		if err != nil {
+			return
+		}
+		for _, probe := range []Stag{{0: 7}, {5: 9}} {
+			_, _ = searchOne(idx, probe) // errors fine, panics not
+		}
+		if _, err := MarshalSection(idx); err != nil {
+			t.Fatalf("accepted section fails to re-marshal: %v", err)
 		}
 	})
 }

@@ -27,9 +27,9 @@ import (
 func TestSearchLockstep(t *testing.T) {
 	eachSuite(t, func(t *testing.T, suite prf.Suite) {
 		for _, sch := range []Scheme{Basic{}, Packed{BlockSize: 2}, TSet{BucketCapacity: 64, Expansion: 1.5}, TwoLevel{InlineCap: 4, BlockSize: 4}} {
-			for _, eng := range storage.Engines() {
-				t.Run(sch.Name()+"/"+eng.Name(), func(t *testing.T) {
-					testSearchLockstep(t, suite, sch, eng)
+			for _, ne := range namedEngines(t) {
+				t.Run(sch.Name()+"/"+ne.name, func(t *testing.T) {
+					testSearchLockstep(t, suite, sch, ne.eng)
 				})
 			}
 		}

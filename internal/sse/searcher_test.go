@@ -383,24 +383,22 @@ func TestSectionSuiteIsTheCallers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sch.Name(), err)
 			}
-			for _, eng := range storage.Engines() {
-				same, err := OpenSection(sec, eng, suite)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
+			same, err := OpenSection(sec, suite)
+			if err != nil {
+				t.Fatalf("%s: %v", sch.Name(), err)
+			}
+			other, err := OpenSection(sec, otherSuite(suite))
+			if err != nil {
+				t.Fatalf("%s: %v", sch.Name(), err)
+			}
+			for _, e := range entries {
+				got, err := searchOne(same, e.Stag)
+				if err != nil || len(got) != len(e.Payloads) {
+					t.Fatalf("%s: build suite found %d of %d payloads, err %v",
+						sch.Name(), len(got), len(e.Payloads), err)
 				}
-				other, err := OpenSection(sec, eng, otherSuite(suite))
-				if err != nil {
-					t.Fatalf("%s/%s: %v", sch.Name(), eng.Name(), err)
-				}
-				for _, e := range entries {
-					got, err := searchOne(same, e.Stag)
-					if err != nil || len(got) != len(e.Payloads) {
-						t.Fatalf("%s/%s: build suite found %d of %d payloads, err %v",
-							sch.Name(), eng.Name(), len(got), len(e.Payloads), err)
-					}
-					if got, err := searchOne(other, e.Stag); err != nil || len(got) != 0 {
-						t.Fatalf("%s/%s: other suite found %d payloads, err %v", sch.Name(), eng.Name(), len(got), err)
-					}
+				if got, err := searchOne(other, e.Stag); err != nil || len(got) != 0 {
+					t.Fatalf("%s: other suite found %d payloads, err %v", sch.Name(), len(got), err)
 				}
 			}
 		}

@@ -28,9 +28,10 @@
 // on the number of workers.
 //
 // Physical storage of the encrypted dictionaries is delegated to
-// package storage: Build and OpenSection take a storage.Engine choosing
-// the label→cell representation (nil selects the default hash map), and
-// the constructions address cells only through storage.Backend.
+// package storage: Build takes a storage.Engine choosing the label→cell
+// representation (nil selects the default, Sorted), OpenSection serves a
+// section's segments in place, and the constructions address cells only
+// through storage.Backend.
 package sse
 
 import (
@@ -95,8 +96,8 @@ type Index interface {
 	// is not the length of MarshalSection's output.
 	Size() int
 	// Resident approximates the heap bytes the index pins for its
-	// dictionaries — near zero when the cells are served in place from a
-	// serialized segment (the disk engine's zero-copy load path).
+	// dictionaries: what a built index sealed, and zero for an opened
+	// one, whose cells are served in place from the section's bytes.
 	Resident() int
 }
 

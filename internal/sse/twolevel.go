@@ -196,7 +196,6 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		return nil, errLabelCollision(err)
 	}
 	x.cells = sealed
-	x.blocksResident = len(array)
 	x.size = x.serializedSize()
 	return x, nil
 }
@@ -211,15 +210,20 @@ type twoLevelIndex struct {
 	// positional spill array, addressed by slot number rather than label.
 	cells  storage.Backend
 	blocks [][]byte
-	// blocksResident is the heap bytes the spill array owns — zero when
-	// the blocks alias a serialized section in place.
-	blocksResident int
 }
 
 func (x *twoLevelIndex) Width() int    { return 8 }
 func (x *twoLevelIndex) Postings() int { return x.postings }
 func (x *twoLevelIndex) Size() int     { return x.size }
-func (x *twoLevelIndex) Resident() int { return x.cells.Resident() + x.blocksResident }
+
+// Resident counts the spill array with the cells: a built index owns
+// both, and an opened one serves both in place from its section.
+func (x *twoLevelIndex) Resident() int {
+	if r := x.cells.Resident(); r > 0 {
+		return r + len(x.blocks)*x.blockSize*8
+	}
+	return 0
+}
 
 // BlockCount reports the array size; exposed for tests.
 func (x *twoLevelIndex) BlockCount() int { return len(x.blocks) }

@@ -12,13 +12,9 @@ import (
 // followed by 8-aligned, length-prefixed storage segments
 // (storage.EncodeSegment's format: version 2, key‖value records at one
 // stride, for every dictionary, whose cells share one width; version 1
-// files still load). Every variable-length part of a
-// section can be sliced in place: OpenSection onto an engine
-// implementing storage.Opener (the Disk engine) builds indexes whose
-// dictionaries answer queries directly over the serialized bytes, with
-// zero per-record copies. Rebuilding engines (map, sorted) still get a
-// single linear pass, since segments store records in ascending label
-// order.
+// files still load). Every variable-length part of a section is sliced
+// in place: OpenSection builds indexes whose dictionaries answer queries
+// directly over the serialized bytes, with zero per-record copies.
 //
 // Section layouts (integers big-endian, pad bytes zero):
 //
@@ -50,24 +46,23 @@ func MarshalSection(idx Index) ([]byte, error) {
 	}
 }
 
-// OpenSection reconstructs a section onto eng (nil selects the
-// default engine); suite is the PRF suite the index was built with,
-// which the enclosing container records. When eng can serve segments in
-// place (storage.Opener), the returned index aliases data, which must
-// then stay valid and unmodified for the index's lifetime.
-func OpenSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
+// OpenSection reconstructs a section in place; suite is the PRF suite
+// the index was built with, which the enclosing container records. The
+// returned index aliases data, which must stay valid and unmodified for
+// the index's lifetime.
+func OpenSection(data []byte, suite prf.Suite) (Index, error) {
 	if len(data) == 0 {
 		return nil, ErrCorrupt
 	}
 	switch data[0] {
 	case tagBasic:
-		return openBasicSection(data, eng, suite)
+		return openBasicSection(data, suite)
 	case tagPacked:
-		return openPackedSection(data, eng, suite)
+		return openPackedSection(data, suite)
 	case tagTSet:
-		return openTSetSection(data, eng, suite)
+		return openTSetSection(data, suite)
 	case tagTwoLevel:
-		return openTwoLevelSection(data, eng, suite)
+		return openTwoLevelSection(data, suite)
 	default:
 		return nil, fmt.Errorf("sse: unknown section tag %d: %w", data[0], ErrCorrupt)
 	}
@@ -138,10 +133,10 @@ func (r *sectionReader) done() error {
 	return nil
 }
 
-// loadCells rebuilds (or aliases) a label→cell segment and validates its
-// shape against the construction's expectations.
-func loadCells(seg []byte, eng storage.Engine, wantLen int) (storage.Backend, error) {
-	cells, err := storage.Load(seg, eng)
+// openCells opens a label→cell segment in place and validates its shape
+// against the construction's expectations.
+func openCells(seg []byte, wantLen int) (storage.Backend, error) {
+	cells, err := storage.OpenSegment(seg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -166,7 +161,7 @@ func (x *basicIndex) appendSection(out []byte) ([]byte, error) {
 	return appendSeg(out, seg), nil
 }
 
-func openBasicSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
+func openBasicSection(data []byte, suite prf.Suite) (Index, error) {
 	r := sectionReader{data: data, off: 4}
 	wb, err := r.take(4)
 	if err != nil {
@@ -183,7 +178,7 @@ func openBasicSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, 
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	cells, err := loadCells(seg, eng, -1)
+	cells, err := openCells(seg, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +200,7 @@ func (x *packedIndex) appendSection(out []byte) ([]byte, error) {
 	return appendSeg(out, seg), nil
 }
 
-func openPackedSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
+func openPackedSection(data []byte, suite prf.Suite) (Index, error) {
 	if len(data) < 8 {
 		return nil, ErrCorrupt
 	}
@@ -230,7 +225,7 @@ func openPackedSection(data []byte, eng storage.Engine, suite prf.Suite) (Index,
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	cells, err := loadCells(seg, eng, -1)
+	cells, err := openCells(seg, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +254,7 @@ func (x *tsetIndex) appendSection(out []byte) ([]byte, error) {
 	return appendSeg(out, seg), nil
 }
 
-func openTSetSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
+func openTSetSection(data []byte, suite prf.Suite) (Index, error) {
 	r := sectionReader{data: data, off: 4}
 	wb, err := r.take(4)
 	if err != nil {
@@ -300,7 +295,7 @@ func openTSetSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, e
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	lookup, err := loadCells(seg, eng, int(slots))
+	lookup, err := openCells(seg, int(slots))
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +338,7 @@ func (x *twoLevelIndex) appendSection(out []byte) ([]byte, error) {
 	return out, nil
 }
 
-func openTwoLevelSection(data []byte, eng storage.Engine, suite prf.Suite) (Index, error) {
+func openTwoLevelSection(data []byte, suite prf.Suite) (Index, error) {
 	r := sectionReader{data: data, off: 4}
 	hb, err := r.take(12) // inlineCap(4) blockSize(4) pad(4)
 	if err != nil {
@@ -366,7 +361,7 @@ func openTwoLevelSection(data []byte, eng storage.Engine, suite prf.Suite) (Inde
 	if err != nil {
 		return nil, err
 	}
-	if x.cells, err = loadCells(seg, eng, -1); err != nil {
+	if x.cells, err = openCells(seg, -1); err != nil {
 		return nil, err
 	}
 	blockCount, err := r.uint64()
@@ -391,19 +386,10 @@ func openTwoLevelSection(data []byte, eng storage.Engine, suite prf.Suite) (Inde
 	if postings > uint64(x.cells.Len())*uint64(x.inlineCap)+blockCount*uint64(x.blockSize) {
 		return nil, fmt.Errorf("%w: %d postings exceed section capacity", ErrCorrupt, postings)
 	}
+	// Each block is a view into the section bytes.
 	x.blocks = make([][]byte, blockCount)
-	if storage.OpensInPlace(eng) {
-		// Zero-copy: each block is a view into the section bytes.
-		for i := range x.blocks {
-			x.blocks[i] = raw[uint64(i)*blockLen : uint64(i+1)*blockLen : uint64(i+1)*blockLen]
-		}
-	} else {
-		heap := make([]byte, len(raw))
-		copy(heap, raw)
-		for i := range x.blocks {
-			x.blocks[i] = heap[uint64(i)*blockLen : uint64(i+1)*blockLen : uint64(i+1)*blockLen]
-		}
-		x.blocksResident = len(heap)
+	for i := range x.blocks {
+		x.blocks[i] = raw[uint64(i)*blockLen : uint64(i+1)*blockLen : uint64(i+1)*blockLen]
 	}
 	x.size = x.serializedSize()
 	return x, nil

@@ -7,9 +7,8 @@ import (
 
 // MappedFile is a read-only view of a whole file, memory-mapped where
 // the platform supports it and read into memory otherwise. Backends
-// opened over Data (via OpenSegment or Load with an Opener engine) alias
-// the mapping directly, so Close must not be called until every such
-// backend is out of use.
+// opened over Data with OpenSegment alias the mapping directly, so Close
+// must not be called until every such backend is out of use.
 type MappedFile struct {
 	// Data is the file's content. Do not modify.
 	Data []byte

@@ -11,9 +11,9 @@ import (
 // The sealed-segment file format: a self-describing, checksummed flat
 // encoding of one immutable key space, laid out so a Backend can answer
 // Get and Iterate by binary search directly over the raw bytes. It is
-// the one record layout: the Sorted engine seals its records into it in
-// memory, and the Disk engine serves a segment file's bytes in place,
-// with zero per-record copies between the file and the query path.
+// the one record layout: a builder seals its records into it in memory,
+// and a loaded index serves its segments in place (OpenSegment), with
+// zero per-record copies between the blob or file and the query path.
 //
 // Layout (all integers big-endian):
 //
@@ -180,37 +180,6 @@ func OpenSegment(data []byte) (Backend, error) {
 		x.recs = data[segHeaderSize : segHeaderSize+n*keyLen]
 		x.offs = data[l.offsOff:l.valsOff]
 		x.vals = data[l.valsOff : l.valsOff+valsLen]
-	}
-	return x, nil
-}
-
-// Load reconstructs a Backend from segment bytes onto eng. Engines that
-// can serve the format in place (the Disk engine, via the Opener
-// interface) alias data directly; every other engine gets a one-pass
-// rebuild through its Builder, copying each record exactly once. Since
-// segments store records in ascending key order, rebuilding onto the
-// Sorted engine is linear.
-func Load(data []byte, eng Engine) (Backend, error) {
-	eng = OrDefault(eng)
-	if o, ok := eng.(Opener); ok {
-		return o.Open(data)
-	}
-	seg, err := OpenSegment(data)
-	if err != nil {
-		return nil, err
-	}
-	b := eng.NewBuilder(seg.KeyLen(), seg.Len())
-	var perr error
-	seg.Iterate(func(k, v []byte) bool {
-		perr = b.Put(k, v)
-		return perr == nil
-	})
-	if perr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSegment, perr)
-	}
-	x, err := b.Seal()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSegment, err)
 	}
 	return x, nil
 }

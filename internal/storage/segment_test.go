@@ -144,32 +144,6 @@ func TestCraftedSegmentsDegrade(t *testing.T) {
 	}
 }
 
-// TestLoadAcrossEngines rebuilds (or aliases) a segment onto every
-// engine and checks the results agree.
-func TestLoadAcrossEngines(t *testing.T) {
-	rnd := mrand.New(mrand.NewSource(14))
-	recs := randomRecords(rnd, 300, 16)
-	seg := encodeRecords(t, 16, recs)
-	for _, e := range append([]Engine{nil}, Engines()...) {
-		name := "nil"
-		if e != nil {
-			name = e.Name()
-		}
-		x, err := Load(seg, e)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if x.Len() != len(recs) || x.KeyLen() != 16 {
-			t.Fatalf("%s: shape (%d, %d)", name, x.Len(), x.KeyLen())
-		}
-		for k, v := range recs {
-			if got, ok := x.Get([]byte(k)); !ok || !bytes.Equal(got, v) {
-				t.Fatalf("%s: get %x mismatch", name, k)
-			}
-		}
-	}
-}
-
 // TestOpenSegmentFile serves a segment straight from a file: MapFile
 // plus OpenSegment answer every record in place, pin no heap bytes, and
 // a missing or corrupt file is refused.

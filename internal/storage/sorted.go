@@ -29,9 +29,10 @@ import (
 // big-endian encodings share their leading bytes) collapse into one
 // directory bucket and degrade gracefully to a plain binary search.
 //
-// Sealing from already-ascending input — the case for every wire format,
-// which serializes in Iterate order — skips the sort entirely, so
-// UnmarshalIndex onto this engine is linear.
+// Sealing from already-ascending input — the case for EncodeSegment,
+// which feeds records in Iterate order — skips the sort entirely. A
+// loaded index does not rebuild at all: it serves the sealed segments
+// of a copy of its blob in place.
 type Sorted struct{}
 
 // Name implements Engine.
@@ -42,10 +43,10 @@ func (Sorted) Name() string { return "sorted" }
 const maxDirBits = 24
 
 // maxValueHint caps the value bytes a capacity hint reserves before the
-// records arrive: Load's hint is a record count from a file, and one
-// wide first value must not multiply it into a huge allocation. Keys
-// are reserved in full, as the record count is checked against the
-// file's length.
+// records arrive: a hint is a record count (EncodeSegment's is the
+// backend's Len), and one wide first value — a tuple store whose first
+// tuple carries a large payload — must not multiply it into a huge
+// allocation. Keys are reserved in full: they are hint times keyLen.
 const maxValueHint = 64 << 20
 
 // NewBuilder implements Engine.

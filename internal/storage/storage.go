@@ -6,13 +6,17 @@
 // here. Schemes choose an Engine at build/unmarshal time; nothing above
 // this package knows (or cares) how the records are laid out.
 //
-// Map is a hash table, and the default. Sorted and Disk both seal their
-// records into the checksummed segment format of segment.go and answer
-// queries with one Backend over those bytes, whose fixed-width values sit
-// beside their keys so that a probe reads one record's cache line; Disk
-// also opens a segment file in place (Opener), with zero per-record
-// copies between file and query path. Every engine encodes a space to
-// the same segment bytes.
+// There is one builder, one record layout and one Backend: both engines
+// seal their records into the checksummed segment format of segment.go
+// and answer queries over those bytes with OpenSegment's backend, whose
+// fixed-width values sit beside their keys so that a probe reads one
+// record's cache line. Sorted, the default, keeps its segments in memory;
+// Disk is the same engine under the name that tells a loader to serve
+// the caller's bytes (a memory-mapped file) in place. A loaded Sorted
+// index copies its blob once and serves the copy in place, so the only
+// difference between the engines is whether a load aliases or copies.
+// "map", the hash-table engine of earlier releases, is a deprecated
+// alias for Sorted.
 package storage
 
 import (
@@ -34,7 +38,7 @@ var (
 
 // Engine names a physical record layout and creates builders for it.
 type Engine interface {
-	// Name identifies the engine ("map", "sorted", "disk").
+	// Name identifies the engine ("sorted", "disk").
 	Name() string
 	// NewBuilder starts a key space whose keys are exactly keyLen bytes.
 	// capacityHint sizes internal allocations; zero is allowed.
@@ -50,23 +54,6 @@ type Builder interface {
 	// Seal freezes the records into a Backend. The builder is unusable
 	// afterwards.
 	Seal() (Backend, error)
-}
-
-// Opener is the optional Engine extension for serving the segment format
-// in place: Open returns a Backend answering queries directly over the
-// serialized bytes, which must stay valid (and unmodified) while the
-// backend is in use. Load consults it before falling back to a
-// record-by-record rebuild.
-type Opener interface {
-	Open(segment []byte) (Backend, error)
-}
-
-// OpensInPlace reports whether loading serialized bytes onto eng serves
-// them in place (the engine implements Opener) — in which case the bytes
-// must outlive the loaded structures. nil means the default engine.
-func OpensInPlace(eng Engine) bool {
-	_, ok := OrDefault(eng).(Opener)
-	return ok
 }
 
 // Backend is an immutable keyed record space. Implementations are safe
@@ -115,9 +102,8 @@ func GetEach(b Backend, keys, vals [][]byte) {
 // so GetMany's nil keeps meaning a miss.
 var present = []byte{}
 
-// Default returns the engine used when a caller passes nil: the hash-map
-// layout, matching the behavior the repository started with.
-func Default() Engine { return Map{} }
+// Default returns the engine used when a caller passes nil: Sorted.
+func Default() Engine { return Sorted{} }
 
 // OrDefault substitutes the default engine for nil.
 func OrDefault(e Engine) Engine {
@@ -128,10 +114,15 @@ func OrDefault(e Engine) Engine {
 }
 
 // Engines lists the built-in engines.
-func Engines() []Engine { return []Engine{Map{}, Sorted{}, Disk{}} }
+func Engines() []Engine { return []Engine{Sorted{}, Disk{}} }
 
 // ByName returns the built-in engine registered under name.
 func ByName(name string) (Engine, error) {
+	if name == "map" {
+		// Deprecated: "map" named the hash-table engine, which is gone.
+		// It selects Sorted, whose Name reports "sorted".
+		return Sorted{}, nil
+	}
 	for _, e := range Engines() {
 		if e.Name() == name {
 			return e, nil

@@ -123,9 +123,7 @@ func TestEnginesRoundtrip(t *testing.T) {
 }
 
 // TestGetManyFoundEmptyValue: GetMany's nil means a miss, so a found
-// empty value comes back non-nil on every engine — also where the map
-// engine stores it as nil (an empty first value, before its arena
-// exists) — alone and in a batch.
+// empty value comes back non-nil on every engine, alone and in a batch.
 func TestGetManyFoundEmptyValue(t *testing.T) {
 	for _, e := range Engines() {
 		b := e.NewBuilder(2, 0)
@@ -342,12 +340,17 @@ func TestBuilderCopiesInput(t *testing.T) {
 	}
 }
 
+// TestByName: every engine is found under its name, and the
+// deprecated "map" selects Sorted.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"map", "sorted"} {
+	for _, name := range []string{"sorted", "disk"} {
 		e, err := ByName(name)
 		if err != nil || e.Name() != name {
 			t.Fatalf("ByName(%q) = %v, %v", name, e, err)
 		}
+	}
+	if e, err := ByName("map"); err != nil || e != (Sorted{}) {
+		t.Fatalf(`ByName("map") = %v, %v; want Sorted`, e, err)
 	}
 	if _, err := ByName("btree"); err == nil {
 		t.Fatal("unknown engine accepted")
@@ -389,8 +392,8 @@ func TestGetAppendKeepsNextRecord(t *testing.T) {
 // TestSortedHintBoundsValueBytes: a capacity hint reserves room for
 // every key but for at most maxValueHint bytes of values, so a space
 // whose first value is wide — a tuple store whose first tuple carries a
-// 1 MiB payload, or a segment that Load sizes by its record count — does
-// not reserve the hint times that width (here 1 TiB).
+// 1 MiB payload, or a segment EncodeSegment sizes by its record count —
+// does not reserve the hint times that width (here 1 TiB).
 func TestSortedHintBoundsValueBytes(t *testing.T) {
 	const hint, wide = 1 << 20, 1 << 20
 	var before, after runtime.MemStats

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"rsse/internal/core"
 )
@@ -216,28 +215,6 @@ func (r *Registry) LookupUpdatable(name string) (Updatable, error) {
 		return nil, fmt.Errorf("%w: no writable store %q", ErrUnknownIndex, name)
 	}
 	return u, nil
-}
-
-// DeregisterUpdatable stops serving the writable store called name,
-// reporting whether it was present.
-func (r *Registry) DeregisterUpdatable(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.w[name]
-	delete(r.w, name)
-	return ok
-}
-
-// UpdatableNames lists the writable store names, sorted.
-func (r *Registry) UpdatableNames() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.w))
-	for name := range r.w {
-		out = append(out, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // UpdateHandle addresses one writable store over a shared Conn. All

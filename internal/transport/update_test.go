@@ -170,15 +170,6 @@ func TestRegisterUpdatableValidation(t *testing.T) {
 	if err := reg.RegisterUpdatable("dyn", newMemStore()); !errors.Is(err, ErrDuplicateIndex) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if names := reg.UpdatableNames(); len(names) != 1 || names[0] != "dyn" {
-		t.Fatalf("UpdatableNames = %v", names)
-	}
-	if !reg.DeregisterUpdatable("dyn") {
-		t.Fatal("deregister reported absent")
-	}
-	if reg.DeregisterUpdatable("dyn") {
-		t.Fatal("second deregister reported present")
-	}
 }
 
 func TestTuplesWireRoundTrip(t *testing.T) {

@@ -47,14 +47,14 @@ func WithSSE(name string) Option {
 	}
 }
 
-// WithStorage selects the physical layout of the encrypted dictionaries
-// and the tuple store: "map" (hash tables, the default — fastest to
-// build), "sorted" (a sealed, checksummed segment in memory: records
-// sorted by key behind a radix directory — the read-optimized layout
-// servers prefer) or "disk" (the same segments, which OpenIndexFile
-// also serves in place from a memory-mapped file). The layout is a
-// server-local choice: every engine writes the same index bytes, and
-// none changes the leakage profile.
+// WithStorage selects the storage engine of the encrypted dictionaries
+// and the tuple store: "sorted" (the default: a sealed, checksummed
+// segment in memory, records sorted by key behind a radix directory) or
+// "disk" (the same segments, which OpenIndexFile also serves in place
+// from a memory-mapped file). "map" is a deprecated alias of "sorted".
+// A sorted load copies the index bytes once and serves the copy in
+// place. The engine is a server-local choice: every engine writes the
+// same index bytes, and none changes the leakage profile.
 func WithStorage(name string) Option {
 	return func(c *config) error {
 		if _, err := storage.ByName(name); err != nil {

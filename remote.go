@@ -302,15 +302,6 @@ func (r *Registry) RegisterWritable(name string, store *Dynamic) error {
 	return r.inner.RegisterUpdatable(name, &writableTarget{s: store})
 }
 
-// DeregisterWritable stops serving the writable store called name,
-// reporting whether it was present.
-func (r *Registry) DeregisterWritable(name string) bool {
-	return r.inner.DeregisterUpdatable(name)
-}
-
-// WritableNames lists the writable store names served, sorted.
-func (r *Registry) WritableNames() []string { return r.inner.UpdatableNames() }
-
 // RemoteDynamic is the owner-side handle to a writable store served by
 // an rsse-server -writable process: inserts, deletes and modifications
 // cross the wire and are acknowledged once the server has them per its

@@ -124,11 +124,13 @@ const (
 func UnmarshalIndex(data []byte) (*Index, error) { return core.UnmarshalIndex(data) }
 
 // UnmarshalIndexWith reconstructs a serialized Index onto a named
-// storage engine — "map" (hash tables, the default), "sorted" (the
-// read-optimized flat layout) or "disk" (serves the blob in place with
-// zero per-record copies; the returned index then aliases data, which
-// must stay valid and unmodified while the index is in use). The engine
-// is a local representation choice and never affects the wire format.
+// storage engine. Both serve the blob's segments in place: "sorted"
+// (the default) from one copy of data it makes first, so the index
+// never aliases data; "disk" from data itself, with zero copies — the
+// returned index then aliases data, which must stay valid and
+// unmodified while the index is in use. "map" is a deprecated alias of
+// "sorted". The engine is a local representation choice and never
+// affects the wire format.
 func UnmarshalIndexWith(data []byte, engine string) (*Index, error) {
 	eng, err := storage.ByName(engine)
 	if err != nil {
@@ -143,7 +145,8 @@ func UnmarshalIndexWith(data []byte, engine string) (*Index, error) {
 // near-constant regardless of index size — section headers plus one
 // sequential checksum pass — and queries answer straight from the
 // mapping, so resident memory stays near zero until data pages in.
-// Close the returned index to release the mapping when done.
+// With "sorted" the file is copied once and released. Close the
+// returned index to release the mapping when done.
 func OpenIndexFile(path, engine string) (*Index, error) {
 	eng, err := storage.ByName(engine)
 	if err != nil {
