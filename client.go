@@ -58,10 +58,10 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 }
 
 // Source is what a Client queries: an index, wherever it lives — a
-// local *Index or a dialed *RemoteIndex. The protocol is the same
-// against each; a source that also offers context-aware or many-id
-// forms (a remote one does) is asked through them.
-type Source = core.Server
+// local *Index or a dialed *RemoteIndex. It answers three context-first
+// calls — MetaContext, SearchContext and FetchMany — and the protocol
+// is the same against each.
+type Source = core.Source
 
 // Query runs the scheme's full query protocol — one round, or two for
 // Logarithmic-SRC-i — against the source, filters any false positives
@@ -75,7 +75,7 @@ func (c *Client) Query(s Source, q Range) (*Result, error) {
 // expired ctx abandons the in-flight round trip at once (the server's
 // late response is discarded).
 func (c *Client) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
-	return c.inner.QueryServerContext(ctx, s, q)
+	return c.inner.QueryContext(ctx, s, q)
 }
 
 // QueryRemoteContext is QueryContext.
@@ -106,7 +106,11 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Source, ranges []Range
 // FetchTuple retrieves and decrypts one tuple by id — the final,
 // search-orthogonal step applications use to obtain payloads.
 func (c *Client) FetchTuple(s Source, id ID) (Tuple, error) {
-	return c.inner.FetchTuple(s, id)
+	tuples, err := c.inner.FetchTuples(context.Background(), s, []ID{id})
+	if err != nil {
+		return Tuple{}, err
+	}
+	return tuples[0], nil
 }
 
 // Trapdoor produces the first-round query message without executing the

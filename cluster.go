@@ -35,7 +35,7 @@ type Cluster struct {
 	m       shard.Map
 	master  prf.Key
 	clients []*core.Client
-	targets []core.Server
+	targets []core.Source
 	indexes []*Index // local clusters only; nil entries when remote
 	exec    shard.Executor
 	closers []io.Closer
@@ -172,7 +172,7 @@ func newCluster(kind Kind, m shard.Map, master prf.Key, cfg clusterConfig) (*Clu
 		m:       m,
 		master:  master,
 		clients: make([]*core.Client, m.K()),
-		targets: make([]core.Server, m.K()),
+		targets: make([]core.Source, m.K()),
 		indexes: make([]*Index, m.K()),
 		exec:    shard.Executor{Workers: cfg.workers, Policy: cfg.policy},
 	}
@@ -574,11 +574,11 @@ func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[
 func (c *Cluster) FetchTuple(id ID) (Tuple, error) {
 	var firstErr error
 	for i := range c.clients {
-		ct, ok, err := c.targets[i].Fetch(id)
-		if err == nil && ok {
+		cts, err := c.targets[i].FetchMany(context.Background(), []ID{id})
+		if err == nil && cts[0] != nil {
 			// Present on this shard: decrypt the probed ciphertext under
 			// its client's keys (no second fetch).
-			return c.clients[i].OpenTuple(id, ct)
+			return c.clients[i].OpenTuple(id, cts[0])
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("rsse: fetching tuple %d from shard %d: %w", id, i, err)

@@ -14,7 +14,7 @@ import (
 // return until its context is done — a round trip to a server that
 // stopped answering.
 type hangFirstSearch struct {
-	core.Server
+	core.Source
 	hung    atomic.Bool
 	release chan struct{}
 }
@@ -28,7 +28,7 @@ func (h *hangFirstSearch) SearchContext(ctx context.Context, t *core.Trapdoor) (
 			return nil, errors.New("released by test cleanup")
 		}
 	}
-	return h.Server.Search(t)
+	return h.Source.SearchContext(ctx, t)
 }
 
 // TestClusterQueryContextReleasesShard checks that a query abandoned at
@@ -39,7 +39,7 @@ func TestClusterQueryContextReleasesShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hang := &hangFirstSearch{Server: c.targets[0], release: make(chan struct{})}
+	hang := &hangFirstSearch{Source: c.targets[0], release: make(chan struct{})}
 	t.Cleanup(func() { close(hang.release) })
 	c.targets[0] = hang
 	q := c.ShardRange(0)

@@ -272,7 +272,7 @@ func discover(addr, name, manifest string, key []byte) (*env, error) {
 		return nil, fmt.Errorf("rsse-load: %s: %w", addr, err)
 	}
 	defer r.Close()
-	meta, err := r.Meta()
+	meta, err := r.MetaContext(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("rsse-load: meta: %w", err)
 	}

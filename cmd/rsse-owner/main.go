@@ -77,6 +77,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"flag"
@@ -359,7 +360,7 @@ func stats(args []string) {
 	}
 	defer index.Close()
 	s := index.Stats()
-	meta, _ := index.Meta() // a local index's Meta cannot fail
+	meta, _ := index.MetaContext(context.Background()) // a local index's meta cannot fail
 	fmt.Printf("scheme:    %v\n", s.Kind)
 	fmt.Printf("prf suite: %d (%v)\n", meta.Suite, meta.Suite)
 	fmt.Printf("tuples:    %d\n", s.N)
@@ -461,13 +462,12 @@ func query(args []string) {
 		defer remote.Close()
 		src = remote
 	} else if *indexPath != "" {
-		blob, err := os.ReadFile(*indexPath)
+		index, err := rsse.OpenIndexFile(*indexPath, "sorted")
 		if err != nil {
 			fatal(err)
 		}
-		if src, err = rsse.UnmarshalIndex(blob); err != nil {
-			fatal(err)
-		}
+		defer index.Close()
+		src = index
 	} else {
 		fatal(fmt.Errorf("one of -index or -addr is required"))
 	}

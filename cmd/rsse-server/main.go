@@ -420,7 +420,7 @@ func logClusters(dir string, reg *rsse.Registry) {
 // (resident heap vs. backing file).
 func logLoaded(name string, index *rsse.Index) {
 	s := index.Stats()
-	meta, _ := index.Meta() // a local index's Meta cannot fail
+	meta, _ := index.MetaContext(context.Background()) // a local index's meta cannot fail
 	logger.Info("index loaded", "index", name, "scheme", s.Kind.String(),
 		"prf_suite", meta.Suite.String(),
 		"tuples", s.N, "engine", s.Engine,

@@ -713,7 +713,7 @@ func runRemote(t *testing.T, f *fixture, name, mod string) {
 	t.Cleanup(func() { r.Close() })
 	var src rsse.Source = r
 	if name == "remote-per-id" {
-		src = rsse.PerIDOnly{Source: r}
+		src = rsse.PerIDOnly(r)
 	}
 	f.exercise(t, clientTarget(f.owner(t, mod, false), src), clientTarget(f.owner(t, "", false), x), mod)
 	if name == "remote-tcp" && mod == "concurrent" && f.pi == 0 {

@@ -43,7 +43,9 @@
 //
 // A Client queries any Source: a local *Index, or a *RemoteIndex
 // dialed to a server (Dial, DialIndex) — the same Query, QueryBatch and
-// FetchTuple run each round across the connection instead.
+// FetchTuple run each round across the connection instead. A Source is
+// three context-first calls, MetaContext, SearchContext and FetchMany,
+// and every index answers all three.
 //
 // For batched updates with forward privacy (Section 7 of the paper), see
 // Dynamic — and OpenDynamic for the durable, crash-recoverable variant.

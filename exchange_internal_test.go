@@ -12,32 +12,19 @@ import (
 // countingServer wraps a query target and records every trapdoor a
 // query sends it and every response item it sends back.
 type countingServer struct {
-	core.Server
+	core.Source
 	traps []*core.Trapdoor
 	items int
 }
 
 func (s *countingServer) SearchContext(ctx context.Context, t *core.Trapdoor) (*core.Response, error) {
-	var (
-		resp *core.Response
-		err  error
-	)
-	if cs, ok := s.Server.(core.ContextSearcher); ok {
-		resp, err = cs.SearchContext(ctx, t)
-	} else {
-		resp, err = s.Server.Search(t)
-	}
+	resp, err := s.Source.SearchContext(ctx, t)
 	if err != nil {
 		return nil, err
 	}
 	s.traps = append(s.traps, t)
 	s.items += resp.Items()
 	return resp, nil
-}
-
-// FetchMany keeps the wrapped target's one-exchange fetch round.
-func (s *countingServer) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
-	return s.Server.(core.ManyFetcher).FetchMany(ctx, ids)
 }
 
 // checkExchange asserts that st reports exactly the exchange s saw.
@@ -91,8 +78,8 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			local := &countingServer{Server: index}
-			res, err := client.inner.QueryServerContext(ctx, local, q)
+			local := &countingServer{Source: index}
+			res, err := client.QueryContext(ctx, local, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,8 +92,8 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 			go func() { _ = ServeConn(srvConn, index) }()
 			remote := NewRemoteIndex(cliConn)
 			defer remote.Close()
-			wire := &countingServer{Server: remote}
-			if res, err = client.inner.QueryServerContext(ctx, wire, q); err != nil {
+			wire := &countingServer{Source: remote}
+			if res, err = client.QueryContext(ctx, wire, q); err != nil {
 				t.Fatal(err)
 			}
 			checkExchange(t, "remote", res.Stats, wire)
@@ -118,7 +105,7 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 			}
 			shards := make([]*countingServer, len(cluster.targets))
 			for i, target := range cluster.targets {
-				shards[i] = &countingServer{Server: target}
+				shards[i] = &countingServer{Source: target}
 				cluster.targets[i] = shards[i]
 			}
 			cres, err := cluster.Query(q)

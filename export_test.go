@@ -1,9 +1,11 @@
 package rsse
 
 import (
+	"context"
 	"net"
 	"strconv"
 
+	"rsse/internal/core"
 	"rsse/internal/storage"
 	"rsse/internal/transport"
 )
@@ -36,14 +38,31 @@ func WithStorageEngine(e storage.Engine) Option {
 	}
 }
 
-// PerIDOnly hides a source's FetchMany, and its context forms, forcing
-// the owner's fetch round onto the one-Fetch-per-id fallback — the
-// reference the chunked round is compared to.
-type PerIDOnly struct{ Source }
+// PerIDOnly serves s through the deprecated three-call core.Server and
+// core.FromServer's adapter, so the owner's fetch round takes one Fetch
+// per id — the reference the chunked round is compared to.
+func PerIDOnly(s Source) Source { return core.FromServer(perIDServer{s}) }
+
+// perIDServer is a Source seen through core.Server.
+type perIDServer struct{ s Source }
+
+func (p perIDServer) Meta() (IndexMeta, error) { return p.s.MetaContext(context.Background()) }
+
+func (p perIDServer) Search(t *Trapdoor) (*core.Response, error) {
+	return p.s.SearchContext(context.Background(), t)
+}
+
+func (p perIDServer) Fetch(id ID) ([]byte, bool, error) {
+	cts, err := p.s.FetchMany(context.Background(), []ID{id})
+	if err != nil {
+		return nil, false, err
+	}
+	return cts[0], cts[0] != nil, nil
+}
 
 // PipeCluster dials a built cluster's shards over in-process pipes: one
 // pipe per shard, each serving that shard's index. With perID every
-// shard target's FetchMany is hidden.
+// shard target fetches one id at a time (see PerIDOnly).
 func PipeCluster(built *Cluster, perID bool, opts ...ClusterOption) (*Cluster, error) {
 	man := built.Manifest("pipes")
 	for i := range man.Shards {
@@ -68,7 +87,7 @@ func PipeCluster(built *Cluster, perID bool, opts ...ClusterOption) (*Cluster, e
 	}
 	for i := range c.targets {
 		if perID {
-			c.targets[i] = PerIDOnly{c.targets[i]}
+			c.targets[i] = PerIDOnly(c.targets[i])
 		}
 	}
 	return c, nil

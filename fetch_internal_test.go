@@ -1,6 +1,7 @@
 package rsse
 
 import (
+	"context"
 	mrand "math/rand"
 	"reflect"
 	"sync/atomic"
@@ -18,21 +19,21 @@ func clusterTestTuples(n int, bits uint8, seed int64) []Tuple {
 	return out
 }
 
-// fetchCounter counts the Fetch calls reaching one shard target.
+// fetchCounter counts the FetchMany calls reaching one shard target.
 type fetchCounter struct {
-	core.Server
+	core.Source
 	fetches atomic.Int64
 }
 
-func (s *fetchCounter) Fetch(id core.ID) ([]byte, bool, error) {
+func (s *fetchCounter) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
 	s.fetches.Add(1)
-	return s.Server.Fetch(id)
+	return s.Source.FetchMany(ctx, ids)
 }
 
 // TestClusterFetchTupleFetchesOnce: Cluster.FetchTuple probes shards in
 // order and decrypts the ciphertext the owning shard's probe returned —
-// exactly one Fetch reaches that shard (it used to be two: the probe,
-// then a second fetch to decrypt).
+// exactly one FetchMany reaches that shard (it used to be two: the
+// probe, then a second fetch to decrypt).
 func TestClusterFetchTupleFetchesOnce(t *testing.T) {
 	const bits = 12
 	tuples := clusterTestTuples(300, bits, 33)
@@ -42,7 +43,7 @@ func TestClusterFetchTupleFetchesOnce(t *testing.T) {
 	}
 	counters := make([]*fetchCounter, len(c.targets))
 	for i := range c.targets {
-		counters[i] = &fetchCounter{Server: c.targets[i]}
+		counters[i] = &fetchCounter{Source: c.targets[i]}
 		c.targets[i] = counters[i]
 	}
 	for _, want := range []Tuple{tuples[0], tuples[150], tuples[299]} {

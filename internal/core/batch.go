@@ -29,67 +29,18 @@ import (
 // exchange, like a single query's. Sequential queries reveal every
 // per-range token multiset separately, with timing.
 
-// ContextSearcher is the optional context-aware form of Server.Search.
-type ContextSearcher interface {
-	SearchContext(ctx context.Context, t *Trapdoor) (*Response, error)
-}
-
-// ContextFetcher is the optional context-aware form of Server.Fetch.
-type ContextFetcher interface {
-	FetchContext(ctx context.Context, id ID) ([]byte, bool, error)
-}
-
-// metaCtx reads the index metadata, honouring ctx where the server
-// offers a context-aware form (transport handles do) and checking it
-// before the call otherwise.
-func metaCtx(ctx context.Context, s Server) (IndexMeta, error) {
-	if cm, ok := s.(interface {
-		MetaContext(context.Context) (IndexMeta, error)
-	}); ok {
-		return cm.MetaContext(ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return IndexMeta{}, err
-	}
-	return s.Meta()
-}
-
-// searchCtx runs one search round, honouring ctx as far as the server
-// implementation allows (a plain Server is checked before the call), and
-// refuses a response that is not one group per token.
-func searchCtx(ctx context.Context, s Server, t *Trapdoor) (*Response, error) {
-	var resp *Response
-	var err error
-	if cs, ok := s.(ContextSearcher); ok {
-		resp, err = cs.SearchContext(ctx, t)
-	} else if err = ctx.Err(); err == nil {
-		resp, err = s.Search(t)
-	}
+// searchRound runs one search round and refuses a response that is not
+// one group per token: group j answers token j, so a response with a
+// group missing or one too many is refused, not demultiplexed.
+func searchRound(ctx context.Context, s Source, t *Trapdoor) (*Response, error) {
+	resp, err := s.SearchContext(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	return oneGroupPerToken(t, resp)
-}
-
-// oneGroupPerToken is the shape check every search round applies before
-// the owner reads a response: group j answers token j, so a response
-// with a group missing or one too many is refused, not demultiplexed.
-func oneGroupPerToken(t *Trapdoor, resp *Response) (*Response, error) {
 	if len(resp.Groups) != t.Tokens() {
 		return nil, fmt.Errorf("core: response has %d groups for %d tokens", len(resp.Groups), t.Tokens())
 	}
 	return resp, nil
-}
-
-// fetchCtx fetches one ciphertext, honouring ctx where possible.
-func fetchCtx(ctx context.Context, s Server, id ID) ([]byte, bool, error) {
-	if cf, ok := s.(ContextFetcher); ok {
-		return cf.FetchContext(ctx, id)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	return s.Fetch(id)
 }
 
 // BatchStats aggregates the cost and leakage accounting of one batched
@@ -332,20 +283,19 @@ func (c *Client) stagPlanFromNodes(p cover.BatchPlan, suite prf.Suite, key prf.K
 }
 
 // QueryBatch runs the batched query protocol for several ranges against
-// any Server, deduplicating cover nodes shared across the ranges. See
+// any Source, deduplicating cover nodes shared across the ranges. See
 // QueryBatchContext.
-func (c *Client) QueryBatch(s Server, ranges []Range) (*BatchResult, error) {
+func (c *Client) QueryBatch(s Source, ranges []Range) (*BatchResult, error) {
 	return c.QueryBatchContext(context.Background(), s, ranges)
 }
 
 // QueryBatchContext is QueryBatch with cancellation: the batch aborts
-// between (and, against context-aware servers, during) protocol steps
-// when ctx is done. Results are per input range, in input order, and
-// answer each range as a sequential Query loop would: the same matches
-// and the same raw id sets. For the Constant schemes every range in the
+// between and during protocol steps when ctx is done. Results are per
+// input range, in input order, and answer each range as a sequential
+// Query loop would: the same matches and the same raw id sets. For the Constant schemes every range in the
 // batch must be non-intersecting — with the other batch ranges and with
 // history — and the batch stays in history only if it succeeds.
-func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range) (*BatchResult, error) {
+func (c *Client) QueryBatchContext(ctx context.Context, s Source, ranges []Range) (*BatchResult, error) {
 	br := &BatchResult{}
 	if err := c.QueryBatchInto(ctx, s, ranges, br); err != nil {
 		return nil, err
@@ -362,7 +312,7 @@ func (c *Client) QueryBatchContext(ctx context.Context, s Server, ranges []Range
 // single query is a batch of one. A batch of one credits its one result
 // with the whole exchange: its response items and its server and owner
 // time, which a larger batch can only report for the batch as a whole.
-func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, br *BatchResult) (err error) {
+func (c *Client) QueryBatchInto(ctx context.Context, s Source, ranges []Range, br *BatchResult) (err error) {
 	results := slices.Grow(br.Results[:0], len(ranges))[:len(ranges)]
 	br.Results = results
 	st := &br.Stats
@@ -370,7 +320,7 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, b
 	if len(ranges) == 0 {
 		return nil
 	}
-	meta, err := metaCtx(ctx, s)
+	meta, err := s.MetaContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -409,7 +359,7 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Server, ranges []Range, b
 	st.TokenBytes = plan1.trap.Bytes()
 
 	serverStart := time.Now()
-	resp1, err := searchCtx(ctx, s, plan1.trap)
+	resp1, err := searchRound(ctx, s, plan1.trap)
 	if err != nil {
 		return err
 	}
@@ -518,7 +468,7 @@ func rangeByLo(r Range, lo uint64) int { return cmp.Compare(r.Lo, lo) }
 // query: per-range pair merges from the shared round-1 response, then one
 // deduplicated round-2 multi-trapdoor over TDAG2. Like round 1's, the
 // round-2 trapdoor is derived under the suite the index's Meta reported.
-func (c *Client) srciRound2(ctx context.Context, s Server, meta IndexMeta, ranges []Range, plan1 *tokenPlan, resp1 *Response, results []*Result, st *BatchStats) error {
+func (c *Client) srciRound2(ctx context.Context, s Source, meta IndexMeta, ranges []Range, plan1 *tokenPlan, resp1 *Response, results []*Result, st *BatchStats) error {
 	ownerStart := time.Now()
 	// live[k] is the input range whose merged positions are ivs[k]; a
 	// one-range query keeps both on the stack.
@@ -558,7 +508,7 @@ func (c *Client) srciRound2(ctx context.Context, s Server, meta IndexMeta, range
 	st.TokenBytes += plan2.trap.Bytes()
 
 	serverStart := time.Now()
-	resp2, err := searchCtx(ctx, s, plan2.trap)
+	resp2, err := searchRound(ctx, s, plan2.trap)
 	if err != nil {
 		return err
 	}
@@ -584,7 +534,7 @@ func (c *Client) srciRound2(ctx context.Context, s Server, meta IndexMeta, range
 // cover's windows are disjoint — so ids repeat only across the ranges of
 // a batch, which fetches each distinct id once, in ascending id order; a
 // single range fetches its raw ids as the server returned them.
-func (c *Client) filter(ctx context.Context, s Server, ranges []Range, results []*Result, st *BatchStats) error {
+func (c *Client) filter(ctx context.Context, s Source, ranges []Range, results []*Result, st *BatchStats) error {
 	ids := results[0].Raw
 	if len(results) > 1 {
 		n := 0

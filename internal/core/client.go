@@ -191,21 +191,6 @@ type Index struct {
 	mapped    bool
 }
 
-// Server is the interface the query protocol runs against: a local
-// *Index satisfies it directly, and the transport layer provides a
-// network-backed implementation so the owner and the server can live in
-// different processes. Implementations must be safe for concurrent use.
-type Server interface {
-	// Meta describes the served index (scheme, domain, size). The client
-	// validates the scheme kind and uses PosBits for SRC-i round 2.
-	Meta() (IndexMeta, error)
-	// Search executes one round of server-side search.
-	Search(t *Trapdoor) (*Response, error)
-	// Fetch returns the encrypted tuple stored under id; ok is false if
-	// the id is unknown.
-	Fetch(id ID) (ct []byte, ok bool, err error)
-}
-
 // IndexMeta is the public metadata of an index — exactly the L1 leakage
 // plus protocol bookkeeping.
 type IndexMeta struct {
@@ -217,17 +202,6 @@ type IndexMeta struct {
 	// Constant scheme derives its GGM tokens under it, so one client
 	// answers from indexes of every suite.
 	Suite prf.Suite
-}
-
-// Meta implements Server.
-func (x *Index) Meta() (IndexMeta, error) {
-	return IndexMeta{Kind: x.kind, DomainBits: x.dom.Bits, PosBits: x.posBits, N: x.n, Suite: x.suite}, nil
-}
-
-// Fetch implements Server.
-func (x *Index) Fetch(id ID) ([]byte, bool, error) {
-	ct, ok := x.store.Get(id)
-	return ct, ok, nil
 }
 
 // Kind returns the scheme that built the index.
@@ -484,25 +458,30 @@ type Result struct {
 // against a local index and returns the matching ids with cost
 // accounting.
 func (c *Client) Query(x *Index, q Range) (*Result, error) {
-	return c.QueryServerContext(context.Background(), x, q)
+	return c.QueryContext(context.Background(), x, q)
 }
 
-// QueryServerContext runs the query protocol against any Server — a
-// local *Index or a transport-layer connection to a remote one. It is
-// the batch protocol on one range (see QueryBatchInto), so its result
-// reports the whole exchange. The protocol aborts between rounds when
-// ctx is done, and context-aware servers (transport handles) honour ctx
-// inside each round too. The Constant schemes reserve q in the
-// intersection history before the protocol runs and release it if the
-// protocol fails, so a failed query (network error, bad trapdoor) never
-// poisons a later retry of the same range.
-func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Result, error) {
+// QueryContext runs the query protocol against any Source — a local
+// *Index or a transport-layer handle on a remote one. It is the batch
+// protocol on one range (see QueryBatchInto), so its result reports the
+// whole exchange. Every round honours ctx. The Constant schemes reserve
+// q in the intersection history before the protocol runs and release it
+// if the protocol fails, so a failed query (network error, bad
+// trapdoor) never poisons a later retry of the same range.
+func (c *Client) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
 	var one [1]*Result
 	br := BatchResult{Results: one[:0]}
 	if err := c.QueryBatchInto(ctx, s, []Range{q}, &br); err != nil {
 		return nil, err
 	}
 	return br.Results[0], nil
+}
+
+// QueryServerContext is QueryContext against a Server.
+//
+// Deprecated: call QueryContext with a Source.
+func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Result, error) {
+	return c.QueryContext(ctx, FromServer(s), q)
 }
 
 // Trapdoor produces the first-round query message for q without running
@@ -523,11 +502,14 @@ func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	return p.trap, nil
 }
 
-// Search executes one server-side round. The server only ever sees the
-// trapdoor; scheme-specific expansion (Constant's GGM derivation) happens
-// here, on the untrusted side, exactly as in the paper's Search
-// algorithms.
-func (x *Index) Search(t *Trapdoor) (*Response, error) {
+// SearchContext executes one server-side round. The server only ever
+// sees the trapdoor; scheme-specific expansion (Constant's GGM
+// derivation) happens here, on the untrusted side, exactly as in the
+// paper's Search algorithms.
+func (x *Index) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	switch {
 	case len(t.GGM) > 0:
 		return x.searchConstant(t)

@@ -276,22 +276,22 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// flakyServer wraps a Server and fails the first `failures` searches —
+// flakyServer wraps a Source and fails the first `failures` searches —
 // the network-error shape that used to poison the Constant schemes'
 // intersection history.
 type flakyServer struct {
-	Server
+	Source
 	failures int
 }
 
 var errFlaky = errors.New("simulated transport failure")
 
-func (s *flakyServer) Search(t *Trapdoor) (*Response, error) {
+func (s *flakyServer) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
 	if s.failures > 0 {
 		s.failures--
 		return nil, errFlaky
 	}
-	return s.Server.Search(t)
+	return s.Source.SearchContext(ctx, t)
 }
 
 // TestRetryAfterFailedQuery: a query that fails mid-protocol must not
@@ -310,12 +310,12 @@ func TestRetryAfterFailedQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flaky := &flakyServer{Server: idx, failures: 1}
+		flaky := &flakyServer{Source: idx, failures: 1}
 		q := Range{100, 200}
-		if _, err := c.QueryServerContext(context.Background(), flaky, q); !errors.Is(err, errFlaky) {
+		if _, err := c.QueryContext(context.Background(), flaky, q); !errors.Is(err, errFlaky) {
 			t.Fatalf("%v: first query error = %v, want simulated failure", kind, err)
 		}
-		res, err := c.QueryServerContext(context.Background(), flaky, q)
+		res, err := c.QueryContext(context.Background(), flaky, q)
 		if err != nil {
 			t.Fatalf("%v: retry of the failed range rejected: %v", kind, err)
 		}
@@ -323,7 +323,7 @@ func TestRetryAfterFailedQuery(t *testing.T) {
 			t.Fatalf("%v: retry returned no matches", kind)
 		}
 		// The successful retry IS recorded: an intersecting query fails.
-		if _, err := c.QueryServerContext(context.Background(), flaky, Range{150, 160}); !errors.Is(err, ErrIntersectingQuery) {
+		if _, err := c.QueryContext(context.Background(), flaky, Range{150, 160}); !errors.Is(err, ErrIntersectingQuery) {
 			t.Fatalf("%v: intersecting query after successful retry = %v", kind, err)
 		}
 	}
@@ -465,21 +465,21 @@ func TestFetchTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.FetchTuple(idx, 1)
+	got, err := c.FetchTuple(perIDServer{idx}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Value != 10 || string(got.Payload) != "alice" {
 		t.Errorf("FetchTuple(1) = %+v", got)
 	}
-	got, err = c.FetchTuple(idx, 3)
+	got, err = c.FetchTuple(perIDServer{idx}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Value != 30 || len(got.Payload) != 0 {
 		t.Errorf("FetchTuple(3) = %+v", got)
 	}
-	if _, err := c.FetchTuple(idx, 99); err == nil {
+	if _, err := c.FetchTuple(perIDServer{idx}, 99); err == nil {
 		t.Error("unknown id accepted")
 	}
 	// A different client (different keys) cannot decrypt the store.
@@ -487,7 +487,7 @@ func TestFetchTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tup, err := c2.FetchTuple(idx, 1); err == nil && tup.Value == 10 {
+	if tup, err := c2.FetchTuple(perIDServer{idx}, 1); err == nil && tup.Value == 10 {
 		t.Error("foreign client decrypted the tuple store")
 	}
 }

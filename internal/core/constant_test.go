@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -73,12 +74,12 @@ func TestTokenLevelBounded(t *testing.T) {
 	if good.GGM[0].Level != bits {
 		t.Fatalf("full-domain token has level %d, want %d", good.GGM[0].Level, bits)
 	}
-	if _, err := idx.Search(good); err != nil {
+	if _, err := idx.SearchContext(context.Background(), good); err != nil {
 		t.Fatalf("token at the domain height refused: %v", err)
 	}
 	for _, level := range []uint8{bits + 1, 31, 63, 64, 255} {
 		bad := &Trapdoor{round: 1, GGM: []dprf.Token{good.GGM[0], {Level: level}}}
-		if _, err := idx.Search(bad); !errors.Is(err, ErrTokenLevel) {
+		if _, err := idx.SearchContext(context.Background(), bad); !errors.Is(err, ErrTokenLevel) {
 			t.Errorf("Search with a level-%d token: err %v, want ErrTokenLevel", level, err)
 		}
 	}

@@ -27,47 +27,12 @@ import (
 // decrypting long before a large result set has finished arriving.
 const FetchChunk = 128
 
-// ManyFetcher is the optional Server capability the fetch round prefers:
-// the ciphertexts of several ids in one exchange, in id order, with a nil
-// entry for an id the server does not know. It is discovered by type
-// assertion, so a Server that offers only Meta/Search/Fetch keeps working
-// (one Fetch per id).
-type ManyFetcher interface {
-	FetchMany(ctx context.Context, ids []ID) ([][]byte, error)
-}
-
-// FetchMany implements ManyFetcher for a local index.
-func (x *Index) FetchMany(ctx context.Context, ids []ID) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(ids))
-	x.store.getMany(ids, out)
-	return out, nil
-}
-
 // fetchEach hands fn the ciphertext of every id, in order (nil for an id
-// the server does not know). Against a ManyFetcher the ids cross in
-// FetchChunk-sized exchanges with at most two chunks in flight: while fn
-// works through chunk k, chunk k+1 is on the wire.
-func fetchEach(ctx context.Context, s Server, ids []ID, fn func(i int, ct []byte) error) error {
+// the source does not hold). The ids cross in FetchChunk-sized exchanges
+// with at most two chunks in flight: while fn works through chunk k,
+// chunk k+1 is on the wire.
+func fetchEach(ctx context.Context, s Source, ids []ID, fn func(i int, ct []byte) error) error {
 	if len(ids) == 0 {
-		return nil
-	}
-	mf, ok := s.(ManyFetcher)
-	if !ok {
-		for i, id := range ids {
-			ct, ok, err := fetchCtx(ctx, s, id)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				ct = nil
-			}
-			if err := fn(i, ct); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	// deliver hands fn the chunk of ciphertexts that starts at ids[base].
@@ -83,7 +48,7 @@ func fetchEach(ctx context.Context, s Server, ids []ID, fn func(i int, ct []byte
 		return nil
 	}
 	if len(ids) <= FetchChunk {
-		cts, err := mf.FetchMany(ctx, ids)
+		cts, err := s.FetchMany(ctx, ids)
 		if err != nil {
 			return err
 		}
@@ -100,7 +65,7 @@ func fetchEach(ctx context.Context, s Server, ids []ID, fn func(i int, ct []byte
 	go func() {
 		defer close(ch)
 		for lo := 0; lo < len(ids); lo += FetchChunk {
-			cts, err := mf.FetchMany(ctx, ids[lo:min(lo+FetchChunk, len(ids))])
+			cts, err := s.FetchMany(ctx, ids[lo:min(lo+FetchChunk, len(ids))])
 			select {
 			case ch <- chunk{cts, err}:
 			case <-ctx.Done():
@@ -138,7 +103,7 @@ var errCorruptTuple = errors.New("core: corrupt tuple ciphertext")
 // fetchValues fetches ids and decrypts just each tuple's value — all the
 // false-positive filter needs: one AES block per id under the cached key
 // schedule, no allocation, however long the payloads are.
-func (c *Client) fetchValues(ctx context.Context, s Server, ids []ID) ([]Value, error) {
+func (c *Client) fetchValues(ctx context.Context, s Source, ids []ID) ([]Value, error) {
 	values := make([]Value, len(ids))
 	var head [aes.BlockSize]byte
 	err := fetchEach(ctx, s, ids, func(i int, ct []byte) error {
@@ -165,7 +130,7 @@ func (c *Client) fetchValues(ctx context.Context, s Server, ids []ID) ([]Value, 
 // order, through the chunked fetch round — what applications and the
 // update layer use to turn a result's ids into documents. An id the
 // server does not know is an error.
-func (c *Client) FetchTuples(ctx context.Context, s Server, ids []ID) ([]Tuple, error) {
+func (c *Client) FetchTuples(ctx context.Context, s Source, ids []ID) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
 	err := fetchEach(ctx, s, ids, func(i int, ct []byte) error {
 		if ct == nil {
@@ -181,18 +146,15 @@ func (c *Client) FetchTuples(ctx context.Context, s Server, ids []ID) ([]Tuple, 
 	return out, nil
 }
 
-// FetchTuple retrieves and decrypts one tuple by id — the orthogonal
-// final step of Section 3 applications use to obtain actual documents.
-// It accepts any Server (local index or remote connection).
+// FetchTuple retrieves and decrypts one tuple by id from a Server.
+//
+// Deprecated: call FetchTuples with a Source.
 func (c *Client) FetchTuple(s Server, id ID) (Tuple, error) {
-	ct, ok, err := s.Fetch(id)
+	tuples, err := c.FetchTuples(context.Background(), FromServer(s), []ID{id})
 	if err != nil {
 		return Tuple{}, err
 	}
-	if !ok {
-		return Tuple{}, fmt.Errorf("core: no tuple with id %d", id)
-	}
-	return c.OpenTuple(id, ct)
+	return tuples[0], nil
 }
 
 // OpenTuple decrypts a ciphertext the caller already fetched for id.

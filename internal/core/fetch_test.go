@@ -12,12 +12,27 @@ import (
 	"rsse/internal/race"
 )
 
-// perIDOnly hides an index's FetchMany: the fetch round falls back to
-// one Fetch per id, which is the reference the chunked round is
-// compared to.
-type perIDOnly struct{ Server }
+// perIDServer is a Source seen through the deprecated Server.
+type perIDServer struct{ s Source }
 
-func hideFetchMany(x *Index) perIDOnly { return perIDOnly{x} }
+func (p perIDServer) Meta() (IndexMeta, error) { return p.s.MetaContext(context.Background()) }
+
+func (p perIDServer) Search(t *Trapdoor) (*Response, error) {
+	return p.s.SearchContext(context.Background(), t)
+}
+
+func (p perIDServer) Fetch(id ID) ([]byte, bool, error) {
+	cts, err := p.s.FetchMany(context.Background(), []ID{id})
+	if err != nil {
+		return nil, false, err
+	}
+	return cts[0], cts[0] != nil, nil
+}
+
+// hideFetchMany serves x through Server and FromServer's adapter: the
+// fetch round takes one Fetch per id, which is the reference the
+// chunked round is compared to.
+func hideFetchMany(x Source) Source { return FromServer(perIDServer{x}) }
 
 // srcFixture builds one SRC-family index twice over: two identically
 // keyed and seeded clients, so a run against the index and a run against
@@ -55,16 +70,13 @@ func TestFetchRoundDifferentialLocal(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			a, b, idx, tuples := srcFixture(t, kind)
 			ref := hideFetchMany(idx)
-			if _, many := Server(ref).(ManyFetcher); many {
-				t.Fatal("wrapper still exposes FetchMany")
-			}
 			pipelined := false
 			for _, q := range srcQueries {
-				got, err := a.QueryServerContext(context.Background(), idx, q)
+				got, err := a.QueryContext(context.Background(), idx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := b.QueryServerContext(context.Background(), ref, q)
+				want, err := b.QueryContext(context.Background(), ref, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +123,7 @@ func TestFetchRoundDifferentialLocal(t *testing.T) {
 				t.Fatal("FetchTuples diverged from per-id fallback")
 			}
 			for i, id := range ids {
-				one, err := a.FetchTuple(idx, id)
+				one, err := a.FetchTuple(perIDServer{idx}, id)
 				if err != nil || !reflect.DeepEqual(one, gotT[i]) {
 					t.Fatalf("FetchTuples[%d] = %+v, FetchTuple = %+v, %v", i, gotT[i], one, err)
 				}
@@ -124,7 +136,7 @@ func TestFetchRoundDifferentialLocal(t *testing.T) {
 // both paths, never a silently dropped tuple.
 func TestFetchRoundUnknownID(t *testing.T) {
 	a, _, idx, _ := srcFixture(t, LogarithmicSRC)
-	for name, s := range map[string]Server{"many": idx, "per-id": hideFetchMany(idx)} {
+	for name, s := range map[string]Source{"many": idx, "per-id": hideFetchMany(idx)} {
 		if _, err := a.FetchTuples(context.Background(), s, []ID{1, 999999}); err == nil {
 			t.Errorf("%s: FetchTuples accepted an unknown id", name)
 		}
@@ -134,7 +146,8 @@ func TestFetchRoundUnknownID(t *testing.T) {
 	}
 }
 
-// scriptedFetcher is a ManyFetcher whose answers a test scripts per call.
+// scriptedFetcher is an index whose FetchMany answers a test scripts per
+// call.
 type scriptedFetcher struct {
 	*Index
 	calls int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -150,7 +151,7 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 		}
 		// Whatever parses is what a server executes: errors fine, panics
 		// and token-sized allocations not.
-		_, _ = idx.Search(td)
+		_, _ = idx.SearchContext(context.Background(), td)
 	})
 }
 

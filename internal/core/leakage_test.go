@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	mrand "math/rand"
 	"reflect"
 	"sort"
@@ -185,7 +186,7 @@ func TestSearchPatternDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta, _ := idx.Meta(); meta.Suite != tc.suite {
+		if meta, _ := idx.MetaContext(context.Background()); meta.Suite != tc.suite {
 			t.Fatalf("%v built suite %v, want %v", tc.kind, meta.Suite, tc.suite)
 		}
 		stagSet := func(q Range) map[[32]byte]bool {
@@ -194,7 +195,7 @@ func TestSearchPatternDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			td := p.trap
-			resp, err := idx.Search(td)
+			resp, err := idx.SearchContext(context.Background(), td)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rsse/internal/cover"
+	"rsse/internal/fault"
 	"rsse/internal/sse"
 	"rsse/internal/storage"
 )
@@ -192,5 +193,25 @@ func TestLoadCopiesOnceOrAliases(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestLoadRefusesOtherEngines: a load serves the blob's own sorted or
+// disk segments, so an engine whose backends it would never build — a
+// fault-injecting wrapper, say — is refused rather than reported in
+// Stats while injecting nothing.
+func TestLoadRefusesOtherEngines(t *testing.T) {
+	_, path := openFileFixture(t, t.TempDir())
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := fault.Engine{Inner: storage.Sorted{}, Plan: fault.BackendPlan{Seed: 1, DelayEvery: 1, DelayMS: 1}}
+	if x, err := UnmarshalIndexWith(blob, eng); err == nil {
+		t.Fatalf("UnmarshalIndexWith onto %s loaded an index reporting %q", eng.Name(), x.Stats().Engine)
+	}
+	if x, err := OpenIndexFile(path, eng); err == nil {
+		x.Close()
+		t.Fatalf("OpenIndexFile onto %s loaded an index reporting %q", eng.Name(), x.Stats().Engine)
 	}
 }

@@ -127,7 +127,7 @@ func TestConcurrentServerSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			trapdoors[i] = td
-			resp, err := idx.Search(td)
+			resp, err := idx.SearchContext(context.Background(), td)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestConcurrentServerSearch(t *testing.T) {
 			go func(i int, td *Trapdoor) {
 				defer wg.Done()
 				for rep := 0; rep < 5; rep++ {
-					resp, err := idx.Search(td)
+					resp, err := idx.SearchContext(context.Background(), td)
 					if err != nil {
 						errs <- err
 						return

@@ -34,18 +34,21 @@ func allKinds() []Kind { return append([]Kind{Quadratic}, nonQuadraticKinds()...
 
 // reshaped answers from x, but its responses to round's trapdoors lose
 // their last group (drop) or gain an empty one. It embeds nothing, so
-// no extension of x's can route around its Search.
+// no method of x's can route around its SearchContext.
 type reshaped struct {
 	x     *Index
 	round int
 	drop  bool
 }
 
-func (s reshaped) Meta() (IndexMeta, error)          { return s.x.Meta() }
-func (s reshaped) Fetch(id ID) ([]byte, bool, error) { return s.x.Fetch(id) }
+func (s reshaped) MetaContext(ctx context.Context) (IndexMeta, error) { return s.x.MetaContext(ctx) }
 
-func (s reshaped) Search(t *Trapdoor) (*Response, error) {
-	resp, err := s.x.Search(t)
+func (s reshaped) FetchMany(ctx context.Context, ids []ID) ([][]byte, error) {
+	return s.x.FetchMany(ctx, ids)
+}
+
+func (s reshaped) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
+	resp, err := s.x.SearchContext(ctx, t)
 	if err != nil || t.Round() != s.round {
 		return resp, err
 	}
@@ -69,14 +72,14 @@ func TestResponseShapeChecked(t *testing.T) {
 		}
 		t.Run(kind.String(), func(t *testing.T) {
 			c, idx := searchFixture(t, kind)
-			if _, err := c.QueryServerContext(context.Background(), reshaped{x: idx}, searchQuery); err != nil {
+			if _, err := c.QueryContext(context.Background(), reshaped{x: idx}, searchQuery); err != nil {
 				t.Fatalf("untouched responses refused: %v", err)
 			}
 			for _, round := range rounds {
 				for _, drop := range []bool{true, false} {
 					s := reshaped{idx, round, drop}
 					for path, run := range map[string]func() error{
-						"Query":      func() error { _, err := c.QueryServerContext(context.Background(), s, searchQuery); return err },
+						"Query":      func() error { _, err := c.QueryContext(context.Background(), s, searchQuery); return err },
 						"QueryBatch": func() error { _, err := c.QueryBatch(s, searchBatch); return err },
 					} {
 						if err := run(); err == nil || !strings.Contains(err.Error(), "groups for") {
@@ -89,15 +92,15 @@ func TestResponseShapeChecked(t *testing.T) {
 	}
 }
 
-// searchCounter embeds *Index and overrides Search alone.
+// searchCounter embeds *Index and overrides SearchContext alone.
 type searchCounter struct {
 	*Index
 	searches int
 }
 
-func (s *searchCounter) Search(t *Trapdoor) (*Response, error) {
+func (s *searchCounter) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
 	s.searches++
-	return s.Index.Search(t)
+	return s.Index.SearchContext(ctx, t)
 }
 
 func roundsOf(res *Result, err error) (int, error) {
@@ -107,19 +110,19 @@ func roundsOf(res *Result, err error) (int, error) {
 	return res.Stats.Rounds, nil
 }
 
-// TestEmbeddedSearchOverride: a server that embeds *Index and overrides
-// Search is searched through its override — once per round — by Query,
-// QueryContext and QueryBatch. *Index used to carry SearchContext and
-// SearchBatchContext, which embedding promoted past the override.
+// TestEmbeddedSearchOverride: a source that embeds *Index and overrides
+// SearchContext is searched through its override — once per round — by
+// QueryContext and QueryBatch. *Index once carried a second search
+// method, which embedding promoted past the override.
 func TestEmbeddedSearchOverride(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			c, idx := searchFixture(t, kind)
 			s := &searchCounter{Index: idx}
 			for path, run := range map[string]func() (int, error){
-				"Query": func() (int, error) { return roundsOf(c.QueryServerContext(context.Background(), s, searchQuery)) },
+				"Query": func() (int, error) { return roundsOf(c.QueryContext(context.Background(), s, searchQuery)) },
 				"QueryContext": func() (int, error) {
-					return roundsOf(c.QueryServerContext(context.Background(), s, searchQuery))
+					return roundsOf(c.QueryContext(context.Background(), s, searchQuery))
 				},
 				"QueryBatch": func() (int, error) {
 					br, err := c.QueryBatch(s, searchBatch)

@@ -60,12 +60,6 @@ func buildStore(k secenc.Key, tuples []Tuple, eng storage.Engine) (*TupleStore, 
 	return s, nil
 }
 
-// Get returns the ciphertext stored for id.
-func (s *TupleStore) Get(id ID) ([]byte, bool) {
-	k := storeKey(id)
-	return s.cts.Get(k[:])
-}
-
 // getMany fills out[i] with the ciphertext stored for ids[i], leaving it
 // nil for an unknown id. One key buffer serves the whole loop: Backend.Get
 // is an interface call, so a per-id buffer would cost an allocation each.

@@ -34,9 +34,9 @@ type wireServer struct {
 	hdr []byte
 }
 
-func (s wireServer) Meta() (IndexMeta, error) { return PeekMeta(s.hdr) }
+func (s wireServer) MetaContext(context.Context) (IndexMeta, error) { return PeekMeta(s.hdr) }
 
-func (s wireServer) Search(t *Trapdoor) (*Response, error) {
+func (s wireServer) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
 	wire, err := t.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -45,7 +45,7 @@ func (s wireServer) Search(t *Trapdoor) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.x.Search(back)
+	resp, err := s.x.SearchContext(ctx, back)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,9 @@ func (s wireServer) Search(t *Trapdoor) (*Response, error) {
 	return UnmarshalResponse(wire)
 }
 
-func (s wireServer) Fetch(id ID) ([]byte, bool, error) { return s.x.Fetch(id) }
+func (s wireServer) FetchMany(ctx context.Context, ids []ID) ([][]byte, error) {
+	return s.x.FetchMany(ctx, ids)
+}
 
 // suiteConstructions are the four SSE constructions at test-sized
 // parameters.
@@ -176,7 +178,7 @@ func testSuiteConformance(t *testing.T, kind Kind, sch sse.Scheme, suite prf.Sui
 	}
 	// The reference raw sets come from the index as built; every loaded
 	// copy must return the same ones.
-	check := func(label string, s Server, want [][]ID) [][]ID {
+	check := func(label string, s Source, want [][]ID) [][]ID {
 		t.Helper()
 		o := testOptions(203)
 		o.SSE, o.AllowIntersecting = sch, true
@@ -186,7 +188,7 @@ func testSuiteConformance(t *testing.T, kind Kind, sch sse.Scheme, suite prf.Sui
 		}
 		raws := make([][]ID, len(in.ranges))
 		for i, q := range in.ranges {
-			res, err := c.QueryServerContext(context.Background(), s, q)
+			res, err := c.QueryContext(context.Background(), s, q)
 			if err != nil {
 				t.Fatalf("%s: query %v: %v", label, q, err)
 			}
@@ -216,7 +218,7 @@ func testSuiteConformance(t *testing.T, kind Kind, sch sse.Scheme, suite prf.Sui
 		if err != nil {
 			t.Fatalf("load onto %s: %v", eng.Name(), err)
 		}
-		if meta, _ := x.Meta(); meta.Suite != suite {
+		if meta, _ := x.MetaContext(context.Background()); meta.Suite != suite {
 			t.Fatalf("%s: loaded index reports suite %v, want %v", eng.Name(), meta.Suite, suite)
 		}
 		check(eng.Name()+"/local", x, want)
@@ -249,7 +251,7 @@ func TestSuiteDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta, _ := idx.Meta()
+		meta, _ := idx.MetaContext(context.Background())
 		peek, err := PeekMeta(blob)
 		if err != nil {
 			t.Fatal(err)
@@ -429,7 +431,7 @@ func TestGoldenSuites(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s onto %s: %v", path, eng.Name(), err)
 					}
-					if meta, _ := x.Meta(); meta.Suite != suite || meta.Kind != kind || meta.DomainBits != goldenBits || meta.N != want.N {
+					if meta, _ := x.MetaContext(context.Background()); meta.Suite != suite || meta.Kind != kind || meta.DomainBits != goldenBits || meta.N != want.N {
 						t.Fatalf("%s onto %s: meta %+v, want %+v", path, eng.Name(), meta, want)
 					}
 					queryAll(t, kind, x, path+"/"+eng.Name())

@@ -114,13 +114,20 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 }
 
 // UnmarshalIndexWith reconstructs a serialized Index onto an explicit
-// storage engine (nil selects the default, storage.Sorted). Every
-// section is served in place; the engine decides only whose bytes. On
-// storage.Disk the returned index aliases data, which must stay valid
-// and unmodified for the index's lifetime (OpenIndexFile manages that
-// pairing for files); on any other engine it serves a private copy of
-// data, made once here, and data may be reused at once.
+// storage engine: nil (the default, storage.Sorted), storage.Sorted or
+// storage.Disk. Every section is served in place; the engine decides
+// only whose bytes. On storage.Disk the returned index aliases data,
+// which must stay valid and unmodified for the index's lifetime
+// (OpenIndexFile manages that pairing for files); on storage.Sorted it
+// serves a private copy of data, made once here, and data may be reused
+// at once. Any other engine is refused: a load opens the blob's own
+// segments, so no engine's backend would serve them.
 func UnmarshalIndexWith(data []byte, eng storage.Engine) (*Index, error) {
+	switch eng.(type) {
+	case nil, storage.Sorted, storage.Disk:
+	default:
+		return nil, fmt.Errorf("core: cannot load onto storage engine %q: a load serves sorted or disk segments only", eng.Name())
+	}
 	meta, err := PeekMeta(data)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -47,9 +48,9 @@ func TestIndexMarshalRoundtripAllKinds(t *testing.T) {
 			t.Fatalf("%v: results differ after roundtrip", kind)
 		}
 		// Tuple store survives too.
-		tup, err := c.FetchTuple(back, tuples[0].ID)
-		if err != nil || tup.Value != tuples[0].Value {
-			t.Fatalf("%v: store lost in roundtrip: %v %v", kind, tup, err)
+		tups, err := c.FetchTuples(context.Background(), back, []ID{tuples[0].ID})
+		if err != nil || tups[0].Value != tuples[0].Value {
+			t.Fatalf("%v: store lost in roundtrip: %v %v", kind, tups, err)
 		}
 	}
 }

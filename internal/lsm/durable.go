@@ -174,17 +174,14 @@ func OpenManager(dir string, kind core.Kind, dom cover.Domain, step int, master 
 	return m, nil
 }
 
-// loadEpoch reopens one persisted epoch: the sealed index from its file,
-// the per-epoch client re-derived from the manager's master key.
+// loadEpoch reopens one persisted epoch: the sealed index from its file
+// (mapped and, on sorted, copied once), the per-epoch client re-derived
+// from the manager's master key. The manager closes the index when
+// consolidation retires the epoch, or on Close.
 func (m *Manager) loadEpoch(ent manifestEpoch) (*epoch, error) {
-	path := filepath.Join(m.dir, ent.File)
-	blob, err := os.ReadFile(path)
+	index, err := core.OpenIndexFile(filepath.Join(m.dir, ent.File), m.opts.Storage)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: epoch %d: %w", ent.Seq, err)
-	}
-	index, err := core.UnmarshalIndexWith(blob, m.opts.Storage)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: epoch %d (%s): %w", ent.Seq, ent.File, err)
 	}
 	opts := m.opts
 	key := prf.DeriveN(m.master, "epoch", ent.Seq)
@@ -304,16 +301,20 @@ func (m *Manager) WALSize() (int64, error) {
 	return m.log.Size()
 }
 
-// Close syncs and closes the write-ahead log. Pending (unflushed)
-// updates are NOT flushed — they are already durable in the WAL, and
-// exact recovery reproduces them as pending; call Flush first to seal
-// them into an epoch instead. Close is a no-op for memory-only managers.
+// Close syncs and closes the write-ahead log and releases every epoch's
+// index file. Pending (unflushed) updates are NOT flushed — they are
+// already durable in the WAL, and exact recovery reproduces them as
+// pending; call Flush first to seal them into an epoch instead. Close is
+// a no-op for memory-only managers.
 func (m *Manager) Close() error {
 	if m.log == nil {
 		return nil
 	}
 	err := m.log.Close()
 	m.log = nil
+	for _, lvl := range m.levels {
+		closeEpochs(lvl)
+	}
 	return err
 }
 

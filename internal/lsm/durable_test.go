@@ -7,6 +7,7 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -337,7 +338,8 @@ func TestFlushFailureKeepsPending(t *testing.T) {
 }
 
 // TestClosedManagerRefusesUpdates: a durable manager must not hand out
-// durability acknowledgements after its WAL is gone.
+// durability acknowledgements after its WAL is gone, nor answer from
+// epoch files it has released.
 func TestClosedManagerRefusesUpdates(t *testing.T) {
 	dir := t.TempDir()
 	m := openTestManager(t, dir, 1)
@@ -355,6 +357,10 @@ func TestClosedManagerRefusesUpdates(t *testing.T) {
 	}
 	if err := m.FullConsolidate(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("FullConsolidate after Close: got %v, want ErrClosed", err)
+	}
+	// Close released the epochs' index files, so a query is refused too.
+	if _, _, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: 10}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Query after Close: got %v, want ErrClosed", err)
 	}
 	// Memory-only managers are unaffected: Close is a no-op for them.
 	mem, err := NewManagerWithMaster(core.LogarithmicBRC, cover.Domain{Bits: 12}, 2, testMaster(t), testOpts())
@@ -690,5 +696,55 @@ func TestWALHighWaterSkip(t *testing.T) {
 	}
 	if got := queryAll(t, m2); len(got) != 3 {
 		t.Fatalf("append after skip: %d tuples, want 3", len(got))
+	}
+}
+
+// TestReopenCopiesEpochOnce: reopening a durable store maps each epoch
+// file and, on the default sorted engine, copies it once, so the reopen
+// allocates less than 1.5× the epoch file. Reading the file onto the
+// heap and then cloning it for the load allocated twice the file.
+func TestReopenCopiesEpochOnce(t *testing.T) {
+	dir := t.TempDir()
+	m := openTestManager(t, dir, 1<<20)
+	const n = 4000
+	payload := bytes.Repeat([]byte{'p'}, 512)
+	for i := 0; i < n; i++ {
+		if err := m.Insert(core.ID(i+1), core.Value(i%4096), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "epoch-*.idx"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("epoch files %v, %v; want one", files, err)
+	}
+	mf, err := storage.MapFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, mapped := len(mf.Data), mf.Mapped()
+	mf.Close()
+	if !mapped {
+		t.Skip("no mmap on this platform: the file is read onto the heap before its copy")
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m = openTestManager(t, dir, 1<<20)
+	runtime.ReadMemStats(&after)
+	defer m.Close()
+	t.Logf("reopen allocated %d bytes for a %d-byte epoch file", after.TotalAlloc-before.TotalAlloc, size)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(size)*3/2; got >= limit {
+		t.Fatalf("reopening a %d-byte epoch allocated %d bytes, want under %d (1.5× the file)", size, got, limit)
+	}
+	got, _, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: 4095})
+	if err != nil || len(got) != n {
+		t.Fatalf("reopened store answers %d tuples, %v; want %d", len(got), err, n)
 	}
 }

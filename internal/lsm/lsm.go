@@ -50,9 +50,10 @@ type Op struct {
 // Errors returned by the manager.
 var (
 	ErrBadStep = errors.New("lsm: consolidation step must be at least 2")
-	// ErrClosed is returned when a durable manager is mutated after
-	// Close: silently downgrading to memory-only would hand out
-	// durability acknowledgements that mean nothing.
+	// ErrClosed is returned when a durable manager is mutated or queried
+	// after Close: silently downgrading to memory-only would hand out
+	// durability acknowledgements that mean nothing, and Close released
+	// the epochs' index files.
 	ErrClosed = errors.New("lsm: manager is closed")
 )
 
@@ -320,6 +321,7 @@ func (m *Manager) consolidate() error {
 				return err
 			}
 			m.levels[lvl] = append([]*epoch(nil), m.levels[lvl][m.step:]...)
+			closeEpochs(group)
 			if lvl+1 == len(m.levels) {
 				m.levels = append(m.levels, nil)
 			}
@@ -329,6 +331,15 @@ func (m *Manager) consolidate() error {
 		}
 	}
 	return nil
+}
+
+// closeEpochs releases the indexes of epochs the manager no longer
+// holds: a reopened epoch's file mapping, if it kept one. Built epochs
+// hold none.
+func closeEpochs(es []*epoch) {
+	for _, e := range es {
+		e.index.Close()
+	}
 }
 
 // downloadOps decrypts every record of an epoch — the "owner downloads
@@ -412,6 +423,7 @@ func (m *Manager) FullConsolidate() error {
 	if err != nil {
 		return err
 	}
+	closeEpochs(all)
 	m.levels = [][]*epoch{nil, {merged}}
 	m.dirty = true
 	mConsolidations.Inc()
@@ -455,6 +467,9 @@ func (m *Manager) Query(ctx context.Context, q core.Range) ([]core.Tuple, QueryS
 // order.
 func (m *Manager) QueryBatch(ctx context.Context, qs []core.Range) ([][]core.Tuple, QueryStats, error) {
 	var stats QueryStats
+	if m.closed() {
+		return nil, stats, ErrClosed
+	}
 	// latest[i] holds range i's newest operation per application id.
 	latest := make([]map[core.ID]Op, len(qs))
 	for i := range latest {

@@ -274,7 +274,7 @@ func TestForwardPrivacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The old token works against its own index...
-	resp, err := oldEpoch.index.Search(oldTrapdoor)
+	resp, err := oldEpoch.index.SearchContext(context.Background(), oldTrapdoor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestForwardPrivacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	newEpoch := m.levels[0][1]
-	resp, err = newEpoch.index.Search(oldTrapdoor)
+	resp, err = newEpoch.index.SearchContext(context.Background(), oldTrapdoor)
 	if err != nil {
 		t.Fatal(err)
 	}

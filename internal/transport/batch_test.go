@@ -105,7 +105,7 @@ func TestBatchQueryOp(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &searchRecorder{IndexHandle: pipeRegistry(t, reg).Index(name)}
-			if _, err := rec.Meta(); err != nil { // keep the meta frame out of the count
+			if _, err := rec.MetaContext(context.Background()); err != nil { // keep the meta frame out of the count
 				t.Fatal(err)
 			}
 			m := uint64(1024)
@@ -146,7 +146,7 @@ func TestBatchQueryOp(t *testing.T) {
 				t.Errorf("queries/tokens/token bytes/items moved %v, want %v", ix, wantIx)
 			}
 			for i, tr := range rec.ts {
-				local, err := idx.Search(tr)
+				local, err := idx.SearchContext(context.Background(), tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +166,7 @@ func TestBatchQueryOp(t *testing.T) {
 // against the local index.
 func batchOneFramePerRound(t *testing.T, client *core.Client, h *IndexHandle, index *core.Index, ranges []core.Range) {
 	t.Helper()
-	if _, err := h.Meta(); err != nil {
+	if _, err := h.MetaContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := requestCounts()
@@ -230,7 +230,7 @@ func TestBatchStreamError(t *testing.T) {
 	}
 	conn := pipeRegistry(t, reg)
 	gone := conn.Index("gone")
-	if _, err := gone.Meta(); err != nil {
+	if _, err := gone.MetaContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	reg.Deregister("gone")
@@ -253,9 +253,9 @@ type blockingServer struct {
 	release chan struct{}
 }
 
-func (s *blockingServer) Meta() (core.IndexMeta, error) { return s.meta, nil }
+func (s *blockingServer) MetaContext(context.Context) (core.IndexMeta, error) { return s.meta, nil }
 
-func (s *blockingServer) Search(t *core.Trapdoor) (*core.Response, error) {
+func (s *blockingServer) SearchContext(_ context.Context, t *core.Trapdoor) (*core.Response, error) {
 	select {
 	case s.started <- struct{}{}:
 	default:
@@ -264,7 +264,9 @@ func (s *blockingServer) Search(t *core.Trapdoor) (*core.Response, error) {
 	return &core.Response{Groups: make([][][]byte, t.Tokens())}, nil
 }
 
-func (s *blockingServer) Fetch(id core.ID) ([]byte, bool, error) { return nil, false, nil }
+func (s *blockingServer) FetchMany(_ context.Context, ids []core.ID) ([][]byte, error) {
+	return make([][]byte, len(ids)), nil
+}
 
 // TestBatchQueryCancellation: a context cancelled mid-batch — while the
 // server is still searching — returns promptly with context.Canceled,

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -75,7 +76,7 @@ func TestRegistryChurnUnderLoad(t *testing.T) {
 			if i%3 == 0 {
 				time.Sleep(50 * time.Microsecond)
 			}
-			if err := reg.RegisterLazy(name, func() (core.Server, error) { return idx, nil }); err != nil {
+			if err := reg.RegisterLazy(name, func() (core.Source, error) { return idx, nil }); err != nil {
 				t.Errorf("re-register %s: %v", name, err)
 				return
 			}
@@ -98,7 +99,7 @@ func TestRegistryChurnUnderLoad(t *testing.T) {
 					t.Errorf("trapdoor: %v", err)
 					return
 				}
-				resp, err := h.Search(trap)
+				resp, err := h.SearchContext(context.Background(), trap)
 				switch {
 				case err == nil:
 					if got := resp.Items(); got != wantMatches {
@@ -116,7 +117,7 @@ func TestRegistryChurnUnderLoad(t *testing.T) {
 				}
 				// Interleave Meta and Fetch so multiple op types churn too.
 				if i%5 == 0 {
-					if _, err := h.Meta(); err != nil && !strings.Contains(err.Error(), "unknown index") {
+					if _, err := h.MetaContext(context.Background()); err != nil && !strings.Contains(err.Error(), "unknown index") {
 						t.Errorf("meta failed hard: %v", err)
 						return
 					}
@@ -145,7 +146,7 @@ func TestRegistryChurnUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Index(name).Search(trap); err != nil {
+		if _, err := conn.Index(name).SearchContext(context.Background(), trap); err != nil {
 			t.Fatalf("post-churn query on %s: %v", name, err)
 		}
 	}
@@ -173,7 +174,7 @@ func TestRegistryChurnStatsSafe(t *testing.T) {
 			default:
 			}
 			reg.Deregister("x")
-			_ = reg.RegisterLazy("x", func() (core.Server, error) { return idx, nil })
+			_ = reg.RegisterLazy("x", func() (core.Source, error) { return idx, nil })
 		}
 	}()
 	go func() {

@@ -301,7 +301,7 @@ func (c *Conn) Names() ([]string, error) {
 }
 
 // Index returns a handle on the served index called name. The handle
-// implements core.Server and is safe for concurrent use; creating it
+// is a core.Source and is safe for concurrent use; creating it
 // performs no I/O (an unknown name surfaces on first use).
 func (c *Conn) Index(name string) *IndexHandle {
 	return &IndexHandle{conn: c, name: name}
@@ -310,8 +310,8 @@ func (c *Conn) Index(name string) *IndexHandle {
 // Default returns the handle single-index deployments talk to.
 func (c *Conn) Default() *IndexHandle { return c.Index(DefaultIndex) }
 
-// IndexHandle addresses one named index over a shared Conn. It
-// implements core.Server; all methods are safe for concurrent use.
+// IndexHandle addresses one named index over a shared Conn. It is a
+// core.Source; all methods are safe for concurrent use.
 type IndexHandle struct {
 	conn *Conn
 	name string
@@ -382,13 +382,8 @@ func parseMeta(resp []byte) (core.IndexMeta, error) {
 	return meta, nil
 }
 
-// Meta implements core.Server. A successful result is cached for the
-// handle's lifetime (see metaCache).
-func (h *IndexHandle) Meta() (core.IndexMeta, error) {
-	return h.MetaContext(context.Background())
-}
-
-// MetaContext is Meta with cancellation: the round trip aborts as soon
+// MetaContext implements core.Source. A successful result is cached for
+// the handle's lifetime (see metaCache); the round trip aborts as soon
 // as ctx is done.
 func (h *IndexHandle) MetaContext(ctx context.Context) (core.IndexMeta, error) {
 	return h.meta.get(ctx, func(ctx context.Context) (core.IndexMeta, error) {
@@ -396,13 +391,13 @@ func (h *IndexHandle) MetaContext(ctx context.Context) (core.IndexMeta, error) {
 	})
 }
 
-// Search implements core.Server.
-func (h *IndexHandle) Search(t *core.Trapdoor) (*core.Response, error) {
-	return h.SearchContext(context.Background(), t)
-}
+// Meta is MetaContext without cancellation.
+//
+// Deprecated: call MetaContext.
+func (h *IndexHandle) Meta() (core.IndexMeta, error) { return h.MetaContext(context.Background()) }
 
-// SearchContext implements core.ContextSearcher: the round trip aborts
-// as soon as ctx is done.
+// SearchContext implements core.Source: the round trip aborts as soon
+// as ctx is done.
 func (h *IndexHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (*core.Response, error) {
 	payload, err := t.MarshalBinary()
 	if err != nil {
@@ -413,14 +408,4 @@ func (h *IndexHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (*cor
 		return nil, err
 	}
 	return core.UnmarshalResponse(resp)
-}
-
-// Fetch implements core.Server.
-func (h *IndexHandle) Fetch(id core.ID) ([]byte, bool, error) {
-	return h.FetchContext(context.Background(), id)
-}
-
-// FetchContext implements core.ContextFetcher as a one-id fetch-many.
-func (h *IndexHandle) FetchContext(ctx context.Context, id core.ID) ([]byte, bool, error) {
-	return fetchOne(ctx, h, id)
 }

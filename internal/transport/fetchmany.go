@@ -66,43 +66,22 @@ func fetchManyCount(payload []byte) int {
 	return int(binary.BigEndian.Uint32(payload))
 }
 
-// fetchAll reads the ciphertexts of ids from a served index (nil for an
-// unknown id): in one call where the index offers it — a *core.Index
-// does — id by id otherwise.
-func fetchAll(idx core.Server, ids []core.ID) ([][]byte, error) {
-	if mf, ok := idx.(core.ManyFetcher); ok {
-		cts, err := mf.FetchMany(context.Background(), ids)
-		if err == nil && len(cts) != len(ids) {
-			err = fmt.Errorf("transport: index returned %d ciphertexts for %d ids", len(cts), len(ids))
-		}
-		return cts, err
-	}
-	cts := make([][]byte, len(ids))
-	for i, id := range ids {
-		ct, ok, err := idx.Fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			cts[i] = ct
-		}
-	}
-	return cts, nil
-}
-
 // handleFetchMany answers one fetch-many request against idx. The two
 // per-index counters advance by the number of ids, exactly as that many
 // single fetches would have moved them.
-func handleFetchMany(idx core.Server, ob *indexObs, payload []byte) ([]byte, error) {
+func handleFetchMany(idx core.Source, ob *indexObs, payload []byte) ([]byte, error) {
 	ids, err := parseFetchManyRequest(payload)
 	if err != nil {
 		return nil, err
 	}
 	ob.fetches.Add(uint64(len(ids)))
 	ob.rawIDs.Add(uint64(len(ids)))
-	cts, err := fetchAll(idx, ids)
+	cts, err := idx.FetchMany(context.Background(), ids)
 	if err != nil {
 		return nil, err
+	}
+	if len(cts) != len(ids) {
+		return nil, fmt.Errorf("transport: index returned %d ciphertexts for %d ids", len(cts), len(ids))
 	}
 	size := 4 + 4*len(cts)
 	for _, ct := range cts {
@@ -153,7 +132,7 @@ func parseFetchManyResponse(payload []byte, want int) ([][]byte, error) {
 	return out, nil
 }
 
-// FetchMany implements core.ManyFetcher: all ids cross in one frame and
+// FetchMany implements core.Source: all ids cross in one frame and
 // their ciphertexts return in one frame.
 func (h *IndexHandle) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
 	if len(ids) > maxFetchMany {
@@ -167,17 +146,19 @@ func (h *IndexHandle) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, e
 	return parseFetchManyResponse(resp, len(ids))
 }
 
-// fetchOne is a single fetch: a one-id FetchMany, whose nil entry is an
-// id the server does not hold.
-func fetchOne(ctx context.Context, mf core.ManyFetcher, id core.ID) ([]byte, bool, error) {
-	cts, err := mf.FetchMany(ctx, []core.ID{id})
+// FetchContext is a single fetch: a one-id FetchMany, whose nil entry
+// is an id the server does not hold.
+//
+// Deprecated: call FetchMany.
+func (h *IndexHandle) FetchContext(ctx context.Context, id core.ID) ([]byte, bool, error) {
+	cts, err := h.FetchMany(ctx, []core.ID{id})
 	if err != nil {
 		return nil, false, err
 	}
 	return cts[0], cts[0] != nil, nil
 }
 
-// FetchMany implements core.ManyFetcher with retries — an idempotent
+// FetchMany implements core.Source with retries — an idempotent
 // read like Search. Every attempt decodes a fresh response, so a frame
 // the connection died under is discarded whole.
 func (h *ResilientHandle) FetchMany(ctx context.Context, ids []core.ID) (cts [][]byte, err error) {

@@ -20,24 +20,28 @@ import (
 	"rsse/internal/storage"
 )
 
-// perIDOnly hides a handle's FetchMany while keeping its context-aware
-// single fetch and search: the owner's fetch round falls back to one
-// one-id fetch-many frame per id — the reference the chunked round is
-// compared to.
-type perIDOnly struct {
-	core.Server
-	core.ContextSearcher
-	core.ContextFetcher
+// perIDServer is a Source seen through the deprecated core.Server, a
+// single fetch being a one-id fetch-many frame.
+type perIDServer struct{ s core.Source }
+
+func (p perIDServer) Meta() (core.IndexMeta, error) { return p.s.MetaContext(context.Background()) }
+
+func (p perIDServer) Search(t *core.Trapdoor) (*core.Response, error) {
+	return p.s.SearchContext(context.Background(), t)
 }
 
-type fullHandle interface {
-	core.Server
-	core.ContextSearcher
-	core.ContextFetcher
-	core.ManyFetcher
+func (p perIDServer) Fetch(id core.ID) ([]byte, bool, error) {
+	cts, err := p.s.FetchMany(context.Background(), []core.ID{id})
+	if err != nil {
+		return nil, false, err
+	}
+	return cts[0], cts[0] != nil, nil
 }
 
-func hideFetchMany(h fullHandle) core.Server { return perIDOnly{h, h, h} }
+// hideFetchMany serves h through core.Server and core.FromServer's
+// adapter: the owner's fetch round sends one one-id fetch-many frame per
+// id — the reference the chunked round is compared to.
+func hideFetchMany(h core.Source) core.Source { return core.FromServer(perIDServer{h}) }
 
 // TestFetchManyOp: one fetch-many frame returns exactly the ciphertexts
 // the served index holds, in id order, nil for unknown ids — and a
@@ -53,18 +57,19 @@ func TestFetchManyOp(t *testing.T) {
 	if len(got) != len(ids) {
 		t.Fatalf("%d ciphertexts for %d ids", len(got), len(ids))
 	}
+	wants, err := idx.FetchMany(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, id := range ids {
-		want, ok, err := idx.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, ok := wants[i], wants[i] != nil
 		if !ok && got[i] != nil {
 			t.Fatalf("id %d: unknown id answered with %d bytes", id, len(got[i]))
 		}
 		if ok && !bytes.Equal(got[i], want) {
 			t.Fatalf("id %d: fetch-many ciphertext differs from the index's", id)
 		}
-		one, found, err := h.Fetch(id)
+		one, found, err := h.FetchContext(context.Background(), id)
 		if err != nil || found != ok || !bytes.Equal(one, want) {
 			t.Fatalf("id %d: single fetch = %d bytes, %v, %v; want %d bytes, %v", id, len(one), found, err, len(want), ok)
 		}
@@ -98,7 +103,7 @@ func TestFetchManyServerRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want a server error response", name, err)
 		}
 	}
-	if _, err := conn.Default().Meta(); err != nil {
+	if _, err := conn.Default().MetaContext(context.Background()); err != nil {
 		t.Fatalf("connection did not survive rejected frames: %v", err)
 	}
 }
@@ -133,15 +138,23 @@ func TestFetchManyResponseParser(t *testing.T) {
 	}
 }
 
-// stubStore is a core.Server holding a few ciphertexts, for driving the
+// stubStore is a core.Source holding a few ciphertexts, for driving the
 // fetch-many handler without an index.
 type stubStore map[core.ID][]byte
 
-func (s stubStore) Meta() (core.IndexMeta, error) { return core.IndexMeta{}, nil }
-func (s stubStore) Search(*core.Trapdoor) (*core.Response, error) {
+func (s stubStore) MetaContext(context.Context) (core.IndexMeta, error) { return core.IndexMeta{}, nil }
+
+func (s stubStore) SearchContext(context.Context, *core.Trapdoor) (*core.Response, error) {
 	return &core.Response{}, nil
 }
-func (s stubStore) Fetch(id core.ID) ([]byte, bool, error) { ct, ok := s[id]; return ct, ok, nil }
+
+func (s stubStore) FetchMany(_ context.Context, ids []core.ID) ([][]byte, error) {
+	out := make([][]byte, len(ids))
+	for i, id := range ids {
+		out[i] = s[id]
+	}
+	return out, nil
+}
 
 // FuzzFetchManyFrames throws arbitrary bytes at both fetch-many parsers.
 // Neither may panic or over-allocate; whatever the request parser accepts
@@ -218,16 +231,16 @@ func TestFetchManyDifferential(t *testing.T) {
 			b, _, _ := testClientIndex(t, kind)
 			pool := NewPoolFunc("pipe", pipeDial(t, idx, nil, nil))
 			defer pool.Close()
-			for name, h := range map[string]fullHandle{
+			for name, h := range map[string]core.Source{
 				"remote":    pipeServer(t, idx).Default(),
 				"resilient": NewRedialer(pool, "a", RetryPolicy{}).Default(),
 			} {
 				for _, q := range srcQueries {
-					got, err := a.QueryServerContext(context.Background(), h, q)
+					got, err := a.QueryContext(context.Background(), h, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := b.QueryServerContext(context.Background(), hideFetchMany(h), q)
+					want, err := b.QueryContext(context.Background(), hideFetchMany(h), q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -263,14 +276,14 @@ func TestFetchManyFrameCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := pipeRegistry(t, reg).Index(name)
-	if _, err := h.Meta(); err != nil { // keep the meta frame out of the count
+	if _, err := h.MetaContext(context.Background()); err != nil { // keep the meta frame out of the count
 		t.Fatal(err)
 	}
 	fetches, rawIDs := ixFetches.With(name), ixRawIDs.With(name)
 	for _, q := range srcQueries {
 		before := requestCounts()
 		fetches0, raw0 := fetches.Value(), rawIDs.Value()
-		res, err := c.QueryServerContext(context.Background(), h, q)
+		res, err := c.QueryContext(context.Background(), h, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,9 +312,9 @@ func TestFetchManyFrameCount(t *testing.T) {
 // slow-query threshold.
 type slowStore struct{ stubStore }
 
-func (s slowStore) Fetch(id core.ID) ([]byte, bool, error) {
-	time.Sleep(2 * time.Millisecond)
-	return s.stubStore.Fetch(id)
+func (s slowStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
+	time.Sleep(2 * time.Millisecond * time.Duration(len(ids)))
+	return s.stubStore.FetchMany(ctx, ids)
 }
 
 // TestFetchManySlowQueryLine: the slow-query record of a fetch-many
@@ -349,13 +362,13 @@ type parkedStore struct {
 	release chan struct{}
 }
 
-func (s *parkedStore) Fetch(id core.ID) ([]byte, bool, error) {
+func (s *parkedStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
 	select {
 	case s.started <- struct{}{}:
 	default:
 	}
 	<-s.release
-	return s.Index.Fetch(id)
+	return s.Index.FetchMany(ctx, ids)
 }
 
 // TestFilterCancellation: a context cancelled while the fetch round is
@@ -365,9 +378,7 @@ func TestFilterCancellation(t *testing.T) {
 	c, idx, tuples := testClientIndex(t, core.LogarithmicSRCi)
 	parked := &parkedStore{Index: idx, started: make(chan struct{}, 1), release: make(chan struct{})}
 	reg := NewRegistry()
-	// Registered as a plain core.Server: the handler fetches id by id and
-	// parks on the first.
-	if err := reg.Register("parked", struct{ core.Server }{parked}); err != nil {
+	if err := reg.Register("parked", parked); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register("fast", idx); err != nil {
@@ -382,7 +393,7 @@ func TestFilterCancellation(t *testing.T) {
 	}()
 	q := core.Range{Lo: 0, Hi: 1023}
 	start := time.Now()
-	_, err := c.QueryServerContext(ctx, conn.Index("parked"), q)
+	_, err := c.QueryContext(ctx, conn.Index("parked"), q)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled filter returned %v, want context.Canceled", err)
 	}
@@ -390,7 +401,7 @@ func TestFilterCancellation(t *testing.T) {
 		t.Fatalf("cancelled filter took %v to return", waited)
 	}
 	close(parked.release)
-	res, err := c.QueryServerContext(context.Background(), conn.Index("fast"), q)
+	res, err := c.QueryContext(context.Background(), conn.Index("fast"), q)
 	if err != nil {
 		t.Fatalf("query after cancellation: %v", err)
 	}
@@ -507,7 +518,7 @@ func TestQueryPathAllocs(t *testing.T) {
 	c, h, ranges := remoteFilterSetup(t)
 	i, raw := 0, 0
 	got := testing.AllocsPerRun(64, func() {
-		res, err := c.QueryServerContext(context.Background(), h, ranges[i%len(ranges)])
+		res, err := c.QueryContext(context.Background(), h, ranges[i%len(ranges)])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,18 +20,18 @@ import (
 	"rsse/internal/storage"
 )
 
-// panicStore is a real index whose Search and FetchMany panic while
-// armed.
+// panicStore is a real index whose SearchContext and FetchMany panic
+// while armed.
 type panicStore struct {
 	*core.Index
 	armed atomic.Bool
 }
 
-func (p *panicStore) Search(t *core.Trapdoor) (*core.Response, error) {
+func (p *panicStore) SearchContext(ctx context.Context, t *core.Trapdoor) (*core.Response, error) {
 	if p.armed.Load() {
 		panic("search exploded")
 	}
-	return p.Index.Search(t)
+	return p.Index.SearchContext(ctx, t)
 }
 
 func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
@@ -44,7 +44,7 @@ func (p *panicStore) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, er
 // tokenPanicSSE builds Basic dictionaries whose Search panics in the
 // call that reaches the left-th stag from now: inside a real
 // *core.Index that is the search of some token, deep inside
-// Index.Search on the handler's goroutine. left <= 0 is disarmed.
+// Index.SearchContext on the handler's goroutine. left <= 0 is disarmed.
 type tokenPanicSSE struct{ left *atomic.Int32 }
 
 func (p tokenPanicSSE) Name() string { return "basic" }
@@ -140,11 +140,11 @@ func TestHandlerPanicContained(t *testing.T) {
 		stack string // a frame only this panic's stack has
 		call  func() error
 	}{
-		{"search", DefaultIndex, arm, "panicStore", func() error { _, err := h.Search(one); return err }},
+		{"search", DefaultIndex, arm, "panicStore", func() error { _, err := h.SearchContext(context.Background(), one); return err }},
 		{"search", DefaultIndex, arm, "panicStore", func() error { return batch(client, h) }},
 		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, err := h.FetchMany(context.Background(), []core.ID{1, 2}); return err }},
-		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, _, err := h.Fetch(1); return err }},
-		{"search", dictIndex, armThirdToken, "tokenPanicIndex", func() error { _, err := wh.Search(wrange); return err }},
+		{"fetch_many", DefaultIndex, arm, "panicStore", func() error { _, _, err := h.FetchContext(context.Background(), 1); return err }},
+		{"search", dictIndex, armThirdToken, "tokenPanicIndex", func() error { _, err := wh.SearchContext(context.Background(), wrange); return err }},
 		{"search", dictIndex, armThirdToken, "tokenPanicIndex", func() error { return batch(wclient, wh) }},
 	}
 	for _, tc := range ops {

@@ -88,7 +88,7 @@ func TestPooledTransportDifferential(t *testing.T) {
 			localClient := newTestClient(t, kind)
 			remote := pipeServer(t, idx).Default()
 			for _, q := range queries {
-				got, err := remoteClient.QueryServerContext(context.Background(), remote, q)
+				got, err := remoteClient.QueryContext(context.Background(), remote, q)
 				if err != nil {
 					t.Fatalf("remote query %v: %v", q, err)
 				}
@@ -132,14 +132,14 @@ func TestConcurrentClientsSharedConn(t *testing.T) {
 		wants [][]byte
 	)
 	for _, q := range queries {
-		if _, err := c.QueryServerContext(context.Background(), remote, q); err != nil {
+		if _, err := c.QueryContext(context.Background(), remote, q); err != nil {
 			t.Fatal(err)
 		}
 		tr, err := c.Trapdoor(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := idx.Search(tr)
+		resp, err := idx.SearchContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func runConcurrent(t *testing.T, goroutines, iters int, remote *IndexHandle, tra
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				k := (g + it) % len(traps)
-				resp, err := remote.Search(traps[k])
+				resp, err := remote.SearchContext(context.Background(), traps[k])
 				if err != nil {
 					errs <- err
 					return
@@ -182,8 +182,8 @@ func runConcurrent(t *testing.T, goroutines, iters int, remote *IndexHandle, tra
 				// Interleave fetches so small and large frames mix on the
 				// shared connection.
 				tu := tuples[(g*iters+it)%len(tuples)]
-				ct, ok, err := remote.Fetch(tu.ID)
-				if err != nil || !ok || len(ct) == 0 {
+				cts, err := remote.FetchMany(context.Background(), []core.ID{tu.ID})
+				if err != nil || len(cts[0]) == 0 {
 					errs <- err
 					return
 				}
@@ -235,7 +235,7 @@ func BenchmarkRemoteSearchRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := remote.Search(tr); err != nil {
+		if _, err := remote.SearchContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 	}

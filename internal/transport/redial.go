@@ -122,10 +122,10 @@ func (r *Redialer) Index(name string) *ResilientHandle {
 // Default returns the resilient handle single-index deployments use.
 func (r *Redialer) Default() *ResilientHandle { return r.Index(DefaultIndex) }
 
-// ResilientHandle addresses one named index through a Redialer. It
-// implements core.Server (plus the context and fetch-many extensions)
-// like IndexHandle, but retries idempotent read ops — meta, search,
-// fetch-many — across connection deaths with capped, jittered backoff.
+// ResilientHandle addresses one named index through a Redialer. It is
+// a core.Source like IndexHandle, but retries idempotent read ops —
+// meta, search, fetch-many — across connection deaths with capped,
+// jittered backoff.
 // Each attempt's answer is one frame, so a conn that dies mid-response
 // fails the attempt whole: nothing is spliced across attempts. It
 // deliberately has no update surface: updates are at-most-once through
@@ -202,12 +202,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Meta implements core.Server; a successful result is cached.
-func (h *ResilientHandle) Meta() (core.IndexMeta, error) {
-	return h.MetaContext(context.Background())
-}
-
-// MetaContext is Meta with cancellation and retries.
+// MetaContext implements core.Source with retries; a successful result
+// is cached.
 func (h *ResilientHandle) MetaContext(ctx context.Context) (core.IndexMeta, error) {
 	return h.meta.get(ctx, func(ctx context.Context) (m core.IndexMeta, err error) {
 		err = h.do(ctx, func(ctx context.Context, c *Conn) error {
@@ -219,12 +215,7 @@ func (h *ResilientHandle) MetaContext(ctx context.Context) (core.IndexMeta, erro
 	})
 }
 
-// Search implements core.Server.
-func (h *ResilientHandle) Search(t *core.Trapdoor) (*core.Response, error) {
-	return h.SearchContext(context.Background(), t)
-}
-
-// SearchContext implements core.ContextSearcher with retries.
+// SearchContext implements core.Source with retries.
 func (h *ResilientHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (*core.Response, error) {
 	var out *core.Response
 	err := h.do(ctx, func(ctx context.Context, c *Conn) error {
@@ -236,15 +227,4 @@ func (h *ResilientHandle) SearchContext(ctx context.Context, t *core.Trapdoor) (
 		return nil, err
 	}
 	return out, nil
-}
-
-// Fetch implements core.Server.
-func (h *ResilientHandle) Fetch(id core.ID) ([]byte, bool, error) {
-	return h.FetchContext(context.Background(), id)
-}
-
-// FetchContext implements core.ContextFetcher as a one-id FetchMany,
-// with its retries.
-func (h *ResilientHandle) FetchContext(ctx context.Context, id core.ID) ([]byte, bool, error) {
-	return fetchOne(ctx, h, id)
 }

@@ -30,7 +30,7 @@ var (
 // after build), because the server dispatches requests from every
 // connection against them in parallel.
 //
-// Indexes register either eagerly (Register, with a live core.Server) or
+// Indexes register either eagerly (Register, with a live core.Source) or
 // lazily (RegisterLazy, with an opener the registry invokes on the first
 // request that addresses the name). Lazy registration is what lets one
 // server front a directory holding far more index bytes than RAM: names
@@ -52,8 +52,8 @@ type Registry struct {
 // families, resident bytes), so the request path pays no label lookups.
 type regEntry struct {
 	mu   sync.Mutex
-	open func() (core.Server, error)
-	s    core.Server
+	open func() (core.Source, error)
+	s    core.Source
 	err  error
 	ob   *indexObs
 }
@@ -61,7 +61,7 @@ type regEntry struct {
 // resolve returns the entry's server, invoking a pending opener once.
 // Lazy opens are timed into rsse_index_open_seconds, and a resolved
 // server's resident bytes land in the per-index gauge.
-func (e *regEntry) resolve() (core.Server, error) {
+func (e *regEntry) resolve() (core.Source, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.open != nil {
@@ -79,19 +79,18 @@ func (e *regEntry) resolve() (core.Server, error) {
 	return e.s, e.err
 }
 
-// observeResident publishes the resolved server's resident bytes; only
-// servers that report stats (a *core.Index does) contribute. Callers
-// hold e.mu or know e.s is immutable.
+// observeResident publishes the resolved index's resident bytes; only a
+// local *core.Index has any. Callers hold e.mu or know e.s is immutable.
 func (e *regEntry) observeResident() {
-	if xs, ok := e.s.(interface{ Stats() core.IndexStats }); ok {
-		e.ob.resident.Set(int64(xs.Stats().Resident))
+	if x, ok := e.s.(*core.Index); ok {
+		e.ob.resident.Set(int64(x.Stats().Resident))
 	}
 }
 
 // loaded reports the resolved server without triggering an open and
 // without waiting on one: if an opener holds the entry locked right
 // now, the entry simply reports as not-yet-loaded.
-func (e *regEntry) loaded() (core.Server, error, bool) {
+func (e *regEntry) loaded() (core.Source, error, bool) {
 	if !e.mu.TryLock() {
 		return nil, nil, false
 	}
@@ -124,7 +123,7 @@ func (r *Registry) add(name string, e *regEntry) error {
 // Register adds an index under name. Names are 1..255 bytes and must be
 // unique; registering on a live registry is safe at any time, including
 // while serving.
-func (r *Registry) Register(name string, s core.Server) error {
+func (r *Registry) Register(name string, s core.Source) error {
 	if s == nil {
 		return errors.New("transport: cannot register a nil index")
 	}
@@ -137,7 +136,7 @@ func (r *Registry) Register(name string, s core.Server) error {
 // open therefore marks the name broken rather than hammering the opener;
 // Deregister and re-register to retry after repairing the underlying
 // file.
-func (r *Registry) RegisterLazy(name string, open func() (core.Server, error)) error {
+func (r *Registry) RegisterLazy(name string, open func() (core.Source, error)) error {
 	if open == nil {
 		return errors.New("transport: cannot register a nil opener")
 	}
@@ -159,7 +158,7 @@ func (r *Registry) Deregister(name string) bool {
 // lookupServing resolves a served index by name, opening it first if
 // it was registered lazily, and returns the entry's per-index metric set
 // for the request path.
-func (r *Registry) lookupServing(name string) (core.Server, *indexObs, error) {
+func (r *Registry) lookupServing(name string) (core.Source, *indexObs, error) {
 	r.mu.RLock()
 	e, ok := r.m[name]
 	r.mu.RUnlock()
@@ -194,13 +193,13 @@ func (r *Registry) Len() int {
 }
 
 // IndexStat is one registry entry's serving state: whether it has been
-// opened, the cached open error if opening failed, and — for servers
-// that expose them (a *core.Index does) — the index's operational stats.
+// opened, the cached open error if opening failed, and — for a local
+// *core.Index — the index's operational stats.
 type IndexStat struct {
 	Name   string
 	Loaded bool
 	Err    error
-	Stats  core.IndexStats // zero unless Loaded and the server reports stats
+	Stats  core.IndexStats // zero unless Loaded and a local *core.Index
 }
 
 // Stats reports every registered index's serving state, sorted by name.
@@ -221,8 +220,8 @@ func (r *Registry) Stats() []IndexStat {
 			st.Err = err
 			if err == nil {
 				st.Loaded = true
-				if xs, ok := s.(interface{ Stats() core.IndexStats }); ok {
-					st.Stats = xs.Stats()
+				if x, ok := s.(*core.Index); ok {
+					st.Stats = x.Stats()
 				}
 			}
 		}
@@ -234,7 +233,7 @@ func (r *Registry) Stats() []IndexStat {
 
 // singleRegistry wraps one index under the default name, for the
 // single-index compatibility entry points.
-func singleRegistry(idx core.Server) *Registry {
+func singleRegistry(idx core.Source) *Registry {
 	r := NewRegistry()
 	if err := r.Register(DefaultIndex, idx); err != nil {
 		panic("transport: " + err.Error()) // DefaultIndex is a valid name

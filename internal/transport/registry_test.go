@@ -28,7 +28,7 @@ func TestRegistryLazyOpenOnce(t *testing.T) {
 	idx := lazyTestIndex(t)
 	var opens atomic.Int32
 	r := NewRegistry()
-	if err := r.RegisterLazy("lazy", func() (core.Server, error) {
+	if err := r.RegisterLazy("lazy", func() (core.Source, error) {
 		opens.Add(1)
 		return idx, nil
 	}); err != nil {
@@ -53,7 +53,7 @@ func TestRegistryLazyOpenOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s, _, err := r.lookupServing("lazy")
-			if err != nil || s != core.Server(idx) {
+			if err != nil || s != core.Source(idx) {
 				t.Errorf("lookupServing = %v, %v", s, err)
 			}
 		}()
@@ -76,7 +76,7 @@ func TestRegistryLazyOpenErrorCached(t *testing.T) {
 	boom := errors.New("bad file")
 	var opens atomic.Int32
 	r := NewRegistry()
-	if err := r.RegisterLazy("broken", func() (core.Server, error) {
+	if err := r.RegisterLazy("broken", func() (core.Source, error) {
 		opens.Add(1)
 		return nil, boom
 	}); err != nil {

@@ -17,7 +17,7 @@ import (
 // pipeDial returns a dial function that serves idx over a fresh
 // net.Pipe per call, optionally passing the client end through a
 // fault injector. dials counts how many conns were created.
-func pipeDial(t *testing.T, idx core.Server, in *fault.Injector, dials *atomic.Int64) func(network, addr string) (*Conn, error) {
+func pipeDial(t *testing.T, idx core.Source, in *fault.Injector, dials *atomic.Int64) func(network, addr string) (*Conn, error) {
 	t.Helper()
 	return func(network, addr string) (*Conn, error) {
 		serverEnd, clientEnd := net.Pipe()
@@ -152,7 +152,7 @@ func TestRedialerRetriesAcrossConnDeath(t *testing.T) {
 	h := rd.Default()
 
 	q := core.Range{Lo: 100, Hi: 300}
-	res, err := c.QueryServerContext(context.Background(), h, q) // meta = write 1, search = write 2 (killed), retried
+	res, err := c.QueryContext(context.Background(), h, q) // meta = write 1, search = write 2 (killed), retried
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestOverloadBacksOffWithoutFailover(t *testing.T) {
 		MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1,
 	})
 
-	_, err := rd.Default().Meta()
+	_, err := rd.Default().MetaContext(context.Background())
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -195,18 +195,22 @@ func TestOverloadBacksOffWithoutFailover(t *testing.T) {
 	}
 }
 
-// metaCountServer counts Meta calls and always fails them with a
+// metaCountServer counts MetaContext calls and always fails them with a
 // server-side error.
 type metaCountServer struct{ calls atomic.Int64 }
 
-func (s *metaCountServer) Meta() (core.IndexMeta, error) {
+func (s *metaCountServer) MetaContext(context.Context) (core.IndexMeta, error) {
 	s.calls.Add(1)
 	return core.IndexMeta{}, fmt.Errorf("synthetic server failure")
 }
-func (s *metaCountServer) Search(*core.Trapdoor) (*core.Response, error) {
+
+func (s *metaCountServer) SearchContext(context.Context, *core.Trapdoor) (*core.Response, error) {
 	return nil, fmt.Errorf("unreachable")
 }
-func (s *metaCountServer) Fetch(core.ID) ([]byte, bool, error) { return nil, false, nil }
+
+func (s *metaCountServer) FetchMany(context.Context, []core.ID) ([][]byte, error) {
+	return nil, fmt.Errorf("unreachable")
+}
 
 // TestServerErrorNotRetried: a server-reported error means the
 // transport worked; retrying it would just repeat the failure.
@@ -219,7 +223,7 @@ func TestServerErrorNotRetried(t *testing.T) {
 		MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1,
 	})
 
-	_, err := rd.Default().Meta()
+	_, err := rd.Default().MetaContext(context.Background())
 	if err == nil || errors.Is(err, ErrConnDead) || errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want plain server error", err)
 	}
@@ -249,7 +253,7 @@ func TestBlackHoleRecoveredByOpTimeout(t *testing.T) {
 	h := rd.Default()
 
 	q := core.Range{Lo: 0, Hi: 50}
-	res, err := c.QueryServerContext(context.Background(), h, q)
+	res, err := c.QueryContext(context.Background(), h, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +271,13 @@ func sameResult(a, b *core.Result) bool {
 
 // exchange is what a kill-point sweep cuts: one client-side exchange
 // over h, returning what its caller would compare.
-type exchange func(h core.Server) (any, error)
+type exchange func(h core.Source) (any, error)
 
 // queryExchange is one range query, compared by its matches and raw
 // ids.
 func queryExchange(c *core.Client, q core.Range) exchange {
-	return func(h core.Server) (any, error) {
-		res, err := c.QueryServerContext(context.Background(), h, q)
+	return func(h core.Source) (any, error) {
+		res, err := c.QueryContext(context.Background(), h, q)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +288,7 @@ func queryExchange(c *core.Client, q core.Range) exchange {
 // batchExchange is one QueryBatch, compared by every range's matches
 // and raw ids.
 func batchExchange(c *core.Client, ranges []core.Range) exchange {
-	return func(h core.Server) (any, error) {
+	return func(h core.Source) (any, error) {
 		br, err := c.QueryBatch(h, ranges)
 		if err != nil {
 			return nil, err
@@ -300,7 +304,7 @@ func batchExchange(c *core.Client, ranges []core.Range) exchange {
 // measureExchange runs ex once fault-free and returns its result plus
 // the total server→client byte count — the sweep range for the
 // kill-point test.
-func measureExchange(t *testing.T, idx core.Server, ex exchange) (any, int64) {
+func measureExchange(t *testing.T, idx core.Source, ex exchange) (any, int64) {
 	t.Helper()
 	in := fault.New(fault.Plan{Seed: 1})
 	conn, err := pipeDial(t, idx, in, nil)("pipe", "a")
@@ -365,7 +369,7 @@ func TestKillPointFrameOffsets(t *testing.T) {
 	}
 }
 
-func killPointSweep(t *testing.T, idx core.Server, ex exchange, oracle any, total, step int64) {
+func killPointSweep(t *testing.T, idx core.Source, ex exchange, oracle any, total, step int64) {
 	for off := int64(0); off <= total; off += step {
 		in := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{
 			{Conn: 0, Side: fault.Read, Action: fault.Truncate, AtByte: off},

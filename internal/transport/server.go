@@ -230,14 +230,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Serve serves a single index under the default name until the listener
 // is closed — the one-table deployment. For multiple named indexes or
 // graceful shutdown, use NewServer with a Registry.
-func Serve(l net.Listener, idx core.Server) error {
+func Serve(l net.Listener, idx core.Source) error {
 	return NewServer(singleRegistry(idx)).Serve(l)
 }
 
 // ServeConn answers requests for a single default-named index on one
 // established connection until EOF or error (nil on clean EOF). Requests
 // are still dispatched concurrently.
-func ServeConn(conn io.ReadWriter, idx core.Server) error {
+func ServeConn(conn io.ReadWriter, idx core.Source) error {
 	return serveLoop(singleRegistry(idx), conn, nil, nil, 0)
 }
 

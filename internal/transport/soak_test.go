@@ -45,7 +45,7 @@ func soakSharedConn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := idx.Search(tr)
+		resp, err := idx.SearchContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,12 +129,12 @@ func soakSharedConn(t *testing.T) {
 				// groups inside coalesced write batches.
 				if rnd.Intn(2) == 0 {
 					tu := tuples[rnd.Intn(len(tuples))]
-					ct, found, ferr := remote.Fetch(tu.ID)
+					cts, ferr := remote.FetchMany(context.Background(), []core.ID{tu.ID})
 					if ferr != nil {
 						errCh <- ferr
 						return
 					}
-					if !found || len(ct) == 0 {
+					if len(cts[0]) == 0 {
 						t.Errorf("goroutine %d: fetch %d returned empty", g, tu.ID)
 						return
 					}
@@ -157,7 +157,7 @@ func soakSharedConn(t *testing.T) {
 
 	// The connection must have survived the storm, late responses for
 	// abandoned ids included.
-	resp, err := remote.Search(traps[0])
+	resp, err := remote.SearchContext(context.Background(), traps[0])
 	if err != nil {
 		t.Fatalf("post-soak search: %v", err)
 	}

@@ -2,8 +2,9 @@
 // connection, so the data owner and the untrusted server can live in
 // different processes (or machines). The server side serves a Registry of
 // named encrypted indexes; the client side hands out per-index handles
-// implementing core.Server, so the owner's existing query logic works
-// against any served index unchanged.
+// that are each a core.Source — context-first MetaContext, SearchContext
+// and FetchMany, the same three calls a local *core.Index answers — so
+// the owner's query logic runs against any served index unchanged.
 //
 // The protocol is a request/response framing over any stream connection
 // (TCP, unix sockets, net.Pipe in tests), multiplexed by request id so
@@ -52,6 +53,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -162,7 +164,7 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 	}
 	switch req.op {
 	case opMeta:
-		meta, err := idx.Meta()
+		meta, err := idx.MetaContext(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +180,7 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 		ob.queries.Inc()
 		ob.tokens.Add(uint64(t.Tokens()))
 		ob.tokenBytes.Add(uint64(t.Bytes()))
-		resp, err := idx.Search(t)
+		resp, err := idx.SearchContext(context.Background(), t)
 		if err != nil {
 			return nil, err
 		}

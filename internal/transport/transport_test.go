@@ -63,7 +63,7 @@ func exact(tuples []core.Tuple, q core.Range) []core.ID {
 
 // pipeServer serves idx under the default name over one end of a
 // net.Pipe and returns the owner-side Conn.
-func pipeServer(t *testing.T, idx core.Server) *Conn {
+func pipeServer(t *testing.T, idx core.Source) *Conn {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
 	go func() { _ = ServeConn(serverEnd, idx) }()
@@ -107,7 +107,7 @@ func TestRemoteQueryAllSchemes(t *testing.T) {
 			c, idx, tuples := testClientIndex(t, kind)
 			remote := pipeServer(t, idx).Default()
 			for _, q := range []core.Range{{Lo: 100, Hi: 600}, {Lo: 0, Hi: 1023}, {Lo: 777, Hi: 777}} {
-				res, err := c.QueryServerContext(context.Background(), remote, q)
+				res, err := c.QueryContext(context.Background(), remote, q)
 				if err != nil {
 					t.Fatalf("query %v: %v", q, err)
 				}
@@ -127,8 +127,9 @@ func TestRemoteQueryAllSchemes(t *testing.T) {
 	}
 }
 
-// TestRemoteFetchTuple: a remote FetchTuple is one one-id fetch-many
-// frame and nothing else, and moves rsse_index_fetches_total by one.
+// TestRemoteFetchTuple: fetching one tuple remotely is one one-id
+// fetch-many frame and nothing else, and moves rsse_index_fetches_total
+// by one.
 func TestRemoteFetchTuple(t *testing.T) {
 	c, idx, tuples := testClientIndex(t, core.LogarithmicBRC)
 	const name = "fetch-tuple"
@@ -139,22 +140,22 @@ func TestRemoteFetchTuple(t *testing.T) {
 	remote := pipeRegistry(t, reg).Index(name)
 	fetches := ixFetches.With(name)
 	before, fetches0 := requestCounts(), fetches.Value()
-	tup, err := c.FetchTuple(remote, tuples[5].ID)
+	tups, err := c.FetchTuples(context.Background(), remote, []core.ID{tuples[5].ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tup.Value != tuples[5].Value || !bytes.Equal(tup.Payload, tuples[5].Payload) {
+	if tup := tups[0]; tup.Value != tuples[5].Value || !bytes.Equal(tup.Payload, tuples[5].Payload) {
 		t.Errorf("remote fetch = %+v, want %+v", tup, tuples[5])
 	}
 	var want [len(opLabel)]uint64
 	want[opFetchMany] = 1
 	if got := requestsSince(before); got != want {
-		t.Errorf("FetchTuple cost frames %v by op, want %v", got, want)
+		t.Errorf("one-tuple fetch cost frames %v by op, want %v", got, want)
 	}
 	if got := fetches.Value() - fetches0; got != 1 {
 		t.Errorf("rsse_index_fetches_total moved by %d, want 1", got)
 	}
-	if _, err := c.FetchTuple(remote, 99999); err == nil {
+	if _, err := c.FetchTuples(context.Background(), remote, []core.ID{99999}); err == nil {
 		t.Error("unknown id fetched remotely")
 	}
 }
@@ -162,11 +163,11 @@ func TestRemoteFetchTuple(t *testing.T) {
 func TestRemoteMetaCached(t *testing.T) {
 	_, idx, _ := testClientIndex(t, core.LogarithmicSRCi)
 	remote := pipeServer(t, idx).Default()
-	a, err := remote.Meta()
+	a, err := remote.MetaContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := remote.Meta()
+	b, err := remote.MetaContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestQueryMetaHonoursContext(t *testing.T) {
 		query func(ctx context.Context, h *IndexHandle) error
 	}{
 		{"QueryServerContext", func(ctx context.Context, h *IndexHandle) error {
-			_, err := client.QueryServerContext(ctx, h, core.Range{Lo: 0, Hi: 100})
+			_, err := client.QueryContext(ctx, h, core.Range{Lo: 0, Hi: 100})
 			return err
 		}},
 		{"QueryBatchContext", func(ctx context.Context, h *IndexHandle) error {
@@ -214,8 +215,8 @@ func TestQueryMetaHonoursContext(t *testing.T) {
 			conn := NewConn(clientEnd)
 			t.Cleanup(func() { conn.Close(); serverEnd.Close() })
 			h := conn.Default()
-			go func() { _, _ = h.Meta() }() // returns when the cleanup closes conn
-			<-read                          // that caller's meta request is out
+			go func() { _, _ = h.MetaContext(context.Background()) }() // returns when the cleanup closes conn
+			<-read                                                     // that caller's meta request is out
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
 			done := make(chan error, 1)
@@ -239,7 +240,7 @@ func TestRemoteKindMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := pipeServer(t, idx).Default()
-	if _, err := other.QueryServerContext(context.Background(), remote, core.Range{Lo: 0, Hi: 5}); !errors.Is(err, core.ErrKindMismatch) {
+	if _, err := other.QueryContext(context.Background(), remote, core.Range{Lo: 0, Hi: 5}); !errors.Is(err, core.ErrKindMismatch) {
 		t.Errorf("kind mismatch error = %v", err)
 	}
 }
@@ -292,7 +293,7 @@ func TestMaxLengthIndexName(t *testing.T) {
 		t.Fatalf("Names = %v, %v", names, err)
 	}
 	q := core.Range{Lo: 0, Hi: 500}
-	res, err := c.QueryServerContext(context.Background(), conn.Index(long), q)
+	res, err := c.QueryContext(context.Background(), conn.Index(long), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +323,11 @@ func TestMultiIndexServer(t *testing.T) {
 	}
 
 	q := core.Range{Lo: 64, Hi: 700}
-	resBRC, err := cBRC.QueryServerContext(context.Background(), conn.Index("brc"), q)
+	resBRC, err := cBRC.QueryContext(context.Background(), conn.Index("brc"), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSRC, err := cSRC.QueryServerContext(context.Background(), conn.Index("src"), q)
+	resSRC, err := cSRC.QueryContext(context.Background(), conn.Index("src"), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +339,14 @@ func TestMultiIndexServer(t *testing.T) {
 	}
 
 	// Unknown index: clean server-side error, connection stays usable.
-	if _, err := cBRC.QueryServerContext(context.Background(), conn.Index("ghost"), q); err == nil ||
+	if _, err := cBRC.QueryContext(context.Background(), conn.Index("ghost"), q); err == nil ||
 		!strings.Contains(err.Error(), "unknown index") {
 		t.Errorf("ghost index error = %v", err)
 	}
-	if _, err := conn.Index("ghost").Meta(); err == nil {
+	if _, err := conn.Index("ghost").MetaContext(context.Background()); err == nil {
 		t.Error("Meta(ghost) succeeded")
 	}
-	if _, err := cBRC.QueryServerContext(context.Background(), conn.Index("brc"), core.Range{Lo: 0, Hi: 63}); err != nil {
+	if _, err := cBRC.QueryContext(context.Background(), conn.Index("brc"), core.Range{Lo: 0, Hi: 63}); err != nil {
 		t.Errorf("connection unusable after unknown-index error: %v", err)
 	}
 }
@@ -375,7 +376,7 @@ func TestOneConnConcurrentUse(t *testing.T) {
 				return
 			}
 			for rep := 0; rep < 5; rep++ {
-				res, err := cc.QueryServerContext(context.Background(), handle, q)
+				res, err := cc.QueryContext(context.Background(), handle, q)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -438,7 +439,7 @@ func TestServerLoad(t *testing.T) {
 				handle := conn.Index(name)
 				for rep := 0; rep < queriesPerClient; rep++ {
 					q := queries[(i+rep)%len(queries)]
-					res, err := cc.QueryServerContext(context.Background(), handle, q)
+					res, err := cc.QueryContext(context.Background(), handle, q)
 					if err != nil {
 						t.Errorf("client %d %s: %v", i, name, err)
 						return
@@ -469,15 +470,16 @@ func TestServerLoad(t *testing.T) {
 	}
 }
 
-// slowIndex wraps a core.Server and delays Meta — for shutdown draining.
+// slowIndex wraps a core.Source and delays MetaContext — for shutdown
+// draining.
 type slowIndex struct {
-	core.Server
+	core.Source
 	delay time.Duration
 }
 
-func (s *slowIndex) Meta() (core.IndexMeta, error) {
+func (s *slowIndex) MetaContext(ctx context.Context) (core.IndexMeta, error) {
 	time.Sleep(s.delay)
-	return s.Server.Meta()
+	return s.Source.MetaContext(ctx)
 }
 
 // TestGracefulShutdown: a request in flight when Shutdown begins still
@@ -485,7 +487,7 @@ func (s *slowIndex) Meta() (core.IndexMeta, error) {
 func TestGracefulShutdown(t *testing.T) {
 	_, idx, _ := testClientIndex(t, core.LogarithmicBRC)
 	reg := NewRegistry()
-	if err := reg.Register(DefaultIndex, &slowIndex{Server: idx, delay: 200 * time.Millisecond}); err != nil {
+	if err := reg.Register(DefaultIndex, &slowIndex{Source: idx, delay: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(reg)
@@ -504,7 +506,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	metaDone := make(chan error, 1)
 	go func() {
-		_, err := conn.Default().Meta()
+		_, err := conn.Default().MetaContext(context.Background())
 		metaDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the server
@@ -553,7 +555,7 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 	}
 	// The connection still answers valid requests afterwards.
 	conn := NewConn(clientEnd)
-	meta, err := conn.Default().Meta()
+	meta, err := conn.Default().MetaContext(context.Background())
 	if err != nil || meta.Kind != core.LogarithmicBRC {
 		t.Errorf("meta after garbage: %+v, %v", meta, err)
 	}
@@ -570,12 +572,12 @@ func TestOversizedTokenLevelOverWire(t *testing.T) {
 	h := pipeServer(t, idx).Default()
 	for _, level := range []uint8{11, 40, 64, 255} {
 		bad := &core.Trapdoor{GGM: []dprf.Token{{Level: level}}}
-		if _, err := h.Search(bad); err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {
+		if _, err := h.SearchContext(context.Background(), bad); err == nil || !strings.Contains(err.Error(), core.ErrTokenLevel.Error()) {
 			t.Errorf("search with a level-%d token: err %v, want the server's %q", level, err, core.ErrTokenLevel)
 		}
 	}
 	q := core.Range{Lo: 100, Hi: 300}
-	res, err := c.QueryServerContext(context.Background(), h, q)
+	res, err := c.QueryContext(context.Background(), h, q)
 	if err != nil {
 		t.Fatalf("query after refused tokens: %v", err)
 	}
@@ -601,7 +603,7 @@ func TestFrameLimits(t *testing.T) {
 	if _, err := conn.roundTrip(opSearch, DefaultIndex, huge); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized request error = %v", err)
 	}
-	if meta, err := conn.Default().Meta(); err != nil || meta.Kind != core.LogarithmicBRC {
+	if meta, err := conn.Default().MetaContext(context.Background()); err != nil || meta.Kind != core.LogarithmicBRC {
 		t.Errorf("meta after the oversized request: %+v, %v", meta, err)
 	}
 
@@ -779,7 +781,7 @@ func TestMetaWireSuite(t *testing.T) {
 	seen := map[prf.Suite]bool{}
 	for _, kind := range []core.Kind{core.ConstantBRC, core.LogarithmicBRC} {
 		_, idx, _ := testClientIndex(t, kind)
-		built, err := idx.Meta()
+		built, err := idx.MetaContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"strings"
@@ -113,7 +114,7 @@ func TestUpdateNamespaceIsolation(t *testing.T) {
 	conn := pipeRegistry(t, reg)
 
 	// Read namespace still answers Meta for the index.
-	meta, err := conn.Index("users").Meta()
+	meta, err := conn.Index("users").MetaContext(context.Background())
 	if err != nil {
 		t.Fatalf("read-namespace meta: %v", err)
 	}

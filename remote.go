@@ -59,7 +59,7 @@ func (r *Registry) RegisterLazy(name string, open func() (*Index, error)) error 
 	if open == nil {
 		return errors.New("rsse: cannot register a nil opener")
 	}
-	return r.inner.RegisterLazy(name, func() (core.Server, error) {
+	return r.inner.RegisterLazy(name, func() (core.Source, error) {
 		idx, err := open()
 		if err != nil {
 			return nil, err
@@ -141,26 +141,20 @@ func ServeConn(conn io.ReadWriter, index *Index) error {
 // concurrent use: requests are multiplexed by id over the connection,
 // so parallel queries from many goroutines interleave without
 // corrupting the stream (and without waiting on each other's
-// responses). Meta reports the served index's scheme, domain and size,
-// and Name the served-index name the handle addresses.
+// responses). MetaContext reports the served index's scheme, domain and
+// size, and Name the served-index name the handle addresses.
 type RemoteIndex struct {
 	remoteHandle
 	names func() ([]string, error)
 	close func() error
 }
 
-// remoteHandle is the wire surface a RemoteIndex speaks through, and
-// what it promotes: either a plain per-conn handle
-// (transport.IndexHandle) or a retrying one over a redialing pool
-// (transport.ResilientHandle, via DialIndexWith + WithRetry). Both
-// implement Source plus the context and fetch-many forms the query
-// protocol looks for on a source.
+// remoteHandle is the wire handle a RemoteIndex speaks through, and what
+// it promotes: a plain per-conn one (transport.IndexHandle) or a
+// retrying one over a redialing pool (transport.ResilientHandle, via
+// DialIndexWith + WithRetry).
 type remoteHandle interface {
 	Source
-	core.ContextSearcher
-	core.ContextFetcher
-	core.ManyFetcher
-	MetaContext(ctx context.Context) (IndexMeta, error)
 	Name() string
 }
 

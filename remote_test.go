@@ -7,6 +7,16 @@ import (
 	"testing"
 
 	"rsse"
+	"rsse/internal/core"
+	"rsse/internal/transport"
+)
+
+// Every index, local or remote, answers the one query interface.
+var (
+	_ core.Source = (*core.Index)(nil)
+	_ core.Source = (*transport.IndexHandle)(nil)
+	_ core.Source = (*transport.ResilientHandle)(nil)
+	_ core.Source = (*rsse.RemoteIndex)(nil)
 )
 
 // TestMultiIndexPublicAPI serves two named indexes from one process via

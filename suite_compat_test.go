@@ -2,6 +2,7 @@ package rsse_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"maps"
 	"net"
@@ -51,7 +52,7 @@ func todaysSuite(t *testing.T, kind rsse.Kind) rsse.PRFSuite {
 	must(t, err)
 	idx, err := c.BuildIndex(pr17Tuples()[:4])
 	must(t, err)
-	meta, err := idx.Meta()
+	meta, err := idx.MetaContext(context.Background())
 	must(t, err)
 	return meta.Suite
 }
@@ -309,7 +310,7 @@ func TestClusterShardsReportSuite(t *testing.T) {
 		cluster, err := rsse.BuildCluster(kind, 10, 3, tuples)
 		must(t, err)
 		for i := 0; i < cluster.Shards(); i++ {
-			meta, err := cluster.ShardIndex(i).Meta()
+			meta, err := cluster.ShardIndex(i).MetaContext(context.Background())
 			must(t, err)
 			if meta.Suite != want {
 				t.Errorf("%v shard %d reports suite %v, want %v", kind, i, meta.Suite, want)
