@@ -31,7 +31,7 @@ func TestQueryBatchDedup(t *testing.T) {
 	for i := range ranges {
 		ranges[i] = rsse.Range{Lo: uint64(100 + i), Hi: uint64(400 + i)}
 	}
-	br, err := client.QueryBatch(index, ranges)
+	br, err := client.QueryBatchContext(context.Background(), index, ranges)
 	must(t, err)
 	if ratio := br.Stats.DedupRatio(); ratio < 2 {
 		t.Fatalf("dedup ratio %.2f for sliding windows, expected >= 2 (cover nodes %d, unique %d)",
@@ -42,12 +42,12 @@ func TestQueryBatchDedup(t *testing.T) {
 // TestQueryBatchEmptyAndSingle covers the degenerate batch shapes.
 func TestQueryBatchEmptyAndSingle(t *testing.T) {
 	client, index, tuples := testIndex(t, rsse.LogarithmicSRC, 91)
-	br, err := client.QueryBatch(index, nil)
+	br, err := client.QueryBatchContext(context.Background(), index, nil)
 	if err != nil || len(br.Results) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(br.Results))
 	}
 	q := rsse.Range{Lo: 10, Hi: 500}
-	br, err = client.QueryBatch(index, []rsse.Range{q})
+	br, err = client.QueryBatchContext(context.Background(), index, []rsse.Range{q})
 	must(t, err)
 	if !equal(sorted(br.Results[0].Matches), oracle(tuples, q)) {
 		t.Fatal("single-range batch differs from ground truth")
@@ -68,15 +68,15 @@ func TestConstantBatchGuards(t *testing.T) {
 	}
 	index, err := client.BuildIndex(tuples)
 	must(t, err)
-	if _, err := client.QueryBatch(index, []rsse.Range{{Lo: 0, Hi: 100}, {Lo: 50, Hi: 200}}); err == nil {
+	if _, err := client.QueryBatchContext(context.Background(), index, []rsse.Range{{Lo: 0, Hi: 100}, {Lo: 50, Hi: 200}}); err == nil {
 		t.Fatal("intersecting ranges within one batch accepted")
 	}
 	// The failed batch must not have entered history: disjoint retry works.
-	if _, err := client.QueryBatch(index, []rsse.Range{{Lo: 0, Hi: 100}, {Lo: 200, Hi: 300}}); err != nil {
+	if _, err := client.QueryBatchContext(context.Background(), index, []rsse.Range{{Lo: 0, Hi: 100}, {Lo: 200, Hi: 300}}); err != nil {
 		t.Fatalf("disjoint batch after failed batch: %v", err)
 	}
 	// Now both ranges are history: an intersecting single query fails.
-	if _, err := client.Query(index, rsse.Range{Lo: 90, Hi: 95}); err == nil {
+	if _, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 90, Hi: 95}); err == nil {
 		t.Fatal("query intersecting batched history accepted")
 	}
 }
@@ -98,8 +98,9 @@ func TestCachedClientQueryBatch(t *testing.T) {
 	must(t, err)
 	// First batch: two disjoint ranges hit the server.
 	first := []rsse.Range{{Lo: 0, Hi: 200}, {Lo: 500, Hi: 700}}
-	res, err := cc.QueryBatch(index, first)
+	br, err := cc.QueryBatchContext(context.Background(), index, first)
 	must(t, err)
+	res := br.Results
 	for i, q := range first {
 		if !equal(sorted(res[i].Matches), oracle(tuples, q)) {
 			t.Fatalf("first batch range %v wrong", q)
@@ -108,8 +109,9 @@ func TestCachedClientQueryBatch(t *testing.T) {
 	// Second batch: two sub-ranges answer from cache (Rounds == 0), one
 	// new range batches to the server.
 	second := []rsse.Range{{Lo: 50, Hi: 150}, {Lo: 600, Hi: 650}, {Lo: 800, Hi: 900}}
-	res, err = cc.QueryBatch(index, second)
+	br, err = cc.QueryBatchContext(context.Background(), index, second)
 	must(t, err)
+	res = br.Results
 	for i, q := range second {
 		if !equal(sorted(res[i].Matches), oracle(tuples, q)) {
 			t.Fatalf("second batch range %v wrong", q)
@@ -122,7 +124,7 @@ func TestCachedClientQueryBatch(t *testing.T) {
 		t.Fatal("uncovered range did not reach the server")
 	}
 	// A miss intersecting cached history but not covered fails the batch.
-	if _, err := cc.QueryBatch(index, []rsse.Range{{Lo: 150, Hi: 250}}); err == nil {
+	if _, err := cc.QueryBatchContext(context.Background(), index, []rsse.Range{{Lo: 150, Hi: 250}}); err == nil {
 		t.Fatal("intersecting uncovered miss accepted")
 	}
 }

@@ -7,6 +7,7 @@
 package rsse_test
 
 import (
+	"context"
 	"fmt"
 	mrand "math/rand"
 	"net"
@@ -146,7 +147,7 @@ func BenchmarkFig6_FalsePositives(b *testing.B) {
 				var fp, raw int
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := c.Query(idx, queries[i%len(queries)])
+					res, err := c.QueryContext(context.Background(), idx, queries[i%len(queries)])
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -171,7 +172,7 @@ func BenchmarkFig7_Search(b *testing.B) {
 				queries := dataset.PercentQueries(64, c.Domain(), pct, 7)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Query(idx, queries[i%len(queries)]); err != nil {
+					if _, err := c.QueryContext(context.Background(), idx, queries[i%len(queries)]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -189,7 +190,7 @@ func BenchmarkFig7_SearchUSPS(b *testing.B) {
 			queries := dataset.PercentQueries(64, c.Domain(), 25, 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Query(idx, queries[i%len(queries)]); err != nil {
+				if _, err := c.QueryContext(context.Background(), idx, queries[i%len(queries)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -344,11 +345,11 @@ func BenchmarkClusterQuery(b *testing.B) {
 			var tokens, subQueries int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := c.Query(queries[i%len(queries)])
+				res, err := c.QueryBatchContext(context.Background(), []rsse.Range{queries[i%len(queries)]})
 				if err != nil {
 					b.Fatal(err)
 				}
-				tokens += res.Stats.Tokens
+				tokens += res.Results[0].Stats.Tokens
 				subQueries += len(res.Shards)
 			}
 			b.StopTimer()
@@ -373,7 +374,7 @@ func BenchmarkClusterQueryParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, err := c.Query(queries[i%len(queries)]); err != nil {
+					if _, err := c.QueryBatchContext(context.Background(), []rsse.Range{queries[i%len(queries)]}); err != nil {
 						b.Error(err)
 						return
 					}
@@ -430,7 +431,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tokens = 0
 			for _, q := range ranges {
-				res, err := c.Query(idx, q)
+				res, err := c.QueryContext(context.Background(), idx, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -442,7 +443,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 	b.Run("local/batch", func(b *testing.B) {
 		var stats rsse.BatchStats
 		for i := 0; i < b.N; i++ {
-			br, err := c.QueryBatch(idx, ranges)
+			br, err := c.QueryBatchContext(context.Background(), idx, ranges)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,7 +457,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tokens = 0
 			for _, q := range ranges {
-				res, err := c.Query(remote, q)
+				res, err := c.QueryContext(context.Background(), remote, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -468,7 +469,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 	b.Run("remote/batch", func(b *testing.B) {
 		var stats rsse.BatchStats
 		for i := 0; i < b.N; i++ {
-			br, err := c.QueryBatch(remote, ranges)
+			br, err := c.QueryBatchContext(context.Background(), remote, ranges)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -511,7 +512,7 @@ func BenchmarkRemoteFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Query(remote, ranges[i%len(ranges)])
+		res, err := c.QueryContext(context.Background(), remote, ranges[i%len(ranges)])
 		if err != nil {
 			b.Fatal(err)
 		}

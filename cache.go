@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// ErrNotCached is returned by CachedClient.Query when an intersecting
+// ErrNotCached is returned by a CachedClient query when an intersecting
 // query cannot be assembled from cached answers.
 var ErrNotCached = errors.New("rsse: intersecting query not covered by cached answers")
 
@@ -33,10 +33,11 @@ var ErrNotCached = errors.New("rsse: intersecting query not covered by cached an
 type CachedClient struct {
 	client *Client
 
-	mu     sync.Mutex
-	ranges []Range       // disjoint, sorted, queried ranges
-	values map[ID]Value  // decrypted values of cached matches
-	byVal  []cachedTuple // matches sorted by value for range lookup
+	mu       sync.Mutex
+	ranges   []Range       // disjoint, sorted, answered ranges
+	values   map[ID]Value  // decrypted values of cached matches
+	byVal    []cachedTuple // matches sorted by value for range lookup
+	unvalued []ID          // answered matches whose values are not fetched yet
 }
 
 type cachedTuple struct {
@@ -53,40 +54,37 @@ func NewCachedClient(client *Client) (*CachedClient, error) {
 	return &CachedClient{client: client, values: make(map[ID]Value)}, nil
 }
 
-// Query answers q from the source when permitted, or from the local
-// cache when q is fully covered by earlier answers. The returned
-// Result's stats have Rounds == 0 for cache hits.
-func (cc *CachedClient) Query(s Source, q Range) (*Result, error) {
-	return cc.QueryContext(context.Background(), s, q)
-}
-
-// QueryContext is Query with cancellation (cache hits never block on
-// ctx; only server-bound queries do). It is QueryBatchContext on one
-// range.
+// QueryContext answers q from the source when permitted, or from the
+// local cache when q is fully covered by earlier answers; a cache hit
+// never blocks on ctx, only server-bound work does. The returned
+// Result's stats have Rounds == 0 for cache hits. It is
+// QueryBatchContext on one range.
 func (cc *CachedClient) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
-	results, err := cc.QueryBatchContext(ctx, s, []Range{q})
+	br, err := cc.QueryBatchContext(ctx, s, []Range{q})
 	if err != nil {
 		return nil, err
 	}
-	return results[0], nil
+	return br.Results[0], nil
 }
 
-// QueryBatch answers a batch of ranges, serving every range already
-// covered by earlier answers from the cache and sending the misses to
-// the server as one batched query (whose covers are deduplicated across
-// the misses). A range that is inverted or leaves the domain fails the
-// batch with the domain's error before the cache is read. The
-// server-answered ranges then warm the cache, so later
+// QueryBatchContext answers a batch of ranges, serving every range
+// already covered by earlier answers from the cache and sending the
+// misses to the server as one batched query (whose covers are
+// deduplicated across the misses). A range that is inverted or leaves
+// the domain fails the batch with the domain's error before the cache
+// is read. The server-answered ranges then warm the cache, so later
 // sub-ranges of any batch member are answered locally. A miss that
-// intersects the cached history fails the whole batch with ErrNotCached,
-// exactly as Query would; intersections *between* misses surface as the
-// underlying client's ErrIntersectingQuery.
-func (cc *CachedClient) QueryBatch(s Source, qs []Range) ([]*Result, error) {
-	return cc.QueryBatchContext(context.Background(), s, qs)
-}
-
-// QueryBatchContext is QueryBatch with cancellation.
-func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Range) ([]*Result, error) {
+// intersects the cached history fails the whole batch with
+// ErrNotCached; intersections *between* misses surface as the
+// underlying client's ErrIntersectingQuery. Stats.Ranges is len(qs);
+// the other batch counters are the server-bound misses' alone.
+//
+// The cache keeps a range's matched ids as soon as the server answers
+// it, before their values are fetched. If that fetch fails the call
+// fails, and the next call the cache covers fetches the missing values
+// instead: a retry of the range, or any sub-range, searches the server
+// zero times.
+func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Range) (*BatchResult, error) {
 	dom := cc.client.Domain()
 	for _, q := range qs {
 		if err := dom.CheckRange(q.Lo, q.Hi); err != nil {
@@ -95,40 +93,44 @@ func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Ra
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	results := make([]*Result, len(qs))
-	var missIdx []int
+	out := &BatchResult{Results: make([]*Result, len(qs))}
+	var hitIdx, missIdx []int
 	for i, q := range qs {
-		if cc.covered(q) {
-			results[i] = cc.localResult(q)
-			continue
-		}
-		if cc.intersectsHistory(q) {
+		switch {
+		case cc.covered(q):
+			hitIdx = append(hitIdx, i)
+		case cc.intersectsHistory(q):
 			return nil, ErrNotCached
+		default:
+			missIdx = append(missIdx, i)
 		}
-		missIdx = append(missIdx, i)
 	}
-	if len(missIdx) == 0 {
-		return results, nil
+	if len(missIdx) > 0 {
+		misses := make([]Range, len(missIdx))
+		for j, i := range missIdx {
+			misses[j] = qs[i]
+		}
+		br, err := cc.client.QueryBatchContext(ctx, s, misses)
+		if err != nil {
+			return nil, err
+		}
+		// The wrapped client's history now holds the misses: record them
+		// and their ids before anything else can fail.
+		for j, i := range missIdx {
+			out.Results[i] = br.Results[j]
+			cc.unvalued = append(cc.unvalued, br.Results[j].Matches...)
+		}
+		cc.ranges = mergeRanges(append(cc.ranges, misses...))
+		out.Stats = br.Stats
 	}
-	misses := make([]Range, len(missIdx))
-	for j, i := range missIdx {
-		misses[j] = qs[i]
-	}
-	br, err := cc.client.QueryBatchContext(ctx, s, misses)
-	if err != nil {
+	if err := cc.fill(ctx, s); err != nil {
 		return nil, err
 	}
-	var newIDs []ID
-	for _, res := range br.Results {
-		newIDs = append(newIDs, res.Matches...)
+	for _, i := range hitIdx {
+		out.Results[i] = cc.localResult(qs[i])
 	}
-	if err := cc.warm(ctx, s, newIDs, misses...); err != nil {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		results[i] = br.Results[j]
-	}
-	return results, nil
+	out.Stats.Ranges = len(qs)
+	return out, nil
 }
 
 // localResult assembles a cache-hit result (Rounds == 0).
@@ -141,16 +143,18 @@ func (cc *CachedClient) localResult(q Range) *Result {
 	}
 }
 
-// warm caches the decrypted values of newly matched ids and extends the
-// covered-range set — the caller must hold cc.mu. Values already cached
-// are not re-fetched; the rest arrive in one chunked fetch round. The
-// cache commits atomically: a fetch failure (or ctx expiry) leaves every
-// invariant intact — in particular byVal stays sorted, which lookup's
-// binary searches depend on.
-func (cc *CachedClient) warm(ctx context.Context, s Source, ids []ID, ranges ...Range) error {
+// fill fetches the values of the answered ids the cache does not hold
+// yet, in one chunked fetch round — the caller must hold cc.mu. The
+// cache commits atomically: a fetch failure (or ctx expiry) leaves
+// every id unvalued for the next call to fetch, and byVal sorted, which
+// lookup's binary searches depend on.
+func (cc *CachedClient) fill(ctx context.Context, s Source) error {
+	if len(cc.unvalued) == 0 {
+		return nil
+	}
 	var missing []ID
-	seen := make(map[ID]struct{}, len(ids))
-	for _, id := range ids {
+	seen := make(map[ID]struct{}, len(cc.unvalued))
+	for _, id := range cc.unvalued {
 		if _, ok := cc.values[id]; ok {
 			continue
 		}
@@ -160,7 +164,7 @@ func (cc *CachedClient) warm(ctx context.Context, s Source, ids []ID, ranges ...
 		seen[id] = struct{}{}
 		missing = append(missing, id)
 	}
-	tuples, err := cc.client.inner.FetchTuples(ctx, s, missing)
+	tuples, err := cc.client.FetchTuples(ctx, s, missing)
 	if err != nil {
 		return err
 	}
@@ -169,7 +173,7 @@ func (cc *CachedClient) warm(ctx context.Context, s Source, ids []ID, ranges ...
 		cc.byVal = append(cc.byVal, cachedTuple{value: t.Value, id: t.ID})
 	}
 	sort.Slice(cc.byVal, func(i, j int) bool { return cc.byVal[i].value < cc.byVal[j].value })
-	cc.ranges = mergeRanges(append(cc.ranges, ranges...))
+	cc.unvalued = nil
 	return nil
 }
 

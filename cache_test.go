@@ -1,11 +1,14 @@
 package rsse_test
 
 import (
+	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rsse"
+	"rsse/internal/core"
 )
 
 func cachedSetup(t *testing.T) (*rsse.CachedClient, *rsse.Index, []rsse.Tuple) {
@@ -29,7 +32,7 @@ func cachedSetup(t *testing.T) (*rsse.CachedClient, *rsse.Index, []rsse.Tuple) {
 func TestCachedClientSubrangeHit(t *testing.T) {
 	cc, index, tuples := cachedSetup(t)
 	big := rsse.Range{Lo: 100, Hi: 500}
-	res1, err := cc.Query(index, big)
+	res1, err := cc.QueryContext(context.Background(), index, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func TestCachedClientSubrangeHit(t *testing.T) {
 	// A sub-range intersects history but is fully covered: must be served
 	// from cache, with zero protocol rounds.
 	sub := rsse.Range{Lo: 150, Hi: 320}
-	res2, err := cc.Query(index, sub)
+	res2, err := cc.QueryContext(context.Background(), index, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +56,10 @@ func TestCachedClientSubrangeHit(t *testing.T) {
 
 func TestCachedClientDisjointGoesToServer(t *testing.T) {
 	cc, index, tuples := cachedSetup(t)
-	if _, err := cc.Query(index, rsse.Range{Lo: 0, Hi: 100}); err != nil {
+	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 0, Hi: 100}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cc.Query(index, rsse.Range{Lo: 200, Hi: 300})
+	res, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 200, Hi: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +73,12 @@ func TestCachedClientDisjointGoesToServer(t *testing.T) {
 
 func TestCachedClientPartialOverlapRejected(t *testing.T) {
 	cc, index, _ := cachedSetup(t)
-	if _, err := cc.Query(index, rsse.Range{Lo: 100, Hi: 200}); err != nil {
+	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 100, Hi: 200}); err != nil {
 		t.Fatal(err)
 	}
 	// Intersects history but extends beyond it: neither servable from
 	// cache nor allowed at the server.
-	_, err := cc.Query(index, rsse.Range{Lo: 150, Hi: 400})
+	_, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 150, Hi: 400})
 	if !errors.Is(err, rsse.ErrNotCached) {
 		t.Errorf("partial overlap error = %v", err)
 	}
@@ -84,16 +87,16 @@ func TestCachedClientPartialOverlapRejected(t *testing.T) {
 func TestCachedClientUnionCoverage(t *testing.T) {
 	cc, index, tuples := cachedSetup(t)
 	// Two disjoint-but-adjacent queries whose union covers a later one.
-	if _, err := cc.Query(index, rsse.Range{Lo: 100, Hi: 300}); err != nil {
+	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 100, Hi: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Query(index, rsse.Range{Lo: 301, Hi: 600}); err != nil {
+	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 301, Hi: 600}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(cc.CachedRanges()); got != 1 {
 		t.Errorf("adjacent ranges not merged: %v", cc.CachedRanges())
 	}
-	res, err := cc.Query(index, rsse.Range{Lo: 250, Hi: 450})
+	res, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 250, Hi: 450})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +111,10 @@ func TestCachedClientUnionCoverage(t *testing.T) {
 func TestCachedClientExactRepeat(t *testing.T) {
 	cc, index, tuples := cachedSetup(t)
 	q := rsse.Range{Lo: 700, Hi: 900}
-	if _, err := cc.Query(index, q); err != nil {
+	if _, err := cc.QueryContext(context.Background(), index, q); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cc.Query(index, q)
+	res, err := cc.QueryContext(context.Background(), index, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +144,13 @@ func TestCachedClientConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			stripe := rsse.Range{Lo: uint64(g * 128), Hi: uint64(g*128 + 127)}
-			if _, err := cc.Query(index, stripe); err != nil {
+			if _, err := cc.QueryContext(context.Background(), index, stripe); err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < 10; i++ {
 				sub := rsse.Range{Lo: stripe.Lo + uint64(i), Hi: stripe.Hi - uint64(i)}
-				res, err := cc.Query(index, sub)
+				res, err := cc.QueryContext(context.Background(), index, sub)
 				if err != nil {
 					errs <- err
 					return
@@ -182,5 +185,64 @@ func TestCachedClientRejectsNonConstant(t *testing.T) {
 	}
 	if _, err := rsse.NewCachedClient(client); err == nil {
 		t.Error("non-Constant client accepted")
+	}
+}
+
+var errTransient = errors.New("transient")
+
+// failFirstFetch fails its first FetchMany with errTransient and counts
+// the searches that reach it.
+type failFirstFetch struct {
+	rsse.Source
+	failed   atomic.Bool
+	searches atomic.Int64
+}
+
+func (s *failFirstFetch) SearchContext(ctx context.Context, t *rsse.Trapdoor) (*core.Response, error) {
+	s.searches.Add(1)
+	return s.Source.SearchContext(ctx, t)
+}
+
+func (s *failFirstFetch) FetchMany(ctx context.Context, ids []rsse.ID) ([][]byte, error) {
+	if s.failed.CompareAndSwap(false, true) {
+		return nil, errTransient
+	}
+	return s.Source.FetchMany(ctx, ids)
+}
+
+// TestCachedClientRetriesFailedFetch: a value fetch that fails after the
+// server answered fails the call, but the range stays answered — the
+// wrapped client has it in its history — so a retry, and a sub-range,
+// are answered from the cache with zero searches instead of being
+// refused as intersecting.
+func TestCachedClientRetriesFailedFetch(t *testing.T) {
+	tuples := genTuples(100, 8, 41)
+	client, err := rsse.NewClient(rsse.ConstantBRC, 8, rsse.WithSeed(42))
+	must(t, err)
+	index, err := client.BuildIndex(tuples)
+	must(t, err)
+	cc, err := rsse.NewCachedClient(client)
+	must(t, err)
+	src := &failFirstFetch{Source: index}
+	ctx := context.Background()
+	q := rsse.Range{Lo: 10, Hi: 20}
+	if len(oracle(tuples, q)) == 0 {
+		t.Fatalf("%v matches nothing; the fetch would not run", q)
+	}
+	if _, err := cc.QueryContext(ctx, src, q); !errors.Is(err, errTransient) {
+		t.Fatalf("first query: err %v, want the fetch's error", err)
+	}
+	searches := src.searches.Load()
+	for _, r := range []rsse.Range{q, {Lo: 12, Hi: 14}} {
+		res, err := cc.QueryContext(ctx, src, r)
+		if err != nil {
+			t.Fatalf("%v after a failed fetch: %v", r, err)
+		}
+		if !equal(sorted(res.Matches), oracle(tuples, r)) {
+			t.Fatalf("%v: matches %v, want %v", r, sorted(res.Matches), oracle(tuples, r))
+		}
+	}
+	if n := src.searches.Load() - searches; n != 0 {
+		t.Fatalf("retries searched the server %d times, want 0", n)
 	}
 }

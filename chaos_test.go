@@ -60,7 +60,7 @@ func TestClusterDeadShardDegradation(t *testing.T) {
 	// Full domain: the query succeeds, covers every live slice, and the
 	// gap is attributable — typed as both partial and conn-dead.
 	full := rsse.Range{Lo: 0, Hi: (1 << 12) - 1}
-	res, err := dialed.Query(full)
+	res, err := dialed.QueryBatchContext(context.Background(), []rsse.Range{full})
 	if err != nil {
 		t.Fatalf("partial query failed outright: %v", err)
 	}
@@ -70,8 +70,8 @@ func TestClusterDeadShardDegradation(t *testing.T) {
 			live = append(live, tup.ID)
 		}
 	}
-	if !equal(sorted(res.Matches), sorted(live)) {
-		t.Fatalf("partial result wrong: %d matches, want %d", len(res.Matches), len(live))
+	if !equal(sorted(res.Results[0].Matches), sorted(live)) {
+		t.Fatalf("partial result wrong: %d matches, want %d", len(res.Results[0].Matches), len(live))
 	}
 	pe := res.PartialErr()
 	if !errors.Is(pe, rsse.ErrPartialResult) {
@@ -80,33 +80,30 @@ func TestClusterDeadShardDegradation(t *testing.T) {
 	if !errors.Is(pe, rsse.ErrConnDead) {
 		t.Fatalf("PartialErr = %v, want it to wrap ErrConnDead", pe)
 	}
-	if res.Complete() {
-		t.Fatal("result with a dead shard claims completeness")
-	}
 
 	// A range that avoids the dead shard is complete and exact.
 	liveRange := built.ShardRange(0)
-	res, err = dialed.Query(liveRange)
+	res, err = dialed.QueryBatchContext(context.Background(), []rsse.Range{liveRange})
 	if err != nil {
 		t.Fatalf("live-shard query: %v", err)
 	}
-	if !res.Complete() {
-		t.Fatalf("live-shard query reported partial: %v", res.PartialErr())
+	if pe := res.PartialErr(); pe != nil {
+		t.Fatalf("live-shard query reported partial: %v", pe)
 	}
-	if !equal(sorted(res.Matches), oracle(tuples, liveRange)) {
+	if !equal(sorted(res.Results[0].Matches), oracle(tuples, liveRange)) {
 		t.Fatal("live-shard query diverged")
 	}
 
 	// A range only the dead shard serves: every intersected shard failed,
 	// so the query itself fails, typed.
-	if _, err := dialed.Query(rsse.Range{Lo: deadRange.Lo, Hi: deadRange.Lo}); err == nil {
+	if _, err := dialed.QueryBatchContext(context.Background(), []rsse.Range{{Lo: deadRange.Lo, Hi: deadRange.Lo}}); err == nil {
 		t.Fatal("query served only by the dead shard succeeded")
 	} else if !errors.Is(err, rsse.ErrConnDead) {
 		t.Fatalf("dead-only query error = %v, want ErrConnDead", err)
 	}
 
 	// Batched scatter over mixed ranges degrades the same way.
-	bres, err := dialed.QueryBatch([]rsse.Range{full, liveRange})
+	bres, err := dialed.QueryBatchContext(context.Background(), []rsse.Range{full, liveRange})
 	if err != nil {
 		t.Fatalf("partial batch failed outright: %v", err)
 	}
@@ -221,7 +218,7 @@ func TestDynamicChaosAtMostOnce(t *testing.T) {
 	if err := clean.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tuples, err := clean.Query(rsse.Range{Lo: 0, Hi: (1 << bits) - 1})
+	tuples, err := clean.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: (1 << bits) - 1})
 	must(t, err)
 	got := make(map[uint64]bool, len(tuples))
 	for _, tup := range tuples {

@@ -63,17 +63,13 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 // is the same against each.
 type Source = core.Source
 
-// Query runs the scheme's full query protocol — one round, or two for
-// Logarithmic-SRC-i — against the source, filters any false positives
-// owner-side, and returns matches with cost/leakage accounting.
-func (c *Client) Query(s Source, q Range) (*Result, error) {
-	return c.QueryContext(context.Background(), s, q)
-}
-
-// QueryContext is Query with cancellation: the protocol aborts between
-// (and inside) rounds when ctx is done, and against a remote source an
-// expired ctx abandons the in-flight round trip at once (the server's
-// late response is discarded).
+// QueryContext runs the scheme's full query protocol — one round, or
+// two for Logarithmic-SRC-i — against the source, filters any false
+// positives owner-side, and returns matches with cost/leakage
+// accounting. The protocol aborts between (and inside) rounds when ctx
+// is done, and against a remote source an expired ctx abandons the
+// in-flight round trip at once (the server's late response is
+// discarded).
 func (c *Client) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
 	return c.inner.QueryContext(ctx, s, q)
 }
@@ -85,43 +81,38 @@ func (c *Client) QueryRemoteContext(ctx context.Context, r *RemoteIndex, q Range
 	return c.QueryContext(ctx, r, q)
 }
 
-// QueryBatch answers several ranges in one batched protocol run: all
-// covers are planned together, cover nodes shared across the ranges are
-// deduplicated into a single multi-trapdoor per round, and the shared
-// response is demultiplexed (and false-positive filtered, each id
-// fetched once) back into one Result per range, in input order. Against
-// a remote source each round is one search frame, and the filter's
-// fetches one chunked fetch round. For the Constant schemes the batch's
-// ranges must be mutually non-intersecting as well as non-intersecting
-// with history; the batch enters the history only on success.
-func (c *Client) QueryBatch(s Source, ranges []Range) (*BatchResult, error) {
-	return c.QueryBatchContext(context.Background(), s, ranges)
-}
-
-// QueryBatchContext is QueryBatch with cancellation.
+// QueryBatchContext answers several ranges in one batched protocol
+// run: all covers are planned together, cover nodes shared across the
+// ranges are deduplicated into a single multi-trapdoor per round, and
+// the shared response is demultiplexed (and false-positive filtered,
+// each id fetched once) back into one Result per range, in input order.
+// Against a remote source each round is one search frame, and the
+// filter's fetches one chunked fetch round. For the Constant schemes
+// the batch's ranges must be mutually non-intersecting as well as
+// non-intersecting with history; the batch enters the history only on
+// success. Cancelling ctx aborts the batch.
 func (c *Client) QueryBatchContext(ctx context.Context, s Source, ranges []Range) (*BatchResult, error) {
 	return c.inner.QueryBatchContext(ctx, s, ranges)
 }
 
-// FetchTuple retrieves and decrypts one tuple by id — the final,
-// search-orthogonal step applications use to obtain payloads.
-func (c *Client) FetchTuple(s Source, id ID) (Tuple, error) {
-	tuples, err := c.inner.FetchTuples(context.Background(), s, []ID{id})
-	if err != nil {
-		return Tuple{}, err
-	}
-	return tuples[0], nil
+// FetchTuples retrieves and decrypts the tuples stored under ids, in
+// order — the final, search-orthogonal step applications use to obtain
+// payloads. Against a remote source the ids travel in one chunked fetch
+// round (one frame per 128 ids), not one round trip each; an id the
+// source does not hold fails the call.
+func (c *Client) FetchTuples(ctx context.Context, s Source, ids []ID) ([]Tuple, error) {
+	return c.inner.FetchTuples(ctx, s, ids)
 }
 
 // Trapdoor produces the first-round query message without executing the
 // protocol — for benchmarks and protocol inspection. It bypasses the
-// Constant schemes' intersection guard; use Query for real traffic.
+// Constant schemes' intersection guard; use QueryContext for real traffic.
 //
 // The message is for an index of the PRF suite this client builds (an
 // index reports its own in IndexMeta.Suite). Against an index of another
 // suite — one built by an earlier release, say — the tokens match
-// nothing and the search comes back empty. Query and QueryBatch read the
-// index's suite and derive for it, so they answer from indexes of every
+// nothing and the search comes back empty. QueryContext and
+// QueryBatchContext read the index's suite and derive for it, so they answer from indexes of every
 // suite.
 func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	return c.inner.Trapdoor(q)

@@ -56,7 +56,7 @@ type clusterConfig struct {
 type ClusterOption func(*clusterConfig) error
 
 // WithClusterWorkers bounds how many shard sub-queries run concurrently
-// per Query call; 0 (the default) runs every intersected shard at once.
+// per query; 0 (the default) runs every intersected shard at once.
 func WithClusterWorkers(n int) ClusterOption {
 	return func(c *clusterConfig) error {
 		if n < 0 {
@@ -71,7 +71,7 @@ func WithClusterWorkers(n int) ClusterOption {
 // first-error policy (cancel the rest, fail the query) to a
 // partial-result policy: the other shards finish, the merged result
 // covers the reachable slices, and the per-shard errors are reported in
-// ClusterResult.Shards. Queries still fail when every shard fails.
+// ClusterBatchResult.Shards. Queries still fail when every shard fails.
 func WithPartialResults() ClusterOption {
 	return func(c *clusterConfig) error {
 		c.policy = shard.Partial
@@ -373,106 +373,17 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// ShardQueryStat is one shard's share of a cluster query: the sub-range
-// it was asked, its cost/leakage stats, and its error if the sub-query
-// failed (possible only under WithPartialResults, where the merged
-// result then misses that shard's slice).
-type ShardQueryStat struct {
-	Shard int
-	Range Range
-	Err   error
-	Stats QueryStats
-}
-
-// ClusterResult is a merged scatter-gather query outcome. The embedded
-// Result aggregates every shard exactly as a single index would have
-// answered (counters sum; Rounds is the per-shard maximum; ServerTime
-// and OwnerTime sum across shards, so they measure total work, not wall
-// clock). Shards reports the per-shard breakdown in ascending shard
-// order — one entry per shard the query intersected.
-type ClusterResult struct {
-	Result
-	Shards []ShardQueryStat
-}
-
 // ErrPartialResult marks a cluster result whose merged matches are
 // missing at least one shard's slice: under WithPartialResults the
 // query itself succeeds (err == nil, reachable shards merged), and
-// this typed error — from ClusterResult.PartialErr — is how callers
-// detect and attribute the gap. Detect with errors.Is.
+// this typed error — from ClusterBatchResult.PartialErr — is how
+// callers detect and attribute the gap. Detect with errors.Is.
 var ErrPartialResult = errors.New("rsse: partial result, one or more shards failed")
 
-// partialErr builds the typed partial-result error from per-shard
-// failures: nil when every shard answered.
-func partialErr(failed []int, first error) error {
-	if len(failed) == 0 {
-		return nil
-	}
-	ids := make([]string, len(failed))
-	for i, s := range failed {
-		ids[i] = fmt.Sprint(s)
-	}
-	// Both errors wrap: callers match the category (ErrPartialResult)
-	// and the cause (e.g. ErrConnDead) with one errors.Is each.
-	return fmt.Errorf("%w: shard(s) %s: %w", ErrPartialResult, strings.Join(ids, ","), first)
-}
-
-// PartialErr returns nil when every intersected shard answered, and a
-// typed error wrapping ErrPartialResult (naming the failed shards and
-// carrying the first underlying failure) otherwise. The degradation
-// ladder: a healthy cluster returns complete results; under
-// WithPartialResults a dead shard costs only its slice, surfaced
-// here; only when every shard fails does the query itself error.
-func (r *ClusterResult) PartialErr() error {
-	var failed []int
-	var first error
-	for _, s := range r.Shards {
-		if s.Err != nil {
-			failed = append(failed, s.Shard)
-			if first == nil {
-				first = s.Err
-			}
-		}
-	}
-	return partialErr(failed, first)
-}
-
-// Complete reports whether every intersected shard answered.
-func (r *ClusterResult) Complete() bool { return r.PartialErr() == nil }
-
-// Query answers a range query across the cluster: the range splits at
-// shard boundaries, each intersected shard is queried concurrently with
-// its own trapdoors, and the per-shard results merge into one. A range
-// inside one shard touches exactly that shard.
-func (c *Cluster) Query(q Range) (*ClusterResult, error) {
-	return c.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query with cancellation: cancelling ctx aborts the
-// scatter and fails the query. It is the batched scatter on one range:
-// each intersected shard answers a batch of one slice.
-func (c *Cluster) QueryContext(ctx context.Context, q Range) (*ClusterResult, error) {
-	outcomes, err := c.scatter(ctx, []Range{q})
-	if err != nil {
-		return nil, err
-	}
-	res := &ClusterResult{Shards: make([]ShardQueryStat, len(outcomes))}
-	for i, o := range outcomes {
-		st := ShardQueryStat{Shard: o.Task.Shard, Range: o.Task.Ranges[0], Err: o.Err}
-		if o.Res != nil {
-			sub := o.Res.Results[0]
-			st.Stats = sub.Stats
-			shard.MergeInto(&res.Result, sub)
-		}
-		res.Shards[i] = st
-	}
-	return res, nil
-}
-
-// ShardBatchStat is one shard's share of a batched cluster query: how
-// many range slices it answered, its batch-level accounting, and its
-// error if the sub-batch failed (possible only under
-// WithPartialResults).
+// ShardBatchStat is one shard's share of a cluster query: how many
+// range slices it answered, its batch-level accounting, and its error
+// if the sub-batch failed (possible only under WithPartialResults,
+// where the merged results then miss that shard's slices).
 type ShardBatchStat struct {
 	Shard  int
 	Ranges int
@@ -480,49 +391,58 @@ type ShardBatchStat struct {
 	Stats  BatchStats
 }
 
-// ClusterBatchResult is a batched scatter-gather outcome: one merged
-// Result per input range (in input order), the aggregated batch
-// accounting, and the per-shard breakdown.
+// ClusterBatchResult is a scatter-gather outcome: the embedded
+// BatchResult holds one merged Result per input range (in input order)
+// and the batch accounting aggregated over the shards (counters sum;
+// Rounds is the per-shard maximum; ServerTime and OwnerTime sum across
+// shards, so they measure total work, not wall clock). Shards reports
+// the per-shard breakdown in ascending shard order — one entry per
+// shard the query intersected.
 type ClusterBatchResult struct {
-	Results []*Result
-	Stats   BatchStats
-	Shards  []ShardBatchStat
+	BatchResult
+	Shards []ShardBatchStat
 }
 
-// PartialErr is ClusterResult.PartialErr for a batched outcome.
+// PartialErr returns nil when every intersected shard answered, and a
+// typed error wrapping ErrPartialResult (naming the failed shards and
+// carrying the first underlying failure) otherwise. The degradation
+// ladder: a healthy cluster returns complete results; under
+// WithPartialResults a dead shard costs only its slices, surfaced
+// here; only when every shard fails does the query itself error.
 func (r *ClusterBatchResult) PartialErr() error {
-	var failed []int
+	var ids []string
 	var first error
 	for _, s := range r.Shards {
 		if s.Err != nil {
-			failed = append(failed, s.Shard)
+			ids = append(ids, fmt.Sprint(s.Shard))
 			if first == nil {
 				first = s.Err
 			}
 		}
 	}
-	return partialErr(failed, first)
+	if first == nil {
+		return nil
+	}
+	// Both errors wrap: callers match the category (ErrPartialResult)
+	// and the cause (e.g. ErrConnDead) with one errors.Is each.
+	return fmt.Errorf("%w: shard(s) %s: %w", ErrPartialResult, strings.Join(ids, ","), first)
 }
 
-// QueryBatch answers several ranges across the cluster in one batched
+// QueryBatchContext answers ranges across the cluster in one batched
 // scatter: every range splits at shard boundaries, the slices group by
 // owning shard, and each intersected shard receives a single batched
-// sub-query — one search frame per round per shard on remote clusters,
-// instead of one frame per (range, shard) pair. Within each shard the
-// covers of that shard's slices are deduplicated exactly as in
-// Client.QueryBatch.
-func (c *Cluster) QueryBatch(ranges []Range) (*ClusterBatchResult, error) {
-	return c.QueryBatchContext(context.Background(), ranges)
-}
-
-// QueryBatchContext is QueryBatch with cancellation: cancelling ctx
-// aborts the scatter and fails the batch.
+// sub-query with its own trapdoors — one search frame per round per
+// shard on remote clusters, instead of one frame per (range, shard)
+// pair. Within each shard the covers of that shard's slices are
+// deduplicated exactly as in Client.QueryBatchContext, and a range
+// inside one shard touches exactly that shard; one range is a batch of
+// one. Cancelling ctx aborts the scatter and fails the batch.
 func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*ClusterBatchResult, error) {
 	outcomes, err := c.scatter(ctx, ranges)
 	if err != nil {
 		return nil, err
 	}
-	out := &ClusterBatchResult{Results: make([]*Result, len(ranges))}
+	out := &ClusterBatchResult{BatchResult: BatchResult{Results: make([]*Result, len(ranges))}}
 	for i := range out.Results {
 		out.Results[i] = &Result{}
 	}

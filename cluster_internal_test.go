@@ -46,17 +46,17 @@ func TestClusterQueryContextReleasesShard(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.QueryContext(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.QueryBatchContext(ctx, []Range{q}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first query: err = %v, want deadline exceeded", err)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel2()
-	res, err := c.QueryContext(ctx2, q)
+	res, err := c.QueryBatchContext(ctx2, []Range{q})
 	if err != nil {
 		t.Fatalf("second query on the same shard: %v", err)
 	}
-	if len(res.Matches) == 0 {
+	if len(res.Results[0].Matches) == 0 {
 		t.Fatal("second query matched nothing")
 	}
 }

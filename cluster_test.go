@@ -36,7 +36,7 @@ func TestClusterShardIndependence(t *testing.T) {
 	}
 	// One-shard query → exactly one per-shard entry, on the owner.
 	sr := cluster.ShardRange(2)
-	res, err := cluster.Query(rsse.Range{Lo: sr.Lo, Hi: sr.Lo})
+	res, err := cluster.QueryBatchContext(context.Background(), []rsse.Range{{Lo: sr.Lo, Hi: sr.Lo}})
 	must(t, err)
 	if len(res.Shards) != 1 || res.Shards[0].Shard != 2 {
 		t.Fatalf("single-shard query touched %+v", res.Shards)
@@ -49,7 +49,7 @@ func TestClusterShardIndependence(t *testing.T) {
 	other, err := rsse.NewClient(rsse.LogarithmicBRC, 10,
 		rsse.WithMasterKey(cluster.MasterKey()))
 	must(t, err)
-	if _, err := other.Query(k0, rsse.Range{Lo: 0, Hi: 10}); err == nil {
+	if _, err := other.QueryContext(context.Background(), k0, rsse.Range{Lo: 0, Hi: 10}); err == nil {
 		// The cluster master key must not be a shard key directly. A
 		// query under it may error or return garbage, but must not
 		// silently succeed with correct plaintext matches.
@@ -77,11 +77,11 @@ func TestClusterQuantileSplit(t *testing.T) {
 	baseIdx, err := baseline.BuildIndex(tuples)
 	must(t, err)
 	for _, q := range genRanges(14, 40, 6) {
-		want, err := baseline.Query(baseIdx, q)
+		want, err := baseline.QueryContext(context.Background(), baseIdx, q)
 		must(t, err)
-		got, err := cluster.Query(q)
+		got, err := cluster.QueryBatchContext(context.Background(), []rsse.Range{q})
 		must(t, err)
-		if !equal(sorted(got.Matches), sorted(want.Matches)) {
+		if !equal(sorted(got.Results[0].Matches), sorted(want.Matches)) {
 			t.Fatalf("%v: quantile cluster diverged", q)
 		}
 	}
@@ -132,7 +132,7 @@ func TestClusterPartialResults(t *testing.T) {
 	defer strict.Close()
 
 	full := rsse.Range{Lo: 0, Hi: (1 << 12) - 1}
-	if _, err := strict.Query(full); err != nil {
+	if _, err := strict.QueryBatchContext(context.Background(), []rsse.Range{full}); err != nil {
 		t.Fatalf("healthy strict query: %v", err)
 	}
 
@@ -161,7 +161,7 @@ func TestClusterPartialResults(t *testing.T) {
 		strict2, err := rsse.DialCluster("tcp", "", man4, built.MasterKey())
 		must(t, err)
 		defer strict2.Close()
-		if _, err := strict2.Query(full); err == nil {
+		if _, err := strict2.QueryBatchContext(context.Background(), []rsse.Range{full}); err == nil {
 			t.Fatal("strict query over a dead shard succeeded")
 		}
 
@@ -169,7 +169,7 @@ func TestClusterPartialResults(t *testing.T) {
 			rsse.WithPartialResults())
 		must(t, err)
 		defer part2.Close()
-		res, err := part2.Query(full)
+		res, err := part2.QueryBatchContext(context.Background(), []rsse.Range{full})
 		if err != nil {
 			t.Fatalf("partial query: %v", err)
 		}
@@ -180,8 +180,8 @@ func TestClusterPartialResults(t *testing.T) {
 				live = append(live, tup.ID)
 			}
 		}
-		if !equal(sorted(res.Matches), sorted(live)) {
-			t.Fatalf("partial result wrong: %d matches, want %d", len(res.Matches), len(live))
+		if !equal(sorted(res.Results[0].Matches), sorted(live)) {
+			t.Fatalf("partial result wrong: %d matches, want %d", len(res.Results[0].Matches), len(live))
 		}
 		failed := 0
 		for _, s := range res.Shards {
@@ -204,7 +204,7 @@ func TestClusterContextCancel(t *testing.T) {
 	must(t, err)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cluster.QueryContext(ctx, rsse.Range{Lo: 0, Hi: 1023}); !errors.Is(err, context.Canceled) {
+	if _, err := cluster.QueryBatchContext(ctx, []rsse.Range{{Lo: 0, Hi: 1023}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query error = %v", err)
 	}
 }
@@ -237,11 +237,11 @@ func TestClusterPersistReopen(t *testing.T) {
 	must(t, err)
 	defer reread.Close()
 	for _, q := range genRanges(12, 30, 11) {
-		res, err := reread.Query(q)
+		res, err := reread.QueryBatchContext(context.Background(), []rsse.Range{q})
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
 		}
-		if !equal(sorted(res.Matches), oracle(tuples, q)) {
+		if !equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
 			t.Fatalf("%v: reopened cluster diverged", q)
 		}
 	}
@@ -286,7 +286,7 @@ func TestClusterValidation(t *testing.T) {
 	// k=1 degenerates to a single index and still answers queries.
 	one, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 1, genTuples(50, 8, 91))
 	must(t, err)
-	if _, err := one.Query(rsse.Range{Lo: 0, Hi: 255}); err != nil {
+	if _, err := one.QueryBatchContext(context.Background(), []rsse.Range{{Lo: 0, Hi: 255}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -313,9 +313,9 @@ func TestClusterKeyDeterminism(t *testing.T) {
 		})
 	must(t, err)
 	q := rsse.Range{Lo: 100, Hi: 900}
-	res, err := reopened.Query(q)
+	res, err := reopened.QueryBatchContext(context.Background(), []rsse.Range{q})
 	must(t, err)
-	if !equal(sorted(res.Matches), oracle(tuples, q)) {
+	if !equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
 		t.Fatal("re-keyed cluster cannot read its own shards")
 	}
 	// A wrong key must not produce correct results.
@@ -329,7 +329,7 @@ func TestClusterKeyDeterminism(t *testing.T) {
 			return rsse.UnmarshalIndex(blob)
 		})
 	must(t, err)
-	if res, err := wrongKeyCluster.Query(q); err == nil && equal(sorted(res.Matches), oracle(tuples, q)) {
+	if res, err := wrongKeyCluster.QueryBatchContext(context.Background(), []rsse.Range{q}); err == nil && equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
 		t.Fatal("wrong cluster key still decrypts")
 	}
 }

@@ -478,17 +478,13 @@ func (s *clusterSession) Do(ctx context.Context, op *workload.Op) (workload.Metr
 	if op.Write != nil {
 		return workload.Metrics{}, fmt.Errorf("write ops are not supported against a cluster")
 	}
-	if len(op.Ranges) == 1 {
-		res, err := s.cl.QueryContext(ctx, op.Ranges[0])
-		if err != nil {
-			return workload.Metrics{}, err
-		}
-		return queryMetrics(res.Stats), nil
-	}
 	// One batched scatter: one search frame per round per intersected shard.
 	br, err := s.cl.QueryBatchContext(ctx, op.Ranges)
 	if err != nil {
 		return workload.Metrics{}, err
+	}
+	if len(op.Ranges) == 1 {
+		return queryMetrics(br.Results[0].Stats), nil
 	}
 	return batchMetrics(br.Stats, br.Results), nil
 }

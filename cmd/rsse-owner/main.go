@@ -172,7 +172,7 @@ func dynamic(cmd string, args []string) {
 		}
 	case "get":
 		var tuples []rsse.Tuple
-		if tuples, err = remote.Query(rsse.Range{Lo: *lo, Hi: *hi}); err == nil {
+		if tuples, err = remote.QueryContext(context.Background(), rsse.Range{Lo: *lo, Hi: *hi}); err == nil {
 			fmt.Printf("get [%d, %d]: %d live tuples\n", *lo, *hi, len(tuples))
 			for _, t := range tuples {
 				fmt.Printf("  %d\t%d\t%s\n", t.ID, t.Value, t.Payload)
@@ -315,20 +315,23 @@ func shardQuery(args []string) {
 	defer cluster.Close()
 
 	q := rsse.Range{Lo: *lo, Hi: *hi}
-	res, err := cluster.Query(q)
+	br, err := cluster.QueryBatchContext(context.Background(), []rsse.Range{q})
 	if err != nil {
 		fatal(err)
 	}
+	res := br.Results[0]
 	fmt.Printf("query %v over %d shards: %d matches (%d sub-queries, %d tokens, %d token bytes, %d false positives dropped)\n",
-		q, cluster.Shards(), len(res.Matches), len(res.Shards),
+		q, cluster.Shards(), len(res.Matches), len(br.Shards),
 		res.Stats.Tokens, res.Stats.TokenBytes, res.Stats.FalsePositives)
-	for _, s := range res.Shards {
+	for _, s := range br.Shards {
 		status := "ok"
 		if s.Err != nil {
 			status = "FAILED: " + s.Err.Error()
 		}
-		fmt.Printf("  shard %d %v: %d matches, %d tokens  [%s]\n",
-			s.Shard, s.Range, s.Stats.Matches, s.Stats.Tokens, status)
+		own := cluster.ShardRange(s.Shard)
+		slice := rsse.Range{Lo: max(q.Lo, own.Lo), Hi: min(q.Hi, own.Hi)}
+		fmt.Printf("  shard %d %v: %d tokens, %d response items  [%s]\n",
+			s.Shard, slice, s.Stats.UniqueTokens, s.Stats.ResponseItems, status)
 	}
 	for _, id := range res.Matches {
 		if *payloads {
@@ -473,16 +476,18 @@ func query(args []string) {
 	}
 
 	printMatches := func(ids []rsse.ID) {
-		for _, id := range ids {
-			if *payloads {
-				tup, err := client.FetchTuple(src, id)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("  %d\t%d\t%s\n", tup.ID, tup.Value, tup.Payload)
-			} else {
+		if !*payloads {
+			for _, id := range ids {
 				fmt.Printf("  %d\n", id)
 			}
+			return
+		}
+		tuples, err := client.FetchTuples(context.Background(), src, ids)
+		if err != nil {
+			fatal(err)
+		}
+		for _, tup := range tuples {
+			fmt.Printf("  %d\t%d\t%s\n", tup.ID, tup.Value, tup.Payload)
 		}
 	}
 
@@ -491,7 +496,7 @@ func query(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		br, err := client.QueryBatch(src, ranges)
+		br, err := client.QueryBatchContext(context.Background(), src, ranges)
 		if err != nil {
 			fatal(err)
 		}
@@ -507,7 +512,7 @@ func query(args []string) {
 	}
 
 	q := rsse.Range{Lo: *lo, Hi: *hi}
-	res, err := client.Query(src, q)
+	res, err := client.QueryContext(context.Background(), src, q)
 	if err != nil {
 		fatal(err)
 	}

@@ -425,7 +425,13 @@ func clientTarget(c *rsse.Client, x rsse.Source) target {
 		func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
 			return batch(c.QueryBatchContext(ctx, x, qs))
 		},
-		func(id rsse.ID) (rsse.Tuple, error) { return c.FetchTuple(x, id) },
+		func(id rsse.ID) (rsse.Tuple, error) {
+			tuples, err := c.FetchTuples(context.Background(), x, []rsse.ID{id})
+			if err != nil {
+				return rsse.Tuple{}, err
+			}
+			return tuples[0], nil
+		},
 	}
 }
 
@@ -437,7 +443,7 @@ func clusterTarget(c *rsse.Cluster, pipelined *bool) target {
 	span := func(q rsse.Range) int { return c.ShardOf(q.Hi) - c.ShardOf(q.Lo) + 1 }
 	return target{
 		func(ctx context.Context, q rsse.Range) (answer, error) {
-			res, err := c.QueryContext(ctx, q)
+			res, err := c.QueryBatchContext(ctx, []rsse.Range{q})
 			if err != nil {
 				return answer{}, err
 			}
@@ -445,11 +451,11 @@ func clusterTarget(c *rsse.Cluster, pipelined *bool) target {
 				return answer{}, fmt.Errorf("%v ran on %d shards, spans %d", q, len(res.Shards), span(q))
 			}
 			for _, sh := range res.Shards {
-				if pipelined != nil && sh.Stats.Raw > core.FetchChunk {
+				if pipelined != nil && sh.Stats.FetchedTuples > core.FetchChunk {
 					*pipelined = true
 				}
 			}
-			a := idAnswer(&res.Result)
+			a := idAnswer(res.Results[0])
 			a.shards = span(q)
 			return a, res.PartialErr()
 		},
@@ -524,8 +530,8 @@ func (f *fixture) ask(t *testing.T, m *model, ranges []rsse.Range, tg, ref targe
 				t.Fatalf("batch range %d %v: %v", i, q, err)
 			}
 		}
-		if st != nil && (st.Ranges != len(qs) || st.CoverNodes < st.UniqueTokens) {
-			t.Fatalf("batch stats: %d ranges for %d, %d cover nodes for %d tokens", st.Ranges, len(qs), st.CoverNodes, st.UniqueTokens)
+		if st != nil {
+			must(t, checkBatchStats(st, len(qs)))
 		}
 	}
 	if tg.fetch != nil {
@@ -571,6 +577,15 @@ func noPanic(fn func() error) (err error) {
 		}
 	}()
 	return fn()
+}
+
+// checkBatchStats checks the accounting every batch reports: one range
+// per query, and no more tokens sent than the covers asked for.
+func checkBatchStats(st *rsse.BatchStats, ranges int) error {
+	if st.Ranges != ranges || st.CoverNodes < st.UniqueTokens {
+		return fmt.Errorf("batch stats: %d ranges for %d, %d cover nodes for %d tokens", st.Ranges, ranges, st.CoverNodes, st.UniqueTokens)
+	}
+	return nil
 }
 
 func fetchCheck(tg target, want rsse.Tuple) error {
@@ -813,12 +828,14 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 		{{Lo: in[0].Value / 2, Hi: in[0].Value}, {Lo: in[1].Value, Hi: a.Hi}, {Lo: m / 8, Hi: 3 * m / 8}, c}} {
 		var rs []*rsse.Result
 		if mod == "batch" {
-			rs, err = cc.QueryBatch(src, step)
+			br, err := cc.QueryBatchContext(context.Background(), src, step)
 			must(t, err)
+			must(t, checkBatchStats(&br.Stats, len(step)))
+			rs = br.Results
 		}
 		for i, q := range step {
 			if mod != "batch" {
-				r, err := cc.Query(src, q)
+				r, err := cc.QueryContext(context.Background(), src, q)
 				must(t, err)
 				rs = append(rs, r)
 			}
@@ -831,17 +848,16 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 			f.refuses(t, target{
 				one: func(ctx context.Context, q rsse.Range) (answer, error) { return one(cc.QueryContext(ctx, src, q)) },
 				batch: func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
-					rs, err := cc.QueryBatchContext(ctx, src, qs)
-					return idAnswers(rs), nil, err
+					return batch(cc.QueryBatchContext(ctx, src, qs))
 				},
 			})
 		}
 	}
 	miss := rsse.Range{Lo: m/2 - 8, Hi: m/2 + 8}
-	if _, err := cc.Query(src, miss); !errors.Is(err, rsse.ErrNotCached) {
+	if _, err := cc.QueryContext(context.Background(), src, miss); !errors.Is(err, rsse.ErrNotCached) {
 		t.Fatalf("uncovered intersecting %v: err %v, want ErrNotCached", miss, err)
 	}
-	if _, err := client.Query(f.built, miss); !errors.Is(err, rsse.ErrIntersectingQuery) {
+	if _, err := client.QueryContext(context.Background(), f.built, miss); !errors.Is(err, rsse.ErrIntersectingQuery) {
 		t.Fatalf("guarded %v: err %v, want ErrIntersectingQuery", miss, err)
 	}
 }

@@ -38,12 +38,15 @@
 //	})
 //	if err != nil { ... }
 //	// Ship index to the server; keep client (it holds the keys).
-//	res, err := client.Query(index, rsse.Range{Lo: 500, Hi: 1500})
+//	res, err := client.QueryContext(ctx, index, rsse.Range{Lo: 500, Hi: 1500})
 //	// res.Matches == []rsse.ID{1}
+//	tuples, err := client.FetchTuples(ctx, index, res.Matches)
 //
 // A Client queries any Source: a local *Index, or a *RemoteIndex
-// dialed to a server (Dial, DialIndex) — the same Query, QueryBatch and
-// FetchTuple run each round across the connection instead. A Source is
+// dialed to a server (Dial, DialIndex) — the same QueryContext,
+// QueryBatchContext and FetchTuples run each round across the
+// connection instead. Every store has one call for a range and one for
+// a batch, both context-first. A Source is
 // three context-first calls, MetaContext, SearchContext and FetchMany,
 // and every index answers all three.
 //
@@ -88,7 +91,7 @@
 // concurrently, and merge into one result:
 //
 //	cluster, err := rsse.BuildCluster(rsse.LogarithmicSRCi, 20, 4, tuples)
-//	res, err := cluster.Query(rsse.Range{Lo: 500, Hi: 1500})
+//	res, err := cluster.QueryBatchContext(ctx, []rsse.Range{{Lo: 500, Hi: 1500}})
 //
 // BuildCluster accepts WithQuantileSplit (skew-aware shard boundaries),
 // WithPartialResults (degrade instead of failing when a shard is down),
@@ -97,9 +100,9 @@
 // shards from files, DialCluster connects to remotely served shards via
 // a static shard→address table, and a Dynamic built by
 // NewShardedDynamic routes forward-private updates to the shard owning
-// each value. QueryContext cancels
-// an in-flight scatter; ClusterResult reports per-shard cost, leakage
-// and errors alongside the merged Result.
+// each value. Cancelling the context cancels an in-flight scatter; the
+// ClusterBatchResult reports per-shard cost and errors (Shards,
+// PartialErr) alongside one merged Result per range.
 //
 // # Durable dynamic indexes
 //
@@ -135,24 +138,25 @@
 // # Batched queries
 //
 // Correlated bursts of range queries share most of their dyadic cover
-// nodes. QueryBatch plans all covers together, deduplicates the shared
+// nodes. QueryBatchContext plans all covers together, deduplicates the shared
 // nodes into one multi-trapdoor per round, and demultiplexes the shared
 // response into one Result per range — identical results to a
 // sequential loop, a fraction of the tokens, frames and searches:
 //
-//	br, err := client.QueryBatch(index, []rsse.Range{{0, 99}, {50, 199}})
+//	br, err := client.QueryBatchContext(ctx, index, []rsse.Range{{0, 99}, {50, 199}})
 //	// br.Results[0], br.Results[1]; br.Stats.DedupRatio()
 //
 // The batch rides one search frame per round against a remote index
-// (Client.QueryBatch on a *RemoteIndex), one per round per intersected
-// shard across a cluster (Cluster.QueryBatch), one batched sub-query per
-// LSM epoch of each shard (Dynamic.QueryBatch), and through the
-// cache (CachedClient.QueryBatch answers covered ranges locally and
+// (Client.QueryBatchContext on a *RemoteIndex), one per round per
+// intersected shard across a cluster (Cluster.QueryBatchContext), one
+// batched sub-query per LSM epoch of each shard
+// (Dynamic.QueryBatchContext), and through the cache
+// (CachedClient.QueryBatchContext answers covered ranges locally and
 // batches the misses). The server sees only the deduplicated, jointly
 // permuted token union, in the message a single query would send — not
 // even the batch size, so strictly less than the equivalent sequential
-// queries reveal. A single query is a batch of one: Query runs the same
-// protocol on one range.
+// queries reveal. A single query is a batch of one: QueryContext runs
+// the same protocol on one range.
 //
 // # The fetch round
 //
@@ -186,15 +190,15 @@
 // server's view — tokens, probes, labels, cell sizes — has the same
 // shape under each.
 //
-// # Context-aware variants
+// # One context-first call per store
 //
-// Every query layer has a context form — Client.QueryContext and
+// Every store has exactly one call for a range and one for a batch,
+// and both take a context: Client.QueryContext and
 // Client.QueryBatchContext (on any Source, local or remote),
-// Cluster.QueryContext, Cluster.QueryBatchContext, Dynamic.QueryContext,
-// Dynamic.QueryBatchContext (sharded or not), CachedClient.QueryContext
-// and CachedClient.QueryBatchContext — so cancellation and deadlines work
-// uniformly: an expired context aborts in-flight round trips
-// immediately and the late responses are discarded without corrupting
-// the connection. The plain methods delegate to their context variants
-// with context.Background().
+// CachedClient.QueryContext and CachedClient.QueryBatchContext,
+// Dynamic.QueryContext and Dynamic.QueryBatchContext (sharded or not),
+// RemoteDynamic.QueryContext, MultiClient.QueryContext, and
+// Cluster.QueryBatchContext, whose one range is a batch of one. An
+// expired context aborts in-flight round trips immediately and the
+// late responses are discarded without corrupting the connection.
 package rsse

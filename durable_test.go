@@ -1,6 +1,7 @@
 package rsse_test
 
 import (
+	"context"
 	"net"
 	"os"
 	"path/filepath"
@@ -109,11 +110,11 @@ func TestDurableRecoveryDifferential(t *testing.T) {
 			compare := func(phase string) {
 				t.Helper()
 				for _, q := range ranges {
-					got, _, err := d2.Query(q)
+					got, _, err := d2.QueryContext(context.Background(), q)
 					if err != nil {
 						t.Fatalf("%s: recovered query %v: %v", phase, q, err)
 					}
-					want, _, err := oracle.Query(q)
+					want, _, err := oracle.QueryContext(context.Background(), q)
 					if err != nil {
 						t.Fatalf("%s: oracle query %v: %v", phase, q, err)
 					}
@@ -163,11 +164,11 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range genRanges(bits, 40, 2) {
-		got, _, err := d2.Query(q)
+		got, _, err := d2.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("recovered query %v: %v", q, err)
 		}
-		want, _, err := oracle.Query(q)
+		want, _, err := oracle.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("oracle query %v: %v", q, err)
 		}
@@ -204,7 +205,7 @@ func TestShardedDynamicSeededShardsQueryConcurrently(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		got, _, err := d.Query(q)
+		got, _, err := d.QueryContext(context.Background(), q)
 		must(t, err)
 		if len(got) != want {
 			t.Fatalf("query %d: %d tuples, want %d", i, len(got), want)
@@ -262,7 +263,7 @@ func TestCrossShardModifyCrashNeverResurrects(t *testing.T) {
 	if err := d2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tuples, _, err := d2.Query(rsse.Range{Lo: 0, Hi: m - 1})
+	tuples, _, err := d2.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: m - 1})
 	must(t, err)
 	for _, tup := range tuples {
 		if tup.ID == 1 && tup.Value == oldValue {
@@ -337,7 +338,7 @@ func TestRemoteUpdatesDurable(t *testing.T) {
 	if err := remote2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tuples, err := remote2.Query(rsse.Range{Lo: 0, Hi: (1 << bits) - 1})
+	tuples, err := remote2.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: (1 << bits) - 1})
 	must(t, err)
 	if len(tuples) != 1 {
 		t.Fatalf("recovered store holds %d live tuples, want 1: %+v", len(tuples), tuples)

@@ -432,16 +432,17 @@ func (d *Dynamic) each(what string, op func(*lsm.Manager) error) error {
 	return nil
 }
 
-// Query runs the range query against every active index, resolves the
-// per-id operation history owner-side (newest operation wins, tombstones
-// cancel their victims) and returns the live tuples. It is QueryBatch
-// on one range.
+// Query is QueryContext without cancellation.
+//
+// Deprecated: call QueryContext.
 func (d *Dynamic) Query(q Range) ([]Tuple, UpdateStats, error) {
 	return d.QueryContext(context.Background(), q)
 }
 
-// QueryContext is Query with cancellation: the per-epoch fan-out aborts
-// when ctx is done.
+// QueryContext runs the range query against every active index,
+// resolves the per-id operation history owner-side (newest operation
+// wins, tombstones cancel their victims) and returns the live tuples.
+// It is QueryBatchContext on one range.
 func (d *Dynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateStats, error) {
 	out, stats, err := d.QueryBatchContext(ctx, []Range{q})
 	if err != nil {
@@ -450,20 +451,16 @@ func (d *Dynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateSta
 	return out[0], stats, nil
 }
 
-// QueryBatch answers several ranges in one pass over the active indexes:
-// every epoch receives a single batched sub-query with the ranges'
-// covers deduplicated, so the LSM's per-epoch fan-out cost is paid once
-// per batch instead of once per range. On a sharded store the ranges'
-// slices group by owning shard and the shards answer concurrently,
-// through the scatter-gather engine cluster queries use. Results are
-// per input range, in input order.
-func (d *Dynamic) QueryBatch(qs []Range) ([][]Tuple, UpdateStats, error) {
-	return d.QueryBatchContext(context.Background(), qs)
-}
-
-// QueryBatchContext is QueryBatch with cancellation. Every range is
-// checked against the domain first, so an inverted range or one past
-// the domain fails even on a store with no flushed epoch.
+// QueryBatchContext answers several ranges in one pass over the active
+// indexes: every epoch receives a single batched sub-query with the
+// ranges' covers deduplicated, so the LSM's per-epoch fan-out cost is
+// paid once per batch instead of once per range. On a sharded store the
+// ranges' slices group by owning shard and the shards answer
+// concurrently, through the scatter-gather engine cluster queries use.
+// Results are per input range, in input order; the per-epoch fan-out
+// aborts when ctx is done. Every range is checked against the domain
+// first, so an inverted range or one past the domain fails even on a
+// store with no flushed epoch.
 func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple, UpdateStats, error) {
 	for _, q := range qs {
 		if err := d.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {

@@ -1,6 +1,7 @@
 package rsse_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -24,21 +25,21 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := client.Query(index, rsse.Range{Lo: 30, Hi: 45})
+	res, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 30, Hi: 45})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tup, err := client.FetchTuple(index, res.Matches[0])
+	tuples, err := client.FetchTuples(context.Background(), index, res.Matches)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d match: %s\n", len(res.Matches), tup.Payload)
+	fmt.Printf("%d match: %s\n", len(res.Matches), tuples[0].Payload)
 	// Output: 1 match: alice
 }
 
 // Observing the leakage profile: Logarithmic-SRC issues exactly one
 // token and returns one undivided result group.
-func ExampleClient_Query() {
+func ExampleClient_QueryContext() {
 	client, err := rsse.NewClient(rsse.LogarithmicSRC, 12, rsse.WithSeed(2))
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +52,7 @@ func ExampleClient_Query() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := client.Query(index, rsse.Range{Lo: 256, Hi: 1000})
+	res, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 256, Hi: 1000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func ExampleDynamic() {
 	if err := store.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	tuples, _, err := store.Query(rsse.Range{Lo: 0, Hi: 4095})
+	tuples, _, err := store.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: 4095})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func Example_durableDynamic() {
 	if err := recovered.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	tuples, _, err := recovered.Query(rsse.Range{Lo: 0, Hi: 4095})
+	tuples, _, err := recovered.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: 4095})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func Example_remoteUpdates() {
 	if err := remote.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	tuples, err := remote.Query(rsse.Range{Lo: 1000, Hi: 2000})
+	tuples, err := remote.QueryContext(context.Background(), rsse.Range{Lo: 1000, Hi: 2000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -196,12 +197,12 @@ func ExampleCachedClient() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cached.Query(index, rsse.Range{Lo: 100, Hi: 400}); err != nil {
+	if _, err := cached.QueryContext(context.Background(), index, rsse.Range{Lo: 100, Hi: 400}); err != nil {
 		log.Fatal(err)
 	}
 	// The sub-range intersects the history, so the raw client would
 	// refuse it — the cache answers locally instead.
-	res, err := cached.Query(index, rsse.Range{Lo: 200, Hi: 300})
+	res, err := cached.QueryContext(context.Background(), index, rsse.Range{Lo: 200, Hi: 300})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	mrand "math/rand"
@@ -63,7 +64,7 @@ func main() {
 		}
 		var tokens, raw, fps, rounds int
 		for _, q := range queries {
-			res, err := client.Query(index, q)
+			res, err := client.QueryContext(context.Background(), index, q)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -43,7 +44,7 @@ func main() {
 		}
 		fmt.Printf("\n%s\n", kind)
 		for _, q := range []rsse.Range{qa, qb} {
-			res, err := client.Query(index, q)
+			res, err := client.QueryContext(context.Background(), index, q)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ func main() {
 	// The owner picks a scheme and a domain. Logarithmic-SRC-i is the
 	// paper's best security/efficiency trade-off: constant query size,
 	// bounded false positives even under skew.
+	ctx := context.Background()
 	client, err := rsse.NewClient(rsse.LogarithmicSRCi, 16) // values in 0..65535
 	if err != nil {
 		log.Fatal(err)
@@ -41,18 +43,19 @@ func main() {
 	// Query: who is between 30 and 45? The server executes the search on
 	// ciphertext; the owner filters any false positives and decrypts.
 	q := rsse.Range{Lo: 30, Hi: 45}
-	res, err := client.Query(index, q)
+	res, err := client.QueryContext(ctx, index, q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nquery %v → %d matches (%d rounds, %d token bytes, %d false positives dropped)\n",
 		q, len(res.Matches), res.Stats.Rounds, res.Stats.TokenBytes, res.Stats.FalsePositives)
 
-	for _, id := range res.Matches {
-		tup, err := client.FetchTuple(index, id)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// One fetch round decrypts every match's payload.
+	matches, err := client.FetchTuples(ctx, index, res.Matches)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, tup := range matches {
 		fmt.Printf("  id %d  value %2d  %s\n", tup.ID, tup.Value, tup.Payload)
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	mrand "math/rand"
@@ -53,8 +54,9 @@ func main() {
 		index.N(), float64(index.Size())/(1<<20), l.Addr())
 
 	// ----- Owner side again: dial and query over the network. The
-	// remote index is a Source, like the local one: the same Query and
-	// FetchTuple calls run each round across the connection.
+	// remote index is a Source, like the local one: the same QueryContext
+	// and FetchTuples calls run each round across the connection.
+	ctx := context.Background()
 	remote, err := rsse.Dial("tcp", l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
@@ -62,18 +64,18 @@ func main() {
 	defer remote.Close()
 
 	for _, q := range []rsse.Range{{Lo: 1000, Hi: 2000}, {Lo: 60000, Hi: 65535}} {
-		res, err := client.Query(remote, q)
+		res, err := client.QueryContext(ctx, remote, q)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("query %v over TCP: %d matches, %d rounds, %d token bytes, %d FPs dropped\n",
 			q, len(res.Matches), res.Stats.Rounds, res.Stats.TokenBytes, res.Stats.FalsePositives)
 		if len(res.Matches) > 0 {
-			tup, err := client.FetchTuple(remote, res.Matches[0])
+			tuples, err := client.FetchTuples(ctx, remote, res.Matches[:1])
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  fetched id %d: value=%d payload=%s\n", tup.ID, tup.Value, tup.Payload)
+			fmt.Printf("  fetched id %d: value=%d payload=%s\n", tuples[0].ID, tuples[0].Value, tuples[0].Payload)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	mrand "math/rand"
@@ -60,7 +61,7 @@ func main() {
 		fmt.Printf("\n%s (index %.1f MB)\n", kind, float64(index.Size())/(1<<20))
 		fmt.Printf("  %-22s %8s %8s %8s\n", "query", "matches", "returned", "FPs")
 		for _, q := range queries {
-			res, err := client.Query(index, q)
+			res, err := client.QueryContext(context.Background(), index, q)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	mrand "math/rand"
@@ -41,7 +42,7 @@ func main() {
 	}
 
 	q := rsse.Range{Lo: 10000, Hi: 20000}
-	tuples, stats, err := store.Query(q)
+	tuples, stats, err := store.QueryContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func main() {
 	if err := store.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	after, _, err := store.Query(q)
+	after, _, err := store.QueryContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,29 +27,46 @@ func (s *countingServer) SearchContext(ctx context.Context, t *core.Trapdoor) (*
 	return resp, nil
 }
 
-// checkExchange asserts that st reports exactly the exchange s saw.
+// checkExchange asserts that st reports exactly the exchange s saw, and
+// that its groups partition its raw ids.
 func checkExchange(t *testing.T, what string, st QueryStats, s *countingServer) {
+	t.Helper()
+	checkBatchExchange(t, what, BatchStats{
+		Rounds: st.Rounds, UniqueTokens: st.Tokens, TokenBytes: st.TokenBytes,
+		ResponseItems: st.ResponseItems, ServerTime: st.ServerTime, OwnerTime: st.OwnerTime,
+	}, s)
+	checkGroups(t, what, st)
+}
+
+// checkBatchExchange asserts that st reports exactly the exchange s saw.
+func checkBatchExchange(t *testing.T, what string, st BatchStats, s *countingServer) {
 	t.Helper()
 	tokens, bytes := 0, 0
 	for _, tr := range s.traps {
 		tokens += tr.Tokens()
 		bytes += tr.Bytes()
 	}
+	switch {
+	case st.Rounds != len(s.traps):
+		t.Errorf("%s: Rounds = %d, server saw %d search rounds", what, st.Rounds, len(s.traps))
+	case st.UniqueTokens != tokens || st.TokenBytes != bytes:
+		t.Errorf("%s: Tokens/TokenBytes = %d/%d, server saw %d/%d", what, st.UniqueTokens, st.TokenBytes, tokens, bytes)
+	case st.ResponseItems != s.items:
+		t.Errorf("%s: ResponseItems = %d, server sent %d", what, st.ResponseItems, s.items)
+	case st.OwnerTime <= 0 || st.ServerTime <= 0:
+		t.Errorf("%s: OwnerTime %v, ServerTime %v, want both positive", what, st.OwnerTime, st.ServerTime)
+	}
+}
+
+// checkGroups asserts that st's result groups partition its raw ids.
+func checkGroups(t *testing.T, what string, st QueryStats) {
+	t.Helper()
 	grouped := 0
 	for _, g := range st.Groups {
 		grouped += g
 	}
-	switch {
-	case st.Rounds != len(s.traps):
-		t.Errorf("%s: Rounds = %d, server saw %d search rounds", what, st.Rounds, len(s.traps))
-	case st.Tokens != tokens || st.TokenBytes != bytes:
-		t.Errorf("%s: Tokens/TokenBytes = %d/%d, server saw %d/%d", what, st.Tokens, st.TokenBytes, tokens, bytes)
-	case st.ResponseItems != s.items:
-		t.Errorf("%s: ResponseItems = %d, server sent %d", what, st.ResponseItems, s.items)
-	case grouped != st.Raw:
+	if grouped != st.Raw {
 		t.Errorf("%s: Groups sum to %d, Raw = %d", what, grouped, st.Raw)
-	case st.OwnerTime <= 0 || st.ServerTime <= 0:
-		t.Errorf("%s: OwnerTime %v, ServerTime %v, want both positive", what, st.OwnerTime, st.ServerTime)
 	}
 }
 
@@ -108,7 +125,7 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 				shards[i] = &countingServer{Source: target}
 				cluster.targets[i] = shards[i]
 			}
-			cres, err := cluster.Query(q)
+			cres, err := cluster.QueryBatchContext(ctx, []Range{q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,8 +133,9 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 				t.Fatalf("%v touched %d shards, want 2", q, len(cres.Shards))
 			}
 			for _, sh := range cres.Shards {
-				checkExchange(t, fmt.Sprintf("shard %d", sh.Shard), sh.Stats, shards[sh.Shard])
+				checkBatchExchange(t, fmt.Sprintf("shard %d", sh.Shard), sh.Stats, shards[sh.Shard])
 			}
+			checkGroups(t, "cluster", cres.Results[0].Stats)
 		})
 	}
 }

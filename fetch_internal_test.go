@@ -3,6 +3,7 @@ package rsse
 import (
 	"context"
 	mrand "math/rand"
+	"net"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -72,5 +73,40 @@ func TestClusterFetchTupleFetchesOnce(t *testing.T) {
 	}
 	if _, err := c.FetchTuple(1 << 40); err == nil {
 		t.Fatal("FetchTuple accepted an unknown id")
+	}
+}
+
+// TestFetchTuplesOneRound: Client.FetchTuples sends 300 ids to a remote
+// index in one chunked fetch round — ⌈300/128⌉ = 3 fetch-many requests —
+// not one round trip per id.
+func TestFetchTuplesOneRound(t *testing.T) {
+	const bits = 12
+	tuples := clusterTestTuples(300, bits, 35)
+	client, err := NewClient(LogarithmicBRC, bits, WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := client.BuildIndex(tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliConn, srvConn := net.Pipe()
+	go func() { _ = ServeConn(srvConn, index) }()
+	remote := NewRemoteIndex(cliConn)
+	defer remote.Close()
+	counter := &fetchCounter{Source: remote}
+	ids := make([]ID, len(tuples))
+	for i, tup := range tuples {
+		ids[i] = tup.ID
+	}
+	got, err := client.FetchTuples(context.Background(), counter, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, tuples) {
+		t.Fatal("FetchTuples returned other tuples than were built")
+	}
+	if n := counter.fetches.Load(); n != 3 {
+		t.Fatalf("fetching %d ids sent %d fetch-many requests, want 3", len(ids), n)
 	}
 }

@@ -1,6 +1,7 @@
 package benchutil
 
 import (
+	"context"
 	"fmt"
 	"math"
 	mrand "math/rand"
@@ -193,7 +194,7 @@ func Fig6(s Scale) (gowalla, usps *Experiment, err error) {
 				var rateSum float64
 				var counted int
 				for _, q := range queries {
-					res, err := client.Query(idx, q)
+					res, err := client.QueryContext(context.Background(), idx, q)
 					if err != nil {
 						return nil, err
 					}
@@ -260,7 +261,7 @@ func Fig7(s Scale) (gowalla, usps *Experiment, err error) {
 			for _, pct := range s.RangePercents {
 				var total time.Duration
 				for _, q := range queriesPerPct[pct] {
-					res, err := client.Query(idx, q)
+					res, err := client.QueryContext(context.Background(), idx, q)
 					if err != nil {
 						return nil, err
 					}

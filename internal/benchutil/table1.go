@@ -1,6 +1,7 @@
 package benchutil
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -59,7 +60,7 @@ func Table1(s Scale) ([]Table1Row, error) {
 		measure := func(queries []core.Range) (int, int, int, error) {
 			maxTokens, fps, rounds := 0, 0, 0
 			for _, q := range queries {
-				res, err := client.Query(idx, q)
+				res, err := client.QueryContext(context.Background(), idx, q)
 				if err != nil {
 					return 0, 0, 0, err
 				}

@@ -54,7 +54,7 @@ func Updates(s Scale) (active *Experiment, summary []UpdateSummary, err error) {
 		}
 		// Fan-out cost of a query at the end of the stream.
 		start := time.Now()
-		_, qstats, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: (1 << bits) - 1})
+		_, qstats, err := m.QueryBatch(context.Background(), []core.Range{{Lo: 0, Hi: (1 << bits) - 1}})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -282,17 +282,12 @@ func (c *Client) stagPlanFromNodes(p cover.BatchPlan, suite prf.Suite, key prf.K
 	return tokenPlan{trap: &Trapdoor{round: round, Stags: out}, perRange: p.PerRange, total: p.Total}
 }
 
-// QueryBatch runs the batched query protocol for several ranges against
-// any Source, deduplicating cover nodes shared across the ranges. See
-// QueryBatchContext.
-func (c *Client) QueryBatch(s Source, ranges []Range) (*BatchResult, error) {
-	return c.QueryBatchContext(context.Background(), s, ranges)
-}
-
-// QueryBatchContext is QueryBatch with cancellation: the batch aborts
-// between and during protocol steps when ctx is done. Results are per
-// input range, in input order, and answer each range as a sequential
-// Query loop would: the same matches and the same raw id sets. For the Constant schemes every range in the
+// QueryBatchContext runs the batched query protocol for several ranges
+// against any Source, deduplicating cover nodes shared across the
+// ranges. The batch aborts between and during protocol steps when ctx
+// is done. Results are per input range, in input order, and answer
+// each range as a sequential QueryContext loop would: the same matches
+// and the same raw id sets. For the Constant schemes every range in the
 // batch must be non-intersecting — with the other batch ranges and with
 // history — and the batch stays in history only if it succeeds.
 func (c *Client) QueryBatchContext(ctx context.Context, s Source, ranges []Range) (*BatchResult, error) {

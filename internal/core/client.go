@@ -454,15 +454,10 @@ type Result struct {
 	Stats QueryStats
 }
 
-// Query runs the scheme's full (possibly interactive) query protocol
-// against a local index and returns the matching ids with cost
-// accounting.
-func (c *Client) Query(x *Index, q Range) (*Result, error) {
-	return c.QueryContext(context.Background(), x, q)
-}
-
-// QueryContext runs the query protocol against any Source — a local
-// *Index or a transport-layer handle on a remote one. It is the batch
+// QueryContext runs the scheme's full (possibly interactive) query
+// protocol against any Source — a local *Index or a transport-layer
+// handle on a remote one — and returns the matching ids with cost
+// accounting. It is the batch
 // protocol on one range (see QueryBatchInto), so its result reports the
 // whole exchange. Every round honours ctx. The Constant schemes reserve
 // q in the intersection history before the protocol runs and release it
@@ -488,9 +483,9 @@ func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Re
 // the protocol. It is the hook benchmarks use to time server-side Search
 // in isolation, and what the update layer's forward-privacy tests replay
 // against later epochs. It deliberately bypasses the Constant schemes'
-// intersection guard and records no history; use Query for real traffic.
-// With no index to ask, it derives under the suite this client builds
-// with, replaying the trapdoor memo as a query does.
+// intersection guard and records no history; use QueryContext for real
+// traffic. With no index to ask, it derives under the suite this client
+// builds with, replaying the trapdoor memo as a query does.
 func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
 		return nil, err

@@ -105,7 +105,7 @@ func TestAllSchemesAllSSEConstructions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v over %s: %v", kind, s.Name(), err)
 			}
-			res, err := c.Query(idx, r)
+			res, err := c.QueryContext(context.Background(), idx, r)
 			if err != nil {
 				t.Fatalf("%v over %s: %v", kind, s.Name(), err)
 			}
@@ -127,7 +127,7 @@ func TestEmptyDataset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: empty build: %v", kind, err)
 		}
-		res, err := c.Query(idx, Range{0, 255})
+		res, err := c.QueryContext(context.Background(), idx, Range{0, 255})
 		if err != nil {
 			t.Fatalf("%v: query empty index: %v", kind, err)
 		}
@@ -153,7 +153,7 @@ func TestEmptyResultRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(idx, Range{0, 100})
+		res, err := c.QueryContext(context.Background(), idx, Range{0, 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestSingleValueDomain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		res, err := c.Query(idx, Range{0, 0})
+		res, err := c.QueryContext(context.Background(), idx, Range{0, 0})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -204,7 +204,7 @@ func TestFullDomainQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(idx, Range{0, dom.Size() - 1})
+		res, err := c.QueryContext(context.Background(), idx, Range{0, dom.Size() - 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestDomainBoundaryValues(t *testing.T) {
 			{Range{128, 255}, []ID{2, 3}},
 			{Range{0, 127}, []ID{1}},
 		} {
-			res, err := c.Query(idx, tc.q)
+			res, err := c.QueryContext(context.Background(), idx, tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,17 +261,17 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(idx, Range{5, 3}); err == nil {
+	if _, err := c.QueryContext(context.Background(), idx, Range{5, 3}); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := c.Query(idx, Range{0, 400}); err == nil {
+	if _, err := c.QueryContext(context.Background(), idx, Range{0, 400}); err == nil {
 		t.Error("out-of-domain range accepted")
 	}
 	other, err := NewClient(LogarithmicSRC, dom, testOptions(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Query(idx, Range{0, 1}); !errors.Is(err, ErrKindMismatch) {
+	if _, err := other.QueryContext(context.Background(), idx, Range{0, 1}); !errors.Is(err, ErrKindMismatch) {
 		t.Errorf("kind mismatch error = %v", err)
 	}
 }
@@ -341,21 +341,21 @@ func TestConstantIntersectionGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Query(idx, Range{100, 200}); err != nil {
+		if _, err := c.QueryContext(context.Background(), idx, Range{100, 200}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Query(idx, Range{300, 400}); err != nil {
+		if _, err := c.QueryContext(context.Background(), idx, Range{300, 400}); err != nil {
 			t.Fatalf("%v: disjoint query rejected: %v", kind, err)
 		}
-		if _, err := c.Query(idx, Range{150, 350}); !errors.Is(err, ErrIntersectingQuery) {
+		if _, err := c.QueryContext(context.Background(), idx, Range{150, 350}); !errors.Is(err, ErrIntersectingQuery) {
 			t.Fatalf("%v: intersecting query error = %v", kind, err)
 		}
 		// Touching at a single point is an intersection too.
-		if _, err := c.Query(idx, Range{200, 250}); !errors.Is(err, ErrIntersectingQuery) {
+		if _, err := c.QueryContext(context.Background(), idx, Range{200, 250}); !errors.Is(err, ErrIntersectingQuery) {
 			t.Fatalf("%v: touching query error = %v", kind, err)
 		}
 		c.ResetHistory()
-		if _, err := c.Query(idx, Range{150, 350}); err != nil {
+		if _, err := c.QueryContext(context.Background(), idx, Range{150, 350}); err != nil {
 			t.Fatalf("%v: query after ResetHistory rejected: %v", kind, err)
 		}
 	}
@@ -371,7 +371,7 @@ func TestConstantIntersectionGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Query(idx, Range{100, 200}); err != nil {
+		if _, err := c.QueryContext(context.Background(), idx, Range{100, 200}); err != nil {
 			t.Fatalf("intersecting query with guard disabled: %v", err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestUnguardedClientKeepsNoHistory(t *testing.T) {
 		}
 		for i := 0; i < 1000; i++ {
 			lo := uint64(i % 500)
-			if _, err := open.Query(idx, Range{lo, lo + 100}); err != nil {
+			if _, err := open.QueryContext(context.Background(), idx, Range{lo, lo + 100}); err != nil {
 				t.Fatalf("%v: intersecting query %d with the guard off: %v", kind, i, err)
 			}
 		}
@@ -409,10 +409,10 @@ func TestUnguardedClientKeepsNoHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := guarded.Query(idx, Range{100, 200}); err != nil {
+		if _, err := guarded.QueryContext(context.Background(), idx, Range{100, 200}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := guarded.Query(idx, Range{200, 300}); !errors.Is(err, ErrIntersectingQuery) {
+		if _, err := guarded.QueryContext(context.Background(), idx, Range{200, 300}); !errors.Is(err, ErrIntersectingQuery) {
 			t.Fatalf("%v: guarded client answered an intersecting query: %v", kind, err)
 		}
 
@@ -527,7 +527,7 @@ func TestQuadraticPaddingHidesDistribution(t *testing.T) {
 		}
 		sizes[i] = idx.Size()
 		// Padded index must still answer correctly.
-		res, err := c.Query(idx, Range{4, 12})
+		res, err := c.QueryContext(context.Background(), idx, Range{4, 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -648,7 +648,7 @@ func TestTwoLevelConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v over 2lev: %v", kind, err)
 		}
-		res, err := c.Query(idx, q)
+		res, err := c.QueryContext(context.Background(), idx, q)
 		if err != nil {
 			t.Fatalf("%v over 2lev: %v", kind, err)
 		}

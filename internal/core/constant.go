@@ -21,7 +21,7 @@ import (
 // The price is structural leakage (the exact mapping of result ids to the
 // leaves of each cover subtree, which reveals in-subtree ordering) and the
 // inherent DPRF restriction to non-intersecting queries, enforced by the
-// client-side guard in Query.
+// client-side guard in QueryBatchInto.
 
 func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
 	byValue := make(map[Value][]ID)

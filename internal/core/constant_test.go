@@ -128,7 +128,7 @@ func TestKernelCacheDifferential(t *testing.T) {
 						if resetEach {
 							sse.ResetKernelCache()
 						}
-						res, err := c.Query(idx, q)
+						res, err := c.QueryContext(context.Background(), idx, q)
 						if err != nil {
 							t.Fatalf("query %v: %v", q, err)
 						}
@@ -194,7 +194,7 @@ func TestColdStagAllocs(t *testing.T) {
 				// Disjoint, unaligned ranges: never the same leaf twice.
 				lo := next*2*width + 17
 				next++
-				if _, err := c.Query(idx, Range{Lo: lo, Hi: lo + width - 1}); err != nil {
+				if _, err := c.QueryContext(context.Background(), idx, Range{Lo: lo, Hi: lo + width - 1}); err != nil {
 					t.Fatal(err)
 				}
 			})

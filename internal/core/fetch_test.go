@@ -92,11 +92,11 @@ func TestFetchRoundDifferentialLocal(t *testing.T) {
 				t.Fatal("no query exceeded one fetch chunk: the pipelined path went untested")
 			}
 
-			gotB, err := a.QueryBatch(idx, srcQueries)
+			gotB, err := a.QueryBatchContext(context.Background(), idx, srcQueries)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, err := b.QueryBatch(ref, srcQueries)
+			wantB, err := b.QueryBatchContext(context.Background(), ref, srcQueries)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -103,7 +103,7 @@ func FuzzOpenIndex(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, _ = qc.Query(x, Range{1, 9}) // errors fine, panics not
+				_, _ = qc.QueryContext(context.Background(), x, Range{1, 9}) // errors fine, panics not
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -106,7 +107,7 @@ func queryAll(t *testing.T, kind Kind, x *Index, label string) {
 	t.Helper()
 	c := goldenClient(t, kind)
 	for _, q := range goldenQueries() {
-		res, err := c.Query(x, q)
+		res, err := c.QueryContext(context.Background(), x, q)
 		if err != nil {
 			t.Fatalf("%s: query %v: %v", label, q, err)
 		}

@@ -27,7 +27,7 @@ func TestTokenCountsPerScheme(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(idx, q)
+		res, err := c.QueryContext(context.Background(), idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestURCTokenPositionIndependence(t *testing.T) {
 		counts := map[int]bool{}
 		var urcLevels [][]uint8
 		for _, lo := range positions {
-			res, err := c.Query(idx, Range{lo, lo + R - 1})
+			res, err := c.QueryContext(context.Background(), idx, Range{lo, lo + R - 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestGroupsPartitionRawResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(idx, q)
+		res, err := c.QueryContext(context.Background(), idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestLogSRCSingleGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(idx, Range{100, 600})
+	res, err := c.QueryContext(context.Background(), idx, Range{100, 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLogSRCSkewFalsePositives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cSRC.Query(idx, q)
+	res, err := cSRC.QueryContext(context.Background(), idx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestLogSRCSkewFalsePositives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := cSRCi.Query(idx2, q)
+	res2, err := cSRCi.QueryContext(context.Background(), idx2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestSRCiFalsePositiveBound(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		R := uint64(1) + rnd.Uint64()%1024
 		lo := rnd.Uint64() % (dom.Size() - R)
-		res, err := c.Query(idx, Range{lo, lo + R - 1})
+		res, err := c.QueryContext(context.Background(), idx, Range{lo, lo + R - 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestLogSRCUniformFalsePositives(t *testing.T) {
 		R := uint64(64) + rnd.Uint64()%512
 		lo := rnd.Uint64() % (dom.Size() - R)
 		q := Range{lo, lo + R - 1}
-		res, err := c.Query(idx, q)
+		res, err := c.QueryContext(context.Background(), idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestSRCiRound1LeaksDistinctValues(t *testing.T) {
 			distinct[tu.Value] = true
 		}
 	}
-	res, err := c.Query(idx, q)
+	res, err := c.QueryContext(context.Background(), idx, q)
 	if err != nil {
 		t.Fatal(err)
 	}

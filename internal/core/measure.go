@@ -8,8 +8,9 @@ import "rsse/internal/cover"
 // computation plus PRF/GGM evaluations). This is the measurement behind
 // Figures 8(a) and 8(b) in Appendix A, which the paper notes depend only
 // on the position of the range over the domain, never on a dataset. The
-// work is what a query runs: the first-round derivation of Query, under
-// the suite this client builds, bypassing the trapdoor memo.
+// work is what a query runs: the first-round derivation of
+// QueryContext, under the suite this client builds, bypassing the
+// trapdoor memo.
 //
 // For Logarithmic-SRC-i, whose second token normally depends on the
 // server's round-1 answer, the cost is modelled as the paper measures it:

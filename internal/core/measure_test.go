@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rsse/internal/cover"
@@ -47,7 +48,7 @@ func TestTrapdoorCostMatchesQuery(t *testing.T) {
 				t.Errorf("%v %v: TrapdoorCost %d tokens / %d B, Trapdoor %d / %d over %d rounds",
 					kind, q, tokens, bytes, td.Tokens(), td.Bytes(), rounds)
 			}
-			res, err := c.Query(idx, q)
+			res, err := c.QueryContext(context.Background(), idx, q)
 			if err != nil {
 				t.Fatal(err)
 			}

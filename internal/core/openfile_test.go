@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,7 +45,7 @@ func TestOpenIndexFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		res, err := c.Query(x, Range{5, 40})
+		res, err := c.QueryContext(context.Background(), x, Range{5, 40})
 		if err != nil {
 			t.Fatalf("%s: query: %v", eng.Name(), err)
 		}
@@ -134,7 +135,7 @@ func TestLoadCopiesOnceOrAliases(t *testing.T) {
 		check := func(x *Index, what string) {
 			t.Helper()
 			for _, q := range []Range{{0, 63}, {5, 40}, {50, 50}} {
-				res, err := c.Query(x, q)
+				res, err := c.QueryContext(context.Background(), x, q)
 				if err != nil {
 					t.Fatalf("%s: query %v: %v", what, q, err)
 				}

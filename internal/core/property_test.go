@@ -52,7 +52,7 @@ func TestQuickCrossSchemeEquivalence(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := c.Query(idx, q)
+			res, err := c.QueryContext(context.Background(), idx, q)
 			if err != nil {
 				return false
 			}
@@ -180,7 +180,7 @@ func TestCorruptStoreDetected(t *testing.T) {
 		ct[len(ct)-1] ^= 0xFF
 		return true
 	})
-	_, err = c.Query(idx, Range{0, 255})
+	_, err = c.QueryContext(context.Background(), idx, Range{0, 255})
 	if err == nil {
 		// CBC padding may occasionally still validate; FetchTuple must
 		// then return a wrong value rather than crash — but for the whole

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rsse/internal/race"
@@ -45,7 +46,7 @@ func TestQueryPathAllocs(t *testing.T) {
 			i := 0
 			got := testing.AllocsPerRun(10, func() {
 				client.ResetHistory()
-				if _, err := client.Query(idx, ranges[i%len(ranges)]); err != nil {
+				if _, err := client.QueryContext(context.Background(), idx, ranges[i%len(ranges)]); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -65,7 +66,7 @@ func TestQueryPathAllocs(t *testing.T) {
 			ranges[i] = Range{Lo: lo, Hi: lo + m/10 - 1}
 		}
 		got := testing.AllocsPerRun(5, func() {
-			if _, err := client.QueryBatch(idx, ranges); err != nil {
+			if _, err := client.QueryBatchContext(context.Background(), idx, ranges); err != nil {
 				t.Fatal(err)
 			}
 		})

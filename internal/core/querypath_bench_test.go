@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rsse/internal/cover"
@@ -65,7 +66,7 @@ func BenchmarkQueryPath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				client.ResetHistory()
-				if _, err := client.Query(idx, ranges[i%len(ranges)]); err != nil {
+				if _, err := client.QueryContext(context.Background(), idx, ranges[i%len(ranges)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -86,7 +87,7 @@ func BenchmarkQueryBatchPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.QueryBatch(idx, ranges); err != nil {
+		if _, err := client.QueryBatchContext(context.Background(), idx, ranges); err != nil {
 			b.Fatal(err)
 		}
 	}

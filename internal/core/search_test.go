@@ -80,7 +80,7 @@ func TestResponseShapeChecked(t *testing.T) {
 					s := reshaped{idx, round, drop}
 					for path, run := range map[string]func() error{
 						"Query":      func() error { _, err := c.QueryContext(context.Background(), s, searchQuery); return err },
-						"QueryBatch": func() error { _, err := c.QueryBatch(s, searchBatch); return err },
+						"QueryBatch": func() error { _, err := c.QueryBatchContext(context.Background(), s, searchBatch); return err },
 					} {
 						if err := run(); err == nil || !strings.Contains(err.Error(), "groups for") {
 							t.Errorf("%s, round %d, drop %v: err %v, want the group-count refusal", path, round, drop, err)
@@ -125,7 +125,7 @@ func TestEmbeddedSearchOverride(t *testing.T) {
 					return roundsOf(c.QueryContext(context.Background(), s, searchQuery))
 				},
 				"QueryBatch": func() (int, error) {
-					br, err := c.QueryBatch(s, searchBatch)
+					br, err := c.QueryBatchContext(context.Background(), s, searchBatch)
 					if err != nil {
 						return 0, err
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rsse/internal/cover"
@@ -42,7 +43,7 @@ func TestAllSchemesAllStorageEngines(t *testing.T) {
 				check := func(x *Index, label string) {
 					t.Helper()
 					for _, q := range queries {
-						res, err := c.Query(x, q)
+						res, err := c.QueryContext(context.Background(), x, q)
 						if err != nil {
 							t.Fatalf("%s: query %v: %v", label, q, err)
 						}

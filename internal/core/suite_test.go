@@ -306,7 +306,7 @@ func TestCrossSuiteOwners(t *testing.T) {
 				for pass := 0; pass < 2; pass++ {
 					for _, q := range ranges {
 						for _, s := range allSuites {
-							res, err := c.Query(idx[s], q)
+							res, err := c.QueryContext(context.Background(), idx[s], q)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -323,7 +323,7 @@ func TestCrossSuiteOwners(t *testing.T) {
 					}
 				}
 				for _, s := range allSuites {
-					br, err := c.QueryBatch(idx[s], []Range{{0, 99}, {100, 300}, {900, 1023}})
+					br, err := c.QueryBatchContext(context.Background(), idx[s], []Range{{0, 99}, {100, 300}, {900, 1023}})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -107,9 +107,9 @@ func (m *trapdoorMemo) len() int {
 // TrapdoorMemoStats returns the client's cumulative trapdoor-memo hits
 // and misses (misses count only derivations eligible for memoization;
 // both stay zero when the memo is off). Only the round-1 trapdoors of
-// one-range queries (batches of one, which Query and Trapdoor run) are
-// memoized: a one-range plan is its trapdoor alone, so an entry is no
-// larger than the trapdoor. Batches of two or more ranges and the
+// one-range queries (batches of one, which QueryContext and Trapdoor
+// run) are memoized: a one-range plan is its trapdoor alone, so an entry
+// is no larger than the trapdoor. Batches of two or more ranges and the
 // position-dependent Logarithmic-SRC-i round 2 always derive fresh.
 func (c *Client) TrapdoorMemoStats() (hits, misses uint64) {
 	if c.tdMemo == nil {

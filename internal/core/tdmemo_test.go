@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -47,11 +48,11 @@ func TestTrapdoorMemo(t *testing.T) {
 			}
 			for rep := 0; rep < 3; rep++ {
 				for _, q := range ranges {
-					got, err := memo.Query(x, q)
+					got, err := memo.QueryContext(context.Background(), x, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := plain.Query(x, q)
+					want, err := plain.QueryContext(context.Background(), x, q)
 					if err != nil {
 						t.Fatal(err)
 					}

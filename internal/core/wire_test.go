@@ -25,7 +25,7 @@ func TestIndexMarshalRoundtripAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.Query(idx, q)
+		want, err := c.QueryContext(context.Background(), idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestIndexMarshalRoundtripAllKinds(t *testing.T) {
 		if back.Kind() != kind || back.N() != idx.N() || back.Domain() != dom {
 			t.Fatalf("%v: metadata lost", kind)
 		}
-		got, err := c.Query(back, q)
+		got, err := c.QueryContext(context.Background(), back, q)
 		if err != nil {
 			t.Fatalf("%v: query after roundtrip: %v", kind, err)
 		}
@@ -72,7 +72,7 @@ func TestIndexMarshalEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(back, Range{0, 31})
+	res, err := c.QueryContext(context.Background(), back, Range{0, 31})
 	if err != nil || len(res.Matches) != 0 {
 		t.Fatalf("empty roundtrip broken: %v %v", res, err)
 	}

@@ -41,7 +41,7 @@ func openTestManager(t *testing.T, dir string, syncEvery int) *Manager {
 
 func queryAll(t *testing.T, m *Manager) []core.Tuple {
 	t.Helper()
-	tuples, _, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: (1 << 12) - 1})
+	tuples, _, err := queryOne(context.Background(), m, core.Range{Lo: 0, Hi: (1 << 12) - 1})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestClosedManagerRefusesUpdates(t *testing.T) {
 		t.Fatalf("FullConsolidate after Close: got %v, want ErrClosed", err)
 	}
 	// Close released the epochs' index files, so a query is refused too.
-	if _, _, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: 10}); !errors.Is(err, ErrClosed) {
+	if _, _, err := queryOne(context.Background(), m, core.Range{Lo: 0, Hi: 10}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Query after Close: got %v, want ErrClosed", err)
 	}
 	// Memory-only managers are unaffected: Close is a no-op for them.
@@ -619,11 +619,11 @@ func TestRecoveryIsExact(t *testing.T) {
 	}
 	apply2(func(mm *Manager) error { return mm.Flush() })
 	for _, q := range []core.Range{{Lo: 0, Hi: 4095}, {Lo: 0, Hi: 2047}, {Lo: 1024, Hi: 3071}, {Lo: 4000, Hi: 4095}, {Lo: 97, Hi: 97}} {
-		got, _, err := m2.Query(context.Background(), q)
+		got, _, err := queryOne(context.Background(), m2, q)
 		if err != nil {
 			t.Fatalf("recovered query %v: %v", q, err)
 		}
-		want, _, err := oracle.Query(context.Background(), q)
+		want, _, err := queryOne(context.Background(), oracle, q)
 		if err != nil {
 			t.Fatalf("oracle query %v: %v", q, err)
 		}
@@ -743,7 +743,7 @@ func TestReopenCopiesEpochOnce(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(size)*3/2; got >= limit {
 		t.Fatalf("reopening a %d-byte epoch allocated %d bytes, want under %d (1.5× the file)", size, got, limit)
 	}
-	got, _, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: 4095})
+	got, _, err := queryOne(context.Background(), m, core.Range{Lo: 0, Hi: 4095})
 	if err != nil || len(got) != n {
 		t.Fatalf("reopened store answers %d tuples, %v; want %d", len(got), err, n)
 	}

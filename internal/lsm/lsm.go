@@ -444,21 +444,11 @@ type QueryStats struct {
 	FalsePositives int
 }
 
-// Query runs the range query against every active epoch and resolves
-// the operation history at the owner: the newest operation per
-// application id wins, tombstones drop their victims. Results carry
-// application ids, current values and payloads. It is QueryBatch on one
-// range.
-func (m *Manager) Query(ctx context.Context, q core.Range) ([]core.Tuple, QueryStats, error) {
-	out, stats, err := m.QueryBatch(ctx, []core.Range{q})
-	if err != nil {
-		return nil, stats, err
-	}
-	return out[0], stats, nil
-}
-
-// QueryBatch answers several ranges against every active epoch with one
-// batched sub-query per epoch: each epoch's covers are deduplicated
+// QueryBatch answers several ranges against every active epoch and
+// resolves the operation history at the owner: per range, the newest
+// operation per application id wins and tombstones drop their victims.
+// Results carry application ids, current values and payloads. Every
+// epoch receives one batched sub-query: each epoch's covers are deduplicated
 // across the whole batch, so the per-epoch round cost — the multiplier
 // an LSM pays on every query — is paid once per unique cover node
 // instead of once per range. Each epoch keeps its own keys, so every

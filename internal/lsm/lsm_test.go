@@ -24,9 +24,18 @@ func testManager(t *testing.T, kind core.Kind, step int) *Manager {
 	return m
 }
 
+// queryOne answers one range: QueryBatch on a batch of one.
+func queryOne(ctx context.Context, m *Manager, q core.Range) ([]core.Tuple, QueryStats, error) {
+	out, stats, err := m.QueryBatch(ctx, []core.Range{q})
+	if err != nil {
+		return nil, stats, err
+	}
+	return out[0], stats, nil
+}
+
 func queryIDs(t *testing.T, m *Manager, lo, hi uint64) []core.ID {
 	t.Helper()
-	res, _, err := m.Query(context.Background(), core.Range{Lo: lo, Hi: hi})
+	res, _, err := queryOne(context.Background(), m, core.Range{Lo: lo, Hi: hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestInsertFlushQuery(t *testing.T) {
 		t.Errorf("query = %v", got)
 	}
 	// Payload survives the roundtrip.
-	res, _, err := m.Query(context.Background(), core.Range{Lo: 100, Hi: 100})
+	res, _, err := queryOne(context.Background(), m, core.Range{Lo: 100, Hi: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,7 @@ func TestQueryAcrossBatches(t *testing.T) {
 	if len(got) != 15 {
 		t.Errorf("full query returned %d of 15", len(got))
 	}
-	_, stats, err := m.Query(context.Background(), core.Range{Lo: 0, Hi: 1023})
+	_, stats, err := queryOne(context.Background(), m, core.Range{Lo: 0, Hi: 1023})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestModifyMovesValue(t *testing.T) {
 	if got := queryIDs(t, m, 0, 100); len(got) != 0 {
 		t.Errorf("old value still visible: %v", got)
 	}
-	res, _, err := m.Query(context.Background(), core.Range{Lo: 850, Hi: 950})
+	res, _, err := queryOne(context.Background(), m, core.Range{Lo: 850, Hi: 950})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestReinsertAfterDelete(t *testing.T) {
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := m.Query(context.Background(), core.Range{Lo: 100, Hi: 100})
+	res, _, err := queryOne(context.Background(), m, core.Range{Lo: 100, Hi: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestEpochQueryAllocs(t *testing.T) {
 	ctx := context.Background()
 	i := 0
 	got := testing.AllocsPerRun(50, func() {
-		if _, _, err := m.Query(ctx, ranges[i%len(ranges)]); err != nil {
+		if _, _, err := queryOne(ctx, m, ranges[i%len(ranges)]); err != nil {
 			t.Fatal(err)
 		}
 		i++

@@ -118,7 +118,7 @@ func TestBatchQueryOp(t *testing.T) {
 				ranges[i] = core.Range{Lo: lo, Hi: lo + uint64(i)%(m/4)}
 			}
 			before, ix0 := requestCounts(), ixCounts(name)
-			br, err := client.QueryBatch(rec, ranges)
+			br, err := client.QueryBatchContext(context.Background(), rec, ranges)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func batchOneFramePerRound(t *testing.T, client *core.Client, h *IndexHandle, in
 		t.Fatal(err)
 	}
 	before := requestCounts()
-	br, err := client.QueryBatch(h, ranges)
+	br, err := client.QueryBatchContext(context.Background(), h, ranges)
 	if err != nil {
 		t.Fatalf("%d-range batch: %v", len(ranges), err)
 	}
@@ -181,7 +181,7 @@ func batchOneFramePerRound(t *testing.T, client *core.Client, h *IndexHandle, in
 	if got := requestsSince(before); got != want {
 		t.Fatalf("a %d-range batch cost frames %v by op, want %v", len(ranges), got, want)
 	}
-	local, err := client.QueryBatch(index, ranges)
+	local, err := client.QueryBatchContext(context.Background(), index, ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBatchStreamError(t *testing.T) {
 	}
 	reg.Deregister("gone")
 	ranges := batchRanges(40)
-	_, err := client.QueryBatch(gone, ranges)
+	_, err := client.QueryBatchContext(context.Background(), gone, ranges)
 	if err == nil || !strings.Contains(err.Error(), `"gone"`) {
 		t.Fatalf("batch against a deregistered index returned %v", err)
 	}

@@ -248,11 +248,11 @@ func TestFetchManyDifferential(t *testing.T) {
 						t.Fatalf("%s %v: fetch-many query diverged from per-id fallback", name, q)
 					}
 				}
-				got, err := a.QueryBatch(h, srcQueries)
+				got, err := a.QueryBatchContext(context.Background(), h, srcQueries)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := b.QueryBatch(hideFetchMany(h), srcQueries)
+				want, err := b.QueryBatchContext(context.Background(), hideFetchMany(h), srcQueries)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -550,7 +550,7 @@ func TestQueryBatchPathAllocs(t *testing.T) {
 	c, h, batches := remoteBatchSetup(t)
 	i, items := 0, 0
 	got := testing.AllocsPerRun(64, func() {
-		br, err := c.QueryBatch(h, batches[i%len(batches)])
+		br, err := c.QueryBatchContext(context.Background(), h, batches[i%len(batches)])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func TestHandlerPanicContained(t *testing.T) {
 	// A batch round is one search frame; the meta exchange before it
 	// reaches no armed code.
 	batch := func(c *core.Client, h *IndexHandle) error {
-		_, err := c.QueryBatch(h, batchRanges(40))
+		_, err := c.QueryBatchContext(context.Background(), h, batchRanges(40))
 		return err
 	}
 

@@ -92,7 +92,7 @@ func TestPooledTransportDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("remote query %v: %v", q, err)
 				}
-				want, err := localClient.Query(idx, q)
+				want, err := localClient.QueryContext(context.Background(), idx, q)
 				if err != nil {
 					t.Fatalf("local query %v: %v", q, err)
 				}

@@ -289,7 +289,7 @@ func queryExchange(c *core.Client, q core.Range) exchange {
 // and raw ids.
 func batchExchange(c *core.Client, ranges []core.Range) exchange {
 	return func(h core.Source) (any, error) {
-		br, err := c.QueryBatch(h, ranges)
+		br, err := c.QueryBatchContext(context.Background(), h, ranges)
 		if err != nil {
 			return nil, err
 		}

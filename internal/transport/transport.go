@@ -30,7 +30,7 @@
 // a dead peer.
 //
 // Each protocol round is one search frame, a multi-range batch's
-// included (see core.Client.QueryBatch): its deduplicated trapdoor is
+// included (see core.Client.QueryBatchContext): its deduplicated trapdoor is
 // an ordinary trapdoor, so a batch costs one round trip per round
 // instead of one per range, and the server cannot tell it from a single
 // query by its op.

@@ -234,36 +234,22 @@ func (c *Conn) Updatable(name string) *UpdateHandle {
 // Name returns the writable-store name the handle addresses.
 func (h *UpdateHandle) Name() string { return h.name }
 
-// Apply ships one update; a nil return means the server accepted it per
-// its durability policy.
-func (h *UpdateHandle) Apply(u Update) error {
-	return h.ApplyContext(context.Background(), u)
-}
-
-// ApplyContext is Apply with cancellation.
+// ApplyContext ships one update; a nil return means the server accepted
+// it per its durability policy.
 func (h *UpdateHandle) ApplyContext(ctx context.Context, u Update) error {
 	_, err := h.conn.roundTripContext(ctx, opUpdate, h.name, marshalUpdate(u))
 	return err
 }
 
-// Flush seals the store's pending batch into a fresh epoch remotely.
-func (h *UpdateHandle) Flush() error {
-	return h.FlushContext(context.Background())
-}
-
-// FlushContext is Flush with cancellation.
+// FlushContext seals the store's pending batch into a fresh epoch
+// remotely.
 func (h *UpdateHandle) FlushContext(ctx context.Context) error {
 	_, err := h.conn.roundTripContext(ctx, opDynFlush, h.name, nil)
 	return err
 }
 
-// QueryRange runs a range query on the writable store, returning
+// QueryRangeContext runs a range query on the writable store, returning
 // decrypted live tuples (see the trust-model note above).
-func (h *UpdateHandle) QueryRange(q core.Range) ([]core.Tuple, error) {
-	return h.QueryRangeContext(context.Background(), q)
-}
-
-// QueryRangeContext is QueryRange with cancellation.
 func (h *UpdateHandle) QueryRangeContext(ctx context.Context, q core.Range) ([]core.Tuple, error) {
 	payload := make([]byte, 0, 16)
 	payload = binary.BigEndian.AppendUint64(payload, q.Lo)

@@ -72,22 +72,22 @@ func TestUpdateOpsOverWire(t *testing.T) {
 	}
 	h := pipeRegistry(t, reg).Updatable("dyn")
 
-	if err := h.Apply(Update{Kind: UpdateInsert, ID: 1, Value: 100, Payload: []byte("alice")}); err != nil {
+	if err := h.ApplyContext(context.Background(), Update{Kind: UpdateInsert, ID: 1, Value: 100, Payload: []byte("alice")}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if err := h.Apply(Update{Kind: UpdateInsert, ID: 2, Value: 200}); err != nil {
+	if err := h.ApplyContext(context.Background(), Update{Kind: UpdateInsert, ID: 2, Value: 200}); err != nil {
 		t.Fatalf("insert without payload: %v", err)
 	}
-	if err := h.Apply(Update{Kind: UpdateModify, ID: 1, Value: 100, NewValue: 150, Payload: []byte("alice-v2")}); err != nil {
+	if err := h.ApplyContext(context.Background(), Update{Kind: UpdateModify, ID: 1, Value: 100, NewValue: 150, Payload: []byte("alice-v2")}); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
-	if err := h.Apply(Update{Kind: UpdateDelete, ID: 2, Value: 200}); err != nil {
+	if err := h.ApplyContext(context.Background(), Update{Kind: UpdateDelete, ID: 2, Value: 200}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if err := h.Flush(); err != nil {
+	if err := h.FlushContext(context.Background()); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	got, err := h.QueryRange(core.Range{Lo: 0, Hi: 1023})
+	got, err := h.QueryRangeContext(context.Background(), core.Range{Lo: 0, Hi: 1023})
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -122,18 +122,18 @@ func TestUpdateNamespaceIsolation(t *testing.T) {
 		t.Fatalf("meta.N = %d, want %d", meta.N, len(tuples))
 	}
 	// Update namespace hits the store.
-	if err := conn.Updatable("users").Apply(Update{Kind: UpdateInsert, ID: 9, Value: 9}); err != nil {
+	if err := conn.Updatable("users").ApplyContext(context.Background(), Update{Kind: UpdateInsert, ID: 9, Value: 9}); err != nil {
 		t.Fatalf("update-namespace apply: %v", err)
 	}
 	if len(store.tuples) != 1 {
 		t.Fatalf("store holds %d tuples, want 1", len(store.tuples))
 	}
 	// Unknown writable name errors without killing the connection.
-	err = conn.Updatable("nope").Flush()
+	err = conn.Updatable("nope").FlushContext(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "no writable store") {
 		t.Fatalf("unknown updatable: %v", err)
 	}
-	if err := conn.Updatable("users").Flush(); err != nil {
+	if err := conn.Updatable("users").FlushContext(context.Background()); err != nil {
 		t.Fatalf("connection dead after routing error: %v", err)
 	}
 }
@@ -146,12 +146,12 @@ func TestUpdateErrorsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := pipeRegistry(t, reg).Updatable("dyn")
-	err := h.Apply(Update{Kind: UpdateInsert, ID: 1, Value: 1})
+	err := h.ApplyContext(context.Background(), Update{Kind: UpdateInsert, ID: 1, Value: 1})
 	if err == nil || !strings.Contains(err.Error(), "store offline") {
 		t.Fatalf("server error not propagated: %v", err)
 	}
 	// Malformed update kind is rejected server-side.
-	err = h.Apply(Update{Kind: 77, ID: 1, Value: 1})
+	err = h.ApplyContext(context.Background(), Update{Kind: 77, ID: 1, Value: 1})
 	if err == nil || !strings.Contains(err.Error(), "unknown update kind") {
 		t.Fatalf("bad kind not rejected: %v", err)
 	}

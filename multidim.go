@@ -1,6 +1,7 @@
 package rsse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -150,9 +151,10 @@ func (mi *MultiIndex) Size() int {
 // Attribute exposes one attribute's index (e.g. to serve it separately).
 func (mi *MultiIndex) Attribute(d int) *Index { return mi.indexes[d] }
 
-// Query runs one single-attribute query per attribute and intersects the
-// matches at the owner.
-func (mc *MultiClient) Query(mi *MultiIndex, q MultiRange) (*MultiResult, error) {
+// QueryContext runs one single-attribute query per attribute and
+// intersects the matches at the owner; cancelling ctx aborts the
+// attribute in flight.
+func (mc *MultiClient) QueryContext(ctx context.Context, mi *MultiIndex, q MultiRange) (*MultiResult, error) {
 	dims := len(mc.clients)
 	if len(q) != dims {
 		return nil, fmt.Errorf("%w: query has %d ranges, want %d", ErrDimensionMismatch, len(q), dims)
@@ -163,7 +165,7 @@ func (mc *MultiClient) Query(mi *MultiIndex, q MultiRange) (*MultiResult, error)
 	out := &MultiResult{PerAttribute: make([]int, dims)}
 	var inter map[ID]int
 	for d := 0; d < dims; d++ {
-		res, err := mc.clients[d].Query(mi.indexes[d], q[d])
+		res, err := mc.clients[d].QueryContext(ctx, mi.indexes[d], q[d])
 		if err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
@@ -202,13 +204,13 @@ func (mc *MultiClient) Query(mi *MultiIndex, q MultiRange) (*MultiResult, error)
 func (mc *MultiClient) FetchTuple(mi *MultiIndex, id ID) (MultiTuple, error) {
 	out := MultiTuple{ID: id, Values: make([]Value, len(mc.clients))}
 	for d, c := range mc.clients {
-		tup, err := c.FetchTuple(mi.indexes[d], id)
+		tuples, err := c.FetchTuples(context.Background(), mi.indexes[d], []ID{id})
 		if err != nil {
 			return MultiTuple{}, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		out.Values[d] = tup.Value
+		out.Values[d] = tuples[0].Value
 		if d == 0 {
-			out.Payload = tup.Payload
+			out.Payload = tuples[0].Payload
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package rsse_test
 
 import (
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -63,7 +64,7 @@ func TestMultiDimMatchesOracle(t *testing.T) {
 				lo := rnd.Uint64() % (size - R)
 				q[d] = rsse.Range{Lo: lo, Hi: lo + R - 1}
 			}
-			res, err := mc.Query(mi, q)
+			res, err := mc.QueryContext(context.Background(), mi, q)
 			if err != nil {
 				t.Fatalf("%v: %v", kind, err)
 			}
@@ -95,7 +96,7 @@ func TestMultiDimUnconstrainedAttribute(t *testing.T) {
 	// Second attribute unconstrained (full domain): equivalent to a
 	// single-attribute query on the first.
 	q := rsse.MultiRange{{Lo: 50, Hi: 150}, {Lo: 0, Hi: 255}}
-	res, err := mc.Query(mi, q)
+	res, err := mc.QueryContext(context.Background(), mi, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestMultiDimValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Query(mi, rsse.MultiRange{{Lo: 0, Hi: 1}}); !errors.Is(err, rsse.ErrDimensionMismatch) {
+	if _, err := mc.QueryContext(context.Background(), mi, rsse.MultiRange{{Lo: 0, Hi: 1}}); !errors.Is(err, rsse.ErrDimensionMismatch) {
 		t.Errorf("query dimension mismatch error = %v", err)
 	}
 	if mi.Size() <= 0 || mi.Attribute(0) == nil {
@@ -176,7 +177,7 @@ func TestMultiDimMasterKeyDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := rsse.MultiRange{{Lo: 0, Hi: 511}, {Lo: 100, Hi: 400}}
-	res, err := b.Query(mi, q)
+	res, err := b.QueryContext(context.Background(), mi, q)
 	if err != nil {
 		t.Fatal(err)
 	}

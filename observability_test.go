@@ -57,7 +57,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	var wantQueries, wantTokens, wantItems uint64
 	for i := 0; i < 16; i++ {
 		lo := uint64(i * 60)
-		res, err := client.Query(remote, rsse.Range{Lo: lo, Hi: lo + 50})
+		res, err := client.QueryContext(context.Background(), remote, rsse.Range{Lo: lo, Hi: lo + 50})
 		must(t, err)
 		wantQueries++
 		wantTokens += uint64(res.Stats.Tokens)

@@ -274,7 +274,7 @@ func (w *writableTarget) FlushUpdates() error {
 func (w *writableTarget) QueryTuples(q core.Range) ([]core.Tuple, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tuples, _, err := w.s.Query(q)
+	tuples, _, err := w.s.QueryContext(context.Background(), q)
 	return tuples, err
 }
 
@@ -335,30 +335,26 @@ func (r *RemoteDynamic) Name() string { return r.handle.Name() }
 // Insert ships a tuple insertion; nil means the server accepted and
 // (per its fsync policy) persisted it.
 func (r *RemoteDynamic) Insert(id ID, value Value, payload []byte) error {
-	return r.handle.Apply(transport.Update{Kind: transport.UpdateInsert, ID: id, Value: value, Payload: payload})
+	return r.handle.ApplyContext(context.Background(), transport.Update{Kind: transport.UpdateInsert, ID: id, Value: value, Payload: payload})
 }
 
 // Delete ships a deletion; value must be the victim's current value.
 func (r *RemoteDynamic) Delete(id ID, value Value) error {
-	return r.handle.Apply(transport.Update{Kind: transport.UpdateDelete, ID: id, Value: value})
+	return r.handle.ApplyContext(context.Background(), transport.Update{Kind: transport.UpdateDelete, ID: id, Value: value})
 }
 
 // Modify ships an atomic value/payload change.
 func (r *RemoteDynamic) Modify(id ID, oldValue, newValue Value, payload []byte) error {
-	return r.handle.Apply(transport.Update{Kind: transport.UpdateModify, ID: id, Value: oldValue, NewValue: newValue, Payload: payload})
+	return r.handle.ApplyContext(context.Background(), transport.Update{Kind: transport.UpdateModify, ID: id, Value: oldValue, NewValue: newValue, Payload: payload})
 }
 
 // Flush seals the server-side pending batch into a fresh epoch and
 // commits it durably.
-func (r *RemoteDynamic) Flush() error { return r.handle.Flush() }
+func (r *RemoteDynamic) Flush() error { return r.handle.FlushContext(context.Background()) }
 
-// Query runs a range query on the writable store, returning decrypted
-// live tuples (flushed epochs only, like Dynamic.Query).
-func (r *RemoteDynamic) Query(q Range) ([]Tuple, error) {
-	return r.handle.QueryRange(q)
-}
-
-// QueryContext is Query with cancellation.
+// QueryContext runs a range query on the writable store, returning
+// decrypted live tuples (flushed epochs only, like
+// Dynamic.QueryContext).
 func (r *RemoteDynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, error) {
 	return r.handle.QueryRangeContext(ctx, q)
 }

@@ -56,7 +56,7 @@ func TestMultiIndexPublicAPI(t *testing.T) {
 			t.Errorf("%s: served = %v, %v", name, served, err)
 			return
 		}
-		res, err := c.Query(remote, q)
+		res, err := c.QueryContext(context.Background(), remote, q)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			return

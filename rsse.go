@@ -32,12 +32,13 @@ type (
 	// BatchResult is a batched query outcome: one Result per input range
 	// plus batch-level dedup and cost accounting.
 	BatchResult = core.BatchResult
-	// BatchStats carries the batch-level accounting of one QueryBatch:
+	// BatchStats carries the batch-level accounting of one batched query:
 	// cover-node demand vs unique tokens sent (DedupRatio), rounds, bytes
 	// and the wall-clock split.
 	BatchStats = core.BatchStats
 	// Trapdoor is a single round's encrypted query message. Advanced use
-	// only (benchmarks, protocol inspection); normal callers use Query.
+	// only (benchmarks, protocol inspection); normal callers use
+	// QueryContext.
 	Trapdoor = core.Trapdoor
 	// Index is the server-side encrypted state.
 	Index = core.Index

@@ -1,6 +1,7 @@
 package rsse_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,15 +19,15 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		{ID: 3, Value: 1400},
 	})
 	must(t, err)
-	res, err := client.Query(index, rsse.Range{Lo: 500, Hi: 1500})
+	res, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 500, Hi: 1500})
 	must(t, err)
 	if !equal(sorted(res.Matches), []rsse.ID{1, 3}) {
 		t.Fatalf("Matches = %v", res.Matches)
 	}
-	got, err := client.FetchTuple(index, 1)
+	got, err := client.FetchTuples(context.Background(), index, []rsse.ID{1})
 	must(t, err)
-	if string(got.Payload) != "alice" || got.Value != 1000 {
-		t.Fatalf("FetchTuple = %+v", got)
+	if string(got[0].Payload) != "alice" || got[0].Value != 1000 {
+		t.Fatalf("FetchTuples = %+v", got)
 	}
 }
 
@@ -68,7 +69,7 @@ func TestSSEConstructionsViaOptions(t *testing.T) {
 		}
 		index, err := client.BuildIndex(tuples)
 		must(t, err)
-		res, err := client.Query(index, q)
+		res, err := client.QueryContext(context.Background(), index, q)
 		must(t, err)
 		if !equal(sorted(res.Matches), oracle(tuples, q)) {
 			t.Errorf("%s: wrong matches", name)
@@ -90,7 +91,7 @@ func TestMasterKeyReproducibility(t *testing.T) {
 	c2, err := rsse.NewClient(rsse.LogarithmicBRC, 8, rsse.WithMasterKey(key), rsse.WithSeed(2))
 	must(t, err)
 	q := rsse.Range{Lo: 0, Hi: 128}
-	res, err := c2.Query(index, q)
+	res, err := c2.QueryContext(context.Background(), index, q)
 	must(t, err)
 	if !equal(sorted(res.Matches), oracle(tuples, q)) {
 		t.Error("rebuilt client cannot query the index")
@@ -102,14 +103,14 @@ func TestConstantGuardThroughPublicAPI(t *testing.T) {
 	must(t, err)
 	index, err := client.BuildIndex(genTuples(50, 10, 5))
 	must(t, err)
-	if _, err := client.Query(index, rsse.Range{Lo: 0, Hi: 100}); err != nil {
+	if _, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 0, Hi: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Query(index, rsse.Range{Lo: 50, Hi: 150}); !errors.Is(err, rsse.ErrIntersectingQuery) {
+	if _, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 50, Hi: 150}); !errors.Is(err, rsse.ErrIntersectingQuery) {
 		t.Errorf("intersecting query error = %v", err)
 	}
 	client.ResetHistory()
-	if _, err := client.Query(index, rsse.Range{Lo: 50, Hi: 150}); err != nil {
+	if _, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 50, Hi: 150}); err != nil {
 		t.Errorf("query after reset: %v", err)
 	}
 }
@@ -132,7 +133,7 @@ func TestConstantGuardConcurrent(t *testing.T) {
 			var mu sync.Mutex
 			ran := 0
 			concurrently(t, goroutines, func(g int) error {
-				res, err := client.Query(index, q)
+				res, err := client.QueryContext(context.Background(), index, q)
 				switch {
 				case errors.Is(err, rsse.ErrIntersectingQuery):
 					return nil
@@ -150,7 +151,7 @@ func TestConstantGuardConcurrent(t *testing.T) {
 			if ran != 1 {
 				t.Fatalf("%d of %d concurrent queries of %v ran, want exactly 1", ran, goroutines, q)
 			}
-			if _, err := client.Query(index, rsse.Range{Lo: 600, Hi: 700}); !errors.Is(err, rsse.ErrIntersectingQuery) {
+			if _, err := client.QueryContext(context.Background(), index, rsse.Range{Lo: 600, Hi: 700}); !errors.Is(err, rsse.ErrIntersectingQuery) {
 				t.Fatalf("intersecting query after the concurrent round: err %v, want ErrIntersectingQuery", err)
 			}
 		})
@@ -197,7 +198,7 @@ func TestDynamicThroughPublicAPI(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tuples, stats, err := d.Query(rsse.Range{Lo: 0, Hi: 4095})
+	tuples, stats, err := d.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: 4095})
 	must(t, err)
 	if len(tuples) != 1 || tuples[0].ID != 1 || tuples[0].Value != 300 || string(tuples[0].Payload) != "a2" {
 		t.Fatalf("dynamic query = %+v", tuples)
@@ -240,7 +241,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := rsse.Range{Lo: 0, Hi: 4095}
-	tuples, stats, err := d.Query(full)
+	tuples, stats, err := d.QueryContext(context.Background(), full)
 	must(t, err)
 	if len(tuples) != 4 {
 		t.Fatalf("query = %d tuples", len(tuples))
@@ -263,7 +264,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tuples, _, err = d.Query(full)
+	tuples, _, err = d.QueryContext(context.Background(), full)
 	must(t, err)
 	byID := map[uint64]rsse.Tuple{}
 	for _, tup := range tuples {
@@ -283,7 +284,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 	}
 	// A query clipped to the old shard must not resurrect the mover.
 	sr0 := d.ShardRange(0)
-	tuples, _, err = d.Query(rsse.Range{Lo: sr0.Lo, Hi: sr0.Hi})
+	tuples, _, err = d.QueryContext(context.Background(), rsse.Range{Lo: sr0.Lo, Hi: sr0.Hi})
 	must(t, err)
 	for _, tup := range tuples {
 		if tup.ID == 1 {
@@ -298,7 +299,7 @@ func TestShardedDynamicThroughPublicAPI(t *testing.T) {
 	if d.ActiveIndexes() > d.Shards() {
 		t.Fatalf("ActiveIndexes = %d after consolidation", d.ActiveIndexes())
 	}
-	tuples, _, err = d.Query(full)
+	tuples, _, err = d.QueryContext(context.Background(), full)
 	must(t, err)
 	if len(tuples) != 3 {
 		t.Fatalf("after consolidation: %d tuples", len(tuples))

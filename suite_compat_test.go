@@ -99,11 +99,11 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 			c := owner()
 			for _, q := range ranges {
 				want := oracle(tuples, q)
-				local, err := c.Query(index, q)
+				local, err := c.QueryContext(context.Background(), index, q)
 				if err != nil {
 					t.Fatalf("%v/%s local %v: %v", kind, engine, q, err)
 				}
-				wire, err := c.Query(remote, q)
+				wire, err := c.QueryContext(context.Background(), remote, q)
 				if err != nil {
 					t.Fatalf("%v/%s remote %v: %v", kind, engine, q, err)
 				}
@@ -111,7 +111,7 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 					t.Fatalf("%v/%s %v: local %d ids, remote %d ids, want %d", kind, engine, q, len(local.Raw), len(wire.Raw), len(want))
 				}
 			}
-			br, err := c.QueryBatch(remote, []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}})
+			br, err := c.QueryBatchContext(context.Background(), remote, []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}})
 			must(t, err)
 			for i, q := range []rsse.Range{{Lo: 0, Hi: 99}, {Lo: 500, Hi: 800}} {
 				if !equal(sorted(br.Results[i].Raw), oracle(tuples, q)) {
@@ -203,13 +203,13 @@ func testDynamicSpansSuites(t *testing.T, src string, kind rsse.Kind, epochs []r
 	check := func(d *rsse.Dynamic, label string) {
 		t.Helper()
 		for _, q := range ranges {
-			got, _, err := d.Query(q)
+			got, _, err := d.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: query %v: %v", label, q, err)
 			}
 			checkAnswer(label, q, got)
 		}
-		got, _, err := d.QueryBatch(ranges)
+		got, _, err := d.QueryBatchContext(context.Background(), ranges)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", label, err)
 		}
@@ -316,10 +316,10 @@ func TestClusterShardsReportSuite(t *testing.T) {
 				t.Errorf("%v shard %d reports suite %v, want %v", kind, i, meta.Suite, want)
 			}
 		}
-		res, err := cluster.Query(rsse.Range{Lo: 0, Hi: 1023})
+		res, err := cluster.QueryBatchContext(context.Background(), []rsse.Range{{Lo: 0, Hi: 1023}})
 		must(t, err)
-		if len(res.Matches) != len(tuples) {
-			t.Errorf("%v: full-domain cluster query returned %d of %d tuples", kind, len(res.Matches), len(tuples))
+		if len(res.Results[0].Matches) != len(tuples) {
+			t.Errorf("%v: full-domain cluster query returned %d of %d tuples", kind, len(res.Results[0].Matches), len(tuples))
 		}
 	}
 }
