@@ -142,7 +142,7 @@ func TestQueryContextCancelled(t *testing.T) {
 		t.Fatal("cancelled local batch succeeded")
 	}
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 2, nil,
-		rsse.WithShardOptions(rsse.WithSeed(94)))
+		rsse.WithSeed(94))
 	must(t, err)
 	if _, err := cluster.QueryBatchContext(ctx, []rsse.Range{{Lo: 0, Hi: 100}}); err == nil {
 		t.Fatal("cancelled cluster batch succeeded")

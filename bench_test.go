@@ -322,7 +322,7 @@ func benchCluster(b *testing.B, shards int) *rsse.Cluster {
 		return c
 	}
 	c, err := rsse.BuildCluster(rsse.LogarithmicBRC, clusterBenchBits, shards,
-		clusterBenchTuples, rsse.WithShardOptions(rsse.WithSeed(42)))
+		clusterBenchTuples, rsse.WithSeed(42))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 )
 
 // TestClusterDeadShardDegradation walks the degradation ladder: with
-// WithShardRetry a permanently dead shard no longer fails DialCluster
+// WithRetry a permanently dead shard no longer fails DialCluster
 // (dialing is lazy); under WithPartialResults its queries degrade to
 // typed partial results carrying both ErrPartialResult and ErrConnDead;
 // ranges that avoid the dead shard stay complete; and only a range
@@ -29,7 +29,7 @@ import (
 func TestClusterDeadShardDegradation(t *testing.T) {
 	tuples := genTuples(300, 12, 51)
 	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 12, 4, tuples,
-		rsse.WithShardOptions(rsse.WithSeed(8)))
+		rsse.WithSeed(8))
 	must(t, err)
 	man := serveCluster(t, built, "dd", 1)
 
@@ -47,8 +47,8 @@ func TestClusterDeadShardDegradation(t *testing.T) {
 	// (TestClusterPartialResults pins that). With retry, dialing is lazy
 	// and must succeed.
 	dialed, err := rsse.DialCluster("tcp", "", man, built.MasterKey(),
-		rsse.WithShardOptions(rsse.WithSeed(10)),
-		rsse.WithShardRetry(retry),
+		rsse.WithSeed(10),
+		rsse.WithRetry(retry),
 		rsse.WithPartialResults())
 	if err != nil {
 		t.Fatalf("lazy dial with a dead shard failed: %v", err)

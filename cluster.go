@@ -1,18 +1,17 @@
 package rsse
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 
 	"rsse/internal/core"
 	"rsse/internal/cover"
 	"rsse/internal/prf"
 	"rsse/internal/shard"
-	"rsse/internal/transport"
 )
 
 // Cluster is a range-partitioned deployment of one scheme: the domain
@@ -41,132 +40,12 @@ type Cluster struct {
 	closers []io.Closer
 }
 
-// clusterConfig collects the cluster-level options.
-type clusterConfig struct {
-	workers   int
-	policy    shard.Policy
-	quantile  bool
-	masterKey []byte
-	shardOpts []Option
-	retry     *transport.RetryPolicy
-	connWrap  func(net.Conn) net.Conn
-}
-
-// ClusterOption customizes a Cluster.
-type ClusterOption func(*clusterConfig) error
-
-// WithClusterWorkers bounds how many shard sub-queries run concurrently
-// per query; 0 (the default) runs every intersected shard at once.
-func WithClusterWorkers(n int) ClusterOption {
-	return func(c *clusterConfig) error {
-		if n < 0 {
-			return fmt.Errorf("rsse: cluster workers %d must not be negative", n)
-		}
-		c.workers = n
-		return nil
-	}
-}
-
-// WithPartialResults switches a failing shard sub-query from the default
-// first-error policy (cancel the rest, fail the query) to a
-// partial-result policy: the other shards finish, the merged result
-// covers the reachable slices, and the per-shard errors are reported in
-// ClusterBatchResult.Shards. Queries still fail when every shard fails.
-func WithPartialResults() ClusterOption {
-	return func(c *clusterConfig) error {
-		c.policy = shard.Partial
-		return nil
-	}
-}
-
-// WithShardRetry makes a dialed cluster resilient: each shard target
-// becomes a retrying handle that redials dead connections, retries
-// idempotent read sub-queries with capped jittered backoff, and backs
-// off (without failing over) when a shard sheds under ErrOverloaded.
-// Shard dialing turns lazy — an unreachable shard no longer fails
-// DialCluster; its sub-queries fail typed (ErrConnDead) after the
-// policy's attempts, which WithPartialResults then degrades to a
-// partial result instead of a failed query. The zero policy selects
-// the defaults (4 attempts, 10ms base backoff). Only meaningful for
-// dialed clusters; local clusters ignore it.
-func WithShardRetry(p RetryPolicy) ClusterOption {
-	return func(c *clusterConfig) error {
-		pc := p
-		c.retry = &pc
-		return nil
-	}
-}
-
-// WithShardConnWrapper passes every shard connection a dialed cluster
-// opens through wrap before the transport takes over — the seam chaos
-// tests and the load harness use to inject faults (see
-// internal/fault). Only meaningful for DialCluster.
-func WithShardConnWrapper(wrap func(net.Conn) net.Conn) ClusterOption {
-	return func(c *clusterConfig) error {
-		if wrap == nil {
-			return errors.New("rsse: nil shard conn wrapper")
-		}
-		c.connWrap = wrap
-		return nil
-	}
-}
-
-// WithQuantileSplit splits the domain on the dataset's k-quantiles
-// instead of equal-width slices, so each shard holds a near-equal number
-// of tuples even under heavy skew (salary- or Zipf-shaped data). Heavy
-// ties may collapse adjacent cut points, yielding fewer shards than
-// requested; Cluster.Shards reports the actual count.
-func WithQuantileSplit() ClusterOption {
-	return func(c *clusterConfig) error {
-		c.quantile = true
-		return nil
-	}
-}
-
-// WithClusterKey fixes the cluster's 32-byte master key instead of
-// drawing a random one. Every shard key derives deterministically from
-// it, so the same key re-creates every shard client — required when
-// dialing a cluster built earlier.
-func WithClusterKey(key []byte) ClusterOption {
-	return func(c *clusterConfig) error {
-		if len(key) != prf.KeySize {
-			return fmt.Errorf("rsse: cluster master key must be %d bytes, got %d", prf.KeySize, len(key))
-		}
-		c.masterKey = append([]byte(nil), key...)
-		return nil
-	}
-}
-
-// WithShardOptions passes client options (WithSSE, WithStorage, WithSeed,
-// AllowIntersectingQueries, ...) through to every per-shard client.
-// WithMasterKey is rejected here: shard keys always derive from the
-// cluster master key (set it with WithClusterKey).
-func WithShardOptions(opts ...Option) ClusterOption {
-	return func(c *clusterConfig) error {
-		c.shardOpts = append(c.shardOpts, opts...)
-		return nil
-	}
-}
-
-// applyClusterOptions folds the options and resolves the master key.
-func applyClusterOptions(opts []ClusterOption) (clusterConfig, prf.Key, error) {
-	var cfg clusterConfig
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return cfg, prf.Key{}, err
-		}
-	}
-	if cfg.masterKey != nil {
-		master, err := prf.KeyFromBytes(cfg.masterKey)
-		return cfg, master, err
-	}
-	master, err := prf.NewKey(nil)
-	return cfg, master, err
-}
-
 // newCluster wires the owner-side state every construction path shares:
-// the shard map, one derived-key client per shard, and the executor.
-func newCluster(kind Kind, m shard.Map, master prf.Key, cfg clusterConfig) (*Cluster, error) {
+// the shard map, one client per shard under shard.ClientKey(master, i),
+// and the executor. Options are lowered once per shard, so that each
+// shard client draws from a shuffle source of its own (see
+// core.Options.Rand).
+func newCluster(kind Kind, m shard.Map, master prf.Key, cfg config) (*Cluster, error) {
 	c := &Cluster{
 		kind:    kind,
 		m:       m,
@@ -174,17 +53,14 @@ func newCluster(kind Kind, m shard.Map, master prf.Key, cfg clusterConfig) (*Clu
 		clients: make([]*core.Client, m.K()),
 		targets: make([]core.Source, m.K()),
 		indexes: make([]*Index, m.K()),
-		exec:    shard.Executor{Workers: cfg.workers, Policy: cfg.policy},
+		exec:    shard.Executor{Policy: cfg.policy},
 	}
 	for i := range c.clients {
-		opts := append([]Option{WithMasterKey(shard.ClientKey(master, i))}, cfg.shardOpts...)
-		lowered, err := applyOptions(opts)
+		lowered, err := cfg.lower()
 		if err != nil {
 			return nil, err
 		}
-		if string(lowered.MasterKey) != string(shard.ClientKey(master, i)) {
-			return nil, errors.New("rsse: WithMasterKey is not a shard option; use WithClusterKey")
-		}
+		lowered.MasterKey = shard.ClientKey(master, i)
 		client, err := core.NewClient(kind, m.Domain(), lowered)
 		if err != nil {
 			return nil, err
@@ -200,12 +76,23 @@ func newCluster(kind Kind, m shard.Map, master prf.Key, cfg clusterConfig) (*Clu
 // the cluster with every shard attached locally. Shard indexes are
 // retrievable with ShardIndex for serving or persisting; tuple ids must
 // be unique across the whole cluster, exactly as in a single index.
-func BuildCluster(kind Kind, domainBits uint8, shards int, tuples []Tuple, opts ...ClusterOption) (*Cluster, error) {
+// WithMasterKey fixes the cluster key; without it a fresh one is drawn
+// (Cluster.MasterKey returns it).
+func BuildCluster(kind Kind, domainBits uint8, shards int, tuples []Tuple, opts ...Option) (*Cluster, error) {
 	dom, err := cover.NewDomain(domainBits)
 	if err != nil {
 		return nil, err
 	}
-	cfg, master, err := applyClusterOptions(opts)
+	cfg, err := collectOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	var master prf.Key
+	if cfg.masterKey != nil {
+		master, err = prf.KeyFromBytes(cfg.masterKey)
+	} else {
+		master, err = prf.NewKey(nil)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +143,7 @@ func BuildCluster(kind Kind, domainBits uint8, shards int, tuples []Tuple, opts 
 // resolving each shard's index through open — typically an OpenIndexFile
 // call over the manifest's conventional file names. Use DialCluster when
 // the shards are served remotely.
-func OpenCluster(man ClusterManifest, masterKey []byte, open func(shardIndex int, info ClusterShardInfo) (*Index, error), opts ...ClusterOption) (*Cluster, error) {
+func OpenCluster(man ClusterManifest, masterKey []byte, open func(shardIndex int, info ClusterShardInfo) (*Index, error), opts ...Option) (*Cluster, error) {
 	if open == nil {
 		return nil, errors.New("rsse: OpenCluster requires an open function")
 	}
@@ -283,21 +170,27 @@ func OpenCluster(man ClusterManifest, masterKey []byte, open func(shardIndex int
 
 // clusterFromManifest builds the owner-side cluster state (map, derived
 // clients) described by a manifest, leaving the shard targets unset.
-// The resolved config rides along for callers (dialClusterNet) that
-// need the connection-level options.
-func clusterFromManifest(man ClusterManifest, masterKey []byte, opts []ClusterOption) (*Cluster, clusterConfig, error) {
+// The resolved config rides along for the dialers, which need the
+// connection-level options.
+func clusterFromManifest(man ClusterManifest, masterKey []byte, opts []Option) (*Cluster, config, error) {
 	kind, err := man.KindValue()
 	if err != nil {
-		return nil, clusterConfig{}, err
+		return nil, config{}, err
 	}
 	m, err := man.MapValue()
 	if err != nil {
-		return nil, clusterConfig{}, err
+		return nil, config{}, err
 	}
-	opts = append(opts, WithClusterKey(masterKey))
-	cfg, master, err := applyClusterOptions(opts)
+	cfg, err := collectOptions(opts)
 	if err != nil {
-		return nil, clusterConfig{}, err
+		return nil, config{}, err
+	}
+	master, err := prf.KeyFromBytes(masterKey)
+	if err != nil {
+		return nil, config{}, fmt.Errorf("rsse: cluster master key: %w", err)
+	}
+	if cfg.masterKey != nil && !bytes.Equal(cfg.masterKey, masterKey) {
+		return nil, config{}, errors.New("rsse: WithMasterKey differs from the cluster key given")
 	}
 	c, err := newCluster(kind, m, master, cfg)
 	return c, cfg, err
@@ -474,7 +367,7 @@ func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*Clust
 
 // scatter checks every range, cuts the ranges at shard boundaries and
 // runs one batched sub-query per intersected shard over its slices.
-func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[shard.BatchTask, *core.BatchResult], error) {
+func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[*core.BatchResult], error) {
 	for _, q := range ranges {
 		if err := c.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
 			return nil, err
@@ -486,28 +379,49 @@ func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[
 		})
 }
 
-// FetchTuple retrieves and decrypts one tuple by id. The owning shard is
-// not derivable from an id alone, so shards are probed in order; with
-// the tuple's value at hand, ShardOf(value) names the owner directly. A
-// shard that fails to answer (a dead connection, say) surfaces as an
-// error rather than masquerading as an absent tuple.
-func (c *Cluster) FetchTuple(id ID) (Tuple, error) {
-	var firstErr error
-	for i := range c.clients {
-		cts, err := c.targets[i].FetchMany(context.Background(), []ID{id})
-		if err == nil && cts[0] != nil {
-			// Present on this shard: decrypt the probed ciphertext under
-			// its client's keys (no second fetch).
-			return c.clients[i].OpenTuple(id, cts[0])
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("rsse: fetching tuple %d from shard %d: %w", id, i, err)
-		}
+// FetchTuples retrieves and decrypts the tuples stored under ids, in
+// order. The owning shard is not derivable from an id alone, so the
+// shards are asked in order: each gets the ids no earlier shard held,
+// in one chunked fetch round (one frame per 128 ids), and decrypts what
+// it holds under its own client. An id that no shard holds fails the
+// call, and so does a shard that fails to answer (a dead connection,
+// say), rather than masquerading as an absent tuple.
+//
+// Leakage: shard i sees exactly the ids that shards 0..i-1 do not hold
+// — the ids a one-id probe per tuple would have shown it — now in
+// chunks rather than one request each.
+func (c *Cluster) FetchTuples(ctx context.Context, ids []ID) ([]Tuple, error) {
+	out := make([]Tuple, len(ids))
+	pending := make([]int, len(ids)) // positions in ids no shard has answered yet
+	for i := range pending {
+		pending[i] = i
 	}
-	if firstErr != nil {
-		return Tuple{}, firstErr
+	ask := make([]ID, 0, len(ids))
+	for s := 0; s < len(c.clients) && len(pending) > 0; s++ {
+		ask = ask[:0]
+		for _, p := range pending {
+			ask = append(ask, ids[p])
+		}
+		missing := pending[:0] // filled no faster than pending is read
+		err := core.FetchEach(ctx, c.targets[s], ask, func(j int, ct []byte) error {
+			p := pending[j]
+			if ct == nil {
+				missing = append(missing, p)
+				return nil
+			}
+			var err error
+			out[p], err = c.clients[s].OpenTuple(ids[p], ct)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("rsse: fetching tuples from shard %d: %w", s, err)
+		}
+		pending = missing
 	}
-	return Tuple{}, fmt.Errorf("rsse: no tuple with id %d in any shard", id)
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("rsse: no tuple with id %d in any shard", ids[pending[0]])
+	}
+	return out, nil
 }
 
 // ClusterShardStat is one shard's operational profile: its value

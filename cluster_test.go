@@ -1,6 +1,7 @@
 package rsse_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -18,7 +19,7 @@ import (
 func TestClusterShardIndependence(t *testing.T) {
 	tuples := genTuples(200, 10, 31)
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 4, tuples,
-		rsse.WithShardOptions(rsse.WithSeed(1)))
+		rsse.WithSeed(1))
 	must(t, err)
 	stats := cluster.Stats()
 	if len(stats) != 4 {
@@ -62,7 +63,7 @@ func TestClusterQuantileSplit(t *testing.T) {
 	// staying differentially correct.
 	tuples := dataset.ZipfPool(4000, 14, 200, 1.2, 5)
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicSRCi, 14, 4, tuples,
-		rsse.WithQuantileSplit(), rsse.WithShardOptions(rsse.WithSeed(3)))
+		rsse.WithQuantileSplit(), rsse.WithSeed(3))
 	must(t, err)
 	if cluster.Shards() < 2 {
 		t.Fatalf("quantile split collapsed to %d shards", cluster.Shards())
@@ -123,7 +124,7 @@ func serveCluster(t *testing.T, cluster *rsse.Cluster, base string, servers int)
 func TestClusterPartialResults(t *testing.T) {
 	tuples := genTuples(300, 12, 51)
 	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 12, 4, tuples,
-		rsse.WithShardOptions(rsse.WithSeed(8)))
+		rsse.WithSeed(8))
 	must(t, err)
 	man := serveCluster(t, built, "t", 1)
 
@@ -215,7 +216,7 @@ func TestClusterContextCancel(t *testing.T) {
 func TestClusterPersistReopen(t *testing.T) {
 	tuples := genTuples(250, 12, 81)
 	built, err := rsse.BuildCluster(rsse.LogarithmicSRC, 12, 3, tuples,
-		rsse.WithShardOptions(rsse.WithSeed(10)))
+		rsse.WithSeed(10))
 	must(t, err)
 	dir := t.TempDir()
 	man := built.Manifest("demo")
@@ -266,22 +267,25 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal("k > domain accepted")
 	}
 	if _, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 2, nil,
-		rsse.WithClusterKey([]byte("short"))); err == nil {
+		rsse.WithMasterKey([]byte("short"))); err == nil {
 		t.Fatal("short cluster key accepted")
 	}
-	if _, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 2, nil,
-		rsse.WithShardOptions(rsse.WithMasterKey(make([]byte, 32)))); err == nil {
-		t.Fatal("WithMasterKey smuggled through shard options")
-	}
-	if _, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 2, nil,
-		rsse.WithClusterWorkers(-1)); err == nil {
-		t.Fatal("negative worker bound accepted")
+	if _, err := rsse.OpenCluster(rsse.ClusterManifest{}, []byte("short"), nil); err == nil {
+		t.Fatal("OpenCluster accepted a short key")
 	}
 	// A shard with no address and no default address fails fast.
 	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 2, nil)
 	must(t, err)
 	if _, err := rsse.DialCluster("tcp", "", built.Manifest("users"), built.MasterKey()); err == nil {
 		t.Fatal("dial without addresses accepted")
+	}
+	// The key argument and a WithMasterKey option must agree.
+	shards := func(i int, _ rsse.ClusterShardInfo) (*rsse.Index, error) { return built.ShardIndex(i), nil }
+	if _, err := rsse.OpenCluster(built.Manifest("users"), built.MasterKey(), shards, rsse.WithMasterKey(make([]byte, 32))); err == nil {
+		t.Fatal("a second, different cluster key accepted")
+	}
+	if _, err := rsse.OpenCluster(built.Manifest("users"), built.MasterKey(), shards, rsse.WithMasterKey(built.MasterKey())); err != nil {
+		t.Fatalf("the same key twice refused: %v", err)
 	}
 	// k=1 degenerates to a single index and still answers queries.
 	one, err := rsse.BuildCluster(rsse.LogarithmicBRC, 8, 1, genTuples(50, 8, 91))
@@ -292,44 +296,46 @@ func TestClusterValidation(t *testing.T) {
 }
 
 // TestClusterKeyDeterminism: the same cluster key re-creates clients
-// that can query shard indexes built earlier.
+// that can query shard indexes built earlier. WithMasterKey is the
+// cluster key, and so is the deprecated WithClusterKey inside the
+// WithShardOptions spelling.
 func TestClusterKeyDeterminism(t *testing.T) {
 	key := make([]byte, 32)
 	for i := range key {
 		key[i] = byte(i * 3)
 	}
 	tuples := genTuples(200, 10, 92)
-	built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 3, tuples,
-		rsse.WithClusterKey(key), rsse.WithShardOptions(rsse.WithSeed(12)))
-	must(t, err)
-	man := built.Manifest("d")
-	reopened, err := rsse.OpenCluster(man, key,
-		func(i int, info rsse.ClusterShardInfo) (*rsse.Index, error) {
-			blob, err := built.ShardIndex(i).MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			return rsse.UnmarshalIndex(blob)
-		})
-	must(t, err)
 	q := rsse.Range{Lo: 100, Hi: 900}
-	res, err := reopened.QueryBatchContext(context.Background(), []rsse.Range{q})
-	must(t, err)
-	if !equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
-		t.Fatal("re-keyed cluster cannot read its own shards")
+	// open re-creates built's clients under k over copies of its shards.
+	open := func(built *rsse.Cluster, k []byte) *rsse.Cluster {
+		c, err := rsse.OpenCluster(built.Manifest("d"), k,
+			func(i int, info rsse.ClusterShardInfo) (*rsse.Index, error) {
+				blob, err := built.ShardIndex(i).MarshalBinary()
+				if err != nil {
+					return nil, err
+				}
+				return rsse.UnmarshalIndex(blob)
+			})
+		must(t, err)
+		return c
 	}
-	// A wrong key must not produce correct results.
-	bad := make([]byte, 32)
-	wrongKeyCluster, err := rsse.OpenCluster(man, bad,
-		func(i int, info rsse.ClusterShardInfo) (*rsse.Index, error) {
-			blob, err := built.ShardIndex(i).MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			return rsse.UnmarshalIndex(blob)
-		})
-	must(t, err)
-	if res, err := wrongKeyCluster.QueryBatchContext(context.Background(), []rsse.Range{q}); err == nil && equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
-		t.Fatal("wrong cluster key still decrypts")
+	for _, opts := range [][]rsse.Option{
+		{rsse.WithMasterKey(key), rsse.WithSeed(12)},
+		{rsse.WithClusterKey(key), rsse.WithShardOptions(rsse.WithSeed(12))},
+	} {
+		built, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 3, tuples, opts...)
+		must(t, err)
+		if !bytes.Equal(built.MasterKey(), key) {
+			t.Fatal("the cluster key is not the key given")
+		}
+		res, err := open(built, key).QueryBatchContext(context.Background(), []rsse.Range{q})
+		must(t, err)
+		if !equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
+			t.Fatal("re-keyed cluster cannot read its own shards")
+		}
+		// A wrong key must not produce correct results.
+		if res, err := open(built, make([]byte, 32)).QueryBatchContext(context.Background(), []rsse.Range{q}); err == nil && equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
+			t.Fatal("wrong cluster key still decrypts")
+		}
 	}
 }

@@ -331,7 +331,7 @@ type nodeSession struct {
 }
 
 func newNodeSession(e *env, addr string, writes bool) (*nodeSession, error) {
-	var dialOpts []rsse.DialOption
+	var dialOpts []rsse.Option
 	if e.injector != nil {
 		dialOpts = append(dialOpts, rsse.WithConnWrapper(e.injector.Wrap))
 	}
@@ -460,12 +460,12 @@ type clusterSession struct {
 }
 
 func newClusterSession(e *env, addr string) (*clusterSession, error) {
-	clOpts := []rsse.ClusterOption{rsse.WithShardOptions(rsse.AllowIntersectingQueries())}
+	clOpts := []rsse.Option{rsse.AllowIntersectingQueries()}
 	if e.injector != nil {
-		clOpts = append(clOpts, rsse.WithShardConnWrapper(e.injector.Wrap))
+		clOpts = append(clOpts, rsse.WithConnWrapper(e.injector.Wrap))
 	}
 	if e.retry != nil {
-		clOpts = append(clOpts, rsse.WithShardRetry(*e.retry), rsse.WithPartialResults())
+		clOpts = append(clOpts, rsse.WithRetry(*e.retry), rsse.WithPartialResults())
 	}
 	cl, err := rsse.DialCluster("tcp", addr, e.man, e.key, clOpts...)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestSessionsRunUniformSpec(t *testing.T) {
 	if err := reg.Register(rsse.DefaultIndexName, index); err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := rsse.BuildCluster(rsse.ConstantURC, bits, 2, tuples, rsse.WithClusterKey(key))
+	cluster, err := rsse.BuildCluster(rsse.ConstantURC, bits, 2, tuples, rsse.WithMasterKey(key))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func shardBuild(args []string) {
 	if domBits == 0 {
 		domBits = rsse.FitDomain(maxValue).Bits
 	}
-	opts := []rsse.ClusterOption{rsse.WithShardOptions(rsse.WithSSE(*sseName))}
+	opts := []rsse.Option{rsse.WithSSE(*sseName)}
 	switch *split {
 	case "equal":
 	case "quantile":
@@ -272,7 +272,6 @@ func shardQuery(args []string) {
 	engine := fs.String("storage", "sorted", "storage engine for locally opened shards: "+strings.Join(rsse.StorageEngines(), "|"))
 	lo := fs.Uint64("lo", 0, "range lower bound")
 	hi := fs.Uint64("hi", 0, "range upper bound")
-	workers := fs.Int("workers", 0, "max concurrent shard sub-queries; 0 = all at once")
 	partial := fs.Bool("partial", false, "return partial results when a shard fails instead of failing the query")
 	payloads := fs.Bool("payloads", false, "fetch and print decrypted payloads")
 	_ = fs.Parse(args)
@@ -291,7 +290,7 @@ func shardQuery(args []string) {
 	if err != nil {
 		fatal(fmt.Errorf("keyfile: %w", err))
 	}
-	opts := []rsse.ClusterOption{rsse.WithClusterWorkers(*workers)}
+	var opts []rsse.Option
 	if *partial {
 		opts = append(opts, rsse.WithPartialResults())
 	}
@@ -333,16 +332,18 @@ func shardQuery(args []string) {
 		fmt.Printf("  shard %d %v: %d tokens, %d response items  [%s]\n",
 			s.Shard, slice, s.Stats.UniqueTokens, s.Stats.ResponseItems, status)
 	}
-	for _, id := range res.Matches {
-		if *payloads {
-			tup, err := cluster.FetchTuple(id)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("  %d\t%d\t%s\n", tup.ID, tup.Value, tup.Payload)
-		} else {
+	if !*payloads {
+		for _, id := range res.Matches {
 			fmt.Printf("  %d\n", id)
 		}
+		return
+	}
+	tuples, err := cluster.FetchTuples(context.Background(), res.Matches)
+	if err != nil {
+		fatal(err)
+	}
+	for _, tup := range tuples {
+		fmt.Printf("  %d\t%d\t%s\n", tup.ID, tup.Value, tup.Payload)
 	}
 }
 

@@ -402,7 +402,7 @@ func (m *model) check(kind rsse.Kind, q rsse.Range, a answer) error {
 type target struct {
 	one   func(context.Context, rsse.Range) (answer, error)
 	batch func(context.Context, []rsse.Range) ([]answer, *rsse.BatchStats, error)
-	fetch func(rsse.ID) (rsse.Tuple, error)
+	fetch func(context.Context, []rsse.ID) ([]rsse.Tuple, error)
 }
 
 func one(r *rsse.Result, err error) (answer, error) {
@@ -425,13 +425,7 @@ func clientTarget(c *rsse.Client, x rsse.Source) target {
 		func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
 			return batch(c.QueryBatchContext(ctx, x, qs))
 		},
-		func(id rsse.ID) (rsse.Tuple, error) {
-			tuples, err := c.FetchTuples(context.Background(), x, []rsse.ID{id})
-			if err != nil {
-				return rsse.Tuple{}, err
-			}
-			return tuples[0], nil
-		},
+		func(ctx context.Context, ids []rsse.ID) ([]rsse.Tuple, error) { return c.FetchTuples(ctx, x, ids) },
 	}
 }
 
@@ -473,7 +467,7 @@ func clusterTarget(c *rsse.Cluster, pipelined *bool) target {
 			}
 			return as, &br.Stats, br.PartialErr()
 		},
-		c.FetchTuple,
+		c.FetchTuples,
 	}
 }
 
@@ -535,9 +529,7 @@ func (f *fixture) ask(t *testing.T, m *model, ranges []rsse.Range, tg, ref targe
 		}
 	}
 	if tg.fetch != nil {
-		for _, want := range []rsse.Tuple{f.data[0], f.data[len(f.data)/2], f.data[len(f.data)-1]} {
-			must(t, fetchCheck(tg, want))
-		}
+		must(t, fetchCheck(tg, f.data[len(f.data)-1], f.data[0], f.data[len(f.data)/2]))
 	}
 }
 
@@ -588,10 +580,21 @@ func checkBatchStats(st *rsse.BatchStats, ranges int) error {
 	return nil
 }
 
-func fetchCheck(tg target, want rsse.Tuple) error {
-	got, err := tg.fetch(want.ID)
-	if err != nil || got.ID != want.ID || got.Value != want.Value || !bytes.Equal(got.Payload, want.Payload) {
-		return fmt.Errorf("fetch %d: %+v, %v; want %+v", want.ID, got, err, want)
+// fetchCheck fetches the wanted tuples' ids in one call and checks
+// that each comes back whole, in order.
+func fetchCheck(tg target, want ...rsse.Tuple) error {
+	ids := make([]rsse.ID, len(want))
+	for i, w := range want {
+		ids[i] = w.ID
+	}
+	got, err := tg.fetch(context.Background(), ids)
+	if err != nil || len(got) != len(want) {
+		return fmt.Errorf("fetch %v: %d tuples, %v", ids, len(got), err)
+	}
+	for i, w := range want {
+		if g := got[i]; g.ID != w.ID || g.Value != w.Value || !bytes.Equal(g.Payload, w.Payload) {
+			return fmt.Errorf("fetch %d: %+v; want %+v", w.ID, g, w)
+		}
 	}
 	return nil
 }
@@ -708,7 +711,7 @@ func runRemote(t *testing.T, f *fixture, name, mod string) {
 	x := f.loaded
 	var r *rsse.RemoteIndex
 	if name == "remote-tcp" {
-		dial := []rsse.DialOption{rsse.WithRetry(chaosRetry())}
+		dial := []rsse.Option{rsse.WithRetry(chaosRetry())}
 		if mod == "faulted" {
 			var err error
 			x, err = f.owner(t, "", false, f.slowStorage(t)).BuildIndex(f.data)
@@ -753,10 +756,9 @@ func runCluster(t *testing.T, f *fixture, name, mod string) {
 	if mod == "faulted" {
 		opts = append(opts, f.slowStorage(t))
 	}
-	shardOpts := rsse.WithShardOptions(opts...)
-	split := []rsse.ClusterOption{shardOpts}
+	split := opts
 	if f.pi%4 >= 2 {
-		split = append(split, rsse.WithQuantileSplit())
+		split = append(split[:len(split):len(split)], rsse.WithQuantileSplit())
 	}
 	c, err := rsse.BuildCluster(f.kind, f.bits, k, f.data, split...)
 	must(t, err)
@@ -766,17 +768,17 @@ func runCluster(t *testing.T, f *fixture, name, mod string) {
 	var ref target
 	if built := c; name == "cluster-dialed" {
 		local, err := rsse.OpenCluster(built.Manifest("cx"), built.MasterKey(),
-			func(i int, _ rsse.ClusterShardInfo) (*rsse.Index, error) { return built.ShardIndex(i), nil }, shardOpts)
+			func(i int, _ rsse.ClusterShardInfo) (*rsse.Index, error) { return built.ShardIndex(i), nil }, opts...)
 		must(t, err)
 		ref = clusterTarget(local, nil)
 		switch {
 		case mod == "faulted":
-			c, err = rsse.DialCluster("tcp", "", serveCluster(t, built, "cx", 2), built.MasterKey(), shardOpts,
-				rsse.WithShardConnWrapper(chaos(t, 60+int64(f.kind)).Wrap), rsse.WithShardRetry(chaosRetry()))
+			c, err = rsse.DialCluster("tcp", "", serveCluster(t, built, "cx", 2), built.MasterKey(), append(opts,
+				rsse.WithConnWrapper(chaos(t, 60+int64(f.kind)).Wrap), rsse.WithRetry(chaosRetry()))...)
 		case (int(f.kind)+f.pi)%2 == 0:
-			c, err = rsse.DialCluster("tcp", "", serveCluster(t, built, "cx", 2), built.MasterKey(), shardOpts)
+			c, err = rsse.DialCluster("tcp", "", serveCluster(t, built, "cx", 2), built.MasterKey(), opts...)
 		default:
-			c, err = rsse.PipeCluster(built, true, shardOpts)
+			c, err = rsse.PipeCluster(built, true, opts...)
 		}
 		must(t, err)
 		t.Cleanup(func() { c.Close() })

@@ -93,16 +93,32 @@
 //	cluster, err := rsse.BuildCluster(rsse.LogarithmicSRCi, 20, 4, tuples)
 //	res, err := cluster.QueryBatchContext(ctx, []rsse.Range{{Lo: 500, Hi: 1500}})
 //
-// BuildCluster accepts WithQuantileSplit (skew-aware shard boundaries),
-// WithPartialResults (degrade instead of failing when a shard is down),
-// WithClusterWorkers, WithClusterKey and WithShardOptions. The cluster
-// round-trips through a key-free ClusterManifest: OpenCluster reopens
-// shards from files, DialCluster connects to remotely served shards via
-// a static shard→address table, and a Dynamic built by
+// A cluster is k Clients over k Sources and takes a Client's own
+// Options: the scheme options apply to every shard client, WithMasterKey
+// is the cluster key every shard key derives from, WithQuantileSplit
+// picks skew-aware shard boundaries, and WithPartialResults degrades
+// instead of failing when a shard is down. The cluster round-trips
+// through a key-free ClusterManifest: OpenCluster reopens shards from
+// files, and DialCluster connects to remotely served shards via a
+// static shard→address table, with WithRetry and WithConnWrapper
+// applying to every shard connection. Each intersected shard runs its
+// sub-batch in a goroutine of its own. Cluster.FetchTuples decrypts
+// matches in one chunked fetch round per shard, and a Dynamic built by
 // NewShardedDynamic routes forward-private updates to the shard owning
 // each value. Cancelling the context cancels an in-flight scatter; the
 // ClusterBatchResult reports per-shard cost and errors (Shards,
 // PartialErr) alongside one merged Result per range.
+//
+// # Multi-attribute queries
+//
+// A MultiClient answers conjunctive ranges over d attributes, the
+// paper's future-work setting, with the standard baseline: one
+// independent single-attribute instance per attribute and an owner-side
+// intersection. It is d Clients over d Sources: BuildIndex returns one
+// *Index per attribute, and QueryContext and FetchTuples take one
+// Source per attribute, local or served. The server sees each
+// attribute's single-attribute leakage plus the per-attribute access
+// patterns before intersection (MultiResult.PerAttribute).
 //
 // # Durable dynamic indexes
 //

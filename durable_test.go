@@ -176,6 +176,43 @@ func TestShardedDynamicDurableReopen(t *testing.T) {
 	}
 }
 
+// TestDynamicRefusesMasterKey: every Dynamic constructor refuses
+// WithMasterKey — a store draws its own key, and a durable one keeps it
+// in its directory — rather than silently ignoring the key it was given.
+// A refused durable open leaves its directory untouched.
+func TestDynamicRefusesMasterKey(t *testing.T) {
+	key := rsse.WithMasterKey(make([]byte, 32))
+	for _, c := range []struct {
+		name string
+		open func(dir string) (*rsse.Dynamic, error)
+	}{
+		{"NewDynamic", func(string) (*rsse.Dynamic, error) {
+			return rsse.NewDynamic(rsse.LogarithmicBRC, 8, 0, key)
+		}},
+		{"NewShardedDynamic", func(string) (*rsse.Dynamic, error) {
+			return rsse.NewShardedDynamic(rsse.LogarithmicBRC, 8, 2, 0, key)
+		}},
+		{"OpenDynamic", func(dir string) (*rsse.Dynamic, error) {
+			return rsse.OpenDynamic(dir, rsse.LogarithmicBRC, 8, 0, key)
+		}},
+		{"OpenShardedDynamic", func(dir string) (*rsse.Dynamic, error) {
+			return rsse.OpenShardedDynamic(dir, rsse.LogarithmicBRC, 8, 2, 0, key)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			d, err := c.open(dir)
+			if err == nil {
+				d.Close()
+				t.Fatal("WithMasterKey accepted")
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Fatalf("refused open touched its directory: %v", err)
+			}
+		})
+	}
+}
+
 // TestShardedDynamicSeededShardsQueryConcurrently: WithSeed on a durable
 // sharded store gives every shard a shuffle source of its own. The
 // shards of one query run concurrently, and each epoch client draws its

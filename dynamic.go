@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -94,8 +95,9 @@ func newMemoryDynamic(kind Kind, domainBits uint8, shards, step int, opts []Opti
 
 // dynamicParams resolves what every constructor checks before it
 // touches a key or a directory: the domain, split into equal-width
-// shards, and the options. A durable store's WAL fsyncs after every
-// update unless WithSyncEvery says otherwise.
+// shards, and the options, which may not fix the master key. A durable
+// store's WAL fsyncs after every update unless WithSyncEvery says
+// otherwise.
 func dynamicParams(domainBits uint8, shards int, opts []Option) (shard.Map, config, error) {
 	dom, err := cover.NewDomain(domainBits)
 	if err != nil {
@@ -106,10 +108,16 @@ func dynamicParams(domainBits uint8, shards int, opts []Option) (shard.Map, conf
 		return shard.Map{}, config{}, err
 	}
 	cfg, err := collectOptions(opts)
+	if err != nil {
+		return shard.Map{}, config{}, err
+	}
+	if cfg.masterKey != nil {
+		return shard.Map{}, config{}, errors.New("rsse: a Dynamic store draws its own key (a durable one keeps it in its directory); WithMasterKey does not apply")
+	}
 	if cfg.syncEvery == 0 {
 		cfg.syncEvery = 1
 	}
-	return m, cfg, err
+	return m, cfg, nil
 }
 
 // newDynamic builds a store over m, shard i's manager from open.

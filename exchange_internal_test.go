@@ -116,7 +116,7 @@ func TestOneRangeQueryReportsExchange(t *testing.T) {
 			checkExchange(t, "remote", res.Stats, wire)
 
 			cluster, err := BuildCluster(kind, bits, 2, tuples,
-				WithShardOptions(WithSeed(93), AllowIntersectingQueries()))
+				WithSeed(93), AllowIntersectingQueries())
 			if err != nil {
 				t.Fatal(err)
 			}

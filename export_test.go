@@ -63,7 +63,7 @@ func (p perIDServer) Fetch(id ID) ([]byte, bool, error) {
 // PipeCluster dials a built cluster's shards over in-process pipes: one
 // pipe per shard, each serving that shard's index. With perID every
 // shard target fetches one id at a time (see PerIDOnly).
-func PipeCluster(built *Cluster, perID bool, opts ...ClusterOption) (*Cluster, error) {
+func PipeCluster(built *Cluster, perID bool, opts ...Option) (*Cluster, error) {
 	man := built.Manifest("pipes")
 	for i := range man.Shards {
 		man.Shards[i].Name = DefaultIndexName

@@ -20,25 +20,31 @@ func clusterTestTuples(n int, bits uint8, seed int64) []Tuple {
 	return out
 }
 
-// fetchCounter counts the FetchMany calls reaching one shard target.
+// fetchCounter counts the FetchMany calls reaching one shard target and
+// records the ids they carried. A fetch round calls FetchMany from one
+// goroutine at a time and joins it before returning, so seen is read
+// safely once the round is over.
 type fetchCounter struct {
 	core.Source
 	fetches atomic.Int64
+	seen    []core.ID
 }
 
 func (s *fetchCounter) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, error) {
 	s.fetches.Add(1)
+	s.seen = append(s.seen, ids...)
 	return s.Source.FetchMany(ctx, ids)
 }
 
-// TestClusterFetchTupleFetchesOnce: Cluster.FetchTuple probes shards in
-// order and decrypts the ciphertext the owning shard's probe returned —
-// exactly one FetchMany reaches that shard (it used to be two: the
-// probe, then a second fetch to decrypt).
+// TestClusterFetchTupleFetchesOnce: Cluster.FetchTuples asks the
+// shards in order, each for the ids no earlier shard held — exactly the
+// ids a one-id probe per tuple would have shown it — in one chunked
+// fetch round, ⌈n/128⌉ FetchMany calls, and decrypts the ciphertexts
+// those calls returned (no second fetch).
 func TestClusterFetchTupleFetchesOnce(t *testing.T) {
 	const bits = 12
 	tuples := clusterTestTuples(300, bits, 33)
-	c, err := BuildCluster(LogarithmicSRCi, bits, 3, tuples, WithShardOptions(WithSeed(4)))
+	c, err := BuildCluster(LogarithmicSRCi, bits, 3, tuples, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,32 +53,41 @@ func TestClusterFetchTupleFetchesOnce(t *testing.T) {
 		counters[i] = &fetchCounter{Source: c.targets[i]}
 		c.targets[i] = counters[i]
 	}
-	for _, want := range []Tuple{tuples[0], tuples[150], tuples[299]} {
+	for _, want := range [][]Tuple{tuples[:1], {tuples[299], tuples[150], tuples[0]}, tuples} {
+		ids := make([]ID, len(want))
+		for i, tup := range want {
+			ids[i] = tup.ID
+		}
 		for _, fc := range counters {
 			fc.fetches.Store(0)
+			fc.seen = nil
 		}
-		got, err := c.FetchTuple(want.ID)
+		got, err := c.FetchTuples(context.Background(), ids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("FetchTuple(%d) = %+v, want %+v", want.ID, got, want)
+			t.Fatalf("FetchTuples(%d ids) differs from the tuples built", len(ids))
 		}
-		owner := c.ShardOf(want.Value)
+		// Shard i is asked, in input order, for the ids owned by shard i
+		// or later.
 		for i, fc := range counters {
-			n := fc.fetches.Load()
-			switch {
-			case i < owner && n != 1:
-				t.Errorf("id %d: shard %d before the owner was probed %d times, want 1", want.ID, i, n)
-			case i == owner && n != 1:
-				t.Errorf("id %d: owning shard %d received %d fetches, want exactly 1", want.ID, i, n)
-			case i > owner && n != 0:
-				t.Errorf("id %d: shard %d after the owner received %d fetches, want 0", want.ID, i, n)
+			var asked []ID
+			for _, tup := range want {
+				if c.ShardOf(tup.Value) >= i {
+					asked = append(asked, tup.ID)
+				}
+			}
+			if !reflect.DeepEqual(fc.seen, asked) {
+				t.Errorf("%d ids: shard %d was asked %v, want %v", len(ids), i, fc.seen, asked)
+			}
+			if n, chunks := fc.fetches.Load(), int64((len(asked)+core.FetchChunk-1)/core.FetchChunk); n != chunks {
+				t.Errorf("%d ids: shard %d received %d fetches for %d ids, want %d", len(ids), i, n, len(asked), chunks)
 			}
 		}
 	}
-	if _, err := c.FetchTuple(1 << 40); err == nil {
-		t.Fatal("FetchTuple accepted an unknown id")
+	if _, err := c.FetchTuples(context.Background(), []ID{tuples[0].ID, 1 << 40}); err == nil {
+		t.Fatal("FetchTuples accepted an unknown id")
 	}
 }
 

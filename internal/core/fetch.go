@@ -13,7 +13,7 @@ import (
 // The owner-side fetch round. Search returns ids; whatever the owner does
 // next — weed out the SRC schemes' false positives, hand documents to the
 // application, download an epoch for consolidation — starts by fetching
-// the ciphertexts of those ids. Every such loop runs through fetchEach,
+// the ciphertexts of those ids. Every such loop runs through FetchEach,
 // which asks the server for a whole chunk of ids per exchange instead of
 // one id per round trip.
 //
@@ -27,11 +27,12 @@ import (
 // decrypting long before a large result set has finished arriving.
 const FetchChunk = 128
 
-// fetchEach hands fn the ciphertext of every id, in order (nil for an id
+// FetchEach hands fn the ciphertext of every id, in order (nil for an id
 // the source does not hold). The ids cross in FetchChunk-sized exchanges
 // with at most two chunks in flight: while fn works through chunk k,
-// chunk k+1 is on the wire.
-func fetchEach(ctx context.Context, s Source, ids []ID, fn func(i int, ct []byte) error) error {
+// chunk k+1 is on the wire. fn runs on the caller's goroutine, one call
+// at a time.
+func FetchEach(ctx context.Context, s Source, ids []ID, fn func(i int, ct []byte) error) error {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -106,7 +107,7 @@ var errCorruptTuple = errors.New("core: corrupt tuple ciphertext")
 func (c *Client) fetchValues(ctx context.Context, s Source, ids []ID) ([]Value, error) {
 	values := make([]Value, len(ids))
 	var head [aes.BlockSize]byte
-	err := fetchEach(ctx, s, ids, func(i int, ct []byte) error {
+	err := FetchEach(ctx, s, ids, func(i int, ct []byte) error {
 		if ct == nil {
 			return fmt.Errorf("core: server returned unknown id %d", ids[i])
 		}
@@ -132,7 +133,7 @@ func (c *Client) fetchValues(ctx context.Context, s Source, ids []ID) ([]Value, 
 // server does not know is an error.
 func (c *Client) FetchTuples(ctx context.Context, s Source, ids []ID) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
-	err := fetchEach(ctx, s, ids, func(i int, ct []byte) error {
+	err := FetchEach(ctx, s, ids, func(i int, ct []byte) error {
 		if ct == nil {
 			return fmt.Errorf("core: no tuple with id %d", ids[i])
 		}

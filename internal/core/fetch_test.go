@@ -181,7 +181,7 @@ func TestFetchRoundMiscountedResponse(t *testing.T) {
 
 // TestFetchRoundCancelMidPipeline: cancelling while a later chunk is on
 // the wire returns ctx's error promptly and stops the fetcher goroutine
-// (fetchEach waits for it, so returning at all proves it exited).
+// (FetchEach waits for it, so returning at all proves it exited).
 func TestFetchRoundCancelMidPipeline(t *testing.T) {
 	a, _, idx, _ := srcFixture(t, LogarithmicSRC)
 	ids := idx.Store().IDs()

@@ -26,27 +26,23 @@ const (
 	Partial
 )
 
-// Outcome is one sub-query's result: the task it ran, and either a
-// result or an error (a task cancelled before running carries the
-// context's error). The task type is generic: single-range scatters use
-// Task, batched scatters use BatchTask.
-type Outcome[Tk, T any] struct {
-	Task Tk
+// Outcome is one shard's sub-batch result: the task it ran, and
+// either a result or an error (a task cancelled before running carries
+// the context's error).
+type Outcome[T any] struct {
+	Task BatchTask
 	Res  T
 	Err  error
 }
 
 // Executor configures a scatter-gather run (see Run). The zero value
-// runs every task in its own goroutine with the FailFast policy.
+// uses the FailFast policy.
 type Executor struct {
-	// Workers bounds the number of concurrently running sub-queries;
-	// 0 means one worker per task.
-	Workers int
 	// Policy selects the error handling (FailFast or Partial).
 	Policy Policy
 }
 
-// Run executes every task via run over e's bounded worker pool and
+// Run executes every task via run, each in its own goroutine, and
 // returns the outcomes in task order. Under FailFast the first
 // sub-query error cancels the rest and is returned; under Partial all
 // tasks run and the error is nil unless every shard failed.
@@ -56,7 +52,7 @@ type Executor struct {
 // network I/O, say): the stragglers are abandoned to their goroutines,
 // which drain in the background, and the partially written outcomes are
 // discarded.
-func Run[Tk, T any](ctx context.Context, e Executor, tasks []Tk, run func(context.Context, Tk) (T, error)) ([]Outcome[Tk, T], error) {
+func Run[T any](ctx context.Context, e Executor, tasks []BatchTask, run func(context.Context, BatchTask) (T, error)) ([]Outcome[T], error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
@@ -64,67 +60,47 @@ func Run[Tk, T any](ctx context.Context, e Executor, tasks []Tk, run func(contex
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	workers := e.Workers
-	if workers <= 0 || workers > len(tasks) {
-		workers = len(tasks)
-	}
-
-	outcomes := make([]Outcome[Tk, T], len(tasks))
-	next := make(chan int)
+	outcomes := make([]Outcome[T], len(tasks))
+	// Buffered, so an abandoned straggler never blocks on its send.
+	finished := make(chan struct{}, len(tasks))
 	var (
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for i, t := range tasks {
 		go func() {
-			defer wg.Done()
-			for i := range next {
-				t := tasks[i]
-				if err := ctx.Err(); err != nil {
-					outcomes[i] = Outcome[Tk, T]{Task: t, Err: err}
-					mSubqueryErrs.Inc()
-					continue
-				}
-				start := time.Now()
-				res, err := run(ctx, t)
-				mSubqueries.Inc()
-				mSubqueryTime.Record(time.Since(start))
-				if err != nil {
-					mSubqueryErrs.Inc()
-				}
-				outcomes[i] = Outcome[Tk, T]{Task: t, Res: res, Err: err}
-				if err != nil && e.Policy == FailFast {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-				}
+			defer func() { finished <- struct{}{} }()
+			if err := ctx.Err(); err != nil {
+				outcomes[i] = Outcome[T]{Task: t, Err: err}
+				mSubqueryErrs.Inc()
+				return
+			}
+			start := time.Now()
+			res, err := run(ctx, t)
+			mSubqueries.Inc()
+			mSubqueryTime.Record(time.Since(start))
+			if err != nil {
+				mSubqueryErrs.Inc()
+			}
+			outcomes[i] = Outcome[T]{Task: t, Res: res, Err: err}
+			if err != nil && e.Policy == FailFast {
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
 			}
 		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer wg.Wait()
-		defer close(next)
-		for i := range tasks {
-			select {
-			case next <- i:
-			case <-parent.Done():
-				return // undispatched tasks are dropped; outcomes discarded below
-			}
+	for range tasks {
+		select {
+		case <-finished:
+		case <-parent.Done():
+			// The caller's context expired while sub-queries were still
+			// in flight. Do not wait for them — a hung shard must not pin
+			// the caller — and do not hand back outcomes the stragglers
+			// may still be writing.
+			return nil, parent.Err()
 		}
-	}()
-	select {
-	case <-done:
-	case <-parent.Done():
-		// The caller's context expired while sub-queries were still in
-		// flight. Do not wait for them — a hung shard must not pin the
-		// caller — and do not hand back outcomes the stragglers may still
-		// be writing.
-		return nil, parent.Err()
 	}
 
 	if firstErr != nil {

@@ -11,10 +11,11 @@
 // domain, never the neighbors'.
 //
 // The package provides the pieces in layers: Map (who owns which values),
-// Map.Split (the query planner), Executor (the bounded scatter-gather
-// engine with cancellation and error policies), MergeInto (result and
-// stats aggregation), ClientKey (per-shard key derivation) and Manifest (the
-// serializable cluster topology the CLIs and remote dialers exchange).
+// Map.SplitBatch (the query planner), Run (the scatter-gather engine: one
+// goroutine per shard, with cancellation and error policies), MergeInto
+// (result and stats aggregation), ClientKey (per-shard key derivation)
+// and Manifest (the serializable cluster topology the CLIs and remote
+// dialers exchange).
 package shard
 
 import (
@@ -121,28 +122,6 @@ func (m Map) Owner(v core.Value) int {
 	return sort.Search(len(m.starts), func(i int) bool { return m.starts[i] > v }) - 1
 }
 
-// Task is one planned sub-query: the owning shard and the slice of the
-// original range that falls inside it.
-type Task struct {
-	Shard int
-	Range core.Range
-}
-
-// Split plans a query: it cuts q at shard boundaries and returns one task
-// per intersected shard, in ascending shard order. A range inside a
-// single shard yields exactly one task; the query's leakage scope is
-// limited to the shards it intersects.
-func (m Map) Split(q core.Range) []Task {
-	lo, hi := m.Owner(q.Lo), m.Owner(q.Hi)
-	tasks := make([]Task, 0, hi-lo+1)
-	for s := lo; s <= hi; s++ {
-		sr := m.ShardRange(s)
-		sub := core.Range{Lo: max(q.Lo, sr.Lo), Hi: min(q.Hi, sr.Hi)}
-		tasks = append(tasks, Task{Shard: s, Range: sub})
-	}
-	return tasks
-}
-
 // BatchTask is one shard's share of a multi-range batch: every slice of
 // every input range that falls inside the shard, with the provenance
 // needed to merge the per-slice results back into per-input-range
@@ -157,20 +136,23 @@ type BatchTask struct {
 
 // SplitBatch plans a batched query: every input range is cut at shard
 // boundaries and the slices are grouped by owning shard, one BatchTask
-// per intersected shard in ascending shard order. Executing one batched
+// per intersected shard in ascending shard order. A range inside a
+// single shard yields a slice on exactly that shard; a query's leakage
+// scope is limited to the shards it intersects. Executing one batched
 // sub-query per task — instead of one sub-query per (range, shard) pair —
 // is what turns a k-shard, n-range scatter from k·n frames into at most
 // k frames.
 func (m Map) SplitBatch(qs []core.Range) []BatchTask {
 	perShard := make(map[int]*BatchTask)
 	for i, q := range qs {
-		for _, t := range m.Split(q) {
-			bt, ok := perShard[t.Shard]
+		for s, last := m.Owner(q.Lo), m.Owner(q.Hi); s <= last; s++ {
+			bt, ok := perShard[s]
 			if !ok {
-				bt = &BatchTask{Shard: t.Shard}
-				perShard[t.Shard] = bt
+				bt = &BatchTask{Shard: s}
+				perShard[s] = bt
 			}
-			bt.Ranges = append(bt.Ranges, t.Range)
+			sr := m.ShardRange(s)
+			bt.Ranges = append(bt.Ranges, core.Range{Lo: max(q.Lo, sr.Lo), Hi: min(q.Hi, sr.Hi)})
 			bt.Sources = append(bt.Sources, i)
 		}
 	}

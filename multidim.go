@@ -45,21 +45,15 @@ type MultiResult struct {
 	Stats QueryStats
 }
 
-// MultiClient owns one scheme instance per attribute. Like Client, it is
-// safe for concurrent use.
+// MultiClient owns one scheme instance per attribute and queries one
+// Source per attribute: a local *Index or a served one, each attribute
+// wherever it lives. Like Client, it is safe for concurrent use.
 type MultiClient struct {
 	clients []*Client
 }
 
-// MultiIndex is the server-side state: one index per attribute. Attribute
-// 0's tuple store carries the payloads; the others store only their
-// attribute values.
-type MultiIndex struct {
-	indexes []*Index
-}
-
-// ErrDimensionMismatch is returned when tuple values or query ranges do
-// not match the number of attributes.
+// ErrDimensionMismatch is returned when tuple values, query ranges or
+// sources do not match the number of attributes.
 var ErrDimensionMismatch = errors.New("rsse: wrong number of attributes")
 
 // NewMultiClient creates a conjunctive client over len(domainBits)
@@ -112,8 +106,11 @@ func (mc *MultiClient) Attributes() int { return len(mc.clients) }
 // Kind returns the scheme used by every attribute instance.
 func (mc *MultiClient) Kind() Kind { return mc.clients[0].Kind() }
 
-// BuildIndex encrypts the tuples into one index per attribute.
-func (mc *MultiClient) BuildIndex(tuples []MultiTuple) (*MultiIndex, error) {
+// BuildIndex encrypts the tuples into one index per attribute, in
+// attribute order. Attribute 0's tuple store carries the payloads; the
+// others store only their attribute values. Serve or keep each index as
+// any other: QueryContext and FetchTuples take one Source per attribute.
+func (mc *MultiClient) BuildIndex(tuples []MultiTuple) ([]*Index, error) {
 	dims := len(mc.clients)
 	for _, t := range tuples {
 		if len(t.Values) != dims {
@@ -121,7 +118,7 @@ func (mc *MultiClient) BuildIndex(tuples []MultiTuple) (*MultiIndex, error) {
 				ErrDimensionMismatch, t.ID, len(t.Values), dims)
 		}
 	}
-	mi := &MultiIndex{indexes: make([]*Index, dims)}
+	indexes := make([]*Index, dims)
 	for d := 0; d < dims; d++ {
 		sub := make([]Tuple, len(tuples))
 		for i, t := range tuples {
@@ -134,38 +131,34 @@ func (mc *MultiClient) BuildIndex(tuples []MultiTuple) (*MultiIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		mi.indexes[d] = idx
+		indexes[d] = idx
 	}
-	return mi, nil
+	return indexes, nil
 }
 
-// Size sums the per-attribute index sizes.
-func (mi *MultiIndex) Size() int {
-	n := 0
-	for _, idx := range mi.indexes {
-		n += idx.Size()
+// checkSources refuses a source list of the wrong length.
+func (mc *MultiClient) checkSources(srcs []Source) error {
+	if len(srcs) != len(mc.clients) {
+		return fmt.Errorf("%w: %d sources, want %d", ErrDimensionMismatch, len(srcs), len(mc.clients))
 	}
-	return n
+	return nil
 }
 
-// Attribute exposes one attribute's index (e.g. to serve it separately).
-func (mi *MultiIndex) Attribute(d int) *Index { return mi.indexes[d] }
-
-// QueryContext runs one single-attribute query per attribute and
-// intersects the matches at the owner; cancelling ctx aborts the
-// attribute in flight.
-func (mc *MultiClient) QueryContext(ctx context.Context, mi *MultiIndex, q MultiRange) (*MultiResult, error) {
+// QueryContext runs one single-attribute query per attribute, srcs[d]
+// answering attribute d, and intersects the matches at the owner;
+// cancelling ctx aborts the attribute in flight.
+func (mc *MultiClient) QueryContext(ctx context.Context, srcs []Source, q MultiRange) (*MultiResult, error) {
 	dims := len(mc.clients)
 	if len(q) != dims {
 		return nil, fmt.Errorf("%w: query has %d ranges, want %d", ErrDimensionMismatch, len(q), dims)
 	}
-	if len(mi.indexes) != dims {
-		return nil, fmt.Errorf("%w: index has %d attributes, want %d", ErrDimensionMismatch, len(mi.indexes), dims)
+	if err := mc.checkSources(srcs); err != nil {
+		return nil, err
 	}
 	out := &MultiResult{PerAttribute: make([]int, dims)}
 	var inter map[ID]int
 	for d := 0; d < dims; d++ {
-		res, err := mc.clients[d].QueryContext(ctx, mi.indexes[d], q[d])
+		res, err := mc.clients[d].QueryContext(ctx, srcs[d], q[d])
 		if err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
@@ -199,18 +192,28 @@ func (mc *MultiClient) QueryContext(ctx context.Context, mi *MultiIndex, q Multi
 	return out, nil
 }
 
-// FetchTuple reassembles a full multi-attribute tuple: the payload from
-// attribute 0's store and each attribute's value from its own store.
-func (mc *MultiClient) FetchTuple(mi *MultiIndex, id ID) (MultiTuple, error) {
-	out := MultiTuple{ID: id, Values: make([]Value, len(mc.clients))}
+// FetchTuples reassembles full multi-attribute tuples, in order: the
+// payload from attribute 0's store and each attribute's value from its
+// own, each attribute's ids in one chunked fetch round. An id that an
+// attribute's source does not hold fails the call.
+func (mc *MultiClient) FetchTuples(ctx context.Context, srcs []Source, ids []ID) ([]MultiTuple, error) {
+	if err := mc.checkSources(srcs); err != nil {
+		return nil, err
+	}
+	out := make([]MultiTuple, len(ids))
+	for i, id := range ids {
+		out[i] = MultiTuple{ID: id, Values: make([]Value, len(mc.clients))}
+	}
 	for d, c := range mc.clients {
-		tuples, err := c.FetchTuples(context.Background(), mi.indexes[d], []ID{id})
+		tuples, err := c.FetchTuples(ctx, srcs[d], ids)
 		if err != nil {
-			return MultiTuple{}, fmt.Errorf("attribute %d: %w", d, err)
+			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		out.Values[d] = tuples[0].Value
-		if d == 0 {
-			out.Payload = tuples[0].Payload
+		for i, t := range tuples {
+			out[i].Values[d] = t.Value
+			if d == 0 {
+				out[i].Payload = t.Payload
+			}
 		}
 	}
 	return out, nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	mrand "math/rand"
+	"net"
+	"reflect"
 	"testing"
 
 	"rsse"
@@ -43,40 +45,73 @@ func multiOracle(tuples []rsse.MultiTuple, q rsse.MultiRange) []rsse.ID {
 	return out
 }
 
+// multiSources is every attribute index as a Source: the local indexes
+// themselves, or remote handles, each over a pipe of its own.
+func multiSources(t *testing.T, indexes []*rsse.Index, remote bool) []rsse.Source {
+	t.Helper()
+	srcs := make([]rsse.Source, len(indexes))
+	for d, idx := range indexes {
+		srcs[d] = idx
+		if remote {
+			cliConn, srvConn := net.Pipe()
+			go func() { _ = rsse.ServeConn(srvConn, idx) }()
+			r := rsse.NewRemoteIndex(cliConn)
+			t.Cleanup(func() { r.Close() })
+			srcs[d] = r
+		}
+	}
+	return srcs
+}
+
 func TestMultiDimMatchesOracle(t *testing.T) {
 	bits := []uint8{10, 8, 12}
 	tuples := genMultiTuples(400, bits, 1)
+	ids := make([]rsse.ID, len(tuples))
+	for i, tup := range tuples {
+		ids[i] = tup.ID
+	}
 	for _, kind := range []rsse.Kind{rsse.LogarithmicBRC, rsse.LogarithmicSRC, rsse.LogarithmicSRCi} {
 		mc, err := rsse.NewMultiClient(kind, bits, rsse.WithSeed(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mi, err := mc.BuildIndex(tuples)
+		indexes, err := mc.BuildIndex(tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rnd := mrand.New(mrand.NewSource(3))
-		for trial := 0; trial < 10; trial++ {
-			q := make(rsse.MultiRange, len(bits))
-			for d, b := range bits {
-				size := uint64(1) << b
-				R := uint64(1) + rnd.Uint64()%(size/2)
-				lo := rnd.Uint64() % (size - R)
-				q[d] = rsse.Range{Lo: lo, Hi: lo + R - 1}
-			}
-			res, err := mc.QueryContext(context.Background(), mi, q)
-			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
-			want := multiOracle(tuples, q)
-			if !equal(sorted(res.Matches), sorted(want)) {
-				t.Fatalf("%v: query %v: got %d, want %d", kind, q, len(res.Matches), len(want))
-			}
-			// Per-attribute counts can only shrink after intersection.
-			for d, per := range res.PerAttribute {
-				if per < len(res.Matches) {
-					t.Fatalf("%v: attribute %d matched %d < final %d", kind, d, per, len(res.Matches))
+		for _, remote := range []bool{false, true} {
+			srcs := multiSources(t, indexes, remote)
+			rnd := mrand.New(mrand.NewSource(3))
+			for trial := 0; trial < 10; trial++ {
+				q := make(rsse.MultiRange, len(bits))
+				for d, b := range bits {
+					size := uint64(1) << b
+					R := uint64(1) + rnd.Uint64()%(size/2)
+					lo := rnd.Uint64() % (size - R)
+					q[d] = rsse.Range{Lo: lo, Hi: lo + R - 1}
 				}
+				res, err := mc.QueryContext(context.Background(), srcs, q)
+				if err != nil {
+					t.Fatalf("%v remote=%v: %v", kind, remote, err)
+				}
+				want := multiOracle(tuples, q)
+				if !equal(sorted(res.Matches), sorted(want)) {
+					t.Fatalf("%v remote=%v: query %v: got %d, want %d", kind, remote, q, len(res.Matches), len(want))
+				}
+				// Per-attribute counts can only shrink after intersection.
+				for d, per := range res.PerAttribute {
+					if per < len(res.Matches) {
+						t.Fatalf("%v remote=%v: attribute %d matched %d < final %d", kind, remote, d, per, len(res.Matches))
+					}
+				}
+			}
+			// Every tuple comes back whole, remote as local.
+			got, err := mc.FetchTuples(context.Background(), srcs, ids)
+			if err != nil {
+				t.Fatalf("%v remote=%v: %v", kind, remote, err)
+			}
+			if !reflect.DeepEqual(got, tuples) {
+				t.Fatalf("%v remote=%v: FetchTuples differs from the tuples built", kind, remote)
 			}
 		}
 	}
@@ -89,14 +124,14 @@ func TestMultiDimUnconstrainedAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi, err := mc.BuildIndex(tuples)
+	indexes, err := mc.BuildIndex(tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second attribute unconstrained (full domain): equivalent to a
 	// single-attribute query on the first.
 	q := rsse.MultiRange{{Lo: 50, Hi: 150}, {Lo: 0, Hi: 255}}
-	res, err := mc.QueryContext(context.Background(), mi, q)
+	res, err := mc.QueryContext(context.Background(), multiSources(t, indexes, false), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +148,15 @@ func TestMultiDimFetchTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi, err := mc.BuildIndex(tuples)
+	indexes, err := mc.BuildIndex(tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mc.FetchTuple(mi, tuples[7].ID)
+	fetched, err := mc.FetchTuples(context.Background(), multiSources(t, indexes, false), []rsse.ID{tuples[7].ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := fetched[0]
 	if got.Values[0] != tuples[7].Values[0] || got.Values[1] != tuples[7].Values[1] {
 		t.Errorf("values = %v, want %v", got.Values, tuples[7].Values)
 	}
@@ -143,15 +179,23 @@ func TestMultiDimValidation(t *testing.T) {
 	if _, err := mc.BuildIndex([]rsse.MultiTuple{{ID: 1, Values: []rsse.Value{1}}}); !errors.Is(err, rsse.ErrDimensionMismatch) {
 		t.Errorf("dimension mismatch error = %v", err)
 	}
-	mi, err := mc.BuildIndex(genMultiTuples(10, []uint8{8, 8}, 9))
+	indexes, err := mc.BuildIndex(genMultiTuples(10, []uint8{8, 8}, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.QueryContext(context.Background(), mi, rsse.MultiRange{{Lo: 0, Hi: 1}}); !errors.Is(err, rsse.ErrDimensionMismatch) {
+	if len(indexes) != 2 || indexes[0].Size() <= 0 {
+		t.Error("one index per attribute expected")
+	}
+	srcs := multiSources(t, indexes, false)
+	if _, err := mc.QueryContext(context.Background(), srcs, rsse.MultiRange{{Lo: 0, Hi: 1}}); !errors.Is(err, rsse.ErrDimensionMismatch) {
 		t.Errorf("query dimension mismatch error = %v", err)
 	}
-	if mi.Size() <= 0 || mi.Attribute(0) == nil {
-		t.Error("index accessors wrong")
+	full := rsse.MultiRange{{Lo: 0, Hi: 255}, {Lo: 0, Hi: 255}}
+	if _, err := mc.QueryContext(context.Background(), srcs[:1], full); !errors.Is(err, rsse.ErrDimensionMismatch) {
+		t.Errorf("source count mismatch error = %v", err)
+	}
+	if _, err := mc.FetchTuples(context.Background(), srcs[:1], []rsse.ID{1}); !errors.Is(err, rsse.ErrDimensionMismatch) {
+		t.Errorf("fetch source count mismatch error = %v", err)
 	}
 }
 
@@ -168,7 +212,7 @@ func TestMultiDimMasterKeyDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi, err := a.BuildIndex(tuples)
+	indexes, err := a.BuildIndex(tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +221,7 @@ func TestMultiDimMasterKeyDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := rsse.MultiRange{{Lo: 0, Hi: 511}, {Lo: 100, Hi: 400}}
-	res, err := b.QueryContext(context.Background(), mi, q)
+	res, err := b.QueryContext(context.Background(), multiSources(t, indexes, false), q)
 	if err != nil {
 		t.Fatal(err)
 	}

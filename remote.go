@@ -191,16 +191,11 @@ func (r *RemoteIndex) ServedIndexes() ([]string, error) { return r.names() }
 // shard→addr table spreads shards across machines. Shards sharing an
 // address multiplex over one connection. The master key must be the one
 // the cluster was built with (Cluster.MasterKey); the manifest itself
-// carries no secrets.
+// carries no secrets. WithRetry makes every shard target a retrying
+// handle, and WithConnWrapper wraps every shard connection.
 //
 // Close the returned cluster to drop the connections.
-func DialCluster(network, defaultAddr string, man ClusterManifest, masterKey []byte, opts ...ClusterOption) (*Cluster, error) {
-	return dialClusterNet(network, defaultAddr, man, masterKey, opts)
-}
-
-// dialClusterNet builds the network pool after the options resolve,
-// so WithShardConnWrapper can interpose on every shard connection.
-func dialClusterNet(network, defaultAddr string, man ClusterManifest, masterKey []byte, opts []ClusterOption) (*Cluster, error) {
+func DialCluster(network, defaultAddr string, man ClusterManifest, masterKey []byte, opts ...Option) (*Cluster, error) {
 	c, cfg, err := clusterFromManifest(man, masterKey, opts)
 	if err != nil {
 		return nil, err
@@ -210,10 +205,10 @@ func dialClusterNet(network, defaultAddr string, man ClusterManifest, masterKey 
 
 // finishDialCluster attaches every shard's wire target. Without a
 // retry policy each shard dials eagerly (an unreachable address fails
-// here, fast); with WithShardRetry targets are lazy retrying handles
-// and a dead shard surfaces per query — as a typed partial result
-// under WithPartialResults.
-func finishDialCluster(c *Cluster, cfg clusterConfig, man ClusterManifest, pool *transport.Pool, defaultAddr string) (*Cluster, error) {
+// here, fast); with WithRetry targets are lazy retrying handles and a
+// dead shard surfaces per query — as a typed partial result under
+// WithPartialResults.
+func finishDialCluster(c *Cluster, cfg config, man ClusterManifest, pool *transport.Pool, defaultAddr string) (*Cluster, error) {
 	c.closers = append(c.closers, pool)
 	for i, info := range man.Shards {
 		addr := info.Addr

@@ -1,7 +1,6 @@
 package rsse
 
 import (
-	"errors"
 	"net"
 
 	"rsse/internal/transport"
@@ -22,43 +21,6 @@ var ErrConnDead = transport.ErrConnDead
 // at-most-once through the server's WAL acknowledgement.
 type RetryPolicy = transport.RetryPolicy
 
-// dialConfig collects the DialOptions.
-type dialConfig struct {
-	retry    *RetryPolicy
-	connWrap func(net.Conn) net.Conn
-}
-
-// DialOption customizes how Dial/DialIndexWith connect.
-type DialOption func(*dialConfig) error
-
-// WithRetry makes the dialed handle resilient: sticky-dead
-// connections are evicted and redialed, idempotent read ops retry
-// under p with capped jittered backoff, ErrOverloaded responses back
-// off on the same connection instead of failing over, and (when
-// p.OpTimeout is set) each attempt carries its own deadline. The zero
-// policy selects the defaults (4 attempts, 10ms base backoff, 1s cap).
-func WithRetry(p RetryPolicy) DialOption {
-	return func(c *dialConfig) error {
-		pc := p
-		c.retry = &pc
-		return nil
-	}
-}
-
-// WithConnWrapper passes every connection this handle opens through
-// wrap before the transport takes over — the seam chaos tests and the
-// load harness use to inject deterministic faults (see internal/fault
-// and rsse-load's -fault flag).
-func WithConnWrapper(wrap func(net.Conn) net.Conn) DialOption {
-	return func(c *dialConfig) error {
-		if wrap == nil {
-			return errors.New("rsse: nil conn wrapper")
-		}
-		c.connWrap = wrap
-		return nil
-	}
-}
-
 // wrappedDial dials like transport.Dial, passing every new connection
 // through wrap (when non-nil) before the transport takes over.
 func wrappedDial(wrap func(net.Conn) net.Conn) func(network, addr string) (*transport.Conn, error) {
@@ -74,15 +36,14 @@ func wrappedDial(wrap func(net.Conn) net.Conn) func(network, addr string) (*tran
 	}
 }
 
-// DialIndexWith is DialIndex with connection-level options. Without
-// options it behaves exactly like DialIndex: one connection, no
-// retries, transport failures surface to the caller as ErrConnDead.
-func DialIndexWith(network, addr, name string, opts ...DialOption) (*RemoteIndex, error) {
-	var cfg dialConfig
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+// DialIndexWith is DialIndex with connection-level options: it reads
+// WithRetry and WithConnWrapper. Without them it behaves exactly like
+// DialIndex: one connection, no retries, transport failures surface to
+// the caller as ErrConnDead.
+func DialIndexWith(network, addr, name string, opts ...Option) (*RemoteIndex, error) {
+	cfg, err := collectOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	dial := wrappedDial(cfg.connWrap)
 	if cfg.retry == nil {
