@@ -94,11 +94,11 @@ func TestCachedClientQueryBatch(t *testing.T) {
 	}
 	index, err := client.BuildIndex(tuples)
 	must(t, err)
-	cc, err := rsse.NewCachedClient(client)
+	cc, err := rsse.NewCachedClient(client, index)
 	must(t, err)
 	// First batch: two disjoint ranges hit the server.
 	first := []rsse.Range{{Lo: 0, Hi: 200}, {Lo: 500, Hi: 700}}
-	br, err := cc.QueryBatchContext(context.Background(), index, first)
+	br, err := cc.QueryBatchContext(context.Background(), first)
 	must(t, err)
 	res := br.Results
 	for i, q := range first {
@@ -109,7 +109,7 @@ func TestCachedClientQueryBatch(t *testing.T) {
 	// Second batch: two sub-ranges answer from cache (Rounds == 0), one
 	// new range batches to the server.
 	second := []rsse.Range{{Lo: 50, Hi: 150}, {Lo: 600, Hi: 650}, {Lo: 800, Hi: 900}}
-	br, err = cc.QueryBatchContext(context.Background(), index, second)
+	br, err = cc.QueryBatchContext(context.Background(), second)
 	must(t, err)
 	res = br.Results
 	for i, q := range second {
@@ -124,7 +124,7 @@ func TestCachedClientQueryBatch(t *testing.T) {
 		t.Fatal("uncovered range did not reach the server")
 	}
 	// A miss intersecting cached history but not covered fails the batch.
-	if _, err := cc.QueryBatchContext(context.Background(), index, []rsse.Range{{Lo: 150, Hi: 250}}); err == nil {
+	if _, err := cc.QueryBatchContext(context.Background(), []rsse.Range{{Lo: 150, Hi: 250}}); err == nil {
 		t.Fatal("intersecting uncovered miss accepted")
 	}
 }

@@ -18,8 +18,9 @@ var ErrNotCached = errors.New("rsse: intersecting query not covered by cached an
 // answers of previous queries that collectively encompass the new query
 // range."
 //
-// A query that does not intersect history goes to the server as usual and
-// its results (with their decrypted values) are cached. A query fully
+// A CachedClient answers for the one Source it is built over. A query
+// that does not intersect history goes to the server as usual and its
+// results (with their decrypted values) are cached. A query fully
 // covered by the union of cached ranges is answered locally, contacting
 // the server zero times. An intersecting query that is not fully covered
 // fails with ErrNotCached — by design, it must never reach the server.
@@ -32,6 +33,7 @@ var ErrNotCached = errors.New("rsse: intersecting query not covered by cached an
 // cache instead of being refused as intersecting.
 type CachedClient struct {
 	client *Client
+	src    Source
 
 	mu       sync.Mutex
 	ranges   []Range       // disjoint, sorted, answered ranges
@@ -45,22 +47,23 @@ type cachedTuple struct {
 	id    ID
 }
 
-// NewCachedClient wraps a ConstantBRC or ConstantURC client. Other kinds
+// NewCachedClient wraps a ConstantBRC or ConstantURC client and binds
+// it to s, the source every query and cache fill goes to. Other kinds
 // are rejected: they have no intersection restriction to work around.
-func NewCachedClient(client *Client) (*CachedClient, error) {
+func NewCachedClient(client *Client, s Source) (*CachedClient, error) {
 	if k := client.Kind(); k != ConstantBRC && k != ConstantURC {
 		return nil, errors.New("rsse: CachedClient only applies to the Constant schemes")
 	}
-	return &CachedClient{client: client, values: make(map[ID]Value)}, nil
+	return &CachedClient{client: client, src: s, values: make(map[ID]Value)}, nil
 }
 
-// QueryContext answers q from the source when permitted, or from the
-// local cache when q is fully covered by earlier answers; a cache hit
-// never blocks on ctx, only server-bound work does. The returned
+// QueryContext answers q from the bound source when permitted, or from
+// the local cache when q is fully covered by earlier answers; a cache
+// hit never blocks on ctx, only server-bound work does. The returned
 // Result's stats have Rounds == 0 for cache hits. It is
 // QueryBatchContext on one range.
-func (cc *CachedClient) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
-	br, err := cc.QueryBatchContext(ctx, s, []Range{q})
+func (cc *CachedClient) QueryContext(ctx context.Context, q Range) (*Result, error) {
+	br, err := cc.QueryBatchContext(ctx, []Range{q})
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +87,7 @@ func (cc *CachedClient) QueryContext(ctx context.Context, s Source, q Range) (*R
 // fails, and the next call the cache covers fetches the missing values
 // instead: a retry of the range, or any sub-range, searches the server
 // zero times.
-func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Range) (*BatchResult, error) {
+func (cc *CachedClient) QueryBatchContext(ctx context.Context, qs []Range) (*BatchResult, error) {
 	dom := cc.client.Domain()
 	for _, q := range qs {
 		if err := dom.CheckRange(q.Lo, q.Hi); err != nil {
@@ -110,7 +113,7 @@ func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Ra
 		for j, i := range missIdx {
 			misses[j] = qs[i]
 		}
-		br, err := cc.client.QueryBatchContext(ctx, s, misses)
+		br, err := cc.client.QueryBatchContext(ctx, cc.src, misses)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +126,7 @@ func (cc *CachedClient) QueryBatchContext(ctx context.Context, s Source, qs []Ra
 		cc.ranges = mergeRanges(append(cc.ranges, misses...))
 		out.Stats = br.Stats
 	}
-	if err := cc.fill(ctx, s); err != nil {
+	if err := cc.fill(ctx); err != nil {
 		return nil, err
 	}
 	for _, i := range hitIdx {
@@ -144,11 +147,11 @@ func (cc *CachedClient) localResult(q Range) *Result {
 }
 
 // fill fetches the values of the answered ids the cache does not hold
-// yet, in one chunked fetch round — the caller must hold cc.mu. The
-// cache commits atomically: a fetch failure (or ctx expiry) leaves
-// every id unvalued for the next call to fetch, and byVal sorted, which
-// lookup's binary searches depend on.
-func (cc *CachedClient) fill(ctx context.Context, s Source) error {
+// yet from the bound source, in one chunked fetch round — the caller
+// must hold cc.mu. The cache commits atomically: a fetch failure (or
+// ctx expiry) leaves every id unvalued for the next call to fetch, and
+// byVal sorted, which lookup's binary searches depend on.
+func (cc *CachedClient) fill(ctx context.Context) error {
 	if len(cc.unvalued) == 0 {
 		return nil
 	}
@@ -164,7 +167,7 @@ func (cc *CachedClient) fill(ctx context.Context, s Source) error {
 		seen[id] = struct{}{}
 		missing = append(missing, id)
 	}
-	tuples, err := cc.client.FetchTuples(ctx, s, missing)
+	tuples, err := cc.client.FetchTuples(ctx, cc.src, missing)
 	if err != nil {
 		return err
 	}

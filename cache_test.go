@@ -11,7 +11,7 @@ import (
 	"rsse/internal/core"
 )
 
-func cachedSetup(t *testing.T) (*rsse.CachedClient, *rsse.Index, []rsse.Tuple) {
+func cachedSetup(t *testing.T) (*rsse.CachedClient, []rsse.Tuple) {
 	t.Helper()
 	tuples := genTuples(300, 10, 31)
 	client, err := rsse.NewClient(rsse.ConstantURC, 10, rsse.WithSeed(32))
@@ -22,17 +22,17 @@ func cachedSetup(t *testing.T) (*rsse.CachedClient, *rsse.Index, []rsse.Tuple) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := rsse.NewCachedClient(client)
+	cc, err := rsse.NewCachedClient(client, index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cc, index, tuples
+	return cc, tuples
 }
 
 func TestCachedClientSubrangeHit(t *testing.T) {
-	cc, index, tuples := cachedSetup(t)
+	cc, tuples := cachedSetup(t)
 	big := rsse.Range{Lo: 100, Hi: 500}
-	res1, err := cc.QueryContext(context.Background(), index, big)
+	res1, err := cc.QueryContext(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCachedClientSubrangeHit(t *testing.T) {
 	// A sub-range intersects history but is fully covered: must be served
 	// from cache, with zero protocol rounds.
 	sub := rsse.Range{Lo: 150, Hi: 320}
-	res2, err := cc.QueryContext(context.Background(), index, sub)
+	res2, err := cc.QueryContext(context.Background(), sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestCachedClientSubrangeHit(t *testing.T) {
 }
 
 func TestCachedClientDisjointGoesToServer(t *testing.T) {
-	cc, index, tuples := cachedSetup(t)
-	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 0, Hi: 100}); err != nil {
+	cc, tuples := cachedSetup(t)
+	if _, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 0, Hi: 100}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 200, Hi: 300})
+	res, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 200, Hi: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,31 +72,31 @@ func TestCachedClientDisjointGoesToServer(t *testing.T) {
 }
 
 func TestCachedClientPartialOverlapRejected(t *testing.T) {
-	cc, index, _ := cachedSetup(t)
-	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 100, Hi: 200}); err != nil {
+	cc, _ := cachedSetup(t)
+	if _, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 100, Hi: 200}); err != nil {
 		t.Fatal(err)
 	}
 	// Intersects history but extends beyond it: neither servable from
 	// cache nor allowed at the server.
-	_, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 150, Hi: 400})
+	_, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 150, Hi: 400})
 	if !errors.Is(err, rsse.ErrNotCached) {
 		t.Errorf("partial overlap error = %v", err)
 	}
 }
 
 func TestCachedClientUnionCoverage(t *testing.T) {
-	cc, index, tuples := cachedSetup(t)
+	cc, tuples := cachedSetup(t)
 	// Two disjoint-but-adjacent queries whose union covers a later one.
-	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 100, Hi: 300}); err != nil {
+	if _, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 100, Hi: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 301, Hi: 600}); err != nil {
+	if _, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 301, Hi: 600}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(cc.CachedRanges()); got != 1 {
 		t.Errorf("adjacent ranges not merged: %v", cc.CachedRanges())
 	}
-	res, err := cc.QueryContext(context.Background(), index, rsse.Range{Lo: 250, Hi: 450})
+	res, err := cc.QueryContext(context.Background(), rsse.Range{Lo: 250, Hi: 450})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestCachedClientUnionCoverage(t *testing.T) {
 }
 
 func TestCachedClientExactRepeat(t *testing.T) {
-	cc, index, tuples := cachedSetup(t)
+	cc, tuples := cachedSetup(t)
 	q := rsse.Range{Lo: 700, Hi: 900}
-	if _, err := cc.QueryContext(context.Background(), index, q); err != nil {
+	if _, err := cc.QueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cc.QueryContext(context.Background(), index, q)
+	res, err := cc.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCachedClientExactRepeat(t *testing.T) {
 // check; functionally, every answer must match the plaintext oracle and
 // repeated rounds must be served from cache.
 func TestCachedClientConcurrent(t *testing.T) {
-	cc, index, tuples := cachedSetup(t)
+	cc, tuples := cachedSetup(t)
 	// Disjoint stripes, one per goroutine, so the Constant schemes' non-
 	// intersection rule holds no matter how the queries interleave; each
 	// goroutine then re-queries sub-ranges expecting cache hits.
@@ -144,13 +144,13 @@ func TestCachedClientConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			stripe := rsse.Range{Lo: uint64(g * 128), Hi: uint64(g*128 + 127)}
-			if _, err := cc.QueryContext(context.Background(), index, stripe); err != nil {
+			if _, err := cc.QueryContext(context.Background(), stripe); err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < 10; i++ {
 				sub := rsse.Range{Lo: stripe.Lo + uint64(i), Hi: stripe.Hi - uint64(i)}
-				res, err := cc.QueryContext(context.Background(), index, sub)
+				res, err := cc.QueryContext(context.Background(), sub)
 				if err != nil {
 					errs <- err
 					return
@@ -183,7 +183,7 @@ func TestCachedClientRejectsNonConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rsse.NewCachedClient(client); err == nil {
+	if _, err := rsse.NewCachedClient(client, nil); err == nil {
 		t.Error("non-Constant client accepted")
 	}
 }
@@ -221,20 +221,20 @@ func TestCachedClientRetriesFailedFetch(t *testing.T) {
 	must(t, err)
 	index, err := client.BuildIndex(tuples)
 	must(t, err)
-	cc, err := rsse.NewCachedClient(client)
-	must(t, err)
 	src := &failFirstFetch{Source: index}
+	cc, err := rsse.NewCachedClient(client, src)
+	must(t, err)
 	ctx := context.Background()
 	q := rsse.Range{Lo: 10, Hi: 20}
 	if len(oracle(tuples, q)) == 0 {
 		t.Fatalf("%v matches nothing; the fetch would not run", q)
 	}
-	if _, err := cc.QueryContext(ctx, src, q); !errors.Is(err, errTransient) {
+	if _, err := cc.QueryContext(ctx, q); !errors.Is(err, errTransient) {
 		t.Fatalf("first query: err %v, want the fetch's error", err)
 	}
 	searches := src.searches.Load()
 	for _, r := range []rsse.Range{q, {Lo: 12, Hi: 14}} {
-		res, err := cc.QueryContext(ctx, src, r)
+		res, err := cc.QueryContext(ctx, r)
 		if err != nil {
 			t.Fatalf("%v after a failed fetch: %v", r, err)
 		}
@@ -244,5 +244,42 @@ func TestCachedClientRetriesFailedFetch(t *testing.T) {
 	}
 	if n := src.searches.Load() - searches; n != 0 {
 		t.Fatalf("retries searched the server %d times, want 0", n)
+	}
+}
+
+// TestCachedClientBoundToSource: a cache answers only for the index it
+// was filled from. One client builds two indexes; a cache over A answers
+// [0,10], and a cache over B, asked [2,6], which A's answer covers, must
+// give B's answer or an error — never A's ids.
+func TestCachedClientBoundToSource(t *testing.T) {
+	client, err := rsse.NewClient(rsse.ConstantBRC, 8, rsse.WithSeed(43))
+	must(t, err)
+	a, err := client.BuildIndex([]rsse.Tuple{{ID: 1, Value: 3}, {ID: 2, Value: 4}})
+	must(t, err)
+	bTuples := []rsse.Tuple{{ID: 7, Value: 3}, {ID: 8, Value: 5}}
+	b, err := client.BuildIndex(bTuples)
+	must(t, err)
+	ccA, err := rsse.NewCachedClient(client, a)
+	must(t, err)
+	ccB, err := rsse.NewCachedClient(client, b)
+	must(t, err)
+	ctx := context.Background()
+	res, err := ccA.QueryContext(ctx, rsse.Range{Lo: 0, Hi: 10})
+	must(t, err)
+	if got := sorted(res.Matches); !equal(got, []rsse.ID{1, 2}) {
+		t.Fatalf("A [0,10]: %v, want [1 2]", got)
+	}
+	q := rsse.Range{Lo: 2, Hi: 6}
+	res, err = ccB.QueryContext(ctx, q)
+	switch {
+	case errors.Is(err, rsse.ErrIntersectingQuery):
+		// The client's Constant history holds [0,10] from A.
+	case err != nil:
+		t.Fatalf("B %v: %v", q, err)
+	case !equal(sorted(res.Matches), oracle(bTuples, q)):
+		t.Fatalf("B %v: %v, want B's %v", q, sorted(res.Matches), oracle(bTuples, q))
+	}
+	if got := ccB.CachedRanges(); len(got) != 0 {
+		t.Fatalf("B's cache holds %v after a refused query", got)
 	}
 }

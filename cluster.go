@@ -30,8 +30,8 @@ import (
 // concurrent queries run in parallel on every shard, the same shard
 // included.
 type Cluster struct {
+	shards
 	kind    Kind
-	m       shard.Map
 	master  prf.Key
 	clients []*core.Client
 	targets []core.Source
@@ -47,8 +47,8 @@ type Cluster struct {
 // core.Options.Rand).
 func newCluster(kind Kind, m shard.Map, master prf.Key, cfg config) (*Cluster, error) {
 	c := &Cluster{
+		shards:  shards{m},
 		kind:    kind,
-		m:       m,
 		master:  master,
 		clients: make([]*core.Client, m.K()),
 		targets: make([]core.Source, m.K()),
@@ -225,15 +225,6 @@ func (c *Cluster) Kind() Kind { return c.kind }
 // Domain returns the full (pre-split) query-attribute domain.
 func (c *Cluster) Domain() Domain { return c.m.Domain() }
 
-// Shards returns the number of shards in the cluster.
-func (c *Cluster) Shards() int { return c.m.K() }
-
-// ShardRange returns the closed value interval shard i owns.
-func (c *Cluster) ShardRange(i int) Range { return c.m.ShardRange(i) }
-
-// ShardOf returns the shard that owns value v.
-func (c *Cluster) ShardOf(v Value) int { return c.m.Owner(v) }
-
 // MasterKey returns a copy of the cluster master key — persist it (not
 // the k derived shard keys) to re-create the cluster's clients later.
 func (c *Cluster) MasterKey() []byte { return append([]byte(nil), c.master[:]...) }
@@ -368,10 +359,8 @@ func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*Clust
 // scatter checks every range, cuts the ranges at shard boundaries and
 // runs one batched sub-query per intersected shard over its slices.
 func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[*core.BatchResult], error) {
-	for _, q := range ranges {
-		if err := c.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
-			return nil, err
-		}
+	if err := c.check(ranges); err != nil {
+		return nil, err
 	}
 	return shard.Run(ctx, c.exec, c.m.SplitBatch(ranges),
 		func(ctx context.Context, t shard.BatchTask) (*core.BatchResult, error) {

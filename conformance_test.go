@@ -807,14 +807,12 @@ func runCluster(t *testing.T, f *fixture, name, mod string) {
 // ErrIntersectingQuery. Every other kind is refused a cache.
 func runCached(t *testing.T, f *fixture, _, mod string) {
 	client := f.owner(t, mod, true)
-	cc, err := rsse.NewCachedClient(client)
 	if f.kind != rsse.ConstantBRC && f.kind != rsse.ConstantURC {
-		if err == nil {
+		if _, err := rsse.NewCachedClient(client, f.built); err == nil {
 			t.Fatal("NewCachedClient accepted a kind without the intersection guard")
 		}
 		return
 	}
-	must(t, err)
 	var src rsse.Source = f.built
 	if mod == "remote" {
 		cliConn, srvConn := net.Pipe()
@@ -823,6 +821,8 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 		t.Cleanup(func() { r.Close() })
 		src = r
 	}
+	cc, err := rsse.NewCachedClient(client, src)
+	must(t, err)
 	m := uint64(1) << f.bits
 	a, b, c := rsse.Range{Lo: 0, Hi: m/4 - 1}, rsse.Range{Lo: m / 4, Hi: m/2 - 1}, rsse.Range{Lo: 3 * m / 4, Hi: m - 1}
 	in := f.model.answer(a)
@@ -830,14 +830,14 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 		{{Lo: in[0].Value / 2, Hi: in[0].Value}, {Lo: in[1].Value, Hi: a.Hi}, {Lo: m / 8, Hi: 3 * m / 8}, c}} {
 		var rs []*rsse.Result
 		if mod == "batch" {
-			br, err := cc.QueryBatchContext(context.Background(), src, step)
+			br, err := cc.QueryBatchContext(context.Background(), step)
 			must(t, err)
 			must(t, checkBatchStats(&br.Stats, len(step)))
 			rs = br.Results
 		}
 		for i, q := range step {
 			if mod != "batch" {
-				r, err := cc.QueryContext(context.Background(), src, q)
+				r, err := cc.QueryContext(context.Background(), q)
 				must(t, err)
 				rs = append(rs, r)
 			}
@@ -848,15 +848,15 @@ func runCached(t *testing.T, f *fixture, _, mod string) {
 		}
 		if step[0] == a {
 			f.refuses(t, target{
-				one: func(ctx context.Context, q rsse.Range) (answer, error) { return one(cc.QueryContext(ctx, src, q)) },
+				one: func(ctx context.Context, q rsse.Range) (answer, error) { return one(cc.QueryContext(ctx, q)) },
 				batch: func(ctx context.Context, qs []rsse.Range) ([]answer, *rsse.BatchStats, error) {
-					return batch(cc.QueryBatchContext(ctx, src, qs))
+					return batch(cc.QueryBatchContext(ctx, qs))
 				},
 			})
 		}
 	}
 	miss := rsse.Range{Lo: m/2 - 8, Hi: m/2 + 8}
-	if _, err := cc.QueryContext(context.Background(), src, miss); !errors.Is(err, rsse.ErrNotCached) {
+	if _, err := cc.QueryContext(context.Background(), miss); !errors.Is(err, rsse.ErrNotCached) {
 		t.Fatalf("uncovered intersecting %v: err %v, want ErrNotCached", miss, err)
 	}
 	if _, err := client.QueryContext(context.Background(), f.built, miss); !errors.Is(err, rsse.ErrIntersectingQuery) {

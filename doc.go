@@ -42,6 +42,12 @@
 //	// res.Matches == []rsse.ID{1}
 //	tuples, err := client.FetchTuples(ctx, index, res.Matches)
 //
+// Client aliases the scheme layer's owner type, whose calls are
+// BuildIndex, QueryContext, QueryBatchContext, FetchTuples (one chunked
+// fetch round), Trapdoor (a round-1 message alone), TrapdoorCost (a
+// range's owner-side tokens and bytes) and ResetHistory (clear the
+// Constant schemes' intersecting-query guard).
+//
 // A Client queries any Source: a local *Index, or a *RemoteIndex
 // dialed to a server (Dial, DialIndex) — the same QueryContext,
 // QueryBatchContext and FetchTuples run each round across the
@@ -168,7 +174,7 @@
 // batched sub-query per LSM epoch of each shard
 // (Dynamic.QueryBatchContext), and through the cache
 // (CachedClient.QueryBatchContext answers covered ranges locally and
-// batches the misses). The server sees only the deduplicated, jointly
+// batches the misses to the one Source the cache was built over). The server sees only the deduplicated, jointly
 // permuted token union, in the message a single query would send — not
 // even the batch size, so strictly less than the equivalent sequential
 // queries reveal. A single query is a batch of one: QueryContext runs

@@ -48,7 +48,7 @@ import (
 // sharded store's queries still fan out over its shards in parallel
 // internally.
 type Dynamic struct {
-	m      shard.Map
+	shards
 	stores []*lsm.Manager // one per shard
 }
 
@@ -127,7 +127,7 @@ func dynamicParams(domainBits uint8, shards int, opts []Option) (shard.Map, conf
 // WALs' advisory locks, so that a same-process retry does not hit
 // ErrLocked on every earlier one.
 func newDynamic(m shard.Map, cfg config, open func(i int, lowered core.Options) (*lsm.Manager, error)) (*Dynamic, error) {
-	d := &Dynamic{m: m, stores: make([]*lsm.Manager, 0, m.K())}
+	d := &Dynamic{shards: shards{m}, stores: make([]*lsm.Manager, 0, m.K())}
 	for i := range m.K() {
 		lowered, err := cfg.lower()
 		var s *lsm.Manager
@@ -358,16 +358,6 @@ func OpenShardedDynamic(dir string, kind Kind, domainBits uint8, shards, consoli
 	})
 }
 
-// Shards returns the number of shards (1 unless the store was built by
-// NewShardedDynamic or OpenShardedDynamic).
-func (d *Dynamic) Shards() int { return d.m.K() }
-
-// ShardRange returns the closed value interval shard i owns.
-func (d *Dynamic) ShardRange(i int) Range { return d.m.ShardRange(i) }
-
-// ShardOf returns the shard that owns value v.
-func (d *Dynamic) ShardOf(v Value) int { return d.m.Owner(v) }
-
 // Insert buffers a tuple insertion for the next batch of the shard
 // owning value. On a durable store a nil return means the insertion is
 // in the write-ahead log, synced per the WithSyncEvery policy — it
@@ -470,10 +460,8 @@ func (d *Dynamic) QueryContext(ctx context.Context, q Range) ([]Tuple, UpdateSta
 // first, so an inverted range or one past the domain fails even on a
 // store with no flushed epoch.
 func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple, UpdateStats, error) {
-	for _, q := range qs {
-		if err := d.m.Domain().CheckRange(q.Lo, q.Hi); err != nil {
-			return nil, UpdateStats{}, err
-		}
+	if err := d.check(qs); err != nil {
+		return nil, UpdateStats{}, err
 	}
 	if len(d.stores) == 1 {
 		return d.stores[0].QueryBatch(ctx, qs)

@@ -193,16 +193,16 @@ func ExampleCachedClient() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cached, err := rsse.NewCachedClient(client)
+	cached, err := rsse.NewCachedClient(client, index)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cached.QueryContext(context.Background(), index, rsse.Range{Lo: 100, Hi: 400}); err != nil {
+	if _, err := cached.QueryContext(context.Background(), rsse.Range{Lo: 100, Hi: 400}); err != nil {
 		log.Fatal(err)
 	}
 	// The sub-range intersects the history, so the raw client would
 	// refuse it — the cache answers locally instead.
-	res, err := cached.QueryContext(context.Background(), index, rsse.Range{Lo: 200, Hi: 300})
+	res, err := cached.QueryContext(context.Background(), rsse.Range{Lo: 200, Hi: 300})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -282,14 +282,16 @@ func (c *Client) stagPlanFromNodes(p cover.BatchPlan, suite prf.Suite, key prf.K
 	return tokenPlan{trap: &Trapdoor{round: round, Stags: out}, perRange: p.PerRange, total: p.Total}
 }
 
-// QueryBatchContext runs the batched query protocol for several ranges
-// against any Source, deduplicating cover nodes shared across the
-// ranges. The batch aborts between and during protocol steps when ctx
-// is done. Results are per input range, in input order, and answer
-// each range as a sequential QueryContext loop would: the same matches
-// and the same raw id sets. For the Constant schemes every range in the
-// batch must be non-intersecting — with the other batch ranges and with
-// history — and the batch stays in history only if it succeeds.
+// QueryBatchContext answers several ranges in one batched protocol run
+// against any Source: cover nodes shared across the ranges are
+// deduplicated into one multi-trapdoor per round, and the response is
+// demultiplexed into one Result per range, in input order, each as a
+// sequential QueryContext loop would answer it. Against a remote source
+// each round is one search frame, and the filter's fetches one chunked
+// fetch round. ctx aborts the batch between and during steps. For the
+// Constant schemes every range must be non-intersecting — with the
+// others and with history — and the batch stays in history only if it
+// succeeds.
 func (c *Client) QueryBatchContext(ctx context.Context, s Source, ranges []Range) (*BatchResult, error) {
 	br := &BatchResult{}
 	if err := c.QueryBatchInto(ctx, s, ranges, br); err != nil {

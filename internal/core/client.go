@@ -55,10 +55,14 @@ type Options struct {
 }
 
 // Client is the data owner: it holds the secret keys of one scheme
-// instance, builds encrypted indexes, and drives query protocols. It is
-// safe for concurrent use: between queries the owner keeps only the
-// randomness that permutes each trapdoor and the Constant schemes'
-// history of issued ranges, and mu guards both.
+// instance, builds encrypted indexes, and runs the query protocol
+// against any Source — a local *Index or a dialed *RemoteIndex. It is
+// safe for concurrent use: one client per key serves every goroutine.
+// Its only mutable state — the randomness that permutes each trapdoor
+// and the Constant schemes' history of issued ranges — sits behind mu.
+// A Constant query reserves its ranges in the history before it runs
+// and releases them if it fails, so of two concurrent intersecting
+// queries exactly one proceeds.
 type Client struct {
 	kind    Kind
 	dom     cover.Domain
@@ -151,7 +155,8 @@ func (c *Client) Kind() Kind { return c.kind }
 // Domain returns the query-attribute domain.
 func (c *Client) Domain() cover.Domain { return c.dom }
 
-// SSEName returns the name of the underlying SSE construction.
+// SSEName names the underlying SSE construction: "basic", "packed",
+// "tset" or "2lev".
 func (c *Client) SSEName() string { return c.sse.Name() }
 
 // ResetHistory clears the Constant schemes' intersecting-query guard,
@@ -309,7 +314,9 @@ func (x *Index) Close() error {
 func (x *Index) Store() *TupleStore { return x.store }
 
 // BuildIndex runs the scheme's BuildIndex algorithm: it encrypts the
-// tuples into the store and builds the encrypted search index(es).
+// tuples into the store and builds the encrypted search index(es). The
+// returned Index (plus its embedded encrypted tuple store) is everything
+// the server needs; it contains no key material.
 func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 	for _, t := range tuples {
 		if !c.dom.Contains(t.Value) {
@@ -454,15 +461,15 @@ type Result struct {
 	Stats QueryStats
 }
 
-// QueryContext runs the scheme's full (possibly interactive) query
-// protocol against any Source — a local *Index or a transport-layer
-// handle on a remote one — and returns the matching ids with cost
-// accounting. It is the batch
-// protocol on one range (see QueryBatchInto), so its result reports the
-// whole exchange. Every round honours ctx. The Constant schemes reserve
-// q in the intersection history before the protocol runs and release it
-// if the protocol fails, so a failed query (network error, bad
-// trapdoor) never poisons a later retry of the same range.
+// QueryContext runs the scheme's full query protocol — one round, or
+// two for Logarithmic-SRC-i — against any Source, filters false
+// positives owner-side, and returns the matches with cost and leakage
+// accounting. It is the batch protocol on one range (see
+// QueryBatchInto). Every round honours ctx; against a remote source an
+// expired ctx abandons the in-flight round trip at once. The Constant
+// schemes reserve q in the history before the protocol runs and
+// release it if the protocol fails, so a failed query never poisons a
+// later retry of the same range.
 func (c *Client) QueryContext(ctx context.Context, s Source, q Range) (*Result, error) {
 	var one [1]*Result
 	br := BatchResult{Results: one[:0]}
@@ -470,6 +477,13 @@ func (c *Client) QueryContext(ctx context.Context, s Source, q Range) (*Result, 
 		return nil, err
 	}
 	return br.Results[0], nil
+}
+
+// QueryRemoteContext is QueryContext.
+//
+// Deprecated: call QueryContext, which takes any Source.
+func (c *Client) QueryRemoteContext(ctx context.Context, s Source, q Range) (*Result, error) {
+	return c.QueryContext(ctx, s, q)
 }
 
 // QueryServerContext is QueryContext against a Server.
@@ -485,7 +499,9 @@ func (c *Client) QueryServerContext(ctx context.Context, s Server, q Range) (*Re
 // against later epochs. It deliberately bypasses the Constant schemes'
 // intersection guard and records no history; use QueryContext for real
 // traffic. With no index to ask, it derives under the suite this client
-// builds with, replaying the trapdoor memo as a query does.
+// builds with, replaying the trapdoor memo as a query does: against an
+// index of another suite (IndexMeta.Suite) its tokens match nothing,
+// where QueryContext reads the index's suite and derives for it.
 func (c *Client) Trapdoor(q Range) (*Trapdoor, error) {
 	if err := c.dom.CheckRange(q.Lo, q.Hi); err != nil {
 		return nil, err

@@ -128,9 +128,9 @@ func (c *Client) fetchValues(ctx context.Context, s Source, ids []ID) ([]Value, 
 }
 
 // FetchTuples retrieves and decrypts the tuples stored under ids, in
-// order, through the chunked fetch round — what applications and the
-// update layer use to turn a result's ids into documents. An id the
-// server does not know is an error.
+// order. Against a *RemoteIndex the ids travel in one chunked fetch
+// round (one frame per 128 ids), not one round trip each; an id the
+// source does not hold fails the call.
 func (c *Client) FetchTuples(ctx context.Context, s Source, ids []ID) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
 	err := FetchEach(ctx, s, ids, func(i int, ct []byte) error {

@@ -106,7 +106,8 @@ func (m *trapdoorMemo) len() int {
 
 // TrapdoorMemoStats returns the client's cumulative trapdoor-memo hits
 // and misses (misses count only derivations eligible for memoization;
-// both stay zero when the memo is off). Only the round-1 trapdoors of
+// both stay zero unless Options.TrapdoorMemo — rsse.WithTrapdoorMemo —
+// enabled the memo). Only the round-1 trapdoors of
 // one-range queries (batches of one, which QueryContext and Trapdoor
 // run) are memoized: a one-range plan is its trapdoor alone, so an entry
 // is no larger than the trapdoor. Batches of two or more ranges and the

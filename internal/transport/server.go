@@ -35,10 +35,13 @@ const writeCoalesce = 64
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("transport: server closed")
 
-// Server serves a Registry of named indexes over any number of
-// listeners. Every connection's requests are dispatched concurrently —
-// one slow search does not block the connection's other requests — and
-// Shutdown drains in-flight requests before closing connections.
+// Server serves a Registry of named indexes to remote owners over any
+// number of listeners. The server side holds no keys: everything it can
+// learn is the schemes' formal leakage plus which named index each
+// request addresses. Every connection's requests are dispatched
+// concurrently — one slow search does not block the connection's other
+// requests — and Shutdown drains in-flight requests before closing
+// connections.
 type Server struct {
 	reg *Registry
 
@@ -69,9 +72,6 @@ func NewServer(reg *Registry) *Server {
 		conns:     make(map[net.Conn]struct{}),
 	}
 }
-
-// Registry returns the served registry.
-func (s *Server) Registry() *Registry { return s.reg }
 
 // SetLogger installs a structured logger for serving events: connection
 // lifecycle at Debug, protocol errors at Warn, slow queries (see

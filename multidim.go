@@ -41,7 +41,8 @@ type MultiResult struct {
 	// PerAttribute holds each attribute's match count — what the server
 	// observes before the owner intersects.
 	PerAttribute []int
-	// Stats aggregates the cost over all attributes.
+	// Stats aggregates the cost over all attributes: counters and times
+	// sum, and Groups and TokenLevels list each attribute's in turn.
 	Stats QueryStats
 }
 
@@ -91,11 +92,9 @@ func NewMultiClient(kind Kind, domainBits []uint8, opts ...Option) (*MultiClient
 		if err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		inner, err := core.NewClient(kind, dom, dimOpts)
-		if err != nil {
+		if mc.clients[d], err = core.NewClient(kind, dom, dimOpts); err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		mc.clients[d] = &Client{inner: inner}
 	}
 	return mc, nil
 }
@@ -163,12 +162,17 @@ func (mc *MultiClient) QueryContext(ctx context.Context, srcs []Source, q MultiR
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
 		out.PerAttribute[d] = len(res.Matches)
-		out.Stats.Rounds += res.Stats.Rounds
-		out.Stats.Tokens += res.Stats.Tokens
-		out.Stats.TokenBytes += res.Stats.TokenBytes
-		out.Stats.ResponseItems += res.Stats.ResponseItems
-		out.Stats.Raw += res.Stats.Raw
-		out.Stats.FalsePositives += res.Stats.FalsePositives
+		s, t := &out.Stats, &res.Stats
+		s.Rounds += t.Rounds
+		s.Tokens += t.Tokens
+		s.TokenBytes += t.TokenBytes
+		s.ResponseItems += t.ResponseItems
+		s.Raw += t.Raw
+		s.FalsePositives += t.FalsePositives
+		s.Groups = append(s.Groups, t.Groups...)
+		s.TokenLevels = append(s.TokenLevels, t.TokenLevels...)
+		s.ServerTime += t.ServerTime
+		s.OwnerTime += t.OwnerTime
 		if d == 0 {
 			inter = make(map[ID]int, len(res.Matches))
 			for _, id := range res.Matches {

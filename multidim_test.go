@@ -229,3 +229,29 @@ func TestMultiDimMasterKeyDerivation(t *testing.T) {
 		t.Error("rebuilt multi-client cannot query the index")
 	}
 }
+
+// TestMultiDimStatsSumAttributes: a conjunctive query's Stats add up
+// every attribute's, the leakage lists included: one group and one
+// token level per token sent, over both attributes.
+func TestMultiDimStatsSumAttributes(t *testing.T) {
+	bits := []uint8{8, 8}
+	mc, err := rsse.NewMultiClient(rsse.ConstantBRC, bits, rsse.WithSeed(13))
+	must(t, err)
+	tuples := genMultiTuples(60, bits, 14)
+	indexes, err := mc.BuildIndex(tuples)
+	must(t, err)
+	q := rsse.MultiRange{{Lo: 3, Hi: 200}, {Lo: 17, Hi: 130}}
+	res, err := mc.QueryContext(context.Background(), multiSources(t, indexes, false), q)
+	must(t, err)
+	if !equal(sorted(res.Matches), sorted(multiOracle(tuples, q))) {
+		t.Fatal("conjunctive matches wrong")
+	}
+	st := res.Stats
+	if st.Tokens == 0 || len(st.Groups) != st.Tokens || len(st.TokenLevels) != st.Tokens {
+		t.Fatalf("tokens %d, groups %d, token levels %d: want equal and positive",
+			st.Tokens, len(st.Groups), len(st.TokenLevels))
+	}
+	if st.OwnerTime <= 0 {
+		t.Fatalf("owner time %v, want the attributes' sum", st.OwnerTime)
+	}
+}

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"sync"
-	"time"
 
 	"rsse/internal/core"
 	"rsse/internal/transport"
@@ -89,38 +87,11 @@ type ServedIndexStat = transport.IndexStat
 func (r *Registry) Stats() []ServedIndexStat { return r.inner.Stats() }
 
 // Server serves a Registry to remote owners over any number of
-// listeners. The server side holds no keys: everything it can learn is
-// the schemes' formal leakage plus which named index each request
-// addresses. Requests on every connection are dispatched concurrently —
-// one slow search does not block a connection's other requests.
-type Server struct {
-	inner *transport.Server
-}
+// listeners; it holds no keys. Construct one with NewServer.
+type Server = transport.Server
 
 // NewServer creates a server over reg.
-func NewServer(reg *Registry) *Server {
-	return &Server{inner: transport.NewServer(reg.inner)}
-}
-
-// Serve accepts and serves connections on l until the listener closes or
-// Shutdown is called (returning nil in both cases).
-func (s *Server) Serve(l net.Listener) error { return s.inner.Serve(l) }
-
-// SetLogger installs a structured logger for serving events: connection
-// lifecycle at Debug, protocol errors and slow queries at Warn. Call
-// before Serve; nil (the default) disables serving logs.
-func (s *Server) SetLogger(l *slog.Logger) { s.inner.SetLogger(l) }
-
-// SetSlowQuery sets the slow-query threshold: requests whose execution
-// takes at least d are logged at Warn with op, index and duration. Zero
-// disables the slow-query log. Call before Serve; requires SetLogger.
-func (s *Server) SetSlowQuery(d time.Duration) { s.inner.SetSlowQuery(d) }
-
-// Shutdown gracefully stops the server: listeners close immediately,
-// in-flight requests finish and their responses are flushed before the
-// connections are closed. If ctx expires first, remaining connections
-// are closed anyway and ctx's error returned.
-func (s *Server) Shutdown(ctx context.Context) error { return s.inner.Shutdown(ctx) }
+func NewServer(reg *Registry) *Server { return transport.NewServer(reg.inner) }
 
 // Serve serves one encrypted index under the default name until the
 // listener is closed — the single-table deployment. Use NewServer with a
