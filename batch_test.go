@@ -148,3 +148,52 @@ func TestQueryContextCancelled(t *testing.T) {
 		t.Fatal("cancelled cluster batch succeeded")
 	}
 }
+
+// TestBatchResultsDoNotAlias: the results of one batch share arrays, so
+// every slice a caller gets must end at its own capacity. Appending to
+// one result's ids, groups and token levels leaves every other result as
+// it was — for a client batch, and for a cluster batch whose ranges sit
+// inside one shard (handed through) or span both (merged).
+func TestBatchResultsDoNotAlias(t *testing.T) {
+	ranges := []rsse.Range{{Lo: 100, Hi: 300}, {Lo: 200, Hi: 700}, {Lo: 600, Hi: 900}, {Lo: 250, Hi: 260}}
+	client, index, tuples := testIndex(t, rsse.LogarithmicURC, 47)
+	cluster, err := rsse.BuildCluster(rsse.ConstantURC, 10, 2, tuples, rsse.WithSeed(47), rsse.AllowIntersectingQueries())
+	must(t, err)
+	local, err := client.QueryBatchContext(context.Background(), index, ranges)
+	must(t, err)
+	sharded, err := cluster.QueryBatchContext(context.Background(), ranges)
+	must(t, err)
+	for name, results := range map[string][]*rsse.Result{"client": local.Results, "cluster": sharded.Results} {
+		snapshot := func() [][]uint64 {
+			var out [][]uint64
+			for _, r := range results {
+				levels := make([]uint64, len(r.Stats.TokenLevels))
+				for j, l := range r.Stats.TokenLevels {
+					levels[j] = uint64(l)
+				}
+				groups := make([]uint64, len(r.Stats.Groups))
+				for j, g := range r.Stats.Groups {
+					groups[j] = uint64(g)
+				}
+				out = append(out, append([]uint64(nil), r.Matches...), append([]uint64(nil), r.Raw...), groups, levels)
+			}
+			return out
+		}
+		before := snapshot()
+		for i, r := range results {
+			if !equal(sorted(r.Matches), oracle(tuples, ranges[i])) {
+				t.Fatalf("%s: %v answered %v", name, ranges[i], r.Matches)
+			}
+			r.Matches = append(r.Matches, 1<<40)
+			r.Raw = append(r.Raw, 1<<40)
+			r.Stats.Groups = append(r.Stats.Groups, 1<<20)
+			r.Stats.TokenLevels = append(r.Stats.TokenLevels, 63)
+		}
+		after := snapshot()
+		for i := range before {
+			if got, want := after[i][:len(before[i])], before[i]; !equal(got, want) {
+				t.Fatalf("%s: appending to one result changed another's slice %d: %v, was %v", name, i, got, want)
+			}
+		}
+	}
+}

@@ -327,9 +327,6 @@ func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*Clust
 		return nil, err
 	}
 	out := &ClusterBatchResult{BatchResult: BatchResult{Results: make([]*Result, len(ranges))}}
-	for i := range out.Results {
-		out.Results[i] = &Result{}
-	}
 	out.Stats.Ranges = len(ranges)
 	out.Shards = make([]ShardBatchStat, len(outcomes))
 	for i, o := range outcomes {
@@ -347,11 +344,23 @@ func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*Clust
 			s.FetchedTuples += t.FetchedTuples
 			s.ServerTime += t.ServerTime
 			s.OwnerTime += t.OwnerTime
+			// A range one shard answered is that shard's result; one that
+			// spans shards merges into its first shard's, whose slices are
+			// capped, so the merge copies rather than overwrites.
 			for j, sub := range o.Res.Results {
-				shard.MergeInto(out.Results[o.Task.Sources[j]], sub)
+				if dst := &out.Results[o.Task.Sources[j]]; *dst == nil {
+					*dst = sub
+				} else {
+					shard.MergeInto(*dst, sub)
+				}
 			}
 		}
 		out.Shards[i] = st
+	}
+	for i, r := range out.Results {
+		if r == nil { // every shard of the range failed (WithPartialResults)
+			out.Results[i] = &Result{}
+		}
 	}
 	return out, nil
 }

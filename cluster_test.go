@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	mrand "math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"rsse"
 	"rsse/internal/dataset"
+	"rsse/internal/race"
 )
 
 // TestClusterShardIndependence checks the leakage-scope claim mechanics:
@@ -337,5 +339,54 @@ func TestClusterKeyDeterminism(t *testing.T) {
 		if res, err := open(built, make([]byte, 32)).QueryBatchContext(context.Background(), []rsse.Range{q}); err == nil && equal(sorted(res.Results[0].Matches), oracle(tuples, q)) {
 			t.Fatal("wrong cluster key still decrypts")
 		}
+	}
+}
+
+// TestClusterBatchPathAllocs pins a batch_cluster-shaped query through
+// the public API: a two-shard Logarithmic-URC cluster built, served and
+// dialed over loopback, each op one sixteen-range batch of widths 64–511,
+// eight in a 2,048-value window of each shard, owner and server together.
+// Measured 204 objects since a batch plans its covers into one array,
+// demultiplexes a round into one id array and one group-size array, and
+// hands a range that one shard answered straight through: 472 while the
+// plan deduplicated through a map, every range's cover, ids and groups
+// were slices of their own, and every range merged into a fresh result.
+// The guard sits about 10% above the count, so a per-range allocation on
+// any of those steps trips it.
+func TestClusterBatchPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard needs the full 20k-tuple workload")
+	}
+	if race.Enabled {
+		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
+	}
+	const bits, half, window = 16, 1 << 15, 2048
+	built, err := rsse.BuildCluster(rsse.LogarithmicURC, bits, 2, genTuples(20_000, bits, 46),
+		rsse.WithStorage("sorted"), rsse.WithSeed(1))
+	must(t, err)
+	c, err := rsse.DialCluster("tcp", "", serveCluster(t, built, "allocs", 1), built.MasterKey(), rsse.WithSeed(2))
+	must(t, err)
+	defer c.Close()
+	rnd := mrand.New(mrand.NewSource(47))
+	batches := make([][]rsse.Range, 16)
+	for b := range batches {
+		base := rnd.Uint64() % (half - window)
+		batches[b] = make([]rsse.Range, 16)
+		for i := range batches[b] {
+			w := 64 + rnd.Uint64()%448
+			lo := base + uint64(i%2)*half + rnd.Uint64()%(window-w)
+			batches[b][i] = rsse.Range{Lo: lo, Hi: lo + w - 1}
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(64, func() {
+		if _, err := c.QueryBatchContext(context.Background(), batches[i%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("2-shard URC cluster: %.0f allocs/batch", got)
+	if got > 224 {
+		t.Errorf("16-range cluster batch allocates %.0f objects/op, guard is 224 — per-range allocations are back?", got)
 	}
 }

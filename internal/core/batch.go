@@ -28,6 +28,13 @@ import (
 // and the number of ranges are hidden: a batch round is one search
 // exchange, like a single query's. Sequential queries reveal every
 // per-range token multiset separately, with timing.
+//
+// The cover plan lists the union sorted, not in order of first
+// appearance, and the server's view has the same distribution either
+// way: each round lays unique token u into slot[u] of one uniform
+// permutation c.rnd.Perm(n) of the same n tokens. Sorted nodes also
+// follow the node they share the longest GGM path prefix with, which
+// the Constant schemes' prefix-memoized DelegateNodes walk reuses.
 
 // searchRound runs one search round and refuses a response that is not
 // one group per token: group j answers token j, so a response with a
@@ -129,23 +136,31 @@ func (p *tokenPlan) tokenBytes(n int) int {
 	return n * sse.StagSize
 }
 
-// demux flattens range i's response groups into raw ids, recording the
-// group sizes into stats.
-func (p *tokenPlan) demux(resp *Response, i int, stats *QueryStats) []ID {
-	n, items := p.tokens(i), 0
-	for j := 0; j < n; j++ {
-		items += len(resp.Groups[p.slot(i, j)])
-	}
-	out := make([]ID, 0, items)
-	stats.Groups = make([]int, n)
-	for j := 0; j < n; j++ {
-		g := resp.Groups[p.slot(i, j)]
-		stats.Groups[j] = len(g)
-		for _, item := range g {
-			out = append(out, sse.PayloadU64(item))
+// demux flattens the response groups of the plan's range i into dst[i]:
+// raw ids and group sizes, as windows of one id array and one group-size
+// array, each capped at its length so that an append by a caller copies
+// rather than overwrites the next range's.
+func (p *tokenPlan) demux(resp *Response, dst []*Result) {
+	items := 0
+	for i := range dst {
+		for j := range p.tokens(i) {
+			items += len(resp.Groups[p.slot(i, j)])
 		}
 	}
-	return out
+	ids, sizes := make([]ID, 0, items), make([]int, 0, p.total)
+	for i, res := range dst {
+		id0, g0 := len(ids), len(sizes)
+		for j := range p.tokens(i) {
+			g := resp.Groups[p.slot(i, j)]
+			sizes = append(sizes, len(g))
+			for _, item := range g {
+				ids = append(ids, sse.PayloadU64(item))
+			}
+		}
+		res.Raw = ids[id0:len(ids):len(ids)]
+		res.Stats.Groups = sizes[g0:len(sizes):len(sizes)]
+		res.Stats.Raw = len(res.Raw)
+	}
 }
 
 // oneSlot is the order of a lone token: slot 0, read-only.
@@ -198,6 +213,9 @@ func (c *Client) planRound1(ranges []Range, suite prf.Suite) (tokenPlan, error) 
 func (c *Client) freshRound1(ranges []Range, suite prf.Suite) (tokenPlan, error) {
 	var ivsBuf [1]cover.Interval // a one-range plan keeps its interval on the stack
 	ivs := ivsBuf[:0]
+	if len(ranges) > 1 {
+		ivs = make([]cover.Interval, 0, len(ranges))
+	}
 	for _, q := range ranges {
 		ivs = append(ivs, cover.Interval{Lo: q.Lo, Hi: q.Hi})
 	}
@@ -385,10 +403,7 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Source, ranges []Range, b
 			return err
 		}
 	} else {
-		for i, res := range results {
-			res.Raw = plan1.demux(resp1, i, &res.Stats)
-			res.Stats.Raw = len(res.Raw)
-		}
+		plan1.demux(resp1, results)
 		st.OwnerTime += time.Since(ownerStart)
 	}
 
@@ -467,10 +482,10 @@ func rangeByLo(r Range, lo uint64) int { return cmp.Compare(r.Lo, lo) }
 // round-2 trapdoor is derived under the suite the index's Meta reported.
 func (c *Client) srciRound2(ctx context.Context, s Source, meta IndexMeta, ranges []Range, plan1 *tokenPlan, resp1 *Response, results []*Result, st *BatchStats) error {
 	ownerStart := time.Now()
-	// live[k] is the input range whose merged positions are ivs[k]; a
-	// one-range query keeps both on the stack.
+	// live[k] is the result of the input range whose merged positions
+	// are ivs[k]; a one-range query keeps both on the stack.
 	var (
-		liveBuf [1]int
+		liveBuf [1]*Result
 		ivsBuf  [1]cover.Interval
 	)
 	live, ivs := liveBuf[:0], ivsBuf[:0]
@@ -484,7 +499,7 @@ func (c *Client) srciRound2(ctx context.Context, s Source, meta IndexMeta, range
 		if !any {
 			continue // no distinct value in range: done after round 1
 		}
-		live = append(live, i)
+		live = append(live, results[i])
 		ivs = append(ivs, cover.Interval{Lo: posRange.Lo, Hi: posRange.Hi})
 	}
 	st.OwnerTime += time.Since(ownerStart)
@@ -513,15 +528,13 @@ func (c *Client) srciRound2(ctx context.Context, s Source, meta IndexMeta, range
 	st.ResponseItems += resp2.Items()
 
 	ownerStart = time.Now()
-	for k, i := range live {
-		res := results[i]
+	for k, res := range live {
 		n := plan2.tokens(k)
 		res.Stats.Rounds = 2
 		res.Stats.Tokens += n
 		res.Stats.TokenBytes += plan2.tokenBytes(n)
-		res.Raw = plan2.demux(resp2, k, &res.Stats)
-		res.Stats.Raw = len(res.Raw)
 	}
+	plan2.demux(resp2, live)
 	st.OwnerTime += time.Since(ownerStart)
 	return nil
 }

@@ -199,8 +199,9 @@ func TestSearchPatternDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if raw := p.demux(resp, 0, &QueryStats{}); !idsEqual(sortedIDs(raw), exactIDs(tuples, q)) {
-				t.Fatalf("%v: %v answered %v, want %v", tc.kind, q, sortedIDs(raw), exactIDs(tuples, q))
+			res := &Result{}
+			if p.demux(resp, []*Result{res}); !idsEqual(sortedIDs(res.Raw), exactIDs(tuples, q)) {
+				t.Fatalf("%v: %v answered %v, want %v", tc.kind, q, sortedIDs(res.Raw), exactIDs(tuples, q))
 			}
 			out := make(map[[32]byte]bool)
 			for _, s := range td.Stags {

@@ -1,5 +1,10 @@
 package cover
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Multi-range cover planning. Correlated range workloads — bursts of
 // queries over neighbouring intervals — produce BRC/URC covers that share
 // dyadic nodes heavily: two ranges covering the same hot region request
@@ -18,13 +23,18 @@ type Interval struct {
 // per-range covers with every node listed once, plus the per-range view
 // into that union.
 type BatchPlan struct {
-	// Nodes is the union of all covers, each node exactly once, in order
-	// of first appearance (range order, left to right within a cover).
+	// Nodes is the union of all covers, each node exactly once, sorted by
+	// start offset then level (SortNodes' order). The order carries no
+	// information past the node set: the query layer lays the tokens into
+	// the trapdoor through one uniform permutation of len(Nodes) slots.
+	// Sorted nodes sit next to those they share GGM path prefixes with,
+	// which the Constant schemes' prefix-memoized delegation reuses.
 	Nodes []Node
 	// PerRange[i] holds, for input range i, the indices into Nodes of its
-	// cover, in the cover's own left-to-right order. A plan of one
-	// interval leaves it nil: a single cover lists each node once, so
-	// Nodes is that cover.
+	// cover, in the cover's own left-to-right order: windows of one
+	// array, each capped at its own length. A plan of one interval leaves
+	// it nil: a single cover lists each node once, sorted, so Nodes is
+	// that cover.
 	PerRange [][]int
 	// Total is the summed size of the individual covers before
 	// deduplication; Total - len(Nodes) tokens are saved by the plan.
@@ -38,7 +48,21 @@ func (p *BatchPlan) Unique() int { return len(p.Nodes) }
 // nodes shared across covers. Each interval is validated against the
 // domain exactly as Cover would.
 func PlanBatch(d Domain, ranges []Interval, t Technique) (BatchPlan, error) {
-	return planBatch(ranges, func(r Interval) ([]Node, error) { return Cover(d, r.Lo, r.Hi, t) })
+	if t != BRCTechnique && t != URCTechnique {
+		return BatchPlan{}, errUnknownTechnique
+	}
+	total := 0
+	for _, r := range ranges {
+		if err := d.CheckRange(r.Lo, r.Hi); err != nil {
+			return BatchPlan{}, err
+		}
+		total += t.size(r.Lo, r.Hi)
+	}
+	covers := make([]Node, 0, 2*total)
+	for _, r := range ranges {
+		covers = t.appendCover(covers, r.Lo, r.Hi)
+	}
+	return dedup(covers, ranges, t.size), nil
 }
 
 // PlanBatchSRC is the single-range-cover analogue: every interval maps to
@@ -46,45 +70,42 @@ func PlanBatch(d Domain, ranges []Interval, t Technique) (BatchPlan, error) {
 // the plan behind batched Logarithmic-SRC (and each round of SRC-i)
 // queries, where nearby ranges frequently resolve to the same window.
 func PlanBatchSRC(t TDAG, ranges []Interval) (BatchPlan, error) {
-	return planBatch(ranges, func(r Interval) ([]Node, error) {
+	covers := make([]Node, 0, 2*len(ranges))
+	for _, r := range ranges {
 		n, err := t.SRC(r.Lo, r.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return []Node{n}, nil
-	})
-}
-
-// planBatch merges the covers cover returns for each interval. The
-// dedup map is built only once a second cover arrives.
-func planBatch(ranges []Interval, cover func(Interval) ([]Node, error)) (BatchPlan, error) {
-	var p BatchPlan
-	var seen map[Node]int
-	for i, r := range ranges {
-		nodes, err := cover(r)
 		if err != nil {
 			return BatchPlan{}, err
 		}
-		p.Total += len(nodes)
-		if len(ranges) == 1 {
-			p.Nodes = nodes
-			break
-		}
-		if seen == nil {
-			seen = make(map[Node]int)
-			p.PerRange = make([][]int, len(ranges))
-		}
-		idxs := make([]int, len(nodes))
-		for j, n := range nodes {
-			u, ok := seen[n]
-			if !ok {
-				u = len(p.Nodes)
-				seen[n] = u
-				p.Nodes = append(p.Nodes, n)
-			}
-			idxs[j] = u
-		}
-		p.PerRange[i] = idxs
+		covers = append(covers, n)
 	}
-	return p, nil
+	return dedup(covers, ranges, func(uint64, uint64) int { return 1 }), nil
+}
+
+// dedup plans covers, the covers of ranges one after another, with as
+// much room again behind them: a batch's union is a sorted, compacted
+// copy in that room, and every cover node's index in it, found by binary
+// search, lands in one array that PerRange windows.
+func dedup(covers []Node, ranges []Interval, size func(lo, hi uint64) int) BatchPlan {
+	p := BatchPlan{Nodes: covers, Total: len(covers)}
+	if len(ranges) == 1 {
+		return p
+	}
+	p.Nodes = append(covers[len(covers):], covers...)
+	slices.SortFunc(p.Nodes, compareNodes)
+	p.Nodes = slices.Clip(slices.Compact(p.Nodes))
+	idx := make([]int, len(covers))
+	for k, n := range covers {
+		idx[k], _ = slices.BinarySearchFunc(p.Nodes, n, compareNodes)
+	}
+	p.PerRange = make([][]int, len(ranges))
+	for i, r := range ranges {
+		n := size(r.Lo, r.Hi)
+		p.PerRange[i], idx = idx[:n:n], idx[n:]
+	}
+	return p
+}
+
+// compareNodes orders nodes by start offset, then level.
+func compareNodes(a, b Node) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Level, b.Level))
 }

@@ -3,15 +3,15 @@ package cover
 import (
 	"errors"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 var errUnknownTechnique = errors.New("cover: unknown range covering technique")
 
-// urcMassVector computes, for a range size R, the canonical "mass" vector
-// W where W[t] = sum over levels l >= t of count[l] * 2^(l-t) — i.e. the
+// urcMass computes, for a range size R, the canonical "mass" vector W
+// where W[t] = sum over levels l >= t of count[l] * 2^(l-t) — i.e. the
 // total coverage held by nodes at level t or above, in units of 2^t.
-// W[0] = R.
+// W[0] = R, and W[t] = 0 once 2^t > R.
 //
 // For each t the value is the pointwise minimum over all positions of the
 // BRC decomposition of a size-R range: a BRC cover has at most two nodes
@@ -19,19 +19,16 @@ var errUnknownTechnique = errors.New("cover: unknown range covering technique")
 // most 2*(2^t - 1), must be congruent to R mod 2^t, and any such value is
 // attained by some position. This yields the closed form below, which the
 // tests validate exhaustively against brute force.
-func urcMassVector(R uint64) []uint64 {
-	W := []uint64{R}
-	for t := uint(1); t <= 63; t++ {
+func urcMass(R uint64) (W [64]uint64) {
+	W[0] = R
+	for t := 1; t < bits.Len64(R); t++ {
 		p := uint64(1) << t
-		if p > R {
-			break // no node at level >= t can fit in a size-R range
-		}
 		rho := R & (p - 1)
 		maxlow := rho
 		if rho <= p-2 && rho+p <= R {
 			maxlow = rho + p
 		}
-		W = append(W, (R-maxlow)>>t)
+		W[t] = (R - maxlow) >> t
 	}
 	return W
 }
@@ -46,14 +43,10 @@ func URCLevelCounts(R uint64) []uint64 {
 	if R == 0 {
 		return nil
 	}
-	W := urcMassVector(R)
-	counts := make([]uint64, len(W))
-	for l := range counts {
-		var above uint64
-		if l+1 < len(W) {
-			above = W[l+1]
-		}
-		counts[l] = W[l] - 2*above
+	W, above := urcMass(R), uint64(0)
+	counts := make([]uint64, bits.Len64(R))
+	for l := len(counts) - 1; l >= 0; l-- {
+		counts[l], above = W[l]-2*above, W[l]
 	}
 	for len(counts) > 1 && counts[len(counts)-1] == 0 {
 		counts = counts[:len(counts)-1]
@@ -62,84 +55,41 @@ func URCLevelCounts(R uint64) []uint64 {
 }
 
 // URCNodeCount returns |U(R)|, the number of tokens a URC query of size R
-// produces. It is O(log R) and independent of the range position.
+// produces. It is O(log R) and independent of the range position: the
+// counts W[l] - 2W[l+1] telescope to R less the mass above level 0.
 func URCNodeCount(R uint64) int {
-	var n uint64
-	for _, c := range URCLevelCounts(R) {
-		n += c
+	W := urcMass(R)
+	n := R
+	for _, w := range W[1:] {
+		n -= w
 	}
 	return int(n)
 }
 
 // URC computes the uniform range cover of [lo, hi]: it refines the BRC
-// output by splitting nodes top-down until the per-level node counts match
-// the canonical multiset U(R) for R = hi-lo+1. The result covers the range
+// output by splitting nodes until the per-level node counts match the
+// canonical multiset U(R) for R = hi-lo+1. The result covers the range
 // exactly (no false positives) and its level multiset is the same for
 // every position of a size-R range. Nodes are returned left to right.
-func URC(d Domain, lo, hi uint64) ([]Node, error) {
-	nodes, err := BRC(d, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	R := hi - lo + 1
-	target := URCLevelCounts(R)
+func URC(d Domain, lo, hi uint64) ([]Node, error) { return Cover(d, lo, hi, URCTechnique) }
 
-	// Current per-level counts; BRC never exceeds level bits.Len64(R).
-	maxLevel := 0
-	for _, n := range nodes {
-		if int(n.Level) > maxLevel {
-			maxLevel = int(n.Level)
-		}
+// refine appends n to dst or, while split[n.Level] lasts, its two
+// halves refined the same way, depth first. Walking the BRC nodes left to
+// right this way splits the leftmost split[l] nodes of every level l —
+// the nodes URC's top-down refinement splits — and keeps its order.
+func refine(dst []Node, n Node, split *[64]uint64) []Node {
+	for n.Level > 0 && split[n.Level] > 0 {
+		split[n.Level]--
+		left, right := n.Children()
+		dst = refine(dst, left, split)
+		n = right
 	}
-	cur := make([]uint64, maxLevel+1)
-	for _, n := range nodes {
-		cur[n.Level]++
-	}
-	targetAt := func(l int) uint64 {
-		if l < len(target) {
-			return target[l]
-		}
-		return 0
-	}
-
-	// Split top-down. The BRC mass vector dominates the canonical one
-	// pointwise, so at the highest level where counts differ the current
-	// count is strictly larger and a split is always available.
-	for l := maxLevel; l >= 1; l-- {
-		for cur[l] > targetAt(l) {
-			i := indexOfLevel(nodes, uint8(l))
-			left, right := nodes[i].Children()
-			nodes = append(nodes, Node{})
-			copy(nodes[i+2:], nodes[i+1:])
-			nodes[i], nodes[i+1] = left, right
-			cur[l]--
-			cur[l-1] += 2
-		}
-	}
-	return nodes, nil
-}
-
-// indexOfLevel returns the position of the leftmost node at the given
-// level. URC's refinement only splits levels that still hold nodes.
-func indexOfLevel(nodes []Node, level uint8) int {
-	for i, n := range nodes {
-		if n.Level == level {
-			return i
-		}
-	}
-	panic("cover: URC refinement ran out of nodes at a level")
+	return append(dst, n)
 }
 
 // SortNodes orders nodes by start offset then level; used by tests and by
 // schemes that need a canonical order before permuting.
-func SortNodes(nodes []Node) {
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Start != nodes[j].Start {
-			return nodes[i].Start < nodes[j].Start
-		}
-		return nodes[i].Level < nodes[j].Level
-	})
-}
+func SortNodes(nodes []Node) { slices.SortFunc(nodes, compareNodes) }
 
 // ceilLog2 returns ceil(log2(v)) for v >= 1.
 func ceilLog2(v uint64) uint8 {

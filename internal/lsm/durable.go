@@ -277,12 +277,6 @@ func (m *Manager) removeOrphanEpochs() {
 	}
 }
 
-// Durable reports whether the manager persists its state to a directory.
-func (m *Manager) Durable() bool { return m.log != nil }
-
-// Dir returns the durable directory ("" for a memory-only manager).
-func (m *Manager) Dir() string { return m.dir }
-
 // Sync forces every logged update to stable storage regardless of the
 // fsync policy — the ordering barrier cross-shard modifications use.
 func (m *Manager) Sync() error {

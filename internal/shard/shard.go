@@ -142,24 +142,34 @@ type BatchTask struct {
 // sub-query per task — instead of one sub-query per (range, shard) pair —
 // is what turns a k-shard, n-range scatter from k·n frames into at most
 // k frames.
+//
+// A counting pass sizes every task first, so that the slices land in one
+// range array and one source array, each task's share a capped window.
 func (m Map) SplitBatch(qs []core.Range) []BatchTask {
-	perShard := make(map[int]*BatchTask)
+	task := make([]int, m.K()) // slices per shard, then the shard's task
+	total := 0
+	for _, q := range qs {
+		for s, last := m.Owner(q.Lo), m.Owner(q.Hi); s <= last; s++ {
+			task[s]++
+			total++
+		}
+	}
+	ranges, sources := make([]core.Range, total), make([]int, total)
+	out := make([]BatchTask, 0, m.K())
+	for s, n := range task {
+		if n > 0 {
+			task[s] = len(out)
+			out = append(out, BatchTask{Shard: s, Ranges: ranges[:0:n], Sources: sources[:0:n]})
+			ranges, sources = ranges[n:], sources[n:]
+		}
+	}
 	for i, q := range qs {
 		for s, last := m.Owner(q.Lo), m.Owner(q.Hi); s <= last; s++ {
-			bt, ok := perShard[s]
-			if !ok {
-				bt = &BatchTask{Shard: s}
-				perShard[s] = bt
-			}
+			bt := &out[task[s]]
 			sr := m.ShardRange(s)
 			bt.Ranges = append(bt.Ranges, core.Range{Lo: max(q.Lo, sr.Lo), Hi: min(q.Hi, sr.Hi)})
 			bt.Sources = append(bt.Sources, i)
 		}
 	}
-	out := make([]BatchTask, 0, len(perShard))
-	for _, bt := range perShard {
-		out = append(out, *bt)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
 }

@@ -534,12 +534,15 @@ func TestQueryPathAllocs(t *testing.T) {
 // TestQueryBatchPathAllocs is the remote batch pin beside
 // TestQueryPathAllocs: owner and server together, per sixteen-range
 // Logarithmic-URC QueryBatch over loopback, ≈530 response items each.
-// Measured 303 objects since the server returns a request's groups in
-// one array and the owner decodes a response into one: 498 with one
-// result slice per stag on the server and one group slice per group on
-// the owner (1,379 while the owner copied every response item and each
-// search grew its result by append). The guard sits about 10% above the
-// count, so a per-group allocation on either side trips it.
+// Measured 129 objects since the owner plans the covers into one array,
+// deduplicates them by sorting, and demultiplexes a round into one id
+// array and one group-size array: 303 while the plan deduplicated
+// through a map and every range's cover, ids and groups were slices of
+// their own; 498 with one result slice per stag on the server and one
+// group slice per group on the owner (1,379 while the owner copied every
+// response item and each search grew its result by append). The guard
+// sits about 10% above the count, so a per-range or per-group allocation
+// on either side trips it.
 func TestQueryBatchPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard needs the full 10k-tuple workload")
@@ -558,7 +561,7 @@ func TestQueryBatchPathAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("URC remote batch: %.0f allocs/batch at %.0f response items/batch", got, float64(items)/float64(i))
-	if got > 333 {
-		t.Errorf("remote URC batch allocates %.0f objects/op, guard is 333 — per-group slices are back?", got)
+	if got > 142 {
+		t.Errorf("remote URC batch allocates %.0f objects/op, guard is 142 — per-range or per-group slices are back?", got)
 	}
 }
