@@ -202,9 +202,9 @@ func main() {
 	// as soon as it sees that line still gets the graceful path.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	// prf_f says whether suite 2's F runs on SHA-NI or the portable
-	// sha256 path: the first thing to check when one box serves suite-2
-	// indexes at half another's speed.
+	// prf_f says whether the F of suites 2 and 3 runs on SHA-NI or the
+	// portable sha256 path: the first thing to check when one box serves
+	// such indexes at half another's speed.
 	logger.Info("serving", "indexes", len(reg.Names()), "addr", l.Addr().String(),
 		"storage", *engine, "version", obs.Version, "prf_f", prf.FImpl())
 	if dyn != nil {

@@ -198,19 +198,21 @@
 // Every PRF under an index — the Constant schemes' GGM tree, the
 // per-keyword key schedule, the cell labels — is of one suite, the
 // index's: HMAC-SHA-512 truncated to 32 bytes (SuiteSHA512, the paper's
-// choice), HMAC-SHA-256 (SuiteSHA256), or suite 2, "sha256-block": a
-// single SHA-256 compression of key ‖ tag ‖ counter, with no key
-// schedule at all. BuildIndex gives the Constant schemes,
-// Logarithmic-URC, Logarithmic-SRC and Logarithmic-SRC-i suite 2, and
-// Logarithmic-BRC and Quadratic the paper's; the choice is written into
-// the index header and reported as IndexMeta.Suite, and servers and
-// owners read it from there, so an index keeps answering under the
-// suite that built it whatever a later release builds with, and one
-// client queries indexes of every suite. The owner's keyword stags
-// follow the index too: one compression each for a suite-2 index, the
-// paper's HMAC for an older one. There is nothing to configure. The
-// server's view — tokens, probes, labels, cell sizes — has the same
-// shape under each.
+// choice), HMAC-SHA-256 (SuiteSHA256), suite 2, "sha256-block": a single
+// SHA-256 compression of key ‖ tag ‖ counter, with no key schedule at
+// all, or suite 3, "sha256-block-pad": suite 2 with every index cell
+// padded from that PRF instead of encrypted under AES-CTR, so a search
+// that finds a cell schedules no AES key either. BuildIndex gives the
+// Constant schemes, Logarithmic-URC, Logarithmic-SRC and
+// Logarithmic-SRC-i suite 3, and Logarithmic-BRC and Quadratic the
+// paper's; the choice is written into the index header and reported as
+// IndexMeta.Suite, and servers and owners read it from there, so an
+// index keeps answering under the suite that built it whatever a later
+// release builds with, and one client queries indexes of every suite.
+// The owner's keyword stags follow the index too: one compression each
+// for a suite-2 or suite-3 index, the paper's HMAC for an older one.
+// There is nothing to configure. The server's view — tokens, probes,
+// labels, cell sizes — has the same shape under each.
 //
 // # One context-first call per store
 //

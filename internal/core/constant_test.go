@@ -114,7 +114,7 @@ func TestKernelCacheDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			suites := []prf.Suite{c.suite}
-			if c.suite == prf.SuiteBlock {
+			if c.suite.UsesF() {
 				suites = append(suites, prf.SuiteSHA256)
 			}
 			for _, suite := range suites {
@@ -145,7 +145,7 @@ func TestKernelCacheDifferential(t *testing.T) {
 				pass(false)
 				warm := pass(false)
 				hits, misses := sse.KernelCacheStats()
-				if suite == prf.SuiteBlock {
+				if suite.UsesF() {
 					if adm := sse.KernelCacheAdmissions(); hits != 0 || misses != 0 || adm != 0 {
 						t.Fatalf("%v searches moved the cache counters: %d hits, %d misses, %d admissions", suite, hits, misses, adm)
 					}

@@ -169,7 +169,7 @@ func TestLogSRCSingleGroup(t *testing.T) {
 // same stag set (the search pattern the SSE definitions leak), while two
 // different ranges with the same cover size produce disjoint stags —
 // on a suite-0 Logarithmic-BRC index, whose stags are HMAC, and on a
-// suite-2 Logarithmic-URC index, whose stags are F. Either way the stags
+// suite-3 Logarithmic-URC index, whose stags are F. Either way the stags
 // are the index's: the range answers its exact ids.
 func TestSearchPatternDeterminism(t *testing.T) {
 	dom := cover.Domain{Bits: 10}
@@ -177,7 +177,7 @@ func TestSearchPatternDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		kind  Kind
 		suite prf.Suite
-	}{{LogarithmicBRC, prf.SuiteSHA512}, {LogarithmicURC, prf.SuiteBlock}} {
+	}{{LogarithmicBRC, prf.SuiteSHA512}, {LogarithmicURC, prf.SuiteBlockPad}} {
 		c, err := NewClient(tc.kind, dom, testOptions(27))
 		if err != nil {
 			t.Fatal(err)

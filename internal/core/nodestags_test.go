@@ -63,7 +63,7 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 		for i, n := range nodes {
 			label := n.Label()
 			want := hmacSHA512(label[:])
-			if suite == prf.SuiteBlock {
+			if suite.UsesF() {
 				want = sse.Stag(sha256.Sum256(append(key[:], label[:]...)))
 			}
 			if got[i] != want {

@@ -14,8 +14,8 @@ import (
 // suite the index's Meta reports, so build and query agree by
 // construction and an owner answers from indexes of every suite.
 //
-//   - Suite 2: F(k, n.Level, n.Start) — F over the node's 9-byte label,
-//     one SHA-256 compression with no key schedule.
+//   - Suites 2 and 3: F(k, n.Level, n.Start) — F over the node's 9-byte
+//     label, one SHA-256 compression with no key schedule.
 //   - Suites 0 and 1: HMAC-SHA-512(k, label), the paper's PRF and what
 //     every index of those suites was built with (the owner's keyword PRF
 //     never followed suite 1), keyed once per stagger.
@@ -25,13 +25,13 @@ import (
 // (rangeStag), so it takes no suite at all.
 type stagger struct {
 	key prf.Key
-	h   *prf.Hasher // keyed HMAC-SHA-512 for suites 0 and 1; nil under suite 2
+	h   *prf.Hasher // keyed HMAC-SHA-512 for suites 0 and 1; nil under F
 }
 
 // newStagger keys a stagger for an index of the given suite. Release it
 // when done.
 func newStagger(suite prf.Suite, key prf.Key) stagger {
-	if suite == prf.SuiteBlock {
+	if suite.UsesF() {
 		return stagger{key: key}
 	}
 	return stagger{key: key, h: prf.GetHasher(key)}

@@ -227,12 +227,12 @@ func testSuiteConformance(t *testing.T, kind Kind, sch sse.Scheme, suite prf.Sui
 }
 
 // TestSuiteDefaults pins the one table — Quadratic and Logarithmic-BRC
-// build suite 0, every other kind suite 2 — and that BuildIndex says
+// build suite 0, every other kind suite 3 — and that BuildIndex says
 // what the table says in Meta and in the header. Every other test that
 // needs a kind's default reads defaultSuite or a built index's Meta.
 func TestSuiteDefaults(t *testing.T) {
 	for _, kind := range Kinds() {
-		want := prf.SuiteBlock
+		want := prf.SuiteBlockPad
 		if kind == Quadratic || kind == LogarithmicBRC {
 			want = prf.SuiteSHA512
 		}
@@ -356,7 +356,8 @@ func TestUnknownSuiteIsCorrupt(t *testing.T) {
 	if prf.Suite(prf.NumSuites).Valid() {
 		t.Fatal("prf.NumSuites names an implemented suite")
 	}
-	for _, bad := range []byte{prf.NumSuites, prf.NumSuites + 5, 255} {
+	// Suite 4 is the first unimplemented one.
+	for _, bad := range []byte{4, prf.NumSuites, prf.NumSuites + 5, 255} {
 		blob[12] = bad
 		if _, err := PeekMeta(blob); !errors.Is(err, ErrCorruptIndex) {
 			t.Errorf("PeekMeta with suite byte %d: err %v, want ErrCorruptIndex", bad, err)
@@ -371,17 +372,17 @@ func TestUnknownSuiteIsCorrupt(t *testing.T) {
 
 // goldenSuites lists the suites a kind has golden files for, each file
 // written by the release that made the suite the kind's default: suite
-// 0 for every kind; suites 1 and 2 for the two Constant kinds; suite 2
-// for Logarithmic-URC, -SRC and -SRC-i, which went from 0 straight to 2.
-// -update rewrites only the file of the kind's default suite (tuple
-// ciphertexts are randomized, so a rewrite changes bytes) and should
-// never be needed; older generations are never rewritten.
+// 0 for every kind; suites 1, 2 and 3 for the two Constant kinds; suites
+// 2 and 3 for Logarithmic-URC, -SRC and -SRC-i, which went from 0
+// straight to 2. -update rewrites only the file of the kind's default
+// suite (tuple ciphertexts are randomized, so a rewrite changes bytes)
+// and should never be needed; older generations are never rewritten.
 func goldenSuites(kind Kind) []prf.Suite {
 	switch kind {
 	case ConstantBRC, ConstantURC:
 		return allSuites
 	case LogarithmicURC, LogarithmicSRC, LogarithmicSRCi:
-		return []prf.Suite{prf.SuiteSHA512, prf.SuiteBlock}
+		return []prf.Suite{prf.SuiteSHA512, prf.SuiteBlock, prf.SuiteBlockPad}
 	default:
 		return []prf.Suite{prf.SuiteSHA512}
 	}

@@ -126,16 +126,17 @@ func KindByName(name string) (Kind, error) {
 }
 
 // defaultSuite is the one table of which PRF suite BuildIndex gives a
-// scheme's indexes. Suite 2 is the PRF with no key schedule: one
+// scheme's indexes. Suite 3 is the PRF with no key schedule: one
 // compression per GGM child, per cell label and, on the owner's side,
-// per keyword stag (stag.go). Logarithmic-BRC and Quadratic stay on the
-// paper's suite 0 (ARCHITECTURE, "PRF suites"). The choice is recorded
-// in each index (see wire.go) and read back from there: changing a row
-// only affects indexes built afterwards.
+// per keyword stag (stag.go), with every cell padded from F, so a
+// search that hits runs no AES key schedule either. Logarithmic-BRC and
+// Quadratic stay on the paper's suite 0 (ARCHITECTURE, "PRF suites").
+// The choice is recorded in each index (see wire.go) and read back from
+// there: changing a row only affects indexes built afterwards.
 func defaultSuite(k Kind) prf.Suite {
 	switch k {
 	case ConstantBRC, ConstantURC, LogarithmicURC, LogarithmicSRC, LogarithmicSRCi:
-		return prf.SuiteBlock
+		return prf.SuiteBlockPad
 	default:
 		return prf.SuiteSHA512
 	}

@@ -2,6 +2,7 @@ package cover
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -62,7 +63,7 @@ func PlanBatch(d Domain, ranges []Interval, t Technique) (BatchPlan, error) {
 	for _, r := range ranges {
 		covers = t.appendCover(covers, r.Lo, r.Hi)
 	}
-	return dedup(covers, ranges, t.size), nil
+	return dedup(covers, ranges, t.size, d.keyed()), nil
 }
 
 // PlanBatchSRC is the single-range-cover analogue: every interval maps to
@@ -78,24 +79,64 @@ func PlanBatchSRC(t TDAG, ranges []Interval) (BatchPlan, error) {
 		}
 		covers = append(covers, n)
 	}
-	return dedup(covers, ranges, func(uint64, uint64) int { return 1 }), nil
+	return dedup(covers, ranges, func(uint64, uint64) int { return 1 }, t.D.keyed()), nil
+}
+
+// levelBits is the width of a node's level in its sort key.
+const levelBits = 7
+
+// keyed reports whether every node of d has a sort key (nodeKey): Start
+// shifted past its level fits a non-negative int.
+func (d Domain) keyed() bool { return uint(d.Bits)+levelBits < bits.UintSize }
+
+// nodeKey is n's position in compareNodes' order as one int: Start above
+// the level's levelBits bits. It is only defined on a keyed domain.
+func nodeKey(n Node) int { return int(n.Start<<levelBits | uint64(n.Level)) }
+
+// keyNode inverts nodeKey.
+func keyNode(k int) Node {
+	return Node{Level: uint8(k & (1<<levelBits - 1)), Start: uint64(k) >> levelBits}
 }
 
 // dedup plans covers, the covers of ranges one after another, with as
 // much room again behind them: a batch's union is a sorted, compacted
 // copy in that room, and every cover node's index in it, found by binary
-// search, lands in one array that PerRange windows.
-func dedup(covers []Node, ranges []Interval, size func(lo, hi uint64) int) BatchPlan {
+// search, lands in one array that PerRange windows. On a keyed domain
+// the sort and the searches run on nodeKey's ints, whose compare the
+// compiler inlines, with the union's keys in the first half of the one
+// int array whose second half becomes the indexes; otherwise on
+// compareNodes.
+func dedup(covers []Node, ranges []Interval, size func(lo, hi uint64) int, keyed bool) BatchPlan {
 	p := BatchPlan{Nodes: covers, Total: len(covers)}
 	if len(ranges) == 1 {
 		return p
 	}
-	p.Nodes = append(covers[len(covers):], covers...)
-	slices.SortFunc(p.Nodes, compareNodes)
-	p.Nodes = slices.Clip(slices.Compact(p.Nodes))
-	idx := make([]int, len(covers))
-	for k, n := range covers {
-		idx[k], _ = slices.BinarySearchFunc(p.Nodes, n, compareNodes)
+	var idx []int
+	if keyed {
+		arena := make([]int, 2*len(covers))
+		keys := arena[:len(covers)]
+		idx = arena[len(covers):]
+		for k, n := range covers {
+			idx[k] = nodeKey(n)
+		}
+		copy(keys, idx)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		p.Nodes = covers[len(covers) : len(covers)+len(keys) : len(covers)+len(keys)]
+		for k, key := range keys {
+			p.Nodes[k] = keyNode(key)
+		}
+		for k, key := range idx {
+			idx[k], _ = slices.BinarySearch(keys, key)
+		}
+	} else {
+		p.Nodes = append(covers[len(covers):], covers...)
+		slices.SortFunc(p.Nodes, compareNodes)
+		p.Nodes = slices.Clip(slices.Compact(p.Nodes))
+		idx = make([]int, len(covers))
+		for k, n := range covers {
+			idx[k], _ = slices.BinarySearchFunc(p.Nodes, n, compareNodes)
+		}
 	}
 	p.PerRange = make([][]int, len(ranges))
 	for i, r := range ranges {

@@ -180,3 +180,69 @@ func TestPlanBatchNodesSortedUnique(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupKeysMatchCompare: on a keyed domain dedup sorts and searches
+// nodeKey's ints; the plan is the one compareNodes' sort and search
+// give — the same union in the same order, the same indexes per range —
+// for BRC, URC and SRC batches (SRC's TDAG windows are not aligned) on
+// the 2^16 domain and on 2^56, the widest keyed one. nodeKey is
+// compareNodes' order and keyNode its inverse at the extremes of that
+// domain, and 2^57 is the first domain that falls back to the compare.
+func TestDedupKeysMatchCompare(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(49))
+	for _, bits := range []uint8{16, 56} {
+		d := Domain{Bits: bits}
+		if !d.keyed() {
+			t.Fatalf("2^%d is not keyed", bits)
+		}
+		for range 200 {
+			base := rnd.Uint64() % (d.Size() - 2048)
+			ranges := make([]Interval, 2+rnd.Intn(63))
+			for i := range ranges {
+				w := 1 + rnd.Uint64()%511
+				lo := base + rnd.Uint64()%(2048-w)
+				ranges[i] = Interval{Lo: lo, Hi: lo + w - 1}
+			}
+			for _, tech := range []Technique{BRCTechnique, URCTechnique} {
+				var covers []Node
+				for _, r := range ranges {
+					covers = tech.appendCover(covers, r.Lo, r.Hi)
+				}
+				checkDedupKeys(t, covers, ranges, tech.size)
+			}
+			var covers []Node
+			for _, r := range ranges {
+				n, err := NewTDAG(d).SRC(r.Lo, r.Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				covers = append(covers, n)
+			}
+			checkDedupKeys(t, covers, ranges, func(uint64, uint64) int { return 1 })
+		}
+	}
+	top := Domain{Bits: 56}
+	edge := []Node{{0, 0}, {1, 0}, {0, 1}, {56, 0}, {0, top.Size() - 1}, {55, top.Size() / 2}, {1, top.Size() - 2}}
+	slices.SortFunc(edge, compareNodes)
+	for k, n := range edge {
+		if keyNode(nodeKey(n)) != n {
+			t.Fatalf("keyNode(nodeKey(%v)) = %v", n, keyNode(nodeKey(n)))
+		}
+		if k > 0 && nodeKey(edge[k-1]) >= nodeKey(n) {
+			t.Fatalf("nodeKey(%v) = %d does not follow nodeKey(%v) = %d", n, nodeKey(n), edge[k-1], nodeKey(edge[k-1]))
+		}
+	}
+	if (Domain{Bits: 57}).keyed() || (Domain{Bits: MaxBits}).keyed() {
+		t.Fatal("a domain past 2^56 is keyed: its keys overflow an int")
+	}
+}
+
+func checkDedupKeys(t *testing.T, covers []Node, ranges []Interval, size func(lo, hi uint64) int) {
+	t.Helper()
+	grow := func() []Node { return append(make([]Node, 0, 2*len(covers)), covers...) }
+	keyed, compared := dedup(grow(), ranges, size, true), dedup(grow(), ranges, size, false)
+	if !slices.Equal(keyed.Nodes, compared.Nodes) || keyed.Total != compared.Total ||
+		!slices.EqualFunc(keyed.PerRange, compared.PerRange, slices.Equal) {
+		t.Fatalf("keyed dedup of %d nodes over %d ranges diverges from compareNodes': %d vs %d unique", len(covers), len(ranges), len(keyed.Nodes), len(compared.Nodes))
+	}
+}

@@ -7,10 +7,10 @@
 // it is realized with HMAC-SHA-512, whose 64-byte output is split in half.
 // That is PRF suite 0; under suite 1 (see prf.Suite) G is two
 // HMAC-SHA-256 evaluations under the seed, one per half, and under
-// suite 2 two single SHA-256 compressions, G(s) = F(s,'g',0) ‖ F(s,'g',1)
-// with prf.F. A key carries its suite, and so does the Expander that
-// evaluates its tokens; the token itself — level and GGM value — is the
-// same 33 bytes under every suite.
+// suites 2 and 3 two single SHA-256 compressions, G(s) = F(s,'g',0) ‖
+// F(s,'g',1) with prf.F. A key carries its suite, and so does the
+// Expander that evaluates its tokens; the token itself — level and GGM
+// value — is the same 33 bytes under every suite.
 // The DPRF value of an L-bit domain value a_{L-1}...a_0 under key k is
 //
 //	f_k(a) = G_{a_0}( ... G_{a_{L-1}}(k) ... )

@@ -13,9 +13,10 @@ import (
 )
 
 // The fixed HMAC messages of the GGM PRG: suite 0 splits one 64-byte
-// output, suite 1 evaluates one 32-byte output per half (suite 2's G is
-// prf.F under tag 'g' and has no message of its own). Package-level
-// so writing them to the digest never copies a stack buffer to the heap.
+// output, suite 1 evaluates one 32-byte output per half (the G of suites
+// 2 and 3 is prf.F under tag 'g' and has no message of its own).
+// Package-level so writing them to the digest never copies a stack
+// buffer to the heap.
 var (
 	ggmLabel  = []byte("rsse/ggm")
 	ggmLabel0 = []byte("rsse/ggm/0")
@@ -45,7 +46,8 @@ type Expander struct {
 func NewExpander() *Expander { return NewExpanderSuite(prf.SuiteSHA512) }
 
 // NewExpanderSuite returns a ready Expander for GGM trees of suite s,
-// which must be Valid. Suite 2's G keeps no state between steps.
+// which must be Valid. The G of suites 2 and 3 keeps no state between
+// steps.
 func NewExpanderSuite(s prf.Suite) *Expander {
 	e := &Expander{suite: s}
 	switch s {
@@ -78,8 +80,9 @@ func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
 // g computes G(seed) into (g0, g1). g0 or g1 may alias seed: seed is
 // fully absorbed before either output is written.
 //
-// Suite 2: F(seed,'g',0) and F(seed,'g',1) — two compressions, one
-// prf.F2 call that runs them interleaved and writes g0 and g1 in place.
+// Suites 2 and 3: F(seed,'g',0) and F(seed,'g',1) — two compressions,
+// one prf.F2 call that runs them interleaved and writes g0 and g1 in
+// place.
 //
 // Suite 1: HMAC-SHA-256(seed, "rsse/ggm/0") and HMAC-SHA-256(seed,
 // "rsse/ggm/1") — one key schedule on the Hasher, whose keyed states
@@ -88,12 +91,12 @@ func PutExpander(e *Expander) { expanderPools[e.suite].Put(e) }
 // Suite 0: the two halves of HMAC-SHA-512(seed, "rsse/ggm"), a manual
 // two-pass HMAC over one digest (a Hasher truncates to 32 bytes).
 func (e *Expander) g(seed, g0, g1 *Value) {
-	switch e.suite {
-	case prf.SuiteBlock:
+	if e.suite.UsesF() {
 		k := (*prf.Key)(seed)
 		prf.F2((*[Size]byte)(g0), (*[Size]byte)(g1), k, 'g', 0, k, 'g', 1)
 		return
-	case prf.SuiteSHA256:
+	}
+	if e.suite == prf.SuiteSHA256 {
 		e.h.SetKey(prf.Key(*seed))
 		*g0 = e.h.Eval(ggmLabel0)
 		*g1 = e.h.Eval(ggmLabel1)

@@ -27,13 +27,13 @@ func eachSuite(t *testing.T, f func(t *testing.T, s prf.Suite)) {
 
 // refStepSuite is the GGM PRG straight from the spec, on fresh
 // crypto/hmac instances — suite 0 one half of HMAC-SHA-512(seed,
-// "rsse/ggm"), suite 1 HMAC-SHA-256(seed, "rsse/ggm/<bit>"), suite 2
-// plain SHA-256(seed ‖ 'g' ‖ BE64(bit)) — the oracle the Expander's g
-// must match bit for bit.
+// "rsse/ggm"), suite 1 HMAC-SHA-256(seed, "rsse/ggm/<bit>"), suites 2
+// and 3 plain SHA-256(seed ‖ 'g' ‖ BE64(bit)) — the oracle the
+// Expander's g must match bit for bit.
 func refStepSuite(s prf.Suite, seed Value, bit uint64) Value {
 	var v Value
 	switch s {
-	case prf.SuiteBlock:
+	case prf.SuiteBlock, prf.SuiteBlockPad:
 		return sha256.Sum256(binary.BigEndian.AppendUint64(append(seed[:len(seed):len(seed)], 'g'), bit))
 	case prf.SuiteSHA256:
 		mac := hmac.New(sha256.New, seed[:])

@@ -29,13 +29,14 @@ type suiteHash struct {
 	block, cv int
 }
 
-// suiteHashes has a row per suite. Suite 2 differs from suite 1 only in
-// its fixed-length PRF, F, which is all an index evaluates under it; its
-// Hasher is suite 1's.
+// suiteHashes has a row per suite. Suites 2 and 3 differ from suite 1
+// only in their fixed-length PRF, F, which is all an index evaluates
+// under them; their Hasher is suite 1's.
 var suiteHashes = [NumSuites]suiteHash{
-	SuiteSHA512: {sha512.New, sha512.BlockSize, sha512.Size},
-	SuiteSHA256: {sha256.New, sha256.BlockSize, sha256.Size},
-	SuiteBlock:  {sha256.New, sha256.BlockSize, sha256.Size},
+	SuiteSHA512:   {sha512.New, sha512.BlockSize, sha512.Size},
+	SuiteSHA256:   {sha256.New, sha256.BlockSize, sha256.Size},
+	SuiteBlock:    {sha256.New, sha256.BlockSize, sha256.Size},
+	SuiteBlockPad: {sha256.New, sha256.BlockSize, sha256.Size},
 }
 
 // stateCV is where the chaining value sits in a stdlib SHA-2 digest's

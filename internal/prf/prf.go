@@ -13,12 +13,13 @@
 // with CPUID) F is that one compression in Go assembly, fed the key and
 // the message words directly, and F2 runs two of them interleaved for
 // the GGM step; every other machine computes F as sha256.Sum256 of the
-// 41-byte message on the stack. The package-level functions and
-// NewHasher/GetHasher are suite 0, which is what the owner's key
-// derivation (master key to purpose keys) always uses. An index records
-// the suite its own PRFs were built with (see Suite), and the owner's
-// keyword stags follow it: F for an index of suite 2, the suite-0 HMAC
-// for one of suite 0 or 1.
+// 41-byte message on the stack. Suite 3 is suite 2 with its index cells
+// padded from F instead of AES-CTR (package sse); Suite.UsesF is true of
+// both. The package-level functions and NewHasher/GetHasher are suite 0,
+// which is what the owner's key derivation (master key to purpose keys)
+// always uses. An index records the suite its own PRFs were built with
+// (see Suite), and the owner's keyword stags follow it: F for an index
+// of suite 2 or 3, the suite-0 HMAC for one of suite 0 or 1.
 package prf
 
 import (
@@ -56,14 +57,22 @@ const (
 	// a use tag and a counter. It has no key schedule, so a key used once
 	// — a GGM seed, the stag of an empty leaf — costs one compression.
 	SuiteBlock Suite = 2
+	// SuiteBlockPad is SuiteBlock in every PRF — labels, keys, GGM steps,
+	// keyword stags — with the index's cells padded from F instead of
+	// encrypted under AES-CTR, so a search hit runs no AES key schedule.
+	SuiteBlockPad Suite = 3
 
 	// NumSuites sizes every per-suite table, here and where state is
 	// pooled per suite.
-	NumSuites = 3
+	NumSuites = 4
 )
 
 // Valid reports whether s names a suite this build implements.
 func (s Suite) Valid() bool { return s < NumSuites }
+
+// UsesF reports whether s's labels and keys come from F: suites 2 and
+// 3, which differ only in how an index pads its cells.
+func (s Suite) UsesF() bool { return s == SuiteBlock || s == SuiteBlockPad }
 
 // Suites lists every suite this build implements, in order.
 func Suites() []Suite {
@@ -143,6 +152,8 @@ func (s Suite) String() string {
 		return "hmac-sha256"
 	case SuiteBlock:
 		return "sha256-block"
+	case SuiteBlockPad:
+		return "sha256-block-pad"
 	default:
 		return fmt.Sprintf("Suite(%d)", uint8(s))
 	}

@@ -13,11 +13,19 @@ import (
 var testSuites = prf.Suites()
 
 // usesStagCache reports whether searches under suite run through the
-// derived-state cache: all but suite 2's, which has nothing to cache.
-func usesStagCache(suite prf.Suite) bool { return suite != prf.SuiteBlock }
+// derived-state cache: all but the F suites', which have nothing to
+// cache.
+func usesStagCache(suite prf.Suite) bool { return !suite.UsesF() }
 
-// otherSuite is some suite that is not s.
-func otherSuite(s prf.Suite) prf.Suite { return (s + 1) % prf.NumSuites }
+// otherSuite is a suite whose labels are not s's. Suites 2 and 3 share
+// their labels (they differ only in cell encryption), so neither is the
+// other's.
+func otherSuite(s prf.Suite) prf.Suite {
+	if s.UsesF() {
+		return prf.SuiteSHA512
+	}
+	return s + 1
+}
 
 func eachSuite(t *testing.T, f func(t *testing.T, suite prf.Suite)) {
 	for _, s := range testSuites {
@@ -105,8 +113,8 @@ func BenchmarkSearch100IDs(b *testing.B) {
 // BenchmarkSearchColdStags is the miss path on its own: every search is
 // of a stag the cache has never seen — the Constant schemes' leaves, an
 // LSM epoch's foreign tokens — with an empty list (nothing but the
-// location key, one label and one missing probe — under suite 2 the
-// label alone) or a one-cell list (plus the lazy cell key, one decrypt
+// location key, one label and one missing probe — under F the label
+// alone) or a one-cell list (plus the lazy cell key, one decrypt
 // and the result), under each PRF suite. Run with -benchmem: the empty
 // case must report 0 allocs/op.
 func BenchmarkSearchColdStags(b *testing.B) {
@@ -159,11 +167,18 @@ func benchSearchColdStags(b *testing.B, suite prf.Suite) {
 // BenchmarkSearchStags is one batch_cluster shard request at the sse
 // layer: 85 stags with lists of about seven cells, searched as one
 // request on the sorted engine, a Logarithmic-URC shard's basic
-// dictionary of ≈170,000 cells under suite 2, the stags drawn afresh
-// each request so their cells are not the last request's. ns/op is per
-// request; allocs/op is one AES key schedule per stag that hits (suite 2
-// caches none) plus the one array the groups share.
+// dictionary of ≈170,000 cells under suites 2 and 3, the stags drawn
+// afresh each request so their cells are not the last request's. ns/op
+// is per request; allocs/op is the one array the groups share, plus
+// under suite 2 one AES key schedule per stag that hits (it caches
+// none).
 func BenchmarkSearchStags(b *testing.B) {
+	for _, suite := range []prf.Suite{prf.SuiteBlock, prf.SuiteBlockPad} {
+		b.Run(suite.String(), func(b *testing.B) { benchSearchStags(b, suite) })
+	}
+}
+
+func benchSearchStags(b *testing.B, suite prf.Suite) {
 	const lists, perList, perRequest = 24000, 7, 85
 	rnd := mrand.New(mrand.NewSource(9))
 	entries := make([]Entry, lists)
@@ -176,7 +191,7 @@ func BenchmarkSearchStags(b *testing.B) {
 		}
 		entries[i] = EntryFromIDs(entries[i].Stag, ids)
 	}
-	idx, err := Basic{}.Build(entries, 8, mrand.New(mrand.NewSource(10)), storage.Sorted{}, prf.SuiteBlock)
+	idx, err := Basic{}.Build(entries, 8, mrand.New(mrand.NewSource(10)), storage.Sorted{}, suite)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,7 +22,9 @@ import (
 //     cells laid out in one backing array.
 //  2. Seal (parallel): everything derived from a stag — its working keys,
 //     cell labels, TSet bucket indexes, and the cell ciphertexts, each
-//     encrypted in place — on sealEach's workers, one stag at a time.
+//     encrypted in place (under suite 3 padded from F, with the spare
+//     halves of the label outputs) — on sealEach's workers, one stag at
+//     a time.
 //  3. Place (serial): the builder Puts, in the order the plan fixed, then
 //     Seal.
 //
@@ -94,17 +96,17 @@ func sealEach(suite prf.Suite, n int, fn func(s *stagSealer, i int)) {
 
 // sealDictionary seals and places a dictionary in which keyword e owns
 // the plaintext cells [off[e], off[e+1]) of cells, each cellLen bytes
-// long: its j-th cell is encrypted under counter j and stored at its
+// long: its j-th cell is encrypted as cell number j and stored at its
 // j-th label. Basic and Packed are such dictionaries.
 func sealDictionary(entries []Entry, off []int, cells []byte, cellLen int, eng storage.Engine, suite prf.Suite) (storage.Backend, error) {
 	n := off[len(entries)]
-	labels := make([][LabelSize]byte, n)
+	labels, spares := make([][LabelSize]byte, n), labelSpares(suite, n)
 	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
 		lo, hi := off[e], off[e+1]
-		sl.useCellKey(sl.key(entries[e].Stag))
-		sl.labels(labels[lo:hi])
+		sl.useCellKey(entries[e].Stag, sl.key(entries[e].Stag))
+		sl.labels(labels[lo:hi], spares.of(lo, hi))
 		for j := lo; j < hi; j++ {
-			sl.seal(uint64(j-lo), cells[j*cellLen:(j+1)*cellLen])
+			sl.seal(uint64(j-lo), cells[j*cellLen:(j+1)*cellLen], spares.at(j))
 		}
 	})
 	b := cellBuilder(eng, n)
@@ -120,10 +122,39 @@ func sealDictionary(entries []Entry, off []int, cells []byte, cellLen int, eng s
 	return sealed, nil
 }
 
+// spares holds, under suite 3, the spare half of each cell label's PRF
+// output — the first bytes of that cell's pad (cellPad) — index for
+// index beside a build's label array; it is nil under every other suite.
+type spares [][LabelSize]byte
+
+func labelSpares(suite prf.Suite, n int) spares {
+	if suite != prf.SuiteBlockPad {
+		return nil
+	}
+	return make(spares, n)
+}
+
+// of is the window [lo, hi), or nil.
+func (sp spares) of(lo, hi int) spares {
+	if sp == nil {
+		return nil
+	}
+	return sp[lo:hi]
+}
+
+// at is cell i's spare half, or nil.
+func (sp spares) at(i int) []byte {
+	if sp == nil {
+		return nil
+	}
+	return sp[i][:]
+}
+
 // stagSealer derives a stag's build-side values: its cell labels, TSet's
 // bucket indexes and its cell ciphertexts. key runs the stag's key
 // schedule once; every label, bucket index and cell after it reuses the
-// keyed hashers and one AES key schedule.
+// keyed hashers and one AES key schedule, or under suite 3 the stag's
+// cellPad.
 type stagSealer struct {
 	suite   prf.Suite
 	stag    Stag
@@ -132,11 +163,12 @@ type stagSealer struct {
 	hb      *prf.Hasher // suites 0, 1: keyed to the stag's salted bucket key
 	blk     cipher.Block
 	ctr, ks [aes.BlockSize]byte
+	pad     cellPad // suite 3
 }
 
 func newStagSealer(suite prf.Suite) *stagSealer {
 	s := &stagSealer{suite: suite}
-	if suite != prf.SuiteBlock {
+	if !suite.UsesF() {
 		s.hk = prf.GetHasherSuite(suite, prf.Key{})
 		s.hl = prf.GetHasherSuite(suite, prf.Key{})
 		s.hb = prf.GetHasherSuite(suite, prf.Key{})
@@ -152,24 +184,28 @@ func (s *stagSealer) release() {
 	}
 }
 
-// key points s at stag and returns the stag's cell key. Under suites 0
-// and 1 it keys the label hasher to the stag's location key and leaves
-// hk keyed to the stag for buckets.
+// key points s at stag and returns the stag's AES cell key (zero under
+// suite 3). Under suites 0 and 1 it keys the label hasher to the stag's
+// location key and leaves hk keyed to the stag for buckets.
 func (s *stagSealer) key(stag Stag) secenc.Key {
 	s.stag = stag
 	keys := deriveStagKeys(s.suite, s.hk, stag)
-	if s.suite != prf.SuiteBlock {
+	if !s.suite.UsesF() {
 		s.hl.SetKey(keys.loc)
 	}
 	return keys.enc
 }
 
 // labels sets dst[i] to the stag's i-th cell label: the PRF under its
-// location key — under suite 2 F(stag,'l',i) — truncated to LabelSize:
-// the labels search probes.
-func (s *stagSealer) labels(dst [][LabelSize]byte) {
+// location key — under F F(stag,'l',i) — truncated to LabelSize: the
+// labels search probes. spare, non-nil under suite 3 only, gets each
+// output's other half.
+func (s *stagSealer) labels(dst [][LabelSize]byte, spare spares) {
 	s.stream(s.hl, prf.Key(s.stag), 'l', len(dst), func(i int, v [prf.KeySize]byte) {
 		copy(dst[i][:], v[:LabelSize])
+		if spare != nil {
+			copy(spare[i][:], v[LabelSize:])
+		}
 	})
 }
 
@@ -178,7 +214,7 @@ func (s *stagSealer) labels(dst [][LabelSize]byte) {
 // eight bytes mod n.
 func (s *stagSealer) buckets(salt uint64, n int, dst []int) {
 	bkt := bucketKey(s.suite, s.hk, s.stag, salt)
-	if s.suite != prf.SuiteBlock {
+	if !s.suite.UsesF() {
 		s.hb.SetKey(bkt)
 	}
 	s.stream(s.hb, bkt, 'b', len(dst), func(i int, v [prf.KeySize]byte) {
@@ -187,10 +223,10 @@ func (s *stagSealer) buckets(salt uint64, n int, dst []int) {
 }
 
 // stream calls emit(i, PRF(i)) for i in [0, n): under suites 0 and 1 the
-// evaluation of h, keyed for one purpose, at BE64(i); under suite 2
-// F(k, tag, i), two compressions at a time.
+// evaluation of h, keyed for one purpose, at BE64(i); under F F(k, tag,
+// i), two compressions at a time.
 func (s *stagSealer) stream(h *prf.Hasher, k prf.Key, tag byte, n int, emit func(i int, v [prf.KeySize]byte)) {
-	if s.suite != prf.SuiteBlock {
+	if !s.suite.UsesF() {
 		for i := range n {
 			emit(i, h.EvalUint64(uint64(i)))
 		}
@@ -208,15 +244,30 @@ func (s *stagSealer) stream(h *prf.Hasher, k prf.Key, tag byte, n int, emit func
 	}
 }
 
-// useCellKey schedules AES under enc, the stag's cell key: once per
-// stag, for all of its cells.
-func (s *stagSealer) useCellKey(enc secenc.Key) { s.blk = secenc.NewBlock(enc) }
+// useCellKey points seal at stag's cells: under suites 0–2 one AES key
+// schedule under enc, the stag's cell key, for all of its cells; under
+// suite 3 nothing, as k_cell waits for the first pad byte a label's
+// spare half does not cover.
+func (s *stagSealer) useCellKey(stag Stag, enc secenc.Key) {
+	if s.suite == prf.SuiteBlockPad {
+		s.stag = stag
+		s.pad.reset()
+		return
+	}
+	s.blk = secenc.NewBlock(enc)
+}
 
-// seal encrypts cell in place with AES-CTR under the cell key and the
-// nonce secenc.NonceFromUint64(ctr); ctr is unique per (stag, cell) by
-// construction, and search decrypts with the same nonce.
-func (s *stagSealer) seal(ctr uint64, cell []byte) {
-	s.ctr = secenc.NonceFromUint64(ctr)
+// seal encrypts cell number n of the stag in place: with AES-CTR under
+// the cell key and the nonce secenc.NonceFromUint64(n), or under suite 3
+// with the cell's pad, of which spare is the first half-label (nil for
+// a cell without a label). n is unique per (stag, cell) by
+// construction, and search decrypts with the same number.
+func (s *stagSealer) seal(n uint64, cell, spare []byte) {
+	if s.suite == prf.SuiteBlockPad {
+		s.pad.xor(&s.stag, n, spare, cell, cell)
+		return
+	}
+	s.ctr = secenc.NonceFromUint64(n)
 	secenc.XORKeyStreamBlock(s.blk, &s.ctr, &s.ks, cell, cell)
 }
 

@@ -17,8 +17,8 @@ import (
 // R leaf stags a GGM token expands to is by the scheme's own rule looked
 // up once and never again, and most tokens of a query over an LSM store
 // address epochs in which their keyword has no postings. (Where the
-// derivation is itself one compression — PRF suite 2 — there is nothing
-// to amortise and cellSearcher.start bypasses all of this.)
+// derivation is itself one compression — PRF suites 2 and 3 — there is
+// nothing to amortise and cellSearcher.start bypasses all of this.)
 //
 // Admission — second sight. A fixed fingerprint array beside the cache
 // (the doorkeeper) remembers, per slot, the last stag that missed there.

@@ -47,8 +47,8 @@ func TestStagCacheAdmission(t *testing.T) {
 	}
 }
 
-// TestBlockSuiteBypassesStagCache: a suite-2 search has no derived state
-// worth keeping, so it neither reads nor writes the cache, the
+// TestBlockSuiteBypassesStagCache: a search under suite 2 or 3 has no
+// derived state worth keeping, so it neither reads nor writes the cache, the
 // doorkeeper or their counters. Both tables are poisoned first — the
 // stag's slot holds an entry that names this stag and suite with labels
 // no PRF produced, and the doorkeeper already holds its fingerprint — so
@@ -56,7 +56,12 @@ func TestStagCacheAdmission(t *testing.T) {
 // admit; afterwards slot, fingerprint and counters are what they were,
 // on every construction, for an absent stag and a present one.
 func TestBlockSuiteBypassesStagCache(t *testing.T) {
-	const suite = prf.SuiteBlock
+	for _, suite := range []prf.Suite{prf.SuiteBlock, prf.SuiteBlockPad} {
+		t.Run(suite.String(), func(t *testing.T) { testBlockSuiteBypassesStagCache(t, suite) })
+	}
+}
+
+func testBlockSuiteBypassesStagCache(t *testing.T, suite prf.Suite) {
 	a, c := collidingStags(51)
 	var absent Stag
 	absent[1], absent[8] = 0xAB, 2
@@ -86,12 +91,12 @@ func TestBlockSuiteBypassesStagCache(t *testing.T) {
 		for stag, e := range poison {
 			i := stagCacheIndex(&stag)
 			if stagCache[i].Load() != e || stagSeen[i].Load() != stagFingerprint(&stag) {
-				t.Errorf("%s: a suite-2 search wrote the cache slot or the doorkeeper", sch.Name())
+				t.Errorf("%s: a %v search wrote the cache slot or the doorkeeper", sch.Name(), suite)
 			}
 		}
 		hits, misses := KernelCacheStats()
 		if adm := KernelCacheAdmissions(); hits != 0 || misses != 0 || adm != 0 {
-			t.Errorf("%s: suite-2 searches moved the counters: %d hits, %d misses, %d admissions", sch.Name(), hits, misses, adm)
+			t.Errorf("%s: %v searches moved the counters: %d hits, %d misses, %d admissions", sch.Name(), suite, hits, misses, adm)
 		}
 	}
 	ResetKernelCache()

@@ -16,7 +16,7 @@ import (
 // pass of the lockstep lanes below: up to `lanes` stags are walked side
 // by side, each lane one stag's walk of labels 0, 1, … to its first
 // miss (2lev's walk is its label-0 probe). A step derives the next label
-// of every walking lane — under suite 2 two at a time with prf.F2 — and
+// of every walking lane — under F two at a time with prf.F2 — and
 // probes them all with one storage.Backend.GetMany, so the dictionary
 // misses of different stags are in flight together; a lane whose walk
 // ends takes the request's next stag. The lanes change only the
@@ -25,10 +25,13 @@ import (
 // miss.
 //
 // Per request a search costs one pooled lane-set checkout and, if
-// anything was found, the one array the groups share; per stag, only if
-// a probe hits and no cache entry holds its cell cipher, one AES key
-// schedule, and arena chunks for the plaintexts. Everything per cell — label derivation, dictionary probe,
-// CTR decryption, gathering the item — reuses the lanes' scratch.
+// anything was found, the one array the groups share, plus arena chunks
+// for the plaintexts; under suites 0–2, per stag whose probe hits and
+// for which no cache entry holds the cell cipher, one AES key schedule.
+// Suite 3 has none: a cell's pad starts with the spare half of the label
+// output the step already computed (cellPad), so a hit costs what a miss
+// does. Everything per cell — label derivation, dictionary probe,
+// decryption, gathering the item — reuses the lanes' scratch.
 
 // lanes is how many stag walks a search runs side by side. On
 // BenchmarkSearchStags (one batch_cluster shard request, 85 stags)
@@ -54,10 +57,12 @@ type cellSearcher struct {
 	blk   cipher.Block // AES under the stag's cell key; nil until a probe hits (see decrypt)
 	nonce [aes.BlockSize]byte
 	ks    [aes.BlockSize]byte
-	lab   [LabelSize]byte // label buffer: a field so it outlives the call that returns it
-	chunk []byte          // free region of the current arena chunk
-	slots []uint64        // twolevel pointer scratch
-	out   [][]byte        // the walk's items, gathered before the lane set collects them
+	lab   [LabelSize]byte   // suites 0, 1: label buffer, a field so it outlives the call that returns it
+	full  [prf.KeySize]byte // F suites: the last label's whole output; its spare half pads that cell under suite 3
+	pad   cellPad           // suite 3
+	chunk []byte            // free region of the current arena chunk
+	slots []uint64          // twolevel pointer scratch
+	out   [][]byte          // the walk's items, gathered before the lane set collects them
 
 	at  int    // the request's index of the stag this lane walks
 	ctr uint64 // the counter of the walk's next probe
@@ -92,13 +97,14 @@ const cachedLabels = 8
 // has missed on its slot before; only then does finish publish the
 // state (see kernel.go).
 //
-// Suite 2 has no key schedule to amortise — a label is one compression
-// of the stag — so its walks neither consult nor populate the cache or
-// the doorkeeper, and are not counted in its statistics.
+// Suites 2 and 3 have no key schedule to amortise — a label is one
+// compression of the stag — so their walks neither consult nor populate
+// the cache or the doorkeeper, and are not counted in its statistics.
 func (s *cellSearcher) start(stag Stag) {
 	s.firstN = 0
 	s.stag = stag
-	if s.suite == prf.SuiteBlock {
+	if s.suite.UsesF() {
+		s.pad.reset()
 		return
 	}
 	if s.h == nil {
@@ -179,17 +185,17 @@ func (s *cellSearcher) finish() {
 // label computes the i-th cell label under the stag's location key.
 // The returned slice is valid until the next label call.
 //
-// Suite 2 labels straight from the stag: F(stag,'l',i).
-// Otherwise a warm entry answers its first labN labels from the cache; every
-// other label costs exactly one PRF evaluation, made when it is probed,
-// so a walk of an L-cell list evaluates at most L+1 labels. Walks probe
-// consecutive i from zero, which is what makes the run of first labels
-// recorded for publication contiguous.
+// Suites 2 and 3 label straight from the stag: F(stag,'l',i), whose
+// whole output stays in s.full. Otherwise a warm entry answers its first
+// labN labels from the cache; every other label costs exactly one PRF
+// evaluation, made when it is probed, so a walk of an L-cell list
+// evaluates at most L+1 labels. Walks probe consecutive i from zero,
+// which is what makes the run of first labels recorded for publication
+// contiguous.
 func (s *cellSearcher) label(i uint64) []byte {
-	if s.suite == prf.SuiteBlock {
-		full := prf.F(prf.Key(s.stag), 'l', i)
-		copy(s.lab[:], full[:LabelSize])
-		return s.lab[:]
+	if s.suite.UsesF() {
+		s.full = prf.F(prf.Key(s.stag), 'l', i)
+		return s.full[:LabelSize]
 	}
 	if e := s.ent; e != nil && i < uint64(e.labN) {
 		s.lab = e.labs[i]
@@ -214,13 +220,26 @@ func (s *cellSearcher) alloc(n int) []byte {
 	return p
 }
 
-// decrypt CTR-decrypts the cell encrypted under counter ctr into a
-// fresh arena region: secenc.XORKeyStreamBlock from
+// decrypt decrypts the cell the walk just found at label ctr, cell
+// number ctr, into a fresh arena region: under suite 3 by XOR with its
+// pad, which starts with the spare half of s.full, that label's output;
+// otherwise with secenc.XORKeyStreamBlock from
 // secenc.NonceFromUint64(ctr), on the searcher's cached cell cipher and
 // scratch.
 func (s *cellSearcher) decrypt(ctr uint64, src []byte) []byte {
+	return s.decryptCell(ctr, src, s.full[LabelSize:])
+}
+
+// decryptCell decrypts cell number n of the stag, whose suite-3 pad
+// starts with spare: nil for a cell without a label of its own (2lev's
+// array blocks), whose whole pad comes from k_cell.
+func (s *cellSearcher) decryptCell(n uint64, src, spare []byte) []byte {
 	dst := s.alloc(len(src))
-	s.nonce = secenc.NonceFromUint64(ctr)
+	if s.suite == prf.SuiteBlockPad {
+		s.pad.xor(&s.stag, n, spare, dst, src)
+		return dst
+	}
+	s.nonce = secenc.NonceFromUint64(n)
 	secenc.XORKeyStreamBlock(s.cellCipher(), &s.nonce, &s.ks, dst, src)
 	return dst
 }
@@ -241,11 +260,10 @@ type laneSet struct {
 	s     [lanes]cellSearcher
 	act   [lanes]*cellSearcher // the n walking lanes, in step order
 	n     int
-	keys  [lanes][]byte            // this step's labels, act order
-	vals  [lanes][]byte            // their cells, nil for a miss
-	full  [lanes][prf.KeySize]byte // suite 2: the labels' full PRF outputs
-	log   [][]byte                 // ended walks' items, in the order the walks ended
-	spans []span                   // per stag of the request: its items in log
+	keys  [lanes][]byte // this step's labels, act order
+	vals  [lanes][]byte // their cells, nil for a miss
+	log   [][]byte      // ended walks' items, in the order the walks ended
+	spans []span        // per stag of the request: its items in log
 }
 
 // span is a half-open range of laneSet.log.
@@ -341,11 +359,11 @@ func (ls *laneSet) walk(cells storage.Backend, r cellReader, stags []Stag) error
 }
 
 // label derives the next label of every walking lane into keys: under
-// suite 2 two lanes per prf.F2, otherwise through each lane's label and
-// so the derived-state cache.
+// F two lanes per prf.F2, each output into its lane's full, otherwise
+// through each lane's label and so the derived-state cache.
 func (ls *laneSet) label() {
 	act := ls.act[:ls.n]
-	if ls.suite != prf.SuiteBlock {
+	if !ls.suite.UsesF() {
 		for j, s := range act {
 			ls.keys[j] = s.label(s.ctr)
 		}
@@ -354,13 +372,13 @@ func (ls *laneSet) label() {
 	j := 0
 	for ; j+1 < len(act); j += 2 {
 		a, b := act[j], act[j+1]
-		prf.F2(&ls.full[j], &ls.full[j+1], (*prf.Key)(&a.stag), 'l', a.ctr, (*prf.Key)(&b.stag), 'l', b.ctr)
+		prf.F2(&a.full, &b.full, (*prf.Key)(&a.stag), 'l', a.ctr, (*prf.Key)(&b.stag), 'l', b.ctr)
 	}
 	if j < len(act) {
-		ls.full[j] = prf.F(prf.Key(act[j].stag), 'l', act[j].ctr)
+		act[j].label(act[j].ctr)
 	}
-	for j := range act {
-		ls.keys[j] = ls.full[j][:LabelSize]
+	for j, s := range act {
+		ls.keys[j] = s.full[:LabelSize]
 	}
 }
 

@@ -16,11 +16,11 @@ import (
 // cellLabel is the definition of the i-th cell label of a keyword, which
 // the build's label stream and search's probes are both pinned to: the
 // suite's PRF under the stag's location key at the 8-byte big-endian
-// encoding of i — under suite 2 F(stag,'l',i), the stag itself being
-// the location key — truncated to LabelSize.
+// encoding of i — under suites 2 and 3 F(stag,'l',i), the stag itself
+// being the location key — truncated to LabelSize.
 func cellLabel(suite prf.Suite, loc prf.Key, i uint64) (l [LabelSize]byte) {
 	var full [prf.KeySize]byte
-	if suite == prf.SuiteBlock {
+	if suite.UsesF() {
 		full = prf.F(loc, 'l', i)
 	} else {
 		full = prf.NewHasherSuite(suite, loc).EvalUint64(i)
@@ -29,9 +29,37 @@ func cellLabel(suite prf.Suite, loc prf.Key, i uint64) (l [LabelSize]byte) {
 	return l
 }
 
+// refPad is suite 3's pad for cell number n of stag, spelled out from
+// its definition (cellPad): the spare half of the label output
+// F(stag,'l',n) if the cell has a label, then F(k_cell,'p',n<<32|b) for
+// b = 0, 1, … under k_cell = F(stag,'e',0).
+func refPad(stag Stag, n uint64, labelled bool, length int) []byte {
+	var pad []byte
+	if labelled {
+		l := prf.F(prf.Key(stag), 'l', n)
+		pad = append(pad, l[LabelSize:]...)
+	}
+	kc := prf.F(prf.Key(stag), 'e', 0)
+	for b := uint64(0); len(pad) < length; b++ {
+		v := prf.F(kc, 'p', n<<32|b)
+		pad = append(pad, v[:]...)
+	}
+	return pad[:length]
+}
+
+func xorBytes(a, b []byte) []byte {
+	out := make([]byte, len(a))
+	for i := range out {
+		out[i] = a[i] ^ b[i]
+	}
+	return out
+}
+
 // TestSearcherDecryptMatchesStdlibCTR pins the manual counter walk to
 // the stdlib CTR stream for every cell shape the constructions produce:
-// sub-block, exact-block and multi-block cells, across many counters.
+// sub-block, exact-block and multi-block cells, across many counters —
+// and under suite 3, where no cell is AES-encrypted, the pad walk of a
+// labelled and an unlabelled cell to refPad.
 func TestSearcherDecryptMatchesStdlibCTR(t *testing.T) {
 	eachSuite(t, testSearcherDecryptMatchesStdlibCTR)
 }
@@ -40,14 +68,26 @@ func testSearcherDecryptMatchesStdlibCTR(t *testing.T, suite prf.Suite) {
 	rnd := mrand.New(mrand.NewSource(5))
 	var stag Stag
 	rnd.Read(stag[:])
-	for _, n := range []int{1, 8, 15, 16, 17, 32, 129, 4096} {
+	for _, n := range []int{1, 8, 15, 16, 17, 32, 48, 49, 129, 4096} {
 		src := make([]byte, n)
 		rnd.Read(src)
 		for _, ctr := range []uint64{0, 1, 255, 1 << 32, ^uint64(0)} {
 			s := cellSearcher{suite: suite}
 			s.start(stag)
+			s.label(ctr)
 			got := s.decrypt(ctr, src)
+			unlabelled := s.decryptCell(ctr, src, nil)
 			s.finish()
+			if suite == prf.SuiteBlockPad {
+				if !bytes.Equal(got, xorBytes(src, refPad(stag, ctr, true, n))) ||
+					!bytes.Equal(unlabelled, xorBytes(src, refPad(stag, ctr, false, n))) {
+					t.Fatalf("n=%d ctr=%d: pad walk diverges from refPad", n, ctr)
+				}
+				continue
+			}
+			if !bytes.Equal(got, unlabelled) {
+				t.Fatalf("n=%d ctr=%d: an AES cell decrypts differently without a label", n, ctr)
+			}
 			// Reference: the searcher's enc key is Derive(stag, "sse/enc")
 			// truncated, exactly deriveStagKeys'.
 			keys := deriveStagKeys(suite, prf.NewHasherSuite(suite, prf.Key{}), stag)
@@ -315,7 +355,9 @@ func testSearchAllocsPerCell(t *testing.T, suite prf.Suite) {
 // TSet's bucket key the KDF's sse/bkt/salt. Suite 2 derives the same
 // roles with F under its four tags and no location key: labels are
 // F(stag,'l',i), the cell key F(stag,'e',0), TSet's bucket key
-// F(stag,'b',salt) and bucket index F(bkt,'b',i).
+// F(stag,'b',salt) and bucket index F(bkt,'b',i). Suite 3 is suite 2
+// with no AES cell key; the label stream's spare halves, the first pad
+// bytes of its cells, are the other half of each label output.
 func TestDeriveStagKeysMatchKDF(t *testing.T) {
 	eachSuite(t, testDeriveStagKeysMatchKDF)
 }
@@ -331,9 +373,12 @@ func testDeriveStagKeysMatchKDF(t *testing.T, suite prf.Suite) {
 		salt := uint64(i)
 		var enc, loc, bkt prf.Key
 		prfAt := func(k prf.Key, tag byte, x uint64) [prf.KeySize]byte { return prf.F(k, tag, x) }
-		if suite == prf.SuiteBlock {
+		switch {
+		case suite == prf.SuiteBlockPad: // no AES cell key
+			loc, bkt = prf.Key(stag), prf.F(prf.Key(stag), 'b', salt)
+		case suite.UsesF():
 			enc, loc, bkt = prf.F(prf.Key(stag), 'e', 0), prf.Key(stag), prf.F(prf.Key(stag), 'b', salt)
-		} else {
+		default:
 			h := prf.NewHasherSuite(suite, prf.Key(stag))
 			enc, loc, bkt = h.Derive("sse/enc"), h.Derive("sse/loc"), h.DeriveN("sse/bkt", salt)
 			prfAt = func(k prf.Key, _ byte, x uint64) [prf.KeySize]byte { return prf.NewHasherSuite(suite, k).EvalUint64(x) }
@@ -349,14 +394,17 @@ func testDeriveStagKeysMatchKDF(t *testing.T, suite prf.Suite) {
 		if got := sl.key(stag); got != keys.enc {
 			t.Fatalf("stag %d: the sealer's cell key diverges from deriveStagKeys", i)
 		}
-		var labels [records][LabelSize]byte
-		sl.labels(labels[:])
+		var labels, spare [records][LabelSize]byte
+		sl.labels(labels[:], spare[:])
 		bkts := make([]int, records)
 		sl.buckets(salt, buckets, bkts)
 		for j := range uint64(records) {
 			want := prfAt(loc, 'l', j)
 			if search := cellLabel(suite, loc, j); !bytes.Equal(labels[j][:], want[:LabelSize]) || search != labels[j] {
 				t.Fatalf("stag %d: label %d diverges from the PRF or from cellLabel", i, j)
+			}
+			if !bytes.Equal(spare[j][:], want[LabelSize:]) {
+				t.Fatalf("stag %d: label %d's spare half diverges from the PRF", i, j)
 			}
 			v := prfAt(bkt, 'b', j)
 			if want := int(binary.BigEndian.Uint64(v[:8]) % buckets); bkts[j] != want {

@@ -36,6 +36,7 @@ package sse
 
 import (
 	"crypto/rand"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -192,31 +193,35 @@ func checkEntries(entries []Entry, width int) (int, error) {
 // Per-stag working keys. Everything a construction needs is derived from
 // the stag itself, so search requires no additional secrets.
 type stagKeys struct {
-	loc prf.Key    // label derivation; under suite 2 the stag itself
-	enc secenc.Key // cell encryption
+	loc prf.Key    // label derivation; under F the stag itself
+	enc secenc.Key // AES cell key; zero under suite 3, which pads cells from F
 }
 
 // deriveStagKeys keys h to the stag — one key schedule for all of the
 // stag's derivations, under h's suite — and derives the two working keys
 // every construction uses. h stays keyed to the stag, so TSet derives its
-// salted bucket key (which only it reads) with one more pass. Suite 2
-// has no location key: labels are F of the stag itself, and h is not
-// touched.
+// salted bucket key (which only it reads) with one more pass. Suites 2
+// and 3 have no location key: labels are F of the stag itself, and h is
+// not touched.
 func deriveStagKeys(suite prf.Suite, h *prf.Hasher, stag Stag) stagKeys {
-	if suite == prf.SuiteBlock {
+	if suite.UsesF() {
 		return stagKeys{loc: prf.Key(stag), enc: cellKey(suite, h, stag)}
 	}
 	h.SetKey(prf.Key(stag))
 	return stagKeys{loc: h.Derive("sse/loc"), enc: cellKey(suite, h, stag)}
 }
 
-// cellKey derives the stag's cell-encryption key: the labelled KDF on h,
-// which the caller has keyed to the stag, or under suite 2 F(stag,'e',0).
+// cellKey derives the stag's AES cell key: the labelled KDF on h, which
+// the caller has keyed to the stag, or under suite 2 F(stag,'e',0).
+// Suite 3 has none: its cells are padded from F (cellPad).
 func cellKey(suite prf.Suite, h *prf.Hasher, stag Stag) (enc secenc.Key) {
 	var full prf.Key
-	if suite == prf.SuiteBlock {
+	switch {
+	case suite == prf.SuiteBlockPad:
+		return enc
+	case suite.UsesF():
 		full = prf.F(prf.Key(stag), 'e', 0)
-	} else {
+	default:
 		full = h.Derive("sse/enc")
 	}
 	copy(enc[:], full[:])
@@ -224,12 +229,60 @@ func cellKey(suite prf.Suite, h *prf.Hasher, stag Stag) (enc secenc.Key) {
 }
 
 // bucketKey derives TSet's salted bucket key from h, keyed to the stag
-// by deriveStagKeys, or under suite 2 F(stag,'b',salt).
+// by deriveStagKeys, or under F F(stag,'b',salt).
 func bucketKey(suite prf.Suite, h *prf.Hasher, stag Stag, salt uint64) prf.Key {
-	if suite == prf.SuiteBlock {
+	if suite.UsesF() {
 		return prf.F(prf.Key(stag), 'b', salt)
 	}
 	return h.DeriveN("sse/bkt", salt)
+}
+
+// cellPad is suite 3's cell encryption: each cell is XORed with a pad
+// that F derives from the stag, so neither the build nor a search
+// schedules an AES key.
+//
+//   - A cell found at label i is cell number i. The first LabelSize
+//     bytes of its pad are the spare half of its label's PRF output,
+//     F(stag,'l',i)[16:32], which deriving the label has already
+//     computed.
+//   - Every further byte, and every byte of a cell without a label of
+//     its own (2lev's array block in slot j, cell number 1+j), comes from
+//     F(k_cell,'p', n<<32|b) for cell number n and b = 0, 1, …, where
+//     k_cell = F(stag,'e',0) is derived on first need.
+//
+// A stag's cell numbers are unique — they are the AES-CTR nonces of
+// suites 0–2 — and fewer than 2^32, as is b for any cell under 128 GiB,
+// so no two cells of a stag share a pad counter.
+type cellPad struct {
+	kc    prf.Key // k_cell, once keyed
+	keyed bool
+}
+
+// reset forgets k_cell: the next cell may be another stag's.
+func (p *cellPad) reset() { p.keyed = false }
+
+// xor sets dst to src XOR the pad of cell n of stag. spare is the unused
+// half of the cell's label output, or nil for a cell without a label.
+// dst may alias src exactly.
+func (p *cellPad) xor(stag *Stag, n uint64, spare, dst, src []byte) {
+	k := subtle.XORBytes(dst, src, spare)
+	if k == len(src) {
+		return
+	}
+	if !p.keyed {
+		p.kc, p.keyed = prf.F(prf.Key(*stag), 'e', 0), true
+	}
+	ctr := n << 32
+	var b0, b1 [prf.KeySize]byte
+	for ; len(src)-k > prf.KeySize; ctr += 2 {
+		prf.F2(&b0, &b1, &p.kc, 'p', ctr, &p.kc, 'p', ctr+1)
+		k += subtle.XORBytes(dst[k:], src[k:], b0[:])
+		k += subtle.XORBytes(dst[k:], src[k:], b1[:])
+	}
+	if k < len(src) {
+		b0 = prf.F(p.kc, 'p', ctr)
+		subtle.XORBytes(dst[k:], src[k:], b0[:])
+	}
 }
 
 // cellBuilder starts a label→cell space on eng (nil = default engine).

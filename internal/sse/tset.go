@@ -95,7 +95,7 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 	// the real ones first, padding records numbered from total up.
 	slots := make([]int, numBuckets*capacity)
 	off := postingOffsets(entries, func(n int) int { return n })
-	labels := make([][LabelSize]byte, len(slots))
+	labels, spares := make([][LabelSize]byte, len(slots)), labelSpares(suite, total)
 	cells := make([]byte, len(slots)*width)
 	bucket := make([]int, total)
 	encs := make([]secenc.Key, len(entries))
@@ -103,7 +103,7 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
 		lo, hi := off[e], off[e+1]
 		encs[e] = sl.key(entries[e].Stag)
-		sl.labels(labels[lo:hi])
+		sl.labels(labels[lo:hi], spares.of(lo, hi))
 		sl.buckets(salt, numBuckets, bucket[lo:hi])
 	})
 
@@ -151,12 +151,12 @@ attempt:
 		rnd.Shuffle(len(bkt), func(i, j int) { bkt[i], bkt[j] = bkt[j], bkt[i] })
 	}
 
-	// Seal, second half: the i-th record of a keyword is encrypted under
-	// counter i.
+	// Seal, second half: the i-th record of a keyword is its cell number
+	// i.
 	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
-		sl.useCellKey(encs[e])
+		sl.useCellKey(entries[e].Stag, encs[e])
 		for r := off[e]; r < off[e+1]; r++ {
-			sl.seal(uint64(r-off[e]), cells[r*width:(r+1)*width])
+			sl.seal(uint64(r-off[e]), cells[r*width:(r+1)*width], spares.at(r))
 		}
 	})
 

@@ -172,15 +172,15 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		x.postings += n
 	}
 
-	// Seal: a keyword's cell sits at its label 0 under counter 0, and
-	// the block in slot j is encrypted under counter 1+j.
-	labels := make([][LabelSize]byte, len(entries))
+	// Seal: a keyword's cell sits at its label 0 as cell number 0, and
+	// the block in slot j, which has no label, is cell number 1+j.
+	labels, spares := make([][LabelSize]byte, len(entries)), labelSpares(suite, len(entries))
 	sealEach(suite, len(entries), func(sl *stagSealer, e int) {
-		sl.useCellKey(sl.key(entries[e].Stag))
-		sl.labels(labels[e : e+1])
-		sl.seal(0, cells[e*cellLen:(e+1)*cellLen])
+		sl.useCellKey(entries[e].Stag, sl.key(entries[e].Stag))
+		sl.labels(labels[e:e+1], spares.of(e, e+1))
+		sl.seal(0, cells[e*cellLen:(e+1)*cellLen], spares.at(e))
 		for _, slot := range perm[taken[e]:taken[e+1]] {
-			sl.seal(1+uint64(slot), x.blocks[slot])
+			sl.seal(1+uint64(slot), x.blocks[slot], nil)
 		}
 	})
 
@@ -247,7 +247,7 @@ func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool
 		if slot >= uint64(len(x.blocks)) {
 			return nil, fmt.Errorf("%w: 2lev block pointer %d out of range", ErrCorrupt, slot)
 		}
-		return s.decrypt(1+slot, x.blocks[slot]), nil
+		return s.decryptCell(1+slot, x.blocks[slot], nil), nil
 	}
 	// Decrypted cells and blocks live in the searcher's arena, so the
 	// returned items subslice them without per-item copies.

@@ -110,9 +110,11 @@ const (
 	// choice, and what every index built before suites existed is.
 	SuiteSHA512 = prf.SuiteSHA512
 	// SuiteSHA256 is HMAC-SHA-256, what one release's BuildIndex gave the
-	// Constant schemes. They now build PRFSuite(2), "sha256-block": one
-	// SHA-256 compression per PRF value, keyed through the message — as
-	// do Logarithmic-URC, Logarithmic-SRC and Logarithmic-SRC-i.
+	// Constant schemes. They now build PRFSuite(3), "sha256-block-pad":
+	// one SHA-256 compression per PRF value, keyed through the message,
+	// with every cell padded from it — as do Logarithmic-URC,
+	// Logarithmic-SRC and Logarithmic-SRC-i. PRFSuite(2),
+	// "sha256-block", is the same PRF with AES-CTR cells.
 	SuiteSHA256 = prf.SuiteSHA256
 )
 

@@ -14,19 +14,23 @@ import (
 	"rsse"
 )
 
-// testdata/pr17, testdata/pr18 and testdata/pr27 hold server-side state
-// written by earlier commits, with those commits' code. pr17 is the last
-// commit before indexes recorded a PRF suite: two Constant index files
-// and a durable Dynamic directory with one flushed epoch and a WAL tail;
-// their header byte 12 is that format's zero pad, i.e. suite 0. pr18 is
+// testdata/pr17, testdata/pr18, testdata/pr27 and testdata/suite2-aes
+// hold server-side state written by earlier commits, with those
+// commits' code. pr17 is the last commit before indexes recorded a PRF
+// suite: two Constant index files and a durable Dynamic directory with
+// one flushed epoch and a WAL tail; their header byte 12 is that
+// format's zero pad, i.e. suite 0. pr18 is
 // the commit whose Constant default was suite 1: the same two index
 // files built there, and pr17's Dynamic directory reopened there — its
 // WAL tail plus one insert flushed into a suite-1 epoch beside the
 // suite-0 one, then one more acknowledged insert left in the WAL. pr27
 // is the last commit whose Logarithmic-URC default was suite 0, with
 // HMAC keyword stags: a durable Logarithmic-URC directory written like
-// pr17's. All of it must be served and queried correctly, unmodified,
-// forever.
+// pr17's. suite2-aes is from the last commit whose Constant and
+// Logarithmic-URC defaults were suite 2, with AES-CTR cells: two
+// Constant index files like pr17's (master key 0x46 repeated) and a
+// durable Logarithmic-URC directory like pr27's. All of it must be served and queried
+// correctly, unmodified, forever.
 var parentFixtures = []struct {
 	dir   string
 	suite rsse.PRFSuite // of the index files, and of the newest epoch
@@ -34,6 +38,7 @@ var parentFixtures = []struct {
 }{
 	{"testdata/pr17", rsse.SuiteSHA512, 0x17},
 	{"testdata/pr18", rsse.SuiteSHA256, 0x18},
+	{"testdata/suite2-aes", rsse.PRFSuite(2), 0x46},
 }
 
 func pr17Tuples() []rsse.Tuple {
@@ -58,7 +63,7 @@ func todaysSuite(t *testing.T, kind rsse.Kind) rsse.PRFSuite {
 }
 
 // TestParentBuiltConstantIndexes: a Constant index built at an earlier
-// commit is an index of that commit's suite, 0 or 1. Today's owner —
+// commit is an index of that commit's suite, 0, 1 or 2. Today's owner —
 // whose own builds are of neither — learns that from Meta and derives
 // its GGM tokens on that suite's tree: the answers are the plaintext
 // oracle's on every engine, locally and over TCP, single and batched.
@@ -128,7 +133,9 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 // TestDynamicSpansSuites: a durable store created at an earlier commit
 // holds epoch files of that commit's suites — pr17's one suite-0
 // Constant-BRC epoch, pr18's a suite-0 and a suite-1 one, pr27's one
-// suite-0 Logarithmic-URC epoch, whose keyword stags are HMAC. Reopened
+// suite-0 Logarithmic-URC epoch, whose keyword stags are HMAC, and
+// suite2-aes's one suite-2 Logarithmic-URC epoch, whose cells are
+// AES-CTR. Reopened
 // today it answers from them, replays its WAL tail, and seals new writes
 // into an epoch of today's suite beside them; one query and one batch
 // then draw on all of them, each epoch searched under its own suite (the
@@ -155,6 +162,7 @@ func TestDynamicSpansSuites(t *testing.T) {
 		{"testdata/pr17", rsse.ConstantBRC, []rsse.PRFSuite{rsse.SuiteSHA512}, nil, map[rsse.ID]rsse.Value{100: 512}},
 		{"testdata/pr18", rsse.ConstantBRC, []rsse.PRFSuite{rsse.SuiteSHA512, rsse.SuiteSHA256}, map[rsse.ID]rsse.Value{100: 512, 200: 93}, map[rsse.ID]rsse.Value{300: 700}},
 		{"testdata/pr27", rsse.LogarithmicURC, []rsse.PRFSuite{rsse.SuiteSHA512}, nil, map[rsse.ID]rsse.Value{100: 512}},
+		{"testdata/suite2-aes", rsse.LogarithmicURC, []rsse.PRFSuite{rsse.PRFSuite(2)}, nil, map[rsse.ID]rsse.Value{100: 512}},
 	} {
 		t.Run(filepath.Base(fx.dir), func(t *testing.T) {
 			want := map[rsse.ID]rsse.Value{}
