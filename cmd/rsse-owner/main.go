@@ -369,8 +369,10 @@ func stats(args []string) {
 	fmt.Printf("prf suite: %d (%v)\n", meta.Suite, meta.Suite)
 	fmt.Printf("tuples:    %d\n", s.N)
 	fmt.Printf("postings:  %d\n", s.Postings)
-	fmt.Printf("index:     %.2f MB serialized\n", float64(s.IndexBytes)/(1<<20))
-	fmt.Printf("store:     %.2f MB serialized\n", float64(s.StoreBytes)/(1<<20))
+	mb := func(n int) float64 { return float64(n) / (1 << 20) }
+	fmt.Printf("index:     %.2f MB serialized: %.2f MB labels + %.2f MB cells + %d B headers (T-set padding %.2f MB of them; directory %.2f MB besides)\n",
+		mb(s.IndexBytes), mb(s.LabelBytes), mb(s.CellBytes), s.HeaderBytes, mb(s.SlackBytes), mb(s.DirBytes))
+	fmt.Printf("store:     %.2f MB serialized\n", mb(s.StoreBytes))
 	fmt.Printf("engine:    %s\n", s.Engine)
 	fmt.Printf("resident:  %.2f MB heap\n", float64(s.Resident)/(1<<20))
 	fmt.Printf("file:      %.2f MB on disk\n", float64(s.FileBytes)/(1<<20))

@@ -76,7 +76,9 @@
 // Serialized indexes (Index.MarshalBinary, wire format v2) are
 // containers of in-place-readable segments, whatever engine wrote them:
 // a space whose values share one width is a segment of key‖value
-// records (segment v2), and files written before it still load.
+// records (segment v2), each SSE label stored at the width its probe
+// needs (segment v3), and files written before either still load and
+// re-marshal to their own bytes.
 // OpenIndexFile(path, "disk") memory-maps a file and serves it with
 // near-constant open cost and near-zero resident memory —
 //

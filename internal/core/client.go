@@ -221,10 +221,13 @@ func (x *Index) N() int { return x.n }
 // Size returns the serialized size of the encrypted index(es) in bytes —
 // the quantity of Figure 5(a) and Table 2 ("only the replicated tuple ids
 // and their associated keywords", i.e. excluding the tuple store).
-func (x *Index) Size() int {
-	s := x.primary.Size()
+func (x *Index) Size() int { return x.sizes().Total() }
+
+// sizes is the breakdown of Size, summed over the index(es).
+func (x *Index) sizes() sse.Sizes {
+	s := x.primary.Sizes()
 	if x.aux != nil {
-		s += x.aux.Size()
+		s = s.Add(x.aux.Sizes())
 	}
 	return s
 }
@@ -255,8 +258,18 @@ type IndexStats struct {
 	// Postings is the replicated-dataset size across the index(es).
 	Postings int
 	// IndexBytes is the serialized size of the encrypted index(es) — the
-	// paper's index-size metric.
+	// paper's index-size metric: HeaderBytes+LabelBytes+CellBytes.
 	IndexBytes int
+	// HeaderBytes, LabelBytes and CellBytes break IndexBytes down: the
+	// constructions' fixed headers, the cell labels at the width their
+	// segments store them, and the cells, 2lev's array blocks included.
+	HeaderBytes, LabelBytes, CellBytes int
+	// SlackBytes is the part of LabelBytes+CellBytes that T-set padding
+	// records take.
+	SlackBytes int
+	// DirBytes is the segments' radix directories, which IndexBytes
+	// leaves out, as it does StoreBytes.
+	DirBytes int
 	// StoreBytes is the encrypted tuple store's serialized footprint.
 	StoreBytes int
 	// Engine names the storage engine the records live on.
@@ -272,14 +285,20 @@ type IndexStats struct {
 
 // Stats reports the index's operational profile.
 func (x *Index) Stats() IndexStats {
+	sz := x.sizes()
 	s := IndexStats{
-		Kind:       x.kind,
-		N:          x.n,
-		Postings:   x.Postings(),
-		IndexBytes: x.Size(),
-		StoreBytes: x.store.Size(),
-		Engine:     x.engine,
-		FileBytes:  x.fileBytes,
+		Kind:        x.kind,
+		N:           x.n,
+		Postings:    x.Postings(),
+		IndexBytes:  sz.Total(),
+		HeaderBytes: sz.Header,
+		LabelBytes:  sz.Labels,
+		CellBytes:   sz.Cells,
+		SlackBytes:  sz.Slack,
+		DirBytes:    sz.Dir,
+		StoreBytes:  x.store.Size(),
+		Engine:      x.engine,
+		FileBytes:   x.fileBytes,
 	}
 	if s.Engine == "" {
 		s.Engine = storage.Default().Name()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -69,14 +70,18 @@ func goldenSSE(kind Kind) sse.Scheme {
 	}
 }
 
-func goldenClient(t *testing.T, kind Kind) *Client {
-	t.Helper()
-	c, err := NewClient(kind, cover.Domain{Bits: goldenBits}, Options{
+func goldenOptions(kind Kind) Options {
+	return Options{
 		SSE:               goldenSSE(kind),
 		Rand:              mrand.New(mrand.NewSource(int64(kind) + 1)),
 		MasterKey:         goldenKey(),
 		AllowIntersecting: true,
-	})
+	}
+}
+
+func goldenClient(t *testing.T, kind Kind) *Client {
+	t.Helper()
+	c, err := NewClient(kind, cover.Domain{Bits: goldenBits}, goldenOptions(kind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,5 +169,147 @@ func TestGoldenV1Compat(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sectionSegmentVersions reads the segment version of every dictionary
+// of a serialized index: each section's first segment follows its
+// construction's fixed header and a length prefix.
+func sectionSegmentVersions(t *testing.T, blob []byte) []uint16 {
+	t.Helper()
+	header := map[byte]int{1: 8, 2: 16, 3: 40, 4: 24} // basic, packed, tset, 2lev
+	var out []uint16
+	r := wireReader{data: blob, off: 16}
+	for range 2 { // primary, aux
+		sec, err := r.lenPrefixed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sec) == 0 {
+			continue
+		}
+		seg := sec[header[sec[0]]+8:]
+		out = append(out, binary.BigEndian.Uint16(seg[4:6]))
+	}
+	return out
+}
+
+// TestGoldenV3: every kind on every construction (but 2lev for SRC-i),
+// built from the golden tuples and key as the goldens were, seals every
+// dictionary as segment v3. Marshalled and loaded onto every engine, it
+// answers each golden query with the raw ids and the matches the
+// committed v2 golden of its kind answers, and re-marshals to its own
+// bytes.
+func TestGoldenV3(t *testing.T) {
+	for _, kind := range Kinds() {
+		golden, err := os.ReadFile(goldenSuitePath(kind, prf.SuiteSHA512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := UnmarshalIndex(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sch := range suiteConstructions() {
+			if kind == LogarithmicSRCi && sch.Name() == "2lev" {
+				continue
+			}
+			name := kind.String() + "/" + sch.Name()
+			opts := goldenOptions(kind)
+			opts.SSE = sch
+			c, err := NewClient(kind, cover.Domain{Bits: goldenBits}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := c.BuildIndex(goldenTuples())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := built.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range sectionSegmentVersions(t, blob) {
+				if v != 3 {
+					t.Fatalf("%s: a dictionary sealed as segment v%d", name, v)
+				}
+			}
+			for _, eng := range storage.Engines() {
+				x, err := UnmarshalIndexWith(blob, eng)
+				if err != nil {
+					t.Fatalf("%s onto %s: %v", name, eng.Name(), err)
+				}
+				for _, q := range goldenQueries() {
+					got, err := goldenClient(t, kind).QueryContext(context.Background(), x, q)
+					if err != nil {
+						t.Fatalf("%s onto %s: %v: %v", name, eng.Name(), q, err)
+					}
+					want, err := goldenClient(t, kind).QueryContext(context.Background(), ref, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !idsEqual(sortedIDs(got.Raw), sortedIDs(want.Raw)) || !idsEqual(sortedIDs(got.Matches), sortedIDs(want.Matches)) ||
+						!idsEqual(sortedIDs(got.Matches), expectedMatches(q)) {
+						t.Fatalf("%s onto %s: %v answered raw %v, matches %v; the golden %v, %v", name, eng.Name(), q, got.Raw, got.Matches, want.Raw, want.Matches)
+					}
+				}
+				again, err := x.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, blob) {
+					t.Fatalf("%s onto %s: re-marshal differs from the build's bytes", name, eng.Name())
+				}
+			}
+		}
+	}
+}
+
+// TestIndexStatsBreakdown: for every kind on every construction, built
+// and loaded on every engine, IndexStats' IndexBytes is its headers,
+// labels and cells (TestSizesMatchSegments pins those to the segments'
+// records), the same for a built and a loaded index, and only a T-set
+// has padding slack.
+func TestIndexStatsBreakdown(t *testing.T) {
+	in := smallInput()
+	for _, kind := range Kinds() {
+		for _, sch := range suiteConstructions() {
+			if kind == LogarithmicSRCi && sch.Name() == "2lev" {
+				continue
+			}
+			opts := testOptions(5)
+			opts.SSE = sch
+			c, err := NewClient(kind, cover.Domain{Bits: in.bits}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := c.BuildIndex(in.tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := built.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := built.Stats()
+			for _, eng := range storage.Engines() {
+				loaded, err := UnmarshalIndexWith(blob, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range []IndexStats{built.Stats(), loaded.Stats()} {
+					name := fmt.Sprintf("%v/%s/%s", kind, sch.Name(), eng.Name())
+					if s.IndexBytes != s.HeaderBytes+s.LabelBytes+s.CellBytes || s.IndexBytes != built.Size() {
+						t.Errorf("%s: %d index bytes, %d+%d+%d in headers, labels and cells", name, s.IndexBytes, s.HeaderBytes, s.LabelBytes, s.CellBytes)
+					}
+					if s.LabelBytes == 0 || s.DirBytes == 0 || (s.SlackBytes > 0) != (sch.Name() == "tset") {
+						t.Errorf("%s: %+v", name, s)
+					}
+					if s.IndexBytes != want.IndexBytes || s.LabelBytes != want.LabelBytes || s.SlackBytes != want.SlackBytes || s.DirBytes != want.DirBytes {
+						t.Errorf("%s: loaded stats %+v, built %+v", name, s, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rsse/internal/race"
+	"rsse/internal/sse"
 )
 
 // TestQueryPathAllocs pins the steady-state allocation counts of the
@@ -21,10 +22,11 @@ import (
 // them together), Logarithmic-URC 14 (23 with AES cells, 29 before its
 // cover was read off the bits of the range, 33 before the lockstep
 // pass), -SRC 22 (23) and -SRC-i 27 (29). The 64-range batch, on a
-// suite-0 Logarithmic-BRC index, is 144 on a cold stag cache and ≈32
-// warm since it plans its covers into one array deduplicated by sorting
-// and demultiplexes into one id array and one group-size array (425
-// with a dedup map and slices per range, 664 before the lockstep pass).
+// suite-0 Logarithmic-BRC index, is 144 on a cold stag cache (guard
+// 158) and 29–33 warm (guard 36) since it plans its covers into one
+// array deduplicated by sorting and demultiplexes into one id array and
+// one group-size array (425 with a dedup map and slices per range, 664
+// before the lockstep pass).
 // parent records what each cost on the single-range rounds the one
 // query protocol replaced, when SRC-i also scheduled an AES key per
 // round-1 pair.
@@ -71,14 +73,26 @@ func TestQueryPathAllocs(t *testing.T) {
 			lo := m/8 + uint64(i)*(m/1024)
 			ranges[i] = Range{Lo: lo, Hi: lo + m/10 - 1}
 		}
-		got := testing.AllocsPerRun(5, func() {
+		batch := func() {
 			if _, err := client.QueryBatchContext(context.Background(), idx, ranges); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%.0f objects/op (guard 158)", got)
-		if got > 158 {
-			t.Errorf("64-range batch allocates %.0f objects/op, guard is 158 — a per-range allocation?", got)
+		}
+		// Cold: the process-wide derived-state cache starts empty, as in
+		// a fresh process, and admits each stag at its second sight.
+		sse.ResetKernelCache()
+		cold := testing.AllocsPerRun(5, batch)
+		// Warm: every stag is cached.
+		for range 3 {
+			batch()
+		}
+		warm := testing.AllocsPerRun(5, batch)
+		t.Logf("%.0f objects/op cold (guard 158), %.0f warm (guard 36)", cold, warm)
+		if cold > 158 {
+			t.Errorf("64-range batch allocates %.0f objects/op on a cold stag cache, guard is 158 — a per-range allocation?", cold)
+		}
+		if warm > 36 {
+			t.Errorf("64-range batch allocates %.0f objects/op on a warm stag cache, guard is 36 — a per-range allocation?", warm)
 		}
 	})
 }

@@ -61,10 +61,7 @@ func (x *Index) MarshalBinary() ([]byte, error) {
 			return nil, err
 		}
 	}
-	storeSeg, err := storage.EncodeSegment(x.store.cts)
-	if err != nil {
-		return nil, err
-	}
+	storeSeg := x.store.cts.Segment()
 	out := make([]byte, 0, 16+24+len(primary)+len(aux)+len(storeSeg))
 	out = append(out, indexWireVersion, byte(x.kind), x.dom.Bits, x.posBits)
 	out = binary.BigEndian.AppendUint64(out, uint64(x.n))

@@ -41,22 +41,18 @@ func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engi
 	if err != nil {
 		return nil, err
 	}
-	idx := &basicIndex{suite: suite, width: width, postings: total, cells: sealed}
-	idx.size = idx.serializedSize()
-	return idx, nil
+	return &basicIndex{suite: suite, width: width, postings: total, cells: sealed}, nil
 }
 
 type basicIndex struct {
 	suite    prf.Suite
 	width    int
 	postings int
-	size     int
 	cells    storage.Backend
 }
 
 func (x *basicIndex) Width() int    { return x.width }
 func (x *basicIndex) Postings() int { return x.postings }
-func (x *basicIndex) Size() int     { return x.size }
 func (x *basicIndex) Resident() int { return x.cells.Resident() }
 
 func (x *basicIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
@@ -72,9 +68,7 @@ func (x *basicIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, e
 	return true, nil
 }
 
-// serializedSize is the paper's Fig. 5a accounting of the index — a
-// tag(1) width(4) count(8) header, then label(16) || cell(width) per
-// posting — not the length of any wire encoding.
-func (x *basicIndex) serializedSize() int {
-	return 1 + 4 + 8 + x.cells.Len()*(LabelSize+x.width)
-}
+// Sizes is the paper's Fig. 5a accounting of the index — a tag(1)
+// width(4) count(8) header, then label || cell(width) per posting — not
+// the length of any wire encoding.
+func (x *basicIndex) Sizes() Sizes { return dictSizes(1+4+8, x.cells) }

@@ -73,7 +73,7 @@ func BenchmarkBuild10kPostings(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					size = idx.Size()
+					size = idx.Sizes().Total()
 				}
 				b.ReportMetric(float64(size)/1024, "KB")
 			})

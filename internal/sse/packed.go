@@ -74,9 +74,7 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 	if err != nil {
 		return nil, err
 	}
-	idx := &packedIndex{suite: suite, width: width, blockSize: bs, postings: total, cells: sealed}
-	idx.size = idx.serializedSize()
-	return idx, nil
+	return &packedIndex{suite: suite, width: width, blockSize: bs, postings: total, cells: sealed}, nil
 }
 
 type packedIndex struct {
@@ -84,13 +82,11 @@ type packedIndex struct {
 	width     int
 	blockSize int
 	postings  int
-	size      int
 	cells     storage.Backend
 }
 
 func (x *packedIndex) Width() int    { return x.width }
 func (x *packedIndex) Postings() int { return x.postings }
-func (x *packedIndex) Size() int     { return x.size }
 func (x *packedIndex) Resident() int { return x.cells.Resident() }
 
 func (x *packedIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
@@ -114,11 +110,8 @@ func (x *packedIndex) readCell(s *cellSearcher, b uint64, cell []byte) (bool, er
 	return true, nil
 }
 
-// serializedSize is the paper's Fig. 5a accounting of the index — a
-// tag(1) width(4) blockSize(1) postings(8) blockCount(8) header, then
-// label(16) || cell(1+blockSize*width) per block — not the length of any
-// wire encoding.
-func (x *packedIndex) serializedSize() int {
-	blockLen := 1 + x.blockSize*x.width
-	return 1 + 4 + 1 + 8 + 8 + x.cells.Len()*(LabelSize+blockLen)
-}
+// Sizes is the paper's Fig. 5a accounting of the index — a tag(1)
+// width(4) blockSize(1) postings(8) blockCount(8) header, then label ||
+// cell(1+blockSize*width) per block — not the length of any wire
+// encoding.
+func (x *packedIndex) Sizes() Sizes { return dictSizes(1+4+1+8+8, x.cells) }

@@ -92,14 +92,41 @@ type Index interface {
 	Width() int
 	// Postings returns the number of real (non-padding) payloads stored.
 	Postings() int
-	// Size returns the index's size in bytes as the paper's Fig. 5a
-	// accounts it — the storage cost a server pays, padding included. It
-	// is not the length of MarshalSection's output.
-	Size() int
+	// Sizes returns the index's size in bytes as the paper's Fig. 5a
+	// accounts it — the storage cost a server pays, padding included —
+	// part by part. Its Total is not the length of MarshalSection's
+	// output.
+	Sizes() Sizes
 	// Resident approximates the heap bytes the index pins for its
 	// dictionaries: what a built index sealed, and zero for an opened
 	// one, whose cells are served in place from the section's bytes.
 	Resident() int
+}
+
+// Sizes breaks an index's size down. The size is Header+Labels+Cells:
+// the construction's header, then every record's label, at the width
+// its segment stores, and its cell.
+type Sizes struct {
+	Header int // the construction's fixed header fields
+	Labels int // the labels, at the width the segments store them
+	Cells  int // the cells, and 2lev's array blocks
+	Slack  int // of Labels+Cells, what TSet's padding records take
+	Dir    int // the segments' radix directories, which the size leaves out
+}
+
+// Total is the index's size: Header+Labels+Cells.
+func (s Sizes) Total() int { return s.Header + s.Labels + s.Cells }
+
+// Add is s and o summed field by field.
+func (s Sizes) Add(o Sizes) Sizes {
+	return Sizes{s.Header + o.Header, s.Labels + o.Labels, s.Cells + o.Cells, s.Slack + o.Slack, s.Dir + o.Dir}
+}
+
+// dictSizes is the breakdown of a construction whose fixed header is
+// header bytes and whose records are those of cells.
+func dictSizes(header int, cells storage.Backend) Sizes {
+	l := cells.Layout()
+	return Sizes{Header: header, Labels: l.KeyBytes, Cells: l.ValueBytes, Dir: l.DirBytes}
 }
 
 // Construction section tags (see MarshalSection).
@@ -286,6 +313,9 @@ func (p *cellPad) xor(stag *Stag, n uint64, spare, dst, src []byte) {
 }
 
 // cellBuilder starts a label→cell space on eng (nil = default engine).
+// Its keys are PRF outputs, or random under TSet's padding: pseudorandom,
+// as a space of 16-byte keys must be, so it seals each label at the
+// width a probe needs (segment version 3).
 func cellBuilder(eng storage.Engine, capacityHint int) storage.Builder {
 	return storage.OrDefault(eng).NewBuilder(LabelSize, capacityHint)
 }

@@ -259,9 +259,9 @@ func TestMarshalRoundtripAllSchemes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if back.Postings() != idx.Postings() || back.Width() != idx.Width() || back.Size() != idx.Size() {
+				if back.Postings() != idx.Postings() || back.Width() != idx.Width() || back.Sizes().Total() != idx.Sizes().Total() {
 					t.Errorf("%v: postings/width/size %d/%d/%d after the roundtrip, built %d/%d/%d", suite,
-						back.Postings(), back.Width(), back.Size(), idx.Postings(), idx.Width(), idx.Size())
+						back.Postings(), back.Width(), back.Sizes().Total(), idx.Postings(), idx.Width(), idx.Sizes().Total())
 				}
 				for kw, ids := range db {
 					if got := searchIDs(t, back, kw); !equalIDs(got, sortedCopy(ids)) {

@@ -171,7 +171,7 @@ attempt:
 	if err != nil {
 		return nil, errLabelCollision(err)
 	}
-	idx := &tsetIndex{
+	return &tsetIndex{
 		suite:      suite,
 		width:      width,
 		postings:   total,
@@ -179,9 +179,7 @@ attempt:
 		capacity:   capacity,
 		numBuckets: numBuckets,
 		lookup:     lookup,
-	}
-	idx.size = idx.serializedSize()
-	return idx, nil
+	}, nil
 }
 
 func fillRandom(dst []byte, rnd *mrand.Rand) {
@@ -197,14 +195,12 @@ type tsetIndex struct {
 	salt       uint64
 	capacity   int
 	numBuckets int
-	size       int
 	// lookup is the engine-backed label→cell space searches probe.
 	lookup storage.Backend
 }
 
 func (x *tsetIndex) Width() int    { return x.width }
 func (x *tsetIndex) Postings() int { return x.postings }
-func (x *tsetIndex) Size() int     { return x.size }
 func (x *tsetIndex) Resident() int { return x.lookup.Resident() }
 
 // Buckets reports the bucket count; exposed for tests and stats.
@@ -225,10 +221,14 @@ func (x *tsetIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, er
 	return true, nil
 }
 
-// serializedSize is the paper's Fig. 5a accounting of the index — a
-// tag(1) width(4) salt(8) postings(8) buckets(8) capacity(4) header,
-// then label(16) || cell(width) per slot, padding included — not the
-// length of any wire encoding.
-func (x *tsetIndex) serializedSize() int {
-	return 1 + 4 + 8 + 8 + 8 + 4 + x.numBuckets*x.capacity*(LabelSize+x.width)
+// Sizes is the paper's Fig. 5a accounting of the index — a tag(1)
+// width(4) salt(8) postings(8) buckets(8) capacity(4) header, then
+// label || cell(width) per slot, padding included — not the length of
+// any wire encoding.
+func (x *tsetIndex) Sizes() Sizes {
+	s := dictSizes(1+4+8+8+8+4, x.lookup)
+	if slots := x.lookup.Len(); slots > 0 {
+		s.Slack = (s.Labels + s.Cells) / slots * (slots - x.postings)
+	}
+	return s
 }

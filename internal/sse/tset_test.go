@@ -19,8 +19,8 @@ func TestTSetPadding(t *testing.T) {
 	}
 	idxA := buildTestIndex(t, s, dbA)
 	idxB := buildTestIndex(t, s, dbB)
-	if idxA.Size() != idxB.Size() {
-		t.Errorf("size depends on keyword distribution: %d vs %d", idxA.Size(), idxB.Size())
+	if idxA.Sizes().Total() != idxB.Sizes().Total() {
+		t.Errorf("size depends on keyword distribution: %d vs %d", idxA.Sizes().Total(), idxB.Sizes().Total())
 	}
 	ta := idxA.(*tsetIndex)
 	wantSlots := ta.Buckets() * ta.Capacity()
@@ -84,18 +84,15 @@ func TestTSetOverflowRetriesWithSalt(t *testing.T) {
 
 // TestTSetResidentIsTheCells: a built TSet pins its cells and nothing
 // else — no per-slot copy of the labels in bucket order — so it holds
-// exactly its cell segment, and the same section reopened in place pins
-// nothing.
+// its cell segment's array, which is the segment's own length, and the
+// same section reopened in place pins nothing.
 func TestTSetResidentIsTheCells(t *testing.T) {
 	db := map[string][]uint64{"a": {1, 2, 3}, "b": {4}}
 	for _, eng := range storage.Engines() {
 		idx := buildTestIndexOn(t, TSet{BucketCapacity: 64, Expansion: 1.5}, db, eng)
-		seg, err := storage.EncodeSegment(idx.(*tsetIndex).lookup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.Resident() != len(seg) {
-			t.Errorf("%s: built TSet pins %d bytes, its cell segment is %d", eng.Name(), idx.Resident(), len(seg))
+		seg := idx.(*tsetIndex).lookup.Segment()
+		if idx.Resident() != cap(seg) || cap(seg) != len(seg) {
+			t.Errorf("%s: built TSet pins %d bytes, its cell segment is %d in an array of %d", eng.Name(), idx.Resident(), len(seg), cap(seg))
 		}
 		sec, err := MarshalSection(idx)
 		if err != nil {
@@ -174,8 +171,8 @@ func TestPackedSmallerThanBasic(t *testing.T) {
 	db := map[string][]uint64{"k": ids}
 	basic := buildTestIndex(t, Basic{}, db)
 	packed := buildTestIndex(t, Packed{BlockSize: 16}, db)
-	if packed.Size() >= basic.Size() {
-		t.Errorf("packed (%d) not smaller than basic (%d)", packed.Size(), basic.Size())
+	if packed.Sizes().Total() >= basic.Sizes().Total() {
+		t.Errorf("packed (%d) not smaller than basic (%d)", packed.Sizes().Total(), basic.Sizes().Total())
 	}
 }
 

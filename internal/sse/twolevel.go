@@ -196,7 +196,6 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 		return nil, errLabelCollision(err)
 	}
 	x.cells = sealed
-	x.size = x.serializedSize()
 	return x, nil
 }
 
@@ -205,7 +204,6 @@ type twoLevelIndex struct {
 	inlineCap int
 	blockSize int
 	postings  int
-	size      int
 	// cells is the engine-backed keyword dictionary; blocks is the
 	// positional spill array, addressed by slot number rather than label.
 	cells  storage.Backend
@@ -214,7 +212,6 @@ type twoLevelIndex struct {
 
 func (x *twoLevelIndex) Width() int    { return 8 }
 func (x *twoLevelIndex) Postings() int { return x.postings }
-func (x *twoLevelIndex) Size() int     { return x.size }
 
 // Resident counts the spill array with the cells: a built index owns
 // both, and an opened one serves both in place from its section.
@@ -309,12 +306,12 @@ func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool
 	}
 }
 
-// serializedSize is the paper's Fig. 5a accounting of the index — a
-// tag(1) inlineCap(4) blockSize(4) postings(8) cellCount(8) header,
-// label(16) || cell per keyword, blockCount(8), then the blocks — not
-// the length of any wire encoding.
-func (x *twoLevelIndex) serializedSize() int {
-	cellLen := 1 + 4 + x.inlineCap*8
-	blockLen := x.blockSize * 8
-	return 1 + 4 + 4 + 8 + 8 + x.cells.Len()*(LabelSize+cellLen) + 8 + len(x.blocks)*blockLen
+// Sizes is the paper's Fig. 5a accounting of the index — a tag(1)
+// inlineCap(4) blockSize(4) postings(8) cellCount(8) header, label ||
+// cell per keyword, blockCount(8), then the blocks, counted with the
+// cells — not the length of any wire encoding.
+func (x *twoLevelIndex) Sizes() Sizes {
+	s := dictSizes(1+4+4+8+8+8, x.cells)
+	s.Cells += len(x.blocks) * x.blockSize * 8
+	return s
 }

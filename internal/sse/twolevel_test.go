@@ -105,9 +105,9 @@ func TestTwoLevelMarshalRoundtrip(t *testing.T) {
 				t.Errorf("after roundtrip %s: %d ids, want %d", kw, len(got), len(ids))
 			}
 		}
-		if back.Postings() != idx.Postings() || back.Size() != idx.Size() {
+		if back.Postings() != idx.Postings() || back.Sizes().Total() != idx.Sizes().Total() {
 			t.Errorf("postings/size %d/%d after roundtrip, built %d/%d",
-				back.Postings(), back.Size(), idx.Postings(), idx.Size())
+				back.Postings(), back.Sizes().Total(), idx.Postings(), idx.Sizes().Total())
 		}
 		// Truncations rejected.
 		for _, cut := range []int{1, 10, len(sec) - 3} {
@@ -139,8 +139,8 @@ func TestTwoLevelCompactForLongLists(t *testing.T) {
 	db := map[string][]uint64{"k": seq(5000)}
 	two := buildTwoLevel(t, TwoLevel{InlineCap: 16, BlockSize: 64}, db)
 	basic := buildTestIndex(t, Basic{}, db)
-	if two.Size() >= basic.Size() {
-		t.Errorf("2lev (%d) not smaller than basic (%d)", two.Size(), basic.Size())
+	if two.Sizes().Total() >= basic.Sizes().Total() {
+		t.Errorf("2lev (%d) not smaller than basic (%d)", two.Sizes().Total(), basic.Sizes().Total())
 	}
 }
 

@@ -9,12 +9,14 @@ import (
 )
 
 // Every construction serializes as a "section" — a small fixed header
-// followed by 8-aligned, length-prefixed storage segments
-// (storage.EncodeSegment's format: version 2, key‖value records at one
-// stride, for every dictionary, whose cells share one width; version 1
-// files still load). Every variable-length part of a section is sliced
-// in place: OpenSection builds indexes whose dictionaries answer queries
-// directly over the serialized bytes, with zero per-record copies.
+// followed by 8-aligned, length-prefixed storage segments, each written
+// as its dictionary sealed or loaded it (storage's segment format:
+// version 3, label-window‖cell records at one stride, for every
+// dictionary this build seals; files of versions 1 and 2, whose records
+// hold the whole 16-byte label, still load and write back unchanged).
+// Every variable-length part of a section is sliced in place:
+// OpenSection builds indexes whose dictionaries answer queries directly
+// over the serialized bytes, with zero per-record copies.
 //
 // Section layouts (integers big-endian, pad bytes zero):
 //
@@ -34,13 +36,13 @@ import (
 func MarshalSection(idx Index) ([]byte, error) {
 	switch x := idx.(type) {
 	case *basicIndex:
-		return x.appendSection(nil)
+		return x.appendSection(nil), nil
 	case *packedIndex:
-		return x.appendSection(nil)
+		return x.appendSection(nil), nil
 	case *tsetIndex:
-		return x.appendSection(nil)
+		return x.appendSection(nil), nil
 	case *twoLevelIndex:
-		return x.appendSection(nil)
+		return x.appendSection(nil), nil
 	default:
 		return nil, fmt.Errorf("sse: cannot serialize index type %T as a section", idx)
 	}
@@ -151,14 +153,10 @@ func openCells(seg []byte, wantLen int) (storage.Backend, error) {
 
 // ----- basic -----
 
-func (x *basicIndex) appendSection(out []byte) ([]byte, error) {
-	seg, err := storage.EncodeSegment(x.cells)
-	if err != nil {
-		return nil, err
-	}
+func (x *basicIndex) appendSection(out []byte) []byte {
 	out = append(out, tagBasic, 0, 0, 0)
 	out = binary.BigEndian.AppendUint32(out, uint32(x.width))
-	return appendSeg(out, seg), nil
+	return appendSeg(out, x.cells.Segment())
 }
 
 func openBasicSection(data []byte, suite prf.Suite) (Index, error) {
@@ -183,21 +181,16 @@ func openBasicSection(data []byte, suite prf.Suite) (Index, error) {
 		return nil, err
 	}
 	x := &basicIndex{suite: suite, width: width, postings: cells.Len(), cells: cells}
-	x.size = x.serializedSize()
 	return x, nil
 }
 
 // ----- packed -----
 
-func (x *packedIndex) appendSection(out []byte) ([]byte, error) {
-	seg, err := storage.EncodeSegment(x.cells)
-	if err != nil {
-		return nil, err
-	}
+func (x *packedIndex) appendSection(out []byte) []byte {
 	out = append(out, tagPacked, byte(x.blockSize), 0, 0)
 	out = binary.BigEndian.AppendUint32(out, uint32(x.width))
 	out = binary.BigEndian.AppendUint64(out, uint64(x.postings))
-	return appendSeg(out, seg), nil
+	return appendSeg(out, x.cells.Segment())
 }
 
 func openPackedSection(data []byte, suite prf.Suite) (Index, error) {
@@ -233,17 +226,12 @@ func openPackedSection(data []byte, suite prf.Suite) (Index, error) {
 		return nil, fmt.Errorf("%w: %d postings exceed %d blocks of %d", ErrCorrupt, postings, cells.Len(), blockSize)
 	}
 	x := &packedIndex{suite: suite, width: width, blockSize: blockSize, postings: int(postings), cells: cells}
-	x.size = x.serializedSize()
 	return x, nil
 }
 
 // ----- tset -----
 
-func (x *tsetIndex) appendSection(out []byte) ([]byte, error) {
-	seg, err := storage.EncodeSegment(x.lookup)
-	if err != nil {
-		return nil, err
-	}
+func (x *tsetIndex) appendSection(out []byte) []byte {
 	out = append(out, tagTSet, 0, 0, 0)
 	out = binary.BigEndian.AppendUint32(out, uint32(x.width))
 	out = binary.BigEndian.AppendUint64(out, x.salt)
@@ -251,7 +239,7 @@ func (x *tsetIndex) appendSection(out []byte) ([]byte, error) {
 	out = binary.BigEndian.AppendUint64(out, uint64(x.numBuckets))
 	out = binary.BigEndian.AppendUint32(out, uint32(x.capacity))
 	out = append(out, 0, 0, 0, 0)
-	return appendSeg(out, seg), nil
+	return appendSeg(out, x.lookup.Segment())
 }
 
 func openTSetSection(data []byte, suite prf.Suite) (Index, error) {
@@ -282,9 +270,9 @@ func openTSetSection(data []byte, suite prf.Suite) (Index, error) {
 		return nil, ErrCorrupt
 	}
 	// Bound the slot product by what the section could possibly hold
-	// before multiplying, so it cannot overflow.
-	maxSlots := uint64(len(data)) / LabelSize
-	if buckets > maxSlots/uint64(capacity) {
+	// (a slot takes at least a byte) before multiplying, so it cannot
+	// overflow.
+	if buckets > uint64(len(data))/uint64(capacity) {
 		return nil, ErrCorrupt
 	}
 	slots := buckets * uint64(capacity)
@@ -313,29 +301,24 @@ func openTSetSection(data []byte, suite prf.Suite) (Index, error) {
 		numBuckets: int(buckets),
 		lookup:     lookup,
 	}
-	x.size = x.serializedSize()
 	return x, nil
 }
 
 // ----- twolevel -----
 
-func (x *twoLevelIndex) appendSection(out []byte) ([]byte, error) {
-	seg, err := storage.EncodeSegment(x.cells)
-	if err != nil {
-		return nil, err
-	}
+func (x *twoLevelIndex) appendSection(out []byte) []byte {
 	out = append(out, tagTwoLevel, 0, 0, 0)
 	out = binary.BigEndian.AppendUint32(out, uint32(x.inlineCap))
 	out = binary.BigEndian.AppendUint32(out, uint32(x.blockSize))
 	out = append(out, 0, 0, 0, 0)
 	out = binary.BigEndian.AppendUint64(out, uint64(x.postings))
-	out = appendSeg(out, seg)
+	out = appendSeg(out, x.cells.Segment())
 	out = binary.BigEndian.AppendUint64(out, uint64(len(x.blocks)))
 	for _, b := range x.blocks {
 		out = append(out, b...)
 	}
 	// blockLen = blockSize*8 is a multiple of 8, so out stays aligned.
-	return out, nil
+	return out
 }
 
 func openTwoLevelSection(data []byte, suite prf.Suite) (Index, error) {
@@ -391,6 +374,5 @@ func openTwoLevelSection(data []byte, suite prf.Suite) (Index, error) {
 	for i := range x.blocks {
 		x.blocks[i] = raw[uint64(i)*blockLen : uint64(i+1)*blockLen : uint64(i+1)*blockLen]
 	}
-	x.size = x.serializedSize()
 	return x, nil
 }

@@ -7,7 +7,8 @@ import (
 
 // benchRecords builds n uniform 16-byte-label records — the key
 // distribution of the SSE dictionaries, which is what the Get path is
-// optimized for.
+// optimized for. They seal, as the dictionaries do, as segment
+// version 3.
 func benchRecords(n int) ([][]byte, [][]byte) {
 	rnd := mrand.New(mrand.NewSource(42))
 	keys := make([][]byte, n)

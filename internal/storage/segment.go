@@ -19,19 +19,25 @@ import (
 //
 //	header (48 bytes):
 //	  [0:4)   magic "RSG1"
-//	  [4:6)   format version: 2 if every value has one width, else 1
-//	  [6:8)   key length in bytes
+//	  [4:6)   format version: 3 for a pseudorandom space stored at a
+//	          truncated key width, else 2 if every value has one width,
+//	          else 1
+//	  [6:8)   key length in bytes: the length of every probe
 //	  [8:16)  record count n
 //	  [16:24) value bytes in all
 //	  [24]    radix directory bits (0 = no directory)
-//	  [25:28) reserved, zero
-//	  [28:32) version 2: the value width; version 1: zero
+//	  [25]    version 3: s, the key bytes each record stores; else zero
+//	  [26:28) reserved, zero
+//	  [28:32) versions 2 and 3: the value width; version 1: zero
 //	  [32:40) total segment length, footer included
 //	  [40:44) CRC-32C of header bytes [0:40)
 //	  [44:48) reserved, zero
-//	version 2 body (starts at offset 48):
+//	version 2 and 3 body (starts at offset 48):
 //	  records  n key‖value records at one stride, keys strictly
-//	           ascending; padded to 4
+//	           ascending; padded to 4. Version 3 stores of each key only
+//	           the s-byte window [dirBits/8, dirBits/8+s): the bytes
+//	           above it are the record's directory bucket, and the bytes
+//	           below it are dropped
 //	  dir      ((1<<dirBits)+1) uint32 entries, present iff dirBits > 0;
 //	           about four records per bucket
 //	version 1 body (starts 8-aligned at offset 48):
@@ -43,8 +49,14 @@ import (
 //	footer:
 //	  CRC-32C of the body
 //
-// Sealing writes version 2 for every uniform-width space (every SSE
-// dictionary) and version 1 only for mixed widths; both versions load.
+// Sealing writes version 3 for a uniform-width space whose keys are
+// longer than the window that tells them apart (every SSE dictionary),
+// version 2 for any other uniform-width space and version 1 only for
+// mixed widths; every version loads. A version 3 probe compares its window with the
+// records of its bucket, so a key that is not stored false-matches a
+// record that agrees with it on the window: Seal picks s so that this
+// happens with probability at most 2^-64 per probe (keyWindow), and
+// refuses two keys that agree on the window.
 // The header checksum makes truncation and header bit-flips an O(1)
 // rejection; the body checksum (verified once at open, at memory
 // bandwidth) catches everything else, so the serve path can skip
@@ -77,8 +89,9 @@ type segmentLayout struct {
 }
 
 // layoutFor computes the section offsets of a segment with the given
-// shape. All arithmetic is overflow-checked by the caller (OpenSegment)
-// before this runs on untrusted values.
+// shape, keyLen the bytes each record stores of its key. All arithmetic
+// is overflow-checked by the caller (OpenSegment) before this runs on
+// untrusted values.
 func layoutFor(version uint16, keyLen, n, valsLen uint64, dirBits uint8) segmentLayout {
 	var l segmentLayout
 	end := segHeaderSize + n*keyLen + valsLen
@@ -94,28 +107,6 @@ func layoutFor(version uint16, keyLen, n, valsLen uint64, dirBits uint8) segment
 	}
 	l.total = l.footerOff + segFooterSize
 	return l
-}
-
-// EncodeSegment serializes a backend into the segment format by feeding
-// its records, in Iterate (ascending key) order, through a Sorted
-// builder: one writer for every engine.
-func EncodeSegment(b Backend) ([]byte, error) {
-	sb := newSortedBuilder(b.KeyLen(), b.Len())
-	var err error
-	b.Iterate(func(k, v []byte) bool {
-		err = sb.Put(k, v)
-		return err == nil
-	})
-	if err == nil && sb.n != b.Len() {
-		// A backend whose Iterate stops short of Len() — e.g. a
-		// checksum-valid but crafted segment with a lying offset table —
-		// must not be re-encoded into a silently shorter segment.
-		err = fmt.Errorf("storage: backend iterated %d of %d records", sb.n, b.Len())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return sb.seal()
 }
 
 // OpenSegment validates a serialized segment and returns a Backend that
@@ -136,7 +127,7 @@ func OpenSegment(data []byte) (Backend, error) {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorruptSegment)
 	}
 	version := binary.BigEndian.Uint16(data[4:6])
-	if version != 1 && version != 2 {
+	if version < 1 || version > 3 {
 		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorruptSegment, version)
 	}
 	keyLen := uint64(binary.BigEndian.Uint16(data[6:8]))
@@ -148,6 +139,18 @@ func OpenSegment(data []byte) (Backend, error) {
 	if keyLen == 0 || dirBits > maxDirBits || (n == 0 && dirBits != 0) {
 		return nil, fmt.Errorf("%w: bad shape", ErrCorruptSegment)
 	}
+	// Version 3 stores an s-byte window of each key, starting below the
+	// directory's whole bytes: at least 8 bytes, so every compare starts
+	// with a full 8-byte prefix, and fewer than the key's, inside it.
+	kw, koff := keyLen, uint64(0)
+	if s := uint64(data[25]); version == 3 {
+		kw, koff = s, uint64(dirBits/8)
+		if s < 8 || s >= keyLen || koff+s > keyLen {
+			return nil, fmt.Errorf("%w: stored key width %d of %d-byte keys", ErrCorruptSegment, s, keyLen)
+		}
+	} else if s != 0 {
+		return nil, fmt.Errorf("%w: stored key width %d in a version %d segment", ErrCorruptSegment, s, version)
+	}
 	// The pad after the header checksum is the only region neither CRC
 	// covers; require it zero so every byte of the file is pinned down.
 	if data[44] != 0 || data[45] != 0 || data[46] != 0 || data[47] != 0 {
@@ -156,11 +159,11 @@ func OpenSegment(data []byte) (Backend, error) {
 	// Bound every factor against the real input size before computing the
 	// layout, so the multiplications below cannot overflow.
 	avail := uint64(len(data))
-	if n > avail/keyLen || valsLen > avail || (version == 1 && n+1 > avail/8) ||
-		(version == 2 && (width > 0 && n > avail/width || valsLen != n*width)) {
+	if n > avail/kw || valsLen > avail || (version == 1 && n+1 > avail/8) ||
+		(version != 1 && (width > 0 && n > avail/width || valsLen != n*width)) {
 		return nil, fmt.Errorf("%w: counts do not fit the input", ErrCorruptSegment)
 	}
-	l := layoutFor(version, keyLen, n, valsLen, dirBits)
+	l := layoutFor(version, kw, n, valsLen, dirBits)
 	if l.total != total || total != avail {
 		return nil, fmt.Errorf("%w: length %d does not match declared layout %d", ErrCorruptSegment, avail, l.total)
 	}
@@ -169,11 +172,14 @@ func OpenSegment(data []byte) (Backend, error) {
 	}
 	x := &segmentBackend{
 		keyLen:  int(keyLen),
-		stride:  int(keyLen + width),
+		kw:      int(kw),
+		koff:    int(koff),
+		stride:  int(kw + width),
 		n:       int(n),
-		recs:    data[segHeaderSize : segHeaderSize+n*keyLen+valsLen],
+		recs:    data[segHeaderSize : segHeaderSize+n*kw+valsLen],
 		dirBits: uint(dirBits),
 		dir:     data[l.dirOff:l.footerOff],
+		seg:     data,
 	}
 	if version == 1 {
 		x.stride = int(keyLen)
@@ -190,14 +196,17 @@ func OpenSegment(data []byte) (Backend, error) {
 // memory-mapped file. It is the Backend of both the Sorted and the Disk
 // engine.
 type segmentBackend struct {
-	keyLen  int
+	keyLen  int // the length of every probe
+	kw      int // bytes each record stores of its key: keyLen, or version 3's s
+	koff    int // where the stored bytes start in a key: dirBits/8 under version 3, else 0
 	stride  int // bytes from one key in recs to the next
 	n       int
-	recs    []byte // version 2: n key‖value records; version 1: n keys
+	recs    []byte // versions 2 and 3: n key‖value records; version 1: n keys
 	offs    []byte // version 1 only: (n+1) big-endian uint64
 	vals    []byte // version 1 only: the value heap
 	dirBits uint
 	dir     []byte // ((1<<dirBits)+1) big-endian uint32
+	seg     []byte // the whole segment
 	heap    int    // bytes of heap the backend owns (set when it holds the only reference to the buffer)
 }
 
@@ -209,7 +218,7 @@ type segmentBackend struct {
 func (x *segmentBackend) value(i int) ([]byte, bool) {
 	if x.offs == nil {
 		end := (i + 1) * x.stride
-		return x.recs[i*x.stride+x.keyLen : end : end], true
+		return x.recs[i*x.stride+x.kw : end : end], true
 	}
 	lo := binary.BigEndian.Uint64(x.offs[i*8:])
 	hi := binary.BigEndian.Uint64(x.offs[(i+1)*8:])
@@ -223,19 +232,18 @@ func (x *segmentBackend) Get(key []byte) ([]byte, bool) {
 	if len(key) != x.keyLen {
 		return nil, false
 	}
-	kp := loadPrefix(key)
-	lo, hi := x.bucket(kp)
-	return x.search(key, kp, lo, hi)
+	lo, hi := x.bucket(loadPrefix(key))
+	return x.search(key, loadPrefix(key[x.koff:]), lo, hi)
 }
 
-// search binary-searches records [lo, hi) for key, whose 8-byte prefix
-// is kp.
+// search binary-searches records [lo, hi) for key, the stored bytes of
+// which start with the 8-byte prefix kp.
 func (x *segmentBackend) search(key []byte, kp uint64, lo, hi int) ([]byte, bool) {
-	kl, stride := x.keyLen, x.stride
+	kw, stride := x.kw, x.stride
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		rec := x.recs[mid*stride : mid*stride+stride]
-		mk := rec[:kl]
+		mk := rec[:kw]
 		// Compare the 8-byte prefixes as integers; fall back to the tail
 		// bytes only on a prefix tie.
 		c := 0
@@ -244,8 +252,8 @@ func (x *segmentBackend) search(key []byte, kp uint64, lo, hi int) ([]byte, bool
 			c = -1
 		case mp > kp:
 			c = 1
-		case kl > 8:
-			c = bytes.Compare(mk[8:], key[8:])
+		case kw > 8:
+			c = bytes.Compare(mk[8:], key[x.koff+8:x.koff+kw])
 		}
 		switch {
 		case c < 0:
@@ -254,7 +262,7 @@ func (x *segmentBackend) search(key []byte, kp uint64, lo, hi int) ([]byte, bool
 			hi = mid
 		case x.offs == nil:
 			// The value shares the line the key was just read from.
-			return rec[kl:stride:stride], true
+			return rec[kw:stride:stride], true
 		default:
 			return x.value(mid)
 		}
@@ -293,6 +301,9 @@ func (x *segmentBackend) getMany(keys, vals [][]byte) {
 		if len(key) == x.keyLen {
 			kp[j] = loadPrefix(key)
 			lo[j], hi[j] = x.bucket(kp[j])
+			if x.koff > 0 {
+				kp[j] = loadPrefix(key[x.koff:])
+			}
 		}
 	}
 	for j := range keys {
@@ -300,7 +311,7 @@ func (x *segmentBackend) getMany(keys, vals [][]byte) {
 			mid := int(uint(l+h) >> 1)
 			// Step past a record whose prefix is below the key's, or
 			// down to it otherwise: a tie stays in the range for search.
-			if loadPrefix(x.recs[mid*x.stride:mid*x.stride+x.keyLen]) < kp[j] {
+			if loadPrefix(x.recs[mid*x.stride:mid*x.stride+x.kw]) < kp[j] {
 				l = mid + 1
 			} else {
 				h = mid + 1
@@ -337,7 +348,7 @@ func (x *segmentBackend) KeyLen() int { return x.keyLen }
 func (x *segmentBackend) Iterate(fn func(key, value []byte) bool) {
 	for i := 0; i < x.n; i++ {
 		v, ok := x.value(i)
-		if !ok || !fn(x.recs[i*x.stride:i*x.stride+x.keyLen], v) {
+		if !ok || !fn(x.recs[i*x.stride:i*x.stride+x.kw], v) {
 			return
 		}
 	}
@@ -348,3 +359,13 @@ func (x *segmentBackend) Iterate(fn func(key, value []byte) bool) {
 // opened it — and the full encoding size for segments a builder sealed
 // in memory, where the backend holds the only reference.
 func (x *segmentBackend) Resident() int { return x.heap }
+
+func (x *segmentBackend) Segment() []byte { return x.seg }
+
+func (x *segmentBackend) Layout() Layout {
+	return Layout{
+		KeyBytes:   x.n * x.kw,
+		ValueBytes: len(x.recs) - x.n*x.kw + len(x.vals),
+		DirBytes:   len(x.dir),
+	}
+}

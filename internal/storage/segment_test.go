@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -23,13 +24,48 @@ func sortedKeys(recs map[string][]byte) []string {
 	return keys
 }
 
+// encodeRecords seals recs and returns a copy of the segment, free for a
+// test to mutate.
 func encodeRecords(t *testing.T, keyLen int, recs map[string][]byte) []byte {
 	t.Helper()
-	seg, err := EncodeSegment(fill(t, Sorted{}, keyLen, recs))
-	if err != nil {
-		t.Fatal(err)
+	return encodeCase(t, layoutCase{keyLen: keyLen, recs: recs})
+}
+
+func encodeCase(t testing.TB, c layoutCase) []byte {
+	t.Helper()
+	return bytes.Clone(c.seal(t, Sorted{}).Segment())
+}
+
+// storedKey is what segment seg stores of key k: under version 3 its
+// s-byte window below the directory's whole bytes, else all of it.
+func storedKey(seg []byte, k string) string {
+	if binary.BigEndian.Uint16(seg[4:6]) != 3 {
+		return k
 	}
-	return seg
+	koff := int(seg[24] / 8)
+	return k[koff : koff+int(seg[25])]
+}
+
+// resealHeader recomputes the header checksum over a mutated header.
+func resealHeader(seg []byte) {
+	binary.BigEndian.PutUint32(seg[40:44], crc32c(seg[0:40]))
+}
+
+// resealBody recomputes the body checksum over a mutated body.
+func resealBody(seg []byte) {
+	end := len(seg) - segFooterSize
+	binary.BigEndian.PutUint32(seg[end:], crc32c(seg[segHeaderSize:end]))
+}
+
+// lieDirectory rewrites a segment's directory so that bucket p claims
+// records [p<<14, (p+1)<<14), past n for all but the first, and reseals
+// it.
+func lieDirectory(seg []byte) {
+	dirOff := len(seg) - segFooterSize - 4*((1<<seg[24])+1)
+	for off := dirOff; off < len(seg)-segFooterSize; off += 4 {
+		binary.BigEndian.PutUint32(seg[off:], uint32(off-dirOff)<<12)
+	}
+	resealBody(seg)
 }
 
 func TestSegmentRoundtrip(t *testing.T) {
@@ -54,22 +90,19 @@ func TestSegmentRoundtrip(t *testing.T) {
 			if _, ok := x.Get(make([]byte, keyLen+1)); ok {
 				t.Fatal("wrong-length key found")
 			}
-			var iterated []string
+			// Iterate yields the records in key order, each key as the
+			// segment stores it: a single 16-byte key is version 3.
+			want := sortedKeys(recs)
+			i := 0
 			x.Iterate(func(k, v []byte) bool {
-				if !bytes.Equal(v, recs[string(k)]) {
-					t.Fatalf("iterate value mismatch at %x", k)
+				if i >= len(want) || string(k) != storedKey(seg, want[i]) || !bytes.Equal(v, recs[want[i]]) {
+					t.Fatalf("iterated record %d as %x", i, k)
 				}
-				iterated = append(iterated, string(k))
+				i++
 				return true
 			})
-			want := sortedKeys(recs)
-			if len(iterated) != len(want) {
-				t.Fatalf("iterated %d, want %d", len(iterated), len(want))
-			}
-			for i := range want {
-				if iterated[i] != want[i] {
-					t.Fatalf("iterate order broken at %d", i)
-				}
+			if i != len(want) {
+				t.Fatalf("iterated %d, want %d", i, len(want))
 			}
 		}
 	}
@@ -81,7 +114,7 @@ func TestSegmentRoundtrip(t *testing.T) {
 // never panic. So must every truncation.
 func TestSegmentRejectsCorruption(t *testing.T) {
 	for _, c := range layoutCases(12) {
-		seg := encodeRecords(t, c.keyLen, c.recs)
+		seg := encodeCase(t, c)
 		for i := range seg {
 			seg[i] ^= 0x41
 			_, err := OpenSegment(seg)
@@ -102,21 +135,11 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 
 // TestCraftedSegmentsDegrade: a checksum-valid segment whose directory
 // or offsets lie must degrade to misses and a short Iterate, never a
-// panic, and EncodeSegment must refuse to re-encode a short Iterate.
+// panic or another record's value.
 func TestCraftedSegmentsDegrade(t *testing.T) {
-	// reseal recomputes the body checksum over a mutated body.
-	reseal := func(seg []byte) {
-		end := len(seg) - segFooterSize
-		binary.BigEndian.PutUint32(seg[end:], crc32c(seg[segHeaderSize:end]))
-	}
 	for _, c := range layoutCases(13) {
-		seg := encodeRecords(t, c.keyLen, c.recs)
-		dirOff := len(seg) - segFooterSize - 4*((1<<seg[24])+1)
-		// Bucket p claims records [p<<16, (p+1)<<16): past n for all.
-		for off := dirOff; off < len(seg)-segFooterSize; off += 4 {
-			binary.BigEndian.PutUint32(seg[off:], uint32(off-dirOff)<<14)
-		}
-		reseal(seg)
+		seg := encodeCase(t, c)
+		lieDirectory(seg)
 		x, err := OpenSegment(seg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -128,10 +151,10 @@ func TestCraftedSegmentsDegrade(t *testing.T) {
 		}
 	}
 	c := layoutCases(13)[1] // version 1: an offset past the value heap
-	seg := encodeRecords(t, c.keyLen, c.recs)
+	seg := encodeCase(t, c)
 	offsOff := int(pad8(uint64(segHeaderSize + len(c.recs)*c.keyLen)))
 	binary.BigEndian.PutUint64(seg[offsOff+8*10:], 1<<40)
-	reseal(seg)
+	resealBody(seg)
 	x, err := OpenSegment(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +162,10 @@ func TestCraftedSegmentsDegrade(t *testing.T) {
 	for k := range c.recs {
 		x.Get([]byte(k))
 	}
-	if _, err := EncodeSegment(x); err == nil {
-		t.Fatal("re-encoded a segment whose Iterate stops at a lying offset")
+	count := 0
+	x.Iterate(func(k, v []byte) bool { count++; return true })
+	if count != 9 {
+		t.Fatalf("Iterate visited %d records; offset 10, which ends record 9, lies", count)
 	}
 }
 
@@ -200,19 +225,32 @@ func TestOpenSegmentFile(t *testing.T) {
 
 // FuzzOpenSegment hammers the raw segment parser: corrupt bytes must be
 // rejected with ErrCorruptSegment, and anything accepted must survive a
-// full probe without panicking.
+// full probe without panicking. The seeds hold every version, plus
+// version 3 headers whose stored key width is 0, below 8 or not below
+// the key length (refused), and a version 3 segment whose directory
+// lies (accepted).
 func FuzzOpenSegment(f *testing.F) {
 	rnd := mrand.New(mrand.NewSource(17))
 	for _, n := range []int{0, 3, 64} {
-		// Mixed widths seed version 1, one width version 2.
-		for _, recs := range []map[string][]byte{randomRecords(rnd, n, 8), uniformRecords(rnd, n, 8, 12)} {
-			seg, err := EncodeSegment(fill(f, Sorted{}, 8, recs))
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(seg)
+		// Mixed widths seed version 1, one width version 2, pseudorandom
+		// 16-byte keys version 3.
+		for _, c := range []layoutCase{
+			{"", 8, randomRecords(rnd, n, 8)},
+			{"", 8, uniformRecords(rnd, n, 8, 12)},
+			{"", 16, uniformRecords(rnd, n, 16, 8)},
+		} {
+			f.Add(encodeCase(f, c))
 		}
 	}
+	v3 := encodeCase(f, layoutCase{"", 16, uniformRecords(rnd, 64, 16, 8)})
+	for _, s := range []byte{0, 7, 16, 200} {
+		seg := bytes.Clone(v3)
+		seg[25] = s
+		resealHeader(seg)
+		f.Add(seg)
+	}
+	lieDirectory(v3)
+	f.Add(v3)
 	f.Add([]byte("RSG1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, err := OpenSegment(data)
@@ -222,12 +260,26 @@ func FuzzOpenSegment(f *testing.F) {
 			}
 			return
 		}
+		// Iterate yields each key as the segment stores it: whole, or
+		// under version 3 its window, from byte koff of a key. A probe
+		// that holds it there must get the same answer from Get and
+		// GetMany; and a whole key, unless a crafted directory or order
+		// hides its record, never answers another record's value. (The
+		// roundtrip tests check that a sealed segment's Get finds every
+		// record.)
+		seg := x.(*segmentBackend)
 		probe := make([]byte, x.KeyLen())
-		x.Get(probe)
 		count := 0
 		x.Iterate(func(k, v []byte) bool {
-			if got, ok := x.Get(k); !ok || !bytes.Equal(got, v) {
-				t.Fatalf("iterated record not gettable: %x", k)
+			if len(k) != seg.kw {
+				t.Fatalf("iterated a %d-byte key from a segment storing %d", len(k), seg.kw)
+			}
+			copy(probe[seg.koff:], k)
+			vals := [][]byte{nil, nil}
+			x.GetMany([][]byte{probe, make([]byte, x.KeyLen())}, vals)
+			got, ok := x.Get(probe)
+			if ok != (vals[0] != nil) || ok && !bytes.Equal(got, vals[0]) || ok && len(k) == x.KeyLen() && !bytes.Equal(got, v) {
+				t.Fatalf("iterated record %x with value %x: Get %x (%v), GetMany %x", k, v, got, ok, vals[0])
 			}
 			count++
 			return count < 64
@@ -235,43 +287,170 @@ func FuzzOpenSegment(f *testing.F) {
 	})
 }
 
-// TestEncodeSegmentBytes pins the segment encoding of both versions to
-// SHA-256 digests, on every engine: the uniform space is version 2, and
-// the mixed one version 1, whose digest was recorded when version 1 was
-// the only format. Both must also be the size the layout declares.
+// TestEncodeSegmentBytes pins the segment encoding of every version to
+// SHA-256 digests, on every engine: the uniform space of 8-byte keys is
+// version 2, whose digest the writer before version 3 reproduces, the
+// mixed one version 1, whose digest was recorded when version 1 was the
+// only format, and the pseudorandom one version 3. Each must also be the
+// size the layout declares.
 func TestEncodeSegmentBytes(t *testing.T) {
 	want := map[string]struct {
 		version uint16
 		size    int
 		digest  string
 	}{
-		// 48-byte header, 3000 records of 16+41 bytes padded to 4, 2^10+1
+		// 48-byte header, 3000 records of 8+41 bytes padded to 4, 2^10+1
 		// directory entries (3000/4 records to bucket), 4-byte footer.
-		"uniform": {2, 48 + 171000 + 4*1025 + 4, "ecd7052de3c52bae3acf8cf6f51012fc9b6674f5a256541f88b21e2d590a01a1"},
+		"uniform": {2, 48 + 147000 + 4*1025 + 4, "7701ce5e5add16eac5b8cccc401d6d3c287969deb140ca89f5917ee39a8a531f"},
 		"mixed":   {1, -1, "1927f624497eff734376e5979b3b97cc651901ba14cd8e7f776f76fe2c875b37"},
+		// The same shape with 8-byte values and 9 bytes of each key.
+		"labels": {3, 48 + 3000*(9+8) + 4*1025 + 4, "fa6319f2513a6748d963981c30c9dea06b752b829c0048303be9d48e573a0b1d"},
 	}
 	for _, c := range layoutCases(5) {
 		w := want[c.name]
 		for _, e := range Engines() {
-			seg, err := EncodeSegment(fill(t, e, c.keyLen, c.recs))
-			if err != nil {
-				t.Fatal(err)
-			}
+			seg := c.seal(t, e).Segment()
 			if v := binary.BigEndian.Uint16(seg[4:6]); v != w.version || (w.size >= 0 && len(seg) != w.size) {
 				t.Errorf("%s/%s: version %d, %d bytes; want version %d, %d bytes", e.Name(), c.name, v, len(seg), w.version, w.size)
 			}
-			if w.version == 2 {
-				// The body is the records themselves, key‖value in key order.
-				stride := c.keyLen + 41
-				for i, k := range sortedKeys(c.recs) {
-					if rec := seg[48+i*stride : 48+(i+1)*stride]; string(rec) != k+string(c.recs[k]) {
-						t.Fatalf("%s/%s: record %d is %x, want %x‖%x", e.Name(), c.name, i, rec, k, c.recs[k])
+			if w.version >= 2 {
+				// The body is the records themselves, key‖value in key
+				// order; version 3 keeps the key's s-byte window below
+				// the directory's whole bytes.
+				keys := sortedKeys(c.recs)
+				stride := len(storedKey(seg, keys[0])) + len(c.recs[keys[0]])
+				for i, k := range keys {
+					if rec := seg[48+i*stride : 48+(i+1)*stride]; string(rec) != storedKey(seg, k)+string(c.recs[k]) {
+						t.Fatalf("%s/%s: record %d is %x, want %x‖%x", e.Name(), c.name, i, rec, storedKey(seg, k), c.recs[k])
 					}
 				}
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != w.digest {
 				t.Errorf("%s/%s: segment digest %s, want %s", e.Name(), c.name, got, w.digest)
 			}
+		}
+	}
+}
+
+// TestTruncatedKeys: a pseudorandom space seals as version 3 at the
+// least stored key width whose false-match bound holds in its fullest
+// bucket. Every key is found, by Get and GetMany; a probe that differs
+// from a stored key inside the window misses, and one that differs only
+// below it is the documented false match: it answers the stored key's
+// value. Iterate visits each record, in order, under its stored window.
+func TestTruncatedKeys(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(21))
+	for _, n := range []int{1, 3, 500, 3000, 20000} {
+		c := layoutCase{fmt.Sprint(n), 16, uniformRecords(rnd, n, 16, 8)}
+		for _, e := range Engines() {
+			x := c.seal(t, e)
+			seg := x.Segment()
+			dirBits := uint(seg[24])
+			s, koff := int(seg[25]), int(dirBits/8)
+			if v := binary.BigEndian.Uint16(seg[4:6]); v != 3 || koff+s >= 16 {
+				t.Fatalf("%s/%d: version %d storing [%d, %d) of each key", e.Name(), n, v, koff, koff+s)
+			}
+			// The fullest bucket, counted from the keys themselves.
+			buckets := map[uint64]int{}
+			m := 0
+			for k := range c.recs {
+				p := binary.BigEndian.Uint64([]byte(k)) >> (64 - dirBits)
+				buckets[p]++
+				m = max(m, buckets[p])
+			}
+			// m·2^-(8s-r) ≤ 2^-64 at s and not at s-1, r = dirBits mod 8.
+			free := func(s int) int { return 8*s - int(dirBits%8) }
+			if log2m := bitsFor(m); free(s)-log2m < 64 || free(s-1)-log2m >= 64 {
+				t.Fatalf("%s/%d: s = %d for a fullest bucket of %d and %d directory bits", e.Name(), n, s, m, dirBits)
+			}
+			if l := x.Layout(); l.KeyBytes != n*s || l.ValueBytes != n*8 || l.DirBytes != 4*((1<<dirBits)+1) {
+				t.Fatalf("%s/%d: layout %+v", e.Name(), n, l)
+			}
+			checkGetMany(t, fmt.Sprintf("%s/%d", e.Name(), n), x, c.recs)
+			for k, v := range c.recs {
+				got, ok := x.Get([]byte(k))
+				if !ok || !bytes.Equal(got, v) {
+					t.Fatalf("%s/%d: get %x = %x, %v", e.Name(), n, k, got, ok)
+				}
+				below, inside := []byte(k), []byte(k)
+				below[15] ^= 1
+				inside[koff+s-1] ^= 1
+				if got, ok := x.Get(below); !ok || !bytes.Equal(got, v) {
+					t.Fatalf("%s/%d: a probe differing below the window got %x, %v; want the false match %x", e.Name(), n, got, ok, v)
+				}
+				if _, ok := x.Get(inside); ok && c.recs[string(inside)] == nil {
+					t.Fatalf("%s/%d: a probe differing inside the window matched", e.Name(), n)
+				}
+			}
+			keys := sortedKeys(c.recs)
+			i := 0
+			x.Iterate(func(k, v []byte) bool {
+				if want := keys[i][koff : koff+s]; string(k) != want || !bytes.Equal(v, c.recs[keys[i]]) {
+					t.Fatalf("%s/%d: record %d iterated as %x, want %x", e.Name(), n, i, k, want)
+				}
+				i++
+				return true
+			})
+			if i != n {
+				t.Fatalf("%s/%d: iterated %d records", e.Name(), n, i)
+			}
+		}
+	}
+}
+
+// bitsFor is ⌈log2 m⌉.
+func bitsFor(m int) int {
+	b := 0
+	for 1<<b < m {
+		b++
+	}
+	return b
+}
+
+// TestTruncatedKeyCollision: two 16-byte keys that agree on the stored
+// window and differ only below it are refused at seal, whatever order
+// they arrive in. A space whose keys are too short to truncate seals as
+// version 2.
+func TestTruncatedKeyCollision(t *testing.T) {
+	a := bytes.Repeat([]byte{0x5a}, 16)
+	b := bytes.Clone(a)
+	b[15] ^= 1
+	for _, e := range Engines() {
+		for _, keys := range [][][]byte{{a, b}, {b, a}} {
+			bld := e.NewBuilder(16, 2)
+			for _, k := range keys {
+				if err := bld.Put(k, []byte("cell")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := bld.Seal(); !errors.Is(err, ErrDuplicateKey) {
+				t.Errorf("%s: keys agreeing on the window sealed: %v", e.Name(), err)
+			}
+		}
+		short := layoutCase{"", 8, uniformRecords(mrand.New(mrand.NewSource(1)), 100, 8, 8)}.seal(t, e)
+		if v := binary.BigEndian.Uint16(short.Segment()[4:6]); v != 2 {
+			t.Errorf("%s: 8-byte keys sealed as version %d", e.Name(), v)
+		}
+	}
+}
+
+// TestOpenSegmentRejectsStoredWidth: a version 3 header must store at
+// least 8 and fewer than the key's bytes of each key, and versions 1 and
+// 2 none: anything else is ErrCorruptSegment, even under valid
+// checksums.
+func TestOpenSegmentRejectsStoredWidth(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(22))
+	v3 := encodeCase(t, layoutCase{"", 16, uniformRecords(rnd, 64, 16, 8)})
+	v2 := encodeCase(t, layoutCase{"", 8, uniformRecords(rnd, 64, 8, 8)})
+	for _, c := range []struct {
+		seg []byte
+		s   byte
+	}{{v3, 0}, {v3, 7}, {v3, 16}, {v3, 17}, {v2, 9}} {
+		seg := bytes.Clone(c.seg)
+		seg[25] = c.s
+		resealHeader(seg)
+		if _, err := OpenSegment(seg); !errors.Is(err, ErrCorruptSegment) || !strings.Contains(err.Error(), "stored key width") {
+			t.Errorf("version %d with stored width %d: %v", binary.BigEndian.Uint16(seg[4:6]), c.s, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -29,10 +30,15 @@ import (
 // big-endian encodings share their leading bytes) collapse into one
 // directory bucket and degrade gracefully to a plain binary search.
 //
-// Sealing from already-ascending input — the case for EncodeSegment,
-// which feeds records in Iterate order — skips the sort entirely. A
+// A uniform space whose keys are longer than a probe needs (every SSE
+// dictionary) stores only the window of each key that tells it from the
+// other keys of its directory bucket: 9 of a 16-byte label's bytes at
+// four records a bucket, so a record of an 8-byte cell is 17 bytes, not
+// 24. Such keys must be pseudorandom (see NewBuilder).
+//
+// Sealing from already-ascending input skips the sort entirely. A
 // loaded index does not rebuild at all: it serves the sealed segments
-// of a copy of its blob in place.
+// of a copy of its blob in place, and writes them out as they are.
 type Sorted struct{}
 
 // Name implements Engine.
@@ -43,10 +49,10 @@ func (Sorted) Name() string { return "sorted" }
 const maxDirBits = 24
 
 // maxValueHint caps the value bytes a capacity hint reserves before the
-// records arrive: a hint is a record count (EncodeSegment's is the
-// backend's Len), and one wide first value — a tuple store whose first
-// tuple carries a large payload — must not multiply it into a huge
-// allocation. Keys are reserved in full: they are hint times keyLen.
+// records arrive: a hint is a record count, and one wide first value —
+// a tuple store whose first tuple carries a large payload — must not
+// multiply it into a huge allocation. Keys are reserved in full: they
+// are hint times keyLen.
 const maxValueHint = 64 << 20
 
 // NewBuilder implements Engine.
@@ -144,7 +150,7 @@ func (b *sortedBuilder) split() {
 }
 
 // Seal implements Builder: the sealed segment is served in place, and
-// the backend owns its bytes.
+// the backend owns its bytes, all the array holds.
 func (b *sortedBuilder) Seal() (Backend, error) {
 	seg, err := b.seal()
 	if err != nil {
@@ -152,14 +158,15 @@ func (b *sortedBuilder) Seal() (Backend, error) {
 	}
 	x, err := OpenSegment(seg)
 	if err == nil {
-		x.(*segmentBackend).heap = len(seg)
+		x.(*segmentBackend).heap = cap(seg)
 	}
 	return x, err
 }
 
-// seal sorts the records and writes the segment around them: version 2
-// for one value width, version 1 for mixed widths. It is the only
-// segment writer.
+// seal sorts the records and writes the segment around them: version 3
+// for a space of one value width whose keys are longer than the window
+// that tells them apart, version 2 for any other space of one value
+// width, version 1 for mixed widths. It is the only segment writer.
 func (b *sortedBuilder) seal() ([]byte, error) {
 	if b.sealed {
 		return nil, ErrSealed
@@ -170,12 +177,6 @@ func (b *sortedBuilder) seal() ([]byte, error) {
 	}
 	if !b.ascending {
 		b.sortRecords()
-		// Adjacent equal keys are the only possible duplicates once sorted.
-		for i := 1; i < b.n; i++ {
-			if bytes.Equal(b.key(i-1), b.key(i)) {
-				return nil, ErrDuplicateKey
-			}
-		}
 	}
 	version, width, dirBits := uint16(2), max(b.width, 0), dirBitsFor(b.n>>2, b.keyLen)
 	valsLen := uint64(b.n * width)
@@ -203,6 +204,24 @@ func (b *sortedBuilder) seal() ([]byte, error) {
 	if dirBits > 0 {
 		buf = appendDir(buf, buf[segHeaderSize:], b.stride(), b.keyLen, b.n, dirBits)
 	}
+	kw := 0 // version 3's stored key width
+	if !b.mixed && dirBits > 0 {
+		if s := keyWindow(maxBucket(buf[l.dirOff:]), dirBits); int(dirBits/8)+s < b.keyLen {
+			var err error
+			if buf, l, err = b.truncate(buf, buf[l.dirOff:l.footerOff], s, dirBits); err != nil {
+				return nil, err
+			}
+			version, kw = 3, s
+		}
+	}
+	if kw == 0 && !b.ascending {
+		// Adjacent equal keys are the only possible duplicates once sorted.
+		for i := 1; i < b.n; i++ {
+			if bytes.Equal(b.key(i-1), b.key(i)) {
+				return nil, ErrDuplicateKey
+			}
+		}
+	}
 
 	hdr := buf[:segHeaderSize]
 	copy(hdr[0:4], segMagic)
@@ -211,10 +230,53 @@ func (b *sortedBuilder) seal() ([]byte, error) {
 	binary.BigEndian.PutUint64(hdr[8:16], n)
 	binary.BigEndian.PutUint64(hdr[16:24], valsLen)
 	hdr[24] = uint8(dirBits)
+	hdr[25] = uint8(kw)
 	binary.BigEndian.PutUint32(hdr[28:32], uint32(width))
 	binary.BigEndian.PutUint64(hdr[32:40], l.total)
 	binary.BigEndian.PutUint32(hdr[40:44], crc32c(hdr[0:40]))
 	return binary.BigEndian.AppendUint32(buf, crc32c(buf[segHeaderSize:])), nil
+}
+
+// keyWindow is the key width, in bytes, that a pseudorandom space
+// whose fullest directory bucket holds m records stores: the least s for
+// which a probe that misses false-matches one of its bucket's records
+// with probability at most m·2^-(8s-r) ≤ 2^-64. The window starts at
+// the directory prefix's last whole byte, so its first r = dirBits mod
+// 8 bits are the bucket's, alike in all of its records.
+func keyWindow(m int, dirBits uint) int {
+	return (64 + int(dirBits%8) + bits.Len(uint(m-1)) + 7) / 8
+}
+
+// maxBucket is the most records one bucket of a directory holds.
+func maxBucket(dir []byte) int {
+	m, prev := 0, binary.BigEndian.Uint32(dir)
+	for i := 4; i < len(dir); i += 4 {
+		v := binary.BigEndian.Uint32(dir[i:])
+		m, prev = max(m, int(v-prev)), v
+	}
+	return m
+}
+
+// truncate rewrites a sealed uniform space, buf, as version 3, into an
+// array of its own length so that the full-width records are freed:
+// each record keeps the s-byte window of its key below the directory's
+// whole bytes, and the directory, dir, follows the records. Two keys
+// that agree up to the window's end, which sorting has put side by
+// side, are refused.
+func (b *sortedBuilder) truncate(buf, dir []byte, s int, dirBits uint) ([]byte, segmentLayout, error) {
+	koff, stride, w := int(dirBits/8), b.stride(), b.width
+	l := layoutFor(3, uint64(s), uint64(b.n), uint64(b.n*w), uint8(dirBits))
+	out := make([]byte, segHeaderSize, l.footerOff+segFooterSize)
+	recs := buf[segHeaderSize:]
+	for i := 0; i < b.n; i++ {
+		rec := recs[i*stride : (i+1)*stride]
+		if i+1 < b.n && bytes.Equal(rec[:koff+s], recs[(i+1)*stride:(i+1)*stride+koff+s]) {
+			return nil, segmentLayout{}, ErrDuplicateKey
+		}
+		out = append(append(out, rec[koff:koff+s]...), rec[b.keyLen:]...)
+	}
+	out = appendZeros(out, l.dirOff)
+	return append(out, dir...), l, nil
 }
 
 // appendZeros pads buf with zero bytes to length off.

@@ -1,7 +1,8 @@
 // Package storage separates the RSSE query structures from their physical
 // representation. Every server-side component stores records in one of two
-// keyed byte spaces — the SSE dictionaries map 16-byte pseudorandom labels
-// to encrypted cells, the tuple store maps 8-byte ids to ciphertexts — and
+// keyed byte spaces — the SSE dictionaries map pseudorandom labels, probed
+// with 16 bytes and stored at the width a probe needs (segment version 3),
+// to encrypted cells; the tuple store maps 8-byte ids to ciphertexts — and
 // both speak to those spaces only through the Backend interface defined
 // here. Schemes choose an Engine at build/unmarshal time; nothing above
 // this package knows (or cares) how the records are laid out.
@@ -42,6 +43,14 @@ type Engine interface {
 	Name() string
 	// NewBuilder starts a key space whose keys are exactly keyLen bytes.
 	// capacityHint sizes internal allocations; zero is allowed.
+	//
+	// Keys longer than 8 bytes must be pseudorandom: independent uniform
+	// strings, like every key the space will be probed with. A space of
+	// one value width stores each such key at the width a probe needs to
+	// tell it from the other keys of its directory bucket (segment
+	// version 3), so a probe for a key that is not stored false-matches
+	// with probability at most 2^-64, and two keys that agree on that
+	// width are an ErrDuplicateKey.
 	NewBuilder(keyLen, capacityHint int) Builder
 }
 
@@ -77,13 +86,28 @@ type Backend interface {
 	KeyLen() int
 	// Iterate visits every record in ascending lexicographic key order —
 	// the deterministic order the wire formats serialize in — until fn
-	// returns false. Visited slices must not be modified or retained.
+	// returns false. A segment of version 3, which stores a window of
+	// each key, yields that window, in the same record order. Visited
+	// slices must not be modified or retained.
 	Iterate(fn func(key, value []byte) bool)
 	// Resident approximates the heap bytes the backend pins for its
 	// records. Backends that alias caller-owned buffers (segment views
 	// over a blob or a memory-mapped file) report zero — the buffer is
 	// accounted for by whoever opened it.
 	Resident() int
+	// Segment returns the sealed segment the backend serves, the bytes
+	// Seal wrote or OpenSegment accepted, for a writer to copy out as
+	// they are. It must not be modified.
+	Segment() []byte
+	// Layout reports where the segment's bytes go.
+	Layout() Layout
+}
+
+// Layout is a segment's byte breakdown.
+type Layout struct {
+	KeyBytes   int // the key bytes the records store
+	ValueBytes int // the values
+	DirBytes   int // the radix directory
 }
 
 // GetEach is GetMany for a backend with no faster way: one Get per key,

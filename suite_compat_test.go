@@ -67,6 +67,7 @@ func todaysSuite(t *testing.T, kind rsse.Kind) rsse.PRFSuite {
 // whose own builds are of neither — learns that from Meta and derives
 // its GGM tokens on that suite's tree: the answers are the plaintext
 // oracle's on every engine, locally and over TCP, single and batched.
+// Loaded on either engine, the file re-marshals to its own bytes.
 func TestParentBuiltConstantIndexes(t *testing.T) {
 	for _, fx := range parentFixtures {
 		if fx.suite == todaysSuite(t, rsse.ConstantBRC) {
@@ -95,6 +96,11 @@ func testParentBuiltConstantIndexes(t *testing.T, dir string, suite rsse.PRFSuit
 			index, err := rsse.OpenIndexFile(path, engine)
 			if err != nil {
 				t.Fatalf("%s onto %s: %v", path, engine, err)
+			}
+			file, err := os.ReadFile(path)
+			must(t, err)
+			if again, err := index.MarshalBinary(); err != nil || !bytes.Equal(again, file) {
+				t.Fatalf("%s onto %s: re-marshal is not the file's bytes (%v)", path, engine, err)
 			}
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			must(t, err)
