@@ -377,16 +377,42 @@ func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
 	return x, nil
 }
 
-// entriesFromPostings converts a node→ids map into SSE entries whose
-// stags are derived under key for the suite this client builds.
-func (c *Client) entriesFromPostings(postings map[cover.Node][]ID, key prf.Key) []sse.Entry {
-	entries := make([]sse.Entry, 0, len(postings))
+// entriesFromPostings converts node posting lists into SSE entries
+// whose stags are derived under key for the suite this client builds.
+func (c *Client) entriesFromPostings(postings *postingLists[cover.Node, ID], key prf.Key) []sse.Entry {
+	entries := make([]sse.Entry, len(postings.keys))
 	s := newStagger(c.suite, key)
-	for n, ids := range postings {
-		entries = append(entries, sse.EntryFromIDs(s.node(n), ids))
+	for i, n := range postings.keys {
+		entries[i] = sse.EntryFromIDs(s.node(n), postings.lists[i])
 	}
 	s.release()
 	return entries
+}
+
+// postingLists gathers values under keys, keeping the keys in the order
+// each is first seen. A build draws each posting list's shuffle from
+// c.rnd in entry order, so gathering in a plain map, whose order changes
+// from run to run, would lay a seeded build out differently every time,
+// and with it the id order, and so the length, of every response.
+type postingLists[K comparable, V any] struct {
+	at    map[K]int
+	keys  []K
+	lists [][]V
+}
+
+func newPostingLists[K comparable, V any]() *postingLists[K, V] {
+	return &postingLists[K, V]{at: make(map[K]int)}
+}
+
+func (p *postingLists[K, V]) add(k K, v V) {
+	i, ok := p.at[k]
+	if !ok {
+		i = len(p.keys)
+		p.at[k] = i
+		p.keys = append(p.keys, k)
+		p.lists = append(p.lists, nil)
+	}
+	p.lists[i] = append(p.lists[i], v)
 }
 
 // technique returns the covering technique of the Constant/Logarithmic

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
@@ -156,18 +157,37 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 }
 
 // hostileResponses are response bodies whose counts promise far more
-// than they carry: 2^24-1 groups, 2^27 groups, one group of 2^27 items,
-// 2^32-1 groups.
+// than they carry. The first four have the 4-byte count words of the
+// layout before varints: 2^24-1 groups, 2^27 groups, one group of 2^27
+// items, 2^32-1 groups. The rest are in the varint layout: 2^40 groups,
+// one group of 2^40 packed ids, one of 2^20 packed ids, a 2^40-byte
+// width, a 2^50-byte item of varying width, and a group count whose
+// varint runs past 64 bits.
 var hostileResponses = [][]byte{
 	{0x00, 0xff, 0xff, 0xff},
 	{0x08, 0x00, 0x00, 0x00},
 	{0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00},
 	{0xff, 0xff, 0xff, 0xff},
+	uvarints(1<<40, 8, 0),
+	uvarints(1, 8, 1<<40, 1<<41|1),
+	uvarints(1, 8, 1<<20, 1<<21|1, 1, 1),
+	uvarints(1, 1<<40, 1, 1<<1),
+	uvarints(1, 0, 1, 1<<1, 1<<50),
+	{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x08, 0x00},
+}
+
+// uvarints concatenates the uvarints of vs.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
 }
 
 // TestUnmarshalResponseHostileCounts: a response's group and item
-// counts come from the server. Each hostile body is refused as truncated
-// after allocating under 64 KiB — a 4-byte body used to buy an
+// counts come from the server. Each hostile body is refused after
+// allocating under 64 KiB — a 4-byte body used to buy an
 // allocation sized by its count (384 MiB to 96 GiB).
 func TestUnmarshalResponseHostileCounts(t *testing.T) {
 	for _, body := range hostileResponses {
@@ -192,6 +212,18 @@ func FuzzUnmarshalResponse(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add([]byte{0, 0, 0, 0})
+	// Id groups both ways: ids close together pack, random ones go raw.
+	for _, ids := range [][]uint64{{3, 1, 4, 1, 5}, {0x9e3779b97f4a7c15, 0x6a09e667f3bcc908}} {
+		r := &Response{Groups: make([][][]byte, 1)}
+		for _, id := range ids {
+			r.Groups[0] = append(r.Groups[0], binary.BigEndian.AppendUint64(nil, id))
+		}
+		b, err := r.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	for _, body := range hostileResponses {
 		f.Add(body)
 	}

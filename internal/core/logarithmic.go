@@ -14,10 +14,10 @@ import (
 // per-token groups.
 
 func (c *Client) buildLogarithmic(x *Index, tuples []Tuple) error {
-	postings := make(map[cover.Node][]ID)
+	postings := newPostingLists[cover.Node, ID]()
 	for _, t := range tuples {
 		for _, node := range cover.PathNodes(c.dom, t.Value) {
-			postings[node] = append(postings[node], t.ID)
+			postings.add(node, t.ID)
 		}
 	}
 	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)

@@ -14,10 +14,10 @@ import (
 
 func (c *Client) buildLogSRC(x *Index, tuples []Tuple) error {
 	tdag := cover.NewTDAG(c.dom)
-	postings := make(map[cover.Node][]ID)
+	postings := newPostingLists[cover.Node, ID]()
 	for _, t := range tuples {
 		for _, node := range tdag.Cover(t.Value) {
-			postings[node] = append(postings[node], t.ID)
+			postings.add(node, t.ID)
 		}
 	}
 	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)

@@ -104,7 +104,7 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 
 	// I1: TDAG1 over the domain indexes the encrypted pairs.
 	tdag1 := cover.NewTDAG(c.dom)
-	auxPostings := make(map[cover.Node][][]byte)
+	auxPostings := newPostingLists[cover.Node, []byte]()
 	pc := &pairCipher{block: c.pairBlock}
 	for _, p := range pairs {
 		for _, node := range tdag1.Cover(p.value) {
@@ -112,13 +112,13 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 			if err != nil {
 				return err
 			}
-			auxPostings[node] = append(auxPostings[node], blob)
+			auxPostings.add(node, blob)
 		}
 	}
-	auxEntries := make([]sse.Entry, 0, len(auxPostings))
+	auxEntries := make([]sse.Entry, len(auxPostings.keys))
 	s := newStagger(c.suite, c.kSSE)
-	for node, blobs := range auxPostings {
-		auxEntries = append(auxEntries, sse.Entry{Stag: s.node(node), Payloads: blobs})
+	for i, node := range auxPostings.keys {
+		auxEntries[i] = sse.Entry{Stag: s.node(node), Payloads: auxPostings.lists[i]}
 	}
 	s.release()
 	aux, err := c.sse.Build(auxEntries, pairWidth, c.rnd, c.storage, c.suite)
@@ -132,10 +132,10 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 		x.posBits = cover.FitDomain(uint64(len(sorted) - 1)).Bits
 	}
 	tdag2 := cover.NewTDAG(cover.Domain{Bits: x.posBits})
-	primPostings := make(map[cover.Node][]ID)
+	primPostings := newPostingLists[cover.Node, ID]()
 	for pos, t := range sorted {
 		for _, node := range tdag2.Cover(uint64(pos)) {
-			primPostings[node] = append(primPostings[node], t.ID)
+			primPostings.add(node, t.ID)
 		}
 	}
 	primary, err := c.sse.Build(c.entriesFromPostings(primPostings, c.kSSE2), 8, c.rnd, c.storage, c.suite)

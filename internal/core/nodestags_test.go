@@ -48,9 +48,9 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 		m.Write(msg)
 		return sse.Stag(m.Sum(nil)[:sse.StagSize])
 	}
-	postings := make(map[cover.Node][]ID)
+	postings := newPostingLists[cover.Node, ID]()
 	for i, n := range nodes {
-		postings[n] = append(postings[n], ID(i))
+		postings.add(n, ID(i))
 	}
 
 	for _, suite := range allSuites {
@@ -76,8 +76,8 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		entries := withBuildSuite(c, suite).entriesFromPostings(postings, key)
-		if len(entries) != len(postings) {
-			t.Fatalf("suite %v: %d entries for %d keywords", suite, len(entries), len(postings))
+		if len(entries) != len(postings.keys) {
+			t.Fatalf("suite %v: %d entries for %d keywords", suite, len(entries), len(postings.keys))
 		}
 		for _, e := range entries {
 			for _, p := range e.Payloads {

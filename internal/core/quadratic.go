@@ -44,21 +44,21 @@ func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
 		return fmt.Errorf("%w: %d bits > limit %d", ErrDomainTooLarge, c.dom.Bits, c.quadMaxBits)
 	}
 	m := c.dom.Size()
-	postings := make(map[Range][]ID)
+	postings := newPostingLists[Range, ID]()
 	actual := 0
 	for _, t := range tuples {
 		for lo := uint64(0); lo <= t.Value; lo++ {
 			for hi := t.Value; hi < m; hi++ {
 				kw := Range{Lo: lo, Hi: hi}
-				postings[kw] = append(postings[kw], t.ID)
+				postings.add(kw, t.ID)
 				actual++
 			}
 		}
 	}
-	entries := make([]sse.Entry, 0, len(postings))
+	entries := make([]sse.Entry, len(postings.keys))
 	h := prf.GetHasher(c.kSSE)
-	for kw, ids := range postings {
-		entries = append(entries, sse.EntryFromIDs(rangeStag(h, kw), ids))
+	for i, kw := range postings.keys {
+		entries[i] = sse.EntryFromIDs(rangeStag(h, kw), postings.lists[i])
 	}
 	prf.PutHasher(h)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rsse/internal/core"
 )
@@ -13,15 +14,18 @@ import (
 // false-positive filter costs a round trip per chunk instead of one per
 // returned id.
 //
-//	request  := count(u32) id(u64)*count
+//	request  := idgroup(ids)                       (see core.AppendIDGroup)
 //	response := count(u32) ( len(u32) ciphertext )*count
 //
-// A zero len marks an id the index does not hold (a stored ciphertext is
-// never empty: it is an IV plus at least one cipher block). Both peers
-// are untrusted input to each other: the server bounds count by
-// maxFetchMany and checks it against the payload length before touching
-// the store; the client checks the response count against its request
-// and every length against the bytes actually present.
+// The request's ids go as one id group, in request order: zigzag-delta
+// varints when those are shorter than 8 bytes an id, raw otherwise — the
+// codec of a search response's id groups. A zero len marks an id the
+// index does not hold (a stored ciphertext is never empty: it is an IV
+// plus at least one cipher block). Both peers are untrusted input to
+// each other: the server bounds the count by maxFetchMany and checks it
+// against the payload length before touching the store; the client
+// checks the response count against its request and every length
+// against the bytes actually present.
 
 // maxFetchMany caps the ids of one fetch-many frame. The owner sends
 // core's fetch-round chunks (far below it); the cap only bounds what a
@@ -30,46 +34,40 @@ const maxFetchMany = 4096
 
 // appendFetchManyRequest encodes the request payload for ids.
 func appendFetchManyRequest(dst []byte, ids []core.ID) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		dst = binary.BigEndian.AppendUint64(dst, id)
-	}
-	return dst
+	return core.AppendIDGroup(dst, len(ids), func(i int) core.ID { return ids[i] })
 }
 
 // parseFetchManyRequest validates and decodes a request payload. Nothing
 // is allocated before the announced count has passed both checks.
 func parseFetchManyRequest(payload []byte) ([]core.ID, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("transport: short fetch-many request (%d bytes)", len(payload))
+	g, rest, err := core.ReadIDGroup(payload, maxFetchMany)
+	if err != nil {
+		return nil, fmt.Errorf("transport: fetch-many request: %w", err)
 	}
-	count := binary.BigEndian.Uint32(payload)
-	if count > maxFetchMany {
-		return nil, fmt.Errorf("transport: fetch-many of %d ids exceeds the limit of %d", count, maxFetchMany)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("transport: fetch-many request has %d trailing bytes", len(rest))
 	}
-	if len(payload)-4 != int(count)*8 {
-		return nil, fmt.Errorf("transport: fetch-many announces %d ids but carries %d bytes", count, len(payload)-4)
-	}
-	ids := make([]core.ID, count)
+	ids := make([]core.ID, g.Len())
 	for i := range ids {
-		ids[i] = binary.BigEndian.Uint64(payload[4+8*i:])
+		ids[i] = g.Next()
 	}
 	return ids, nil
 }
 
 // fetchManyCount reads a request's announced id count for logging; 0 if
-// the payload is too short to carry one.
+// the payload does not start with one.
 func fetchManyCount(payload []byte) int {
-	if len(payload) < 4 {
+	hdr, n := binary.Uvarint(payload)
+	if n <= 0 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(payload))
+	return int(hdr >> 1)
 }
 
 // handleFetchMany answers one fetch-many request against idx. The two
 // per-index counters advance by the number of ids, exactly as that many
 // single fetches would have moved them.
-func handleFetchMany(idx core.Source, ob *indexObs, payload []byte) ([]byte, error) {
+func handleFetchMany(idx core.Source, ob *indexObs, payload, dst []byte) ([]byte, error) {
 	ids, err := parseFetchManyRequest(payload)
 	if err != nil {
 		return nil, err
@@ -87,7 +85,7 @@ func handleFetchMany(idx core.Source, ob *indexObs, payload []byte) ([]byte, err
 	for _, ct := range cts {
 		size += len(ct)
 	}
-	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(cts)))
+	out := binary.BigEndian.AppendUint32(slices.Grow(dst, size), uint32(len(cts)))
 	for _, ct := range cts {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(ct)))
 		out = append(out, ct...)
@@ -139,7 +137,7 @@ func (h *IndexHandle) FetchMany(ctx context.Context, ids []core.ID) ([][]byte, e
 		return nil, fmt.Errorf("transport: fetch-many of %d ids exceeds the limit of %d", len(ids), maxFetchMany)
 	}
 	resp, err := h.conn.roundTripContext(ctx, opFetchMany, h.name,
-		appendFetchManyRequest(make([]byte, 0, 4+8*len(ids)), ids))
+		appendFetchManyRequest(make([]byte, 0, binary.MaxVarintLen64+core.IDSize*len(ids)), ids))
 	if err != nil {
 		return nil, err
 	}

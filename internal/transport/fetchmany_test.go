@@ -89,6 +89,15 @@ func TestFetchManyServerRejects(t *testing.T) {
 	_, idx, _ := testClientIndex(t, core.LogarithmicSRC)
 	conn := pipeServer(t, idx)
 	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	// spread is n raw ids too far apart to pack.
+	spread := func(n int) []byte {
+		var b []byte
+		for i := range n {
+			b = binary.BigEndian.AppendUint64(b, uint64(i)<<62|1<<61)
+		}
+		return b
+	}
 	for name, payload := range map[string][]byte{
 		"empty":             nil,
 		"short count":       {0, 0, 1},
@@ -97,6 +106,18 @@ func TestFetchManyServerRejects(t *testing.T) {
 		"count understates": append(u32(1), make([]byte, 16)...),
 		"huge count":        u32(0xFFFFFFFF),
 		"ragged ids":        append(u32(1), make([]byte, 7)...),
+		// The same refusals in the id-group layout the owner sends, and
+		// its own: each id group has one encoding.
+		"group over cap":         append(uv(uint64(maxFetchMany+1)<<1), make([]byte, 8*(maxFetchMany+1))...),
+		"group overstates":       append(uv(3<<1), spread(2)...),
+		"group understates":      append(uv(1<<1), spread(2)...),
+		"packed overstates":      append(uv(3<<1|1), 2, 2),
+		"huge group count":       uv(1<<63 | 1),
+		"varint past 64 bits":    bytes.Repeat([]byte{0xff}, 10),
+		"non-minimal varint":     {0x82, 0x00, 2},
+		"raw ids that pack":      append(uv(2<<1), make([]byte, 16)...),
+		"packed ids that do not": append(uv(1<<1|1), uv(1<<63)...),
+		"packed empty group":     uv(1),
 	} {
 		_, err := conn.roundTrip(opFetchMany, DefaultIndex, payload)
 		if err == nil || errors.Is(err, ErrConnDead) {
@@ -184,10 +205,10 @@ func FuzzFetchManyFrames(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(ids) > maxFetchMany || 4+8*len(ids) != len(data) || fetchManyCount(data) != len(ids) {
-			t.Fatalf("request parser accepted %d ids out of %d bytes", len(ids), len(data))
+		if len(ids) > maxFetchMany || !bytes.Equal(appendFetchManyRequest(nil, ids), data) || fetchManyCount(data) != len(ids) {
+			t.Fatalf("request parser accepted %d ids out of %d bytes that are not their encoding", len(ids), len(data))
 		}
-		resp, err := handleFetchMany(store, ob, data)
+		resp, err := handleFetchMany(store, ob, data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,12 +147,14 @@ func (fw *frameWriter) flushAll(w io.Writer) error {
 	return err
 }
 
-// bodyPool recycles server-side request frame bodies. Request bodies
-// are safe to recycle once the response is written: parseRequest copies
-// the name, and every handler either copies what it keeps (trapdoor
-// tokens, update payloads) or builds its response afresh. Client-side
-// *response* bodies are NOT pooled — result items and fetched
-// ciphertexts alias them all the way up to the caller.
+// bodyPool recycles server-side frame bodies: each request's body, and
+// the buffer its search or fetch-many answer is encoded into. Both are
+// safe to recycle once the response is written: parseRequest copies the
+// name, every handler copies what it keeps (trapdoor tokens, update
+// payloads), and an answer encoded into the pooled buffer is a copy of
+// what the index holds. Client-side *response* bodies are NOT pooled —
+// result items and fetched ciphertexts alias them all the way up to the
+// caller.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // frameGrowStep is the most body a frame header is trusted for before

@@ -256,7 +256,8 @@ type completion struct {
 	id      uint32
 	status  byte
 	payload []byte
-	bp      *[]byte
+	bp      *[]byte // pooled request body; recycled after the write
+	rp      *[]byte // pooled response body payload may live in; likewise
 	counted bool
 }
 
@@ -371,10 +372,10 @@ func (d *dispatcher) worker() {
 	for t := range d.tasks {
 		tm.queueDepth.Dec()
 		tm.queueWait.Record(time.Since(t.enq))
-		c := completion{id: t.req.id, bp: t.bp, counted: t.counted}
+		c := completion{id: t.req.id, bp: t.bp, rp: bodyPool.Get().(*[]byte), counted: t.counted}
 		oi := opIndex(t.req.op)
 		start := time.Now()
-		payload, herr := d.handle(t.req)
+		payload, herr := d.handle(t.req, c.rp)
 		dur := time.Since(start)
 		tm.requests[oi].Inc()
 		tm.latency[oi].Record(dur)
@@ -396,9 +397,9 @@ var errHandlerPanic = errors.New("transport: internal error: request handler pan
 
 // handle is handleRequest with a handler panic contained to this
 // request (see recoverHandler).
-func (d *dispatcher) handle(req request) (payload []byte, err error) {
+func (d *dispatcher) handle(req request, buf *[]byte) (payload []byte, err error) {
 	defer d.recoverHandler(req, &err)
-	return handleRequest(d.reg, req)
+	return handleRequest(d.reg, req, buf)
 }
 
 // recoverHandler, deferred around a handler call, turns a panic into
@@ -486,7 +487,7 @@ func (d *dispatcher) writeLoop() {
 // vectored write. An oversized response is rolled back and replaced by
 // an err-response so the waiting request fails instead of hanging;
 // write errors are dropped (the read side of a dead connection surfaces
-// them to serveLoop). Request bodies recycle and in-flight
+// them to serveLoop). Request and response bodies recycle and in-flight
 // accounting closes only after the group is on the wire, so graceful
 // shutdown never closes a connection under a pending response.
 func (d *dispatcher) writeBatch(fw *frameWriter, batch []completion) {
@@ -516,6 +517,9 @@ func (d *dispatcher) writeBatch(fw *frameWriter, batch []completion) {
 	for _, c := range batch {
 		if c.bp != nil {
 			bodyPool.Put(c.bp)
+		}
+		if c.rp != nil {
+			bodyPool.Put(c.rp)
 		}
 		if c.counted {
 			d.srv.endRequest()

@@ -16,7 +16,7 @@
 //	request  := reqID(u32) op(u8) nameLen(u8) name payload
 //	response := reqID(u32) status(u8) payload
 //	ops:      meta(1), search(trapdoor wire, 2), names(4), update(6),
-//	          dyn-flush(7), dyn-query(8), fetch-many(count‖ids, 10)
+//	          dyn-flush(7), dyn-query(8), fetch-many(id group, 10)
 //	status:   ok(0) payload | err(1) message | overload(2) message
 //
 // Every request is answered by exactly one response frame. Ops 3 (the
@@ -143,8 +143,10 @@ func parseRequest(body []byte) (request, error) {
 // counts and the server-observed leakage families — are incremented
 // here, where the request's name, tokens and result sizes are all in
 // hand; the per-index children are resolved once at registration, so
-// the accounting is atomic adds only.
-func handleRequest(reg *Registry, req request) ([]byte, error) {
+// the accounting is atomic adds only. A search or fetch-many answer is
+// encoded into *buf, which is left holding the array it used: the
+// server recycles that array once the response is on the wire.
+func handleRequest(reg *Registry, req request, buf *[]byte) ([]byte, error) {
 	if req.op >= opUpdate && req.op <= opDynQuery {
 		// Update ops route to the writable-store namespace.
 		return handleUpdateRequest(reg, req)
@@ -185,9 +187,19 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 			return nil, err
 		}
 		ob.respItems.Add(uint64(resp.Items()))
-		return resp.MarshalBinary()
+		out, err := resp.AppendBinary((*buf)[:0])
+		if err != nil {
+			return nil, err
+		}
+		*buf = out
+		return out, nil
 	case opFetchMany:
-		return handleFetchMany(idx, ob, req.payload)
+		out, err := handleFetchMany(idx, ob, req.payload, (*buf)[:0])
+		if err != nil {
+			return nil, err
+		}
+		*buf = out
+		return out, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown request type %d", req.op)
 	}

@@ -787,7 +787,7 @@ func TestMetaWireSuite(t *testing.T) {
 		}
 		want := built.Suite
 		seen[want] = true
-		resp, err := handleRequest(singleRegistry(idx), request{op: opMeta, name: DefaultIndex})
+		resp, err := handleRequest(singleRegistry(idx), request{op: opMeta, name: DefaultIndex}, new([]byte))
 		if err != nil {
 			t.Fatal(err)
 		}
