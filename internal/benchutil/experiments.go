@@ -371,7 +371,7 @@ func pureSSEFloor(s Scale, dom cover.Domain, tuples []core.Tuple, queriesPerPct 
 		var total time.Duration
 		for _, stag := range stagOf[pct] {
 			start := time.Now()
-			if _, err := idx.Search([]sse.Stag{stag}, nil); err != nil {
+			if _, _, err := idx.Search([]sse.Stag{stag}, nil, nil); err != nil {
 				return nil, err
 			}
 			total += time.Since(start)

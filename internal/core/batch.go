@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -37,15 +38,19 @@ import (
 // the Constant schemes' prefix-memoized DelegateNodes walk reuses.
 
 // searchRound runs one search round and refuses a response that is not
-// one group per token: group j answers token j, so a response with a
-// group missing or one too many is refused, not demultiplexed.
-func searchRound(ctx context.Context, s Source, t *Trapdoor) (*Response, error) {
+// one group per token, or whose items are not width bytes each: group j
+// answers token j, so a response with a group missing or one too many
+// is refused, not demultiplexed.
+func searchRound(ctx context.Context, s Source, t *Trapdoor, width int) (*Response, error) {
 	resp, err := s.SearchContext(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Groups) != t.Tokens() {
-		return nil, fmt.Errorf("core: response has %d groups for %d tokens", len(resp.Groups), t.Tokens())
+	if len(resp.Ends) != t.Tokens() {
+		return nil, fmt.Errorf("core: response has %d groups for %d tokens", len(resp.Ends), t.Tokens())
+	}
+	if n := resp.Items(); n > 0 && (resp.Width != width || len(resp.Data) != n*width) {
+		return nil, fmt.Errorf("core: response of %d %d-byte items in %d bytes, want %d-byte items", n, resp.Width, len(resp.Data), width)
 	}
 	return resp, nil
 }
@@ -139,22 +144,24 @@ func (p *tokenPlan) tokenBytes(n int) int {
 // demux flattens the response groups of the plan's range i into dst[i]:
 // raw ids and group sizes, as windows of one id array and one group-size
 // array, each capped at its length so that an append by a caller copies
-// rather than overwrites the next range's.
+// rather than overwrites the next range's. The response's items are ids
+// (searchRound checked their width).
 func (p *tokenPlan) demux(resp *Response, dst []*Result) {
 	items := 0
 	for i := range dst {
 		for j := range p.tokens(i) {
-			items += len(resp.Groups[p.slot(i, j)])
+			lo, hi := resp.group(p.slot(i, j))
+			items += hi - lo
 		}
 	}
 	ids, sizes := make([]ID, 0, items), make([]int, 0, p.total)
 	for i, res := range dst {
 		id0, g0 := len(ids), len(sizes)
 		for j := range p.tokens(i) {
-			g := resp.Groups[p.slot(i, j)]
-			sizes = append(sizes, len(g))
-			for _, item := range g {
-				ids = append(ids, sse.PayloadU64(item))
+			lo, hi := resp.group(p.slot(i, j))
+			sizes = append(sizes, hi-lo)
+			for g := resp.Data[lo*IDSize : hi*IDSize]; len(g) > 0; g = g[IDSize:] {
+				ids = append(ids, binary.BigEndian.Uint64(g))
 			}
 		}
 		res.Raw = ids[id0:len(ids):len(ids)]
@@ -373,8 +380,12 @@ func (c *Client) QueryBatchInto(ctx context.Context, s Source, ranges []Range, b
 	st.UniqueTokens = plan1.trap.Tokens()
 	st.TokenBytes = plan1.trap.Bytes()
 
+	width := IDSize // of round 1's items: ids, or SRC-i's pairs
+	if c.kind == LogarithmicSRCi {
+		width = pairWidth
+	}
 	serverStart := time.Now()
-	resp1, err := searchRound(ctx, s, plan1.trap)
+	resp1, err := searchRound(ctx, s, plan1.trap, width)
 	if err != nil {
 		return err
 	}
@@ -520,7 +531,7 @@ func (c *Client) srciRound2(ctx context.Context, s Source, meta IndexMeta, range
 	st.TokenBytes += plan2.trap.Bytes()
 
 	serverStart := time.Now()
-	resp2, err := searchRound(ctx, s, plan2.trap)
+	resp2, err := searchRound(ctx, s, plan2.trap, IDSize)
 	if err != nil {
 		return err
 	}

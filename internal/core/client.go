@@ -453,18 +453,31 @@ func (t *Trapdoor) Bytes() int {
 
 // Response is the server's answer to one trapdoor round: the decrypted
 // SSE payloads grouped per token (the "result partitioning" the
-// Logarithmic-BRC/URC leakage definition names).
+// Logarithmic-BRC/URC leakage definition names). A round searches one
+// SSE index, so its payloads have one width: Data holds them back to
+// back, Width bytes each, group after group in token order, and Ends[g]
+// is the number of payloads up to the end of group g. The zero Response
+// has no groups.
 type Response struct {
-	Groups [][][]byte
+	Width int
+	Data  []byte
+	Ends  []int
 }
 
 // Items counts the payloads across all groups.
 func (r *Response) Items() int {
-	n := 0
-	for _, g := range r.Groups {
-		n += len(g)
+	if len(r.Ends) == 0 {
+		return 0
 	}
-	return n
+	return r.Ends[len(r.Ends)-1]
+}
+
+// group returns the bounds of group g's payloads, counted in payloads.
+func (r *Response) group(g int) (lo, hi int) {
+	if g > 0 {
+		lo = r.Ends[g-1]
+	}
+	return lo, r.Ends[g]
 }
 
 // QueryStats aggregates the observable costs and leakage of one query.
@@ -581,9 +594,9 @@ func (x *Index) SearchContext(ctx context.Context, t *Trapdoor) (*Response, erro
 // searchIndex searches every stag against one index, in one pass: one
 // group per stag.
 func (x *Index) searchIndex(idx sse.Index, stags []sse.Stag) (*Response, error) {
-	groups, err := idx.Search(stags, make([][][]byte, 0, len(stags)))
+	data, ends, err := idx.Search(stags, nil, make([]int, 0, len(stags)))
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Groups: groups}, nil
+	return &Response{Width: idx.Width(), Data: data, Ends: ends}, nil
 }

@@ -91,7 +91,7 @@ func (x *Index) searchConstant(t *Trapdoor) (*Response, error) {
 	if err := sc.flush(x.primary); err != nil {
 		return nil, err
 	}
-	return sc.response(), nil
+	return sc.response(x.primary.Width()), nil
 }
 
 // leafChunk bounds the leaf stags searched at once, and so the scratch
@@ -102,54 +102,38 @@ const leafChunk = 1024
 // waiting to be searched, the items of the leaves searched so far, and
 // where each token's leaves end.
 type leafScratch struct {
-	stags  []sse.Stag
-	groups [][][]byte
-	items  [][]byte // the searched leaves' items, in leaf order
-	ends   []int    // per token: the leaf count after its last leaf
-	marks  []int    // per token: len(items) after its last leaf
-	leaves int      // leaves searched so far
+	stags    []sse.Stag
+	data     []byte // the searched leaves' items, in leaf order
+	leafEnds []int  // per leaf of the last flush: its end in data, in items
+	ends     []int  // per token: the leaf count after its last leaf
+	marks    []int  // per token: the item count after its last leaf
+	leaves   int    // leaves searched so far
 }
 
 var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
 
 // flush searches the waiting leaf stags and appends their items.
 func (sc *leafScratch) flush(idx sse.Index) error {
-	groups, err := idx.Search(sc.stags, sc.groups[:0])
-	if err != nil {
+	var err error
+	if sc.data, sc.leafEnds, err = idx.Search(sc.stags, sc.data, sc.leafEnds[:0]); err != nil {
 		return err
 	}
-	sc.groups = groups
-	for _, g := range groups {
-		sc.items = append(sc.items, g...)
+	for _, end := range sc.leafEnds {
 		sc.leaves++
 		for len(sc.marks) < len(sc.ends) && sc.ends[len(sc.marks)] == sc.leaves {
-			sc.marks = append(sc.marks, len(sc.items))
+			sc.marks = append(sc.marks, end)
 		}
 	}
-	clear(groups)
 	sc.stags = sc.stags[:0]
 	return nil
 }
 
-// response returns one group per token, sharing one backing array.
-func (sc *leafScratch) response() *Response {
-	resp := &Response{Groups: make([][][]byte, len(sc.marks))}
-	if len(sc.items) == 0 {
-		return resp
-	}
-	items := slices.Clone(sc.items)
-	lo := 0
-	for i, hi := range sc.marks {
-		if hi > lo {
-			resp.Groups[i] = items[lo:hi:hi]
-		}
-		lo = hi
-	}
-	return resp
+// response returns one group per token, of width-byte items.
+func (sc *leafScratch) response(width int) *Response {
+	return &Response{Width: width, Data: slices.Clone(sc.data), Ends: slices.Clone(sc.marks)}
 }
 
 func (sc *leafScratch) release() {
-	clear(sc.items)
-	sc.stags, sc.items, sc.ends, sc.marks, sc.leaves = sc.stags[:0], sc.items[:0], sc.ends[:0], sc.marks[:0], 0
+	sc.stags, sc.data, sc.ends, sc.marks, sc.leaves = sc.stags[:0], sc.data[:0], sc.ends[:0], sc.marks[:0], 0
 	leafScratchPool.Put(sc)
 }

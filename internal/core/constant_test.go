@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -37,13 +38,13 @@ func TestBuildConstantStagsMatchEval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups, err := idx.primary.Search([]sse.Stag{sse.Stag(leaf)}, nil)
+			data, _, err := idx.primary.Search([]sse.Stag{sse.Stag(leaf)}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids := make([]ID, len(groups[0]))
-			for i, p := range groups[0] {
-				ids[i] = sse.PayloadU64(p)
+			ids := make([]ID, len(data)/IDSize)
+			for i := range ids {
+				ids[i] = binary.BigEndian.Uint64(data[IDSize*i:])
 			}
 			if !idsEqual(sortedIDs(ids), sortedIDs(want)) {
 				t.Fatalf("%v: value %d: Eval's stag finds ids %v, want %v", kind, v, ids, want)

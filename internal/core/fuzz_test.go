@@ -161,8 +161,8 @@ func FuzzUnmarshalTrapdoor(f *testing.F) {
 // layout before varints: 2^24-1 groups, 2^27 groups, one group of 2^27
 // items, 2^32-1 groups. The rest are in the varint layout: 2^40 groups,
 // one group of 2^40 packed ids, one of 2^20 packed ids, a 2^40-byte
-// width, a 2^50-byte item of varying width, and a group count whose
-// varint runs past 64 bits.
+// width, a 2^50-byte item of varying width, a group count whose varint
+// runs past 64 bits, and 2^12 empty items (widthZeroItems).
 var hostileResponses = [][]byte{
 	{0x00, 0xff, 0xff, 0xff},
 	{0x08, 0x00, 0x00, 0x00},
@@ -174,7 +174,17 @@ var hostileResponses = [][]byte{
 	uvarints(1, 1<<40, 1, 1<<1),
 	uvarints(1, 0, 1, 1<<1, 1<<50),
 	{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x08, 0x00},
+	widthZeroItems,
 }
+
+// widthZeroItems is one group of 2^12 items of width 0, each spelled as
+// its zero length, as the codec's varying-width arm took them: every
+// byte is present, and decoding them one slice each cost 96 KiB.
+var widthZeroItems = append(uvarints(1, 0, 1<<12, 1<<13), make([]byte, 1<<12)...)
+
+// varyingWidths is the response {"abc"}, {}, {"de", "f"} as the
+// codec's varying-width arm encoded it.
+var varyingWidths = []byte("\x03\x00\x03\x02\x03abc\x00\x04\x02de\x01f")
 
 // uvarints concatenates the uvarints of vs.
 func uvarints(vs ...uint64) []byte {
@@ -202,21 +212,23 @@ func TestUnmarshalResponseHostileCounts(t *testing.T) {
 			t.Errorf("% x: allocated %d bytes, want < 64 KiB", body, got)
 		}
 	}
+	// Every item has the width of the one index searched, so a frame of
+	// items of width 0 is refused as such.
+	for _, body := range [][]byte{widthZeroItems, varyingWidths, uvarints(1, 0, 1, 1<<1, 1<<50)} {
+		if _, err := UnmarshalResponse(body); !errors.Is(err, errResponseNoWidth) {
+			t.Errorf("% x: %v, want %v", body[:min(len(body), 16)], err, errResponseNoWidth)
+		}
+	}
 }
 
 func FuzzUnmarshalResponse(f *testing.F) {
-	resp := &Response{Groups: [][][]byte{{[]byte("abc")}, {}, {[]byte("de"), []byte("f")}}}
-	blob, err := resp.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(blob)
+	f.Add(varyingWidths) // refused: items of width 0
 	f.Add([]byte{0, 0, 0, 0})
 	// Id groups both ways: ids close together pack, random ones go raw.
 	for _, ids := range [][]uint64{{3, 1, 4, 1, 5}, {0x9e3779b97f4a7c15, 0x6a09e667f3bcc908}} {
-		r := &Response{Groups: make([][][]byte, 1)}
+		r := &Response{Width: IDSize, Ends: []int{len(ids)}}
 		for _, id := range ids {
-			r.Groups[0] = append(r.Groups[0], binary.BigEndian.AppendUint64(nil, id))
+			r.Data = binary.BigEndian.AppendUint64(r.Data, id)
 		}
 		b, err := r.MarshalBinary()
 		if err != nil {
@@ -232,18 +244,17 @@ func FuzzUnmarshalResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Items are decoded in place: none may reach past its own bytes,
-		// so an append to one cannot overwrite the next. Groups share one
-		// array: none may reach past its own items either.
-		for g, group := range r.Groups {
-			if cap(group) != len(group) {
-				t.Fatalf("group %d: cap %d, len %d", g, cap(group), len(group))
+		// The groups tile the items: their ends never go back, and the
+		// items fill the data at one width.
+		lo := 0
+		for g, hi := range r.Ends {
+			if hi < lo {
+				t.Fatalf("group %d ends at item %d, before %d", g, hi, lo)
 			}
-			for i, item := range group {
-				if cap(item) != len(item) {
-					t.Fatalf("group %d item %d: cap %d, len %d", g, i, cap(item), len(item))
-				}
-			}
+			lo = hi
+		}
+		if len(r.Data) != r.Items()*r.Width || lo != r.Items() {
+			t.Fatalf("%d items of width %d in %d bytes", r.Items(), r.Width, len(r.Data))
 		}
 		back, err := r.MarshalBinary()
 		if err != nil {

@@ -152,8 +152,9 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 func (c *Client) mergePairs(plan *tokenPlan, resp *Response, i int, q Range) (posRange Range, any bool, err error) {
 	pc := &pairCipher{block: c.pairBlock}
 	for j := 0; j < plan.tokens(i); j++ {
-		for _, blob := range resp.Groups[plan.slot(i, j)] {
-			p, err := pc.open(blob)
+		lo, hi := resp.group(plan.slot(i, j))
+		for k := lo; k < hi; k++ {
+			p, err := pc.open(resp.Data[k*pairWidth : (k+1)*pairWidth])
 			if err != nil {
 				return Range{}, false, err
 			}

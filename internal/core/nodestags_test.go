@@ -81,7 +81,7 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 		}
 		for _, e := range entries {
 			for _, p := range e.Payloads {
-				if i := sse.PayloadU64(p); e.Stag != got[i] {
+				if i := binary.BigEndian.Uint64(p); e.Stag != got[i] {
 					t.Fatalf("suite %v, node %v: build's stag differs from the query's", suite, nodes[i])
 				}
 			}

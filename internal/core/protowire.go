@@ -94,16 +94,15 @@ func UnmarshalTrapdoor(data []byte) (*Trapdoor, error) {
 //	group    := uvarint(count<<1 | packed) body
 //
 // width is the one length every item of the response has, or 0 when
-// they vary (or are all empty, or there are none); items is their total
-// count. The body of a group depends on width:
+// there are no items; items is their total count. The body of a group
+// depends on width:
 //
-//	width 0:  ( uvarint(len) item )*count
 //	width 8:  the group's items are ids, sent as an id group (below)
 //	width w:  item*count, w bytes each
 //
 // Only an 8-byte group may set packed. Every frame has one encoding:
-// the decoder refuses a non-minimal varint, a width of 0 where one width
-// was possible, and a packed flag the encoder would not have set, so
+// the decoder refuses a non-minimal varint, a width of 0 for items or a
+// width for none, and a packed flag the encoder would not have set, so
 // re-marshaling an accepted frame reproduces it byte for byte. The
 // frame is never longer than the item-per-length-word layout it
 // replaced, 4 + Σ(4 + Σ(4+len)).
@@ -114,104 +113,70 @@ func (r *Response) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) 
 // AppendBinary appends the response's encoding to dst, growing it at
 // most once: the server encodes into a pooled buffer this way.
 func (r *Response) AppendBinary(dst []byte) ([]byte, error) {
-	width, items, size := r.shape()
-	out := slices.Grow(dst, size)
-	out = binary.AppendUvarint(out, uint64(len(r.Groups)))
+	items, width := r.Items(), r.Width
+	if items == 0 {
+		width = 0
+	}
+	if width <= 0 && items > 0 || len(r.Data) != items*width {
+		return nil, fmt.Errorf("core: response of %d items holds %d bytes at width %d", items, len(r.Data), r.Width)
+	}
+	// The size with every id group raw bounds the encoding.
+	out := slices.Grow(dst, 3*binary.MaxVarintLen64+len(r.Ends)*uvarintLen(uint64(items)<<1)+len(r.Data))
+	out = binary.AppendUvarint(out, uint64(len(r.Ends)))
 	out = binary.AppendUvarint(out, uint64(width))
 	out = binary.AppendUvarint(out, uint64(items))
-	for _, g := range r.Groups {
+	lo := 0
+	for _, hi := range r.Ends {
+		if hi < lo {
+			return nil, fmt.Errorf("core: response group ends at item %d, after %d", hi, lo)
+		}
+		g := r.Data[lo*width : hi*width]
 		if width == IDSize {
-			out = AppendIDGroup(out, len(g), func(i int) ID { return binary.BigEndian.Uint64(g[i]) })
-			continue
+			out = AppendIDGroup(out, hi-lo, func(i int) ID { return binary.BigEndian.Uint64(g[IDSize*i:]) })
+		} else {
+			out = binary.AppendUvarint(out, uint64(hi-lo)<<1)
+			out = append(out, g...)
 		}
-		out = binary.AppendUvarint(out, uint64(len(g))<<1)
-		for _, p := range g {
-			if width == 0 {
-				out = binary.AppendUvarint(out, uint64(len(p)))
-			}
-			out = append(out, p...)
-		}
+		lo = hi
 	}
 	return out, nil
 }
 
-// shape reports the response's common item width (0 if the items vary
-// or there are none), its item count, and an upper bound on its encoded
-// size: the size with every id group raw.
-func (r *Response) shape() (width, items, size int) {
-	width = -1
-	lens, longest := 0, 0
-	for _, g := range r.Groups {
-		size += uvarintLen(uint64(len(g)) << 1)
-		items += len(g)
-		for _, p := range g {
-			if width == -1 {
-				width = len(p)
-			} else if width != len(p) {
-				width = 0
-			}
-			lens += len(p)
-			longest = max(longest, len(p))
-		}
-	}
-	size += 3*binary.MaxVarintLen64 + lens
-	if width <= 0 {
-		return 0, items, size + items*uvarintLen(uint64(longest))
-	}
-	return width, items, size
-}
-
-// UnmarshalResponse parses a response serialized with MarshalBinary.
-// Raw items alias data, each with cap == len so that an append to one
-// copies instead of writing over the next: data must not be modified
-// or reused while the response is in use. The transport hands every
-// response frame a buffer of its own, so nothing is copied per raw item;
-// the ids of packed groups are decoded into one array per response.
+// UnmarshalResponse parses a response serialized with MarshalBinary into
+// arrays of its own: the result does not alias data.
 //
 // Two passes: the first validates the whole frame and counts its items,
-// the second slices them into one array that the groups share, each
-// group a subslice with no spare capacity (nil for an empty group).
-// Nothing is allocated before the whole frame has checked out, so the
-// untrusted sender's counts size nothing the bytes do not back.
+// the second decodes them into one array, Width bytes an item. Nothing
+// is allocated before the whole frame has checked out, so the untrusted
+// sender's counts size nothing the bytes do not back.
 func UnmarshalResponse(data []byte) (*Response, error) {
 	h, err := checkResponse(data)
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{Groups: make([][][]byte, h.groups)}
-	all := make([][]byte, 0, h.items)
-	var ids []byte
-	if h.packed > 0 {
-		ids = make([]byte, IDSize*h.packed)
+	resp := &Response{Width: h.width, Ends: make([]int, h.groups)}
+	if h.items > 0 {
+		resp.Data = make([]byte, h.items*h.width)
 	}
-	rest := data[h.off:]
-	for g := range resp.Groups {
-		lo := len(all)
-		hdr, n := uvarint(rest)
-		rest = rest[n:]
+	rest, out, n := data[h.off:], resp.Data, 0
+	for g := range resp.Ends {
+		hdr, k := readUvarint(rest)
+		rest = rest[k:]
+		count := int(hdr >> 1)
 		if hdr&1 == 1 {
+			ids := out[:IDSize*count]
 			var id ID
-			for range hdr >> 1 {
-				z, n := readUvarint(rest)
-				rest, id = rest[n:], id+unzigzag(z)
-				binary.BigEndian.PutUint64(ids, id)
-				all = append(all, ids[:IDSize:IDSize])
-				ids = ids[IDSize:]
+			for i := range count {
+				z, k := readUvarint(rest)
+				rest, id = rest[k:], id+unzigzag(z)
+				binary.BigEndian.PutUint64(ids[IDSize*i:], id)
 			}
 		} else {
-			for range hdr >> 1 {
-				w := h.width
-				if w == 0 {
-					l, n := uvarint(rest)
-					rest, w = rest[n:], int(l)
-				}
-				all = append(all, rest[:w:w])
-				rest = rest[w:]
-			}
+			rest = rest[copy(out, rest[:count*h.width]):]
 		}
-		if len(all) > lo {
-			resp.Groups[g] = all[lo:len(all):len(all)]
-		}
+		out = out[count*h.width:]
+		n += count
+		resp.Ends[g] = n
 	}
 	return resp, nil
 }
@@ -219,11 +184,13 @@ func UnmarshalResponse(data []byte) (*Response, error) {
 // responseShape is what checkResponse learns of a valid frame.
 type responseShape struct {
 	groups, width, items int
-	packed               int // ids in packed groups
 	off                  int // where the first group starts
 }
 
-var errResponseTruncated = errors.New("core: response truncated")
+var (
+	errResponseTruncated = errors.New("core: response truncated")
+	errResponseNoWidth   = errors.New("core: response declares items of width 0")
+)
 
 // checkResponse validates a response frame — every count against the
 // bytes present, every encoding choice against the encoder's — without
@@ -245,10 +212,13 @@ func checkResponse(data []byte) (h responseShape, err error) {
 	}
 	h.groups, h.width, h.items = int(hdr[0]), int(hdr[1]), int(hdr[2])
 	h.off = len(data) - len(rest)
-	if h.width > 0 && h.items == 0 {
+	switch {
+	case h.width > 0 && h.items == 0:
 		return h, fmt.Errorf("core: response declares width %d for no items", h.width)
+	case h.width == 0 && h.items > 0:
+		return h, errResponseNoWidth
 	}
-	left, firstLen, oneLen := h.items, -1, true
+	left := h.items
 	for range h.groups {
 		if h.width == IDSize {
 			grp, next, err := ReadIDGroup(rest, left)
@@ -256,9 +226,6 @@ func checkResponse(data []byte) (h responseShape, err error) {
 				return h, fmt.Errorf("core: response: %w", err)
 			}
 			rest, left = next, left-grp.n
-			if grp.packed {
-				h.packed += grp.n
-			}
 			continue
 		}
 		hdr, n := uvarint(rest)
@@ -273,31 +240,13 @@ func checkResponse(data []byte) (h responseShape, err error) {
 			return h, errResponseTruncated
 		}
 		count := int(hdr >> 1)
-		left -= count
-		if h.width > 0 {
-			if count > len(rest)/h.width {
-				return h, errResponseTruncated
-			}
-			rest = rest[count*h.width:]
-			continue
+		if count > 0 && count > len(rest)/h.width {
+			return h, errResponseTruncated
 		}
-		for range count {
-			l, n := uvarint(rest)
-			if n == 0 || l > uint64(len(rest)-n) {
-				return h, errResponseTruncated
-			}
-			rest = rest[n+int(l):]
-			if firstLen == -1 {
-				firstLen = int(l)
-			}
-			oneLen = oneLen && int(l) == firstLen
-		}
+		rest, left = rest[count*h.width:], left-count
 	}
 	if left != 0 {
 		return h, fmt.Errorf("core: response declares %d items, its groups %d", h.items, h.items-left)
-	}
-	if h.width == 0 && h.items > 0 && oneLen && firstLen > 0 {
-		return h, fmt.Errorf("core: response of %d-byte items declares varying widths", firstLen)
 	}
 	if len(rest) != 0 {
 		return h, fmt.Errorf("core: %d trailing bytes in response", len(rest))

@@ -53,9 +53,9 @@ func (s reshaped) SearchContext(ctx context.Context, t *Trapdoor) (*Response, er
 		return resp, err
 	}
 	if s.drop {
-		resp.Groups = resp.Groups[:len(resp.Groups)-1]
+		resp.Ends = resp.Ends[:len(resp.Ends)-1]
 	} else {
-		resp.Groups = append(resp.Groups, nil)
+		resp.Ends = append(resp.Ends, resp.Items())
 	}
 	return resp, nil
 }
@@ -86,6 +86,54 @@ func TestResponseShapeChecked(t *testing.T) {
 							t.Errorf("%s, round %d, drop %v: err %v, want the group-count refusal", path, round, drop, err)
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// narrowed answers from x, but declares the items of its responses to
+// round's trapdoors at half their width: the same bytes, twice the
+// items.
+type narrowed struct {
+	x     *Index
+	round int
+}
+
+func (s narrowed) MetaContext(ctx context.Context) (IndexMeta, error) { return s.x.MetaContext(ctx) }
+
+func (s narrowed) FetchMany(ctx context.Context, ids []ID) ([][]byte, error) {
+	return s.x.FetchMany(ctx, ids)
+}
+
+func (s narrowed) SearchContext(ctx context.Context, t *Trapdoor) (*Response, error) {
+	resp, err := s.x.SearchContext(ctx, t)
+	if err != nil || t.Round() != s.round {
+		return resp, err
+	}
+	resp.Width /= 2
+	for g := range resp.Ends {
+		resp.Ends[g] *= 2
+	}
+	return resp, nil
+}
+
+// TestResponseWidthChecked: a response whose items are not the width
+// its round reads — ids, or SRC-i's round-1 pairs — fails the query
+// rather than being read at the wrong width, in every round of every
+// kind.
+func TestResponseWidthChecked(t *testing.T) {
+	for _, kind := range allKinds() {
+		rounds := []int{1}
+		if kind == LogarithmicSRCi {
+			rounds = append(rounds, 2)
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			c, idx := searchFixture(t, kind)
+			for _, round := range rounds {
+				_, err := c.QueryBatchContext(context.Background(), narrowed{idx, round}, searchBatch)
+				if err == nil || !strings.Contains(err.Error(), "-byte items") {
+					t.Errorf("round %d: err %v, want the item-width refusal", round, err)
 				}
 			}
 		})

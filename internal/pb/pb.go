@@ -164,18 +164,22 @@ func (c *Client) Build(items []Item) (*Index, error) {
 	return idx, nil
 }
 
+// Digests is one tree level's share of a trapdoor: one digest per
+// minimal dyadic range.
+type Digests [][]byte
+
 // Trapdoor produces the query: for each minimal dyadic range of [lo, hi]
 // (BRC), one digest per tree level. depth is the tree depth the trapdoor
 // must reach; use Index.Depth() or a domain-derived bound when measuring
 // query size without a dataset (Appendix A does the latter).
-func (c *Client) Trapdoor(lo, hi uint64, depth int) ([][][]byte, error) {
+func (c *Client) Trapdoor(lo, hi uint64, depth int) ([]Digests, error) {
 	nodes, err := cover.BRC(c.dom, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][][]byte, depth+1)
+	out := make([]Digests, depth+1)
 	for level := 0; level <= depth; level++ {
-		out[level] = make([][]byte, len(nodes))
+		out[level] = make(Digests, len(nodes))
 		for i, n := range nodes {
 			out[level][i] = c.digest(level, n.Label())
 		}
@@ -184,7 +188,7 @@ func (c *Client) Trapdoor(lo, hi uint64, depth int) ([][][]byte, error) {
 }
 
 // TrapdoorBytes returns the serialized size of a trapdoor in bytes.
-func TrapdoorBytes(t [][][]byte) int {
+func TrapdoorBytes(t []Digests) int {
 	n := 0
 	for _, level := range t {
 		for _, d := range level {
@@ -208,7 +212,7 @@ func (x *Index) Size() int { return x.size }
 // node's Bloom filter against that level's digests, and returns the ids
 // at every leaf reached. The result is a superset of the true answer with
 // Bloom-rate false positives; it never misses a matching item.
-func (x *Index) Search(trapdoor [][][]byte) []uint64 {
+func (x *Index) Search(trapdoor []Digests) []uint64 {
 	if x.root == nil {
 		return nil
 	}

@@ -55,8 +55,8 @@ func (x *basicIndex) Width() int    { return x.width }
 func (x *basicIndex) Postings() int { return x.postings }
 func (x *basicIndex) Resident() int { return x.cells.Resident() }
 
-func (x *basicIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
-	return search(x.suite, x.cells, x, stags, groups)
+func (x *basicIndex) Search(stags []Stag, data []byte, ends []int) ([]byte, []int, error) {
+	return search(x.suite, x.cells, x, x.Width(), stags, data, ends)
 }
 
 func (x *basicIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, error) {
@@ -64,7 +64,7 @@ func (x *basicIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, e
 		// Guards crafted segments with lying offset tables.
 		return false, fmt.Errorf("%w: basic cell of %d bytes, want %d", ErrCorrupt, len(cell), x.width)
 	}
-	s.out = append(s.out, s.decrypt(ctr, cell))
+	s.out = s.decrypt(s.out, ctr, cell)
 	return true, nil
 }
 

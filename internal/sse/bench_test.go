@@ -101,8 +101,8 @@ func BenchmarkSearch100IDs(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if len(got) != 100 {
-						b.Fatal(fmt.Errorf("got %d payloads", len(got)))
+					if got != 100 {
+						b.Fatal(fmt.Errorf("got %d payloads", got))
 					}
 				}
 			})
@@ -140,8 +140,8 @@ func benchSearchColdStags(b *testing.B, suite prf.Suite) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rnd.Read(stag[:])
-				if got, err := one.search(idx, stag); err != nil || len(got) != 0 {
-					b.Fatalf("got %d payloads, err %v", len(got), err)
+				if got, err := one.search(idx, stag); err != nil || got != 0 {
+					b.Fatalf("got %d payloads, err %v", got, err)
 				}
 			}
 		})
@@ -156,8 +156,8 @@ func benchSearchColdStags(b *testing.B, suite prf.Suite) {
 					ResetKernelCache()
 					b.StartTimer()
 				}
-				if got, err := one.search(idx, entries[i%lists].Stag); err != nil || len(got) != 1 {
-					b.Fatalf("got %d payloads, err %v", len(got), err)
+				if got, err := one.search(idx, entries[i%lists].Stag); err != nil || got != 1 {
+					b.Fatalf("got %d payloads, err %v", got, err)
 				}
 			}
 		})
@@ -202,12 +202,13 @@ func benchSearchStags(b *testing.B, suite prf.Suite) {
 			requests[r][k] = entries[rnd.Intn(lists)].Stag
 		}
 	}
-	groups := make([][][]byte, 0, perRequest)
+	var data []byte
+	ends := make([]int, 0, perRequest)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if groups, err = idx.Search(requests[i%len(requests)], groups[:0]); err != nil || len(groups) != perRequest {
-			b.Fatalf("%d groups, err %v", len(groups), err)
+		if data, ends, err = idx.Search(requests[i%len(requests)], data[:0], ends[:0]); err != nil || len(ends) != perRequest {
+			b.Fatalf("%d groups, err %v", len(ends), err)
 		}
 	}
 }

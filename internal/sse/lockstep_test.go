@@ -94,23 +94,19 @@ func testSearchLockstep(t *testing.T, suite prf.Suite, sch Scheme, eng storage.E
 		what := fmt.Sprintf("%d stags", n)
 
 		log.keys = nil
-		prefix := [][][]byte{{[]byte("kept")}}
-		groups, err := idx.Search(stags, prefix)
+		w := idx.Width()
+		kept := bytes.Repeat([]byte("k"), w) // one item the caller holds
+		data, ends, err := idx.Search(stags, kept, []int{1})
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if len(groups) != 1+n || len(groups[0]) != 1 || string(groups[0][0]) != "kept" {
-			t.Fatalf("%s: %d groups after the caller's one, want %d, the caller's kept", what, len(groups)-1, n)
+		if len(ends) != 1+n || ends[0] != 1 || !bytes.Equal(data[:w], kept) || len(data) != ends[n]*w {
+			t.Fatalf("%s: %d ends after the caller's one over %d bytes, want %d, the caller's kept", what, len(ends)-1, len(data), n)
 		}
 		for k, s := range stags {
-			g, want := groups[1+k], alone[s].group
-			if len(g) != len(want) || cap(g) != len(g) || (g == nil) != (want == nil) {
-				t.Fatalf("%s: group %d has %d items (cap %d, nil %v), alone %d (nil %v)", what, k, len(g), cap(g), g == nil, len(want), want == nil)
-			}
-			for i := range g {
-				if !bytes.Equal(g[i], want[i]) {
-					t.Fatalf("%s: group %d item %d differs from the search of its stag alone", what, k, i)
-				}
+			lo, hi := ends[k], ends[1+k]
+			if want := alone[s].group; hi-lo != len(want) || !bytes.Equal(data[lo*w:hi*w], bytes.Join(want, nil)) {
+				t.Fatalf("%s: group %d has %d items, alone %d, or they differ", what, k, hi-lo, len(want))
 			}
 		}
 		checkProbes(t, what, stags, log.keys, func(s Stag) [][]byte { return alone[s].probes })
@@ -124,7 +120,7 @@ func testSearchLockstep(t *testing.T, suite prf.Suite, sch Scheme, eng storage.E
 		bad := present[8]
 		stags[n/2] = bad
 		search := func() {
-			if _, err := idx.Search(stags, nil); err != nil {
+			if _, _, err := idx.Search(stags, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,7 +128,7 @@ func testSearchLockstep(t *testing.T, suite prf.Suite, sch Scheme, eng storage.E
 		probes := alone[bad].probes
 		log.corrupt = probes[max(len(probes)-2, 0)]
 		fail := func() {
-			if _, err := idx.Search(stags, nil); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := idx.Search(stags, nil, nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s: corrupt cell: err %v, want ErrCorrupt", what, err)
 			}
 		}
@@ -147,14 +143,16 @@ func testSearchLockstep(t *testing.T, suite prf.Suite, sch Scheme, eng storage.E
 			}
 		}
 		log.corrupt = nil
-		groups, err = idx.Search(stags, nil)
-		if err != nil || len(groups) != n {
-			t.Fatalf("%s: after a corrupt cell: %d groups, err %v", what, len(groups), err)
+		_, ends, err = idx.Search(stags, nil, nil)
+		if err != nil || len(ends) != n {
+			t.Fatalf("%s: after a corrupt cell: %d groups, err %v", what, len(ends), err)
 		}
+		lo := 0
 		for k, s := range stags {
-			if len(groups[k]) != len(alone[s].group) {
-				t.Fatalf("%s: after a corrupt cell: group %d has %d items, want %d", what, k, len(groups[k]), len(alone[s].group))
+			if ends[k]-lo != len(alone[s].group) {
+				t.Fatalf("%s: after a corrupt cell: group %d has %d items, want %d", what, k, ends[k]-lo, len(alone[s].group))
 			}
+			lo = ends[k]
 		}
 	}
 }

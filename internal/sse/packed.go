@@ -89,24 +89,20 @@ func (x *packedIndex) Width() int    { return x.width }
 func (x *packedIndex) Postings() int { return x.postings }
 func (x *packedIndex) Resident() int { return x.cells.Resident() }
 
-func (x *packedIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
-	return search(x.suite, x.cells, x, stags, groups)
+func (x *packedIndex) Search(stags []Stag, data []byte, ends []int) ([]byte, []int, error) {
+	return search(x.suite, x.cells, x, x.Width(), stags, data, ends)
 }
 
 func (x *packedIndex) readCell(s *cellSearcher, b uint64, cell []byte) (bool, error) {
 	if blockLen := 1 + x.blockSize*x.width; len(cell) != blockLen {
 		return false, fmt.Errorf("%w: packed block of %d bytes, want %d", ErrCorrupt, len(cell), blockLen)
 	}
-	plain := s.decrypt(b, cell)
-	n := int(plain[0])
+	s.cell = s.decrypt(s.cell[:0], b, cell)
+	n := int(s.cell[0])
 	if n > x.blockSize {
 		return false, fmt.Errorf("%w: packed block count %d > block size %d", ErrCorrupt, n, x.blockSize)
 	}
-	// The payloads subslice the arena-held block, so no per-posting
-	// copy: the block outlives the searcher's next walk.
-	for i := 0; i < n; i++ {
-		s.out = append(s.out, plain[1+i*x.width:1+(i+1)*x.width:1+(i+1)*x.width])
-	}
+	s.out = append(s.out, s.cell[1:1+n*x.width]...)
 	return true, nil
 }
 

@@ -51,7 +51,7 @@ func TestPadKnownAnswer(t *testing.T) {
 	}
 	cell := storedCell(t, idx.(*basicIndex).cells, stag, 0)
 	l0 := prf.F(prf.Key(stag), 'l', 0)
-	if want := xorBytes(U64Payload(0x0102030405060708), l0[LabelSize:LabelSize+8]); !bytes.Equal(cell, want) {
+	if want := xorBytes(binary.BigEndian.AppendUint64(nil, 0x0102030405060708), l0[LabelSize:LabelSize+8]); !bytes.Equal(cell, want) {
 		t.Fatalf("8-byte cell %x, want payload XOR F(stag,'l',0)[16:24] = %x", cell, want)
 	}
 	if got, want := hex.EncodeToString(cell), "51cff0c34bba626d"; got != want {
@@ -111,10 +111,10 @@ func TestPadKnownAnswer(t *testing.T) {
 // TestSearchHitAllocatesNothing: under suite 3 a stag whose probe hits
 // costs a search no allocation — its cell's pad is the label output the
 // step computed anyway — so a request whose stags all hit allocates what
-// one whose stags all miss does, plus the one array the groups of a
-// non-empty answer share, whatever the number of stags. Under suite 2
-// each hit still schedules one AES key: that request costs one
-// allocation more per stag.
+// one whose stags all miss does, whatever the number of stags, once the
+// caller's data and ends have grown to the answer. Under suite 2 each
+// hit still schedules one AES key: that request costs one allocation
+// more per stag.
 func TestSearchHitAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector perturbs sync.Pool; alloc counts are nondeterministic")
@@ -143,26 +143,23 @@ func TestSearchHitAllocatesNothing(t *testing.T) {
 					hit[i] = entries[i].Stag
 					rnd.Read(miss[i][:])
 				}
-				var groups [][][]byte
+				var data []byte
+				var ends []int
 				allocs := func(stags []Stag, wantItems int) float64 {
 					search := func() {
-						if groups, err = idx.Search(stags, groups[:0]); err != nil || len(groups) != n {
-							t.Fatalf("%d groups, err %v", len(groups), err)
+						if data, ends, err = idx.Search(stags, data[:0], ends[:0]); err != nil || len(ends) != n {
+							t.Fatalf("%d groups, err %v", len(ends), err)
 						}
-						items := 0
-						for _, g := range groups {
-							items += len(g)
-						}
-						if items != wantItems {
-							t.Fatalf("%d items, want %d", items, wantItems)
+						if ends[n-1] != wantItems || len(data) != 8*wantItems {
+							t.Fatalf("%d items in %d bytes, want %d", ends[n-1], len(data), wantItems)
 						}
 					}
-					search() // warm the lane set and the arenas
+					search() // warm the lane set and grow data and ends
 					return testing.AllocsPerRun(200, search)
 				}
 				h, m := allocs(hit, n), allocs(miss, 0)
 				t.Logf("%v/%s/%d stags: %v allocs all hit, %v all miss", suite, sch.Name(), n, h, m)
-				if want := m + 1 + perHit*float64(n); h != want {
+				if want := m + perHit*float64(n); h != want {
 					t.Errorf("%v/%s/%d stags: %v allocs when every stag hits, %v when every stag misses; want %v",
 						suite, sch.Name(), n, h, m, want)
 				}

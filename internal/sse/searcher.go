@@ -24,14 +24,14 @@ import (
 // walk of it alone probes, in counter order, and stops at its first
 // miss.
 //
-// Per request a search costs one pooled lane-set checkout and, if
-// anything was found, the one array the groups share, plus arena chunks
-// for the plaintexts; under suites 0–2, per stag whose probe hits and
-// for which no cache entry holds the cell cipher, one AES key schedule.
-// Suite 3 has none: a cell's pad starts with the spare half of the label
-// output the step already computed (cellPad), so a hit costs what a miss
-// does. Everything per cell — label derivation, dictionary probe,
-// decryption, gathering the item — reuses the lanes' scratch.
+// Per request a search costs one pooled lane-set checkout, and whatever
+// growing the caller's data and ends to the answer takes; under suites
+// 0–2, per stag whose probe hits and for which no cache entry holds the
+// cell cipher, one AES key schedule. Suite 3 has none: a cell's pad
+// starts with the spare half of the label output the step already
+// computed (cellPad), so a hit costs what a miss does. Everything per
+// cell — label derivation, dictionary probe, decryption, gathering the
+// item — reuses the lanes' scratch.
 
 // lanes is how many stag walks a search runs side by side. On
 // BenchmarkSearchStags (one batch_cluster shard request, 85 stags)
@@ -45,11 +45,6 @@ const lanes = 16
 
 // cellSearcher is one lane: the allocation-free machinery of one stag's
 // walk, reused for the next stag when the walk ends.
-//
-// The arena hands out disjoint regions of append-only chunks, so the
-// returned payload slices stay valid after the lane moves on or its lane
-// set goes back to the pool: a reused searcher keeps carving the same
-// chunk forward and never re-slices memory it already handed out.
 type cellSearcher struct {
 	suite prf.Suite    // of h and hk, for life: lane sets are pooled per suite
 	h     *prf.Hasher  // keyed to the stag's location key; suites 0 and 1 only, made by the first start
@@ -60,9 +55,10 @@ type cellSearcher struct {
 	lab   [LabelSize]byte   // suites 0, 1: label buffer, a field so it outlives the call that returns it
 	full  [prf.KeySize]byte // F suites: the last label's whole output; its spare half pads that cell under suite 3
 	pad   cellPad           // suite 3
-	chunk []byte            // free region of the current arena chunk
-	slots []uint64          // twolevel pointer scratch
-	out   [][]byte          // the walk's items, gathered before the lane set collects them
+	cell  []byte            // a cell's plaintext, when not all of it is items (packed, 2lev)
+	block []byte            // 2lev pointer block scratch
+	slots []uint64          // 2lev block slot scratch
+	out   []byte            // the walk's items, back to back, until the lane set collects them
 
 	at  int    // the request's index of the stag this lane walks
 	ctr uint64 // the counter of the walk's next probe
@@ -178,7 +174,6 @@ func (s *cellSearcher) finish() {
 	s.slot = nil
 	s.admit = false
 	s.blk = nil
-	clear(s.out) // a pooled searcher pins no caller's items
 	s.out = s.out[:0]
 }
 
@@ -210,38 +205,30 @@ func (s *cellSearcher) label(i uint64) []byte {
 	return s.lab[:]
 }
 
-// alloc carves an n-byte region out of the arena.
-func (s *cellSearcher) alloc(n int) []byte {
-	if len(s.chunk) < n {
-		s.chunk = make([]byte, max(n, 4096))
-	}
-	p := s.chunk[:n:n]
-	s.chunk = s.chunk[n:]
-	return p
-}
-
-// decrypt decrypts the cell the walk just found at label ctr, cell
-// number ctr, into a fresh arena region: under suite 3 by XOR with its
-// pad, which starts with the spare half of s.full, that label's output;
+// decrypt appends to dst the plaintext of the cell the walk just found
+// at label ctr, cell number ctr: under suite 3 by XOR with its pad,
+// which starts with the spare half of s.full, that label's output;
 // otherwise with secenc.XORKeyStreamBlock from
 // secenc.NonceFromUint64(ctr), on the searcher's cached cell cipher and
 // scratch.
-func (s *cellSearcher) decrypt(ctr uint64, src []byte) []byte {
-	return s.decryptCell(ctr, src, s.full[LabelSize:])
+func (s *cellSearcher) decrypt(dst []byte, ctr uint64, src []byte) []byte {
+	return s.decryptCell(dst, ctr, src, s.full[LabelSize:])
 }
 
-// decryptCell decrypts cell number n of the stag, whose suite-3 pad
-// starts with spare: nil for a cell without a label of its own (2lev's
-// array blocks), whose whole pad comes from k_cell.
-func (s *cellSearcher) decryptCell(n uint64, src, spare []byte) []byte {
-	dst := s.alloc(len(src))
+// decryptCell appends to dst the plaintext of cell number n of the
+// stag, whose suite-3 pad starts with spare: nil for a cell without a
+// label of its own (2lev's array blocks), whose whole pad comes from
+// k_cell.
+func (s *cellSearcher) decryptCell(dst []byte, n uint64, src, spare []byte) []byte {
+	dst = slices.Grow(dst, len(src))
+	plain := dst[len(dst) : len(dst)+len(src)]
 	if s.suite == prf.SuiteBlockPad {
-		s.pad.xor(&s.stag, n, spare, dst, src)
-		return dst
+		s.pad.xor(&s.stag, n, spare, plain, src)
+	} else {
+		s.nonce = secenc.NonceFromUint64(n)
+		secenc.XORKeyStreamBlock(s.cellCipher(), &s.nonce, &s.ks, plain, src)
 	}
-	s.nonce = secenc.NonceFromUint64(n)
-	secenc.XORKeyStreamBlock(s.cellCipher(), &s.nonce, &s.ks, dst, src)
-	return dst
+	return dst[:len(dst)+len(src)]
 }
 
 // cellReader is a construction's half of a search: what a walk does with
@@ -254,7 +241,7 @@ type cellReader interface {
 }
 
 // laneSet is one search's lanes and the scratch that collects their
-// walks into groups. Lane sets are pooled per suite.
+// walks' items in stag order. Lane sets are pooled per suite.
 type laneSet struct {
 	suite prf.Suite
 	s     [lanes]cellSearcher
@@ -262,11 +249,11 @@ type laneSet struct {
 	n     int
 	keys  [lanes][]byte // this step's labels, act order
 	vals  [lanes][]byte // their cells, nil for a miss
-	log   [][]byte      // ended walks' items, in the order the walks ended
-	spans []span        // per stag of the request: its items in log
+	log   []byte        // ended walks' items, in the order the walks ended
+	spans []span        // per stag of the request: its items' bytes in log
 }
 
-// span is a half-open range of laneSet.log.
+// span is a half-open byte range of laneSet.log.
 type span struct{ lo, hi int }
 
 var laneSetPools [prf.NumSuites]sync.Pool
@@ -282,34 +269,32 @@ func getLaneSet(suite prf.Suite) *laneSet {
 	return ls
 }
 
-// putLaneSet ends any walk an error cut short and pools ls, which pins
-// no caller's items afterwards.
+// putLaneSet ends any walk an error cut short and pools ls.
 func putLaneSet(ls *laneSet) {
 	for _, s := range ls.act[:ls.n] {
 		s.finish()
 	}
 	ls.n = 0
-	clear(ls.log)
 	ls.log = ls.log[:0]
 	ls.spans = ls.spans[:0]
 	laneSetPools[ls.suite].Put(ls)
 }
 
-// search appends to groups the items stored under each of stags, in
-// stag order — a nil group for an unknown stag or an empty list — read
-// from cells by r under suite. The groups share one backing array, each
-// a subslice with no spare capacity, so an append to one copies instead
-// of writing over the next.
-func search(suite prf.Suite, cells storage.Backend, r cellReader, stags []Stag, groups [][][]byte) ([][][]byte, error) {
+// search appends to data the width-byte items stored under each of
+// stags, in stag order, read from cells by r under suite, and to ends
+// one entry per stag: the item count of data after that stag's items
+// (see Index.Search).
+func search(suite prf.Suite, cells storage.Backend, r cellReader, width int, stags []Stag, data []byte, ends []int) ([]byte, []int, error) {
 	if len(stags) == 0 {
-		return groups, nil
+		return data, ends, nil
 	}
 	ls := getLaneSet(suite)
 	defer putLaneSet(ls)
 	if err := ls.walk(cells, r, stags); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ls.gather(groups), nil
+	data, ends = ls.gather(width, data, ends)
+	return data, ends, nil
 }
 
 // walk runs every stag's walk to its end, lanes at a time.
@@ -382,21 +367,14 @@ func (ls *laneSet) label() {
 	}
 }
 
-// gather appends each stag's group to groups, in stag order, copying
-// the items into the one array the groups share.
-func (ls *laneSet) gather(groups [][][]byte) [][][]byte {
-	var items [][]byte
-	if len(ls.log) > 0 {
-		items = make([][]byte, 0, len(ls.log))
-	}
+// gather copies each stag's items to data, in stag order, and appends
+// to ends each stag's end, counted in width-byte items.
+func (ls *laneSet) gather(width int, data []byte, ends []int) ([]byte, []int) {
+	data = slices.Grow(data, len(ls.log))
+	ends = slices.Grow(ends, len(ls.spans))
 	for _, sp := range ls.spans {
-		if sp.lo == sp.hi {
-			groups = append(groups, nil)
-			continue
-		}
-		lo := len(items)
-		items = append(items, ls.log[sp.lo:sp.hi]...)
-		groups = append(groups, items[lo:len(items):len(items)])
+		data = append(data, ls.log[sp.lo:sp.hi]...)
+		ends = append(ends, len(data)/width)
 	}
-	return groups
+	return data, ends
 }

@@ -82,12 +82,12 @@ type Scheme interface {
 
 // Index is a server-side encrypted multimap.
 type Index interface {
-	// Search appends to groups one group per stag, in stag order: the
-	// payloads stored under that stag, or nil if it matches nothing.
-	// Unknown stags are indistinguishable from empty posting lists. The
-	// groups of one call share one backing array, each a subslice with
-	// no spare capacity. Searching one stag is searching a slice of one.
-	Search(stags []Stag, groups [][][]byte) ([][][]byte, error)
+	// Search appends to data the payloads stored under each of stags,
+	// Width() bytes each, in stag order, and to ends one entry per stag:
+	// the number of payloads data holds up to the end of that stag's.
+	// Unknown stags are indistinguishable from empty posting lists.
+	// Searching one stag is searching a slice of one.
+	Search(stags []Stag, data []byte, ends []int) ([]byte, []int, error)
 	// Width returns the payload width the index was built with.
 	Width() int
 	// Postings returns the number of real (non-padding) payloads stored.
@@ -162,21 +162,11 @@ func ByName(name string) (Scheme, error) {
 	}
 }
 
-// U64Payload encodes a uint64 id as an 8-byte payload.
-func U64Payload(v uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, v)
-}
-
-// PayloadU64 decodes an 8-byte payload back into a uint64 id.
-func PayloadU64(p []byte) uint64 {
-	return binary.BigEndian.Uint64(p)
-}
-
 // EntryFromIDs builds an Entry whose payloads are 8-byte encoded ids.
 func EntryFromIDs(stag Stag, ids []uint64) Entry {
 	p := make([][]byte, len(ids))
 	for i, id := range ids {
-		p[i] = U64Payload(id)
+		p[i] = binary.BigEndian.AppendUint64(nil, id)
 	}
 	return Entry{Stag: stag, Payloads: p}
 }

@@ -3,8 +3,10 @@ package sse
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	mrand "math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -93,7 +95,7 @@ func searchIDs(t testing.TB, idx Index, kw string) []uint64 {
 	}
 	out := make([]uint64, len(payloads))
 	for i, p := range payloads {
-		out[i] = PayloadU64(p)
+		out[i] = binary.BigEndian.Uint64(p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -195,7 +197,7 @@ func TestShuffleHidesInsertionOrder(t *testing.T) {
 	}
 	inOrder := true
 	for i, p := range payloads {
-		if PayloadU64(p) != uint64(i) {
+		if binary.BigEndian.Uint64(p) != uint64(i) {
 			inOrder = false
 			break
 		}
@@ -413,32 +415,35 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestU64PayloadRoundtrip(t *testing.T) {
-	f := func(v uint64) bool { return PayloadU64(U64Payload(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // oneStag searches one stag at a time, as a slice of one, reusing its
-// stag and group slices so a steady-state search allocates only what
-// Search itself does.
+// stag, data and ends slices so a steady-state search allocates only
+// what Search itself does.
 type oneStag struct {
-	stag   [1]Stag
-	groups [][][]byte
+	stag [1]Stag
+	data []byte
+	ends []int
 }
 
-func (o *oneStag) search(idx Index, stag Stag) ([][]byte, error) {
+// search returns the number of payloads stored under stag.
+func (o *oneStag) search(idx Index, stag Stag) (int, error) {
 	o.stag[0] = stag
-	groups, err := idx.Search(o.stag[:], o.groups[:0])
+	data, ends, err := idx.Search(o.stag[:], o.data[:0], o.ends[:0])
 	if err != nil {
+		return 0, err
+	}
+	o.data, o.ends = data, ends
+	if len(ends) != 1 || len(data) != ends[0]*idx.Width() {
+		return 0, fmt.Errorf("one stag answered with %d ends over %d bytes", len(ends), len(data))
+	}
+	return ends[0], nil
+}
+
+// searchOne searches one stag, as a slice of one, and returns its
+// payloads one slice each.
+func searchOne(idx Index, stag Stag) ([][]byte, error) {
+	o := new(oneStag)
+	if _, err := o.search(idx, stag); err != nil {
 		return nil, err
 	}
-	o.groups = groups
-	return groups[0], nil
-}
-
-// searchOne searches one stag, as a slice of one.
-func searchOne(idx Index, stag Stag) ([][]byte, error) {
-	return new(oneStag).search(idx, stag)
+	return slices.Collect(slices.Chunk(o.data, idx.Width())), nil
 }

@@ -209,15 +209,15 @@ func (x *tsetIndex) Buckets() int { return x.numBuckets }
 // Capacity reports the per-bucket record capacity.
 func (x *tsetIndex) Capacity() int { return x.capacity }
 
-func (x *tsetIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
-	return search(x.suite, x.lookup, x, stags, groups)
+func (x *tsetIndex) Search(stags []Stag, data []byte, ends []int) ([]byte, []int, error) {
+	return search(x.suite, x.lookup, x, x.Width(), stags, data, ends)
 }
 
 func (x *tsetIndex) readCell(s *cellSearcher, ctr uint64, cell []byte) (bool, error) {
 	if len(cell) != x.width {
 		return false, fmt.Errorf("%w: tset cell of %d bytes, want %d", ErrCorrupt, len(cell), x.width)
 	}
-	s.out = append(s.out, s.decrypt(ctr, cell))
+	s.out = s.decrypt(s.out, ctr, cell)
 	return true, nil
 }
 

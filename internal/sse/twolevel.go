@@ -227,31 +227,25 @@ func (x *twoLevelIndex) BlockCount() int { return len(x.blocks) }
 
 // Search probes each stag's dictionary cell at label 0 through the
 // lockstep lanes; a walk ends at that one probe, hit or miss.
-func (x *twoLevelIndex) Search(stags []Stag, groups [][][]byte) ([][][]byte, error) {
-	return search(x.suite, x.cells, x, stags, groups)
+func (x *twoLevelIndex) Search(stags []Stag, data []byte, ends []int) ([]byte, []int, error) {
+	return search(x.suite, x.cells, x, x.Width(), stags, data, ends)
 }
 
 func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool, error) {
 	if cellLen := 1 + 4 + x.inlineCap*8; len(cellCT) != cellLen {
 		return false, fmt.Errorf("%w: 2lev cell of %d bytes, want %d", ErrCorrupt, len(cellCT), cellLen)
 	}
-	cell := s.decrypt(0, cellCT)
-	mode := cell[0]
-	n := int(binary.BigEndian.Uint32(cell[1:5]))
-	slots := cell[5:]
+	s.cell = s.decrypt(s.cell[:0], 0, cellCT)
+	mode := s.cell[0]
+	n := int(binary.BigEndian.Uint32(s.cell[1:5]))
+	slots := s.cell[5:]
 
-	readBlock := func(slot uint64) ([]byte, error) {
+	// readBlock appends the plaintext of array block slot to dst.
+	readBlock := func(dst []byte, slot uint64) ([]byte, error) {
 		if slot >= uint64(len(x.blocks)) {
 			return nil, fmt.Errorf("%w: 2lev block pointer %d out of range", ErrCorrupt, slot)
 		}
-		return s.decryptCell(1+slot, x.blocks[slot], nil), nil
-	}
-	// Decrypted cells and blocks live in the searcher's arena, so the
-	// returned items subslice them without per-item copies.
-	items := func(raw []byte, count int) {
-		for i := 0; i < count; i++ {
-			s.out = append(s.out, raw[i*8:(i+1)*8:(i+1)*8])
-		}
+		return s.decryptCell(dst, 1+slot, x.blocks[slot], nil), nil
 	}
 
 	switch mode {
@@ -259,7 +253,7 @@ func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool
 		if n > x.inlineCap {
 			return false, fmt.Errorf("%w: 2lev inline cell count %d", ErrCorrupt, n)
 		}
-		items(slots, n)
+		s.out = append(s.out, slots[:n*8]...)
 		return false, nil
 	case modeMedium, modeLarge:
 		idBlocks := (n + x.blockSize - 1) / x.blockSize
@@ -278,13 +272,14 @@ func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool
 			}
 			remaining := idBlocks
 			for i := 0; i < ptrBlocks; i++ {
-				raw, err := readBlock(binary.BigEndian.Uint64(slots[i*8:]))
+				ptrs, err := readBlock(s.block[:0], binary.BigEndian.Uint64(slots[i*8:]))
 				if err != nil {
 					return false, err
 				}
+				s.block = ptrs
 				take := min(remaining, x.blockSize)
 				for j := 0; j < take; j++ {
-					idSlots = append(idSlots, binary.BigEndian.Uint64(raw[j*8:]))
+					idSlots = append(idSlots, binary.BigEndian.Uint64(ptrs[j*8:]))
 				}
 				remaining -= take
 			}
@@ -292,12 +287,13 @@ func (x *twoLevelIndex) readCell(s *cellSearcher, _ uint64, cellCT []byte) (bool
 		s.slots = idSlots[:0]
 		remaining := n
 		for _, slot := range idSlots {
-			raw, err := readBlock(slot)
+			take := min(remaining, x.blockSize)
+			kept := len(s.out) + 8*take
+			out, err := readBlock(s.out, slot)
 			if err != nil {
 				return false, err
 			}
-			take := min(remaining, x.blockSize)
-			items(raw, take)
+			s.out = out[:kept] // the block's ids, without its padding
 			remaining -= take
 		}
 		return false, nil

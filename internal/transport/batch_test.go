@@ -261,7 +261,7 @@ func (s *blockingServer) SearchContext(_ context.Context, t *core.Trapdoor) (*co
 	default:
 	}
 	<-s.release
-	return &core.Response{Groups: make([][][]byte, t.Tokens())}, nil
+	return &core.Response{Ends: make([]int, t.Tokens())}, nil
 }
 
 func (s *blockingServer) FetchMany(_ context.Context, ids []core.ID) ([][]byte, error) {

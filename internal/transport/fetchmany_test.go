@@ -522,8 +522,11 @@ func remoteBatchSetup(tb testing.TB) (*core.Client, *IndexHandle, [][]core.Range
 
 // TestQueryPathAllocs is the remote SRC-i pin beside core's
 // TestQueryPathAllocs (which cannot import this package): owner and
-// server together, per query of ≈120 raw ids over loopback. Measured 62
-// objects since the index pads its cells from F (PRF suite 3); 64 with
+// server together, per query of ≈120 raw ids over loopback. Measured 57
+// objects since a search response is held flat, one byte array and one
+// group-end array from the searcher to the demux; 59 with one byte slice
+// per item, 62 before the response frame went compact, since the index
+// pads its cells from F (PRF suite 3); 64 with
 // AES cells, before and after the server searched a request's stags in
 // one lockstep pass (487 while the owner copied every response item and
 // each search grew its result by append); the per-id fetch fallback
@@ -548,15 +551,16 @@ func TestQueryPathAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("SRC-i remote: %.0f allocs/query at %.0f raw ids/query", got, float64(raw)/float64(i))
-	if got > 68 {
-		t.Errorf("remote SRC-i query allocates %.0f objects/op, guard is 68 — per-id allocations are back?", got)
+	if got > 63 {
+		t.Errorf("remote SRC-i query allocates %.0f objects/op, guard is 63 — per-id allocations are back?", got)
 	}
 }
 
 // TestQueryBatchPathAllocs is the remote batch pin beside
 // TestQueryPathAllocs: owner and server together, per sixteen-range
 // Logarithmic-URC QueryBatch over loopback, ≈530 response items each.
-// Measured 30 objects since the index pads its cells from F (PRF suite
+// Measured 28 objects since a search response is held flat; 30 with one
+// byte slice per item, since the index pads its cells from F (PRF suite
 // 3), so a stag whose probe hits schedules no AES key; 129 with AES
 // cells, since the owner plans the covers into one array, deduplicates
 // them by sorting, and demultiplexes a round into one id array and one
@@ -585,7 +589,7 @@ func TestQueryBatchPathAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("URC remote batch: %.0f allocs/batch at %.0f response items/batch", got, float64(items)/float64(i))
-	if got > 33 {
-		t.Errorf("remote URC batch allocates %.0f objects/op, guard is 33 — per-range, per-group or per-hit allocations are back?", got)
+	if got > 31 {
+		t.Errorf("remote URC batch allocates %.0f objects/op, guard is 31 — per-range, per-group or per-hit allocations are back?", got)
 	}
 }

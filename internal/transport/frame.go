@@ -153,8 +153,7 @@ func (fw *frameWriter) flushAll(w io.Writer) error {
 // name, every handler copies what it keeps (trapdoor tokens, update
 // payloads), and an answer encoded into the pooled buffer is a copy of
 // what the index holds. Client-side *response* bodies are NOT pooled —
-// result items and fetched ciphertexts alias them all the way up to the
-// caller.
+// fetched ciphertexts alias them all the way up to the caller.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // frameGrowStep is the most body a frame header is trusted for before

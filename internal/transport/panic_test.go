@@ -59,12 +59,12 @@ type tokenPanicIndex struct {
 	left *atomic.Int32
 }
 
-func (x tokenPanicIndex) Search(stags []sse.Stag, groups [][][]byte) ([][][]byte, error) {
+func (x tokenPanicIndex) Search(stags []sse.Stag, data []byte, ends []int) ([]byte, []int, error) {
 	n := int32(len(stags))
 	if left := x.left.Add(-n); left <= 0 && left+n > 0 {
-		_ = groups[len(groups)] // a runtime error, not a panic(string)
+		_ = ends[len(ends)] // a runtime error, not a panic(string)
 	}
-	return x.Index.Search(stags, groups)
+	return x.Index.Search(stags, data, ends)
 }
 
 // TestHandlerPanicContained: a handler panic costs its own request an

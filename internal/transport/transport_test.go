@@ -10,6 +10,7 @@ import (
 	mrand "math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -744,11 +745,8 @@ func TestTrapdoorWireRoundtrip(t *testing.T) {
 }
 
 func TestResponseWireRoundtrip(t *testing.T) {
-	resp := &core.Response{Groups: [][][]byte{
-		{[]byte("abc"), []byte("")},
-		{},
-		{[]byte{1, 2, 3, 4, 5, 6, 7, 8}},
-	}}
+	// Three groups of 3-byte items: {"abc", "def"}, {}, {"ghi"}.
+	resp := &core.Response{Width: 3, Data: []byte("abcdefghi"), Ends: []int{2, 2, 3}}
 	blob, err := resp.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -757,10 +755,10 @@ func TestResponseWireRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Groups) != 3 || back.Items() != resp.Items() {
-		t.Fatalf("roundtrip: %d groups, %d items", len(back.Groups), back.Items())
+	if len(back.Ends) != 3 || back.Items() != resp.Items() {
+		t.Fatalf("roundtrip: %d groups, %d items", len(back.Ends), back.Items())
 	}
-	if !bytes.Equal(back.Groups[0][0], []byte("abc")) {
+	if !bytes.Equal(back.Data, resp.Data) || back.Width != 3 || !slices.Equal(back.Ends, resp.Ends) {
 		t.Error("payload corrupted")
 	}
 	for _, bad := range [][]byte{{1}, blob[:len(blob)-2], append(blob, 9)} {
