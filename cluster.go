@@ -36,13 +36,13 @@ type Cluster struct {
 	clients []*core.Client
 	targets []core.Source
 	indexes []*Index // local clusters only; nil entries when remote
-	exec    shard.Executor
+	policy  shard.Policy
 	closers []io.Closer
 }
 
 // newCluster wires the owner-side state every construction path shares:
 // the shard map, one client per shard under shard.ClientKey(master, i),
-// and the executor. Options are lowered once per shard, so that each
+// and the failure policy. Options are lowered once per shard, so that each
 // shard client draws from a shuffle source of its own (see
 // core.Options.Rand).
 func newCluster(kind Kind, m shard.Map, master prf.Key, cfg config) (*Cluster, error) {
@@ -53,7 +53,7 @@ func newCluster(kind Kind, m shard.Map, master prf.Key, cfg config) (*Cluster, e
 		clients: make([]*core.Client, m.K()),
 		targets: make([]core.Source, m.K()),
 		indexes: make([]*Index, m.K()),
-		exec:    shard.Executor{Policy: cfg.policy},
+		policy:  cfg.policy,
 	}
 	for i := range c.clients {
 		lowered, err := cfg.lower()
@@ -277,9 +277,10 @@ type ShardBatchStat struct {
 
 // ClusterBatchResult is a scatter-gather outcome: the embedded
 // BatchResult holds one merged Result per input range (in input order)
-// and the batch accounting aggregated over the shards (counters sum;
-// Rounds is the per-shard maximum; ServerTime and OwnerTime sum across
-// shards, so they measure total work, not wall clock). Shards reports
+// and the batch accounting folded over the shards with BatchStats.Add
+// (counters sum; Rounds is the per-shard maximum; ServerTime and
+// OwnerTime sum across shards, so they measure total work, not wall
+// clock), Ranges being the number of input ranges. Shards reports
 // the per-shard breakdown in ascending shard order — one entry per
 // shard the query intersected.
 type ClusterBatchResult struct {
@@ -322,59 +323,54 @@ func (r *ClusterBatchResult) PartialErr() error {
 // inside one shard touches exactly that shard; one range is a batch of
 // one. Cancelling ctx aborts the scatter and fails the batch.
 func (c *Cluster) QueryBatchContext(ctx context.Context, ranges []Range) (*ClusterBatchResult, error) {
-	outcomes, err := c.scatter(ctx, ranges)
+	if err := c.check(ranges); err != nil {
+		return nil, err
+	}
+	tasks := c.m.SplitBatch(ranges)
+	outcomes, err := shard.Run(ctx, c.policy, len(tasks),
+		func(ctx context.Context, i int) (*core.BatchResult, error) {
+			t := tasks[i]
+			return c.clients[t.Shard].QueryBatchContext(ctx, c.targets[t.Shard], t.Ranges)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := &ClusterBatchResult{BatchResult: BatchResult{Results: make([]*Result, len(ranges))}}
-	out.Stats.Ranges = len(ranges)
-	out.Shards = make([]ShardBatchStat, len(outcomes))
-	for i, o := range outcomes {
-		st := ShardBatchStat{Shard: o.Task.Shard, Ranges: len(o.Task.Ranges), Err: o.Err}
-		if o.Res != nil {
-			st.Stats = o.Res.Stats
-			s, t := &out.Stats, o.Res.Stats
-			if t.Rounds > s.Rounds {
-				s.Rounds = t.Rounds
-			}
-			s.CoverNodes += t.CoverNodes
-			s.UniqueTokens += t.UniqueTokens
-			s.TokenBytes += t.TokenBytes
-			s.ResponseItems += t.ResponseItems
-			s.FetchedTuples += t.FetchedTuples
-			s.ServerTime += t.ServerTime
-			s.OwnerTime += t.OwnerTime
-			// A range one shard answered is that shard's result; one that
-			// spans shards merges into its first shard's, whose slices are
-			// capped, so the merge copies rather than overwrites.
-			for j, sub := range o.Res.Results {
-				if dst := &out.Results[o.Task.Sources[j]]; *dst == nil {
-					*dst = sub
-				} else {
-					shard.MergeInto(*dst, sub)
-				}
-			}
-		}
-		out.Shards[i] = st
+	out := &ClusterBatchResult{
+		BatchResult: BatchResult{Results: make([]*Result, len(ranges))},
+		Shards:      make([]ShardBatchStat, len(tasks)),
 	}
+	for i, o := range outcomes {
+		t := tasks[i]
+		out.Shards[i] = ShardBatchStat{Shard: t.Shard, Ranges: len(t.Ranges), Err: o.Err}
+		if o.Res == nil {
+			continue
+		}
+		out.Shards[i].Stats = o.Res.Stats
+		out.Stats.Add(o.Res.Stats)
+		// A range one shard answered is that shard's result; one that
+		// spans shards merges into its first shard's, whose slices are
+		// capped, so the merge copies rather than overwrites. Shards
+		// partition the domain, so the match sets are disjoint and
+		// concatenation in shard order is their union.
+		for j, sub := range o.Res.Results {
+			dst := &out.Results[t.Sources[j]]
+			if *dst == nil {
+				*dst = sub
+				continue
+			}
+			r := *dst
+			r.Matches = append(r.Matches, sub.Matches...)
+			r.Raw = append(r.Raw, sub.Raw...)
+			r.Stats.Add(sub.Stats)
+		}
+	}
+	out.Stats.Ranges = len(ranges) // the shards counted their slices
 	for i, r := range out.Results {
 		if r == nil { // every shard of the range failed (WithPartialResults)
 			out.Results[i] = &Result{}
 		}
 	}
 	return out, nil
-}
-
-// scatter checks every range, cuts the ranges at shard boundaries and
-// runs one batched sub-query per intersected shard over its slices.
-func (c *Cluster) scatter(ctx context.Context, ranges []Range) ([]shard.Outcome[*core.BatchResult], error) {
-	if err := c.check(ranges); err != nil {
-		return nil, err
-	}
-	return shard.Run(ctx, c.exec, c.m.SplitBatch(ranges),
-		func(ctx context.Context, t shard.BatchTask) (*core.BatchResult, error) {
-			return c.clients[t.Shard].QueryBatchContext(ctx, c.targets[t.Shard], t.Ranges)
-		})
 }
 
 // FetchTuples retrieves and decrypts the tuples stored under ids, in

@@ -201,6 +201,46 @@ func TestClusterPartialResults(t *testing.T) {
 	})
 }
 
+// TestClusterBatchStatsFoldShards: a cluster batch's Stats are the
+// fold (BatchStats.Add) of its per-shard stats, with Ranges the number
+// of input ranges rather than of shard slices, and a range cut across
+// shards still answers exactly its matches.
+func TestClusterBatchStatsFoldShards(t *testing.T) {
+	tuples := genTuples(300, 10, 53)
+	c, err := rsse.BuildCluster(rsse.LogarithmicSRCi, 10, 3, tuples, rsse.WithSeed(9))
+	must(t, err)
+	b01, b12 := c.ShardRange(1).Lo, c.ShardRange(2).Lo
+	ranges := []rsse.Range{
+		{Lo: b01 - 20, Hi: b01 + 20}, // shards 0 and 1
+		{Lo: b12 + 3, Hi: b12 + 90},  // shard 2 alone
+		{Lo: 5, Hi: 1000},            // all three
+	}
+	res, err := c.QueryBatchContext(context.Background(), ranges)
+	must(t, err)
+	if len(res.Shards) != 3 {
+		t.Fatalf("%d shards answered, want 3", len(res.Shards))
+	}
+	var want rsse.BatchStats
+	for _, s := range res.Shards {
+		if s.Err != nil {
+			t.Fatalf("shard %d: %v", s.Shard, s.Err)
+		}
+		want.Add(s.Stats)
+	}
+	want.Ranges = len(ranges)
+	if res.Stats != want {
+		t.Fatalf("batch stats %+v, want the shards' fold %+v", res.Stats, want)
+	}
+	if want.Rounds != 2 {
+		t.Fatalf("SRC-i batch over three shards took %d rounds, want 2 (the maximum, not the sum)", want.Rounds)
+	}
+	for i, q := range ranges {
+		if !equal(sorted(res.Results[i].Matches), sorted(oracle(tuples, q))) {
+			t.Fatalf("range %d %v: %d matches, want %d", i, q, len(res.Results[i].Matches), len(oracle(tuples, q)))
+		}
+	}
+}
+
 func TestClusterContextCancel(t *testing.T) {
 	tuples := genTuples(100, 10, 61)
 	cluster, err := rsse.BuildCluster(rsse.LogarithmicBRC, 10, 2, tuples)

@@ -372,29 +372,29 @@ func newNodeSession(e *env, addr string, writes bool) (*nodeSession, error) {
 	return s, nil
 }
 
-func (s *nodeSession) Do(ctx context.Context, op *workload.Op) (workload.Metrics, error) {
+func (s *nodeSession) Do(ctx context.Context, op *workload.Op) (workload.LeakageCounters, error) {
 	if w := op.Write; w != nil {
 		// Writes carry no query-leakage counters; latency is what the
 		// harness measures (acknowledged per the server's fsync policy).
-		return workload.Metrics{}, s.write(w)
+		return workload.LeakageCounters{}, s.write(w)
 	}
 	if len(op.Ranges) == 1 {
 		res, err := s.client.QueryContext(ctx, s.remote, op.Ranges[0])
 		if err != nil {
-			return workload.Metrics{}, err
+			return workload.LeakageCounters{}, err
 		}
 		return queryMetrics(res.Stats), nil
 	}
 	br, err := s.client.QueryBatchContext(ctx, s.remote, op.Ranges)
 	if err != nil {
-		return workload.Metrics{}, err
+		return workload.LeakageCounters{}, err
 	}
 	return batchMetrics(br.Stats, br.Results), nil
 }
 
 // queryMetrics is what one single-range query cost in leakage terms.
-func queryMetrics(st rsse.QueryStats) workload.Metrics {
-	return workload.Metrics{
+func queryMetrics(st rsse.QueryStats) workload.LeakageCounters {
+	return workload.LeakageCounters{
 		Tokens:         uint64(st.Tokens),
 		TokenBytes:     uint64(st.TokenBytes),
 		ResponseItems:  uint64(st.ResponseItems),
@@ -404,8 +404,8 @@ func queryMetrics(st rsse.QueryStats) workload.Metrics {
 }
 
 // batchMetrics is queryMetrics for one batched op (tokens after dedup).
-func batchMetrics(st rsse.BatchStats, results []*rsse.Result) workload.Metrics {
-	m := workload.Metrics{
+func batchMetrics(st rsse.BatchStats, results []*rsse.Result) workload.LeakageCounters {
+	m := workload.LeakageCounters{
 		Tokens:        uint64(st.UniqueTokens),
 		TokenBytes:    uint64(st.TokenBytes),
 		ResponseItems: uint64(st.ResponseItems),
@@ -474,14 +474,14 @@ func newClusterSession(e *env, addr string) (*clusterSession, error) {
 	return &clusterSession{cl: cl}, nil
 }
 
-func (s *clusterSession) Do(ctx context.Context, op *workload.Op) (workload.Metrics, error) {
+func (s *clusterSession) Do(ctx context.Context, op *workload.Op) (workload.LeakageCounters, error) {
 	if op.Write != nil {
-		return workload.Metrics{}, fmt.Errorf("write ops are not supported against a cluster")
+		return workload.LeakageCounters{}, fmt.Errorf("write ops are not supported against a cluster")
 	}
 	// One batched scatter: one search frame per round per intersected shard.
 	br, err := s.cl.QueryBatchContext(ctx, op.Ranges)
 	if err != nil {
-		return workload.Metrics{}, err
+		return workload.LeakageCounters{}, err
 	}
 	if len(op.Ranges) == 1 {
 		return queryMetrics(br.Results[0].Stats), nil

@@ -19,9 +19,9 @@ import (
 // session behind a collapsed serving path would.
 type stubSession struct{ err error }
 
-func (s stubSession) Do(ctx context.Context, op *workload.Op) (workload.Metrics, error) {
+func (s stubSession) Do(ctx context.Context, op *workload.Op) (workload.LeakageCounters, error) {
 	time.Sleep(time.Millisecond)
-	return workload.Metrics{}, s.err
+	return workload.LeakageCounters{}, s.err
 }
 
 func (stubSession) Close() error { return nil }

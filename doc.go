@@ -124,7 +124,11 @@
 // independent single-attribute instance per attribute and an owner-side
 // intersection. It is d Clients over d Sources: BuildIndex returns one
 // *Index per attribute, and QueryContext and FetchTuples take one
-// Source per attribute, local or served. The server sees each
+// Source per attribute, local or served, and ask the attributes
+// concurrently, through the same fan-out a cluster's shards go through.
+// QueryContext intersects the sorted per-attribute matches and folds
+// the attributes' stats with QueryStats.Add, so MultiResult.Stats.Rounds
+// is the largest attribute's round count, not their sum. The server sees each
 // attribute's single-attribute leakage plus the per-attribute access
 // patterns before intersection (MultiResult.PerAttribute).
 //

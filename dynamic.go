@@ -470,9 +470,10 @@ func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple,
 		perRange [][]Tuple
 		stats    UpdateStats
 	}
-	outcomes, err := shard.Run(ctx, shard.Executor{}, d.m.SplitBatch(qs),
-		func(ctx context.Context, t shard.BatchTask) (answer, error) {
-			tuples, stats, err := d.stores[t.Shard].QueryBatch(ctx, t.Ranges)
+	tasks := d.m.SplitBatch(qs)
+	outcomes, err := shard.Run(ctx, shard.FailFast, len(tasks),
+		func(ctx context.Context, i int) (answer, error) {
+			tuples, stats, err := d.stores[tasks[i].Shard].QueryBatch(ctx, tasks[i].Ranges)
 			return answer{perRange: tuples, stats: stats}, err
 		})
 	if err != nil {
@@ -480,9 +481,9 @@ func (d *Dynamic) QueryBatchContext(ctx context.Context, qs []Range) ([][]Tuple,
 	}
 	out := make([][]Tuple, len(qs))
 	var stats UpdateStats
-	for _, o := range outcomes {
+	for i, o := range outcomes {
 		for j, tuples := range o.Res.perRange {
-			src := o.Task.Sources[j]
+			src := tasks[i].Sources[j]
 			out[src] = append(out[src], tuples...)
 		}
 		s := o.Res.stats

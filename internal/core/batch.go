@@ -87,6 +87,20 @@ type BatchStats struct {
 	OwnerTime  time.Duration
 }
 
+// Add folds one part's batch stats into s, as QueryStats.Add does:
+// counters and times sum and Rounds is the maximum.
+func (s *BatchStats) Add(t BatchStats) {
+	s.Ranges += t.Ranges
+	s.Rounds = max(s.Rounds, t.Rounds)
+	s.CoverNodes += t.CoverNodes
+	s.UniqueTokens += t.UniqueTokens
+	s.TokenBytes += t.TokenBytes
+	s.ResponseItems += t.ResponseItems
+	s.FetchedTuples += t.FetchedTuples
+	s.ServerTime += t.ServerTime
+	s.OwnerTime += t.OwnerTime
+}
+
 // DedupRatio reports CoverNodes / UniqueTokens: how many times each sent
 // token was reused across the batch (1 means no sharing).
 func (s BatchStats) DedupRatio() float64 {

@@ -508,6 +508,24 @@ type QueryStats struct {
 	OwnerTime  time.Duration
 }
 
+// Add folds the stats of one part of a fanned-out query into s: counters
+// and times sum (the times measure total work, not wall clock), Rounds
+// is the maximum (the parts' rounds overlap), and Groups and TokenLevels
+// concatenate in the order the parts are added.
+func (s *QueryStats) Add(t QueryStats) {
+	s.Rounds = max(s.Rounds, t.Rounds)
+	s.Tokens += t.Tokens
+	s.TokenBytes += t.TokenBytes
+	s.ResponseItems += t.ResponseItems
+	s.Raw += t.Raw
+	s.Matches += t.Matches
+	s.FalsePositives += t.FalsePositives
+	s.Groups = append(s.Groups, t.Groups...)
+	s.TokenLevels = append(s.TokenLevels, t.TokenLevels...)
+	s.ServerTime += t.ServerTime
+	s.OwnerTime += t.OwnerTime
+}
+
 // Result is the outcome of a full query protocol.
 type Result struct {
 	// Matches holds the ids of tuples satisfying the query, after the

@@ -2,16 +2,17 @@ package shard
 
 import "rsse/internal/obs"
 
-// Scatter-gather metrics on the process-wide obs.Default registry: how
-// wide cluster queries fan out, how long each shard sub-query takes,
-// and how often a Partial-policy run came back degraded.
+// Fan-out metrics on the process-wide obs.Default registry: how many
+// sub-queries Run starts (cluster shards, sharded Dynamic shards and
+// MultiClient attributes alike), how long each takes, and how often a
+// Partial-policy run came back degraded.
 var (
 	mSubqueries = obs.Default.Counter("rsse_shard_subqueries_total",
-		"Shard sub-queries executed by scatter-gather runs.")
+		"Sub-queries executed by fan-out runs (cluster and Dynamic shards, MultiClient attributes).")
 	mSubqueryErrs = obs.Default.Counter("rsse_shard_subquery_errors_total",
-		"Shard sub-queries that failed (cancelled tasks included).")
+		"Fan-out sub-queries that failed (cancelled ones included).")
 	mSubqueryTime = obs.Default.Histogram("rsse_shard_subquery_seconds",
-		"Per-shard sub-query latency inside a scatter-gather run.")
+		"Per-sub-query latency inside a fan-out run.")
 	mPartials = obs.Default.Counter("rsse_shard_partial_results_total",
-		"Scatter-gather runs that completed with at least one failed shard.")
+		"Fan-out runs that completed with at least one failed sub-query.")
 )

@@ -11,11 +11,13 @@
 // domain, never the neighbors'.
 //
 // The package provides the pieces in layers: Map (who owns which values),
-// Map.SplitBatch (the query planner), Run (the scatter-gather engine: one
-// goroutine per shard, with cancellation and error policies), MergeInto
-// (result and stats aggregation), ClientKey (per-shard key derivation)
-// and Manifest (the serializable cluster topology the CLIs and remote
-// dialers exchange).
+// Map.SplitBatch (the query planner), Run (the one fan-out: one goroutine
+// per part, with cancellation and error policies, which a sharded
+// Dynamic and a MultiClient's attributes go through too), ClientKey
+// (per-shard key derivation) and Manifest (the serializable cluster
+// topology the CLIs and remote dialers exchange). Callers merge the
+// parts' results themselves, folding their stats with core's
+// QueryStats.Add and BatchStats.Add.
 package shard
 
 import (

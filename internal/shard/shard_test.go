@@ -214,24 +214,21 @@ func TestFromStartsValidation(t *testing.T) {
 }
 
 func TestExecutorRunsAllTasks(t *testing.T) {
-	tasks := make([]BatchTask, 20)
-	for i := range tasks {
-		tasks[i] = BatchTask{Shard: i}
-	}
+	const n = 20
 	var ran atomic.Int32
-	out, err := Run(context.Background(), Executor{}, tasks,
-		func(ctx context.Context, tk BatchTask) (*core.Result, error) {
+	out, err := Run(context.Background(), FailFast, n,
+		func(ctx context.Context, i int) (*core.Result, error) {
 			ran.Add(1)
-			return &core.Result{Matches: []core.ID{core.ID(tk.Shard)}}, nil
+			return &core.Result{Matches: []core.ID{core.ID(i)}}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(ran.Load()) != len(tasks) || len(out) != len(tasks) {
-		t.Fatalf("ran %d of %d", ran.Load(), len(tasks))
+	if int(ran.Load()) != n || len(out) != n {
+		t.Fatalf("ran %d of %d", ran.Load(), n)
 	}
 	for i, o := range out {
-		if o.Task.Shard != i || o.Res == nil || o.Res.Matches[0] != core.ID(i) {
+		if o.Res == nil || o.Res.Matches[0] != core.ID(i) {
 			t.Fatalf("outcome %d out of order: %+v", i, o)
 		}
 	}
@@ -241,16 +238,12 @@ func TestExecutorRunsAllTasks(t *testing.T) {
 // every other sub-query runs under, and Run reports that failure.
 func TestExecutorFailFastCancels(t *testing.T) {
 	boom := errors.New("boom")
-	tasks := make([]BatchTask, 50)
-	for i := range tasks {
-		tasks[i] = BatchTask{Shard: i}
-	}
-	out, err := Run(context.Background(), Executor{Policy: FailFast}, tasks,
-		func(ctx context.Context, tk BatchTask) (*core.Result, error) {
-			if tk.Shard == 0 {
+	out, err := Run(context.Background(), FailFast, 50,
+		func(ctx context.Context, i int) (*core.Result, error) {
+			if i == 0 {
 				return nil, boom
 			}
-			// Every other shard waits for the cancellation (bounded, so a
+			// Every other part waits for the cancellation (bounded, so a
 			// missing cancel fails the test instead of hanging it).
 			select {
 			case <-ctx.Done():
@@ -271,13 +264,12 @@ func TestExecutorFailFastCancels(t *testing.T) {
 
 func TestExecutorPartialCollects(t *testing.T) {
 	boom := errors.New("boom")
-	tasks := []BatchTask{{Shard: 0}, {Shard: 1}, {Shard: 2}}
-	out, err := Run(context.Background(), Executor{Policy: Partial}, tasks,
-		func(ctx context.Context, tk BatchTask) (*core.Result, error) {
-			if tk.Shard == 1 {
+	out, err := Run(context.Background(), Partial, 3,
+		func(ctx context.Context, i int) (*core.Result, error) {
+			if i == 1 {
 				return nil, boom
 			}
-			return &core.Result{Matches: []core.ID{core.ID(tk.Shard)}}, nil
+			return &core.Result{Matches: []core.ID{core.ID(i)}}, nil
 		})
 	if err != nil {
 		t.Fatalf("partial run failed: %v", err)
@@ -288,15 +280,16 @@ func TestExecutorPartialCollects(t *testing.T) {
 	merged := &core.Result{}
 	for _, o := range out {
 		if o.Res != nil {
-			MergeInto(merged, o.Res)
+			merged.Matches = append(merged.Matches, o.Res.Matches...)
+			merged.Stats.Add(o.Res.Stats)
 		}
 	}
 	if len(merged.Matches) != 2 {
 		t.Fatalf("merged matches %v", merged.Matches)
 	}
-	// All shards failing is an error even under Partial.
-	_, err = Run(context.Background(), Executor{Policy: Partial}, tasks,
-		func(ctx context.Context, tk BatchTask) (*core.Result, error) { return nil, boom })
+	// All parts failing is an error even under Partial.
+	_, err = Run(context.Background(), Partial, 3,
+		func(ctx context.Context, i int) (*core.Result, error) { return nil, boom })
 	if !errors.Is(err, ErrAllShardsFailed) {
 		t.Fatalf("all-failed error = %v", err)
 	}
@@ -305,9 +298,8 @@ func TestExecutorPartialCollects(t *testing.T) {
 func TestExecutorHonorsCallerContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tasks := []BatchTask{{Shard: 0}, {Shard: 1}}
-	_, err := Run(ctx, Executor{}, tasks,
-		func(ctx context.Context, tk BatchTask) (*core.Result, error) { return &core.Result{}, nil })
+	_, err := Run(ctx, FailFast, 2,
+		func(ctx context.Context, i int) (*core.Result, error) { return &core.Result{}, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -322,11 +314,10 @@ func TestExecutorAbandonsHungTask(t *testing.T) {
 	defer cancel()
 	block := make(chan struct{})
 	defer close(block) // release the straggler goroutine at test end
-	tasks := []BatchTask{{Shard: 0}, {Shard: 1}}
 	start := time.Now()
-	_, err := Run(ctx, Executor{}, tasks,
-		func(ctx context.Context, tk BatchTask) (*core.Result, error) {
-			if tk.Shard == 0 {
+	_, err := Run(ctx, FailFast, 2,
+		func(ctx context.Context, i int) (*core.Result, error) {
+			if i == 0 {
 				<-block
 			}
 			return &core.Result{}, nil
@@ -336,39 +327,6 @@ func TestExecutorAbandonsHungTask(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("Run pinned the caller for %v behind a hung sub-query", waited)
-	}
-}
-
-func TestMergeAggregatesStats(t *testing.T) {
-	outcomes := []Outcome[*core.Result]{
-		{Res: &core.Result{
-			Matches: []core.ID{1, 2}, Raw: []core.ID{1, 2, 9},
-			Stats: core.QueryStats{Rounds: 1, Tokens: 3, TokenBytes: 96, Raw: 3,
-				Matches: 2, FalsePositives: 1, Groups: []int{2, 1}, ResponseItems: 3},
-		}},
-		{Err: errors.New("down")}, // contributes nothing
-		{Res: &core.Result{
-			Matches: []core.ID{7}, Raw: []core.ID{7},
-			Stats: core.QueryStats{Rounds: 2, Tokens: 2, TokenBytes: 64, Raw: 1,
-				Matches: 1, Groups: []int{1}, ResponseItems: 2},
-		}},
-	}
-	m := &core.Result{}
-	for _, o := range outcomes {
-		if o.Res != nil {
-			MergeInto(m, o.Res)
-		}
-	}
-	if len(m.Matches) != 3 || len(m.Raw) != 4 {
-		t.Fatalf("merged sets: %v / %v", m.Matches, m.Raw)
-	}
-	s := m.Stats
-	if s.Rounds != 2 || s.Tokens != 5 || s.TokenBytes != 160 || s.Raw != 4 ||
-		s.Matches != 3 || s.FalsePositives != 1 || s.ResponseItems != 5 {
-		t.Fatalf("merged stats: %+v", s)
-	}
-	if len(s.Groups) != 3 {
-		t.Fatalf("merged groups: %v", s.Groups)
 	}
 }
 

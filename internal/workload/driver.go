@@ -8,17 +8,9 @@ import (
 	"rsse/internal/obs"
 )
 
-// Metrics is what one completed op cost in leakage terms, as counted by
-// the session that executed it (from the scheme client's QueryStats).
-type Metrics struct {
-	Tokens         uint64
-	TokenBytes     uint64
-	ResponseItems  uint64
-	RawIDs         uint64
-	FalsePositives uint64
-}
-
-// LeakageCounters accumulates Metrics across a phase; the load report
+// LeakageCounters is what ops cost in leakage terms, as counted by the
+// sessions that executed them (from the scheme client's QueryStats):
+// one op's as a Session returns it, a phase's summed. The load report
 // carries them so throughput numbers stay attached to what the server
 // observed to produce them.
 type LeakageCounters struct {
@@ -29,15 +21,7 @@ type LeakageCounters struct {
 	FalsePositives uint64 `json:"false_positives"`
 }
 
-func (l *LeakageCounters) add(m Metrics) {
-	l.Tokens += m.Tokens
-	l.TokenBytes += m.TokenBytes
-	l.ResponseItems += m.ResponseItems
-	l.RawIDs += m.RawIDs
-	l.FalsePositives += m.FalsePositives
-}
-
-func (l *LeakageCounters) merge(o *LeakageCounters) {
+func (l *LeakageCounters) add(o LeakageCounters) {
 	l.Tokens += o.Tokens
 	l.TokenBytes += o.TokenBytes
 	l.ResponseItems += o.ResponseItems
@@ -63,14 +47,14 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	a.Writes += o.Writes
 	a.Errors += o.Errors
 	a.Shed += o.Shed
-	a.Leakage.merge(&o.Leakage)
+	a.Leakage.add(o.Leakage)
 }
 
 // A Session executes ops against a live index — one multiplexed
 // connection's worth of client state. Do must be safe for concurrent
 // use (the wire Conn multiplexes by request id), and must honour ctx.
 type Session interface {
-	Do(ctx context.Context, op *Op) (Metrics, error)
+	Do(ctx context.Context, op *Op) (LeakageCounters, error)
 	Close() error
 }
 

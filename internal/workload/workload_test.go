@@ -201,15 +201,15 @@ type fakeSession struct {
 	closed atomic.Bool
 }
 
-func (f *fakeSession) Do(ctx context.Context, op *Op) (Metrics, error) {
+func (f *fakeSession) Do(ctx context.Context, op *Op) (LeakageCounters, error) {
 	if err := ctx.Err(); err != nil {
-		return Metrics{}, err
+		return LeakageCounters{}, err
 	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
 	f.ops.Add(1)
-	return Metrics{Tokens: uint64(len(op.Ranges)), ResponseItems: 3}, nil
+	return LeakageCounters{Tokens: uint64(len(op.Ranges)), ResponseItems: 3}, nil
 }
 
 func (f *fakeSession) Close() error { f.closed.Store(true); return nil }
@@ -364,9 +364,9 @@ func TestRunnerContextCancel(t *testing.T) {
 // a run can be made fast in one phase and slow in the next.
 type phasedSession struct{ delay atomic.Int64 }
 
-func (p *phasedSession) Do(ctx context.Context, op *Op) (Metrics, error) {
+func (p *phasedSession) Do(ctx context.Context, op *Op) (LeakageCounters, error) {
 	time.Sleep(time.Duration(p.delay.Load()))
-	return Metrics{}, ctx.Err()
+	return LeakageCounters{}, ctx.Err()
 }
 
 func (p *phasedSession) Close() error { return nil }

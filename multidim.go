@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rsse/internal/core"
 	"rsse/internal/prf"
+	"rsse/internal/shard"
 )
 
 // Multi-dimensional range search — the paper's stated future work
@@ -41,8 +42,10 @@ type MultiResult struct {
 	// PerAttribute holds each attribute's match count — what the server
 	// observes before the owner intersects.
 	PerAttribute []int
-	// Stats aggregates the cost over all attributes: counters and times
-	// sum, and Groups and TokenLevels list each attribute's in turn.
+	// Stats folds every attribute's with QueryStats.Add: counters and
+	// times sum, Rounds is the maximum (the attributes run concurrently),
+	// and Groups and TokenLevels list each attribute's in turn. Matches
+	// counts the intersection.
 	Stats QueryStats
 }
 
@@ -144,8 +147,10 @@ func (mc *MultiClient) checkSources(srcs []Source) error {
 }
 
 // QueryContext runs one single-attribute query per attribute, srcs[d]
-// answering attribute d, and intersects the matches at the owner;
-// cancelling ctx aborts the attribute in flight.
+// answering attribute d, the attributes concurrently through the same
+// fan-out a cluster's shards use, and intersects the matches at the
+// owner. The first attribute to fail, or a cancelled ctx, fails the
+// query and aborts the attributes still in flight.
 func (mc *MultiClient) QueryContext(ctx context.Context, srcs []Source, q MultiRange) (*MultiResult, error) {
 	dims := len(mc.clients)
 	if len(q) != dims {
@@ -154,70 +159,70 @@ func (mc *MultiClient) QueryContext(ctx context.Context, srcs []Source, q MultiR
 	if err := mc.checkSources(srcs); err != nil {
 		return nil, err
 	}
-	out := &MultiResult{PerAttribute: make([]int, dims)}
-	var inter map[ID]int
-	for d := 0; d < dims; d++ {
+	outcomes, err := shard.Run(ctx, shard.FailFast, dims, func(ctx context.Context, d int) (*Result, error) {
 		res, err := mc.clients[d].QueryContext(ctx, srcs[d], q[d])
 		if err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		out.PerAttribute[d] = len(res.Matches)
-		s, t := &out.Stats, &res.Stats
-		s.Rounds += t.Rounds
-		s.Tokens += t.Tokens
-		s.TokenBytes += t.TokenBytes
-		s.ResponseItems += t.ResponseItems
-		s.Raw += t.Raw
-		s.FalsePositives += t.FalsePositives
-		s.Groups = append(s.Groups, t.Groups...)
-		s.TokenLevels = append(s.TokenLevels, t.TokenLevels...)
-		s.ServerTime += t.ServerTime
-		s.OwnerTime += t.OwnerTime
+		slices.Sort(res.Matches)
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &MultiResult{PerAttribute: make([]int, dims)}
+	for d, o := range outcomes {
+		out.PerAttribute[d] = len(o.Res.Matches)
+		out.Stats.Add(o.Res.Stats)
 		if d == 0 {
-			inter = make(map[ID]int, len(res.Matches))
-			for _, id := range res.Matches {
-				inter[id] = 1
-			}
-			continue
-		}
-		for _, id := range res.Matches {
-			if inter[id] == d {
-				inter[id] = d + 1
-			}
+			out.Matches = o.Res.Matches
+		} else {
+			out.Matches = intersect(out.Matches, o.Res.Matches)
 		}
 	}
-	for id, seen := range inter {
-		if seen == dims {
-			out.Matches = append(out.Matches, id)
-		}
-	}
-	sort.Slice(out.Matches, func(i, j int) bool { return out.Matches[i] < out.Matches[j] })
 	out.Stats.Matches = len(out.Matches)
 	return out, nil
 }
 
+// intersect keeps the ids of the sorted list a that the sorted list b
+// also holds, in place.
+func intersect(a, b []ID) []ID {
+	keep, j := a[:0], 0
+	for _, id := range a {
+		for j < len(b) && b[j] < id {
+			j++
+		}
+		if j < len(b) && b[j] == id {
+			keep = append(keep, id)
+		}
+	}
+	return keep
+}
+
 // FetchTuples reassembles full multi-attribute tuples, in order: the
 // payload from attribute 0's store and each attribute's value from its
-// own, each attribute's ids in one chunked fetch round. An id that an
-// attribute's source does not hold fails the call.
+// own, each attribute's ids in one chunked fetch round, the attributes
+// concurrently. An id that an attribute's source does not hold fails the
+// call.
 func (mc *MultiClient) FetchTuples(ctx context.Context, srcs []Source, ids []ID) ([]MultiTuple, error) {
 	if err := mc.checkSources(srcs); err != nil {
 		return nil, err
 	}
-	out := make([]MultiTuple, len(ids))
-	for i, id := range ids {
-		out[i] = MultiTuple{ID: id, Values: make([]Value, len(mc.clients))}
-	}
-	for d, c := range mc.clients {
-		tuples, err := c.FetchTuples(ctx, srcs[d], ids)
+	outcomes, err := shard.Run(ctx, shard.FailFast, len(mc.clients), func(ctx context.Context, d int) ([]Tuple, error) {
+		tuples, err := mc.clients[d].FetchTuples(ctx, srcs[d], ids)
 		if err != nil {
 			return nil, fmt.Errorf("attribute %d: %w", d, err)
 		}
-		for i, t := range tuples {
-			out[i].Values[d] = t.Value
-			if d == 0 {
-				out[i].Payload = t.Payload
-			}
+		return tuples, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MultiTuple, len(ids))
+	for i, id := range ids {
+		out[i] = MultiTuple{ID: id, Values: make([]Value, len(mc.clients)), Payload: outcomes[0].Res[i].Payload}
+		for d, o := range outcomes {
+			out[i].Values[d] = o.Res[i].Value
 		}
 	}
 	return out, nil

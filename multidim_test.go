@@ -232,7 +232,8 @@ func TestMultiDimMasterKeyDerivation(t *testing.T) {
 
 // TestMultiDimStatsSumAttributes: a conjunctive query's Stats add up
 // every attribute's, the leakage lists included: one group and one
-// token level per token sent, over both attributes.
+// token level per token sent, over both attributes. Rounds is the
+// maximum, since the attributes run concurrently.
 func TestMultiDimStatsSumAttributes(t *testing.T) {
 	bits := []uint8{8, 8}
 	mc, err := rsse.NewMultiClient(rsse.ConstantBRC, bits, rsse.WithSeed(13))
@@ -253,5 +254,8 @@ func TestMultiDimStatsSumAttributes(t *testing.T) {
 	}
 	if st.OwnerTime <= 0 {
 		t.Fatalf("owner time %v, want the attributes' sum", st.OwnerTime)
+	}
+	if st.Rounds != 1 {
+		t.Fatalf("rounds %d, want 1: the one-round attributes overlap", st.Rounds)
 	}
 }
