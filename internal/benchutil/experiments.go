@@ -2,6 +2,7 @@ package benchutil
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	mrand "math/rand"
@@ -335,17 +336,16 @@ func pureSSEFloor(s Scale, dom cover.Domain, tuples []core.Tuple, queriesPerPct 
 	copy(sorted, tuples)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Value < sorted[j].Value })
 	values := make([]uint64, len(sorted))
+	ids := make([]byte, 8*len(sorted))
 	for i, t := range sorted {
 		values[i] = t.Value
+		binary.BigEndian.PutUint64(ids[8*i:], t.ID)
 	}
-	resultsOf := func(q core.Range) []uint64 {
+	// resultsOf is q's answer as a run of the value-sorted ids.
+	resultsOf := func(q core.Range) []byte {
 		lo := sort.Search(len(values), func(i int) bool { return values[i] >= q.Lo })
 		hi := sort.Search(len(values), func(i int) bool { return values[i] > q.Hi })
-		ids := make([]uint64, hi-lo)
-		for i := lo; i < hi; i++ {
-			ids[i-lo] = sorted[i].ID
-		}
-		return ids
+		return ids[8*lo : 8*hi]
 	}
 	key, err := prf.NewKey(nil)
 	if err != nil {
@@ -358,7 +358,7 @@ func pureSSEFloor(s Scale, dom cover.Domain, tuples []core.Tuple, queriesPerPct 
 		for _, q := range queriesPerPct[pct] {
 			stag := sse.Stag(prf.EvalUint64(key, counter))
 			counter++
-			entries = append(entries, sse.EntryFromIDs(stag, resultsOf(q)))
+			entries = append(entries, sse.Entry{Stag: stag, Data: resultsOf(q)})
 			stagOf[pct] = append(stagOf[pct], stag)
 		}
 	}

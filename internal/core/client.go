@@ -70,16 +70,15 @@ type Client struct {
 	storage storage.Engine
 
 	master prf.Key
-	kSSE   prf.Key    // primary-index keyword PRF
-	kSSE2  prf.Key    // Logarithmic-SRC-i second-index keyword PRF
-	kDPRF  dprf.Key   // Constant schemes' delegatable PRF seed; evaluated under an index's suite
-	kStore secenc.Key // tuple-store encryption
+	kSSE   prf.Key  // primary-index keyword PRF
+	kSSE2  prf.Key  // Logarithmic-SRC-i second-index keyword PRF
+	kDPRF  dprf.Key // Constant schemes' delegatable PRF seed; evaluated under an index's suite
 	// suite is the PRF suite of the indexes this client builds
 	// (defaultSuite of its kind). Queries do not use it: they take the
 	// suite of the index they run against from its Meta.
 	suite prf.Suite
-	// storeBlock is kStore's key schedule, built once: the fetch round
-	// decrypts one ciphertext per returned id.
+	// storeBlock is the tuple-store key's schedule, built once: a build
+	// encrypts, and the fetch round decrypts, a ciphertext per tuple.
 	storeBlock cipher.Block
 	// pairBlock is the key schedule of Logarithmic-SRC-i's pair key, built
 	// once: build seals, and round 1 opens, one pair per distinct value.
@@ -139,9 +138,10 @@ func NewClient(kind Kind, dom cover.Domain, opts Options) (*Client, error) {
 	c.kSSE = prf.Derive(c.master, "keywords/primary")
 	c.kSSE2 = prf.Derive(c.master, "keywords/positions")
 	c.kDPRF = dprf.KeyFromSeed(dom, prf.Derive(c.master, "dprf"))
+	var kStore secenc.Key
 	storeKey := prf.Derive(c.master, "store")
-	copy(c.kStore[:], storeKey[:secenc.KeySize])
-	c.storeBlock = secenc.NewBlock(c.kStore)
+	copy(kStore[:], storeKey[:secenc.KeySize])
+	c.storeBlock = secenc.NewBlock(kStore)
 	var kPairs secenc.Key
 	pairKey := prf.Derive(c.master, "pairs")
 	copy(kPairs[:], pairKey[:secenc.KeySize])
@@ -331,89 +331,6 @@ func (x *Index) Close() error {
 // Store exposes the encrypted tuple collection (ids and ciphertexts are
 // server-visible by design).
 func (x *Index) Store() *TupleStore { return x.store }
-
-// BuildIndex runs the scheme's BuildIndex algorithm: it encrypts the
-// tuples into the store and builds the encrypted search index(es). The
-// returned Index (plus its embedded encrypted tuple store) is everything
-// the server needs; it contains no key material.
-func (c *Client) BuildIndex(tuples []Tuple) (*Index, error) {
-	for _, t := range tuples {
-		if !c.dom.Contains(t.Value) {
-			return nil, fmt.Errorf("%w: value %d, domain size %d", ErrValueOutsideDomain, t.Value, c.dom.Size())
-		}
-	}
-	store, err := buildStore(c.kStore, tuples, c.storage)
-	if err != nil {
-		return nil, err
-	}
-	// Every build draws its shuffles from c.rnd, serially.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	x := &Index{
-		kind:   c.kind,
-		dom:    c.dom,
-		n:      len(tuples),
-		store:  store,
-		suite:  c.suite,
-		engine: storage.OrDefault(c.storage).Name(),
-	}
-	switch c.kind {
-	case Quadratic:
-		err = c.buildQuadratic(x, tuples)
-	case ConstantBRC, ConstantURC:
-		err = c.buildConstant(x, tuples)
-	case LogarithmicBRC, LogarithmicURC:
-		err = c.buildLogarithmic(x, tuples)
-	case LogarithmicSRC:
-		err = c.buildLogSRC(x, tuples)
-	case LogarithmicSRCi:
-		err = c.buildLogSRCi(x, tuples)
-	default:
-		err = fmt.Errorf("core: unknown scheme kind %d", int(c.kind))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// entriesFromPostings converts node posting lists into SSE entries
-// whose stags are derived under key for the suite this client builds.
-func (c *Client) entriesFromPostings(postings *postingLists[cover.Node, ID], key prf.Key) []sse.Entry {
-	entries := make([]sse.Entry, len(postings.keys))
-	s := newStagger(c.suite, key)
-	for i, n := range postings.keys {
-		entries[i] = sse.EntryFromIDs(s.node(n), postings.lists[i])
-	}
-	s.release()
-	return entries
-}
-
-// postingLists gathers values under keys, keeping the keys in the order
-// each is first seen. A build draws each posting list's shuffle from
-// c.rnd in entry order, so gathering in a plain map, whose order changes
-// from run to run, would lay a seeded build out differently every time,
-// and with it the id order, and so the length, of every response.
-type postingLists[K comparable, V any] struct {
-	at    map[K]int
-	keys  []K
-	lists [][]V
-}
-
-func newPostingLists[K comparable, V any]() *postingLists[K, V] {
-	return &postingLists[K, V]{at: make(map[K]int)}
-}
-
-func (p *postingLists[K, V]) add(k K, v V) {
-	i, ok := p.at[k]
-	if !ok {
-		i = len(p.keys)
-		p.at[k] = i
-		p.keys = append(p.keys, k)
-		p.lists = append(p.lists, nil)
-	}
-	p.lists[i] = append(p.lists[i], v)
-}
 
 // technique returns the covering technique of the Constant/Logarithmic
 // schemes.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -23,31 +22,25 @@ import (
 // inherent DPRF restriction to non-intersecting queries, enforced by the
 // client-side guard in QueryBatchInto.
 
-func (c *Client) buildConstant(x *Index, tuples []Tuple) error {
-	byValue := make(map[Value][]ID)
-	for _, t := range tuples {
-		byValue[t.Value] = append(byValue[t.Value], t.ID)
+func (c *Client) buildConstant(x *Index, p plan) error {
+	// A leaf's list is its value's run. Leaf stags come in value order
+	// from one prefix-memoized walk: neighbouring values share most of
+	// their GGM root path, so each costs the levels below the common
+	// ancestor instead of a full walk. The values are kDPRF.Eval's.
+	runs := cover.LeafRuns(p.vals)
+	nodes := make([]cover.Node, len(runs))
+	for i, r := range runs {
+		nodes[i] = r.Node
 	}
-	// Leaf stags in ascending value order through one prefix-memoized
-	// walk over level-0 nodes: neighbouring values share most of their
-	// GGM root path, so each costs the levels below the common ancestor
-	// instead of a full walk — and the entry order, which steers the
-	// posting-list shuffles, no longer depends on map iteration. The
-	// values are kDPRF.Eval's.
-	nodes := make([]cover.Node, 0, len(byValue))
-	for v := range byValue {
-		nodes = append(nodes, cover.Node{Start: v})
-	}
-	slices.SortFunc(nodes, func(a, b cover.Node) int { return cmp.Compare(a.Start, b.Start) })
 	e := dprf.GetExpanderSuite(c.suite)
 	leaves, err := e.DelegateNodes(make([]dprf.Token, 0, len(nodes)), c.kDPRF.WithSuite(c.suite), nodes)
 	dprf.PutExpander(e)
 	if err != nil {
 		return err
 	}
-	entries := make([]sse.Entry, len(nodes))
-	for i, n := range nodes {
-		entries[i] = sse.EntryFromIDs(sse.Stag(leaves[i].Value), byValue[n.Start])
+	entries := make([]sse.Entry, len(runs))
+	for i, r := range runs {
+		entries[i] = sse.Entry{Stag: sse.Stag(leaves[i].Value), Data: p.ids[8*r.Lo : 8*r.Hi]}
 	}
 	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage, c.suite)
 	if err != nil {

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"rsse/internal/cover"
-)
+import "rsse/internal/cover"
 
 // The Logarithmic-BRC/URC schemes (Section 6.1) avoid the Constant
 // schemes' DPRF — and its structural leakage and query-intersection
@@ -13,14 +11,9 @@ import (
 // positives. What still leaks is the partitioning of the result ids into
 // per-token groups.
 
-func (c *Client) buildLogarithmic(x *Index, tuples []Tuple) error {
-	postings := newPostingLists[cover.Node, ID]()
-	for _, t := range tuples {
-		for _, node := range cover.PathNodes(c.dom, t.Value) {
-			postings.add(node, t.ID)
-		}
-	}
-	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)
+func (c *Client) buildLogarithmic(x *Index, p plan) error {
+	entries := c.idEntries(cover.PathRuns(c.dom, p.vals), p.ids, c.kSSE)
+	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"rsse/internal/cover"
-)
+import "rsse/internal/cover"
 
 // Logarithmic-SRC (Section 6.2) eliminates the result-partitioning
 // leakage of Logarithmic-BRC/URC by covering every query with a *single*
@@ -12,15 +10,9 @@ import (
 // Lemma 1 bounds by 4R. The price is false positives — everything in the
 // window but outside the query — which heavy skew can push to O(n).
 
-func (c *Client) buildLogSRC(x *Index, tuples []Tuple) error {
-	tdag := cover.NewTDAG(c.dom)
-	postings := newPostingLists[cover.Node, ID]()
-	for _, t := range tuples {
-		for _, node := range tdag.Cover(t.Value) {
-			postings.add(node, t.ID)
-		}
-	}
-	idx, err := c.sse.Build(c.entriesFromPostings(postings, c.kSSE), 8, c.rnd, c.storage, c.suite)
+func (c *Client) buildLogSRC(x *Index, p plan) error {
+	entries := c.idEntries(cover.NewTDAG(c.dom).Runs(p.vals), p.ids, c.kSSE)
+	idx, err := c.sse.Build(entries, 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}

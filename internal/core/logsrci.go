@@ -6,8 +6,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sort"
 
 	"rsse/internal/cover"
 	"rsse/internal/secenc"
@@ -51,21 +49,16 @@ type pairCipher struct {
 	ctr, ks [aes.BlockSize]byte
 }
 
-// seal encrypts a pair with a fresh nonce. Every replica of the same
-// pair gets its own nonce, so identical pairs stored under different
-// TDAG1 keywords are unlinkable.
-func (pc *pairCipher) seal(p valuePair) ([]byte, error) {
-	out := make([]byte, pairWidth)
-	if _, err := io.ReadFull(rand.Reader, out[:16]); err != nil {
-		return nil, fmt.Errorf("core: generating pair nonce: %w", err)
-	}
+// seal encrypts a pair into blob, whose first 16 bytes hold its fresh
+// nonce. Every replica of a pair gets its own nonce, so identical pairs
+// stored under different TDAG1 keywords are unlinkable.
+func (pc *pairCipher) seal(blob []byte, p valuePair) {
 	var plain [24]byte
 	binary.BigEndian.PutUint64(plain[0:], p.value)
 	binary.BigEndian.PutUint64(plain[8:], p.posLo)
 	binary.BigEndian.PutUint64(plain[16:], p.posHi)
-	copy(pc.ctr[:], out[:16])
-	secenc.XORKeyStreamBlock(pc.block, &pc.ctr, &pc.ks, out[16:], plain[:])
-	return out, nil
+	copy(pc.ctr[:], blob[:16])
+	secenc.XORKeyStreamBlock(pc.block, &pc.ctr, &pc.ks, blob[16:pairWidth], plain[:])
 }
 
 // open decrypts a sealed pair.
@@ -83,42 +76,40 @@ func (pc *pairCipher) open(blob []byte) (valuePair, error) {
 	}, nil
 }
 
-func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
-	// Sort tuples by value with randomly shuffled ties (the paper shuffles
-	// same-keyword documents before building TDAG2).
-	sorted := make([]Tuple, len(tuples))
-	copy(sorted, tuples)
-	c.rnd.Shuffle(len(sorted), func(i, j int) { sorted[i], sorted[j] = sorted[j], sorted[i] })
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Value < sorted[j].Value })
-
-	// Distinct values → contiguous position ranges.
-	var pairs []valuePair
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].Value == sorted[i].Value {
-			j++
-		}
-		pairs = append(pairs, valuePair{value: sorted[i].Value, posLo: uint64(i), posHi: uint64(j - 1)})
-		i = j
+func (c *Client) buildLogSRCi(x *Index, p plan) error {
+	// The plan sorted the tuples by value with shuffled ties: a tuple's
+	// position is its index in it. Each distinct value is one pair, its
+	// positions a run.
+	values := cover.LeafRuns(p.vals)
+	pairs := make([]valuePair, len(values))
+	keys := make([]uint64, len(values))
+	for i, r := range values {
+		pairs[i] = valuePair{value: r.Node.Start, posLo: uint64(r.Lo), posHi: uint64(r.Hi - 1)}
+		keys[i] = r.Node.Start
 	}
 
-	// I1: TDAG1 over the domain indexes the encrypted pairs.
-	tdag1 := cover.NewTDAG(c.dom)
-	auxPostings := newPostingLists[cover.Node, []byte]()
+	// I1: TDAG1 over the domain indexes the encrypted pairs, each node a
+	// run of replicas sealed under their own nonces. One read fills every
+	// replica: its first 16 bytes are its nonce; sealing writes the rest.
+	runs := cover.NewTDAG(c.dom).Runs(keys)
+	replicas := 0
+	for _, r := range runs {
+		replicas += r.Hi - r.Lo
+	}
+	blobs := make([]byte, replicas*pairWidth)
+	if _, err := rand.Read(blobs); err != nil {
+		return fmt.Errorf("core: generating pair nonces: %w", err)
+	}
 	pc := &pairCipher{block: c.pairBlock}
-	for _, p := range pairs {
-		for _, node := range tdag1.Cover(p.value) {
-			blob, err := pc.seal(p)
-			if err != nil {
-				return err
-			}
-			auxPostings.add(node, blob)
-		}
-	}
-	auxEntries := make([]sse.Entry, len(auxPostings.keys))
+	auxEntries := make([]sse.Entry, len(runs))
 	s := newStagger(c.suite, c.kSSE)
-	for i, node := range auxPostings.keys {
-		auxEntries[i] = sse.Entry{Stag: s.node(node), Payloads: auxPostings.lists[i]}
+	for i, r := range runs {
+		data := blobs[:(r.Hi-r.Lo)*pairWidth]
+		blobs = blobs[len(data):]
+		for k := r.Lo; k < r.Hi; k++ {
+			pc.seal(data[(k-r.Lo)*pairWidth:], pairs[k])
+		}
+		auxEntries[i] = sse.Entry{Stag: s.node(r.Node), Data: data}
 	}
 	s.release()
 	aux, err := c.sse.Build(auxEntries, pairWidth, c.rnd, c.storage, c.suite)
@@ -128,17 +119,15 @@ func (c *Client) buildLogSRCi(x *Index, tuples []Tuple) error {
 	x.aux = aux
 
 	// I2: TDAG2 over positions 0..n-1 indexes the tuples.
-	if len(sorted) > 0 {
-		x.posBits = cover.FitDomain(uint64(len(sorted) - 1)).Bits
+	if len(p.vals) > 0 {
+		x.posBits = cover.FitDomain(uint64(len(p.vals) - 1)).Bits
 	}
-	tdag2 := cover.NewTDAG(cover.Domain{Bits: x.posBits})
-	primPostings := newPostingLists[cover.Node, ID]()
-	for pos, t := range sorted {
-		for _, node := range tdag2.Cover(uint64(pos)) {
-			primPostings.add(node, t.ID)
-		}
+	positions := make([]uint64, len(p.vals))
+	for i := range positions {
+		positions[i] = uint64(i)
 	}
-	primary, err := c.sse.Build(c.entriesFromPostings(primPostings, c.kSSE2), 8, c.rnd, c.storage, c.suite)
+	entries := c.idEntries(cover.NewTDAG(cover.Domain{Bits: x.posBits}).Runs(positions), p.ids, c.kSSE2)
+	primary, err := c.sse.Build(entries, 8, c.rnd, c.storage, c.suite)
 	if err != nil {
 		return err
 	}

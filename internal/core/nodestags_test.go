@@ -14,7 +14,7 @@ import (
 
 // TestNodeStagsMatchKeywordPath pins the one stag function under every
 // suite, over binary-tree (BRC, URC) and TDAG nodes alike: the query's
-// node path (the stagger's node) and build's keyword path (entriesFromPostings)
+// node path (the stagger's node) and build's keyword path (idEntries)
 // give the same stag for a node, and that stag is HMAC-SHA-512(k, label)
 // truncated to 32 bytes under suites 0 and 1 — the bytes every index of
 // those suites holds — and SHA-256(k ‖ level ‖ BE64(start)) under suite
@@ -48,9 +48,11 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 		m.Write(msg)
 		return sse.Stag(m.Sum(nil)[:sse.StagSize])
 	}
-	postings := newPostingLists[cover.Node, ID]()
+	runs := make([]cover.Run, len(nodes))
+	ids := make([]byte, 8*len(nodes))
 	for i, n := range nodes {
-		postings.add(n, ID(i))
+		runs[i] = cover.Run{Node: n, Lo: i, Hi: i + 1}
+		binary.BigEndian.PutUint64(ids[8*i:], ID(i))
 	}
 
 	for _, suite := range allSuites {
@@ -75,15 +77,13 @@ func TestNodeStagsMatchKeywordPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries := withBuildSuite(c, suite).entriesFromPostings(postings, key)
-		if len(entries) != len(postings.keys) {
-			t.Fatalf("suite %v: %d entries for %d keywords", suite, len(entries), len(postings.keys))
+		entries := withBuildSuite(c, suite).idEntries(runs, ids, key)
+		if len(entries) != len(runs) {
+			t.Fatalf("suite %v: %d entries for %d keywords", suite, len(entries), len(runs))
 		}
 		for _, e := range entries {
-			for _, p := range e.Payloads {
-				if i := binary.BigEndian.Uint64(p); e.Stag != got[i] {
-					t.Fatalf("suite %v, node %v: build's stag differs from the query's", suite, nodes[i])
-				}
+			if i := binary.BigEndian.Uint64(e.Data); len(e.Data) != 8 || e.Stag != got[i] {
+				t.Fatalf("suite %v, node %v: build's stag differs from the query's", suite, nodes[i])
 			}
 		}
 

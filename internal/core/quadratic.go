@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 
 	"rsse/internal/prf"
@@ -15,15 +14,6 @@ import (
 // single keyword — maximal security (with padding, only n and m leak) at a
 // prohibitive O(n m^2) storage cost. It exists as the framework's
 // didactic baseline and is guarded against large domains.
-
-// rangeKeyword is the canonical keyword of subrange [lo, hi]: the two
-// bounds, big-endian.
-func rangeKeyword(lo, hi Value) string {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], lo)
-	binary.BigEndian.PutUint64(b[8:], hi)
-	return string(b[:])
-}
 
 // maxQuadraticKeywords is the largest number of subranges any single value
 // belongs to: max over a of (a+1)(m-a), attained at the domain middle.
@@ -39,26 +29,30 @@ func maxQuadraticKeywords(m uint64) uint64 {
 	return best
 }
 
-func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
+func (c *Client) buildQuadratic(x *Index, p plan) error {
 	if c.dom.Bits > c.quadMaxBits {
 		return fmt.Errorf("%w: %d bits > limit %d", ErrDomainTooLarge, c.dom.Bits, c.quadMaxBits)
 	}
-	m := c.dom.Size()
-	postings := newPostingLists[Range, ID]()
-	actual := 0
-	for _, t := range tuples {
-		for lo := uint64(0); lo <= t.Value; lo++ {
-			for hi := t.Value; hi < m; hi++ {
-				kw := Range{Lo: lo, Hi: hi}
-				postings.add(kw, t.ID)
-				actual++
-			}
-		}
-	}
-	entries := make([]sse.Entry, len(postings.keys))
+	// Range [lo, hi] holds the run of tuples vals[i:j] with lo <= value
+	// <= hi; a range that holds none is no keyword.
+	m, vals := c.dom.Size(), p.vals
+	var entries []sse.Entry
 	h := prf.GetHasher(c.kSSE)
-	for i, kw := range postings.keys {
-		entries[i] = sse.EntryFromIDs(rangeStag(h, kw), postings.lists[i])
+	actual := 0
+	for lo, i := uint64(0), 0; lo < m; lo++ {
+		for i < len(vals) && vals[i] < lo {
+			i++
+		}
+		if i == len(vals) {
+			break
+		}
+		for hi, j := vals[i], i; hi < m; hi++ {
+			for j < len(vals) && vals[j] <= hi {
+				j++
+			}
+			entries = append(entries, sse.Entry{Stag: rangeStag(h, Range{Lo: lo, Hi: hi}), Data: p.ids[8*i : 8*j]})
+			actual += j - i
+		}
 	}
 	prf.PutHasher(h)
 
@@ -66,22 +60,14 @@ func (c *Client) buildQuadratic(x *Index, tuples []Tuple) error {
 		// Pad the replicated dataset D' to its maximum possible size so
 		// that the index size reveals only (n, m), never the value
 		// distribution (Section 4). The dummies live under an
-		// unsearchable random stag.
-		maxTotal := uint64(len(tuples)) * maxQuadraticKeywords(m)
+		// unsearchable random stag, drawn with them in one read.
+		maxTotal := uint64(len(vals)) * maxQuadraticKeywords(m)
 		if pad := maxTotal - uint64(actual); pad > 0 {
-			var dummyStag sse.Stag
-			if _, err := rand.Read(dummyStag[:]); err != nil {
-				return fmt.Errorf("core: generating padding stag: %w", err)
+			dummy := make([]byte, sse.StagSize+8*pad)
+			if _, err := rand.Read(dummy); err != nil {
+				return fmt.Errorf("core: generating padding: %w", err)
 			}
-			payloads := make([][]byte, pad)
-			for i := range payloads {
-				p := make([]byte, 8)
-				if _, err := rand.Read(p); err != nil {
-					return fmt.Errorf("core: generating padding payload: %w", err)
-				}
-				payloads[i] = p
-			}
-			entries = append(entries, sse.Entry{Stag: dummyStag, Payloads: payloads})
+			entries = append(entries, sse.Entry{Stag: sse.Stag(dummy[:sse.StagSize]), Data: dummy[sse.StagSize:]})
 		}
 	}
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"rsse/internal/cover"
 	"rsse/internal/prf"
 	"rsse/internal/sse"
@@ -52,8 +54,12 @@ func (s *stagger) release() {
 	}
 }
 
-// rangeStag returns the stag of Quadratic's keyword for subrange q under
-// h, a hasher keyed with kSSE by prf.GetHasher.
+// rangeStag returns the stag of Quadratic's keyword for subrange q, its
+// two bounds big-endian, under h, a hasher keyed with kSSE by
+// prf.GetHasher.
 func rangeStag(h *prf.Hasher, q Range) sse.Stag {
-	return sse.Stag(h.EvalString(rangeKeyword(q.Lo, q.Hi)))
+	var kw [16]byte
+	binary.BigEndian.PutUint64(kw[:8], q.Lo)
+	binary.BigEndian.PutUint64(kw[8:], q.Hi)
+	return sse.Stag(h.EvalString(string(kw[:])))
 }

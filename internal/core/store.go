@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 
@@ -28,25 +32,25 @@ type TupleStore struct {
 // storeKeyLen is the byte length of a tuple-store key (a big-endian id).
 const storeKeyLen = 8
 
-func storeKey(id ID) [storeKeyLen]byte {
-	var k [storeKeyLen]byte
-	binary.BigEndian.PutUint64(k[:], id)
-	return k
-}
-
-// buildStore encrypts every tuple under k onto the given storage engine.
-func buildStore(k secenc.Key, tuples []Tuple, eng storage.Engine) (*TupleStore, error) {
+// buildStore encrypts every tuple under block onto the given storage
+// engine: IVs from one read, ciphertexts into one buffer, which Put copies.
+func buildStore(block cipher.Block, tuples []Tuple, eng storage.Engine) (*TupleStore, error) {
+	ivs := make([]byte, aes.BlockSize*len(tuples))
+	if _, err := rand.Read(ivs); err != nil {
+		return nil, fmt.Errorf("core: generating tuple IVs: %w", err)
+	}
+	r := bytes.NewReader(ivs)
 	b := storage.OrDefault(eng).NewBuilder(storeKeyLen, len(tuples))
 	s := &TupleStore{}
+	var plain, ct []byte
+	var key [storeKeyLen]byte // one buffer: Put is an interface call, so it escapes
 	for _, t := range tuples {
-		plain := make([]byte, 8+len(t.Payload))
-		binary.BigEndian.PutUint64(plain, t.Value)
-		copy(plain[8:], t.Payload)
-		ct, err := secenc.EncryptCBC(k, plain, nil)
-		if err != nil {
+		plain = append(binary.BigEndian.AppendUint64(plain[:0], t.Value), t.Payload...)
+		var err error
+		if ct, err = secenc.AppendCBC(ct[:0], block, plain, r); err != nil {
 			return nil, err
 		}
-		key := storeKey(t.ID)
+		binary.BigEndian.PutUint64(key[:], t.ID)
 		if err := b.Put(key[:], ct); err != nil {
 			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, t.ID)
 		}

@@ -56,7 +56,7 @@ func BenchmarkTDAGCover(b *testing.B) {
 	td := NewTDAG(Domain{Bits: 20})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		td.Cover(uint64(i) % td.D.Size())
+		td.Runs([]uint64{uint64(i) % td.D.Size()})
 	}
 }
 

@@ -11,6 +11,7 @@ package cover
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -125,19 +126,48 @@ func (n Node) String() string {
 	return fmt.Sprintf("N%d,%d", n.Start, n.End())
 }
 
-// PathNodes returns the Bits+1 dyadic nodes on the path from the root of
-// the binary tree over d down to the leaf for value v — exactly the dyadic
-// ranges DR(v) of Li et al. and the keywords each tuple receives in the
-// Logarithmic-BRC/URC schemes (Section 6.1).
-func PathNodes(d Domain, v uint64) []Node {
-	out := make([]Node, 0, int(d.Bits)+1)
-	for l := uint8(0); ; l++ {
-		out = append(out, Node{Level: l, Start: v >> l << l})
-		if l == d.Bits {
-			break
-		}
+// Run is the keys[Lo:Hi] of ascending keys that Node holds: a keyword's
+// posting list when the keys are the values of tuples sorted by value.
+type Run struct {
+	Node   Node
+	Lo, Hi int
+}
+
+// PathRuns returns the run of every binary-tree node over d that holds
+// one of keys, which ascend, level by level in key order. A value's
+// nodes are its root-to-leaf path, the dyadic ranges DR(v) that a tuple
+// is replicated under in Logarithmic-BRC/URC (Section 6.1).
+func PathRuns(d Domain, keys []uint64) []Run {
+	var runs []Run
+	for l := uint8(0); l <= d.Bits; l++ {
+		runs = appendRuns(runs, keys, l, 0, d.Size())
 	}
-	return out
+	return runs
+}
+
+// LeafRuns returns the run of each distinct key of keys, which ascend:
+// the leaves that hold them.
+func LeafRuns(keys []uint64) []Run { return appendRuns(nil, keys, 0, 0, math.MaxUint64) }
+
+// appendRuns appends, in key order, the run of every level-l node that
+// holds one of keys: the windows of 2^l values starting at off plus a
+// multiple of 2^l that end inside a domain of m values. Off is 0 for the
+// binary tree's nodes and 2^(l-1) for the TDAG's injected ones.
+func appendRuns(runs []Run, keys []uint64, l uint8, off, m uint64) []Run {
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		if v := keys[lo]; v >= off {
+			n := Node{Level: l, Start: (v-off)>>l<<l + off}
+			for hi < len(keys) && keys[hi] <= n.End() {
+				hi++
+			}
+			if n.End() < m {
+				runs = append(runs, Run{n, lo, hi})
+			}
+		}
+		lo = hi
+	}
+	return runs
 }
 
 // TotalNodes returns the number of nodes in the full binary tree over d

@@ -122,12 +122,22 @@ func TestNodeLabelUnique(t *testing.T) {
 	}
 }
 
+// pathNodes is the nodes of the path runs of the one key v: the
+// dyadic ranges DR(v), leaf first.
+func pathNodes(d Domain, v uint64) []Node {
+	var nodes []Node
+	for _, r := range PathRuns(d, []uint64{v}) {
+		nodes = append(nodes, r.Node)
+	}
+	return nodes
+}
+
 func TestPathNodes(t *testing.T) {
 	d := Domain{Bits: 3}
-	nodes := PathNodes(d, 6)
+	nodes := pathNodes(d, 6)
 	want := []Node{{0, 6}, {1, 6}, {2, 4}, {3, 0}}
 	if len(nodes) != len(want) {
-		t.Fatalf("PathNodes returned %d nodes, want %d", len(nodes), len(want))
+		t.Fatalf("PathRuns returned %d nodes, want %d", len(nodes), len(want))
 	}
 	for i, n := range nodes {
 		if n != want[i] {
@@ -140,7 +150,7 @@ func TestPathNodesProperties(t *testing.T) {
 	d := Domain{Bits: 10}
 	f := func(v uint64) bool {
 		v %= d.Size()
-		nodes := PathNodes(d, v)
+		nodes := pathNodes(d, v)
 		if len(nodes) != int(d.Bits)+1 {
 			return false
 		}

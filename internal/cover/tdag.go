@@ -35,53 +35,19 @@ func (t TDAG) Valid(n Node) bool {
 	return n.Start+n.Size() <= t.D.Size()
 }
 
-// Cover returns every TDAG node whose window contains v: the leaf plus, at
-// each level l >= 1, the one or two half-aligned windows around v. This is
-// the keyword set a tuple with value v receives in Logarithmic-SRC
-// (Section 6.2); its size is at most 2*Bits + 1 = O(log m).
-func (t TDAG) Cover(v uint64) []Node {
-	out := make([]Node, 0, 2*int(t.D.Bits)+1)
-	out = append(out, Node{Level: 0, Start: v})
-	m := t.D.Size()
-	for l := uint8(1); l <= t.D.Bits; l++ {
-		half := uint64(1) << (l - 1)
-		size := half * 2
-		q := v / half
-		// The two candidate windows containing v start at q*half and
-		// (q-1)*half; each exists if it fits inside the domain.
-		for _, k := range [2]uint64{q, q - 1} {
-			if k > q { // q == 0 underflowed
-				continue
-			}
-			start := k * half
-			if start+size > m {
-				continue
-			}
-			out = append(out, Node{Level: l, Start: start})
+// Runs returns the run of every TDAG node that holds one of keys, which
+// ascend, level by level (tree nodes, then injected ones) in key order.
+// Logarithmic-SRC replicates a tuple under every window that contains
+// its value (Section 6.2): at most 2*Bits + 1 = O(log m) of them.
+func (t TDAG) Runs(keys []uint64) []Run {
+	var runs []Run
+	for l := uint8(0); l <= t.D.Bits; l++ {
+		runs = appendRuns(runs, keys, l, 0, t.D.Size())
+		if l > 0 {
+			runs = appendRuns(runs, keys, l, 1<<(l-1), t.D.Size())
 		}
 	}
-	return out
-}
-
-// CoverCount returns the number of TDAG keywords for value v without
-// allocating; used by sizing estimates.
-func (t TDAG) CoverCount(v uint64) int {
-	n := 1
-	m := t.D.Size()
-	for l := uint8(1); l <= t.D.Bits; l++ {
-		half := uint64(1) << (l - 1)
-		size := half * 2
-		q := v / half
-		for _, k := range [2]uint64{q, q - 1} {
-			if k > q {
-				continue
-			}
-			if k*half+size <= m {
-				n++
-			}
-		}
-	}
-	return n
+	return runs
 }
 
 // NaiveSingleCover returns the lowest *binary-tree* node covering

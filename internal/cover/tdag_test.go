@@ -2,6 +2,7 @@ package cover
 
 import (
 	mrand "math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,13 +54,20 @@ func TestTDAGFigure3(t *testing.T) {
 	}
 }
 
+// cover is the nodes of td's runs of the one key v: the TDAG nodes
+// whose window contains v.
+func cover(td TDAG, v uint64) []Node {
+	var nodes []Node
+	for _, r := range td.Runs([]uint64{v}) {
+		nodes = append(nodes, r.Node)
+	}
+	return nodes
+}
+
 func TestTDAGCover(t *testing.T) {
 	td := NewTDAG(Domain{Bits: 3})
 	for v := uint64(0); v < 8; v++ {
-		nodes := td.Cover(v)
-		if len(nodes) != td.CoverCount(v) {
-			t.Errorf("CoverCount(%d) = %d, len(Cover) = %d", v, td.CoverCount(v), len(nodes))
-		}
+		nodes := cover(td, v)
 		seen := map[Node]bool{}
 		for _, n := range nodes {
 			if !td.Valid(n) {
@@ -85,6 +93,56 @@ func TestTDAGCover(t *testing.T) {
 	}
 }
 
+// TestTDAGRuns: over many ascending keys, with ties and gaps, each run
+// is exactly the keys its node holds, and every valid node that holds a
+// key has a run; PathRuns is the same over the binary tree's nodes.
+func TestTDAGRuns(t *testing.T) {
+	d := Domain{Bits: 6}
+	rnd := mrand.New(mrand.NewSource(6))
+	keys := make([]uint64, 90)
+	for i := range keys {
+		keys[i] = rnd.Uint64() % d.Size()
+	}
+	slices.Sort(keys)
+	td := NewTDAG(d)
+	for _, tc := range []struct {
+		name  string
+		runs  []Run
+		valid func(Node) bool
+	}{
+		{"tdag", td.Runs(keys), td.Valid},
+		{"path", PathRuns(d, keys), func(n Node) bool { return td.Valid(n) && n.Start%n.Size() == 0 }},
+	} {
+		got := map[Node][2]int{}
+		for _, r := range tc.runs {
+			if _, dup := got[r.Node]; dup || r.Lo >= r.Hi {
+				t.Fatalf("%s: run %v repeated or empty", tc.name, r)
+			}
+			got[r.Node] = [2]int{r.Lo, r.Hi}
+		}
+		for l := uint8(0); l <= d.Bits; l++ {
+			for start := uint64(0); start < d.Size(); start++ {
+				n := Node{Level: l, Start: start}
+				if !tc.valid(n) {
+					continue
+				}
+				lo, _ := slices.BinarySearch(keys, n.Start)
+				hi, _ := slices.BinarySearch(keys, n.End()+1)
+				if r, ok := got[n]; (lo < hi || ok) && r != [2]int{lo, hi} {
+					t.Fatalf("%s: node %v has run %v, want keys [%d, %d)", tc.name, n, r, lo, hi)
+				}
+				delete(got, n)
+			}
+		}
+		if len(got) > 0 {
+			t.Fatalf("%s: runs of no valid node: %v", tc.name, got)
+		}
+	}
+	if runs := LeafRuns(keys); len(runs) != len(slices.Compact(slices.Clone(keys))) {
+		t.Fatalf("%d leaf runs for %d distinct keys", len(runs), len(slices.Compact(slices.Clone(keys))))
+	}
+}
+
 // TestTDAGCoverLogarithmic checks the O(log m) keyword bound that drives
 // Logarithmic-SRC's O(n log m) storage.
 func TestTDAGCoverLogarithmic(t *testing.T) {
@@ -93,8 +151,8 @@ func TestTDAGCoverLogarithmic(t *testing.T) {
 		rnd := mrand.New(mrand.NewSource(int64(bits)))
 		for i := 0; i < 50; i++ {
 			v := rnd.Uint64() % td.D.Size()
-			if got, bound := td.CoverCount(v), 2*int(bits)+1; got > bound {
-				t.Errorf("bits=%d: CoverCount(%d) = %d exceeds %d", bits, v, got, bound)
+			if got, bound := len(cover(td, v)), 2*int(bits)+1; got > bound {
+				t.Errorf("bits=%d: Cover(%d) has %d nodes, more than %d", bits, v, got, bound)
 			}
 		}
 	}

@@ -21,6 +21,7 @@ package pb
 import (
 	"fmt"
 	mrand "math/rand"
+	"slices"
 
 	"rsse/internal/bloom"
 	"rsse/internal/cover"
@@ -132,10 +133,14 @@ func (c *Client) Build(items []Item) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, it := range items {
-			for _, dr := range cover.PathNodes(c.dom, it.Value) {
-				bf.Add(c.digest(level, dr.Label()))
-			}
+		// A range holding several items' values is one element, added once.
+		values := make([]uint64, len(items))
+		for i, it := range items {
+			values[i] = it.Value
+		}
+		slices.Sort(values)
+		for _, r := range cover.PathRuns(c.dom, values) {
+			bf.Add(c.digest(level, r.Node.Label()))
 		}
 		idx.size += bf.SizeBytes()
 		nd := &node{bf: bf}

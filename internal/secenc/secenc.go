@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // KeySize is the AES-128 key size in bytes.
@@ -53,17 +54,6 @@ func KeyFromBytes(b []byte) (Key, error) {
 	return k, nil
 }
 
-// pad appends PKCS#7 padding to p for the given block size.
-func pad(p []byte, blockSize int) []byte {
-	n := blockSize - len(p)%blockSize
-	out := make([]byte, len(p)+n)
-	copy(out, p)
-	for i := len(p); i < len(out); i++ {
-		out[i] = byte(n)
-	}
-	return out
-}
-
 // unpad strips PKCS#7 padding.
 func unpad(p []byte, blockSize int) ([]byte, error) {
 	if len(p) == 0 || len(p)%blockSize != 0 {
@@ -85,21 +75,32 @@ func unpad(p []byte, blockSize int) ([]byte, error) {
 // random IV drawn from r (crypto/rand.Reader if nil). The IV is prepended
 // to the ciphertext.
 func EncryptCBC(k Key, plaintext []byte, r io.Reader) ([]byte, error) {
+	return AppendCBC(nil, NewBlock(k), plaintext, r)
+}
+
+// AppendCBC appends EncryptCBC's ciphertext to dst, under an already
+// scheduled key (NewBlock). With a reader over IVs drawn at once and a
+// reused dst, a ciphertext costs no key schedule, syscall or allocation.
+func AppendCBC(dst []byte, block cipher.Block, plaintext []byte, r io.Reader) ([]byte, error) {
 	if r == nil {
 		r = rand.Reader
 	}
-	block, err := aes.NewCipher(k[:])
-	if err != nil {
-		return nil, err
-	}
-	padded := pad(plaintext, aes.BlockSize)
-	out := make([]byte, aes.BlockSize+len(padded))
-	iv := out[:aes.BlockSize]
-	if _, err := io.ReadFull(r, iv); err != nil {
+	n := aes.BlockSize - len(plaintext)%aes.BlockSize
+	start := len(dst)
+	dst = slices.Grow(dst, aes.BlockSize+len(plaintext)+n)[:start+aes.BlockSize]
+	if _, err := io.ReadFull(r, dst[start:]); err != nil {
 		return nil, fmt.Errorf("secenc: generating IV: %w", err)
 	}
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(out[aes.BlockSize:], padded)
-	return out, nil
+	dst = append(dst, plaintext...)
+	for range n {
+		dst = append(dst, byte(n))
+	}
+	for off := start + aes.BlockSize; off < len(dst); off += aes.BlockSize {
+		blk := dst[off : off+aes.BlockSize]
+		subtle.XORBytes(blk, blk, dst[off-aes.BlockSize:off])
+		block.Encrypt(blk, blk)
+	}
+	return dst, nil
 }
 
 // NewBlock returns the AES block cipher for k. A caller that decrypts

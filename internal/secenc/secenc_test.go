@@ -5,6 +5,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,18 +83,56 @@ func TestCBCCorruptCiphertext(t *testing.T) {
 }
 
 func TestPKCS7(t *testing.T) {
+	block := NewBlock(testKey(t, 7))
 	for n := 0; n < 64; n++ {
-		p := pad(bytes.Repeat([]byte{1}, n), aes.BlockSize)
-		if len(p)%aes.BlockSize != 0 {
-			t.Fatalf("pad(%d) not block-aligned", n)
+		plain := bytes.Repeat([]byte{1}, n)
+		ct, err := AppendCBC(nil, block, plain, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		u, err := unpad(p, aes.BlockSize)
+		if len(ct) != aes.BlockSize*(2+n/aes.BlockSize) {
+			t.Fatalf("pad(%d): %d-byte ciphertext", n, len(ct))
+		}
+		u, err := DecryptCBCBlock(block, ct)
 		if err != nil {
 			t.Fatalf("unpad(%d): %v", n, err)
 		}
-		if len(u) != n {
+		if !bytes.Equal(u, plain) {
 			t.Fatalf("unpad(%d) returned %d bytes", n, len(u))
 		}
+	}
+}
+
+// TestAppendCBCMatchesStdlib: AppendCBC writes the IV it reads, then
+// crypto/cipher's CBC of the padded plaintext, after whatever dst held,
+// and with room in dst it allocates nothing.
+func TestAppendCBCMatchesStdlib(t *testing.T) {
+	k := testKey(t, 8)
+	block := NewBlock(k)
+	ivs := bytes.Repeat([]byte{0x5c}, 2*aes.BlockSize)
+	for n := 0; n < 40; n++ {
+		plain := bytes.Repeat([]byte{byte(n)}, n)
+		got, err := AppendCBC([]byte("prefix"), block, plain, bytes.NewReader(ivs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded := append(slices.Clone(plain), bytes.Repeat([]byte{byte(16 - n%16)}, 16-n%16)...)
+		want := append([]byte("prefix"), ivs[:aes.BlockSize]...)
+		body := make([]byte, len(padded))
+		cipher.NewCBCEncrypter(block, ivs[:aes.BlockSize]).CryptBlocks(body, padded)
+		if want = append(want, body...); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: got %x, want %x", n, got, want)
+		}
+	}
+	dst := make([]byte, 0, 64)
+	r := bytes.NewReader(nil)
+	if a := testing.AllocsPerRun(100, func() {
+		r.Reset(ivs)
+		if _, err := AppendCBC(dst, block, ivs[:20], r); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("AppendCBC into a roomy dst: %v allocs", a)
 	}
 }
 

@@ -29,13 +29,10 @@ func (Basic) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engi
 	}
 	rnd = newRand(rnd)
 	// Plan: posting i of the build is cell i, plaintext until sealed.
-	off := postingOffsets(entries, func(n int) int { return n })
+	off := postingOffsets(entries, width, func(n int) int { return n })
 	cells := make([]byte, total*width)
-	scratch := make([][]byte, longestList(entries))
 	for e, entry := range entries {
-		for i, p := range shuffleInto(scratch, entry.Payloads, rnd) {
-			copy(cells[(off[e]+i)*width:], p)
-		}
+		shuffleRun(cells[off[e]*width:off[e+1]*width], entry.Data, width, rnd)
 	}
 	sealed, err := sealDictionary(entries, off, cells, width, eng, suite)
 	if err != nil {

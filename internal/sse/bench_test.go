@@ -47,7 +47,7 @@ func benchEntries(n, lists int) []Entry {
 		for j := range ids {
 			ids[j] = rnd.Uint64()
 		}
-		entries[i] = EntryFromIDs(stag, ids)
+		entries[i] = idEntry(stag, ids)
 	}
 	return entries
 }
@@ -189,7 +189,7 @@ func benchSearchStags(b *testing.B, suite prf.Suite) {
 		for j := range ids {
 			ids[j] = rnd.Uint64()
 		}
-		entries[i] = EntryFromIDs(entries[i].Stag, ids)
+		entries[i] = idEntry(entries[i].Stag, ids)
 	}
 	idx, err := Basic{}.Build(entries, 8, mrand.New(mrand.NewSource(10)), storage.Sorted{}, suite)
 	if err != nil {

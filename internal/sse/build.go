@@ -271,33 +271,27 @@ func (s *stagSealer) seal(n uint64, cell, spare []byte) {
 	secenc.XORKeyStreamBlock(s.blk, &s.ctr, &s.ks, cell, cell)
 }
 
-// postingOffsets returns the prefix sums of f over the entries: entry
-// i's cells are [off[i], off[i+1]) of a construction's backing arrays.
-func postingOffsets(entries []Entry, f func(postings int) int) []int {
+// postingOffsets returns the prefix sums of f over the entries' payload
+// counts: entry i's cells are [off[i], off[i+1]) of a construction's
+// backing arrays.
+func postingOffsets(entries []Entry, width int, f func(postings int) int) []int {
 	off := make([]int, len(entries)+1)
 	for i, e := range entries {
-		off[i+1] = off[i] + f(len(e.Payloads))
+		off[i+1] = off[i] + f(len(e.Data)/width)
 	}
 	return off
 }
 
-// shuffleInto sets dst to a shuffled copy of payloads and returns it;
-// dst must have room for them. Posting lists are permuted so that
+// shuffleRun copies the width-byte payloads of src to dst and permutes
+// them there with rnd.Shuffle. Posting lists are permuted so that
 // storage order leaks nothing about insertion or domain order (required
 // by the BuildIndex algorithms of Sections 6.1–6.3).
-func shuffleInto(dst, payloads [][]byte, rnd *mrand.Rand) [][]byte {
-	dst = dst[:len(payloads)]
-	copy(dst, payloads)
-	rnd.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
-	return dst
-}
-
-// longestList is the length of the longest posting list, which sizes
-// the plan phase's shuffle scratch.
-func longestList(entries []Entry) int {
-	n := 0
-	for _, e := range entries {
-		n = max(n, len(e.Payloads))
-	}
-	return n
+func shuffleRun(dst, src []byte, width int, rnd *mrand.Rand) {
+	copy(dst, src)
+	rnd.Shuffle(len(src)/width, func(i, j int) {
+		a, b := dst[i*width:(i+1)*width], dst[j*width:(j+1)*width]
+		for k := range a {
+			a[k], b[k] = b[k], a[k]
+		}
+	})
 }

@@ -27,7 +27,7 @@ func identityEntries(n, maxList int) []Entry {
 		for j := range ids {
 			ids[j] = rnd.Uint64()
 		}
-		entries[i] = EntryFromIDs(stag, ids)
+		entries[i] = idEntry(stag, ids)
 	}
 	return entries
 }
@@ -206,7 +206,7 @@ func TestBuildAllocs(t *testing.T) {
 	entries := identityEntries(500, 20)
 	postings := 0
 	for _, e := range entries {
-		postings += len(e.Payloads)
+		postings += len(e.Data) / 8
 	}
 	ceilings := map[string]float64{"basic": 0.15, "packed": 0.15, "tset": 0.15, "tset-retry": 0.15, "2lev": 0.75}
 	eachSuite(t, func(t *testing.T, suite prf.Suite) {

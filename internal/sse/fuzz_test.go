@@ -15,7 +15,7 @@ func FuzzOpenSection(f *testing.F) {
 	for _, s := range []Scheme{Basic{}, Packed{BlockSize: 4}, TSet{BucketCapacity: 16, Expansion: 1.5}, TwoLevel{InlineCap: 2, BlockSize: 2}} {
 		var stag Stag
 		stag[0] = 7
-		idx, err := s.Build([]Entry{EntryFromIDs(stag, []uint64{1, 2, 3})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteSHA512)
+		idx, err := s.Build([]Entry{idEntry(stag, []uint64{1, 2, 3})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteSHA512)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func testBlockSuiteBypassesStagCache(t *testing.T, suite prf.Suite) {
 	absent[1], absent[8] = 0xAB, 2
 	wantA, wantC := []uint64{1, 2, 3}, []uint64{9}
 	for _, sch := range benchConstructions() {
-		idx, err := sch.Build([]Entry{EntryFromIDs(a, wantA), EntryFromIDs(c, wantC)}, 8, mrand.New(mrand.NewSource(52)), nil, suite)
+		idx, err := sch.Build([]Entry{idEntry(a, wantA), idEntry(c, wantC)}, 8, mrand.New(mrand.NewSource(52)), nil, suite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +117,13 @@ func testStagCacheAdmission(t *testing.T, suite prf.Suite) {
 			name += "/" + suite.String()
 		}
 		t.Run(name, func(t *testing.T) {
-			idx, err := sch.Build([]Entry{EntryFromIDs(a, wantA), EntryFromIDs(c, wantC)},
+			idx, err := sch.Build([]Entry{idEntry(a, wantA), idEntry(c, wantC)},
 				8, mrand.New(mrand.NewSource(22)), nil, suite)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The same stag with an empty list: an index that lacks it.
-			without, err := sch.Build([]Entry{EntryFromIDs(c, wantC)}, 8, mrand.New(mrand.NewSource(23)), nil, suite)
+			without, err := sch.Build([]Entry{idEntry(c, wantC)}, 8, mrand.New(mrand.NewSource(23)), nil, suite)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestStagStateSize(t *testing.T) {
 func TestResetKernelCacheClearsDoorkeeper(t *testing.T) {
 	var stag Stag
 	stag[3], stag[10] = 7, 7
-	idx, err := Basic{}.Build([]Entry{EntryFromIDs(stag, []uint64{9})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteSHA512)
+	idx, err := Basic{}.Build([]Entry{idEntry(stag, []uint64{9})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteSHA512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func testStagCacheSlotContention(t *testing.T, suite prf.Suite) {
 	a, c := collidingStags(41)
 	want := map[Stag][]uint64{a: {1, 2, 3}, c: {10, 20, 30, 40}}
 	for _, sch := range benchConstructions() {
-		idx, err := sch.Build([]Entry{EntryFromIDs(a, want[a]), EntryFromIDs(c, want[c])},
+		idx, err := sch.Build([]Entry{idEntry(a, want[a]), idEntry(c, want[c])},
 			8, mrand.New(mrand.NewSource(42)), nil, suite)
 		if err != nil {
 			t.Fatal(err)

@@ -53,7 +53,7 @@ func testSearchLockstep(t *testing.T, suite prf.Suite, sch Scheme, eng storage.E
 		for j := range ids {
 			ids[j] = uint64(i<<8 | j)
 		}
-		entries = append(entries, EntryFromIDs(stagOf(), ids))
+		entries = append(entries, idEntry(stagOf(), ids))
 		present = append(present, entries[i].Stag)
 	}
 	for range 4 {

@@ -3,6 +3,7 @@ package sse
 import (
 	"fmt"
 	mrand "math/rand"
+	"slices"
 
 	"rsse/internal/prf"
 	"rsse/internal/storage"
@@ -49,23 +50,23 @@ func (s Packed) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.E
 	rnd = newRand(rnd)
 	blockLen := 1 + bs*width // count byte + padded payload area
 	// Plan: block j of the build is cell j, plaintext until sealed.
-	off := postingOffsets(entries, func(n int) int { return (n + bs - 1) / bs })
+	off := postingOffsets(entries, width, func(n int) int { return (n + bs - 1) / bs })
 	blocks := off[len(entries)]
 	cells := make([]byte, blocks*blockLen)
-	scratch := make([][]byte, longestList(entries))
+	var scratch []byte
 	for e, entry := range entries {
-		payloads := shuffleInto(scratch, entry.Payloads, rnd)
-		for blk := 0; blk*bs < len(payloads); blk++ {
-			chunk := payloads[blk*bs : min((blk+1)*bs, len(payloads))]
+		scratch = slices.Grow(scratch[:0], len(entry.Data))
+		payloads := scratch[:len(entry.Data)]
+		shuffleRun(payloads, entry.Data, width, rnd)
+		for blk := 0; blk*bs*width < len(payloads); blk++ {
+			chunk := payloads[blk*bs*width : min((blk+1)*bs*width, len(payloads))]
 			plain := cells[(off[e]+blk)*blockLen : (off[e]+blk+1)*blockLen]
-			plain[0] = byte(len(chunk))
-			for i, p := range chunk {
-				copy(plain[1+i*width:], p)
-			}
+			plain[0] = byte(len(chunk) / width)
+			copy(plain[1:], chunk)
 			// Random padding in the unused tail: without it, trailing
 			// zeros of the last block would leak posting-list length
 			// modulo the block size to anyone holding the stag.
-			for i := 1 + len(chunk)*width; i < blockLen; i++ {
+			for i := 1 + len(chunk); i < blockLen; i++ {
 				plain[i] = byte(rnd.Intn(256))
 			}
 		}

@@ -45,7 +45,7 @@ func TestPadKnownAnswer(t *testing.T) {
 	kc := prf.F(prf.Key(stag), 'e', 0)
 
 	// An 8-byte cell: the payload XOR the label's spare half, nothing else.
-	idx, err := Basic{}.Build([]Entry{EntryFromIDs(stag, []uint64{0x0102030405060708})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteBlockPad)
+	idx, err := Basic{}.Build([]Entry{idEntry(stag, []uint64{0x0102030405060708})}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteBlockPad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,29 +59,29 @@ func TestPadKnownAnswer(t *testing.T) {
 	}
 
 	// 40-byte cells: three of them, so cells 1 and 2 pin the counter.
-	wide := make([][]byte, 3)
-	for i := range wide {
-		wide[i] = bytes.Repeat([]byte{byte(0xA0 + i)}, 40)
+	var wide []byte
+	for i := range 3 {
+		wide = append(wide, bytes.Repeat([]byte{byte(0xA0 + i)}, 40)...)
 	}
-	idx, err = Basic{}.Build([]Entry{{Stag: stag, Payloads: wide}}, 40, mrand.New(mrand.NewSource(1)), nil, prf.SuiteBlockPad)
+	idx, err = Basic{}.Build([]Entry{{Stag: stag, Data: wide}}, 40, mrand.New(mrand.NewSource(1)), nil, prf.SuiteBlockPad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found [][]byte
-	for i := range uint64(len(wide)) {
+	for i := range uint64(len(wide) / 40) {
 		li := prf.F(prf.Key(stag), 'l', i)
 		p := prf.F(kc, 'p', i<<32)
 		pad := append(slices.Clone(li[LabelSize:]), p[:24]...)
 		found = append(found, xorBytes(storedCell(t, idx.(*basicIndex).cells, stag, i), pad))
 	}
 	slices.SortFunc(found, bytes.Compare)
-	if !slices.EqualFunc(found, wide, bytes.Equal) {
+	if !bytes.Equal(slices.Concat(found...), wide) {
 		t.Fatalf("40-byte cells decrypt by the rule to %x, want the payloads", found)
 	}
 
 	// 2lev: five ids in blocks of two spill into three array blocks.
 	ids := []uint64{11, 22, 33, 44, 55}
-	idx, err = TwoLevel{InlineCap: 4, BlockSize: 2}.Build([]Entry{EntryFromIDs(stag, ids)}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteBlockPad)
+	idx, err = TwoLevel{InlineCap: 4, BlockSize: 2}.Build([]Entry{idEntry(stag, ids)}, 8, mrand.New(mrand.NewSource(1)), nil, prf.SuiteBlockPad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSearchHitAllocatesNothing(t *testing.T) {
 	for i := range entries {
 		var stag Stag
 		rnd.Read(stag[:])
-		entries[i] = EntryFromIDs(stag, []uint64{uint64(i)})
+		entries[i] = idEntry(stag, []uint64{uint64(i)})
 	}
 	for _, suite := range []prf.Suite{prf.SuiteBlockPad, prf.SuiteBlock} {
 		perHit := 0.0

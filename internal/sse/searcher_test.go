@@ -250,7 +250,7 @@ func testSearchDerivesWhatItProbes(t *testing.T, suite prf.Suite) {
 			{Packed{BlockSize: blockSize}, (cells+blockSize-1)/blockSize + 1},
 		} {
 			log := &probeLog{}
-			idx, err := tc.sch.Build([]Entry{EntryFromIDs(stag, ids)}, 8, mrand.New(mrand.NewSource(9)), log, suite)
+			idx, err := tc.sch.Build([]Entry{idEntry(stag, ids)}, 8, mrand.New(mrand.NewSource(9)), log, suite)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.sch.Name(), err)
 			}
@@ -284,7 +284,7 @@ func TestSearchResultOutlivesLaneSet(t *testing.T) {
 		ids[i] = uint64(i)
 	}
 	var stag Stag
-	entries := []Entry{EntryFromIDs(stag, ids)}
+	entries := []Entry{idEntry(stag, ids)}
 	for _, sch := range []Scheme{Basic{}, Packed{}, TSet{BucketCapacity: 64, Expansion: 1.5}, TwoLevel{}} {
 		idx, err := sch.Build(entries, 8, mrand.New(mrand.NewSource(8)), nil, prf.SuiteBlockPad)
 		if err != nil {
@@ -322,11 +322,11 @@ func testSearchAllocsPerCell(t *testing.T, suite prf.Suite) {
 	const postings = 64
 	var stag Stag
 	stag[0] = 1
-	payloads := make([][]byte, postings)
-	for i := range payloads {
-		payloads[i] = binary.BigEndian.AppendUint64(nil, uint64(i))
+	ids := make([]uint64, postings)
+	for i := range ids {
+		ids[i] = uint64(i)
 	}
-	entries := []Entry{{Stag: stag, Payloads: payloads}}
+	entries := []Entry{idEntry(stag, ids)}
 	rnd := mrand.New(mrand.NewSource(6))
 	for _, sch := range []Scheme{Basic{}, Packed{}, TSet{BucketCapacity: 128, Expansion: 1.5}, TwoLevel{}} {
 		idx, err := sch.Build(entries, 8, rnd, nil, suite)
@@ -450,9 +450,9 @@ func TestSectionSuiteIsTheCallers(t *testing.T) {
 			}
 			for _, e := range entries {
 				got, err := searchOne(same, e.Stag)
-				if err != nil || len(got) != len(e.Payloads) {
+				if err != nil || len(got) != len(e.Data)/8 {
 					t.Fatalf("%s: build suite found %d of %d payloads, err %v",
-						sch.Name(), len(got), len(e.Payloads), err)
+						sch.Name(), len(got), len(e.Data)/8, err)
 				}
 				if got, err := searchOne(other, e.Stag); err != nil || len(got) != 0 {
 					t.Fatalf("%s: other suite found %d payloads, err %v", sch.Name(), len(got), err)

@@ -59,10 +59,11 @@ type Stag [StagSize]byte
 
 // Entry is one keyword's posting list prepared for indexing: the keyword's
 // stag plus its payloads (fixed-width opaque values, typically 8-byte
-// tuple ids).
+// big-endian tuple ids) back to back in Data, count·width bytes. A build
+// reads Data and never writes it, so entries may share one array.
 type Entry struct {
-	Stag     Stag
-	Payloads [][]byte
+	Stag Stag
+	Data []byte
 }
 
 // Scheme builds encrypted indexes.
@@ -162,15 +163,6 @@ func ByName(name string) (Scheme, error) {
 	}
 }
 
-// EntryFromIDs builds an Entry whose payloads are 8-byte encoded ids.
-func EntryFromIDs(stag Stag, ids []uint64) Entry {
-	p := make([][]byte, len(ids))
-	for i, id := range ids {
-		p[i] = binary.BigEndian.AppendUint64(nil, id)
-	}
-	return Entry{Stag: stag, Payloads: p}
-}
-
 // newRand returns rnd, or a fresh math/rand source seeded from
 // crypto/rand when rnd is nil.
 func newRand(rnd *mrand.Rand) *mrand.Rand {
@@ -197,12 +189,10 @@ func checkEntries(entries []Entry, width int) (int, error) {
 			return 0, ErrDuplicateStag
 		}
 		seen[e.Stag] = struct{}{}
-		for _, p := range e.Payloads {
-			if len(p) != width {
-				return 0, fmt.Errorf("%w: got %d, want %d", ErrPayloadWidth, len(p), width)
-			}
+		if len(e.Data)%width != 0 {
+			return 0, fmt.Errorf("%w: %d bytes, not a multiple of %d", ErrPayloadWidth, len(e.Data), width)
 		}
-		total += len(e.Payloads)
+		total += len(e.Data) / width
 	}
 	return total, nil
 }

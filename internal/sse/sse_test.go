@@ -53,6 +53,15 @@ func stagOf(t testing.TB, kw string) Stag {
 	return Stag(prf.EvalString(k, kw))
 }
 
+// idEntry is an entry whose payloads are ids, 8 bytes big-endian each.
+func idEntry(stag Stag, ids []uint64) Entry {
+	data := make([]byte, 0, 8*len(ids))
+	for _, id := range ids {
+		data = binary.BigEndian.AppendUint64(data, id)
+	}
+	return Entry{Stag: stag, Data: data}
+}
+
 // buildTestIndex builds an index over a deterministic keyword→ids map on
 // the default storage engine.
 func buildTestIndex(t testing.TB, s Scheme, db map[string][]uint64) Index {
@@ -78,7 +87,7 @@ func buildSuiteIndex(t testing.TB, s Scheme, db map[string][]uint64, eng storage
 	sort.Strings(kws)
 	entries := make([]Entry, 0, len(db))
 	for _, kw := range kws {
-		entries = append(entries, EntryFromIDs(stagOf(t, kw), db[kw]))
+		entries = append(entries, idEntry(stagOf(t, kw), db[kw]))
 	}
 	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(1)), eng, suite)
 	if err != nil {
@@ -208,7 +217,7 @@ func TestShuffleHidesInsertionOrder(t *testing.T) {
 }
 
 func TestWidthValidation(t *testing.T) {
-	entries := []Entry{{Stag: stagOf(t, "w"), Payloads: [][]byte{{1, 2, 3}}}}
+	entries := []Entry{{Stag: stagOf(t, "w"), Data: []byte{1, 2, 3}}}
 	for _, s := range testSchemes() {
 		if _, err := s.Build(entries, 8, nil, nil, prf.SuiteSHA512); err == nil {
 			t.Errorf("%s: mismatched payload width accepted", s.Name())
@@ -221,7 +230,7 @@ func TestWidthValidation(t *testing.T) {
 
 func TestDuplicateStagRejected(t *testing.T) {
 	s := stagOf(t, "dup")
-	entries := []Entry{EntryFromIDs(s, []uint64{1}), EntryFromIDs(s, []uint64{2})}
+	entries := []Entry{idEntry(s, []uint64{1}), idEntry(s, []uint64{2})}
 	for _, sch := range testSchemes() {
 		if _, err := sch.Build(entries, 8, nil, nil, prf.SuiteSHA512); err == nil {
 			t.Errorf("%s: duplicate stag accepted", sch.Name())
@@ -344,8 +353,8 @@ func TestOpaquePayloadWidths(t *testing.T) {
 	payload := func(fill byte, w int) []byte { return bytes.Repeat([]byte{fill}, w) }
 	for _, w := range []int{1, 24, 40, 100} {
 		entries := []Entry{{
-			Stag:     stagOf(t, "wide"),
-			Payloads: [][]byte{payload(1, w), payload(2, w), payload(3, w)},
+			Stag: stagOf(t, "wide"),
+			Data: slices.Concat(payload(1, w), payload(2, w), payload(3, w)),
 		}}
 		for _, s := range testSchemes() {
 			idx, err := s.Build(entries, w, mrand.New(mrand.NewSource(3)), nil, prf.SuiteSHA512)

@@ -71,11 +71,12 @@ func (s TSet) params() (capacity int, expansion float64, retries int, err error)
 // Bucket indexes depend on the stag, the salt and the record number,
 // never on the shuffle, so the seal phase derives them (with the labels
 // and the cell keys) before the plan phase shuffles. The plan then
-// places records entry by entry, shuffling each list as it goes, and
-// stops at the first full bucket: that attempt has drawn exactly the
-// shuffles of the entries up to the overflowing one. The salt goes up,
-// the bucket indexes are derived again, and placement restarts from the
-// first entry. Cells are encrypted once the final shuffle is known.
+// places records entry by entry, shuffling each list into its cells as
+// it goes, and stops at the first full bucket: that attempt has drawn
+// exactly the shuffles of the entries up to the overflowing one. The
+// salt goes up, the bucket indexes are derived again, and placement
+// restarts from the first entry. Cells are encrypted once the final
+// shuffle is known.
 func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Engine, suite prf.Suite) (Index, error) {
 	capacity, expansion, retries, err := s.params()
 	if err != nil {
@@ -94,7 +95,7 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 	// Seal, first half: record r of the build is label r and cell r —
 	// the real ones first, padding records numbered from total up.
 	slots := make([]int, numBuckets*capacity)
-	off := postingOffsets(entries, func(n int) int { return n })
+	off := postingOffsets(entries, width, func(n int) int { return n })
 	labels, spares := make([][LabelSize]byte, len(slots)), labelSpares(suite, total)
 	cells := make([]byte, len(slots)*width)
 	bucket := make([]int, total)
@@ -110,7 +111,6 @@ func (s TSet) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage.Eng
 	// Plan: slots[b*capacity:(b+1)*capacity] is bucket b, a record
 	// number per slot.
 	fill := make([]int, numBuckets)
-	scratch := make([][]byte, longestList(entries))
 attempt:
 	for try := 0; ; try++ {
 		if try == retries {
@@ -119,8 +119,8 @@ attempt:
 		}
 		clear(fill)
 		for e, entry := range entries {
-			for i, p := range shuffleInto(scratch, entry.Payloads, rnd) {
-				r := off[e] + i
+			shuffleRun(cells[off[e]*width:off[e+1]*width], entry.Data, width, rnd)
+			for r := off[e]; r < off[e+1]; r++ {
 				b := bucket[r]
 				if fill[b] == capacity {
 					salt++
@@ -132,7 +132,6 @@ attempt:
 				}
 				slots[b*capacity+fill[b]] = r
 				fill[b]++
-				copy(cells[r*width:], p)
 			}
 		}
 		break

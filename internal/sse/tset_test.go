@@ -54,7 +54,7 @@ func TestTSetOverflowRetriesWithSalt(t *testing.T) {
 	}
 	defer ResetKernelCache()
 	eachSuite(t, func(t *testing.T, suite prf.Suite) {
-		idx, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(9)), nil, suite)
+		idx, err := s.Build([]Entry{idEntry(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(9)), nil, suite)
 		if err != nil {
 			t.Fatalf("build with tight buckets: %v", err)
 		}
@@ -113,7 +113,7 @@ func TestTSetExhaustedRetries(t *testing.T) {
 	// multi-record keyword; the build must give up with a clear error.
 	s := TSet{BucketCapacity: 1, Expansion: 1.01, MaxRetries: 3}
 	ids := make([]uint64, 50)
-	_, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(4)), nil, prf.SuiteSHA512)
+	_, err := s.Build([]Entry{idEntry(stagOf(t, "k"), ids)}, 8, mrand.New(mrand.NewSource(4)), nil, prf.SuiteSHA512)
 	if err == nil {
 		t.Fatal("expected overflow error")
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 
 	"rsse/internal/prf"
 	"rsse/internal/storage"
@@ -88,7 +89,7 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 	// permutation of the exact array size.
 	totalBlocks := 0
 	for _, e := range entries {
-		n := len(e.Payloads)
+		n := len(e.Data) / 8
 		if n <= capacity {
 			continue
 		}
@@ -124,19 +125,19 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 	// are the slots perm[taken[e]:taken[e+1]].
 	cells := make([]byte, len(entries)*cellLen)
 	taken := make([]int, len(entries)+1)
-	scratch := make([][]byte, longestList(entries))
-	fill := func(dst []byte, items [][]byte) {
-		for i, p := range items {
-			copy(dst[i*8:], p)
-		}
-		for i := len(items) * 8; i < len(dst); i++ {
+	var scratch, idSlots, ptrSlots []byte // shuffled payloads, big-endian slot pointers
+	// fill copies items into dst and pads the rest with random bytes.
+	fill := func(dst, items []byte) {
+		copy(dst, items)
+		for i := len(items); i < len(dst); i++ {
 			dst[i] = byte(rnd.Intn(256))
 		}
 	}
-	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
 	for e, entry := range entries {
-		payloads := shuffleInto(scratch, entry.Payloads, rnd)
-		n := len(payloads)
+		scratch = slices.Grow(scratch[:0], len(entry.Data))
+		payloads := scratch[:len(entry.Data)]
+		shuffleRun(payloads, entry.Data, 8, rnd)
+		n := len(payloads) / 8
 		cell := cells[e*cellLen : (e+1)*cellLen]
 		binary.BigEndian.PutUint32(cell[1:5], uint32(n))
 
@@ -146,24 +147,22 @@ func (s TwoLevel) Build(entries []Entry, width int, rnd *mrand.Rand, eng storage
 			fill(cell[5:], payloads)
 		default:
 			// Spill ids into blocks.
-			var idSlots [][]byte // encoded slot pointers
-			for i := 0; i < n; i += blockSize {
-				end := min(i+blockSize, n)
+			idSlots = idSlots[:0]
+			for i := 0; i < len(payloads); i += blockLen {
 				slot := takeSlot()
-				fill(x.blocks[slot], payloads[i:end])
-				idSlots = append(idSlots, u64(slot))
+				fill(x.blocks[slot], payloads[i:min(i+blockLen, len(payloads))])
+				idSlots = binary.BigEndian.AppendUint64(idSlots, slot)
 			}
-			if len(idSlots) <= capacity {
+			if len(idSlots)/8 <= capacity {
 				cell[0] = modeMedium
 				fill(cell[5:], idSlots)
 			} else {
 				cell[0] = modeLarge
-				var ptrSlots [][]byte
-				for i := 0; i < len(idSlots); i += blockSize {
-					end := min(i+blockSize, len(idSlots))
+				ptrSlots = ptrSlots[:0]
+				for i := 0; i < len(idSlots); i += blockLen {
 					slot := takeSlot()
-					fill(x.blocks[slot], idSlots[i:end])
-					ptrSlots = append(ptrSlots, u64(slot))
+					fill(x.blocks[slot], idSlots[i:min(i+blockLen, len(idSlots))])
+					ptrSlots = binary.BigEndian.AppendUint64(ptrSlots, slot)
 				}
 				fill(cell[5:], ptrSlots)
 			}

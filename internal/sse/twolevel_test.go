@@ -11,7 +11,7 @@ func buildTwoLevel(t *testing.T, s TwoLevel, db map[string][]uint64) Index {
 	t.Helper()
 	entries := make([]Entry, 0, len(db))
 	for kw, ids := range db {
-		entries = append(entries, EntryFromIDs(stagOf(t, kw), ids))
+		entries = append(entries, idEntry(stagOf(t, kw), ids))
 	}
 	idx, err := s.Build(entries, 8, mrand.New(mrand.NewSource(5)), nil, prf.SuiteSHA512)
 	if err != nil {
@@ -59,7 +59,7 @@ func TestTwoLevelAllTiers(t *testing.T) {
 
 func TestTwoLevelTooLong(t *testing.T) {
 	s := TwoLevel{InlineCap: 2, BlockSize: 2} // max 8 ids
-	_, err := s.Build([]Entry{EntryFromIDs(stagOf(t, "k"), seq(9))}, 8, nil, nil, prf.SuiteSHA512)
+	_, err := s.Build([]Entry{idEntry(stagOf(t, "k"), seq(9))}, 8, nil, nil, prf.SuiteSHA512)
 	if err == nil {
 		t.Fatal("oversized posting list accepted")
 	}
@@ -67,7 +67,7 @@ func TestTwoLevelTooLong(t *testing.T) {
 
 func TestTwoLevelWidthRestriction(t *testing.T) {
 	s := TwoLevel{}
-	entries := []Entry{{Stag: stagOf(t, "w"), Payloads: [][]byte{make([]byte, 24)}}}
+	entries := []Entry{{Stag: stagOf(t, "w"), Data: make([]byte, 24)}}
 	if _, err := s.Build(entries, 24, nil, nil, prf.SuiteSHA512); err == nil {
 		t.Fatal("non-8-byte width accepted")
 	}

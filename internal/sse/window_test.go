@@ -50,7 +50,7 @@ func isLabelCollision(err error) bool {
 // on the stored window and differ below it fails at seal with
 // errLabelCollision, as two equal 16-byte labels always did.
 func TestLabelWindowCollisionRefused(t *testing.T) {
-	entries := []Entry{EntryFromIDs(stagOf(t, "a"), []uint64{1}), EntryFromIDs(stagOf(t, "b"), []uint64{2})}
+	entries := []Entry{idEntry(stagOf(t, "a"), []uint64{1}), idEntry(stagOf(t, "b"), []uint64{2})}
 	if _, err := (Basic{}).Build(entries, 8, nil, collidingEngine{}, prf.SuiteBlockPad); !isLabelCollision(err) {
 		t.Fatalf("basic build over colliding labels: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestTSetPaddingWindowCollisionRefused(t *testing.T) {
 		pad := bytes.Clone(label[:])
 		pad[c.flip] ^= 1
 		rnd := mrand.New(&scriptedSource{script: pad})
-		_, err := TSet{BucketCapacity: 2, Expansion: 1.5}.Build([]Entry{EntryFromIDs(stag, []uint64{7})}, 8, rnd, nil, prf.SuiteBlockPad)
+		_, err := TSet{BucketCapacity: 2, Expansion: 1.5}.Build([]Entry{idEntry(stag, []uint64{7})}, 8, rnd, nil, prf.SuiteBlockPad)
 		if c.collide != isLabelCollision(err) || !c.collide && err != nil {
 			t.Errorf("padding label differing from the real one in byte %d: %v", c.flip, err)
 		}
@@ -104,7 +104,7 @@ func TestTSetPaddingWindowCollisionRefused(t *testing.T) {
 // the owner did not choose — and one that differs inside it misses.
 func TestLabelFalseMatchBelowWindow(t *testing.T) {
 	stag := stagOf(t, "k")
-	idx, err := Basic{}.Build([]Entry{EntryFromIDs(stag, []uint64{1, 2, 3})}, 8, nil, nil, prf.SuiteBlockPad)
+	idx, err := Basic{}.Build([]Entry{idEntry(stag, []uint64{1, 2, 3})}, 8, nil, nil, prf.SuiteBlockPad)
 	if err != nil {
 		t.Fatal(err)
 	}

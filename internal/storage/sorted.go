@@ -10,7 +10,7 @@ import (
 	"sort"
 )
 
-// Sorted is the read-optimized engine: Seal sorts the records by key
+// Sorted is the read-optimized engine: Seal orders the records by key
 // once and lays them out as a segment (segment.go) in memory, which the
 // segment backend then serves. When every value of a space has the same
 // width — true of every SSE dictionary, whose cells are all one length —
@@ -36,7 +36,7 @@ import (
 // four records a bucket, so a record of an 8-byte cell is 17 bytes, not
 // 24. Such keys must be pseudorandom (see NewBuilder).
 //
-// Sealing from already-ascending input skips the sort entirely. A
+// Sealing from already-ascending input only counts the directory. A
 // loaded index does not rebuild at all: it serves the sealed segments
 // of a copy of its blob in place, and writes them out as they are.
 type Sorted struct{}
@@ -175,8 +175,8 @@ func (b *sortedBuilder) seal() ([]byte, error) {
 	if b.keyLen < 1 || b.keyLen > math.MaxUint16 || int64(b.width) > math.MaxUint32 {
 		return nil, fmt.Errorf("storage: segment of %d-byte keys and %d-byte values", b.keyLen, b.width)
 	}
-	if !b.ascending {
-		b.sortRecords()
+	if b.mixed && !b.ascending {
+		b.sortMixed()
 	}
 	version, width, dirBits := uint16(2), max(b.width, 0), dirBitsFor(b.n>>2, b.keyLen)
 	valsLen := uint64(b.n * width)
@@ -187,6 +187,7 @@ func (b *sortedBuilder) seal() ([]byte, error) {
 	if b.n == 0 {
 		dirBits = 0
 	}
+	dir, fullest := b.directory(dirBits)
 	keyLen, n := uint64(b.keyLen), uint64(b.n)
 	l := layoutFor(version, keyLen, n, valsLen, uint8(dirBits))
 	buf := slices.Grow(b.buf, int(l.total)-len(b.buf))
@@ -201,12 +202,12 @@ func (b *sortedBuilder) seal() ([]byte, error) {
 		buf = append(buf, b.vals...)
 	}
 	buf = appendZeros(buf, l.dirOff)
-	if dirBits > 0 {
-		buf = appendDir(buf, buf[segHeaderSize:], b.stride(), b.keyLen, b.n, dirBits)
+	for _, d := range dir {
+		buf = binary.BigEndian.AppendUint32(buf, d)
 	}
 	kw := 0 // version 3's stored key width
 	if !b.mixed && dirBits > 0 {
-		if s := keyWindow(maxBucket(buf[l.dirOff:]), dirBits); int(dirBits/8)+s < b.keyLen {
+		if s := keyWindow(fullest, dirBits); int(dirBits/8)+s < b.keyLen {
 			var err error
 			if buf, l, err = b.truncate(buf, buf[l.dirOff:l.footerOff], s, dirBits); err != nil {
 				return nil, err
@@ -247,16 +248,6 @@ func keyWindow(m int, dirBits uint) int {
 	return (64 + int(dirBits%8) + bits.Len(uint(m-1)) + 7) / 8
 }
 
-// maxBucket is the most records one bucket of a directory holds.
-func maxBucket(dir []byte) int {
-	m, prev := 0, binary.BigEndian.Uint32(dir)
-	for i := 4; i < len(dir); i += 4 {
-		v := binary.BigEndian.Uint32(dir[i:])
-		m, prev = max(m, int(v-prev)), v
-	}
-	return m
-}
-
 // truncate rewrites a sealed uniform space, buf, as version 3, into an
 // array of its own length so that the full-width records are freed:
 // each record keeps the s-byte window of its key below the directory's
@@ -284,14 +275,9 @@ func appendZeros(buf []byte, off uint64) []byte {
 	return append(buf, make([]byte, off-uint64(len(buf)))...)
 }
 
-// sortRecords orders the records by key: the uniform layout in place,
-// the mixed one through a sorted permutation.
-func (b *sortedBuilder) sortRecords() {
-	if !b.mixed {
-		s := b.stride()
-		sort.Sort(strideRecords{b.buf[segHeaderSize:], s, b.keyLen, make([]byte, s)})
-		return
-	}
+// sortMixed orders the mixed layout's records by key through a sorted
+// permutation of their keys.
+func (b *sortedBuilder) sortMixed() {
 	ord := make([]int, b.n)
 	for i := range ord {
 		ord[i] = i
@@ -310,34 +296,87 @@ func (b *sortedBuilder) sortRecords() {
 	b.buf, b.vals, b.offs = keys, vals, offs
 }
 
-// strideRecords sorts a uniform layout's records in place, so sealing
-// unordered input holds one copy of the records, not two.
-type strideRecords struct {
-	recs           []byte
-	stride, keyLen int
-	tmp            []byte // one record of swap scratch
-}
-
-func (r strideRecords) Len() int { return len(r.recs) / r.stride }
-
-// Less compares the 8-byte key prefixes as integers, as Get does, and
-// falls back to the whole keys only on a tie: rare for the pseudorandom
-// labels of the SSE dictionaries, whose sort is most of a build's seal.
-func (r strideRecords) Less(i, j int) bool {
-	a := r.recs[i*r.stride : i*r.stride+r.keyLen]
-	b := r.recs[j*r.stride : j*r.stride+r.keyLen]
-	if pa, pb := loadPrefix(a), loadPrefix(b); pa != pb {
-		return pa < pb
+// directory returns the radix directory over the leading bits of the
+// records' keys — entry p is the first record whose key prefix reaches
+// p, entry 1<<bits is n — and the most records one of its buckets
+// holds; none for no bits. One counting pass makes it. A uniform layout
+// that did not arrive in order is then sorted in place (placeRecords),
+// so sealing holds one copy of the records, not two.
+func (b *sortedBuilder) directory(bits uint) (dir []uint32, fullest int) {
+	if bits == 0 {
+		return nil, 0
 	}
-	return bytes.Compare(a, b) < 0
+	stride, recs := b.stride(), b.buf[segHeaderSize:segHeaderSize+b.n*b.stride()]
+	dir = make([]uint32, 1<<bits+1)
+	for i := 0; i < len(recs); i += stride {
+		dir[loadPrefix(recs[i:i+b.keyLen])>>(64-bits)+1]++
+	}
+	for p := 1; p < len(dir); p++ {
+		fullest = max(fullest, int(dir[p]))
+		dir[p] += dir[p-1]
+	}
+	if !b.ascending && !b.mixed {
+		placeRecords(recs, stride, b.keyLen, 0, make([]byte, stride))
+	}
+	return dir, fullest
 }
 
-func (r strideRecords) Swap(i, j int) {
-	a := r.recs[i*r.stride : (i+1)*r.stride]
-	b := r.recs[j*r.stride : (j+1)*r.stride]
-	copy(r.tmp, a)
-	copy(a, b)
-	copy(b, r.tmp)
+const insertionMax = 32 // the most records placeRecords insertion-sorts
+
+// placeRecords sorts recs, records of stride bytes that each start with
+// a keyLen-byte key agreeing on its first k bytes, by key, in place: an
+// American-flag pass swaps each record into its bucket of key byte k,
+// and each bucket is sorted the same way on the next byte, down to
+// insertionMax records. Keys that share leading bytes cost a pass per
+// byte, never a quadratic bucket. tmp has room for one record.
+func placeRecords(recs []byte, stride, keyLen, k int, tmp []byte) {
+	if len(recs) <= insertionMax*stride || k == keyLen {
+		insertionSort(recs, stride, keyLen, tmp)
+		return
+	}
+	var starts [257]uint32
+	for i := k; i < len(recs); i += stride {
+		starts[int(recs[i])+1]++
+	}
+	for d := 1; d < len(starts); d++ {
+		starts[d] += starts[d-1]
+	}
+	next := starts
+	for d := range 256 {
+		for next[d] < starts[d+1] {
+			a := recs[int(next[d])*stride:][:stride]
+			e := a[k]
+			if int(e) == d {
+				next[d]++
+				continue
+			}
+			b := recs[int(next[e])*stride:][:stride]
+			next[e]++
+			copy(tmp, a)
+			copy(a, b)
+			copy(b, tmp)
+		}
+	}
+	for d := range 256 {
+		placeRecords(recs[int(starts[d])*stride:int(starts[d+1])*stride], stride, keyLen, k+1, tmp)
+	}
+}
+
+// insertionSort sorts a few records of stride bytes by their leading
+// keyLen-byte keys, in place, with tmp for one record.
+func insertionSort(recs []byte, stride, keyLen int, tmp []byte) {
+	for i := stride; i < len(recs); i += stride {
+		key := recs[i : i+keyLen]
+		j := i
+		for j > 0 && bytes.Compare(key, recs[j-stride:j-stride+keyLen]) < 0 {
+			j -= stride
+		}
+		if j < i {
+			copy(tmp, recs[i:i+stride])
+			copy(recs[j+stride:i+stride], recs[j:i])
+			copy(recs[j:], tmp)
+		}
+	}
 }
 
 // loadPrefix left-aligns the first (up to) eight key bytes into a uint64,
@@ -364,22 +403,4 @@ func dirBitsFor(n, keyLen int) uint {
 		bits = max
 	}
 	return bits
-}
-
-// appendDir appends the ((1<<bits)+1)-entry big-endian directory over n
-// sorted records at a stride, each starting with its keyLen-byte key:
-// entry p is the first record whose key prefix reaches p, entry 1<<bits
-// is n.
-func appendDir(out, recs []byte, stride, keyLen, n int, bits uint) []byte {
-	next := uint64(0) // the next entry to append
-	for i := 0; i < n; i++ {
-		p := loadPrefix(recs[i*stride:i*stride+keyLen]) >> (64 - bits)
-		for ; next <= p; next++ {
-			out = binary.BigEndian.AppendUint32(out, uint32(i))
-		}
-	}
-	for ; next <= 1<<bits; next++ {
-		out = binary.BigEndian.AppendUint32(out, uint32(n))
-	}
-	return out
 }
